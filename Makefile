@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test short race sweep fuzz vet bench metrics perfcheck lakecheck chaoscheck shardcheck ci
+.PHONY: all build test benchtest short race sweep fuzz vet bench metrics perfcheck tablecheck lakecheck chaoscheck shardcheck ci
 
-all: build vet test perfcheck lakecheck chaoscheck shardcheck
+all: build vet test benchtest perfcheck tablecheck lakecheck chaoscheck shardcheck
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ build:
 # Tier-1: full unit + integration suite (sweeps at default breadth).
 test:
 	$(GO) test ./...
+
+# The benchmark is a module of its own (bench/go.mod), invisible to
+# `go test ./...`: its self-tests (same seed twice, traced against
+# untraced, -compare bounds) run from here.
+benchtest:
+	$(GO) -C bench test .
 
 # Quick iteration loop: long simulation sweeps skip or shrink.
 short:
@@ -38,14 +44,23 @@ fuzz:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet .
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 
-# Performance baseline: scheduler microbenchmarks (wheel vs heap at 1k/32k/1M
-# pending timers), then one quick figure per family with the perf report
-# written to BENCH_pr2.json. See DESIGN.md §8 for how to read the numbers.
+# Performance: scheduler microbenchmarks (wheel vs heap at 1k/32k/1M
+# pending timers; DESIGN.md §8), then the repository benchmark — the four
+# BENCHMARK.json workloads end to end at one seed (bench/README.md defines
+# every metric). Each result is printed and appended to $(BENCH_OUT); two
+# such files compare with `go run -C bench falcon/bench -compare a b`.
+BENCH_OUT ?= bench.jsonl
+BENCH_SEED ?= 1
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkScheduler' -benchmem ./internal/sim/
-	$(GO) run ./cmd/falconbench -quick -json BENCH_pr2.json \
-		-run 'fig1|fig10|fig13|fig18|fig20a|fig22b|fig25|table4'
+	for w in fabric_scale oprate_small lossy_mixed incast_conns; do \
+		$(GO) run -C bench falcon/bench -workload $$w -seed $(BENCH_SEED) \
+			-out $(abspath $(BENCH_OUT)) || exit 1; \
+	done
 
 # Regenerate the committed telemetry artifacts: deterministic per-figure
 # metric snapshots (BENCH_pr3_metrics.json) and virtual-clock time series
@@ -63,7 +78,9 @@ metrics:
 # Fast-path regression gate: the zero-alloc assertions on the fabric hot
 # path (port send, switch forward with every routing policy, host
 # deliver, AtAction dispatch), the end-to-end transport steady-state
-# alloc gate, and the trace-hash equivalence suites — wheel-vs-heap
+# alloc gate (TL push/pull and rdma.Read, unrefused and under sustained TL
+# refusal), the golden sweep hashes that pin the event stream against an
+# earlier build, and the trace-hash equivalence suites — wheel-vs-heap
 # schedulers, pooled-vs-legacy allocation, the PR 6 legacy-vs-optimized
 # PDL/TL hot path over the full 33-scenario fault-sweep matrix (plus the
 # eager-vs-lazy timer oracle), and the PR 8 routing equivalence suite
@@ -75,6 +92,7 @@ metrics:
 perfcheck:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/netsim/ ./internal/sim/
 	$(GO) test -run 'TestTransportSteadyStateAllocs' -v ./internal/core/
+	$(GO) test -run 'TestSweepGolden' ./internal/testkit/
 	$(GO) test -short -run 'TestSweepSchedulerEquivalence|TestSweepPoolEquivalence' \
 		./internal/testkit/
 	$(GO) test -run 'TestSweepHotPathEquivalence|TestSweepTimerEquivalence' \
@@ -82,6 +100,14 @@ perfcheck:
 	$(GO) test -run 'TestECMPMatchesLegacyFormula|TestSprayFabricExactSpread|TestAdaptiveFabricAvoidsSlowUplink' \
 		./internal/routing/
 	$(GO) test -run 'TestHotPathLint|TestNetsimClosureFree' ./internal/testkit/
+
+# Table gate: every cell of every quick-mode table must match the committed
+# golden (only the wall-clock "(figX in <t>)" lines are stripped, as in
+# shardcheck). A change that moves a number on purpose regenerates the
+# golden with the same pipeline and explains the diff.
+tablecheck:
+	$(GO) run ./cmd/falconbench -quick | sed '/ in /d' | \
+		diff -u cmd/falconbench/testdata/quick_tables.golden -
 
 # Telemetry-lake gate over the committed BENCH artifacts (see DESIGN.md
 # §12, METRICS.md): two independent ingests must be byte-identical, the

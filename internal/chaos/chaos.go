@@ -214,7 +214,7 @@ func Generate(seed int64, sp Spec) Plan {
 	for i := 0; i < sp.Events; i++ {
 		k := kinds[rng.Intn(len(kinds))]
 		dur := window/16 + time.Duration(rng.Int63n(int64(window/16)+1))
-		at := sp.Start.Add(time.Duration(rng.Int63n(int64(window - dur) + 1)))
+		at := sp.Start.Add(time.Duration(rng.Int63n(int64(window-dur) + 1)))
 		ev := Event{
 			Kind:   k,
 			Target: rng.Intn(sp.kindTargets(k)),

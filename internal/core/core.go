@@ -77,15 +77,40 @@ func DefaultConnConfig() ConnConfig {
 
 // Cluster owns the Falcon nodes attached to one simulated fabric.
 type Cluster struct {
-	sim        *sim.Simulator
-	nodes      map[netsim.NodeID]*Node
+	sim   *sim.Simulator
+	nodes map[netsim.NodeID]*Node
+	// pools holds the transport packet pool of each partition simulator
+	// (exactly one on a single-loop run), shared by the nodes living on it;
+	// see wire.PacketPool. AddNode resolves a node's pool once, so the
+	// packet path never consults the map.
+	pools map[*sim.Simulator]*wire.PacketPool
+	// onDrop is reclaim as a func value, bound once so the egress path can
+	// hang it on every frame without allocating.
+	onDrop     func(at *sim.Simulator, payload any)
 	nextConnID uint32
 	legacy     bool
 }
 
+// reclaim is the netsim.Frame.OnDrop hook of every frame that carries a
+// pooled packet: the fabric discarded the frame on partition at, so the
+// in-flight snapshot goes back to that partition's pool instead of to the
+// garbage collector (a partition with no Falcon node has no pool; there
+// the packet is simply dropped from circulation).
+func (cl *Cluster) reclaim(at *sim.Simulator, payload any) {
+	if p, ok := payload.(*wire.Packet); ok {
+		cl.pools[at].Release(p)
+	}
+}
+
 // NewCluster creates an empty cluster on the simulator.
 func NewCluster(s *sim.Simulator) *Cluster {
-	cl := &Cluster{sim: s, nodes: make(map[netsim.NodeID]*Node), nextConnID: 1}
+	cl := &Cluster{
+		sim:        s,
+		nodes:      make(map[netsim.NodeID]*Node),
+		pools:      make(map[*sim.Simulator]*wire.PacketPool),
+		nextConnID: 1,
+	}
+	cl.onDrop = cl.reclaim
 	cl.SetLegacyHotPath(defaultLegacyHotPath.Load())
 	return cl
 }
@@ -96,8 +121,10 @@ func NewCluster(s *sim.Simulator) *Cluster {
 // each endpoint's PDL/TL configuration.
 func (cl *Cluster) SetLegacyHotPath(v bool) {
 	cl.legacy = v
+	for _, p := range cl.pools {
+		p.SetLegacy(v)
+	}
 	for _, n := range cl.nodes {
-		n.pool.SetLegacy(v)
 		n.res.SetLegacy(v)
 	}
 }
@@ -140,17 +167,22 @@ func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
 	// (with the shared group clock and sequence counter, this is the
 	// root simulator's exact behaviour in merged mode).
 	ns := host.Sim()
+	pool := cl.pools[ns]
+	if pool == nil {
+		pool = wire.NewPacketPool()
+		pool.SetLegacy(cl.legacy)
+		cl.pools[ns] = pool
+	}
 	n := &Node{
 		cluster: cl,
 		host:    host,
 		sim:     ns,
 		nic:     nic.New(ns, cfg.NIC),
 		res:     tl.NewResources(cfg.Resources),
-		pool:    wire.NewPacketPool(),
+		pool:    pool,
 		conns:   make(map[uint32]*Endpoint),
 		pspKey:  cfg.PSPMasterKey,
 	}
-	n.pool.SetLegacy(cl.legacy)
 	n.res.SetLegacy(cl.legacy)
 	n.engine = fae.New(ns, cfg.FAE, n.applyFAEResponse)
 	host.SetHandler(n)
@@ -164,11 +196,13 @@ type Node struct {
 	cluster *Cluster
 	host    *netsim.Host
 	// sim is the fabric host's partition simulator; every timer and
-	// continuation of this node's stack is scheduled here. pool recycles
-	// this node's transport packets (per node rather than per cluster so
-	// the experimental parallel shard mode never shares a free list
-	// across partitions; in-flight fabric copies migrate to the receiving
-	// node's pool, mirroring netsim's frame-pool rule).
+	// continuation of this node's stack is scheduled here. pool is that
+	// partition's transport packet pool, shared with the other nodes on
+	// it (per partition rather than per cluster so the experimental
+	// parallel shard mode never shares a free list across goroutines; an
+	// in-flight fabric copy is released into the receiving node's pool,
+	// which is the sender's own unless the packet crossed partitions —
+	// netsim's frame-pool rule).
 	sim    *sim.Simulator
 	pool   *wire.PacketPool
 	nic    *nic.NIC
@@ -188,6 +222,10 @@ func (n *Node) Host() *netsim.Host { return n.host }
 
 // NIC returns the node's NIC model (for impairments like PCIe downgrades).
 func (n *Node) NIC() *nic.NIC { return n.nic }
+
+// PacketPool returns the transport packet pool this node draws from, for
+// leak and bound checks at quiescence.
+func (n *Node) PacketPool() *wire.PacketPool { return n.pool }
 
 // Resources returns the node's shared TL resource pools.
 func (n *Node) Resources() *tl.Resources { return n.res }
@@ -222,7 +260,7 @@ func (n *Node) Crash() int {
 
 // rxJob is the pooled NIC-ingress pass for one arriving packet: it runs
 // after the pipeline's admission delay, hands the packet to the PDL, and
-// returns it to the cluster pool (no layer above retains inbound packets —
+// returns it to the node's pool (no layer above retains inbound packets —
 // holders copy by value; see wire.PacketPool's ownership contract).
 type rxJob struct {
 	ep   *Endpoint
@@ -322,6 +360,7 @@ func (j *txJob) RunAction() {
 		frame.Size += psp.Overhead
 	} else {
 		frame.Payload = cp
+		frame.OnDrop = n.cluster.onDrop
 	}
 	n.host.Send(frame)
 }

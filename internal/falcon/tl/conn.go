@@ -289,7 +289,8 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, res *Resources, ctrl Contr
 }
 
 // SetPacketPool attaches a packet pool (nil keeps heap packets). Must be
-// called before traffic flows; internal/core wires one pool per cluster.
+// called before traffic flows; internal/core wires the pool of the node's
+// partition simulator.
 func (c *Conn) SetPacketPool(p *wire.PacketPool) { c.pool = p }
 
 // ID returns the connection ID.
@@ -383,8 +384,12 @@ func (c *Conn) SetAlpha(a float64) {
 }
 
 // SetXonCallback registers the ULP's resume hook, invoked when a
-// backpressured connection regains resource headroom.
-func (c *Conn) SetXonCallback(fn func()) { c.xonCallback = fn }
+// backpressured connection regains resource headroom. A connection
+// refused before the hook was installed is armed by installing it.
+func (c *Conn) SetXonCallback(fn func()) {
+	c.xonCallback = fn
+	c.updateNeedy()
+}
 
 // CompletedRSN is sampled by the PDL when building ACKs: the cumulative
 // in-order completion horizon at this target (zero for unordered).
@@ -429,10 +434,15 @@ func (c *Conn) xoffed() bool {
 }
 
 // updateNeedy folds this connection's wakeup interest into the shared
-// Resources needy count. A connection with no deferred responses and no
-// Xoff'd ULP does nothing in onResourcesFreed, so Release may skip it.
+// Resources needy count; it is the one place that decides it. A connection
+// is needy exactly when onResourcesFreed would do something: a deferred
+// response to drain, or an Xon edge to signal. Without an Xon callback
+// there is no edge to signal — a ULP that polls for admission instead
+// (rdma's retry timer) is refused over and over yet never needs a wake-up,
+// so it must not keep every Release on its node walking all subscribers.
 func (c *Conn) updateNeedy() {
-	needy := c.dead == nil && (c.wasXoff || c.pendingResponses.len() > 0)
+	needy := c.dead == nil &&
+		(c.pendingResponses.len() > 0 || (c.wasXoff && c.xonCallback != nil))
 	if needy != c.isNeedy {
 		c.isNeedy = needy
 		if needy {
@@ -563,7 +573,7 @@ func (c *Conn) onResourcesFreed() {
 		return
 	}
 	c.drainPendingResponses()
-	if c.wasXoff && !c.xoffed() && c.xonCallback != nil {
+	if c.wasXoff && c.xonCallback != nil && !c.xoffed() {
 		c.wasXoff = false
 		c.updateNeedy()
 		c.xonCallback()

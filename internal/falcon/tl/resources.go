@@ -78,6 +78,20 @@ func DefaultResourceConfig() ResourceConfig {
 // ErrNoResources reports pool exhaustion at admission.
 var ErrNoResources = errors.New("tl: resource pool exhausted")
 
+// Refusals are per-packet events under load (HoL admission, deferred
+// response drains, rdma's admission poll), so Reserve and AdmitRxRequest
+// return these precomputed errors instead of formatting one per call. Each
+// wraps ErrNoResources.
+var (
+	errPoolExhausted = func() (errs [numPools]error) {
+		for k := range errs {
+			errs[k] = fmt.Errorf("%w: %v", ErrNoResources, PoolKind(k))
+		}
+		return errs
+	}()
+	errBeyondHoL = fmt.Errorf("%w: rx-req beyond HoL threshold", ErrNoResources)
+)
+
 // connInts is a per-connection counter table indexed directly by
 // connection ID (IDs are small and dense — the NIC assigns them
 // sequentially), replacing the map[uint32]int lookups that dominated
@@ -166,12 +180,13 @@ type Resources struct {
 	alwaysRun int
 
 	// needy counts subscribed connections whose callback would currently
-	// do real work (a deferred response to drain or an Xoff'd ULP to
-	// wake). When zero, Release skips the connection fan-out entirely —
-	// the common case on the hot path, where every packet ack used to
-	// pay a call per connection in the cluster. When non-zero, ALL
-	// subscribers still run in subscription order (the needy set is not
-	// tracked per-callback), so observable callback order is unchanged.
+	// do real work (a deferred response to drain, or an Xoff'd ULP that
+	// installed an Xon callback to wake; see Conn.updateNeedy). When
+	// zero, Release skips the connection fan-out entirely — the common
+	// case on the hot path, where every packet ack used to pay a call
+	// per connection on the node. When non-zero, ALL subscribers still
+	// run in subscription order (the needy set is not tracked
+	// per-callback), so observable callback order is unchanged.
 	needy int
 
 	// legacy disables the needy skip, restoring the unconditional
@@ -200,7 +215,7 @@ func (r *Resources) needyDelta(d int) { r.needy += d }
 func (r *Resources) Reserve(k PoolKind, conn uint32, bytes int) error {
 	p := r.pools[k]
 	if !p.tryReserve(bytes) {
-		return fmt.Errorf("%w: %v", ErrNoResources, k)
+		return errPoolExhausted[k]
 	}
 	p.connCtx.add(conn, 1)
 	p.connBytes.add(conn, bytes)
@@ -285,7 +300,7 @@ func (r *Resources) OverDTThreshold(conn uint32, alpha float64) bool {
 // and deadlocking ordered connections.
 func (r *Resources) AdmitRxRequest(conn uint32, bytes int, headOfLine bool) error {
 	if r.pools[PoolRxReq].occupancy() >= r.cfg.HoLAdmissionThreshold && !headOfLine {
-		return fmt.Errorf("%w: rx-req beyond HoL threshold", ErrNoResources)
+		return errBeyondHoL
 	}
 	return r.Reserve(PoolRxReq, conn, bytes)
 }

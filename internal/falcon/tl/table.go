@@ -19,8 +19,8 @@ type rsnTable[T any] struct {
 	keys []uint64 // rsn+1; 0 = empty
 	vals []T
 	n    int
-	low  uint64 // lower bound on live keys (advanced lazily)
-	high uint64 // strict upper bound on live keys
+	low  uint64       // lower bound on live keys (advanced lazily)
+	high uint64       // strict upper bound on live keys
 	m    map[uint64]T // non-nil selects the map backend
 }
 

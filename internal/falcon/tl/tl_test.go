@@ -346,16 +346,107 @@ func TestBackpressureStaticThreshold(t *testing.T) {
 	if e.a.Stats.Backpressured == 0 {
 		t.Fatal("backpressure not counted")
 	}
-	// Xon fires once resources drain.
-	var xon bool
-	e.a.SetXonCallback(func() { xon = true })
+	// Xon fires once resources drain — once per Xoff episode, not once per
+	// release.
+	xon := 0
+	e.a.SetXonCallback(func() { xon++ })
 	e.s.Run()
-	if !xon {
-		t.Fatal("Xon callback never fired")
+	if xon != 1 {
+		t.Fatalf("Xon callback fired %d times, want exactly 1", xon)
 	}
 	if _, err := e.a.Push(nil, 100, nil); err != nil {
 		t.Fatalf("push after Xon: %v", err)
 	}
+}
+
+// TestNeedyOnlyWithXonCallback is the regression test for the sticky
+// wake-up interest: a ULP that polls for admission (no Xon callback) can be
+// refused any number of times without making its connection needy, so
+// Release on its node keeps skipping the subscriber fan-out; installing a
+// callback after a refusal arms the edge, and the edge clears the interest.
+func TestNeedyOnlyWithXonCallback(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Backpressure = BackpressureStatic
+	cfg.StaticAlpha = 0.00005 // threshold below one context
+	e := newEnv(t, cfg)
+	if _, err := e.a.Push(nil, 100, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := e.a.Push(nil, 100, nil); !errors.Is(err, ErrBackpressured) {
+			t.Fatalf("refusal %d: got %v", i, err)
+		}
+		if e.resA.needy != 0 {
+			t.Fatalf("refusal %d made a connection without an Xon callback needy", i)
+		}
+	}
+	xon := 0
+	e.a.SetXonCallback(func() { xon++ })
+	if e.resA.needy != 1 {
+		t.Fatalf("needy = %d after installing a callback on a refused connection, want 1", e.resA.needy)
+	}
+	e.s.Run()
+	if xon != 1 || e.resA.needy != 0 {
+		t.Fatalf("after drain: xon fired %d times (want 1), needy = %d (want 0)", xon, e.resA.needy)
+	}
+	// Removing the callback from a refused connection disarms it again.
+	if _, err := e.a.Push(nil, 100, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.a.Push(nil, 100, nil); !errors.Is(err, ErrBackpressured) || e.resA.needy != 1 {
+		t.Fatalf("refusal with a callback installed: err %v, needy %d", err, e.resA.needy)
+	}
+	e.a.SetXonCallback(nil)
+	if e.resA.needy != 0 {
+		t.Fatalf("needy = %d after removing the callback, want 0", e.resA.needy)
+	}
+	e.s.Run()
+}
+
+// TestRefusalsAllocationFree holds the three refusal paths that run per
+// packet under load to zero allocations: a pool-exhausted Reserve, an
+// RxReq admission beyond the HoL threshold, and a backpressured PullOp.
+// The errors stay matchable and keep their text.
+func TestRefusalsAllocationFree(t *testing.T) {
+	rc := DefaultResourceConfig()
+	rc.Pools[PoolTxResp] = PoolConfig{Contexts: 1, Bytes: 4096}
+	rc.Pools[PoolRxReq] = PoolConfig{Contexts: 2, Bytes: 8192}
+	res := NewResources(rc)
+	if err := res.Reserve(PoolTxResp, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.AdmitRxRequest(1, 0, true); err != nil { // occupancy 0.5 = threshold
+		t.Fatal(err)
+	}
+	var reserveErr, admitErr error
+	if n := testing.AllocsPerRun(100, func() { reserveErr = res.Reserve(PoolTxResp, 1, 0) }); n != 0 {
+		t.Errorf("refused Reserve: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { admitErr = res.AdmitRxRequest(1, 0, false) }); n != 0 {
+		t.Errorf("refused AdmitRxRequest: %v allocs/op, want 0", n)
+	}
+	if !errors.Is(reserveErr, ErrNoResources) || reserveErr.Error() != "tl: resource pool exhausted: tx-resp" {
+		t.Errorf("refused Reserve returned %q", reserveErr)
+	}
+	if !errors.Is(admitErr, ErrNoResources) || admitErr.Error() != "tl: resource pool exhausted: rx-req beyond HoL threshold" {
+		t.Errorf("refused AdmitRxRequest returned %q", admitErr)
+	}
+
+	cfg := DefaultConfig()
+	cfg.Backpressure = BackpressureStatic
+	cfg.StaticAlpha = 0.00005
+	e := newEnv(t, cfg)
+	if _, err := e.a.Pull(100, nil); err != nil {
+		t.Fatal(err)
+	}
+	var pullErr error
+	if n := testing.AllocsPerRun(100, func() { _, pullErr = e.a.PullOp(0, 0, 100, nil) }); n != 0 {
+		t.Errorf("refused PullOp: %v allocs/op, want 0", n)
+	}
+	if !errors.Is(pullErr, ErrBackpressured) {
+		t.Errorf("refused PullOp returned %v", pullErr)
+	}
+	e.s.Run()
 }
 
 func TestBackpressureNoneNeverRefusesUntilPoolsExhaust(t *testing.T) {

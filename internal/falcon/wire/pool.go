@@ -14,7 +14,9 @@ package wire
 //     snapshot the packet synchronously (internal/core copies it into a
 //     fresh pooled packet for the fabric) and must not retain the pointer.
 //   - On the receive side, internal/core acquires the in-flight fabric
-//     copy at transmit time and releases it after HandlePacket returns.
+//     copy at transmit time and releases it after HandlePacket returns —
+//     or, when the fabric drops the frame carrying it, from the frame's
+//     OnDrop hook, so loss does not bleed packets out of the pool.
 //     Consumers that hold packet state past return — the TL's target-side
 //     reorder buffer — copy the packet by value first ("copy on hold").
 //     Data payloads are never pooled, so retaining p.Data remains safe.
@@ -27,10 +29,18 @@ package wire
 const packetPoolBlock = 64
 
 // PacketPool recycles Packet objects through the transport hot path. It is
-// not safe for concurrent use: one pool belongs to one simulator's world
-// (internal/core keeps one per Cluster).
+// not safe for concurrent use: one pool belongs to one event loop.
+// internal/core keeps one per Cluster and partition simulator, shared by
+// every node on that partition, so a packet acquired by its sender and
+// released by its receiver returns to the free list it came from and the
+// pool's size follows peak packets in flight, whatever the traffic's
+// direction. Only a packet that crosses a partition boundary changes pools,
+// as netsim's frames do.
 type PacketPool struct {
 	free []*Packet
+	// allocated counts the packets this pool has created; with Free it
+	// lets a drained run assert that every packet came back.
+	allocated int
 	// legacy restores the pre-pooling behaviour (fresh heap packet per
 	// Acquire, Release a no-op) as a verification oracle; see
 	// core.Cluster.SetLegacyHotPath.
@@ -55,6 +65,7 @@ func (p *PacketPool) Acquire() *Packet {
 	n := len(p.free)
 	if n == 0 {
 		blk := make([]Packet, packetPoolBlock)
+		p.allocated += len(blk)
 		for i := range blk {
 			blk[i].pooled = true
 			p.free = append(p.free, &blk[i])
@@ -77,6 +88,14 @@ func (p *PacketPool) Release(pk *Packet) {
 	*pk = Packet{pooled: true}
 	p.free = append(p.free, pk)
 }
+
+// Allocated returns how many packets the pool has created so far (its
+// high-water mark: the pool never shrinks).
+func (p *PacketPool) Allocated() int { return p.allocated }
+
+// Free returns how many packets sit on the free list. At quiescence, with
+// no partition-crossing traffic, Free equals Allocated; less is a leak.
+func (p *PacketPool) Free() int { return len(p.free) }
 
 // CopyFrom copies every wire field of src into p while preserving p's own
 // pool membership. Plain assignment (*p = *src) would overwrite the pooled

@@ -53,6 +53,14 @@ type Frame struct {
 	// CE is the ECN congestion-experienced mark, set by any port whose
 	// queue exceeds its marking threshold.
 	CE bool
+	// OnDrop, when set, is called if the fabric discards the frame instead
+	// of delivering it, so a sender whose Payload is itself pooled can
+	// reclaim it. at is the partition simulator executing the drop: under
+	// the pools' migration rule (see fabricPool) that is the partition the
+	// payload must be released on, which is not the sender's once the
+	// frame has crossed a boundary. Senders install a func bound once, not
+	// a per-frame closure.
+	OnDrop func(at *sim.Simulator, payload any)
 
 	// pooled marks frames owned by a FramePool; hand-built frames stay
 	// with the garbage collector.
@@ -299,22 +307,22 @@ func (p *Port) QueuedBytes() int { return p.queuedBytes }
 func (p *Port) send(f *Frame) {
 	if p.downDepth > 0 {
 		p.Stats.DownDrops++
-		p.pool.frames.Release(f)
+		p.pool.drop(f)
 		return
 	}
 	if p.dropProb > 0 && p.sim.Rand().Float64() < p.dropProb {
 		p.Stats.RandomDrops++
-		p.pool.frames.Release(f)
+		p.pool.drop(f)
 		return
 	}
 	if p.corruptProb > 0 && p.sim.Rand().Float64() < p.corruptProb {
 		p.Stats.CorruptDrops++
-		p.pool.frames.Release(f)
+		p.pool.drop(f)
 		return
 	}
 	if p.queuedBytes+f.Size > p.limit {
 		p.Stats.QueueDrops++
-		p.pool.frames.Release(f)
+		p.pool.drop(f)
 		return
 	}
 	p.queuedBytes += f.Size
@@ -370,7 +378,7 @@ type Host struct {
 	pool    *fabricPool
 	handler Handler
 	uplink  *Port
-	tap func(f *Frame)
+	tap     func(f *Frame)
 	// pauseDepth counts active SetPaused(true) holds, nesting like
 	// Port.downDepth so overlapping endpoint faults (a pause inside a
 	// crash window) compose without an early release.
@@ -450,7 +458,7 @@ func (h *Host) NewFrame() *Frame { return h.pool.frames.Acquire() }
 func (h *Host) Send(f *Frame) {
 	if h.pauseDepth > 0 {
 		h.PauseTxDrops++
-		h.pool.frames.Release(f)
+		h.pool.drop(f)
 		return
 	}
 	f.Src = h.ID
@@ -466,7 +474,7 @@ func (h *Host) Send(f *Frame) {
 func (h *Host) receive(f *Frame) {
 	if h.pauseDepth > 0 {
 		h.PauseRxDrops++
-		h.pool.frames.Release(f)
+		h.pool.drop(f)
 		return
 	}
 	h.RxFrames++
@@ -614,9 +622,9 @@ func DefaultPolicy() routing.Policy {
 // endpoints live in different partitions declare their propagation delay
 // as the group's conservative lookahead.
 type Network struct {
-	sim   *sim.Simulator
-	group *sim.Sharded
-	hosts []*Host
+	sim      *sim.Simulator
+	group    *sim.Sharded
+	hosts    []*Host
 	switches []*Switch
 	// ports records every directed port in creation order, so audits (the
 	// chaos frame-conservation ledger) can fold over the whole fabric.
@@ -626,10 +634,10 @@ type Network struct {
 	// pools holds one fabricPool per partition (exactly one on a
 	// single-loop network); nextHostPart/nextSwitchPart drive the default
 	// round-robin partition assignment.
-	pools         []*fabricPool
-	nextHostPart  int
+	pools          []*fabricPool
+	nextHostPart   int
 	nextSwitchPart int
-	legacy        bool
+	legacy         bool
 }
 
 // New creates an empty network bound to s.
@@ -641,7 +649,7 @@ func New(s *sim.Simulator) *Network {
 	}
 	n.pools = make([]*fabricPool, parts)
 	for i := range n.pools {
-		n.pools[i] = &fabricPool{}
+		n.pools[i] = &fabricPool{sim: n.partSim(i)}
 	}
 	return n
 }

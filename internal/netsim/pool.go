@@ -8,6 +8,8 @@ package netsim
 // they make a fabric hop allocation-free end to end. DESIGN.md §10
 // describes the ownership rules and the verification oracle.
 
+import "falcon/internal/sim"
+
 // framePoolBlock and eventPoolBlock size the free-list refill batches;
 // block allocation amortizes pool growth to zero allocations per frame in
 // steady state (mirroring internal/sim's event allocator).
@@ -86,9 +88,20 @@ func (p *FramePool) Release(f *Frame) {
 // toward receivers, which is exactly where the next Acquire happens for
 // request/response traffic).
 type fabricPool struct {
+	sim    *sim.Simulator // the partition's simulator
 	frames FramePool
 	evFree []*portEvent
 	legacy bool
+}
+
+// drop discards a frame the fabric will not deliver, on this pool's
+// partition; every drop site goes through here. The sender's OnDrop hook
+// gets the payload back, the frame returns to this pool.
+func (fp *fabricPool) drop(f *Frame) {
+	if f.OnDrop != nil {
+		f.OnDrop(fp.sim, f.Payload)
+	}
+	fp.frames.Release(f)
 }
 
 // portEvent is the pooled, typed continuation the fast path schedules

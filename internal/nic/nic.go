@@ -13,7 +13,6 @@
 package nic
 
 import (
-	"container/list"
 	"time"
 
 	"falcon/internal/sim"
@@ -304,52 +303,72 @@ func (n *NIC) SetHostGbps(gbps float64) {
 // HostGbps returns the current host-interface bandwidth.
 func (n *NIC) HostGbps() float64 { return n.cfg.HostGbps }
 
-// connCache is an LRU set of connection IDs. Membership is a dense slice
-// indexed by connection ID (IDs are small cluster-assigned integers), so
-// the per-packet touch is an array load rather than a map probe.
+// connCache is an LRU set of connection IDs: a doubly linked recency list
+// threaded through a dense slice indexed by connection ID (IDs are small
+// cluster-assigned integers), so the per-packet touch is an array load and
+// a miss-evict-insert cycle relinks indices without allocating. Entry i
+// belongs to connection i-1; entry 0 is the list's sentinel, whose next is
+// the most and prev the least recently used entry.
 type connCache struct {
 	capacity int
-	ll       *list.List
-	items    []*list.Element
+	n        int
+	ents     []lruEntry
+}
+
+type lruEntry struct {
+	prev, next uint32
+	cached     bool
 }
 
 func newConnCache(capacity int) *connCache {
-	return &connCache{capacity: capacity, ll: list.New()}
+	return &connCache{capacity: capacity, ents: make([]lruEntry, 1)}
 }
 
-func (c *connCache) slot(conn uint32) **list.Element {
-	if int(conn) >= len(c.items) {
-		grown := make([]*list.Element, int(conn)+16)
-		copy(grown, c.items)
-		c.items = grown
-	}
-	return &c.items[conn]
+func (c *connCache) unlink(i uint32) {
+	e := &c.ents[i]
+	c.ents[e.prev].next = e.next
+	c.ents[e.next].prev = e.prev
+}
+
+func (c *connCache) pushFront(i uint32) {
+	e, head := &c.ents[i], &c.ents[0]
+	e.prev, e.next = 0, head.next
+	c.ents[head.next].prev = i
+	head.next = i
 }
 
 // touch reports whether conn is cached, refreshing recency.
 func (c *connCache) touch(conn uint32) bool {
-	if int(conn) < len(c.items) {
-		if el := c.items[conn]; el != nil {
-			c.ll.MoveToFront(el)
-			return true
-		}
+	i := conn + 1
+	if int(i) >= len(c.ents) || !c.ents[i].cached {
+		return false
 	}
-	return false
+	if c.ents[0].next != i { // back-to-back packets of one connection
+		c.unlink(i)
+		c.pushFront(i)
+	}
+	return true
 }
 
 // insert adds conn, evicting the LRU entry if needed.
 func (c *connCache) insert(conn uint32) {
-	slot := c.slot(conn)
-	if el := *slot; el != nil {
-		c.ll.MoveToFront(el)
+	if c.touch(conn) {
 		return
 	}
-	if c.ll.Len() >= c.capacity {
-		back := c.ll.Back()
-		if back != nil {
-			c.ll.Remove(back)
-			c.items[back.Value.(uint32)] = nil
+	i := conn + 1
+	if int(i) >= len(c.ents) {
+		grown := make([]lruEntry, int(i)+16)
+		copy(grown, c.ents)
+		c.ents = grown
+	}
+	if c.n >= c.capacity {
+		if lru := c.ents[0].prev; lru != 0 {
+			c.unlink(lru)
+			c.ents[lru].cached = false
+			c.n--
 		}
 	}
-	*slot = c.ll.PushFront(conn)
+	c.ents[i].cached = true
+	c.pushFront(i)
+	c.n++
 }

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -243,5 +244,102 @@ func TestLRUEviction(t *testing.T) {
 	c.insert(4) // after touching 2 then 3, LRU is 2
 	if c.touch(2) {
 		t.Fatal("2 should be evicted")
+	}
+}
+
+// sliceLRU is the naive reference the index-linked connCache is checked
+// against: most recent first, linear search, evict the last element.
+type sliceLRU struct {
+	capacity int
+	order    []uint32
+}
+
+func (l *sliceLRU) touch(conn uint32) bool {
+	for i, c := range l.order {
+		if c == conn {
+			copy(l.order[1:i+1], l.order[:i])
+			l.order[0] = conn
+			return true
+		}
+	}
+	return false
+}
+
+// insert returns the evicted connection, if any.
+func (l *sliceLRU) insert(conn uint32) (victim uint32, evicted bool) {
+	if l.touch(conn) {
+		return 0, false
+	}
+	if len(l.order) >= l.capacity {
+		victim, evicted = l.order[len(l.order)-1], true
+		l.order = l.order[:len(l.order)-1]
+	}
+	l.order = append([]uint32{conn}, l.order...)
+	return victim, evicted
+}
+
+// TestLRUMatchesNaiveModel drives connCache and the slice model with the
+// same random touch/insert stream (the two calls lookupCost makes) and
+// requires the same hit/miss answer at every step, the same eviction
+// victim, and the same full recency order.
+func TestLRUMatchesNaiveModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		c := newConnCache(capacity)
+		ref := &sliceLRU{capacity: capacity}
+		conns := uint32(3 * capacity)
+		for step := 0; step < 20000; step++ {
+			conn := rng.Uint32() % conns
+			if rng.Intn(4) == 0 {
+				conn += conns // occasionally reach past the grown slice
+			}
+			if rng.Intn(2) == 0 {
+				if got, want := c.touch(conn), ref.touch(conn); got != want {
+					t.Fatalf("cap %d step %d: touch(%d) = %v, model says %v", capacity, step, conn, got, want)
+				}
+			} else {
+				lruBefore := c.ents[0].prev
+				victim, evicted := ref.insert(conn)
+				c.insert(conn)
+				if evicted && (lruBefore != victim+1 || c.ents[victim+1].cached) {
+					t.Fatalf("cap %d step %d: insert(%d) should evict %d, cache's LRU was %d",
+						capacity, step, conn, victim, int(lruBefore)-1)
+				}
+			}
+			if c.n != len(ref.order) {
+				t.Fatalf("cap %d step %d: %d entries cached, model has %d", capacity, step, c.n, len(ref.order))
+			}
+			i := c.ents[0].next
+			for _, want := range ref.order {
+				if i != want+1 {
+					t.Fatalf("cap %d step %d: recency order diverged from model %v", capacity, step, ref.order)
+				}
+				i = c.ents[i].next
+			}
+			if i != 0 {
+				t.Fatalf("cap %d step %d: recency list longer than model", capacity, step)
+			}
+		}
+	}
+}
+
+// TestLRUMissCycleAllocationFree holds the steady-state miss path —
+// lookup miss, evict the LRU entry, insert — to zero allocations.
+func TestLRUMissCycleAllocationFree(t *testing.T) {
+	c := newConnCache(512)
+	const conns = 1000
+	for conn := uint32(0); conn < conns; conn++ {
+		c.insert(conn)
+	}
+	next := uint32(0)
+	allocs := testing.AllocsPerRun(10000, func() {
+		if c.touch(next) {
+			t.Fatal("cyclic access over a smaller LRU cache must always miss")
+		}
+		c.insert(next)
+		next = (next + 1) % conns
+	})
+	if allocs != 0 {
+		t.Fatalf("miss-evict-insert cycle: %v allocs/op, want 0", allocs)
 	}
 }

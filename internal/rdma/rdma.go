@@ -87,14 +87,16 @@ type QP struct {
 	// those closures per op is the largest steady-state allocation in the
 	// op-rate figures. The callbacks are bound once per pooled object.
 	pushFree []*pushOp
+	// pullFree is the same pool for READ/ATOMIC state (pullOp).
+	pullFree []*pullOp
 
 	// Stats
 	RNRs uint64
 }
 
-// pushOpPoolCap bounds the per-QP free list; beyond it ops are dropped to
-// the GC (a QP rarely has more than a send queue's worth outstanding).
-const pushOpPoolCap = 64
+// opPoolCap bounds each per-QP free list; beyond it ops are dropped to the
+// GC (a QP rarely has more than a send queue's worth outstanding).
+const opPoolCap = 64
 
 // pushOp is the in-flight state of one WRITE or SEND work request: the
 // identity of the op, its segmentation cursor, and the two callbacks
@@ -141,7 +143,7 @@ func (o *pushOp) release() {
 	o.done = nil
 	o.firstErr = nil
 	qp := o.qp
-	if len(qp.pushFree) < pushOpPoolCap {
+	if len(qp.pushFree) < opPoolCap {
 		qp.pushFree = append(qp.pushFree, o)
 	}
 }
@@ -205,12 +207,159 @@ func (qp *QP) postPush(op uint8, wrid, addr uint64, data []byte, size int, done 
 	o := qp.getPushOp()
 	o.op, o.wrid, o.addr, o.data, o.size, o.done = op, wrid, addr, data, size, done
 	o.seq = qp.allocSeq()
-	o.nseg = (size + qp.cfg.MTU - 1) / qp.cfg.MTU
-	if o.nseg < 1 {
-		o.nseg = 1
-	}
+	o.nseg = qp.segmentCount(size)
 	o.remaining = o.nseg
 	o.issueFrom(0, 0)
+}
+
+// pullOp is the in-flight state of one READ or ATOMIC work request, the
+// Pull-side twin of pushOp: a pooled descriptor with a segmentation cursor
+// and callbacks bound once, so neither an attempt refused by TL
+// backpressure nor its retry allocates. The TL's completion callback does
+// not say which transaction it is for and unordered connections complete
+// segments out of order, so where pushOp shares one callback, every segment
+// here has its own slot: a pre-bound callback that parks the segment's
+// bytes until the op completes.
+type pullOp struct {
+	qp   *QP
+	op   uint8
+	wrid uint64
+	seq  uint64
+	addr uint64
+	size int
+
+	nseg      int
+	remaining int
+	firstErr  error
+	haveData  bool // every segment so far returned bytes
+	done      func(Completion)
+
+	// Backpressure-retry cursor: the next segment index/offset to issue.
+	nextIdx, nextOff int
+
+	// slots[:nseg] are this op's segments; the slice only grows, at post
+	// time, when no callback into the old slots is outstanding.
+	slots   []pullSlot
+	retryFn func()
+}
+
+// pullSlot is one segment's completion slot.
+type pullSlot struct {
+	o    *pullOp
+	data []byte
+	fn   func([]byte, error) // s.segDone, bound once
+}
+
+// getPullOp takes a descriptor with at least nseg slots from the pool and
+// arms it for a new work request.
+func (qp *QP) getPullOp(op uint8, wrid, addr uint64, size, nseg int, done func(Completion)) *pullOp {
+	var o *pullOp
+	if n := len(qp.pullFree); n > 0 {
+		o = qp.pullFree[n-1]
+		qp.pullFree = qp.pullFree[:n-1]
+	} else {
+		o = &pullOp{qp: qp}
+		o.retryFn = o.retry
+	}
+	if nseg > len(o.slots) {
+		o.slots = make([]pullSlot, nseg)
+		for i := range o.slots {
+			s := &o.slots[i]
+			s.o = o
+			s.fn = s.segDone
+		}
+	}
+	o.op, o.wrid, o.addr, o.size, o.done = op, wrid, addr, size, done
+	o.seq = qp.allocSeq()
+	o.nseg, o.remaining, o.haveData = nseg, nseg, true
+	return o
+}
+
+// release returns the op to the pool, under pushOp.release's rule: callers
+// copy out what they still need first, because a completion callback may
+// post a new op and reuse this object immediately.
+func (o *pullOp) release() {
+	o.done = nil
+	o.firstErr = nil
+	qp := o.qp
+	if len(qp.pullFree) < opPoolCap {
+		qp.pullFree = append(qp.pullFree, o)
+	}
+}
+
+func (s *pullSlot) segDone(data []byte, err error) {
+	o := s.o
+	if err != nil && o.firstErr == nil {
+		o.firstErr = err
+	}
+	if data == nil {
+		o.haveData = false
+	}
+	s.data = data
+	o.remaining--
+	if o.remaining == 0 {
+		o.complete()
+	}
+}
+
+// complete assembles the work completion — a READ's segments concatenated
+// in order when every one carried bytes, an ATOMIC's prior value as it
+// arrived — and delivers it after the descriptor is back in the pool.
+func (o *pullOp) complete() {
+	slots := o.slots[:o.nseg]
+	c := Completion{WRID: o.wrid, Err: o.firstErr}
+	switch {
+	case o.op != opRead:
+		c.Data = slots[0].data
+	case o.haveData && o.firstErr == nil:
+		total := 0
+		for i := range slots {
+			total += len(slots[i].data)
+		}
+		if total > 0 {
+			c.Data = make([]byte, 0, total)
+		}
+		for i := range slots {
+			c.Data = append(c.Data, slots[i].data...)
+		}
+	}
+	for i := range slots {
+		slots[i].data = nil
+	}
+	qp, seq, done := o.qp, o.seq, o.done
+	o.release()
+	qp.deliver(seq, c, done)
+}
+
+func (o *pullOp) retry() { o.issueFrom(o.nextIdx, o.nextOff) }
+
+// issueFrom issues READ segments [i, nseg) starting at byte offset off,
+// reading the op's fields into locals up front for the reason
+// pushOp.issueFrom does.
+func (o *pullOp) issueFrom(i, off int) {
+	qp, addr, size, slots := o.qp, o.addr, o.size, o.slots[:o.nseg]
+	mtu := qp.cfg.MTU
+	for ; i < len(slots); i++ {
+		seg := size - off
+		if seg > mtu {
+			seg = mtu
+		}
+		if seg < 0 {
+			seg = 0
+		}
+		if _, err := qp.ep.TL().PullOp(opRead, addr+uint64(off), uint32(seg), slots[i].fn); err != nil {
+			if qp.ep.TL().Dead() != nil {
+				for ; i < len(slots); i++ {
+					slots[i].fn(nil, err)
+				}
+				return
+			}
+			o.nextIdx, o.nextOff = i, off
+			qp.ep.Sim().After(retryDelay, o.retryFn)
+			return
+		}
+		off += seg
+	}
 }
 
 type heldCompletion struct {
@@ -312,21 +461,13 @@ func (qp *QP) emit(c Completion, done func(Completion)) {
 	}
 }
 
-// segments splits n bytes into MTU-sized chunks (at least one).
-func (qp *QP) segments(n int) []int {
-	if n <= 0 {
-		return []int{0}
+// segmentCount is the number of MTU-sized transactions an op of size bytes
+// maps to (at least one: a zero-byte op is still a transaction).
+func (qp *QP) segmentCount(size int) int {
+	if size <= 0 {
+		return 1
 	}
-	var out []int
-	for n > 0 {
-		c := n
-		if c > qp.cfg.MTU {
-			c = qp.cfg.MTU
-		}
-		out = append(out, c)
-		n -= c
-	}
-	return out
+	return (size + qp.cfg.MTU - 1) / qp.cfg.MTU
 }
 
 // retryDelay paces re-issuance of segments refused by TL backpressure.
@@ -385,54 +526,10 @@ func (qp *QP) PostRecv(buf []byte, size int, done func(n int, err error)) {
 
 // Read posts an RDMA READ of size bytes from remote addr: one Pull per MTU
 // segment; the completion carries the concatenated data when the peer has
-// backing memory.
+// backing memory. Like Write, segments refused by transaction-layer
+// backpressure are re-issued on the retry timer, so Read never fails mid-op.
 func (qp *QP) Read(wrid uint64, addr uint64, size int, done func(Completion)) error {
-	segs := qp.segments(size)
-	seq := qp.allocSeq()
-	chunks := make([][]byte, len(segs))
-	remaining := len(segs)
-	var firstErr error
-	haveData := true
-	segDone := func(i int) func([]byte, error) {
-		return func(data []byte, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if data == nil {
-				haveData = false
-			}
-			chunks[i] = data
-			remaining--
-			if remaining == 0 {
-				var full []byte
-				if haveData && firstErr == nil {
-					for _, c := range chunks {
-						full = append(full, c...)
-					}
-				}
-				qp.deliver(seq, Completion{WRID: wrid, Err: firstErr, Data: full}, done)
-			}
-		}
-	}
-	var issue func(i, off int)
-	issue = func(i, off int) {
-		for ; i < len(segs); i++ {
-			seg := segs[i]
-			if _, err := qp.ep.TL().PullOp(opRead, addr+uint64(off), uint32(seg), segDone(i)); err != nil {
-				if qp.ep.TL().Dead() != nil {
-					for j := i; j < len(segs); j++ {
-						segDone(j)(nil, err)
-					}
-					return
-				}
-				ri, ro := i, off
-				qp.ep.Sim().After(retryDelay, func() { issue(ri, ro) })
-				return
-			}
-			off += seg
-		}
-	}
-	issue(0, 0)
+	qp.getPullOp(opRead, wrid, addr, size, qp.segmentCount(size), done).issueFrom(0, 0)
 	return nil
 }
 
@@ -452,12 +549,15 @@ func (qp *QP) FetchAdd(wrid uint64, addr, add uint64, done func(Completion)) err
 	return qp.atomic(wrid, opFetchAdd, addr, operands, done)
 }
 
+// atomic posts a one-segment Pull carrying the operands (Table 2). Unlike
+// Read it does not queue behind backpressure: a refusal is returned to the
+// caller and no completion follows.
 func (qp *QP) atomic(wrid uint64, op uint8, addr uint64, operands []byte, done func(Completion)) error {
-	// ATOMICs map to Pulls (Table 2); operands ride the request payload.
-	seq := qp.allocSeq()
-	_, err := qp.ep.TL().PullOpData(op, addr, operands, 8, func(data []byte, err error) {
-		qp.deliver(seq, Completion{WRID: wrid, Err: err, Data: data}, done)
-	})
+	o := qp.getPullOp(op, wrid, addr, 8, 1, done)
+	_, err := qp.ep.TL().PullOpData(op, addr, operands, 8, o.slots[0].fn)
+	if err != nil {
+		o.release()
+	}
 	return err
 }
 

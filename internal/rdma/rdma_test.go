@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"falcon/internal/core"
+	"falcon/internal/falcon/pdl"
 	"falcon/internal/falcon/tl"
 	"falcon/internal/netsim"
 	"falcon/internal/sim"
@@ -359,5 +360,174 @@ func TestUnorderedWithoutWeakOrderingCanReorder(t *testing.T) {
 	}
 	if inOrder {
 		t.Skip("no reordering materialized at this seed; invariant vacuous")
+	}
+}
+
+// starvedPair is qpPair with the initiator's RX-response pool cut to
+// rxRespBytes, so a multi-segment Read cannot reserve all its segments at
+// once and rdma's admission poll has to re-issue the rest.
+func starvedPair(t *testing.T, rxRespBytes int, connCfg core.ConnConfig, qpCfg Config) (*sim.Simulator, *QP, *QP, *netsim.Port) {
+	t.Helper()
+	s := sim.New(23)
+	topo, fwd := netsim.PointToPoint(s, testLink)
+	cl := core.NewCluster(s)
+	cfgA := core.DefaultNodeConfig()
+	cfgA.Resources.Pools[tl.PoolRxResp].Bytes = rxRespBytes
+	a := cl.AddNode(topo.Hosts[0], cfgA)
+	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
+	epA, epB := cl.Connect(a, b, connCfg)
+	return s, NewQP(epA, qpCfg), NewQP(epB, Config{}), fwd
+}
+
+func patternMemory(n int) []byte {
+	mem := make([]byte, n)
+	for i := range mem {
+		mem[i] = byte(i*31 + i>>8)
+	}
+	return mem
+}
+
+// TestReadReassemblesInOrderAcrossRefusals reads 64 KiB through a 16 KiB
+// RX-response pool: segments are refused mid-op and re-issued from the
+// retry cursor, and the completion must still carry every byte in order —
+// on an ordered connection, and on a lossy unordered one where segments
+// finish out of order and only the per-segment slots keep them apart.
+func TestReadReassemblesInOrderAcrossRefusals(t *testing.T) {
+	unordered := core.DefaultConnConfig()
+	unordered.TL.Ordered = false
+	for _, tc := range []struct {
+		name    string
+		connCfg core.ConnConfig
+		qpCfg   Config
+		drop    float64
+	}{
+		{"ordered", core.DefaultConnConfig(), Config{}, 0},
+		{"unordered-lossy", unordered, Config{WeaklyOrdered: true}, 0.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, qa, qb, fwd := starvedPair(t, 16<<10, tc.connCfg, tc.qpCfg)
+			rev := qb.Endpoint().Node().Host().Uplink()
+			fwd.SetDropProb(tc.drop)
+			rev.SetDropProb(tc.drop)
+			remote := patternMemory(1 << 20)
+			qb.RegisterMemory(remote)
+			const size = 64<<10 - 100 // a short last segment
+			var got [][]byte
+			for i := 0; i < 4; i++ {
+				if err := qa.Read(uint64(i), uint64(i)*size, size, func(c Completion) {
+					if c.Err != nil {
+						t.Errorf("read %d: %v", c.WRID, c.Err)
+					}
+					got = append(got, c.Data)
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Run()
+			if qa.Endpoint().TL().Stats.Backpressured == 0 {
+				t.Fatal("no segment was refused: the test did not exercise the retry cursor")
+			}
+			if len(got) != 4 {
+				t.Fatalf("completed %d of 4 reads", len(got))
+			}
+			for i, data := range got {
+				if !bytes.Equal(data, remote[i*size:(i+1)*size]) {
+					t.Fatalf("read %d returned %d bytes out of order or corrupted", i, len(data))
+				}
+			}
+		})
+	}
+}
+
+// TestReadDescriptorReusedFromCompletion posts the next Read from inside
+// the previous one's completion callback. The descriptor is back in the
+// pool before the callback runs, so the chain runs on one pooled pullOp —
+// including when a later Read needs more segment slots than the descriptor
+// has — and no completion sees another op's bytes.
+func TestReadDescriptorReusedFromCompletion(t *testing.T) {
+	s, qa, qb, _ := qpPair(t)
+	remote := patternMemory(1 << 20)
+	qb.RegisterMemory(remote)
+	sizes := []int{5000, 100, 40000, 4096, 65536, 0, 12345}
+	done := 0
+	var post func()
+	post = func() {
+		i := done
+		addr, size := uint64(i)*1000, sizes[i]
+		if err := qa.Read(uint64(i), addr, size, func(c Completion) {
+			if c.Err != nil || c.WRID != uint64(i) {
+				t.Errorf("read %d completed as %+v", i, c)
+			}
+			if !bytes.Equal(c.Data, remote[addr:addr+uint64(size)]) {
+				t.Errorf("read %d (%d bytes) returned wrong data (%d bytes)", i, size, len(c.Data))
+			}
+			if len(qa.pullFree) != 1 {
+				t.Errorf("read %d: %d descriptors pooled inside the completion, want 1", i, len(qa.pullFree))
+			}
+			if done++; done < len(sizes) {
+				post()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post()
+	s.Run()
+	if done != len(sizes) {
+		t.Fatalf("completed %d of %d chained reads", done, len(sizes))
+	}
+	if len(qa.pullFree) != 1 {
+		t.Fatalf("%d descriptors pooled after a serial chain, want 1", len(qa.pullFree))
+	}
+	// An ATOMIC shares the pool and the one-slot path.
+	var comp *Completion
+	if err := qa.FetchAdd(99, 64, 1, func(c Completion) { comp = &c }); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if comp == nil || comp.Err != nil || len(comp.Data) != 8 || len(qa.pullFree) != 1 {
+		t.Fatalf("atomic after reads: %+v, %d descriptors pooled", comp, len(qa.pullFree))
+	}
+}
+
+// TestReadFailsOnceWhenConnectionDiesMidOp kills the connection while a
+// Read is parked on the retry timer with some segments in flight and the
+// rest never issued. The in-flight segments fail through the TL, the retry
+// finds the connection dead and fails every remaining segment, and the op
+// surfaces exactly one error completion and returns its descriptor.
+func TestReadFailsOnceWhenConnectionDiesMidOp(t *testing.T) {
+	s, qa, qb, _ := starvedPair(t, 16<<10, core.DefaultConnConfig(), Config{})
+	qb.RegisterMemoryLen(1 << 20)
+	var comps []Completion
+	if err := qa.Read(7, 0, 64<<10, func(c Completion) { comps = append(comps, c) }); err != nil {
+		t.Fatal(err)
+	}
+	if qa.Endpoint().TL().Stats.Backpressured == 0 {
+		t.Fatal("the read was admitted whole: nothing is parked on the retry timer")
+	}
+	issued := qa.Endpoint().TL().Stats.Pulls
+	qa.Endpoint().PDL().Fail()
+	if len(comps) != 0 {
+		t.Fatalf("op completed with %d segments never issued", 16-issued)
+	}
+	s.Run()
+	if len(comps) != 1 {
+		t.Fatalf("%d completions for one read on a dead connection, want exactly 1", len(comps))
+	}
+	if c := comps[0]; c.WRID != 7 || !errors.Is(c.Err, pdl.ErrConnectionLost) || c.Data != nil {
+		t.Fatalf("completion %+v, want WRID 7 failing with the PDL's terminal error", c)
+	}
+	if got := qa.Endpoint().TL().Stats.Pulls; got != issued {
+		t.Fatalf("%d segments issued after the connection died", got-issued)
+	}
+	if len(qa.pullFree) != 1 {
+		t.Fatalf("%d descriptors pooled after the failed op, want 1", len(qa.pullFree))
+	}
+	// A Read posted on the dead connection fails synchronously, once.
+	if err := qa.Read(8, 0, 8192, func(c Completion) { comps = append(comps, c) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(comps) != 2 || comps[1].WRID != 8 || comps[1].Err == nil {
+		t.Fatalf("read on a dead connection: completions %+v", comps)
 	}
 }

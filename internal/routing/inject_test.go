@@ -204,7 +204,7 @@ func TestInjectorStopDiscardsSchedules(t *testing.T) {
 	// Outage whose down edge lands after Stop: must be discarded, and its
 	// restore must not release the independent hold taken at 45us.
 	inj.RackOutage([]routing.FailPort{fwd}, us(50), 10*time.Microsecond)
-	s.At(us(44), func() { inj.Stop() }) // during the second down phase
+	s.At(us(44), func() { inj.Stop() })        // during the second down phase
 	s.At(us(45), func() { fwd.SetDown(true) }) // independent hold, not the injector's
 	s.At(us(55), func() {
 		if !fwd.Down() {
