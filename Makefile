@@ -35,12 +35,16 @@ sweep:
 	$(GO) test -v -run 'TestSweep|TestDeterminism|TestExperimentDeterminism' \
 		./internal/testkit/ ./internal/experiments/
 
-# Wire-format fuzzing plus the differential SACK-scan fuzzer (word-at-a-
-# time bitmap walk vs the naive per-PSN loop, across the uint32 PSN wrap).
-# Bounded; remove -fuzztime to run until interrupted.
+# Wire-format fuzzing plus the two differential fuzzers: the SACK scan
+# (word-at-a-time bitmap walk vs the naive per-PSN loop, across the uint32
+# PSN wrap) and the scheduler (timing wheel vs reference heap delivery
+# order over schedule/stop/RunUntil scripts; the engine would otherwise
+# spend most of the 30 s minimizing each new-coverage script, so that is
+# capped at 1 s). Bounded; remove -fuzztime to run until interrupted.
 fuzz:
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/falcon/wire/
 	$(GO) test -fuzz FuzzSACKScan -fuzztime 30s ./internal/falcon/pdl/
+	$(GO) test -fuzz FuzzWheelHeapOrder -fuzztime 30s -fuzzminimizetime 1s ./internal/sim/
 
 vet:
 	$(GO) vet ./...
@@ -49,10 +53,11 @@ vet:
 		echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 
 # Performance: scheduler microbenchmarks (wheel vs heap at 1k/32k/1M
-# pending timers; DESIGN.md §8), then the repository benchmark — the four
-# BENCHMARK.json workloads end to end at one seed (bench/README.md defines
-# every metric). Each result is printed and appended to $(BENCH_OUT); two
-# such files compare with `go run -C bench falcon/bench -compare a b`.
+# pending timers and at fabric_scale's slot density; DESIGN.md §8), then
+# the repository benchmark — the four BENCHMARK.json workloads end to end
+# at one seed (bench/README.md defines every metric). Each result is
+# printed and appended to $(BENCH_OUT); two such files compare with
+# `go run -C bench falcon/bench -compare a b`.
 BENCH_OUT ?= bench.jsonl
 BENCH_SEED ?= 1
 bench:

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"falcon/internal/experiments"
-	"falcon/internal/sim"
 )
 
 // cell parses table cell (row, col) as a float.
@@ -232,24 +231,6 @@ func BenchmarkFig31MpiPingPong(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiments.Fig31()
 		report(b, t, "speedup_4b", 0, 3)
-	}
-}
-
-// BenchmarkSchedulerAB runs one representative timer-heavy experiment
-// under each event-scheduler backend. The tables are identical (that's
-// tested elsewhere); what differs is wall time per regeneration, the
-// end-to-end view of the microbenchmarks in internal/sim.
-func BenchmarkSchedulerAB(b *testing.B) {
-	prev := sim.DefaultScheduler()
-	defer sim.SetDefaultScheduler(prev)
-	for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
-		b.Run(sched.String(), func(b *testing.B) {
-			sim.SetDefaultScheduler(sched)
-			for i := 0; i < b.N; i++ {
-				t := experiments.Fig10(benchWindow)
-				report(b, t, "falcon_write_gbps_2pct", 4, 2)
-			}
-		})
 	}
 }
 

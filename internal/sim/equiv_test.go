@@ -5,10 +5,13 @@ package sim
 // drives the same deterministic workload through both implementations and
 // compares the full delivery stream, plus targeted edge cases at slot
 // boundaries, granule/epoch cascades, cancellations and mid-slot RunUntil
-// bounds. internal/testkit's sweep tests extend the same check to full
-// protocol runs via trace hashes.
+// bounds, a dense case that fills the wheel's 1 ns FIFOs, and a
+// differential fuzzer over schedule/stop/RunUntil scripts.
+// internal/testkit's sweep tests extend the same check to full protocol
+// runs via trace hashes.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -119,6 +122,128 @@ func TestWheelHeapEquivalence(t *testing.T) {
 	}
 }
 
+// diffStreams fails the test at the first event where the wheel's and the
+// heap's delivery streams part.
+func diffStreams(t *testing.T, what string, gotW, gotH []recEvt) {
+	t.Helper()
+	for i := 0; i < len(gotW) && i < len(gotH); i++ {
+		if gotW[i] != gotH[i] {
+			t.Fatalf("%s: delivery diverges at %d: wheel=%+v heap=%+v", what, i, gotW[i], gotH[i])
+		}
+	}
+	if len(gotW) != len(gotH) {
+		t.Fatalf("%s: stream lengths differ: wheel=%d heap=%d", what, len(gotW), len(gotH))
+	}
+}
+
+// runDense packs two adjacent level-0 slots with 4000 events (~16 per
+// nanosecond, so every FIFO of the ns level holds same-instant ties) and
+// drains them the way a busy fabric does: callbacks reschedule 0-127 ns
+// ahead — into the slot being drained, or just past its end — and stop
+// timers that sit in a FIFO, while the driver steps RunUntil through the
+// slots a few nanoseconds at a time and, stopped mid-slot, schedules
+// events that land before the next pending one. runWorkload's few events
+// per slot reach none of this.
+func runDense(s *Simulator) []recEvt {
+	rec := &recorder{}
+	s.SetObserver(rec)
+	rng := s.Rand()
+	const base = Time(5) << l0Shift
+	var timers []Timer
+	budget := 4000
+	var fire func()
+	fire = func() {
+		if budget > 0 && rng.Intn(2) == 0 {
+			budget--
+			timers = append(timers, s.After(time.Duration(rng.Intn(1<<l0Shift)), fire))
+		}
+		if rng.Intn(3) == 0 {
+			timers[rng.Intn(len(timers))].Stop()
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		timers = append(timers, s.At(base+Time(rng.Intn(2<<l0Shift)), fire))
+	}
+	for t := base + 3; s.Pending() > 0 && t < base+(4<<l0Shift); t += Time(1 + rng.Intn(9)) {
+		s.RunUntil(t)
+		for i := rng.Intn(3); i > 0; i-- {
+			timers = append(timers, s.After(time.Duration(rng.Intn(4)), fire))
+		}
+	}
+	s.Run()
+	return rec.recs
+}
+
+func TestWheelHeapEquivalenceDense(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		gotW := runDense(NewWithScheduler(seed, SchedulerWheel))
+		gotH := runDense(NewWithScheduler(seed, SchedulerHeap))
+		if len(gotW) < 4000 {
+			t.Fatalf("seed %d: dense workload delivered only %d events", seed, len(gotW))
+		}
+		diffStreams(t, fmt.Sprintf("seed %d", seed), gotW, gotH)
+	}
+}
+
+// runScript is runWorkload with the fuzzer holding the dice: every draw
+// (which operation, which delay class of randomDelay, which timer to stop)
+// comes from the script, three bytes at a time, and reads 0 once it runs
+// out. The driver schedules, stops and steps RunUntil; every fired event
+// may reschedule a child up to three deep and stop a timer, so the drain
+// itself schedules and cancels.
+func runScript(s *Simulator, script []byte) []recEvt {
+	rec := &recorder{}
+	s.SetObserver(rec)
+	intn := func(n int) int {
+		if len(script) < 3 {
+			return 0
+		}
+		v := int(script[0]) | int(script[1])<<8 | int(script[2])<<16
+		script = script[3:]
+		return v % n
+	}
+	var timers []Timer
+	var fire func(depth int) func()
+	fire = func(depth int) func() {
+		return func() {
+			if depth < 3 && intn(2) == 0 {
+				timers = append(timers, s.After(randomDelay(intn), fire(depth+1)))
+			}
+			if intn(4) == 0 {
+				timers[intn(len(timers))].Stop()
+			}
+		}
+	}
+	for len(script) >= 3 {
+		switch op := intn(8); {
+		case op < 5 || len(timers) == 0:
+			timers = append(timers, s.After(randomDelay(intn), fire(0)))
+		case op < 7:
+			timers[intn(len(timers))].Stop()
+		default:
+			s.RunUntil(s.Now().Add(randomDelay(intn)))
+		}
+	}
+	s.Run()
+	return rec.recs
+}
+
+// FuzzWheelHeapOrder is the differential fuzzer behind the suite: any
+// script must produce the same delivery stream on both schedulers.
+func FuzzWheelHeapOrder(f *testing.F) {
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x07\x00\x00\x40\x00\x00\x00\x00\x00"))
+	f.Add([]byte("the wheel and the heap must agree on any script of draws, long or short"))
+	f.Add([]byte{3, 1, 2, 9, 0, 0, 255, 255, 255, 7, 7, 7, 5, 0, 0, 1, 0, 0, 6, 6, 6, 200, 100, 50, 4, 4, 4})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 1024 {
+			t.Skip("scripts past 512 ops add run time, not coverage")
+		}
+		gotW := runScript(NewWithScheduler(1, SchedulerWheel), script)
+		gotH := runScript(NewWithScheduler(1, SchedulerHeap), script)
+		diffStreams(t, "script", gotW, gotH)
+	})
+}
+
 // bothSchedulers runs f against a wheel and a heap simulator and compares
 // the delivery streams.
 func bothSchedulers(t *testing.T, f func(s *Simulator)) {
@@ -174,6 +299,21 @@ func TestCancelInEveryRegion(t *testing.T) {
 		mk := func(at Time) Timer {
 			return s.At(at, func() { fired[at] = true })
 		}
+		// The ns level: by the time the event at 90 runs, its slot has been
+		// scattered, so the timers it stops sit in FIFOs — one behind it in
+		// its own FIFO, one alone in a later FIFO, one sharing a FIFO with a
+		// survivor.
+		var killSame, killNs, killTie Timer
+		s.At(90, func() {
+			for _, tm := range []Timer{killSame, killNs, killTie} {
+				if !tm.Stop() {
+					t.Error("Stop on a timer queued in a FIFO reported false")
+				}
+			}
+		})
+		killSame, killNs = s.At(90, func() { fired[90] = true }), mk(95)
+		keepTie := s.At(97, func() { fired[-97] = true })
+		killTie = mk(97)
 		keepSlot, killSlot := mk(100), mk(101)
 		keepL0, killL0 := mk(1<<l0Shift+5), mk(1<<l0Shift+6)
 		keepL1, killL1 := mk(1<<l1Shift+5), mk(1<<l1Shift+6)
@@ -183,22 +323,36 @@ func TestCancelInEveryRegion(t *testing.T) {
 				t.Fatal("Stop on pending timer reported false")
 			}
 		}
-		if got := s.Pending(); got != 4 {
-			t.Fatalf("Pending after cancels = %d, want 4", got)
+		if got := s.Pending(); got != 9 {
+			t.Fatalf("Pending after cancels = %d, want 9", got)
 		}
 		s.Run()
-		for _, tm := range []Timer{keepSlot, keepL0, keepL1, keepFar} {
+		for _, tm := range []Timer{keepTie, keepSlot, keepL0, keepL1, keepFar} {
 			if tm.Pending() {
 				t.Fatal("fired timer still pending")
 			}
 		}
-		if len(fired) != 4 {
-			t.Fatalf("fired = %v, want the 4 kept timers", fired)
+		if len(fired) != 5 {
+			t.Fatalf("fired = %v, want the 5 kept timers", fired)
 		}
 		for at := range fired {
-			if at == 101 || at == 1<<l0Shift+6 || at == 1<<l1Shift+6 || at == 1<<l2Shift+6 {
+			if at == 90 || at == 95 || at == 97 || at == 101 || at == 1<<l0Shift+6 || at == 1<<l1Shift+6 || at == 1<<l2Shift+6 {
 				t.Fatalf("cancelled timer at %v fired", at)
 			}
+		}
+		// The early heap: draining a slot of nothing but a cancelled
+		// timer leaves the wheel's ns level ahead of the clock, so the next
+		// short timers land below it.
+		s.After(10*(1<<l0Shift), func() {}).Stop()
+		s.Run()
+		now := s.Now()
+		keepEarly, killEarly, keepLate := mk(now+3), mk(now+2), mk(now+1<<l0Shift+1)
+		if !killEarly.Stop() {
+			t.Fatal("Stop on pending timer reported false")
+		}
+		s.Run()
+		if keepEarly.Pending() || keepLate.Pending() || !fired[now+3] || fired[now+2] || !fired[now+1<<l0Shift+1] {
+			t.Fatalf("early-heap timers: fired = %v", fired)
 		}
 	})
 }

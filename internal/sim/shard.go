@@ -447,7 +447,7 @@ func (g *Sharded) drainMail() {
 
 // sortCross sorts staged messages by the deterministic merge key without
 // allocating: quicksort with median-of-three pivots, insertion sort for
-// small runs (the crossMsg sibling of wheel.go's sortEvents).
+// small runs.
 func sortCross(a []crossMsg) {
 	for len(a) > 12 {
 		lo, mid, hi := 0, len(a)/2, len(a)-1

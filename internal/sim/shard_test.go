@@ -191,6 +191,69 @@ func TestShardHeldHeadInvalidation(t *testing.T) {
 	}
 }
 
+// TestShardMergedCrossBeforeHeldSlot pins the wheel's region below curEnd
+// against the one caller that reaches behind it. Partition A's popped head
+// sits several level-0 slots ahead of the group clock, so A's ns level
+// covers that slot, not the present; partition B then hands A CrossActions
+// that land before the slot (out of order, with ties, and at instants that
+// alias the held head's FIFO index), inside it, and at the held head's own
+// instant. A wheel that files every at < curEnd under at&nsMask delivers
+// the early ones in index order and runs the clock backwards. Merged
+// delivery must equal the single loop's, labels and (time, seq) alike.
+func TestShardMergedCrossBeforeHeldSlot(t *testing.T) {
+	const slot = Time(1) << l0Shift
+	head := 7*slot + 104 // A's first event: slot 7, FIFO 104
+	run := func(root *Simulator) ([]string, *shardRec) {
+		a, b := root, root
+		if g := root.Group(); g != nil {
+			a, b = g.Part(1), g.Part(0)
+		}
+		rec := &shardRec{}
+		root.SetObserver(rec)
+		var order []string
+		note := func(l string) func() { return func() { order = append(order, l) } }
+		cross := func(at Time, l string) { b.CrossAction(a, at, actionFunc(note(l))) }
+		a.At(head, note("a0"))
+		a.At(head, note("a1"))
+		a.At(head+6, note("a2"))
+		a.At(40*slot, note("a3"))
+		b.At(100, func() {
+			order = append(order, "b0")
+			cross(300, "x300")          // before the held slot: index 44
+			cross(200, "x200")          // earlier still, larger index 72
+			cross(200, "x200'")         // tie, FIFO by seq
+			cross(head-5*slot, "alias") // shares the held head's index
+			cross(head, "xhead")        // the held head's own instant: after a0, a1
+			cross(head-50, "inslot")    // inside the held slot, before the head
+		})
+		b.At(150, func() {
+			order = append(order, "b1")
+			cross(180, "x180") // A now holds x200: it must go back, in order
+			cross(250, "x250") // lands between two early events
+			cross(head, "xhead'")
+			cross(head+200, "next") // beyond the held slot: a wheel level
+		})
+		root.Run()
+		return order, rec
+	}
+	want, wantRec := run(NewWithScheduler(5, SchedulerWheel))
+	if len(want) != 16 {
+		t.Fatalf("single loop delivered %d events, want 16: %v", len(want), want)
+	}
+	for _, k := range []Scheduler{SchedulerWheel, SchedulerHeap} {
+		got, gotRec := run(NewSharded(5, k, 2, false))
+		if len(got) != len(want) {
+			t.Fatalf("%v: merged order %v, single loop %v", k, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] || gotRec.ats[i] != wantRec.ats[i] || gotRec.seqs[i] != wantRec.seqs[i] {
+				t.Fatalf("%v: event %d = %s (%v, %d), single loop has %s (%v, %d)\nmerged: %v\nsingle: %v",
+					k, i, got[i], gotRec.ats[i], gotRec.seqs[i], want[i], wantRec.ats[i], wantRec.seqs[i], got, want)
+			}
+		}
+	}
+}
+
 // actionFunc adapts a func to Action for tests.
 type actionFunc func()
 

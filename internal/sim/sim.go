@@ -17,10 +17,10 @@
 // DESIGN.md §8 for the performance model):
 //
 //   - SchedulerWheel (the default) places short-horizon timers in a
-//     two-level hashed timing wheel and parks far-future timers in a binary
-//     heap, cascading them inward as the clock advances. Steady-state
-//     scheduling is O(1) and — together with the event free list —
-//     allocation-free.
+//     three-level hashed timing wheel (131 us, 128 ns and 1 ns slots) and
+//     parks far-future timers in a binary heap, cascading them inward as
+//     the clock advances. Steady-state scheduling is O(1), sorts nothing
+//     and — together with the event free list — is allocation-free.
 //   - SchedulerHeap keeps every pending event in a binary heap. It is the
 //     straightforward reference implementation the wheel is verified
 //     against: both must deliver any schedule in the identical (time, seq)
@@ -117,7 +117,7 @@ func (h *eventHeap) Pop() any {
 type Scheduler int
 
 const (
-	// SchedulerWheel is the default: a two-level hashed timing wheel for
+	// SchedulerWheel is the default: a three-level hashed timing wheel for
 	// short-horizon timers with a heap fallback for far-future ones.
 	SchedulerWheel Scheduler = iota
 	// SchedulerHeap keeps all events in a binary heap — the reference
@@ -197,7 +197,7 @@ type Simulator struct {
 	// mode.
 	far eventHeap
 
-	// wheel is the two-level timing wheel state (wheel mode only).
+	// wheel is the timing wheel state (wheel mode only).
 	wheel wheelState
 
 	// free is the event free list; alloc draws from it in blocks so
@@ -382,8 +382,9 @@ func (s *Simulator) schedule(at Time) *event {
 }
 
 // reinsert returns a popped-but-undelivered event to the pending set. A
-// held head always came out of the wheel's sorted drain buffer, so its
-// timestamp is below curEnd and wheelInsert merges it back in order.
+// held head always came out of the wheel's region below curEnd and
+// precedes everything left there, so wheelInsert puts it back in order:
+// at the front of its FIFO, not the tail.
 func (s *Simulator) reinsert(e *event) {
 	if s.sched == SchedulerWheel {
 		s.wheelInsert(e)

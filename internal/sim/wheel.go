@@ -1,13 +1,14 @@
 package sim
 
-// Two-level hashed timing wheel backing SchedulerWheel, the hierarchical
+// Three-level hashed timing wheel backing SchedulerWheel, the hierarchical
 // sibling of the standalone pacing wheel in internal/timingwheel (which
 // models Falcon's Carousel block and is driven *by* the simulator; this one
 // *is* the simulator's pending-event set, so it lives here and stores
 // events intrusively).
 //
-// Layout (see DESIGN.md §8 for the crossover analysis):
+// Layout (see DESIGN.md §8 for the analysis and measurements):
 //
+//	ns level:  128 FIFOs x 1ns     = the level-0 slot being drained
 //	level 0:  1024 slots x 128ns   = one 131.072us granule
 //	level 1:   256 slots x 131us   = one ~33.55ms epoch
 //	beyond:   binary heap ("far"), cascaded inward as the clock advances
@@ -15,16 +16,22 @@ package sim
 // Slots hash by absolute time (at>>shift & mask), so an event is placed
 // with two shifts and a compare. Each level keeps an occupancy bitmap, so
 // finding the next non-empty slot is a TrailingZeros scan rather than a
-// ring walk. Events inside one level-0 slot are unordered until the slot
-// becomes due, at which point the slot is drained into `cur` and sorted by
-// (time, seq) — restoring the exact global delivery order the heap
-// produces. Events scheduled into the granule currently being drained merge
-// into `cur` by binary insertion, which keeps same-instant FIFO exact even
-// for zero-delay self-scheduling callbacks.
+// ring walk. A level-0 slot is unordered in time until it becomes due; it
+// is then scattered over the ns level. Time is an integer nanosecond, so a
+// 128ns slot holds 128 distinct timestamps and FIFO at&127 holds exactly
+// one. Events of one timestamp fire in seq order and a fresh schedule
+// carries the largest seq yet issued, so the tail of its FIFO is its exact
+// place: draining a slot is one stable pass, scheduling into the slot being
+// drained (zero-delay self-scheduling callbacks included) is an O(1)
+// append, and nothing is ever sorted. The scatter is exact because every
+// slot list is already in seq order per timestamp: fresh schedules append
+// in seq order, level-1 cascades keep list order, and the far heap refills
+// in (time, seq) order. nsInsert does not rest on that: it places by seq
+// from the tail, one compare that never moves a fresh event.
 //
 // Cancellation is lazy (events are flagged dead and reclaimed when they
-// surface), and all slot slices, the sort buffer and the events themselves
-// are recycled, so steady-state scheduling performs no allocations.
+// surface), and all slot slices, the FIFOs and the events themselves are
+// recycled, so steady-state scheduling performs no allocations.
 
 import (
 	"container/heap"
@@ -38,23 +45,35 @@ const (
 	l1Bits  = 8                // 256 level-1 slots
 	l2Shift = l1Shift + l1Bits // epoch width = one full level-1 revolution
 
+	nsSlots = 1 << l0Shift // one FIFO per nanosecond of a level-0 slot
 	l0Slots = 1 << l0Bits
 	l1Slots = 1 << l1Bits
+	nsMask  = nsSlots - 1
 	l0Mask  = l0Slots - 1
 	l1Mask  = l1Slots - 1
 )
+
+// fifo is a queue consumed from head; an emptied queue keeps its capacity.
+type fifo struct {
+	q    []*event
+	head int
+}
 
 // wheelState is embedded in Simulator. All times are absolute, so slot
 // indices are pure hashes of the timestamp; l0Gran and epoch record which
 // granule/epoch each level currently covers, and l0Next/l1Next bound the
 // occupancy scan to slots not yet drained.
 type wheelState struct {
-	// cur holds the events of the level-0 slot being drained, sorted by
-	// (time, seq); curPos is the next undelivered index. curEnd is the
-	// exclusive time bound below which newly scheduled events must merge
-	// into cur to keep delivery order exact.
-	cur    []*event
-	curPos int
+	// curEnd is the exclusive end of the level-0 slot being drained.
+	// ns[t&nsMask] queues the events of timestamp t in that slot,
+	// [curEnd-nsSlots, curEnd), in seq order. early holds the events below
+	// the slot: curEnd runs ahead of the clock only while a merged shard
+	// partition holds its popped head (shard.go) or after a slot of nothing
+	// but cancelled events was drained, so the single loop all but never
+	// reaches it.
+	ns     [nsSlots]fifo
+	nsbits [nsSlots / 64]uint64
+	early  eventHeap
 	curEnd Time
 
 	l0      [l0Slots][]*event
@@ -89,13 +108,13 @@ func nextBit(words []uint64, from int) int {
 	}
 }
 
-// wheelInsert places e in cur, a wheel level or the far heap. Placement
-// depends only on e.at and state that pop keeps consistent with the clock,
-// so an insert is two shifts and an append in the common case.
+// wheelInsert places e in the ns level, a wheel level or the far heap.
+// Placement depends only on e.at and state that pop keeps consistent with
+// the clock, so an insert is two shifts and an append in the common case.
 func (s *Simulator) wheelInsert(e *event) {
 	w := &s.wheel
 	if e.at < w.curEnd {
-		w.curInsert(e)
+		w.nsInsert(e)
 		return
 	}
 	at := uint64(e.at)
@@ -120,49 +139,77 @@ func (s *Simulator) wheelInsert(e *event) {
 	heap.Push(&s.far, e)
 }
 
-// curInsert merges e into the sorted cur buffer (binary insertion). The
-// overwhelmingly common case — a callback scheduling at the current instant
-// — lands at the tail, because its seq is the largest yet issued.
-func (w *wheelState) curInsert(e *event) {
-	lo, hi := w.curPos, len(w.cur)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if eventLess(w.cur[mid], e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// nsInsert queues an event below curEnd: on the FIFO of its nanosecond, or
+// on the early heap when it precedes the drained slot (there at&nsMask
+// would alias it into the wrong nanosecond). A FIFO holds one timestamp, so
+// seq alone orders it: the walk back from the tail never moves a fresh
+// event, and takes a held head pushed back by reinsert to the front.
+func (w *wheelState) nsInsert(e *event) {
+	if e.at < w.curEnd-nsSlots {
+		heap.Push(&w.early, e)
+		return
 	}
-	w.cur = append(w.cur, nil)
-	copy(w.cur[lo+1:], w.cur[lo:])
-	w.cur[lo] = e
+	k := int(e.at) & nsMask
+	f := &w.ns[k]
+	w.nsbits[k>>6] |= 1 << uint(k&63)
+	i := len(f.q)
+	f.q = append(f.q, e)
+	for ; i > f.head && f.q[i-1].seq > e.seq; i-- {
+		f.q[i] = f.q[i-1]
+	}
+	f.q[i] = e
+}
+
+// nsHead returns the index of the lowest occupied FIFO, or -1.
+func (w *wheelState) nsHead() int {
+	switch {
+	case w.nsbits[0] != 0:
+		return bits.TrailingZeros64(w.nsbits[0])
+	case w.nsbits[1] != 0:
+		return 64 + bits.TrailingZeros64(w.nsbits[1])
+	}
+	return -1
+}
+
+// nsTake pops FIFO k's head, releasing its occupancy bit when it empties.
+func (w *wheelState) nsTake(k int) *event {
+	f := &w.ns[k]
+	e := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+		w.nsbits[k>>6] &^= 1 << uint(k&63)
+	}
+	return e
 }
 
 // wheelPop removes and returns the live event with the smallest
 // (time, seq), cascading level-1 slots and far-heap epochs inward as the
-// schedule drains. Invariant: every event in cur precedes every level-0
-// event, which precedes every level-1 event, which precedes every far
-// event — so scanning the regions in order always finds the global
-// minimum.
+// schedule drains. Invariant: every early event precedes every FIFO event,
+// which precedes every level-0 event, which precedes every level-1 event,
+// which precedes every far event — so scanning the regions in order always
+// finds the global minimum.
 func (s *Simulator) wheelPop() *event {
 	w := &s.wheel
 	for {
-		// Region 1: the sorted drain buffer.
-		for w.curPos < len(w.cur) {
-			e := w.cur[w.curPos]
-			w.cur[w.curPos] = nil
-			w.curPos++
+		// Region 1: the early heap, then the ns level.
+		for {
+			var e *event
+			if len(w.early) > 0 {
+				e = heap.Pop(&w.early).(*event)
+			} else if k := w.nsHead(); k >= 0 {
+				e = w.nsTake(k)
+			} else {
+				break
+			}
 			if e.dead {
 				s.recycle(e)
 				continue
 			}
 			return e
 		}
-		if len(w.cur) > 0 {
-			w.cur = w.cur[:0]
-			w.curPos = 0
-		}
-		// Region 2: drain the next occupied level-0 slot into cur.
+		// Region 2: scatter the next occupied level-0 slot over the FIFOs.
 		if w.l0Count > 0 {
 			k := nextBit(w.l0bits[:], w.l0Next)
 			items := w.l0[k]
@@ -178,9 +225,8 @@ func (s *Simulator) wheelPop() *event {
 					s.recycle(e)
 					continue
 				}
-				w.cur = append(w.cur, e)
+				w.nsInsert(e)
 			}
-			sortEvents(w.cur)
 			continue
 		}
 		// Region 3: cascade the next occupied level-1 slot into level 0.
@@ -254,18 +300,14 @@ func (s *Simulator) wheelPop() *event {
 // encountered along the way are reclaimed, but no live event moves.
 func (s *Simulator) wheelPeek() (Time, bool) {
 	w := &s.wheel
-	for w.curPos < len(w.cur) {
-		e := w.cur[w.curPos]
-		if !e.dead {
-			return e.at, true
-		}
-		w.cur[w.curPos] = nil
-		w.curPos++
-		s.recycle(e)
+	if at, ok := s.heapPeek(&w.early); ok {
+		return at, true
 	}
-	if len(w.cur) > 0 {
-		w.cur = w.cur[:0]
-		w.curPos = 0
+	for k := w.nsHead(); k >= 0; k = w.nsHead() {
+		if f := &w.ns[k]; !f.q[f.head].dead {
+			return f.q[f.head].at, true
+		}
+		s.recycle(w.nsTake(k))
 	}
 	if at, ok := peekLevel(s, w.l0[:], w.l0bits[:], &w.l0Count, w.l0Next); ok {
 		return at, true
@@ -273,12 +315,18 @@ func (s *Simulator) wheelPeek() (Time, bool) {
 	if at, ok := peekLevel(s, w.l1[:], w.l1bits[:], &w.l1Count, w.l1Next); ok {
 		return at, true
 	}
-	for len(s.far) > 0 {
-		e := s.far[0]
+	return s.heapPeek(&s.far)
+}
+
+// heapPeek reports the timestamp of h's first live event, reclaiming the
+// cancelled ones above it.
+func (s *Simulator) heapPeek(h *eventHeap) (Time, bool) {
+	for len(*h) > 0 {
+		e := (*h)[0]
 		if !e.dead {
 			return e.at, true
 		}
-		heap.Pop(&s.far)
+		heap.Pop(h)
 		s.recycle(e)
 	}
 	return 0, false
@@ -315,54 +363,4 @@ func peekLevel(s *Simulator, slots [][]*event, bitmap []uint64, count *int, from
 		from = k + 1
 	}
 	return 0, false
-}
-
-// sortEvents sorts by (time, seq) in place without allocating: quicksort
-// with median-of-three pivots, finishing small runs by insertion sort.
-// seq values are unique, so the order is total and stability is moot.
-func sortEvents(a []*event) {
-	for len(a) > 12 {
-		lo, mid, hi := 0, len(a)/2, len(a)-1
-		if eventLess(a[mid], a[lo]) {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if eventLess(a[hi], a[lo]) {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if eventLess(a[hi], a[mid]) {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for eventLess(a[i], pivot) {
-				i++
-			}
-			for eventLess(pivot, a[j]) {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller side, loop on the larger.
-		if j-lo < hi-i {
-			sortEvents(a[lo : j+1])
-			a = a[i:]
-		} else {
-			sortEvents(a[i:])
-			a = a[:j+1]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		e := a[i]
-		j := i - 1
-		for j >= 0 && eventLess(e, a[j]) {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = e
-	}
 }
