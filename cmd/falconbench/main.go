@@ -20,8 +20,6 @@
 //	                                   # virtual-clock time-series CSVs
 //	                                   # (byte-identical across same-seed
 //	                                   # runs; forces serial execution)
-//	falconbench -sched heap            # A/B the reference heap scheduler;
-//	                                   # tables must be identical
 //	falconbench -routing spray         # run every fabric under a non-default
 //	                                   # uplink policy (ecmp, spray, adaptive);
 //	                                   # same-seed reruns stay byte-identical
@@ -33,16 +31,13 @@
 //	                                   # selection defaults to the storm
 //	                                   # figures. Two invocations with the
 //	                                   # same seed write byte-identical
-//	                                   # -metrics JSON (chaoscheck relies
+//	                                   # -metrics JSON (make check relies
 //	                                   # on this)
-//	falconbench -legacyhotpath         # A/B the legacy transport hot path
-//	                                   # (map tables, heap packets, per-PSN
-//	                                   # scans); tables must be identical
 //	falconbench -shards 4              # partition every simulator into 4
 //	                                   # per-partition event loops with a
 //	                                   # deterministic merge; tables must
 //	                                   # be identical to -shards 1
-//	                                   # (shardcheck relies on this)
+//	                                   # (make check relies on this)
 //	falconbench -shards 4 -shardpar    # experimental: execute partitions
 //	                                   # on concurrent goroutines under
 //	                                   # conservative lookahead windows
@@ -62,7 +57,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"falcon/internal/core"
 	"falcon/internal/experiments"
 	"falcon/internal/netsim"
 	"falcon/internal/routing"
@@ -78,11 +72,9 @@ func main() {
 	jsonPath := flag.String("json", "", "write a BENCH_*.json performance report to this file")
 	metricsPath := flag.String("metrics", "", "write a deterministic per-figure metrics JSON to this file (forces a serial instrumented run)")
 	seriesDir := flag.String("series", "", "write per-figure time-series CSVs into this directory (forces a serial instrumented run)")
-	sched := flag.String("sched", "wheel", "event scheduler: wheel (default) or heap (reference)")
 	shards := flag.Int("shards", 1, "partition every simulator into N per-partition event loops (deterministic merge; tables must be identical to -shards 1)")
 	shardPar := flag.Bool("shardpar", false, "experimental: run partitions on concurrent goroutines under conservative lookahead windows (self-deterministic, but not byte-comparable to the merged mode)")
 	routingPolicy := flag.String("routing", "ecmp", "fabric uplink policy for every topology: ecmp (default), spray, or adaptive")
-	legacyHotPath := flag.Bool("legacyhotpath", false, "run the transport on the legacy hot path oracle (map tables, heap packets, per-PSN scans)")
 	storm := flag.Int64("storm", 0, "override the storm campaign seed for figStorm/figEndpointFault; with no -run, selects just the storm figures")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file")
@@ -94,22 +86,12 @@ func main() {
 		}
 		return
 	}
-	switch *sched {
-	case "wheel":
-		sim.SetDefaultScheduler(sim.SchedulerWheel)
-	case "heap":
-		sim.SetDefaultScheduler(sim.SchedulerHeap)
-	default:
-		fmt.Fprintf(os.Stderr, "bad -sched %q: want wheel or heap\n", *sched)
-		os.Exit(2)
-	}
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "bad -shards %d: want >= 1\n", *shards)
 		os.Exit(2)
 	}
 	sim.SetDefaultShards(*shards)
 	sim.SetDefaultShardParallel(*shardPar)
-	core.SetDefaultLegacyHotPath(*legacyHotPath)
 	pol := routing.ByName(*routingPolicy)
 	if pol == nil {
 		fmt.Fprintf(os.Stderr, "bad -routing %q: want ecmp, spray or adaptive\n", *routingPolicy)

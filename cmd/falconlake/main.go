@@ -59,7 +59,7 @@
 //	    match bit-for-bit; timing-class metrics get the -tol band;
 //	    perf metrics are flagged only for regressions beyond
 //	    -perftol. Exits 1 when findings exist, so the diff gates CI
-//	    directly (`make lakecheck` asserts a self-diff is empty).
+//	    directly (`make check` asserts a self-diff is empty).
 //	    The two arguments may also be artifact paths, which are
 //	    ingested into an ephemeral index ("a" and "b") and compared
 //	    without touching -index.

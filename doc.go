@@ -7,7 +7,6 @@
 // See README.md for the architecture overview, DESIGN.md for the system
 // inventory and per-experiment index, and EXPERIMENTS.md for
 // paper-vs-measured results. The libraries live under internal/; the
-// benchmark harness at the repository root (bench_test.go) and the
-// cmd/falconbench binary regenerate every table and figure of the paper's
-// evaluation.
+// cmd/falconbench binary regenerates every table and figure of the paper's
+// evaluation, and the bench/ module measures the simulator itself.
 package falcon

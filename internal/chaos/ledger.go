@@ -50,7 +50,7 @@ func (l Ledger) Balanced() bool {
 	return l.Sent == l.Delivered+l.Dropped()
 }
 
-// String renders the ledger for failure messages and the chaoscheck gate.
+// String renders the ledger for failure messages and the storm gate.
 func (l Ledger) String() string {
 	return fmt.Sprintf("sent=%d delivered=%d queue=%d random=%d down=%d corrupt=%d pause_rx=%d (balance %+d)",
 		l.Sent, l.Delivered, l.QueueDrops, l.RandomDrops, l.DownDrops, l.CorruptDrops, l.PauseRxDrops,

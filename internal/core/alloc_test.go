@@ -56,7 +56,7 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // initiator's RX-response pool cut below what the window solicits, so that
 // most attempts are refused and re-issued by rdma's admission poll — the
 // regime of the incast benchmark, where a refusal or a retry that
-// allocates costs hundreds of objects per op. `make perfcheck` runs this.
+// allocates costs hundreds of objects per op. `make check` runs this.
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	t.Run("tl-push-pull", testTLSteadyStateAllocs)
 	t.Run("rdma-read", func(t *testing.T) { testReadSteadyStateAllocs(t, false) })

@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"falcon/internal/falcon/fae"
 	"falcon/internal/falcon/pdl"
@@ -24,23 +23,6 @@ import (
 	"falcon/internal/psp"
 	"falcon/internal/sim"
 )
-
-// defaultLegacyHotPath selects the transport hot-path implementation for
-// clusters that don't choose explicitly (the pattern of
-// sim.SetDefaultScheduler): false runs the word-level scoreboard scans,
-// dense RSN tables and packet pooling; true restores the per-PSN loops,
-// map-backed tables and heap packets as the verification oracle.
-var defaultLegacyHotPath atomic.Bool
-
-// SetDefaultLegacyHotPath switches subsequently created clusters between
-// the optimized hot path (false, the default) and the legacy oracle
-// (true). The two produce byte-identical event traces — enforced by
-// internal/testkit's equivalence sweep — so the knob exists for A/B
-// verification and benchmarking, not behavior.
-func SetDefaultLegacyHotPath(v bool) { defaultLegacyHotPath.Store(v) }
-
-// DefaultLegacyHotPath reports the current process-wide default.
-func DefaultLegacyHotPath() bool { return defaultLegacyHotPath.Load() }
 
 // NodeConfig parameterizes one Falcon node (NIC + shared resources + FAE).
 type NodeConfig struct {
@@ -88,7 +70,6 @@ type Cluster struct {
 	// hang it on every frame without allocating.
 	onDrop     func(at *sim.Simulator, payload any)
 	nextConnID uint32
-	legacy     bool
 }
 
 // reclaim is the netsim.Frame.OnDrop hook of every frame that carries a
@@ -111,26 +92,8 @@ func NewCluster(s *sim.Simulator) *Cluster {
 		nextConnID: 1,
 	}
 	cl.onDrop = cl.reclaim
-	cl.SetLegacyHotPath(defaultLegacyHotPath.Load())
 	return cl
 }
-
-// SetLegacyHotPath switches this cluster between the optimized transport
-// hot path and the legacy oracle (see SetDefaultLegacyHotPath). It must be
-// called before nodes and connections are created: the flag is baked into
-// each endpoint's PDL/TL configuration.
-func (cl *Cluster) SetLegacyHotPath(v bool) {
-	cl.legacy = v
-	for _, p := range cl.pools {
-		p.SetLegacy(v)
-	}
-	for _, n := range cl.nodes {
-		n.res.SetLegacy(v)
-	}
-}
-
-// LegacyHotPath reports the cluster's hot-path selection.
-func (cl *Cluster) LegacyHotPath() bool { return cl.legacy }
 
 // Sim returns the owning simulator.
 func (cl *Cluster) Sim() *sim.Simulator { return cl.sim }
@@ -170,7 +133,6 @@ func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
 	pool := cl.pools[ns]
 	if pool == nil {
 		pool = wire.NewPacketPool()
-		pool.SetLegacy(cl.legacy)
 		cl.pools[ns] = pool
 	}
 	n := &Node{
@@ -183,7 +145,6 @@ func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
 		conns:   make(map[uint32]*Endpoint),
 		pspKey:  cfg.PSPMasterKey,
 	}
-	n.res.SetLegacy(cl.legacy)
 	n.engine = fae.New(ns, cfg.FAE, n.applyFAEResponse)
 	host.SetHandler(n)
 	cl.nodes[host.ID] = n
@@ -447,12 +408,6 @@ func (cl *Cluster) Connect(a, b *Node, cfg ConnConfig) (*Endpoint, *Endpoint) {
 }
 
 func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoint {
-	if n.cluster.legacy {
-		// The cluster-level oracle switch overrides per-connection
-		// selection: a legacy cluster is legacy end to end.
-		cfg.PDL.LegacyHotPath = true
-		cfg.TL.LegacyHotPath = true
-	}
 	ep := &Endpoint{node: n, id: id, peer: peer}
 
 	cb := pdl.Callbacks{

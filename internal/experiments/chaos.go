@@ -398,7 +398,7 @@ func endpointFaultRun(seed int64, ev chaos.Event, runFor time.Duration) chaos.Re
 }
 
 // stormPlanForTest exposes plan generation at the campaign's spec shape
-// for the chaoscheck sweep (internal tests only).
+// for the storm sweep tests (internal tests only).
 func stormPlanForTest(seed int64, runFor time.Duration) chaos.Plan {
 	return chaos.Generate(seed, stormSpec(runFor, 8, 4))
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestStormDeterminism is the chaoscheck core: two same-seed storm
+// TestStormDeterminism is the core of the storm gate: two same-seed storm
 // campaigns must produce cell-identical tables — the whole chaos layer is
 // exact-class, so any drift here is a behavior change.
 func TestStormDeterminism(t *testing.T) {
@@ -92,8 +92,8 @@ func TestEndpointFaultOutcomes(t *testing.T) {
 	}
 }
 
-// TestStormSweepShort runs a short storm per seed — the -race sweep the
-// chaoscheck gate executes — asserting only the invariants, not the
+// TestStormSweepShort runs a short storm per seed — the -race sweep
+// `make check` executes — asserting only the invariants, not the
 // numbers: determinism is TestStormDeterminism's job.
 func TestStormSweepShort(t *testing.T) {
 	for _, seed := range stormSeeds() {

@@ -41,7 +41,6 @@ func RunInstrumented(entries []Entry, quick bool, w io.Writer) (BenchReport, []*
 		Schema:    "falconbench/v1",
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
-		Scheduler: sim.DefaultScheduler().String(),
 		Quick:     quick,
 		Parallel:  1,
 		Figures:   make([]FigureReport, len(entries)),

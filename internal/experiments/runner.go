@@ -52,7 +52,6 @@ type BenchReport struct {
 	Schema        string         `json:"schema"`
 	GoVersion     string         `json:"go"`
 	NumCPU        int            `json:"cpus"`
-	Scheduler     string         `json:"scheduler"`
 	Quick         bool           `json:"quick"`
 	Parallel      int            `json:"parallel"`
 	Shards        int            `json:"shards,omitempty"`
@@ -73,7 +72,6 @@ func Run(entries []Entry, quick bool, parallel int, w io.Writer) BenchReport {
 		Schema:    "falconbench/v1",
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
-		Scheduler: sim.DefaultScheduler().String(),
 		Quick:     quick,
 		Parallel:  parallel,
 		Figures:   make([]FigureReport, len(entries)),

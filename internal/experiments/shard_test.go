@@ -14,7 +14,7 @@ import (
 // event loop. This is the figure-level face of the trace-hash gate in
 // internal/testkit: partitioning must never move a cell, because the
 // deterministic merge replays the exact (time, seq) delivery order. The
-// full-registry version of this check is `make shardcheck`, which diffs
+// full-registry version of this check is in `make check`, which diffs
 // complete falconbench runs at -shards 1, 2 and 4.
 //
 // The test mutates the process-wide default shard count, so it must not

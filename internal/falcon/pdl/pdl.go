@@ -26,10 +26,8 @@
 // packets live in by-value scoreboard slots, the acked/parked sets are
 // mirrored in 128-bit bitmaps scanned a word at a time, wire packets are
 // recycled through a wire.PacketPool, and every timer is a pooled typed
-// event (sim.Action). Two verification oracles cover the rebuild:
-// Config.LegacyHotPath restores the per-PSN scan loops (byte-identical
-// traces required), and Config.EagerTimers restores stop/re-arm timer
-// management (protocol-identical traces required; see testkit).
+// event (sim.Action) re-armed lazily (timers.go). The per-PSN loops the
+// word scans replaced survive as the reference model in scan_model_test.go.
 package pdl
 
 import (
@@ -109,20 +107,6 @@ type Config struct {
 	// (Callbacks.Failed fires once) rather than retrying forever.
 	// Zero disables the budget (retry forever).
 	MaxConsecutiveRTOs int
-
-	// LegacyHotPath selects the per-PSN reference scan loops instead of
-	// the word-at-a-time bitmap scans. The two paths must produce
-	// byte-identical event traces; the legacy path is kept as the test
-	// oracle (testkit's hot-path equivalence suite), mirroring the
-	// fabric's SetLegacyAlloc.
-	LegacyHotPath bool
-	// EagerTimers restores stop/re-arm timer management: every ACK with
-	// progress cancels and reschedules the RTO and TLP timers. The
-	// default (false) mirrors the same fire times through lazily
-	// re-armed deadline timers, which keeps per-ACK work off the timing
-	// wheel; the eager path is the oracle for protocol-trace
-	// equivalence (fire times match, raw event schedules differ).
-	EagerTimers bool
 }
 
 // DefaultConfig returns the settings used throughout the evaluation.
@@ -201,7 +185,7 @@ type Callbacks struct {
 // trace hashers through it. Both callbacks run synchronously after the
 // connection's state has been updated, so a probe sees post-event state.
 // The hook is compiled in but costs only a nil check when no probe is
-// attached (bench_test.go numbers are unaffected).
+// attached.
 type Probe interface {
 	// OnSend fires after a tracked data packet is (re)transmitted. p is
 	// the live packet; probes must not mutate it.
@@ -454,32 +438,17 @@ type Conn struct {
 	// and as the adaptive reo-window cap.
 	srttHint time.Duration
 
-	rtoTimer  sim.Timer
-	tlpTimer  sim.Timer
-	rackTimer sim.Timer
+	// The deadline timers (see timers.go).
+	rtoTimer  lazyTimer
+	tlpTimer  lazyTimer
+	rackTimer lazyTimer
+
+	// paceTimer releases a fractional-window connection's next packet at
+	// nextPaced, the earliest instant it may transmit (Carousel-style
+	// pacing: one packet per srtt/cwnd).
 	paceTimer sim.Timer
-	// nextPaced is the earliest instant a fractional-window connection
-	// may transmit its next packet (Carousel-style pacing: one packet
-	// per srtt/cwnd).
+	paceAct   timerAction
 	nextPaced sim.Time
-
-	// Lazy timer mirrors (EagerTimers false): xxxDeadline is the fire
-	// time the eager discipline would have produced (zero = logically
-	// stopped); xxxFireAt is when the currently scheduled event will
-	// surface, always <= the deadline while one is pending. See
-	// timers.go.
-	rtoDeadline  sim.Time
-	tlpDeadline  sim.Time
-	rackDeadline sim.Time
-	rtoFireAt    sim.Time
-	tlpFireAt    sim.Time
-	rackFireAt   sim.Time
-
-	// Typed timer callbacks (pooled events; see timers.go).
-	rtoAct  timerAction
-	tlpAct  timerAction
-	rackAct timerAction
-	paceAct timerAction
 	// nackEvents is the free list of resource-NACK backoff events.
 	nackEvents *nackRetryEvent
 
@@ -549,9 +518,9 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 		reoWndMult: 1,
 		ncwnd:      float64(cfg.WindowSize),
 	}
-	c.rtoAct = timerAction{c: c, kind: timerRTO}
-	c.tlpAct = timerAction{c: c, kind: timerTLP}
-	c.rackAct = timerAction{c: c, kind: timerRack}
+	c.rtoTimer.act = timerAction{c: c, kind: timerRTO}
+	c.tlpTimer.act = timerAction{c: c, kind: timerTLP}
+	c.rackTimer.act = timerAction{c: c, kind: timerRack}
 	c.paceAct = timerAction{c: c, kind: timerPace}
 	for i := range c.tx {
 		c.tx[i] = &txSpace{space: wire.Space(i), pkts: make([]txPacket, cfg.WindowSize)}

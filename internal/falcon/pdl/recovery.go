@@ -27,9 +27,8 @@ func (c *Conn) runRecovery(now sim.Time) {
 // eligible get a timer at their eligibility instant.
 //
 // The candidate set — live, unacked, not parked — is exactly the clear
-// bits of the acked|nacked mirrors inside the live window, so the word
-// path visits it via masked trailing-zero iteration in the same ascending
-// order as the legacy per-PSN loop.
+// bits of the acked|nacked mirrors inside the live window, visited in
+// ascending PSN order by masked trailing-zero iteration.
 func (c *Conn) runRack(now sim.Time) {
 	reoWnd := c.rackReoWnd * time.Duration(c.reoWndMult)
 	if c.srttHint > 0 && reoWnd > 2*c.srttHint {
@@ -38,27 +37,6 @@ func (c *Conn) runRack(now sim.Time) {
 	lost := c.lostScratch[:0]
 	var nextCheck sim.Time
 	for _, ts := range c.tx {
-		if c.cfg.LegacyHotPath {
-			for psn := ts.base; psn != ts.next; psn++ {
-				tp := ts.slot(psn)
-				if !tp.live || tp.acked || tp.nacked {
-					continue
-				}
-				f := &c.flows[tp.flow]
-				if f.rackXmit <= tp.txTime {
-					// Nothing sent after it has been delivered:
-					// reordering cannot be ruled out yet.
-					continue
-				}
-				eligibleAt := tp.txTime.Add(reoWnd)
-				if eligibleAt <= now {
-					lost = append(lost, tp)
-				} else if nextCheck == 0 || eligibleAt < nextCheck {
-					nextCheck = eligibleAt
-				}
-			}
-			continue
-		}
 		cand := wire.LowMask(int(ts.next - ts.base)).AndNot(ts.acked).AndNot(ts.nackedB)
 		for wi, w := range cand {
 			hi := wi * 64
@@ -68,6 +46,8 @@ func (c *Conn) runRack(now sim.Time) {
 				tp := ts.slot(ts.base + uint32(o))
 				f := &c.flows[tp.flow]
 				if f.rackXmit <= tp.txTime {
+					// Nothing sent after it has been delivered:
+					// reordering cannot be ruled out yet.
 					continue
 				}
 				eligibleAt := tp.txTime.Add(reoWnd)
@@ -92,14 +72,7 @@ func (c *Conn) runRack(now sim.Time) {
 		})
 	}
 	if nextCheck > 0 {
-		if c.cfg.EagerTimers {
-			if c.rackTimer.Pending() {
-				c.rackTimer.Stop()
-			}
-			c.rackTimer = c.sim.AtAction(nextCheck, &c.rackAct)
-		} else {
-			c.setRackDeadline(nextCheck)
-		}
+		c.rackTimer.set(c.sim, nextCheck)
 	}
 }
 
@@ -114,35 +87,8 @@ func (c *Conn) runOOODistance() {
 	}
 	retransmitted := false
 	for _, ts := range c.tx {
-		if c.cfg.LegacyHotPath {
-			// Highest SACKed PSN in this space.
-			var highest uint32
-			var haveHighest bool
-			for psn := ts.base; psn != ts.next; psn++ {
-				tp := ts.slot(psn)
-				if tp.live && tp.acked {
-					highest = psn
-					haveHighest = true
-				}
-			}
-			if !haveHighest {
-				continue
-			}
-			for psn := ts.base; psn != ts.next; psn++ {
-				// Serial arithmetic: distance below the highest SACK must
-				// survive the uint32 PSN wrap.
-				if int32(highest-psn) < int32(dist) {
-					break
-				}
-				tp := ts.slot(psn)
-				if !tp.live || tp.acked || tp.nacked {
-					continue
-				}
-				c.retransmit(tp, retxOOO)
-				retransmitted = true
-			}
-			continue
-		}
+		// Offsets are base-relative, so the distance below the highest
+		// SACK survives the uint32 PSN wrap.
 		h := ts.acked.HighestSet()
 		if h < 0 {
 			continue
@@ -186,17 +132,12 @@ func (c *Conn) onTLP() {
 	}
 	if c.sim.Now().Sub(c.lastAckProgress) < c.tlpTimeout {
 		// Progress happened since arming; re-arm for the remainder.
-		t := c.sim.Now().Add(c.tlpTimeout)
-		if c.cfg.EagerTimers {
-			c.tlpTimer = c.sim.AtAction(t, &c.tlpAct)
-		} else {
-			c.setTLPDeadline(t)
-		}
+		c.tlpTimer.set(c.sim, c.sim.Now().Add(c.tlpTimeout))
 		return
 	}
 	var probe *txPacket
 	for _, ts := range c.tx {
-		if tp := ts.highestUnacked(c.cfg.LegacyHotPath); tp != nil && (probe == nil || tp.txTime < probe.txTime) {
+		if tp := ts.highestUnacked(); tp != nil && (probe == nil || tp.txTime < probe.txTime) {
 			probe = tp
 		}
 	}
@@ -231,37 +172,16 @@ func (c *Conn) onRTO() {
 	}
 	now := c.sim.Now()
 	for _, ts := range c.tx {
-		if c.cfg.LegacyHotPath {
-			scanned := false
-			for psn := ts.base; psn != ts.next; psn++ {
-				tp := ts.slot(psn)
-				if !tp.live || tp.acked {
-					continue
-				}
-				if !scanned {
-					scanned = true
-					if c.cb.PostEvent != nil {
-						c.cb.PostEvent(fae.Event{
-							Kind: fae.EventRTO, Conn: c.id, Flow: int(tp.flow), Now: now,
-						})
-					}
-				}
-				c.retransmit(tp, retxRTO)
-			}
-			continue
-		}
 		// Every unacked live packet, parked ones included (the RTO
 		// supersedes their pending backoff). ts.next is re-read after each
 		// mask is drained: the first retransmit posts EventRTO, and with a
 		// zero FAE response delay the window update re-enters trySend
 		// synchronously, so brand-new packets can be stamped while the
-		// scan is still running. The per-PSN loop above picks those up by
-		// re-reading ts.next every iteration; the word scan must extend
-		// its mask the same way or a freshly sent tail packet would
+		// scan is still running, and a freshly sent tail packet must not
 		// escape the RTO retransmission. Growth only ever appends offsets
 		// past the previous bound (base and the acked mirror change only
 		// on packet receipt, never inside this loop), so extending keeps
-		// the visit order identical to the per-PSN scan.
+		// the visit in ascending PSN order.
 		scanned := false
 		for lo := 0; ; {
 			hiBound := int(ts.next - ts.base)
@@ -292,14 +212,9 @@ func (c *Conn) onRTO() {
 	if c.rtoBackoff < 8 {
 		c.rtoBackoff++
 	}
-	if c.cfg.EagerTimers {
-		c.rtoTimer.Stop()
-		c.armTimers()
-		return
-	}
-	// Lazy: overwrite the deadline with the backed-off interval (the
-	// retransmit path just re-armed it at the pre-backoff value).
-	c.setRTODeadline(now.Add(c.rtoDelay()))
+	// Overwrite the deadline with the backed-off interval (the retransmit
+	// path just re-armed it at the pre-backoff value).
+	c.rtoTimer.set(c.sim, now.Add(c.rtoDelay()))
 }
 
 // fail declares the connection dead: timers stop, queues drop (their
@@ -311,11 +226,10 @@ func (c *Conn) fail() {
 		return
 	}
 	c.failed = true
-	c.rtoTimer.Stop()
-	c.tlpTimer.Stop()
-	c.rackTimer.Stop()
+	c.rtoTimer.stop()
+	c.tlpTimer.stop()
+	c.rackTimer.stop()
 	c.paceTimer.Stop()
-	c.rtoDeadline, c.tlpDeadline, c.rackDeadline = 0, 0, 0
 	for c.reqQ.len() > 0 {
 		c.pool.Release(c.reqQ.pop())
 	}

@@ -237,14 +237,11 @@ func (c *Conn) handleAck(p *wire.Packet) {
 // processAckInfo folds one space's ACK info into the TX scoreboard. It
 // reports whether any packet was newly acknowledged.
 //
-// The word path scans the acked mirror a word at a time instead of walking
-// PSNs one by one; it visits exactly the live unacked offsets the legacy
-// loops would mark, in the same ascending order (TL completion order
-// depends on it), so the two produce byte-identical traces.
+// It scans the acked mirror and the wire bitmap a word at a time instead
+// of walking PSNs one by one, yet marks packets in ascending PSN order —
+// cumulative range first, then selective bits — because TL completion
+// order depends on it (scan_model_test.go holds it to the per-PSN walk).
 func (c *Conn) processAckInfo(ts *txSpace, info wire.AckInfo, perFlow []int) bool {
-	if c.cfg.LegacyHotPath {
-		return c.processAckInfoLegacy(ts, info, perFlow)
-	}
 	progress := false
 	// Cumulative portion. Serial arithmetic throughout: PSNs wrap at 2^32,
 	// so ordering is a signed 32-bit difference, never a widened comparison.
@@ -302,56 +299,13 @@ func (c *Conn) processAckInfo(ts *txSpace, info wire.AckInfo, perFlow []int) boo
 			progress = true
 		}
 	}
-	c.slideBase(ts)
-	return progress
-}
-
-// processAckInfoLegacy is the per-PSN reference implementation (oracle).
-func (c *Conn) processAckInfoLegacy(ts *txSpace, info wire.AckInfo, perFlow []int) bool {
-	progress := false
-	// Cumulative portion.
-	if int32(info.Base-ts.base) > 0 {
-		for psn := ts.base; psn != info.Base && psn != ts.next; psn++ {
-			if c.markAcked(ts, psn, perFlow) {
-				progress = true
-			}
-		}
-		if int32(info.Base-ts.next) <= 0 {
-			ts.advanceTo(info.Base)
-		} else {
-			ts.advanceTo(ts.next)
-		}
-	}
-	// Selective portion.
-	for i := 0; i < wire.BitmapBits; i++ {
-		if !info.Bitmap.Get(i) {
-			continue
-		}
-		psn := info.Base + uint32(i)
-		if int32(psn-ts.base) < 0 || int32(psn-ts.next) >= 0 {
-			continue
-		}
-		if c.markAcked(ts, psn, perFlow) {
-			progress = true
-		}
-	}
-	c.slideBase(ts)
+	ts.slideBase()
 	return progress
 }
 
 // slideBase advances the window base over the leading run of acked
 // packets (SACKed contiguously).
-func (c *Conn) slideBase(ts *txSpace) {
-	if c.cfg.LegacyHotPath {
-		for ts.base != ts.next {
-			tp := ts.slot(ts.base)
-			if !tp.live || !tp.acked {
-				break
-			}
-			ts.advanceTo(ts.base + 1)
-		}
-		return
-	}
+func (ts *txSpace) slideBase() {
 	run := ts.acked.LeadingRun()
 	if n := int(ts.next - ts.base); run > n {
 		run = n
@@ -457,7 +411,7 @@ func (c *Conn) handleNack(p *wire.Packet) {
 				perFlow[i] = 0
 			}
 			c.markAcked(ts, p.PSN, perFlow)
-			c.slideBase(ts)
+			ts.slideBase()
 			c.resetTimersOnProgress()
 		}
 		c.trySend()

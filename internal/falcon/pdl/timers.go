@@ -1,36 +1,32 @@
 package pdl
 
 import (
+	"fmt"
 	"time"
 
 	"falcon/internal/falcon/wire"
 	"falcon/internal/sim"
 )
 
-// Timer management. The PDL owns four per-connection timers (RTO, TLP,
-// RACK wakeup, pacing release). Under the eager discipline every ACK with
-// progress stops and re-arms the RTO and TLP timers — two timing-wheel
-// removals plus two insertions per ACK, which profiles as a top-five cost
-// on the simulator hot path. The default discipline instead mirrors the
-// fire time each timer WOULD have under eager management in a deadline
-// field and re-arms lazily:
+// Timer management. The PDL owns four per-connection timers: RTO, TLP,
+// RACK wakeup and pacing release. Pacing is a plain event. The other three
+// move on almost every ACK — progress pushes the RTO and TLP deadlines
+// later, a new SACK can pull the RACK wakeup earlier — so each is a
+// lazyTimer:
 //
-//   - xxxDeadline is the eager fire time (zero = logically stopped). It is
-//     updated with plain stores as progress moves it.
-//   - At most one wheel event is kept pending per timer, surfacing at
-//     xxxFireAt. The invariant is xxxFireAt <= xxxDeadline whenever a
-//     deadline is set: moving a deadline EARLIER than the pending event
-//     reschedules it; moving it later just updates the field.
-//   - When the event surfaces before the current deadline it re-arms at
-//     exactly the deadline and does nothing else; when it surfaces at (or
-//     after) a live deadline it clears the deadline and runs the body.
+//   - deadline is when the timer's body must run (zero = stopped). Moving
+//     it is a plain store.
+//   - At most one event per timer is pending. It surfaces at fireAt, and
+//     fireAt <= deadline whenever a deadline is set: a deadline moved
+//     earlier than the pending event reschedules it; one moved later only
+//     updates the field.
+//   - An event that surfaces before the deadline re-arms at exactly the
+//     deadline and does nothing else; one that surfaces at the deadline
+//     clears it and runs the body.
 //
-// The body therefore runs at exactly the eager fire time with identical
-// connection state, so the two disciplines are protocol-equivalent (same
-// sends, same deliveries, same timestamps); only the raw scheduler event
-// stream differs. Config.EagerTimers keeps the eager discipline as the
-// oracle, and testkit's timer-equivalence sweep checks protocol traces
-// match across the 33-scenario fault matrix.
+// The body therefore runs at the deadline, with the connection state of
+// that instant, and an ACK that only pushes a deadline later costs no
+// scheduler work at all.
 
 // timerKind discriminates the four pooled timer callbacks.
 type timerKind uint8
@@ -55,54 +51,84 @@ func (a *timerAction) RunAction() {
 	case timerPace:
 		c.trySend()
 	case timerRTO:
-		if c.cfg.EagerTimers {
+		if c.rtoTimer.due(c.sim) {
 			c.onRTO()
-			return
 		}
-		d := c.rtoDeadline
-		if d == 0 {
-			return
-		}
-		if now := c.sim.Now(); now < d {
-			c.rtoTimer = c.sim.AtAction(d, a)
-			c.rtoFireAt = d
-			return
-		}
-		c.rtoDeadline = 0
-		c.onRTO()
 	case timerTLP:
-		if c.cfg.EagerTimers {
+		if c.tlpTimer.due(c.sim) {
 			c.onTLP()
-			return
 		}
-		d := c.tlpDeadline
-		if d == 0 {
-			return
-		}
-		if now := c.sim.Now(); now < d {
-			c.tlpTimer = c.sim.AtAction(d, a)
-			c.tlpFireAt = d
-			return
-		}
-		c.tlpDeadline = 0
-		c.onTLP()
 	case timerRack:
-		if c.cfg.EagerTimers {
+		if c.rackTimer.due(c.sim) {
 			c.runRack(c.sim.Now())
-			return
 		}
-		d := c.rackDeadline
-		if d == 0 {
-			return
-		}
-		if now := c.sim.Now(); now < d {
-			c.rackTimer = c.sim.AtAction(d, a)
-			c.rackFireAt = d
-			return
-		}
-		c.rackDeadline = 0
-		c.runRack(c.sim.Now())
 	}
+}
+
+// lazyTimer is one deadline timer (see the discipline above).
+type lazyTimer struct {
+	deadline sim.Time
+	fireAt   sim.Time
+	ev       sim.Timer
+	act      timerAction
+}
+
+// set moves the deadline to t, rescheduling the pending event only when t
+// is earlier than it.
+func (lt *lazyTimer) set(s *sim.Simulator, t sim.Time) {
+	lt.deadline = t
+	if lt.ev.Pending() {
+		if lt.fireAt <= t {
+			return
+		}
+		lt.ev.Stop()
+	}
+	lt.ev = s.AtAction(t, &lt.act)
+	lt.fireAt = t
+}
+
+// due runs when the event surfaces and reports whether the body runs now:
+// at the deadline it clears the deadline and says yes; before it, it
+// re-arms at the deadline and says no.
+func (lt *lazyTimer) due(s *sim.Simulator) bool {
+	d := lt.deadline
+	if d == 0 {
+		return false
+	}
+	if s.Now() < d {
+		lt.ev = s.AtAction(d, &lt.act)
+		lt.fireAt = d
+		return false
+	}
+	lt.deadline = 0
+	return true
+}
+
+// stop cancels the timer outright.
+func (lt *lazyTimer) stop() {
+	lt.ev.Stop()
+	lt.deadline = 0
+}
+
+// CheckTimers reports the first breach of the discipline above on the RTO,
+// TLP and RACK timers, or "" when it holds: every set deadline is not yet
+// past and has its event pending at or before it. Called between events
+// (internal/testkit's checker does so on every delivery), a breach means a
+// timer body ran late or will never run.
+func (c *Conn) CheckTimers() string {
+	now := c.sim.Now()
+	for i, lt := range [...]*lazyTimer{&c.rtoTimer, &c.tlpTimer, &c.rackTimer} {
+		name := [...]string{"RTO", "TLP", "RACK"}[i]
+		switch d := lt.deadline; {
+		case d == 0:
+		case d < now:
+			return fmt.Sprintf("%s deadline %v already passed at %v", name, d, now)
+		case !lt.ev.Pending() || lt.fireAt > d:
+			return fmt.Sprintf("%s deadline %v has no event pending at or before it (pending=%v fireAt=%v)",
+				name, d, lt.ev.Pending(), lt.fireAt)
+		}
+	}
+	return ""
 }
 
 // rtoDelay is the current backed-off RTO interval.
@@ -114,97 +140,34 @@ func (c *Conn) rtoDelay() time.Duration {
 	return d
 }
 
-// setRTODeadline installs a lazy RTO deadline, keeping the pending-event
-// invariant (fire-at never later than the deadline).
-func (c *Conn) setRTODeadline(t sim.Time) {
-	c.rtoDeadline = t
-	if c.rtoTimer.Pending() {
-		if c.rtoFireAt <= t {
-			return
-		}
-		c.rtoTimer.Stop()
-	}
-	c.rtoTimer = c.sim.AtAction(t, &c.rtoAct)
-	c.rtoFireAt = t
-}
-
-// setTLPDeadline installs a lazy TLP deadline.
-func (c *Conn) setTLPDeadline(t sim.Time) {
-	c.tlpDeadline = t
-	if c.tlpTimer.Pending() {
-		if c.tlpFireAt <= t {
-			return
-		}
-		c.tlpTimer.Stop()
-	}
-	c.tlpTimer = c.sim.AtAction(t, &c.tlpAct)
-	c.tlpFireAt = t
-}
-
-// setRackDeadline installs a lazy RACK-wakeup deadline. Unlike RTO/TLP the
-// RACK deadline can move earlier (a new SACK can make an older packet's
-// eligibility the soonest), which the fire-at invariant already handles.
-func (c *Conn) setRackDeadline(t sim.Time) {
-	c.rackDeadline = t
-	if c.rackTimer.Pending() {
-		if c.rackFireAt <= t {
-			return
-		}
-		c.rackTimer.Stop()
-	}
-	c.rackTimer = c.sim.AtAction(t, &c.rackAct)
-	c.rackFireAt = t
-}
-
 // armTimers ensures RTO and TLP supervision while data is outstanding.
 func (c *Conn) armTimers() {
 	if c.totalOutstanding() == 0 {
-		if c.cfg.EagerTimers {
-			c.rtoTimer.Stop()
-			c.tlpTimer.Stop()
-		} else {
-			c.rtoDeadline, c.tlpDeadline = 0, 0
-		}
+		c.rtoTimer.deadline, c.tlpTimer.deadline = 0, 0
 		return
 	}
-	if c.cfg.EagerTimers {
-		if !c.rtoTimer.Pending() {
-			c.rtoTimer = c.sim.AtAction(c.sim.Now().Add(c.rtoDelay()), &c.rtoAct)
-		}
-		if c.cfg.Recovery == RecoveryRackTLP && !c.tlpTimer.Pending() {
-			c.tlpTimer = c.sim.AtAction(c.sim.Now().Add(c.tlpTimeout), &c.tlpAct)
-		}
-		return
+	if c.rtoTimer.deadline == 0 {
+		c.rtoTimer.set(c.sim, c.sim.Now().Add(c.rtoDelay()))
 	}
-	if c.rtoDeadline == 0 {
-		c.setRTODeadline(c.sim.Now().Add(c.rtoDelay()))
-	}
-	if c.cfg.Recovery == RecoveryRackTLP && c.tlpDeadline == 0 {
-		c.setTLPDeadline(c.sim.Now().Add(c.tlpTimeout))
+	if c.cfg.Recovery == RecoveryRackTLP && c.tlpTimer.deadline == 0 {
+		c.tlpTimer.set(c.sim, c.sim.Now().Add(c.tlpTimeout))
 	}
 }
 
-// resetTimersOnProgress is called when an ACK acknowledges new data.
+// resetTimersOnProgress is called when an ACK acknowledges new data: the
+// backoff resets and the RTO and TLP deadlines restart from now.
 func (c *Conn) resetTimersOnProgress() {
 	c.rtoBackoff = 0
 	c.consecRTOs = 0
 	now := c.sim.Now()
-	if c.cfg.EagerTimers {
-		c.rtoTimer.Stop()
-		c.tlpTimer.Stop()
-		c.lastAckProgress = now
-		c.armTimers()
-		return
-	}
 	c.lastAckProgress = now
 	if c.totalOutstanding() == 0 {
-		c.rtoDeadline, c.tlpDeadline = 0, 0
+		c.rtoTimer.deadline, c.tlpTimer.deadline = 0, 0
 		return
 	}
-	// Eager stops then re-arms from scratch; mirror its fresh deadlines.
-	c.setRTODeadline(now.Add(c.rtoDelay()))
+	c.rtoTimer.set(c.sim, now.Add(c.rtoDelay()))
 	if c.cfg.Recovery == RecoveryRackTLP {
-		c.setTLPDeadline(now.Add(c.tlpTimeout))
+		c.tlpTimer.set(c.sim, now.Add(c.tlpTimeout))
 	}
 }
 

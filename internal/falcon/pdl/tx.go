@@ -227,25 +227,10 @@ func (ts *txSpace) lowestUnacked() *txPacket {
 	return nil
 }
 
-// highestUnackedLegacy is the per-PSN reference scan for the TLP probe
-// target (LegacyHotPath oracle).
-func (ts *txSpace) highestUnackedLegacy() *txPacket {
-	for psn := ts.next; psn != ts.base; psn-- {
-		tp := ts.slot(psn - 1)
-		if tp.live && !tp.acked {
-			return tp
-		}
-	}
-	return nil
-}
-
 // highestUnacked returns the newest (highest-PSN) unacked tracked packet in
-// the space, or nil — the tail packet a TLP must probe. The word path masks
-// the acked mirror down to the live window and takes the highest clear bit.
-func (ts *txSpace) highestUnacked(legacy bool) *txPacket {
-	if legacy {
-		return ts.highestUnackedLegacy()
-	}
+// the space, or nil — the tail packet a TLP must probe. It masks the acked
+// mirror down to the live window and takes the highest clear bit.
+func (ts *txSpace) highestUnacked() *txPacket {
 	n := int(ts.next - ts.base)
 	h := wire.LowMask(n).AndNot(ts.acked).HighestSet()
 	if h < 0 {

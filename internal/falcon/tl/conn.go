@@ -100,12 +100,6 @@ type Config struct {
 	Backpressure BackpressureMode
 	// StaticAlpha is the DT α for BackpressureStatic.
 	StaticAlpha float64
-
-	// LegacyHotPath backs the per-RSN tables with Go maps and restores
-	// the map-iteration scans (completion horizon, unordered release),
-	// as the byte-identical-trace oracle for the dense structures —
-	// the TL side of pdl.Config.LegacyHotPath.
-	LegacyHotPath bool
 }
 
 // DefaultConfig returns an ordered connection with 4KB MTU and dynamic
@@ -279,10 +273,10 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, res *Resources, ctrl Contr
 		ctrl:            ctrl,
 		target:          target,
 		alpha:           cfg.StaticAlpha,
-		txns:            newRSNTable[*txn](cfg.LegacyHotPath),
-		reorderBuf:      newRSNTable[pendingReq](cfg.LegacyHotPath),
-		sentRespBytes:   newRSNTable[int](cfg.LegacyHotPath),
-		reqReservations: newRSNTable[int](cfg.LegacyHotPath),
+		txns:            newRSNTable[*txn](),
+		reorderBuf:      newRSNTable[pendingReq](),
+		sentRespBytes:   newRSNTable[int](),
+		reqReservations: newRSNTable[int](),
 	}
 	res.subscribeConn(c.onResourcesFreed)
 	return c

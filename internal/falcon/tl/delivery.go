@@ -1,7 +1,6 @@
 package tl
 
 import (
-	"slices"
 	"time"
 
 	"falcon/internal/falcon/pdl"
@@ -231,17 +230,10 @@ func (c *Conn) Completed(completedRSN uint64) {
 	if !c.cfg.Ordered {
 		return
 	}
-	if c.cfg.LegacyHotPath {
-		c.completedScanLegacy(completedRSN)
-		c.tryRelease()
-		return
-	}
 	// Bounded horizon walk: everything below completedApplied was
 	// flagged by an earlier call (new transactions always receive RSNs
 	// at or above any applied horizon), everything below releaseRSN has
-	// left the table, and nothing at or above nextRSN exists yet. The
-	// legacy scan ranges the whole map instead; both are pure flag
-	// stores, so iteration order cannot diverge the trace.
+	// left the table, and nothing at or above nextRSN exists yet.
 	hi := completedRSN
 	if c.nextRSN < hi {
 		hi = c.nextRSN
@@ -387,9 +379,6 @@ func (c *Conn) Fail(err error) {
 	}
 }
 
-// sortRSNs orders an RSN slice ascending (the legacy collection pass).
-func sortRSNs(rsns []uint64) { slices.Sort(rsns) }
-
 // Dead returns the terminal error, or nil while the connection is live.
 func (c *Conn) Dead() error { return c.dead }
 
@@ -414,13 +403,9 @@ func (c *Conn) tryRelease() {
 	ready := c.readyScratch
 	c.readyScratch = nil
 	ready = ready[:0]
-	if c.cfg.LegacyHotPath {
-		ready = c.collectReadyLegacy(ready)
-	} else {
-		for rsn := c.txns.lowBound(); rsn < c.txns.high; rsn++ {
-			if t, ok := c.txns.get(rsn); ok && t.finished && !t.released {
-				ready = append(ready, rsn)
-			}
+	for rsn := c.txns.lowBound(); rsn < c.txns.high; rsn++ {
+		if t, ok := c.txns.get(rsn); ok && t.finished && !t.released {
+			ready = append(ready, rsn)
 		}
 	}
 	for _, rsn := range ready {

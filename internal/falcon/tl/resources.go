@@ -188,10 +188,6 @@ type Resources struct {
 	// run in subscription order (the needy set is not tracked
 	// per-callback), so observable callback order is unchanged.
 	needy int
-
-	// legacy disables the needy skip, restoring the unconditional
-	// fan-out as the verification oracle.
-	legacy bool
 }
 
 // NewResources builds the resource manager.
@@ -202,10 +198,6 @@ func NewResources(cfg ResourceConfig) *Resources {
 	}
 	return r
 }
-
-// SetLegacy restores the unconditional Release fan-out (the pre-dense
-// behavior); used by the equivalence oracle.
-func (r *Resources) SetLegacy(v bool) { r.legacy = v }
 
 // needyDelta adjusts the count of connections awaiting a release
 // notification (see Conn.updateNeedy).
@@ -232,7 +224,7 @@ func (r *Resources) Release(k PoolKind, conn uint32, bytes int) {
 	p.connBytes.add(conn, -bytes)
 	r.perConn.add(conn, -1)
 	r.perConnBytes.add(conn, -bytes)
-	if r.legacy || r.needy > 0 {
+	if r.needy > 0 {
 		for _, s := range r.onRelease {
 			s.fn()
 		}

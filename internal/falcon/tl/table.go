@@ -12,38 +12,24 @@ package tl
 // TL hot path.
 //
 // Keys are stored as rsn+1 so the zero value means "empty"; low/high
-// bracket the live keys for ordered iteration. When constructed with
-// legacy=true the table is backed by a plain Go map instead (the
-// verification oracle; see table_legacy.go).
+// bracket the live keys for ordered iteration.
 type rsnTable[T any] struct {
 	keys []uint64 // rsn+1; 0 = empty
 	vals []T
 	n    int
-	low  uint64       // lower bound on live keys (advanced lazily)
-	high uint64       // strict upper bound on live keys
-	m    map[uint64]T // non-nil selects the map backend
+	low  uint64 // lower bound on live keys (advanced lazily)
+	high uint64 // strict upper bound on live keys
 }
 
-func newRSNTable[T any](legacy bool) rsnTable[T] {
-	if legacy {
-		return rsnTable[T]{m: make(map[uint64]T)}
-	}
+func newRSNTable[T any]() rsnTable[T] {
 	return rsnTable[T]{keys: make([]uint64, 32), vals: make([]T, 32)}
 }
 
-func (t *rsnTable[T]) len() int {
-	if t.m != nil {
-		return len(t.m)
-	}
-	return t.n
-}
+func (t *rsnTable[T]) len() int { return t.n }
 
 func (t *rsnTable[T]) idx(rsn uint64) int { return int(rsn & uint64(len(t.keys)-1)) }
 
 func (t *rsnTable[T]) get(rsn uint64) (T, bool) {
-	if t.m != nil {
-		return t.getMap(rsn)
-	}
 	if i := t.idx(rsn); t.keys[i] == rsn+1 {
 		return t.vals[i], true
 	}
@@ -52,17 +38,10 @@ func (t *rsnTable[T]) get(rsn uint64) (T, bool) {
 }
 
 func (t *rsnTable[T]) has(rsn uint64) bool {
-	if t.m != nil {
-		return t.hasMap(rsn)
-	}
 	return t.keys[t.idx(rsn)] == rsn+1
 }
 
 func (t *rsnTable[T]) put(rsn uint64, v T) {
-	if t.m != nil {
-		t.putMap(rsn, v)
-		return
-	}
 	i := t.idx(rsn)
 	if t.keys[i] == rsn+1 {
 		t.vals[i] = v
@@ -85,9 +64,6 @@ func (t *rsnTable[T]) put(rsn uint64, v T) {
 
 // del removes rsn, returning the stored value.
 func (t *rsnTable[T]) del(rsn uint64) (T, bool) {
-	if t.m != nil {
-		return t.delMap(rsn)
-	}
 	var zero T
 	i := t.idx(rsn)
 	if t.keys[i] != rsn+1 {
@@ -152,9 +128,6 @@ func (t *rsnTable[T]) lowBound() uint64 {
 
 // sorted returns the live keys in ascending order (diagnostics).
 func (t *rsnTable[T]) sorted() []uint64 {
-	if t.m != nil {
-		return sortedKeys(t.m)
-	}
 	out := make([]uint64, 0, t.n)
 	for rsn := t.lowBound(); rsn < t.high; rsn++ {
 		if t.has(rsn) {

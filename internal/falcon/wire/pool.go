@@ -41,25 +41,16 @@ type PacketPool struct {
 	// allocated counts the packets this pool has created; with Free it
 	// lets a drained run assert that every packet came back.
 	allocated int
-	// legacy restores the pre-pooling behaviour (fresh heap packet per
-	// Acquire, Release a no-op) as a verification oracle; see
-	// core.Cluster.SetLegacyHotPath.
-	legacy bool
 }
 
 // NewPacketPool returns an empty pool.
 func NewPacketPool() *PacketPool { return &PacketPool{} }
 
-// SetLegacy switches the pool to the heap-allocating oracle mode (true) or
-// back to recycling (false). Packets already handed out are unaffected:
-// Release consults only the packet's own pooled mark.
-func (p *PacketPool) SetLegacy(legacy bool) { p.legacy = legacy }
-
 // Acquire returns a zeroed packet owned by the caller until it is released
 // (directly or by the layer the caller hands it to; see the ownership
 // contract above).
 func (p *PacketPool) Acquire() *Packet {
-	if p == nil || p.legacy {
+	if p == nil {
 		return &Packet{}
 	}
 	n := len(p.free)

@@ -23,7 +23,7 @@ import (
 // walks both runs' sorted cell columns merge-style, so the same pair
 // of runs always produces byte-identical output. Diffing a run
 // against itself reports zero findings by construction — the property
-// `make lakecheck` asserts over the committed artifacts.
+// `make check` asserts over the committed artifacts.
 
 // Options configures diff tolerances. The zero value uses defaults.
 type Options struct {

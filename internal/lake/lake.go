@@ -28,7 +28,7 @@
 //
 // METRICS.md is the authoritative reference for every metric name that
 // flows into the lake and for the dimension grammar ParsePath applies;
-// cmd/falconlake is the CLI over this package, and `make lakecheck`
+// cmd/falconlake is the CLI over this package, and `make check`
 // gates every build on the committed artifacts ingesting cleanly and
 // self-diffing empty.
 package lake

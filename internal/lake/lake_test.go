@@ -29,7 +29,7 @@ func repoRoot(t *testing.T) string {
 }
 
 // ingestCommitted builds an index over the committed PR 3/5/6
-// artifacts — the same set `make lakecheck` gates on.
+// artifacts — the same set `make check` gates on.
 func ingestCommitted(t *testing.T) *Index {
 	t.Helper()
 	root := repoRoot(t)

@@ -290,40 +290,3 @@ func TestSetRateGbpsKeepsCommittedBytes(t *testing.T) {
 		t.Fatalf("arrivals = %v, want %v (committed bytes re-timed?)", arrivals, want)
 	}
 }
-
-// TestLegacyAllocEquivalent drives identical traffic through the pooled and
-// legacy-allocation fabrics and requires identical delivery counts and end
-// times — pooling must be invisible at the packet level. (The testkit
-// sweep asserts the same over the full protocol stack.)
-func TestLegacyAllocEquivalent(t *testing.T) {
-	run := func(legacy bool) (rx uint64, end sim.Time) {
-		s := sim.New(42)
-		topo := TwoRack(s, 2, 2, benchLink, benchLink)
-		topo.Net.SetLegacyAlloc(legacy)
-		for _, h := range topo.Hosts {
-			h.SetHandler(HandlerFunc(func(*Frame) {}))
-		}
-		src, dst := topo.Hosts[0], topo.Hosts[2]
-		fwd := topo.ToRs[0].RouteTo(dst.ID)
-		for _, port := range fwd {
-			port.SetDropProb(0.1)
-		}
-		for i := 0; i < 500; i++ {
-			f := src.NewFrame()
-			f.Dst = dst.ID
-			f.FlowHash = uint64(i) * 7
-			f.Size = 1000
-			src.Send(f)
-		}
-		s.Run()
-		return dst.RxFrames, s.Now()
-	}
-	prx, pend := run(false)
-	lrx, lend := run(true)
-	if prx != lrx || pend != lend {
-		t.Fatalf("pooled (%d frames, end %v) != legacy (%d frames, end %v)", prx, pend, lrx, lend)
-	}
-	if prx == 0 || prx == 500 {
-		t.Fatalf("drop injection inert: %d/500 delivered", prx)
-	}
-}

@@ -358,12 +358,9 @@ func (p *Port) send(f *Frame) {
 	del.kind = evDeliver
 	del.dst = p.dst
 	del.frame = f
-	if del.pool != nil {
-		// The delivery executes on the destination partition, so the
-		// event migrates to its pool (same pool on an intra-partition
-		// link; nil stays nil for legacy heap events).
-		del.pool = p.dstPool
-	}
+	// The delivery executes on the destination partition, so the event
+	// migrates to its pool (the same pool on an intra-partition link).
+	del.pool = p.dstPool
 	p.sim.CrossAction(p.dstSim, arrival, del)
 }
 
@@ -637,7 +634,6 @@ type Network struct {
 	pools          []*fabricPool
 	nextHostPart   int
 	nextSwitchPart int
-	legacy         bool
 }
 
 // New creates an empty network bound to s.
@@ -687,20 +683,6 @@ func (n *Network) Sim() *sim.Simulator { return n.sim }
 // Host and for tests asserting pool behaviour (hosts draw from their own
 // partition's pool via NewFrame).
 func (n *Network) Frames() *FramePool { return &n.pools[0].frames }
-
-// SetLegacyAlloc switches the fabric to the pre-pooling allocation
-// behaviour: Acquire returns fresh garbage-collected frames and every port
-// event is heap-allocated. Pure verification oracle, the pooling analogue
-// of sim.SchedulerHeap — a run must produce byte-identical trace hashes
-// with the flag on and off (asserted by the testkit pooled-equivalence
-// suite), proving recycling is invisible to the protocol.
-func (n *Network) SetLegacyAlloc(on bool) {
-	n.legacy = on
-	for _, fp := range n.pools {
-		fp.legacy = on
-		fp.frames.legacy = on
-	}
-}
 
 // AddHost creates a host, assigning it to the next partition round-robin
 // (partition 0 on a single-loop network). Its handler may be set later.

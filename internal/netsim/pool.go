@@ -6,7 +6,7 @@ package netsim
 // allocation. This file pairs with the pooled scheduler events in
 // internal/sim (which recycle the (time, seq) entries themselves); together
 // they make a fabric hop allocation-free end to end. DESIGN.md §10
-// describes the ownership rules and the verification oracle.
+// describes the ownership rules.
 
 import "falcon/internal/sim"
 
@@ -39,18 +39,11 @@ const (
 // the run ends.
 type FramePool struct {
 	free []*Frame
-	// legacy restores the pre-pooling behaviour (fresh heap frame per
-	// Acquire, Release a no-op) as a verification oracle; see
-	// Network.SetLegacyAlloc.
-	legacy bool
 }
 
 // Acquire returns a zeroed frame owned by the caller until it is handed to
 // Host.Send (or returned with Release).
 func (p *FramePool) Acquire() *Frame {
-	if p.legacy {
-		return &Frame{}
-	}
 	n := len(p.free)
 	if n == 0 {
 		blk := make([]Frame, framePoolBlock)
@@ -91,7 +84,6 @@ type fabricPool struct {
 	sim    *sim.Simulator // the partition's simulator
 	frames FramePool
 	evFree []*portEvent
-	legacy bool
 }
 
 // drop discards a frame the fabric will not deliver, on this pool's
@@ -120,7 +112,7 @@ func (fp *fabricPool) drop(f *Frame) {
 //
 // pool is the fabricPool the event returns to when it fires — the pool of
 // the partition that executes it (the port's own partition for drains, the
-// destination device's for deliveries). nil for legacy heap events.
+// destination device's for deliveries).
 type portEvent struct {
 	pool  *fabricPool
 	port  *Port  // evDrain: the port whose queue drains
@@ -153,9 +145,6 @@ func (e *portEvent) RunAction() {
 // getEvent draws a port event from this partition's free list, refilling
 // in blocks.
 func (fp *fabricPool) getEvent() *portEvent {
-	if fp.legacy {
-		return &portEvent{}
-	}
 	k := len(fp.evFree)
 	if k == 0 {
 		blk := make([]portEvent, eventPoolBlock)
@@ -171,13 +160,9 @@ func (fp *fabricPool) getEvent() *portEvent {
 }
 
 // release recycles a fired port event into its destination pool, clearing
-// its references so pooled frames and ports are not pinned. Legacy events
-// (nil pool) are left to the garbage collector.
+// its references so pooled frames and ports are not pinned.
 func (e *portEvent) release() {
 	fp := e.pool
-	if fp == nil {
-		return
-	}
 	e.port = nil
 	e.dst = nil
 	e.frame = nil

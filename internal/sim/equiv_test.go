@@ -1,14 +1,13 @@
 package sim
 
-// Scheduler equivalence suite: SchedulerWheel and SchedulerHeap must
-// deliver any schedule in the identical (time, seq) order. Each test here
-// drives the same deterministic workload through both implementations and
+// Scheduler order suite: the timing wheel must deliver any schedule in the
+// identical (time, seq) order as the reference heap loop (heapref_test.go).
+// Each test here drives the same deterministic workload through both and
 // compares the full delivery stream, plus targeted edge cases at slot
 // boundaries, granule/epoch cascades, cancellations and mid-slot RunUntil
 // bounds, a dense case that fills the wheel's 1 ns FIFOs, and a
 // differential fuzzer over schedule/stop/RunUntil scripts.
-// internal/testkit's sweep tests extend the same check to full protocol
-// runs via trace hashes.
+// internal/testkit's golden sweep hashes pin full protocol runs.
 
 import (
 	"fmt"
@@ -57,11 +56,11 @@ func randomDelay(intn func(int) int) time.Duration {
 // reschedules on s, returning the delivery stream. All randomness flows
 // from s.Rand(), so two simulators with the same seed see the same
 // workload exactly when they deliver events in the same order.
-func runWorkload(s *Simulator, ops int) []recEvt {
+func runWorkload(s sched, ops int) []recEvt {
 	rec := &recorder{}
 	s.SetObserver(rec)
 	rng := s.Rand()
-	var timers []Timer
+	var timers []timer
 	spawned := 0
 	var spawn func()
 	spawn = func() {
@@ -95,9 +94,9 @@ func runWorkload(s *Simulator, ops int) []recEvt {
 
 func TestWheelHeapEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		wheel := NewWithScheduler(seed, SchedulerWheel)
-		gotW := runWorkload(wheel, 3000)
-		hp := NewWithScheduler(seed, SchedulerHeap)
+		w := wheelSched{newLoop(seed)}
+		gotW := runWorkload(w, 3000)
+		hp := newHeapRef(seed)
 		gotH := runWorkload(hp, 3000)
 		if len(gotW) == 0 {
 			t.Fatalf("seed %d: workload delivered no events", seed)
@@ -115,9 +114,9 @@ func TestWheelHeapEquivalence(t *testing.T) {
 			}
 			t.Fatalf("seed %d: stream lengths differ: wheel=%d heap=%d", seed, len(gotW), len(gotH))
 		}
-		if wheel.Now() != hp.Now() || wheel.Processed() != hp.Processed() {
+		if w.Now() != hp.Now() || w.Processed() != hp.Processed() {
 			t.Fatalf("seed %d: final state differs: wheel(now=%v n=%d) heap(now=%v n=%d)",
-				seed, wheel.Now(), wheel.Processed(), hp.Now(), hp.Processed())
+				seed, w.Now(), w.Processed(), hp.Now(), hp.Processed())
 		}
 	}
 }
@@ -144,12 +143,12 @@ func diffStreams(t *testing.T, what string, gotW, gotH []recEvt) {
 // slots a few nanoseconds at a time and, stopped mid-slot, schedules
 // events that land before the next pending one. runWorkload's few events
 // per slot reach none of this.
-func runDense(s *Simulator) []recEvt {
+func runDense(s sched) []recEvt {
 	rec := &recorder{}
 	s.SetObserver(rec)
 	rng := s.Rand()
 	const base = Time(5) << l0Shift
-	var timers []Timer
+	var timers []timer
 	budget := 4000
 	var fire func()
 	fire = func() {
@@ -176,8 +175,8 @@ func runDense(s *Simulator) []recEvt {
 
 func TestWheelHeapEquivalenceDense(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		gotW := runDense(NewWithScheduler(seed, SchedulerWheel))
-		gotH := runDense(NewWithScheduler(seed, SchedulerHeap))
+		gotW := runDense(wheelSched{newLoop(seed)})
+		gotH := runDense(newHeapRef(seed))
 		if len(gotW) < 4000 {
 			t.Fatalf("seed %d: dense workload delivered only %d events", seed, len(gotW))
 		}
@@ -191,7 +190,7 @@ func TestWheelHeapEquivalenceDense(t *testing.T) {
 // out. The driver schedules, stops and steps RunUntil; every fired event
 // may reschedule a child up to three deep and stop a timer, so the drain
 // itself schedules and cancels.
-func runScript(s *Simulator, script []byte) []recEvt {
+func runScript(s sched, script []byte) []recEvt {
 	rec := &recorder{}
 	s.SetObserver(rec)
 	intn := func(n int) int {
@@ -202,7 +201,7 @@ func runScript(s *Simulator, script []byte) []recEvt {
 		script = script[3:]
 		return v % n
 	}
-	var timers []Timer
+	var timers []timer
 	var fire func(depth int) func()
 	fire = func(depth int) func() {
 		return func() {
@@ -229,7 +228,8 @@ func runScript(s *Simulator, script []byte) []recEvt {
 }
 
 // FuzzWheelHeapOrder is the differential fuzzer behind the suite: any
-// script must produce the same delivery stream on both schedulers.
+// script must produce the same delivery stream on the wheel and the heap
+// reference.
 func FuzzWheelHeapOrder(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x07\x00\x00\x40\x00\x00\x00\x00\x00"))
 	f.Add([]byte("the wheel and the heap must agree on any script of draws, long or short"))
@@ -238,24 +238,23 @@ func FuzzWheelHeapOrder(f *testing.F) {
 		if len(script) > 1024 {
 			t.Skip("scripts past 512 ops add run time, not coverage")
 		}
-		gotW := runScript(NewWithScheduler(1, SchedulerWheel), script)
-		gotH := runScript(NewWithScheduler(1, SchedulerHeap), script)
+		gotW := runScript(wheelSched{newLoop(1)}, script)
+		gotH := runScript(newHeapRef(1), script)
 		diffStreams(t, "script", gotW, gotH)
 	})
 }
 
-// bothSchedulers runs f against a wheel and a heap simulator and compares
-// the delivery streams.
-func bothSchedulers(t *testing.T, f func(s *Simulator)) {
+// bothSchedulers runs f against the wheel and the heap reference and
+// compares the delivery streams.
+func bothSchedulers(t *testing.T, f func(s sched)) {
 	t.Helper()
-	run := func(k Scheduler) []recEvt {
-		s := NewWithScheduler(1, k)
+	run := func(s sched) []recEvt {
 		rec := &recorder{}
 		s.SetObserver(rec)
 		f(s)
 		return rec.recs
 	}
-	w, h := run(SchedulerWheel), run(SchedulerHeap)
+	w, h := run(wheelSched{newLoop(1)}), run(newHeapRef(1))
 	if !reflect.DeepEqual(w, h) {
 		t.Fatalf("wheel and heap delivery differ:\nwheel: %+v\nheap:  %+v", w, h)
 	}
@@ -270,7 +269,7 @@ func TestBoundaryTimesFireInOrder(t *testing.T) {
 		(1 << l2Shift) - 1, 1 << l2Shift, (1 << l2Shift) + 1,
 		3 << l2Shift, 1 << l0Shift, 1 << l1Shift, 1 << l2Shift,
 	}
-	bothSchedulers(t, func(s *Simulator) {
+	bothSchedulers(t, func(s sched) {
 		var fired []Time
 		for _, at := range ats {
 			at := at
@@ -294,18 +293,18 @@ func TestBoundaryTimesFireInOrder(t *testing.T) {
 }
 
 func TestCancelInEveryRegion(t *testing.T) {
-	bothSchedulers(t, func(s *Simulator) {
+	bothSchedulers(t, func(s sched) {
 		fired := map[Time]bool{}
-		mk := func(at Time) Timer {
+		mk := func(at Time) timer {
 			return s.At(at, func() { fired[at] = true })
 		}
 		// The ns level: by the time the event at 90 runs, its slot has been
 		// scattered, so the timers it stops sit in FIFOs — one behind it in
 		// its own FIFO, one alone in a later FIFO, one sharing a FIFO with a
 		// survivor.
-		var killSame, killNs, killTie Timer
+		var killSame, killNs, killTie timer
 		s.At(90, func() {
-			for _, tm := range []Timer{killSame, killNs, killTie} {
+			for _, tm := range []timer{killSame, killNs, killTie} {
 				if !tm.Stop() {
 					t.Error("Stop on a timer queued in a FIFO reported false")
 				}
@@ -318,7 +317,7 @@ func TestCancelInEveryRegion(t *testing.T) {
 		keepL0, killL0 := mk(1<<l0Shift+5), mk(1<<l0Shift+6)
 		keepL1, killL1 := mk(1<<l1Shift+5), mk(1<<l1Shift+6)
 		keepFar, killFar := mk(1<<l2Shift+5), mk(1<<l2Shift+6)
-		for _, tm := range []Timer{killSlot, killL0, killL1, killFar} {
+		for _, tm := range []timer{killSlot, killL0, killL1, killFar} {
 			if !tm.Stop() {
 				t.Fatal("Stop on pending timer reported false")
 			}
@@ -327,7 +326,7 @@ func TestCancelInEveryRegion(t *testing.T) {
 			t.Fatalf("Pending after cancels = %d, want 9", got)
 		}
 		s.Run()
-		for _, tm := range []Timer{keepTie, keepSlot, keepL0, keepL1, keepFar} {
+		for _, tm := range []timer{keepTie, keepSlot, keepL0, keepL1, keepFar} {
 			if tm.Pending() {
 				t.Fatal("fired timer still pending")
 			}
@@ -358,7 +357,7 @@ func TestCancelInEveryRegion(t *testing.T) {
 }
 
 func TestRescheduleAcrossRegions(t *testing.T) {
-	bothSchedulers(t, func(s *Simulator) {
+	bothSchedulers(t, func(s sched) {
 		var order []int
 		// Timer armed far in the future, pulled back to near term.
 		tm := s.At(1<<l2Shift+999, func() { order = append(order, 99) })
@@ -381,7 +380,7 @@ func TestZeroDelaySelfScheduleDuringDrain(t *testing.T) {
 	// A callback scheduling at the current instant must run after every
 	// already-pending event at that instant (FIFO by seq), even while the
 	// wheel is mid-way through draining the slot's sorted buffer.
-	bothSchedulers(t, func(s *Simulator) {
+	bothSchedulers(t, func(s sched) {
 		var order []int
 		s.At(100, func() {
 			order = append(order, 0)
@@ -401,7 +400,7 @@ func TestRunUntilMidSlotThenEarlierInsert(t *testing.T) {
 	// Stop the clock in the middle of a drained slot, then schedule an
 	// event that lands before the slot's remaining events: it must merge
 	// into the sorted buffer, not append behind it.
-	bothSchedulers(t, func(s *Simulator) {
+	bothSchedulers(t, func(s sched) {
 		var order []Time
 		note := func() { order = append(order, s.Now()) }
 		s.At(100, note)
@@ -423,7 +422,7 @@ func TestRunUntilJumpThenShortTimers(t *testing.T) {
 	// Advancing the clock far past the wheel's current granule and epoch
 	// leaves stale wheel state; subsequent short timers must still fire in
 	// order (the pop path re-derives the wheel position from the heap).
-	bothSchedulers(t, func(s *Simulator) {
+	bothSchedulers(t, func(s sched) {
 		s.RunUntil(5<<l2Shift + 12345)
 		var order []Time
 		note := func() { order = append(order, s.Now()) }
@@ -446,9 +445,9 @@ func TestRunUntilJumpThenShortTimers(t *testing.T) {
 func TestCascadeAcrossManyEpochs(t *testing.T) {
 	// Events sprinkled over several full level-1 revolutions force
 	// repeated far-heap refills; interleave cancellations of far events.
-	bothSchedulers(t, func(s *Simulator) {
+	bothSchedulers(t, func(s sched) {
 		var fired int
-		var cancelled []Timer
+		var cancelled []timer
 		for i := 0; i < 200; i++ {
 			at := Time(i) * ((1 << l2Shift) / 16)
 			tm := s.At(at, func() { fired++ })
@@ -469,7 +468,7 @@ func TestCascadeAcrossManyEpochs(t *testing.T) {
 func TestStopAfterRecycleIsInert(t *testing.T) {
 	// A Timer whose event has fired and been recycled into a new event
 	// must not cancel the new event (generation check).
-	s := NewWithScheduler(1, SchedulerWheel)
+	s := newLoop(1)
 	stale := s.After(0, func() {})
 	s.Run()
 	fired := false

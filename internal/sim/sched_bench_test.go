@@ -1,9 +1,10 @@
 package sim
 
-// Scheduler microbenchmarks: schedule/cancel/fire mixes at 1k-1M pending
-// timers, run against both the timing wheel and the reference heap. These
-// produce the headline numbers in DESIGN.md §8 and EXPERIMENTS.md's PR2
-// appendix; `make bench` runs them.
+// Scheduler microbenchmarks: schedule/cancel/fire mixes on the timing
+// wheel at 1k-1M pending timers and at fabric_scale's slot density.
+// DESIGN.md §8 and EXPERIMENTS.md's PR2 appendix record them against the
+// heap the simulator once offered as an alternative; `make bench` runs
+// them.
 //
 // The steady-state mix models the simulator's real load (measured from
 // falconbench): ~90% of timers land within ~100us (packet serialization,
@@ -65,8 +66,8 @@ func denseRing() []time.Duration {
 
 // benchSteadyFire keeps `pending` self-rescheduling timers live, their
 // delays drawn from ring, and measures the cost of one schedule+fire cycle.
-func benchSteadyFire(b *testing.B, k Scheduler, pending int, ring []time.Duration) {
-	s := NewWithScheduler(1, k)
+func benchSteadyFire(b *testing.B, pending int, ring []time.Duration) {
+	s := newLoop(1)
 	di := 0
 	next := func() time.Duration {
 		d := ring[di]
@@ -91,8 +92,8 @@ func benchSteadyFire(b *testing.B, k Scheduler, pending int, ring []time.Duratio
 // benchCancelMix measures a schedule-2/cancel-1/fire-1 cycle, the pattern
 // retransmission timers follow (armed per packet, almost always cancelled
 // by the ACK before firing).
-func benchCancelMix(b *testing.B, k Scheduler, pending int) {
-	s := NewWithScheduler(1, k)
+func benchCancelMix(b *testing.B, pending int) {
+	s := newLoop(1)
 	ring := delayRing(90)
 	di := 0
 	next := func() time.Duration {
@@ -122,21 +123,15 @@ func benchCancelMix(b *testing.B, k Scheduler, pending int) {
 func schedulerSizes() []int { return []int{1_000, 32_000, 1_000_000} }
 
 func BenchmarkSchedulerSteadyState(b *testing.B) {
-	for _, k := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		for _, n := range schedulerSizes() {
-			b.Run(fmt.Sprintf("%s/pending=%d", k, n), func(b *testing.B) {
-				benchSteadyFire(b, k, n, delayRing(90))
-			})
-		}
+	for _, n := range schedulerSizes() {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			benchSteadyFire(b, n, delayRing(90))
+		})
 	}
 }
 
 func BenchmarkSchedulerDense(b *testing.B) {
-	for _, k := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		b.Run(k.String(), func(b *testing.B) {
-			benchSteadyFire(b, k, densePending, denseRing())
-		})
-	}
+	benchSteadyFire(b, densePending, denseRing())
 }
 
 // TestWheelDenseZeroAlloc gates the dense regime: once the FIFOs, slots and
@@ -144,7 +139,7 @@ func BenchmarkSchedulerDense(b *testing.B) {
 // allocates nothing, an emptied FIFO keeps its capacity and holds no stale
 // event pointer, and the same goes for the early heap.
 func TestWheelDenseZeroAlloc(t *testing.T) {
-	s := NewWithScheduler(1, SchedulerWheel)
+	s := newLoop(1)
 	ring, di, stop := denseRing(), 0, false
 	var tick func()
 	tick = func() {
@@ -207,11 +202,9 @@ func TestWheelDenseZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkSchedulerCancelMix(b *testing.B) {
-	for _, k := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		for _, n := range schedulerSizes() {
-			b.Run(fmt.Sprintf("%s/pending=%d", k, n), func(b *testing.B) {
-				benchCancelMix(b, k, n)
-			})
-		}
+	for _, n := range schedulerSizes() {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			benchCancelMix(b, n)
+		})
 	}
 }

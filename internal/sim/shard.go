@@ -1,8 +1,8 @@
 package sim
 
 // Sharded simulation: one run split into N partitions, each owning its own
-// pending-event structure (timing wheel or heap), coordinated by a Sharded
-// group. Two execution modes share the partitioned state:
+// timing wheel, coordinated by a Sharded group. Two execution modes share
+// the partitioned state:
 //
 //   - Merged (the -shards N default): partitions are drained through a
 //     deterministic N-way merge on the coordinator goroutine. Every
@@ -11,7 +11,7 @@ package sim
 //     come from one group-wide counter, the random stream is shared, and
 //     Now() reads one group-wide clock, so a merged run is byte-identical
 //     to the single-loop scheduler by construction — the equivalence the
-//     testkit sweep suite and `make shardcheck` enforce.
+//     testkit sweep suite and `make check` enforce.
 //   - Parallel (experimental, behind SetDefaultShardParallel): partitions
 //     execute concurrently inside conservative lookahead windows. The
 //     window is derived from the minimum declared cross-partition link
@@ -146,15 +146,15 @@ type Sharded struct {
 }
 
 // NewSharded returns the root partition of a simulator split into n
-// partitions backed by scheduler k. n <= 1 returns a plain single-loop
-// simulator. With parallel false (the recommended mode) the partitions are
-// drained by a deterministic merge and the run is byte-identical to the
-// single loop; with parallel true they execute concurrently inside
-// conservative lookahead windows (experimental — see the package notes at
-// the top of this file).
-func NewSharded(seed int64, k Scheduler, n int, parallel bool) *Simulator {
+// partitions. n <= 1 returns a plain single-loop simulator. With parallel
+// false (the recommended mode) the partitions are drained by a
+// deterministic merge and the run is byte-identical to the single loop;
+// with parallel true they execute concurrently inside conservative
+// lookahead windows (experimental — see the package notes at the top of
+// this file).
+func NewSharded(seed int64, n int, parallel bool) *Simulator {
 	if n <= 1 {
-		return NewWithScheduler(seed, k)
+		return newLoop(seed)
 	}
 	g := &Sharded{
 		parts:    make([]*Simulator, n),
@@ -166,7 +166,7 @@ func NewSharded(seed int64, k Scheduler, n int, parallel bool) *Simulator {
 		shared = rand.New(rand.NewSource(seed))
 	}
 	for i := range g.parts {
-		p := &Simulator{sched: k, group: g, shard: i}
+		p := &Simulator{group: g, shard: i}
 		if parallel {
 			p.seqp = &p.seq
 			p.nowp = &p.now

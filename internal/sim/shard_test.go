@@ -84,26 +84,23 @@ func runShardProg(root *Simulator, shards, maxDepth int) *shardRec {
 
 // TestShardMergedByteIdentical drives the same deterministic workload on a
 // single-loop simulator and on merged sharded groups of 2, 3 and 4
-// partitions (wheel and heap), and requires the delivered (time, seq)
-// stream — the basis of every trace hash — to be identical element for
-// element.
+// partitions, and requires the delivered (time, seq) stream — the basis
+// of every trace hash — to be identical element for element.
 func TestShardMergedByteIdentical(t *testing.T) {
 	const depth = 28
-	for _, k := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		base := runShardProg(NewWithScheduler(7, k), 4, depth)
-		if len(base.ats) < 5000 {
-			t.Fatalf("%v: baseline delivered only %d events", k, len(base.ats))
+	base := runShardProg(newLoop(7), 4, depth)
+	if len(base.ats) < 5000 {
+		t.Fatalf("baseline delivered only %d events", len(base.ats))
+	}
+	for _, n := range []int{2, 3, 4} {
+		got := runShardProg(NewSharded(7, n, false), 4, depth)
+		if len(got.ats) != len(base.ats) {
+			t.Fatalf("shards=%d: delivered %d events, want %d", n, len(got.ats), len(base.ats))
 		}
-		for _, n := range []int{2, 3, 4} {
-			got := runShardProg(NewSharded(7, k, n, false), 4, depth)
-			if len(got.ats) != len(base.ats) {
-				t.Fatalf("%v shards=%d: delivered %d events, want %d", k, n, len(got.ats), len(base.ats))
-			}
-			for i := range base.ats {
-				if got.ats[i] != base.ats[i] || got.seqs[i] != base.seqs[i] {
-					t.Fatalf("%v shards=%d: event %d = (%v, %d), single loop has (%v, %d)",
-						k, n, i, got.ats[i], got.seqs[i], base.ats[i], base.seqs[i])
-				}
+		for i := range base.ats {
+			if got.ats[i] != base.ats[i] || got.seqs[i] != base.seqs[i] {
+				t.Fatalf("shards=%d: event %d = (%v, %d), single loop has (%v, %d)",
+					n, i, got.ats[i], got.seqs[i], base.ats[i], base.seqs[i])
 			}
 		}
 	}
@@ -113,7 +110,7 @@ func TestShardMergedByteIdentical(t *testing.T) {
 // bound with pending work intact and the group clock advanced to exactly
 // the bound on every partition handle.
 func TestShardMergedRunUntil(t *testing.T) {
-	root := NewSharded(3, SchedulerWheel, 3, false)
+	root := NewSharded(3, 3, false)
 	g := root.Group()
 	fired := make([]int, 3)
 	for i := 0; i < 3; i++ {
@@ -150,7 +147,7 @@ func TestShardMergedRunUntil(t *testing.T) {
 // head must be delivered first, and (2) a held head whose timer is stopped
 // from another partition's event must be skipped, not delivered.
 func TestShardHeldHeadInvalidation(t *testing.T) {
-	root := NewSharded(1234, SchedulerWheel, 2, false)
+	root := NewSharded(1234, 2, false)
 	g := root.Group()
 	p0, p1 := g.Part(0), g.Part(1)
 
@@ -172,7 +169,7 @@ func TestShardHeldHeadInvalidation(t *testing.T) {
 	}
 
 	// A held head stopped cross-partition must never fire.
-	root2 := NewSharded(99, SchedulerWheel, 2, false)
+	root2 := NewSharded(99, 2, false)
 	g2 := root2.Group()
 	q0, q1 := g2.Part(0), g2.Part(1)
 	fired := false
@@ -236,20 +233,18 @@ func TestShardMergedCrossBeforeHeldSlot(t *testing.T) {
 		root.Run()
 		return order, rec
 	}
-	want, wantRec := run(NewWithScheduler(5, SchedulerWheel))
+	want, wantRec := run(newLoop(5))
 	if len(want) != 16 {
 		t.Fatalf("single loop delivered %d events, want 16: %v", len(want), want)
 	}
-	for _, k := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		got, gotRec := run(NewSharded(5, k, 2, false))
-		if len(got) != len(want) {
-			t.Fatalf("%v: merged order %v, single loop %v", k, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] || gotRec.ats[i] != wantRec.ats[i] || gotRec.seqs[i] != wantRec.seqs[i] {
-				t.Fatalf("%v: event %d = %s (%v, %d), single loop has %s (%v, %d)\nmerged: %v\nsingle: %v",
-					k, i, got[i], gotRec.ats[i], gotRec.seqs[i], want[i], wantRec.ats[i], wantRec.seqs[i], got, want)
-			}
+	got, gotRec := run(NewSharded(5, 2, false))
+	if len(got) != len(want) {
+		t.Fatalf("merged order %v, single loop %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] || gotRec.ats[i] != wantRec.ats[i] || gotRec.seqs[i] != wantRec.seqs[i] {
+			t.Fatalf("event %d = %s (%v, %d), single loop has %s (%v, %d)\nmerged: %v\nsingle: %v",
+				i, got[i], gotRec.ats[i], gotRec.seqs[i], want[i], wantRec.ats[i], wantRec.seqs[i], got, want)
 		}
 	}
 }
@@ -266,7 +261,7 @@ func (f actionFunc) RunAction() { f() }
 // loop. It also checks the per-partition stats surface.
 func TestShardParallelDeterministic(t *testing.T) {
 	run := func() ([4]uint64, []ShardStats) {
-		root := NewSharded(11, SchedulerWheel, 4, true)
+		root := NewSharded(11, 4, true)
 		g := root.Group()
 		g.DeclareBoundary(time.Microsecond)
 		var sums [4]uint64
@@ -325,7 +320,7 @@ func (o *fnvObs) sum() uint64 { return o.h }
 // safe lookahead window, so topology builders must co-locate its
 // endpoints instead.
 func TestShardZeroLatencyBoundaryRejected(t *testing.T) {
-	root := NewSharded(1, SchedulerWheel, 2, false)
+	root := NewSharded(1, 2, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("DeclareBoundary(0) did not panic")
@@ -336,7 +331,7 @@ func TestShardZeroLatencyBoundaryRejected(t *testing.T) {
 
 // TestShardLookaheadMin checks the window is the minimum declared latency.
 func TestShardLookaheadMin(t *testing.T) {
-	root := NewSharded(1, SchedulerWheel, 2, true)
+	root := NewSharded(1, 2, true)
 	g := root.Group()
 	g.DeclareBoundary(5 * time.Microsecond)
 	g.DeclareBoundary(2 * time.Microsecond)
@@ -351,7 +346,7 @@ func TestShardLookaheadMin(t *testing.T) {
 // single-loop simulator with no group attached.
 func TestShardSingleCollapses(t *testing.T) {
 	for _, n := range []int{-1, 0, 1} {
-		s := NewSharded(5, SchedulerWheel, n, false)
+		s := NewSharded(5, n, false)
 		if s.Group() != nil {
 			t.Fatalf("NewSharded(n=%d) returned a grouped simulator", n)
 		}

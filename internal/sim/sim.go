@@ -11,25 +11,18 @@
 // repository reads the wall clock; components take a *Simulator (or the
 // narrower Clock interface) and schedule continuations on it.
 //
-// # Scheduler implementations
+// # Pending-event set
 //
-// Two interchangeable data structures back the pending-event set (see
-// DESIGN.md §8 for the performance model):
-//
-//   - SchedulerWheel (the default) places short-horizon timers in a
-//     three-level hashed timing wheel (131 us, 128 ns and 1 ns slots) and
-//     parks far-future timers in a binary heap, cascading them inward as
-//     the clock advances. Steady-state scheduling is O(1), sorts nothing
-//     and — together with the event free list — is allocation-free.
-//   - SchedulerHeap keeps every pending event in a binary heap. It is the
-//     straightforward reference implementation the wheel is verified
-//     against: both must deliver any schedule in the identical (time, seq)
-//     order, a property the equivalence suite in equiv_test.go and the
-//     testkit trace hashes enforce.
+// A three-level hashed timing wheel (131 us, 128 ns and 1 ns slots) holds
+// short-horizon timers and a binary heap parks far-future ones, cascading
+// them inward as the clock advances (wheel.go; DESIGN.md §8 has the
+// performance model). Steady-state scheduling is O(1), sorts nothing and
+// — together with the event free list — is allocation-free. The tests
+// hold it to a plain heap loop that lives only in equiv_test.go: both
+// must deliver any schedule in the identical (time, seq) order.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -111,40 +104,14 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// Scheduler selects the data structure backing a simulator's pending-event
-// set. Both implementations deliver every schedule in the identical
-// (time, seq) order; they differ only in cost.
+// Scheduler names a pending-event structure. There is one, the timing
+// wheel; the type, its constant and NewWithScheduler exist only because
+// the benchmark module (bench/) builds its simulators with
+// NewWithScheduler(seed, SchedulerWheel). Everything else calls New.
 type Scheduler int
 
-const (
-	// SchedulerWheel is the default: a three-level hashed timing wheel for
-	// short-horizon timers with a heap fallback for far-future ones.
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap keeps all events in a binary heap — the reference
-	// implementation the wheel is checked against.
-	SchedulerHeap
-)
-
-func (k Scheduler) String() string {
-	if k == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// defaultScheduler is what New uses; cmd/falconbench overrides it to A/B
-// the implementations. Atomic because parallel experiment runners build
-// simulators from several goroutines.
-var defaultScheduler atomic.Int32
-
-// SetDefaultScheduler selects the scheduler New gives to simulators built
-// after the call (existing simulators are unaffected). Tests that need a
-// specific implementation should use NewWithScheduler instead of mutating
-// the process-wide default.
-func SetDefaultScheduler(k Scheduler) { defaultScheduler.Store(int32(k)) }
-
-// DefaultScheduler reports the scheduler New currently uses.
-func DefaultScheduler() Scheduler { return Scheduler(defaultScheduler.Load()) }
+// SchedulerWheel is the timing wheel, the only Scheduler.
+const SchedulerWheel Scheduler = 0
 
 // totalDelivered counts events delivered process-wide, accumulated from
 // per-simulator counters when Run/RunUntil return. cmd/falconbench divides
@@ -170,11 +137,10 @@ type Observer interface {
 // for concurrent use; experiments that want parallelism run independent
 // simulators in separate goroutines (see falconbench -parallel).
 type Simulator struct {
-	now   Time
-	seq   uint64
-	rng   *rand.Rand
-	obs   Observer
-	sched Scheduler
+	now Time
+	seq uint64
+	rng *rand.Rand
+	obs Observer
 
 	// nowp and seqp are where this simulator reads its clock and draws
 	// sequence numbers. Standalone simulators point them at their own now
@@ -193,11 +159,10 @@ type Simulator struct {
 	shard int
 	held  *event
 
-	// far holds events beyond the wheel horizon — every event, in heap
-	// mode.
+	// far holds events beyond the wheel horizon.
 	far eventHeap
 
-	// wheel is the timing wheel state (wheel mode only).
+	// wheel is the timing wheel state.
 	wheel wheelState
 
 	// free is the event free list; alloc draws from it in blocks so
@@ -213,24 +178,26 @@ type Simulator struct {
 	synced    uint64
 }
 
-// New returns a simulator using the default scheduler, whose clock reads
-// zero and whose random stream is seeded with seed. Two simulators built
-// with the same seed and fed the same schedule produce identical runs.
-// When SetDefaultShards has raised the process-wide partition count above
-// one, New returns the root partition of a sharded group instead; merged
-// sharded runs remain byte-identical to the single loop.
+// New returns a simulator whose clock reads zero and whose random stream
+// is seeded with seed. Two simulators built with the same seed and fed the
+// same schedule produce identical runs. When SetDefaultShards has raised
+// the process-wide partition count above one, New returns the root
+// partition of a sharded group instead; merged sharded runs remain
+// byte-identical to the single loop.
 func New(seed int64) *Simulator {
 	if n := DefaultShards(); n > 1 {
-		return NewSharded(seed, DefaultScheduler(), n, DefaultShardParallel())
+		return NewSharded(seed, n, DefaultShardParallel())
 	}
-	return NewWithScheduler(seed, DefaultScheduler())
+	return newLoop(seed)
 }
 
-// NewWithScheduler returns a single-loop simulator backed by the given
-// scheduler implementation. The choice affects only speed, never delivery
-// order.
-func NewWithScheduler(seed int64, k Scheduler) *Simulator {
-	s := &Simulator{rng: rand.New(rand.NewSource(seed)), sched: k}
+// NewWithScheduler returns a single-loop simulator, whatever
+// DefaultShards says (see Scheduler).
+func NewWithScheduler(seed int64, _ Scheduler) *Simulator { return newLoop(seed) }
+
+// newLoop returns a single-loop simulator.
+func newLoop(seed int64) *Simulator {
+	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
 	s.nowp = &s.now
 	s.seqp = &s.seq
 	return s
@@ -365,32 +332,18 @@ func (s *Simulator) schedule(at Time) *event {
 	e.dead = false
 	*s.seqp++
 	s.live++
-	if s.sched == SchedulerWheel {
-		s.wheelInsert(e)
-	} else {
-		heap.Push(&s.far, e)
-	}
+	s.wheelInsert(e)
 	// A merged sharded group holds each partition's popped head outside
 	// the wheel; an insert that sorts before the held head must push the
 	// head back so the group merge still sees this partition's true
-	// minimum.
+	// minimum. The head came out of the wheel's region below curEnd and
+	// precedes everything left there, so wheelInsert puts it back in
+	// order: at the front of its FIFO, not the tail.
 	if h := s.held; h != nil && eventLess(e, h) {
 		s.held = nil
-		s.reinsert(h)
+		s.wheelInsert(h)
 	}
 	return e
-}
-
-// reinsert returns a popped-but-undelivered event to the pending set. A
-// held head always came out of the wheel's region below curEnd and
-// precedes everything left there, so wheelInsert puts it back in order:
-// at the front of its FIFO, not the tail.
-func (s *Simulator) reinsert(e *event) {
-	if s.sched == SchedulerWheel {
-		s.wheelInsert(e)
-	} else {
-		heap.Push(&s.far, e)
-	}
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
@@ -399,41 +352,6 @@ func (s *Simulator) After(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	return s.At((*s.nowp).Add(d), fn)
-}
-
-// pop removes and returns the live event with the smallest (time, seq), or
-// nil when none remain.
-func (s *Simulator) pop() *event {
-	if s.sched == SchedulerWheel {
-		return s.wheelPop()
-	}
-	for len(s.far) > 0 {
-		e := heap.Pop(&s.far).(*event)
-		if e.dead {
-			s.recycle(e)
-			continue
-		}
-		return e
-	}
-	return nil
-}
-
-// peek reports the timestamp of the next live event without delivering it.
-// It may clean up cancelled events along the way but never reorders live
-// ones.
-func (s *Simulator) peek() (Time, bool) {
-	if s.sched == SchedulerWheel {
-		return s.wheelPeek()
-	}
-	for len(s.far) > 0 {
-		e := s.far[0]
-		if !e.dead {
-			return e.at, true
-		}
-		heap.Pop(&s.far)
-		s.recycle(e)
-	}
-	return 0, false
 }
 
 // step delivers the next event. It reports false when no events remain.

@@ -1,10 +1,8 @@
 package sim
 
-// Three-level hashed timing wheel backing SchedulerWheel, the hierarchical
-// sibling of the standalone pacing wheel in internal/timingwheel (which
-// models Falcon's Carousel block and is driven *by* the simulator; this one
-// *is* the simulator's pending-event set, so it lives here and stores
-// events intrusively).
+// Three-level hashed timing wheel: the simulator's pending-event set. It
+// stores events intrusively and also carries Falcon's pacing (pdl's
+// paceTimer is an ordinary event on it).
 //
 // Layout (see DESIGN.md §8 for the analysis and measurements):
 //
@@ -143,7 +141,7 @@ func (s *Simulator) wheelInsert(e *event) {
 // on the early heap when it precedes the drained slot (there at&nsMask
 // would alias it into the wrong nanosecond). A FIFO holds one timestamp, so
 // seq alone orders it: the walk back from the tail never moves a fresh
-// event, and takes a held head pushed back by reinsert to the front.
+// event, and takes a held head pushed back by schedule to the front.
 func (w *wheelState) nsInsert(e *event) {
 	if e.at < w.curEnd-nsSlots {
 		heap.Push(&w.early, e)
@@ -184,13 +182,13 @@ func (w *wheelState) nsTake(k int) *event {
 	return e
 }
 
-// wheelPop removes and returns the live event with the smallest
-// (time, seq), cascading level-1 slots and far-heap epochs inward as the
-// schedule drains. Invariant: every early event precedes every FIFO event,
-// which precedes every level-0 event, which precedes every level-1 event,
-// which precedes every far event — so scanning the regions in order always
-// finds the global minimum.
-func (s *Simulator) wheelPop() *event {
+// pop removes and returns the live event with the smallest (time, seq), or
+// nil when none remain, cascading level-1 slots and far-heap epochs inward
+// as the schedule drains. Invariant: every early event precedes every FIFO
+// event, which precedes every level-0 event, which precedes every level-1
+// event, which precedes every far event — so scanning the regions in order
+// always finds the global minimum.
+func (s *Simulator) pop() *event {
 	w := &s.wheel
 	for {
 		// Region 1: the early heap, then the ns level.
@@ -294,11 +292,11 @@ func (s *Simulator) wheelPop() *event {
 	}
 }
 
-// wheelPeek reports the exact timestamp of the next live event without
+// peek reports the exact timestamp of the next live event without
 // advancing the wheel: RunUntil needs the precise value to decide whether
 // the event falls inside its bound, even mid-slot. Fully cancelled slots
 // encountered along the way are reclaimed, but no live event moves.
-func (s *Simulator) wheelPeek() (Time, bool) {
+func (s *Simulator) peek() (Time, bool) {
 	w := &s.wheel
 	if at, ok := s.heapPeek(&w.early); ok {
 		return at, true

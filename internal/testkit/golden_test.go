@@ -12,17 +12,15 @@ var update = flag.Bool("update", false, "rewrite testdata/sweep_hashes.golden fr
 
 const sweepGoldenPath = "testdata/sweep_hashes.golden"
 
-// TestSweepGolden pins the event stream itself. The equivalence suites
-// compare two implementations inside one build, so a change that moves
-// both sides of a pair — or touches code that has no oracle twin — passes
-// them all; this test compares every fault-matrix scenario's full trace
-// hash, protocol-only hash and record count against values committed from
-// an earlier build. A PR that promises not to move a simulated event leaves
-// the file alone; one that moves events on purpose reruns with
+// TestSweepGolden pins the event stream itself: it compares every
+// fault-matrix scenario's full trace hash, protocol-only hash and record
+// count against values committed from an earlier build. A change that
+// promises not to move a simulated event leaves the file alone; one that
+// moves events on purpose reruns with
 //
 //	go test ./internal/testkit -run TestSweepGolden -update
 //
-// and explains the diff. `make perfcheck` runs this.
+// and explains the diff.
 func TestSweepGolden(t *testing.T) {
 	if *update {
 		var b strings.Builder

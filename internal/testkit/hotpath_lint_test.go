@@ -18,10 +18,8 @@ import (
 // hot path depends on, so a regression is caught at review time rather
 // than by a benchmark drifting:
 //
-//  1. No map indexing, map ranging, or delete() in pdl or tl outside
-//     tl/table_legacy.go. The steady-state path works on dense rings and
-//     bitmap words; maps exist only as the legacy verification oracle,
-//     and that backend's operations are confined to table_legacy.go.
+//  1. No map indexing, map ranging, or delete() in pdl or tl. The
+//     steady-state path works on dense rings and bitmap words.
 //  2. No function literals passed to scheduler entry points (At, After,
 //     AtAction, CrossAction, Process, ProcessAction) in pdl or tl.
 //     Scheduling a closure allocates per call; the hot path schedules
@@ -44,20 +42,18 @@ func TestHotPathLint(t *testing.T) {
 
 	for _, pkg := range pkgs {
 		for _, file := range pkg.files {
-			fname := filepath.Base(fset.Position(file.Pos()).Filename)
-			mapsAllowed := fname == "table_legacy.go"
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.IndexExpr:
-					if !mapsAllowed && isMapType(pkg.info, n.X) {
+					if isMapType(pkg.info, n.X) {
 						report(n.Pos(), "map indexing on the hot path")
 					}
 				case *ast.RangeStmt:
-					if !mapsAllowed && n.X != nil && isMapType(pkg.info, n.X) {
+					if n.X != nil && isMapType(pkg.info, n.X) {
 						report(n.Pos(), "map range on the hot path")
 					}
 				case *ast.CallExpr:
-					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && !mapsAllowed {
+					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" {
 						if _, builtin := pkg.info.Uses[id].(*types.Builtin); builtin {
 							report(n.Pos(), "map delete on the hot path")
 						}

@@ -8,6 +8,7 @@ import (
 	"falcon/internal/falcon/pdl"
 	"falcon/internal/falcon/tl"
 	"falcon/internal/falcon/wire"
+	"falcon/internal/sim"
 )
 
 // Checker is the protocol invariant checker. Attached as a pdl.Probe and
@@ -31,6 +32,12 @@ import (
 //     at most once (and in RSN order on ordered connections); an
 //     initiator releases each RSN's completion at most once (in RSN
 //     order on ordered connections).
+//   - Scheduler order (attached as a sim.Observer): deliveries are
+//     strictly increasing in (time, seq), the order a binary heap over the
+//     pending set pops them.
+//   - Lazy timers: at every delivery, each watched connection's RTO, TLP
+//     and RACK deadlines are not yet past and have their event pending at
+//     or before them (pdl.Conn.CheckTimers).
 //
 // A violation calls FailFunc with a full context dump; the default
 // FailFunc panics, so a violated invariant can never be silently ignored.
@@ -51,9 +58,17 @@ type Checker struct {
 	// Violations counts violations observed (only visible when FailFunc
 	// does not panic).
 	Violations uint64
+	// Events counts the scheduler deliveries checked by OnEvent.
+	Events uint64
 
 	pdlConns map[*pdl.Conn]*pdlTrack
 	tlConns  map[*tl.Conn]*tlTrack
+
+	// timed lists the connections whose timers OnEvent checks; lastAt and
+	// lastSeq are the previous delivery.
+	timed   []*pdl.Conn
+	lastAt  sim.Time
+	lastSeq uint64
 }
 
 // pdlTrack is the checker's shadow state for one PDL connection.
@@ -108,6 +123,29 @@ func (k *Checker) tlTrackFor(c *tl.Conn) *tlTrack {
 		k.tlConns[c] = t
 	}
 	return t
+}
+
+// WatchTimers adds connections whose lazy timers OnEvent checks.
+func (k *Checker) WatchTimers(cs ...*pdl.Conn) { k.timed = append(k.timed, cs...) }
+
+// OnEvent implements sim.Observer. A heap pops the least pending (time,
+// seq), and every later schedule has a time no earlier than now and a
+// larger seq, so the heap's stream is strictly increasing; a stream that
+// is strictly increasing cannot have delivered an event ahead of a smaller
+// one that was then delivered too. Before the event's body runs, every
+// watched connection's timers must hold the lazy discipline.
+func (k *Checker) OnEvent(at sim.Time, seq uint64) {
+	if k.Events > 0 && (at < k.lastAt || at == k.lastAt && seq <= k.lastSeq) {
+		k.fail("scheduler delivered (%v, %d) after (%v, %d): not (time, seq) order",
+			at, seq, k.lastAt, k.lastSeq)
+	}
+	k.Events++
+	k.lastAt, k.lastSeq = at, seq
+	for _, c := range k.timed {
+		if msg := c.CheckTimers(); msg != "" {
+			k.fail("lazy timer discipline broken at %v: %s\n%s", at, msg, DumpConn(c))
+		}
+	}
 }
 
 // OnSend implements pdl.Probe: after every data transmission the TX

@@ -14,7 +14,7 @@ import (
 // hashes against the single event loop: the deterministic group merge must
 // reproduce the exact (time, seq) delivery stream — scheduler events,
 // packets, frames, completions — across the full protocol stack. This is
-// the end-to-end gate `make shardcheck` runs over the whole matrix.
+// the end-to-end gate `make check` runs over the whole matrix.
 func TestSweepShardEquivalence(t *testing.T) {
 	scs := shortMatrix()
 	if !testing.Short() {
@@ -41,23 +41,20 @@ func TestSweepShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestSweepShardSchedulerCross checks the two equivalence axes compose: a
-// merged sharded run on the heap scheduler must match the single-loop
-// wheel run — partitioning and the pending-set implementation are
-// independent, both invisible to the event stream.
+// TestSweepShardSchedulerCross checks the scheduler's order composes with
+// partitioning: a merged 3-way run — three wheels feeding the held-head
+// group merge — must match the single loop's trace, and the checker must
+// have seen the merged stream in (time, seq) order, event for event.
 func TestSweepShardSchedulerCross(t *testing.T) {
 	for _, sc := range shortMatrix()[:3] {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			sc.Scheduler = sim.SchedulerWheel
-			sc.Shards = 0
 			base := Run(sc)
-			sc.Scheduler = sim.SchedulerHeap
 			sc.Shards = 3
 			cross := Run(sc)
-			if base.TraceHash != cross.TraceHash {
-				t.Fatalf("wheel/single %016x != heap/shards=3 %016x on %q",
-					base.TraceHash, cross.TraceHash, sc.Name)
+			if base.TraceHash != cross.TraceHash || cross.Events == 0 || cross.Events != base.Events {
+				t.Fatalf("single %016x (%d events) != merged shards=3 %016x (%d events) on %q",
+					base.TraceHash, base.Events, cross.TraceHash, cross.Events, sc.Name)
 			}
 		})
 	}
@@ -67,7 +64,7 @@ func TestSweepShardSchedulerCross(t *testing.T) {
 // windowed-parallel mode twice per seed and requires identical combined
 // hashes, counts and end times: a parallel run must be a pure function of
 // (seed, shard count, topology) even though partitions execute
-// concurrently. `make shardcheck` runs this under -race with several
+// concurrently. `make check` runs this under -race with several
 // seeds, which is what proves the window/barrier protocol has no unsynced
 // shared state.
 func TestSweepShardParallelDeterminism(t *testing.T) {
@@ -164,12 +161,12 @@ func TestShardSameInstantCrossFrames(t *testing.T) {
 		root.Run()
 		return order
 	}
-	base := run(sim.NewWithScheduler(9, sim.SchedulerWheel))
+	base := run(sim.New(9))
 	if len(base) != 2 {
 		t.Fatalf("expected 2 deliveries, got %v", base)
 	}
 	for _, n := range []int{2, 3} {
-		got := run(sim.NewSharded(9, sim.SchedulerWheel, n, false))
+		got := run(sim.NewSharded(9, n, false))
 		if len(got) != len(base) || got[0] != base[0] || got[1] != base[1] {
 			t.Fatalf("shards=%d same-instant ordering diverged: %v vs single loop %v", n, got, base)
 		}

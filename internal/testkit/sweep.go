@@ -43,31 +43,6 @@ type Scenario struct {
 	Name string
 	Seed int64
 
-	// Scheduler selects the simulator's pending-event structure. The zero
-	// value is the production timing wheel; sim.SchedulerHeap runs the same
-	// scenario on the reference binary heap, which must yield the identical
-	// trace hash (asserted by TestSweepSchedulerEquivalence).
-	Scheduler sim.Scheduler
-
-	// LegacyAlloc runs the fabric with pooling disabled (fresh heap frames
-	// and port events, the pre-PR5 behaviour) as a verification oracle; the
-	// trace hash must match the pooled run exactly (asserted by
-	// TestSweepPoolEquivalence).
-	LegacyAlloc bool
-
-	// LegacyHotPath runs the transport with the pre-PR6 hot path — per-PSN
-	// scoreboard loops, map-backed RSN tables, heap packets — as the
-	// verification oracle for the word-level/dense/pooled implementation;
-	// the trace hash must match the optimized run exactly (asserted by
-	// TestSweepHotPathEquivalence).
-	LegacyHotPath bool
-
-	// EagerTimers re-arms the PDL's RTO/TLP timers on every ACK (the
-	// pre-PR6 discipline) instead of lazily batching wakeups. Timer
-	// batching moves scheduler wakeups, so only the protocol-only hash is
-	// comparable (asserted by TestSweepTimerEquivalence).
-	EagerTimers bool
-
 	// Workload shape. Zero values take the defaults noted.
 	Workload Workload
 	Ops      int // transactions to issue (default 200)
@@ -185,6 +160,26 @@ type Result struct {
 	RNRRetries  uint64
 	Checks      uint64
 	Violations  uint64 // non-zero only when FailFunc suppresses the panic
+
+	// Events counts the scheduler deliveries the checker order- and
+	// timer-checked (zero in parallel mode, which runs no checker).
+	Events uint64
+	// PacketsAllocated and PacketsFree sum the transport packet pools
+	// after the run; a drained single-loop run has them equal.
+	PacketsAllocated int
+	PacketsFree      int
+}
+
+// eventTap feeds every delivered event to the trace hasher, then to the
+// checker.
+type eventTap struct {
+	h *TraceHasher
+	k *Checker
+}
+
+func (e eventTap) OnEvent(at sim.Time, seq uint64) {
+	e.h.OnEvent(at, seq)
+	e.k.OnEvent(at, seq)
 }
 
 // sweepTarget is the target-side ULP: it serves every request, answering
@@ -223,22 +218,13 @@ func (t *sweepTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl
 // packets and every resource pool drained back to zero.
 func Run(sc Scenario) Result {
 	sc = sc.withDefaults()
-	var s *sim.Simulator
-	if sc.Shards > 1 {
-		s = sim.NewSharded(sc.Seed, sc.Scheduler, sc.Shards, sc.ShardParallel)
-	} else {
-		s = sim.NewWithScheduler(sc.Seed, sc.Scheduler)
-	}
+	s := sim.NewSharded(sc.Seed, sc.Shards, sc.ShardParallel)
 	parallel := s.Group() != nil && s.Group().Parallel()
 	link := netsim.LinkConfig{GbpsRate: sc.Gbps, PropDelay: sc.PropDelay}
 	topo, fwd := netsim.PointToPoint(s, link)
-	if sc.LegacyAlloc {
-		topo.Net.SetLegacyAlloc(true)
-	}
 	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
 
 	cl := core.NewCluster(s)
-	cl.SetLegacyHotPath(sc.LegacyHotPath)
 	cfgA := core.DefaultNodeConfig()
 	cfgB := core.DefaultNodeConfig()
 	if sc.TinyRxPool {
@@ -251,7 +237,6 @@ func Run(sc Scenario) Result {
 
 	connCfg := core.DefaultConnConfig()
 	connCfg.PDL.NumFlows = sc.NumFlows
-	connCfg.PDL.EagerTimers = sc.EagerTimers
 	connCfg.TL.Ordered = !sc.Unordered
 	epA, epB := cl.Connect(a, b, connCfg)
 
@@ -285,7 +270,8 @@ func Run(sc Scenario) Result {
 		epA.TL().SetProbe(hashA)
 		epB.TL().SetProbe(hashB)
 	} else {
-		s.SetObserver(hasher)
+		s.SetObserver(eventTap{hasher, checker})
+		checker.WatchTimers(epA.PDL(), epB.PDL())
 
 		// Flight recorder: a passive ring of the most recent probe records.
 		// It schedules no events and draws no randomness, so attaching it
@@ -440,9 +426,19 @@ func Run(sc Scenario) Result {
 	res.NacksRx = st.NacksReceived
 	res.RNRRetries = epA.TL().Stats.RNRRetries
 	res.Checks = checker.Checks
+	res.Events = checker.Events
+	for _, pool := range []*wire.PacketPool{a.PacketPool(), b.PacketPool()} {
+		res.PacketsAllocated += pool.Allocated()
+		res.PacketsFree += pool.Free()
+		if b.PacketPool() == a.PacketPool() {
+			break
+		}
+	}
 
 	// Post-run quiescence: everything issued completed, nothing is still
-	// outstanding, and every reservation was returned.
+	// outstanding, every reservation was returned and, on the single loop
+	// (whose one pool every packet leaves from and returns to), every
+	// transport packet is back on the free list.
 	if !res.ConnFailed {
 		if res.Completed != res.Issued {
 			checker.Failf("scenario %q: %d issued but %d completed\n%s",
@@ -465,6 +461,10 @@ func Run(sc Scenario) Result {
 						sc.Name, name, pool, occ)
 				}
 			}
+		}
+		if s.Group() == nil && res.PacketsFree != res.PacketsAllocated {
+			checker.Failf("scenario %q: %d transport packets allocated but %d free after drain — packet leak or double release",
+				sc.Name, res.PacketsAllocated, res.PacketsFree)
 		}
 	}
 	res.Violations = checker.Violations

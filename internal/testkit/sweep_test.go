@@ -112,6 +112,26 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
+// TestSweepRaceShort is the short sweep `make race` drives: a handful of
+// representative scenarios across seeds under the race detector. The
+// simulator world is single-goroutine, so this guards against accidental
+// introduction of shared mutable state (e.g. a package-level cache on the
+// hot path) rather than expected concurrency.
+func TestSweepRaceShort(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, sc := range shortMatrix() {
+			sc := sc
+			sc.Seed += seed * 7919
+			t.Run(fmt.Sprintf("%s/seed%d", sc.Name, sc.Seed), func(t *testing.T) {
+				res := Run(sc)
+				if res.Violations != 0 {
+					t.Fatalf("invariant violations: %d", res.Violations)
+				}
+			})
+		}
+	}
+}
+
 // TestCheckerSelfTest proves the harness actually detects violations: a
 // deliberately over-strict outstanding bound must make an otherwise healthy
 // run trip the checker. A verification net that cannot fail verifies

@@ -32,10 +32,9 @@ type TraceHasher struct {
 
 	// ph is a second digest over protocol records only — every tag except
 	// the scheduler's 'E' events. Two runs that differ in event-queue
-	// mechanics (e.g. eager vs lazily-batched timers, which wake at
-	// different instants but act identically) diverge on Sum64 while
-	// agreeing on ProtoSum64; the timer-equivalence sweep asserts the
-	// latter.
+	// mechanics (e.g. a different timer re-arming scheme, which wakes at
+	// different instants but acts identically) diverge on Sum64 while
+	// agreeing on ProtoSum64; the committed golden pins both.
 	ph           uint64
 	protoRecords uint64
 }
