@@ -171,6 +171,9 @@ type Node struct {
 	engine *fae.Engine
 	conns  map[uint32]*Endpoint
 	pspKey []byte
+	// nicKeys is the number of endpoints created on this node: the next
+	// Endpoint.nicKey.
+	nicKeys uint32
 
 	// Free lists for the per-packet NIC pipeline jobs (TX egress and RX
 	// ingress), recycled as they fire.
@@ -261,7 +264,7 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 			n.rxJobs = j.next
 		}
 		j.ep, j.pkt, j.hops = ep, payload, f.Hops
-		n.nic.ProcessAction(payload.ConnID, j)
+		n.nic.ProcessAction(ep.nicKey, j)
 	case sealedFrame:
 		ep, ok := n.conns[payload.conn]
 		if !ok || ep.rxSA == nil {
@@ -279,7 +282,7 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 			p.Flags |= wire.FlagCE
 		}
 		hops := f.Hops
-		n.nic.Process(payload.conn, func() { ep.pdl.HandlePacket(&p, hops) })
+		n.nic.Process(ep.nicKey, func() { ep.pdl.HandlePacket(&p, hops) })
 	}
 }
 
@@ -331,6 +334,10 @@ type Endpoint struct {
 	node *Node
 	id   uint32
 	peer netsim.NodeID
+	// nicKey is the endpoint's dense index on its node, the key of the
+	// NIC's per-connection pipeline and cache state: those tables then grow
+	// with the node's own connections, not with the cluster-wide ID.
+	nicKey uint32
 
 	pdl *pdl.Conn
 	tl  *tl.Conn
@@ -408,7 +415,8 @@ func (cl *Cluster) Connect(a, b *Node, cfg ConnConfig) (*Endpoint, *Endpoint) {
 }
 
 func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoint {
-	ep := &Endpoint{node: n, id: id, peer: peer}
+	ep := &Endpoint{node: n, id: id, peer: peer, nicKey: n.nicKeys}
+	n.nicKeys++
 
 	cb := pdl.Callbacks{
 		Send: func(p *wire.Packet) {
@@ -426,7 +434,7 @@ func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoi
 				n.txJobs = j.next
 			}
 			j.ep, j.pkt = ep, cp
-			n.nic.ProcessAction(id, j)
+			n.nic.ProcessAction(ep.nicKey, j)
 		},
 		Deliver: func(p *wire.Packet) pdl.DeliverVerdict {
 			v := ep.tl.Deliver(p)

@@ -261,6 +261,54 @@ func TestIncastManyConnections(t *testing.T) {
 	}
 }
 
+// TestNICKeysAreDensePerNode builds a full mesh of 8 nodes (56 connections,
+// cluster-wide IDs 1..56): each node keys its NIC state by 0..13, one key
+// per endpoint, and the compulsory cache misses confirm no two endpoints
+// share a key.
+func TestNICKeysAreDensePerNode(t *testing.T) {
+	s := sim.New(5)
+	topo := netsim.Star(s, 8, testLink)
+	cl := NewCluster(s)
+	nodes := make([]*Node, len(topo.Hosts))
+	for i := range nodes {
+		nodes[i] = cl.AddNode(topo.Hosts[i], DefaultNodeConfig())
+	}
+	completed := 0
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a == b {
+				continue
+			}
+			epA, epB := cl.Connect(a, b, DefaultConnConfig())
+			epB.SetTarget(&sink{})
+			if _, err := epA.Push(nil, 512, func(_ []byte, err error) {
+				if err == nil {
+					completed++
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.Run()
+	if completed != len(nodes)*(len(nodes)-1) {
+		t.Fatalf("completed %d pushes", completed)
+	}
+	for _, n := range nodes {
+		seen := make([]bool, len(n.conns))
+		for _, ep := range n.conns {
+			if int(ep.nicKey) >= len(seen) || seen[ep.nicKey] {
+				t.Fatalf("node %d: endpoint %d has NIC key %d (duplicate or past %d endpoints)",
+					n.host.ID, ep.id, ep.nicKey, len(seen))
+			}
+			seen[ep.nicKey] = true
+		}
+		if miss := n.NIC().Stats.CacheMisses; miss != uint64(len(n.conns)) {
+			t.Fatalf("node %d: %d cache misses for %d endpoints", n.host.ID, miss, len(n.conns))
+		}
+	}
+}
+
 func TestPCIeDowngradeShrinksNcwnd(t *testing.T) {
 	s, _, epA, epB, _, _ := p2pCluster(t)
 	// Slow the receiver's host interface drastically.

@@ -240,6 +240,12 @@ func MultiProbe(ps ...Probe) Probe {
 // the scoreboard ring; psn/rsn/typ are copied out of the packet at
 // transmit time so the wire packet can return to its pool the moment the
 // slot is acknowledged.
+//
+// The ring grows while packets are in flight (txSpace.grow), which moves
+// every live slot. So no *txPacket may be held across a call out of the
+// PDL — PacketAcked, PostEvent, Send — because the callee can send, and a
+// send can grow the ring: code that must outlive such a call carries the
+// PSN (or a txRef) and re-resolves the slot afterwards.
 type txPacket struct {
 	pkt    *wire.Packet
 	txTime sim.Time
@@ -263,7 +269,11 @@ type txSpace struct {
 	space wire.Space
 	next  uint32 // next PSN to assign
 	base  uint32 // lowest unacked PSN
-	pkts  []txPacket
+	// pkts is the scoreboard ring, indexed by psn & (len-1). It starts at
+	// minRing slots and doubles whenever next-base reaches its length, so
+	// it stays at the next power of two above the PSNs actually in flight
+	// (never above WindowSize rounded up to a power of two).
+	pkts []txPacket
 	// acked mirrors slot.acked for live slots in [base, next).
 	acked wire.Bitmap
 	// nackedB mirrors slot.nacked (parked packets) the same way.
@@ -280,7 +290,31 @@ type txSpace struct {
 	parked int
 }
 
-func (s *txSpace) slot(psn uint32) *txPacket { return &s.pkts[int(psn)%len(s.pkts)] }
+// minRing is the length a scoreboard ring starts at (less when WindowSize
+// is smaller).
+const minRing = 8
+
+func (s *txSpace) slot(psn uint32) *txPacket { return &s.pkts[int(psn)&(len(s.pkts)-1)] }
+
+// grow doubles the ring, moving the live slots [base, next) to their
+// places under the wider mask. The slots below base are dropped: every
+// lookup of a PSN there finds an acked or overwritten slot in the old ring
+// and an empty or overwritten one in the new, and treats all of them as
+// unknown.
+func (s *txSpace) grow() {
+	old := s.pkts
+	s.pkts = make([]txPacket, 2*len(old))
+	for psn := s.base; psn != s.next; psn++ {
+		*s.slot(psn) = old[int(psn)&(len(old)-1)]
+	}
+}
+
+// txRef names a tracked packet by sequence space and PSN: unlike a
+// *txPacket, it stays valid when the ring grows.
+type txRef struct {
+	space wire.Space
+	psn   uint32
+}
 
 // advanceTo slides the window base forward to newBase, shifting the
 // bitmap mirrors to keep them base-relative.
@@ -470,7 +504,7 @@ type Conn struct {
 
 	// Scratch buffers reused across ACK processing and recovery scans.
 	ackScratch  [wire.MaxFlows]int
-	lostScratch []*txPacket
+	lostScratch []txRef
 
 	Stats Stats
 }
@@ -522,8 +556,12 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 	c.tlpTimer.act = timerAction{c: c, kind: timerTLP}
 	c.rackTimer.act = timerAction{c: c, kind: timerRack}
 	c.paceAct = timerAction{c: c, kind: timerPace}
+	ring := minRing
+	for ring > cfg.WindowSize {
+		ring /= 2
+	}
 	for i := range c.tx {
-		c.tx[i] = &txSpace{space: wire.Space(i), pkts: make([]txPacket, cfg.WindowSize)}
+		c.tx[i] = &txSpace{space: wire.Space(i), pkts: make([]txPacket, ring)}
 		c.rx[i] = &rxSpace{}
 	}
 	c.flows = make([]flowState, cfg.NumFlows)

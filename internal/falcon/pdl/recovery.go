@@ -43,7 +43,8 @@ func (c *Conn) runRack(now sim.Time) {
 			for w != 0 {
 				o := hi + bits.TrailingZeros64(w)
 				w &= w - 1
-				tp := ts.slot(ts.base + uint32(o))
+				psn := ts.base + uint32(o)
+				tp := ts.slot(psn)
 				f := &c.flows[tp.flow]
 				if f.rackXmit <= tp.txTime {
 					// Nothing sent after it has been delivered:
@@ -52,7 +53,7 @@ func (c *Conn) runRack(now sim.Time) {
 				}
 				eligibleAt := tp.txTime.Add(reoWnd)
 				if eligibleAt <= now {
-					lost = append(lost, tp)
+					lost = append(lost, txRef{ts.space, psn})
 				} else if nextCheck == 0 || eligibleAt < nextCheck {
 					nextCheck = eligibleAt
 				}
@@ -60,14 +61,16 @@ func (c *Conn) runRack(now sim.Time) {
 		}
 	}
 	c.lostScratch = lost[:0] // retain grown capacity for the next scan
-	for _, tp := range lost {
-		c.retransmit(tp, retxRACK)
+	// PSNs, not slot pointers: a retransmit calls out (Send), and whatever
+	// the callee sends may grow the ring under the list.
+	for _, r := range lost {
+		c.retransmit(c.tx[r.space].slot(r.psn), retxRACK)
 	}
 	if len(lost) > 0 && c.cb.PostEvent != nil {
 		c.cb.PostEvent(fae.Event{
 			Kind: fae.EventFastRetransmit,
 			Conn: c.id,
-			Flow: int(lost[0].flow),
+			Flow: int(c.tx[lost[0].space].slot(lost[0].psn).flow),
 			Now:  now,
 		})
 	}
@@ -195,16 +198,17 @@ func (c *Conn) onRTO() {
 				for w != 0 {
 					o := hi + bits.TrailingZeros64(w)
 					w &= w - 1
-					tp := ts.slot(ts.base + uint32(o))
+					psn := ts.base + uint32(o)
 					if !scanned {
 						scanned = true
 						if c.cb.PostEvent != nil {
 							c.cb.PostEvent(fae.Event{
-								Kind: fae.EventRTO, Conn: c.id, Flow: int(tp.flow), Now: now,
+								Kind: fae.EventRTO, Conn: c.id, Flow: int(ts.slot(psn).flow), Now: now,
 							})
 						}
 					}
-					c.retransmit(tp, retxRTO)
+					// Resolved after PostEvent, which may have grown the ring.
+					c.retransmit(ts.slot(psn), retxRTO)
 				}
 			}
 		}

@@ -351,6 +351,8 @@ func (c *Conn) markAcked(ts *txSpace, psn uint32, perFlow []int) bool {
 	}
 	if c.cb.PacketAcked != nil {
 		c.cb.PacketAcked(ts.space, psn, tp.rsn, tp.typ)
+		// The TL may have sent from inside the upcall and grown the ring.
+		tp = ts.slot(psn)
 	}
 	c.pool.Release(tp.pkt)
 	tp.pkt = nil
@@ -383,6 +385,8 @@ func (c *Conn) handleNack(p *wire.Packet) {
 			c.cb.PostEvent(fae.Event{
 				Kind: fae.EventNack, Conn: c.id, Flow: int(tp.flow), Now: c.sim.Now(),
 			})
+			// A synchronous FAE response may have sent and grown the ring.
+			tp = ts.slot(p.PSN)
 		}
 		if !tp.nacked {
 			tp.nacked = true

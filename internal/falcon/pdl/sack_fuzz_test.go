@@ -14,7 +14,10 @@ import (
 // including uint32 PSN wrap. The two iterations must visit exactly the
 // same PSNs in exactly the same (ascending-offset) order, and the scalar
 // bitmap reductions (LeadingRun, HighestSet, OnesCount) must agree with
-// their bit-by-bit definitions.
+// their bit-by-bit definitions. The same window is then transmitted into a
+// scoreboard ring that starts at minRing and grows as it fills: every PSN
+// the scan visits must resolve to its own slot, with the flags it was
+// given before any grow moved it.
 func FuzzSACKScan(f *testing.F) {
 	f.Add(uint32(0), uint64(0), uint64(0), uint64(0), uint64(0), uint16(0))
 	f.Add(uint32(100), ^uint64(0), ^uint64(0), uint64(0), uint64(0), uint16(128))
@@ -59,6 +62,36 @@ func FuzzSACKScan(f *testing.F) {
 			if fast[i] != slow[i] {
 				t.Fatalf("scan[%d]: word %#x naive %#x (sacked=%v acked=%v win=%d base=%#x)",
 					i, fast[i], slow[i], sacked, acked, win, base)
+			}
+		}
+
+		// Ring growth mid-sequence, across the wrap when base is near it.
+		ts := &txSpace{base: base, next: base, pkts: make([]txPacket, minRing)}
+		n := min(win, wire.BitmapBits)
+		for o := 0; o < n; o++ {
+			if int(ts.next-ts.base) == len(ts.pkts) {
+				ts.grow()
+			}
+			psn := ts.next
+			ts.next++
+			*ts.slot(psn) = txPacket{psn: psn, live: true, acked: acked.Get(o), nacked: sacked.Get(o)}
+		}
+		ring := minRing
+		for ring < n {
+			ring *= 2
+		}
+		if len(ts.pkts) != ring {
+			t.Fatalf("ring of %d after tracking %d PSNs from %d, want %d", len(ts.pkts), n, minRing, ring)
+		}
+		for o := 0; o < n; o++ {
+			psn := base + uint32(o)
+			if tp := ts.slot(psn); !tp.live || tp.psn != psn || tp.acked != acked.Get(o) || tp.nacked != sacked.Get(o) {
+				t.Fatalf("PSN %#x (offset %d) resolves to %+v after growing to %d (base=%#x)", psn, o, *tp, len(ts.pkts), base)
+			}
+		}
+		for _, psn := range fast {
+			if tp := ts.slot(psn); tp.psn != psn || !tp.nacked || tp.acked {
+				t.Fatalf("scan visit %#x resolves to %+v (base=%#x)", psn, *tp, base)
 			}
 		}
 

@@ -79,10 +79,10 @@ type scanConn struct {
 
 // newScanConn builds the scoreboard seed describes, so two calls with one
 // seed give identical connections. Each space gets a base that is often
-// just below the uint32 PSN wrap, a window of 0..WindowSize transmitted
-// PSNs whose acked and nacked flags (each space its own density) are
-// mirrored into the bitmaps, and slots outside the window left over from
-// the previous lap.
+// just below the uint32 PSN wrap and a window of 0..WindowSize transmitted
+// PSNs, tracked from the minimum ring up, whose acked and nacked flags
+// (each space its own density) are mirrored into the bitmaps; the ring's
+// slots outside the window are left over from the previous lap.
 func newScanConn(seed int64) *scanConn {
 	rng := rand.New(rand.NewSource(seed))
 	sc := &scanConn{}
@@ -97,39 +97,51 @@ func newScanConn(seed int64) *scanConn {
 		if rng.Intn(2) == 0 {
 			ts.base = ^uint32(0) - uint32(rng.Intn(2*wire.BitmapBits))
 		}
-		n := rng.Intn(len(ts.pkts) + 1)
-		ts.next = ts.base + uint32(n)
+		ts.next = ts.base
+		n := rng.Intn(c.cfg.WindowSize + 1)
 		ackP := rng.Float64()
-		for o := 0; o < len(ts.pkts); o++ {
+		for o := 0; o < n; o++ {
+			track(c, ts, rng, ackP, 0.25)
+		}
+		for o := n; o < len(ts.pkts); o++ {
 			psn := ts.base + uint32(o)
-			tp := ts.slot(psn)
-			if o >= n {
-				*tp = txPacket{psn: psn - uint32(len(ts.pkts)), live: rng.Intn(4) != 0, acked: true}
-				continue
-			}
-			*tp = txPacket{
-				psn:    psn,
-				rsn:    uint64(rng.Intn(1 << 20)),
-				txTime: sim.Time(1 + rng.Intn(1_000_000)),
-				flow:   int32(rng.Intn(len(c.flows))),
-				typ:    wire.TypePushData,
-				live:   true,
-				acked:  rng.Float64() < ackP,
-			}
-			if tp.acked {
-				ts.acked.Set(o)
-				continue
-			}
-			tp.nacked = rng.Intn(4) == 0
-			if tp.nacked {
-				ts.nackedB.Set(o)
-				ts.parked++
-			}
-			ts.outstanding++
-			c.flows[tp.flow].outstanding++
+			*ts.slot(psn) = txPacket{psn: psn - uint32(len(ts.pkts)), live: rng.Intn(4) != 0, acked: true}
 		}
 	}
 	return sc
+}
+
+// track appends one transmitted PSN to ts's window, growing the ring when
+// it is full as transmitNext does. The packet is acked with probability
+// ackP and otherwise parked with probability nackP; the bitmaps, counters
+// and per-flow state follow.
+func track(c *Conn, ts *txSpace, rng *rand.Rand, ackP, nackP float64) {
+	if int(ts.next-ts.base) == len(ts.pkts) {
+		ts.grow()
+	}
+	psn := ts.next
+	o := int(psn - ts.base)
+	ts.next++
+	tp := ts.slot(psn)
+	*tp = txPacket{
+		psn:    psn,
+		rsn:    uint64(rng.Intn(1 << 20)),
+		txTime: sim.Time(1 + rng.Intn(1_000_000)),
+		flow:   int32(rng.Intn(len(c.flows))),
+		typ:    wire.TypePushData,
+		live:   true,
+		acked:  rng.Float64() < ackP,
+	}
+	if tp.acked {
+		ts.acked.Set(o)
+		return
+	}
+	if tp.nacked = rng.Float64() < nackP; tp.nacked {
+		ts.nackedB.Set(o)
+		ts.parked++
+	}
+	ts.outstanding++
+	c.flows[tp.flow].outstanding++
 }
 
 // randomAck draws an ACK for ts: a cumulative base from a little below the
@@ -159,6 +171,9 @@ func diffScan(t *testing.T, what string, live, model *scanConn) {
 	t.Helper()
 	for sp := range live.c.tx {
 		a, b := live.c.tx[sp], model.c.tx[sp]
+		if len(a.pkts) != len(b.pkts) {
+			t.Fatalf("%s: space %d ring: live %d slots, model %d", what, sp, len(a.pkts), len(b.pkts))
+		}
 		if a.base != b.base || a.next != b.next || a.acked != b.acked || a.nackedB != b.nackedB ||
 			a.outstanding != b.outstanding || a.parked != b.parked {
 			t.Fatalf("%s: space %d window: live base=%#x next=%#x acked=%v nacked=%v out=%d parked=%d, model base=%#x next=%#x acked=%v nacked=%v out=%d parked=%d",
@@ -188,8 +203,11 @@ func diffScan(t *testing.T, what string, live, model *scanConn) {
 // ends in) and highestUnacked to the per-PSN model on random scoreboards:
 // the same PSNs acknowledged in the same order, the same progress and
 // per-flow counts, the same base, mirrors, slots and flow state, and the
-// same TLP probe target, over a chain of ACKs per space.
+// same TLP probe target, over a chain of ACKs per space. Between ACKs both
+// connections transmit a few more PSNs, so rings grow mid-sequence, some
+// of them with the window straddling the uint32 PSN wrap.
 func TestScanMatchesPerPSNModel(t *testing.T) {
+	grows, wrapGrows := 0, 0
 	for seed := int64(1); seed <= 3000; seed++ {
 		live, model := newScanConn(seed), newScanConn(seed)
 		diffScan(t, fmt.Sprintf("seed %d initial", seed), live, model)
@@ -206,7 +224,27 @@ func TestScanMatchesPerPSNModel(t *testing.T) {
 					t.Fatalf("%s: progress/per-flow: live %v %v, model %v %v", what, gotP, perLive, wantP, perModel)
 				}
 				diffScan(t, what, live, model)
+
+				ts := live.c.tx[sp]
+				before := len(ts.pkts)
+				k, sendSeed := rng.Intn(2*minRing), rng.Int63()
+				for _, sc := range []*scanConn{live, model} {
+					r := rand.New(rand.NewSource(sendSeed))
+					for i := 0; i < k && int(sc.c.tx[sp].next-sc.c.tx[sp].base) < sc.c.cfg.WindowSize; i++ {
+						track(sc.c, sc.c.tx[sp], r, 0, 0)
+					}
+				}
+				if len(ts.pkts) != before {
+					grows++
+					if ts.next < ts.base {
+						wrapGrows++
+					}
+				}
+				diffScan(t, what+", then sent", live, model)
 			}
 		}
+	}
+	if grows == 0 || wrapGrows == 0 {
+		t.Fatalf("rings grew %d times between ACKs, %d of them across the PSN wrap: want both", grows, wrapGrows)
 	}
 }

@@ -109,6 +109,9 @@ func (c *Conn) transmitNext(q *pktQueue, ts *txSpace) bool {
 	p := q.pop()
 	flow := c.pickFlow()
 	psn := ts.next
+	if int(psn-ts.base) == len(ts.pkts) {
+		ts.grow()
+	}
 	ts.next++
 
 	tp := ts.slot(psn)

@@ -168,7 +168,10 @@ type Stats struct {
 	RequestsServed uint64
 }
 
-// respQueue is a head-indexed FIFO of deferred pull responses.
+// respQueue is a head-indexed FIFO of deferred pull responses. Like
+// pdl's pktQueue it compacts once the consumed prefix is both past 64
+// entries and at least half the buffer, so a backlog that never drains
+// to empty still keeps a bounded buffer.
 type respQueue struct {
 	buf  []*wire.Packet
 	head int
@@ -187,6 +190,9 @@ func (q *respQueue) pop() *wire.Packet {
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
+	} else if q.head > 64 && q.head*2 >= len(q.buf) {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
 	}
 	return p
 }
@@ -199,6 +205,9 @@ type Conn struct {
 	res    *Resources
 	ctrl   Control
 	target TargetHandler
+
+	// key indexes this connection in res's per-connection tables.
+	key uint32
 
 	alpha float64 // α_c from the FAE (dynamic backpressure)
 
@@ -266,19 +275,15 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, res *Resources, ctrl Contr
 		cfg.StaticAlpha = 2
 	}
 	c := &Conn{
-		sim:             s,
-		cfg:             cfg,
-		id:              id,
-		res:             res,
-		ctrl:            ctrl,
-		target:          target,
-		alpha:           cfg.StaticAlpha,
-		txns:            newRSNTable[*txn](),
-		reorderBuf:      newRSNTable[pendingReq](),
-		sentRespBytes:   newRSNTable[int](),
-		reqReservations: newRSNTable[int](),
+		sim:    s,
+		cfg:    cfg,
+		id:     id,
+		res:    res,
+		ctrl:   ctrl,
+		target: target,
+		alpha:  cfg.StaticAlpha,
 	}
-	res.subscribeConn(c.onResourcesFreed)
+	c.key = res.subscribeConn(c.onResourcesFreed)
 	return c
 }
 
@@ -424,7 +429,7 @@ func (c *Conn) xoffed() bool {
 	if c.cfg.Backpressure == BackpressureNone {
 		return false
 	}
-	return c.res.OverDTThreshold(c.id, c.effAlpha())
+	return c.res.OverDTThreshold(c.key, c.effAlpha())
 }
 
 // updateNeedy folds this connection's wakeup interest into the shared
@@ -475,12 +480,12 @@ func (c *Conn) PushOp(op uint8, addr uint64, data []byte, length uint32, done fu
 	}
 	// Reserve the request's TX resources and the completion's RX slot up
 	// front (§4.5: responses must always be able to land).
-	if err := c.res.Reserve(PoolTxReq, c.id, int(length)); err != nil {
+	if err := c.res.Reserve(PoolTxReq, c.key, int(length)); err != nil {
 		c.noteXoff()
 		return 0, err
 	}
-	if err := c.res.Reserve(PoolRxResp, c.id, 0); err != nil {
-		c.res.Release(PoolTxReq, c.id, int(length))
+	if err := c.res.Reserve(PoolRxResp, c.key, 0); err != nil {
+		c.res.Release(PoolTxReq, c.key, int(length))
 		c.noteXoff()
 		return 0, err
 	}
@@ -520,12 +525,12 @@ func (c *Conn) PullOpData(op uint8, addr uint64, reqData []byte, respLen uint32,
 		c.noteXoff()
 		return 0, ErrBackpressured
 	}
-	if err := c.res.Reserve(PoolTxReq, c.id, len(reqData)); err != nil {
+	if err := c.res.Reserve(PoolTxReq, c.key, len(reqData)); err != nil {
 		c.noteXoff()
 		return 0, err
 	}
-	if err := c.res.Reserve(PoolRxResp, c.id, int(length)); err != nil {
-		c.res.Release(PoolTxReq, c.id, len(reqData))
+	if err := c.res.Reserve(PoolRxResp, c.key, int(length)); err != nil {
+		c.res.Release(PoolTxReq, c.key, len(reqData))
 		c.noteXoff()
 		return 0, err
 	}

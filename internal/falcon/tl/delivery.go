@@ -33,7 +33,7 @@ func (c *Conn) deliverRequest(p *wire.Packet) pdl.DeliverVerdict {
 
 	bytes := int(p.Length)
 	hol := !c.cfg.Ordered || p.RSN == c.expectedRSN
-	if err := c.res.AdmitRxRequest(c.id, bytes, hol); err != nil {
+	if err := c.res.AdmitRxRequest(c.key, bytes, hol); err != nil {
 		return pdl.DeliverVerdict{Kind: pdl.DeliverNoResources}
 	}
 
@@ -91,7 +91,7 @@ func (c *Conn) processRequest(rsn uint64) bool {
 	c.reqScratch, _ = c.reorderBuf.del(rsn)
 	req := &c.reqScratch
 	p := &req.pkt
-	defer c.res.Release(PoolRxReq, c.id, req.bytes)
+	defer c.res.Release(PoolRxReq, c.key, req.bytes)
 
 	if c.target == nil {
 		// No ULP attached: treat as a sink (pure delivery benchmark).
@@ -151,7 +151,7 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 	resp.RSN = rsn
 	resp.Length = length
 	resp.Data = data
-	if err := c.res.Reserve(PoolTxResp, c.id, int(length)); err != nil {
+	if err := c.res.Reserve(PoolTxResp, c.key, int(length)); err != nil {
 		// Defer until resources free up; the initiator's RTO/TLP keeps
 		// the transaction alive meanwhile.
 		c.pendingResponses.push(resp)
@@ -165,7 +165,7 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 func (c *Conn) drainPendingResponses() {
 	for c.pendingResponses.len() > 0 {
 		resp := c.pendingResponses.peek()
-		if err := c.res.Reserve(PoolTxResp, c.id, int(resp.Length)); err != nil {
+		if err := c.res.Reserve(PoolTxResp, c.key, int(resp.Length)); err != nil {
 			return
 		}
 		c.pendingResponses.pop()
@@ -199,7 +199,7 @@ func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Ty
 	if space == wire.SpaceResponse {
 		// A pull response we sent as target was delivered.
 		if bytes, ok := c.sentRespBytes.del(rsn); ok {
-			c.res.Release(PoolTxResp, c.id, bytes)
+			c.res.Release(PoolTxResp, c.key, bytes)
 		}
 		return
 	}
@@ -207,7 +207,7 @@ func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Ty
 	// state: the completion horizon can finish a transaction before its
 	// per-packet ACK lands.
 	if bytes, ok := c.reqReservations.del(rsn); ok {
-		c.res.Release(PoolTxReq, c.id, bytes)
+		c.res.Release(PoolTxReq, c.key, bytes)
 	}
 	t, ok := c.txns.get(rsn)
 	if !ok || t.pktAcked {
@@ -320,7 +320,7 @@ func (c *Conn) retryTransaction(t *txn) {
 	if t.kind == txnPush {
 		bytes = int(t.length)
 	}
-	if err := c.res.Reserve(PoolTxReq, c.id, bytes); err != nil {
+	if err := c.res.Reserve(PoolTxReq, c.key, bytes); err != nil {
 		// Pool pressure: retry again shortly rather than dropping the
 		// transaction.
 		c.scheduleRetry(t.rsn, 50*time.Microsecond)
@@ -361,16 +361,16 @@ func (c *Conn) Fail(err error) {
 	// Xon subscribers, so these loops also run in sorted RSN order.
 	for _, rsn := range c.reqReservations.sorted() {
 		bytes, _ := c.reqReservations.del(rsn)
-		c.res.Release(PoolTxReq, c.id, bytes)
+		c.res.Release(PoolTxReq, c.key, bytes)
 	}
 	for _, rsn := range c.sentRespBytes.sorted() {
 		bytes, _ := c.sentRespBytes.del(rsn)
-		c.res.Release(PoolTxResp, c.id, bytes)
+		c.res.Release(PoolTxResp, c.key, bytes)
 	}
 	// Drop target-side reorder buffers (their RxReq reservations).
 	for _, rsn := range c.reorderBuf.sorted() {
 		pr, _ := c.reorderBuf.del(rsn)
-		c.res.Release(PoolRxReq, c.id, pr.bytes)
+		c.res.Release(PoolRxReq, c.key, pr.bytes)
 	}
 	// Deferred responses will never send; their packets go back to the
 	// pool.
@@ -425,7 +425,7 @@ func (c *Conn) release(t *txn) {
 	if t.kind == txnPull {
 		respBytes = int(t.length)
 	}
-	c.res.Release(PoolRxResp, c.id, respBytes)
+	c.res.Release(PoolRxResp, c.key, respBytes)
 	c.txns.del(t.rsn)
 	// The context recycles as soon as the table forgets it; the
 	// completion fires from locals so a reentrant initiation inside the

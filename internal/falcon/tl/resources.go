@@ -93,10 +93,11 @@ var (
 )
 
 // connInts is a per-connection counter table indexed directly by
-// connection ID (IDs are small and dense — the NIC assigns them
-// sequentially), replacing the map[uint32]int lookups that dominated
-// Reserve/Release profiles. Absent IDs read as zero, matching the map's
-// delete-at-zero behavior.
+// connection key, replacing the map[uint32]int lookups that dominated
+// Reserve/Release profiles. A TL connection's key is the dense index its
+// Resources assigned it (subscribeConn), so a table is as long as the
+// connections on its node, whatever their cluster-wide IDs. Absent keys
+// read as zero, matching the map's delete-at-zero behavior.
 type connInts []int
 
 func (s *connInts) at(conn uint32) int {
@@ -109,8 +110,8 @@ func (s *connInts) at(conn uint32) int {
 func (s *connInts) add(conn uint32, d int) {
 	for int(conn) >= len(*s) {
 		n := len(*s) * 2
-		if n < 64 {
-			n = 64
+		if n < 8 {
+			n = 8
 		}
 		grown := make([]int, n)
 		copy(grown, *s)
@@ -179,6 +180,10 @@ type Resources struct {
 	// release.
 	alwaysRun int
 
+	// conns is the number of connections subscribed so far: the next
+	// connection key.
+	conns uint32
+
 	// needy counts subscribed connections whose callback would currently
 	// do real work (a deferred response to drain, or an Xoff'd ULP that
 	// installed an Xon callback to wake; see Conn.updateNeedy). When
@@ -204,6 +209,8 @@ func NewResources(cfg ResourceConfig) *Resources {
 func (r *Resources) needyDelta(d int) { r.needy += d }
 
 // Reserve takes one context plus bytes from the pool on behalf of conn.
+// Here and below, conn is a connection key: TL connections use the index
+// Resources assigned them, and direct callers any small integer.
 func (r *Resources) Reserve(k PoolKind, conn uint32, bytes int) error {
 	p := r.pools[k]
 	if !p.tryReserve(bytes) {
@@ -311,8 +318,11 @@ func (r *Resources) Subscribe(fn func()) {
 	r.alwaysRun++
 }
 
-// subscribeConn registers a connection's release callback; the connection
-// maintains the needy count that lets Release skip it when idle.
-func (r *Resources) subscribeConn(fn func()) {
+// subscribeConn registers a connection's release callback and returns the
+// connection's key; the connection maintains the needy count that lets
+// Release skip it when idle.
+func (r *Resources) subscribeConn(fn func()) uint32 {
 	r.onRelease = append(r.onRelease, releaseSub{fn: fn, skippable: true})
+	r.conns++
+	return r.conns - 1
 }

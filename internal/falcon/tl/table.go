@@ -13,6 +13,11 @@ package tl
 //
 // Keys are stored as rsn+1 so the zero value means "empty"; low/high
 // bracket the live keys for ordered iteration.
+//
+// The zero value is an empty table that owns no storage: the ring is
+// allocated by the first put. A one-way connection leaves half of its
+// tables untouched for its whole life (the initiator never buffers
+// requests, the target never opens transactions), so those cost nothing.
 type rsnTable[T any] struct {
 	keys []uint64 // rsn+1; 0 = empty
 	vals []T
@@ -21,27 +26,31 @@ type rsnTable[T any] struct {
 	high uint64 // strict upper bound on live keys
 }
 
-func newRSNTable[T any]() rsnTable[T] {
-	return rsnTable[T]{keys: make([]uint64, 32), vals: make([]T, 32)}
-}
+// rsnTableMin is the ring length a table allocates on its first put.
+const rsnTableMin = 32
 
 func (t *rsnTable[T]) len() int { return t.n }
 
 func (t *rsnTable[T]) idx(rsn uint64) int { return int(rsn & uint64(len(t.keys)-1)) }
 
 func (t *rsnTable[T]) get(rsn uint64) (T, bool) {
-	if i := t.idx(rsn); t.keys[i] == rsn+1 {
-		return t.vals[i], true
+	if t.n > 0 {
+		if i := t.idx(rsn); t.keys[i] == rsn+1 {
+			return t.vals[i], true
+		}
 	}
 	var zero T
 	return zero, false
 }
 
 func (t *rsnTable[T]) has(rsn uint64) bool {
-	return t.keys[t.idx(rsn)] == rsn+1
+	return t.n > 0 && t.keys[t.idx(rsn)] == rsn+1
 }
 
 func (t *rsnTable[T]) put(rsn uint64, v T) {
+	if t.keys == nil {
+		t.keys, t.vals = make([]uint64, rsnTableMin), make([]T, rsnTableMin)
+	}
 	i := t.idx(rsn)
 	if t.keys[i] == rsn+1 {
 		t.vals[i] = v
@@ -65,6 +74,9 @@ func (t *rsnTable[T]) put(rsn uint64, v T) {
 // del removes rsn, returning the stored value.
 func (t *rsnTable[T]) del(rsn uint64) (T, bool) {
 	var zero T
+	if t.n == 0 {
+		return zero, false
+	}
 	i := t.idx(rsn)
 	if t.keys[i] != rsn+1 {
 		return zero, false

@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"falcon/internal/falcon/wire"
+	"falcon/internal/sim"
 )
 
 // TestRSNTableProperty drives the rsnTable through a randomized
@@ -18,7 +21,7 @@ func TestRSNTableProperty(t *testing.T) {
 	t.Run("dense", func(t *testing.T) {
 		for seed := int64(1); seed <= 8; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			tab := newRSNTable[int]()
+			var tab rsnTable[int]
 			model := map[uint64]int{}
 			var live []uint64 // model keys, insertion order
 			next := uint64(0)
@@ -131,4 +134,71 @@ func minv[T int | uint64](a, b T) T {
 		return a
 	}
 	return b
+}
+
+// TestRSNTableLazy: a table that was never written to owns no storage and
+// answers every query with "absent"; its first put allocates it.
+func TestRSNTableLazy(t *testing.T) {
+	var tab rsnTable[int]
+	if tab.has(0) || tab.len() != 0 || tab.lowBound() != 0 || len(tab.sorted()) != 0 {
+		t.Fatal("empty table reports a key")
+	}
+	if _, ok := tab.get(7); ok {
+		t.Fatal("get on an empty table hit")
+	}
+	if _, ok := tab.del(7); ok {
+		t.Fatal("del on an empty table hit")
+	}
+	if tab.keys != nil || tab.vals != nil {
+		t.Fatal("queries allocated the table")
+	}
+	tab.put(7, 70)
+	if v, ok := tab.get(7); !ok || v != 70 || len(tab.keys) != rsnTableMin {
+		t.Fatalf("first put: get = %d,%v, ring of %d", v, ok, len(tab.keys))
+	}
+}
+
+// TestRespQueueCompactsUnderStandingBacklog keeps one deferred response
+// always waiting for 10^5 push/pop cycles: the queue never drains to
+// empty, yet its buffer must stay bounded and its order FIFO.
+func TestRespQueueCompactsUnderStandingBacklog(t *testing.T) {
+	var q respQueue
+	q.push(&wire.Packet{RSN: 0})
+	for i := 1; i <= 100_000; i++ {
+		q.push(&wire.Packet{RSN: uint64(i)})
+		if p := q.pop(); p.RSN != uint64(i-1) {
+			t.Fatalf("cycle %d popped RSN %d", i, p.RSN)
+		}
+	}
+	if q.len() != 1 || cap(q.buf) > 256 {
+		t.Fatalf("standing backlog of %d left a buffer of cap %d", q.len(), cap(q.buf))
+	}
+}
+
+// TestResourceKeysAreDense: connections on one Resources get keys 0, 1, 2,
+// ... whatever their (cluster-wide) IDs, so the per-connection holdings
+// tables are as long as the node's connection count.
+func TestResourceKeysAreDense(t *testing.T) {
+	s := sim.New(1)
+	res := NewResources(DefaultResourceConfig())
+	for i, id := range []uint32{70_000, 3, 1 << 30} {
+		c := NewConn(s, id, DefaultConfig(), res, &fakeCtrl{s: s}, nil)
+		if c.key != uint32(i) {
+			t.Fatalf("connection %d got key %d, want %d", id, c.key, i)
+		}
+		if _, err := c.Push(nil, 100, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := res.ConnUsage(c.key); got != 2 {
+			t.Fatalf("connection %d holds %d contexts, want 2 (request + completion slot)", id, got)
+		}
+	}
+	if n := len(res.perConn); n > 8 {
+		t.Fatalf("per-connection table of %d entries for 3 connections", n)
+	}
+	for k, p := range res.pools {
+		if len(p.connCtx) > 8 || len(p.connBytes) > 8 {
+			t.Fatalf("pool %v tables of %d/%d entries for 3 connections", PoolKind(k), len(p.connCtx), len(p.connBytes))
+		}
+	}
 }

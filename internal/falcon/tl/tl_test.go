@@ -240,7 +240,7 @@ func TestResourcesReturnToZero(t *testing.T) {
 			}
 		}
 	}
-	if u := e.resA.ConnUsage(1); u != 0 {
+	if u := e.resA.ConnUsage(e.a.key); u != 0 {
 		t.Errorf("conn usage %d after drain", u)
 	}
 }

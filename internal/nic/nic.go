@@ -93,12 +93,13 @@ type NIC struct {
 	cfg Config
 
 	globalFree sim.Time
-	// connFree and connDone are indexed by connection ID. Connection IDs
-	// are dense small integers assigned by core.Cluster, so a grown-on-
+	// connFree and connDone are indexed by the caller's connection key.
+	// core passes a dense per-node index (Endpoint.nicKey), so a grown-on-
 	// demand slice replaces the former map: the per-packet admission path
-	// does two array loads instead of two map probes. connDone enforces
-	// in-order completion per connection: a cheap lookup must not let a
-	// later packet finish before an earlier one.
+	// does two array loads instead of two map probes, and the slices are
+	// as long as this NIC's connections. connDone enforces in-order
+	// completion per connection: a cheap lookup must not let a later
+	// packet finish before an earlier one.
 	connFree []sim.Time
 	connDone []sim.Time
 
@@ -303,12 +304,12 @@ func (n *NIC) SetHostGbps(gbps float64) {
 // HostGbps returns the current host-interface bandwidth.
 func (n *NIC) HostGbps() float64 { return n.cfg.HostGbps }
 
-// connCache is an LRU set of connection IDs: a doubly linked recency list
-// threaded through a dense slice indexed by connection ID (IDs are small
-// cluster-assigned integers), so the per-packet touch is an array load and
-// a miss-evict-insert cycle relinks indices without allocating. Entry i
-// belongs to connection i-1; entry 0 is the list's sentinel, whose next is
-// the most and prev the least recently used entry.
+// connCache is an LRU set of connection keys: a doubly linked recency list
+// threaded through a dense slice indexed by key (small per-node integers),
+// so the per-packet touch is an array load and a miss-evict-insert cycle
+// relinks indices without allocating. Entry i belongs to connection i-1;
+// entry 0 is the list's sentinel, whose next is the most and prev the
+// least recently used entry.
 type connCache struct {
 	capacity int
 	n        int

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 	"time"
@@ -353,7 +354,138 @@ func TestCancelInEveryRegion(t *testing.T) {
 		if keepEarly.Pending() || keepLate.Pending() || !fired[now+3] || fired[now+2] || !fired[now+1<<l0Shift+1] {
 			t.Fatalf("early-heap timers: fired = %v", fired)
 		}
+		// Slots of exactly one chunk and of one chunk + 1, at both levels,
+		// every event cancelled, drained once by Run alone (the scatter
+		// and the cascade meet them) and once through a RunUntil bound
+		// (peek clears them). Each last chunk is full or holds one event.
+		// They are scheduled from the first instant of a fresh epoch, where
+		// the wheel is anchored, so each group lands in the level it is
+		// meant for. A kept timer past them proves the wheel moves on, and
+		// afterwards no chunk is left in a slot.
+		for _, bounded := range []bool{false, true} {
+			e0 := (s.Now()>>l2Shift + 1) << l2Shift
+			last := e0 + 6<<l1Shift
+			s.At(e0, func() {
+				for i, at := range []Time{e0 + 3<<l0Shift, e0 + 5<<l0Shift, e0 + 3<<l1Shift, e0 + 5<<l1Shift} {
+					for j := 0; j < chunkLen+i%2; j++ {
+						s.At(at+Time(j%7), func() { t.Error("cancelled timer in a full chunk fired") }).Stop()
+					}
+				}
+				mk(last)
+			})
+			if bounded {
+				s.RunUntil(e0 + 4<<l1Shift)
+			}
+			s.Run()
+			if !fired[last] {
+				t.Fatalf("timer behind four cancelled slots did not fire (bounded=%v): fired = %v", bounded, fired)
+			}
+		}
+		if w, ok := s.(wheelSched); ok {
+			if inUse, _ := w.wheel.chunks(); inUse != 0 {
+				t.Fatalf("%d chunks still linked to slots after the wheel drained", inUse)
+			}
+		}
 	})
+}
+
+// chunks counts the chunks linked to the wheel's slots and those on its
+// free list; together they are every chunk the wheel has allocated.
+func (w *wheelState) chunks() (inUse, spare int) {
+	for _, level := range [][]slot{w.l0[:], w.l1[:]} {
+		for i := range level {
+			for c := level[i].head; c != nil; c = c.next {
+				inUse++
+			}
+		}
+	}
+	for c := w.spare; c != nil; c = c.next {
+		spare++
+	}
+	return inUse, spare
+}
+
+// peakObserver samples the wheel's level-0/level-1 population after every
+// delivered event.
+type peakObserver struct {
+	w              *wheelState
+	pending, slots int
+}
+
+func (o *peakObserver) OnEvent(Time, uint64) { o.sample() }
+
+func (o *peakObserver) sample() {
+	o.pending = max(o.pending, o.w.l0Count+o.w.l1Count)
+	slots := 0
+	for _, b := range o.w.l0bits {
+		slots += bits.OnesCount64(b)
+	}
+	for _, b := range o.w.l1bits {
+		slots += bits.OnesCount64(b)
+	}
+	o.slots = max(o.slots, slots)
+}
+
+// TestWheelChunksTrackPending bursts into every level-0 and level-1 slot
+// of an epoch — a quarter of them per round, 2 chunks + 1 event each, the
+// next quarter the round after — and drains between rounds. Per-slot
+// arrays would end up holding every slot's largest burst; the chunks the
+// wheel retains must instead stay within what the peak population needs:
+// ⌈peak pending / chunkLen⌉ full chunks plus one partial chunk per
+// occupied slot.
+func TestWheelChunksTrackPending(t *testing.T) {
+	s := newLoop(1)
+	obs := &peakObserver{w: &s.wheel}
+	s.SetObserver(obs)
+	const burst = 2*chunkLen + 1
+	noop := func() {}
+	touched := make([]int, l0Slots+l1Slots) // largest burst per slot
+	for round := 0; round < 8; round++ {
+		t0 := Time(round+1) << l2Shift
+		hot := func(k int) bool { return k%4 == round%4 }
+		// Bursting from an event at the epoch's first instant places
+		// every event straight into its slot: the wheel is anchored on
+		// this epoch and granule.
+		s.At(t0, func() {
+			for k := 0; k < l0Slots; k++ {
+				if hot(k) {
+					for j := 0; j < burst; j++ {
+						s.At(t0+Time(k)<<l0Shift+Time(j%nsSlots), noop)
+					}
+					touched[k] = burst
+				}
+			}
+			for m := 1; m < l1Slots; m++ {
+				if hot(m) {
+					for j := 0; j < burst; j++ {
+						s.At(t0+Time(m)<<l1Shift+Time(j*997), noop)
+					}
+					touched[l0Slots+m] = burst
+				}
+			}
+			obs.sample()
+		})
+		s.Run()
+	}
+	inUse, spare := s.wheel.chunks()
+	if inUse != 0 {
+		t.Fatalf("%d chunks still linked to slots after the wheel drained", inUse)
+	}
+	full := (obs.pending + chunkLen - 1) / chunkLen
+	if spare < full {
+		t.Fatalf("free list holds %d chunks, fewer than the %d the peak filled", spare, full)
+	}
+	if bound := full + obs.slots; spare > bound {
+		t.Fatalf("wheel retains %d chunks; peak of %d pending in %d slots needs at most %d",
+			spare, obs.pending, obs.slots, bound)
+	}
+	perSlot := 0
+	for _, n := range touched {
+		perSlot += (n + chunkLen - 1) / chunkLen
+	}
+	if spare*2 > perSlot {
+		t.Fatalf("wheel retains %d chunks, not well under the %d that every slot's largest burst would hold", spare, perSlot)
+	}
 }
 
 func TestRescheduleAcrossRegions(t *testing.T) {

@@ -1,8 +1,8 @@
 package sim
 
 // Three-level hashed timing wheel: the simulator's pending-event set. It
-// stores events intrusively and also carries Falcon's pacing (pdl's
-// paceTimer is an ordinary event on it).
+// also carries Falcon's pacing (pdl's paceTimer is an ordinary event on
+// it).
 //
 // Layout (see DESIGN.md §8 for the analysis and measurements):
 //
@@ -27,9 +27,14 @@ package sim
 // in (time, seq) order. nsInsert does not rest on that: it places by seq
 // from the tail, one compare that never moves a fresh event.
 //
-// Cancellation is lazy (events are flagged dead and reclaimed when they
-// surface), and all slot slices, the FIFOs and the events themselves are
-// recycled, so steady-state scheduling performs no allocations.
+// Level-0 and level-1 slots store event pointers in fixed-size chunks
+// drawn from one wheel-wide free list (most recently freed first), and a
+// slot hands its chunks back as soon as it is drained, cascaded or
+// cleared, so the wheel retains memory for the events pending at its
+// peak, not for every slot's largest population. Cancellation is lazy
+// (events are flagged dead and reclaimed when they surface), and the
+// chunks, the ns FIFOs and the events themselves are recycled, so
+// steady-state scheduling performs no allocations.
 
 import (
 	"container/heap"
@@ -57,6 +62,33 @@ type fifo struct {
 	head int
 }
 
+// chunkLen is the number of event pointers in one slot chunk: with the
+// link, a chunk fills a 256-byte allocation exactly.
+const chunkLen = 31
+
+// chunk is one fixed-size piece of a slot's FIFO.
+type chunk struct {
+	ev   [chunkLen]*event
+	next *chunk
+}
+
+// slot is a level-0 or level-1 bucket: a FIFO of chunks, appended at the
+// tail, whose last chunk holds n events. An empty slot has no chunks.
+// Chunks returned to the free list keep their stale event pointers: every
+// event stays reachable from the simulator's free list anyway.
+type slot struct {
+	head, tail *chunk
+	n          int
+}
+
+// in returns the occupied part of c, one of the slot's chunks.
+func (sl *slot) in(c *chunk) []*event {
+	if c == sl.tail {
+		return c.ev[:sl.n]
+	}
+	return c.ev[:]
+}
+
 // wheelState is embedded in Simulator. All times are absolute, so slot
 // indices are pure hashes of the timestamp; l0Gran and epoch record which
 // granule/epoch each level currently covers, and l0Next/l1Next bound the
@@ -74,17 +106,57 @@ type wheelState struct {
 	early  eventHeap
 	curEnd Time
 
-	l0      [l0Slots][]*event
+	l0      [l0Slots]slot
 	l0bits  [l0Slots / 64]uint64
 	l0Count int    // events in level-0 slots (including cancelled ones)
 	l0Next  int    // first level-0 slot not yet drained this granule
 	l0Gran  uint64 // absolute granule number (at >> l1Shift) level 0 covers
 
-	l1      [l1Slots][]*event
+	l1      [l1Slots]slot
 	l1bits  [l1Slots / 64]uint64
 	l1Count int
 	l1Next  int
 	epoch   uint64 // absolute epoch number (at >> l2Shift) level 1 covers
+
+	// spare is the free list of chunks, linked through next.
+	spare *chunk
+}
+
+// push appends e to sl.
+func (w *wheelState) push(sl *slot, e *event) {
+	if sl.tail == nil || sl.n == chunkLen {
+		w.extend(sl)
+	}
+	sl.tail.ev[sl.n] = e
+	sl.n++
+}
+
+// extend links a fresh chunk to the tail of sl, reusing the most recently
+// freed one when there is any.
+func (w *wheelState) extend(sl *slot) {
+	c := w.spare
+	if c == nil {
+		c = new(chunk)
+	} else {
+		w.spare = c.next
+		c.next = nil
+	}
+	if sl.tail == nil {
+		sl.head = c
+	} else {
+		sl.tail.next = c
+	}
+	sl.tail, sl.n = c, 0
+}
+
+// freeChunk returns c to the free list and returns the chunk that followed
+// it. Draining a slot frees each chunk as soon as its events are visited,
+// so the inserts a cascade makes reuse the chunks it has just emptied.
+func (w *wheelState) freeChunk(c *chunk) *chunk {
+	next := c.next
+	c.next = w.spare
+	w.spare = c
+	return next
 }
 
 // nextBit returns the index of the first set bit at or after from, or -1.
@@ -118,19 +190,21 @@ func (s *Simulator) wheelInsert(e *event) {
 	at := uint64(e.at)
 	if at>>l1Shift == w.l0Gran {
 		k := int(at>>l0Shift) & l0Mask
-		if len(w.l0[k]) == 0 {
+		sl := &w.l0[k]
+		if sl.head == nil {
 			w.l0bits[k>>6] |= 1 << uint(k&63)
 		}
-		w.l0[k] = append(w.l0[k], e)
+		w.push(sl, e)
 		w.l0Count++
 		return
 	}
 	if at>>l2Shift == w.epoch {
 		m := int(at>>l1Shift) & l1Mask
-		if len(w.l1[m]) == 0 {
+		sl := &w.l1[m]
+		if sl.head == nil {
 			w.l1bits[m>>6] |= 1 << uint(m&63)
 		}
-		w.l1[m] = append(w.l1[m], e)
+		w.push(sl, e)
 		w.l1Count++
 		return
 	}
@@ -211,19 +285,22 @@ func (s *Simulator) pop() *event {
 		if w.l0Count > 0 {
 			k := nextBit(w.l0bits[:], w.l0Next)
 			items := w.l0[k]
-			w.l0[k] = items[:0]
+			w.l0[k] = slot{}
 			w.l0bits[k>>6] &^= 1 << uint(k&63)
-			w.l0Count -= len(items)
 			w.l0Next = k + 1
 			// Addition, not OR: k+1 == l0Slots (the granule's last
 			// slot) must carry into the granule bits.
 			w.curEnd = Time(w.l0Gran<<l1Shift + uint64(k+1)<<l0Shift)
-			for _, e := range items {
-				if e.dead {
-					s.recycle(e)
-					continue
+			for c := items.head; c != nil; c = w.freeChunk(c) {
+				evs := items.in(c)
+				w.l0Count -= len(evs)
+				for _, e := range evs {
+					if e.dead {
+						s.recycle(e)
+						continue
+					}
+					w.nsInsert(e)
 				}
-				w.nsInsert(e)
 			}
 			continue
 		}
@@ -231,37 +308,31 @@ func (s *Simulator) pop() *event {
 		if w.l1Count > 0 {
 			m := nextBit(w.l1bits[:], w.l1Next)
 			items := w.l1[m]
-			w.l1[m] = items[:0]
+			w.l1[m] = slot{}
 			w.l1bits[m>>6] &^= 1 << uint(m&63)
-			w.l1Count -= len(items)
-			live := false
-			for _, e := range items {
-				if !e.dead {
-					live = true
-					break
-				}
-			}
-			if !live {
+			if !items.live() {
 				// A slot holding nothing but cancelled timers must not
 				// re-anchor level 0: advancing l0Gran past granules the
 				// clock has not reached would let a later Run() strand
 				// fresh events behind the l1Next scan point (they hash
 				// to level-1 slots nextBit never revisits). Reclaim the
 				// slot and keep the anchor where the clock is.
-				for _, e := range items {
-					s.recycle(e)
-				}
+				w.l1Count -= s.reclaim(items)
 				continue
 			}
 			w.l1Next = m + 1
 			w.l0Gran = w.epoch<<l1Bits | uint64(m)
 			w.l0Next = 0
-			for _, e := range items {
-				if e.dead {
-					s.recycle(e)
-					continue
+			for c := items.head; c != nil; c = w.freeChunk(c) {
+				evs := items.in(c)
+				w.l1Count -= len(evs)
+				for _, e := range evs {
+					if e.dead {
+						s.recycle(e)
+						continue
+					}
+					s.wheelInsert(e)
 				}
-				s.wheelInsert(e)
 			}
 			continue
 		}
@@ -332,33 +403,55 @@ func (s *Simulator) heapPeek(h *eventHeap) (Time, bool) {
 
 // peekLevel finds the earliest live timestamp in a wheel level, clearing
 // slots that hold only cancelled events.
-func peekLevel(s *Simulator, slots [][]*event, bitmap []uint64, count *int, from int) (Time, bool) {
+func peekLevel(s *Simulator, slots []slot, bitmap []uint64, count *int, from int) (Time, bool) {
 	for *count > 0 {
 		k := nextBit(bitmap, from)
 		if k < 0 {
 			return 0, false
 		}
+		sl := &slots[k]
 		var min Time
-		live := 0
-		for _, e := range slots[k] {
-			if e.dead {
-				continue
+		live := false
+		for c := sl.head; c != nil; c = c.next {
+			for _, e := range sl.in(c) {
+				if !e.dead && (!live || e.at < min) {
+					min, live = e.at, true
+				}
 			}
-			if live == 0 || e.at < min {
-				min = e.at
-			}
-			live++
 		}
-		if live > 0 {
+		if live {
 			return min, true
 		}
-		for _, e := range slots[k] {
-			s.recycle(e)
-		}
-		*count -= len(slots[k])
-		slots[k] = slots[k][:0]
+		*count -= s.reclaim(*sl)
+		*sl = slot{}
 		bitmap[k>>6] &^= 1 << uint(k&63)
 		from = k + 1
 	}
 	return 0, false
+}
+
+// live reports whether the slot holds an event that is not cancelled.
+func (sl *slot) live() bool {
+	for c := sl.head; c != nil; c = c.next {
+		for _, e := range sl.in(c) {
+			if !e.dead {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// reclaim recycles the events of a detached slot and frees its chunks,
+// returning how many events it held.
+func (s *Simulator) reclaim(sl slot) int {
+	n := 0
+	for c := sl.head; c != nil; c = s.wheel.freeChunk(c) {
+		evs := sl.in(c)
+		n += len(evs)
+		for _, e := range evs {
+			s.recycle(e)
+		}
+	}
+	return n
 }
