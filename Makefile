@@ -87,13 +87,13 @@ metrics:
 #     purpose regenerates the golden with the same pipeline at -shards 1
 #     and explains the diff. See DESIGN.md §15 for the partitioned loop.
 #   - Telemetry lake over the committed BENCH artifacts (DESIGN.md §12,
-#     METRICS.md): two independent ingests must be byte-identical and each
-#     run's self-diff must report zero findings.
+#     METRICS.md): each artifact must ingest cleanly and self-diff with
+#     zero findings.
 #   - Storms (DESIGN.md §14): two falconbench runs under one -storm seed
 #     must write byte-identical metrics JSON.
 #   - Race detector over the concurrent paths: storm sweeps, and the
-#     experimental -shardpar mode, whose partitions run on goroutines
-#     under conservative lookahead windows and must stay
+#     experimental -shardpar mode (figScale only), whose partitions run on
+#     goroutines under conservative lookahead windows and must stay
 #     self-deterministic.
 CHECKDIR ?= $(or $(TMPDIR),/tmp)/falcon-check
 LAKE_ARTIFACTS = BENCH_pr3_metrics.json BENCH_pr3_series BENCH_pr5.json BENCH_pr6.json \
@@ -104,13 +104,10 @@ check:
 		$(GO) run ./cmd/falconbench -quick -shards $$n | sed '/ in /d' | \
 			diff -u cmd/falconbench/testdata/quick_tables.golden - || exit 1; \
 	done
-	mkdir -p $(CHECKDIR)
-	$(GO) run ./cmd/falconlake ingest -out $(CHECKDIR)/lake_a.idx $(LAKE_ARTIFACTS)
-	$(GO) run ./cmd/falconlake ingest -out $(CHECKDIR)/lake_b.idx $(LAKE_ARTIFACTS)
-	cmp $(CHECKDIR)/lake_a.idx $(CHECKDIR)/lake_b.idx
-	for run in pr3 pr8 pr9 pr10; do \
-		$(GO) run ./cmd/falconlake diff -index $(CHECKDIR)/lake_a.idx $$run $$run || exit 1; \
+	for a in $(LAKE_ARTIFACTS); do \
+		$(GO) run ./cmd/falconlake diff $$a $$a || exit 1; \
 	done
+	mkdir -p $(CHECKDIR)
 	$(GO) run ./cmd/falconbench -quick -storm 71 -metrics $(CHECKDIR)/storm_a.json >/dev/null
 	$(GO) run ./cmd/falconbench -quick -storm 71 -metrics $(CHECKDIR)/storm_b.json >/dev/null
 	cmp $(CHECKDIR)/storm_a.json $(CHECKDIR)/storm_b.json

@@ -19,7 +19,7 @@
 //	                                   # per-figure metric snapshots plus
 //	                                   # virtual-clock time-series CSVs
 //	                                   # (byte-identical across same-seed
-//	                                   # runs; forces serial execution)
+//	                                   # runs and pool widths)
 //	falconbench -routing spray         # run every fabric under a non-default
 //	                                   # uplink policy (ecmp, spray, adaptive);
 //	                                   # same-seed reruns stay byte-identical
@@ -40,87 +40,96 @@
 //	                                   # (make check relies on this)
 //	falconbench -shards 4 -shardpar    # experimental: execute partitions
 //	                                   # on concurrent goroutines under
-//	                                   # conservative lookahead windows
+//	                                   # conservative lookahead windows;
+//	                                   # figScale only (the default
+//	                                   # selection), anything else exits 2
 //	falconbench -cpuprofile cpu.pprof  # pprof profiles of the run
 //	falconbench -memprofile mem.pprof
 //
-// Experiments build independent seeded simulators, so -parallel changes
-// wall time but never a table cell; output stays in registry order.
+// The flags become one experiments.Options that every figure receives;
+// nothing is configured process-wide. Experiments build independent
+// seeded simulators, so -parallel changes wall time but never a table
+// cell; output stays in registry order.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
 	"runtime/pprof"
 
 	"falcon/internal/experiments"
-	"falcon/internal/netsim"
 	"falcon/internal/routing"
-	"falcon/internal/sim"
 	"falcon/internal/telemetry"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list experiments and exit")
-	run := flag.String("run", "", "regex of experiment names to run (default: all)")
-	quick := flag.Bool("quick", false, "shorter measurement windows")
-	parallel := flag.Int("parallel", 1, "worker pool width (independent simulators per goroutine)")
-	jsonPath := flag.String("json", "", "write a BENCH_*.json performance report to this file")
-	metricsPath := flag.String("metrics", "", "write a deterministic per-figure metrics JSON to this file (forces a serial instrumented run)")
-	seriesDir := flag.String("series", "", "write per-figure time-series CSVs into this directory (forces a serial instrumented run)")
-	shards := flag.Int("shards", 1, "partition every simulator into N per-partition event loops (deterministic merge; tables must be identical to -shards 1)")
-	shardPar := flag.Bool("shardpar", false, "experimental: run partitions on concurrent goroutines under conservative lookahead windows (self-deterministic, but not byte-comparable to the merged mode)")
-	routingPolicy := flag.String("routing", "ecmp", "fabric uplink policy for every topology: ecmp (default), spray, or adaptive")
-	storm := flag.Int64("storm", 0, "override the storm campaign seed for figStorm/figEndpointFault; with no -run, selects just the storm figures")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns the process exit status (1 for a
+// failed run, 2 for a bad invocation).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("falconbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiments and exit")
+	runRe := fs.String("run", "", "regex of experiment names to run (default: all)")
+	quick := fs.Bool("quick", false, "shorter measurement windows")
+	parallel := fs.Int("parallel", 1, "worker pool width (independent simulators per goroutine)")
+	jsonPath := fs.String("json", "", "write a BENCH_*.json performance report to this file")
+	metricsPath := fs.String("metrics", "", "write a deterministic per-figure metrics JSON to this file (instrumented run)")
+	seriesDir := fs.String("series", "", "write per-figure time-series CSVs into this directory (instrumented run)")
+	shards := fs.Int("shards", 1, "partition every simulator into N per-partition event loops (deterministic merge; tables must be identical to -shards 1)")
+	shardPar := fs.Bool("shardpar", false, "experimental: run partitions on concurrent goroutines under conservative lookahead windows (figScale only; self-deterministic, but not byte-comparable to the merged mode)")
+	routingPolicy := fs.String("routing", "ecmp", "fabric uplink policy for every topology: ecmp (default), spray, or adaptive")
+	storm := fs.Int64("storm", 0, "override the storm campaign seed for figStorm/figEndpointFault; with no -run, selects just the storm figures")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments.Registry() {
-			fmt.Printf("%-8s %s\n", e.Name, e.Desc)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.Name, e.Desc)
 		}
-		return
+		return 0
 	}
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "bad -shards %d: want >= 1\n", *shards)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "bad -shards %d: want >= 1\n", *shards)
+		return 2
 	}
-	sim.SetDefaultShards(*shards)
-	sim.SetDefaultShardParallel(*shardPar)
-	pol := routing.ByName(*routingPolicy)
-	if pol == nil {
-		fmt.Fprintf(os.Stderr, "bad -routing %q: want ecmp, spray or adaptive\n", *routingPolicy)
-		os.Exit(2)
+	opts := experiments.Options{
+		Quick:         *quick,
+		Policy:        routing.ByName(*routingPolicy),
+		StormSeed:     *storm,
+		Shards:        *shards,
+		ShardParallel: *shardPar,
 	}
-	netsim.SetDefaultPolicy(pol)
-	if *storm != 0 {
-		experiments.SetStormSeed(*storm)
-		if *run == "" {
-			*run = "figStorm|figEndpointFault"
-		}
+	if opts.Policy == nil {
+		fmt.Fprintf(stderr, "bad -routing %q: want ecmp, spray or adaptive\n", *routingPolicy)
+		return 2
 	}
-	if *shardPar {
-		// The windowed-parallel mode executes partitions on concurrent
-		// goroutines, so only figures built with partition-local
-		// accumulation may run under it; the merged mode (-shards without
-		// -shardpar) is safe — and byte-identical — for every figure.
-		if *run == "" {
-			*run = "figScale"
-		}
-		fmt.Fprintln(os.Stderr, "note: -shardpar is experimental; selection defaults to figScale (partition-local accumulation)")
+	if *metricsPath != "" || *seriesDir != "" {
+		opts.Tel = telemetry.NewSuite()
+	}
+	if *runRe == "" && *storm != 0 {
+		*runRe = "figStorm|figEndpointFault"
+	}
+	if *runRe == "" && *shardPar {
+		*runRe = "figScale"
 	}
 	var re *regexp.Regexp
-	if *run != "" {
+	if *runRe != "" {
 		var err error
-		re, err = regexp.Compile("^(" + *run + ")$")
+		re, err = regexp.Compile("^(" + *runRe + ")$")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -run regex: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad -run regex: %v\n", err)
+			return 2
 		}
 	}
 	var matched []experiments.Entry
@@ -130,81 +139,87 @@ func main() {
 		}
 	}
 	if len(matched) == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matches %q; try -list\n", *run)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "no experiment matches %q; try -list\n", *runRe)
+		return 1
+	}
+	if *shardPar {
+		// Parallel partitions execute on concurrent goroutines, so only a
+		// figure whose accumulators are partition-local may run under
+		// them; every other figure shares counters across partitions.
+		for _, e := range matched {
+			if e.Name != "figScale" {
+				fmt.Fprintf(stderr, "-shardpar runs figScale only; %s shares state across partitions\n", e.Name)
+				return 2
+			}
+		}
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	var rep experiments.BenchReport
-	if *metricsPath != "" || *seriesDir != "" {
-		var suites []*telemetry.Suite
-		rep, suites = experiments.RunInstrumented(matched, *quick, os.Stdout)
-		if *metricsPath != "" {
-			m := experiments.NewMetricsReport(rep)
-			f, err := os.Create(*metricsPath)
-			if err == nil {
-				err = m.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
+	rep := experiments.Run(matched, opts, *parallel, stdout)
+	if *metricsPath != "" {
+		m := experiments.NewMetricsReport(rep)
+		f, err := os.Create(*metricsPath)
+		if err == nil {
+			err = m.WriteJSON(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "metrics: %v\n", err)
+			return 1
+		}
+	}
+	if *seriesDir != "" {
+		for _, fr := range rep.Figures {
+			paths, err := fr.Tel.WriteSeries(*seriesDir, fr.Name)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "series: %v\n", err)
+				return 1
+			}
+			for _, p := range paths {
+				fmt.Fprintf(stdout, "wrote %s\n", p)
 			}
 		}
-		if *seriesDir != "" {
-			for i, tel := range suites {
-				paths, err := tel.WriteSeries(*seriesDir, matched[i].Name)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "series: %v\n", err)
-					os.Exit(1)
-				}
-				for _, p := range paths {
-					fmt.Printf("wrote %s\n", p)
-				}
-			}
-		}
-	} else {
-		rep = experiments.Run(matched, *quick, *parallel, os.Stdout)
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			return 1
 		}
 	}
 	if *jsonPath != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "json: %v\n", err)
+			return 1
 		}
 		buf = append(buf, '\n')
 		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "json: %v\n", err)
+			return 1
 		}
 	}
+	return 0
 }

@@ -4,8 +4,9 @@ package main
 // baseline in-process and diff the fresh run against it. Unlike `diff`,
 // which compares two existing artifacts, watch closes the loop for a
 // working tree — it derives the figure set and quick flag from the
-// baseline itself, reruns exactly those registry entries serially
-// instrumented, and flags any cell the edit moved. Exit status 1 on
+// baseline itself, reruns exactly those registry entries with telemetry
+// attached (the same experiments.Run falconbench -metrics uses), and
+// flags any cell the edit moved. Exit status 1 on
 // findings makes it usable as a local pre-commit gate.
 
 import (
@@ -19,6 +20,7 @@ import (
 
 	"falcon/internal/experiments"
 	"falcon/internal/lake"
+	"falcon/internal/telemetry"
 )
 
 func cmdWatch(args []string) {
@@ -91,7 +93,8 @@ func cmdWatch(args []string) {
 
 	fmt.Fprintf(os.Stderr, "watch: regenerating %d figure(s) (quick=%v) from %s\n",
 		len(entries), baseline.Quick, baselinePath)
-	rep, _ := experiments.RunInstrumented(entries, baseline.Quick, io.Discard)
+	opts := experiments.Options{Quick: baseline.Quick, Tel: telemetry.NewSuite()}
+	rep := experiments.Run(entries, opts, 1, io.Discard)
 	current := experiments.NewMetricsReport(rep)
 	if *keep != "" {
 		f, err := os.Create(*keep)

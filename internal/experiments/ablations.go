@@ -18,15 +18,15 @@ import (
 // far above the bottleneck queue's marking threshold, so delay-only CC
 // lets the queue run to the port limit while the ECN echo holds it near
 // the threshold.
-func AblationECN(runFor time.Duration) *Table {
+func AblationECN(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Ablation: ECN backstopping a mis-tuned delay target (5x8 QP incast, 64KB writes)",
 		Columns: []string{"cc signals", "p50", "p99", "goodput Gbps", "max queue KB"},
 	}
 	run := func(useECN bool) []string {
-		s := sim.New(61)
+		s := o.newSim(61)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo := netsim.Star(s, 6, link)
+		topo := o.star(s, 6, link)
 		down := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
 		down.SetECNThreshold(128 << 10)
 		cl := core.NewCluster(s)
@@ -75,15 +75,15 @@ func AblationECN(runFor time.Duration) *Table {
 // AblationPSP measures inline encryption's cost in the simulator: the
 // per-packet PSP overhead bytes (header + AES-GCM tag) against plaintext,
 // on a saturated point-to-point write stream.
-func AblationPSP(runFor time.Duration) *Table {
+func AblationPSP(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Ablation: PSP inline encryption overhead (4KB writes, 200G link)",
 		Columns: []string{"mode", "goodput Gbps", "p99"},
 	}
 	run := func(encrypt bool) []string {
-		s := sim.New(62)
+		s := o.newSim(62)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
+		topo, _ := o.pointToPoint(s, link)
 		cl := core.NewCluster(s)
 		ncfgA, ncfgB := core.DefaultNodeConfig(), core.DefaultNodeConfig()
 		if encrypt {

@@ -19,7 +19,7 @@ import (
 // Scaled down: ranks per node reduced from the paper's 192 to 4 (the
 // collective algorithms and per-message transport costs set the shape;
 // rank count scales both columns alike).
-func collectiveTable(title string, nodes, ranksPerNode int,
+func collectiveTable(o Options, title string, nodes, ranksPerNode int,
 	coll func(workload.Messenger, int, func()), sizes []int) *Table {
 	t := &Table{
 		Title:   title,
@@ -27,13 +27,8 @@ func collectiveTable(title string, nodes, ranksPerNode int,
 	}
 	ranks := nodes * ranksPerNode
 	run := func(falcon bool, bytes int) time.Duration {
-		s := sim.New(25)
-		var m workload.Messenger
-		if falcon {
-			m, _ = workload.BuildFalconJob(s, nodes, ranksPerNode, ranks)
-		} else {
-			m, _ = workload.BuildSWJob(s, nodes, ranksPerNode, ranks, swtransport.TCP())
-		}
+		s := o.newSim(25)
+		m := o.job(s, falcon, nodes, ranksPerNode, ranks)
 		var done sim.Time
 		coll(m, bytes, func() { done = s.Now() })
 		s.Run()
@@ -48,37 +43,32 @@ func collectiveTable(title string, nodes, ranksPerNode int,
 }
 
 // Fig25 reproduces the AllReduce comparison (32 nodes in the paper).
-func Fig25() *Table {
-	return collectiveTable("Figure 25: MPI AllReduce completion time (16 nodes x 4 ranks)",
+func Fig25(o Options) *Table {
+	return collectiveTable(o, "Figure 25: MPI AllReduce completion time (16 nodes x 4 ranks)",
 		16, 4, workload.AllReduce, []int{4, 64, 1 << 10, 16 << 10, 64 << 10, 256 << 10})
 }
 
 // Fig26 reproduces the AllToAll comparison.
-func Fig26() *Table {
-	return collectiveTable("Figure 26: MPI AllToAll completion time (16 nodes x 4 ranks)",
+func Fig26(o Options) *Table {
+	return collectiveTable(o, "Figure 26: MPI AllToAll completion time (16 nodes x 4 ranks)",
 		16, 4, workload.AllToAll, []int{4, 64, 1 << 10, 16 << 10, 64 << 10})
 }
 
 // Fig30 reproduces the AllGather comparison (8 nodes in the paper).
-func Fig30() *Table {
-	return collectiveTable("Figure 30: MPI AllGather completion time (8 nodes x 4 ranks)",
+func Fig30(o Options) *Table {
+	return collectiveTable(o, "Figure 30: MPI AllGather completion time (8 nodes x 4 ranks)",
 		8, 4, workload.AllGather, []int{4, 64, 1 << 10, 16 << 10, 64 << 10})
 }
 
 // Fig31 reproduces the MultiPingPong comparison (2 nodes in the paper).
-func Fig31() *Table {
+func Fig31(o Options) *Table {
 	t := &Table{
 		Title:   "Figure 31: MPI MultiPingPong completion time (2 nodes x 8 ranks, 50 iters)",
 		Columns: []string{"msg size", "RDMA-Falcon", "TCP", "speedup"},
 	}
 	run := func(falcon bool, bytes int) time.Duration {
-		s := sim.New(31)
-		var m workload.Messenger
-		if falcon {
-			m, _ = workload.BuildFalconJob(s, 2, 8, 16)
-		} else {
-			m, _ = workload.BuildSWJob(s, 2, 8, 16, swtransport.TCP())
-		}
+		s := o.newSim(31)
+		m := o.job(s, falcon, 2, 8, 16)
 		var done sim.Time
 		workload.MultiPingPong(m, bytes, 50, func() { done = s.Now() })
 		s.Run()
@@ -94,31 +84,26 @@ func Fig31() *Table {
 
 // Fig27 reproduces the GROMACS scaling study: steps/s vs node count over
 // Falcon and TCP. TCP stops scaling once per-step communication dominates.
-func Fig27() *Table {
-	return hpcTable("Figure 27: GROMACS-like scaling (steps/s)", workload.DefaultGromacs)
+func Fig27(o Options) *Table {
+	return hpcTable(o, "Figure 27: GROMACS-like scaling (steps/s)", workload.DefaultGromacs)
 }
 
 // Fig28 reproduces the WRF scaling study.
-func Fig28() *Table {
-	return hpcTable("Figure 28: WRF-like scaling (steps/s)", workload.DefaultWRF)
+func Fig28(o Options) *Table {
+	return hpcTable(o, "Figure 28: WRF-like scaling (steps/s)", workload.DefaultWRF)
 }
 
-func hpcTable(title string, cfgFor func(int) workload.HPCConfig) *Table {
+func hpcTable(o Options, title string, cfgFor func(int) workload.HPCConfig) *Table {
 	t := &Table{
 		Title:   title,
 		Columns: []string{"nodes", "RDMA-Falcon", "TCP", "speedup"},
 	}
 	for _, nodes := range []int{1, 2, 4, 8, 16, 32} {
-		falcon := func() float64 {
-			s := sim.New(27)
-			m, _ := workload.BuildFalconJob(s, nodes, 1, nodes)
-			return workload.RunHPC(s, m, cfgFor(nodes))
-		}()
-		tcp := func() float64 {
-			s := sim.New(27)
-			m, _ := workload.BuildSWJob(s, nodes, 1, nodes, swtransport.TCP())
-			return workload.RunHPC(s, m, cfgFor(nodes))
-		}()
+		run := func(falcon bool) float64 {
+			s := o.newSim(27)
+			return workload.RunHPC(s, o.job(s, falcon, nodes, 1, nodes), cfgFor(nodes))
+		}
+		falcon, tcp := run(true), run(false)
 		t.Rows = append(t.Rows, []string{f1(float64(nodes)), f1(falcon), f1(tcp), f2(falcon / tcp)})
 	}
 	return t
@@ -126,7 +111,7 @@ func hpcTable(title string, cfgFor func(int) workload.HPCConfig) *Table {
 
 // Fig29 reproduces the live-migration comparison: phase durations, guest
 // access rate and vCPU wait over RDMA-Falcon vs Pony Express.
-func Fig29() *Table {
+func Fig29(o Options) *Table {
 	t := &Table{
 		Title:   "Figure 29: live migration (4GB guest, dirtying under load)",
 		Columns: []string{"transport", "pre-copy", "post-copy", "guest pages/s", "vCPU wait"},
@@ -135,9 +120,9 @@ func Fig29() *Table {
 	cfg.MemoryBytes = 4 << 30
 	// Falcon pipe.
 	{
-		s := sim.New(29)
+		s := o.newSim(29)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
+		topo, _ := o.pointToPoint(s, link)
 		cl := core.NewCluster(s)
 		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -152,9 +137,9 @@ func Fig29() *Table {
 	}
 	// Pony Express pipe.
 	{
-		s := sim.New(29)
+		s := o.newSim(29)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
+		topo, _ := o.pointToPoint(s, link)
 		a := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
 		b := swtransport.NewNode(s, topo.Hosts[1], swtransport.PonyExpress())
 		conn := swtransport.Connect(a, b, 1)
@@ -169,15 +154,15 @@ func Fig29() *Table {
 
 // Table4 reproduces the Near Local Flash comparison: NVMe-over-Falcon
 // bandwidth/IOPS as a fraction of the locally attached SSD.
-func Table4(runFor time.Duration) *Table {
+func Table4(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Table 4: NLF (NVMe-over-Falcon) relative to local SSD",
 		Columns: []string{"metric", "NLF Gbps", "local Gbps", "NLF/local %"},
 	}
 	remote := func(opBytes int, write bool, window int) float64 {
-		s := sim.New(4)
+		s := o.newSim(4)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
+		topo, _ := o.pointToPoint(s, link)
 		cl := core.NewCluster(s)
 		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -206,7 +191,7 @@ func Table4(runFor time.Duration) *Table {
 		return stats.Gbps(bytesDone, runFor)
 	}
 	local := func(opBytes int, write bool, window int) float64 {
-		s := sim.New(4)
+		s := o.newSim(4)
 		dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
 		var bytesDone uint64
 		issuer := workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"falcon/internal/chaos"
@@ -24,24 +23,6 @@ import (
 // point-to-point Falcon link. Every row closes the frame-conservation
 // ledger, and the whole chaos layer is exact-class: same seed, same
 // bytes.
-
-// stormSeedOverride, when non-zero, replaces the default storm seed set —
-// the `falconbench -storm <seed>` knob, process-wide like the scheduler
-// and routing-policy defaults.
-var stormSeedOverride atomic.Int64
-
-// SetStormSeed overrides the storm campaign seed set with a single seed
-// (0 restores the default set).
-func SetStormSeed(seed int64) { stormSeedOverride.Store(seed) }
-
-// stormSeeds returns the campaign's seeds: the override when set, else
-// the committed default trio.
-func stormSeeds() []int64 {
-	if s := stormSeedOverride.Load(); s != 0 {
-		return []int64{s}
-	}
-	return []int64{71, 72, 73}
-}
 
 // stormRecoveryPct is the envelope's recovery band: trailing-median
 // goodput back above this percentage of the pre-fault baseline.
@@ -107,11 +88,11 @@ func finishReport(rep *chaos.Report, env *chaos.Envelope, n *netsim.Network, pla
 // pairs, 60% offered load) under the storm plan and returns the filled
 // report. An empty plan is the fault-free twin used for the retransmit
 // amplification baseline.
-func stormFalconRun(seed int64, plan chaos.Plan, runFor time.Duration) chaos.Report {
+func stormFalconRun(o Options, seed int64, plan chaos.Plan, runFor time.Duration) chaos.Report {
 	const hostsPerRack = 8
 	const spines = 4
 	fabricGbps := float64(spines) * 200
-	s, topo, cl := rackPair(seed, hostsPerRack, spines)
+	s, topo, cl := rackPair(o, seed, hostsPerRack, spines)
 	var nodes []*core.Node
 	for _, h := range topo.Hosts {
 		nodes = append(nodes, cl.AddNode(h, core.DefaultNodeConfig()))
@@ -165,14 +146,14 @@ func stormFalconRun(seed int64, plan chaos.Plan, runFor time.Duration) chaos.Rep
 // endpoints. RoCE has no connection-death budget, so its connections
 // always read as survived; the envelope and retransmit counters carry the
 // comparison.
-func stormRoceRun(seed int64, plan chaos.Plan, runFor time.Duration) chaos.Report {
+func stormRoceRun(o Options, seed int64, plan chaos.Plan, runFor time.Duration) chaos.Report {
 	const hostsPerRack = 8
 	const spines = 4
 	fabricGbps := float64(spines) * 200
-	s := sim.New(seed)
+	s := o.newSim(seed)
 	host := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
 	fabric := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-	topo := netsim.TwoRack(s, hostsPerRack, spines, host, fabric)
+	topo := o.twoRack(s, hostsPerRack, spines, host, fabric)
 	targets, _ := stormTargets(topo, hostsPerRack)
 	inj := routing.NewInjector(s)
 	chaos.Apply(s, inj, targets, plan)
@@ -233,28 +214,22 @@ func boolCell(b bool) string {
 // FigStorm races Falcon against RoCE under identical seeded fault storms
 // (six fabric+endpoint faults inside the middle half of the run) and
 // reports each transport's recovery envelope, retransmit amplification
-// and frame-conservation verdict.
-func FigStorm(runFor time.Duration) *Table { return figStorm(runFor, nil) }
-
-// FigStormTel is the instrumented FigStorm, exporting each run's chaos
-// report under figStorm/seed<N>/<transport>.
-func FigStormTel(runFor time.Duration, tel *telemetry.Suite) *Table {
-	return figStorm(runFor, tel)
-}
-
-func figStorm(runFor time.Duration, tel *telemetry.Suite) *Table {
+// and frame-conservation verdict. The campaign runs every seed of
+// o.stormSeeds; with o.Tel set it exports each run's chaos report under
+// figStorm/seed<N>/<transport>.
+func FigStorm(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title: "Storm campaigns: Falcon vs RoCE under identical seeded fault storms, 60% load",
 		Columns: []string{"seed", "transport", "events", "base Mbps", "storm Mbps",
 			"tail Mbps", "recovered", "gap", "retx", "retx base", "ledger"},
 	}
-	for _, seed := range stormSeeds() {
+	for _, seed := range o.stormSeeds() {
 		plan := chaos.Generate(seed, stormSpec(runFor, 8, 4))
-		falcon := stormFalconRun(seed, plan, runFor)
-		falcon.BaselineRetransmits = stormFalconRun(seed, chaos.Plan{}, runFor).Retransmits
-		rocer := stormRoceRun(seed, plan, runFor)
-		rocer.BaselineRetransmits = stormRoceRun(seed, chaos.Plan{}, runFor).Retransmits
-		if tel != nil {
+		falcon := stormFalconRun(o, seed, plan, runFor)
+		falcon.BaselineRetransmits = stormFalconRun(o, seed, chaos.Plan{}, runFor).Retransmits
+		rocer := stormRoceRun(o, seed, plan, runFor)
+		rocer.BaselineRetransmits = stormRoceRun(o, seed, chaos.Plan{}, runFor).Retransmits
+		if tel := o.Tel; tel != nil {
 			reg := tel.Registry()
 			fr, rr := falcon, rocer
 			telemetry.CollectChaos(reg, fmt.Sprintf("figStorm/seed%d/falcon", seed), &fr)
@@ -278,16 +253,9 @@ type endpointScenario struct {
 // crash with teardown (the peer discovers the death through its RTO
 // budget), NIC blackhole, packet corruption and a receiver-not-ready
 // stall. Each row reports the recovery envelope, RTO escalation depth,
-// connection survival and the ledger verdict.
-func FigEndpointFault(runFor time.Duration) *Table { return figEndpointFault(runFor, nil) }
-
-// FigEndpointFaultTel is the instrumented FigEndpointFault, exporting
+// connection survival and the ledger verdict. With o.Tel set it exports
 // each scenario's chaos report under figEndpointFault/<scenario>.
-func FigEndpointFaultTel(runFor time.Duration, tel *telemetry.Suite) *Table {
-	return figEndpointFault(runFor, tel)
-}
-
-func figEndpointFault(runFor time.Duration, tel *telemetry.Suite) *Table {
+func FigEndpointFault(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title: "Endpoint faults on a point-to-point Falcon link: recovery envelope per fault class",
 		Columns: []string{"fault", "base Mbps", "storm Mbps", "tail Mbps", "recovered",
@@ -315,8 +283,8 @@ func figEndpointFault(runFor time.Duration, tel *telemetry.Suite) *Table {
 	}
 	for _, sc := range scenarios {
 		ev := sc.event(sim.Time(runFor/4), runFor/4)
-		rep := endpointFaultRun(91, ev, runFor)
-		if tel != nil {
+		rep := endpointFaultRun(o, 91, ev, runFor)
+		if tel := o.Tel; tel != nil {
 			r := rep
 			telemetry.CollectChaos(tel.Registry(), "figEndpointFault/"+sc.name, &r)
 		}
@@ -341,10 +309,10 @@ func figEndpointFault(runFor time.Duration, tel *telemetry.Suite) *Table {
 // point-to-point link at ~30% load through a single fault event. Host 0
 // is the client (initiator), host 1 the server; faults index Hosts and
 // HostPorts by host, and the RNR valve wraps the server's target.
-func endpointFaultRun(seed int64, ev chaos.Event, runFor time.Duration) chaos.Report {
+func endpointFaultRun(o Options, seed int64, ev chaos.Event, runFor time.Duration) chaos.Report {
 	const opBytes = 8 << 10
-	s := sim.New(seed)
-	topo, _ := netsim.PointToPoint(s, netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond})
+	s := o.newSim(seed)
+	topo, _ := o.pointToPoint(s, netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond})
 	cl := core.NewCluster(s)
 	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())

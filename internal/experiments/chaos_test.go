@@ -10,13 +10,14 @@ import (
 // campaigns must produce cell-identical tables — the whole chaos layer is
 // exact-class, so any drift here is a behavior change.
 func TestStormDeterminism(t *testing.T) {
-	a := FigStorm(2 * time.Millisecond)
-	b := FigStorm(2 * time.Millisecond)
+	t.Parallel()
+	a := FigStorm(Options{}, 2*time.Millisecond)
+	b := FigStorm(Options{}, 2*time.Millisecond)
 	if !reflect.DeepEqual(a.Rows, b.Rows) {
 		t.Fatalf("same-seed storm campaigns diverged:\n%v\n%v", a.Rows, b.Rows)
 	}
-	c := FigEndpointFault(4 * time.Millisecond)
-	d := FigEndpointFault(4 * time.Millisecond)
+	c := FigEndpointFault(Options{}, 4*time.Millisecond)
+	d := FigEndpointFault(Options{}, 4*time.Millisecond)
 	if !reflect.DeepEqual(c.Rows, d.Rows) {
 		t.Fatalf("endpoint-fault runs diverged:\n%v\n%v", c.Rows, d.Rows)
 	}
@@ -25,10 +26,11 @@ func TestStormDeterminism(t *testing.T) {
 // TestStormLedgerHolds asserts the frame-conservation ledger closes for
 // every storm scenario: the last cell of every row is the ledger verdict.
 func TestStormLedgerHolds(t *testing.T) {
+	t.Parallel()
 	for _, tb := range []interface {
 		rows() [][]string
 		title() string
-	}{tableCheck{FigStorm(2 * time.Millisecond)}, tableCheck{FigEndpointFault(4 * time.Millisecond)}} {
+	}{tableCheck{FigStorm(Options{}, 2*time.Millisecond)}, tableCheck{FigEndpointFault(Options{}, 4*time.Millisecond)}} {
 		for _, row := range tb.rows() {
 			if row[len(row)-1] != "yes" {
 				t.Errorf("%s: ledger unbalanced in row %v", tb.title(), row)
@@ -43,15 +45,13 @@ func (c tableCheck) rows() [][]string { return c.t.Rows }
 func (c tableCheck) title() string    { return c.t.Title }
 
 // TestStormSeedOverride pins the -storm flag semantics: a non-zero
-// override narrows the campaign to that seed; 0 restores the default trio.
+// StormSeed narrows the campaign to that seed; 0 keeps the default trio.
 func TestStormSeedOverride(t *testing.T) {
-	SetStormSeed(99)
-	defer SetStormSeed(0)
-	if got := stormSeeds(); len(got) != 1 || got[0] != 99 {
+	t.Parallel()
+	if got := (Options{StormSeed: 99}).stormSeeds(); len(got) != 1 || got[0] != 99 {
 		t.Fatalf("override seeds = %v, want [99]", got)
 	}
-	SetStormSeed(0)
-	if got := stormSeeds(); len(got) != 3 {
+	if got := (Options{}).stormSeeds(); len(got) != 3 {
 		t.Fatalf("default seeds = %v, want the default trio", got)
 	}
 }
@@ -61,7 +61,8 @@ func TestStormSeedOverride(t *testing.T) {
 // teardown kills both ends (the peer through its RTO budget) and cannot
 // recover goodput.
 func TestEndpointFaultOutcomes(t *testing.T) {
-	tb := FigEndpointFault(4 * time.Millisecond)
+	t.Parallel()
+	tb := FigEndpointFault(Options{}, 4*time.Millisecond)
 	if len(tb.Rows) != 6 {
 		t.Fatalf("got %d scenarios, want 6", len(tb.Rows))
 	}
@@ -96,17 +97,18 @@ func TestEndpointFaultOutcomes(t *testing.T) {
 // `make check` executes — asserting only the invariants, not the
 // numbers: determinism is TestStormDeterminism's job.
 func TestStormSweepShort(t *testing.T) {
-	for _, seed := range stormSeeds() {
+	t.Parallel()
+	for _, seed := range (Options{}).stormSeeds() {
 		seed := seed
 		plan := stormPlanForTest(seed, 2*time.Millisecond)
-		rep := stormFalconRun(seed, plan, 2*time.Millisecond)
+		rep := stormFalconRun(Options{}, seed, plan, 2*time.Millisecond)
 		if !rep.Ledger.Balanced() {
 			t.Errorf("seed %d: falcon ledger unbalanced: %s", seed, rep.Ledger)
 		}
 		if rep.Completed == 0 {
 			t.Errorf("seed %d: no falcon ops completed", seed)
 		}
-		rr := stormRoceRun(seed, plan, 2*time.Millisecond)
+		rr := stormRoceRun(Options{}, seed, plan, 2*time.Millisecond)
 		if !rr.Ledger.Balanced() {
 			t.Errorf("seed %d: roce ledger unbalanced: %s", seed, rr.Ledger)
 		}

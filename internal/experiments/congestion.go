@@ -23,17 +23,14 @@ import (
 // Scaled down: the paper sweeps to 1000 QPs/host (5000:1); the simulator
 // sweeps to 100/host (500:1), which already exceeds the
 // bandwidth-delay product per flow by orders of magnitude.
-func Fig13(runFor time.Duration) *Table { return fig13(runFor, nil) }
-
-// Fig13Tel is the instrumented Fig13: each Falcon incast exports the
-// server-downlink port counters (queue extremes, ECN marks, drops), one
-// representative connection's PDL/congestion state, the server NIC
-// pipeline counters and the server FAE's delay histograms; the 20-QP cell
-// additionally records the queue-depth and cwnd time series — the incast
-// trace behind the figure. The table is identical to Fig13's.
-func Fig13Tel(runFor time.Duration, tel *telemetry.Suite) *Table { return fig13(runFor, tel) }
-
-func fig13(runFor time.Duration, tel *telemetry.Suite) *Table {
+//
+// With o.Tel set, each Falcon incast exports the server-downlink port
+// counters (queue extremes, ECN marks, drops), one representative
+// connection's PDL/congestion state, the server NIC pipeline counters and
+// the server FAE's delay histograms; the 20-QP cell additionally records
+// the queue-depth and cwnd time series — the incast trace behind the
+// figure.
+func Fig13(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 13: incast, 5 clients x N QPs of 1MB writes to one server",
 		Columns: []string{"transport", "QPs/host", "mean/ideal", "p50/ideal", "p99/ideal", "goodput Gbps", "Jain"},
@@ -41,7 +38,7 @@ func fig13(runFor time.Duration, tel *telemetry.Suite) *Table {
 	const gbps = 200
 	const opBytes = 1 << 20
 	for _, qps := range []int{1, 4, 20, 100} {
-		m, p50, p99, goodput, jain := falconIncast(qps, opBytes, gbps, runFor, tel)
+		m, p50, p99, goodput, jain := falconIncast(o, qps, opBytes, gbps, runFor)
 		ideal := idealIncastLatency(qps, opBytes, gbps)
 		t.Rows = append(t.Rows, []string{
 			"Falcon", f1(float64(qps)),
@@ -52,7 +49,7 @@ func fig13(runFor time.Duration, tel *telemetry.Suite) *Table {
 		})
 	}
 	for _, qps := range []int{1, 4, 20, 100} {
-		m, p50, p99, goodput, jain := roceIncast(qps, opBytes, gbps, runFor)
+		m, p50, p99, goodput, jain := roceIncast(o, qps, opBytes, gbps, runFor)
 		ideal := idealIncastLatency(qps, opBytes, gbps)
 		t.Rows = append(t.Rows, []string{
 			"RoCE", f1(float64(qps)),
@@ -73,10 +70,10 @@ func idealIncastLatency(qpsPerHost, opBytes int, gbps float64) time.Duration {
 	return time.Duration(float64(opBytes) * 8 / perFlowGbps)
 }
 
-func falconIncast(qpsPerHost, opBytes int, gbps float64, runFor time.Duration, tel *telemetry.Suite) (mean, p50, p99 time.Duration, goodput, jain float64) {
-	s := sim.New(13)
+func falconIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
+	s := o.newSim(13)
 	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo := netsim.Star(s, 6, link)
+	topo := o.star(s, 6, link)
 	cl := core.NewCluster(s)
 	server := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 	var lat stats.Series
@@ -101,7 +98,7 @@ func falconIncast(qpsPerHost, opBytes int, gbps float64, runFor time.Duration, t
 			issuer.Start()
 		}
 	}
-	if tel != nil {
+	if tel := o.Tel; tel != nil {
 		// The incast bottleneck is the switch's downlink to the server:
 		// its queue is where 5*qps flows collide.
 		down := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
@@ -135,10 +132,10 @@ func falconIncast(qpsPerHost, opBytes int, gbps float64, runFor time.Duration, t
 		stats.Gbps(total, runFor), stats.Jain(vals)
 }
 
-func roceIncast(qpsPerHost, opBytes int, gbps float64, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
-	s := sim.New(13)
+func roceIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
+	s := o.newSim(13)
 	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo := netsim.Star(s, 6, link)
+	topo := o.star(s, 6, link)
 	server := roce.NewNode(s, topo.Hosts[0], nil)
 	var lat stats.Series
 	var resps []*roce.Responder
@@ -177,16 +174,16 @@ func roceIncast(qpsPerHost, opBytes int, gbps float64, runFor time.Duration) (me
 // a client streams 64KB writes while the server's host interface (PCIe) is
 // downgraded from 200 to 100 Gbps mid-run and later restored. Reported:
 // goodput in each phase and the convergence times, plus Falcon's ncwnd.
-func Fig14(phase time.Duration) *Table {
+func Fig14(o Options, phase time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 14: end-host congestion (PCIe 200->100->200 Gbps), 64KB writes",
 		Columns: []string{"transport", "phase", "goodput Gbps", "converge ms", "ncwnd(end)"},
 	}
 	// Falcon run.
 	{
-		s := sim.New(29)
+		s := o.newSim(29)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
+		topo, _ := o.pointToPoint(s, link)
 		cl := core.NewCluster(s)
 		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -217,9 +214,9 @@ func Fig14(phase time.Duration) *Table {
 	}
 	// RoCE run (host interface via the NIC model).
 	{
-		s := sim.New(29)
+		s := o.newSim(29)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
+		topo, _ := o.pointToPoint(s, link)
 		clientNode := roce.NewNode(s, topo.Hosts[0], nil)
 		nicCfg := nic.DefaultConfig()
 		serverNIC := nic.New(s, nicCfg)

@@ -20,15 +20,15 @@ func TestExperimentDeterminism(t *testing.T) {
 		name string
 		run  func() *Table
 	}{
-		{"swhw/Fig1", func() *Table { return Fig1(500 * time.Microsecond) }},
-		{"loss/Fig10", func() *Table { return Fig10(500 * time.Microsecond) }},
-		{"congestion/Fig13", func() *Table { return Fig13(500 * time.Microsecond) }},
-		{"multipath/Fig3", func() *Table { return Fig3(500 * time.Microsecond) }},
-		{"isolation/Fig24", func() *Table { return Fig24(500 * time.Microsecond) }},
-		{"faeexp/Fig22b", func() *Table { return Fig22b(500 * time.Microsecond) }},
-		{"hwscale/Fig20a", func() *Table { return Fig20a(500 * time.Microsecond) }},
-		{"ablations/AblationECN", func() *Table { return AblationECN(500 * time.Microsecond) }},
-		{"apps/Table4", func() *Table { return Table4(500 * time.Microsecond) }},
+		{"swhw/Fig1", func() *Table { return Fig1(Options{}, 500*time.Microsecond) }},
+		{"loss/Fig10", func() *Table { return Fig10(Options{}, 500*time.Microsecond) }},
+		{"congestion/Fig13", func() *Table { return Fig13(Options{}, 500*time.Microsecond) }},
+		{"multipath/Fig3", func() *Table { return Fig3(Options{}, 500*time.Microsecond) }},
+		{"isolation/Fig24", func() *Table { return Fig24(Options{}, 500*time.Microsecond) }},
+		{"faeexp/Fig22b", func() *Table { return Fig22b(Options{}, 500*time.Microsecond) }},
+		{"hwscale/Fig20a", func() *Table { return Fig20a(Options{}, 500*time.Microsecond) }},
+		{"ablations/AblationECN", func() *Table { return AblationECN(Options{}, 500*time.Microsecond) }},
+		{"apps/Table4", func() *Table { return Table4(Options{}, 500*time.Microsecond) }},
 	}
 	for _, fam := range families {
 		fam := fam

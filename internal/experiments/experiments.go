@@ -82,10 +82,10 @@ type falconP2P struct {
 	topo     *netsim.Topology
 }
 
-func newFalconP2P(seed int64, gbps float64, connCfg core.ConnConfig) *falconP2P {
-	s := sim.New(seed)
+func newFalconP2P(o Options, seed int64, gbps float64, connCfg core.ConnConfig) *falconP2P {
+	s := o.newSim(seed)
 	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo, fwd := netsim.PointToPoint(s, link)
+	topo, fwd := o.pointToPoint(s, link)
 	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
 	cl := core.NewCluster(s)
 	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
@@ -164,10 +164,10 @@ type roceP2P struct {
 	reverse *netsim.Port
 }
 
-func newRoceP2P(seed int64, gbps float64, cfg roce.Config) *roceP2P {
-	s := sim.New(seed)
+func newRoceP2P(o Options, seed int64, gbps float64, cfg roce.Config) *roceP2P {
+	s := o.newSim(seed)
 	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo, fwd := netsim.PointToPoint(s, link)
+	topo, fwd := o.pointToPoint(s, link)
 	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
 	a := roce.NewNode(s, topo.Hosts[0], nil)
 	b := roce.NewNode(s, topo.Hosts[1], nil)

@@ -74,7 +74,7 @@ func TestFig12ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	tb := Fig12(1500 * time.Microsecond)
+	tb := Fig12(Options{}, 1500*time.Microsecond)
 	// At the highest drop rate: SR > GBN > AR.
 	last := len(tb.Rows) - 1
 	gbn, sr, ar := cellF(t, tb, last, 1), cellF(t, tb, last, 2), cellF(t, tb, last, 3)
@@ -87,7 +87,7 @@ func TestFig10FalconHoldsGoodputQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	tb := Fig10(1500 * time.Microsecond)
+	tb := Fig10(Options{}, 1500*time.Microsecond)
 	// Write rows 0..4: Falcon at 2% drop stays above RoCE-GBN.
 	falcon := cellF(t, tb, 4, 2)
 	gbn := cellF(t, tb, 4, 4)

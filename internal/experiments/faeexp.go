@@ -58,15 +58,15 @@ func Fig23() *Table {
 // of microseconds.
 //
 // Scaled down from the paper's 2x100 QPs.
-func Fig22b(runFor time.Duration) *Table {
+func Fig22b(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 22b: fabric RTT vs FAE response delay (2x20 QP incast, 1MB writes)",
 		Columns: []string{"FAE delay us", "p50 RTT", "p99 RTT", "p99/baseline"},
 	}
 	run := func(delay time.Duration) (time.Duration, time.Duration) {
-		s := sim.New(22)
+		s := o.newSim(22)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo := netsim.Star(s, 3, link)
+		topo := o.star(s, 3, link)
 		cl := core.NewCluster(s)
 		ncfg := core.DefaultNodeConfig()
 		ncfg.FAE.ResponseDelay = delay

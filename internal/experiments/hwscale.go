@@ -16,14 +16,14 @@ import (
 // Fig19 reproduces "message size scaling": RDMA Write completion latency
 // between two hosts on an unloaded network, p50/p99 versus the ideal
 // (serialization + propagation + minimal processing).
-func Fig19() *Table {
+func Fig19(o Options) *Table {
 	t := &Table{
 		Title:   "Figure 19: write completion latency vs message size (unloaded)",
 		Columns: []string{"size", "p50", "p99", "ideal", "p50/ideal"},
 	}
 	const gbps = 200
 	for _, size := range []int{8, 512, 4 << 10, 32 << 10, 256 << 10, 1 << 20} {
-		p := newFalconP2P(19, gbps, multipathConn())
+		p := newFalconP2P(o, 19, gbps, multipathConn())
 		var lat stats.Series
 		var issue func(n int)
 		issue = func(n int) {
@@ -68,7 +68,7 @@ func fmtSize(n int) string {
 // flat until the link itself saturates.
 //
 // Scaled down from the paper's 500 connections to 100.
-func Fig20a(runFor time.Duration) *Table {
+func Fig20a(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 20a: 100:1 read incast latency vs offered load",
 		Columns: []string{"offered Gbps", "Falcon p50", "Falcon p99", "SW p50", "SW p99"},
@@ -80,9 +80,9 @@ func Fig20a(runFor time.Duration) *Table {
 		perConnRate := offered * 1e9 / 8 / opBytes / conns
 		// Falcon.
 		fp50, fp99 := func() (time.Duration, time.Duration) {
-			s := sim.New(20)
+			s := o.newSim(20)
 			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-			topo := netsim.Star(s, servers+1, link)
+			topo := o.star(s, servers+1, link)
 			cl := core.NewCluster(s)
 			client := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 			var serverNodes []*core.Node
@@ -109,9 +109,9 @@ func Fig20a(runFor time.Duration) *Table {
 		}()
 		// Software transport.
 		sp50, sp99 := func() (time.Duration, time.Duration) {
-			s := sim.New(20)
+			s := o.newSim(20)
 			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-			topo := netsim.Star(s, servers+1, link)
+			topo := o.star(s, servers+1, link)
 			clientNode := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
 			var serverNodes []*swtransport.Node
 			for i := 0; i < servers; i++ {
@@ -139,15 +139,15 @@ func Fig20a(runFor time.Duration) *Table {
 // Fig20b reproduces "op-rate scaling": maximum 8B RDMA Write rate between
 // two hosts versus QP count. A single QP is bounded by the per-connection
 // pipeline (~20 Mops); the aggregate pipeline saturates around 120 Mops.
-func Fig20b(runFor time.Duration) *Table {
+func Fig20b(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 20b: 8B write op rate vs QP count",
 		Columns: []string{"QPs", "Mops/s"},
 	}
 	for _, qps := range []int{1, 2, 4, 8, 12, 16} {
-		s := sim.New(20)
+		s := o.newSim(20)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-		topo, _ := netsim.PointToPoint(s, link)
+		topo, _ := o.pointToPoint(s, link)
 		cl := core.NewCluster(s)
 		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -182,7 +182,7 @@ func Fig20b(runFor time.Duration) *Table {
 // backing store). The experiment isolates the connection-state cache, so
 // it drives the NIC model directly: each ping-pong costs four pipeline
 // passes (TX and RX on each side) plus the wire.
-func Fig21() *Table {
+func Fig21(o Options) *Table {
 	t := &Table{
 		Title:   "Figure 21: ping-pong RTT vs connection count (cache pressure)",
 		Columns: []string{"connections", "Falcon RTT", "CX7-like RTT", "Falcon/base", "CX7/base"},
@@ -190,7 +190,7 @@ func Fig21() *Table {
 	const wire = 2 * 2 * time.Microsecond // two one-way trips
 	const opsPerConnSample = 200_000
 	run := func(cfg nic.Config, conns int) time.Duration {
-		s := sim.New(21)
+		s := o.newSim(21)
 		nicA := nic.New(s, cfg)
 		nicB := nic.New(s, cfg)
 		rng := s.Rand()

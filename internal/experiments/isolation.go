@@ -18,16 +18,16 @@ import (
 // longer; without backpressure they starve the fast flow. Reported: the
 // fast flow's op-latency slowdown relative to running alone, for no /
 // static / dynamic backpressure.
-func Fig24(runFor time.Duration) *Table {
+func Fig24(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 24: fast-flow slowdown vs slow-flow count, by backpressure policy",
 		Columns: []string{"slow flows", "none", "static DT", "dynamic DT"},
 	}
-	baseline := fig24Run(0, tl.BackpressureNone, runFor)
+	baseline := fig24Run(o, 0, tl.BackpressureNone, runFor)
 	for _, slow := range []int{10, 100, 300} {
-		none := fig24Run(slow, tl.BackpressureNone, runFor)
-		static := fig24Run(slow, tl.BackpressureStatic, runFor)
-		dynamic := fig24Run(slow, tl.BackpressureDynamic, runFor)
+		none := fig24Run(o, slow, tl.BackpressureNone, runFor)
+		static := fig24Run(o, slow, tl.BackpressureStatic, runFor)
+		dynamic := fig24Run(o, slow, tl.BackpressureDynamic, runFor)
 		t.Rows = append(t.Rows, []string{
 			f1(float64(slow)),
 			f1(none.Seconds() / baseline.Seconds()),
@@ -40,13 +40,13 @@ func Fig24(runFor time.Duration) *Table {
 
 // fig24Run returns the fast flow's p99 op latency with `slow` slow flows
 // sharing its host under the given backpressure mode.
-func fig24Run(slow int, mode tl.BackpressureMode, runFor time.Duration) time.Duration {
-	s := sim.New(24)
+func fig24Run(o Options, slow int, mode tl.BackpressureMode, runFor time.Duration) time.Duration {
+	s := o.newSim(24)
 	link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
 	// Hosts: 0 = the shared source, 1 = fast target (same rack), 2 =
 	// slow target whose host interface is crawling (standing in for the
 	// paper's periodic cross-rack incast).
-	topo := netsim.Star(s, 3, link)
+	topo := o.star(s, 3, link)
 	cl := core.NewCluster(s)
 	src := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 	fastTgt := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())

@@ -18,16 +18,13 @@ import (
 // ops" (§6.1.1): a 1:1 experiment with 8KB ops and random drops of the
 // named packet class, sweeping the drop percentage. Falcon holds goodput;
 // RoCE-SR helps only Writes and Read Responses; RoCE-GBN collapses.
-func Fig10(runFor time.Duration) *Table { return fig10(runFor, nil) }
-
-// Fig10Tel is the instrumented Fig10: every Falcon cell exports its PDL
-// loss-recovery counters (retransmit causes, ACK coalescing, NACK codes)
-// and the representative Write/1%-drop cell additionally records a
+//
+// With o.Tel set, every Falcon cell exports its PDL loss-recovery
+// counters (retransmit causes, ACK coalescing, NACK codes) and the
+// representative Write/1%-drop cell additionally records a
 // cwnd-and-retransmit time series — the loss-recovery trace behind the
-// figure. The table is identical to Fig10's: telemetry only observes.
-func Fig10Tel(runFor time.Duration, tel *telemetry.Suite) *Table { return fig10(runFor, tel) }
-
-func fig10(runFor time.Duration, tel *telemetry.Suite) *Table {
+// figure.
+func Fig10(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 10: goodput (Gbps) under random drops, 8KB ops, 200G link",
 		Columns: []string{"op", "drop%", "Falcon", "RoCE-SR", "RoCE-GBN"},
@@ -47,9 +44,9 @@ func fig10(runFor time.Duration, tel *telemetry.Suite) *Table {
 	for _, sb := range subs {
 		for _, drop := range drops {
 			falcon := func() float64 {
-				p := newFalconP2P(1, gbps, multipathConn())
+				p := newFalconP2P(o, 1, gbps, multipathConn())
 				applyDrop(sb.name, p.forward, p.reverse, drop)
-				if tel != nil {
+				if tel := o.Tel; tel != nil {
 					prefix := "fig10/" + sb.name + "/drop" + f1(drop)
 					reg := tel.Registry()
 					telemetry.CollectPDL(reg, prefix, p.epA.PDL())
@@ -67,14 +64,14 @@ func fig10(runFor time.Duration, tel *telemetry.Suite) *Table {
 			sr := func() float64 {
 				cfg := roce.DefaultConfig()
 				cfg.Mode = roce.SR
-				p := newRoceP2P(1, gbps, cfg)
+				p := newRoceP2P(o, 1, gbps, cfg)
 				applyDrop(sb.name, p.forward, p.reverse, drop)
 				return p.goodput(sb.kind, 8192, 48, runFor)
 			}()
 			gbn := func() float64 {
 				cfg := roce.DefaultConfig()
 				cfg.Mode = roce.GBN
-				p := newRoceP2P(1, gbps, cfg)
+				p := newRoceP2P(o, 1, gbps, cfg)
 				applyDrop(sb.name, p.forward, p.reverse, drop)
 				return p.goodput(sb.kind, 8192, 48, runFor)
 			}()
@@ -100,7 +97,7 @@ func applyDrop(name string, fwd, rev *netsim.Port, pct float64) {
 // Fig11a reproduces "Falcon and RoCE goodput when writes are reordered":
 // the same 1:1 experiment with the switch delaying a fraction of packets
 // instead of dropping them.
-func Fig11a(runFor time.Duration) *Table {
+func Fig11a(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 11a: goodput (Gbps) under reordering, 8KB writes, 200G link",
 		Columns: []string{"reorder extent (us)", "Falcon", "RoCE-SR", "RoCE-GBN"},
@@ -108,21 +105,21 @@ func Fig11a(runFor time.Duration) *Table {
 	const gbps = 200
 	for _, extent := range []time.Duration{0, 5 * time.Microsecond, 10 * time.Microsecond, 20 * time.Microsecond, 40 * time.Microsecond} {
 		falcon := func() float64 {
-			p := newFalconP2P(1, gbps, multipathConn())
+			p := newFalconP2P(o, 1, gbps, multipathConn())
 			p.forward.SetReorder(0.1, extent)
 			return p.goodput(opWrite, 8192, 48, runFor)
 		}()
 		sr := func() float64 {
 			cfg := roce.DefaultConfig()
 			cfg.Mode = roce.SR
-			p := newRoceP2P(1, gbps, cfg)
+			p := newRoceP2P(o, 1, gbps, cfg)
 			p.forward.SetReorder(0.1, extent)
 			return p.goodput(opWrite, 8192, 48, runFor)
 		}()
 		gbn := func() float64 {
 			cfg := roce.DefaultConfig()
 			cfg.Mode = roce.GBN
-			p := newRoceP2P(1, gbps, cfg)
+			p := newRoceP2P(o, 1, gbps, cfg)
 			p.forward.SetReorder(0.1, extent)
 			return p.goodput(opWrite, 8192, 48, runFor)
 		}()
@@ -134,7 +131,7 @@ func Fig11a(runFor time.Duration) *Table {
 // Fig11b reproduces "role of RACK-TLP under losses": 128KB writes with
 // Poisson arrivals, comparing RACK-TLP against the OOO-distance heuristic
 // that shipped in 200G Falcon.
-func Fig11b(runFor time.Duration) *Table {
+func Fig11b(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 11b: RACK-TLP vs OOO-distance goodput (Gbps), 128KB Poisson writes",
 		Columns: []string{"drop%", "RACK-TLP", "OOO-D"},
@@ -142,7 +139,7 @@ func Fig11b(runFor time.Duration) *Table {
 	run := func(recovery pdl.RecoveryMode, drop float64) float64 {
 		cfg := multipathConn()
 		cfg.PDL.Recovery = recovery
-		p := newFalconP2P(3, 200, cfg)
+		p := newFalconP2P(o, 3, 200, cfg)
 		p.forward.SetDropProb(drop / 100)
 		var delivered uint64
 		const opBytes = 128 << 10
@@ -172,7 +169,7 @@ func Fig11b(runFor time.Duration) *Table {
 // Fig12 reproduces "RoCE goodput under losses, in three different modes":
 // 16KB writes, GBN vs SR vs AR. AR recovers only by timeout and performs
 // worst.
-func Fig12(runFor time.Duration) *Table {
+func Fig12(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 12: RoCE modes goodput (Gbps) under drops, 16KB writes",
 		Columns: []string{"drop%", "RoCE-GBN", "RoCE-SR", "RoCE-AR"},
@@ -180,7 +177,7 @@ func Fig12(runFor time.Duration) *Table {
 	run := func(mode roce.Mode, drop float64) float64 {
 		cfg := roce.DefaultConfig()
 		cfg.Mode = mode
-		p := newRoceP2P(5, 200, cfg)
+		p := newRoceP2P(o, 5, 200, cfg)
 		p.forward.SetDropProb(drop / 100)
 		return p.goodput(opWrite, 16<<10, 48, runFor)
 	}

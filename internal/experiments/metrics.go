@@ -1,9 +1,9 @@
 package experiments
 
-// The instrumented runner behind `falconbench -metrics` and `-series`:
-// entries that define RunTel execute with a telemetry.Suite attached, and
-// the run yields (a) per-figure metric snapshots embedded in the perf
-// report and (b) per-figure samplers for CSV export.
+// The payload of `falconbench -metrics`: an instrumented Run (Options.Tel
+// set) yields per-figure metric snapshots embedded in the perf report and
+// per-figure suites for `-series` CSV export; MetricsReport keeps the
+// deterministic part.
 //
 // Determinism contract (ISSUE 3): everything exported here derives from
 // virtual time and seeded simulators only — no wall clock, no process
@@ -19,58 +19,9 @@ package experiments
 import (
 	"encoding/json"
 	"io"
-	"runtime"
-	"time"
 
-	"falcon/internal/sim"
 	"falcon/internal/telemetry"
 )
-
-// RunInstrumented executes the entries serially with telemetry attached
-// wherever an entry provides RunTel, printing tables to w exactly like a
-// serial Run. It returns the perf report — whose figures carry metric
-// snapshots — plus one Suite per entry (index-aligned with entries) for
-// time-series export. Entries without RunTel run uninstrumented and get
-// an empty snapshot.
-//
-// Instrumented runs are always serial: telemetry adds sampler events to
-// each figure's simulators, and attributing those deterministically is
-// only meaningful one figure at a time.
-func RunInstrumented(entries []Entry, quick bool, w io.Writer) (BenchReport, []*telemetry.Suite) {
-	rep := BenchReport{
-		Schema:    "falconbench/v1",
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Quick:     quick,
-		Parallel:  1,
-		Figures:   make([]FigureReport, len(entries)),
-	}
-	suites := make([]*telemetry.Suite, len(entries))
-	start := time.Now()
-	events0 := sim.TotalDelivered()
-	for i, e := range entries {
-		tel := telemetry.NewSuite()
-		suites[i] = tel
-		run := func() *Table {
-			if e.RunTel != nil {
-				return e.RunTel(quick, tel)
-			}
-			return e.Run(quick)
-		}
-		rep.Figures[i] = runFigure(e.Name, run, w, true)
-		// Snapshots aggregate many independent simulators per figure, so
-		// there is no single virtual timestamp to stamp; use zero.
-		snap := tel.Snapshot(0)
-		rep.Figures[i].Metrics = &snap
-	}
-	wall := time.Since(start)
-	rep.WallMS = float64(wall.Nanoseconds()) / 1e6
-	rep.Events = sim.TotalDelivered() - events0
-	if s := wall.Seconds(); s > 0 {
-		rep.EventsPerSec = float64(rep.Events) / s
-	}
-	return rep, suites
-}
 
 // FigureMetrics is one figure's entry in the -metrics payload.
 type FigureMetrics struct {

@@ -48,25 +48,24 @@ func TestInstrumentedExportDeterminism(t *testing.T) {
 	}
 	const runFor = 500 * time.Microsecond
 	families := []struct {
-		name  string
-		plain func(time.Duration) *Table
-		tel   func(time.Duration, *telemetry.Suite) *Table
+		name string
+		fig  func(Options, time.Duration) *Table
 	}{
-		{"loss/Fig10", Fig10, Fig10Tel},
-		{"congestion/Fig13", Fig13, Fig13Tel},
-		{"multipath/Fig15", Fig15, Fig15Tel},
+		{"loss/Fig10", Fig10},
+		{"congestion/Fig13", Fig13},
+		{"multipath/Fig15", Fig15},
 	}
 	for _, fam := range families {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
 			t.Parallel()
 			tel1, tel2 := telemetry.NewSuite(), telemetry.NewSuite()
-			tbl1 := fam.tel(runFor, tel1)
-			tbl2 := fam.tel(runFor, tel2)
+			tbl1 := fam.fig(Options{Tel: tel1}, runFor)
+			tbl2 := fam.fig(Options{Tel: tel2}, runFor)
 			if !reflect.DeepEqual(tbl1, tbl2) {
 				t.Fatalf("two same-seed instrumented runs differ:\nfirst: %+v\nsecond: %+v", tbl1, tbl2)
 			}
-			if plain := fam.plain(runFor); !reflect.DeepEqual(tbl1, plain) {
+			if plain := fam.fig(Options{}, runFor); !reflect.DeepEqual(tbl1, plain) {
 				t.Fatalf("telemetry perturbed the table:\ninstrumented: %+v\nplain: %+v", tbl1, plain)
 			}
 
@@ -100,41 +99,49 @@ func TestInstrumentedExportDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunInstrumentedReport checks the runner-level plumbing: figures
-// carry metric snapshots, suites align with entries, and the stripped
-// MetricsReport keeps only instrumented figures.
-func TestRunInstrumentedReport(t *testing.T) {
+// TestInstrumentedRunReport checks the runner-level plumbing of an
+// instrumented Run: every figure carries its own suite and snapshot, the
+// suite passed in stays untouched, and the stripped MetricsReport keeps
+// only figures that exported metrics.
+func TestInstrumentedRunReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	// fig19 is analytic (fast, uninstrumented); fig15's RunTel at quick
-	// windows would dominate the suite, so drive the runner with a tiny
-	// synthetic instrumented entry instead.
+	// fig19 and fig21 export nothing; fig15's telemetry at quick windows
+	// would dominate the suite, so drive the runner with a tiny synthetic
+	// instrumented entry instead.
 	entries := pickEntries(t, "fig19", "fig21")
 	entries = append(entries, Entry{
 		Name: "synthetic",
 		Desc: "test-only instrumented entry",
-		Run:  func(q bool) *Table { return &Table{Title: "synthetic", Columns: []string{"v"}} },
-		RunTel: func(q bool, tel *telemetry.Suite) *Table {
-			tel.Registry().Counter("synthetic/ran").Inc()
+		Run: func(o Options) *Table {
+			if o.Tel != nil {
+				o.Tel.Registry().Counter("synthetic/ran").Inc()
+			}
 			return &Table{Title: "synthetic", Columns: []string{"v"}}
 		},
 	})
 	var out bytes.Buffer
-	rep, suites := RunInstrumented(entries, true, &out)
-	if len(suites) != len(entries) {
-		t.Fatalf("suites = %d, want %d", len(suites), len(entries))
-	}
+	template := telemetry.NewSuite()
+	rep := Run(entries, Options{Quick: true, Tel: template}, 1, &out)
+	suites := map[*telemetry.Suite]bool{template: true}
 	for i, fr := range rep.Figures {
 		if fr.Name != entries[i].Name {
 			t.Fatalf("figure %d = %q, want %q", i, fr.Name, entries[i].Name)
 		}
-		if fr.Metrics == nil {
-			t.Fatalf("figure %q has no metrics snapshot", fr.Name)
+		if fr.Metrics == nil || fr.Tel == nil {
+			t.Fatalf("figure %q has no metrics snapshot or suite", fr.Name)
 		}
+		if suites[fr.Tel] {
+			t.Fatalf("figure %q shares a suite", fr.Name)
+		}
+		suites[fr.Tel] = true
+	}
+	if n := len(template.Snapshot(0).Metrics); n != 0 {
+		t.Fatalf("the suite passed to Run received %d metrics", n)
 	}
 	if v, ok := rep.Figures[2].Metrics.Get("synthetic/ran"); !ok || v != 1 {
-		t.Fatalf("instrumented entry did not run through RunTel: %v %v", v, ok)
+		t.Fatalf("instrumented entry did not record into its suite: %v %v", v, ok)
 	}
 	m := NewMetricsReport(rep)
 	if len(m.Figures) != 1 || m.Figures[0].Name != "synthetic" {

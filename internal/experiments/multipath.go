@@ -17,11 +17,11 @@ import (
 // rackPair builds the §6.1.3 rack-level testbed: two racks of
 // hostsPerRack hosts with `spines` equal paths between them, host i in
 // rack 1 talking to host i in rack 2.
-func rackPair(seed int64, hostsPerRack, spines int) (*sim.Simulator, *netsim.Topology, *core.Cluster) {
-	s := sim.New(seed)
+func rackPair(o Options, seed int64, hostsPerRack, spines int) (*sim.Simulator, *netsim.Topology, *core.Cluster) {
+	s := o.newSim(seed)
 	host := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
 	fabric := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-	topo := netsim.TwoRack(s, hostsPerRack, spines, host, fabric)
+	topo := o.twoRack(s, hostsPerRack, spines, host, fabric)
 	return s, topo, core.NewCluster(s)
 }
 
@@ -30,11 +30,11 @@ func rackPair(seed int64, hostsPerRack, spines int) (*sim.Simulator, *netsim.Top
 // With a non-nil suite the run exports the first pair's connection state,
 // node-0's FAE delay histograms and ToR-uplink-0's port counters under
 // prefix; the 60%-load cell records the multipath time series.
-func mpLoadRun(seed int64, connCfg core.ConnConfig, load float64, runFor time.Duration, tel *telemetry.Suite, prefix string) (p50, p99 time.Duration, achievedGbps float64) {
+func mpLoadRun(o Options, seed int64, connCfg core.ConnConfig, load float64, runFor time.Duration, tel *telemetry.Suite, prefix string) (p50, p99 time.Duration, achievedGbps float64) {
 	const hostsPerRack = 8
 	const spines = 4
 	fabricGbps := float64(spines) * 200
-	s, topo, cl := rackPair(seed, hostsPerRack, spines)
+	s, topo, cl := rackPair(o, seed, hostsPerRack, spines)
 	var nodes []*core.Node
 	for _, h := range topo.Hosts {
 		nodes = append(nodes, cl.AddNode(h, core.DefaultNodeConfig()))
@@ -88,23 +88,19 @@ func mpLoadRun(seed int64, connCfg core.ConnConfig, load float64, runFor time.Du
 
 // Fig15 reproduces "multipath op latency vs offered load": single-path
 // connections hit their latency wall far earlier than multipath ones.
-func Fig15(runFor time.Duration) *Table { return fig15(runFor, nil) }
-
-// Fig15Tel is the instrumented Fig15: every multipath load point exports
-// connection, FAE and spine-uplink metrics, and the 60%-load point records
-// the cwnd/uplink-queue time series — the multipath trace behind the
-// figure. The table is identical to Fig15's.
-func Fig15Tel(runFor time.Duration, tel *telemetry.Suite) *Table { return fig15(runFor, tel) }
-
-func fig15(runFor time.Duration, tel *telemetry.Suite) *Table {
+//
+// With o.Tel set, every multipath load point exports connection, FAE and
+// spine-uplink metrics, and the 60%-load point records the
+// cwnd/uplink-queue time series — the multipath trace behind the figure.
+func Fig15(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 15/16: rack-level 8<->8 hosts, 4 spines, 64KB writes",
 		Columns: []string{"load %fabric", "multi p50", "multi p99", "multi Gbps", "single p50", "single p99", "single Gbps"},
 	}
 	for _, load := range []float64{0.2, 0.4, 0.6, 0.75, 0.9} {
 		prefix := fmt.Sprintf("fig15/load%d", int(load*100+0.5))
-		mp50, mp99, mg := mpLoadRun(15, multipathConn(), load, runFor, tel, prefix)
-		sp50, sp99, sg := mpLoadRun(15, singlePathConn(), load, runFor, nil, "")
+		mp50, mp99, mg := mpLoadRun(o, 15, multipathConn(), load, runFor, o.Tel, prefix)
+		sp50, sp99, sg := mpLoadRun(o, 15, singlePathConn(), load, runFor, nil, "")
 		t.Rows = append(t.Rows, []string{
 			f1(load * 100), dur(mp50), dur(mp99), f1(mg), dur(sp50), dur(sp99), f1(sg),
 		})
@@ -114,7 +110,7 @@ func fig15(runFor time.Duration, tel *telemetry.Suite) *Table {
 
 // Fig17 reproduces "multipath scheduling policy": congestion-aware path
 // selection vs round-robin spraying at high offered load.
-func Fig17(runFor time.Duration) *Table {
+func Fig17(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 17: path policy at high load (congestion-aware vs round-robin)",
 		Columns: []string{"load %fabric", "aware p50", "aware p99", "rr p50", "rr p99"},
@@ -122,8 +118,8 @@ func Fig17(runFor time.Duration) *Table {
 	rr := multipathConn()
 	rr.PDL.Policy = pdl.PolicyRoundRobin
 	for _, load := range []float64{0.5, 0.7, 0.9} {
-		ap50, ap99, _ := mpLoadRun(17, multipathConn(), load, runFor, nil, "")
-		rp50, rp99, _ := mpLoadRun(17, rr, load, runFor, nil, "")
+		ap50, ap99, _ := mpLoadRun(o, 17, multipathConn(), load, runFor, nil, "")
+		rp50, rp99, _ := mpLoadRun(o, 17, rr, load, runFor, nil, "")
 		t.Rows = append(t.Rows, []string{
 			f1(load * 100), dur(ap50), dur(ap99), dur(rp50), dur(rp99),
 		})
@@ -136,14 +132,14 @@ func Fig17(runFor time.Duration) *Table {
 // connections. The multipath transport rebalances between paths
 // congestion-aware per packet; app-level striping is stuck with its
 // initial (possibly colliding) ECMP placements.
-func Fig3(runFor time.Duration) *Table {
+func Fig3(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 3: transport multipathing vs app-level N connections, 256KB ops",
 		Columns: []string{"scheme", "p50", "p99", "Gbps"},
 	}
 	const opBytes = 256 << 10
 	run := func(appConns int, connCfg core.ConnConfig) (time.Duration, time.Duration, float64) {
-		s, topo, cl := rackPair(3, 8, 4)
+		s, topo, cl := rackPair(o, 3, 8, 4)
 		var nodes []*core.Node
 		for _, h := range topo.Hosts {
 			nodes = append(nodes, cl.AddNode(h, core.DefaultNodeConfig()))
@@ -192,16 +188,16 @@ func Fig3(runFor time.Duration) *Table {
 //
 // Scaled down: 16 nodes (paper: 64) and models up to 64MB of exchanged
 // gradient per iteration.
-func Fig18() *Table {
+func Fig18(o Options) *Table {
 	t := &Table{
 		Title:   "Figure 18: ML training comm time per iteration (16 nodes, 2 racks)",
 		Columns: []string{"grad bytes/rank", "multipath", "single-path", "speedup"},
 	}
 	run := func(bytes int, cfg core.ConnConfig) time.Duration {
-		s := sim.New(18)
+		s := o.newSim(18)
 		host := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
 		fabric := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-		topo := netsim.TwoRack(s, 8, 4, host, fabric)
+		topo := o.twoRack(s, 8, 4, host, fabric)
 		cl := core.NewCluster(s)
 		var nodes []*core.Node
 		for _, h := range topo.Hosts {

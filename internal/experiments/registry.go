@@ -1,35 +1,14 @@
 package experiments
 
-import (
-	"time"
-
-	"falcon/internal/telemetry"
-)
+import "time"
 
 // Entry is one runnable experiment: a paper table or figure plus the
 // ablations. cmd/falconbench selects entries by name regex; the runner in
 // runner.go executes them serially or across a worker pool.
-//
-// RunTel, when non-nil, is the instrumented variant: it must produce the
-// exact same table as Run (telemetry is passive — collectors read state
-// lazily and samplers only observe), while additionally registering
-// metrics and time series on the suite. RunInstrumented prefers it;
-// entries without one still run, they just export an empty snapshot.
 type Entry struct {
-	Name   string
-	Desc   string
-	Run    func(quick bool) *Table
-	RunTel func(quick bool, tel *telemetry.Suite) *Table
-}
-
-// windows returns the measurement duration for normal vs quick runs.
-func windows(full, quick time.Duration) func(bool) time.Duration {
-	return func(q bool) time.Duration {
-		if q {
-			return quick
-		}
-		return full
-	}
+	Name string
+	Desc string
+	Run  func(Options) *Table
 }
 
 // registry lists every experiment in presentation order. Each entry builds
@@ -38,123 +17,83 @@ func windows(full, quick time.Duration) func(bool) time.Duration {
 // share no mutable state, so the worker pool may run any subset
 // concurrently without changing a single table cell.
 var registry = []Entry{
-	{Name: "fig1", Desc: "HW vs SW op rate and tail latency", Run: func(q bool) *Table {
-		return Fig1(windows(4*time.Millisecond, 2*time.Millisecond)(q))
+	{Name: "fig1", Desc: "HW vs SW op rate and tail latency", Run: func(o Options) *Table {
+		return Fig1(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "fig3", Desc: "transport multipath vs app-level connections", Run: func(q bool) *Table {
-		return Fig3(windows(4*time.Millisecond, 2*time.Millisecond)(q))
+	{Name: "fig3", Desc: "transport multipath vs app-level connections", Run: func(o Options) *Table {
+		return Fig3(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "fig10", Desc: "goodput under losses per op type", Run: func(q bool) *Table {
-		return Fig10(windows(8*time.Millisecond, 3*time.Millisecond)(q))
-	}, RunTel: func(q bool, tel *telemetry.Suite) *Table {
-		return Fig10Tel(windows(8*time.Millisecond, 3*time.Millisecond)(q), tel)
+	{Name: "fig10", Desc: "goodput under losses per op type", Run: func(o Options) *Table {
+		return Fig10(o, o.window(8*time.Millisecond, 3*time.Millisecond))
 	}},
-	{Name: "fig11a", Desc: "goodput under reordering", Run: func(q bool) *Table {
-		return Fig11a(windows(8*time.Millisecond, 3*time.Millisecond)(q))
+	{Name: "fig11a", Desc: "goodput under reordering", Run: func(o Options) *Table {
+		return Fig11a(o, o.window(8*time.Millisecond, 3*time.Millisecond))
 	}},
-	{Name: "fig11b", Desc: "RACK-TLP vs OOO-distance", Run: func(q bool) *Table {
-		return Fig11b(windows(10*time.Millisecond, 4*time.Millisecond)(q))
+	{Name: "fig11b", Desc: "RACK-TLP vs OOO-distance", Run: func(o Options) *Table {
+		return Fig11b(o, o.window(10*time.Millisecond, 4*time.Millisecond))
 	}},
-	{Name: "fig12", Desc: "RoCE modes under losses", Run: func(q bool) *Table {
-		return Fig12(windows(8*time.Millisecond, 3*time.Millisecond)(q))
+	{Name: "fig12", Desc: "RoCE modes under losses", Run: func(o Options) *Table {
+		return Fig12(o, o.window(8*time.Millisecond, 3*time.Millisecond))
 	}},
-	{Name: "fig13", Desc: "incast congestion control", Run: func(q bool) *Table {
-		return Fig13(windows(8*time.Millisecond, 4*time.Millisecond)(q))
-	}, RunTel: func(q bool, tel *telemetry.Suite) *Table {
-		return Fig13Tel(windows(8*time.Millisecond, 4*time.Millisecond)(q), tel)
+	{Name: "fig13", Desc: "incast congestion control", Run: func(o Options) *Table {
+		return Fig13(o, o.window(8*time.Millisecond, 4*time.Millisecond))
 	}},
-	{Name: "fig14", Desc: "end-host congestion (PCIe downgrade)", Run: func(q bool) *Table {
-		return Fig14(windows(3*time.Millisecond, 2*time.Millisecond)(q))
+	{Name: "fig14", Desc: "end-host congestion (PCIe downgrade)", Run: func(o Options) *Table {
+		return Fig14(o, o.window(3*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "fig15", Desc: "multipath latency/goodput vs load (fig16 series included)", Run: func(q bool) *Table {
-		return Fig15(windows(4*time.Millisecond, 2*time.Millisecond)(q))
-	}, RunTel: func(q bool, tel *telemetry.Suite) *Table {
-		return Fig15Tel(windows(4*time.Millisecond, 2*time.Millisecond)(q), tel)
+	{Name: "fig15", Desc: "multipath latency/goodput vs load (fig16 series included)", Run: func(o Options) *Table {
+		return Fig15(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "fig17", Desc: "path scheduling policy", Run: func(q bool) *Table {
-		return Fig17(windows(4*time.Millisecond, 2*time.Millisecond)(q))
+	{Name: "fig17", Desc: "path scheduling policy", Run: func(o Options) *Table {
+		return Fig17(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "figRouting", Desc: "fabric routing policy head-to-head (ECMP/spray/adaptive)", Run: func(q bool) *Table {
-		return FigRouting(windows(4*time.Millisecond, 2*time.Millisecond)(q))
-	}, RunTel: func(q bool, tel *telemetry.Suite) *Table {
-		return FigRoutingTel(windows(4*time.Millisecond, 2*time.Millisecond)(q), tel)
+	{Name: "figRouting", Desc: "fabric routing policy head-to-head (ECMP/spray/adaptive)", Run: func(o Options) *Table {
+		return FigRouting(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "figGrayFailure", Desc: "routing policies under flapping links and correlated outages", Run: func(q bool) *Table {
-		return FigGrayFailure(windows(4*time.Millisecond, 2*time.Millisecond)(q))
-	}, RunTel: func(q bool, tel *telemetry.Suite) *Table {
-		return FigGrayFailureTel(windows(4*time.Millisecond, 2*time.Millisecond)(q), tel)
+	{Name: "figGrayFailure", Desc: "routing policies under flapping links and correlated outages", Run: func(o Options) *Table {
+		return FigGrayFailure(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "figStorm", Desc: "Falcon vs RoCE under identical seeded fault storms", Run: func(q bool) *Table {
-		return FigStorm(windows(4*time.Millisecond, 2*time.Millisecond)(q))
-	}, RunTel: func(q bool, tel *telemetry.Suite) *Table {
-		return FigStormTel(windows(4*time.Millisecond, 2*time.Millisecond)(q), tel)
+	{Name: "figStorm", Desc: "Falcon vs RoCE under identical seeded fault storms", Run: func(o Options) *Table {
+		return FigStorm(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "figEndpointFault", Desc: "endpoint fault classes: pause/crash/blackhole/corrupt/RNR", Run: func(q bool) *Table {
-		return FigEndpointFault(windows(8*time.Millisecond, 4*time.Millisecond)(q))
-	}, RunTel: func(q bool, tel *telemetry.Suite) *Table {
-		return FigEndpointFaultTel(windows(8*time.Millisecond, 4*time.Millisecond)(q), tel)
+	{Name: "figEndpointFault", Desc: "endpoint fault classes: pause/crash/blackhole/corrupt/RNR", Run: func(o Options) *Table {
+		return FigEndpointFault(o, o.window(8*time.Millisecond, 4*time.Millisecond))
 	}},
-	{Name: "fig18", Desc: "ML training comm time (multipath)", Run: func(q bool) *Table {
-		return Fig18()
+	{Name: "fig18", Desc: "ML training comm time (multipath)", Run: Fig18},
+	{Name: "fig19", Desc: "message size scaling", Run: Fig19},
+	{Name: "fig20a", Desc: "read-incast bandwidth scaling vs SW", Run: func(o Options) *Table {
+		return Fig20a(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "fig19", Desc: "message size scaling", Run: func(q bool) *Table {
-		return Fig19()
+	{Name: "fig20b", Desc: "op-rate scaling vs QP count", Run: func(o Options) *Table {
+		return Fig20b(o, o.window(3*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "fig20a", Desc: "read-incast bandwidth scaling vs SW", Run: func(q bool) *Table {
-		return Fig20a(windows(4*time.Millisecond, 2*time.Millisecond)(q))
+	{Name: "fig21", Desc: "connection-count RTT cliff", Run: Fig21},
+	{Name: "figScale", Desc: "fabric scaling on a k=16-class Clos; the only figure -shardpar runs (time it against -shards 1)", Run: func(o Options) *Table {
+		return FigScale(o, o.window(400*time.Microsecond, 150*time.Microsecond))
 	}},
-	{Name: "fig20b", Desc: "op-rate scaling vs QP count", Run: func(q bool) *Table {
-		return Fig20b(windows(3*time.Millisecond, 2*time.Millisecond)(q))
+	{Name: "fig22a", Desc: "FAE event rate vs connections", Run: func(Options) *Table { return Fig22a() }},
+	{Name: "fig22b", Desc: "impact of slow FAE", Run: func(o Options) *Table {
+		return Fig22b(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "fig21", Desc: "connection-count RTT cliff", Run: func(q bool) *Table {
-		return Fig21()
+	{Name: "fig23", Desc: "FAE state-size sensitivity", Run: func(Options) *Table { return Fig23() }},
+	{Name: "fig24", Desc: "isolation via backpressure", Run: func(o Options) *Table {
+		return Fig24(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "figScale", Desc: "fabric scaling: events/sec vs host count on a k=16-class Clos (single loop vs -shards)", Run: func(q bool) *Table {
-		return FigScale(windows(400*time.Microsecond, 150*time.Microsecond)(q), q)
-	}, RunTel: func(q bool, tel *telemetry.Suite) *Table {
-		return FigScaleTel(windows(400*time.Microsecond, 150*time.Microsecond)(q), q, tel)
+	{Name: "fig25", Desc: "MPI AllReduce vs TCP", Run: Fig25},
+	{Name: "fig26", Desc: "MPI AllToAll vs TCP", Run: Fig26},
+	{Name: "fig27", Desc: "GROMACS-like scaling", Run: Fig27},
+	{Name: "fig28", Desc: "WRF-like scaling", Run: Fig28},
+	{Name: "fig29", Desc: "VM live migration vs Pony Express", Run: Fig29},
+	{Name: "fig30", Desc: "MPI AllGather vs TCP", Run: Fig30},
+	{Name: "fig31", Desc: "MPI MultiPingPong vs TCP", Run: Fig31},
+	{Name: "table4", Desc: "Near Local Flash vs local SSD", Run: func(o Options) *Table {
+		return Table4(o, o.window(20*time.Millisecond, 8*time.Millisecond))
 	}},
-	{Name: "fig22a", Desc: "FAE event rate vs connections", Run: func(q bool) *Table {
-		return Fig22a()
+	{Name: "ecn", Desc: "ablation: ECN as a supplementary CC signal", Run: func(o Options) *Table {
+		return AblationECN(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
-	{Name: "fig22b", Desc: "impact of slow FAE", Run: func(q bool) *Table {
-		return Fig22b(windows(4*time.Millisecond, 2*time.Millisecond)(q))
-	}},
-	{Name: "fig23", Desc: "FAE state-size sensitivity", Run: func(q bool) *Table {
-		return Fig23()
-	}},
-	{Name: "fig24", Desc: "isolation via backpressure", Run: func(q bool) *Table {
-		return Fig24(windows(4*time.Millisecond, 2*time.Millisecond)(q))
-	}},
-	{Name: "fig25", Desc: "MPI AllReduce vs TCP", Run: func(q bool) *Table {
-		return Fig25()
-	}},
-	{Name: "fig26", Desc: "MPI AllToAll vs TCP", Run: func(q bool) *Table {
-		return Fig26()
-	}},
-	{Name: "fig27", Desc: "GROMACS-like scaling", Run: func(q bool) *Table {
-		return Fig27()
-	}},
-	{Name: "fig28", Desc: "WRF-like scaling", Run: func(q bool) *Table {
-		return Fig28()
-	}},
-	{Name: "fig29", Desc: "VM live migration vs Pony Express", Run: func(q bool) *Table {
-		return Fig29()
-	}},
-	{Name: "fig30", Desc: "MPI AllGather vs TCP", Run: func(q bool) *Table {
-		return Fig30()
-	}},
-	{Name: "fig31", Desc: "MPI MultiPingPong vs TCP", Run: func(q bool) *Table {
-		return Fig31()
-	}},
-	{Name: "table4", Desc: "Near Local Flash vs local SSD", Run: func(q bool) *Table {
-		return Table4(windows(20*time.Millisecond, 8*time.Millisecond)(q))
-	}},
-	{Name: "ecn", Desc: "ablation: ECN as a supplementary CC signal", Run: func(q bool) *Table {
-		return AblationECN(windows(4*time.Millisecond, 2*time.Millisecond)(q))
-	}},
-	{Name: "psp", Desc: "ablation: PSP inline-encryption overhead", Run: func(q bool) *Table {
-		return AblationPSP(windows(4*time.Millisecond, 2*time.Millisecond)(q))
+	{Name: "psp", Desc: "ablation: PSP inline-encryption overhead", Run: func(o Options) *Table {
+		return AblationPSP(o, o.window(4*time.Millisecond, 2*time.Millisecond))
 	}},
 }
 

@@ -54,17 +54,16 @@ func uplinkSpread(ports []*netsim.Port) (spreadPct float64, downDrops uint64) {
 
 // routingRun drives the §6.1.3 rack pair (8<->8 hosts, 4 spines) at the
 // offered load with the given fabric routing policy, after letting
-// impair schedule gray failures on ToR-0's uplink group. With a non-nil
-// suite it exports conn-0's PDL state, node-0's FAE counters, the uplink
+// impair schedule gray failures on ToR-0's uplink group. With o.Tel set
+// it exports conn-0's PDL state, node-0's FAE counters, the uplink
 // group's routing-layer spread cells and the (possibly degraded)
 // uplink-0 port counters under prefix.
-func routingRun(seed int64, pol routing.Policy, load float64, runFor time.Duration,
-	impair func(inj *routing.Injector, uplinks []*netsim.Port),
-	tel *telemetry.Suite, prefix string) routingCell {
+func routingRun(o Options, seed int64, pol routing.Policy, load float64, runFor time.Duration,
+	impair func(inj *routing.Injector, uplinks []*netsim.Port), prefix string) routingCell {
 	const hostsPerRack = 8
 	const spines = 4
 	fabricGbps := float64(spines) * 200
-	s, topo, cl := rackPair(seed, hostsPerRack, spines)
+	s, topo, cl := rackPair(o, seed, hostsPerRack, spines)
 	topo.SetRoutingPolicy(pol)
 	var nodes []*core.Node
 	for _, h := range topo.Hosts {
@@ -103,7 +102,7 @@ func routingRun(seed int64, pol routing.Policy, load float64, runFor time.Durati
 		})
 		gen.Start()
 	}
-	if tel != nil {
+	if tel := o.Tel; tel != nil {
 		reg := tel.Registry()
 		telemetry.CollectPDL(reg, prefix+"/conn0", firstEp.PDL())
 		telemetry.CollectUplinks(reg, prefix+"/tor0", uplinks)
@@ -131,16 +130,10 @@ func routingRun(seed int64, pol routing.Policy, load float64, runFor time.Durati
 // clean symmetric Clos and on one with a statically degraded uplink
 // (uplink 0 at 50 of 200 Gbps — a gray failure ECMP cannot see but
 // adaptive routes around and PLB repaths away from).
-func FigRouting(runFor time.Duration) *Table { return figRouting(runFor, nil) }
-
-// FigRoutingTel is the instrumented FigRouting: every (policy, fabric)
-// cell exports conn/FAE metrics plus the ToR-0 uplink-group spread under
-// figRouting/<policy>/<sym|asym>. The table is identical to FigRouting's.
-func FigRoutingTel(runFor time.Duration, tel *telemetry.Suite) *Table {
-	return figRouting(runFor, tel)
-}
-
-func figRouting(runFor time.Duration, tel *telemetry.Suite) *Table {
+//
+// With o.Tel set, every (policy, fabric) cell exports conn/FAE metrics
+// plus the ToR-0 uplink-group spread under figRouting/<policy>/<sym|asym>.
+func FigRouting(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title: "Routing policies: Falcon multipath+PLB over ECMP/spray/adaptive fabric, 60% load",
 		Columns: []string{"policy", "sym p99", "sym Gbps", "sym spread%",
@@ -151,8 +144,8 @@ func figRouting(runFor time.Duration, tel *telemetry.Suite) *Table {
 		inj.Slow(uplinks[0], 0, 50, 0, 0)
 	}
 	for _, pol := range routing.Policies() {
-		sym := routingRun(41, pol, 0.6, runFor, nil, tel, "figRouting/"+pol.Name()+"/sym")
-		deg := routingRun(41, pol, 0.6, runFor, asym, tel, "figRouting/"+pol.Name()+"/asym")
+		sym := routingRun(o, 41, pol, 0.6, runFor, nil, "figRouting/"+pol.Name()+"/sym")
+		deg := routingRun(o, 41, pol, 0.6, runFor, asym, "figRouting/"+pol.Name()+"/asym")
 		t.Rows = append(t.Rows, []string{
 			pol.Name(), dur(sym.p99), f1(sym.gbps), f1(sym.spreadPct),
 			dur(deg.p99), f1(deg.gbps), f1(deg.spreadPct),
@@ -164,17 +157,10 @@ func figRouting(runFor time.Duration, tel *telemetry.Suite) *Table {
 // FigGrayFailure measures each fabric policy under injected gray
 // failures: a flapping uplink (two down/up cycles) and a correlated
 // outage taking half the uplink group down at once. down_drops counts
-// frames the fabric ate; repaths counts Falcon's PLB reacting.
-func FigGrayFailure(runFor time.Duration) *Table { return figGrayFailure(runFor, nil) }
-
-// FigGrayFailureTel is the instrumented FigGrayFailure, exporting the
-// same per-cell metrics as FigRoutingTel under
+// frames the fabric ate; repaths counts Falcon's PLB reacting. With o.Tel
+// set it exports the same per-cell metrics as FigRouting under
 // figGrayFailure/<policy>/<flap|outage>.
-func FigGrayFailureTel(runFor time.Duration, tel *telemetry.Suite) *Table {
-	return figGrayFailure(runFor, tel)
-}
-
-func figGrayFailure(runFor time.Duration, tel *telemetry.Suite) *Table {
+func FigGrayFailure(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Gray failures: flapping uplink and correlated outage per routing policy, 60% load",
 		Columns: []string{"policy", "scenario", "p99", "Gbps", "down_drops", "repaths"},
@@ -198,7 +184,7 @@ func figGrayFailure(runFor time.Duration, tel *telemetry.Suite) *Table {
 	}
 	for _, pol := range routing.Policies() {
 		for _, sc := range scenarios {
-			cell := routingRun(43, pol, 0.6, runFor, sc.impair, tel,
+			cell := routingRun(o, 43, pol, 0.6, runFor, sc.impair,
 				"figGrayFailure/"+pol.Name()+"/"+sc.name)
 			t.Rows = append(t.Rows, []string{
 				pol.Name(), sc.name, dur(cell.p99), f1(cell.gbps),

@@ -4,7 +4,9 @@ package experiments
 // bounded worker pool, prints their tables in registry order either way,
 // and collects the per-figure performance records that cmd/falconbench
 // -json writes to BENCH_*.json (the repo's perf trajectory — see DESIGN.md
-// §8 and EXPERIMENTS.md's PR2 appendix).
+// §8 and EXPERIMENTS.md's "simulator performance baseline" appendix).
+// Instrumented runs (falconbench -metrics/-series, falconlake watch) go
+// through the same runner with Options.Tel set.
 //
 // Parallelism is safe because every entry builds its own simulators:
 // sim.Simulator is single-threaded by design, so experiments scale by
@@ -20,19 +22,16 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"falcon/internal/sim"
 	"falcon/internal/telemetry"
 )
 
-// FigureReport is one figure's performance record.
-//
-// Events and the derived rates are attributed per figure only on serial
-// runs: the process-wide event counter cannot be split by goroutine, so a
-// parallel run reports them as zero and only the aggregate totals in
-// BenchReport are meaningful. AllocsPerEvent is likewise a process-wide
-// delta (runtime.MemStats.Mallocs) and is reported serially only.
+// FigureReport is one figure's performance record. Events counts what
+// the figure's own simulators delivered, so it is exact at any pool width.
+// AllocsPerEvent is a process-wide delta (runtime.MemStats.Mallocs) and is
+// reported on serial runs only.
 type FigureReport struct {
 	Name           string  `json:"name"`
 	WallMS         float64 `json:"wall_ms"`
@@ -41,9 +40,10 @@ type FigureReport struct {
 	NsPerEvent     float64 `json:"ns_per_event,omitempty"`
 	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
 
-	// Metrics is the figure's telemetry snapshot, present only on
-	// instrumented runs (RunInstrumented / falconbench -metrics).
+	// Metrics is the figure's telemetry snapshot and Tel the suite it
+	// came from (for series export), present only on instrumented runs.
 	Metrics *telemetry.Snapshot `json:"metrics,omitempty"`
+	Tel     *telemetry.Suite    `json:"-"`
 }
 
 // BenchReport is the machine-readable summary of one falconbench run, the
@@ -62,75 +62,81 @@ type BenchReport struct {
 	Figures       []FigureReport `json:"figures"`
 }
 
-// Run executes the entries and prints their tables to w in entry order,
-// returning the run's performance report. parallel is the worker-pool
-// width; values <= 1 run serially (and additionally attribute events and
+// Run executes the entries under opts and prints their tables to w in
+// entry order, returning the run's performance report. parallel is the
+// worker-pool width; values <= 1 run serially (and additionally attribute
 // allocations per figure). Output is identical for any pool width except
 // for the wall-time annotations.
-func Run(entries []Entry, quick bool, parallel int, w io.Writer) BenchReport {
+//
+// A non-nil opts.Tel instruments the run: each figure records into a
+// fresh suite of its own (opts.Tel itself is not written), and its
+// FigureReport carries that suite and its snapshot. Snapshots aggregate
+// many independent simulators per figure, so there is no single virtual
+// timestamp to stamp; they use zero.
+func Run(entries []Entry, opts Options, parallel int, w io.Writer) BenchReport {
 	rep := BenchReport{
 		Schema:    "falconbench/v1",
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
-		Quick:     quick,
+		Quick:     opts.Quick,
 		Parallel:  parallel,
 		Figures:   make([]FigureReport, len(entries)),
 	}
-	if n := sim.DefaultShards(); n > 1 {
-		rep.Shards = n
-		rep.ShardParallel = sim.DefaultShardParallel()
+	if opts.Shards > 1 {
+		rep.Shards = opts.Shards
+		rep.ShardParallel = opts.ShardParallel
 	}
 	start := time.Now()
-	events0 := sim.TotalDelivered()
 	if parallel <= 1 {
 		rep.Parallel = 1
 		for i, e := range entries {
-			rep.Figures[i] = runOne(e, quick, w, true)
+			rep.Figures[i] = runOne(e, opts, w, true)
 		}
 	} else {
-		runPool(entries, quick, parallel, w, rep.Figures)
+		runPool(entries, opts, parallel, w, rep.Figures)
 	}
 	wall := time.Since(start)
 	rep.WallMS = float64(wall.Nanoseconds()) / 1e6
-	rep.Events = sim.TotalDelivered() - events0
+	for _, fr := range rep.Figures {
+		rep.Events += fr.Events
+	}
 	if s := wall.Seconds(); s > 0 {
 		rep.EventsPerSec = float64(rep.Events) / s
 	}
 	return rep
 }
 
-// runOne executes a single entry, printing its table and timing line to w.
-// When measure is set (serial runs only), it attributes delivered events
-// and allocations to the figure.
-func runOne(e Entry, quick bool, w io.Writer, measure bool) FigureReport {
-	return runFigure(e.Name, func() *Table { return e.Run(quick) }, w, measure)
-}
-
-// runFigure is the shared body of runOne and the instrumented runner:
-// time one table-producing function, print its table, and (optionally)
-// attribute events and allocations.
-func runFigure(name string, run func() *Table, w io.Writer, measure bool) FigureReport {
+// runOne executes a single entry with its own event counter (and suite,
+// when instrumented), printing its table and timing line to w. serial
+// runs also attribute allocations to the figure.
+func runOne(e Entry, o Options, w io.Writer, serial bool) FigureReport {
+	var events atomic.Uint64
+	o.events = &events
+	if o.Tel != nil {
+		o.Tel = telemetry.NewSuite()
+	}
 	var m0, m1 runtime.MemStats
-	var ev0 uint64
-	if measure {
+	if serial {
 		runtime.ReadMemStats(&m0)
-		ev0 = sim.TotalDelivered()
 	}
 	start := time.Now()
-	t := run()
+	t := e.Run(o)
 	wall := time.Since(start)
 	t.Fprint(w)
-	fmt.Fprintf(w, "(%s in %v)\n\n", name, wall.Round(time.Millisecond))
+	fmt.Fprintf(w, "(%s in %v)\n\n", e.Name, wall.Round(time.Millisecond))
 
-	fr := FigureReport{Name: name, WallMS: float64(wall.Nanoseconds()) / 1e6}
-	if measure {
-		runtime.ReadMemStats(&m1)
-		fr.Events = sim.TotalDelivered() - ev0
-		if fr.Events > 0 {
-			fr.EventsPerSec = float64(fr.Events) / wall.Seconds()
-			fr.NsPerEvent = float64(wall.Nanoseconds()) / float64(fr.Events)
+	fr := FigureReport{Name: e.Name, WallMS: float64(wall.Nanoseconds()) / 1e6, Events: events.Load()}
+	if fr.Events > 0 {
+		fr.EventsPerSec = float64(fr.Events) / wall.Seconds()
+		fr.NsPerEvent = float64(wall.Nanoseconds()) / float64(fr.Events)
+		if serial {
+			runtime.ReadMemStats(&m1)
 			fr.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(fr.Events)
 		}
+	}
+	if o.Tel != nil {
+		snap := o.Tel.Snapshot(0)
+		fr.Metrics, fr.Tel = &snap, o.Tel
 	}
 	return fr
 }
@@ -138,7 +144,7 @@ func runFigure(name string, run func() *Table, w io.Writer, measure bool) Figure
 // runPool fans entries across `parallel` workers. Tables are buffered per
 // entry and flushed to w in registry order as soon as each prefix
 // completes, so output streams progressively yet deterministically.
-func runPool(entries []Entry, quick bool, parallel int, w io.Writer, figures []FigureReport) {
+func runPool(entries []Entry, opts Options, parallel int, w io.Writer, figures []FigureReport) {
 	if parallel > len(entries) {
 		parallel = len(entries)
 	}
@@ -157,7 +163,7 @@ func runPool(entries []Entry, quick bool, parallel int, w io.Writer, figures []F
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				figures[i] = runOne(entries[i], quick, &slots[i].buf, false)
+				figures[i] = runOne(entries[i], opts, &slots[i].buf, false)
 				close(slots[i].done)
 			}
 		}()

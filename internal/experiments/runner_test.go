@@ -40,10 +40,11 @@ func TestParallelRunnerMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
+	t.Parallel()
 	entries := pickEntries(t, "fig18", "fig19", "fig21", "fig22a", "fig23")
 	var serial, par bytes.Buffer
-	repS := Run(entries, true, 1, &serial)
-	repP := Run(entries, true, 4, &par)
+	repS := Run(entries, Options{Quick: true}, 1, &serial)
+	repP := Run(entries, Options{Quick: true}, 4, &par)
 	got, want := stripTimings(par.String()), stripTimings(serial.String())
 	if got != want {
 		t.Fatalf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
@@ -58,6 +59,14 @@ func TestParallelRunnerMatchesSerial(t *testing.T) {
 		if fr.Name != entries[i].Name {
 			t.Fatalf("figure %d = %q, want %q (registry order)", i, fr.Name, entries[i].Name)
 		}
+		// Each figure counts its own simulators' events, so a pool
+		// attributes exactly what a serial run does.
+		if fr.Events != repS.Figures[i].Events {
+			t.Fatalf("%s: parallel run counted %d events, serial %d", fr.Name, fr.Events, repS.Figures[i].Events)
+		}
+	}
+	if repP.Events != repS.Events || repS.Events == 0 {
+		t.Fatalf("total events: parallel %d, serial %d", repP.Events, repS.Events)
 	}
 }
 
@@ -67,9 +76,10 @@ func TestSerialRunnerAttributesEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
+	t.Parallel()
 	entries := pickEntries(t, "fig22b") // simulator-backed, fast
 	var out bytes.Buffer
-	rep := Run(entries, true, 1, &out)
+	rep := Run(entries, Options{Quick: true}, 1, &out)
 	if rep.Figures[0].Events == 0 || rep.Events == 0 {
 		t.Fatalf("serial run attributed no events: %+v", rep)
 	}

@@ -23,19 +23,15 @@ import (
 // each scale, is wall-clock dependent and therefore lives in the
 // falconbench -json FigureReport, not in a cell: pair a -shards 1 run
 // against a -shards N run of this figure to get the head-to-head (see
-// EXPERIMENTS.md, PR10 appendix).
-func FigScale(runFor time.Duration, quick bool) *Table { return figScale(runFor, quick, nil) }
-
-// FigScaleTel is the instrumented FigScale: when the run is sharded
-// (falconbench -shards), each tier exports its partition counters —
-// per-partition deliveries, cross-boundary events, window/stall counts —
-// under the exact-class "shard" lake layer (METRICS.md §5b). Single-loop
-// runs export nothing extra: there is no group to observe.
-func FigScaleTel(runFor time.Duration, quick bool, tel *telemetry.Suite) *Table {
-	return figScale(runFor, quick, tel)
-}
-
-func figScale(runFor time.Duration, quick bool, tel *telemetry.Suite) *Table {
+// the sharding appendices of EXPERIMENTS.md). o.Quick keeps the two
+// smallest tiers.
+//
+// With o.Tel set on a sharded run, each tier exports its partition
+// counters — per-partition deliveries, cross-boundary events,
+// window/stall counts — under the exact-class "shard" lake layer
+// (METRICS.md §5b). Single-loop runs export nothing extra: there is no
+// group to observe.
+func FigScale(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "figScale: fabric scaling — cross-rack closed-loop writes on a 3-stage Clos",
 		Columns: []string{"hosts", "racks", "spines", "conns", "ops", "goodput Gbps", "sim events", "ev/host"},
@@ -47,7 +43,7 @@ func figScale(runFor time.Duration, quick bool, tel *telemetry.Suite) *Table {
 		{16, 64, 16},  // 1024 hosts: k=16 Clos class
 		{16, 128, 16}, // 2048 hosts: widest sweep point
 	}
-	if quick {
+	if o.Quick {
 		tiers = tiers[:2]
 	}
 	const opBytes = 4 << 10
@@ -58,14 +54,14 @@ func figScale(runFor time.Duration, quick bool, tel *telemetry.Suite) *Table {
 		// so the spine layer, not the access links, is the bottleneck the
 		// sweep stresses.
 		fabricLink := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-		s := sim.New(30)
-		if tel != nil && s.Group() != nil {
+		s := o.newSim(30)
+		if tel := o.Tel; tel != nil && s.Group() != nil {
 			// Collectors are lazy (read at snapshot time, after the tier
 			// has run), so registering before the run costs nothing on
 			// the event path.
 			telemetry.CollectShards(tel.Registry(), "figScale/hosts"+strconv.Itoa(tr.racks*tr.hostsPerRack), s.Group())
 		}
-		topo := netsim.Clos(s, tr.racks, tr.hostsPerRack, tr.spines, hostLink, fabricLink)
+		topo := o.clos(s, tr.racks, tr.hostsPerRack, tr.spines, hostLink, fabricLink)
 		cl := core.NewCluster(s)
 		nodes := make([]*core.Node, len(topo.Hosts))
 		for i, h := range topo.Hosts {

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"falcon/internal/sim"
 )
 
 // TestShardTableEquivalence reruns one experiment from each family with
@@ -16,32 +14,30 @@ import (
 // deterministic merge replays the exact (time, seq) delivery order. The
 // full-registry version of this check is in `make check`, which diffs
 // complete falconbench runs at -shards 1, 2 and 4.
-//
-// The test mutates the process-wide default shard count, so it must not
-// run in parallel with other tests in this package (it doesn't call
-// t.Parallel, and Go runs same-package tests sequentially otherwise).
 func TestShardTableEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	defer sim.SetDefaultShards(1)
+	t.Parallel()
 	families := []struct {
 		name string
-		run  func() *Table
+		run  func(Options) *Table
 	}{
-		{"scale/FigScale", func() *Table { return FigScale(150*time.Microsecond, true) }},
-		{"loss/Fig10", func() *Table { return Fig10(500 * time.Microsecond) }},
-		{"congestion/Fig13", func() *Table { return Fig13(500 * time.Microsecond) }},
+		{"scale/FigScale", func(o Options) *Table {
+			o.Quick = true
+			return FigScale(o, 150*time.Microsecond)
+		}},
+		{"loss/Fig10", func(o Options) *Table { return Fig10(o, 500*time.Microsecond) }},
+		{"congestion/Fig13", func(o Options) *Table { return Fig13(o, 500*time.Microsecond) }},
 		{"hwscale/Fig19", Fig19},
 	}
 	for _, fam := range families {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
-			sim.SetDefaultShards(1)
-			base := fam.run()
+			t.Parallel()
+			base := fam.run(Options{})
 			for _, n := range []int{2, 4} {
-				sim.SetDefaultShards(n)
-				got := fam.run()
+				got := fam.run(Options{Shards: n})
 				if !reflect.DeepEqual(base, got) {
 					t.Fatalf("shards=%d table differs from single loop:\nsingle: %+v\nsharded: %+v", n, base, got)
 				}
@@ -61,14 +57,10 @@ func TestShardParallelFigScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	defer func() {
-		sim.SetDefaultShards(1)
-		sim.SetDefaultShardParallel(false)
-	}()
-	sim.SetDefaultShards(4)
-	sim.SetDefaultShardParallel(true)
-	a := FigScale(150*time.Microsecond, true)
-	b := FigScale(150*time.Microsecond, true)
+	t.Parallel()
+	o := Options{Quick: true, Shards: 4, ShardParallel: true}
+	a := FigScale(o, 150*time.Microsecond)
+	b := FigScale(o, 150*time.Microsecond)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same-seed parallel figScale runs differ:\nfirst: %+v\nsecond: %+v", a, b)
 	}

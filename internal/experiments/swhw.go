@@ -73,7 +73,7 @@ func (r *opLatRec) swDone() {
 // Pony-Express-class software transport, sweeping offered op rate. The
 // software stack's rate caps at its CPU budget and its tail is an order of
 // magnitude higher; Falcon reaches ~5x the op rate with a flat tail.
-func Fig1(runFor time.Duration) *Table {
+func Fig1(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title:   "Figure 1: offered op rate vs p99 latency (8B ops)",
 		Columns: []string{"offered Mops", "Falcon p99", "Falcon achieved", "SW p99", "SW achieved"},
@@ -83,9 +83,9 @@ func Fig1(runFor time.Duration) *Table {
 		// Falcon: spread across 16 unordered QPs (hardware scales with
 		// QPs; Figure 20b).
 		fp99, fach := func() (time.Duration, float64) {
-			s := sim.New(1)
+			s := o.newSim(1)
 			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-			topo, _ := netsim.PointToPoint(s, link)
+			topo, _ := o.pointToPoint(s, link)
 			cl := core.NewCluster(s)
 			a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 			b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -108,9 +108,9 @@ func Fig1(runFor time.Duration) *Table {
 			return lat.DurationPercentile(99), float64(done) / runFor.Seconds() / 1e6
 		}()
 		sp99, sach := func() (time.Duration, float64) {
-			s := sim.New(1)
+			s := o.newSim(1)
 			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-			topo, _ := netsim.PointToPoint(s, link)
+			topo, _ := o.pointToPoint(s, link)
 			a := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
 			b := swtransport.NewNode(s, topo.Hosts[1], swtransport.PonyExpress())
 			var lat stats.Series

@@ -4,19 +4,17 @@
 // virtual-clock time-series CSVs (`-series`), and the performance
 // reports (`falconbench/v1` JSON). It turns the determinism contract
 // (byte-identical same-seed artifacts, DESIGN.md §9) into a
-// regression-detection system: accumulated runs are ingested into one
-// compact index, and any two runs can be compared cell-by-cell.
+// regression-detection system: artifacts are ingested into one in-memory
+// index (a few small files parse in milliseconds, so nothing is stored),
+// and any two runs can be compared cell-by-cell.
 //
-// The package splits into four pieces:
+// The package splits into three pieces:
 //
 //   - Indexer (indexer.go): Builder ingests artifact files, parses the
 //     hierarchical metric names into typed dimensions (path.go), and
 //     Seal()s into an immutable Index — an interned string dictionary
 //     plus sorted parallel columns of (run, metric-path, value) cells
 //     and column-major time series.
-//   - Format (format.go): a deterministic, checksummed binary encoding
-//     of the Index. Equal ingests produce equal bytes, so a lake file
-//     is itself diffable and cacheable.
 //   - Querier (querier.go): point lookups, segment-glob selection over
 //     metric paths, percentile summaries (reusing internal/stats
 //     histograms), and time-series slices.
@@ -29,7 +27,7 @@
 // METRICS.md is the authoritative reference for every metric name that
 // flows into the lake and for the dimension grammar ParsePath applies;
 // cmd/falconlake is the CLI over this package, and `make check`
-// gates every build on the committed artifacts ingesting cleanly and
+// gates every build on each committed artifact ingesting cleanly and
 // self-diffing empty.
 package lake
 
@@ -65,7 +63,7 @@ type Series struct {
 // Index is the sealed, immutable telemetry lake: an interned string
 // dictionary, runs sorted by name, metric cells as parallel columns
 // sorted by (run, path), and time series sorted by (run, name).
-// Construct one with a Builder or Decode; all accessors are
+// Construct one with a Builder; all accessors are
 // read-only and safe for concurrent use.
 type Index struct {
 	strs []string // sorted, unique

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -52,32 +53,12 @@ func ingestCommitted(t *testing.T) *Index {
 	return ix
 }
 
-func encode(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestLakeIngestDeterminism is the golden determinism property: two
-// independent ingests of the same artifacts encode byte-identically,
-// and decode→re-encode round-trips to the same bytes.
+// independent ingests of the same artifacts build identical indexes.
 func TestLakeIngestDeterminism(t *testing.T) {
-	b1 := encode(t, ingestCommitted(t))
-	b2 := encode(t, ingestCommitted(t))
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("two ingests of the same artifacts differ: %d vs %d bytes", len(b1), len(b2))
-	}
-
-	dec, err := Decode(bytes.NewReader(b1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3 := encode(t, dec)
-	if !bytes.Equal(b1, b3) {
-		t.Fatal("decode→re-encode is not byte-identical")
+	a, b := ingestCommitted(t), ingestCommitted(t)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two ingests of the same artifacts differ: %d vs %d cells", a.NumCells(), b.NumCells())
 	}
 }
 
@@ -136,26 +117,6 @@ func TestLakeCommittedValues(t *testing.T) {
 	}
 	if got := sv.Column("conn/fcwnd"); got == nil || got[0] != 16 {
 		t.Fatalf("conn/fcwnd column wrong: %v", got)
-	}
-}
-
-// TestLakeDecodeRejectsCorruption flips one byte and expects a loud
-// checksum failure rather than a silent misparse.
-func TestLakeDecodeRejectsCorruption(t *testing.T) {
-	raw := encode(t, ingestCommitted(t))
-	if _, err := Decode(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("clean decode failed: %v", err)
-	}
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0x40
-	if _, err := Decode(bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupted lake file decoded without error")
-	}
-	if _, err := Decode(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Fatal("truncated lake file decoded without error")
-	}
-	if _, err := Decode(bytes.NewReader([]byte("not a lake file"))); err == nil {
-		t.Fatal("garbage decoded without error")
 	}
 }
 

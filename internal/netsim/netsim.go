@@ -21,7 +21,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"falcon/internal/routing"
@@ -582,33 +581,6 @@ func (sw *Switch) receive(f *Frame) {
 	}
 }
 
-// defaultPolicy is the routing policy AddSwitch installs on new
-// switches when the owning network has none set; cmd/falconbench
-// -routing overrides it process-wide. Atomic because parallel
-// experiment runners build networks from several goroutines.
-var defaultPolicy atomic.Value // routing.Policy
-
-// SetDefaultPolicy selects the routing policy networks built after the
-// call install on their switches (existing networks are unaffected).
-// nil restores ECMP. Tests that need a specific policy should use
-// Network.SetRoutingPolicy or Switch.SetPolicy instead of mutating the
-// process-wide default.
-func SetDefaultPolicy(p routing.Policy) {
-	if p == nil {
-		p = routing.ECMP{}
-	}
-	defaultPolicy.Store(&p)
-}
-
-// DefaultPolicy reports the routing policy New currently gives to
-// networks (ECMP unless SetDefaultPolicy changed it).
-func DefaultPolicy() routing.Policy {
-	if v, ok := defaultPolicy.Load().(*routing.Policy); ok {
-		return *v
-	}
-	return routing.ECMP{}
-}
-
 // Network owns hosts and switches attached to one simulator, plus the
 // fast-path pools recycling frames and port events.
 //
@@ -636,9 +608,10 @@ type Network struct {
 	nextSwitchPart int
 }
 
-// New creates an empty network bound to s.
+// New creates an empty network bound to s; its switches route with ECMP
+// until SetRoutingPolicy installs another policy.
 func New(s *sim.Simulator) *Network {
-	n := &Network{sim: s, group: s.Group(), policy: DefaultPolicy()}
+	n := &Network{sim: s, group: s.Group(), policy: routing.ECMP{}}
 	parts := 1
 	if n.group != nil {
 		parts = n.group.Shards()

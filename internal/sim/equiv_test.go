@@ -95,7 +95,7 @@ func runWorkload(s sched, ops int) []recEvt {
 
 func TestWheelHeapEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		w := wheelSched{newLoop(seed)}
+		w := wheelSched{New(seed)}
 		gotW := runWorkload(w, 3000)
 		hp := newHeapRef(seed)
 		gotH := runWorkload(hp, 3000)
@@ -176,7 +176,7 @@ func runDense(s sched) []recEvt {
 
 func TestWheelHeapEquivalenceDense(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		gotW := runDense(wheelSched{newLoop(seed)})
+		gotW := runDense(wheelSched{New(seed)})
 		gotH := runDense(newHeapRef(seed))
 		if len(gotW) < 4000 {
 			t.Fatalf("seed %d: dense workload delivered only %d events", seed, len(gotW))
@@ -239,7 +239,7 @@ func FuzzWheelHeapOrder(f *testing.F) {
 		if len(script) > 1024 {
 			t.Skip("scripts past 512 ops add run time, not coverage")
 		}
-		gotW := runScript(wheelSched{newLoop(1)}, script)
+		gotW := runScript(wheelSched{New(1)}, script)
 		gotH := runScript(newHeapRef(1), script)
 		diffStreams(t, "script", gotW, gotH)
 	})
@@ -255,7 +255,7 @@ func bothSchedulers(t *testing.T, f func(s sched)) {
 		f(s)
 		return rec.recs
 	}
-	w, h := run(wheelSched{newLoop(1)}), run(newHeapRef(1))
+	w, h := run(wheelSched{New(1)}), run(newHeapRef(1))
 	if !reflect.DeepEqual(w, h) {
 		t.Fatalf("wheel and heap delivery differ:\nwheel: %+v\nheap:  %+v", w, h)
 	}
@@ -434,7 +434,7 @@ func (o *peakObserver) sample() {
 // ⌈peak pending / chunkLen⌉ full chunks plus one partial chunk per
 // occupied slot.
 func TestWheelChunksTrackPending(t *testing.T) {
-	s := newLoop(1)
+	s := New(1)
 	obs := &peakObserver{w: &s.wheel}
 	s.SetObserver(obs)
 	const burst = 2*chunkLen + 1
@@ -600,7 +600,7 @@ func TestCascadeAcrossManyEpochs(t *testing.T) {
 func TestStopAfterRecycleIsInert(t *testing.T) {
 	// A Timer whose event has fired and been recycled into a new event
 	// must not cancel the new event (generation check).
-	s := newLoop(1)
+	s := New(1)
 	stale := s.After(0, func() {})
 	s.Run()
 	fired := false

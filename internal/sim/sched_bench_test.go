@@ -67,7 +67,7 @@ func denseRing() []time.Duration {
 // benchSteadyFire keeps `pending` self-rescheduling timers live, their
 // delays drawn from ring, and measures the cost of one schedule+fire cycle.
 func benchSteadyFire(b *testing.B, pending int, ring []time.Duration) {
-	s := newLoop(1)
+	s := New(1)
 	di := 0
 	next := func() time.Duration {
 		d := ring[di]
@@ -93,7 +93,7 @@ func benchSteadyFire(b *testing.B, pending int, ring []time.Duration) {
 // retransmission timers follow (armed per packet, almost always cancelled
 // by the ACK before firing).
 func benchCancelMix(b *testing.B, pending int) {
-	s := newLoop(1)
+	s := New(1)
 	ring := delayRing(90)
 	di := 0
 	next := func() time.Duration {
@@ -139,7 +139,7 @@ func BenchmarkSchedulerDense(b *testing.B) {
 // allocates nothing, an emptied FIFO keeps its capacity and holds no stale
 // event pointer, and the same goes for the early heap.
 func TestWheelDenseZeroAlloc(t *testing.T) {
-	s := newLoop(1)
+	s := New(1)
 	ring, di, stop := denseRing(), 0, false
 	var tick func()
 	tick = func() {

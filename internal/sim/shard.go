@@ -4,7 +4,7 @@ package sim
 // timing wheel, coordinated by a Sharded group. Two execution modes share
 // the partitioned state:
 //
-//   - Merged (the -shards N default): partitions are drained through a
+//   - Merged (falconbench -shards N): partitions are drained through a
 //     deterministic N-way merge on the coordinator goroutine. Every
 //     partition holds its popped-but-undelivered head event; the merge
 //     delivers the global (time, seq) minimum each step. Sequence numbers
@@ -12,7 +12,7 @@ package sim
 //     Now() reads one group-wide clock, so a merged run is byte-identical
 //     to the single-loop scheduler by construction — the equivalence the
 //     testkit sweep suite and `make check` enforce.
-//   - Parallel (experimental, behind SetDefaultShardParallel): partitions
+//   - Parallel (experimental, falconbench -shards N -shardpar): partitions
 //     execute concurrently inside conservative lookahead windows. The
 //     window is derived from the minimum declared cross-partition link
 //     latency L: a frame sent at time T on a link with latency >= L cannot
@@ -36,43 +36,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
-
-// defaultShards is the partition count New gives to simulators (<= 1 means
-// single-loop); cmd/falconbench -shards overrides it process-wide. Atomic
-// because parallel experiment runners build simulators from several
-// goroutines.
-var defaultShards atomic.Int32
-
-// defaultShardParallel selects the experimental windowed-parallel execution
-// mode for sharded simulators built by New (cmd/falconbench -shardpar).
-var defaultShardParallel atomic.Bool
-
-// SetDefaultShards selects how many partitions New splits subsequently
-// built simulators into (existing simulators are unaffected; n <= 1
-// restores the single event loop). Tests that need a specific layout
-// should use NewSharded instead of mutating the process-wide default.
-func SetDefaultShards(n int) { defaultShards.Store(int32(n)) }
-
-// DefaultShards reports the partition count New currently uses (minimum 1).
-func DefaultShards() int {
-	if n := defaultShards.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
-
-// SetDefaultShardParallel switches sharded simulators built by New between
-// the deterministic-merge mode (false, byte-identical to the single loop)
-// and the experimental windowed-parallel mode (true, self-deterministic
-// only). It has no effect while DefaultShards is 1.
-func SetDefaultShardParallel(v bool) { defaultShardParallel.Store(v) }
-
-// DefaultShardParallel reports the current process-wide parallel-mode
-// selection.
-func DefaultShardParallel() bool { return defaultShardParallel.Load() }
 
 // ShardStats counts one partition's share of a sharded run. All counters
 // are exact and deterministic for a fixed seed, shard count and mode, so
@@ -154,7 +119,7 @@ type Sharded struct {
 // this file).
 func NewSharded(seed int64, n int, parallel bool) *Simulator {
 	if n <= 1 {
-		return newLoop(seed)
+		return New(seed)
 	}
 	g := &Sharded{
 		parts:    make([]*Simulator, n),

@@ -88,7 +88,7 @@ func runShardProg(root *Simulator, shards, maxDepth int) *shardRec {
 // of every trace hash — to be identical element for element.
 func TestShardMergedByteIdentical(t *testing.T) {
 	const depth = 28
-	base := runShardProg(newLoop(7), 4, depth)
+	base := runShardProg(New(7), 4, depth)
 	if len(base.ats) < 5000 {
 		t.Fatalf("baseline delivered only %d events", len(base.ats))
 	}
@@ -233,7 +233,7 @@ func TestShardMergedCrossBeforeHeldSlot(t *testing.T) {
 		root.Run()
 		return order, rec
 	}
-	want, wantRec := run(newLoop(5))
+	want, wantRec := run(New(5))
 	if len(want) != 16 {
 		t.Fatalf("single loop delivered %d events, want 16: %v", len(want), want)
 	}
@@ -343,7 +343,8 @@ func TestShardLookaheadMin(t *testing.T) {
 }
 
 // TestShardSingleCollapses pins that shard counts <= 1 return a plain
-// single-loop simulator with no group attached.
+// single-loop simulator with no group attached, and that New never
+// partitions.
 func TestShardSingleCollapses(t *testing.T) {
 	for _, n := range []int{-1, 0, 1} {
 		s := NewSharded(5, n, false)
@@ -351,10 +352,7 @@ func TestShardSingleCollapses(t *testing.T) {
 			t.Fatalf("NewSharded(n=%d) returned a grouped simulator", n)
 		}
 	}
-	SetDefaultShards(3)
-	defer SetDefaultShards(1)
-	s := New(5)
-	if s.Group() == nil || s.Group().Shards() != 3 {
-		t.Fatal("New did not honor SetDefaultShards(3)")
+	if New(5).Group() != nil {
+		t.Fatal("New returned a grouped simulator")
 	}
 }

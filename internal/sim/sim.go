@@ -113,17 +113,6 @@ type Scheduler int
 // SchedulerWheel is the timing wheel, the only Scheduler.
 const SchedulerWheel Scheduler = 0
 
-// totalDelivered counts events delivered process-wide, accumulated from
-// per-simulator counters when Run/RunUntil return. cmd/falconbench divides
-// it by wall time for the events/sec figures in BENCH_*.json.
-var totalDelivered atomic.Uint64
-
-// TotalDelivered reports the number of events delivered by all simulators
-// in the process so far. The counter is folded in when Run or RunUntil
-// returns (not per event), so it is cheap and safe under the parallel
-// experiment runner.
-func TotalDelivered() uint64 { return totalDelivered.Load() }
-
 // Observer receives a callback for every event the simulator delivers.
 // The (time, sequence) pair identifies one event uniquely within a run, so
 // an observer that folds the stream into a digest fingerprints the entire
@@ -173,35 +162,25 @@ type Simulator struct {
 	live int
 
 	// processed counts delivered events; synced is the prefix already
-	// folded into the process-wide totalDelivered counter.
+	// added to counter, the caller-owned total installed by CountInto.
 	processed uint64
 	synced    uint64
+	counter   *atomic.Uint64
 }
 
 // New returns a simulator whose clock reads zero and whose random stream
 // is seeded with seed. Two simulators built with the same seed and fed the
-// same schedule produce identical runs. When SetDefaultShards has raised
-// the process-wide partition count above one, New returns the root
-// partition of a sharded group instead; merged sharded runs remain
-// byte-identical to the single loop.
+// same schedule produce identical runs. NewSharded builds a partitioned
+// simulator instead.
 func New(seed int64) *Simulator {
-	if n := DefaultShards(); n > 1 {
-		return NewSharded(seed, n, DefaultShardParallel())
-	}
-	return newLoop(seed)
-}
-
-// NewWithScheduler returns a single-loop simulator, whatever
-// DefaultShards says (see Scheduler).
-func NewWithScheduler(seed int64, _ Scheduler) *Simulator { return newLoop(seed) }
-
-// newLoop returns a single-loop simulator.
-func newLoop(seed int64) *Simulator {
 	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
 	s.nowp = &s.now
 	s.seqp = &s.seq
 	return s
 }
+
+// NewWithScheduler is New (see Scheduler).
+func NewWithScheduler(seed int64, _ Scheduler) *Simulator { return New(seed) }
 
 // Now returns the current virtual time: the simulator's own clock, or the
 // group-wide clock when this simulator is a partition of a merged sharded
@@ -221,6 +200,20 @@ func (s *Simulator) Processed() uint64 {
 		return g.processed()
 	}
 	return s.processed
+}
+
+// CountInto makes the simulator add the events it delivers to *c, folded
+// in when Run or RunUntil returns (not per event), so one counter may be
+// shared by simulators running on several goroutines. On a sharded
+// simulator it covers every partition. nil stops the counting.
+func (s *Simulator) CountInto(c *atomic.Uint64) {
+	if g := s.group; g != nil {
+		for _, p := range g.parts {
+			p.counter = c
+		}
+		return
+	}
+	s.counter = c
 }
 
 // SetObserver attaches an event observer (nil detaches). The hook costs one
@@ -385,10 +378,12 @@ func (s *Simulator) deliver(e *event) {
 	}
 }
 
-// syncTotal folds newly delivered events into the process-wide counter.
+// syncTotal adds newly delivered events to the CountInto counter.
 func (s *Simulator) syncTotal() {
 	if d := s.processed - s.synced; d != 0 {
-		totalDelivered.Add(d)
+		if s.counter != nil {
+			s.counter.Add(d)
+		}
 		s.synced = s.processed
 	}
 }

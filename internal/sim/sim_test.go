@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -233,4 +234,32 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		}
 	}
 	s.Run()
+}
+
+// TestCountInto checks that the counter installed by CountInto receives
+// every delivered event once Run or RunUntil returns, on a single loop
+// and across all partitions of a sharded group, and that two simulators
+// may share one counter.
+func TestCountInto(t *testing.T) {
+	var c atomic.Uint64
+	single := New(1)
+	single.CountInto(&c)
+	sharded := NewSharded(1, 3, false)
+	sharded.CountInto(&c)
+	for i := 0; i < 3; i++ {
+		single.At(Time(10*(i+1)), func() {})
+		sharded.Group().Part(i).At(Time(10*(i+1)), func() {})
+	}
+	single.RunUntil(15)
+	if got := c.Load(); got != 1 {
+		t.Fatalf("after RunUntil(15): counter = %d, want 1", got)
+	}
+	single.Run()
+	sharded.Run()
+	if got := c.Load(); got != 6 {
+		t.Fatalf("counter = %d, want 6", got)
+	}
+	if single.Processed()+sharded.Processed() != c.Load() {
+		t.Fatalf("counter %d != Processed sum %d", c.Load(), single.Processed()+sharded.Processed())
+	}
 }

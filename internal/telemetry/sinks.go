@@ -224,7 +224,7 @@ func ObserveFAE(r *Registry, prefix string, e *fae.Engine) {
 
 // CollectChaos registers a snapshot collector for one storm run's report.
 // The pointer is registered before the run and filled after it drains
-// (RunInstrumented snapshots after RunTel returns), so the collector reads
+// (experiments.Run snapshots after the figure returns), so the collector reads
 // the completed report lazily. Every chaos metric is an integer derived
 // from virtual-clock state — the lake classifies the whole layer exact, so
 // same-seed storms must reproduce these values byte-identically.
