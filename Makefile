@@ -81,29 +81,30 @@ metrics:
 #   - The benchmark is a module of its own (bench/go.mod), invisible to
 #     `go test ./...`: its self-tests (same seed twice, traced against
 #     untraced, -compare bounds) run here.
-#   - Tables: every cell of every quick-mode table, at 1, 2 and 4 merged
-#     partitions, must match the committed golden (only the wall-clock
+#   - Tables: every cell of every quick-mode table must match the
+#     committed golden, and quick figScale on four concurrent partitions
+#     (-shards 4) must match its own golden (only the wall-clock
 #     "(figX in <t>)" lines are stripped). A change that moves a number on
-#     purpose regenerates the golden with the same pipeline at -shards 1
-#     and explains the diff. See DESIGN.md §15 for the partitioned loop.
+#     purpose regenerates the golden with the same pipeline and explains
+#     the diff. See DESIGN.md §15 for the partitioned engine.
 #   - Telemetry lake over the committed BENCH artifacts (DESIGN.md §12,
 #     METRICS.md): each artifact must ingest cleanly and self-diff with
 #     zero findings.
 #   - Storms (DESIGN.md §14): two falconbench runs under one -storm seed
 #     must write byte-identical metrics JSON.
 #   - Race detector over the concurrent paths: storm sweeps, and the
-#     experimental -shardpar mode (figScale only), whose partitions run on
-#     goroutines under conservative lookahead windows and must stay
+#     partitioned engine (-shards N, figScale only), whose partitions run
+#     on goroutines under conservative lookahead windows and must stay
 #     self-deterministic.
 CHECKDIR ?= $(or $(TMPDIR),/tmp)/falcon-check
 LAKE_ARTIFACTS = BENCH_pr3_metrics.json BENCH_pr3_series BENCH_pr5.json BENCH_pr6.json \
 	BENCH_pr8_metrics.json BENCH_pr9_metrics.json BENCH_pr10_single.json BENCH_pr10.json
 check:
 	$(GO) -C bench test .
-	for n in 1 2 4; do \
-		$(GO) run ./cmd/falconbench -quick -shards $$n | sed '/ in /d' | \
-			diff -u cmd/falconbench/testdata/quick_tables.golden - || exit 1; \
-	done
+	$(GO) run ./cmd/falconbench -quick | sed '/ in /d' | \
+		diff -u cmd/falconbench/testdata/quick_tables.golden -
+	$(GO) run ./cmd/falconbench -quick -run figScale -shards 4 | sed '/ in /d' | \
+		diff -u cmd/falconbench/testdata/figscale_shards4.golden -
 	for a in $(LAKE_ARTIFACTS); do \
 		$(GO) run ./cmd/falconlake diff $$a $$a || exit 1; \
 	done

@@ -33,16 +33,12 @@
 //	                                   # same seed write byte-identical
 //	                                   # -metrics JSON (make check relies
 //	                                   # on this)
-//	falconbench -shards 4              # partition every simulator into 4
-//	                                   # per-partition event loops with a
-//	                                   # deterministic merge; tables must
-//	                                   # be identical to -shards 1
-//	                                   # (make check relies on this)
-//	falconbench -shards 4 -shardpar    # experimental: execute partitions
-//	                                   # on concurrent goroutines under
-//	                                   # conservative lookahead windows;
-//	                                   # figScale only (the default
-//	                                   # selection), anything else exits 2
+//	falconbench -shards 4              # split figScale's simulators into 4
+//	                                   # partitions run on concurrent
+//	                                   # goroutines under conservative
+//	                                   # lookahead windows; figScale only
+//	                                   # (the default selection), anything
+//	                                   # else exits 2
 //	falconbench -cpuprofile cpu.pprof  # pprof profiles of the run
 //	falconbench -memprofile mem.pprof
 //
@@ -81,8 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonPath := fs.String("json", "", "write a BENCH_*.json performance report to this file")
 	metricsPath := fs.String("metrics", "", "write a deterministic per-figure metrics JSON to this file (instrumented run)")
 	seriesDir := fs.String("series", "", "write per-figure time-series CSVs into this directory (instrumented run)")
-	shards := fs.Int("shards", 1, "partition every simulator into N per-partition event loops (deterministic merge; tables must be identical to -shards 1)")
-	shardPar := fs.Bool("shardpar", false, "experimental: run partitions on concurrent goroutines under conservative lookahead windows (figScale only; self-deterministic, but not byte-comparable to the merged mode)")
+	shards := fs.Int("shards", 1, "split figScale's simulators into N partitions run on concurrent goroutines under conservative lookahead windows (figScale only; self-deterministic, but not byte-comparable to -shards 1)")
 	routingPolicy := fs.String("routing", "ecmp", "fabric uplink policy for every topology: ecmp (default), spray, or adaptive")
 	storm := fs.Int64("storm", 0, "override the storm campaign seed for figStorm/figEndpointFault; with no -run, selects just the storm figures")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -104,11 +99,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opts := experiments.Options{
-		Quick:         *quick,
-		Policy:        routing.ByName(*routingPolicy),
-		StormSeed:     *storm,
-		Shards:        *shards,
-		ShardParallel: *shardPar,
+		Quick:     *quick,
+		Policy:    routing.ByName(*routingPolicy),
+		StormSeed: *storm,
+		Shards:    *shards,
 	}
 	if opts.Policy == nil {
 		fmt.Fprintf(stderr, "bad -routing %q: want ecmp, spray or adaptive\n", *routingPolicy)
@@ -120,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *runRe == "" && *storm != 0 {
 		*runRe = "figStorm|figEndpointFault"
 	}
-	if *runRe == "" && *shardPar {
+	if *runRe == "" && *shards > 1 {
 		*runRe = "figScale"
 	}
 	var re *regexp.Regexp
@@ -142,13 +136,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "no experiment matches %q; try -list\n", *runRe)
 		return 1
 	}
-	if *shardPar {
-		// Parallel partitions execute on concurrent goroutines, so only a
-		// figure whose accumulators are partition-local may run under
-		// them; every other figure shares counters across partitions.
+	if *shards > 1 {
+		// Partitions execute on concurrent goroutines, so only a figure
+		// whose accumulators are partition-local may run under them; every
+		// other figure shares counters across partitions.
 		for _, e := range matched {
 			if e.Name != "figScale" {
-				fmt.Fprintf(stderr, "-shardpar runs figScale only; %s shares state across partitions\n", e.Name)
+				fmt.Fprintf(stderr, "-shards %d runs figScale only; %s shares state across partitions\n", *shards, e.Name)
 				return 2
 			}
 		}

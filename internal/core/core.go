@@ -126,9 +126,8 @@ func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
 	}
 	// The node's entire stack — NIC pipeline, FAE, PDL/TL timers, packet
 	// pool — lives on the fabric host's partition simulator, so on a
-	// sharded run everything a node does executes on its own partition
-	// (with the shared group clock and sequence counter, this is the
-	// root simulator's exact behaviour in merged mode).
+	// sharded run everything a node does executes on its own partition's
+	// goroutine.
 	ns := host.Sim()
 	pool := cl.pools[ns]
 	if pool == nil {
@@ -159,8 +158,8 @@ type Node struct {
 	// sim is the fabric host's partition simulator; every timer and
 	// continuation of this node's stack is scheduled here. pool is that
 	// partition's transport packet pool, shared with the other nodes on
-	// it (per partition rather than per cluster so the experimental
-	// parallel shard mode never shares a free list across goroutines; an
+	// it (per partition rather than per cluster so concurrent partitions
+	// never share a free list across goroutines; an
 	// in-flight fabric copy is released into the receiving node's pool,
 	// which is the sender's own unless the packet crossed partitions —
 	// netsim's frame-pool rule).

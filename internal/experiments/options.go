@@ -32,14 +32,12 @@ type Options struct {
 	// StormSeed, when non-zero, narrows the storm campaigns to this one
 	// seed instead of the default set.
 	StormSeed int64
-	// Shards partitions every simulator into that many event loops
-	// (<= 1: a single loop). Merged partitions print the same tables as
-	// a single loop.
+	// Shards splits figScale's simulators into that many partitions that
+	// run on concurrent goroutines under conservative lookahead windows
+	// (<= 1: one loop). figScale is the one figure whose state is
+	// partition-local; every other figure runs one loop whatever Shards
+	// says.
 	Shards int
-	// ShardParallel runs the partitions on concurrent goroutines under
-	// conservative lookahead windows (experimental; only figScale keeps
-	// its accumulators partition-local).
-	ShardParallel bool
 
 	// events, set by the runner, totals the events delivered by every
 	// simulator the figure builds.
@@ -54,9 +52,18 @@ func (o Options) window(full, quick time.Duration) time.Duration {
 	return full
 }
 
-// newSim returns a fresh seeded simulator for one run of the figure.
+// newSim returns a fresh seeded single-loop simulator for one run of the
+// figure.
 func (o Options) newSim(seed int64) *sim.Simulator {
-	s := sim.NewSharded(seed, o.Shards, o.ShardParallel)
+	s := sim.New(seed)
+	s.CountInto(o.events)
+	return s
+}
+
+// newPartitioned is newSim split into o.Shards partitions, for a figure
+// whose every callback touches only its own partition's state.
+func (o Options) newPartitioned(seed int64) *sim.Simulator {
+	s := sim.NewSharded(seed, o.Shards)
 	s.CountInto(o.events)
 	return s
 }

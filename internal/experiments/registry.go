@@ -68,7 +68,7 @@ var registry = []Entry{
 		return Fig20b(o, o.window(3*time.Millisecond, 2*time.Millisecond))
 	}},
 	{Name: "fig21", Desc: "connection-count RTT cliff", Run: Fig21},
-	{Name: "figScale", Desc: "fabric scaling on a k=16-class Clos; the only figure -shardpar runs (time it against -shards 1)", Run: func(o Options) *Table {
+	{Name: "figScale", Desc: "fabric scaling on a k=16-class Clos; the only figure -shards N partitions (time it against -shards 1)", Run: func(o Options) *Table {
 		return FigScale(o, o.window(400*time.Microsecond, 150*time.Microsecond))
 	}},
 	{Name: "fig22a", Desc: "FAE event rate vs connections", Run: func(Options) *Table { return Fig22a() }},

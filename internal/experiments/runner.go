@@ -49,17 +49,16 @@ type FigureReport struct {
 // BenchReport is the machine-readable summary of one falconbench run, the
 // payload of BENCH_*.json.
 type BenchReport struct {
-	Schema        string         `json:"schema"`
-	GoVersion     string         `json:"go"`
-	NumCPU        int            `json:"cpus"`
-	Quick         bool           `json:"quick"`
-	Parallel      int            `json:"parallel"`
-	Shards        int            `json:"shards,omitempty"`
-	ShardParallel bool           `json:"shard_parallel,omitempty"`
-	WallMS        float64        `json:"total_wall_ms"`
-	Events        uint64         `json:"total_events"`
-	EventsPerSec  float64        `json:"total_events_per_sec"`
-	Figures       []FigureReport `json:"figures"`
+	Schema       string         `json:"schema"`
+	GoVersion    string         `json:"go"`
+	NumCPU       int            `json:"cpus"`
+	Quick        bool           `json:"quick"`
+	Parallel     int            `json:"parallel"`
+	Shards       int            `json:"shards,omitempty"`
+	WallMS       float64        `json:"total_wall_ms"`
+	Events       uint64         `json:"total_events"`
+	EventsPerSec float64        `json:"total_events_per_sec"`
+	Figures      []FigureReport `json:"figures"`
 }
 
 // Run executes the entries under opts and prints their tables to w in
@@ -84,7 +83,6 @@ func Run(entries []Entry, opts Options, parallel int, w io.Writer) BenchReport {
 	}
 	if opts.Shards > 1 {
 		rep.Shards = opts.Shards
-		rep.ShardParallel = opts.ShardParallel
 	}
 	start := time.Now()
 	if parallel <= 1 {

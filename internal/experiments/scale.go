@@ -15,16 +15,20 @@ import (
 // FigScale profiles where a single event loop saturates as the fabric
 // grows: a k=16-class 3-stage Clos swept across host counts under a fixed
 // cross-rack closed-loop write workload. Every table cell is a pure
-// function of (seed, topology, workload) — host pairing is deterministic
-// (host i writes to its mirror in the opposite half of the fabric, always
-// crossing the spine layer) and no runtime RNG feeds a printed value — so
-// the table is byte-identical whether the run uses one event loop or N
-// merged partitions (-shards). The interesting perf signal, events/sec at
-// each scale, is wall-clock dependent and therefore lives in the
-// falconbench -json FigureReport, not in a cell: pair a -shards 1 run
-// against a -shards N run of this figure to get the head-to-head (see
-// the sharding appendices of EXPERIMENTS.md). o.Quick keeps the two
-// smallest tiers.
+// function of (seed, topology, workload, partitions) — host pairing is
+// deterministic (host i writes to its mirror in the opposite half of the
+// fabric, always crossing the spine layer) and no runtime RNG feeds a
+// printed value. It is the one figure o.Shards partitions (-shards N): ops
+// and goodput match the single loop's, while the event count moves by a
+// handful, since events that meet at one instant across a partition
+// boundary run in the barrier's order, not the single loop's (the quick
+// table at four partitions is pinned in
+// cmd/falconbench/testdata/figscale_shards4.golden). The interesting perf
+// signal, events/sec at each scale, is wall-clock dependent and therefore
+// lives in the falconbench -json FigureReport, not in a cell: pair a
+// -shards 1 run against a -shards N run of this figure to get the
+// head-to-head (see the sharding appendices of EXPERIMENTS.md). o.Quick
+// keeps the two smallest tiers.
 //
 // With o.Tel set on a sharded run, each tier exports its partition
 // counters — per-partition deliveries, cross-boundary events,
@@ -54,7 +58,7 @@ func FigScale(o Options, runFor time.Duration) *Table {
 		// so the spine layer, not the access links, is the bottleneck the
 		// sweep stresses.
 		fabricLink := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-		s := o.newSim(30)
+		s := o.newPartitioned(30)
 		if tel := o.Tel; tel != nil && s.Group() != nil {
 			// Collectors are lazy (read at snapshot time, after the tier
 			// has run), so registering before the run costs nothing on
@@ -76,10 +80,9 @@ func FigScale(o Options, runFor time.Duration) *Table {
 		// Completions accumulate into a per-rack slot and each closed loop
 		// is scheduled on its client endpoint's own simulator handle, so
 		// every callback touches only its rack's partition state. That
-		// keeps this figure race-free even under the experimental
-		// -shardpar mode, where partitions execute on concurrent
-		// goroutines (figures that funnel completions into one shared
-		// counter are merged-mode only).
+		// keeps this figure race-free while partitions execute on
+		// concurrent goroutines (figures that funnel completions into one
+		// shared counter run one loop).
 		hosts := len(topo.Hosts)
 		opsByRack := make([]uint64, tr.racks)
 		for i := 0; i < hosts/2; i++ {

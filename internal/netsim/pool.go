@@ -71,9 +71,9 @@ func (p *FramePool) Release(f *Frame) {
 
 // fabricPool groups the free lists of one simulation partition: the frame
 // pool and the port-event free list. A single-loop network owns exactly
-// one; a sharded network owns one per partition so that, in the
-// experimental parallel mode, every free list is touched only by the
-// goroutine executing that partition's events. The migration rule keeps
+// one; a sharded network owns one per partition so that every free list
+// is touched only by the goroutine executing that partition's events. The
+// migration rule keeps
 // that invariant without locks: objects are acquired from the pool of the
 // partition doing the acquiring and released into the pool of the
 // partition executing the release, so a frame crossing a partition

@@ -347,6 +347,9 @@ func TestCancelInEveryRegion(t *testing.T) {
 		s.Run()
 		now := s.Now()
 		keepEarly, killEarly, keepLate := mk(now+3), mk(now+2), mk(now+1<<l0Shift+1)
+		if w, ok := s.(wheelSched); ok && len(w.wheel.early) != 3 {
+			t.Fatalf("early heap holds %d events, want 3: the drained all-cancelled slot no longer leaves the ns level ahead", len(w.wheel.early))
+		}
 		if !killEarly.Stop() {
 			t.Fatal("Stop on pending timer reported false")
 		}

@@ -1,34 +1,30 @@
 package sim
 
 import (
-	"hash/fnv"
+	"sort"
 	"testing"
 	"time"
 )
 
-// shardRec records delivered (time, seq) pairs — the same stream the
-// testkit trace hasher fingerprints.
-type shardRec struct {
-	ats  []Time
-	seqs []uint64
-}
-
-func (r *shardRec) OnEvent(at Time, seq uint64) {
-	r.ats = append(r.ats, at)
-	r.seqs = append(r.seqs, seq)
+// stamp is one delivered shardProg event: when it fired and which it was.
+type stamp struct {
+	at Time
+	id uint64
 }
 
 // shardProg is a deterministic self-replicating workload: each fired event
 // schedules up to two successors, alternating between its own partition
 // and a peer, with times derived from a splitmix of its id, terminating at
-// a fixed replication depth (depth is event-local state, so the program is
-// identical across single-loop, merged and parallel execution and safe to
-// run concurrently). Run on a single-loop simulator the "partitions" all
-// alias the root, so the exact schedule-call sequence is identical — which
-// is what makes the merged sharded run comparable byte for byte.
+// a fixed replication depth. An event's successors depend only on its id
+// and its firing time, and depth is event-local state, so the program
+// schedules the same events at the same instants whether it runs on one
+// loop or on concurrent partitions.
 type shardProg struct {
 	sims     []*Simulator
 	maxDepth int
+	// fired holds each partition's deliveries in delivery order; only the
+	// partition's own goroutine appends to its row.
+	fired [][]stamp
 }
 
 type shardProgEvent struct {
@@ -40,11 +36,13 @@ type shardProgEvent struct {
 
 func (e *shardProgEvent) RunAction() {
 	p := e.p
+	src := p.sims[e.home]
+	now := src.Now()
+	row := &p.fired[src.ShardIndex()]
+	*row = append(*row, stamp{at: now, id: e.id})
 	if e.depth >= p.maxDepth {
 		return
 	}
-	src := p.sims[e.home]
-	now := src.Now()
 	h1 := splitmix64(e.id*2 + 1)
 	h2 := splitmix64(e.id*2 + 2)
 	// Successor on the home partition, near future.
@@ -58,59 +56,82 @@ func (e *shardProgEvent) RunAction() {
 	}
 }
 
-func runShardProg(root *Simulator, shards, maxDepth int) *shardRec {
-	// The program always uses `shards` logical homes; with fewer real
-	// partitions (or a single loop) homes fold onto them round-robin, so
-	// the schedule-call sequence is identical across configurations.
-	sims := make([]*Simulator, shards)
+// newShardProg seeds the program on root's group with `homes` logical
+// homes. With fewer real partitions (or a single loop) homes fold onto
+// them round-robin. A sharded root declares the 1us boundary the program's
+// cross-partition successors respect.
+func newShardProg(root *Simulator, homes, maxDepth int) *shardProg {
+	sims := make([]*Simulator, homes)
+	parts := 1
+	for i := range sims {
+		sims[i] = root
+	}
 	if g := root.Group(); g != nil {
+		g.DeclareBoundary(time.Microsecond)
+		parts = g.Shards()
 		for i := range sims {
-			sims[i] = g.Part(i % g.Shards())
-		}
-	} else {
-		for i := range sims {
-			sims[i] = root
+			sims[i] = g.Part(i % parts)
 		}
 	}
-	rec := &shardRec{}
-	root.SetObserver(rec)
-	p := &shardProg{sims: sims, maxDepth: maxDepth}
-	for i := 0; i < shards; i++ {
+	p := &shardProg{sims: sims, maxDepth: maxDepth, fired: make([][]stamp, parts)}
+	for i := range sims {
 		sims[i].AtAction(Time(10*(i+1)), &shardProgEvent{p: p, id: uint64(i + 1), home: i})
 	}
-	root.Run()
-	return rec
+	return p
 }
 
-// TestShardMergedByteIdentical drives the same deterministic workload on a
-// single-loop simulator and on merged sharded groups of 2, 3 and 4
-// partitions, and requires the delivered (time, seq) stream — the basis
-// of every trace hash — to be identical element for element.
-func TestShardMergedByteIdentical(t *testing.T) {
-	const depth = 28
-	base := runShardProg(New(7), 4, depth)
-	if len(base.ats) < 5000 {
-		t.Fatalf("baseline delivered only %d events", len(base.ats))
+// TestShardParallelMatchesSingleLoop is the partitioned engine's oracle
+// against the single loop: the same program run on 2, 3 and 4 concurrent
+// partitions must fire exactly the single loop's events — the same
+// multiset of (time, id) — and every partition must deliver its share in
+// non-decreasing time.
+func TestShardParallelMatchesSingleLoop(t *testing.T) {
+	const homes, depth = 4, 28
+	sorted := func(p *shardProg) []stamp {
+		var all []stamp
+		for _, row := range p.fired {
+			all = append(all, row...)
+		}
+		sort.Slice(all, func(i, j int) bool {
+			return all[i].at < all[j].at || (all[i].at == all[j].at && all[i].id < all[j].id)
+		})
+		return all
+	}
+	single := New(7)
+	base := newShardProg(single, homes, depth)
+	single.Run()
+	want := sorted(base)
+	if len(want) < 5000 {
+		t.Fatalf("single loop delivered only %d events", len(want))
 	}
 	for _, n := range []int{2, 3, 4} {
-		got := runShardProg(NewSharded(7, n, false), 4, depth)
-		if len(got.ats) != len(base.ats) {
-			t.Fatalf("shards=%d: delivered %d events, want %d", n, len(got.ats), len(base.ats))
+		root := NewSharded(7, n)
+		p := newShardProg(root, homes, depth)
+		root.Run()
+		for i, row := range p.fired {
+			for k := 1; k < len(row); k++ {
+				if row[k].at < row[k-1].at {
+					t.Fatalf("shards=%d: partition %d delivered %v after %v", n, i, row[k].at, row[k-1].at)
+				}
+			}
 		}
-		for i := range base.ats {
-			if got.ats[i] != base.ats[i] || got.seqs[i] != base.seqs[i] {
-				t.Fatalf("shards=%d: event %d = (%v, %d), single loop has (%v, %d)",
-					n, i, got.ats[i], got.seqs[i], base.ats[i], base.seqs[i])
+		got := sorted(p)
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: delivered %d events, single loop %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("shards=%d: event %d = %+v, single loop has %+v", n, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestShardMergedRunUntil checks bounded runs: the merge must stop at the
-// bound with pending work intact and the group clock advanced to exactly
-// the bound on every partition handle.
+// TestShardMergedRunUntil checks bounded runs: the windows must stop at
+// the bound with pending work intact, and the barrier must merge every
+// partition's clock to exactly the bound.
 func TestShardMergedRunUntil(t *testing.T) {
-	root := NewSharded(3, 3, false)
+	root := NewSharded(3, 3)
 	g := root.Group()
 	fired := make([]int, 3)
 	for i := 0; i < 3; i++ {
@@ -142,142 +163,24 @@ func TestShardMergedRunUntil(t *testing.T) {
 	}
 }
 
-// TestShardHeldHeadInvalidation covers the two merge edge cases around the
-// held head: (1) an event scheduled into a partition earlier than its held
-// head must be delivered first, and (2) a held head whose timer is stopped
-// from another partition's event must be skipped, not delivered.
-func TestShardHeldHeadInvalidation(t *testing.T) {
-	root := NewSharded(1234, 2, false)
-	g := root.Group()
-	p0, p1 := g.Part(0), g.Part(1)
-
-	var order []string
-	// p1's first event sits at t=500; p0's earlier event at t=100
-	// schedules a *new* p1 event at t=200 — by then the merge has already
-	// held p1's t=500 head, so the insert must push it back.
-	p1.At(500, func() { order = append(order, "p1@500") })
-	p0.At(100, func() {
-		order = append(order, "p0@100")
-		p0.CrossAction(p1, 200, actionFunc(func() { order = append(order, "p1@200") }))
-	})
-	root.Run()
-	want := []string{"p0@100", "p1@200", "p1@500"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("merged order %v, want %v", order, want)
-		}
-	}
-
-	// A held head stopped cross-partition must never fire.
-	root2 := NewSharded(99, 2, false)
-	g2 := root2.Group()
-	q0, q1 := g2.Part(0), g2.Part(1)
-	fired := false
-	tm := q1.At(700, func() { fired = true })
-	q0.At(300, func() {
-		if !tm.Stop() {
-			t.Fatal("Stop() of a pending held head returned false")
-		}
-	})
-	root2.Run()
-	if fired {
-		t.Fatal("stopped held head fired")
-	}
-	if root2.Pending() != 0 {
-		t.Fatalf("pending %d after drain, want 0", root2.Pending())
-	}
-}
-
-// TestShardMergedCrossBeforeHeldSlot pins the wheel's region below curEnd
-// against the one caller that reaches behind it. Partition A's popped head
-// sits several level-0 slots ahead of the group clock, so A's ns level
-// covers that slot, not the present; partition B then hands A CrossActions
-// that land before the slot (out of order, with ties, and at instants that
-// alias the held head's FIFO index), inside it, and at the held head's own
-// instant. A wheel that files every at < curEnd under at&nsMask delivers
-// the early ones in index order and runs the clock backwards. Merged
-// delivery must equal the single loop's, labels and (time, seq) alike.
-func TestShardMergedCrossBeforeHeldSlot(t *testing.T) {
-	const slot = Time(1) << l0Shift
-	head := 7*slot + 104 // A's first event: slot 7, FIFO 104
-	run := func(root *Simulator) ([]string, *shardRec) {
-		a, b := root, root
-		if g := root.Group(); g != nil {
-			a, b = g.Part(1), g.Part(0)
-		}
-		rec := &shardRec{}
-		root.SetObserver(rec)
-		var order []string
-		note := func(l string) func() { return func() { order = append(order, l) } }
-		cross := func(at Time, l string) { b.CrossAction(a, at, actionFunc(note(l))) }
-		a.At(head, note("a0"))
-		a.At(head, note("a1"))
-		a.At(head+6, note("a2"))
-		a.At(40*slot, note("a3"))
-		b.At(100, func() {
-			order = append(order, "b0")
-			cross(300, "x300")          // before the held slot: index 44
-			cross(200, "x200")          // earlier still, larger index 72
-			cross(200, "x200'")         // tie, FIFO by seq
-			cross(head-5*slot, "alias") // shares the held head's index
-			cross(head, "xhead")        // the held head's own instant: after a0, a1
-			cross(head-50, "inslot")    // inside the held slot, before the head
-		})
-		b.At(150, func() {
-			order = append(order, "b1")
-			cross(180, "x180") // A now holds x200: it must go back, in order
-			cross(250, "x250") // lands between two early events
-			cross(head, "xhead'")
-			cross(head+200, "next") // beyond the held slot: a wheel level
-		})
-		root.Run()
-		return order, rec
-	}
-	want, wantRec := run(New(5))
-	if len(want) != 16 {
-		t.Fatalf("single loop delivered %d events, want 16: %v", len(want), want)
-	}
-	got, gotRec := run(NewSharded(5, 2, false))
-	if len(got) != len(want) {
-		t.Fatalf("merged order %v, single loop %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] || gotRec.ats[i] != wantRec.ats[i] || gotRec.seqs[i] != wantRec.seqs[i] {
-			t.Fatalf("event %d = %s (%v, %d), single loop has %s (%v, %d)\nmerged: %v\nsingle: %v",
-				i, got[i], gotRec.ats[i], gotRec.seqs[i], want[i], wantRec.ats[i], wantRec.seqs[i], got, want)
-		}
-	}
-}
-
-// actionFunc adapts a func to Action for tests.
-type actionFunc func()
-
-func (f actionFunc) RunAction() { f() }
-
 // TestShardParallelDeterministic runs the same cross-partition workload
-// twice in the experimental parallel mode and requires identical
-// per-partition delivery streams — the self-determinism contract parallel
-// mode keeps even though its sequence numbering differs from the single
-// loop. It also checks the per-partition stats surface.
+// twice on concurrent partitions and requires identical per-partition
+// delivery streams — the self-determinism contract a sharded run keeps
+// even though its sequence numbering differs from the single loop. It
+// also checks the per-partition stats surface.
 func TestShardParallelDeterministic(t *testing.T) {
 	run := func() ([4]uint64, []ShardStats) {
-		root := NewSharded(11, 4, true)
+		root := NewSharded(11, 4)
 		g := root.Group()
-		g.DeclareBoundary(time.Microsecond)
 		var sums [4]uint64
 		hashers := make([]*fnvObs, 4)
-		sims := make([]*Simulator, 4)
-		for i := range sims {
-			sims[i] = g.Part(i)
+		for i := range hashers {
 			hashers[i] = newFnvObs()
-			sims[i].SetObserver(hashers[i])
+			g.Part(i).SetObserver(hashers[i])
 		}
-		p := &shardProg{sims: sims, maxDepth: 28}
-		for i := range sims {
-			sims[i].AtAction(Time(10*(i+1)), &shardProgEvent{p: p, id: uint64(i + 1), home: i})
-		}
+		newShardProg(root, 4, 28)
 		root.Run()
-		for i := range sims {
+		for i := range hashers {
 			sums[i] = hashers[i].sum()
 		}
 		return sums, g.Stats()
@@ -320,7 +223,7 @@ func (o *fnvObs) sum() uint64 { return o.h }
 // safe lookahead window, so topology builders must co-locate its
 // endpoints instead.
 func TestShardZeroLatencyBoundaryRejected(t *testing.T) {
-	root := NewSharded(1, 2, false)
+	root := NewSharded(1, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("DeclareBoundary(0) did not panic")
@@ -331,7 +234,7 @@ func TestShardZeroLatencyBoundaryRejected(t *testing.T) {
 
 // TestShardLookaheadMin checks the window is the minimum declared latency.
 func TestShardLookaheadMin(t *testing.T) {
-	root := NewSharded(1, 2, true)
+	root := NewSharded(1, 2)
 	g := root.Group()
 	g.DeclareBoundary(5 * time.Microsecond)
 	g.DeclareBoundary(2 * time.Microsecond)
@@ -339,7 +242,6 @@ func TestShardLookaheadMin(t *testing.T) {
 	if g.Lookahead() != 2*time.Microsecond {
 		t.Fatalf("lookahead %v, want 2us", g.Lookahead())
 	}
-	_ = fnv.New64a // keep fnv import honest if the manual fold changes
 }
 
 // TestShardSingleCollapses pins that shard counts <= 1 return a plain
@@ -347,7 +249,7 @@ func TestShardLookaheadMin(t *testing.T) {
 // partitions.
 func TestShardSingleCollapses(t *testing.T) {
 	for _, n := range []int{-1, 0, 1} {
-		s := NewSharded(5, n, false)
+		s := NewSharded(5, n)
 		if s.Group() != nil {
 			t.Fatalf("NewSharded(n=%d) returned a grouped simulator", n)
 		}

@@ -131,22 +131,10 @@ type Simulator struct {
 	rng *rand.Rand
 	obs Observer
 
-	// nowp and seqp are where this simulator reads its clock and draws
-	// sequence numbers. Standalone simulators point them at their own now
-	// and seq fields; partitions of a merged sharded group share the
-	// group-wide clock and counter, which is what makes a merged run
-	// byte-identical to the single loop (see shard.go). Parallel-mode
-	// partitions point back at their own fields.
-	nowp *Time
-	seqp *uint64
-
 	// group links a partition to its sharded coordinator (nil for
-	// single-loop simulators); shard is its partition index. held is the
-	// popped-but-undelivered head the group merge compares across
-	// partitions.
+	// single-loop simulators); shard is its partition index.
 	group *Sharded
 	shard int
-	held  *event
 
 	// far holds events beyond the wheel horizon.
 	far eventHeap
@@ -173,20 +161,16 @@ type Simulator struct {
 // same schedule produce identical runs. NewSharded builds a partitioned
 // simulator instead.
 func New(seed int64) *Simulator {
-	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
-	s.nowp = &s.now
-	s.seqp = &s.seq
-	return s
+	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // NewWithScheduler is New (see Scheduler).
 func NewWithScheduler(seed int64, _ Scheduler) *Simulator { return New(seed) }
 
-// Now returns the current virtual time: the simulator's own clock, or the
-// group-wide clock when this simulator is a partition of a merged sharded
-// group (so a root handle captured by an experiment always reads global
-// time, whichever partition is executing).
-func (s *Simulator) Now() Time { return *s.nowp }
+// Now returns the current virtual time. A partition of a sharded group
+// reads its own clock; when the group stops, every partition's clock is
+// set to the same instant.
+func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulation-owned random stream. All randomness in a run
 // (drop decisions, jitter, workload arrivals) must come from here or from
@@ -218,20 +202,9 @@ func (s *Simulator) CountInto(c *atomic.Uint64) {
 
 // SetObserver attaches an event observer (nil detaches). The hook costs one
 // nil check per delivered event when unset, so it stays compiled in without
-// affecting benchmark runs. On a partition of a merged sharded group the
-// observer is installed group-wide: the merge delivers events in exact
-// global order, so one observer sees the identical stream the single loop
-// would produce. Parallel-mode partitions keep per-partition observers
-// (they deliver concurrently); attach one per partition instead.
-func (s *Simulator) SetObserver(o Observer) {
-	if g := s.group; g != nil && !g.parallel {
-		for _, p := range g.parts {
-			p.obs = o
-		}
-		return
-	}
-	s.obs = o
-}
+// affecting benchmark runs. On a sharded group it observes this partition
+// only: partitions deliver concurrently, so attach one per partition.
+func (s *Simulator) SetObserver(o Observer) { s.obs = o }
 
 // alloc takes an event from the free list, refilling it a block at a time
 // so long runs amortize to zero allocations per scheduled event.
@@ -316,26 +289,16 @@ func (s *Simulator) AtAction(at Time, a Action) Timer {
 // schedule allocates and enqueues a bare event at time at; the caller fills
 // in the callback (fn or act).
 func (s *Simulator) schedule(at Time) *event {
-	if at < *s.nowp {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, *s.nowp))
+	if at < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	e := s.alloc()
 	e.at = at
-	e.seq = *s.seqp
+	e.seq = s.seq
 	e.dead = false
-	*s.seqp++
+	s.seq++
 	s.live++
 	s.wheelInsert(e)
-	// A merged sharded group holds each partition's popped head outside
-	// the wheel; an insert that sorts before the held head must push the
-	// head back so the group merge still sees this partition's true
-	// minimum. The head came out of the wheel's region below curEnd and
-	// precedes everything left there, so wheelInsert puts it back in
-	// order: at the front of its FIFO, not the tail.
-	if h := s.held; h != nil && eventLess(e, h) {
-		s.held = nil
-		s.wheelInsert(h)
-	}
 	return e
 }
 
@@ -344,25 +307,18 @@ func (s *Simulator) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.At((*s.nowp).Add(d), fn)
+	return s.At(s.now.Add(d), fn)
 }
 
-// step delivers the next event. It reports false when no events remain.
+// step delivers the next event: advance the clock, fire the observer,
+// recycle the event object, run the callback. It reports false when no
+// events remain.
 func (s *Simulator) step() bool {
 	e := s.pop()
 	if e == nil {
 		return false
 	}
-	s.deliver(e)
-	return true
-}
-
-// deliver executes one popped live event: advance the clock (the group
-// clock too, for merged partitions), fire the observer, recycle the event
-// object, run the callback.
-func (s *Simulator) deliver(e *event) {
 	s.now = e.at
-	*s.nowp = e.at
 	s.processed++
 	s.live--
 	if s.obs != nil {
@@ -376,6 +332,7 @@ func (s *Simulator) deliver(e *event) {
 	} else {
 		fn()
 	}
+	return true
 }
 
 // syncTotal adds newly delivered events to the CountInto counter.
@@ -422,7 +379,7 @@ func (s *Simulator) RunUntil(t Time) {
 }
 
 // RunFor advances the simulation by d.
-func (s *Simulator) RunFor(d time.Duration) { s.RunUntil((*s.nowp).Add(d)) }
+func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 
 // Pending reports the number of live scheduled events — group-wide on a
 // sharded simulator.

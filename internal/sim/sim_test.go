@@ -244,7 +244,7 @@ func TestCountInto(t *testing.T) {
 	var c atomic.Uint64
 	single := New(1)
 	single.CountInto(&c)
-	sharded := NewSharded(1, 3, false)
+	sharded := NewSharded(1, 3)
 	sharded.CountInto(&c)
 	for i := 0; i < 3; i++ {
 		single.At(Time(10*(i+1)), func() {})

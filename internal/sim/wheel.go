@@ -97,10 +97,8 @@ type wheelState struct {
 	// curEnd is the exclusive end of the level-0 slot being drained.
 	// ns[t&nsMask] queues the events of timestamp t in that slot,
 	// [curEnd-nsSlots, curEnd), in seq order. early holds the events below
-	// the slot: curEnd runs ahead of the clock only while a merged shard
-	// partition holds its popped head (shard.go) or after a slot of nothing
-	// but cancelled events was drained, so the single loop all but never
-	// reaches it.
+	// the slot: curEnd runs ahead of the clock only after a slot of nothing
+	// but cancelled events was drained, so a run all but never reaches it.
 	ns     [nsSlots]fifo
 	nsbits [nsSlots / 64]uint64
 	early  eventHeap
@@ -215,7 +213,7 @@ func (s *Simulator) wheelInsert(e *event) {
 // on the early heap when it precedes the drained slot (there at&nsMask
 // would alias it into the wrong nanosecond). A FIFO holds one timestamp, so
 // seq alone orders it: the walk back from the tail never moves a fresh
-// event, and takes a held head pushed back by schedule to the front.
+// event.
 func (w *wheelState) nsInsert(e *event) {
 	if e.at < w.curEnd-nsSlots {
 		heap.Push(&w.early, e)
@@ -443,7 +441,7 @@ func (sl *slot) live() bool {
 }
 
 // reclaim recycles the events of a detached slot and frees its chunks,
-// returning how many events it held.
+// returning how many events it contained.
 func (s *Simulator) reclaim(sl slot) int {
 	n := 0
 	for c := sl.head; c != nil; c = s.wheel.freeChunk(c) {

@@ -47,7 +47,7 @@ func emittedMetricNames(t *testing.T) ([]string, []string) {
 	telemetry.CollectFAE(reg, "doc", a.Engine())
 	telemetry.ObserveFAE(reg, "doc", a.Engine())
 	telemetry.CollectChaos(reg, "doc", &chaos.Report{})
-	telemetry.CollectShards(reg, "doc", sim.NewSharded(7, 2, false).Group())
+	telemetry.CollectShards(reg, "doc", sim.NewSharded(7, 2).Group())
 
 	sp := suite.Sampler("doc", s, time.Millisecond)
 	telemetry.TrackPDL(sp, "conn", epA.PDL())

@@ -257,11 +257,10 @@ func CollectChaos(r *Registry, prefix string, rep *chaos.Report) {
 // group: per-partition delivery/cross-boundary counters plus the group's
 // window/stall aggregates. Names land under the "shard" layer
 // ("<prefix>/pN/shard/<metric>" per partition, "<prefix>/shard/<metric>"
-// for group totals), which the lake classifies exact: in merged mode
-// every value is determined by the event stream, so same-seed runs at
-// the same shard count must reproduce them byte-identically. Window
-// counters are only advanced by the experimental parallel mode and stay
-// zero under the merged coordinator.
+// for group totals), which the lake classifies exact: window boundaries
+// and barrier merges are a pure function of the partitions' event
+// streams, so same-seed runs at the same shard count must reproduce every
+// value byte-identically.
 func CollectShards(r *Registry, prefix string, g *sim.Sharded) {
 	r.OnSnapshot(func(emit func(string, float64)) {
 		var delivered, cross, windows, idle uint64
@@ -277,7 +276,6 @@ func CollectShards(r *Registry, prefix string, g *sim.Sharded) {
 			idle += st.IdleWindows
 		}
 		emit(prefix+"/shard/partitions", float64(g.Shards()))
-		emit(prefix+"/shard/parallel", boolMetric(g.Parallel()))
 		emit(prefix+"/shard/lookahead_ns", float64(g.Lookahead()))
 		emit(prefix+"/shard/delivered_total", float64(delivered))
 		emit(prefix+"/shard/cross_total", float64(cross))

@@ -69,19 +69,13 @@ type Scenario struct {
 	Gbps      float64       // default 100
 	PropDelay time.Duration // default 1us
 
-	// Shards splits the run into that many simulation partitions (<= 1 is
-	// the single event loop). The default merged mode drains partitions
-	// through the deterministic group merge and must be byte-identical to
-	// the single loop (asserted by TestSweepShardEquivalence).
+	// Shards splits the run into that many concurrent simulation
+	// partitions (<= 1 is the single event loop). Partitioned runs are
+	// self-deterministic — same seed, shard count and topology give the
+	// same per-partition streams — but their sequence numbering is
+	// per-partition, so their hashes are not comparable to the single
+	// loop's (the golden pins them under "<scenario>@shards4").
 	Shards int
-
-	// ShardParallel selects the experimental windowed-parallel execution
-	// (Shards > 1 only). Parallel runs are self-deterministic — same seed,
-	// shard count and topology give the same per-partition streams — but
-	// their sequence numbering is per-partition, so their hashes are NOT
-	// comparable to single-loop or merged hashes. Run attaches one hasher
-	// per partition and skips the shared-state checker and recorder.
-	ShardParallel bool
 
 	// MaxSimTime bounds the run in simulated time (default 5s). A healthy
 	// scenario drains in well under a millisecond of simulated time per
@@ -161,8 +155,8 @@ type Result struct {
 	Checks      uint64
 	Violations  uint64 // non-zero only when FailFunc suppresses the panic
 
-	// Events counts the scheduler deliveries the checker order- and
-	// timer-checked (zero in parallel mode, which runs no checker).
+	// Events counts the scheduler deliveries the checkers order- and
+	// timer-checked.
 	Events uint64
 	// PacketsAllocated and PacketsFree sum the transport packet pools
 	// after the run; a drained single-loop run has them equal.
@@ -170,16 +164,67 @@ type Result struct {
 	PacketsFree      int
 }
 
-// eventTap feeds every delivered event to the trace hasher, then to the
-// checker.
-type eventTap struct {
-	h *TraceHasher
-	k *Checker
+// probeSet is one partition's verification harness: a trace hasher, an
+// invariant checker and a flight recorder, attached to the partition's
+// scheduler, hosts and endpoints. Only the partition's own goroutine
+// touches it.
+type probeSet struct {
+	h   *TraceHasher
+	k   *Checker
+	rec *telemetry.Recorder // nil under DisableRecorder
 }
 
-func (e eventTap) OnEvent(at sim.Time, seq uint64) {
-	e.h.OnEvent(at, seq)
-	e.k.OnEvent(at, seq)
+// newProbeSet builds the harness for partition s and observes its events.
+// The flight recorder is a passive ring of the most recent probe records:
+// it schedules no events and draws no randomness, so attaching it leaves
+// the trace hash unchanged; its payoff is at failure time, when any
+// invariant violation dumps the event history leading up to it instead of
+// only the failing assertion.
+func newProbeSet(s *sim.Simulator, sc Scenario) *probeSet {
+	ps := &probeSet{h: NewTraceHasher(), k: NewChecker()}
+	ps.k.StrictOutstanding = sc.StrictOutstanding
+	ps.k.FailFunc = sc.FailFunc
+	if !sc.DisableRecorder {
+		ps.rec = telemetry.NewRecorder(s, telemetry.DefaultRecorderDepth)
+		inner := sc.FailFunc
+		ps.k.FailFunc = func(format string, args ...any) {
+			msg := fmt.Sprintf(format, args...) + "\n" + ps.rec.DumpString()
+			if inner != nil {
+				inner("%s", msg)
+				return
+			}
+			panic("testkit: invariant violation: " + msg)
+		}
+	}
+	s.SetObserver(ps)
+	return ps
+}
+
+// OnEvent feeds every delivered event to the trace hasher, then to the
+// checker.
+func (ps *probeSet) OnEvent(at sim.Time, seq uint64) {
+	ps.h.OnEvent(at, seq)
+	ps.k.OnEvent(at, seq)
+}
+
+// tapFrame records a frame arriving at one of the partition's hosts.
+func (ps *probeSet) tapFrame(f *netsim.Frame) {
+	ps.h.TapFrame(f)
+	if ps.rec != nil {
+		ps.rec.TapFrame(f)
+	}
+}
+
+// watch attaches the harness to an endpoint of its partition.
+func (ps *probeSet) watch(ep *core.Endpoint) {
+	var pdlExtra pdl.Probe
+	var tlExtra tl.Probe
+	if ps.rec != nil {
+		pdlExtra, tlExtra = ps.rec, ps.rec
+	}
+	ep.PDL().SetProbe(PDLProbes(ps.k, ps.h, pdlExtra))
+	ep.TL().SetProbe(TLProbes(ps.k, ps.h, tlExtra))
+	ps.k.WatchTimers(ep.PDL())
 }
 
 // sweepTarget is the target-side ULP: it serves every request, answering
@@ -210,16 +255,17 @@ func (t *sweepTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl
 	return nil, p.PullLength, v
 }
 
-// Run executes one scenario with the full verification harness attached:
-// the trace hasher observes the scheduler, both NIC ingress taps, both
-// PDL connections and both TLs; the invariant checker rides the same
-// probes and panics (with a context dump) on any violation. After the
-// run, Run additionally asserts quiescence: no outstanding or queued
-// packets and every resource pool drained back to zero.
+// Run executes one scenario with the full verification harness attached
+// to every partition (the single loop is the one-partition case): the
+// partition's trace hasher observes its scheduler, its hosts' NIC ingress
+// taps and the PDL connections and TLs of its endpoints; its invariant
+// checker rides the same probes and panics (with a context dump) on any
+// violation. After the run, Run additionally asserts quiescence: no
+// outstanding or queued packets and every resource pool drained back to
+// zero.
 func Run(sc Scenario) Result {
 	sc = sc.withDefaults()
-	s := sim.NewSharded(sc.Seed, sc.Shards, sc.ShardParallel)
-	parallel := s.Group() != nil && s.Group().Parallel()
+	s := sim.NewSharded(sc.Seed, sc.Shards)
 	link := netsim.LinkConfig{GbpsRate: sc.Gbps, PropDelay: sc.PropDelay}
 	topo, fwd := netsim.PointToPoint(s, link)
 	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
@@ -240,78 +286,22 @@ func Run(sc Scenario) Result {
 	connCfg.TL.Ordered = !sc.Unordered
 	epA, epB := cl.Connect(a, b, connCfg)
 
-	hasher := NewTraceHasher()
-	checker := NewChecker()
-	checker.StrictOutstanding = sc.StrictOutstanding
-	checker.FailFunc = sc.FailFunc
-
-	// partHashers is the parallel-mode harness: one hasher per partition,
-	// each touched only by its partition's goroutine. The shared checker
-	// and flight recorder are skipped — they would be written from several
-	// partitions at once — so parallel runs verify self-determinism and
-	// quiescence, not protocol invariants (the merged mode covers those
-	// with the identical event stream).
-	var partHashers []*TraceHasher
-	if parallel {
-		g := s.Group()
-		partHashers = make([]*TraceHasher, g.Shards())
-		for i := range partHashers {
-			partHashers[i] = NewTraceHasher()
-			g.Part(i).SetObserver(partHashers[i])
+	sets := []*probeSet{newProbeSet(s, sc)}
+	if g := s.Group(); g != nil {
+		for i := 1; i < g.Shards(); i++ {
+			sets = append(sets, newProbeSet(g.Part(i), sc))
 		}
-		for _, h := range topo.Hosts {
-			ph := partHashers[h.Sim().ShardIndex()]
-			h.SetTap(ph.TapFrame)
-		}
-		hashA := partHashers[epA.Sim().ShardIndex()]
-		hashB := partHashers[epB.Sim().ShardIndex()]
-		epA.PDL().SetProbe(hashA)
-		epB.PDL().SetProbe(hashB)
-		epA.TL().SetProbe(hashA)
-		epB.TL().SetProbe(hashB)
-	} else {
-		s.SetObserver(eventTap{hasher, checker})
-		checker.WatchTimers(epA.PDL(), epB.PDL())
-
-		// Flight recorder: a passive ring of the most recent probe records.
-		// It schedules no events and draws no randomness, so attaching it
-		// leaves the trace hash unchanged; its payoff is at failure time,
-		// when any invariant violation dumps the event history leading up to
-		// it instead of only the failing assertion.
-		tap := hasher.TapFrame
-		var pdlExtra pdl.Probe
-		var tlExtra tl.Probe
-		if !sc.DisableRecorder {
-			rec := telemetry.NewRecorder(s, telemetry.DefaultRecorderDepth)
-			pdlExtra, tlExtra = rec, rec
-			hashTap := hasher.TapFrame
-			tap = func(f *netsim.Frame) {
-				hashTap(f)
-				rec.TapFrame(f)
-			}
-			inner := sc.FailFunc
-			checker.FailFunc = func(format string, args ...any) {
-				msg := fmt.Sprintf(format, args...) + "\n" + rec.DumpString()
-				if inner != nil {
-					inner("%s", msg)
-					return
-				}
-				panic("testkit: invariant violation: " + msg)
-			}
-		}
-		for _, h := range topo.Hosts {
-			h.SetTap(tap)
-		}
-		epA.PDL().SetProbe(PDLProbes(checker, hasher, pdlExtra))
-		epB.PDL().SetProbe(PDLProbes(checker, hasher, pdlExtra))
-		epA.TL().SetProbe(TLProbes(checker, hasher, tlExtra))
-		epB.TL().SetProbe(TLProbes(checker, hasher, tlExtra))
 	}
+	for _, h := range topo.Hosts {
+		h.SetTap(sets[h.Sim().ShardIndex()].tapFrame)
+	}
+	psA := sets[epA.Sim().ShardIndex()]
+	psB := sets[epB.Sim().ShardIndex()]
+	psA.watch(epA)
+	psB.watch(epB)
 
 	// The target's RNR verdicts execute on the target's partition, so they
-	// draw from its simulator (the shared group stream in merged mode —
-	// identical draws to the single loop — and the partition-local stream
-	// in parallel mode).
+	// draw from its simulator's stream.
 	epB.SetTarget(&sweepTarget{s: epB.Sim(), rnrProb: sc.RNRPct / 100, rnrDelay: sc.RNRDelay})
 
 	// Fabric impairments.
@@ -335,8 +325,7 @@ func Run(sc Scenario) Result {
 	}
 	if sc.DegradeGbps > 0 {
 		// The degrade mutates port state, so its timer runs on the port's
-		// partition (identical schedule in single-loop and merged modes:
-		// fwd.Sim() is the root simulator, or shares its sequence counter).
+		// partition.
 		fwd.Sim().After(150*time.Microsecond, func() { fwd.SetRateGbps(sc.DegradeGbps) })
 	}
 
@@ -389,34 +378,32 @@ func Run(sc Scenario) Result {
 	s.RunUntil(s.Now().Add(sc.MaxSimTime))
 	if (res.Completed < res.Issued || res.Issued < sc.Ops) &&
 		epA.TL().Dead() == nil && epB.TL().Dead() == nil {
-		checker.Failf("scenario %q livelocked: no drain after %v simulated (issued=%d completed=%d)\n"+
+		psA.k.Failf("scenario %q livelocked: no drain after %v simulated (issued=%d completed=%d)\n"+
 			"initiator: %s\n  tl pending=%v\ntarget: %s\n  tl expected=%d buffered=%v",
 			sc.Name, sc.MaxSimTime, res.Issued, res.Completed,
 			DumpConn(epA.PDL()), epA.TL().PendingRSNs(),
 			DumpConn(epB.PDL()), epB.TL().ExpectedRSN(), epB.TL().BufferedRSNs())
 	}
 
-	if parallel {
-		// Fold the per-partition digests in partition order. The combined
-		// value is self-deterministic (same seed, shard count and mode →
-		// same fold) but, unlike merged-mode hashes, not comparable to the
-		// single loop's stream.
-		h, p := uint64(fnvOffset64), uint64(fnvOffset64)
-		for _, th := range partHashers {
-			h = (h ^ th.Sum64()) * fnvPrime64
-			p = (p ^ th.ProtoSum64()) * fnvPrime64
-			res.Records += th.Records()
-			res.ProtoRecords += th.ProtoRecords()
+	// The single loop's hash is its hasher's bare sum. A partitioned run
+	// folds the per-partition digests in partition order: the fold is
+	// self-deterministic (same seed and shard count, same fold) but not
+	// comparable to the single loop's stream.
+	res.TraceHash, res.ProtoHash = sets[0].h.Sum64(), sets[0].h.ProtoSum64()
+	if len(sets) > 1 {
+		res.TraceHash, res.ProtoHash = fnvOffset64, fnvOffset64
+		for _, ps := range sets {
+			res.TraceHash = (res.TraceHash ^ ps.h.Sum64()) * fnvPrime64
+			res.ProtoHash = (res.ProtoHash ^ ps.h.ProtoSum64()) * fnvPrime64
 		}
-		res.TraceHash = h
-		res.ProtoHash = p
-	} else {
-		res.TraceHash = hasher.Sum64()
-		res.Records = hasher.Records()
-		res.ProtoHash = hasher.ProtoSum64()
-		res.ProtoRecords = hasher.ProtoRecords()
 	}
-	res.Served = checker.ServedCount(epB.TL())
+	for _, ps := range sets {
+		res.Records += ps.h.Records()
+		res.ProtoRecords += ps.h.ProtoRecords()
+		res.Checks += ps.k.Checks
+		res.Events += ps.k.Events
+	}
+	res.Served = psB.k.ServedCount(epB.TL())
 	res.ConnFailed = epA.TL().Dead() != nil || epB.TL().Dead() != nil
 	res.SimTime = s.Now()
 	st := epA.PDL().Stats
@@ -425,8 +412,6 @@ func Run(sc Scenario) Result {
 	res.Duplicates = epB.PDL().Stats.Duplicates + st.Duplicates
 	res.NacksRx = st.NacksReceived
 	res.RNRRetries = epA.TL().Stats.RNRRetries
-	res.Checks = checker.Checks
-	res.Events = checker.Events
 	for _, pool := range []*wire.PacketPool{a.PacketPool(), b.PacketPool()} {
 		res.PacketsAllocated += pool.Allocated()
 		res.PacketsFree += pool.Free()
@@ -441,33 +426,39 @@ func Run(sc Scenario) Result {
 	// transport packet is back on the free list.
 	if !res.ConnFailed {
 		if res.Completed != res.Issued {
-			checker.Failf("scenario %q: %d issued but %d completed\n%s",
+			psA.k.Failf("scenario %q: %d issued but %d completed\n%s",
 				sc.Name, res.Issued, res.Completed, DumpConn(epA.PDL()))
 		}
-		for _, ep := range []*core.Endpoint{epA, epB} {
-			if out := ep.PDL().Outstanding(); out != 0 {
-				checker.Failf("scenario %q: %d packets still outstanding after drain\n%s",
-					sc.Name, out, DumpConn(ep.PDL()))
+		sides := []struct {
+			name string
+			ep   *core.Endpoint
+			node *core.Node
+			ps   *probeSet
+		}{{"initiator", epA, a, psA}, {"target", epB, b, psB}}
+		for _, sd := range sides {
+			if out := sd.ep.PDL().Outstanding(); out != 0 {
+				sd.ps.k.Failf("scenario %q: %d packets still outstanding after drain\n%s",
+					sc.Name, out, DumpConn(sd.ep.PDL()))
 			}
-			if q := ep.PDL().QueuedPackets(); q != 0 {
-				checker.Failf("scenario %q: %d packets still queued after drain\n%s",
-					sc.Name, q, DumpConn(ep.PDL()))
+			if q := sd.ep.PDL().QueuedPackets(); q != 0 {
+				sd.ps.k.Failf("scenario %q: %d packets still queued after drain\n%s",
+					sc.Name, q, DumpConn(sd.ep.PDL()))
 			}
-		}
-		for name, node := range map[string]*core.Node{"initiator": a, "target": b} {
 			for _, pool := range []tl.PoolKind{tl.PoolTxReq, tl.PoolTxResp, tl.PoolRxReq, tl.PoolRxResp} {
-				if occ := node.Resources().Occupancy(pool); occ != 0 {
-					checker.Failf("scenario %q: %s %v pool not drained (occupancy %.4f) — resource leak",
-						sc.Name, name, pool, occ)
+				if occ := sd.node.Resources().Occupancy(pool); occ != 0 {
+					sd.ps.k.Failf("scenario %q: %s %v pool not drained (occupancy %.4f) — resource leak",
+						sc.Name, sd.name, pool, occ)
 				}
 			}
 		}
-		if s.Group() == nil && res.PacketsFree != res.PacketsAllocated {
-			checker.Failf("scenario %q: %d transport packets allocated but %d free after drain — packet leak or double release",
+		if len(sets) == 1 && res.PacketsFree != res.PacketsAllocated {
+			psA.k.Failf("scenario %q: %d transport packets allocated but %d free after drain — packet leak or double release",
 				sc.Name, res.PacketsAllocated, res.PacketsFree)
 		}
 	}
-	res.Violations = checker.Violations
+	for _, ps := range sets {
+		res.Violations += ps.k.Violations
+	}
 	return res
 }
 

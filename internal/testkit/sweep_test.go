@@ -3,6 +3,7 @@ package testkit
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -135,31 +136,38 @@ func TestSweepRaceShort(t *testing.T) {
 // TestCheckerSelfTest proves the harness actually detects violations: a
 // deliberately over-strict outstanding bound must make an otherwise healthy
 // run trip the checker. A verification net that cannot fail verifies
-// nothing.
+// nothing. The single loop and a 2-way split must both trip it: each
+// partition's checker is wired to its own endpoints.
 func TestCheckerSelfTest(t *testing.T) {
-	var violations []string
-	sc := Scenario{
-		Name:              "selftest",
-		Seed:              42,
-		Workload:          WorkloadPush,
-		Ops:               50,
-		Window:            16,
-		StrictOutstanding: 2, // far below the real window: must trip
-		FailFunc: func(format string, args ...any) {
-			violations = append(violations, fmt.Sprintf(format, args...))
-		},
-	}
-	res := Run(sc)
-	if res.Violations == 0 || len(violations) == 0 {
-		t.Fatal("seeded violation not detected: checker passed a run that exceeds StrictOutstanding=2")
-	}
-	if !strings.Contains(violations[0], "strict outstanding bound") {
-		t.Fatalf("unexpected violation: %s", violations[0])
-	}
-	// The dump must carry enough context to debug from: window state and
-	// connection stats.
-	if !strings.Contains(violations[0], "tx: base=") || !strings.Contains(violations[0], "stats:") {
-		t.Fatalf("violation lacks the connection context dump:\n%s", violations[0])
+	for _, shards := range []int{1, 2} {
+		var mu sync.Mutex
+		var violations []string
+		sc := Scenario{
+			Name:              "selftest",
+			Seed:              42,
+			Workload:          WorkloadPush,
+			Ops:               50,
+			Window:            16,
+			Shards:            shards,
+			StrictOutstanding: 2, // far below the real window: must trip
+			FailFunc: func(format string, args ...any) {
+				mu.Lock()
+				violations = append(violations, fmt.Sprintf(format, args...))
+				mu.Unlock()
+			},
+		}
+		res := Run(sc)
+		if res.Violations == 0 || len(violations) == 0 {
+			t.Fatalf("shards=%d: seeded violation not detected: checker passed a run that exceeds StrictOutstanding=2", shards)
+		}
+		if !strings.Contains(violations[0], "strict outstanding bound") {
+			t.Fatalf("shards=%d: unexpected violation: %s", shards, violations[0])
+		}
+		// The dump must carry enough context to debug from: window state
+		// and connection stats.
+		if !strings.Contains(violations[0], "tx: base=") || !strings.Contains(violations[0], "stats:") {
+			t.Fatalf("shards=%d: violation lacks the connection context dump:\n%s", shards, violations[0])
+		}
 	}
 }
 
