@@ -88,8 +88,11 @@ metrics:
 #     purpose regenerates the golden with the same pipeline and explains
 #     the diff. See DESIGN.md §15 for the partitioned engine.
 #   - Telemetry lake over the committed BENCH artifacts (DESIGN.md §12,
-#     METRICS.md): each artifact must ingest cleanly and self-diff with
-#     zero findings.
+#     METRICS.md): `falconlake watch` regenerates each committed metrics
+#     snapshot and must find nothing; `falconlake diff` compares each
+#     committed bench before/after pair seed by seed (exact metrics
+#     identical, no host metric >25% worse); every other artifact must
+#     ingest cleanly.
 #   - Storms (DESIGN.md §14): two falconbench runs under one -storm seed
 #     must write byte-identical metrics JSON.
 #   - Race detector over the concurrent paths: storm sweeps, and the
@@ -97,18 +100,23 @@ metrics:
 #     on goroutines under conservative lookahead windows and must stay
 #     self-deterministic.
 CHECKDIR ?= $(or $(TMPDIR),/tmp)/falcon-check
-LAKE_ARTIFACTS = BENCH_pr3_metrics.json BENCH_pr3_series BENCH_pr5.json BENCH_pr6.json \
-	BENCH_pr8_metrics.json BENCH_pr9_metrics.json BENCH_pr10_single.json BENCH_pr10.json
+LAKE_WATCHED = BENCH_pr3_metrics.json BENCH_pr8_metrics.json BENCH_pr9_metrics.json
+LAKE_PAIRS = pr17 pr17_extra pr18 pr26 pr27 pr28 pr29
+LAKE_LISTED = BENCH_pr2.json BENCH_pr3_series BENCH_pr5.json BENCH_pr6.json \
+	BENCH_pr10.json BENCH_pr10_single.json
 check:
 	$(GO) -C bench test .
 	$(GO) run ./cmd/falconbench -quick | sed '/ in /d' | \
 		diff -u cmd/falconbench/testdata/quick_tables.golden -
 	$(GO) run ./cmd/falconbench -quick -run figScale -shards 4 | sed '/ in /d' | \
 		diff -u cmd/falconbench/testdata/figscale_shards4.golden -
-	for a in $(LAKE_ARTIFACTS); do \
-		$(GO) run ./cmd/falconlake diff $$a $$a || exit 1; \
-	done
 	mkdir -p $(CHECKDIR)
+	$(GO) build -o $(CHECKDIR)/falconlake ./cmd/falconlake
+	for a in $(LAKE_WATCHED); do $(CHECKDIR)/falconlake watch $$a || exit 1; done
+	for p in $(LAKE_PAIRS); do \
+		$(CHECKDIR)/falconlake diff BENCH_$${p}_before.jsonl BENCH_$${p}_after.jsonl || exit 1; \
+	done
+	$(CHECKDIR)/falconlake list $(LAKE_LISTED)
 	$(GO) run ./cmd/falconbench -quick -storm 71 -metrics $(CHECKDIR)/storm_a.json >/dev/null
 	$(GO) run ./cmd/falconbench -quick -storm 71 -metrics $(CHECKDIR)/storm_b.json >/dev/null
 	cmp $(CHECKDIR)/storm_a.json $(CHECKDIR)/storm_b.json

@@ -4,8 +4,9 @@
 // performance regressions.
 //
 // Usage (every ARTIFACT is a falconmetrics/v1 JSON, a falconbench/v1
-// JSON, a series CSV, or a directory of series CSVs; the index is built
-// in memory on each invocation):
+// JSON, a bench -out .jsonl file of untraced records, a series CSV, or a
+// directory of series CSVs; the index is built in memory on each
+// invocation):
 //
 //	falconlake list [run=]ARTIFACT...
 //	    Show the runs with their schemas, cell and series counts. An
@@ -24,8 +25,7 @@
 //	    Print (t_ns, value) rows of one time-series column, or its
 //	    summary; without -col, list the series' columns.
 //
-//	falconlake watch [-tol 0.05] [-perftol 0.25] [-json] [-keep path] \
-//	    baseline.json
+//	falconlake watch [-json] [-keep path] [-figure glob] baseline.json
 //	    Regenerate the baseline's figures in-process (same figure set,
 //	    same quick flag, instrumented run) and diff the fresh artifact
 //	    against the committed baseline. Exits 1 when findings exist —
@@ -35,25 +35,25 @@
 //	    around. -keep writes the regenerated artifact to a path for
 //	    inspection (or for promoting it to the new baseline).
 //
-//	falconlake trend [-tol 0.05] [-perftol 0.10] [-json] \
-//	    ARTIFACT1 ARTIFACT2 ARTIFACT3...
+//	falconlake trend [-json] ARTIFACT1 ARTIFACT2 ARTIFACT3...
 //	    Scan three or more artifacts (oldest first) for metrics drifting
 //	    monotonically across the whole sequence. Pairwise diffing
 //	    forgives a slow creep — a perf metric regressing 8% per run
 //	    never trips the 25% band — so the trend scan flags monotonic
 //	    chains whose cumulative first-to-last drift exceeds the (much
-//	    tighter) trend tolerances: timing-class beyond -tol, perf-class
-//	    beyond -perftol in the metric's worse direction. Exact-class
+//	    tighter) trend tolerances: timing-class beyond 5%, perf-class
+//	    beyond 10% in the metric's worse direction. Exact-class
 //	    cells are skipped (any change there is already a diff finding).
 //	    Exits 1 when drifts exist.
 //
-//	falconlake diff [-tol 0.05] [-perftol 0.25] [-json] ARTIFACT_A ARTIFACT_B
+//	falconlake diff [-json] ARTIFACT_A ARTIFACT_B
 //	    Compare artifact B against baseline A. Exact-class metrics must
-//	    match bit-for-bit; timing-class metrics get the -tol band;
-//	    perf metrics are flagged only for regressions beyond
-//	    -perftol. Exits 1 when findings exist, so the diff gates CI
-//	    directly (`make check` asserts each committed artifact
-//	    self-diffs empty).
+//	    match bit-for-bit; timing-class metrics get a ±5% band; perf
+//	    metrics are flagged only for regressions beyond 25%. Exits 1
+//	    when findings exist, so the diff gates CI directly: `make check`
+//	    diffs every committed BENCH_prN_before.jsonl against its
+//	    _after.jsonl, seed by seed (events_per_op, sim_*, attempted,
+//	    failed and correct exact; host-measured metrics perf).
 //
 // See METRICS.md for the metric-name grammar and the per-metric
 // determinism classes the differ applies, and EXPERIMENTS.md (PR7
@@ -63,6 +63,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -100,9 +101,9 @@ func usage() {
   falconlake list   [run=]ARTIFACT...
   falconlake query  [-run NAME] [-summary] PATTERN [run=]ARTIFACT...
   falconlake query  [-run NAME] -serie NAME [-col COL] [-from NS] [-to NS] [-summary] [run=]ARTIFACT...
-  falconlake diff   [-tol F] [-perftol F] [-json] ARTIFACT_A ARTIFACT_B
-  falconlake trend  [-tol F] [-perftol F] [-json] ARTIFACT1 ARTIFACT2 ARTIFACT3...
-  falconlake watch  [-tol F] [-perftol F] [-json] [-keep PATH] BASELINE.json
+  falconlake diff   [-json] ARTIFACT_A ARTIFACT_B
+  falconlake trend  [-json] ARTIFACT1 ARTIFACT2 ARTIFACT3...
+  falconlake watch  [-json] [-keep PATH] [-figure GLOB] BASELINE.json
 
 See 'go doc falcon/cmd/falconlake' and METRICS.md for details.
 `)
@@ -113,21 +114,41 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// report is what diff, trend and watch print.
+type report interface {
+	WriteText(io.Writer) error
+	WriteJSON(io.Writer) error
+	Empty() bool
+}
+
+// emit prints the report as text or JSON and exits 1 when it has
+// findings.
+func emit(rep report, jsonOut bool) {
+	var err error
+	if jsonOut {
+		err = rep.WriteJSON(os.Stdout)
+	} else {
+		err = rep.WriteText(os.Stdout)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if !rep.Empty() {
+		os.Exit(1)
+	}
+}
+
 // buildIndex ingests the artifacts into an in-memory index, returning it
 // with the run each artifact landed in; run names the i-th one.
 func buildIndex(args []string, run func(i int, arg string) (name, path string)) (*lake.Index, []string) {
-	b := lake.NewBuilder()
+	ix := &lake.Index{}
 	runs := make([]string, len(args))
 	for i, arg := range args {
 		name, path := run(i, arg)
-		if err := b.IngestFile(name, path); err != nil {
+		if err := ix.IngestFile(name, path); err != nil {
 			fatal(err)
 		}
 		runs[i] = name
-	}
-	ix, err := b.Seal()
-	if err != nil {
-		fatal(err)
 	}
 	return ix, runs
 }
@@ -161,15 +182,12 @@ func cmdList(args []string) {
 	}
 	ix, _ := buildIndex(fs.Args(), namedRuns)
 	for _, r := range ix.Runs() {
-		cells := 0
-		ix.EachCell(r.Name, func(string, float64) { cells++ })
-		series := ix.SeriesNames(r.Name)
 		quick := ""
 		if r.Quick {
 			quick = " quick"
 		}
 		fmt.Printf("%-8s %6d cells  %d series%s  [%s]  %s\n",
-			r.Name, cells, len(series), quick,
+			r.Name, len(r.Cells), len(r.Series), quick,
 			strings.Join(r.Schemas, " "), strings.Join(r.Sources, ", "))
 	}
 }
@@ -200,29 +218,28 @@ func cmdQuery(args []string) {
 		}
 		*run = ix.Runs()[0].Name
 	}
-	q := lake.NewQuerier(ix)
 
 	if *serie != "" {
 		if *col == "" {
 			// No column: list the series' columns.
-			sv, ok := ix.FindSeries(*run, *serie)
-			if !ok {
+			s := ix.FindSeries(*run, *serie)
+			if s == nil {
 				fatal(fmt.Errorf("series %q not in run %q (have: %s)",
 					*serie, *run, strings.Join(ix.SeriesNames(*run), ", ")))
 			}
 			fmt.Printf("series %s: %d rows, columns: %s\n",
-				*serie, sv.Rows(), strings.Join(sv.Columns(), ", "))
+				*serie, len(s.Times), strings.Join(s.Columns, ", "))
 			return
 		}
 		if *summary {
-			s, ok := q.SeriesSummary(*run, *serie, *col)
+			s, ok := ix.SeriesSummary(*run, *serie, *col)
 			if !ok {
 				fatal(fmt.Errorf("series %q column %q not in run %q", *serie, *col, *run))
 			}
 			printSummary(s)
 			return
 		}
-		ts, vs, ok := q.SeriesSlice(*run, *serie, *col, *from, *to)
+		ts, vs, ok := ix.SeriesSlice(*run, *serie, *col, *from, *to)
 		if !ok {
 			fatal(fmt.Errorf("series %q column %q not in run %q", *serie, *col, *run))
 		}
@@ -234,10 +251,10 @@ func cmdQuery(args []string) {
 	}
 
 	if *summary {
-		printSummary(q.Summary(*run, pattern))
+		printSummary(ix.Summary(*run, pattern))
 		return
 	}
-	cells := q.Select(*run, pattern)
+	cells := ix.Select(*run, pattern)
 	for _, c := range cells {
 		fmt.Printf("%s %s\n", c.Path, formatVal(c.Value))
 	}
@@ -260,8 +277,6 @@ func formatVal(v float64) string {
 
 func cmdDiff(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	tol := fs.Float64("tol", 0, "relative tolerance for timing-class metrics (default 0.05)")
-	perftol := fs.Float64("perftol", 0, "regression tolerance for perf-class metrics (default 0.25)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
@@ -269,27 +284,15 @@ func cmdDiff(args []string) {
 		os.Exit(2)
 	}
 	ix, runs := buildIndex(fs.Args(), numberedRuns)
-	rep, err := lake.Diff(ix, runs[0], runs[1], lake.Options{RelTol: *tol, PerfTol: *perftol})
+	rep, err := lake.Diff(ix, runs[0], runs[1])
 	if err != nil {
 		fatal(err)
 	}
-	if *jsonOut {
-		err = rep.WriteJSON(os.Stdout)
-	} else {
-		err = rep.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if !rep.Empty() {
-		os.Exit(1)
-	}
+	emit(rep, *jsonOut)
 }
 
 func cmdTrend(args []string) {
 	fs := flag.NewFlagSet("trend", flag.ExitOnError)
-	tol := fs.Float64("tol", 0, "cumulative drift tolerance for timing-class metrics (default 0.05)")
-	perftol := fs.Float64("perftol", 0, "cumulative regression tolerance for perf-class metrics (default 0.10)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	fs.Parse(args)
 	if fs.NArg() < 3 {
@@ -297,19 +300,9 @@ func cmdTrend(args []string) {
 		os.Exit(2)
 	}
 	ix, runs := buildIndex(fs.Args(), numberedRuns)
-	rep, err := lake.Trend(ix, runs, lake.TrendOptions{RelTol: *tol, PerfTol: *perftol})
+	rep, err := lake.Trend(ix, runs)
 	if err != nil {
 		fatal(err)
 	}
-	if *jsonOut {
-		err = rep.WriteJSON(os.Stdout)
-	} else {
-		err = rep.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if !rep.Empty() {
-		os.Exit(1)
-	}
+	emit(rep, *jsonOut)
 }

@@ -25,8 +25,6 @@ import (
 
 func cmdWatch(args []string) {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	tol := fs.Float64("tol", 0, "relative tolerance for timing-class metrics (default 0.05)")
-	perftol := fs.Float64("perftol", 0, "regression tolerance for perf-class metrics (default 0.25)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	keep := fs.String("keep", "", "also write the regenerated artifact to this path")
 	figure := fs.String("figure", "", "glob of baseline figures to regenerate (e.g. 'figStorm' or 'fig1*'); default: all")
@@ -114,7 +112,7 @@ func cmdWatch(args []string) {
 	if err := current.WriteJSON(&buf); err != nil {
 		fatal(err)
 	}
-	bld := lake.NewBuilder()
+	var ix lake.Index
 	// Ingest the (possibly -figure-filtered) baseline from memory, not the
 	// file: a narrowed regeneration must diff against the same subset or
 	// every skipped figure reads as a missing metric.
@@ -122,29 +120,15 @@ func cmdWatch(args []string) {
 	if err := baseline.WriteJSON(&base); err != nil {
 		fatal(err)
 	}
-	if err := bld.IngestMetricsJSON("baseline", &base, baselinePath); err != nil {
+	if err := ix.IngestMetricsJSON("baseline", &base, baselinePath); err != nil {
 		fatal(err)
 	}
-	if err := bld.IngestMetricsJSON("current", &buf, "(regenerated)"); err != nil {
+	if err := ix.IngestMetricsJSON("current", &buf, "(regenerated)"); err != nil {
 		fatal(err)
 	}
-	ix, err := bld.Seal()
+	drep, err := lake.Diff(&ix, "baseline", "current")
 	if err != nil {
 		fatal(err)
 	}
-	drep, err := lake.Diff(ix, "baseline", "current", lake.Options{RelTol: *tol, PerfTol: *perftol})
-	if err != nil {
-		fatal(err)
-	}
-	if *jsonOut {
-		err = drep.WriteJSON(os.Stdout)
-	} else {
-		err = drep.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if !drep.Empty() {
-		os.Exit(1)
-	}
+	emit(drep, *jsonOut)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -13,38 +14,32 @@ import (
 //
 //   - exact   — determinism-contract metrics; any difference is a
 //     behavior change and is flagged.
-//   - timing  — timing-derived metrics; flagged beyond a relative
-//     tolerance band (Options.RelTol).
-//   - perf    — falconbench/v1 wall-clock metrics; flagged only when
+//   - timing  — timing-derived metrics; flagged beyond the relative
+//     tolerance band timingTol.
+//   - perf    — wall-clock and host-measured metrics; flagged only when
 //     they move in the metric's "worse" direction by more than the
-//     loose Options.PerfTol.
+//     loose perfTol.
 //
 // Findings, and the rendered report, are deterministic: comparison
-// walks both runs' sorted cell columns merge-style, so the same pair
+// walks both runs' sorted cells merge-style, so the same pair
 // of runs always produces byte-identical output. Diffing a run
-// against itself reports zero findings by construction — the property
-// `make check` asserts over the committed artifacts.
+// against itself reports zero findings by construction.
 
-// Options configures diff tolerances. The zero value uses defaults.
-type Options struct {
-	// RelTol is the relative-error band for ClassTiming metrics
-	// (default 0.05, i.e. ±5%).
-	RelTol float64
-	// PerfTol is the regression band for ClassPerf metrics (default
-	// 0.25): a perf metric is flagged only when it is worse than the
-	// baseline by more than this fraction.
-	PerfTol float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.RelTol == 0 {
-		o.RelTol = 0.05
-	}
-	if o.PerfTol == 0 {
-		o.PerfTol = 0.25
-	}
-	return o
-}
+// The tolerance bands, as fractions of the larger magnitude (relErr).
+// They are constants: a band is part of what a committed artifact
+// pair is judged by, so every caller gets the same one.
+const (
+	// timingTol is the band for timing-class cells and series columns,
+	// per pair in Diff and cumulatively along a chain in Trend (±5%).
+	timingTol = 0.05
+	// perfTol is Diff's regression band for perf-class cells: one is
+	// flagged only when it is worse than the baseline by more than this.
+	perfTol = 0.25
+	// trendPerfTol is Trend's cumulative perf band — deliberately
+	// tighter than perfTol: slow regressions are exactly what the
+	// pairwise band forgives.
+	trendPerfTol = 0.10
+)
 
 // Finding kinds.
 const (
@@ -108,61 +103,54 @@ func perfWorse(metric string, a, b float64) bool {
 	switch metric {
 	case "events_per_sec", "events":
 		return b < a
-	default: // wall_ms, ns_per_event, allocs_per_event
+	default: // wall_ms, ns_per_event, host_ns_per_op, setup_s, heap_*, allocs_*
 		return b > a
 	}
 }
 
 // Diff compares runB against baseline runA cell-by-cell and
 // series-by-series.
-func Diff(ix *Index, runA, runB string, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
-	ra, rb := ix.runIndex(runA), ix.runIndex(runB)
-	if ra < 0 {
+func Diff(ix *Index, runA, runB string) (*Report, error) {
+	ra, rb := ix.runs[runA], ix.runs[runB]
+	if ra == nil {
 		return nil, fmt.Errorf("lake: run %q not in index", runA)
 	}
-	if rb < 0 {
+	if rb == nil {
 		return nil, fmt.Errorf("lake: run %q not in index", runB)
 	}
 	rep := &Report{Schema: "falconlakediff/v1", RunA: runA, RunB: runB}
 
-	// Merge-walk the two sorted cell ranges.
-	ia, ea := int(ix.runCellOff[ra]), int(ix.runCellOff[ra+1])
-	ib, eb := int(ix.runCellOff[rb]), int(ix.runCellOff[rb+1])
-	for ia < ea || ib < eb {
+	// Merge-walk the two sorted cell slices.
+	a, b := ra.Cells, rb.Cells
+	for len(a) > 0 || len(b) > 0 {
 		switch {
-		case ib >= eb || (ia < ea && ix.strs[ix.cellPath[ia]] < ix.strs[ix.cellPath[ib]]):
-			p := ix.strs[ix.cellPath[ia]]
+		case len(b) == 0 || (len(a) > 0 && a[0].Path < b[0].Path):
 			rep.Findings = append(rep.Findings, Finding{
-				Kind: FindingMissing, Path: p, Class: ParsePath(p).Class().String(),
-				A: ix.cellVal[ia],
+				Kind: FindingMissing, Path: a[0].Path, Class: ParsePath(a[0].Path).Class().String(),
+				A: a[0].Value,
 			})
-			ia++
-		case ia >= ea || ix.strs[ix.cellPath[ib]] < ix.strs[ix.cellPath[ia]]:
-			p := ix.strs[ix.cellPath[ib]]
+			a = a[1:]
+		case len(a) == 0 || b[0].Path < a[0].Path:
 			rep.Findings = append(rep.Findings, Finding{
-				Kind: FindingExtra, Path: p, Class: ParsePath(p).Class().String(),
-				B: ix.cellVal[ib],
+				Kind: FindingExtra, Path: b[0].Path, Class: ParsePath(b[0].Path).Class().String(),
+				B: b[0].Value,
 			})
-			ib++
+			b = b[1:]
 		default:
-			p := ix.strs[ix.cellPath[ia]]
-			a, b := ix.cellVal[ia], ix.cellVal[ib]
 			rep.CellsCompared++
-			if f, flagged := compareCell(p, a, b, opt); flagged {
+			if f, flagged := compareCell(a[0].Path, a[0].Value, b[0].Value); flagged {
 				rep.Findings = append(rep.Findings, f)
 			}
-			ia++
-			ib++
+			a, b = a[1:], b[1:]
 		}
 	}
 
-	diffSeries(ix, ra, rb, opt, rep)
+	diffSeries(ra, rb, rep)
 	return rep, nil
 }
 
 // compareCell applies the class rule to one shared cell.
-func compareCell(path string, a, b float64, opt Options) (Finding, bool) {
+func compareCell(path string, a, b float64) (Finding, bool) {
 	cls := ParsePath(path).Class()
 	re := relErr(a, b)
 	f := Finding{Path: path, Class: cls.String(), A: a, B: b, RelErr: re}
@@ -174,12 +162,12 @@ func compareCell(path string, a, b float64, opt Options) (Finding, bool) {
 			return f, true
 		}
 	case ClassTiming:
-		if re > opt.RelTol {
+		if re > timingTol {
 			f.Kind = FindingDrift
 			return f, true
 		}
 	case ClassPerf:
-		if perfWorse(ParsePath(path).Metric, a, b) && re > opt.PerfTol {
+		if perfWorse(ParsePath(path).Metric, a, b) && re > perfTol {
 			f.Kind = FindingPerf
 			return f, true
 		}
@@ -192,79 +180,69 @@ func compareCell(path string, a, b float64, opt Options) (Finding, bool) {
 // shape findings; shared columns are compared row-by-row under the
 // column metric's class, aggregated into at most one finding per
 // column.
-func diffSeries(ix *Index, ra, rb int, opt Options, rep *Report) {
-	namesOf := func(r int) map[string]*Series {
-		m := make(map[string]*Series)
-		for i := range ix.series {
-			if int(ix.series[i].run) == r {
-				m[ix.strs[ix.series[i].name]] = &ix.series[i]
-			}
-		}
-		return m
-	}
-	sa, sb := namesOf(ra), namesOf(rb)
-	for _, name := range sortedKeys(sa) {
-		a := sa[name]
-		b, ok := sb[name]
-		if !ok {
+func diffSeries(ra, rb *Run, rep *Report) {
+	for i := range ra.Series {
+		a := &ra.Series[i]
+		b := rb.findSeries(a.Name)
+		if b == nil {
 			rep.Findings = append(rep.Findings, Finding{
-				Kind: FindingShape, Path: "series:" + name, Class: "exact",
+				Kind: FindingShape, Path: "series:" + a.Name, Class: "exact",
 				Detail: "series missing in " + rep.RunB,
 			})
 			continue
 		}
 		rep.SeriesCompared++
-		diffOneSeries(ix, name, a, b, opt, rep)
+		diffOneSeries(a, b, rep)
 	}
-	for _, name := range sortedKeys(sb) {
-		if _, ok := sa[name]; !ok {
+	for _, b := range rb.Series {
+		if ra.findSeries(b.Name) == nil {
 			rep.Findings = append(rep.Findings, Finding{
-				Kind: FindingShape, Path: "series:" + name, Class: "exact",
+				Kind: FindingShape, Path: "series:" + b.Name, Class: "exact",
 				Detail: "series missing in " + rep.RunA,
 			})
 		}
 	}
 }
 
-func diffOneSeries(ix *Index, name string, a, b *Series, opt Options, rep *Report) {
-	colsA, colsB := seriesColNames(ix, a), seriesColNames(ix, b)
-	if strings.Join(colsA, ",") != strings.Join(colsB, ",") {
+func diffOneSeries(a, b *Series, rep *Report) {
+	name := a.Name
+	if !slices.Equal(a.Columns, b.Columns) {
 		rep.Findings = append(rep.Findings, Finding{
 			Kind: FindingShape, Path: "series:" + name, Class: "exact",
-			Detail: fmt.Sprintf("columns differ: %v vs %v", colsA, colsB),
+			Detail: fmt.Sprintf("columns differ: %v vs %v", a.Columns, b.Columns),
 		})
 		return
 	}
-	rows := len(a.times)
-	if len(b.times) != rows {
+	rows := len(a.Times)
+	if len(b.Times) != rows {
 		rep.Findings = append(rep.Findings, Finding{
 			Kind: FindingShape, Path: "series:" + name, Class: "exact",
-			A: float64(rows), B: float64(len(b.times)),
+			A: float64(rows), B: float64(len(b.Times)),
 			Detail: "row counts differ",
 		})
 		return
 	}
 	for i := 0; i < rows; i++ {
-		if a.times[i] != b.times[i] {
+		if a.Times[i] != b.Times[i] {
 			rep.Findings = append(rep.Findings, Finding{
 				Kind: FindingShape, Path: "series:" + name + "/t_ns", Class: "exact",
-				A: float64(a.times[i]), B: float64(b.times[i]),
+				A: float64(a.Times[i]), B: float64(b.Times[i]),
 				Detail: fmt.Sprintf("timestamps diverge at row %d", i),
 			})
 			return
 		}
 	}
-	for c, col := range colsA {
+	for c, col := range a.Columns {
 		cls := ParsePath(col).Class()
 		var bad, firstRow int
 		var firstA, firstB, maxRE float64
 		for i := 0; i < rows; i++ {
-			va, vb := a.vals[c][i], b.vals[c][i]
+			va, vb := a.Values[c][i], b.Values[c][i]
 			re := relErr(va, vb)
 			flag := false
 			switch cls {
 			case ClassTiming:
-				flag = re > opt.RelTol
+				flag = re > timingTol
 			default:
 				flag = va != vb && !(math.IsNaN(va) && math.IsNaN(vb))
 			}
@@ -282,18 +260,10 @@ func diffOneSeries(ix *Index, name string, a, b *Series, opt Options, rep *Repor
 			rep.Findings = append(rep.Findings, Finding{
 				Kind: FindingSeries, Path: "series:" + name + "/" + col,
 				Class: cls.String(), A: firstA, B: firstB, RelErr: maxRE,
-				Detail: fmt.Sprintf("%d/%d rows differ, first at t_ns=%d", bad, rows, a.times[firstRow]),
+				Detail: fmt.Sprintf("%d/%d rows differ, first at t_ns=%d", bad, rows, a.Times[firstRow]),
 			})
 		}
 	}
-}
-
-func seriesColNames(ix *Index, s *Series) []string {
-	out := make([]string, len(s.cols))
-	for i, id := range s.cols {
-		out[i] = ix.strs[id]
-	}
-	return out
 }
 
 // WriteText renders the report for humans, findings in deterministic

@@ -7,49 +7,44 @@ import (
 	"testing"
 )
 
+// ingestMetrics ingests m into the run as a one-figure falconmetrics/v1
+// snapshot. Map order is fine: ingest sorts the cells.
+func ingestMetrics(t *testing.T, ix *Index, run string, m map[string]float64) {
+	t.Helper()
+	var metrics []string
+	for k, v := range m {
+		metrics = append(metrics, fmt.Sprintf(`{"name":"%s","value":%v}`, k, v))
+	}
+	js := `{"schema":"falconmetrics/v1","figures":[{"name":"f","metrics":{"at_ns":0,"metrics":[` +
+		strings.Join(metrics, ",") + `]}}]}`
+	if err := ix.IngestMetricsJSON(run, strings.NewReader(js), run+".json"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // twoRunIndex builds runs "base" and "next" from the given metric and
 // series payloads.
 func twoRunIndex(t *testing.T, metricsA, metricsB map[string]float64, seriesA, seriesB string) *Index {
 	t.Helper()
-	b := NewBuilder()
-	addMetrics := func(run string, m map[string]float64) {
-		var sb strings.Builder
-		sb.WriteString(`{"schema":"falconmetrics/v1","figures":[{"name":"f","metrics":{"at_ns":0,"metrics":[`)
-		first := true
-		for _, k := range sortedKeys(m) {
-			if !first {
-				sb.WriteString(",")
-			}
-			first = false
-			fmt.Fprintf(&sb, `{"name":"%s","value":%v}`, k, m[k])
-		}
-		sb.WriteString(`]}}]}`)
-		if err := b.IngestMetricsJSON(run, strings.NewReader(sb.String()), run+".json"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addMetrics("base", metricsA)
-	addMetrics("next", metricsB)
+	ix := &Index{}
+	ingestMetrics(t, ix, "base", metricsA)
+	ingestMetrics(t, ix, "next", metricsB)
 	if seriesA != "" {
-		if err := b.IngestSeriesCSV("base", "s", strings.NewReader(seriesA), "a.csv"); err != nil {
+		if err := ix.IngestSeriesCSV("base", "s", strings.NewReader(seriesA), "a.csv"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if seriesB != "" {
-		if err := b.IngestSeriesCSV("next", "s", strings.NewReader(seriesB), "b.csv"); err != nil {
+		if err := ix.IngestSeriesCSV("next", "s", strings.NewReader(seriesB), "b.csv"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	ix, err := b.Seal()
-	if err != nil {
-		t.Fatal(err)
 	}
 	return ix
 }
 
-func mustDiff(t *testing.T, ix *Index, a, b string, opt Options) *Report {
+func mustDiff(t *testing.T, ix *Index, a, b string) *Report {
 	t.Helper()
-	rep, err := Diff(ix, a, b, opt)
+	rep, err := Diff(ix, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +85,7 @@ func TestDiffClasses(t *testing.T) {
 			"fig/d/perf/events_per_sec": 1500,
 		},
 		"", "")
-	rep := mustDiff(t, ix, "base", "next", Options{})
+	rep := mustDiff(t, ix, "base", "next")
 	kinds := findingKinds(rep)
 	want := map[string]string{
 		"fig/a/pdl/data_sent":       FindingDrift,
@@ -119,28 +114,13 @@ func TestDiffClasses(t *testing.T) {
 	}
 }
 
-// TestDiffTolerancesConfigurable widens the bands and checks the same
-// drifts stop being findings.
-func TestDiffTolerancesConfigurable(t *testing.T) {
-	ix := twoRunIndex(t,
-		map[string]float64{"fig/a/pdl/lat_ns": 100, "fig/a/perf/wall_ms": 100},
-		map[string]float64{"fig/a/pdl/lat_ns": 140, "fig/a/perf/wall_ms": 160},
-		"", "")
-	if rep := mustDiff(t, ix, "base", "next", Options{}); len(rep.Findings) != 2 {
-		t.Fatalf("default tolerances: %d findings, want 2", len(rep.Findings))
-	}
-	if rep := mustDiff(t, ix, "base", "next", Options{RelTol: 0.5, PerfTol: 0.5}); !rep.Empty() {
-		t.Fatalf("wide tolerances should pass, got %+v", rep.Findings)
-	}
-}
-
 // TestDiffMissingExtra checks set differences in both directions.
 func TestDiffMissingExtra(t *testing.T) {
 	ix := twoRunIndex(t,
 		map[string]float64{"fig/a/pdl/only_in_a": 1, "fig/a/pdl/shared": 2},
 		map[string]float64{"fig/a/pdl/only_in_b": 3, "fig/a/pdl/shared": 2},
 		"", "")
-	rep := mustDiff(t, ix, "base", "next", Options{})
+	rep := mustDiff(t, ix, "base", "next")
 	kinds := findingKinds(rep)
 	if kinds["fig/a/pdl/only_in_a"] != FindingMissing {
 		t.Errorf("only_in_a: %q, want missing", kinds["fig/a/pdl/only_in_a"])
@@ -161,7 +141,7 @@ func TestDiffSeries(t *testing.T) {
 	// differs at two rows: flagged with a row count.
 	next := "t_ns,conn/fcwnd,fwd/queue_drops\n0,16,1\n1000,20.4,2\n2000,24,3\n"
 	ix := twoRunIndex(t, map[string]float64{"fig/x/pdl/v": 1}, map[string]float64{"fig/x/pdl/v": 1}, base, next)
-	rep := mustDiff(t, ix, "base", "next", Options{})
+	rep := mustDiff(t, ix, "base", "next")
 	if len(rep.Findings) != 1 {
 		t.Fatalf("findings = %+v, want exactly the queue_drops drift", rep.Findings)
 	}
@@ -179,14 +159,14 @@ func TestDiffSeries(t *testing.T) {
 	// Shape: different row counts.
 	ix2 := twoRunIndex(t, map[string]float64{"fig/x/pdl/v": 1}, map[string]float64{"fig/x/pdl/v": 1},
 		base, "t_ns,conn/fcwnd,fwd/queue_drops\n0,16,0\n")
-	rep2 := mustDiff(t, ix2, "base", "next", Options{})
+	rep2 := mustDiff(t, ix2, "base", "next")
 	if len(rep2.Findings) != 1 || rep2.Findings[0].Kind != FindingShape {
 		t.Fatalf("row-count mismatch: %+v", rep2.Findings)
 	}
 
 	// Shape: series missing entirely on one side.
 	ix3 := twoRunIndex(t, map[string]float64{"fig/x/pdl/v": 1}, map[string]float64{"fig/x/pdl/v": 1}, base, "")
-	rep3 := mustDiff(t, ix3, "base", "next", Options{})
+	rep3 := mustDiff(t, ix3, "base", "next")
 	if len(rep3.Findings) != 1 || rep3.Findings[0].Kind != FindingShape {
 		t.Fatalf("missing series: %+v", rep3.Findings)
 	}
@@ -200,7 +180,7 @@ func TestDiffReportDeterminism(t *testing.T) {
 		map[string]float64{"fig/a/pdl/x": 2, "fig/a/pdl/y": 2, "fig/a/pdl/z_ns": 300},
 		"", "")
 	render := func() (string, string) {
-		rep := mustDiff(t, ix, "base", "next", Options{})
+		rep := mustDiff(t, ix, "base", "next")
 		var txt, js bytes.Buffer
 		if err := rep.WriteText(&txt); err != nil {
 			t.Fatal(err)
@@ -223,10 +203,10 @@ func TestDiffReportDeterminism(t *testing.T) {
 // TestDiffUnknownRun checks the error path.
 func TestDiffUnknownRun(t *testing.T) {
 	ix := twoRunIndex(t, map[string]float64{"fig/a/pdl/x": 1}, map[string]float64{"fig/a/pdl/x": 1}, "", "")
-	if _, err := Diff(ix, "base", "nope", Options{}); err == nil {
+	if _, err := Diff(ix, "base", "nope"); err == nil {
 		t.Fatal("diff against unknown run should fail")
 	}
-	if _, err := Diff(ix, "nope", "base", Options{}); err == nil {
+	if _, err := Diff(ix, "nope", "base"); err == nil {
 		t.Fatal("diff from unknown run should fail")
 	}
 }

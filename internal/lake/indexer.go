@@ -1,59 +1,22 @@
 package lake
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// The indexer half of the lake: Builder accumulates artifacts run by
-// run, then Seal freezes them into the columnar Index. Ingest order
-// never affects the sealed index — everything is sorted at seal time —
-// which is what makes double-ingest byte-equality a meaningful test.
-
-// Builder accumulates artifact ingests before sealing an Index.
-type Builder struct {
-	runs map[string]*runDraft
-}
-
-type runDraft struct {
-	quick   bool
-	schemas map[string]bool
-	sources map[string]bool
-	cells   map[string]float64
-	series  map[string]*seriesDraft
-}
-
-type seriesDraft struct {
-	cols  []string
-	times []int64
-	vals  [][]float64 // [column][row]
-}
-
-// NewBuilder returns an empty builder.
-func NewBuilder() *Builder {
-	return &Builder{runs: make(map[string]*runDraft)}
-}
-
-func (b *Builder) run(name string) *runDraft {
-	if d, ok := b.runs[name]; ok {
-		return d
-	}
-	d := &runDraft{
-		schemas: make(map[string]bool),
-		sources: make(map[string]bool),
-		cells:   make(map[string]float64),
-		series:  make(map[string]*seriesDraft),
-	}
-	b.runs[name] = d
-	return d
-}
+// The ingest half of the lake: each Ingest call parses one artifact and
+// merges it into a run, keeping the run's cells and series sorted so
+// that ingest order never affects the index — which is what makes
+// double-ingest equality a meaningful test.
 
 // metricsFile mirrors the falconmetrics/v1 payload of falconbench
 // -metrics (internal/experiments.MetricsReport). The lake parses the
@@ -90,20 +53,74 @@ type benchFile struct {
 	} `json:"figures"`
 }
 
-// SchemaMetrics, SchemaBench and SchemaSeries are the artifact schemas
-// the indexer understands. Series CSVs carry no embedded schema tag,
-// so the indexer stamps them SchemaSeries on ingest.
+// benchRecord mirrors one line of a bench -out file (bench/compare.go):
+// the result of one run of one workload at one seed.
+type benchRecord struct {
+	Workload string `json:"workload"`
+	Seed     int64  `json:"seed"`
+	Trace    int    `json:"trace"`
+	Result   *struct {
+		Correct   bool   `json:"correct"`
+		Attempted uint64 `json:"attempted"`
+		Failed    uint64 `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	} `json:"result"`
+}
+
+// SchemaMetrics, SchemaBench, SchemaSeries and SchemaBenchRecords are
+// the artifact schemas the indexer understands. Series CSVs and bench
+// records carry no embedded schema tag, so the indexer stamps them on
+// ingest.
 const (
-	SchemaMetrics = "falconmetrics/v1"
-	SchemaBench   = "falconbench/v1"
-	SchemaSeries  = "falconseries/v1"
+	SchemaMetrics      = "falconmetrics/v1"
+	SchemaBench        = "falconbench/v1"
+	SchemaSeries       = "falconseries/v1"
+	SchemaBenchRecords = "benchrecords/v1"
 )
+
+// run returns the named run, creating it on first ingest.
+func (ix *Index) run(name string) *Run {
+	if ix.runs == nil {
+		ix.runs = make(map[string]*Run)
+	}
+	r := ix.runs[name]
+	if r == nil {
+		r = &Run{Name: name}
+		ix.runs[name] = r
+	}
+	return r
+}
+
+// add merges one artifact's cells into the run and records its schema
+// and source. A path the run already holds is an error: it would
+// silently shadow the other cell across artifacts.
+func (r *Run) add(schema, source string, cells []Cell) error {
+	r.Cells = append(r.Cells, cells...)
+	slices.SortFunc(r.Cells, func(a, b Cell) int { return strings.Compare(a.Path, b.Path) })
+	for i := 1; i < len(r.Cells); i++ {
+		if r.Cells[i].Path == r.Cells[i-1].Path {
+			return fmt.Errorf("lake: %s: duplicate metric %q in run %q", source, r.Cells[i].Path, r.Name)
+		}
+	}
+	r.Schemas = addSorted(r.Schemas, schema)
+	r.Sources = addSorted(r.Sources, source)
+	return nil
+}
+
+// addSorted inserts v into the sorted set s.
+func addSorted(s []string, v string) []string {
+	if i, found := slices.BinarySearch(s, v); !found {
+		s = slices.Insert(s, i, v)
+	}
+	return s
+}
 
 // IngestMetricsJSON ingests one falconmetrics/v1 snapshot payload into
 // the named run. Every figure metric becomes one cell keyed by its
-// full metric path. Duplicate paths within a run are an error: they
-// would silently shadow each other across artifacts.
-func (b *Builder) IngestMetricsJSON(run string, r io.Reader, source string) error {
+// full metric path.
+func (ix *Index) IngestMetricsJSON(run string, r io.Reader, source string) error {
 	var mf metricsFile
 	if err := json.NewDecoder(r).Decode(&mf); err != nil {
 		return fmt.Errorf("lake: %s: %w", source, err)
@@ -111,26 +128,22 @@ func (b *Builder) IngestMetricsJSON(run string, r io.Reader, source string) erro
 	if mf.Schema != SchemaMetrics {
 		return fmt.Errorf("lake: %s: schema %q, want %q", source, mf.Schema, SchemaMetrics)
 	}
-	d := b.run(run)
+	var cells []Cell
 	for _, fig := range mf.Figures {
 		for _, m := range fig.Metrics.Metrics {
-			if _, dup := d.cells[m.Name]; dup {
-				return fmt.Errorf("lake: %s: duplicate metric %q in run %q", source, m.Name, run)
-			}
-			d.cells[m.Name] = m.Value
+			cells = append(cells, Cell{m.Name, m.Value})
 		}
 	}
-	d.quick = d.quick || mf.Quick
-	d.schemas[SchemaMetrics] = true
-	d.sources[source] = true
-	return nil
+	rn := ix.run(run)
+	rn.Quick = rn.Quick || mf.Quick
+	return rn.add(SchemaMetrics, source, cells)
 }
 
 // IngestBenchJSON ingests one falconbench/v1 performance report. Each
 // figure contributes cells under the synthetic perf layer
 // ("fig10/perf/events_per_sec"), which the differ treats with loose,
 // direction-aware tolerances (ClassPerf).
-func (b *Builder) IngestBenchJSON(run string, r io.Reader, source string) error {
+func (ix *Index) IngestBenchJSON(run string, r io.Reader, source string) error {
 	var bf benchFile
 	if err := json.NewDecoder(r).Decode(&bf); err != nil {
 		return fmt.Errorf("lake: %s: %w", source, err)
@@ -138,35 +151,69 @@ func (b *Builder) IngestBenchJSON(run string, r io.Reader, source string) error 
 	if bf.Schema != SchemaBench {
 		return fmt.Errorf("lake: %s: schema %q, want %q", source, bf.Schema, SchemaBench)
 	}
-	d := b.run(run)
+	var cells []Cell
 	for _, fig := range bf.Figures {
-		cells := []struct {
-			metric string
-			v      float64
-		}{
-			{"wall_ms", fig.WallMS},
-			{"events", float64(fig.Events)},
-			{"events_per_sec", fig.EventsPerSec},
-			{"ns_per_event", fig.NsPerEvent},
-			{"allocs_per_event", fig.AllocsPerEvent},
+		p := fig.Name + "/perf/"
+		cells = append(cells,
+			Cell{p + "wall_ms", fig.WallMS},
+			Cell{p + "events", float64(fig.Events)},
+			Cell{p + "events_per_sec", fig.EventsPerSec},
+			Cell{p + "ns_per_event", fig.NsPerEvent},
+			Cell{p + "allocs_per_event", fig.AllocsPerEvent})
+	}
+	rn := ix.run(run)
+	rn.Quick = rn.Quick || bf.Quick
+	return rn.add(SchemaBench, source, cells)
+}
+
+// IngestBenchRecords ingests a bench -out file, one JSON record per
+// line. Each record becomes the cells "<workload>/seed<N>/bench/<metric>"
+// for its end-to-end metrics plus attempted, failed and correct (1 or
+// 0); the bench layer's class table (path.go) splits them into exact
+// and perf. A line of another shape, a traced record (trace != 0) and a
+// repeated (workload, seed) are errors naming the line.
+func (ix *Index) IngestBenchRecords(run string, r io.Reader, source string) error {
+	var cells []Cell
+	seen := make(map[string]bool)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for ln := 1; sc.Scan(); ln++ {
+		var rec benchRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			return fmt.Errorf("lake: %s:%d: %w", source, ln, err)
 		}
-		for _, c := range cells {
-			name := fig.Name + "/perf/" + c.metric
-			if _, dup := d.cells[name]; dup {
-				return fmt.Errorf("lake: %s: duplicate metric %q in run %q", source, name, run)
-			}
-			d.cells[name] = c.v
+		if rec.Workload == "" || rec.Result == nil {
+			return fmt.Errorf("lake: %s:%d: not a bench record {workload, seed, trace, result}", source, ln)
+		}
+		if rec.Trace != 0 {
+			return fmt.Errorf("lake: %s:%d: traced record (trace %d); only untraced runs are compared", source, ln, rec.Trace)
+		}
+		p := fmt.Sprintf("%s/seed%d/bench/", rec.Workload, rec.Seed)
+		if seen[p] {
+			return fmt.Errorf("lake: %s:%d: second record for %s seed %d", source, ln, rec.Workload, rec.Seed)
+		}
+		seen[p] = true
+		correct := 0.0
+		if rec.Result.Correct {
+			correct = 1
+		}
+		cells = append(cells,
+			Cell{p + "attempted", float64(rec.Result.Attempted)},
+			Cell{p + "failed", float64(rec.Result.Failed)},
+			Cell{p + "correct", correct})
+		for name, m := range rec.Result.Metrics {
+			cells = append(cells, Cell{p + name, m.Value})
 		}
 	}
-	d.quick = d.quick || bf.Quick
-	d.schemas[SchemaBench] = true
-	d.sources[source] = true
-	return nil
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("lake: %s: %w", source, err)
+	}
+	return ix.run(run).add(SchemaBenchRecords, source, cells)
 }
 
 // IngestSeriesCSV ingests one -series CSV (header "t_ns,col..." then
 // one row per sampler tick) as the named series of the named run.
-func (b *Builder) IngestSeriesCSV(run, name string, r io.Reader, source string) error {
+func (ix *Index) IngestSeriesCSV(run, name string, r io.Reader, source string) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("lake: %s: %w", source, err)
@@ -179,8 +226,7 @@ func (b *Builder) IngestSeriesCSV(run, name string, r io.Reader, source string) 
 	if header[0] != "t_ns" {
 		return fmt.Errorf("lake: %s: first column %q, want t_ns", source, header[0])
 	}
-	cols := header[1:]
-	sd := &seriesDraft{cols: cols, vals: make([][]float64, len(cols))}
+	s := Series{Name: name, Columns: header[1:], Values: make([][]float64, len(header)-1)}
 	for ln, line := range lines[1:] {
 		fields := strings.Split(line, ",")
 		if len(fields) != len(header) {
@@ -190,30 +236,30 @@ func (b *Builder) IngestSeriesCSV(run, name string, r io.Reader, source string) 
 		if err != nil {
 			return fmt.Errorf("lake: %s:%d: t_ns: %w", source, ln+2, err)
 		}
-		sd.times = append(sd.times, t)
+		s.Times = append(s.Times, t)
 		for i, f := range fields[1:] {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
-				return fmt.Errorf("lake: %s:%d: %s: %w", source, ln+2, cols[i], err)
+				return fmt.Errorf("lake: %s:%d: %s: %w", source, ln+2, s.Columns[i], err)
 			}
-			sd.vals[i] = append(sd.vals[i], v)
+			s.Values[i] = append(s.Values[i], v)
 		}
 	}
-	d := b.run(run)
-	if _, dup := d.series[name]; dup {
+	rn := ix.run(run)
+	i, dup := seriesPos(rn.Series, name)
+	if dup {
 		return fmt.Errorf("lake: %s: duplicate series %q in run %q", source, name, run)
 	}
-	d.series[name] = sd
-	d.schemas[SchemaSeries] = true
-	d.sources[source] = true
-	return nil
+	rn.Series = slices.Insert(rn.Series, i, s)
+	return rn.add(SchemaSeries, source, nil)
 }
 
 // IngestFile ingests one artifact path into the named run,
 // dispatching on shape: a directory ingests every *.csv inside as
-// series (named by file stem), a .csv file ingests as one series, and
-// a .json file is sniffed for its schema tag.
-func (b *Builder) IngestFile(run, path string) error {
+// series (named by file stem), a .csv file ingests as one series, a
+// .jsonl file as bench records, and a .json file is sniffed for its
+// schema tag.
+func (ix *Index) IngestFile(run, path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return fmt.Errorf("lake: %w", err)
@@ -228,7 +274,7 @@ func (b *Builder) IngestFile(run, path string) error {
 			if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".csv") {
 				continue
 			}
-			if err := b.IngestFile(run, filepath.Join(path, ent.Name())); err != nil {
+			if err := ix.IngestFile(run, filepath.Join(path, ent.Name())); err != nil {
 				return err
 			}
 			n++
@@ -245,7 +291,9 @@ func (b *Builder) IngestFile(run, path string) error {
 	base := filepath.Base(path)
 	switch {
 	case strings.HasSuffix(base, ".csv"):
-		return b.IngestSeriesCSV(run, strings.TrimSuffix(base, ".csv"), bytes.NewReader(data), base)
+		return ix.IngestSeriesCSV(run, strings.TrimSuffix(base, ".csv"), bytes.NewReader(data), base)
+	case strings.HasSuffix(base, ".jsonl"):
+		return ix.IngestBenchRecords(run, bytes.NewReader(data), base)
 	case strings.HasSuffix(base, ".json"):
 		var probe struct {
 			Schema string `json:"schema"`
@@ -255,23 +303,25 @@ func (b *Builder) IngestFile(run, path string) error {
 		}
 		switch probe.Schema {
 		case SchemaMetrics:
-			return b.IngestMetricsJSON(run, bytes.NewReader(data), base)
+			return ix.IngestMetricsJSON(run, bytes.NewReader(data), base)
 		case SchemaBench:
-			return b.IngestBenchJSON(run, bytes.NewReader(data), base)
+			return ix.IngestBenchJSON(run, bytes.NewReader(data), base)
 		default:
 			return fmt.Errorf("lake: %s: unknown schema %q", base, probe.Schema)
 		}
 	default:
-		return fmt.Errorf("lake: %s: not a .json, .csv or series directory", path)
+		return fmt.Errorf("lake: %s: not a .json, .jsonl, .csv or series directory", path)
 	}
 }
 
 // DeriveRunName guesses a run key from an artifact file name:
-// "BENCH_pr3_metrics.json" and "BENCH_pr3_series" both become "pr3".
+// "BENCH_pr3_metrics.json" and "BENCH_pr3_series" both become "pr3",
+// and "BENCH_pr28_before.jsonl" becomes "pr28_before".
 func DeriveRunName(path string) string {
 	name := filepath.Base(filepath.Clean(path))
-	name = strings.TrimSuffix(name, ".json")
-	name = strings.TrimSuffix(name, ".csv")
+	for _, suf := range []string{".jsonl", ".json", ".csv"} {
+		name = strings.TrimSuffix(name, suf)
+	}
 	name = strings.TrimPrefix(name, "BENCH_")
 	name = strings.TrimSuffix(name, "_metrics")
 	name = strings.TrimSuffix(name, "_series")
@@ -279,96 +329,4 @@ func DeriveRunName(path string) string {
 		return "run"
 	}
 	return name
-}
-
-// Seal freezes the builder into an immutable Index. Sealing sorts
-// everything — dictionary, runs, cells, series — so the result is
-// independent of ingest order, and two seals over the same artifacts
-// are deeply (and, encoded, byte-) identical.
-func (b *Builder) Seal() (*Index, error) {
-	if len(b.runs) == 0 {
-		return nil, fmt.Errorf("lake: no runs ingested")
-	}
-	ix := &Index{}
-
-	runNames := make([]string, 0, len(b.runs))
-	for name := range b.runs {
-		runNames = append(runNames, name)
-	}
-	sort.Strings(runNames)
-
-	// Dictionary: every cell path, series name and series column.
-	dict := make(map[string]bool)
-	for _, rn := range runNames {
-		d := b.runs[rn]
-		for path := range d.cells {
-			dict[path] = true
-		}
-		for name, sd := range d.series {
-			dict[name] = true
-			for _, c := range sd.cols {
-				dict[c] = true
-			}
-		}
-	}
-	ix.strs = make([]string, 0, len(dict))
-	for s := range dict {
-		ix.strs = append(ix.strs, s)
-	}
-	sort.Strings(ix.strs)
-
-	ix.runCellOff = append(ix.runCellOff, 0)
-	for ri, rn := range runNames {
-		d := b.runs[rn]
-		ix.runs = append(ix.runs, Run{
-			Name:    rn,
-			Quick:   d.quick,
-			Schemas: sortedKeys(d.schemas),
-			Sources: sortedKeys(d.sources),
-		})
-
-		paths := make([]string, 0, len(d.cells))
-		for p := range d.cells {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			id, err := ix.intern(p)
-			if err != nil {
-				return nil, err
-			}
-			ix.cellRun = append(ix.cellRun, uint32(ri))
-			ix.cellPath = append(ix.cellPath, id)
-			ix.cellVal = append(ix.cellVal, d.cells[p])
-		}
-		ix.runCellOff = append(ix.runCellOff, uint32(len(ix.cellVal)))
-
-		for _, sn := range sortedKeys(d.series) {
-			sd := d.series[sn]
-			nameID, err := ix.intern(sn)
-			if err != nil {
-				return nil, err
-			}
-			s := Series{run: uint32(ri), name: nameID, times: sd.times, vals: sd.vals}
-			for _, c := range sd.cols {
-				cid, err := ix.intern(c)
-				if err != nil {
-					return nil, err
-				}
-				s.cols = append(s.cols, cid)
-			}
-			ix.series = append(ix.series, s)
-		}
-	}
-	return ix, nil
-}
-
-// sortedKeys returns the keys of a string-keyed map, sorted.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

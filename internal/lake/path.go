@@ -12,8 +12,9 @@ import "strings"
 // e.g. "fig10/ReadReq/drop0.0/fwd/port/down_drops" parses as figure
 // fig10, dims {ReadReq, drop0.0, fwd}, layer port, metric down_drops.
 // The layer is the first segment (scanning left to right) matching a
-// known layer token — pdl, tl, nic, port, fae, routing, or the
-// synthetic perf layer the indexer gives falconbench/v1 reports. Histogram-backed
+// known layer token — pdl, tl, nic, port, fae, routing, chaos, shard,
+// or the synthetic perf and bench layers the indexer gives
+// falconbench/v1 reports and bench records. Histogram-backed
 // metrics carry one of the fixed stat suffixes (count, mean, p50, p99,
 // max) the registry expands histograms into. Time-series column names
 // ("conn0/srtt_ns") have no layer token: their leading segments are
@@ -28,8 +29,8 @@ type Path struct {
 	// sub-experiment, swept parameter, entity (port or connection
 	// name).
 	Dims []string
-	// Layer is the emitting layer: "pdl", "tl", "nic", "port", "fae",
-	// "perf", or "" for layer-less paths (series columns).
+	// Layer is the emitting layer, one of layerTokens ("pdl", "port",
+	// "perf", "bench", ...), or "" for layer-less paths (series columns).
 	Layer string
 	// Metric is the base metric name ("down_drops", "fabric_delay_ns").
 	Metric string
@@ -39,8 +40,8 @@ type Path struct {
 }
 
 // layerTokens are the layer tags collectors insert before the metric
-// name, plus the synthetic "perf" layer of ingested falconbench/v1
-// performance reports.
+// name, plus the synthetic layers the indexer gives falconbench/v1
+// reports ("perf") and bench records ("bench").
 var layerTokens = map[string]bool{
 	"pdl":     true,
 	"tl":      true,
@@ -51,6 +52,7 @@ var layerTokens = map[string]bool{
 	"perf":    true,
 	"chaos":   true,
 	"shard":   true,
+	"bench":   true,
 }
 
 // statSuffixes are the names Registry.Snapshot expands each histogram
@@ -125,7 +127,8 @@ const (
 	// applies a relative-error tolerance band.
 	ClassTiming
 	// ClassPerf metrics come from falconbench/v1 performance reports
-	// (wall time, events/sec, allocs/event). They vary run to run on
+	// (wall time, events/sec, allocs/event) and from the host-measured
+	// half of bench records (pinnedClass). They vary run to run on
 	// real hardware; the differ flags only regressions beyond a loose
 	// tolerance, in the metric's "worse" direction.
 	ClassPerf
@@ -153,24 +156,39 @@ var timingMetrics = map[string]bool{
 	"alpha": true,
 }
 
+// pinnedClass fixes the class of a whole layer, or — keyed
+// "layer/metric" — of one metric in a layer, ahead of the unit-suffix
+// rules:
+//
+//   - perf: falconbench/v1 wall-clock cells.
+//   - chaos: every value, including recovery_gap_ns, is an integer
+//     derived from virtual-clock samples under the same-seed storm
+//     determinism contract.
+//   - shard: partition delivery and cross-boundary counts follow from
+//     the event stream, and lookahead_ns is a topology constant, not a
+//     measured duration.
+//   - bench: bench records. Op counts, events_per_op and the sim_*
+//     metrics repeat per seed; the host-measured metrics below are perf.
+var pinnedClass = map[string]Class{
+	"perf":                      ClassPerf,
+	"chaos":                     ClassExact,
+	"shard":                     ClassExact,
+	"bench":                     ClassExact,
+	"bench/setup_s":             ClassPerf,
+	"bench/events_per_sec":      ClassPerf,
+	"bench/host_ns_per_op":      ClassPerf,
+	"bench/allocs_per_op_plus1": ClassPerf,
+	"bench/heap_bytes_per_conn": ClassPerf,
+	"bench/heap_live_mb":        ClassPerf,
+}
+
 // Class returns the determinism class of the parsed metric.
 func (p Path) Class() Class {
-	if p.Layer == "perf" {
-		return ClassPerf
+	if c, ok := pinnedClass[p.Layer+"/"+p.Metric]; ok {
+		return c
 	}
-	// The chaos layer is exact by construction — every value, including
-	// recovery_gap_ns, is an integer derived from virtual-clock samples
-	// under the same-seed storm determinism contract — so the suffix
-	// rules below must not soften it to timing class.
-	if p.Layer == "chaos" {
-		return ClassExact
-	}
-	// The shard layer is likewise exact: partition delivery and
-	// cross-boundary counts are determined by the event stream, and
-	// lookahead_ns is a topology constant, not a measured duration — the
-	// _ns suffix rule must not soften it.
-	if p.Layer == "shard" {
-		return ClassExact
+	if c, ok := pinnedClass[p.Layer]; ok {
+		return c
 	}
 	if strings.HasSuffix(p.Metric, "_ns") || strings.HasSuffix(p.Metric, "_ms") {
 		return ClassTiming

@@ -96,6 +96,14 @@ func TestPathClass(t *testing.T) {
 		{"fwd/queue_drops", ClassExact},
 		{"figRouting/adaptive/tor0/routing/spread_pct", ClassExact},
 		{"figGrayFailure/ecmp/flap/tor0/routing/down_drops_total", ClassExact},
+		{"figStorm/storm71/chaos/recovery_gap_ns", ClassExact},
+		{"figScale/shard/lookahead_ns", ClassExact},
+		{"fabric_scale/seed281/bench/events_per_op", ClassExact},
+		{"fabric_scale/seed281/bench/sim_op_p99_us", ClassExact},
+		{"fabric_scale/seed281/bench/attempted", ClassExact},
+		{"fabric_scale/seed281/bench/host_ns_per_op", ClassPerf},
+		{"fabric_scale/seed281/bench/setup_s", ClassPerf},
+		{"fabric_scale/seed281/bench/heap_live_mb", ClassPerf},
 	}
 	for _, c := range cases {
 		if got := ParsePath(c.raw).Class(); got != c.want {

@@ -6,28 +6,9 @@ import (
 	"falcon/internal/stats"
 )
 
-// The querier half of the lake: point lookups, segment-glob selection
-// over metric paths, percentile summaries and time-series slices, all
-// read-only over a sealed Index.
-
-// Cell is one selected (path, value) pair.
-type Cell struct {
-	Path  string
-	Value float64
-}
-
-// Querier serves read queries over a sealed index.
-type Querier struct {
-	ix *Index
-}
-
-// NewQuerier returns a querier over ix.
-func NewQuerier(ix *Index) *Querier { return &Querier{ix: ix} }
-
-// Lookup returns the value of one exact metric path in one run.
-func (q *Querier) Lookup(run, path string) (float64, bool) {
-	return q.ix.Lookup(run, path)
-}
+// The query half of the lake: point lookups (lake.go), segment-glob
+// selection over metric paths, percentile summaries and time-series
+// slices, all read-only over an Index.
 
 // Select returns every cell of the run whose path matches the pattern,
 // in sorted path order. Patterns are segment globs over the metric
@@ -37,14 +18,18 @@ func (q *Querier) Lookup(run, path string) (float64, bool) {
 //	fig10/*/drop1.0/pdl/retx_rack     one sub-experiment dimension
 //	fig10/**/port/tx_bytes            any dims, the port layer's tx_bytes
 //	**/srtt_ns                        every smoothed-RTT cell
-func (q *Querier) Select(run, pattern string) []Cell {
+func (ix *Index) Select(run, pattern string) []Cell {
+	r := ix.runs[run]
+	if r == nil {
+		return nil
+	}
 	pat := strings.Split(pattern, "/")
 	var out []Cell
-	q.ix.EachCell(run, func(path string, v float64) {
-		if matchSegments(pat, strings.Split(path, "/")) {
-			out = append(out, Cell{Path: path, Value: v})
+	for _, c := range r.Cells {
+		if matchSegments(pat, strings.Split(c.Path, "/")) {
+			out = append(out, c)
 		}
-	})
+	}
 	return out
 }
 
@@ -124,8 +109,8 @@ func summarize(vals []float64) Summary {
 }
 
 // Summary aggregates every cell matching the pattern (see Select).
-func (q *Querier) Summary(run, pattern string) Summary {
-	cells := q.Select(run, pattern)
+func (ix *Index) Summary(run, pattern string) Summary {
+	cells := ix.Select(run, pattern)
 	vals := make([]float64, len(cells))
 	for i, c := range cells {
 		vals[i] = c.Value
@@ -133,25 +118,27 @@ func (q *Querier) Summary(run, pattern string) Summary {
 	return summarize(vals)
 }
 
-// SeriesNames lists the run's time series, sorted.
-func (q *Querier) SeriesNames(run string) []string { return q.ix.SeriesNames(run) }
+// seriesColumn returns one series of the run with one of its value
+// columns, or nil when either does not exist.
+func (ix *Index) seriesColumn(run, series, col string) (*Series, []float64) {
+	s := ix.FindSeries(run, series)
+	if s == nil {
+		return nil, nil
+	}
+	return s, s.column(col)
+}
 
 // SeriesSlice returns the (t_ns, value) rows of one series column with
 // from <= t_ns <= to (use from=0, to=-1 for all rows). The second
 // return is false when the series or column does not exist.
-func (q *Querier) SeriesSlice(run, series, col string, from, to int64) ([]int64, []float64, bool) {
-	sv, ok := q.ix.FindSeries(run, series)
-	if !ok {
-		return nil, nil, false
-	}
-	vals := sv.Column(col)
+func (ix *Index) SeriesSlice(run, series, col string, from, to int64) ([]int64, []float64, bool) {
+	s, vals := ix.seriesColumn(run, series, col)
 	if vals == nil {
 		return nil, nil, false
 	}
-	times := sv.Times()
 	var ts []int64
 	var vs []float64
-	for i, t := range times {
+	for i, t := range s.Times {
 		if t < from || (to >= 0 && t > to) {
 			continue
 		}
@@ -162,12 +149,8 @@ func (q *Querier) SeriesSlice(run, series, col string, from, to int64) ([]int64,
 }
 
 // SeriesSummary aggregates one series column over the full run.
-func (q *Querier) SeriesSummary(run, series, col string) (Summary, bool) {
-	sv, ok := q.ix.FindSeries(run, series)
-	if !ok {
-		return Summary{}, false
-	}
-	vals := sv.Column(col)
+func (ix *Index) SeriesSummary(run, series, col string) (Summary, bool) {
+	_, vals := ix.seriesColumn(run, series, col)
 	if vals == nil {
 		return Summary{}, false
 	}

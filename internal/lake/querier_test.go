@@ -13,41 +13,30 @@ import (
 // metrics run with a spread of values plus one series.
 func synthIndex(t *testing.T) *Index {
 	t.Helper()
-	b := NewBuilder()
-	var sb strings.Builder
-	sb.WriteString(`{"schema":"falconmetrics/v1","quick":true,"figures":[{"name":"figX","metrics":{"at_ns":0,"metrics":[`)
+	ix := &Index{}
+	m := map[string]float64{"figX/sub0/pdl/data_sent": 7}
 	for i := 0; i < 100; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, `{"name":"figX/sub%d/pdl/lat_ns","value":%d}`, i, (i+1)*100)
+		m[fmt.Sprintf("figX/sub%d/pdl/lat_ns", i)] = float64((i + 1) * 100)
 	}
-	sb.WriteString(`,{"name":"figX/sub0/pdl/data_sent","value":7}]}}]}`)
-	if err := b.IngestMetricsJSON("r1", strings.NewReader(sb.String()), "synth.json"); err != nil {
-		t.Fatal(err)
-	}
+	ingestMetrics(t, ix, "r1", m)
 	csv := "t_ns,conn/fcwnd,fwd/queue_drops\n0,16,0\n1000,20,1\n2000,24,1\n3000,28,3\n"
-	if err := b.IngestSeriesCSV("r1", "s1", strings.NewReader(csv), "s1.csv"); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := b.Seal()
-	if err != nil {
+	if err := ix.IngestSeriesCSV("r1", "s1", strings.NewReader(csv), "s1.csv"); err != nil {
 		t.Fatal(err)
 	}
 	return ix
 }
 
 func TestQuerierSelectAndLookup(t *testing.T) {
-	q := NewQuerier(synthIndex(t))
+	ix := synthIndex(t)
 
-	if v, ok := q.Lookup("r1", "figX/sub0/pdl/data_sent"); !ok || v != 7 {
+	if v, ok := ix.Lookup("r1", "figX/sub0/pdl/data_sent"); !ok || v != 7 {
 		t.Fatalf("Lookup = %v, %v", v, ok)
 	}
-	if _, ok := q.Lookup("nope", "figX/sub0/pdl/data_sent"); ok {
+	if _, ok := ix.Lookup("nope", "figX/sub0/pdl/data_sent"); ok {
 		t.Fatal("Lookup on missing run should fail")
 	}
 
-	all := q.Select("r1", "figX/*/pdl/lat_ns")
+	all := ix.Select("r1", "figX/*/pdl/lat_ns")
 	if len(all) != 100 {
 		t.Fatalf("Select matched %d cells, want 100", len(all))
 	}
@@ -56,11 +45,11 @@ func TestQuerierSelectAndLookup(t *testing.T) {
 			t.Fatal("Select output not sorted")
 		}
 	}
-	one := q.Select("r1", "figX/sub42/**")
+	one := ix.Select("r1", "figX/sub42/**")
 	if len(one) != 1 || one[0].Value != 4300 {
 		t.Fatalf("Select sub42 = %+v", one)
 	}
-	if got := q.Select("r1", "**/does_not_exist"); got != nil {
+	if got := ix.Select("r1", "**/does_not_exist"); got != nil {
 		t.Fatalf("empty selection should be nil, got %v", got)
 	}
 }
@@ -69,8 +58,8 @@ func TestQuerierSelectAndLookup(t *testing.T) {
 // the histogram contract: p50/p99 match a directly-fed
 // internal/stats.Histogram over the same samples.
 func TestQuerierSummary(t *testing.T) {
-	q := NewQuerier(synthIndex(t))
-	s := q.Summary("r1", "figX/*/pdl/lat_ns")
+	ix := synthIndex(t)
+	s := ix.Summary("r1", "figX/*/pdl/lat_ns")
 	if s.Count != 100 {
 		t.Fatalf("Count = %d", s.Count)
 	}
@@ -90,31 +79,31 @@ func TestQuerierSummary(t *testing.T) {
 }
 
 func TestQuerierSeries(t *testing.T) {
-	q := NewQuerier(synthIndex(t))
+	ix := synthIndex(t)
 
-	if names := q.SeriesNames("r1"); !reflect.DeepEqual(names, []string{"s1"}) {
+	if names := ix.SeriesNames("r1"); !reflect.DeepEqual(names, []string{"s1"}) {
 		t.Fatalf("SeriesNames = %v", names)
 	}
 
-	ts, vs, ok := q.SeriesSlice("r1", "s1", "conn/fcwnd", 0, -1)
+	ts, vs, ok := ix.SeriesSlice("r1", "s1", "conn/fcwnd", 0, -1)
 	if !ok || !reflect.DeepEqual(ts, []int64{0, 1000, 2000, 3000}) ||
 		!reflect.DeepEqual(vs, []float64{16, 20, 24, 28}) {
 		t.Fatalf("full slice = %v %v %v", ts, vs, ok)
 	}
 
-	ts, vs, _ = q.SeriesSlice("r1", "s1", "conn/fcwnd", 1000, 2000)
+	ts, vs, _ = ix.SeriesSlice("r1", "s1", "conn/fcwnd", 1000, 2000)
 	if !reflect.DeepEqual(ts, []int64{1000, 2000}) || !reflect.DeepEqual(vs, []float64{20, 24}) {
 		t.Fatalf("bounded slice = %v %v", ts, vs)
 	}
 
-	if _, _, ok := q.SeriesSlice("r1", "s1", "no/such_col", 0, -1); ok {
+	if _, _, ok := ix.SeriesSlice("r1", "s1", "no/such_col", 0, -1); ok {
 		t.Fatal("missing column should fail")
 	}
-	if _, _, ok := q.SeriesSlice("r1", "nope", "conn/fcwnd", 0, -1); ok {
+	if _, _, ok := ix.SeriesSlice("r1", "nope", "conn/fcwnd", 0, -1); ok {
 		t.Fatal("missing series should fail")
 	}
 
-	sum, ok := q.SeriesSummary("r1", "s1", "fwd/queue_drops")
+	sum, ok := ix.SeriesSummary("r1", "s1", "fwd/queue_drops")
 	if !ok || sum.Count != 4 || sum.Max != 3 || sum.Min != 0 {
 		t.Fatalf("SeriesSummary = %+v, %v", sum, ok)
 	}

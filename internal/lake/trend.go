@@ -21,30 +21,6 @@ import (
 // change in an exact cell is already a finding for the pairwise differ,
 // so a trend report would only duplicate it.
 
-// TrendOptions configures trend thresholds. The zero value uses
-// defaults.
-type TrendOptions struct {
-	// RelTol flags a monotonic timing-class drift whose cumulative
-	// first-to-last relative error exceeds it (default 0.05 — the same
-	// band Diff applies per pair, here applied across the whole chain).
-	RelTol float64
-	// PerfTol flags a monotonic perf-class drift, in the metric's worse
-	// direction only, beyond this cumulative fraction (default 0.10 —
-	// deliberately tighter than Diff's 0.25 pairwise band: slow
-	// regressions are exactly what pairwise tolerance forgives).
-	PerfTol float64
-}
-
-func (o TrendOptions) withDefaults() TrendOptions {
-	if o.RelTol == 0 {
-		o.RelTol = 0.05
-	}
-	if o.PerfTol == 0 {
-		o.PerfTol = 0.10
-	}
-	return o
-}
-
 // TrendFinding is one metric drifting monotonically across the run
 // sequence.
 type TrendFinding struct {
@@ -80,14 +56,14 @@ func (r *TrendReport) Empty() bool { return len(r.Findings) == 0 }
 // drifting monotonically. Only cells present in every run participate:
 // missing cells are the pairwise differ's finding, not a trend. At
 // least three runs are required — two runs cannot distinguish a trend
-// from a step, and Diff already covers the pair.
-func Trend(ix *Index, runs []string, opt TrendOptions) (*TrendReport, error) {
-	opt = opt.withDefaults()
+// from a step, and Diff already covers the pair. Drift is judged
+// against timingTol and trendPerfTol (differ.go).
+func Trend(ix *Index, runs []string) (*TrendReport, error) {
 	if len(runs) < 3 {
 		return nil, fmt.Errorf("lake: trend needs at least 3 runs, got %d", len(runs))
 	}
 	for _, r := range runs {
-		if ix.runIndex(r) < 0 {
+		if ix.runs[r] == nil {
 			return nil, fmt.Errorf("lake: run %q not in index", r)
 		}
 	}
@@ -95,26 +71,27 @@ func Trend(ix *Index, runs []string, opt TrendOptions) (*TrendReport, error) {
 
 	// Walk the first run's sorted cells; the chain is only as long as
 	// the paths every run shares.
-	ix.EachCell(runs[0], func(path string, v0 float64) {
+cells:
+	for _, c := range ix.runs[runs[0]].Cells {
 		vals := make([]float64, 0, len(runs))
-		vals = append(vals, v0)
+		vals = append(vals, c.Value)
 		for _, r := range runs[1:] {
-			v, ok := ix.Lookup(r, path)
+			v, ok := ix.Lookup(r, c.Path)
 			if !ok {
-				return
+				continue cells
 			}
 			vals = append(vals, v)
 		}
 		rep.CellsCompared++
-		if f, flagged := classifyTrend(path, vals, opt); flagged {
+		if f, flagged := classifyTrend(c.Path, vals); flagged {
 			rep.Findings = append(rep.Findings, f)
 		}
-	})
+	}
 	return rep, nil
 }
 
 // classifyTrend applies the class rule to one complete value chain.
-func classifyTrend(path string, vals []float64, opt TrendOptions) (TrendFinding, bool) {
+func classifyTrend(path string, vals []float64) (TrendFinding, bool) {
 	p := ParsePath(path)
 	cls := p.Class()
 	if cls == ClassExact {
@@ -127,11 +104,11 @@ func classifyTrend(path string, vals []float64, opt TrendOptions) (TrendFinding,
 	cum := relErr(vals[0], vals[len(vals)-1])
 	switch cls {
 	case ClassTiming:
-		if cum <= opt.RelTol {
+		if cum <= timingTol {
 			return TrendFinding{}, false
 		}
 	case ClassPerf:
-		if cum <= opt.PerfTol || !perfWorse(p.Metric, vals[0], vals[len(vals)-1]) {
+		if cum <= trendPerfTol || !perfWorse(p.Metric, vals[0], vals[len(vals)-1]) {
 			return TrendFinding{}, false
 		}
 	}

@@ -10,34 +10,16 @@ import (
 // seqIndex builds n runs ("r1".."rN") from per-run metric maps.
 func seqIndex(t *testing.T, runs []map[string]float64) *Index {
 	t.Helper()
-	b := NewBuilder()
+	ix := &Index{}
 	for i, m := range runs {
-		run := fmt.Sprintf("r%d", i+1)
-		var sb strings.Builder
-		sb.WriteString(`{"schema":"falconmetrics/v1","figures":[{"name":"f","metrics":{"at_ns":0,"metrics":[`)
-		first := true
-		for _, k := range sortedKeys(m) {
-			if !first {
-				sb.WriteString(",")
-			}
-			first = false
-			fmt.Fprintf(&sb, `{"name":"%s","value":%v}`, k, m[k])
-		}
-		sb.WriteString(`]}}]}`)
-		if err := b.IngestMetricsJSON(run, strings.NewReader(sb.String()), run+".json"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix, err := b.Seal()
-	if err != nil {
-		t.Fatal(err)
+		ingestMetrics(t, ix, fmt.Sprintf("r%d", i+1), m)
 	}
 	return ix
 }
 
-func mustTrend(t *testing.T, ix *Index, runs []string, opt TrendOptions) *TrendReport {
+func mustTrend(t *testing.T, ix *Index, runs []string) *TrendReport {
 	t.Helper()
-	rep, err := Trend(ix, runs, opt)
+	rep, err := Trend(ix, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +38,13 @@ func TestTrendCatchesSlowCreep(t *testing.T) {
 	runs := []string{"r1", "r2", "r3", "r4"}
 
 	for i := 1; i < len(runs); i++ {
-		pair := mustDiff(t, ix, runs[i-1], runs[i], Options{})
+		pair := mustDiff(t, ix, runs[i-1], runs[i])
 		if !pair.Empty() {
 			t.Fatalf("pairwise diff %s->%s should be inside tolerance, got %+v", runs[i-1], runs[i], pair.Findings)
 		}
 	}
 
-	rep := mustTrend(t, ix, runs, TrendOptions{})
+	rep := mustTrend(t, ix, runs)
 	if len(rep.Findings) != 1 {
 		t.Fatalf("want exactly the srtt drift flagged, got %+v", rep.Findings)
 	}
@@ -89,7 +71,7 @@ func TestTrendPerfDirectional(t *testing.T) {
 	// events_per_sec decays 8%/run (pairwise-invisible at 25%), wall_ms
 	// improves monotonically.
 	ix := seqIndex(t, []map[string]float64{mk(1000, 90), mk(920, 80), mk(846, 70), mk(779, 60)})
-	rep := mustTrend(t, ix, []string{"r1", "r2", "r3", "r4"}, TrendOptions{})
+	rep := mustTrend(t, ix, []string{"r1", "r2", "r3", "r4"})
 	if len(rep.Findings) != 1 {
 		t.Fatalf("want only the throughput decay flagged, got %+v", rep.Findings)
 	}
@@ -108,7 +90,7 @@ func TestTrendIgnoresNonMonotone(t *testing.T) {
 		{"f/conn/pdl/srtt_ns": 1500, "f/conn/pdl/data_sent": 150},
 		{"f/conn/pdl/srtt_ns": 1400, "f/conn/pdl/data_sent": 200},
 	})
-	rep := mustTrend(t, ix, []string{"r1", "r2", "r3"}, TrendOptions{})
+	rep := mustTrend(t, ix, []string{"r1", "r2", "r3"})
 	if !rep.Empty() {
 		t.Fatalf("wobble and exact drift must not be trends, got %+v", rep.Findings)
 	}
@@ -122,7 +104,7 @@ func TestTrendSkipsIncompleteChains(t *testing.T) {
 		{"f/conn/pdl/srtt_ns": 1100, "f/conn/tl/alpha": 0.5},
 		{"f/conn/pdl/srtt_ns": 1210, "f/conn/tl/alpha": 0.6},
 	})
-	rep := mustTrend(t, ix, []string{"r1", "r2", "r3"}, TrendOptions{})
+	rep := mustTrend(t, ix, []string{"r1", "r2", "r3"})
 	if rep.CellsCompared != 1 {
 		t.Fatalf("only the complete srtt chain should be compared, got %d", rep.CellsCompared)
 	}
@@ -134,10 +116,10 @@ func TestTrendSkipsIncompleteChains(t *testing.T) {
 // TestTrendErrors: fewer than three runs and unknown runs are errors.
 func TestTrendErrors(t *testing.T) {
 	ix := seqIndex(t, []map[string]float64{{"f/pdl/srtt_ns": 1}, {"f/pdl/srtt_ns": 1}, {"f/pdl/srtt_ns": 1}})
-	if _, err := Trend(ix, []string{"r1", "r2"}, TrendOptions{}); err == nil {
+	if _, err := Trend(ix, []string{"r1", "r2"}); err == nil {
 		t.Fatal("want error for 2 runs")
 	}
-	if _, err := Trend(ix, []string{"r1", "r2", "nope"}, TrendOptions{}); err == nil {
+	if _, err := Trend(ix, []string{"r1", "r2", "nope"}); err == nil {
 		t.Fatal("want error for unknown run")
 	}
 }
@@ -151,10 +133,10 @@ func TestTrendReportDeterminism(t *testing.T) {
 	ix := seqIndex(t, []map[string]float64{mk(1000), mk(1040), mk(1082), mk(1125)})
 	runs := []string{"r1", "r2", "r3", "r4"}
 	var a, b bytes.Buffer
-	if err := mustTrend(t, ix, runs, TrendOptions{}).WriteText(&a); err != nil {
+	if err := mustTrend(t, ix, runs).WriteText(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := mustTrend(t, ix, runs, TrendOptions{}).WriteText(&b); err != nil {
+	if err := mustTrend(t, ix, runs).WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {

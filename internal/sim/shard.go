@@ -21,7 +21,9 @@ package sim
 // devices — a rack's ToR and hosts — in one partition instead).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -52,14 +54,16 @@ type crossMsg struct {
 	src int32
 }
 
-func crossLess(a, b *crossMsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// crossCmp orders staged messages by the merge key. It is a total order
+// (seq is unique per source), so any sort yields the same merge.
+func crossCmp(a, b crossMsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	if a.src != b.src {
-		return a.src < b.src
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Sharded coordinates the partitions of one sharded simulator. It is
@@ -287,7 +291,7 @@ func (g *Sharded) drainMail() {
 		if len(buf) == 0 {
 			continue
 		}
-		sortCross(buf)
+		slices.SortFunc(buf, crossCmp)
 		g.stats[dst].Cross += uint64(len(buf))
 		p := g.parts[dst]
 		for k := range buf {
@@ -299,55 +303,6 @@ func (g *Sharded) drainMail() {
 			buf[k].act = nil
 		}
 		g.scratch = buf[:0]
-	}
-}
-
-// sortCross sorts staged messages by the deterministic merge key without
-// allocating: quicksort with median-of-three pivots, insertion sort for
-// small runs.
-func sortCross(a []crossMsg) {
-	for len(a) > 12 {
-		lo, mid, hi := 0, len(a)/2, len(a)-1
-		if crossLess(&a[mid], &a[lo]) {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if crossLess(&a[hi], &a[lo]) {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if crossLess(&a[hi], &a[mid]) {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for crossLess(&a[i], &pivot) {
-				i++
-			}
-			for crossLess(&pivot, &a[j]) {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			sortCross(a[lo : j+1])
-			a = a[i:]
-		} else {
-			sortCross(a[i:])
-			a = a[:j+1]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		e := a[i]
-		j := i - 1
-		for j >= 0 && crossLess(&e, &a[j]) {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = e
 	}
 }
 

@@ -35,10 +35,10 @@
 //
 //	s.SetObserver(hasher)                      // scheduler events
 //	host.SetTap(hasher.TapFrame)               // wire frames at NIC ingress
-//	conn.SetProbe(testkit.PDLProbes(chk, h))   // pdl.Conn: sends + receives
-//	tlc.SetProbe(testkit.TLProbes(chk, h))     // tl.Conn: serves + completions
+//	conn.SetProbe(pdl.MultiProbe(chk, h))      // pdl.Conn: sends + receives
+//	tlc.SetProbe(tl.MultiProbe(chk, h))        // tl.Conn: serves + completions
 //
-// PDLProbes/TLProbes fan one slot out to several receivers. See DESIGN.md's
-// "Verification" section for the invariant catalogue and the trace-record
-// format.
+// pdl.MultiProbe/tl.MultiProbe fan one slot out to several receivers. See
+// DESIGN.md's "Verification" section for the invariant catalogue and the
+// trace-record format.
 package testkit

@@ -222,8 +222,8 @@ func (ps *probeSet) watch(ep *core.Endpoint) {
 	if ps.rec != nil {
 		pdlExtra, tlExtra = ps.rec, ps.rec
 	}
-	ep.PDL().SetProbe(PDLProbes(ps.k, ps.h, pdlExtra))
-	ep.TL().SetProbe(TLProbes(ps.k, ps.h, tlExtra))
+	ep.PDL().SetProbe(pdl.MultiProbe(ps.k, ps.h, pdlExtra))
+	ep.TL().SetProbe(tl.MultiProbe(ps.k, ps.h, tlExtra))
 	ps.k.WatchTimers(ep.PDL())
 }
 

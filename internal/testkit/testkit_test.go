@@ -123,7 +123,7 @@ func TestTraceHasherDeterministic(t *testing.T) {
 func TestProbeFanOut(t *testing.T) {
 	h1, h2 := NewTraceHasher(), NewTraceHasher()
 	c := newTLConn(true)
-	p := TLProbes(h1, h2)
+	p := tl.MultiProbe(h1, h2)
 	p.OnRequestServed(c, 0)
 	p.OnCompletion(c, 0, nil)
 	if h1.Records() != 2 || h2.Records() != 2 || h1.Sum64() != h2.Sum64() {

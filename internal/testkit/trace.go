@@ -162,12 +162,3 @@ func (t *TraceHasher) TapFrame(f *netsim.Frame) {
 		uint64(f.Src)<<32|uint64(f.Dst), f.FlowHash,
 		uint64(f.Size), uint64(f.SentAt), uint64(f.Hops))
 }
-
-// PDLProbes combines several pdl.Probes into one (pdl.Conn.SetProbe takes
-// a single probe). It delegates to the layer-owned pdl.MultiProbe so
-// testkit and telemetry share one fan-out implementation; the alias is
-// kept because sweep wiring reads naturally with it.
-func PDLProbes(ps ...pdl.Probe) pdl.Probe { return pdl.MultiProbe(ps...) }
-
-// TLProbes combines several tl.Probes into one (see PDLProbes).
-func TLProbes(ps ...tl.Probe) tl.Probe { return tl.MultiProbe(ps...) }
