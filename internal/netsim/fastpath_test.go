@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -24,9 +25,9 @@ func (bs *benchSink) nodeSim() *sim.Simulator { return bs.net.sim }
 
 var benchLink = LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond}
 
-// warm runs fn enough times to fill every pool (frame pool, port-event
-// pool, simulator event pool, timing-wheel slots) so the measured region
-// sees only steady-state recycling.
+// warm runs fn enough times to fill every pool and ring (frame pool,
+// simulator event pool, timing-wheel slots, port drain rings) so the
+// measured region sees only steady-state recycling.
 func warm(fn func()) {
 	for i := 0; i < 512; i++ {
 		fn()
@@ -90,8 +91,8 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 }
 
 // TestPortSendZeroAlloc asserts the innermost hot function — commit a frame
-// to a port, fire its drain and delivery events — allocates nothing in
-// steady state.
+// to a port, fire its departure and arrival actions — allocates nothing in
+// steady state, with one frame in flight and with a backlog of 64.
 func TestPortSendZeroAlloc(t *testing.T) {
 	s := sim.New(1)
 	n := New(s)
@@ -109,6 +110,168 @@ func TestPortSendZeroAlloc(t *testing.T) {
 	}
 	if sink.got == 0 {
 		t.Fatal("sink received nothing")
+	}
+
+	t.Run("backlogged", func(t *testing.T) {
+		const backlog = 64
+		op := func() {
+			for i := 0; i < backlog; i++ {
+				f := n.Frames().Acquire()
+				f.Size = 1500
+				p.send(f)
+			}
+			if p.QueuedBytes() != backlog*1500 {
+				t.Fatalf("queued %d bytes, want %d", p.QueuedBytes(), backlog*1500)
+			}
+			s.Run()
+		}
+		warm(op)
+		if a := testing.AllocsPerRun(1000, op); a != 0 {
+			t.Fatalf("backlogged port send path: %.2f allocs/op, want 0", a)
+		}
+		if len(p.drains) < backlog || p.QueuedBytes() != 0 {
+			t.Fatalf("drain ring %d slots, %d bytes queued after the run; want >= %d and 0",
+				len(p.drains), p.QueuedBytes(), backlog)
+		}
+	})
+}
+
+// drainModel drives one port with random bursts, gaps, sizes and rate
+// changes, and holds QueuedBytes to a model after every simulator event:
+// the sum of the sizes of committed frames whose departure has not fired.
+// It mirrors the simulator's sequence counter (the driver, and each
+// committed frame's departure then arrival, take consecutive numbers), so
+// it knows which event is which frame's departure and when that departure
+// is due, independently of the port's ring.
+type drainModel struct {
+	t   *testing.T
+	s   *sim.Simulator
+	n   *Network
+	p   *Port
+	rng *rand.Rand
+
+	seq     uint64 // the simulator's next sequence number
+	driver  uint64 // the driver's pending event
+	due     map[uint64]drainDue
+	arrival map[uint64]bool
+	busy    sim.Time
+	ps      int64
+	queued  int
+	sent    int
+	rounds  int
+}
+
+type drainDue struct {
+	at   sim.Time
+	size int
+}
+
+// schedule re-arms the driver d from now.
+func (m *drainModel) schedule(d time.Duration) {
+	m.driver = m.seq
+	m.seq++
+	m.s.AtAction(m.s.Now().Add(d), m)
+}
+
+func (m *drainModel) send(size int) {
+	start := m.busy
+	if now := m.s.Now(); start < now {
+		start = now
+	}
+	m.busy = start.Add(time.Duration(int64(size) * m.ps / 1000))
+	m.due[m.seq] = drainDue{m.busy, size}
+	m.arrival[m.seq+1] = true
+	m.seq += 2
+	m.queued += size
+	m.sent++
+	f := m.n.Frames().Acquire()
+	f.Size = size
+	m.p.send(f)
+	m.check()
+}
+
+func (m *drainModel) check() {
+	if got := m.p.QueuedBytes(); got != m.queued {
+		m.t.Fatalf("at %v after %d sends: QueuedBytes = %d, model %d", m.s.Now(), m.sent, got, m.queued)
+	}
+}
+
+// RunAction is the driver: a burst of 0–4 same-instant sends (one burst of
+// 1100 to grow the ring past 1024), sometimes a rate change with frames
+// still queued, then a zero or random gap.
+func (m *drainModel) RunAction() {
+	m.rounds++
+	burst := m.rng.Intn(5)
+	if m.rounds == 200 {
+		burst = 1100
+	}
+	for i := 0; i < burst; i++ {
+		size := 1 + m.rng.Intn(9000)
+		if m.rng.Intn(4) == 0 {
+			size = 1
+		}
+		m.send(size)
+	}
+	if m.rng.Intn(8) == 0 {
+		gbps := []float64{10, 100, 400, 8000}[m.rng.Intn(4)]
+		m.p.SetRateGbps(gbps)
+		m.ps = psPerByte(gbps)
+	}
+	if m.rounds < 2000 {
+		var gap time.Duration
+		if m.rng.Intn(3) > 0 {
+			gap = time.Duration(m.rng.Intn(3000))
+		}
+		m.schedule(gap)
+	}
+}
+
+// OnEvent checks the state the previous event left, then retires the
+// model's frame if this event is its departure.
+func (m *drainModel) OnEvent(at sim.Time, seq uint64) {
+	m.check()
+	if d, ok := m.due[seq]; ok {
+		if at != d.at {
+			m.t.Fatalf("departure seq %d fired at %v, model %v", seq, at, d.at)
+		}
+		delete(m.due, seq)
+		m.queued -= d.size
+		return
+	}
+	if m.arrival[seq] {
+		delete(m.arrival, seq)
+		return
+	}
+	if seq != m.driver {
+		m.t.Fatalf("unexpected event seq %d at %v", seq, at)
+	}
+}
+
+// TestPortDrainMatchesModel holds the port's drain ring to drainModel
+// across zero-gap same-instant sends, 1-byte frames that serialize in
+// 0 ns on fast links, rate changes mid-queue and ring growth from 8 to
+// more than 1024 slots.
+func TestPortDrainMatchesModel(t *testing.T) {
+	s := sim.New(1)
+	n := New(s)
+	link := LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond, QueueBytes: 1 << 30}
+	m := &drainModel{
+		t: t, s: s, n: n, rng: rand.New(rand.NewSource(30)),
+		p:   newPort(n, "drain", link, n.sim, &benchSink{net: n}),
+		due: map[uint64]drainDue{}, arrival: map[uint64]bool{},
+		ps: psPerByte(link.GbpsRate),
+	}
+	s.SetObserver(m)
+	m.schedule(0)
+	s.Run()
+	m.check()
+	if m.queued != 0 || len(m.due) != 0 || len(m.arrival) != 0 {
+		t.Fatalf("after the run: %d bytes, %d departures, %d arrivals outstanding in the model",
+			m.queued, len(m.due), len(m.arrival))
+	}
+	if len(m.p.drains) < 1024 || m.p.Stats.QueueDrops != 0 {
+		t.Fatalf("drain ring grew to %d slots with %d queue drops; want >= 1024 and 0",
+			len(m.p.drains), m.p.Stats.QueueDrops)
 	}
 }
 

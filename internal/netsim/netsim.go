@@ -10,17 +10,20 @@
 // same fabric, so fabric behaviour can never silently favor one transport.
 //
 // The per-frame path is built to be steady-state allocation-free and
-// integer-only (DESIGN.md §10): frames come from a Network-owned pool,
-// port work is scheduled as pooled typed events rather than capture
-// closures, switches route through a dense next-hop table indexed by
-// NodeID, and serialization time is one integer multiply per frame
-// (precomputed picoseconds per byte). With 4–6 port hops per packet the
-// fabric dominates simulator event count, so this path bounds how far
-// experiments scale.
+// integer-only (DESIGN.md §10): frames come from a Network-owned pool, a
+// port crossing schedules the frame itself as its arrival action and the
+// port itself as its drain action (typed sim actions, no closures and no
+// per-hop event objects), switches route through a dense table indexed by
+// NodeID into a few shared equal-cost port groups, and serialization time
+// is one integer multiply per frame (precomputed picoseconds per byte).
+// With 4–6 port hops per packet the fabric dominates simulator event
+// count, so this path bounds how far experiments scale.
 package netsim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"falcon/internal/routing"
@@ -33,8 +36,15 @@ type NodeID int
 // Frame is one packet on the wire. Frames on the hot path are pooled: see
 // FramePool for the ownership rules (senders acquire via Host.NewFrame,
 // the fabric releases on drop or after delivery; handlers must not retain
-// the *Frame past return).
+// the *Frame past return). A frame is in flight on one hop at a time,
+// hand-built frames included: it is its own delivery action, so it must
+// not be sent again before it arrives.
 type Frame struct {
+	// to is the device the current hop delivers to, set by Port.send and
+	// read when the frame fires as its own arrival action. It leads the
+	// struct so that this first touch of a cold frame usually brings in
+	// Dst, which a switch reads next, on the same cache line.
+	to       device
 	Src, Dst NodeID
 	// FlowHash is the ECMP hash input. Transports derive it from the
 	// 4-tuple plus the IPv6 flow label, so changing the flow label
@@ -64,6 +74,15 @@ type Frame struct {
 	// pooled marks frames owned by a FramePool; hand-built frames stay
 	// with the garbage collector.
 	pooled bool
+}
+
+// arrival is a Frame scheduled as its own delivery action.
+type arrival Frame
+
+// RunAction hands the frame to the device its hop leads to.
+func (a *arrival) RunAction() {
+	f := (*Frame)(a)
+	f.to.receive(f)
 }
 
 // Handler receives frames delivered to a host.
@@ -129,18 +148,16 @@ type PortStats struct {
 // propagation-delayed wire toward dst.
 type Port struct {
 	net *Network
-	// sim is the source device's partition simulator: send, the drain tick
-	// and all port state live there. dstSim is the destination device's;
-	// when they differ the port is a partition boundary and deliveries are
-	// handed across via sim.CrossAction (with the link's propagation delay
-	// declared as conservative lookahead).
+	// sim is the source device's partition simulator: send, the port's
+	// departure (drain) actions and all port state live there. dstSim is
+	// the destination device's; when they differ the port is a partition
+	// boundary and arrivals are handed across via sim.CrossAction (with the
+	// link's propagation delay declared as conservative lookahead).
 	sim    *sim.Simulator
 	dstSim *sim.Simulator
-	// pool recycles this partition's frames and port events; dstPool is
-	// the destination partition's (where delivery events are released).
-	pool    *fabricPool
-	dstPool *fabricPool
-	name    string
+	// pool recycles this partition's frames (the ones this port drops).
+	pool *fabricPool
+	name string
 	// psPerByte is the precomputed serialization cost in integer
 	// picoseconds per byte; the hot path multiplies instead of dividing.
 	psPerByte int64
@@ -150,6 +167,16 @@ type Port struct {
 
 	queuedBytes int
 	busyUntil   sim.Time
+	// drains is the FIFO ring of the sizes of committed frames whose
+	// departure has not fired yet: a power of two long (nil until the
+	// first send, then 8 slots, doubled when full); head counts pops and
+	// tail pushes, both wrapping freely. Departures never decrease and
+	// same-instant ones fire in push order, so the firing departure always
+	// belongs to the ring head. head and the ring header sit right after
+	// queuedBytes, in the same 64-byte line of the 256-byte Port, so a
+	// departure touches one line of the port.
+	head, tail uint32
+	drains     []int32
 	// downDepth counts active SetDown(true) holds. The port drops frames
 	// while downDepth > 0, so overlapping failure schedules (two Flaps, a
 	// Flap inside a RackOutage, a storm campaign on top of either) nest:
@@ -198,7 +225,6 @@ func newPort(n *Network, name string, cfg LinkConfig, srcSim *sim.Simulator, dst
 		sim:       srcSim,
 		dstSim:    dstSim,
 		pool:      n.pools[srcSim.ShardIndex()],
-		dstPool:   n.pools[dstSim.ShardIndex()],
 		name:      name,
 		psPerByte: psPerByte(cfg.GbpsRate),
 		prop:      cfg.PropDelay,
@@ -273,11 +299,12 @@ func (p *Port) SetECNThreshold(bytes int) { p.ecnThreshold = bytes }
 // Semantics: a frame's departure time is committed at enqueue, so bytes
 // already accepted by the serializer (everything up to busyUntil) keep the
 // departure times computed under the old rate — a rate change never
-// re-times in-flight serialization, and the drain events already scheduled
-// for those bytes stay valid. The new rate takes effect, consistently with
-// the busyUntil commitment point, for the next frame enqueued: it begins
-// serializing at max(now, busyUntil) at the new speed. Like construction,
-// the rate is quantized to whole picoseconds per byte.
+// re-times in-flight serialization, and the departures already scheduled
+// for those bytes, with their sizes in the drain ring, stay valid. The new
+// rate takes effect, consistently with the busyUntil commitment point, for
+// the next frame enqueued: it begins serializing at max(now, busyUntil) at
+// the new speed, so departures stay in ring order. Like construction, the
+// rate is quantized to whole picoseconds per byte.
 func (p *Port) SetRateGbps(gbps float64) {
 	if gbps <= 0 {
 		panic("netsim: link rate must be positive")
@@ -300,9 +327,10 @@ func (p *Port) QueuedBytes() int { return p.queuedBytes }
 
 // send enqueues f for transmission. This is the fabric's hottest function:
 // after the impairment checks it performs one integer multiply for the
-// serialization time and schedules two pooled typed events (the
-// departure-time drain tick and the propagation-delayed delivery) — no
-// closures, no allocation, no floating point.
+// serialization time, pushes f.Size on the drain ring and schedules two
+// typed actions — the port itself at the departure instant and the frame
+// itself after propagation — with no closures, no allocation and no
+// floating point.
 func (p *Port) send(f *Frame) {
 	if p.downDepth > 0 {
 		p.Stats.DownDrops++
@@ -338,29 +366,50 @@ func (p *Port) send(f *Frame) {
 		start = now
 	}
 	serialization := time.Duration(int64(f.Size) * p.psPerByte / 1000)
-	departure := start.Add(serialization)
-	p.busyUntil = departure
+	departAt := start.Add(serialization)
+	p.busyUntil = departAt
 	p.Stats.TxFrames++
 	p.Stats.TxBytes += uint64(f.Size)
 
-	arrival := departure.Add(p.prop)
+	arriveAt := departAt.Add(p.prop)
 	if p.reorderProb > 0 && p.sim.Rand().Float64() < p.reorderProb {
-		arrival = arrival.Add(p.reorderDelay)
+		arriveAt = arriveAt.Add(p.reorderDelay)
 		p.Stats.Reordered++
 	}
-	drain := p.pool.getEvent()
-	drain.kind = evDrain
-	drain.port = p
-	drain.size = f.Size
-	p.sim.AtAction(departure, drain)
-	del := p.pool.getEvent()
-	del.kind = evDeliver
-	del.dst = p.dst
-	del.frame = f
-	// The delivery executes on the destination partition, so the event
-	// migrates to its pool (the same pool on an intra-partition link).
-	del.pool = p.dstPool
-	p.sim.CrossAction(p.dstSim, arrival, del)
+	if p.tail-p.head == uint32(len(p.drains)) {
+		p.growDrains()
+	}
+	p.drains[p.tail&uint32(len(p.drains)-1)] = int32(f.Size)
+	p.tail++
+	p.sim.AtAction(departAt, (*departure)(p))
+	// The arrival executes on the destination partition; across a
+	// boundary it fires no sooner than the lookahead, so the destination
+	// reads f.to only after the barrier that hands it over.
+	f.to = p.dst
+	p.sim.CrossAction(p.dstSim, arriveAt, (*arrival)(f))
+}
+
+// growDrains doubles the drain ring (allocating its first 8 slots on the
+// first send), moving the queued sizes to the front in FIFO order.
+func (p *Port) growDrains() {
+	n := p.tail - p.head
+	ring := make([]int32, max(8, 2*len(p.drains)))
+	for i := uint32(0); i < n; i++ {
+		ring[i] = p.drains[(p.head+i)&uint32(len(p.drains)-1)]
+	}
+	p.drains, p.head, p.tail = ring, 0, n
+}
+
+// departure is a Port scheduled as its own drain action, once per
+// committed frame at the frame's departure instant.
+type departure Port
+
+// RunAction retires the ring head: that frame has left the serializer, so
+// its bytes leave the queue.
+func (d *departure) RunAction() {
+	p := (*Port)(d)
+	p.queuedBytes -= int(p.drains[p.head&uint32(len(p.drains)-1)])
+	p.head++
 }
 
 // Host is an endpoint with a single access link.
@@ -498,12 +547,15 @@ type Switch struct {
 	// stateless; the mutable selection state lives in the dense state
 	// array below so switching policies never carries stale state.
 	policy routing.Policy
-	// routes is the dense next-hop table indexed by destination NodeID
-	// (host IDs are small dense integers, so a slice index replaces the
-	// former per-hop map lookup).
-	routes [][]*Port
+	// route is the dense next-hop table indexed by destination NodeID:
+	// an index into groups, 0 meaning no route. groups holds each distinct
+	// equal-cost port set once (groups[0] is the empty set), so the
+	// hundreds of remote hosts behind a ToR's uplinks share one set and
+	// the table stays in cache.
+	route  []uint16
+	groups [][]*Port
 	// state holds one policy word per destination NodeID, dense like
-	// routes (the spray packet counter; zero for ECMP/adaptive).
+	// route (the spray packet counter; zero for ECMP/adaptive).
 	state []uint64
 	// qview is the reused queue-depth view handed to the policy; a
 	// pointer to this field converts to routing.QueueDepths without
@@ -543,22 +595,40 @@ func (sw *Switch) Sim() *sim.Simulator { return sw.sim }
 // nodeSim implements device.
 func (sw *Switch) nodeSim() *sim.Simulator { return sw.sim }
 
-// addRoute registers ports as next hops toward dst.
+// addRoute registers ports as next hops toward dst, after any it already
+// has. Groups are never modified once built: the extended set is looked up
+// among the existing groups (newest first, since builders install runs of
+// destinations with the same set) and added as a new one if absent.
 func (sw *Switch) addRoute(dst NodeID, ports ...*Port) {
-	for int(dst) >= len(sw.routes) {
-		sw.routes = append(sw.routes, nil)
+	for int(dst) >= len(sw.route) {
+		sw.route = append(sw.route, 0)
 		sw.state = append(sw.state, 0)
 	}
-	sw.routes[dst] = append(sw.routes[dst], ports...)
+	cur := sw.groups[sw.route[dst]]
+	set := append(cur[:len(cur):len(cur)], ports...)
+	for g := len(sw.groups) - 1; g >= 0; g-- {
+		if slices.Equal(sw.groups[g], set) {
+			sw.route[dst] = uint16(g)
+			return
+		}
+	}
+	if len(sw.groups) > math.MaxUint16 {
+		panic(fmt.Sprintf("netsim: switch %d has more than %d distinct route groups", sw.id, math.MaxUint16))
+	}
+	sw.route[dst] = uint16(len(sw.groups))
+	sw.groups = append(sw.groups, set)
 }
 
 // RouteTo returns the equal-cost port set toward dst (for impairment
-// injection and telemetry).
+// injection and telemetry). The set may be shared with other
+// destinations; it is returned at full capacity, so an append by the
+// caller copies instead of writing into it.
 func (sw *Switch) RouteTo(dst NodeID) []*Port {
-	if int(dst) < 0 || int(dst) >= len(sw.routes) {
+	if int(dst) < 0 || int(dst) >= len(sw.route) {
 		return nil
 	}
-	return sw.routes[dst]
+	g := sw.groups[sw.route[dst]]
+	return g[:len(g):len(g)]
 }
 
 func (sw *Switch) receive(f *Frame) {
@@ -566,8 +636,8 @@ func (sw *Switch) receive(f *Frame) {
 	f.Hops++
 	var ports []*Port
 	d := int(f.Dst)
-	if d >= 0 && d < len(sw.routes) {
-		ports = sw.routes[d]
+	if d >= 0 && d < len(sw.route) {
+		ports = sw.groups[sw.route[d]]
 	}
 	switch len(ports) {
 	case 0:
@@ -582,7 +652,7 @@ func (sw *Switch) receive(f *Frame) {
 }
 
 // Network owns hosts and switches attached to one simulator, plus the
-// fast-path pools recycling frames and port events.
+// fast-path pools recycling frames.
 //
 // On a sharded simulator (sim.Sharded) the network is partition-aware:
 // every device is assigned to one partition (round-robin by default, or
@@ -714,6 +784,7 @@ func (n *Network) AddSwitchOn(part int) *Switch {
 		pool:   n.pools[part],
 		salt:   routing.Mix64(uint64(len(n.switches))*0x9e3779b97f4a7c15 + 1),
 		policy: n.policy,
+		groups: [][]*Port{nil},
 	}
 	n.switches = append(n.switches, sw)
 	return sw

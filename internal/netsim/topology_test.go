@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,6 +22,83 @@ var closSizes = []struct{ racks, hostsPerRack, spines int }{
 	{1, 16, 4}, // 16-node job
 	{2, 16, 4}, // 32-node job, two racks
 	{2, 2, 2},  // minimal multi-rack, minimal ECMP
+}
+
+// TestRouteGroupsShared checks the shared route groups on a 1024-host Clos:
+// each ToR holds one group per local host plus one for its uplinks, each
+// spine one per rack; every (switch, destination) set matches a model
+// built from the topology's port names; and neither an append to a
+// RouteTo result nor a second addRoute for one destination changes the
+// set another destination shares.
+func TestRouteGroupsShared(t *testing.T) {
+	const racks, perRack, spines = 16, 64, 16
+	link := LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
+	topo := Clos(sim.New(1), racks, perRack, spines, link, link)
+	n := topo.Net
+	byName := map[string]*Port{}
+	for _, p := range n.Ports() {
+		byName[p.name] = p
+	}
+	port := func(from *Switch, to string) *Port {
+		p := byName[fmt.Sprintf("sw%d->%s", from.id, to)]
+		if p == nil {
+			t.Fatalf("no port sw%d->%s", from.id, to)
+		}
+		return p
+	}
+	want := func(sw *Switch, h *Host) []*Port {
+		rack := topo.ToRs[int(h.ID)/perRack]
+		switch {
+		case sw == rack:
+			return []*Port{port(sw, fmt.Sprintf("h%d", h.ID))}
+		case slices.Contains(topo.Spines, sw):
+			return []*Port{port(sw, fmt.Sprintf("sw%d", rack.id))}
+		}
+		var up []*Port
+		for _, sp := range topo.Spines {
+			up = append(up, port(sw, fmt.Sprintf("sw%d", sp.id)))
+		}
+		return up
+	}
+
+	for _, sw := range n.Switches() {
+		groups := perRack + 1
+		if slices.Contains(topo.Spines, sw) {
+			groups = racks
+		}
+		if got := len(sw.groups) - 1; got != groups {
+			t.Fatalf("switch %d holds %d route groups, want %d", sw.id, got, groups)
+		}
+		for _, h := range topo.Hosts {
+			if got, w := sw.RouteTo(h.ID), want(sw, h); !slices.Equal(got, w) {
+				t.Fatalf("switch %d -> host %d: %d ports, want %d", sw.id, h.ID, len(got), len(w))
+			}
+		}
+		if sw.RouteTo(-1) != nil || sw.RouteTo(NodeID(len(topo.Hosts))) != nil {
+			t.Fatalf("switch %d routes outside the host range", sw.id)
+		}
+	}
+
+	tor := topo.ToRs[0]
+	a, b := topo.Hosts[perRack].ID, topo.Hosts[2*perRack].ID
+	uplinks := slices.Clone(tor.RouteTo(b))
+	if &tor.RouteTo(a)[0] != &tor.RouteTo(b)[0] {
+		t.Fatal("two remote hosts behind ToR 0 do not share one uplink set")
+	}
+	extra := newPort(n, "extra", link, tor.sim, topo.Spines[0])
+	_ = append(tor.RouteTo(a), extra)
+	if !slices.Equal(tor.RouteTo(b), uplinks) {
+		t.Fatal("appending to RouteTo(a) changed host b's set")
+	}
+	tor.addRoute(a, extra)
+	if !slices.Equal(tor.RouteTo(b), uplinks) || !slices.Equal(tor.RouteTo(a), append(slices.Clone(uplinks), extra)) {
+		t.Fatal("a second addRoute for host a moved host b's set, or did not extend a's")
+	}
+	groups := len(tor.groups)
+	tor.addRoute(b, extra)
+	if len(tor.groups) != groups || &tor.RouteTo(a)[0] != &tor.RouteTo(b)[0] {
+		t.Fatal("the same extended set was not shared")
+	}
 }
 
 // TestClosProperties asserts, for every Clos size the experiments build:

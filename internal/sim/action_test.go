@@ -102,7 +102,7 @@ func TestWheelRunAfterCancelledCascade(t *testing.T) {
 
 // TestAtActionZeroAlloc asserts scheduling and dispatching a
 // pointer-backed action allocates nothing in steady state — the property
-// netsim's pooled port events rely on.
+// netsim's frame arrival and port departure actions rely on.
 func TestAtActionZeroAlloc(t *testing.T) {
 	s := New(1)
 	var sink []int

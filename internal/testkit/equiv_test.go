@@ -42,11 +42,10 @@ func TestSweepSchedulerEquivalence(t *testing.T) {
 }
 
 // TestSweepPoolEquivalence covers per-partition free lists: on a 2-way
-// split each partition recycles its own frames, port events and transport
-// packets, and frames and packets are released into a different
-// partition's lists than the one they came from. The protocol must not
-// notice: the run drains exactly once with every partition's checker
-// clean.
+// split each partition recycles its own frames and transport packets, and
+// frames and packets are released into a different partition's lists than
+// the one they came from. The protocol must not notice: the run drains
+// exactly once with every partition's checker clean.
 func TestSweepPoolEquivalence(t *testing.T) {
 	eachSeeded(t, func(t *testing.T, sc Scenario) {
 		sc.Shards = 2
