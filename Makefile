@@ -101,7 +101,7 @@ metrics:
 #     self-deterministic.
 CHECKDIR ?= $(or $(TMPDIR),/tmp)/falcon-check
 LAKE_WATCHED = BENCH_pr3_metrics.json BENCH_pr8_metrics.json BENCH_pr9_metrics.json
-LAKE_PAIRS = pr17 pr17_extra pr18 pr26 pr27 pr28 pr29 pr30
+LAKE_PAIRS = pr17 pr17_extra pr18 pr26 pr27 pr28 pr29 pr30 pr31
 LAKE_LISTED = BENCH_pr2.json BENCH_pr3_series BENCH_pr5.json BENCH_pr6.json \
 	BENCH_pr10.json BENCH_pr10_single.json
 check:

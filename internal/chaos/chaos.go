@@ -1,21 +1,21 @@
-// Package chaos turns the single-knob fault injection of internal/routing
-// into campaign-grade robustness evidence: deterministic storm campaigns
-// that compose fabric gray failures (flap / slow / correlated outage, via
-// the routing injector) with endpoint-level faults the transport has never
-// been exercised under — host pause and crash-restart (connection state
-// surviving or torn down per plan), NIC-port blackhole and
-// packet-corruption windows, and receiver-not-ready stalls that drive
-// sustained RNR retry.
+// Package chaos is the one place a fault is scheduled: every impairment a
+// figure or test injects is an Event, and Apply puts it on the virtual
+// clock. Storm campaigns compose fabric gray failures (flap / slow /
+// correlated outage) with endpoint-level faults — host pause and
+// crash-restart (connection state surviving or torn down per plan),
+// NIC-port blackhole and packet-corruption windows, and receiver-not-ready
+// stalls that drive sustained RNR retry; figRouting and figGrayFailure
+// hand Apply a fixed event list of their own.
 //
 // Determinism contract: a storm is a Plan — a pure value generated from a
 // seed by its own rand source, independent of simulator state — and Apply
-// schedules every fault as a pooled typed sim.Action on the virtual clock
+// schedules every fault as a typed sim.Action on the virtual clock
 // (no capture closures; the package is covered by the TestNetsimClosureFree
 // lint). Two same-seed campaigns therefore fail, corrupt, stall and
 // recover at byte-identical (time, seq) points: replaying a storm is
 // re-running its seed.
 //
-// On top of the injectors sit the measurement pieces: Envelope samples
+// On top of the fault actions sit the measurement pieces: Envelope samples
 // cumulative delivered bytes on a fixed virtual-clock grid and derives the
 // recovery envelope (time from fault clear until trailing-median goodput
 // re-enters a percentage band of the pre-fault baseline), and Audit closes
@@ -29,14 +29,14 @@ import (
 	"math/rand"
 	"time"
 
-	"falcon/internal/routing"
 	"falcon/internal/sim"
 )
 
-// FabricPort is the port control surface storm faults drive. netsim.Port
-// implements it; the interface is a superset of routing.FailPort, so the
-// same target list feeds both the routing injector (flap/slow/outage) and
-// the chaos-specific blackhole and corruption windows.
+// FabricPort is the port control surface fabric and blackhole faults
+// drive. netsim.Port implements it: SetDown nests (a port is down while any
+// fault holds it, and its drops count in DownDrops), SetRateGbps re-rates
+// the link for frames enqueued after the change, and SetCorruptProb opens
+// or closes a corruption window.
 type FabricPort interface {
 	SetDown(down bool)
 	SetRateGbps(gbps float64)
@@ -67,11 +67,17 @@ type Staller interface {
 type Kind int
 
 const (
-	// KindFlap bounces one uplink through down/up cycles (routing.Injector.Flap).
+	// KindFlap bounces one uplink through Cycles down/up cycles, each phase
+	// For/(2·Cycles) long; the port is up again when the window closes.
 	KindFlap Kind = iota
-	// KindSlow degrades one uplink's rate without downing it (Injector.Slow).
+	// KindSlow degrades one uplink's rate to Gbps without downing it — the
+	// classic gray failure: no down drops, but serialization stretches and
+	// the queue backs up. The plan's RestoreGbps returns at At+For; For 0
+	// leaves the port degraded.
 	KindSlow
-	// KindOutage downs two adjacent uplinks at once (Injector.RackOutage).
+	// KindOutage downs two adjacent uplinks (Target, Target+1) at one
+	// instant and raises both at another: the correlated failure a ToR
+	// power event causes.
 	KindOutage
 	// KindBlackhole downs one host's access uplink: the NIC port silently
 	// eats every egress frame for the window.
@@ -272,23 +278,30 @@ type Targets struct {
 	Stallers  []Staller
 }
 
-// endpointEvent is the pooled typed action behind every endpoint-level
-// fault edge: one allocation per (event, edge) at Apply time, zero at
-// fire time. clear distinguishes the restore edge.
-type endpointEvent struct {
+// faultEvent is the typed action behind every fault edge except a flap's:
+// one allocation per (event, edge) at Apply time, zero at fire time. clear
+// distinguishes the restore edge.
+type faultEvent struct {
 	kind     Kind
 	clear    bool
 	host     Host
 	crash    Crasher
 	port     FabricPort
+	pair     FabricPort // KindOutage's second uplink
 	stall    Staller
 	prob     float64
+	gbps     float64 // KindSlow: the rate this edge applies
 	teardown bool
 }
 
 // RunAction implements sim.Action.
-func (e *endpointEvent) RunAction() {
+func (e *faultEvent) RunAction() {
 	switch e.kind {
+	case KindSlow:
+		e.port.SetRateGbps(e.gbps)
+	case KindOutage:
+		e.port.SetDown(!e.clear)
+		e.pair.SetDown(!e.clear)
 	case KindBlackhole:
 		e.port.SetDown(!e.clear)
 	case KindCorrupt:
@@ -315,41 +328,66 @@ func (e *endpointEvent) RunAction() {
 	}
 }
 
-// Apply schedules the plan onto one simulation: fabric faults go through
-// the routing injector (composing with any impairments already scheduled
-// on it), endpoint faults are scheduled directly as typed actions. Apply
-// must be called before the simulator passes the plan's first edge.
-func Apply(s *sim.Simulator, inj *routing.Injector, t Targets, p Plan) {
-	for _, ev := range p.Events {
-		switch ev.Kind {
-		case KindFlap:
-			phase := ev.For / time.Duration(2*ev.Cycles)
-			inj.Flap(t.Uplinks[ev.Target], ev.At, phase, phase, ev.Cycles)
-		case KindSlow:
-			inj.Slow(t.Uplinks[ev.Target], ev.At, ev.Gbps, ev.For, p.RestoreGbps)
-		case KindOutage:
-			group := []routing.FailPort{t.Uplinks[ev.Target], t.Uplinks[ev.Target+1]}
-			inj.RackOutage(group, ev.At, ev.For)
-		case KindBlackhole, KindCorrupt, KindPause, KindCrash, KindRNRStall:
-			apply := &endpointEvent{kind: ev.Kind, prob: ev.Prob, teardown: ev.Teardown}
-			switch ev.Kind {
-			case KindBlackhole:
-				apply.port = t.HostPorts[ev.Target]
-			case KindCorrupt:
-				apply.port = t.Uplinks[ev.Target]
-			case KindPause:
-				apply.host = t.Hosts[ev.Target]
-			case KindCrash:
-				apply.host = t.Hosts[ev.Target]
-				apply.crash = t.Crashers[ev.Target]
-			case KindRNRStall:
-				apply.stall = t.Stallers[ev.Target]
-			}
-			clear := &endpointEvent{}
-			*clear = *apply
-			clear.clear = true
-			s.AtAction(ev.At, apply)
-			s.AtAction(ev.Clear(), clear)
+// flapEvent is the typed action behind KindFlap: each firing toggles the
+// port and re-arms itself one phase later until its cycles are spent. The
+// next edge is scheduled only when the current one fires, so a flap holds
+// one queue entry at a time.
+type flapEvent struct {
+	s      *sim.Simulator
+	port   FabricPort
+	phase  time.Duration
+	cycles int  // down/up pairs still to run, including the current one
+	down   bool // true while the port is held down
+}
+
+// RunAction implements sim.Action.
+func (e *flapEvent) RunAction() {
+	e.down = !e.down
+	e.port.SetDown(e.down)
+	if !e.down {
+		e.cycles--
+		if e.cycles == 0 {
+			return
 		}
+	}
+	e.s.AtAction(e.s.Now().Add(e.phase), e)
+}
+
+// Apply schedules the plan onto one simulation as typed actions, in event
+// order: a flap as one self-re-arming action, every other kind as its
+// impairment edge at At and its restore edge at At+For (a Slow with For 0
+// is never restored). Faults on one port nest through its down depth.
+// Apply must be called before the simulator passes the plan's first edge.
+func Apply(s *sim.Simulator, t Targets, p Plan) {
+	for _, ev := range p.Events {
+		if ev.Kind == KindFlap {
+			phase := ev.For / time.Duration(2*ev.Cycles)
+			s.AtAction(ev.At, &flapEvent{s: s, port: t.Uplinks[ev.Target], phase: phase, cycles: ev.Cycles})
+			continue
+		}
+		apply := &faultEvent{kind: ev.Kind, prob: ev.Prob, gbps: ev.Gbps, teardown: ev.Teardown}
+		switch ev.Kind {
+		case KindSlow, KindCorrupt:
+			apply.port = t.Uplinks[ev.Target]
+		case KindOutage:
+			apply.port, apply.pair = t.Uplinks[ev.Target], t.Uplinks[ev.Target+1]
+		case KindBlackhole:
+			apply.port = t.HostPorts[ev.Target]
+		case KindPause:
+			apply.host = t.Hosts[ev.Target]
+		case KindCrash:
+			apply.host = t.Hosts[ev.Target]
+			apply.crash = t.Crashers[ev.Target]
+		case KindRNRStall:
+			apply.stall = t.Stallers[ev.Target]
+		}
+		s.AtAction(ev.At, apply)
+		if ev.Kind == KindSlow && ev.For <= 0 {
+			continue
+		}
+		clear := *apply
+		clear.clear = true
+		clear.gbps = p.RestoreGbps
+		s.AtAction(ev.Clear(), &clear)
 	}
 }

@@ -129,7 +129,7 @@ func Fig29(o Options) *Table {
 		epA, epB := cl.Connect(a, b, multipathConn())
 		qa := rdma.NewQP(epA, rdma.Config{})
 		rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
-		res := workload.RunMigration(s, workload.NewFalconPipe(s, qa), cfg)
+		res := workload.RunMigration(s, workload.NewFalconPipe(qa), cfg)
 		t.Rows = append(t.Rows, []string{"RDMA-Falcon",
 			res.PreCopy.Round(time.Millisecond).String(),
 			res.PostCopy.Round(time.Millisecond).String(),

@@ -9,7 +9,6 @@ import (
 	"falcon/internal/netsim"
 	"falcon/internal/rdma"
 	"falcon/internal/roce"
-	"falcon/internal/routing"
 	"falcon/internal/sim"
 	"falcon/internal/telemetry"
 	"falcon/internal/workload"
@@ -55,10 +54,7 @@ func stormSpec(runFor time.Duration, hostsPerRack, spines int) chaos.Spec {
 // access links, pauses can hit any host.
 func stormTargets(topo *netsim.Topology, hostsPerRack int) (chaos.Targets, []*netsim.Port) {
 	uplinks := topo.ToRs[0].RouteTo(topo.Hosts[hostsPerRack].ID)
-	var t chaos.Targets
-	for _, p := range uplinks {
-		t.Uplinks = append(t.Uplinks, p)
-	}
+	t := chaos.Targets{Uplinks: fabricPorts(uplinks)}
 	for i := 0; i < hostsPerRack; i++ {
 		t.HostPorts = append(t.HostPorts, topo.Hosts[i].Uplink())
 	}
@@ -66,6 +62,15 @@ func stormTargets(topo *netsim.Topology, hostsPerRack int) (chaos.Targets, []*ne
 		t.Hosts = append(t.Hosts, h)
 	}
 	return t, uplinks
+}
+
+// fabricPorts widens a port group to the fault-target interface.
+func fabricPorts(ports []*netsim.Port) []chaos.FabricPort {
+	out := make([]chaos.FabricPort, len(ports))
+	for i, p := range ports {
+		out[i] = p
+	}
+	return out
 }
 
 // stormOps computes the per-pair Poisson op budget: arrivals cover the
@@ -98,8 +103,7 @@ func stormFalconRun(o Options, seed int64, plan chaos.Plan, runFor time.Duration
 		nodes = append(nodes, cl.AddNode(h, core.DefaultNodeConfig()))
 	}
 	targets, _ := stormTargets(topo, hostsPerRack)
-	inj := routing.NewInjector(s)
-	chaos.Apply(s, inj, targets, plan)
+	chaos.Apply(s, targets, plan)
 
 	var rep chaos.Report
 	var delivered uint64
@@ -155,8 +159,7 @@ func stormRoceRun(o Options, seed int64, plan chaos.Plan, runFor time.Duration) 
 	fabric := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
 	topo := o.twoRack(s, hostsPerRack, spines, host, fabric)
 	targets, _ := stormTargets(topo, hostsPerRack)
-	inj := routing.NewInjector(s)
-	chaos.Apply(s, inj, targets, plan)
+	chaos.Apply(s, targets, plan)
 
 	var rep chaos.Report
 	var delivered uint64
@@ -324,8 +327,7 @@ func endpointFaultRun(o Options, seed int64, ev chaos.Event, runFor time.Duratio
 	epB.SetTarget(valve)
 
 	plan := chaos.Plan{Seed: seed, RestoreGbps: 200, Events: []chaos.Event{ev}}
-	inj := routing.NewInjector(s)
-	chaos.Apply(s, inj, chaos.Targets{
+	chaos.Apply(s, chaos.Targets{
 		Uplinks:   []chaos.FabricPort{topo.Hosts[0].Uplink(), topo.Hosts[1].Uplink()},
 		HostPorts: []chaos.FabricPort{topo.Hosts[0].Uplink(), topo.Hosts[1].Uplink()},
 		Hosts:     []chaos.Host{topo.Hosts[0], topo.Hosts[1]},

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"falcon/internal/core"
-	"falcon/internal/falcon/pdl"
 	"falcon/internal/netsim"
 	"falcon/internal/rdma"
 	"falcon/internal/roce"
@@ -198,7 +197,7 @@ func (p *roceP2P) goodput(kind opKind, opBytes, window int, runFor time.Duration
 	return stats.Gbps(delivered, runFor)
 }
 
-// defaultPDLConfigSinglePath returns a single-path Falcon connection
+// singlePathConn returns a single-path Falcon connection
 // config (the multipath-off baseline).
 func singlePathConn() core.ConnConfig {
 	cfg := core.DefaultConnConfig()
@@ -208,5 +207,3 @@ func singlePathConn() core.ConnConfig {
 
 // multipathConn returns the default 4-flow connection config.
 func multipathConn() core.ConnConfig { return core.DefaultConnConfig() }
-
-var _ = pdl.DefaultConfig // keep import shape stable across files

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"falcon/internal/chaos"
 	"falcon/internal/core"
 	"falcon/internal/netsim"
 	"falcon/internal/rdma"
@@ -53,13 +54,13 @@ func uplinkSpread(ports []*netsim.Port) (spreadPct float64, downDrops uint64) {
 }
 
 // routingRun drives the §6.1.3 rack pair (8<->8 hosts, 4 spines) at the
-// offered load with the given fabric routing policy, after letting
-// impair schedule gray failures on ToR-0's uplink group. With o.Tel set
-// it exports conn-0's PDL state, node-0's FAE counters, the uplink
-// group's routing-layer spread cells and the (possibly degraded)
+// offered load with the given fabric routing policy, with the impair
+// faults applied to ToR-0's uplink group (Target indexes that group).
+// With o.Tel set it exports conn-0's PDL state, node-0's FAE counters, the
+// uplink group's routing-layer spread cells and the (possibly degraded)
 // uplink-0 port counters under prefix.
 func routingRun(o Options, seed int64, pol routing.Policy, load float64, runFor time.Duration,
-	impair func(inj *routing.Injector, uplinks []*netsim.Port), prefix string) routingCell {
+	impair []chaos.Event, prefix string) routingCell {
 	const hostsPerRack = 8
 	const spines = 4
 	fabricGbps := float64(spines) * 200
@@ -72,10 +73,7 @@ func routingRun(o Options, seed int64, pol routing.Policy, load float64, runFor 
 	// ToR-0's spine uplinks: the equal-cost set every cross-rack frame
 	// from rack 0 fans over, and the group gray failures target.
 	uplinks := topo.ToRs[0].RouteTo(topo.Hosts[hostsPerRack].ID)
-	inj := routing.NewInjector(s)
-	if impair != nil {
-		impair(inj, uplinks)
-	}
+	chaos.Apply(s, chaos.Targets{Uplinks: fabricPorts(uplinks)}, chaos.Plan{Events: impair})
 	const opBytes = 64 << 10
 	var lat stats.Series
 	var delivered uint64
@@ -139,10 +137,9 @@ func FigRouting(o Options, runFor time.Duration) *Table {
 		Columns: []string{"policy", "sym p99", "sym Gbps", "sym spread%",
 			"asym p99", "asym Gbps", "asym spread%"},
 	}
-	// Static asymmetry: uplink 0 degraded from t=0 for the whole run.
-	asym := func(inj *routing.Injector, uplinks []*netsim.Port) {
-		inj.Slow(uplinks[0], 0, 50, 0, 0)
-	}
+	// Static asymmetry: uplink 0 degraded from t=0 and, with For 0, never
+	// restored.
+	asym := []chaos.Event{{Kind: chaos.KindSlow, Target: 0, At: 0, Gbps: 50}}
 	for _, pol := range routing.Policies() {
 		sym := routingRun(o, 41, pol, 0.6, runFor, nil, "figRouting/"+pol.Name()+"/sym")
 		deg := routingRun(o, 41, pol, 0.6, runFor, asym, "figRouting/"+pol.Name()+"/asym")
@@ -167,24 +164,19 @@ func FigGrayFailure(o Options, runFor time.Duration) *Table {
 	}
 	scenarios := []struct {
 		name   string
-		impair func(inj *routing.Injector, uplinks []*netsim.Port)
+		impair chaos.Event
 	}{
-		{"flap", func(inj *routing.Injector, uplinks []*netsim.Port) {
-			// Two down/up cycles on uplink 0 starting a quarter into the
-			// run, each phase an eighth of the window: the port is back up
-			// for the final quarter.
-			inj.Flap(uplinks[0], sim.Time(runFor/4), runFor/8, runFor/8, 2)
-		}},
-		{"outage", func(inj *routing.Injector, uplinks []*netsim.Port) {
-			// Correlated failure: half the uplink group down at once for a
-			// quarter of the window.
-			inj.RackOutage([]routing.FailPort{uplinks[0], uplinks[1]},
-				sim.Time(runFor/4), runFor/4)
-		}},
+		// Two down/up cycles on uplink 0 starting a quarter into the run,
+		// each phase an eighth of the window: the port is back up for the
+		// final quarter.
+		{"flap", chaos.Event{Kind: chaos.KindFlap, Target: 0, At: sim.Time(runFor / 4), For: runFor / 2, Cycles: 2}},
+		// Correlated failure: half the uplink group (uplinks 0 and 1) down
+		// at once for a quarter of the window.
+		{"outage", chaos.Event{Kind: chaos.KindOutage, Target: 0, At: sim.Time(runFor / 4), For: runFor / 4}},
 	}
 	for _, pol := range routing.Policies() {
 		for _, sc := range scenarios {
-			cell := routingRun(o, 43, pol, 0.6, runFor, sc.impair,
+			cell := routingRun(o, 43, pol, 0.6, runFor, []chaos.Event{sc.impair},
 				"figGrayFailure/"+pol.Name()+"/"+sc.name)
 			t.Rows = append(t.Rows, []string{
 				pol.Name(), sc.name, dur(cell.p99), f1(cell.gbps),

@@ -167,18 +167,9 @@ type Resources struct {
 	cfg   ResourceConfig
 	pools [numPools]*pool
 
-	// perConn and perConnBytes track contexts and buffer bytes held per
-	// connection, the inputs to dynamic-threshold isolation (§4.6).
-	perConn      connInts
-	perConnBytes connInts
-
-	// onRelease subscribers are notified when resources free up
-	// (the Xon edge for backpressured ULPs).
-	onRelease []releaseSub
-	// alwaysRun counts subscribers registered through the public
-	// Subscribe: their neediness is unknown, so they fire on every
-	// release.
-	alwaysRun int
+	// onRelease holds one callback per subscribed connection, notified
+	// when resources free up (the Xon edge for backpressured ULPs).
+	onRelease []func()
 
 	// conns is the number of connections subscribed so far: the next
 	// connection key.
@@ -189,9 +180,9 @@ type Resources struct {
 	// installed an Xon callback to wake; see Conn.updateNeedy). When
 	// zero, Release skips the connection fan-out entirely — the common
 	// case on the hot path, where every packet ack used to pay a call
-	// per connection on the node. When non-zero, ALL subscribers still
-	// run in subscription order (the needy set is not tracked
-	// per-callback), so observable callback order is unchanged.
+	// per connection on the node. When non-zero, ALL callbacks still run
+	// in subscription order (the needy set is not tracked per-callback),
+	// so observable callback order is unchanged.
 	needy int
 }
 
@@ -218,8 +209,6 @@ func (r *Resources) Reserve(k PoolKind, conn uint32, bytes int) error {
 	}
 	p.connCtx.add(conn, 1)
 	p.connBytes.add(conn, bytes)
-	r.perConn.add(conn, 1)
-	r.perConnBytes.add(conn, bytes)
 	return nil
 }
 
@@ -229,17 +218,9 @@ func (r *Resources) Release(k PoolKind, conn uint32, bytes int) {
 	p.release(bytes)
 	p.connCtx.add(conn, -1)
 	p.connBytes.add(conn, -bytes)
-	r.perConn.add(conn, -1)
-	r.perConnBytes.add(conn, -bytes)
 	if r.needy > 0 {
-		for _, s := range r.onRelease {
-			s.fn()
-		}
-	} else if r.alwaysRun > 0 {
-		for _, s := range r.onRelease {
-			if !s.skippable {
-				s.fn()
-			}
+		for _, fn := range r.onRelease {
+			fn()
 		}
 	}
 }
@@ -258,21 +239,14 @@ func (r *Resources) RxOccupancy() float64 {
 	return rq
 }
 
-// FreeContexts returns the total free contexts across all pools, the
-// denominator of the DT threshold.
-func (r *Resources) FreeContexts() int {
-	free := 0
+// ConnUsage returns the contexts currently held by conn across all pools.
+func (r *Resources) ConnUsage(conn uint32) int {
+	n := 0
 	for _, p := range r.pools {
-		free += p.cfg.Contexts - p.usedContexts
+		n += p.connCtx.at(conn)
 	}
-	return free
+	return n
 }
-
-// ConnUsage returns the contexts currently held by conn.
-func (r *Resources) ConnUsage(conn uint32) int { return r.perConn.at(conn) }
-
-// ConnBytes returns the buffer bytes currently held by conn.
-func (r *Resources) ConnBytes(conn uint32) int { return r.perConnBytes.at(conn) }
 
 // OverDTThreshold applies the dynamic-threshold rule per pool (§4.6): the
 // connection is over-threshold if in ANY pool its holdings exceed
@@ -304,25 +278,11 @@ func (r *Resources) AdmitRxRequest(conn uint32, bytes int, headOfLine bool) erro
 	return r.Reserve(PoolRxReq, conn, bytes)
 }
 
-// releaseSub is one release subscriber. Skippable subscribers (TL
-// connections) keep the shared needy count accurate and may be skipped
-// when it is zero; others always run.
-type releaseSub struct {
-	fn        func()
-	skippable bool
-}
-
-// Subscribe registers a callback invoked whenever resources are released.
-func (r *Resources) Subscribe(fn func()) {
-	r.onRelease = append(r.onRelease, releaseSub{fn: fn})
-	r.alwaysRun++
-}
-
 // subscribeConn registers a connection's release callback and returns the
 // connection's key; the connection maintains the needy count that lets
-// Release skip it when idle.
+// Release skip every callback while no connection needs one.
 func (r *Resources) subscribeConn(fn func()) uint32 {
-	r.onRelease = append(r.onRelease, releaseSub{fn: fn, skippable: true})
+	r.onRelease = append(r.onRelease, fn)
 	r.conns++
 	return r.conns - 1
 }

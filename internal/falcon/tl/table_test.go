@@ -193,9 +193,6 @@ func TestResourceKeysAreDense(t *testing.T) {
 			t.Fatalf("connection %d holds %d contexts, want 2 (request + completion slot)", id, got)
 		}
 	}
-	if n := len(res.perConn); n > 8 {
-		t.Fatalf("per-connection table of %d entries for 3 connections", n)
-	}
 	for k, p := range res.pools {
 		if len(p.connCtx) > 8 || len(p.connBytes) > 8 {
 			t.Fatalf("pool %v tables of %d/%d entries for 3 connections", PoolKind(k), len(p.connCtx), len(p.connBytes))

@@ -547,16 +547,28 @@ func TestRxOccupancySignal(t *testing.T) {
 	}
 }
 
+// TestSubscribeNotifiedOnRelease: a release runs every subscribed
+// connection's callback while any connection is needy, and none while
+// none is.
 func TestSubscribeNotifiedOnRelease(t *testing.T) {
 	res := NewResources(DefaultResourceConfig())
 	calls := 0
-	res.Subscribe(func() { calls++ })
-	if err := res.Reserve(PoolTxReq, 1, 0); err != nil {
-		t.Fatal(err)
+	res.subscribeConn(func() { calls++ })
+	res.subscribeConn(func() { calls++ })
+	cycle := func() {
+		if err := res.Reserve(PoolTxReq, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		res.Release(PoolTxReq, 1, 0)
 	}
-	res.Release(PoolTxReq, 1, 0)
-	if calls != 1 {
-		t.Fatalf("subscriber calls = %d", calls)
+	cycle()
+	if calls != 0 {
+		t.Fatalf("callbacks ran %d times with no needy connection", calls)
+	}
+	res.needyDelta(1)
+	cycle()
+	if calls != 2 {
+		t.Fatalf("callbacks ran %d times with a needy connection, want 2", calls)
 	}
 }
 

@@ -716,9 +716,6 @@ func (n *Network) SetRoutingPolicy(p routing.Policy) {
 	}
 }
 
-// RoutingPolicy returns the policy new switches receive.
-func (n *Network) RoutingPolicy() routing.Policy { return n.policy }
-
 // Sim returns the owning simulator.
 func (n *Network) Sim() *sim.Simulator { return n.sim }
 

@@ -193,7 +193,8 @@ func (t *ctrlTarget) HandlePush(rsn uint64, p *wire.Packet) tl.TargetVerdict {
 
 // pullWriteData issues the data pulls for a write command starting at
 // offset off (Table 2: NVMe Write is Push and Pull). Backpressure pauses
-// issuance and resumes from the current offset.
+// issuance and resumes from the current offset; a dead connection drops
+// the command.
 func (c *Controller) pullWriteData(ws *writeState, off int) {
 	if ws.total == 0 {
 		c.dev.Write(0, func() { c.finishWrite(ws, nil) })
@@ -217,6 +218,10 @@ func (c *Controller) pullWriteData(ws *writeState, off int) {
 				c.dev.Write(ws.total, func() { c.finishWrite(ws, nil) })
 			}
 		}); err != nil {
+			if c.ep.TL().Dead() != nil {
+				delete(c.writes, ws.id)
+				return
+			}
 			resume := off
 			c.sim.After(20*time.Microsecond, func() { c.pullWriteData(ws, resume) })
 			return
@@ -225,21 +230,19 @@ func (c *Controller) pullWriteData(ws *writeState, off int) {
 	}
 }
 
-// finishWrite pushes the completion (the CQE) back to the client.
+// finishWrite pushes the completion (the CQE) back to the client, or
+// drops it once the connection is dead.
 func (c *Controller) finishWrite(ws *writeState, err error) {
 	delete(c.writes, ws.id)
 	status := make([]byte, 1)
 	if err != nil {
 		status[0] = 1
 	}
-	for {
-		if _, e := c.ep.TL().PushOp(opCompletion, ws.id, status, 1, nil); e == nil {
-			return
-		}
-		// Resource pressure on completions is transient; retry.
-		c.sim.After(20*time.Microsecond, func() { c.finishWrite(ws, err) })
+	if _, e := c.ep.TL().PushOp(opCompletion, ws.id, status, 1, nil); e == nil || c.ep.TL().Dead() != nil {
 		return
 	}
+	// Resource pressure on completions is transient; retry.
+	c.sim.After(20*time.Microsecond, func() { c.finishWrite(ws, err) })
 }
 
 // HandlePull serves read commands, answering asynchronously after the
@@ -323,8 +326,9 @@ func NewClient(s *sim.Simulator, ep *core.Endpoint, mtu int) *Client {
 // Read issues an n-byte read at the logical block address; done fires when
 // all data has arrived. The read is one device command; the transport
 // segments the data into MTU pulls sharing a read ID. Chunks refused by
-// transaction-layer backpressure are re-issued as resources free, so Read
-// never fails mid-command.
+// transaction-layer backpressure are re-issued as resources free; on a dead
+// connection the chunks never issued complete with its error, so done
+// fires exactly once either way.
 func (c *Client) Read(lba uint64, n int, done func(error)) error {
 	id := c.nextReadID
 	c.nextReadID++
@@ -352,6 +356,12 @@ func (c *Client) Read(lba uint64, n int, done func(error)) error {
 				seg = c.mtu
 			}
 			if _, err := c.ep.TL().PullOp(opRead, addr, uint32(seg), chunkDone); err != nil {
+				if dead := c.ep.TL().Dead(); dead != nil {
+					for ; i < segs; i++ {
+						chunkDone(nil, dead)
+					}
+					return
+				}
 				ri, ro := i, off
 				c.sim.After(20*time.Microsecond, func() { issue(ri, ro) })
 				return

@@ -170,3 +170,54 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Fatal("device did not see both op types")
 	}
 }
+
+// TestDeadConnectionStopsRetries: a refusal on a dead connection ends the
+// command instead of re-arming the 20us backpressure retry, so a failed
+// connection lets the simulator go quiet. The client's Read completes its
+// never-issued chunks with the connection's error (done fires once); the
+// controller drops a Write whose connection dies mid-transfer instead of
+// retrying its completion push forever.
+func TestDeadConnectionStopsRetries(t *testing.T) {
+	quiet := func(t *testing.T, s *sim.Simulator) {
+		t.Helper()
+		s.RunUntil(sim.Time(time.Millisecond))
+		n := s.Processed()
+		s.RunUntil(sim.Time(2 * time.Millisecond))
+		if got := s.Processed(); got != n {
+			t.Fatalf("%d events ran between 1ms and 2ms on a dead connection", got-n)
+		}
+	}
+	t.Run("read", func(t *testing.T) {
+		s, client, _, _ := setup(t, DefaultDeviceConfig())
+		client.ep.PDL().Fail()
+		calls := 0
+		var got error
+		if err := client.Read(0, 64<<10, func(err error) { calls++; got = err }); err != nil {
+			t.Fatal(err)
+		}
+		quiet(t, s)
+		if calls != 1 || got == nil {
+			t.Fatalf("done fired %d times, last error %v; want once with an error", calls, got)
+		}
+	})
+	t.Run("write", func(t *testing.T) {
+		s, client, ctrl, _ := setup(t, DefaultDeviceConfig())
+		ok := false
+		if err := client.Write(0, 64<<10, func(err error) { ok = err == nil }); err != nil {
+			t.Fatal(err)
+		}
+		s.RunUntil(sim.Time(5 * time.Microsecond))
+		if len(ctrl.writes) != 1 {
+			t.Fatalf("controller holds %d writes at 5us, want the one mid-transfer", len(ctrl.writes))
+		}
+		// The controller dies first, so its own refusals see a dead
+		// connection; the client follows, or its retransmissions to the
+		// dead peer would keep the clock busy for reasons outside nvme.
+		ctrl.ep.PDL().Fail()
+		client.ep.PDL().Fail()
+		quiet(t, s)
+		if ok || len(ctrl.writes) != 0 {
+			t.Fatalf("dead controller completed=%v, still holds %d writes", ok, len(ctrl.writes))
+		}
+	})
+}

@@ -9,7 +9,6 @@ package rdma
 
 import (
 	"encoding/binary"
-	"errors"
 	"time"
 
 	"falcon/internal/core"
@@ -26,16 +25,13 @@ const (
 	opFetchAdd
 )
 
-// ErrAccess reports a memory access outside the registered region; the
-// target completes the transaction in error (CIE, §4.4 "Enhanced Error
-// Notifications") and the initiator's completion carries this error.
-var ErrAccess = errors.New("rdma: remote memory access out of bounds")
-
 // Completion is one work completion.
 type Completion struct {
 	// WRID is the caller-supplied work request ID.
 	WRID uint64
-	// Err is nil on success. Remote memory errors surface as tl.ErrCIE.
+	// Err is nil on success. A remote access outside the registered region
+	// is completed in error by the target (CIE, §4.4 "Enhanced Error
+	// Notifications") and surfaces here as tl.ErrCIE.
 	Err error
 	// Data holds READ results and prior values of ATOMICs (when the
 	// target registered backing bytes).
@@ -487,7 +483,8 @@ func failSegments(n int, err error, segDone func([]byte, error)) {
 // remote address addr: one Push per MTU segment, one completion for the
 // op. Segments refused by transaction-layer backpressure are re-issued as
 // resources free (the work request stays queued, like a real send queue),
-// so Write never fails mid-op.
+// so Write never fails mid-op: failures arrive in the completion, and the
+// returned error is always nil.
 func (qp *QP) Write(wrid uint64, addr uint64, data []byte, size int, done func(Completion)) error {
 	if data != nil {
 		size = len(data)
@@ -498,7 +495,8 @@ func (qp *QP) Write(wrid uint64, addr uint64, data []byte, size int, done func(C
 
 // Send posts an RDMA SEND of data/size bytes; the peer must have posted a
 // receive for the message. Multi-segment sends encode (total, offset) so
-// the target consumes exactly one receive per message.
+// the target consumes exactly one receive per message. Like Write it queues
+// behind backpressure, and the returned error is always nil.
 func (qp *QP) Send(wrid uint64, data []byte, size int, done func(Completion)) error {
 	if data != nil {
 		size = len(data)
@@ -527,7 +525,8 @@ func (qp *QP) PostRecv(buf []byte, size int, done func(n int, err error)) {
 // Read posts an RDMA READ of size bytes from remote addr: one Pull per MTU
 // segment; the completion carries the concatenated data when the peer has
 // backing memory. Like Write, segments refused by transaction-layer
-// backpressure are re-issued on the retry timer, so Read never fails mid-op.
+// backpressure are re-issued on the retry timer, so Read never fails mid-op
+// and the returned error is always nil.
 func (qp *QP) Read(wrid uint64, addr uint64, size int, done func(Completion)) error {
 	qp.getPullOp(opRead, wrid, addr, size, qp.segmentCount(size), done).issueFrom(0, 0)
 	return nil

@@ -1,7 +1,7 @@
 // Package routing is the pluggable fabric routing subsystem of netsim:
 // the per-frame uplink-selection policies a switch applies across
-// equal-cost next hops, and the gray-failure injector that degrades the
-// fabric those policies route over.
+// equal-cost next hops. It imports nothing; the gray failures those
+// policies route around are scheduled by internal/chaos.
 //
 // A Policy picks one egress out of an equal-cost candidate set from three
 // deterministic inputs: the frame's flow-label hash (what ECMP hashes),
@@ -28,12 +28,6 @@
 // must not allocate; the interface is shaped so implementations never
 // need to (inputs arrive by value, queue depths through a reused
 // pointer-backed view).
-//
-// The gray-failure injector (inject.go) lives here too: Flap, Slow and
-// RackOutage schedule link impairments off the simulation clock through
-// pooled typed events, so a failure scenario is part of the same
-// deterministic schedule as the traffic it degrades — same-seed runs are
-// byte-identical, injector included.
 package routing
 
 // QueueDepths exposes the live egress queue occupancy of an equal-cost

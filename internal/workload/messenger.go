@@ -103,15 +103,11 @@ func (m *FalconMessenger) Send(from, to, n int, done func()) {
 		m.sim.After(localCopyDelay, done)
 		return
 	}
-	qp := m.qp(from, to)
-	if err := qp.Write(0, 0, nil, n, func(c rdma.Completion) {
+	m.qp(from, to).Write(0, 0, nil, n, func(c rdma.Completion) {
 		if done != nil {
 			done()
 		}
-	}); err != nil {
-		// Backpressured: retry shortly (the collective keeps going).
-		m.sim.After(20*time.Microsecond, func() { m.Send(from, to, n, done) })
-	}
+	})
 }
 
 // SWMessenger runs ranks over a software transport (Pony Express or TCP).

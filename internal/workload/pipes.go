@@ -1,26 +1,22 @@
 package workload
 
 import (
-	"time"
-
 	"falcon/internal/rdma"
-	"falcon/internal/sim"
 	"falcon/internal/swtransport"
 )
 
 // FalconPipe adapts an RDMA QP to the migration Pipe interface: bulk
 // transfers are large writes, fetches are small reads.
 type FalconPipe struct {
-	sim *sim.Simulator
-	qp  *rdma.QP
+	qp *rdma.QP
 	// ChunkBytes bounds a single Transfer's write size (segmentation is
 	// below in the ULP; this bounds TL resource usage).
 	ChunkBytes int
 }
 
 // NewFalconPipe wraps a QP whose peer has registered (size-only) memory.
-func NewFalconPipe(s *sim.Simulator, qp *rdma.QP) *FalconPipe {
-	return &FalconPipe{sim: s, qp: qp, ChunkBytes: 256 << 10}
+func NewFalconPipe(qp *rdma.QP) *FalconPipe {
+	return &FalconPipe{qp: qp, ChunkBytes: 256 << 10}
 }
 
 // Transfer implements Pipe via chunked RDMA writes.
@@ -39,20 +35,16 @@ func (p *FalconPipe) Transfer(n int, done func()) {
 		if chunk > p.ChunkBytes {
 			chunk = p.ChunkBytes
 		}
-		if err := p.qp.Write(0, 0, nil, chunk, func(c rdma.Completion) {
+		p.qp.Write(0, 0, nil, chunk, func(c rdma.Completion) {
 			next(off + chunk)
-		}); err != nil {
-			p.sim.After(20*time.Microsecond, func() { next(off) })
-		}
+		})
 	}
 	next(0)
 }
 
 // Fetch implements Pipe via a single RDMA read.
 func (p *FalconPipe) Fetch(n int, done func()) {
-	if err := p.qp.Read(0, 0, n, func(c rdma.Completion) { done() }); err != nil {
-		p.sim.After(20*time.Microsecond, func() { p.Fetch(n, done) })
-	}
+	p.qp.Read(0, 0, n, func(c rdma.Completion) { done() })
 }
 
 // SWPipe adapts a software-transport connection to the Pipe interface.
