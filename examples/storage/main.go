@@ -29,7 +29,7 @@ func remoteRun(opBytes int, write bool, window int) (gbps float64, iops float64,
 	epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
 	dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
 	nvme.NewController(epB, dev, 4096)
-	client := nvme.NewClient(s, epA, 4096)
+	client := nvme.NewClient(epA, 4096)
 
 	var bytesDone uint64
 	var ops uint64

@@ -54,9 +54,10 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // The rdma cases hold the Pull path's ULP mapping to the same bound, per
 // 64 KiB Read (16 transactions): with default pools, and with the
 // initiator's RX-response pool cut below what the window solicits, so that
-// most attempts are refused and re-issued by rdma's admission poll — the
-// regime of the incast benchmark, where a refusal or a retry that
-// allocates costs hundreds of objects per op. `make check` runs this.
+// most Reads are refused mid-op, wait in the QP's send queue and resume on
+// the Xon edge — the regime of the incast benchmark, where a refusal or a
+// resumption that allocates costs hundreds of objects per op. `make check`
+// runs this.
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	t.Run("tl-push-pull", testTLSteadyStateAllocs)
 	t.Run("rdma-read", func(t *testing.T) { testReadSteadyStateAllocs(t, false) })

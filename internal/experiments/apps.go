@@ -169,7 +169,7 @@ func Table4(o Options, runFor time.Duration) *Table {
 		epA, epB := cl.Connect(a, b, multipathConn())
 		dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
 		nvme.NewController(epB, dev, 4096)
-		client := nvme.NewClient(s, epA, 4096)
+		client := nvme.NewClient(epA, 4096)
 		var bytesDone uint64
 		issuer := workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {
 			fn := func(err error) {

@@ -168,24 +168,25 @@ type Stats struct {
 	RequestsServed uint64
 }
 
-// respQueue is a head-indexed FIFO of deferred pull responses. Like
-// pdl's pktQueue it compacts once the consumed prefix is both past 64
-// entries and at least half the buffer, so a backlog that never drains
-// to empty still keeps a bounded buffer.
-type respQueue struct {
-	buf  []*wire.Packet
+// fifo is a head-indexed FIFO (deferred pull responses, waiting
+// connections). Like pdl's pktQueue it compacts once the consumed prefix
+// is both past 64 entries and at least half the buffer, so a backlog that
+// never drains to empty still keeps a bounded buffer.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *respQueue) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
-func (q *respQueue) push(p *wire.Packet) { q.buf = append(q.buf, p) }
+func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
 
-func (q *respQueue) peek() *wire.Packet { return q.buf[q.head] }
+func (q *fifo[T]) peek() T { return q.buf[q.head] }
 
-func (q *respQueue) pop() *wire.Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
@@ -194,7 +195,7 @@ func (q *respQueue) pop() *wire.Packet {
 		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
 		q.head = 0
 	}
-	return p
+	return v
 }
 
 // Conn is one Falcon connection's transaction layer.
@@ -228,7 +229,7 @@ type Conn struct {
 	completedRSN uint64
 
 	// Deferred pull responses awaiting TxResp resources.
-	pendingResponses respQueue
+	pendingResponses fifo[*wire.Packet]
 	// sentRespBytes records TxResp byte reservations per RSN so acks
 	// release the exact amount.
 	sentRespBytes rsnTable[int]
@@ -245,10 +246,8 @@ type Conn struct {
 	// an unflagged push).
 	completedApplied uint64
 
-	// isNeedy mirrors "this connection's onResourcesFreed would do
-	// something" into the shared Resources needy count, letting Release
-	// skip the whole subscriber fan-out when nobody is waiting.
-	isNeedy bool
+	// queued is set while the connection waits in res's waiters FIFO.
+	queued bool
 
 	// dead is non-nil once the PDL declared the connection failed.
 	dead error
@@ -283,7 +282,7 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, res *Resources, ctrl Contr
 		target: target,
 		alpha:  cfg.StaticAlpha,
 	}
-	c.key = res.subscribeConn(c.onResourcesFreed)
+	c.key = res.subscribeConn(c)
 	return c
 }
 
@@ -383,11 +382,15 @@ func (c *Conn) SetAlpha(a float64) {
 }
 
 // SetXonCallback registers the ULP's resume hook, invoked when a
-// backpressured connection regains resource headroom. A connection
-// refused before the hook was installed is armed by installing it.
+// backpressured connection regains resource headroom, and once more after
+// a connection that refused work fails, so work the ULP parked can see
+// Dead. A connection refused before the hook was installed is armed by
+// installing it.
 func (c *Conn) SetXonCallback(fn func()) {
 	c.xonCallback = fn
-	c.updateNeedy()
+	if fn != nil && c.wasXoff {
+		c.res.enqueue(c)
+	}
 }
 
 // CompletedRSN is sampled by the PDL when building ACKs: the cumulative
@@ -432,31 +435,23 @@ func (c *Conn) xoffed() bool {
 	return c.res.OverDTThreshold(c.key, c.effAlpha())
 }
 
-// updateNeedy folds this connection's wakeup interest into the shared
-// Resources needy count; it is the one place that decides it. A connection
-// is needy exactly when onResourcesFreed would do something: a deferred
+// needy reports whether onResourcesFreed would do something: a deferred
 // response to drain, or an Xon edge to signal. Without an Xon callback
-// there is no edge to signal — a ULP that polls for admission instead
-// (rdma's retry timer) is refused over and over yet never needs a wake-up,
-// so it must not keep every Release on its node walking all subscribers.
-func (c *Conn) updateNeedy() {
-	needy := c.dead == nil &&
-		(c.pendingResponses.len() > 0 || (c.wasXoff && c.xonCallback != nil))
-	if needy != c.isNeedy {
-		c.isNeedy = needy
-		if needy {
-			c.res.needyDelta(1)
-		} else {
-			c.res.needyDelta(-1)
-		}
-	}
+// there is no edge to signal, so a refused ULP that installed none never
+// costs a Release anything.
+func (c *Conn) needy() bool {
+	return (c.wasXoff && c.xonCallback != nil || c.pendingResponses.len() > 0) && c.dead == nil
 }
 
-// noteXoff records a backpressure refusal (stats plus Xon-edge arming).
-func (c *Conn) noteXoff() {
+// noteXoff records a refusal and arms the Xon edge. A refusal by a full
+// pool (full) queues the connection behind the pool's other waiters; a DT
+// refusal waits for the connection's own releases.
+func (c *Conn) noteXoff(full bool) {
 	c.Stats.Backpressured++
 	c.wasXoff = true
-	c.updateNeedy()
+	if full && c.xonCallback != nil {
+		c.res.enqueue(c)
+	}
 }
 
 // Push initiates a push transaction of length bytes (≤ MTU). done fires at
@@ -475,18 +470,18 @@ func (c *Conn) PushOp(op uint8, addr uint64, data []byte, length uint32, done fu
 		return 0, errors.New("tl: push exceeds MTU; ULP must segment")
 	}
 	if c.xoffed() {
-		c.noteXoff()
+		c.noteXoff(false)
 		return 0, ErrBackpressured
 	}
 	// Reserve the request's TX resources and the completion's RX slot up
 	// front (§4.5: responses must always be able to land).
 	if err := c.res.Reserve(PoolTxReq, c.key, int(length)); err != nil {
-		c.noteXoff()
+		c.noteXoff(true)
 		return 0, err
 	}
 	if err := c.res.Reserve(PoolRxResp, c.key, 0); err != nil {
 		c.res.Release(PoolTxReq, c.key, int(length))
-		c.noteXoff()
+		c.noteXoff(true)
 		return 0, err
 	}
 	rsn := c.nextRSN
@@ -522,16 +517,16 @@ func (c *Conn) PullOpData(op uint8, addr uint64, reqData []byte, respLen uint32,
 		return 0, errors.New("tl: pull exceeds MTU; ULP must segment")
 	}
 	if c.xoffed() {
-		c.noteXoff()
+		c.noteXoff(false)
 		return 0, ErrBackpressured
 	}
 	if err := c.res.Reserve(PoolTxReq, c.key, len(reqData)); err != nil {
-		c.noteXoff()
+		c.noteXoff(true)
 		return 0, err
 	}
 	if err := c.res.Reserve(PoolRxResp, c.key, int(length)); err != nil {
 		c.res.Release(PoolTxReq, c.key, len(reqData))
-		c.noteXoff()
+		c.noteXoff(true)
 		return 0, err
 	}
 	rsn := c.nextRSN
@@ -566,15 +561,13 @@ func (c *Conn) sendRequest(t *txn) {
 	c.ctrl.SendPacket(p)
 }
 
-// onResourcesFreed drains deferred responses and signals Xon to the ULP.
+// onResourcesFreed drains deferred responses and signals Xon to the ULP
+// unless the DT threshold still refuses it. Release calls it only on a
+// needy connection.
 func (c *Conn) onResourcesFreed() {
-	if c.dead != nil {
-		return
-	}
 	c.drainPendingResponses()
 	if c.wasXoff && c.xonCallback != nil && !c.xoffed() {
 		c.wasXoff = false
-		c.updateNeedy()
 		c.xonCallback()
 	}
 }

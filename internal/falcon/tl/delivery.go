@@ -155,7 +155,7 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 		// Defer until resources free up; the initiator's RTO/TLP keeps
 		// the transaction alive meanwhile.
 		c.pendingResponses.push(resp)
-		c.updateNeedy()
+		c.res.enqueue(c)
 		return
 	}
 	c.sentRespBytes.put(rsn, int(length))
@@ -166,10 +166,10 @@ func (c *Conn) drainPendingResponses() {
 	for c.pendingResponses.len() > 0 {
 		resp := c.pendingResponses.peek()
 		if err := c.res.Reserve(PoolTxResp, c.key, int(resp.Length)); err != nil {
+			c.res.enqueue(c)
 			return
 		}
 		c.pendingResponses.pop()
-		c.updateNeedy()
 		c.sentRespBytes.put(resp.RSN, int(resp.Length))
 		c.ctrl.SendPacket(resp)
 	}
@@ -342,7 +342,6 @@ func (c *Conn) Fail(err error) {
 		err = ErrConnDead
 	}
 	c.dead = err
-	c.updateNeedy()
 	// Error all initiator-side transactions, bypassing ordered release.
 	// Sorted so error completions reach the ULP in RSN order rather than
 	// map-iteration order (determinism).
@@ -376,6 +375,12 @@ func (c *Conn) Fail(err error) {
 	// pool.
 	for c.pendingResponses.len() > 0 {
 		c.pool.Release(c.pendingResponses.pop())
+	}
+	// A ULP that parked refused work waits for an Xon edge that a dead
+	// connection would never send: fire it once, after this teardown, so
+	// the ULP sees Dead and fails what it parked.
+	if c.wasXoff && c.xonCallback != nil {
+		c.sim.After(0, c.xonCallback)
 	}
 }
 

@@ -79,7 +79,7 @@ func DefaultResourceConfig() ResourceConfig {
 var ErrNoResources = errors.New("tl: resource pool exhausted")
 
 // Refusals are per-packet events under load (HoL admission, deferred
-// response drains, rdma's admission poll), so Reserve and AdmitRxRequest
+// response drains, ULPs resumed on Xon), so Reserve and AdmitRxRequest
 // return these precomputed errors instead of formatting one per call. Each
 // wraps ErrNoResources.
 var (
@@ -167,23 +167,19 @@ type Resources struct {
 	cfg   ResourceConfig
 	pools [numPools]*pool
 
-	// onRelease holds one callback per subscribed connection, notified
-	// when resources free up (the Xon edge for backpressured ULPs).
-	onRelease []func()
+	// conns maps a connection key to its TL connection.
+	conns []*Conn
 
-	// conns is the number of connections subscribed so far: the next
-	// connection key.
-	conns uint32
+	// waiters holds, in refusal order, the connections a full pool
+	// refused and those holding deferred responses: the ones any Release
+	// may unblock. A connection refused by its DT threshold is not here;
+	// only its own releases can lower its holdings (see Release).
+	waiters fifo[*Conn]
 
-	// needy counts subscribed connections whose callback would currently
-	// do real work (a deferred response to drain, or an Xoff'd ULP that
-	// installed an Xon callback to wake; see Conn.updateNeedy). When
-	// zero, Release skips the connection fan-out entirely — the common
-	// case on the hot path, where every packet ack used to pay a call
-	// per connection on the node. When non-zero, ALL callbacks still run
-	// in subscription order (the needy set is not tracked per-callback),
-	// so observable callback order is unchanged.
-	needy int
+	// waking is set while Release wakes connections, so a Release nested
+	// inside a wake (a refused ULP rolling back a partial reservation)
+	// does its accounting and starts no second walk.
+	waking bool
 }
 
 // NewResources builds the resource manager.
@@ -195,9 +191,14 @@ func NewResources(cfg ResourceConfig) *Resources {
 	return r
 }
 
-// needyDelta adjusts the count of connections awaiting a release
-// notification (see Conn.updateNeedy).
-func (r *Resources) needyDelta(d int) { r.needy += d }
+// enqueue appends c to the waiters unless it is already waiting, in which
+// case it keeps its place.
+func (r *Resources) enqueue(c *Conn) {
+	if !c.queued {
+		c.queued = true
+		r.waiters.push(c)
+	}
+}
 
 // Reserve takes one context plus bytes from the pool on behalf of conn.
 // Here and below, conn is a connection key: TL connections use the index
@@ -212,17 +213,43 @@ func (r *Resources) Reserve(k PoolKind, conn uint32, bytes int) error {
 	return nil
 }
 
-// Release returns one context plus bytes to the pool.
+// Release returns one context plus bytes to the pool, then wakes what the
+// release may have unblocked: first the releasing connection, whose own
+// holdings fell (a DT refusal waits for exactly this), then the waiters in
+// refusal order, stopping at the first woken connection that a full pool
+// refuses again. Per call that is O(1 + connections admitted).
 func (r *Resources) Release(k PoolKind, conn uint32, bytes int) {
 	p := r.pools[k]
 	p.release(bytes)
 	p.connCtx.add(conn, -1)
 	p.connBytes.add(conn, -bytes)
-	if r.needy > 0 {
-		for _, fn := range r.onRelease {
-			fn()
+	if r.waking {
+		return
+	}
+	var c *Conn
+	if int(conn) < len(r.conns) {
+		c = r.conns[conn]
+	}
+	self := c != nil && c.needy()
+	if !self && r.waiters.len() == 0 {
+		return
+	}
+	r.waking = true
+	if self {
+		c.onResourcesFreed()
+	}
+	for r.waiters.len() > 0 {
+		w := r.waiters.pop()
+		w.queued = false
+		if !w.needy() {
+			continue // woken since it queued, or dead
+		}
+		w.onResourcesFreed()
+		if w.queued {
+			break
 		}
 	}
+	r.waking = false
 }
 
 // Occupancy returns the pool's max(context, byte) occupancy fraction.
@@ -278,11 +305,9 @@ func (r *Resources) AdmitRxRequest(conn uint32, bytes int, headOfLine bool) erro
 	return r.Reserve(PoolRxReq, conn, bytes)
 }
 
-// subscribeConn registers a connection's release callback and returns the
-// connection's key; the connection maintains the needy count that lets
-// Release skip every callback while no connection needs one.
-func (r *Resources) subscribeConn(fn func()) uint32 {
-	r.onRelease = append(r.onRelease, fn)
-	r.conns++
-	return r.conns - 1
+// subscribeConn registers a connection for release wake-ups and returns
+// its key.
+func (r *Resources) subscribeConn(c *Conn) uint32 {
+	r.conns = append(r.conns, c)
+	return uint32(len(r.conns) - 1)
 }

@@ -162,7 +162,7 @@ func TestRSNTableLazy(t *testing.T) {
 // always waiting for 10^5 push/pop cycles: the queue never drains to
 // empty, yet its buffer must stay bounded and its order FIFO.
 func TestRespQueueCompactsUnderStandingBacklog(t *testing.T) {
-	var q respQueue
+	var q fifo[*wire.Packet]
 	q.push(&wire.Packet{RSN: 0})
 	for i := 1; i <= 100_000; i++ {
 		q.push(&wire.Packet{RSN: uint64(i)})

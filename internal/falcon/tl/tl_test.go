@@ -2,6 +2,8 @@ package tl
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -360,10 +362,10 @@ func TestBackpressureStaticThreshold(t *testing.T) {
 }
 
 // TestNeedyOnlyWithXonCallback is the regression test for the sticky
-// wake-up interest: a ULP that polls for admission (no Xon callback) can be
-// refused any number of times without making its connection needy, so
-// Release on its node keeps skipping the subscriber fan-out; installing a
-// callback after a refusal arms the edge, and the edge clears the interest.
+// wake-up interest: a ULP without an Xon callback can be
+// refused any number of times without making its connection needy, so it
+// costs Release on its node nothing; installing a callback after a refusal
+// arms the edge, and the edge clears the interest.
 func TestNeedyOnlyWithXonCallback(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Backpressure = BackpressureStatic
@@ -376,29 +378,29 @@ func TestNeedyOnlyWithXonCallback(t *testing.T) {
 		if _, err := e.a.Push(nil, 100, nil); !errors.Is(err, ErrBackpressured) {
 			t.Fatalf("refusal %d: got %v", i, err)
 		}
-		if e.resA.needy != 0 {
+		if needyConns(e.resA) != 0 {
 			t.Fatalf("refusal %d made a connection without an Xon callback needy", i)
 		}
 	}
 	xon := 0
 	e.a.SetXonCallback(func() { xon++ })
-	if e.resA.needy != 1 {
-		t.Fatalf("needy = %d after installing a callback on a refused connection, want 1", e.resA.needy)
+	if needyConns(e.resA) != 1 {
+		t.Fatalf("needy = %d after installing a callback on a refused connection, want 1", needyConns(e.resA))
 	}
 	e.s.Run()
-	if xon != 1 || e.resA.needy != 0 {
-		t.Fatalf("after drain: xon fired %d times (want 1), needy = %d (want 0)", xon, e.resA.needy)
+	if xon != 1 || needyConns(e.resA) != 0 {
+		t.Fatalf("after drain: xon fired %d times (want 1), needy = %d (want 0)", xon, needyConns(e.resA))
 	}
 	// Removing the callback from a refused connection disarms it again.
 	if _, err := e.a.Push(nil, 100, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.a.Push(nil, 100, nil); !errors.Is(err, ErrBackpressured) || e.resA.needy != 1 {
-		t.Fatalf("refusal with a callback installed: err %v, needy %d", err, e.resA.needy)
+	if _, err := e.a.Push(nil, 100, nil); !errors.Is(err, ErrBackpressured) || needyConns(e.resA) != 1 {
+		t.Fatalf("refusal with a callback installed: err %v, needy %d", err, needyConns(e.resA))
 	}
 	e.a.SetXonCallback(nil)
-	if e.resA.needy != 0 {
-		t.Fatalf("needy = %d after removing the callback, want 0", e.resA.needy)
+	if needyConns(e.resA) != 0 {
+		t.Fatalf("needy = %d after removing the callback, want 0", needyConns(e.resA))
 	}
 	e.s.Run()
 }
@@ -547,28 +549,198 @@ func TestRxOccupancySignal(t *testing.T) {
 	}
 }
 
-// TestSubscribeNotifiedOnRelease: a release runs every subscribed
-// connection's callback while any connection is needy, and none while
-// none is.
-func TestSubscribeNotifiedOnRelease(t *testing.T) {
-	res := NewResources(DefaultResourceConfig())
-	calls := 0
-	res.subscribeConn(func() { calls++ })
-	res.subscribeConn(func() { calls++ })
-	cycle := func() {
-		if err := res.Reserve(PoolTxReq, 1, 0); err != nil {
+// nopCtrl is a PDL that swallows every packet: for tests that drive
+// admission and wake-ups without traffic.
+type nopCtrl struct{}
+
+func (nopCtrl) SendPacket(*wire.Packet) {}
+
+func (nopCtrl) SendExceptionNack(wire.Space, uint32, uint64, wire.NackCode, time.Duration) {}
+
+// needyConns counts r's connections that a release would wake.
+func needyConns(r *Resources) int {
+	n := 0
+	for _, c := range r.conns {
+		if c.needy() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReleaseWakeBounded pins the wake contract. A Release wakes the
+// releasing connection, then the connections a full pool refused, in
+// refusal order, and stops at the first one refused again. Connections
+// refused by their DT threshold are not walked, however many there are.
+func TestReleaseWakeBounded(t *testing.T) {
+	s := sim.New(1)
+	rc := DefaultResourceConfig()
+	rc.Pools[PoolTxReq].Contexts = 1
+	res := NewResources(rc)
+	dt := DefaultConfig()
+	dt.Backpressure = BackpressureStatic
+	dt.StaticAlpha = 1e-6 // any holding is over the threshold
+	cfg := DefaultConfig()
+	cfg.Backpressure = BackpressureNone // every wake of a refused connection signals Xon
+	newConn := func(cfg Config, xon func()) *Conn {
+		c := NewConn(s, 0, cfg, res, nopCtrl{}, nil)
+		c.SetXonCallback(xon)
+		return c
+	}
+
+	// 1000 connections refused by their DT threshold, each holding one
+	// context: subs[0] the only TxReq context, the others a TxResp one.
+	// Then one connection refused by the full TxReq pool.
+	subWakes := 0
+	subs := make([]*Conn, 1000)
+	for i := range subs {
+		subs[i] = newConn(dt, func() { subWakes++ })
+		k := PoolTxResp
+		if i == 0 {
+			k = PoolTxReq
+		}
+		if err := res.Reserve(k, subs[i].key, 0); err != nil {
 			t.Fatal(err)
 		}
-		res.Release(PoolTxReq, 1, 0)
+		if _, err := subs[i].Push(nil, 0, nil); !errors.Is(err, ErrBackpressured) {
+			t.Fatalf("connection %d over its DT threshold: %v", i, err)
+		}
 	}
-	cycle()
-	if calls != 0 {
-		t.Fatalf("callbacks ran %d times with no needy connection", calls)
+	waiterWakes := 0
+	waiter := newConn(cfg, func() { waiterWakes++ })
+	if _, err := waiter.Push(nil, 0, nil); !errors.Is(err, ErrNoResources) {
+		t.Fatalf("push into a full pool: %v", err)
 	}
-	res.needyDelta(1)
-	cycle()
-	if calls != 2 {
-		t.Fatalf("callbacks ran %d times with a needy connection, want 2", calls)
+	if n := res.waiters.len(); n != 1 {
+		t.Fatalf("%d connections wait for any release, want only the pool waiter", n)
+	}
+	res.Release(PoolTxReq, subs[0].key, 0)
+	if subWakes != 1 || waiterWakes != 1 {
+		t.Fatalf("one release woke %d DT-refused and %d pool-waiting connections, want 1 and 1",
+			subWakes, waiterWakes)
+	}
+
+	// Three pool waiters refused in the order 2, 0, 1, each re-issuing
+	// one push when woken.
+	holder := NewConn(s, 0, cfg, res, nopCtrl{}, nil)
+	if err := res.Reserve(PoolTxReq, holder.key, 0); err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	waiters := make([]*Conn, 3)
+	for i := range waiters {
+		waiters[i] = newConn(cfg, func() {
+			order = append(order, i)
+			_, _ = waiters[i].Push(nil, 0, nil)
+		})
+	}
+	for _, i := range []int{2, 0, 1} {
+		if _, err := waiters[i].Push(nil, 0, nil); !errors.Is(err, ErrNoResources) {
+			t.Fatalf("waiter %d: %v", i, err)
+		}
+	}
+	// Waiter 2 takes the freed context; waiter 0 is refused again and
+	// ends the walk, so waiter 1 keeps its place at the head.
+	res.Release(PoolTxReq, holder.key, 0)
+	if want := []int{2, 0}; !slices.Equal(order, want) {
+		t.Fatalf("first release woke %v, want %v", order, want)
+	}
+	res.Release(PoolTxReq, waiters[2].key, 0)
+	if want := []int{2, 0, 1, 0}; !slices.Equal(order, want) {
+		t.Fatalf("second release woke %v, want %v", order, want)
+	}
+	if subWakes != 1 {
+		t.Fatalf("pool releases woke %d connections waiting on their DT threshold", subWakes-1)
+	}
+}
+
+// xonULP issues ops until the TL refuses one and resumes only on Xon.
+type xonULP struct {
+	t         *testing.T
+	c         *Conn
+	pull      bool
+	size      uint32
+	ops       int
+	issued    int
+	completed int
+}
+
+func (u *xonULP) issue() {
+	for u.issued < u.ops {
+		var err error
+		if u.pull {
+			_, err = u.c.Pull(u.size, u.done)
+		} else {
+			_, err = u.c.Push(nil, u.size, u.done)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrNoResources) && !errors.Is(err, ErrBackpressured) {
+				u.t.Errorf("conn %d: %v", u.c.ID(), err)
+			}
+			return
+		}
+		u.issued++
+	}
+}
+
+func (u *xonULP) done(_ []byte, err error) {
+	if err != nil {
+		u.t.Errorf("conn %d: completion error %v", u.c.ID(), err)
+	}
+	u.completed++
+}
+
+// TestXonLiveness is the liveness property of Xon-only admission: over
+// seeded random connection counts, pool sizes, α and ordering, ULPs that
+// resume only on the Xon edge finish every op, and at quiescence no
+// connection on either node is still waiting for a wake.
+func TestXonLiveness(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := sim.New(seed)
+		rc := DefaultResourceConfig()
+		for k := range rc.Pools {
+			ctx := 2 + rng.Intn(24)
+			rc.Pools[k] = PoolConfig{Contexts: ctx, Bytes: 4096 * (1 + rng.Intn(ctx))}
+		}
+		resA, resB := NewResources(rc), NewResources(rc)
+		cfg := DefaultConfig()
+		cfg.Backpressure = BackpressureStatic
+		cfg.StaticAlpha = 0.05 + 3*rng.Float64()
+		cfg.Ordered = rng.Intn(2) == 0
+		n := 1 + rng.Intn(32)
+		as, bs := make([]*Conn, n), make([]*Conn, n)
+		ulps := make([]*xonULP, n)
+		for i := 0; i < n; i++ {
+			delay := time.Duration(1+rng.Intn(4)) * time.Microsecond
+			ctrlA := &fakeCtrl{s: s, delay: delay}
+			ctrlB := &fakeCtrl{s: s, delay: delay}
+			as[i] = NewConn(s, uint32(i), cfg, resA, ctrlA, nil)
+			bs[i] = NewConn(s, uint32(i), cfg, resB, ctrlB, &recordingHandler{})
+			ctrlA.self, ctrlA.peer = &as[i], &bs[i]
+			ctrlB.self, ctrlB.peer = &bs[i], &as[i]
+			ulps[i] = &xonULP{t: t, c: as[i], pull: rng.Intn(2) == 0,
+				size: uint32(rng.Intn(4097)), ops: 1 + rng.Intn(40)}
+			as[i].SetXonCallback(ulps[i].issue)
+		}
+		for _, u := range ulps {
+			u.issue()
+		}
+		s.Run()
+		refused := uint64(0)
+		for i, u := range ulps {
+			refused += as[i].Stats.Backpressured
+			if u.completed != u.ops {
+				t.Fatalf("seed %d (%d conns, alpha %.2f, pools %+v): conn %d completed %d of %d ops",
+					seed, n, cfg.StaticAlpha, rc.Pools, i, u.completed, u.ops)
+			}
+		}
+		if a, b := needyConns(resA), needyConns(resB); a != 0 || b != 0 {
+			t.Fatalf("seed %d: %d initiator and %d target connections still needy at quiescence", seed, a, b)
+		}
+		if seed == 1 && refused == 0 {
+			t.Fatalf("seed %d: no refusals; the property was not exercised", seed)
+		}
 	}
 }
 

@@ -32,9 +32,9 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// benchPairs are the committed before/after bench record pairs,
-// BENCH_<pair>_{before,after}.jsonl.
-var benchPairs = []string{"pr17", "pr17_extra", "pr18", "pr26", "pr27", "pr28", "pr29"}
+// benchPairs are the committed before/after bench record pairs that
+// `make check` diffs, BENCH_<pair>_{before,after}.jsonl.
+var benchPairs = []string{"pr17", "pr17_extra", "pr18", "pr26", "pr27", "pr28", "pr29", "pr30", "pr31"}
 
 // committedArtifacts lists every artifact `make check` reads — the
 // watched metrics snapshots, the listed reports and series, and both
@@ -50,6 +50,10 @@ func committedArtifacts() [][2]string {
 		{"pr9", "BENCH_pr9_metrics.json"},
 		{"pr10", "BENCH_pr10.json"},
 		{"pr10_single", "BENCH_pr10_single.json"},
+		// Listed, not diffed: Xon-driven admission moved their events on
+		// purpose.
+		{"pr32_before", "BENCH_pr32_before.jsonl"},
+		{"pr32_after", "BENCH_pr32_after.jsonl"},
 	}
 	for _, p := range benchPairs {
 		for _, side := range []string{"before", "after"} {
@@ -84,7 +88,7 @@ func TestLakeIngestDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two ingests of the same artifacts differ")
 	}
-	if n := len(a.Runs()); n != 9+2*len(benchPairs)-1 {
+	if n := len(a.Runs()); n != 11+2*len(benchPairs)-1 {
 		t.Fatalf("%d runs, want one per artifact with pr3's two merged", n)
 	}
 }

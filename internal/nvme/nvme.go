@@ -127,7 +127,6 @@ func (d *Device) Write(n int, done func()) {
 // Controller is the target-side NVMe-over-Falcon endpoint: it owns the
 // device and serves the client's commands.
 type Controller struct {
-	sim *sim.Simulator
 	ep  *core.Endpoint
 	dev *Device
 	mtu int
@@ -137,6 +136,9 @@ type Controller struct {
 	// Pending read commands: one device operation serves every pull
 	// chunk of the command.
 	reads map[uint64]*readState
+
+	// waiting holds data pulls and completion pushes the TL refused.
+	waiting waitQueue
 }
 
 type readState struct {
@@ -154,6 +156,7 @@ type pendingChunk struct {
 type writeState struct {
 	id        uint64
 	total     int
+	issued    int // offset of the next data pull to issue
 	pulled    int
 	remaining int
 }
@@ -165,12 +168,40 @@ func NewController(ep *core.Endpoint, dev *Device, mtu int) *Controller {
 		mtu = 4096
 	}
 	c := &Controller{
-		sim: dev.sim, ep: ep, dev: dev, mtu: mtu,
+		ep: ep, dev: dev, mtu: mtu,
 		writes: make(map[uint64]*writeState),
 		reads:  make(map[uint64]*readState),
 	}
 	ep.SetTarget((*ctrlTarget)(c))
+	ep.TL().SetXonCallback(c.waiting.resume)
 	return c
+}
+
+// waitQueue is the work an endpoint's TL refused, in refusal order. Each
+// entry retries its work and reports whether it is done: issued, or ended
+// because the connection died. The connection's Xon edge resumes the queue
+// from the head and stops at the first entry refused again, and new work
+// queues behind waiting work. After the connection dies the TL fires the
+// edge once more, so every entry sees Dead and ends.
+type waitQueue struct{ fns []func() bool }
+
+// submit runs fn, or queues it behind the work already waiting; fn waits
+// at the tail if the TL refuses it.
+func (q *waitQueue) submit(fn func() bool) {
+	if len(q.fns) > 0 || !fn() {
+		q.fns = append(q.fns, fn)
+	}
+}
+
+// resume is the Xon callback.
+func (q *waitQueue) resume() {
+	for len(q.fns) > 0 {
+		if !q.fns[0]() {
+			return
+		}
+		q.fns[0] = nil
+		q.fns = q.fns[1:]
+	}
 }
 
 // ctrlTarget is the controller's TL handler.
@@ -187,20 +218,26 @@ func (t *ctrlTarget) HandlePush(rsn uint64, p *wire.Packet) tl.TargetVerdict {
 	id := p.Addr
 	total := int(binary.BigEndian.Uint32(p.Data[:4]))
 	c.writes[id] = &writeState{id: id, total: total, remaining: total}
-	c.pullWriteData(c.writes[id], 0)
+	c.pullWriteData(c.writes[id])
 	return tl.TargetVerdict{}
 }
 
-// pullWriteData issues the data pulls for a write command starting at
-// offset off (Table 2: NVMe Write is Push and Pull). Backpressure pauses
-// issuance and resumes from the current offset; a dead connection drops
-// the command.
-func (c *Controller) pullWriteData(ws *writeState, off int) {
+// pullWriteData issues the data pulls for a write command (Table 2: NVMe
+// Write is Push and Pull). Backpressure parks issuance, which resumes from
+// the current offset on Xon; a dead connection drops the command.
+func (c *Controller) pullWriteData(ws *writeState) {
 	if ws.total == 0 {
 		c.dev.Write(0, func() { c.finishWrite(ws, nil) })
 		return
 	}
-	for off < ws.total {
+	c.waiting.submit(func() bool { return c.issueWriteData(ws) })
+}
+
+// issueWriteData issues ws's data pulls from ws.issued on and reports
+// whether it is done, as a waitQueue entry.
+func (c *Controller) issueWriteData(ws *writeState) bool {
+	for ws.issued < ws.total {
+		off := ws.issued
 		seg := ws.total - off
 		if seg > c.mtu {
 			seg = c.mtu
@@ -220,29 +257,28 @@ func (c *Controller) pullWriteData(ws *writeState, off int) {
 		}); err != nil {
 			if c.ep.TL().Dead() != nil {
 				delete(c.writes, ws.id)
-				return
+				return true
 			}
-			resume := off
-			c.sim.After(20*time.Microsecond, func() { c.pullWriteData(ws, resume) })
-			return
+			return false
 		}
-		off += seg
+		ws.issued += seg
 	}
+	return true
 }
 
-// finishWrite pushes the completion (the CQE) back to the client, or
-// drops it once the connection is dead.
+// finishWrite pushes the completion (the CQE) back to the client, parked
+// behind backpressure like the data pulls, or drops it once the connection
+// is dead.
 func (c *Controller) finishWrite(ws *writeState, err error) {
 	delete(c.writes, ws.id)
 	status := make([]byte, 1)
 	if err != nil {
 		status[0] = 1
 	}
-	if _, e := c.ep.TL().PushOp(opCompletion, ws.id, status, 1, nil); e == nil || c.ep.TL().Dead() != nil {
-		return
-	}
-	// Resource pressure on completions is transient; retry.
-	c.sim.After(20*time.Microsecond, func() { c.finishWrite(ws, err) })
+	c.waiting.submit(func() bool {
+		_, e := c.ep.TL().PushOp(opCompletion, ws.id, status, 1, nil)
+		return e == nil || c.ep.TL().Dead() != nil
+	})
 }
 
 // HandlePull serves read commands, answering asynchronously after the
@@ -294,7 +330,6 @@ func (t *ctrlTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl.
 
 // Client is the initiator-side NVMe-over-Falcon API.
 type Client struct {
-	sim *sim.Simulator
 	ep  *core.Endpoint
 	mtu int
 
@@ -302,6 +337,9 @@ type Client struct {
 	nextReadID  uint64
 	// Outstanding writes awaiting their completion push.
 	writes map[uint64]*clientWrite
+
+	// waiting holds read pulls the TL refused.
+	waiting waitQueue
 }
 
 type clientWrite struct {
@@ -314,20 +352,21 @@ var ErrDevice = errors.New("nvme: device error")
 
 // NewClient attaches a client to a Falcon endpoint; its TL handler serves
 // the controller's data pulls and completion pushes.
-func NewClient(s *sim.Simulator, ep *core.Endpoint, mtu int) *Client {
+func NewClient(ep *core.Endpoint, mtu int) *Client {
 	if mtu <= 0 {
 		mtu = 4096
 	}
-	c := &Client{sim: s, ep: ep, mtu: mtu, nextWriteID: 1, writes: make(map[uint64]*clientWrite)}
+	c := &Client{ep: ep, mtu: mtu, nextWriteID: 1, writes: make(map[uint64]*clientWrite)}
 	ep.SetTarget((*clientTarget)(c))
+	ep.TL().SetXonCallback(c.waiting.resume)
 	return c
 }
 
 // Read issues an n-byte read at the logical block address; done fires when
 // all data has arrived. The read is one device command; the transport
 // segments the data into MTU pulls sharing a read ID. Chunks refused by
-// transaction-layer backpressure are re-issued as resources free; on a dead
-// connection the chunks never issued complete with its error, so done
+// transaction-layer backpressure wait for the connection's Xon edge; on a
+// dead connection the chunks never issued complete with its error, so done
 // fires exactly once either way.
 func (c *Client) Read(lba uint64, n int, done func(error)) error {
 	id := c.nextReadID
@@ -348,8 +387,8 @@ func (c *Client) Read(lba uint64, n int, done func(error)) error {
 		}
 	}
 	addr := id<<32 | uint64(uint32(n))
-	var issue func(i, off int)
-	issue = func(i, off int) {
+	i, off := 0, 0
+	c.waiting.submit(func() bool {
 		for ; i < segs; i++ {
 			seg := n - off
 			if seg > c.mtu {
@@ -360,16 +399,14 @@ func (c *Client) Read(lba uint64, n int, done func(error)) error {
 					for ; i < segs; i++ {
 						chunkDone(nil, dead)
 					}
-					return
+					return true
 				}
-				ri, ro := i, off
-				c.sim.After(20*time.Microsecond, func() { issue(ri, ro) })
-				return
+				return false
 			}
 			off += seg
 		}
-	}
-	issue(0, 0)
+		return true
+	})
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"falcon/internal/core"
+	"falcon/internal/falcon/tl"
 	"falcon/internal/netsim"
 	"falcon/internal/sim"
 )
@@ -13,15 +14,22 @@ var testLink = netsim.LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond}
 
 func setup(t *testing.T, devCfg DeviceConfig) (*sim.Simulator, *Client, *Controller, *Device) {
 	t.Helper()
+	return setupNodes(t, devCfg, core.DefaultNodeConfig(), core.DefaultNodeConfig())
+}
+
+// setupNodes is setup with the client's and the controller's nodes
+// configured by cfgA and cfgB.
+func setupNodes(t *testing.T, devCfg DeviceConfig, cfgA, cfgB core.NodeConfig) (*sim.Simulator, *Client, *Controller, *Device) {
+	t.Helper()
 	s := sim.New(31)
 	topo, _ := netsim.PointToPoint(s, testLink)
 	cl := core.NewCluster(s)
-	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
+	a := cl.AddNode(topo.Hosts[0], cfgA)
+	b := cl.AddNode(topo.Hosts[1], cfgB)
 	epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
 	dev := NewDevice(s, devCfg)
 	ctrl := NewController(epB, dev, 4096)
-	client := NewClient(s, epA, 4096)
+	client := NewClient(epA, 4096)
 	return s, client, ctrl, dev
 }
 
@@ -172,11 +180,11 @@ func TestConcurrentMixedLoad(t *testing.T) {
 }
 
 // TestDeadConnectionStopsRetries: a refusal on a dead connection ends the
-// command instead of re-arming the 20us backpressure retry, so a failed
-// connection lets the simulator go quiet. The client's Read completes its
+// command instead of parking it for an Xon edge that never comes, so a
+// failed connection lets the simulator go quiet. The client's Read completes its
 // never-issued chunks with the connection's error (done fires once); the
 // controller drops a Write whose connection dies mid-transfer instead of
-// retrying its completion push forever.
+// parking its completion push forever.
 func TestDeadConnectionStopsRetries(t *testing.T) {
 	quiet := func(t *testing.T, s *sim.Simulator) {
 		t.Helper()
@@ -220,4 +228,43 @@ func TestDeadConnectionStopsRetries(t *testing.T) {
 			t.Fatalf("dead controller completed=%v, still holds %d writes", ok, len(ctrl.writes))
 		}
 	})
+}
+
+// TestCommandsResumeOnXon starves both sides' RX-response pools to 16 KiB,
+// so Read pulls at the client and write-data pulls at the controller are
+// refused mid-command and wait for the Xon edge. Every command completes,
+// and nothing is left parked.
+func TestCommandsResumeOnXon(t *testing.T) {
+	starved := core.DefaultNodeConfig()
+	starved.Resources.Pools[tl.PoolRxResp].Bytes = 16 << 10
+	s, client, ctrl, _ := setupNodes(t, DefaultDeviceConfig(), starved, starved)
+	done := 0
+	for i := 0; i < 8; i++ {
+		// Write commands go first: a refused command push is returned to
+		// the caller rather than parked.
+		post := client.Write
+		if i >= 4 {
+			post = client.Read
+		}
+		if err := post(uint64(i)<<16, 64<<10, func(err error) {
+			if err != nil {
+				t.Errorf("command failed: %v", err)
+			}
+			done++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	if done != 8 {
+		t.Fatalf("completed %d of 8 commands", done)
+	}
+	for name, ep := range map[string]*core.Endpoint{"client": client.ep, "controller": ctrl.ep} {
+		if ep.TL().Stats.Backpressured == 0 {
+			t.Errorf("%s was never refused: the test did not exercise parking", name)
+		}
+	}
+	if len(client.waiting.fns) != 0 || len(ctrl.waiting.fns) != 0 {
+		t.Fatalf("%d client and %d controller entries still parked", len(client.waiting.fns), len(ctrl.waiting.fns))
+	}
 }

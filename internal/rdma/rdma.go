@@ -79,12 +79,17 @@ type QP struct {
 	held       map[uint64]heldCompletion
 
 	// pushFree recycles per-op Push state (WRITE/SEND): each op needs a
-	// segment-completion callback and a retry continuation, and allocating
-	// those closures per op is the largest steady-state allocation in the
-	// op-rate figures. The callbacks are bound once per pooled object.
+	// segment-completion callback, and allocating that closure per op is
+	// the largest steady-state allocation in the op-rate figures. The
+	// callback is bound once per pooled object.
 	pushFree []*pushOp
 	// pullFree is the same pool for READ/ATOMIC state (pullOp).
 	pullFree []*pullOp
+
+	// waiting holds, in post order, the work requests the TL refused, each
+	// with its segment cursor. The connection's Xon edge resumes the head,
+	// and a new post queues behind them, as on a real send queue.
+	waiting wqeQueue
 
 	// Stats
 	RNRs uint64
@@ -95,9 +100,8 @@ type QP struct {
 const opPoolCap = 64
 
 // pushOp is the in-flight state of one WRITE or SEND work request: the
-// identity of the op, its segmentation cursor, and the two callbacks
-// (segment completion, backpressure retry) pre-bound to this object so the
-// issue loop allocates nothing.
+// identity of the op, its segmentation cursor, and the segment-completion
+// callback pre-bound to this object so the issue loop allocates nothing.
 type pushOp struct {
 	qp   *QP
 	op   uint8
@@ -112,11 +116,10 @@ type pushOp struct {
 	firstErr  error
 	done      func(Completion)
 
-	// Backpressure-retry cursor: the next segment index/offset to issue.
+	// Issue cursor: the next segment index/offset to issue.
 	nextIdx, nextOff int
 
 	segDoneFn func([]byte, error)
-	retryFn   func()
 }
 
 func (qp *QP) getPushOp() *pushOp {
@@ -127,7 +130,6 @@ func (qp *QP) getPushOp() *pushOp {
 	}
 	o := &pushOp{qp: qp}
 	o.segDoneFn = o.segDone
-	o.retryFn = o.retry
 	return o
 }
 
@@ -157,14 +159,15 @@ func (o *pushOp) segDone(_ []byte, err error) {
 	}
 }
 
-func (o *pushOp) retry() { o.issueFrom(o.nextIdx, o.nextOff) }
-
-// issueFrom issues segments [i, nseg) starting at byte offset off. It reads
-// the op's immutable fields into locals up front: the final segment's
-// completion can release (and a nested post can reuse) the object while the
-// loop epilogue still runs.
-func (o *pushOp) issueFrom(i, off int) {
+// issue issues the op's segments from its cursor on. It returns false when
+// the TL refused one, with the cursor at that segment, and true once every
+// segment is issued, or failed because the connection is dead. It reads the
+// op's fields into locals up front: the final segment's completion can
+// release (and a nested post can reuse) the object while the loop epilogue
+// still runs.
+func (o *pushOp) issue() bool {
 	qp, op, data, size, addr, nseg := o.qp, o.op, o.data, o.size, o.addr, o.nseg
+	i, off := o.nextIdx, o.nextOff
 	mtu := qp.cfg.MTU
 	segDone := o.segDoneFn
 	for ; i < nseg; i++ {
@@ -188,14 +191,14 @@ func (o *pushOp) issueFrom(i, off int) {
 		if _, err := qp.ep.TL().PushOp(op, a, chunk, uint32(seg), segDone); err != nil {
 			if qp.ep.TL().Dead() != nil {
 				failSegments(nseg-i, err, segDone)
-				return
+				return true
 			}
 			o.nextIdx, o.nextOff = i, off
-			qp.ep.Sim().After(retryDelay, o.retryFn)
-			return
+			return false
 		}
 		off += seg
 	}
+	return true
 }
 
 // postPush starts a pooled WRITE/SEND work request.
@@ -205,17 +208,18 @@ func (qp *QP) postPush(op uint8, wrid, addr uint64, data []byte, size int, done 
 	o.seq = qp.allocSeq()
 	o.nseg = qp.segmentCount(size)
 	o.remaining = o.nseg
-	o.issueFrom(0, 0)
+	o.nextIdx, o.nextOff = 0, 0
+	qp.post(o)
 }
 
 // pullOp is the in-flight state of one READ or ATOMIC work request, the
 // Pull-side twin of pushOp: a pooled descriptor with a segmentation cursor
 // and callbacks bound once, so neither an attempt refused by TL
-// backpressure nor its retry allocates. The TL's completion callback does
-// not say which transaction it is for and unordered connections complete
-// segments out of order, so where pushOp shares one callback, every segment
-// here has its own slot: a pre-bound callback that parks the segment's
-// bytes until the op completes.
+// backpressure nor its resumption allocates. The TL's completion callback
+// does not say which transaction it is for and unordered connections
+// complete segments out of order, so where pushOp shares one callback,
+// every segment here has its own slot: a pre-bound callback that parks the
+// segment's bytes until the op completes.
 type pullOp struct {
 	qp   *QP
 	op   uint8
@@ -230,13 +234,12 @@ type pullOp struct {
 	haveData  bool // every segment so far returned bytes
 	done      func(Completion)
 
-	// Backpressure-retry cursor: the next segment index/offset to issue.
+	// Issue cursor: the next segment index/offset to issue.
 	nextIdx, nextOff int
 
 	// slots[:nseg] are this op's segments; the slice only grows, at post
 	// time, when no callback into the old slots is outstanding.
-	slots   []pullSlot
-	retryFn func()
+	slots []pullSlot
 }
 
 // pullSlot is one segment's completion slot.
@@ -255,7 +258,6 @@ func (qp *QP) getPullOp(op uint8, wrid, addr uint64, size, nseg int, done func(C
 		qp.pullFree = qp.pullFree[:n-1]
 	} else {
 		o = &pullOp{qp: qp}
-		o.retryFn = o.retry
 	}
 	if nseg > len(o.slots) {
 		o.slots = make([]pullSlot, nseg)
@@ -268,6 +270,7 @@ func (qp *QP) getPullOp(op uint8, wrid, addr uint64, size, nseg int, done func(C
 	o.op, o.wrid, o.addr, o.size, o.done = op, wrid, addr, size, done
 	o.seq = qp.allocSeq()
 	o.nseg, o.remaining, o.haveData = nseg, nseg, true
+	o.nextIdx, o.nextOff = 0, 0
 	return o
 }
 
@@ -327,13 +330,12 @@ func (o *pullOp) complete() {
 	qp.deliver(seq, c, done)
 }
 
-func (o *pullOp) retry() { o.issueFrom(o.nextIdx, o.nextOff) }
-
-// issueFrom issues READ segments [i, nseg) starting at byte offset off,
-// reading the op's fields into locals up front for the reason
-// pushOp.issueFrom does.
-func (o *pullOp) issueFrom(i, off int) {
+// issue issues READ segments from the op's cursor on, under pushOp.issue's
+// contract and for the same reason reading the op's fields into locals up
+// front.
+func (o *pullOp) issue() bool {
 	qp, addr, size, slots := o.qp, o.addr, o.size, o.slots[:o.nseg]
+	i, off := o.nextIdx, o.nextOff
 	mtu := qp.cfg.MTU
 	for ; i < len(slots); i++ {
 		seg := size - off
@@ -348,13 +350,63 @@ func (o *pullOp) issueFrom(i, off int) {
 				for ; i < len(slots); i++ {
 					slots[i].fn(nil, err)
 				}
-				return
+				return true
 			}
 			o.nextIdx, o.nextOff = i, off
-			qp.ep.Sim().After(retryDelay, o.retryFn)
-			return
+			return false
 		}
 		off += seg
+	}
+	return true
+}
+
+// wqe is a work request that can wait in the QP's send queue: *pushOp or
+// *pullOp.
+type wqe interface{ issue() bool }
+
+// wqeQueue is a head-indexed FIFO of waiting work requests. It keeps its
+// buffer when it empties, so parking allocates nothing in steady state.
+type wqeQueue struct {
+	buf  []wqe
+	head int
+}
+
+func (q *wqeQueue) len() int { return len(q.buf) - q.head }
+
+func (q *wqeQueue) push(w wqe) { q.buf = append(q.buf, w) }
+
+func (q *wqeQueue) peek() wqe { return q.buf[q.head] }
+
+func (q *wqeQueue) pop() {
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	} else if q.head > 64 && q.head*2 >= len(q.buf) {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+}
+
+// post issues a new work request, or queues it behind the ones already
+// waiting; one the TL refuses waits at the tail.
+func (qp *QP) post(w wqe) {
+	if qp.waiting.len() > 0 || !w.issue() {
+		qp.waiting.push(w)
+	}
+}
+
+// resume is the connection's Xon callback: it re-issues the waiting work
+// requests in post order and stops at the first one refused again. After
+// the connection dies the TL fires it once more, and every waiting request
+// fails its remaining segments.
+func (qp *QP) resume() {
+	for qp.waiting.len() > 0 {
+		if !qp.waiting.peek().issue() {
+			return
+		}
+		qp.waiting.pop()
 	}
 }
 
@@ -384,6 +436,7 @@ func NewQP(ep *core.Endpoint, cfg Config) *QP {
 		qp.held = make(map[uint64]heldCompletion)
 	}
 	ep.SetTarget((*target)(qp))
+	ep.TL().SetXonCallback(qp.resume)
 	return qp
 }
 
@@ -466,13 +519,10 @@ func (qp *QP) segmentCount(size int) int {
 	return (size + qp.cfg.MTU - 1) / qp.cfg.MTU
 }
 
-// retryDelay paces re-issuance of segments refused by TL backpressure.
-const retryDelay = 20 * time.Microsecond
-
 // failSegments completes n never-issued segments of an op in error. The
 // issue loops call it when the connection died mid-op (crash teardown,
-// RTO-budget exhaustion): retrying would spin forever — the conn can
-// never accept the segment — so the op must surface the failure instead.
+// RTO-budget exhaustion): the conn can never accept the segment, so the op
+// must surface the failure instead of waiting.
 func failSegments(n int, err error, segDone func([]byte, error)) {
 	for j := 0; j < n; j++ {
 		segDone(nil, err)
@@ -481,10 +531,10 @@ func failSegments(n int, err error, segDone func([]byte, error)) {
 
 // Write posts an RDMA WRITE of data (or size bytes when data is nil) to
 // remote address addr: one Push per MTU segment, one completion for the
-// op. Segments refused by transaction-layer backpressure are re-issued as
-// resources free (the work request stays queued, like a real send queue),
-// so Write never fails mid-op: failures arrive in the completion, and the
-// returned error is always nil.
+// op. Segments refused by transaction-layer backpressure wait in the send
+// queue and are re-issued on the connection's Xon edge, so Write never
+// fails mid-op: failures arrive in the completion, and the returned error
+// is always nil.
 func (qp *QP) Write(wrid uint64, addr uint64, data []byte, size int, done func(Completion)) error {
 	if data != nil {
 		size = len(data)
@@ -524,11 +574,10 @@ func (qp *QP) PostRecv(buf []byte, size int, done func(n int, err error)) {
 
 // Read posts an RDMA READ of size bytes from remote addr: one Pull per MTU
 // segment; the completion carries the concatenated data when the peer has
-// backing memory. Like Write, segments refused by transaction-layer
-// backpressure are re-issued on the retry timer, so Read never fails mid-op
-// and the returned error is always nil.
+// backing memory. Like Write, it queues behind backpressure, so Read never
+// fails mid-op and the returned error is always nil.
 func (qp *QP) Read(wrid uint64, addr uint64, size int, done func(Completion)) error {
-	qp.getPullOp(opRead, wrid, addr, size, qp.segmentCount(size), done).issueFrom(0, 0)
+	qp.post(qp.getPullOp(opRead, wrid, addr, size, qp.segmentCount(size), done))
 	return nil
 }
 
@@ -550,8 +599,12 @@ func (qp *QP) FetchAdd(wrid uint64, addr, add uint64, done func(Completion)) err
 
 // atomic posts a one-segment Pull carrying the operands (Table 2). Unlike
 // Read it does not queue behind backpressure: a refusal is returned to the
-// caller and no completion follows.
+// caller and no completion follows. Nor does it overtake the send queue:
+// while work requests wait there, it is refused.
 func (qp *QP) atomic(wrid uint64, op uint8, addr uint64, operands []byte, done func(Completion)) error {
+	if qp.waiting.len() > 0 {
+		return tl.ErrBackpressured
+	}
 	o := qp.getPullOp(op, wrid, addr, 8, 1, done)
 	_, err := qp.ep.TL().PullOpData(op, addr, operands, 8, o.slots[0].fn)
 	if err != nil {

@@ -365,14 +365,20 @@ func TestUnorderedWithoutWeakOrderingCanReorder(t *testing.T) {
 
 // starvedPair is qpPair with the initiator's RX-response pool cut to
 // rxRespBytes, so a multi-segment Read cannot reserve all its segments at
-// once and rdma's admission poll has to re-issue the rest.
+// once and the rest wait for the connection's Xon edge.
 func starvedPair(t *testing.T, rxRespBytes int, connCfg core.ConnConfig, qpCfg Config) (*sim.Simulator, *QP, *QP, *netsim.Port) {
+	t.Helper()
+	cfgA := core.DefaultNodeConfig()
+	cfgA.Resources.Pools[tl.PoolRxResp].Bytes = rxRespBytes
+	return pairWith(t, cfgA, connCfg, qpCfg)
+}
+
+// pairWith is qpPair with the initiator node configured by cfgA.
+func pairWith(t *testing.T, cfgA core.NodeConfig, connCfg core.ConnConfig, qpCfg Config) (*sim.Simulator, *QP, *QP, *netsim.Port) {
 	t.Helper()
 	s := sim.New(23)
 	topo, fwd := netsim.PointToPoint(s, testLink)
 	cl := core.NewCluster(s)
-	cfgA := core.DefaultNodeConfig()
-	cfgA.Resources.Pools[tl.PoolRxResp].Bytes = rxRespBytes
 	a := cl.AddNode(topo.Hosts[0], cfgA)
 	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
 	epA, epB := cl.Connect(a, b, connCfg)
@@ -389,7 +395,7 @@ func patternMemory(n int) []byte {
 
 // TestReadReassemblesInOrderAcrossRefusals reads 64 KiB through a 16 KiB
 // RX-response pool: segments are refused mid-op and re-issued from the
-// retry cursor, and the completion must still carry every byte in order —
+// op's cursor, and the completion must still carry every byte in order —
 // on an ordered connection, and on a lossy unordered one where segments
 // finish out of order and only the per-segment slots keep them apart.
 func TestReadReassemblesInOrderAcrossRefusals(t *testing.T) {
@@ -425,7 +431,7 @@ func TestReadReassemblesInOrderAcrossRefusals(t *testing.T) {
 			}
 			s.Run()
 			if qa.Endpoint().TL().Stats.Backpressured == 0 {
-				t.Fatal("no segment was refused: the test did not exercise the retry cursor")
+				t.Fatal("no segment was refused: the test did not exercise the issue cursor")
 			}
 			if len(got) != 4 {
 				t.Fatalf("completed %d of 4 reads", len(got))
@@ -491,10 +497,11 @@ func TestReadDescriptorReusedFromCompletion(t *testing.T) {
 }
 
 // TestReadFailsOnceWhenConnectionDiesMidOp kills the connection while a
-// Read is parked on the retry timer with some segments in flight and the
-// rest never issued. The in-flight segments fail through the TL, the retry
-// finds the connection dead and fails every remaining segment, and the op
-// surfaces exactly one error completion and returns its descriptor.
+// Read waits for the Xon edge with some segments in flight and the rest
+// never issued. The in-flight segments fail through the TL, the Xon edge the
+// TL fires after teardown finds the connection dead and fails every
+// remaining segment, and the op surfaces exactly one error completion and
+// returns its descriptor.
 func TestReadFailsOnceWhenConnectionDiesMidOp(t *testing.T) {
 	s, qa, qb, _ := starvedPair(t, 16<<10, core.DefaultConnConfig(), Config{})
 	qb.RegisterMemoryLen(1 << 20)
@@ -503,7 +510,7 @@ func TestReadFailsOnceWhenConnectionDiesMidOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if qa.Endpoint().TL().Stats.Backpressured == 0 {
-		t.Fatal("the read was admitted whole: nothing is parked on the retry timer")
+		t.Fatal("the read was admitted whole: nothing waits for the Xon edge")
 	}
 	issued := qa.Endpoint().TL().Stats.Pulls
 	qa.Endpoint().PDL().Fail()
@@ -529,5 +536,145 @@ func TestReadFailsOnceWhenConnectionDiesMidOp(t *testing.T) {
 	}
 	if len(comps) != 2 || comps[1].WRID != 8 || comps[1].Err == nil {
 		t.Fatalf("read on a dead connection: completions %+v", comps)
+	}
+}
+
+// TestPushFailsOnceWhenConnectionDiesMidOp is the Write and Send twin of
+// TestReadFailsOnceWhenConnectionDiesMidOp: a 64 KiB push refused by a
+// 16 KiB TX-request pool waits in the send queue when the connection dies,
+// and still completes exactly once, in error, with its descriptor pooled.
+func TestPushFailsOnceWhenConnectionDiesMidOp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		post func(qa *QP, done func(Completion)) error
+	}{
+		{"write", func(qa *QP, done func(Completion)) error { return qa.Write(7, 0, nil, 64<<10, done) }},
+		{"send", func(qa *QP, done func(Completion)) error { return qa.Send(7, nil, 64<<10, done) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfgA := core.DefaultNodeConfig()
+			cfgA.Resources.Pools[tl.PoolTxReq].Bytes = 16 << 10
+			s, qa, qb, _ := pairWith(t, cfgA, core.DefaultConnConfig(), Config{})
+			qb.RegisterMemoryLen(1 << 20)
+			qb.PostRecv(nil, 64<<10, nil)
+			var comps []Completion
+			if err := tc.post(qa, func(c Completion) { comps = append(comps, c) }); err != nil {
+				t.Fatal(err)
+			}
+			if qa.Endpoint().TL().Stats.Backpressured == 0 {
+				t.Fatal("the push was admitted whole: nothing waits for the Xon edge")
+			}
+			issued := qa.Endpoint().TL().Stats.Pushes
+			qa.Endpoint().PDL().Fail()
+			if len(comps) != 0 {
+				t.Fatalf("op completed with %d segments never issued", 16-issued)
+			}
+			s.Run()
+			if len(comps) != 1 {
+				t.Fatalf("%d completions for one push on a dead connection, want exactly 1", len(comps))
+			}
+			if c := comps[0]; c.WRID != 7 || !errors.Is(c.Err, pdl.ErrConnectionLost) {
+				t.Fatalf("completion %+v, want WRID 7 failing with the PDL's terminal error", c)
+			}
+			if got := qa.Endpoint().TL().Stats.Pushes; got != issued {
+				t.Fatalf("%d segments issued after the connection died", got-issued)
+			}
+			if len(qa.pushFree) != 1 || qa.waiting.len() != 0 {
+				t.Fatalf("%d descriptors pooled and %d waiting after the failed op, want 1 and 0",
+					len(qa.pushFree), qa.waiting.len())
+			}
+		})
+	}
+}
+
+// TestSendsKeepPostOrderUnderBackpressure posts a 12000 B SEND (three
+// segments) through a two-context TX-request pool, and a second SEND 10 us
+// later while the first one's last segment still waits. The second message
+// must queue behind the first: both receives complete whole, in order,
+// each with its own message.
+func TestSendsKeepPostOrderUnderBackpressure(t *testing.T) {
+	cfgA := core.DefaultNodeConfig()
+	cfgA.Resources.Pools[tl.PoolTxReq].Contexts = 2
+	s, qa, qb, _ := pairWith(t, cfgA, core.DefaultConnConfig(), Config{})
+	const size = 12000
+	msgs := [2][]byte{bytes.Repeat([]byte{'a'}, size), bytes.Repeat([]byte{'b'}, size)}
+	var bufs [2][]byte
+	var got []int
+	for i := range bufs {
+		bufs[i] = make([]byte, size)
+		qb.PostRecv(bufs[i], 0, func(n int, err error) {
+			if err != nil || n != size {
+				t.Errorf("receive %d: %d bytes, err %v", i, n, err)
+			}
+			got = append(got, i)
+		})
+	}
+	sent := 0
+	send := func(i int) {
+		if err := qa.Send(uint64(i), msgs[i], 0, func(c Completion) {
+			if c.Err != nil {
+				t.Errorf("send %d: %v", i, c.Err)
+			}
+			sent++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(0)
+	if qa.Endpoint().TL().Stats.Backpressured == 0 {
+		t.Fatal("the first send was admitted whole: the second cannot overtake it")
+	}
+	s.After(10*time.Microsecond, func() { send(1) })
+	s.Run()
+	if sent != 2 {
+		t.Fatalf("%d of 2 sends completed", sent)
+	}
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("receives completed %v, want [0 1]", got)
+	}
+	for i := range bufs {
+		if !bytes.Equal(bufs[i], msgs[i]) {
+			t.Fatalf("receive %d does not hold message %d", i, i)
+		}
+	}
+}
+
+// TestPostsDoNotOvertakeWaitingOps leaves room in the RX-response pool for
+// a WRITE's completion slot and an 8-byte ATOMIC response, but not for a
+// Read's next 4 KiB segment, with no DT threshold to refuse any of them.
+// While that Read waits in the send queue, a WRITE queues behind it and an
+// ATOMIC is refused, rather than either being issued ahead of it. The
+// ordered connection then completes them in post order.
+func TestPostsDoNotOvertakeWaitingOps(t *testing.T) {
+	connCfg := core.DefaultConnConfig()
+	connCfg.TL.Backpressure = tl.BackpressureNone
+	s, qa, qb, _ := starvedPair(t, 16<<10+8, connCfg, Config{})
+	qb.RegisterMemoryLen(1 << 20)
+	var order []uint64
+	done := func(c Completion) {
+		if c.Err != nil {
+			t.Errorf("op %d: %v", c.WRID, c.Err)
+		}
+		order = append(order, c.WRID)
+	}
+	if err := qa.Read(1, 0, 64<<10, done); err != nil {
+		t.Fatal(err)
+	}
+	if err := qa.Write(2, 0, nil, 4096, done); err != nil {
+		t.Fatal(err)
+	}
+	if got := qa.Endpoint().TL().Stats.Pushes; got != 0 || qa.waiting.len() != 2 {
+		t.Fatalf("%d pushes issued and %d ops waiting behind a refused Read, want 0 and 2", got, qa.waiting.len())
+	}
+	if err := qa.FetchAdd(3, 0, 1, done); !errors.Is(err, tl.ErrBackpressured) {
+		t.Fatalf("atomic behind a waiting Read: %v, want ErrBackpressured", err)
+	}
+	s.Run()
+	if err := qa.FetchAdd(4, 0, 1, done); err != nil {
+		t.Fatalf("atomic on an idle send queue: %v", err)
+	}
+	s.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 4 {
+		t.Fatalf("completions %v, want [1 2 4]", order)
 	}
 }

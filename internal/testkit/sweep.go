@@ -329,11 +329,11 @@ func Run(sc Scenario) Result {
 		fwd.Sim().After(150*time.Microsecond, func() { fwd.SetRateGbps(sc.DegradeGbps) })
 	}
 
-	// Closed-loop workload with transparent retry on backpressure.
+	// Closed-loop workload that resumes only on the TL's Xon edge, so the
+	// livelock check below is also the Xon liveness oracle.
 	res := Result{}
 	inFlight := 0
 	var pump func()
-	retryArmed := false
 	done := func(_ []byte, err error) {
 		inFlight--
 		res.Completed++
@@ -356,18 +356,7 @@ func Run(sc Scenario) Result {
 				_, err = epA.Push(nil, uint32(sc.OpBytes), done)
 			}
 			if err != nil {
-				// Backpressured (Xoff or pool pressure): retry soon;
-				// the Xon callback also re-pumps.
-				if !retryArmed {
-					retryArmed = true
-					// The retry re-enters the initiator's TL, so it runs
-					// on the initiator's partition.
-					epA.Sim().After(20*time.Microsecond, func() {
-						retryArmed = false
-						pump()
-					})
-				}
-				return
+				return // backpressured (Xoff or pool pressure): Xon re-pumps
 			}
 			inFlight++
 			res.Issued++
