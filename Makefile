@@ -83,19 +83,20 @@ metrics:
 #     untraced, -compare bounds) run here.
 #   - Tables: every cell of every quick-mode table must match the
 #     committed golden, and quick figScale on four concurrent partitions
-#     (-shards 4) must match its own golden (only the wall-clock
-#     "(figX in <t>)" lines are stripped). A change that moves a number on
+#     (-shards 4) must match its own golden (only the
+#     "(figX in <t>, <n> events)" lines are stripped). A change that moves a number on
 #     purpose regenerates the golden with the same pipeline and explains
 #     the diff. See DESIGN.md §15 for the partitioned engine.
 #   - Telemetry lake over the committed BENCH artifacts (DESIGN.md §12,
 #     METRICS.md): `falconlake watch` regenerates each committed metrics
 #     snapshot and must find nothing; `falconlake diff` compares each
 #     committed bench before/after pair seed by seed (exact metrics
-#     identical, no host metric >25% worse); every other artifact must
-#     ingest cleanly. A pair whose code moved events on purpose is
-#     listed, not diffed: in BENCH_pr32_{before,after}.jsonl, Xon-driven
-#     admission moves incast_conns and lossy_mixed by design, and
-#     `falconlake diff` fails on any exact drift.
+#     identical, no host metric >25% worse); the committed series
+#     (BENCH_pr3_series, regenerated by `make metrics`) must ingest
+#     cleanly. A pair whose code moved events on purpose is listed, not
+#     diffed: in BENCH_pr32_{before,after}.jsonl, Xon-driven admission
+#     moves incast_conns and lossy_mixed by design, and `falconlake diff`
+#     fails on any exact drift.
 #   - Storms (DESIGN.md §14): two falconbench runs under one -storm seed
 #     must write byte-identical metrics JSON.
 #   - Race detector over the concurrent paths: storm sweeps, and the
@@ -105,9 +106,7 @@ metrics:
 CHECKDIR ?= $(or $(TMPDIR),/tmp)/falcon-check
 LAKE_WATCHED = BENCH_pr3_metrics.json BENCH_pr8_metrics.json BENCH_pr9_metrics.json
 LAKE_PAIRS = pr17 pr17_extra pr18 pr26 pr27 pr28 pr29 pr30 pr31
-LAKE_LISTED = BENCH_pr2.json BENCH_pr3_series BENCH_pr5.json BENCH_pr6.json \
-	BENCH_pr10.json BENCH_pr10_single.json \
-	BENCH_pr32_before.jsonl BENCH_pr32_after.jsonl
+LAKE_LISTED = BENCH_pr3_series BENCH_pr32_before.jsonl BENCH_pr32_after.jsonl
 check:
 	$(GO) -C bench test .
 	$(GO) run ./cmd/falconbench -quick | sed '/ in /d' | \

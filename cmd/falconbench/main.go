@@ -9,10 +9,6 @@
 //	falconbench                        # run everything (several minutes)
 //	falconbench -quick                 # shorter measurement windows
 //	falconbench -quick -parallel 8     # fan experiments across 8 workers
-//	falconbench -json BENCH_pr2.json   # also write a machine-readable
-//	                                   # performance report (events/sec,
-//	                                   # ns/event, allocs/event, wall time
-//	                                   # per figure)
 //	falconbench -quick -run 'fig10|fig13|fig15' \
 //	    -metrics BENCH_pr3_metrics.json \
 //	    -series BENCH_pr3_series       # instrumented run: deterministic
@@ -49,7 +45,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -74,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runRe := fs.String("run", "", "regex of experiment names to run (default: all)")
 	quick := fs.Bool("quick", false, "shorter measurement windows")
 	parallel := fs.Int("parallel", 1, "worker pool width (independent simulators per goroutine)")
-	jsonPath := fs.String("json", "", "write a BENCH_*.json performance report to this file")
 	metricsPath := fs.String("metrics", "", "write a deterministic per-figure metrics JSON to this file (instrumented run)")
 	seriesDir := fs.String("series", "", "write per-figure time-series CSVs into this directory (instrumented run)")
 	shards := fs.Int("shards", 1, "split figScale's simulators into N partitions run on concurrent goroutines under conservative lookahead windows (figScale only; self-deterministic, but not byte-comparable to -shards 1)")
@@ -162,9 +156,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	rep := experiments.Run(matched, opts, *parallel, stdout)
+	figures := experiments.Run(matched, opts, *parallel, stdout)
 	if *metricsPath != "" {
-		m := experiments.NewMetricsReport(rep)
+		m := experiments.NewMetricsReport(figures, opts.Quick)
 		f, err := os.Create(*metricsPath)
 		if err == nil {
 			err = m.WriteJSON(f)
@@ -178,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *seriesDir != "" {
-		for _, fr := range rep.Figures {
+		for _, fr := range figures {
 			paths, err := fr.Tel.WriteSeries(*seriesDir, fr.Name)
 			if err != nil {
 				fmt.Fprintf(stderr, "series: %v\n", err)
@@ -200,18 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintf(stderr, "memprofile: %v\n", err)
-			return 1
-		}
-	}
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "json: %v\n", err)
-			return 1
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fmt.Fprintf(stderr, "json: %v\n", err)
 			return 1
 		}
 	}

@@ -44,7 +44,7 @@ func TestShardParRunsFigScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The golden strips the wall-clock "(figScale in <t>)" line, as make
+	// The golden strips the "(figScale in <t>, <n> events)" line, as make
 	// check's sed '/ in /d' does.
 	got := regexp.MustCompile(`(?m)^.* in .*\n`).ReplaceAllString(out.String(), "")
 	if got != string(want) {
@@ -59,6 +59,7 @@ func TestBadInvocations(t *testing.T) {
 		{"-routing", "bogus"},
 		{"-run", "("},
 		{"-nosuchflag"},
+		{"-json", "x"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {

@@ -3,10 +3,9 @@
 // over them, and diffs runs cell-by-cell to flag behavior and
 // performance regressions.
 //
-// Usage (every ARTIFACT is a falconmetrics/v1 JSON, a falconbench/v1
-// JSON, a bench -out .jsonl file of untraced records, a series CSV, or a
-// directory of series CSVs; the index is built in memory on each
-// invocation):
+// Usage (every ARTIFACT is a falconmetrics/v1 JSON, a bench -out .jsonl
+// file of untraced records, a series CSV, or a directory of series CSVs;
+// the index is built in memory on each invocation):
 //
 //	falconlake list [run=]ARTIFACT...
 //	    Show the runs with their schemas, cell and series counts. An

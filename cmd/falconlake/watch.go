@@ -92,8 +92,8 @@ func cmdWatch(args []string) {
 	fmt.Fprintf(os.Stderr, "watch: regenerating %d figure(s) (quick=%v) from %s\n",
 		len(entries), baseline.Quick, baselinePath)
 	opts := experiments.Options{Quick: baseline.Quick, Tel: telemetry.NewSuite()}
-	rep := experiments.Run(entries, opts, 1, io.Discard)
-	current := experiments.NewMetricsReport(rep)
+	figures := experiments.Run(entries, opts, 1, io.Discard)
+	current := experiments.NewMetricsReport(figures, opts.Quick)
 	if *keep != "" {
 		f, err := os.Create(*keep)
 		if err != nil {

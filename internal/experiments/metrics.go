@@ -1,15 +1,14 @@
 package experiments
 
 // The payload of `falconbench -metrics`: an instrumented Run (Options.Tel
-// set) yields per-figure metric snapshots embedded in the perf report and
-// per-figure suites for `-series` CSV export; MetricsReport keeps the
-// deterministic part.
+// set) yields a per-figure metric snapshot and suite in each
+// FigureReport; MetricsReport keeps the snapshots, and the suites feed
+// `-series` CSV export.
 //
-// Determinism contract (ISSUE 3): everything exported here derives from
-// virtual time and seeded simulators only — no wall clock, no process
-// state — so two same-seed runs write byte-identical -metrics JSON and
-// -series CSVs. Wall-time fields live exclusively in BenchReport, which
-// is why MetricsReport is a separate, stripped payload.
+// Determinism contract: everything exported here derives from virtual
+// time and seeded simulators only — no wall clock, no process state — so
+// two same-seed runs write byte-identical -metrics JSON and -series CSVs.
+// Wall time appears only in the runner's annotation lines.
 //
 // Downstream, internal/lake indexes these artifacts (the committed
 // BENCH_pr3_metrics.json and BENCH_pr3_series/) for cross-run queries
@@ -38,11 +37,11 @@ type MetricsReport struct {
 	Figures []FigureMetrics `json:"figures"`
 }
 
-// NewMetricsReport extracts the deterministic metrics from an
-// instrumented run's perf report.
-func NewMetricsReport(rep BenchReport) MetricsReport {
-	m := MetricsReport{Schema: "falconmetrics/v1", Quick: rep.Quick}
-	for _, fr := range rep.Figures {
+// NewMetricsReport extracts the deterministic metrics from the figures of
+// an instrumented run; quick records whether it used -quick windows.
+func NewMetricsReport(figures []FigureReport, quick bool) MetricsReport {
+	m := MetricsReport{Schema: "falconmetrics/v1", Quick: quick}
+	for _, fr := range figures {
 		if fr.Metrics == nil || len(fr.Metrics.Metrics) == 0 {
 			continue
 		}

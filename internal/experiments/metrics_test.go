@@ -123,9 +123,9 @@ func TestInstrumentedRunReport(t *testing.T) {
 	})
 	var out bytes.Buffer
 	template := telemetry.NewSuite()
-	rep := Run(entries, Options{Quick: true, Tel: template}, 1, &out)
+	figs := Run(entries, Options{Quick: true, Tel: template}, 1, &out)
 	suites := map[*telemetry.Suite]bool{template: true}
-	for i, fr := range rep.Figures {
+	for i, fr := range figs {
 		if fr.Name != entries[i].Name {
 			t.Fatalf("figure %d = %q, want %q", i, fr.Name, entries[i].Name)
 		}
@@ -140,11 +140,11 @@ func TestInstrumentedRunReport(t *testing.T) {
 	if n := len(template.Snapshot(0).Metrics); n != 0 {
 		t.Fatalf("the suite passed to Run received %d metrics", n)
 	}
-	if v, ok := rep.Figures[2].Metrics.Get("synthetic/ran"); !ok || v != 1 {
+	if v, ok := figs[2].Metrics.Get("synthetic/ran"); !ok || v != 1 {
 		t.Fatalf("instrumented entry did not record into its suite: %v %v", v, ok)
 	}
-	m := NewMetricsReport(rep)
-	if len(m.Figures) != 1 || m.Figures[0].Name != "synthetic" {
+	m := NewMetricsReport(figs, true)
+	if !m.Quick || len(m.Figures) != 1 || m.Figures[0].Name != "synthetic" {
 		t.Fatalf("metrics report should keep only instrumented figures: %+v", m.Figures)
 	}
 	var j1, j2 bytes.Buffer

@@ -2,9 +2,8 @@ package experiments
 
 // The experiment runner: executes registry entries serially or across a
 // bounded worker pool, prints their tables in registry order either way,
-// and collects the per-figure performance records that cmd/falconbench
-// -json writes to BENCH_*.json (the repo's perf trajectory — see DESIGN.md
-// §8 and EXPERIMENTS.md's "simulator performance baseline" appendix).
+// and annotates each table with its wall time and event count. Simulator
+// performance is measured by the bench module alone (DESIGN.md §8).
 // Instrumented runs (falconbench -metrics/-series, falconlake watch) go
 // through the same runner with Options.Tel set.
 //
@@ -20,7 +19,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,110 +26,54 @@ import (
 	"falcon/internal/telemetry"
 )
 
-// FigureReport is one figure's performance record. Events counts what
-// the figure's own simulators delivered, so it is exact at any pool width.
-// AllocsPerEvent is a process-wide delta (runtime.MemStats.Mallocs) and is
-// reported on serial runs only.
+// FigureReport is one figure's record of a run. Events counts what the
+// figure's own simulators delivered, so it is exact at any pool width.
 type FigureReport struct {
-	Name           string  `json:"name"`
-	WallMS         float64 `json:"wall_ms"`
-	Events         uint64  `json:"events,omitempty"`
-	EventsPerSec   float64 `json:"events_per_sec,omitempty"`
-	NsPerEvent     float64 `json:"ns_per_event,omitempty"`
-	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
+	Name   string
+	Events uint64
 
 	// Metrics is the figure's telemetry snapshot and Tel the suite it
 	// came from (for series export), present only on instrumented runs.
-	Metrics *telemetry.Snapshot `json:"metrics,omitempty"`
-	Tel     *telemetry.Suite    `json:"-"`
-}
-
-// BenchReport is the machine-readable summary of one falconbench run, the
-// payload of BENCH_*.json.
-type BenchReport struct {
-	Schema       string         `json:"schema"`
-	GoVersion    string         `json:"go"`
-	NumCPU       int            `json:"cpus"`
-	Quick        bool           `json:"quick"`
-	Parallel     int            `json:"parallel"`
-	Shards       int            `json:"shards,omitempty"`
-	WallMS       float64        `json:"total_wall_ms"`
-	Events       uint64         `json:"total_events"`
-	EventsPerSec float64        `json:"total_events_per_sec"`
-	Figures      []FigureReport `json:"figures"`
+	Metrics *telemetry.Snapshot
+	Tel     *telemetry.Suite
 }
 
 // Run executes the entries under opts and prints their tables to w in
-// entry order, returning the run's performance report. parallel is the
-// worker-pool width; values <= 1 run serially (and additionally attribute
-// allocations per figure). Output is identical for any pool width except
-// for the wall-time annotations.
+// entry order, returning one report per entry in the same order. parallel
+// is the worker-pool width; values <= 1 run serially. Output is identical
+// for any pool width except for the wall-time annotations.
 //
 // A non-nil opts.Tel instruments the run: each figure records into a
 // fresh suite of its own (opts.Tel itself is not written), and its
 // FigureReport carries that suite and its snapshot. Snapshots aggregate
 // many independent simulators per figure, so there is no single virtual
 // timestamp to stamp; they use zero.
-func Run(entries []Entry, opts Options, parallel int, w io.Writer) BenchReport {
-	rep := BenchReport{
-		Schema:    "falconbench/v1",
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Quick:     opts.Quick,
-		Parallel:  parallel,
-		Figures:   make([]FigureReport, len(entries)),
-	}
-	if opts.Shards > 1 {
-		rep.Shards = opts.Shards
-	}
-	start := time.Now()
+func Run(entries []Entry, opts Options, parallel int, w io.Writer) []FigureReport {
+	figures := make([]FigureReport, len(entries))
 	if parallel <= 1 {
-		rep.Parallel = 1
 		for i, e := range entries {
-			rep.Figures[i] = runOne(e, opts, w, true)
+			figures[i] = runOne(e, opts, w)
 		}
 	} else {
-		runPool(entries, opts, parallel, w, rep.Figures)
+		runPool(entries, opts, parallel, w, figures)
 	}
-	wall := time.Since(start)
-	rep.WallMS = float64(wall.Nanoseconds()) / 1e6
-	for _, fr := range rep.Figures {
-		rep.Events += fr.Events
-	}
-	if s := wall.Seconds(); s > 0 {
-		rep.EventsPerSec = float64(rep.Events) / s
-	}
-	return rep
+	return figures
 }
 
 // runOne executes a single entry with its own event counter (and suite,
-// when instrumented), printing its table and timing line to w. serial
-// runs also attribute allocations to the figure.
-func runOne(e Entry, o Options, w io.Writer, serial bool) FigureReport {
+// when instrumented), printing its table and annotation line to w.
+func runOne(e Entry, o Options, w io.Writer) FigureReport {
 	var events atomic.Uint64
 	o.events = &events
 	if o.Tel != nil {
 		o.Tel = telemetry.NewSuite()
 	}
-	var m0, m1 runtime.MemStats
-	if serial {
-		runtime.ReadMemStats(&m0)
-	}
 	start := time.Now()
 	t := e.Run(o)
 	wall := time.Since(start)
+	fr := FigureReport{Name: e.Name, Events: events.Load()}
 	t.Fprint(w)
-	fmt.Fprintf(w, "(%s in %v)\n\n", e.Name, wall.Round(time.Millisecond))
-
-	fr := FigureReport{Name: e.Name, WallMS: float64(wall.Nanoseconds()) / 1e6, Events: events.Load()}
-	if fr.Events > 0 {
-		fr.EventsPerSec = float64(fr.Events) / wall.Seconds()
-		fr.NsPerEvent = float64(wall.Nanoseconds()) / float64(fr.Events)
-		if serial {
-			runtime.ReadMemStats(&m1)
-			fr.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(fr.Events)
-		}
-	}
+	fmt.Fprintf(w, "(%s in %v, %d events)\n\n", e.Name, wall.Round(time.Millisecond), fr.Events)
 	if o.Tel != nil {
 		snap := o.Tel.Snapshot(0)
 		fr.Metrics, fr.Tel = &snap, o.Tel
@@ -161,7 +103,7 @@ func runPool(entries []Entry, opts Options, parallel int, w io.Writer, figures [
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				figures[i] = runOne(entries[i], opts, &slots[i].buf, false)
+				figures[i] = runOne(entries[i], opts, &slots[i].buf)
 				close(slots[i].done)
 			}
 		}()

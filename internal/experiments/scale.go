@@ -25,10 +25,10 @@ import (
 // table at four partitions is pinned in
 // cmd/falconbench/testdata/figscale_shards4.golden). The interesting perf
 // signal, events/sec at each scale, is wall-clock dependent and therefore
-// lives in the falconbench -json FigureReport, not in a cell: pair a
-// -shards 1 run against a -shards N run of this figure to get the
-// head-to-head (see the sharding appendices of EXPERIMENTS.md). o.Quick
-// keeps the two smallest tiers.
+// not a cell: the runner's "(figScale in <t>, <n> events)" annotation
+// carries it, so pair a -shards 1 run against a -shards N run of this
+// figure to get the head-to-head (see the sharding appendices of
+// EXPERIMENTS.md). o.Quick keeps the two smallest tiers.
 //
 // With o.Tel set on a sharded run, each tier exports its partition
 // counters — per-partition deliveries, cross-boundary events,

@@ -16,7 +16,7 @@ import (
 //     behavior change and is flagged.
 //   - timing  — timing-derived metrics; flagged beyond the relative
 //     tolerance band timingTol.
-//   - perf    — wall-clock and host-measured metrics; flagged only when
+//   - perf    — host-measured bench metrics; flagged only when
 //     they move in the metric's "worse" direction by more than the
 //     loose perfTol.
 //
@@ -101,9 +101,9 @@ func relErr(a, b float64) float64 {
 // downward; cost-like metrics regress upward.
 func perfWorse(metric string, a, b float64) bool {
 	switch metric {
-	case "events_per_sec", "events":
+	case "events_per_sec":
 		return b < a
-	default: // wall_ms, ns_per_event, host_ns_per_op, setup_s, heap_*, allocs_*
+	default: // host_ns_per_op, setup_s, heap_*, allocs_*
 		return b > a
 	}
 }

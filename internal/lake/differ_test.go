@@ -65,33 +65,33 @@ func findingKinds(rep *Report) map[string]string {
 func TestDiffClasses(t *testing.T) {
 	ix := twoRunIndex(t,
 		map[string]float64{
-			"fig/a/pdl/data_sent":       100,   // exact, drifts by 1
-			"fig/a/pdl/acks_sent":       50,    // exact, unchanged
-			"fig/a/pdl/srtt_ns":         10000, // timing, +2% (inside 5%)
-			"fig/a/pdl/rtt2_ns":         10000, // timing, +10% (outside 5%)
-			"fig/a/perf/wall_ms":        100,   // perf, +10% (inside 25%)
-			"fig/b/perf/wall_ms":        100,   // perf, +50% (regression)
-			"fig/c/perf/events_per_sec": 1000,  // perf, -50% (regression: lower is worse)
-			"fig/d/perf/events_per_sec": 1000,  // perf, +50% (improvement: not flagged)
+			"fig/a/pdl/data_sent":          100,   // exact, drifts by 1
+			"fig/a/pdl/acks_sent":          50,    // exact, unchanged
+			"fig/a/pdl/srtt_ns":            10000, // timing, +2% (inside 5%)
+			"fig/a/pdl/rtt2_ns":            10000, // timing, +10% (outside 5%)
+			"w/seed1/bench/host_ns_per_op": 100,   // perf, +10% (inside 25%)
+			"w/seed2/bench/host_ns_per_op": 100,   // perf, +50% (regression)
+			"w/seed3/bench/events_per_sec": 1000,  // perf, -50% (regression: lower is worse)
+			"w/seed4/bench/events_per_sec": 1000,  // perf, +50% (improvement: not flagged)
 		},
 		map[string]float64{
-			"fig/a/pdl/data_sent":       101,
-			"fig/a/pdl/acks_sent":       50,
-			"fig/a/pdl/srtt_ns":         10200,
-			"fig/a/pdl/rtt2_ns":         11000,
-			"fig/a/perf/wall_ms":        110,
-			"fig/b/perf/wall_ms":        150,
-			"fig/c/perf/events_per_sec": 500,
-			"fig/d/perf/events_per_sec": 1500,
+			"fig/a/pdl/data_sent":          101,
+			"fig/a/pdl/acks_sent":          50,
+			"fig/a/pdl/srtt_ns":            10200,
+			"fig/a/pdl/rtt2_ns":            11000,
+			"w/seed1/bench/host_ns_per_op": 110,
+			"w/seed2/bench/host_ns_per_op": 150,
+			"w/seed3/bench/events_per_sec": 500,
+			"w/seed4/bench/events_per_sec": 1500,
 		},
 		"", "")
 	rep := mustDiff(t, ix, "base", "next")
 	kinds := findingKinds(rep)
 	want := map[string]string{
-		"fig/a/pdl/data_sent":       FindingDrift,
-		"fig/a/pdl/rtt2_ns":         FindingDrift,
-		"fig/b/perf/wall_ms":        FindingPerf,
-		"fig/c/perf/events_per_sec": FindingPerf,
+		"fig/a/pdl/data_sent":          FindingDrift,
+		"fig/a/pdl/rtt2_ns":            FindingDrift,
+		"w/seed2/bench/host_ns_per_op": FindingPerf,
+		"w/seed3/bench/events_per_sec": FindingPerf,
 	}
 	for path, kind := range want {
 		if kinds[path] != kind {
@@ -100,7 +100,7 @@ func TestDiffClasses(t *testing.T) {
 	}
 	for _, absent := range []string{
 		"fig/a/pdl/acks_sent", "fig/a/pdl/srtt_ns",
-		"fig/a/perf/wall_ms", "fig/d/perf/events_per_sec",
+		"w/seed1/bench/host_ns_per_op", "w/seed4/bench/events_per_sec",
 	} {
 		if k, flagged := kinds[absent]; flagged {
 			t.Errorf("%s: unexpectedly flagged as %q", absent, k)

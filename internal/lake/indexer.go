@@ -37,22 +37,6 @@ type metricsFile struct {
 	} `json:"figures"`
 }
 
-// benchFile mirrors the falconbench/v1 perf report
-// (internal/experiments.BenchReport) — the non-deterministic,
-// wall-clock half of a benchmark run.
-type benchFile struct {
-	Schema  string `json:"schema"`
-	Quick   bool   `json:"quick"`
-	Figures []struct {
-		Name           string  `json:"name"`
-		WallMS         float64 `json:"wall_ms"`
-		Events         uint64  `json:"events"`
-		EventsPerSec   float64 `json:"events_per_sec"`
-		NsPerEvent     float64 `json:"ns_per_event"`
-		AllocsPerEvent float64 `json:"allocs_per_event"`
-	} `json:"figures"`
-}
-
 // benchRecord mirrors one line of a bench -out file (bench/compare.go):
 // the result of one run of one workload at one seed.
 type benchRecord struct {
@@ -69,13 +53,11 @@ type benchRecord struct {
 	} `json:"result"`
 }
 
-// SchemaMetrics, SchemaBench, SchemaSeries and SchemaBenchRecords are
-// the artifact schemas the indexer understands. Series CSVs and bench
-// records carry no embedded schema tag, so the indexer stamps them on
-// ingest.
+// SchemaMetrics, SchemaSeries and SchemaBenchRecords are the artifact
+// schemas the indexer understands. Series CSVs and bench records carry no
+// embedded schema tag, so the indexer stamps them on ingest.
 const (
 	SchemaMetrics      = "falconmetrics/v1"
-	SchemaBench        = "falconbench/v1"
 	SchemaSeries       = "falconseries/v1"
 	SchemaBenchRecords = "benchrecords/v1"
 )
@@ -137,33 +119,6 @@ func (ix *Index) IngestMetricsJSON(run string, r io.Reader, source string) error
 	rn := ix.run(run)
 	rn.Quick = rn.Quick || mf.Quick
 	return rn.add(SchemaMetrics, source, cells)
-}
-
-// IngestBenchJSON ingests one falconbench/v1 performance report. Each
-// figure contributes cells under the synthetic perf layer
-// ("fig10/perf/events_per_sec"), which the differ treats with loose,
-// direction-aware tolerances (ClassPerf).
-func (ix *Index) IngestBenchJSON(run string, r io.Reader, source string) error {
-	var bf benchFile
-	if err := json.NewDecoder(r).Decode(&bf); err != nil {
-		return fmt.Errorf("lake: %s: %w", source, err)
-	}
-	if bf.Schema != SchemaBench {
-		return fmt.Errorf("lake: %s: schema %q, want %q", source, bf.Schema, SchemaBench)
-	}
-	var cells []Cell
-	for _, fig := range bf.Figures {
-		p := fig.Name + "/perf/"
-		cells = append(cells,
-			Cell{p + "wall_ms", fig.WallMS},
-			Cell{p + "events", float64(fig.Events)},
-			Cell{p + "events_per_sec", fig.EventsPerSec},
-			Cell{p + "ns_per_event", fig.NsPerEvent},
-			Cell{p + "allocs_per_event", fig.AllocsPerEvent})
-	}
-	rn := ix.run(run)
-	rn.Quick = rn.Quick || bf.Quick
-	return rn.add(SchemaBench, source, cells)
 }
 
 // IngestBenchRecords ingests a bench -out file, one JSON record per
@@ -301,14 +256,10 @@ func (ix *Index) IngestFile(run, path string) error {
 		if err := json.Unmarshal(data, &probe); err != nil {
 			return fmt.Errorf("lake: %s: %w", base, err)
 		}
-		switch probe.Schema {
-		case SchemaMetrics:
-			return ix.IngestMetricsJSON(run, bytes.NewReader(data), base)
-		case SchemaBench:
-			return ix.IngestBenchJSON(run, bytes.NewReader(data), base)
-		default:
+		if probe.Schema != SchemaMetrics {
 			return fmt.Errorf("lake: %s: unknown schema %q", base, probe.Schema)
 		}
+		return ix.IngestMetricsJSON(run, bytes.NewReader(data), base)
 	default:
 		return fmt.Errorf("lake: %s: not a .json, .jsonl, .csv or series directory", path)
 	}

@@ -1,8 +1,7 @@
 // Package lake is the telemetry lake: a store and query layer over the
 // artifacts the repository commits — the per-figure metrics snapshots
 // (`falconmetrics/v1` JSON), the virtual-clock time-series CSVs
-// (`-series`), the falconbench performance reports (`falconbench/v1`
-// JSON), and the bench records (`bench -out` JSON lines). It turns the
+// (`-series`), and the bench records (`bench -out` JSON lines). It turns the
 // determinism contract (byte-identical same-seed artifacts, DESIGN.md
 // §9) into a regression-detection system: artifacts are ingested into
 // one in-memory index (a few small files parse in milliseconds, so
@@ -43,7 +42,7 @@ type Run struct {
 	// Quick records whether any ingested report was a -quick run.
 	Quick bool
 	// Schemas lists the artifact schemas ingested into this run,
-	// sorted (e.g. "falconbench/v1", "falconmetrics/v1",
+	// sorted (e.g. "benchrecords/v1", "falconmetrics/v1",
 	// "falconseries/v1").
 	Schemas []string
 	// Sources lists the ingested file names (base names), sorted.

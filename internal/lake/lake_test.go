@@ -37,19 +37,14 @@ func repoRoot(t *testing.T) string {
 var benchPairs = []string{"pr17", "pr17_extra", "pr18", "pr26", "pr27", "pr28", "pr29", "pr30", "pr31"}
 
 // committedArtifacts lists every artifact `make check` reads — the
-// watched metrics snapshots, the listed reports and series, and both
+// watched metrics snapshots, the listed series and records, and both
 // sides of each bench pair — each with the run it lands in.
 func committedArtifacts() [][2]string {
 	out := [][2]string{
-		{"pr2", "BENCH_pr2.json"},
 		{"pr3", "BENCH_pr3_metrics.json"},
 		{"pr3", "BENCH_pr3_series"},
-		{"pr5", "BENCH_pr5.json"},
-		{"pr6", "BENCH_pr6.json"},
 		{"pr8", "BENCH_pr8_metrics.json"},
 		{"pr9", "BENCH_pr9_metrics.json"},
-		{"pr10", "BENCH_pr10.json"},
-		{"pr10_single", "BENCH_pr10_single.json"},
 		// Listed, not diffed: Xon-driven admission moved their events on
 		// purpose.
 		{"pr32_before", "BENCH_pr32_before.jsonl"},
@@ -88,7 +83,7 @@ func TestLakeIngestDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two ingests of the same artifacts differ")
 	}
-	if n := len(a.Runs()); n != 11+2*len(benchPairs)-1 {
+	if n := len(a.Runs()); n != 6+2*len(benchPairs)-1 {
 		t.Fatalf("%d runs, want one per artifact with pr3's two merged", n)
 	}
 }
@@ -173,6 +168,17 @@ func TestLakeBuilderErrors(t *testing.T) {
 	}
 	if err := (&Index{}).IngestMetricsJSON("r", strings.NewReader(`{"schema":"bogus/v9"}`), "x"); err == nil {
 		t.Fatal("unknown schema should fail")
+	}
+	// The retired falconbench performance report is an unknown schema,
+	// reported against the file that carries it.
+	retired := "falconbench" + "/v1"
+	old := filepath.Join(t.TempDir(), "BENCH_old.json")
+	if err := os.WriteFile(old, []byte(`{"schema":"`+retired+`","figures":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := (&Index{}).IngestFile("r", old)
+	if want := `BENCH_old.json: unknown schema "` + retired + `"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want %q", err, want)
 	}
 }
 
@@ -287,14 +293,13 @@ func TestLakeBenchRecordRejects(t *testing.T) {
 
 func TestDeriveRunName(t *testing.T) {
 	cases := map[string]string{
-		"BENCH_pr3_metrics.json":  "pr3",
-		"BENCH_pr3_series":        "pr3",
-		"BENCH_pr3_series/":       "pr3",
-		"BENCH_pr6.json":          "pr6",
-		"/x/y/BENCH_pr5.json":     "pr5",
-		"BENCH_pr28_before.jsonl": "pr28_before",
-		"mylake.json":             "mylake",
-		"fig10_write_drop1.csv":   "fig10_write_drop1",
+		"BENCH_pr3_metrics.json":      "pr3",
+		"BENCH_pr3_series":            "pr3",
+		"BENCH_pr3_series/":           "pr3",
+		"/x/y/BENCH_pr8_metrics.json": "pr8",
+		"BENCH_pr28_before.jsonl":     "pr28_before",
+		"mylake.json":                 "mylake",
+		"fig10_write_drop1.csv":       "fig10_write_drop1",
 	}
 	for in, want := range cases {
 		if got := DeriveRunName(in); got != want {

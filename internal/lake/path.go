@@ -13,10 +13,10 @@ import "strings"
 // fig10, dims {ReadReq, drop0.0, fwd}, layer port, metric down_drops.
 // The layer is the first segment (scanning left to right) matching a
 // known layer token — pdl, tl, nic, port, fae, routing, chaos, shard,
-// or the synthetic perf and bench layers the indexer gives
-// falconbench/v1 reports and bench records. Histogram-backed
-// metrics carry one of the fixed stat suffixes (count, mean, p50, p99,
-// max) the registry expands histograms into. Time-series column names
+// or the synthetic bench layer the indexer gives bench records.
+// Histogram-backed metrics carry one of the fixed stat suffixes (count,
+// mean, p50, p99, max) the registry expands histograms into. Time-series
+// column names
 // ("conn0/srtt_ns") have no layer token: their leading segments are
 // entity dims and the final segment is the metric.
 type Path struct {
@@ -30,7 +30,7 @@ type Path struct {
 	// name).
 	Dims []string
 	// Layer is the emitting layer, one of layerTokens ("pdl", "port",
-	// "perf", "bench", ...), or "" for layer-less paths (series columns).
+	// "bench", ...), or "" for layer-less paths (series columns).
 	Layer string
 	// Metric is the base metric name ("down_drops", "fabric_delay_ns").
 	Metric string
@@ -40,8 +40,8 @@ type Path struct {
 }
 
 // layerTokens are the layer tags collectors insert before the metric
-// name, plus the synthetic layers the indexer gives falconbench/v1
-// reports ("perf") and bench records ("bench").
+// name, plus the synthetic layer the indexer gives bench records
+// ("bench").
 var layerTokens = map[string]bool{
 	"pdl":     true,
 	"tl":      true,
@@ -49,7 +49,6 @@ var layerTokens = map[string]bool{
 	"port":    true,
 	"fae":     true,
 	"routing": true,
-	"perf":    true,
 	"chaos":   true,
 	"shard":   true,
 	"bench":   true,
@@ -126,11 +125,10 @@ const (
 	// legitimately under intentional behavior changes, so the differ
 	// applies a relative-error tolerance band.
 	ClassTiming
-	// ClassPerf metrics come from falconbench/v1 performance reports
-	// (wall time, events/sec, allocs/event) and from the host-measured
-	// half of bench records (pinnedClass). They vary run to run on
-	// real hardware; the differ flags only regressions beyond a loose
-	// tolerance, in the metric's "worse" direction.
+	// ClassPerf metrics are the host-measured half of bench records
+	// (pinnedClass). They vary run to run on real hardware; the differ
+	// flags only regressions beyond a loose tolerance, in the metric's
+	// "worse" direction.
 	ClassPerf
 )
 
@@ -160,7 +158,6 @@ var timingMetrics = map[string]bool{
 // "layer/metric" — of one metric in a layer, ahead of the unit-suffix
 // rules:
 //
-//   - perf: falconbench/v1 wall-clock cells.
 //   - chaos: every value, including recovery_gap_ns, is an integer
 //     derived from virtual-clock samples under the same-seed storm
 //     determinism contract.
@@ -170,7 +167,6 @@ var timingMetrics = map[string]bool{
 //   - bench: bench records. Op counts, events_per_op and the sim_*
 //     metrics repeat per seed; the host-measured metrics below are perf.
 var pinnedClass = map[string]Class{
-	"perf":                      ClassPerf,
 	"chaos":                     ClassExact,
 	"shard":                     ClassExact,
 	"bench":                     ClassExact,

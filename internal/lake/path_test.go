@@ -41,9 +41,14 @@ func TestParsePath(t *testing.T) {
 			want: Path{Dims: []string{"server_downlink"}, Metric: "queued_bytes"},
 		},
 		{
-			// Synthetic perf layer from falconbench/v1 ingest.
-			raw:  "table4/perf/allocs_per_event",
-			want: Path{Figure: "table4", Layer: "perf", Metric: "allocs_per_event"},
+			// Synthetic bench layer from bench record ingest.
+			raw:  "oprate_small/seed1/bench/allocs_per_op_plus1",
+			want: Path{Dims: []string{"oprate_small", "seed1"}, Layer: "bench", Metric: "allocs_per_op_plus1"},
+		},
+		{
+			// "perf" is no layer token: the segment is a dimension.
+			raw:  "fig1/perf/wall_ms",
+			want: Path{Figure: "fig1", Dims: []string{"perf"}, Metric: "wall_ms"},
 		},
 		{
 			// max_queue_bytes must not be mistaken for a "max" stat.
@@ -88,8 +93,8 @@ func TestPathClass(t *testing.T) {
 		{"fig13/qps20/client0/fae/fabric_delay_ns/p99", ClassTiming},
 		{"fig13/qps20/client0/fae/acked_packets", ClassExact},
 		{"fig10/Write/drop1.0/fwd/port/tx_bytes", ClassExact},
-		{"fig1/perf/events_per_sec", ClassPerf},
-		{"fig1/perf/wall_ms", ClassPerf},
+		{"w/seed1/bench/events_per_sec", ClassPerf},
+		{"w/seed1/bench/allocs_per_op_plus1", ClassPerf},
 		{"conn0/srtt_ns", ClassTiming},
 		{"conn0/retransmits", ClassExact},
 		{"fwd/queue_delay_ns", ClassTiming},

@@ -65,18 +65,18 @@ func TestTrendCatchesSlowCreep(t *testing.T) {
 // the same-shaped improvement is not (perf trends are one-sided, like
 // perf diffs).
 func TestTrendPerfDirectional(t *testing.T) {
-	mk := func(eps, wall float64) map[string]float64 {
-		return map[string]float64{"f/perf/events_per_sec": eps, "f/perf/wall_ms": wall}
+	mk := func(eps, ns float64) map[string]float64 {
+		return map[string]float64{"w/seed1/bench/events_per_sec": eps, "w/seed1/bench/host_ns_per_op": ns}
 	}
-	// events_per_sec decays 8%/run (pairwise-invisible at 25%), wall_ms
-	// improves monotonically.
+	// events_per_sec decays 8%/run (pairwise-invisible at 25%),
+	// host_ns_per_op improves monotonically.
 	ix := seqIndex(t, []map[string]float64{mk(1000, 90), mk(920, 80), mk(846, 70), mk(779, 60)})
 	rep := mustTrend(t, ix, []string{"r1", "r2", "r3", "r4"})
 	if len(rep.Findings) != 1 {
 		t.Fatalf("want only the throughput decay flagged, got %+v", rep.Findings)
 	}
 	f := rep.Findings[0]
-	if f.Path != "f/perf/events_per_sec" || f.Direction != "down" || f.Class != "perf" {
+	if f.Path != "w/seed1/bench/events_per_sec" || f.Direction != "down" || f.Class != "perf" {
 		t.Fatalf("bad finding: %+v", f)
 	}
 }

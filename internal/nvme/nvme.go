@@ -18,7 +18,6 @@ package nvme
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"falcon/internal/core"
@@ -338,7 +337,7 @@ type Client struct {
 	// Outstanding writes awaiting their completion push.
 	writes map[uint64]*clientWrite
 
-	// waiting holds read pulls the TL refused.
+	// waiting holds read pulls and write command pushes the TL refused.
 	waiting waitQueue
 }
 
@@ -411,7 +410,10 @@ func (c *Client) Read(lba uint64, n int, done func(error)) error {
 }
 
 // Write issues an n-byte write; the command is pushed, the controller
-// pulls the data, and done fires on the completion push.
+// pulls the data, and done fires on the completion push. A command push
+// refused by transaction-layer backpressure waits for the connection's Xon
+// edge behind the client's other waiting work; on a dead connection done
+// fires once with its error.
 func (c *Client) Write(lba uint64, n int, done func(error)) error {
 	id := c.nextWriteID
 	c.nextWriteID++
@@ -419,10 +421,19 @@ func (c *Client) Write(lba uint64, n int, done func(error)) error {
 	binary.BigEndian.PutUint32(cmd, uint32(n))
 	binary.BigEndian.PutUint32(cmd[4:], uint32(lba))
 	c.writes[id] = &clientWrite{total: n, done: done}
-	if _, err := c.ep.TL().PushOp(opWriteCmd, id, cmd, uint32(len(cmd)), nil); err != nil {
-		delete(c.writes, id)
-		return fmt.Errorf("nvme write cmd: %w", err)
-	}
+	c.waiting.submit(func() bool {
+		if _, err := c.ep.TL().PushOp(opWriteCmd, id, cmd, uint32(len(cmd)), nil); err != nil {
+			dead := c.ep.TL().Dead()
+			if dead == nil {
+				return false
+			}
+			delete(c.writes, id)
+			if done != nil {
+				done(dead)
+			}
+		}
+		return true
+	})
 	return nil
 }
 

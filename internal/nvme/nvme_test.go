@@ -6,6 +6,7 @@ import (
 
 	"falcon/internal/core"
 	"falcon/internal/falcon/tl"
+	"falcon/internal/falcon/wire"
 	"falcon/internal/netsim"
 	"falcon/internal/sim"
 )
@@ -182,9 +183,10 @@ func TestConcurrentMixedLoad(t *testing.T) {
 // TestDeadConnectionStopsRetries: a refusal on a dead connection ends the
 // command instead of parking it for an Xon edge that never comes, so a
 // failed connection lets the simulator go quiet. The client's Read completes its
-// never-issued chunks with the connection's error (done fires once); the
-// controller drops a Write whose connection dies mid-transfer instead of
-// parking its completion push forever.
+// never-issued chunks with the connection's error (done fires once), and so
+// does a Write whose command push is refused; the controller drops a Write
+// whose connection dies mid-transfer instead of parking its completion push
+// forever.
 func TestDeadConnectionStopsRetries(t *testing.T) {
 	quiet := func(t *testing.T, s *sim.Simulator) {
 		t.Helper()
@@ -206,6 +208,19 @@ func TestDeadConnectionStopsRetries(t *testing.T) {
 		quiet(t, s)
 		if calls != 1 || got == nil {
 			t.Fatalf("done fired %d times, last error %v; want once with an error", calls, got)
+		}
+	})
+	t.Run("write-cmd", func(t *testing.T) {
+		s, client, _, _ := setup(t, DefaultDeviceConfig())
+		client.ep.PDL().Fail()
+		calls := 0
+		var got error
+		if err := client.Write(0, 64<<10, func(err error) { calls++; got = err }); err != nil {
+			t.Fatal(err)
+		}
+		quiet(t, s)
+		if calls != 1 || got == nil || len(client.writes) != 0 {
+			t.Fatalf("done fired %d times, last error %v, %d writes held; want once with an error, none held", calls, got, len(client.writes))
 		}
 	})
 	t.Run("write", func(t *testing.T) {
@@ -240,8 +255,6 @@ func TestCommandsResumeOnXon(t *testing.T) {
 	s, client, ctrl, _ := setupNodes(t, DefaultDeviceConfig(), starved, starved)
 	done := 0
 	for i := 0; i < 8; i++ {
-		// Write commands go first: a refused command push is returned to
-		// the caller rather than parked.
 		post := client.Write
 		if i >= 4 {
 			post = client.Read
@@ -266,5 +279,58 @@ func TestCommandsResumeOnXon(t *testing.T) {
 	}
 	if len(client.waiting.fns) != 0 || len(ctrl.waiting.fns) != 0 {
 		t.Fatalf("%d client and %d controller entries still parked", len(client.waiting.fns), len(ctrl.waiting.fns))
+	}
+}
+
+// cmdLog records the write command IDs the controller receives, in
+// arrival order.
+type cmdLog struct {
+	*ctrlTarget
+	ids []uint64
+}
+
+func (l *cmdLog) HandlePush(rsn uint64, p *wire.Packet) tl.TargetVerdict {
+	l.ids = append(l.ids, p.Addr)
+	return l.ctrlTarget.HandlePush(rsn, p)
+}
+
+// TestWriteCommandsParkOnXon starves the client's TX-request pool to one
+// context, so all but one of a burst of Writes have their command push
+// refused. Every Write still returns nil, each completes exactly once, and
+// the commands reach the controller in post order.
+func TestWriteCommandsParkOnXon(t *testing.T) {
+	starved := core.DefaultNodeConfig()
+	starved.Resources.Pools[tl.PoolTxReq].Contexts = 1
+	s, client, ctrl, _ := setupNodes(t, DefaultDeviceConfig(), starved, core.DefaultNodeConfig())
+	log := &cmdLog{ctrlTarget: (*ctrlTarget)(ctrl)}
+	ctrl.ep.SetTarget(log)
+	const n = 8
+	calls := make([]int, n)
+	for i := 0; i < n; i++ {
+		if err := client.Write(uint64(i)<<16, 16<<10, func(err error) {
+			if err != nil {
+				t.Errorf("write %d failed: %v", i, err)
+			}
+			calls[i]++
+		}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	s.Run()
+	for i, c := range calls {
+		if c != 1 {
+			t.Errorf("write %d completed %d times, want once", i, c)
+		}
+	}
+	if client.ep.TL().Stats.Backpressured == 0 {
+		t.Fatal("no command push was refused: the test did not exercise parking")
+	}
+	if len(log.ids) != n {
+		t.Fatalf("controller received %d commands, want %d", len(log.ids), n)
+	}
+	for i, id := range log.ids {
+		if id != uint64(i+1) {
+			t.Fatalf("commands arrived in order %v, want post order", log.ids)
+		}
 	}
 }

@@ -6,8 +6,8 @@ package telemetry_test
 // metric added to sinks.go without a doc row fails here, so the
 // reference cannot silently rot. The inverse direction (names
 // documented but never emitted) is deliberately not enforced: the doc
-// also covers the perf layer cells the lake indexer synthesizes from
-// falconbench/v1 reports.
+// also covers the bench layer cells the lake indexer synthesizes from
+// bench records.
 
 import (
 	"os"
