@@ -28,8 +28,8 @@ func remoteRun(opBytes int, write bool, window int) (gbps float64, iops float64,
 	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
 	epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
 	dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
-	nvme.NewController(epB, dev, 4096)
-	client := nvme.NewClient(epA, 4096)
+	nvme.NewController(epB, dev)
+	client := nvme.NewClient(epA)
 
 	var bytesDone uint64
 	var ops uint64

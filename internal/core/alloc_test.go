@@ -54,10 +54,9 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // The rdma cases hold the Pull path's ULP mapping to the same bound, per
 // 64 KiB Read (16 transactions): with default pools, and with the
 // initiator's RX-response pool cut below what the window solicits, so that
-// most Reads are refused mid-op, wait in the QP's send queue and resume on
-// the Xon edge — the regime of the incast benchmark, where a refusal or a
-// resumption that allocates costs hundreds of objects per op. `make check`
-// runs this.
+// most Reads are refused mid-op, park in the TL and resume on the Xon edge
+// — the regime of the incast benchmark, where a refusal or a resumption
+// that allocates costs hundreds of objects per op. `make check` runs this.
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	t.Run("tl-push-pull", testTLSteadyStateAllocs)
 	t.Run("rdma-read", func(t *testing.T) { testReadSteadyStateAllocs(t, false) })
@@ -85,7 +84,7 @@ func testTLSteadyStateAllocs(t *testing.T) {
 		completed++
 		pump()
 	}
-	pump = func() {
+	issue := func() bool {
 		for inFlight < window && issued < limit {
 			var err error
 			if issued%2 == 0 {
@@ -94,13 +93,18 @@ func testTLSteadyStateAllocs(t *testing.T) {
 				_, err = epA.Pull(opBytes, done)
 			}
 			if err != nil {
-				return // backpressure: the Xon callback re-pumps
+				return false // backpressure: parked until the Xon edge
 			}
 			inFlight++
 			issued++
 		}
+		return true
 	}
-	epA.TL().SetXonCallback(pump)
+	pump = func() {
+		if epA.TL().Parked() == 0 {
+			epA.TL().Submit(issue)
+		}
+	}
 
 	runOps := func(n int) {
 		limit += n

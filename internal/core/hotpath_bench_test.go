@@ -53,7 +53,7 @@ func benchTransport(b *testing.B, pull bool) {
 		completed++
 		pump()
 	}
-	pump = func() {
+	issue := func() bool {
 		for inFlight < window && issued < b.N {
 			var err error
 			if pull {
@@ -62,13 +62,18 @@ func benchTransport(b *testing.B, pull bool) {
 				_, err = epA.Push(nil, opBytes, done)
 			}
 			if err != nil {
-				return // backpressure: the Xon callback re-pumps
+				return false // backpressure: parked until the Xon edge
 			}
 			inFlight++
 			issued++
 		}
+		return true
 	}
-	epA.TL().SetXonCallback(pump)
+	pump = func() {
+		if epA.TL().Parked() == 0 {
+			epA.TL().Submit(issue)
+		}
+	}
 
 	b.ReportAllocs()
 	b.ResetTimer()

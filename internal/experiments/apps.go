@@ -168,8 +168,8 @@ func Table4(o Options, runFor time.Duration) *Table {
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
 		epA, epB := cl.Connect(a, b, multipathConn())
 		dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
-		nvme.NewController(epB, dev, 4096)
-		client := nvme.NewClient(epA, 4096)
+		nvme.NewController(epB, dev)
+		client := nvme.NewClient(epA)
 		var bytesDone uint64
 		issuer := workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {
 			fn := func(err error) {

@@ -10,8 +10,9 @@ import (
 )
 
 // ErrBackpressured reports that the connection is Xoff'd: its resource
-// usage exceeds the (dynamic-threshold) share it is allowed (§4.6). The ULP
-// should retry when notified via the Xon callback.
+// usage exceeds the (dynamic-threshold) share it is allowed (§4.6). Work
+// the ULP submitted through Conn.Submit is parked and resumed on the Xon
+// edge.
 var ErrBackpressured = errors.New("tl: connection backpressured (xoff)")
 
 // ErrCIE reports a transaction completed-in-error by the target ULP (§4.4).
@@ -168,10 +169,10 @@ type Stats struct {
 	RequestsServed uint64
 }
 
-// fifo is a head-indexed FIFO (deferred pull responses, waiting
-// connections). Like pdl's pktQueue it compacts once the consumed prefix
-// is both past 64 entries and at least half the buffer, so a backlog that
-// never drains to empty still keeps a bounded buffer.
+// fifo is a head-indexed FIFO (deferred pull responses, parked work,
+// waiting connections). Like pdl's pktQueue it compacts once the consumed
+// prefix is both past 64 entries and at least half the buffer, so a backlog
+// that never drains to empty still keeps a bounded buffer.
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -198,7 +199,9 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-// Conn is one Falcon connection's transaction layer.
+// Conn is one Falcon connection's transaction layer. Toward the ULP it
+// issues Push and Pull transactions of at most MTU bytes, and it holds the
+// ULP work it refused in a park queue until its Xon edge (see Submit).
 type Conn struct {
 	sim    *sim.Simulator
 	cfg    Config
@@ -217,11 +220,13 @@ type Conn struct {
 	pool *wire.PacketPool
 
 	// Initiator state.
-	nextRSN     uint64
-	txns        rsnTable[*txn]
-	releaseRSN  uint64 // next RSN to release to the ULP (ordered)
-	xonCallback func()
-	wasXoff     bool
+	nextRSN    uint64
+	txns       rsnTable[*txn]
+	releaseRSN uint64 // next RSN to release to the ULP (ordered)
+	wasXoff    bool
+	// parked holds, in submit order, the ULP work the connection refused
+	// and the work submitted behind it (see Submit).
+	parked fifo[func() bool]
 
 	// Target state.
 	expectedRSN  uint64
@@ -381,15 +386,36 @@ func (c *Conn) SetAlpha(a float64) {
 	}
 }
 
-// SetXonCallback registers the ULP's resume hook, invoked when a
-// backpressured connection regains resource headroom, and once more after
-// a connection that refused work fails, so work the ULP parked can see
-// Dead. A connection refused before the hook was installed is armed by
-// installing it.
-func (c *Conn) SetXonCallback(fn func()) {
-	c.xonCallback = fn
-	if fn != nil && c.wasXoff {
-		c.res.enqueue(c)
+// MTU returns the largest transaction payload the connection accepts;
+// ULPs segment their operations by it.
+func (c *Conn) MTU() int { return c.cfg.MTU }
+
+// Submit is how a ULP issues work under backpressure. work tries to issue
+// and reports whether it is done: issued, or ended because the connection
+// is dead. Submit runs work at once unless earlier work is parked, in which
+// case work queues behind it; work that is not done is parked. The Xon edge
+// resumes parked work from the head and stops at the first item refused
+// again, and after the connection fails parked work runs once more, so that
+// it sees Dead and ends. Binding work once per ULP descriptor keeps parking
+// allocation-free.
+func (c *Conn) Submit(work func() bool) {
+	if c.parked.len() > 0 || !work() {
+		c.parked.push(work)
+	}
+}
+
+// Parked reports how many submitted items wait for the Xon edge.
+func (c *Conn) Parked() int { return c.parked.len() }
+
+// resumeParked runs parked work in submit order, stopping at the first item
+// refused again. An item stays at the head while it runs, so work submitted
+// from inside it queues behind.
+func (c *Conn) resumeParked() {
+	for c.parked.len() > 0 {
+		if !c.parked.peek()() {
+			return
+		}
+		c.parked.pop()
 	}
 }
 
@@ -436,11 +462,10 @@ func (c *Conn) xoffed() bool {
 }
 
 // needy reports whether onResourcesFreed would do something: a deferred
-// response to drain, or an Xon edge to signal. Without an Xon callback
-// there is no edge to signal, so a refused ULP that installed none never
-// costs a Release anything.
+// response to drain, or an Xon edge to signal. Every refusal arms the edge,
+// whether or not work was parked; the edge disarms it.
 func (c *Conn) needy() bool {
-	return (c.wasXoff && c.xonCallback != nil || c.pendingResponses.len() > 0) && c.dead == nil
+	return (c.wasXoff || c.pendingResponses.len() > 0) && c.dead == nil
 }
 
 // noteXoff records a refusal and arms the Xon edge. A refusal by a full
@@ -449,7 +474,7 @@ func (c *Conn) needy() bool {
 func (c *Conn) noteXoff(full bool) {
 	c.Stats.Backpressured++
 	c.wasXoff = true
-	if full && c.xonCallback != nil {
+	if full {
 		c.res.enqueue(c)
 	}
 }
@@ -561,13 +586,13 @@ func (c *Conn) sendRequest(t *txn) {
 	c.ctrl.SendPacket(p)
 }
 
-// onResourcesFreed drains deferred responses and signals Xon to the ULP
-// unless the DT threshold still refuses it. Release calls it only on a
-// needy connection.
+// onResourcesFreed drains deferred responses and, on the Xon edge (the DT
+// threshold no longer refuses a refused connection), resumes parked work.
+// Release calls it only on a needy connection.
 func (c *Conn) onResourcesFreed() {
 	c.drainPendingResponses()
-	if c.wasXoff && c.xonCallback != nil && !c.xoffed() {
+	if c.wasXoff && !c.xoffed() {
 		c.wasXoff = false
-		c.xonCallback()
+		c.resumeParked()
 	}
 }

@@ -376,11 +376,10 @@ func (c *Conn) Fail(err error) {
 	for c.pendingResponses.len() > 0 {
 		c.pool.Release(c.pendingResponses.pop())
 	}
-	// A ULP that parked refused work waits for an Xon edge that a dead
-	// connection would never send: fire it once, after this teardown, so
-	// the ULP sees Dead and fails what it parked.
-	if c.wasXoff && c.xonCallback != nil {
-		c.sim.After(0, c.xonCallback)
+	// Parked work waits for an Xon edge that a dead connection would never
+	// send: resume it once, after this teardown, so it sees Dead and ends.
+	if c.wasXoff {
+		c.sim.After(0, c.resumeParked)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package tl implements Falcon's Transaction Layer (§4.4–§4.6): the
 // request-response transaction interface offered to ULPs, on-NIC resource
 // admission with deadlock-free carving, RSN-based ordering, RNR/CIE error
-// semantics, and dynamic-threshold connection isolation.
+// semantics, and dynamic-threshold connection isolation with Xon/Xoff
+// backpressure: work a connection refuses is parked in the connection and
+// resumed on its Xon edge (Conn.Submit).
 package tl
 
 import (

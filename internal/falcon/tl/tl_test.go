@@ -341,67 +341,73 @@ func TestBackpressureStaticThreshold(t *testing.T) {
 	if _, err := e.a.Push(nil, 100, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.a.Push(nil, 100, nil)
-	if !errors.Is(err, ErrBackpressured) {
-		t.Fatalf("expected backpressure, got %v", err)
+	var errs []error
+	e.a.Submit(func() bool {
+		_, err := e.a.Push(nil, 100, nil)
+		errs = append(errs, err)
+		return err == nil
+	})
+	if len(errs) != 1 || !errors.Is(errs[0], ErrBackpressured) || e.a.Parked() != 1 {
+		t.Fatalf("submitted push: attempts %v, %d parked; want one ErrBackpressured, parked", errs, e.a.Parked())
 	}
 	if e.a.Stats.Backpressured == 0 {
 		t.Fatal("backpressure not counted")
 	}
 	// Xon fires once resources drain — once per Xoff episode, not once per
-	// release.
-	xon := 0
-	e.a.SetXonCallback(func() { xon++ })
+	// release — and resumes the parked push, which is then admitted.
 	e.s.Run()
-	if xon != 1 {
-		t.Fatalf("Xon callback fired %d times, want exactly 1", xon)
+	if len(errs) != 2 || errs[1] != nil || e.a.Parked() != 0 {
+		t.Fatalf("after drain: attempts %v, %d parked; want exactly one resume, admitted", errs, e.a.Parked())
 	}
 	if _, err := e.a.Push(nil, 100, nil); err != nil {
 		t.Fatalf("push after Xon: %v", err)
 	}
 }
 
-// TestNeedyOnlyWithXonCallback is the regression test for the sticky
-// wake-up interest: a ULP without an Xon callback can be
-// refused any number of times without making its connection needy, so it
-// costs Release on its node nothing; installing a callback after a refusal
-// arms the edge, and the edge clears the interest.
-func TestNeedyOnlyWithXonCallback(t *testing.T) {
+// TestBareRefusalsWakeBounded is the regression test for the sticky
+// wake-up interest. A ULP that refuses to park may be refused any number of
+// times, by its DT threshold and by a full pool: the connection waits in
+// the pool's waiter FIFO at most once, so the next release wakes it at most
+// twice (the releasing connection's self check and the FIFO walk), and the
+// Xon edge disarms it so later releases wake nothing.
+func TestBareRefusalsWakeBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Backpressure = BackpressureStatic
-	cfg.StaticAlpha = 0.00005 // threshold below one context
+	cfg.StaticAlpha = 1 // over the threshold once it holds the pool's last context
 	e := newEnv(t, cfg)
+	e.resA.pools[PoolTxReq].cfg.Contexts = 2
+	e.ctrlA.holdRequests = true // nothing is acked until released
+	// The connection holds one TxReq context and a direct caller the
+	// other, so the pool is full and any holding is over the threshold.
 	if _, err := e.a.Push(nil, 100, nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := e.resA.Reserve(PoolTxReq, 99, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Alternate DT refusals with full-pool ones (the latter with the
+	// threshold switched off).
 	for i := 0; i < 100; i++ {
-		if _, err := e.a.Push(nil, 100, nil); !errors.Is(err, ErrBackpressured) {
-			t.Fatalf("refusal %d: got %v", i, err)
-		}
-		if needyConns(e.resA) != 0 {
-			t.Fatalf("refusal %d made a connection without an Xon callback needy", i)
+		e.a.cfg.Backpressure = []BackpressureMode{BackpressureStatic, BackpressureNone}[i%2]
+		if _, err := e.a.Push(nil, 100, nil); err == nil {
+			t.Fatalf("refusal %d was admitted", i)
 		}
 	}
-	xon := 0
-	e.a.SetXonCallback(func() { xon++ })
-	if needyConns(e.resA) != 1 {
-		t.Fatalf("needy = %d after installing a callback on a refused connection, want 1", needyConns(e.resA))
+	e.a.cfg.Backpressure = BackpressureStatic
+	if e.a.Stats.Backpressured != 100 {
+		t.Fatalf("counted %d refusals, want 100", e.a.Stats.Backpressured)
 	}
-	e.s.Run()
-	if xon != 1 || needyConns(e.resA) != 0 {
-		t.Fatalf("after drain: xon fired %d times (want 1), needy = %d (want 0)", xon, needyConns(e.resA))
+	if n, w := needyConns(e.resA), e.resA.waiters.len(); n != 1 || w != 1 {
+		t.Fatalf("after 100 refusals: %d needy connections, %d waiters; want 1 and 1", n, w)
 	}
-	// Removing the callback from a refused connection disarms it again.
-	if _, err := e.a.Push(nil, 100, nil); err != nil {
-		t.Fatal(err)
+	// One release: at most the self check and one FIFO entry, and the edge
+	// disarms the connection.
+	e.resA.Release(PoolTxReq, 99, 0)
+	if n, w := needyConns(e.resA), e.resA.waiters.len(); n != 0 || w != 0 {
+		t.Fatalf("after one release: %d needy connections, %d waiters; want 0 and 0", n, w)
 	}
-	if _, err := e.a.Push(nil, 100, nil); !errors.Is(err, ErrBackpressured) || needyConns(e.resA) != 1 {
-		t.Fatalf("refusal with a callback installed: err %v, needy %d", err, needyConns(e.resA))
-	}
-	e.a.SetXonCallback(nil)
-	if needyConns(e.resA) != 0 {
-		t.Fatalf("needy = %d after removing the callback, want 0", needyConns(e.resA))
-	}
+	e.ctrlA.holdRequests = false
+	e.ctrlA.releaseHeld(0)
 	e.s.Run()
 }
 
@@ -582,9 +588,23 @@ func TestReleaseWakeBounded(t *testing.T) {
 	dt.StaticAlpha = 1e-6 // any holding is over the threshold
 	cfg := DefaultConfig()
 	cfg.Backpressure = BackpressureNone // every wake of a refused connection signals Xon
-	newConn := func(cfg Config, xon func()) *Conn {
-		c := NewConn(s, 0, cfg, res, nopCtrl{}, nil)
-		c.SetXonCallback(xon)
+	newConn := func(cfg Config) *Conn { return NewConn(s, 0, cfg, res, nopCtrl{}, nil) }
+	// park submits work to c whose first run is a push the TL must refuse
+	// with want; each later run is a wake, calling wake, which reports
+	// whether the work is done.
+	park := func(c *Conn, want error, wake func(c *Conn) bool) *Conn {
+		t.Helper()
+		first := true
+		c.Submit(func() bool {
+			if first {
+				first = false
+				if _, err := c.Push(nil, 0, nil); !errors.Is(err, want) {
+					t.Fatalf("first push: %v, want %v", err, want)
+				}
+				return false
+			}
+			return wake(c)
+		})
 		return c
 	}
 
@@ -592,25 +612,21 @@ func TestReleaseWakeBounded(t *testing.T) {
 	// context: subs[0] the only TxReq context, the others a TxResp one.
 	// Then one connection refused by the full TxReq pool.
 	subWakes := 0
+	subWake := func(*Conn) bool { subWakes++; return true }
 	subs := make([]*Conn, 1000)
 	for i := range subs {
-		subs[i] = newConn(dt, func() { subWakes++ })
 		k := PoolTxResp
 		if i == 0 {
 			k = PoolTxReq
 		}
+		subs[i] = newConn(dt)
 		if err := res.Reserve(k, subs[i].key, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := subs[i].Push(nil, 0, nil); !errors.Is(err, ErrBackpressured) {
-			t.Fatalf("connection %d over its DT threshold: %v", i, err)
-		}
+		park(subs[i], ErrBackpressured, subWake)
 	}
 	waiterWakes := 0
-	waiter := newConn(cfg, func() { waiterWakes++ })
-	if _, err := waiter.Push(nil, 0, nil); !errors.Is(err, ErrNoResources) {
-		t.Fatalf("push into a full pool: %v", err)
-	}
+	park(newConn(cfg), ErrNoResources, func(*Conn) bool { waiterWakes++; return true })
 	if n := res.waiters.len(); n != 1 {
 		t.Fatalf("%d connections wait for any release, want only the pool waiter", n)
 	}
@@ -622,22 +638,18 @@ func TestReleaseWakeBounded(t *testing.T) {
 
 	// Three pool waiters refused in the order 2, 0, 1, each re-issuing
 	// one push when woken.
-	holder := NewConn(s, 0, cfg, res, nopCtrl{}, nil)
+	holder := newConn(cfg)
 	if err := res.Reserve(PoolTxReq, holder.key, 0); err != nil {
 		t.Fatal(err)
 	}
 	var order []int
 	waiters := make([]*Conn, 3)
-	for i := range waiters {
-		waiters[i] = newConn(cfg, func() {
-			order = append(order, i)
-			_, _ = waiters[i].Push(nil, 0, nil)
-		})
-	}
 	for _, i := range []int{2, 0, 1} {
-		if _, err := waiters[i].Push(nil, 0, nil); !errors.Is(err, ErrNoResources) {
-			t.Fatalf("waiter %d: %v", i, err)
-		}
+		waiters[i] = park(newConn(cfg), ErrNoResources, func(c *Conn) bool {
+			order = append(order, i)
+			_, err := c.Push(nil, 0, nil)
+			return err == nil
+		})
 	}
 	// Waiter 2 takes the freed context; waiter 0 is refused again and
 	// ends the walk, so waiter 1 keeps its place at the head.
@@ -654,7 +666,8 @@ func TestReleaseWakeBounded(t *testing.T) {
 	}
 }
 
-// xonULP issues ops until the TL refuses one and resumes only on Xon.
+// xonULP issues ops until the TL refuses one; submitted to the TL, it
+// resumes only on Xon.
 type xonULP struct {
 	t         *testing.T
 	c         *Conn
@@ -665,7 +678,7 @@ type xonULP struct {
 	completed int
 }
 
-func (u *xonULP) issue() {
+func (u *xonULP) issue() bool {
 	for u.issued < u.ops {
 		var err error
 		if u.pull {
@@ -677,10 +690,11 @@ func (u *xonULP) issue() {
 			if !errors.Is(err, ErrNoResources) && !errors.Is(err, ErrBackpressured) {
 				u.t.Errorf("conn %d: %v", u.c.ID(), err)
 			}
-			return
+			return false
 		}
 		u.issued++
 	}
+	return true
 }
 
 func (u *xonULP) done(_ []byte, err error) {
@@ -721,10 +735,9 @@ func TestXonLiveness(t *testing.T) {
 			ctrlB.self, ctrlB.peer = &bs[i], &as[i]
 			ulps[i] = &xonULP{t: t, c: as[i], pull: rng.Intn(2) == 0,
 				size: uint32(rng.Intn(4097)), ops: 1 + rng.Intn(40)}
-			as[i].SetXonCallback(ulps[i].issue)
 		}
 		for _, u := range ulps {
-			u.issue()
+			u.c.Submit(u.issue)
 		}
 		s.Run()
 		refused := uint64(0)
@@ -733,6 +746,11 @@ func TestXonLiveness(t *testing.T) {
 			if u.completed != u.ops {
 				t.Fatalf("seed %d (%d conns, alpha %.2f, pools %+v): conn %d completed %d of %d ops",
 					seed, n, cfg.StaticAlpha, rc.Pools, i, u.completed, u.ops)
+			}
+		}
+		for i := range as {
+			if n := as[i].Parked(); n != 0 {
+				t.Fatalf("seed %d: conn %d still has %d parked", seed, i, n)
 			}
 		}
 		if a, b := needyConns(resA), needyConns(resB); a != 0 || b != 0 {

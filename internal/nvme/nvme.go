@@ -10,6 +10,10 @@
 //     controller→client on the same bidirectional Falcon connection), and
 //     a completion push closes the command — the NVMe CQE.
 //
+// Both ends segment data by their connection's MTU and submit every
+// transaction through tl.Conn.Submit: work the transaction layer refuses is
+// parked there and resumes on the connection's Xon edge.
+//
 // The Device type is the SSD substitute (the paper used real SSDs):
 // per-channel parallelism, per-op base latency, bandwidth caps and an
 // optional IOPS limit, enough to reproduce Table 4's relative numbers.
@@ -128,16 +132,12 @@ func (d *Device) Write(n int, done func()) {
 type Controller struct {
 	ep  *core.Endpoint
 	dev *Device
-	mtu int
 
 	// Pending write commands being gathered from the client.
 	writes map[uint64]*writeState
 	// Pending read commands: one device operation serves every pull
 	// chunk of the command.
 	reads map[uint64]*readState
-
-	// waiting holds data pulls and completion pushes the TL refused.
-	waiting waitQueue
 }
 
 type readState struct {
@@ -162,45 +162,14 @@ type writeState struct {
 
 // NewController attaches a controller (and its device) to a Falcon
 // endpoint.
-func NewController(ep *core.Endpoint, dev *Device, mtu int) *Controller {
-	if mtu <= 0 {
-		mtu = 4096
-	}
+func NewController(ep *core.Endpoint, dev *Device) *Controller {
 	c := &Controller{
-		ep: ep, dev: dev, mtu: mtu,
+		ep: ep, dev: dev,
 		writes: make(map[uint64]*writeState),
 		reads:  make(map[uint64]*readState),
 	}
 	ep.SetTarget((*ctrlTarget)(c))
-	ep.TL().SetXonCallback(c.waiting.resume)
 	return c
-}
-
-// waitQueue is the work an endpoint's TL refused, in refusal order. Each
-// entry retries its work and reports whether it is done: issued, or ended
-// because the connection died. The connection's Xon edge resumes the queue
-// from the head and stops at the first entry refused again, and new work
-// queues behind waiting work. After the connection dies the TL fires the
-// edge once more, so every entry sees Dead and ends.
-type waitQueue struct{ fns []func() bool }
-
-// submit runs fn, or queues it behind the work already waiting; fn waits
-// at the tail if the TL refuses it.
-func (q *waitQueue) submit(fn func() bool) {
-	if len(q.fns) > 0 || !fn() {
-		q.fns = append(q.fns, fn)
-	}
-}
-
-// resume is the Xon callback.
-func (q *waitQueue) resume() {
-	for len(q.fns) > 0 {
-		if !q.fns[0]() {
-			return
-		}
-		q.fns[0] = nil
-		q.fns = q.fns[1:]
-	}
 }
 
 // ctrlTarget is the controller's TL handler.
@@ -229,17 +198,18 @@ func (c *Controller) pullWriteData(ws *writeState) {
 		c.dev.Write(0, func() { c.finishWrite(ws, nil) })
 		return
 	}
-	c.waiting.submit(func() bool { return c.issueWriteData(ws) })
+	c.ep.TL().Submit(func() bool { return c.issueWriteData(ws) })
 }
 
 // issueWriteData issues ws's data pulls from ws.issued on and reports
-// whether it is done, as a waitQueue entry.
+// whether it is done, as tl.Conn.Submit work.
 func (c *Controller) issueWriteData(ws *writeState) bool {
+	mtu := c.ep.TL().MTU()
 	for ws.issued < ws.total {
 		off := ws.issued
 		seg := ws.total - off
-		if seg > c.mtu {
-			seg = c.mtu
+		if seg > mtu {
+			seg = mtu
 		}
 		segLen := seg
 		if _, err := c.ep.TL().PullOp(opWriteData, ws.id<<32|uint64(off), uint32(seg), func(_ []byte, err error) {
@@ -274,7 +244,7 @@ func (c *Controller) finishWrite(ws *writeState, err error) {
 	if err != nil {
 		status[0] = 1
 	}
-	c.waiting.submit(func() bool {
+	c.ep.TL().Submit(func() bool {
 		_, e := c.ep.TL().PushOp(opCompletion, ws.id, status, 1, nil)
 		return e == nil || c.ep.TL().Dead() != nil
 	})
@@ -285,7 +255,8 @@ func (c *Controller) finishWrite(ws *writeState, err error) {
 // carry the same read ID: the first chunk starts a single device command
 // for the whole read, and every chunk's response is released when that
 // command completes (an NVMe read is one device operation regardless of
-// how the transport segments the data).
+// how the transport segments the data). Both ends of a connection share its
+// MTU, so the controller counts the chunks the client sends.
 func (t *ctrlTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl.TargetVerdict) {
 	c := (*Controller)(t)
 	if p.UlpOp != opRead {
@@ -296,8 +267,8 @@ func (t *ctrlTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl.
 	rs, ok := c.reads[id]
 	if !ok {
 		expected := 1
-		if total > c.mtu {
-			expected = (total + c.mtu - 1) / c.mtu
+		if mtu := c.ep.TL().MTU(); total > mtu {
+			expected = (total + mtu - 1) / mtu
 		}
 		rs = &readState{expected: expected}
 		c.reads[id] = rs
@@ -329,16 +300,12 @@ func (t *ctrlTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl.
 
 // Client is the initiator-side NVMe-over-Falcon API.
 type Client struct {
-	ep  *core.Endpoint
-	mtu int
+	ep *core.Endpoint
 
 	nextWriteID uint64
 	nextReadID  uint64
 	// Outstanding writes awaiting their completion push.
 	writes map[uint64]*clientWrite
-
-	// waiting holds read pulls and write command pushes the TL refused.
-	waiting waitQueue
 }
 
 type clientWrite struct {
@@ -351,13 +318,9 @@ var ErrDevice = errors.New("nvme: device error")
 
 // NewClient attaches a client to a Falcon endpoint; its TL handler serves
 // the controller's data pulls and completion pushes.
-func NewClient(ep *core.Endpoint, mtu int) *Client {
-	if mtu <= 0 {
-		mtu = 4096
-	}
-	c := &Client{ep: ep, mtu: mtu, nextWriteID: 1, writes: make(map[uint64]*clientWrite)}
+func NewClient(ep *core.Endpoint) *Client {
+	c := &Client{ep: ep, nextWriteID: 1, writes: make(map[uint64]*clientWrite)}
 	ep.SetTarget((*clientTarget)(c))
-	ep.TL().SetXonCallback(c.waiting.resume)
 	return c
 }
 
@@ -370,9 +333,10 @@ func NewClient(ep *core.Endpoint, mtu int) *Client {
 func (c *Client) Read(lba uint64, n int, done func(error)) error {
 	id := c.nextReadID
 	c.nextReadID++
+	mtu := c.ep.TL().MTU()
 	segs := 1
-	if n > c.mtu {
-		segs = (n + c.mtu - 1) / c.mtu
+	if n > mtu {
+		segs = (n + mtu - 1) / mtu
 	}
 	remaining := segs
 	var firstErr error
@@ -387,11 +351,11 @@ func (c *Client) Read(lba uint64, n int, done func(error)) error {
 	}
 	addr := id<<32 | uint64(uint32(n))
 	i, off := 0, 0
-	c.waiting.submit(func() bool {
+	c.ep.TL().Submit(func() bool {
 		for ; i < segs; i++ {
 			seg := n - off
-			if seg > c.mtu {
-				seg = c.mtu
+			if seg > mtu {
+				seg = mtu
 			}
 			if _, err := c.ep.TL().PullOp(opRead, addr, uint32(seg), chunkDone); err != nil {
 				if dead := c.ep.TL().Dead(); dead != nil {
@@ -421,7 +385,7 @@ func (c *Client) Write(lba uint64, n int, done func(error)) error {
 	binary.BigEndian.PutUint32(cmd, uint32(n))
 	binary.BigEndian.PutUint32(cmd[4:], uint32(lba))
 	c.writes[id] = &clientWrite{total: n, done: done}
-	c.waiting.submit(func() bool {
+	c.ep.TL().Submit(func() bool {
 		if _, err := c.ep.TL().PushOp(opWriteCmd, id, cmd, uint32(len(cmd)), nil); err != nil {
 			dead := c.ep.TL().Dead()
 			if dead == nil {

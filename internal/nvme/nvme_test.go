@@ -22,15 +22,21 @@ func setup(t *testing.T, devCfg DeviceConfig) (*sim.Simulator, *Client, *Control
 // configured by cfgA and cfgB.
 func setupNodes(t *testing.T, devCfg DeviceConfig, cfgA, cfgB core.NodeConfig) (*sim.Simulator, *Client, *Controller, *Device) {
 	t.Helper()
+	return setupConn(t, devCfg, cfgA, cfgB, core.DefaultConnConfig())
+}
+
+// setupConn is setupNodes over a connection configured by connCfg.
+func setupConn(t *testing.T, devCfg DeviceConfig, cfgA, cfgB core.NodeConfig, connCfg core.ConnConfig) (*sim.Simulator, *Client, *Controller, *Device) {
+	t.Helper()
 	s := sim.New(31)
 	topo, _ := netsim.PointToPoint(s, testLink)
 	cl := core.NewCluster(s)
 	a := cl.AddNode(topo.Hosts[0], cfgA)
 	b := cl.AddNode(topo.Hosts[1], cfgB)
-	epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
+	epA, epB := cl.Connect(a, b, connCfg)
 	dev := NewDevice(s, devCfg)
-	ctrl := NewController(epB, dev, 4096)
-	client := NewClient(epA, 4096)
+	ctrl := NewController(epB, dev)
+	client := NewClient(epA)
 	return s, client, ctrl, dev
 }
 
@@ -76,6 +82,35 @@ func TestLargeReadSegments(t *testing.T) {
 	}
 	if dev.BytesRead != 16<<10 {
 		t.Fatalf("device bytes = %d", dev.BytesRead)
+	}
+}
+
+// TestReadSegmentsByConnectionMTU: the client segments by its connection's
+// MTU and the controller counts chunks by the same MTU, so an 8 KiB read
+// over a 2 KiB-MTU connection is four pulls served by one device read, and
+// the controller forgets the read once its last chunk is served.
+func TestReadSegmentsByConnectionMTU(t *testing.T) {
+	connCfg := core.DefaultConnConfig()
+	connCfg.TL.MTU = 2048
+	s, client, ctrl, dev := setupConn(t, DefaultDeviceConfig(), core.DefaultNodeConfig(), core.DefaultNodeConfig(), connCfg)
+	calls := 0
+	if err := client.Read(0, 8<<10, func(err error) {
+		if err != nil {
+			t.Errorf("read: %v", err)
+		}
+		calls++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if calls != 1 {
+		t.Fatalf("done fired %d times, want once", calls)
+	}
+	if got := client.ep.TL().Stats.Pulls; got != 4 {
+		t.Fatalf("%d pulls for an 8 KiB read at MTU 2048, want 4", got)
+	}
+	if dev.Reads != 1 || len(ctrl.reads) != 0 {
+		t.Fatalf("device saw %d reads and the controller holds %d at quiescence, want 1 and 0", dev.Reads, len(ctrl.reads))
 	}
 }
 
@@ -277,8 +312,8 @@ func TestCommandsResumeOnXon(t *testing.T) {
 			t.Errorf("%s was never refused: the test did not exercise parking", name)
 		}
 	}
-	if len(client.waiting.fns) != 0 || len(ctrl.waiting.fns) != 0 {
-		t.Fatalf("%d client and %d controller entries still parked", len(client.waiting.fns), len(ctrl.waiting.fns))
+	if client.ep.TL().Parked() != 0 || ctrl.ep.TL().Parked() != 0 {
+		t.Fatalf("%d client and %d controller entries still parked", client.ep.TL().Parked(), ctrl.ep.TL().Parked())
 	}
 }
 

@@ -3,8 +3,11 @@
 // ATOMIC operations) and maps each operation onto Falcon transactions per
 // Table 2 — WRITE and SEND become Push transactions, READ and ATOMICs
 // become Pulls. Operations larger than one MTU are segmented into multiple
-// MTU-sized transactions (§4.4 "MTU Granularity"); ordered Falcon
-// connections provide the IB Verbs ordering the completions rely on.
+// transactions of the connection's MTU (§4.4 "MTU Granularity"); ordered
+// Falcon connections provide the IB Verbs ordering the completions rely on.
+// Work requests the transaction layer refuses wait in its park queue
+// (tl.Conn.Submit) and resume on the connection's Xon edge, so the QP keeps
+// no queue of its own.
 package rdma
 
 import (
@@ -38,13 +41,12 @@ type Completion struct {
 	Data []byte
 }
 
+// rnrRetryDelay is advertised to senders when a SEND finds no posted
+// receive.
+const rnrRetryDelay = 50 * time.Microsecond
+
 // Config parameterizes a QP.
 type Config struct {
-	// MTU bounds a single transaction (defaults to 4096).
-	MTU int
-	// RNRRetryDelay is advertised to senders when a SEND finds no
-	// posted receive.
-	RNRRetryDelay time.Duration
 	// WeaklyOrdered selects the iWARP model (§4.4): run over an
 	// *unordered* Falcon connection (out-of-order data placement) while
 	// the QP releases completions in work-request order. The underlying
@@ -86,11 +88,6 @@ type QP struct {
 	// pullFree is the same pool for READ/ATOMIC state (pullOp).
 	pullFree []*pullOp
 
-	// waiting holds, in post order, the work requests the TL refused, each
-	// with its segment cursor. The connection's Xon edge resumes the head,
-	// and a new post queues behind them, as on a real send queue.
-	waiting wqeQueue
-
 	// Stats
 	RNRs uint64
 }
@@ -101,7 +98,8 @@ const opPoolCap = 64
 
 // pushOp is the in-flight state of one WRITE or SEND work request: the
 // identity of the op, its segmentation cursor, and the segment-completion
-// callback pre-bound to this object so the issue loop allocates nothing.
+// and issue callbacks pre-bound to this object, so neither the issue loop
+// nor parking the op in the TL allocates.
 type pushOp struct {
 	qp   *QP
 	op   uint8
@@ -120,6 +118,7 @@ type pushOp struct {
 	nextIdx, nextOff int
 
 	segDoneFn func([]byte, error)
+	issueFn   func() bool
 }
 
 func (qp *QP) getPushOp() *pushOp {
@@ -130,6 +129,7 @@ func (qp *QP) getPushOp() *pushOp {
 	}
 	o := &pushOp{qp: qp}
 	o.segDoneFn = o.segDone
+	o.issueFn = o.issue
 	return o
 }
 
@@ -159,16 +159,16 @@ func (o *pushOp) segDone(_ []byte, err error) {
 	}
 }
 
-// issue issues the op's segments from its cursor on. It returns false when
-// the TL refused one, with the cursor at that segment, and true once every
-// segment is issued, or failed because the connection is dead. It reads the
-// op's fields into locals up front: the final segment's completion can
-// release (and a nested post can reuse) the object while the loop epilogue
-// still runs.
+// issue issues the op's segments from its cursor on, as tl.Conn.Submit
+// work: it returns false when the TL refused one, with the cursor at that
+// segment, and true once every segment is issued, or failed because the
+// connection is dead. It reads the op's fields into locals up front: the
+// final segment's completion can release (and a nested post can reuse) the
+// object while the loop epilogue still runs.
 func (o *pushOp) issue() bool {
 	qp, op, data, size, addr, nseg := o.qp, o.op, o.data, o.size, o.addr, o.nseg
 	i, off := o.nextIdx, o.nextOff
-	mtu := qp.cfg.MTU
+	mtu := qp.ep.TL().MTU()
 	segDone := o.segDoneFn
 	for ; i < nseg; i++ {
 		seg := size - off
@@ -209,13 +209,13 @@ func (qp *QP) postPush(op uint8, wrid, addr uint64, data []byte, size int, done 
 	o.nseg = qp.segmentCount(size)
 	o.remaining = o.nseg
 	o.nextIdx, o.nextOff = 0, 0
-	qp.post(o)
+	qp.ep.TL().Submit(o.issueFn)
 }
 
 // pullOp is the in-flight state of one READ or ATOMIC work request, the
 // Pull-side twin of pushOp: a pooled descriptor with a segmentation cursor
-// and callbacks bound once, so neither an attempt refused by TL
-// backpressure nor its resumption allocates. The TL's completion callback
+// and callbacks bound once (issueFn among them), so neither an attempt
+// refused by TL backpressure nor its resumption allocates. The TL's completion callback
 // does not say which transaction it is for and unordered connections
 // complete segments out of order, so where pushOp shares one callback,
 // every segment here has its own slot: a pre-bound callback that parks the
@@ -240,6 +240,8 @@ type pullOp struct {
 	// slots[:nseg] are this op's segments; the slice only grows, at post
 	// time, when no callback into the old slots is outstanding.
 	slots []pullSlot
+
+	issueFn func() bool
 }
 
 // pullSlot is one segment's completion slot.
@@ -258,6 +260,7 @@ func (qp *QP) getPullOp(op uint8, wrid, addr uint64, size, nseg int, done func(C
 		qp.pullFree = qp.pullFree[:n-1]
 	} else {
 		o = &pullOp{qp: qp}
+		o.issueFn = o.issue
 	}
 	if nseg > len(o.slots) {
 		o.slots = make([]pullSlot, nseg)
@@ -336,7 +339,7 @@ func (o *pullOp) complete() {
 func (o *pullOp) issue() bool {
 	qp, addr, size, slots := o.qp, o.addr, o.size, o.slots[:o.nseg]
 	i, off := o.nextIdx, o.nextOff
-	mtu := qp.cfg.MTU
+	mtu := qp.ep.TL().MTU()
 	for ; i < len(slots); i++ {
 		seg := size - off
 		if seg > mtu {
@@ -360,56 +363,6 @@ func (o *pullOp) issue() bool {
 	return true
 }
 
-// wqe is a work request that can wait in the QP's send queue: *pushOp or
-// *pullOp.
-type wqe interface{ issue() bool }
-
-// wqeQueue is a head-indexed FIFO of waiting work requests. It keeps its
-// buffer when it empties, so parking allocates nothing in steady state.
-type wqeQueue struct {
-	buf  []wqe
-	head int
-}
-
-func (q *wqeQueue) len() int { return len(q.buf) - q.head }
-
-func (q *wqeQueue) push(w wqe) { q.buf = append(q.buf, w) }
-
-func (q *wqeQueue) peek() wqe { return q.buf[q.head] }
-
-func (q *wqeQueue) pop() {
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.buf) {
-		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
-		q.head = 0
-	}
-}
-
-// post issues a new work request, or queues it behind the ones already
-// waiting; one the TL refuses waits at the tail.
-func (qp *QP) post(w wqe) {
-	if qp.waiting.len() > 0 || !w.issue() {
-		qp.waiting.push(w)
-	}
-}
-
-// resume is the connection's Xon callback: it re-issues the waiting work
-// requests in post order and stops at the first one refused again. After
-// the connection dies the TL fires it once more, and every waiting request
-// fails its remaining segments.
-func (qp *QP) resume() {
-	for qp.waiting.len() > 0 {
-		if !qp.waiting.peek().issue() {
-			return
-		}
-		qp.waiting.pop()
-	}
-}
-
 type heldCompletion struct {
 	c    Completion
 	done func(Completion)
@@ -425,18 +378,11 @@ type recvBuffer struct {
 // NewQP wraps a Falcon endpoint as an RC queue pair and installs the RDMA
 // target handler on it.
 func NewQP(ep *core.Endpoint, cfg Config) *QP {
-	if cfg.MTU <= 0 {
-		cfg.MTU = 4096
-	}
-	if cfg.RNRRetryDelay <= 0 {
-		cfg.RNRRetryDelay = 50 * time.Microsecond
-	}
 	qp := &QP{ep: ep, cfg: cfg}
 	if cfg.WeaklyOrdered {
 		qp.held = make(map[uint64]heldCompletion)
 	}
 	ep.SetTarget((*target)(qp))
-	ep.TL().SetXonCallback(qp.resume)
 	return qp
 }
 
@@ -516,7 +462,8 @@ func (qp *QP) segmentCount(size int) int {
 	if size <= 0 {
 		return 1
 	}
-	return (size + qp.cfg.MTU - 1) / qp.cfg.MTU
+	mtu := qp.ep.TL().MTU()
+	return (size + mtu - 1) / mtu
 }
 
 // failSegments completes n never-issued segments of an op in error. The
@@ -531,8 +478,8 @@ func failSegments(n int, err error, segDone func([]byte, error)) {
 
 // Write posts an RDMA WRITE of data (or size bytes when data is nil) to
 // remote address addr: one Push per MTU segment, one completion for the
-// op. Segments refused by transaction-layer backpressure wait in the send
-// queue and are re-issued on the connection's Xon edge, so Write never
+// op. Segments refused by transaction-layer backpressure wait in the TL's
+// park queue and are re-issued on the connection's Xon edge, so Write never
 // fails mid-op: failures arrive in the completion, and the returned error
 // is always nil.
 func (qp *QP) Write(wrid uint64, addr uint64, data []byte, size int, done func(Completion)) error {
@@ -577,7 +524,7 @@ func (qp *QP) PostRecv(buf []byte, size int, done func(n int, err error)) {
 // backing memory. Like Write, it queues behind backpressure, so Read never
 // fails mid-op and the returned error is always nil.
 func (qp *QP) Read(wrid uint64, addr uint64, size int, done func(Completion)) error {
-	qp.post(qp.getPullOp(opRead, wrid, addr, size, qp.segmentCount(size), done))
+	qp.ep.TL().Submit(qp.getPullOp(opRead, wrid, addr, size, qp.segmentCount(size), done).issueFn)
 	return nil
 }
 
@@ -599,10 +546,10 @@ func (qp *QP) FetchAdd(wrid uint64, addr, add uint64, done func(Completion)) err
 
 // atomic posts a one-segment Pull carrying the operands (Table 2). Unlike
 // Read it does not queue behind backpressure: a refusal is returned to the
-// caller and no completion follows. Nor does it overtake the send queue:
-// while work requests wait there, it is refused.
+// caller and no completion follows. Nor does it overtake parked work
+// requests: while any wait in the TL, it is refused.
 func (qp *QP) atomic(wrid uint64, op uint8, addr uint64, operands []byte, done func(Completion)) error {
-	if qp.waiting.len() > 0 {
+	if qp.ep.TL().Parked() > 0 {
 		return tl.ErrBackpressured
 	}
 	o := qp.getPullOp(op, wrid, addr, 8, 1, done)
@@ -643,7 +590,7 @@ func (qp *QP) handleSend(p *wire.Packet) tl.TargetVerdict {
 		// New message: consume one posted receive.
 		if len(qp.recvQ) == 0 {
 			qp.RNRs++
-			return tl.TargetVerdict{Kind: tl.TargetRNR, RetryDelay: qp.cfg.RNRRetryDelay}
+			return tl.TargetVerdict{Kind: tl.TargetRNR, RetryDelay: rnrRetryDelay}
 		}
 		qp.cur = qp.recvQ[0]
 		qp.recvQ = qp.recvQ[1:]

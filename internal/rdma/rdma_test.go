@@ -76,6 +76,31 @@ func TestLargeWriteSegmented(t *testing.T) {
 	}
 }
 
+// TestWriteSegmentsByConnectionMTU: a QP segments by its connection's MTU,
+// so a 4 KiB Write over a 1 KiB-MTU connection is four pushes.
+func TestWriteSegmentsByConnectionMTU(t *testing.T) {
+	connCfg := core.DefaultConnConfig()
+	connCfg.TL.MTU = 1024
+	s, qa, qb, _ := pairWith(t, core.DefaultNodeConfig(), connCfg, Config{})
+	remote := make([]byte, 8<<10)
+	qb.RegisterMemory(remote)
+	payload := patternMemory(4096)
+	var comps []Completion
+	if err := qa.Write(1, 0, payload, 0, func(c Completion) { comps = append(comps, c) }); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if len(comps) != 1 || comps[0].Err != nil {
+		t.Fatalf("completions %+v, want one without error", comps)
+	}
+	if got := qa.Endpoint().TL().Stats.Pushes; got != 4 {
+		t.Fatalf("%d pushes for a 4 KiB Write at MTU 1024, want 4", got)
+	}
+	if !bytes.Equal(remote[:len(payload)], payload) {
+		t.Fatal("remote memory does not hold the written bytes")
+	}
+}
+
 func TestReadReturnsData(t *testing.T) {
 	s, qa, qb, _ := qpPair(t)
 	remote := make([]byte, 1<<16)
@@ -579,9 +604,9 @@ func TestPushFailsOnceWhenConnectionDiesMidOp(t *testing.T) {
 			if got := qa.Endpoint().TL().Stats.Pushes; got != issued {
 				t.Fatalf("%d segments issued after the connection died", got-issued)
 			}
-			if len(qa.pushFree) != 1 || qa.waiting.len() != 0 {
+			if len(qa.pushFree) != 1 || qa.Endpoint().TL().Parked() != 0 {
 				t.Fatalf("%d descriptors pooled and %d waiting after the failed op, want 1 and 0",
-					len(qa.pushFree), qa.waiting.len())
+					len(qa.pushFree), qa.Endpoint().TL().Parked())
 			}
 		})
 	}
@@ -663,8 +688,8 @@ func TestPostsDoNotOvertakeWaitingOps(t *testing.T) {
 	if err := qa.Write(2, 0, nil, 4096, done); err != nil {
 		t.Fatal(err)
 	}
-	if got := qa.Endpoint().TL().Stats.Pushes; got != 0 || qa.waiting.len() != 2 {
-		t.Fatalf("%d pushes issued and %d ops waiting behind a refused Read, want 0 and 2", got, qa.waiting.len())
+	if got := qa.Endpoint().TL().Stats.Pushes; got != 0 || qa.Endpoint().TL().Parked() != 2 {
+		t.Fatalf("%d pushes issued and %d ops waiting behind a refused Read, want 0 and 2", got, qa.Endpoint().TL().Parked())
 	}
 	if err := qa.FetchAdd(3, 0, 1, done); !errors.Is(err, tl.ErrBackpressured) {
 		t.Fatalf("atomic behind a waiting Read: %v, want ErrBackpressured", err)

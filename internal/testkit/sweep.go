@@ -329,8 +329,10 @@ func Run(sc Scenario) Result {
 		fwd.Sim().After(150*time.Microsecond, func() { fwd.SetRateGbps(sc.DegradeGbps) })
 	}
 
-	// Closed-loop workload that resumes only on the TL's Xon edge, so the
-	// livelock check below is also the Xon liveness oracle.
+	// Closed-loop workload whose refused issue is parked in the TL and
+	// resumes only on its Xon edge, so the livelock check below is also
+	// the Xon liveness oracle. A completion pumps directly unless the issue
+	// is already parked.
 	res := Result{}
 	inFlight := 0
 	var pump func()
@@ -342,9 +344,9 @@ func Run(sc Scenario) Result {
 		}
 		pump()
 	}
-	pump = func() {
+	issue := func() bool {
 		if epA.TL().Dead() != nil {
-			return
+			return true
 		}
 		for inFlight < sc.Window && res.Issued < sc.Ops {
 			var err error
@@ -356,13 +358,18 @@ func Run(sc Scenario) Result {
 				_, err = epA.Push(nil, uint32(sc.OpBytes), done)
 			}
 			if err != nil {
-				return // backpressured (Xoff or pool pressure): Xon re-pumps
+				return false // backpressured (Xoff or pool pressure): parked
 			}
 			inFlight++
 			res.Issued++
 		}
+		return true
 	}
-	epA.TL().SetXonCallback(pump)
+	pump = func() {
+		if epA.TL().Parked() == 0 {
+			epA.TL().Submit(issue)
+		}
+	}
 	pump()
 	s.RunUntil(s.Now().Add(sc.MaxSimTime))
 	if (res.Completed < res.Issued || res.Issued < sc.Ops) &&
