@@ -638,3 +638,58 @@ func TestPropertyExactlyOnceUnderChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayNackOnUnusedSpace feeds ACKs and NACKs that name PSNs in a
+// sequence space the connection never sent in: a fresh connection (both
+// spaces unused) and one that has only sent requests. Each is unknown
+// traffic: counted, ignored, and never a panic or a scoreboard change.
+func TestStrayNackOnUnusedSpace(t *testing.T) {
+	for _, sendRequests := range []bool{false, true} {
+		p := newPair(t, DefaultConfig())
+		if sendRequests {
+			for i := 0; i < 4; i++ {
+				p.a.SendPacket(dataPacket(uint64(i), wire.TypePushData, 1024))
+			}
+			p.s.Run()
+		}
+		type space struct {
+			base, next  uint32
+			outstanding int
+			ring        int
+		}
+		snapshot := func() (out [wire.NumSpaces]space) {
+			for sp := range out {
+				base, next, outstanding := p.a.TxState(wire.Space(sp))
+				out[sp] = space{base, next, outstanding, len(p.a.tx[sp].pkts)}
+			}
+			return out
+		}
+		before := snapshot()
+		nacks := p.a.Stats.NacksReceived
+
+		stray := []wire.Space{wire.SpaceResponse}
+		if !sendRequests {
+			stray = append(stray, wire.SpaceRequest)
+		}
+		codes := []wire.NackCode{wire.NackResourceExhausted, wire.NackRNR, wire.NackCIE}
+		for _, sp := range stray {
+			for _, code := range codes {
+				p.a.HandlePacket(&wire.Packet{Type: wire.TypeNack, Space: sp, PSN: 3, RSN: 3, NackCode: code}, 1)
+			}
+		}
+		ack := &wire.Packet{Type: wire.TypeAck}
+		ack.Resp = wire.AckInfo{Base: 5, Bitmap: wire.Bitmap{0b1011, 1}}
+		if !sendRequests {
+			ack.Req = ack.Resp
+		}
+		p.a.HandlePacket(ack, 1)
+		p.s.Run()
+
+		if after := snapshot(); after != before {
+			t.Errorf("sendRequests=%v: scoreboard moved: %+v, want %+v", sendRequests, after, before)
+		}
+		if got, want := p.a.Stats.NacksReceived-nacks, uint64(len(stray)*len(codes)); got != want {
+			t.Errorf("sendRequests=%v: NacksReceived grew by %d, want %d", sendRequests, got, want)
+		}
+	}
+}
