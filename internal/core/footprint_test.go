@@ -1,0 +1,76 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"falcon/internal/core"
+	"falcon/internal/netsim"
+	"falcon/internal/rdma"
+	"falcon/internal/sim"
+)
+
+// footprintBound is the retained heap, in bytes per connection, that
+// TestConnectionFootprint allows: 21 750–21 930 B measured (amd64, Go
+// 1.24) plus 10 %. It was set when the TL stopped buffering in-order
+// requests and each PDL sequence space got its scoreboard ring on its
+// first send; the same world measured 29 170–29 200 B before that change
+// (EXPERIMENTS.md, "Footprint gate").
+const footprintBound = 24_100
+
+// TestConnectionFootprint is the per-connection working-set gate. It builds
+// the incast_conns shape at a fifth of its scale: five clients on a star,
+// 200 ordered connections to one server, each running one 64 KiB rdma Read
+// to quiescence. What the whole world retains after a collection, divided
+// by the connections, must stay under footprintBound, so the next state
+// that every connection allocates eagerly fails here, not only in a
+// benchmark pair.
+func TestConnectionFootprint(t *testing.T) {
+	const clients, conns, opBytes = 5, 200, 64 << 10
+	before := liveHeap()
+
+	s := sim.New(1)
+	topo := netsim.Star(s, clients+1, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	cl := core.NewCluster(s)
+	cfg := core.DefaultNodeConfig()
+	cfg.NIC.CacheSize = 512
+	cfg.FAE.UseECN = true
+	server := cl.AddNode(topo.Hosts[0], cfg)
+	nodes := []*core.Node{server}
+	for _, h := range topo.Hosts[1:] {
+		nodes = append(nodes, cl.AddNode(h, cfg))
+	}
+	completed := 0
+	for i := 0; i < conns; i++ {
+		epC, epS := cl.Connect(nodes[1+i%clients], server, core.DefaultConnConfig())
+		rdma.NewQP(epS, rdma.Config{}).RegisterMemoryLen(1 << 40)
+		if err := rdma.NewQP(epC, rdma.Config{}).Read(uint64(i), 0, opBytes, func(c rdma.Completion) {
+			if c.Err != nil {
+				t.Errorf("read %d: %v", i, c.Err)
+			}
+			completed++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	if completed != conns {
+		t.Fatalf("completed %d of %d reads", completed, conns)
+	}
+
+	perConn := float64(liveHeap()-before) / conns
+	runtime.KeepAlive(cl)
+	runtime.KeepAlive(nodes)
+	t.Logf("retained heap: %.0f B per connection (bound %d)", perConn, footprintBound)
+	if perConn > footprintBound {
+		t.Fatalf("retained heap %.0f B per connection, want <= %d", perConn, footprintBound)
+	}
+}
+
+// liveHeap returns the live heap after a forced collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

@@ -269,10 +269,11 @@ type txSpace struct {
 	space wire.Space
 	next  uint32 // next PSN to assign
 	base  uint32 // lowest unacked PSN
-	// pkts is the scoreboard ring, indexed by psn & (len-1). It starts at
-	// minRing slots and doubles whenever next-base reaches its length, so
-	// it stays at the next power of two above the PSNs actually in flight
-	// (never above WindowSize rounded up to a power of two).
+	// pkts is the scoreboard ring, indexed by psn & (len-1). It is empty
+	// until the space's first send, starts at minRing slots (fewer when
+	// WindowSize is smaller) and doubles whenever next-base reaches its
+	// length, so it stays at the next power of two above the PSNs actually
+	// in flight (never above WindowSize rounded up to a power of two).
 	pkts []txPacket
 	// acked mirrors slot.acked for live slots in [base, next).
 	acked wire.Bitmap
@@ -296,14 +297,22 @@ const minRing = 8
 
 func (s *txSpace) slot(psn uint32) *txPacket { return &s.pkts[int(psn)&(len(s.pkts)-1)] }
 
-// grow doubles the ring, moving the live slots [base, next) to their
-// places under the wider mask. The slots below base are dropped: every
-// lookup of a PSN there finds an acked or overwritten slot in the old ring
-// and an empty or overwritten one in the new, and treats all of them as
-// unknown.
-func (s *txSpace) grow() {
+// grow allocates the ring on the space's first send (minRing slots, fewer
+// when window is smaller) and doubles it after that, moving the live slots
+// [base, next) to their places under the wider mask. The slots below base
+// are dropped: every lookup of a PSN there finds an acked or overwritten
+// slot in the old ring and an empty or overwritten one in the new, and
+// treats all of them as unknown.
+func (s *txSpace) grow(window int) {
 	old := s.pkts
-	s.pkts = make([]txPacket, 2*len(old))
+	n := 2 * len(old)
+	if n == 0 {
+		n = minRing
+		for n > window {
+			n /= 2
+		}
+	}
+	s.pkts = make([]txPacket, n)
 	for psn := s.base; psn != s.next; psn++ {
 		*s.slot(psn) = old[int(psn)&(len(old)-1)]
 	}
@@ -556,12 +565,8 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 	c.tlpTimer.act = timerAction{c: c, kind: timerTLP}
 	c.rackTimer.act = timerAction{c: c, kind: timerRack}
 	c.paceAct = timerAction{c: c, kind: timerPace}
-	ring := minRing
-	for ring > cfg.WindowSize {
-		ring /= 2
-	}
 	for i := range c.tx {
-		c.tx[i] = &txSpace{space: wire.Space(i), pkts: make([]txPacket, ring)}
+		c.tx[i] = &txSpace{space: wire.Space(i)}
 		c.rx[i] = &rxSpace{}
 	}
 	c.flows = make([]flowState, cfg.NumFlows)

@@ -371,8 +371,13 @@ func (c *Conn) handleNack(p *wire.Packet) {
 		c.Stats.NacksCie++
 	}
 	ts := c.tx[p.Space]
-	tp := ts.slot(p.PSN)
-	known := tp.live && !tp.acked && tp.psn == p.PSN
+	// A space that never sent has no ring, and knows no PSN.
+	var tp *txPacket
+	known := false
+	if len(ts.pkts) > 0 {
+		tp = ts.slot(p.PSN)
+		known = tp.live && !tp.acked && tp.psn == p.PSN
+	}
 
 	switch p.NackCode {
 	case wire.NackResourceExhausted:

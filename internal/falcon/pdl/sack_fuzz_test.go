@@ -70,7 +70,7 @@ func FuzzSACKScan(f *testing.F) {
 		n := min(win, wire.BitmapBits)
 		for o := 0; o < n; o++ {
 			if int(ts.next-ts.base) == len(ts.pkts) {
-				ts.grow()
+				ts.grow(wire.BitmapBits)
 			}
 			psn := ts.next
 			ts.next++

@@ -117,7 +117,7 @@ func newScanConn(seed int64) *scanConn {
 // and per-flow state follow.
 func track(c *Conn, ts *txSpace, rng *rand.Rand, ackP, nackP float64) {
 	if int(ts.next-ts.base) == len(ts.pkts) {
-		ts.grow()
+		ts.grow(c.cfg.WindowSize)
 	}
 	psn := ts.next
 	o := int(psn - ts.base)

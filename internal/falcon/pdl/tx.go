@@ -110,7 +110,7 @@ func (c *Conn) transmitNext(q *pktQueue, ts *txSpace) bool {
 	flow := c.pickFlow()
 	psn := ts.next
 	if int(psn-ts.base) == len(ts.pkts) {
-		ts.grow()
+		ts.grow(c.cfg.WindowSize)
 	}
 	ts.next++
 

@@ -68,9 +68,10 @@ type TargetVerdict struct {
 }
 
 // TargetHandler is the ULP-side interface invoked at the target NIC. On
-// ordered connections, handlers run in RSN order. The packet pointer is
-// only valid for the duration of the call (the TL may recycle its storage
-// afterwards); p.Data may be retained — payload slices are never pooled.
+// ordered connections, handlers run in RSN order. The packet is read-only
+// and valid only for the duration of the call (it may be the wire packet
+// itself, recycled afterwards); p.Data may be retained — payload slices
+// are never pooled.
 type TargetHandler interface {
 	// HandlePush processes arriving push data (e.g. executes an RDMA
 	// Write to host memory).
@@ -136,11 +137,12 @@ type txn struct {
 	nextFree *txn
 }
 
-// pendingReq is a target-side request awaiting in-order delivery. The
-// packet is held by value: the inbound wire packet belongs to the
-// receive path and is recycled as soon as delivery returns, so the
-// reorder buffer snapshots it (Data is safe to alias — payload slices
-// are never pooled).
+// pendingReq is a target-side request that arrived ahead of a gap and
+// awaits in-order delivery (a head-of-line request is served from the wire
+// packet and never becomes one). The packet is held by value: the inbound
+// wire packet belongs to the receive path and is recycled as soon as
+// delivery returns, so the reorder buffer snapshots it (Data is safe to
+// alias — payload slices are never pooled).
 type pendingReq struct {
 	pkt   wire.Packet
 	bytes int
@@ -264,7 +266,7 @@ type Conn struct {
 	txnFree      *txn
 	rnrEvents    *rnrRetryEvent
 	readyScratch []uint64
-	reqScratch   pendingReq // processRequest's dequeue slot (see there)
+	reqScratch   pendingReq // drainTargetOrdered's dequeue slot (see there)
 
 	Stats Stats
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // Deliver is the PDL's upcall for arriving data packets. The TL performs
-// resource admission here; ULP processing happens in RSN order (ordered
-// connections) via the reorder buffer.
+// resource admission here; ULP processing happens in RSN order on ordered
+// connections, and only a request that arrives ahead of a gap waits in the
+// reorder buffer.
 func (c *Conn) Deliver(p *wire.Packet) pdl.DeliverVerdict {
 	if p.Space == wire.SpaceResponse {
 		c.deliverResponse(p)
@@ -37,30 +38,38 @@ func (c *Conn) deliverRequest(p *wire.Packet) pdl.DeliverVerdict {
 		return pdl.DeliverVerdict{Kind: pdl.DeliverNoResources}
 	}
 
-	// Snapshot the packet: the inbound wire packet belongs to the
-	// receive path and may be recycled as soon as this upcall returns,
-	// so the reorder buffer cannot retain the pointer (Data aliasing is
-	// fine — payload slices are never pooled).
+	if hol {
+		// Served straight from the wire packet, then any buffered
+		// successors it unblocked.
+		if c.serve(p.RSN, p, bytes) && c.cfg.Ordered {
+			c.drainTargetOrdered()
+		}
+		return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
+	}
+	// Ahead of a gap: snapshot the packet, because the inbound wire packet
+	// belongs to the receive path and may be recycled as soon as this
+	// upcall returns (Data aliasing is fine — payload slices are never
+	// pooled).
 	pr := pendingReq{bytes: bytes}
 	pr.pkt.CopyFrom(p)
 	c.reorderBuf.put(p.RSN, pr)
-	if c.cfg.Ordered {
-		c.drainTargetOrdered()
-	} else {
-		c.processRequest(p.RSN)
-	}
 	return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 }
 
-// drainTargetOrdered processes buffered requests in RSN order until a gap
+// drainTargetOrdered serves buffered requests in RSN order until a gap
 // (or an RNR pause) stops it.
 func (c *Conn) drainTargetOrdered() {
-	for {
-		if !c.reorderBuf.has(c.expectedRSN) {
-			return
-		}
+	for c.reorderBuf.has(c.expectedRSN) {
+		// The dequeued request lands in a per-connection scratch slot
+		// rather than a local: serve hands the handler &reqScratch.pkt,
+		// and a local would escape to the heap on every dequeue. The
+		// scratch is only live across the synchronous serve call —
+		// nothing in that call graph delivers another request on this
+		// connection (requests only arrive via scheduled HandlePacket
+		// events).
 		rsn := c.expectedRSN
-		if !c.processRequest(rsn) {
+		c.reqScratch, _ = c.reorderBuf.del(rsn)
+		if !c.serve(rsn, &c.reqScratch.pkt, c.reqScratch.bytes) {
 			return // RNR: expectedRSN unchanged, retry will resume
 		}
 	}
@@ -79,19 +88,12 @@ func (c *Conn) serveAdvance(rsn uint64) {
 	}
 }
 
-// processRequest runs the ULP handler for a buffered request. It returns
-// false when the request hit RNR and must be retried by the initiator.
-func (c *Conn) processRequest(rsn uint64) bool {
-	// The dequeued request lands in a per-connection scratch slot rather
-	// than a local: handlers receive &req.pkt, and a local would escape to
-	// the heap on every delivery. The scratch is only live across the
-	// synchronous handler call below — nothing in that call graph can
-	// re-enter processRequest on this connection (requests only arrive
-	// via scheduled HandlePacket events).
-	c.reqScratch, _ = c.reorderBuf.del(rsn)
-	req := &c.reqScratch
-	p := &req.pkt
-	defer c.res.Release(PoolRxReq, c.key, req.bytes)
+// serve runs the ULP handler for an admitted request, then releases the
+// request's RxReq reservation of bytes. p is only read during the call. It
+// returns false when the request hit RNR and must be retried by the
+// initiator.
+func (c *Conn) serve(rsn uint64, p *wire.Packet, bytes int) bool {
+	defer c.res.Release(PoolRxReq, c.key, bytes)
 
 	if c.target == nil {
 		// No ULP attached: treat as a sink (pure delivery benchmark).

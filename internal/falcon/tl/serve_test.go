@@ -1,0 +1,171 @@
+package tl
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"falcon/internal/falcon/pdl"
+	"falcon/internal/falcon/wire"
+	"falcon/internal/sim"
+)
+
+// captureHandler records, per served RSN, the packet its handler saw
+// (by value) and the serve order; verdict may refuse a request.
+type captureHandler struct {
+	seen    map[uint64]wire.Packet
+	order   []uint64
+	verdict func(rsn uint64) TargetVerdict
+}
+
+func (h *captureHandler) handle(rsn uint64, p *wire.Packet) TargetVerdict {
+	if h.verdict != nil {
+		if v := h.verdict(rsn); v.Kind != TargetOK {
+			return v
+		}
+	}
+	h.seen[rsn] = *p
+	h.order = append(h.order, rsn)
+	return TargetVerdict{}
+}
+
+func (h *captureHandler) HandlePush(rsn uint64, p *wire.Packet) TargetVerdict {
+	return h.handle(rsn, p)
+}
+
+func (h *captureHandler) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, TargetVerdict) {
+	return nil, p.PullLength, h.handle(rsn, p)
+}
+
+// servedProbe counts OnRequestServed per RSN.
+type servedProbe map[uint64]int
+
+func (s servedProbe) OnRequestServed(_ *Conn, rsn uint64) { s[rsn]++ }
+func (servedProbe) OnCompletion(*Conn, uint64, error)     {}
+
+// nackCounter is a Control that records the exception NACKs it is asked
+// to send.
+type nackCounter struct{ nacks *[]wire.NackCode }
+
+func (nackCounter) SendPacket(*wire.Packet) {}
+func (n nackCounter) SendExceptionNack(_ wire.Space, _ uint32, _ uint64, code wire.NackCode, _ time.Duration) {
+	*n.nacks = append(*n.nacks, code)
+}
+
+// targetBed is one target-side TL connection fed packets directly, as the
+// PDL's Deliver upcall would.
+type targetBed struct {
+	res   *Resources
+	c     *Conn
+	h     *captureHandler
+	probe servedProbe
+	nacks []wire.NackCode
+}
+
+func newTargetBed(ordered bool) *targetBed {
+	cfg := DefaultConfig()
+	cfg.Ordered = ordered
+	b := &targetBed{res: NewResources(DefaultResourceConfig()), probe: servedProbe{}}
+	b.h = &captureHandler{seen: map[uint64]wire.Packet{}}
+	b.c = NewConn(sim.New(1), 1, cfg, b.res, nackCounter{&b.nacks}, b.h)
+	b.c.SetProbe(b.probe)
+	return b
+}
+
+// request builds a request carrying every field the rdma and nvme targets
+// read.
+func request(typ wire.Type, rsn uint64) *wire.Packet {
+	return &wire.Packet{
+		Type:       typ,
+		Space:      wire.SpaceRequest,
+		PSN:        uint32(100 + rsn),
+		RSN:        rsn,
+		UlpOp:      uint8(3 + rsn),
+		Addr:       0xabc0 + rsn,
+		Length:     uint32(64 + rsn),
+		PullLength: uint32(512 + rsn),
+		Data:       []byte{1, 2, 3, byte(rsn)},
+	}
+}
+
+// deliver hands p to the connection, then scribbles over it the way the
+// receive path recycles a wire packet once Deliver returns.
+func (b *targetBed) deliver(t *testing.T, p *wire.Packet) {
+	t.Helper()
+	if v := b.c.Deliver(p); v.Kind != pdl.DeliverAccept {
+		t.Fatalf("RSN %d: verdict %v, want accept", p.RSN, v.Kind)
+	}
+	*p = wire.Packet{}
+}
+
+func TestGapBuffersThenServesInOrder(t *testing.T) {
+	b := newTargetBed(true)
+	b.deliver(t, request(wire.TypePushData, 0))
+	b.deliver(t, request(wire.TypePushData, 2))
+	b.deliver(t, request(wire.TypePushData, 3))
+	if got := b.c.BufferedRSNs(); !slices.Equal(got, []uint64{2, 3}) {
+		t.Fatalf("buffered %v ahead of the gap, want [2 3]", got)
+	}
+	if !slices.Equal(b.h.order, []uint64{0}) {
+		t.Fatalf("served %v before the gap closed, want [0]", b.h.order)
+	}
+	b.deliver(t, request(wire.TypePushData, 1))
+	if !slices.Equal(b.h.order, []uint64{0, 1, 2, 3}) {
+		t.Fatalf("served %v, want [0 1 2 3]", b.h.order)
+	}
+	for rsn := uint64(0); rsn < 4; rsn++ {
+		if b.probe[rsn] != 1 {
+			t.Errorf("RSN %d: OnRequestServed fired %d times, want 1", rsn, b.probe[rsn])
+		}
+	}
+	if b.c.ReorderBacklog() != 0 || b.c.ExpectedRSN() != 4 || b.res.ConnUsage(b.c.key) != 0 {
+		t.Fatalf("backlog %d, expected RSN %d, RxReq usage %d; want 0, 4, 0",
+			b.c.ReorderBacklog(), b.c.ExpectedRSN(), b.res.ConnUsage(b.c.key))
+	}
+}
+
+func TestRNROnHeadOfLineRequest(t *testing.T) {
+	b := newTargetBed(true)
+	b.h.verdict = func(rsn uint64) TargetVerdict {
+		return TargetVerdict{Kind: TargetRNR, RetryDelay: 10 * time.Microsecond}
+	}
+	b.deliver(t, request(wire.TypePushData, 0))
+	if b.c.ExpectedRSN() != 0 || b.c.reorderBuf.keys != nil || len(b.probe) != 0 {
+		t.Fatalf("after RNR: expected RSN %d, reorder slots %d, served %v; want 0, 0, none",
+			b.c.ExpectedRSN(), len(b.c.reorderBuf.keys), b.probe)
+	}
+	if !slices.Equal(b.nacks, []wire.NackCode{wire.NackRNR}) {
+		t.Fatalf("NACKs sent %v, want one RNR", b.nacks)
+	}
+	// Released exactly once: a second release would panic (over-release)
+	// and a missing one would leave the reservation held.
+	if u := b.res.ConnUsage(b.c.key); u != 0 {
+		t.Fatalf("RxReq usage %d after RNR, want 0", u)
+	}
+	// The retry is served normally.
+	b.h.verdict = nil
+	b.deliver(t, request(wire.TypePushData, 0))
+	if b.c.ExpectedRSN() != 1 || b.probe[0] != 1 {
+		t.Fatalf("retry: expected RSN %d, served %d times; want 1, 1", b.c.ExpectedRSN(), b.probe[0])
+	}
+}
+
+// TestHandlerSeesSamePacketOnBothPaths delivers requests once in order
+// (served from the wire packet) and once after a gap (served from the
+// reorder buffer's snapshot) and holds every field the handler sees to
+// what was sent.
+func TestHandlerSeesSamePacketOnBothPaths(t *testing.T) {
+	for _, typ := range []wire.Type{wire.TypePushData, wire.TypePullRequest} {
+		b := newTargetBed(true)
+		// RSN 0 in order; RSN 2 ahead of the gap; RSN 1 in order.
+		for _, rsn := range []uint64{0, 2, 1} {
+			b.deliver(t, request(typ, rsn))
+		}
+		for rsn := uint64(0); rsn < 3; rsn++ {
+			if got, want := b.h.seen[rsn], *request(typ, rsn); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v RSN %d: handler saw %+v, sent %+v", typ, rsn, got, want)
+			}
+		}
+	}
+}

@@ -154,6 +154,10 @@ func TestPushCompletesInOrder(t *testing.T) {
 	if e.b.CompletedRSN() != 5 {
 		t.Fatalf("target CompletedRSN = %d", e.b.CompletedRSN())
 	}
+	// In-order requests are served from the wire packet, never buffered.
+	if e.b.reorderBuf.keys != nil {
+		t.Fatalf("in-order arrivals allocated %d reorder slots", len(e.b.reorderBuf.keys))
+	}
 }
 
 func TestPullRoundTrip(t *testing.T) {
@@ -221,6 +225,10 @@ func TestUnorderedDeliversImmediately(t *testing.T) {
 	}
 	if e.b.CompletedRSN() != 0 {
 		t.Fatal("unordered connections advertise no completion horizon")
+	}
+	// Nothing waits for order, so nothing is buffered.
+	if e.b.reorderBuf.keys != nil {
+		t.Fatalf("unordered connection allocated %d reorder slots", len(e.b.reorderBuf.keys))
 	}
 }
 
