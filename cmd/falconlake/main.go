@@ -37,8 +37,8 @@
 //	falconlake trend [-json] ARTIFACT1 ARTIFACT2 ARTIFACT3...
 //	    Scan three or more artifacts (oldest first) for metrics drifting
 //	    monotonically across the whole sequence. Pairwise diffing
-//	    forgives a slow creep — a perf metric regressing 8% per run
-//	    never trips the 25% band — so the trend scan flags monotonic
+//	    forgives a slow creep — a perf metric regressing 5% per run
+//	    never trips the 8% set band — so the trend scan flags monotonic
 //	    chains whose cumulative first-to-last drift exceeds the (much
 //	    tighter) trend tolerances: timing-class beyond 5%, perf-class
 //	    beyond 10% in the metric's worse direction. Exact-class
@@ -48,11 +48,13 @@
 //	falconlake diff [-json] ARTIFACT_A ARTIFACT_B
 //	    Compare artifact B against baseline A. Exact-class metrics must
 //	    match bit-for-bit; timing-class metrics get a ±5% band; perf
-//	    metrics are flagged only for regressions beyond 25%. Exits 1
-//	    when findings exist, so the diff gates CI directly: `make check`
-//	    diffs every committed BENCH_prN_before.jsonl against its
-//	    _after.jsonl, seed by seed (events_per_op, sim_*, attempted,
-//	    failed and correct exact; host-measured metrics perf).
+//	    metrics are judged per (workload, metric) over the seed set,
+//	    flagged when the median per-seed ratio is more than 8% worse and
+//	    at least 70% of the seeds are worse. Exits 1 when findings
+//	    exist, so the diff gates CI directly: `make check` diffs every
+//	    committed BENCH_prN_before.jsonl against its _after.jsonl
+//	    (events_per_op, sim_*, attempted, failed and correct exact per
+//	    seed; host-measured metrics perf).
 //
 // See METRICS.md for the metric-name grammar and the per-metric
 // determinism classes the differ applies, and EXPERIMENTS.md (PR7

@@ -57,10 +57,13 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // most Reads are refused mid-op, park in the TL and resume on the Xon edge
 // — the regime of the incast benchmark, where a refusal or a resumption
 // that allocates costs hundreds of objects per op. `make check` runs this.
+// The rdma-read-incast case holds the same regime at connection scale:
+// 200 connections, each a queue of its own, share each client's pools.
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	t.Run("tl-push-pull", testTLSteadyStateAllocs)
 	t.Run("rdma-read", func(t *testing.T) { testReadSteadyStateAllocs(t, false) })
 	t.Run("rdma-read-refused", func(t *testing.T) { testReadSteadyStateAllocs(t, true) })
+	t.Run("rdma-read-incast", testIncastSteadyStateAllocs)
 }
 
 func testTLSteadyStateAllocs(t *testing.T) {
@@ -182,6 +185,78 @@ func testReadSteadyStateAllocs(t *testing.T, starve bool) {
 	refused := epA.TL().Stats.Backpressured
 	t.Logf("%d TL refusals over %d reads", refused, warm+measured)
 	if starve && refused < warm+measured {
+		t.Fatalf("only %d refusals over %d reads: the refusal path was not sustained", refused, warm+measured)
+	}
+}
+
+// testIncastSteadyStateAllocs runs TestConnectionFootprint's shape: five
+// clients on a star, 200 ordered connections to one server, each keeping
+// one 64 KiB Read outstanding. Each client's RX-response pool holds eight
+// of its forty Reads, so most are refused, park in their connection and
+// resume on its Xon edge, while every connection's PDL and TL queues keep
+// a standing backlog that never drains to empty.
+func testIncastSteadyStateAllocs(t *testing.T) {
+	const clients, conns, opBytes = 5, 200, 64 << 10
+	s := sim.New(1)
+	topo := netsim.Star(s, clients+1, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	cl := core.NewCluster(s)
+	cfg := core.DefaultNodeConfig()
+	cfg.NIC.CacheSize = 512
+	cfg.FAE.UseECN = true
+	server := cl.AddNode(topo.Hosts[0], cfg)
+	cfg.Resources.Pools[tl.PoolRxResp].Bytes = 8 * opBytes
+	var clientNodes []*core.Node
+	for _, h := range topo.Hosts[1:] {
+		clientNodes = append(clientNodes, cl.AddNode(h, cfg))
+	}
+	qps := make([]*rdma.QP, conns)
+	tls := make([]*tl.Conn, conns)
+	for i := range qps {
+		epC, epS := cl.Connect(clientNodes[i%clients], server, core.DefaultConnConfig())
+		rdma.NewQP(epS, rdma.Config{}).RegisterMemoryLen(1 << 40)
+		qps[i], tls[i] = rdma.NewQP(epC, rdma.Config{}), epC.TL()
+	}
+
+	// Each connection posts its next Read from the previous one's
+	// completion until limit Reads have been posted in all.
+	issued, completed, limit := 0, 0, 0
+	dones := make([]func(rdma.Completion), conns)
+	post := func(i int) {
+		issued++
+		if err := qps[i].Read(uint64(issued), 0, opBytes, dones[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range dones {
+		dones[i] = func(c rdma.Completion) {
+			if c.Err != nil {
+				t.Fatalf("read error: %v", c.Err)
+			}
+			completed++
+			if issued < limit {
+				post(i)
+			}
+		}
+	}
+	runOps := func(n int) {
+		limit += n
+		for i := 0; i < conns && issued < limit; i++ {
+			post(i)
+		}
+		s.RunUntil(s.Now().Add(3600 * sim.Second))
+		if completed != limit {
+			t.Fatalf("completed %d of %d reads", completed, limit)
+		}
+	}
+
+	const warm, measured = 8000, 4000
+	measureSteadyState(t, warm, measured, runOps)
+	var refused uint64
+	for _, c := range tls {
+		refused += c.Stats.Backpressured
+	}
+	t.Logf("%d TL refusals over %d reads", refused, warm+measured)
+	if refused < warm+measured {
 		t.Fatalf("only %d refusals over %d reads: the refusal path was not sustained", refused, warm+measured)
 	}
 }

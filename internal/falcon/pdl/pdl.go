@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"falcon/internal/falcon/fae"
+	"falcon/internal/falcon/ring"
 	"falcon/internal/falcon/wire"
 	"falcon/internal/sim"
 )
@@ -374,35 +375,6 @@ type flowState struct {
 	sent     uint64 // data packets sent on this flow (AR cadence)
 }
 
-// pktQueue is a head-indexed FIFO of data packets accepted from the TL.
-// Popping advances a cursor instead of reslicing, so a queue that drains
-// to empty reuses its buffer forever (the old `q = q[1:]` pattern grew a
-// fresh backing array every window).
-type pktQueue struct {
-	buf  []*wire.Packet
-	head int
-}
-
-func (q *pktQueue) len() int { return len(q.buf) - q.head }
-
-func (q *pktQueue) push(p *wire.Packet) { q.buf = append(q.buf, p) }
-
-func (q *pktQueue) pop() *wire.Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.buf) {
-		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
-		q.head = 0
-	}
-	return p
-}
-
-func (q *pktQueue) reset() { q.buf, q.head = nil, 0 }
-
 // Stats counts per-connection PDL activity.
 type Stats struct {
 	DataSent        uint64
@@ -464,9 +436,9 @@ type Conn struct {
 	tx     [wire.NumSpaces]*txSpace
 	flows  []flowState
 	ncwnd  float64
-	reqQ   pktQueue // queued request-space packets from TL
-	respQ  pktQueue // queued response-space packets from TL
-	rrNext int      // round-robin cursor for PolicyRoundRobin
+	reqQ   ring.Ring[*wire.Packet] // queued request-space packets from TL
+	respQ  ring.Ring[*wire.Packet] // queued response-space packets from TL
+	rrNext int                     // round-robin cursor for PolicyRoundRobin
 
 	rto        time.Duration
 	rackReoWnd time.Duration
@@ -678,7 +650,7 @@ func (c *Conn) totalInFlight() int {
 
 // QueuedPackets returns packets accepted from the TL but not yet
 // transmitted (scheduler backlog).
-func (c *Conn) QueuedPackets() int { return c.reqQ.len() + c.respQ.len() }
+func (c *Conn) QueuedPackets() int { return c.reqQ.Len() + c.respQ.Len() }
 
 // Outstanding returns the number of transmitted-but-unacked packets.
 func (c *Conn) Outstanding() int { return c.totalOutstanding() }

@@ -234,14 +234,12 @@ func (c *Conn) fail() {
 	c.tlpTimer.stop()
 	c.rackTimer.stop()
 	c.paceTimer.Stop()
-	for c.reqQ.len() > 0 {
-		c.pool.Release(c.reqQ.pop())
+	for c.reqQ.Len() > 0 {
+		c.pool.Release(c.reqQ.Pop())
 	}
-	for c.respQ.len() > 0 {
-		c.pool.Release(c.respQ.pop())
+	for c.respQ.Len() > 0 {
+		c.pool.Release(c.respQ.Pop())
 	}
-	c.reqQ.reset()
-	c.respQ.reset()
 	for _, ts := range c.tx {
 		for psn := ts.base; psn != ts.next; psn++ {
 			if tp := ts.slot(psn); tp.live && !tp.acked && tp.pkt != nil {

@@ -242,3 +242,38 @@ func TestNoRetransmitsAfterFailure(t *testing.T) {
 			retxAtDeath, p.a.Stats.DataRetransmits)
 	}
 }
+
+// TestFailureReleasesQueuedPackets: a connection that dies with packets
+// still queued behind its window, in both sequence spaces, returns every
+// one of them to the pool and leaves both queues empty.
+func TestFailureReleasesQueuedPackets(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumFlows = 1
+	cfg.MaxConsecutiveRTOs = 2
+	p := newPair(t, cfg)
+	pool := wire.NewPacketPool()
+	p.a.SetPacketPool(pool)
+	p.dropAB = func(*wire.Packet) bool { return true } // black hole
+	p.a.flows[0].fcwnd = 1
+	p.a.ncwnd = 1
+	for i := 0; i < 10; i++ {
+		for _, typ := range []wire.Type{wire.TypePushData, wire.TypePullResponse} {
+			pkt := pool.Acquire()
+			pkt.Type, pkt.RSN, pkt.Length = typ, uint64(i), 4096
+			p.a.SendPacket(pkt)
+		}
+	}
+	if q := p.a.QueuedPackets(); q < 18 {
+		t.Fatalf("only %d of 20 packets queued behind a one-packet window", q)
+	}
+	p.s.Run()
+	if !p.a.Failed() {
+		t.Fatal("connection should have failed")
+	}
+	if q := p.a.QueuedPackets(); q != 0 {
+		t.Fatalf("%d packets still queued after failure", q)
+	}
+	if pool.Free() != pool.Allocated() {
+		t.Fatalf("%d packets allocated but %d free after failure", pool.Allocated(), pool.Free())
+	}
+}

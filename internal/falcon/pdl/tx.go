@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"falcon/internal/falcon/ring"
 	"falcon/internal/falcon/wire"
 )
 
@@ -25,9 +26,9 @@ func (c *Conn) SendPacket(p *wire.Packet) {
 	p.ConnID = c.id
 	p.Space = wire.SpaceOf(p.Type)
 	if p.Space == wire.SpaceResponse {
-		c.respQ.push(p)
+		c.respQ.Push(p)
 	} else {
-		c.reqQ.push(p)
+		c.reqQ.Push(p)
 	}
 	c.trySend()
 }
@@ -38,17 +39,11 @@ func (c *Conn) SendPacket(p *wire.Packet) {
 // draining them releases resources fastest (§4.5).
 func (c *Conn) trySend() {
 	for {
-		sent := false
-		if c.respQ.len() > 0 && c.canSendData(wire.SpaceResponse) {
-			if c.transmitNext(&c.respQ, c.tx[wire.SpaceResponse]) {
-				sent = true
-			}
-		} else if c.reqQ.len() > 0 && c.canSendData(wire.SpaceRequest) {
-			if c.transmitNext(&c.reqQ, c.tx[wire.SpaceRequest]) {
-				sent = true
-			}
-		}
-		if !sent {
+		if c.respQ.Len() > 0 && c.canSendData(wire.SpaceResponse) {
+			c.transmitNext(&c.respQ, c.tx[wire.SpaceResponse])
+		} else if c.reqQ.Len() > 0 && c.canSendData(wire.SpaceRequest) {
+			c.transmitNext(&c.reqQ, c.tx[wire.SpaceRequest])
+		} else {
 			break
 		}
 	}
@@ -105,8 +100,8 @@ func (c *Conn) pickFlow() int {
 	return best
 }
 
-func (c *Conn) transmitNext(q *pktQueue, ts *txSpace) bool {
-	p := q.pop()
+func (c *Conn) transmitNext(q *ring.Ring[*wire.Packet], ts *txSpace) {
+	p := q.Pop()
 	flow := c.pickFlow()
 	psn := ts.next
 	if int(psn-ts.base) == len(ts.pkts) {
@@ -134,7 +129,6 @@ func (c *Conn) transmitNext(q *pktQueue, ts *txSpace) bool {
 		c.nextPaced = c.sim.Now().Add(c.pacingGap(wnd))
 	}
 	c.stampAndSend(tp, false, false)
-	return true
 }
 
 // pacingGap returns the inter-packet gap srtt/cwnd for a fractional
@@ -178,7 +172,7 @@ func (c *Conn) stampAndSend(tp *txPacket, retransmit, tlp bool) {
 	// a flow, and queue-draining packets ask for an immediate ACK.
 	if retransmit || tlp ||
 		(c.cfg.ARInterval > 0 && f.sent%uint64(c.cfg.ARInterval) == 0) ||
-		c.reqQ.len()+c.respQ.len() == 0 {
+		c.reqQ.Len()+c.respQ.Len() == 0 {
 		p.Flags |= wire.FlagAckReq
 	}
 	c.cb.Send(p)
@@ -192,7 +186,7 @@ func (c *Conn) stampAndSend(tp *txPacket, retransmit, tlp bool) {
 // window blocked transmission (ACK clocking cannot resume an idle
 // connection).
 func (c *Conn) maybePace() {
-	if c.reqQ.len()+c.respQ.len() == 0 {
+	if c.reqQ.Len()+c.respQ.Len() == 0 {
 		return
 	}
 	if c.totalInFlight() > 0 {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"falcon/internal/falcon/pdl"
+	"falcon/internal/falcon/ring"
 	"falcon/internal/falcon/wire"
 	"falcon/internal/sim"
 )
@@ -119,7 +120,7 @@ const (
 
 // txn is one initiator-side transaction (at most one MTU, so exactly one
 // request packet and at most one response packet). Completed transactions
-// recycle through the connection's free list.
+// recycle through the node's free list (Resources.allocTxn).
 type txn struct {
 	kind     txnKind
 	rsn      uint64
@@ -171,36 +172,6 @@ type Stats struct {
 	RequestsServed uint64
 }
 
-// fifo is a head-indexed FIFO (deferred pull responses, parked work,
-// waiting connections). Like pdl's pktQueue it compacts once the consumed
-// prefix is both past 64 entries and at least half the buffer, so a backlog
-// that never drains to empty still keeps a bounded buffer.
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
-
-func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
-
-func (q *fifo[T]) peek() T { return q.buf[q.head] }
-
-func (q *fifo[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.buf) {
-		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
-		q.head = 0
-	}
-	return v
-}
-
 // Conn is one Falcon connection's transaction layer. Toward the ULP it
 // issues Push and Pull transactions of at most MTU bytes, and it holds the
 // ULP work it refused in a park queue until its Xon edge (see Submit).
@@ -228,7 +199,7 @@ type Conn struct {
 	wasXoff    bool
 	// parked holds, in submit order, the ULP work the connection refused
 	// and the work submitted behind it (see Submit).
-	parked fifo[func() bool]
+	parked ring.Ring[func() bool]
 
 	// Target state.
 	expectedRSN  uint64
@@ -236,7 +207,7 @@ type Conn struct {
 	completedRSN uint64
 
 	// Deferred pull responses awaiting TxResp resources.
-	pendingResponses fifo[*wire.Packet]
+	pendingResponses ring.Ring[*wire.Packet]
 	// sentRespBytes records TxResp byte reservations per RSN so acks
 	// release the exact amount.
 	sentRespBytes rsnTable[int]
@@ -263,7 +234,6 @@ type Conn struct {
 	probe Probe
 
 	// Free lists and scratch (steady-state allocation avoidance).
-	txnFree      *txn
 	rnrEvents    *rnrRetryEvent
 	readyScratch []uint64
 	reqScratch   pendingReq // drainTargetOrdered's dequeue slot (see there)
@@ -343,32 +313,13 @@ func MultiProbe(ps ...Probe) Probe {
 	return out
 }
 
-// allocTxn takes a transaction context from the free list.
-func (c *Conn) allocTxn() *txn {
-	t := c.txnFree
-	if t == nil {
-		return &txn{}
-	}
-	c.txnFree = t.nextFree
-	*t = txn{}
-	return t
-}
-
-// freeTxn recycles a released transaction context, dropping its payload
-// and callback references.
-func (c *Conn) freeTxn(t *txn) {
-	*t = txn{}
-	t.nextFree = c.txnFree
-	c.txnFree = t
-}
-
 // OutstandingTxns reports the initiator-side transactions that have been
 // issued but not yet completed (telemetry gauge).
 func (c *Conn) OutstandingTxns() int { return c.txns.len() }
 
 // PendingResponses reports pull responses deferred on TxResp resource
 // exhaustion (solicitation backlog; telemetry gauge).
-func (c *Conn) PendingResponses() int { return c.pendingResponses.len() }
+func (c *Conn) PendingResponses() int { return c.pendingResponses.Len() }
 
 // ReorderBacklog reports target-side requests buffered awaiting in-order
 // delivery (telemetry gauge).
@@ -401,23 +352,23 @@ func (c *Conn) MTU() int { return c.cfg.MTU }
 // it sees Dead and ends. Binding work once per ULP descriptor keeps parking
 // allocation-free.
 func (c *Conn) Submit(work func() bool) {
-	if c.parked.len() > 0 || !work() {
-		c.parked.push(work)
+	if c.parked.Len() > 0 || !work() {
+		c.parked.Push(work)
 	}
 }
 
 // Parked reports how many submitted items wait for the Xon edge.
-func (c *Conn) Parked() int { return c.parked.len() }
+func (c *Conn) Parked() int { return c.parked.Len() }
 
 // resumeParked runs parked work in submit order, stopping at the first item
 // refused again. An item stays at the head while it runs, so work submitted
 // from inside it queues behind.
 func (c *Conn) resumeParked() {
-	for c.parked.len() > 0 {
-		if !c.parked.peek()() {
+	for c.parked.Len() > 0 {
+		if !c.parked.Peek()() {
 			return
 		}
-		c.parked.pop()
+		c.parked.Pop()
 	}
 }
 
@@ -467,7 +418,7 @@ func (c *Conn) xoffed() bool {
 // response to drain, or an Xon edge to signal. Every refusal arms the edge,
 // whether or not work was parked; the edge disarms it.
 func (c *Conn) needy() bool {
-	return (c.wasXoff || c.pendingResponses.len() > 0) && c.dead == nil
+	return (c.wasXoff || c.pendingResponses.Len() > 0) && c.dead == nil
 }
 
 // noteXoff records a refusal and arms the Xon edge. A refusal by a full
@@ -513,7 +464,7 @@ func (c *Conn) PushOp(op uint8, addr uint64, data []byte, length uint32, done fu
 	}
 	rsn := c.nextRSN
 	c.nextRSN++
-	t := c.allocTxn()
+	t := c.res.allocTxn()
 	t.kind, t.rsn, t.length, t.ulpOp, t.addr, t.data, t.done = txnPush, rsn, length, op, addr, data, done
 	c.txns.put(rsn, t)
 	c.Stats.Pushes++
@@ -558,7 +509,7 @@ func (c *Conn) PullOpData(op uint8, addr uint64, reqData []byte, respLen uint32,
 	}
 	rsn := c.nextRSN
 	c.nextRSN++
-	t := c.allocTxn()
+	t := c.res.allocTxn()
 	t.kind, t.rsn, t.length, t.ulpOp, t.addr, t.data, t.done = txnPull, rsn, length, op, addr, reqData, done
 	c.txns.put(rsn, t)
 	c.Stats.Pulls++

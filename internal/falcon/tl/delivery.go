@@ -156,7 +156,7 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 	if err := c.res.Reserve(PoolTxResp, c.key, int(length)); err != nil {
 		// Defer until resources free up; the initiator's RTO/TLP keeps
 		// the transaction alive meanwhile.
-		c.pendingResponses.push(resp)
+		c.pendingResponses.Push(resp)
 		c.res.enqueue(c)
 		return
 	}
@@ -165,13 +165,13 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 }
 
 func (c *Conn) drainPendingResponses() {
-	for c.pendingResponses.len() > 0 {
-		resp := c.pendingResponses.peek()
+	for c.pendingResponses.Len() > 0 {
+		resp := c.pendingResponses.Peek()
 		if err := c.res.Reserve(PoolTxResp, c.key, int(resp.Length)); err != nil {
 			c.res.enqueue(c)
 			return
 		}
-		c.pendingResponses.pop()
+		c.pendingResponses.Pop()
 		c.sentRespBytes.put(resp.RSN, int(resp.Length))
 		c.ctrl.SendPacket(resp)
 	}
@@ -375,8 +375,8 @@ func (c *Conn) Fail(err error) {
 	}
 	// Deferred responses will never send; their packets go back to the
 	// pool.
-	for c.pendingResponses.len() > 0 {
-		c.pool.Release(c.pendingResponses.pop())
+	for c.pendingResponses.Len() > 0 {
+		c.pool.Release(c.pendingResponses.Pop())
 	}
 	// Parked work waits for an Xon edge that a dead connection would never
 	// send: resume it once, after this teardown, so it sees Dead and ends.
@@ -442,7 +442,7 @@ func (c *Conn) release(t *txn) {
 	} else {
 		c.Stats.CompletedOK++
 	}
-	c.freeTxn(t)
+	c.res.freeTxn(t)
 	if c.probe != nil {
 		c.probe.OnCompletion(c, rsn, terr)
 	}

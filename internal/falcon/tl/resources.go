@@ -9,6 +9,8 @@ package tl
 import (
 	"errors"
 	"fmt"
+
+	"falcon/internal/falcon/ring"
 )
 
 // PoolKind identifies one of the four resource sub-pools of Figure 6. The
@@ -176,12 +178,17 @@ type Resources struct {
 	// refused and those holding deferred responses: the ones any Release
 	// may unblock. A connection refused by its DT threshold is not here;
 	// only its own releases can lower its holdings (see Release).
-	waiters fifo[*Conn]
+	waiters ring.Ring[*Conn]
 
 	// waking is set while Release wakes connections, so a Release nested
 	// inside a wake (a refused ULP rolling back a partial reservation)
 	// does its accounting and starts no second walk.
 	waking bool
+
+	// txnFree is the node's free list of transaction contexts, shared by
+	// its connections as the paper's per-NIC pools are (§4.5).
+	txnFree  *txn
+	txnBuilt int // contexts ever allocated
 }
 
 // NewResources builds the resource manager.
@@ -198,8 +205,36 @@ func NewResources(cfg ResourceConfig) *Resources {
 func (r *Resources) enqueue(c *Conn) {
 	if !c.queued {
 		c.queued = true
-		r.waiters.push(c)
+		r.waiters.Push(c)
 	}
+}
+
+// allocTxn takes a zeroed transaction context from the free list.
+func (r *Resources) allocTxn() *txn {
+	t := r.txnFree
+	if t == nil {
+		r.txnBuilt++
+		return &txn{}
+	}
+	r.txnFree, t.nextFree = t.nextFree, nil
+	return t
+}
+
+// freeTxn recycles a released transaction context, dropping its payload
+// and callback references.
+func (r *Resources) freeTxn(t *txn) {
+	*t = txn{}
+	t.nextFree = r.txnFree
+	r.txnFree = t
+}
+
+// TxnContexts reports how many transaction contexts the node has built and
+// how many are on its free list: equal once every transaction completed.
+func (r *Resources) TxnContexts() (built, free int) {
+	for t := r.txnFree; t != nil; t = t.nextFree {
+		free++
+	}
+	return r.txnBuilt, free
 }
 
 // Reserve takes one context plus bytes from the pool on behalf of conn.
@@ -233,15 +268,15 @@ func (r *Resources) Release(k PoolKind, conn uint32, bytes int) {
 		c = r.conns[conn]
 	}
 	self := c != nil && c.needy()
-	if !self && r.waiters.len() == 0 {
+	if !self && r.waiters.Len() == 0 {
 		return
 	}
 	r.waking = true
 	if self {
 		c.onResourcesFreed()
 	}
-	for r.waiters.len() > 0 {
-		w := r.waiters.pop()
+	for r.waiters.Len() > 0 {
+		w := r.waiters.Pop()
 		w.queued = false
 		if !w.needy() {
 			continue // woken since it queued, or dead

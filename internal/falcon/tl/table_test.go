@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"falcon/internal/falcon/wire"
 	"falcon/internal/sim"
 )
 
@@ -155,23 +154,6 @@ func TestRSNTableLazy(t *testing.T) {
 	tab.put(7, 70)
 	if v, ok := tab.get(7); !ok || v != 70 || len(tab.keys) != rsnTableMin {
 		t.Fatalf("first put: get = %d,%v, ring of %d", v, ok, len(tab.keys))
-	}
-}
-
-// TestRespQueueCompactsUnderStandingBacklog keeps one deferred response
-// always waiting for 10^5 push/pop cycles: the queue never drains to
-// empty, yet its buffer must stay bounded and its order FIFO.
-func TestRespQueueCompactsUnderStandingBacklog(t *testing.T) {
-	var q fifo[*wire.Packet]
-	q.push(&wire.Packet{RSN: 0})
-	for i := 1; i <= 100_000; i++ {
-		q.push(&wire.Packet{RSN: uint64(i)})
-		if p := q.pop(); p.RSN != uint64(i-1) {
-			t.Fatalf("cycle %d popped RSN %d", i, p.RSN)
-		}
-	}
-	if q.len() != 1 || cap(q.buf) > 256 {
-		t.Fatalf("standing backlog of %d left a buffer of cap %d", q.len(), cap(q.buf))
 	}
 }
 

@@ -337,6 +337,9 @@ func TestCIECompletesInErrorAndContinues(t *testing.T) {
 	if e.a.Stats.CompletedError != 1 || e.a.Stats.CompletedOK != 2 {
 		t.Fatalf("stats: %+v", e.a.Stats)
 	}
+	if built, free := e.resA.TxnContexts(); free != built {
+		t.Fatalf("%d transaction contexts built, %d back on the free list", built, free)
+	}
 }
 
 func TestBackpressureStaticThreshold(t *testing.T) {
@@ -405,13 +408,13 @@ func TestBareRefusalsWakeBounded(t *testing.T) {
 	if e.a.Stats.Backpressured != 100 {
 		t.Fatalf("counted %d refusals, want 100", e.a.Stats.Backpressured)
 	}
-	if n, w := needyConns(e.resA), e.resA.waiters.len(); n != 1 || w != 1 {
+	if n, w := needyConns(e.resA), e.resA.waiters.Len(); n != 1 || w != 1 {
 		t.Fatalf("after 100 refusals: %d needy connections, %d waiters; want 1 and 1", n, w)
 	}
 	// One release: at most the self check and one FIFO entry, and the edge
 	// disarms the connection.
 	e.resA.Release(PoolTxReq, 99, 0)
-	if n, w := needyConns(e.resA), e.resA.waiters.len(); n != 0 || w != 0 {
+	if n, w := needyConns(e.resA), e.resA.waiters.Len(); n != 0 || w != 0 {
 		t.Fatalf("after one release: %d needy connections, %d waiters; want 0 and 0", n, w)
 	}
 	e.ctrlA.holdRequests = false
@@ -635,7 +638,7 @@ func TestReleaseWakeBounded(t *testing.T) {
 	}
 	waiterWakes := 0
 	park(newConn(cfg), ErrNoResources, func(*Conn) bool { waiterWakes++; return true })
-	if n := res.waiters.len(); n != 1 {
+	if n := res.waiters.Len(); n != 1 {
 		t.Fatalf("%d connections wait for any release, want only the pool waiter", n)
 	}
 	res.Release(PoolTxReq, subs[0].key, 0)
@@ -848,5 +851,61 @@ func TestRNRSustainedStallLossless(t *testing.T) {
 			t.Errorf("stall=%v retry=%v: CompletedOK = %d, want %d",
 				tc.stallFor, tc.retryDelay, e.a.Stats.CompletedOK, ops)
 		}
+	}
+}
+
+// TestTxnContextsSharedPerNode: transaction contexts come from the node's
+// Resources, not from each connection. Once connection A has completed 2n
+// transactions, connection B on the same node issues n, then n more, with
+// no allocation at all (its tables were sized by one earlier transaction),
+// and the node has built only 2n contexts for both.
+func TestTxnContextsSharedPerNode(t *testing.T) {
+	const n = 8
+	s := sim.New(1)
+	res := NewResources(DefaultResourceConfig())
+	a := NewConn(s, 1, DefaultConfig(), res, nopCtrl{}, nil)
+	b := NewConn(s, 2, DefaultConfig(), res, nopCtrl{}, nil)
+	pool := wire.NewPacketPool()
+	a.SetPacketPool(pool)
+	b.SetPacketPool(pool)
+	// nopCtrl keeps the request packets, so the pool needs 4n+1 up front.
+	pkts := make([]*wire.Packet, 4*n+1)
+	for i := range pkts {
+		pkts[i] = pool.Acquire()
+	}
+	for _, p := range pkts {
+		pool.Release(p)
+	}
+	run := func(c *Conn, k int) {
+		for i := 0; i < k; i++ {
+			if _, err := c.Push(nil, 64, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	complete := func(c *Conn) {
+		for rsn := c.releaseRSN; rsn < c.nextRSN; rsn++ {
+			c.PacketAcked(wire.SpaceRequest, 0, rsn, wire.TypePushData)
+		}
+		c.Completed(c.nextRSN)
+		if c.OutstandingTxns() != 0 {
+			t.Fatalf("%d transactions still open", c.OutstandingTxns())
+		}
+	}
+	run(b, 1)
+	complete(b)
+	run(a, 2*n)
+	complete(a)
+
+	// AllocsPerRun issues n once unmeasured, then n measured.
+	if m := testing.AllocsPerRun(1, func() { run(b, n) }); m != 0 {
+		t.Fatalf("issuing transactions after another connection released them: %v allocations per %d, want 0", m, n)
+	}
+	if built, free := res.TxnContexts(); built != 2*n || free != 0 {
+		t.Fatalf("node built %d contexts with %d free, want %d and 0", built, free, 2*n)
+	}
+	complete(b)
+	if built, free := res.TxnContexts(); built != 2*n || free != 2*n {
+		t.Fatalf("at quiescence the node has %d contexts and %d free, want %d of %d", built, free, 2*n, 2*n)
 	}
 }

@@ -32,14 +32,28 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// benchPairs are the committed before/after bench record pairs that
-// `make check` diffs, BENCH_<pair>_{before,after}.jsonl.
-var benchPairs = []string{"pr17", "pr17_extra", "pr18", "pr26", "pr27", "pr28", "pr29", "pr30", "pr31"}
+// lakePairs returns the committed before/after bench record pairs that
+// `make check` diffs, BENCH_<pair>_{before,after}.jsonl: the Makefile's
+// LAKE_PAIRS, read from the Makefile so the two lists cannot part.
+func lakePairs(t *testing.T) []string {
+	t.Helper()
+	mk, err := os.ReadFile(filepath.Join(repoRoot(t), "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(mk), "\n") {
+		if rest, ok := strings.CutPrefix(line, "LAKE_PAIRS ="); ok {
+			return strings.Fields(rest)
+		}
+	}
+	t.Fatal("Makefile has no LAKE_PAIRS line")
+	return nil
+}
 
 // committedArtifacts lists every artifact `make check` reads — the
 // watched metrics snapshots, the listed series and records, and both
 // sides of each bench pair — each with the run it lands in.
-func committedArtifacts() [][2]string {
+func committedArtifacts(t *testing.T) [][2]string {
 	out := [][2]string{
 		{"pr3", "BENCH_pr3_metrics.json"},
 		{"pr3", "BENCH_pr3_series"},
@@ -50,7 +64,7 @@ func committedArtifacts() [][2]string {
 		{"pr32_before", "BENCH_pr32_before.jsonl"},
 		{"pr32_after", "BENCH_pr32_after.jsonl"},
 	}
-	for _, p := range benchPairs {
+	for _, p := range lakePairs(t) {
 		for _, side := range []string{"before", "after"} {
 			out = append(out, [2]string{p + "_" + side, "BENCH_" + p + "_" + side + ".jsonl"})
 		}
@@ -76,14 +90,14 @@ func ingestCommitted(t *testing.T, arts [][2]string) *Index {
 // independent ingests of the same artifacts, in opposite orders, build
 // identical indexes.
 func TestLakeIngestDeterminism(t *testing.T) {
-	arts := committedArtifacts()
+	arts := committedArtifacts(t)
 	a := ingestCommitted(t, arts)
 	slices.Reverse(arts)
 	b := ingestCommitted(t, arts)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two ingests of the same artifacts differ")
 	}
-	if n := len(a.Runs()); n != 6+2*len(benchPairs)-1 {
+	if n := len(a.Runs()); n != 6+2*len(lakePairs(t))-1 {
 		t.Fatalf("%d runs, want one per artifact with pr3's two merged", n)
 	}
 }
@@ -91,7 +105,7 @@ func TestLakeIngestDeterminism(t *testing.T) {
 // TestLakeSelfDiffEmpty asserts the committed corpus self-diffs clean:
 // diffing any run against itself reports zero findings.
 func TestLakeSelfDiffEmpty(t *testing.T) {
-	ix := ingestCommitted(t, committedArtifacts())
+	ix := ingestCommitted(t, committedArtifacts(t))
 	for _, r := range ix.Runs() {
 		rep := mustDiff(t, ix, r.Name, r.Name)
 		if !rep.Empty() {
@@ -108,7 +122,7 @@ func TestLakeSelfDiffEmpty(t *testing.T) {
 // TestLakeCommittedValues spot-checks that ingested cells carry the
 // exact values written in the artifacts.
 func TestLakeCommittedValues(t *testing.T) {
-	ix := ingestCommitted(t, committedArtifacts())
+	ix := ingestCommitted(t, committedArtifacts(t))
 	for _, c := range []struct {
 		run, path string
 		want      float64
@@ -199,17 +213,27 @@ func scaleMetric(t *testing.T, line []byte, metric string, f float64) []byte {
 	return out
 }
 
-// TestLakeBenchPairs diffs each committed bench pair seed by seed, then
-// checks the differ's verdict on a copy with one record altered: an
-// exact metric moved by any amount is one value-drift, and a perf
-// metric moved by a relative error of 0.30 (beyond the 0.25 band) is a
-// perf-regress only in its worse direction.
+// TestLakeBenchPairs diffs each committed bench pair, and each
+// parent-against-parent set the perf set gate was calibrated on
+// (testdata/calibration), and expects no finding.
 func TestLakeBenchPairs(t *testing.T) {
 	root := repoRoot(t)
-	for _, p := range benchPairs {
+	var pairs [][2]string
+	for _, p := range lakePairs(t) {
+		pairs = append(pairs, [2]string{
+			filepath.Join(root, "BENCH_"+p+"_before.jsonl"), filepath.Join(root, "BENCH_"+p+"_after.jsonl")})
+	}
+	sets, err := filepath.Glob(filepath.Join("testdata", "calibration", "*_before.jsonl"))
+	if err != nil || len(sets) < 5 {
+		t.Fatalf("%d calibration sets (%v), want at least 5", len(sets), err)
+	}
+	for _, before := range sets {
+		pairs = append(pairs, [2]string{before, strings.TrimSuffix(before, "_before.jsonl") + "_after.jsonl"})
+	}
+	for _, p := range pairs {
 		ix := &Index{}
-		for _, side := range []string{"before", "after"} {
-			if err := ix.IngestFile(side, filepath.Join(root, "BENCH_"+p+"_"+side+".jsonl")); err != nil {
+		for i, side := range []string{"before", "after"} {
+			if err := ix.IngestFile(side, p[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,29 +241,50 @@ func TestLakeBenchPairs(t *testing.T) {
 		if !rep.Empty() {
 			var buf bytes.Buffer
 			rep.WriteText(&buf)
-			t.Errorf("%s:\n%s", p, buf.String())
+			t.Errorf("%s:\n%s", p[1], buf.String())
 		}
 		if n := len(ix.runs["before"].Cells); rep.CellsCompared != n || n == 0 {
-			t.Errorf("%s: compared %d of %d cells", p, rep.CellsCompared, n)
+			t.Errorf("%s: compared %d of %d cells", p[1], rep.CellsCompared, n)
 		}
 	}
+}
 
-	data, err := os.ReadFile(filepath.Join(root, "BENCH_pr28_before.jsonl"))
+// TestDiffSetGate diffs a committed after-file against altered copies of
+// itself. A uniform 10 % slowdown (host_ns_per_op up, or events_per_sec
+// down) is one perf-regress per workload; one seed made 1.5x worse alone,
+// and a uniform speedup, are not flagged; an exact metric moved on one
+// seed is one value-drift on that seed's cell.
+func TestDiffSetGate(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(repoRoot(t), "BENCH_pr36_after.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+	perWorkload := func(metric string) []string {
+		var out []string
+		for _, w := range []string{"fabric_scale", "incast_conns", "lossy_mixed", "oprate_small"} {
+			out = append(out, w+"/bench/"+metric)
+		}
+		return out
+	}
 	for _, c := range []struct {
 		metric string
 		f      float64
+		every  bool // scale every record, else only the first
 		want   []string
 	}{
-		{"events_per_op", 1 + 1e-12, []string{FindingDrift}},
-		{"host_ns_per_op", 1 / 0.7, []string{FindingPerf}},
-		{"host_ns_per_op", 0.7, nil},
+		{"host_ns_per_op", 1.10, true, perWorkload("host_ns_per_op")},
+		{"events_per_sec", 1 / 1.10, true, perWorkload("events_per_sec")},
+		{"host_ns_per_op", 1.5, false, nil},
+		{"host_ns_per_op", 0.7, true, nil},
+		{"events_per_op", 1 + 1e-12, false, []string{"fabric_scale/seed361/bench/events_per_op"}},
 	} {
 		altered := slices.Clone(lines)
-		altered[0] = scaleMetric(t, lines[0], c.metric, c.f)
+		for i := range altered {
+			if c.every || i == 0 {
+				altered[i] = scaleMetric(t, lines[i], c.metric, c.f)
+			}
+		}
 		ix := &Index{}
 		if err := ix.IngestBenchRecords("before", bytes.NewReader(data), "before.jsonl"); err != nil {
 			t.Fatal(err)
@@ -249,13 +294,17 @@ func TestLakeBenchPairs(t *testing.T) {
 		}
 		var got []string
 		for _, f := range mustDiff(t, ix, "before", "after").Findings {
-			if f.Path != "fabric_scale/seed281/bench/"+c.metric {
-				t.Errorf("%s x%v: finding on %s", c.metric, c.f, f.Path)
+			wantKind := FindingPerf
+			if f.Class == ClassExact.String() {
+				wantKind = FindingDrift
 			}
-			got = append(got, f.Kind)
+			if f.Kind != wantKind || (f.Kind == FindingPerf && !strings.Contains(f.Detail, "10/10 seeds worse")) {
+				t.Errorf("%s x%v: %+v", c.metric, c.f, f)
+			}
+			got = append(got, f.Path)
 		}
 		if !slices.Equal(got, c.want) {
-			t.Errorf("%s x%v: findings %v, want %v", c.metric, c.f, got, c.want)
+			t.Errorf("%s x%v (every seed: %v): findings on %v, want %v", c.metric, c.f, c.every, got, c.want)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // The trend half of the differ: where Diff compares two runs under a
 // per-pair tolerance, Trend walks three or more runs in the order given
 // (oldest first) and flags metrics that creep monotonically in one
-// direction. A perf metric regressing 8% per PR never trips the 25%
-// pairwise band, yet four such PRs compound into a 36% loss; a timing
+// direction. A perf metric regressing 7% per PR never trips the 8%
+// pairwise set band, yet four such PRs compound into a 31% loss; a timing
 // metric drifting 3% per run hides the same way under the 5% band. The
 // cumulative first-to-last drift of a monotonic sequence is the signal
 // pairwise diffing structurally cannot see.

@@ -68,7 +68,7 @@ func TestTrendPerfDirectional(t *testing.T) {
 	mk := func(eps, ns float64) map[string]float64 {
 		return map[string]float64{"w/seed1/bench/events_per_sec": eps, "w/seed1/bench/host_ns_per_op": ns}
 	}
-	// events_per_sec decays 8%/run (pairwise-invisible at 25%),
+	// events_per_sec decays 8%/run,
 	// host_ns_per_op improves monotonically.
 	ix := seqIndex(t, []map[string]float64{mk(1000, 90), mk(920, 80), mk(846, 70), mk(779, 60)})
 	rep := mustTrend(t, ix, []string{"r1", "r2", "r3", "r4"})

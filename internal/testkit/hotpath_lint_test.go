@@ -18,10 +18,10 @@ import (
 // hot path depends on, so a regression is caught at review time rather
 // than by a benchmark drifting:
 //
-//  1. No map indexing, map ranging, or delete() in pdl or tl. The
+//  1. No map indexing, map ranging, or delete() in ring, pdl or tl. The
 //     steady-state path works on dense rings and bitmap words.
 //  2. No function literals passed to scheduler entry points (At, After,
-//     AtAction, CrossAction, Process, ProcessAction) in pdl or tl.
+//     AtAction, CrossAction, Process, ProcessAction) in ring, pdl or tl.
 //     Scheduling a closure allocates per call; the hot path schedules
 //     preallocated Action values instead.
 //
@@ -116,8 +116,8 @@ func (i lintImporter) Import(path string) (*types.Package, error) {
 	return i.fallback.Import(path)
 }
 
-// loadLintPackages parses and type-checks pdl and tl (plus their
-// module-local dependencies, in topological order) and returns the two
+// loadLintPackages parses and type-checks ring, pdl and tl (plus their
+// module-local dependencies, in topological order) and returns the three
 // packages under lint.
 func loadLintPackages(t *testing.T, fset *token.FileSet) []*lintPkg {
 	t.Helper()
@@ -129,6 +129,7 @@ func loadLintPackages(t *testing.T, fset *token.FileSet) []*lintPkg {
 		{"falcon/internal/falcon/wire", "../falcon/wire", false},
 		{"falcon/internal/falcon/cc", "../falcon/cc", false},
 		{"falcon/internal/falcon/fae", "../falcon/fae", false},
+		{"falcon/internal/falcon/ring", "../falcon/ring", true},
 		{"falcon/internal/falcon/pdl", "../falcon/pdl", true},
 		{"falcon/internal/falcon/tl", "../falcon/tl", true},
 	}

@@ -417,7 +417,8 @@ func Run(sc Scenario) Result {
 	}
 
 	// Post-run quiescence: everything issued completed, nothing is still
-	// outstanding, every reservation was returned and, on the single loop
+	// outstanding, every reservation and transaction context was returned
+	// and, on the single loop
 	// (whose one pool every packet leaves from and returns to), every
 	// transport packet is back on the free list.
 	if !res.ConnFailed {
@@ -445,6 +446,10 @@ func Run(sc Scenario) Result {
 					sd.ps.k.Failf("scenario %q: %s %v pool not drained (occupancy %.4f) — resource leak",
 						sc.Name, sd.name, pool, occ)
 				}
+			}
+			if built, free := sd.node.Resources().TxnContexts(); free != built {
+				sd.ps.k.Failf("scenario %q: %s node built %d transaction contexts but %d are free after drain — context leak",
+					sc.Name, sd.name, built, free)
 			}
 		}
 		if len(sets) == 1 && res.PacketsFree != res.PacketsAllocated {
