@@ -59,11 +59,14 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // that allocates costs hundreds of objects per op. `make check` runs this.
 // The rdma-read-incast case holds the same regime at connection scale:
 // 200 connections, each a queue of its own, share each client's pools.
+// The rdma-write-reordered case holds the target's reorder buffer to it:
+// requests that arrive ahead of a gap wait as pooled packets.
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	t.Run("tl-push-pull", testTLSteadyStateAllocs)
 	t.Run("rdma-read", func(t *testing.T) { testReadSteadyStateAllocs(t, false) })
 	t.Run("rdma-read-refused", func(t *testing.T) { testReadSteadyStateAllocs(t, true) })
 	t.Run("rdma-read-incast", testIncastSteadyStateAllocs)
+	t.Run("rdma-write-reordered", testReorderedWriteSteadyStateAllocs)
 }
 
 func testTLSteadyStateAllocs(t *testing.T) {
@@ -152,6 +155,38 @@ func closedLoop(t *testing.T, window int, post func(id uint64, done func(rdma.Co
 		if completed != limit {
 			t.Fatalf("completed %d of %d ops", completed, limit)
 		}
+	}
+}
+
+// testReorderedWriteSteadyStateAllocs runs ordered 64 KiB Writes over a
+// link that delays a quarter of the pushes by 20 µs, so the pushes behind
+// them arrive ahead of a gap and wait in the target's reorder buffer.
+func testReorderedWriteSteadyStateAllocs(t *testing.T) {
+	s := sim.New(1)
+	topo, fwd := netsim.PointToPoint(s, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	fwd.SetReorder(0.25, 20*sim.Microsecond)
+	cl := core.NewCluster(s)
+	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
+	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
+	epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
+	qp := rdma.NewQP(epA, rdma.Config{})
+	qpB := rdma.NewQP(epB, rdma.Config{})
+	qpB.RegisterMemoryLen(1 << 30)
+	spy := newHoldSpy(epB, qpB.Target())
+
+	const window = 4
+	const opBytes = 64 << 10
+	runOps := closedLoop(t, window, func(id uint64, done func(rdma.Completion)) error {
+		return qp.Write(id, 0, nil, opBytes, done)
+	}, func() { s.RunUntil(s.Now().Add(3600 * sim.Second)) })
+
+	// The warm-up covers a revolution of the scheduler's level-1 wheel, as
+	// testReadSteadyStateAllocs' does.
+	const warm, measured = 8000, 4000
+	measureSteadyState(t, warm, measured, runOps)
+	t.Logf("%d serves with requests held ahead of a gap over %d writes", spy.held, warm+measured)
+	if spy.held < warm+measured {
+		t.Fatalf("only %d serves found requests held: the hold path was not sustained", spy.held)
 	}
 }
 

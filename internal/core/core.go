@@ -223,8 +223,9 @@ func (n *Node) Crash() int {
 
 // rxJob is the pooled NIC-ingress pass for one arriving packet: it runs
 // after the pipeline's admission delay, hands the packet to the PDL, and
-// returns it to the node's pool (no layer above retains inbound packets —
-// holders copy by value; see wire.PacketPool's ownership contract).
+// returns it to the node's pool (no layer above retains an inbound packet —
+// a holder keeps a pooled copy of its own and releases that; see
+// wire.PacketPool's ownership contract).
 type rxJob struct {
 	ep   *Endpoint
 	pkt  *wire.Packet

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"falcon/internal/core"
+	"falcon/internal/falcon/tl"
+	"falcon/internal/falcon/wire"
 	"falcon/internal/netsim"
 	"falcon/internal/rdma"
 	"falcon/internal/sim"
@@ -65,6 +67,94 @@ func TestConnectionFootprint(t *testing.T) {
 	if perConn > footprintBound {
 		t.Fatalf("retained heap %.0f B per connection, want <= %d", perConn, footprintBound)
 	}
+}
+
+// reorderedFootprintBound is the retained heap, in bytes per connection,
+// that TestReorderedConnectionFootprint allows: 35 730–35 920 B measured
+// (amd64, Go 1.24) plus 10 %. It was set when the TL's reorder buffer
+// began holding pooled packets by pointer instead of 192-byte copies; the
+// same world measured 42 035–42 220 B before that change (EXPERIMENTS.md,
+// "Reordered footprint gate").
+const reorderedFootprintBound = 39_500
+
+// TestReorderedConnectionFootprint is TestConnectionFootprint's world with
+// every target holding requests ahead of a gap: each of the 200 ordered
+// connections runs one 256 KiB rdma Write (64 pushes), and every client's
+// uplink delays a quarter of its frames by 20 µs, so later pushes overtake
+// earlier ones and wait in the server's reorder buffers. The bound then
+// covers what a connection retains once it has held a request, which
+// TestConnectionFootprint's in-order Reads never do.
+func TestReorderedConnectionFootprint(t *testing.T) {
+	const clients, conns, opBytes = 5, 200, 256 << 10
+	before := liveHeap()
+
+	s := sim.New(1)
+	topo := netsim.Star(s, clients+1, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	cl := core.NewCluster(s)
+	cfg := core.DefaultNodeConfig()
+	cfg.NIC.CacheSize = 512
+	cfg.FAE.UseECN = true
+	server := cl.AddNode(topo.Hosts[0], cfg)
+	nodes := []*core.Node{server}
+	for _, h := range topo.Hosts[1:] {
+		h.Uplink().SetReorder(0.25, 20*sim.Microsecond)
+		nodes = append(nodes, cl.AddNode(h, cfg))
+	}
+	completed := 0
+	spies := make([]*holdSpy, conns)
+	for i := range spies {
+		epC, epS := cl.Connect(nodes[1+i%clients], server, core.DefaultConnConfig())
+		qpS := rdma.NewQP(epS, rdma.Config{})
+		qpS.RegisterMemoryLen(1 << 40)
+		spies[i] = newHoldSpy(epS, qpS.Target())
+		if err := rdma.NewQP(epC, rdma.Config{}).Write(uint64(i), 0, nil, opBytes, func(c rdma.Completion) {
+			if c.Err != nil {
+				t.Errorf("write %d: %v", i, c.Err)
+			}
+			completed++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	if completed != conns {
+		t.Fatalf("completed %d of %d writes", completed, conns)
+	}
+	for i, spy := range spies {
+		if spy.held == 0 {
+			t.Fatalf("connection %d never held a request ahead of a gap", i)
+		}
+	}
+
+	perConn := float64(liveHeap()-before) / conns
+	runtime.KeepAlive(cl)
+	runtime.KeepAlive(nodes)
+	t.Logf("retained heap: %.0f B per connection (bound %d)", perConn, reorderedFootprintBound)
+	if perConn > reorderedFootprintBound {
+		t.Fatalf("retained heap %.0f B per connection, want <= %d", perConn, reorderedFootprintBound)
+	}
+}
+
+// holdSpy wraps an endpoint's target handler and counts the requests it
+// serves while later ones wait in the connection's reorder buffer.
+type holdSpy struct {
+	tl.TargetHandler
+	conn *tl.Conn
+	held int
+}
+
+// newHoldSpy installs a spy in front of h as ep's target handler.
+func newHoldSpy(ep *core.Endpoint, h tl.TargetHandler) *holdSpy {
+	spy := &holdSpy{TargetHandler: h, conn: ep.TL()}
+	ep.SetTarget(spy)
+	return spy
+}
+
+func (s *holdSpy) HandlePush(rsn uint64, p *wire.Packet) tl.TargetVerdict {
+	if s.conn.ReorderBacklog() > 0 {
+		s.held++
+	}
+	return s.TargetHandler.HandlePush(rsn, p)
 }
 
 // liveHeap returns the live heap after a forced collection.

@@ -138,17 +138,6 @@ type txn struct {
 	nextFree *txn
 }
 
-// pendingReq is a target-side request that arrived ahead of a gap and
-// awaits in-order delivery (a head-of-line request is served from the wire
-// packet and never becomes one). The packet is held by value: the inbound
-// wire packet belongs to the receive path and is recycled as soon as
-// delivery returns, so the reorder buffer snapshots it (Data is safe to
-// alias — payload slices are never pooled).
-type pendingReq struct {
-	pkt   wire.Packet
-	bytes int
-}
-
 // Probe observes a TL connection's transaction-level activity. It is the
 // TL's verification hook (internal/testkit registers invariant checkers
 // through it): OnRequestServed fires at the target when a request reaches
@@ -202,8 +191,10 @@ type Conn struct {
 	parked ring.Ring[func() bool]
 
 	// Target state.
-	expectedRSN  uint64
-	reorderBuf   rsnTable[pendingReq]
+	expectedRSN uint64
+	// reorderBuf holds the requests that arrived ahead of a gap, each a
+	// pooled copy of its wire packet, until drainTargetOrdered serves it.
+	reorderBuf   rsnTable[*wire.Packet]
 	completedRSN uint64
 
 	// Deferred pull responses awaiting TxResp resources.
@@ -236,7 +227,6 @@ type Conn struct {
 	// Free lists and scratch (steady-state allocation avoidance).
 	rnrEvents    *rnrRetryEvent
 	readyScratch []uint64
-	reqScratch   pendingReq // drainTargetOrdered's dequeue slot (see there)
 
 	Stats Stats
 }

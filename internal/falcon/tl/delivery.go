@@ -32,44 +32,38 @@ func (c *Conn) deliverRequest(p *wire.Packet) pdl.DeliverVerdict {
 		return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 	}
 
-	bytes := int(p.Length)
 	hol := !c.cfg.Ordered || p.RSN == c.expectedRSN
-	if err := c.res.AdmitRxRequest(c.key, bytes, hol); err != nil {
+	if err := c.res.AdmitRxRequest(c.key, int(p.Length), hol); err != nil {
 		return pdl.DeliverVerdict{Kind: pdl.DeliverNoResources}
 	}
 
 	if hol {
 		// Served straight from the wire packet, then any buffered
 		// successors it unblocked.
-		if c.serve(p.RSN, p, bytes) && c.cfg.Ordered {
+		if c.serve(p) && c.cfg.Ordered {
 			c.drainTargetOrdered()
 		}
 		return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 	}
-	// Ahead of a gap: snapshot the packet, because the inbound wire packet
-	// belongs to the receive path and may be recycled as soon as this
+	// Ahead of a gap: hold a pooled copy, because the inbound wire packet
+	// belongs to the receive path, which recycles it as soon as this
 	// upcall returns (Data aliasing is fine — payload slices are never
 	// pooled).
-	pr := pendingReq{bytes: bytes}
-	pr.pkt.CopyFrom(p)
-	c.reorderBuf.put(p.RSN, pr)
+	held := c.pool.Acquire()
+	held.CopyFrom(p)
+	c.reorderBuf.put(p.RSN, held)
 	return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 }
 
 // drainTargetOrdered serves buffered requests in RSN order until a gap
-// (or an RNR pause) stops it.
+// (or an RNR pause) stops it. Each held packet goes back to the pool once
+// served, whether the serve succeeds or hits RNR.
 func (c *Conn) drainTargetOrdered() {
 	for c.reorderBuf.has(c.expectedRSN) {
-		// The dequeued request lands in a per-connection scratch slot
-		// rather than a local: serve hands the handler &reqScratch.pkt,
-		// and a local would escape to the heap on every dequeue. The
-		// scratch is only live across the synchronous serve call —
-		// nothing in that call graph delivers another request on this
-		// connection (requests only arrive via scheduled HandlePacket
-		// events).
-		rsn := c.expectedRSN
-		c.reqScratch, _ = c.reorderBuf.del(rsn)
-		if !c.serve(rsn, &c.reqScratch.pkt, c.reqScratch.bytes) {
+		held, _ := c.reorderBuf.del(c.expectedRSN)
+		served := c.serve(held)
+		c.pool.Release(held)
+		if !served {
 			return // RNR: expectedRSN unchanged, retry will resume
 		}
 	}
@@ -89,11 +83,12 @@ func (c *Conn) serveAdvance(rsn uint64) {
 }
 
 // serve runs the ULP handler for an admitted request, then releases the
-// request's RxReq reservation of bytes. p is only read during the call. It
-// returns false when the request hit RNR and must be retried by the
-// initiator.
-func (c *Conn) serve(rsn uint64, p *wire.Packet, bytes int) bool {
-	defer c.res.Release(PoolRxReq, c.key, bytes)
+// request's RxReq reservation (p.Length bytes, as admitted). p is only read
+// during the call. It returns false when the request hit RNR and must be
+// retried by the initiator.
+func (c *Conn) serve(p *wire.Packet) bool {
+	rsn := p.RSN
+	defer c.res.Release(PoolRxReq, c.key, int(p.Length))
 
 	if c.target == nil {
 		// No ULP attached: treat as a sink (pure delivery benchmark).
@@ -368,10 +363,12 @@ func (c *Conn) Fail(err error) {
 		bytes, _ := c.sentRespBytes.del(rsn)
 		c.res.Release(PoolTxResp, c.key, bytes)
 	}
-	// Drop target-side reorder buffers (their RxReq reservations).
+	// Drop target-side reorder buffers: their RxReq reservations, then
+	// their held packets.
 	for _, rsn := range c.reorderBuf.sorted() {
-		pr, _ := c.reorderBuf.del(rsn)
-		c.res.Release(PoolRxReq, c.key, pr.bytes)
+		held, _ := c.reorderBuf.del(rsn)
+		c.res.Release(PoolRxReq, c.key, int(held.Length))
+		c.pool.Release(held)
 	}
 	// Deferred responses will never send; their packets go back to the
 	// pool.

@@ -25,7 +25,11 @@ func (h *captureHandler) handle(rsn uint64, p *wire.Packet) TargetVerdict {
 			return v
 		}
 	}
-	h.seen[rsn] = *p
+	// CopyFrom keeps the copy out of the pool, so that it compares equal
+	// to a hand-built packet.
+	var seen wire.Packet
+	seen.CopyFrom(p)
+	h.seen[rsn] = seen
 	h.order = append(h.order, rsn)
 	return TargetVerdict{}
 }
@@ -54,9 +58,10 @@ func (n nackCounter) SendExceptionNack(_ wire.Space, _ uint32, _ uint64, code wi
 }
 
 // targetBed is one target-side TL connection fed packets directly, as the
-// PDL's Deliver upcall would.
+// PDL's Deliver upcall would, with a packet pool for what it holds.
 type targetBed struct {
 	res   *Resources
+	pool  *wire.PacketPool
 	c     *Conn
 	h     *captureHandler
 	probe servedProbe
@@ -66,11 +71,24 @@ type targetBed struct {
 func newTargetBed(ordered bool) *targetBed {
 	cfg := DefaultConfig()
 	cfg.Ordered = ordered
-	b := &targetBed{res: NewResources(DefaultResourceConfig()), probe: servedProbe{}}
+	b := &targetBed{res: NewResources(DefaultResourceConfig()), pool: wire.NewPacketPool(), probe: servedProbe{}}
 	b.h = &captureHandler{seen: map[uint64]wire.Packet{}}
 	b.c = NewConn(sim.New(1), 1, cfg, b.res, nackCounter{&b.nacks}, b.h)
+	b.c.SetPacketPool(b.pool)
 	b.c.SetProbe(b.probe)
 	return b
+}
+
+// checkReturned fails unless every packet the connection took from its
+// pool to hold a request is back, and no RxReq reservation is left.
+func (b *targetBed) checkReturned(t *testing.T) {
+	t.Helper()
+	if free, alloc := b.pool.Free(), b.pool.Allocated(); free != alloc {
+		t.Errorf("pool: %d of %d packets free, want all back", free, alloc)
+	}
+	if u := b.res.ConnUsage(b.c.key); u != 0 {
+		t.Errorf("RxReq usage %d, want 0", u)
+	}
 }
 
 // request builds a request carrying every field the rdma and nvme targets
@@ -119,10 +137,61 @@ func TestGapBuffersThenServesInOrder(t *testing.T) {
 			t.Errorf("RSN %d: OnRequestServed fired %d times, want 1", rsn, b.probe[rsn])
 		}
 	}
-	if b.c.ReorderBacklog() != 0 || b.c.ExpectedRSN() != 4 || b.res.ConnUsage(b.c.key) != 0 {
-		t.Fatalf("backlog %d, expected RSN %d, RxReq usage %d; want 0, 4, 0",
-			b.c.ReorderBacklog(), b.c.ExpectedRSN(), b.res.ConnUsage(b.c.key))
+	if b.c.ReorderBacklog() != 0 || b.c.ExpectedRSN() != 4 {
+		t.Fatalf("backlog %d, expected RSN %d; want 0, 4", b.c.ReorderBacklog(), b.c.ExpectedRSN())
 	}
+	if b.pool.Allocated() == 0 {
+		t.Fatal("buffered requests took no packet from the pool")
+	}
+	b.checkReturned(t)
+}
+
+// TestRNROnBufferedRequest refuses a request that waited ahead of a gap,
+// when the drain reaches it: its held packet goes back to the pool and its
+// reservation is released, and the retry is served from the wire packet.
+func TestRNROnBufferedRequest(t *testing.T) {
+	b := newTargetBed(true)
+	b.h.verdict = func(rsn uint64) TargetVerdict {
+		if rsn == 2 {
+			return TargetVerdict{Kind: TargetRNR, RetryDelay: 10 * time.Microsecond}
+		}
+		return TargetVerdict{}
+	}
+	for _, rsn := range []uint64{0, 2, 1} {
+		b.deliver(t, request(wire.TypePushData, rsn))
+	}
+	if !slices.Equal(b.h.order, []uint64{0, 1}) || b.c.ExpectedRSN() != 2 || b.c.ReorderBacklog() != 0 {
+		t.Fatalf("served %v, expected RSN %d, backlog %d; want [0 1], 2, 0",
+			b.h.order, b.c.ExpectedRSN(), b.c.ReorderBacklog())
+	}
+	if !slices.Equal(b.nacks, []wire.NackCode{wire.NackRNR}) {
+		t.Fatalf("NACKs sent %v, want one RNR", b.nacks)
+	}
+	b.checkReturned(t)
+	b.h.verdict = nil
+	b.deliver(t, request(wire.TypePushData, 2))
+	if !slices.Equal(b.h.order, []uint64{0, 1, 2}) || b.probe[2] != 1 {
+		t.Fatalf("retry: served %v, RSN 2 served %d times; want [0 1 2], 1", b.h.order, b.probe[2])
+	}
+	b.checkReturned(t)
+}
+
+// TestFailReturnsBufferedRequests fails a connection that holds requests
+// ahead of a gap: their packets go back to the pool and their RxReq
+// reservations are released, and none of them is served.
+func TestFailReturnsBufferedRequests(t *testing.T) {
+	b := newTargetBed(true)
+	for _, rsn := range []uint64{0, 2, 3, 5} {
+		b.deliver(t, request(wire.TypePushData, rsn))
+	}
+	if b.c.ReorderBacklog() != 3 || b.res.ConnUsage(b.c.key) != 3 {
+		t.Fatalf("backlog %d, RxReq usage %d before Fail; want 3, 3", b.c.ReorderBacklog(), b.res.ConnUsage(b.c.key))
+	}
+	b.c.Fail(nil)
+	if b.c.ReorderBacklog() != 0 || !slices.Equal(b.h.order, []uint64{0}) {
+		t.Fatalf("after Fail: backlog %d, served %v; want 0, [0]", b.c.ReorderBacklog(), b.h.order)
+	}
+	b.checkReturned(t)
 }
 
 func TestRNROnHeadOfLineRequest(t *testing.T) {
@@ -153,7 +222,7 @@ func TestRNROnHeadOfLineRequest(t *testing.T) {
 
 // TestHandlerSeesSamePacketOnBothPaths delivers requests once in order
 // (served from the wire packet) and once after a gap (served from the
-// reorder buffer's snapshot) and holds every field the handler sees to
+// reorder buffer's pooled copy) and holds every field the handler sees to
 // what was sent.
 func TestHandlerSeesSamePacketOnBothPaths(t *testing.T) {
 	for _, typ := range []wire.Type{wire.TypePushData, wire.TypePullRequest} {

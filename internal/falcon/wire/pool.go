@@ -17,9 +17,11 @@ package wire
 //     copy at transmit time and releases it after HandlePacket returns —
 //     or, when the fabric drops the frame carrying it, from the frame's
 //     OnDrop hook, so loss does not bleed packets out of the pool.
-//     Consumers that hold packet state past return — the TL's target-side
-//     reorder buffer — copy the packet by value first ("copy on hold").
-//     Data payloads are never pooled, so retaining p.Data remains safe.
+//     A layer that holds a packet past its upcall — the TL's target-side
+//     reorder buffer — copies it into a packet it acquires from its own
+//     pool, and releases that copy when it is done with it ("copy on
+//     hold"). Data payloads are never pooled, so retaining p.Data remains
+//     safe.
 //
 // Packets built by hand (&Packet{...}, as tests and the examples do) never
 // enter a pool: Release ignores them, preserving their semantics.

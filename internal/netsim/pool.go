@@ -36,6 +36,9 @@ const framePoolBlock = 128
 // the run ends.
 type FramePool struct {
 	free []*Frame
+	// allocated counts the frames this pool has created; with Free it
+	// lets a drained run assert that every frame came back.
+	allocated int
 }
 
 // Acquire returns a zeroed frame owned by the caller until it is handed to
@@ -44,6 +47,7 @@ func (p *FramePool) Acquire() *Frame {
 	n := len(p.free)
 	if n == 0 {
 		blk := make([]Frame, framePoolBlock)
+		p.allocated += len(blk)
 		for i := range blk {
 			blk[i].pooled = true
 			p.free = append(p.free, &blk[i])
@@ -66,6 +70,14 @@ func (p *FramePool) Release(f *Frame) {
 	*f = Frame{pooled: true}
 	p.free = append(p.free, f)
 }
+
+// Allocated returns how many frames the pool has created so far (its
+// high-water mark: the pool never shrinks).
+func (p *FramePool) Allocated() int { return p.allocated }
+
+// Free returns how many frames sit on the free list. At quiescence, on a
+// single-loop network, Free equals Allocated; less is a leak.
+func (p *FramePool) Free() int { return len(p.free) }
 
 // fabricPool is the frame free list of one simulation partition. A
 // single-loop network owns exactly one; a sharded network owns one per

@@ -418,9 +418,9 @@ func Run(sc Scenario) Result {
 
 	// Post-run quiescence: everything issued completed, nothing is still
 	// outstanding, every reservation and transaction context was returned
-	// and, on the single loop
-	// (whose one pool every packet leaves from and returns to), every
-	// transport packet is back on the free list.
+	// and, on the single loop (whose one pool of each kind every packet
+	// and frame leaves from and returns to), every transport packet and
+	// fabric frame is back on its free list.
 	if !res.ConnFailed {
 		if res.Completed != res.Issued {
 			psA.k.Failf("scenario %q: %d issued but %d completed\n%s",
@@ -455,6 +455,10 @@ func Run(sc Scenario) Result {
 		if len(sets) == 1 && res.PacketsFree != res.PacketsAllocated {
 			psA.k.Failf("scenario %q: %d transport packets allocated but %d free after drain — packet leak or double release",
 				sc.Name, res.PacketsAllocated, res.PacketsFree)
+		}
+		if frames := topo.Net.Frames(); len(sets) == 1 && frames.Free() != frames.Allocated() {
+			psA.k.Failf("scenario %q: %d fabric frames allocated but %d free after drain — frame leak or double release",
+				sc.Name, frames.Allocated(), frames.Free())
 		}
 	}
 	for _, ps := range sets {
