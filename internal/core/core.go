@@ -74,9 +74,11 @@ type Cluster struct {
 
 // reclaim is the netsim.Frame.OnDrop hook of every frame that carries a
 // pooled packet: the fabric discarded the frame on partition at, so the
-// in-flight snapshot goes back to that partition's pool instead of to the
-// garbage collector (a partition with no Falcon node has no pool; there
-// the packet is simply dropped from circulation).
+// wire's hold is released into that partition's pool instead of the packet
+// going to the garbage collector (a partition with no Falcon node has no
+// pool; there the packet is simply dropped from circulation). Only a
+// single-loop cluster shares packets with the wire, so a shared packet is
+// always dropped on the loop its other holders run on.
 func (cl *Cluster) reclaim(at *sim.Simulator, payload any) {
 	if p, ok := payload.(*wire.Packet); ok {
 		cl.pools[at].Release(p)
@@ -159,10 +161,10 @@ type Node struct {
 	// continuation of this node's stack is scheduled here. pool is that
 	// partition's transport packet pool, shared with the other nodes on
 	// it (per partition rather than per cluster so concurrent partitions
-	// never share a free list across goroutines; an
-	// in-flight fabric copy is released into the receiving node's pool,
-	// which is the sender's own unless the packet crossed partitions —
-	// netsim's frame-pool rule).
+	// never share a free list across goroutines). The wire's hold on a
+	// packet is released into the receiving node's pool, which is the
+	// sender's own unless the packet crossed partitions — netsim's
+	// frame-pool rule.
 	sim    *sim.Simulator
 	pool   *wire.PacketPool
 	nic    *nic.NIC
@@ -223,9 +225,9 @@ func (n *Node) Crash() int {
 
 // rxJob is the pooled NIC-ingress pass for one arriving packet: it runs
 // after the pipeline's admission delay, hands the packet to the PDL, and
-// returns it to the node's pool (no layer above retains an inbound packet —
-// a holder keeps a pooled copy of its own and releases that; see
-// wire.PacketPool's ownership contract).
+// releases the wire's hold (a layer above that retains the packet shares
+// it and releases its own hold; see wire.PacketPool's ownership
+// contract).
 type rxJob struct {
 	ep   *Endpoint
 	pkt  *wire.Packet
@@ -255,6 +257,9 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 			return
 		}
 		if f.CE {
+			// The mark belongs to this arrival: the sender's PDL may
+			// still hold the packet and retransmit it unmarked.
+			payload = n.pool.Unshare(payload)
 			payload.Flags |= wire.FlagCE
 		}
 		j := n.rxJobs
@@ -296,8 +301,9 @@ func (n *Node) applyFAEResponse(r fae.Response) {
 }
 
 // txJob is the pooled NIC-egress pass for one outbound packet: after the
-// pipeline's admission delay it wraps the in-flight snapshot in a fabric
-// frame (sealing it first when PSP is on) and transmits.
+// pipeline's admission delay it wraps the wire's hold on the packet in a
+// fabric frame (sealing it first when PSP is on, which ends the hold) and
+// transmits.
 type txJob struct {
 	ep   *Endpoint
 	pkt  *wire.Packet
@@ -341,6 +347,13 @@ type Endpoint struct {
 
 	pdl *pdl.Conn
 	tl  *tl.Conn
+
+	// copyTx makes Send hand the fabric a private copy instead of a
+	// shared hold. It is set on a partitioned cluster, where a frame can
+	// be dropped — and its packet released — on another partition's
+	// goroutine, even between two nodes of one partition, and a holder
+	// count must only ever be touched by one goroutine.
+	copyTx bool
 
 	// Inline encryption SAs (nil when PSP is off). txSA seals against
 	// the peer's device key; rxSA opens packets sealed for this node.
@@ -398,6 +411,8 @@ func (cl *Cluster) Connect(a, b *Node, cfg ConnConfig) (*Endpoint, *Endpoint) {
 	cl.nextConnID++
 	epA := newEndpoint(a, id, b.host.ID, cfg)
 	epB := newEndpoint(b, id, a.host.ID, cfg)
+	epA.copyTx = a.sim.Group() != nil
+	epB.copyTx = epA.copyTx
 	if a.pspKey != nil || b.pspKey != nil {
 		if a.pspKey == nil || b.pspKey == nil {
 			panic("core: PSP requires a master key on both nodes")
@@ -420,13 +435,18 @@ func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoi
 
 	cb := pdl.Callbacks{
 		Send: func(p *wire.Packet) {
-			// Snapshot the packet at transmission time: the PDL may
-			// mutate (or recycle) its copy while this one is in
-			// flight. The snapshot is itself a pooled packet, released
-			// when the NIC egress job has put it on the wire (PSP) or
-			// by the receiving node after delivery (cleartext).
-			cp := n.pool.Acquire()
-			cp.CopyFrom(p)
+			// The wire takes its own hold on the packet, released when
+			// the NIC egress job has sealed it (PSP) or by the receiving
+			// node after delivery (cleartext). The PDL unshares before
+			// it stamps a retransmission, so the packet in flight never
+			// changes under the wire.
+			var cp *wire.Packet
+			if ep.copyTx {
+				cp = n.pool.Acquire()
+				cp.CopyFrom(p)
+			} else {
+				cp = n.pool.Share(p)
+			}
 			j := n.txJobs
 			if j == nil {
 				j = &txJob{}

@@ -66,10 +66,13 @@ func TestPacketPoolBoundedAtQuiescence(t *testing.T) {
 			short := runOps(200)
 			long := runOps(2000)
 			t.Logf("pool holds %d packets after 200 ops, %d after 2200", short, long)
-			// Every op in the window can have each of its segments held
-			// four times over: the sender's retained copy, its snapshot on
-			// the wire, and the same for the ACK or response coming back.
-			// The pool grows a block of 64 at a time.
+			// A segment in flight is one packet, held by its sender and
+			// shared with the wire, plus the ACK or response coming back;
+			// a retransmission adds a copy only while an earlier
+			// transmission is still out. Four packets per segment of a
+			// window of ops is therefore a loose bound, and 64 more cover
+			// part of the last refill (the pool grows a block of 93
+			// packets at a time).
 			if bound := 4*window*(opBytes/4096) + 64; long > bound {
 				t.Fatalf("pool grew to %d packets, more than the %d a window of %d ops can have in flight",
 					long, bound, window)
@@ -78,5 +81,60 @@ func TestPacketPoolBoundedAtQuiescence(t *testing.T) {
 				t.Fatalf("pool grew from %d to %d packets with run length", short, long)
 			}
 		})
+	}
+}
+
+// TestPacketPoolManyConnections bounds the pool under a burst on many
+// connections at once: an 8-host star in which every host opens one
+// connection to every other (56 in all) and posts four 16 KiB Writes on
+// each at the same instant, 896 segments in flight. The wire carries the
+// sending PDL's own packet by reference, so a segment in flight costs one
+// pooled packet, not a retained packet plus a copy on the wire. The pool
+// read 1 488 packets after the burst drained; the bound leaves 10 % on
+// top, and a pool that copied every transmitted packet grew to 1 856.
+func TestPacketPoolManyConnections(t *testing.T) {
+	const hosts, writes, opBytes = 8, 4, 16 << 10
+	s := sim.New(3)
+	topo := netsim.Star(s, hosts, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	cl := core.NewCluster(s)
+	nodes := make([]*core.Node, hosts)
+	for i, h := range topo.Hosts {
+		nodes[i] = cl.AddNode(h, core.DefaultNodeConfig())
+	}
+	completed, posted := 0, 0
+	done := func(c rdma.Completion) {
+		if c.Err != nil {
+			t.Fatalf("write error: %v", c.Err)
+		}
+		completed++
+	}
+	for i, a := range nodes {
+		for j, b := range nodes {
+			if i == j {
+				continue
+			}
+			epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
+			qp := rdma.NewQP(epA, rdma.Config{})
+			rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 30)
+			for k := 0; k < writes; k++ {
+				posted++
+				if err := qp.Write(uint64(posted), 0, nil, opBytes, done); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	s.Run()
+	if completed != posted {
+		t.Fatalf("completed %d of %d writes", completed, posted)
+	}
+	pool := nodes[0].PacketPool()
+	if pool.Free() != pool.Allocated() {
+		t.Fatalf("after a full drain %d of %d pooled packets are free: leak", pool.Free(), pool.Allocated())
+	}
+	segments := posted * opBytes / 4096
+	t.Logf("pool holds %d packets after %d writes of %d segments", pool.Allocated(), posted, segments)
+	if bound := 1488 * 11 / 10; pool.Allocated() > bound {
+		t.Fatalf("pool grew to %d packets for %d segments, more than %d", pool.Allocated(), segments, bound)
 	}
 }

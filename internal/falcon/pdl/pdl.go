@@ -154,9 +154,11 @@ type DeliverVerdict struct {
 // Callbacks wires a connection's PDL to its NIC, TL and FAE.
 type Callbacks struct {
 	// Send transmits a packet onto the fabric (via the NIC model). The
-	// packet pointer is only valid for the duration of the call: Send
-	// implementations must snapshot it synchronously (ACK/NACK packets
-	// return to the connection's pool when Send returns).
+	// caller keeps its hold: an implementation that retains the packet
+	// past the call must take a hold of its own with
+	// wire.PacketPool.Share, and must not write to it (ACK/NACK packets
+	// are released when Send returns; data packets are unshared before
+	// each retransmission is stamped).
 	Send func(p *wire.Packet)
 	// Deliver hands an arriving data packet to the transaction layer.
 	Deliver func(p *wire.Packet) DeliverVerdict

@@ -693,3 +693,53 @@ func TestStrayNackOnUnusedSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestRetransmitUnsharesOnlyWhileShared checks that a retransmission is
+// stamped into a private copy only while the wire still holds the earlier
+// transmission, and otherwise reuses the PDL's own packet. The earlier
+// transmission keeps the stamps it went out with.
+func TestRetransmitUnsharesOnlyWhileShared(t *testing.T) {
+	for _, wireHolds := range []bool{true, false} {
+		s := sim.New(1)
+		pool := wire.NewPacketPool()
+		var sent []*wire.Packet
+		var t1, flags []uint64
+		c := NewConn(s, 1, DefaultConfig(), Callbacks{
+			Send: func(p *wire.Packet) {
+				sent = append(sent, p)
+				t1, flags = append(t1, uint64(p.T1)), append(flags, uint64(p.Flags))
+				if wireHolds {
+					pool.Share(p) // in flight, and never delivered
+				}
+			},
+			Deliver:        func(*wire.Packet) DeliverVerdict { return DeliverVerdict{} },
+			PacketAcked:    func(wire.Space, uint32, uint64, wire.Type) {},
+			Completed:      func(uint64) {},
+			NackReceived:   func(*wire.Packet) {},
+			Failed:         func(error) {},
+			PostEvent:      func(fae.Event) {},
+			RxBufOccupancy: func() float64 { return 0 },
+			CompletedRSN:   func() uint64 { return 0 },
+		})
+		c.SetPacketPool(pool)
+		p := pool.Acquire()
+		p.Type, p.Length = wire.TypePushData, 100
+		c.SendPacket(p)
+		for len(sent) < 2 && s.Now() < sim.Time(10*time.Millisecond) {
+			s.RunUntil(s.Now().Add(time.Microsecond))
+		}
+		if len(sent) < 2 {
+			t.Fatalf("wire holds %v: %d transmissions, want a retransmission", wireHolds, len(sent))
+		}
+		if copied := sent[1] != sent[0]; copied != wireHolds {
+			t.Fatalf("wire holds %v: retransmission copied %v, want %v", wireHolds, copied, wireHolds)
+		}
+		if wireHolds && (uint64(sent[0].T1) != t1[0] || uint64(sent[0].Flags) != flags[0]) {
+			t.Fatalf("the transmission in flight was restamped: T1 %d flags %#x, sent with %d %#x",
+				sent[0].T1, sent[0].Flags, t1[0], flags[0])
+		}
+		if sent[1].Flags&(wire.FlagRetransmit|wire.FlagTLP) == 0 {
+			t.Fatalf("wire holds %v: second transmission flags %#x carry no retransmit or TLP mark", wireHolds, sent[1].Flags)
+		}
+	}
+}

@@ -103,7 +103,8 @@ func (c *Conn) handleData(p *wire.Packet) {
 
 // sendAck emits an ACK carrying the RX window bitmaps of both spaces plus
 // the congestion metadata of the given flow. The packet comes from the
-// connection pool and returns to it as soon as Send has snapshotted it.
+// connection pool, and the PDL drops its hold as soon as Send returns: the
+// wire's hold is the last one.
 func (c *Conn) sendAck(flowIdx int) {
 	rf := &c.rxFlow[flowIdx]
 	rf.pending = 0

@@ -146,8 +146,11 @@ func (c *Conn) pacingGap(wnd float64) time.Duration {
 }
 
 // stampAndSend (re)transmits a tracked packet: assigns the flow's current
-// label, sets T1 and the AR bit, and hands the packet to the NIC.
+// label, sets T1 and the AR bit, and hands the packet to the NIC. An
+// earlier transmission may still be on the wire or held by the peer, so
+// the packet is unshared before it is stamped.
 func (c *Conn) stampAndSend(tp *txPacket, retransmit, tlp bool) {
+	tp.pkt = c.pool.Unshare(tp.pkt)
 	p := tp.pkt
 	f := &c.flows[tp.flow]
 	now := c.sim.Now()

@@ -193,7 +193,7 @@ type Conn struct {
 	// Target state.
 	expectedRSN uint64
 	// reorderBuf holds the requests that arrived ahead of a gap, each a
-	// pooled copy of its wire packet, until drainTargetOrdered serves it.
+	// shared hold on its wire packet, until drainTargetOrdered serves it.
 	reorderBuf   rsnTable[*wire.Packet]
 	completedRSN uint64
 

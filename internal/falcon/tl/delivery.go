@@ -45,12 +45,10 @@ func (c *Conn) deliverRequest(p *wire.Packet) pdl.DeliverVerdict {
 		}
 		return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 	}
-	// Ahead of a gap: hold a pooled copy, because the inbound wire packet
-	// belongs to the receive path, which recycles it as soon as this
-	// upcall returns (Data aliasing is fine — payload slices are never
-	// pooled).
-	held := c.pool.Acquire()
-	held.CopyFrom(p)
+	// Ahead of a gap: take a hold of our own, because the receive path
+	// drops its hold as soon as this upcall returns. The held packet is
+	// read-only (the sender's PDL may still hold it too).
+	held := c.pool.Share(p)
 	c.reorderBuf.put(p.RSN, held)
 	return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 }

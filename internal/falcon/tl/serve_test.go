@@ -222,8 +222,8 @@ func TestRNROnHeadOfLineRequest(t *testing.T) {
 
 // TestHandlerSeesSamePacketOnBothPaths delivers requests once in order
 // (served from the wire packet) and once after a gap (served from the
-// reorder buffer's pooled copy) and holds every field the handler sees to
-// what was sent.
+// reorder buffer's hold, a pooled copy of these hand-built packets) and
+// holds every field the handler sees to what was sent.
 func TestHandlerSeesSamePacketOnBothPaths(t *testing.T) {
 	for _, typ := range []wire.Type{wire.TypePushData, wire.TypePullRequest} {
 		b := newTargetBed(true)
@@ -237,4 +237,30 @@ func TestHandlerSeesSamePacketOnBothPaths(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHeldPooledRequestIsShared holds a pooled request that arrives ahead
+// of a gap by reference: the TL takes a hold of its own instead of a copy,
+// so the packet survives the receive path's release, reaches the handler
+// intact once the gap fills, and then goes back to the pool.
+func TestHeldPooledRequestIsShared(t *testing.T) {
+	b := newTargetBed(true)
+	b.deliver(t, request(wire.TypePushData, 0))
+	p := b.pool.Acquire()
+	p.CopyFrom(request(wire.TypePushData, 2))
+	if v := b.c.Deliver(p); v.Kind != pdl.DeliverAccept {
+		t.Fatalf("RSN 2: verdict %v, want accept", v.Kind)
+	}
+	b.pool.Release(p) // the receive path's hold
+	if inUse := b.pool.Allocated() - b.pool.Free(); inUse != 1 {
+		t.Fatalf("%d pooled packets in use while RSN 2 is held, want 1 (the wire packet itself)", inUse)
+	}
+	b.deliver(t, request(wire.TypePushData, 1))
+	if !slices.Equal(b.h.order, []uint64{0, 1, 2}) {
+		t.Fatalf("served %v, want [0 1 2]", b.h.order)
+	}
+	if got, want := b.h.seen[2], *request(wire.TypePushData, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("RSN 2: handler saw %+v, sent %+v", got, want)
+	}
+	b.checkReturned(t)
 }

@@ -1,34 +1,52 @@
 package wire
 
+import "unsafe"
+
 // Transport packet pooling: the per-packet envelope objects the PDL and TL
 // exchange with the NIC are recycled through a free list, mirroring
-// internal/netsim's FramePool one layer up the stack (DESIGN.md §11). The
-// ownership contract is linear:
+// internal/netsim's FramePool one layer up the stack (DESIGN.md §11).
+//
+// A pooled packet counts its holders. Acquire returns a packet with one
+// holder, Share adds one, and Release drops one and recycles the packet
+// when none are left. The rule is one sentence: a shared packet is
+// read-only, and a writer calls Unshare first, which returns the packet
+// itself when the caller is its only holder and a private copy otherwise.
+// The holders are:
 //
 //   - The TL acquires data packets, fills them in, and hands them to
-//     pdl.Conn.SendPacket. From that point the PDL owns the packet — it
-//     retains it across retransmissions — and releases it exactly once,
-//     when the packet is acknowledged (or when the connection fails).
+//     pdl.Conn.SendPacket. From that point the PDL holds the packet — it
+//     retains it across retransmissions — and releases it once, when the
+//     packet is acknowledged (or when the connection fails). It unshares
+//     the packet before stamping each transmission, so a retransmission
+//     copies only while an earlier one is still on the wire or held by
+//     the peer.
 //   - The PDL acquires ACK/NACK packets, hands them to Callbacks.Send, and
-//     releases them as soon as Send returns: Send implementations must
-//     snapshot the packet synchronously (internal/core copies it into a
-//     fresh pooled packet for the fabric) and must not retain the pointer.
-//   - On the receive side, internal/core acquires the in-flight fabric
-//     copy at transmit time and releases it after HandlePacket returns —
-//     or, when the fabric drops the frame carrying it, from the frame's
-//     OnDrop hook, so loss does not bleed packets out of the pool.
-//     A layer that holds a packet past its upcall — the TL's target-side
-//     reorder buffer — copies it into a packet it acquires from its own
-//     pool, and releases that copy when it is done with it ("copy on
-//     hold"). Data payloads are never pooled, so retaining p.Data remains
-//     safe.
+//     releases them as soon as Send returns.
+//   - Callbacks.Send (internal/core) shares the packet with the fabric.
+//     The wire's hold is released by the receiving node after HandlePacket
+//     returns — or, when the fabric drops the frame carrying it, from the
+//     frame's OnDrop hook, so loss does not bleed packets out of the pool.
+//     The receiver unshares before it marks CE: a mark belongs to one
+//     arrival, not to the sender's retained packet.
+//   - A layer that holds an inbound packet past its upcall — the TL's
+//     target-side reorder buffer — shares it and releases its hold when it
+//     is done. Data payloads are never pooled, so retaining p.Data is safe.
+//
+// A holder count is plain memory, so every holder of one packet must run on
+// one event loop; internal/core copies instead of sharing on a partitioned
+// cluster, where a frame can be dropped on another partition's goroutine.
 //
 // Packets built by hand (&Packet{...}, as tests and the examples do) never
-// enter a pool: Release ignores them, preserving their semantics.
+// enter a pool: Release ignores them, Share returns a pooled copy, and
+// Unshare returns them as they are. A nil *PacketPool pools nothing:
+// Acquire allocates and Release recycles nothing.
 
-// packetPoolBlock sizes the free-list refill batch; block allocation
-// amortizes pool growth to zero allocations per packet in steady state.
-const packetPoolBlock = 64
+// packetPoolBlock sizes the free-list refill batch so that one block fills
+// a 16 KiB allocation, which is itself a Go size class: 64 packets (11 264
+// B) would be rounded up to the 12 288 B class and waste 8 % of every
+// block. Block allocation amortizes pool growth to zero allocations per
+// packet in steady state.
+const packetPoolBlock = (16 << 10) / int(unsafe.Sizeof(Packet{}))
 
 // PacketPool recycles Packet objects through the transport hot path. It is
 // not safe for concurrent use: one pool belongs to one event loop.
@@ -48,9 +66,9 @@ type PacketPool struct {
 // NewPacketPool returns an empty pool.
 func NewPacketPool() *PacketPool { return &PacketPool{} }
 
-// Acquire returns a zeroed packet owned by the caller until it is released
-// (directly or by the layer the caller hands it to; see the ownership
-// contract above).
+// Acquire returns a zeroed packet with one holder, the caller, until it is
+// released (directly or by the layer the caller hands it to; see the
+// ownership contract above).
 func (p *PacketPool) Acquire() *Packet {
 	if p == nil {
 		return &Packet{}
@@ -67,15 +85,51 @@ func (p *PacketPool) Acquire() *Packet {
 	}
 	pk := p.free[n-1]
 	p.free = p.free[:n-1]
+	pk.holders = 1
 	return pk
 }
 
-// Release returns a pooled packet to the free list, zeroing it (a recycled
+// Share adds a holder to a pooled packet and returns it; the packet is
+// read-only while it is shared. A packet not obtained from Acquire cannot
+// count holders, so Share returns a pooled copy of it instead and leaves
+// the original untouched.
+func (p *PacketPool) Share(pk *Packet) *Packet {
+	if pk.pooled {
+		pk.holders++
+		return pk
+	}
+	cp := p.Acquire()
+	cp.CopyFrom(pk)
+	return cp
+}
+
+// Unshare returns a packet the caller may write to: pk itself when the
+// caller is its only holder (or pk is not pooled), otherwise a private
+// pooled copy, in which case the caller's hold on pk is dropped.
+func (p *PacketPool) Unshare(pk *Packet) *Packet {
+	if pk.holders <= 1 {
+		return pk
+	}
+	pk.holders--
+	cp := p.Acquire()
+	cp.CopyFrom(pk)
+	return cp
+}
+
+// Release drops the caller's hold on a pooled packet. The last holder's
+// release returns the packet to the free list, zeroing it (a recycled
 // packet must not leak the previous packet's payload reference, bitmap
 // state or flags). Packets not obtained from Acquire are ignored, so
 // callers may release unconditionally.
 func (p *PacketPool) Release(pk *Packet) {
-	if p == nil || pk == nil || !pk.pooled {
+	if pk == nil || !pk.pooled {
+		return
+	}
+	if pk.holders > 1 {
+		pk.holders--
+		return
+	}
+	if p == nil {
 		return
 	}
 	*pk = Packet{pooled: true}
@@ -91,10 +145,10 @@ func (p *PacketPool) Allocated() int { return p.allocated }
 func (p *PacketPool) Free() int { return len(p.free) }
 
 // CopyFrom copies every wire field of src into p while preserving p's own
-// pool membership. Plain assignment (*p = *src) would overwrite the pooled
-// mark and silently remove p from its pool on release.
+// pool membership and holder count. Plain assignment (*p = *src) would
+// overwrite both and silently remove p from its pool on release.
 func (p *Packet) CopyFrom(src *Packet) {
-	pooled := p.pooled
+	pooled, holders := p.pooled, p.holders
 	*p = *src
-	p.pooled = pooled
+	p.pooled, p.holders = pooled, holders
 }

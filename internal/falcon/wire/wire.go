@@ -266,8 +266,11 @@ type Packet struct {
 
 	// pooled marks packets obtained from a PacketPool; it is not a wire
 	// field (Marshal ignores it, Unmarshal and CopyFrom preserve it) and
-	// hand-built packets leave it false so Release ignores them.
-	pooled bool
+	// hand-built packets leave it false so Release ignores them. holders
+	// counts the layers holding a pooled packet (see PacketPool); it sits
+	// in the padding after pooled, so the struct does not grow.
+	pooled  bool
+	holders uint32
 }
 
 // headerLen is the fixed marshaled header size in bytes.
