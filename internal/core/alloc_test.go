@@ -7,6 +7,7 @@ import (
 	"falcon/internal/core"
 	"falcon/internal/falcon/tl"
 	"falcon/internal/netsim"
+	"falcon/internal/nvme"
 	"falcon/internal/rdma"
 	"falcon/internal/sim"
 )
@@ -60,13 +61,55 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // The rdma-read-incast case holds the same regime at connection scale:
 // 200 connections, each a queue of its own, share each client's pools.
 // The rdma-write-reordered case holds the target's reorder buffer to it:
-// requests that arrive ahead of a gap wait as pooled packets.
+// requests that arrive ahead of a gap wait as pooled packets. The nvme
+// cases hold both ends of NVMe-over-Falcon to it: 64 KiB Reads refused and
+// parked as in rdma-read-refused, and 64 KiB Writes (command push, data
+// pulls from the controller, device write, CQE push).
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	t.Run("tl-push-pull", testTLSteadyStateAllocs)
 	t.Run("rdma-read", func(t *testing.T) { testReadSteadyStateAllocs(t, false) })
 	t.Run("rdma-read-refused", func(t *testing.T) { testReadSteadyStateAllocs(t, true) })
 	t.Run("rdma-read-incast", testIncastSteadyStateAllocs)
 	t.Run("rdma-write-reordered", testReorderedWriteSteadyStateAllocs)
+	t.Run("nvme-read", func(t *testing.T) { testNVMeSteadyStateAllocs(t, false) })
+	t.Run("nvme-write", func(t *testing.T) { testNVMeSteadyStateAllocs(t, true) })
+}
+
+// testNVMeSteadyStateAllocs runs 64 KiB NVMe commands, a window of eight,
+// against a controller with a default device. Reads go through a client
+// RX-response pool with room for one and a half of them, so most are
+// refused mid-command and wait for the Xon edge.
+func testNVMeSteadyStateAllocs(t *testing.T, write bool) {
+	s := sim.New(1)
+	topo, _ := netsim.PointToPoint(s, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	cl := core.NewCluster(s)
+	const window = 8
+	const opBytes = 64 << 10
+	cfgA := core.DefaultNodeConfig()
+	if !write {
+		cfgA.Resources.Pools[tl.PoolRxResp].Bytes = opBytes * 3 / 2
+	}
+	a := cl.AddNode(topo.Hosts[0], cfgA)
+	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
+	epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
+	nvme.NewController(epB, nvme.NewDevice(s, nvme.DefaultDeviceConfig()))
+	client := nvme.NewClient(epA)
+	post := client.Read
+	if write {
+		post = client.Write
+	}
+
+	runOps := closedLoop(t, window, func(err error) error { return err }, func(id uint64, done func(error)) error {
+		return post(id<<4, opBytes, done)
+	}, func() { s.RunUntil(s.Now().Add(3600 * sim.Second)) })
+
+	const warm, measured = 8000, 4000
+	measureSteadyState(t, warm, measured, runOps)
+	refused := epA.TL().Stats.Backpressured
+	t.Logf("%d client TL refusals over %d commands", refused, warm+measured)
+	if !write && refused < warm+measured {
+		t.Fatalf("only %d refusals over %d reads: the refusal path was not sustained", refused, warm+measured)
+	}
 }
 
 func testTLSteadyStateAllocs(t *testing.T) {
@@ -124,22 +167,23 @@ func testTLSteadyStateAllocs(t *testing.T) {
 	measureSteadyState(t, 20000, 40000, runOps)
 }
 
-// closedLoop returns a driver that keeps window rdma ops outstanding: each
+// closedLoop returns a driver that keeps window ULP ops outstanding: each
 // call issues n further ops through post, posting the next from the
 // previous one's completion, calls run to drive the simulator, and fails
-// the test unless all of them completed without error.
-func closedLoop(t *testing.T, window int, post func(id uint64, done func(rdma.Completion)) error, run func()) (runOps func(n int)) {
+// the test unless all of them completed without error (errOf reads a
+// completion's error).
+func closedLoop[R any](t *testing.T, window int, errOf func(R) error, post func(id uint64, done func(R)) error, run func()) (runOps func(n int)) {
 	issued, completed, limit := 0, 0, 0
-	var done func(rdma.Completion)
+	var done func(R)
 	next := func() {
 		issued++
 		if err := post(uint64(issued), done); err != nil {
 			t.Fatal(err)
 		}
 	}
-	done = func(c rdma.Completion) {
-		if c.Err != nil {
-			t.Fatalf("op error: %v", c.Err)
+	done = func(c R) {
+		if err := errOf(c); err != nil {
+			t.Fatalf("op error: %v", err)
 		}
 		completed++
 		if issued < limit {
@@ -176,7 +220,7 @@ func testReorderedWriteSteadyStateAllocs(t *testing.T) {
 
 	const window = 4
 	const opBytes = 64 << 10
-	runOps := closedLoop(t, window, func(id uint64, done func(rdma.Completion)) error {
+	runOps := closedLoop(t, window, rdmaErr, func(id uint64, done func(rdma.Completion)) error {
 		return qp.Write(id, 0, nil, opBytes, done)
 	}, func() { s.RunUntil(s.Now().Add(3600 * sim.Second)) })
 
@@ -189,6 +233,8 @@ func testReorderedWriteSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("only %d serves found requests held: the hold path was not sustained", spy.held)
 	}
 }
+
+func rdmaErr(c rdma.Completion) error { return c.Err }
 
 func testReadSteadyStateAllocs(t *testing.T, starve bool) {
 	s := sim.New(1)
@@ -207,7 +253,7 @@ func testReadSteadyStateAllocs(t *testing.T, starve bool) {
 	qp := rdma.NewQP(epA, rdma.Config{})
 	rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 30)
 
-	runOps := closedLoop(t, window, func(id uint64, done func(rdma.Completion)) error {
+	runOps := closedLoop(t, window, rdmaErr, func(id uint64, done func(rdma.Completion)) error {
 		return qp.Read(id, 0, opBytes, done)
 	}, func() { s.RunUntil(s.Now().Add(3600 * sim.Second)) })
 

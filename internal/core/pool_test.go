@@ -44,7 +44,7 @@ func TestPacketPoolBoundedAtQuiescence(t *testing.T) {
 			qp := rdma.NewQP(epA, rdma.Config{})
 			rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 30)
 
-			loop := closedLoop(t, window, func(id uint64, done func(rdma.Completion)) error {
+			loop := closedLoop(t, window, rdmaErr, func(id uint64, done func(rdma.Completion)) error {
 				if tc.read {
 					return qp.Read(id, 0, opBytes, done)
 				}

@@ -220,6 +220,8 @@ type Conn struct {
 
 	// dead is non-nil once the PDL declared the connection failed.
 	dead error
+	// onDead, when set, is the ULP's death upcall (see OnDead).
+	onDead func(error)
 
 	// probe, when non-nil, observes serves and completions (verification).
 	probe Probe
@@ -264,6 +266,11 @@ func (c *Conn) ID() uint32 { return c.id }
 // SetTarget installs the target-side ULP handler (it may be attached after
 // construction, before traffic arrives).
 func (c *Conn) SetTarget(h TargetHandler) { c.target = h }
+
+// OnDead installs the connection's death upcall: Fail calls fn once, with
+// the terminal error, after its teardown, so a ULP learns of the death
+// even with no transaction of its own outstanding.
+func (c *Conn) OnDead(fn func(err error)) { c.onDead = fn }
 
 // SetProbe attaches a verification probe (nil detaches).
 func (c *Conn) SetProbe(p Probe) { c.probe = p }

@@ -378,6 +378,9 @@ func (c *Conn) Fail(err error) {
 	if c.wasXoff {
 		c.sim.After(0, c.resumeParked)
 	}
+	if c.onDead != nil {
+		c.onDead(err)
+	}
 }
 
 // Dead returns the terminal error, or nil while the connection is live.

@@ -10,9 +10,9 @@
 //     controller→client on the same bidirectional Falcon connection), and
 //     a completion push closes the command — the NVMe CQE.
 //
-// Both ends segment data by their connection's MTU and submit every
-// transaction through tl.Conn.Submit: work the transaction layer refuses is
-// parked there and resumes on the connection's Xon edge.
+// Both ends post every transaction through an internal/ulp descriptor,
+// which segments data by the connection's MTU and parks work the
+// transaction layer refuses until the connection's Xon edge.
 //
 // The Device type is the SSD substitute (the paper used real SSDs):
 // per-channel parallelism, per-op base latency, bandwidth caps and an
@@ -22,12 +22,14 @@ package nvme
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"time"
 
 	"falcon/internal/core"
 	"falcon/internal/falcon/tl"
 	"falcon/internal/falcon/wire"
 	"falcon/internal/sim"
+	"falcon/internal/ulp"
 )
 
 // ULP op codes.
@@ -138,13 +140,22 @@ type Controller struct {
 	// Pending read commands: one device operation serves every pull
 	// chunk of the command.
 	reads map[uint64]*readState
+
+	// port pulls write data (context: the command) and pushes CQEs
+	// (context: nil).
+	port              *ulp.Port[*writeState]
+	dataFree, cqeFree ulp.Pool[*writeState]
+	freeWrites        []*writeState
+	freeReads         []*readState
 }
 
 type readState struct {
+	id       uint64
 	devDone  bool
 	expected int // chunks this command will serve in total
 	served   int
 	waiting  []pendingChunk
+	devFn    func() // c.readDone(rs), bound once
 }
 
 type pendingChunk struct {
@@ -153,12 +164,13 @@ type pendingChunk struct {
 }
 
 type writeState struct {
-	id        uint64
-	total     int
-	issued    int // offset of the next data pull to issue
-	pulled    int
-	remaining int
+	id    uint64
+	total int
+	devFn func() // c.finishWrite(ws, nil), bound once
 }
+
+// CQE status payloads: shared and read-only.
+var cqeOK, cqeFailed = []byte{0}, []byte{1}
 
 // NewController attaches a controller (and its device) to a Falcon
 // endpoint.
@@ -168,6 +180,7 @@ func NewController(ep *core.Endpoint, dev *Device) *Controller {
 		writes: make(map[uint64]*writeState),
 		reads:  make(map[uint64]*readState),
 	}
+	c.port = ulp.NewPort(ep.TL(), c.pulled)
 	ep.SetTarget((*ctrlTarget)(c))
 	return c
 }
@@ -177,77 +190,55 @@ type ctrlTarget Controller
 
 var _ tl.TargetHandler = (*ctrlTarget)(nil)
 
-// HandlePush receives write commands (and nothing else at the controller).
+// HandlePush receives write commands (and nothing else at the controller)
+// and pulls their data from the client (Table 2: NVMe Write is Push and
+// Pull). Backpressure parks the pulls in the TL, and a dead connection
+// fails the command.
 func (t *ctrlTarget) HandlePush(rsn uint64, p *wire.Packet) tl.TargetVerdict {
 	c := (*Controller)(t)
 	if p.UlpOp != opWriteCmd {
 		return tl.TargetVerdict{Kind: tl.TargetError}
 	}
-	id := p.Addr
-	total := int(binary.BigEndian.Uint32(p.Data[:4]))
-	c.writes[id] = &writeState{id: id, total: total, remaining: total}
-	c.pullWriteData(c.writes[id])
+	var ws *writeState
+	if n := len(c.freeWrites); n > 0 {
+		ws, c.freeWrites = c.freeWrites[n-1], c.freeWrites[:n-1]
+	} else {
+		ws = &writeState{}
+		ws.devFn = func() { c.finishWrite(ws, nil) }
+	}
+	ws.id, ws.total = p.Addr, int(binary.BigEndian.Uint32(p.Data[:4]))
+	c.writes[ws.id] = ws
+	if ws.total == 0 {
+		c.dev.Write(0, ws.devFn)
+	} else {
+		c.port.Post(&c.dataFree, ulp.Msg{Pull: true, Op: opWriteData, Addr: ws.id << 32, Size: ws.total}, ws)
+	}
 	return tl.TargetVerdict{}
 }
 
-// pullWriteData issues the data pulls for a write command (Table 2: NVMe
-// Write is Push and Pull). Backpressure parks issuance, which resumes from
-// the current offset on Xon; a dead connection drops the command.
-func (c *Controller) pullWriteData(ws *writeState) {
-	if ws.total == 0 {
-		c.dev.Write(0, func() { c.finishWrite(ws, nil) })
-		return
+// pulled is the port's completion function: once a command's data has
+// landed, commit it to the device; a CQE push needs nothing more.
+func (c *Controller) pulled(ws *writeState, _ []byte, err error) {
+	switch {
+	case ws == nil:
+	case err != nil:
+		c.finishWrite(ws, err)
+	default:
+		c.dev.Write(ws.total, ws.devFn)
 	}
-	c.ep.TL().Submit(func() bool { return c.issueWriteData(ws) })
-}
-
-// issueWriteData issues ws's data pulls from ws.issued on and reports
-// whether it is done, as tl.Conn.Submit work.
-func (c *Controller) issueWriteData(ws *writeState) bool {
-	mtu := c.ep.TL().MTU()
-	for ws.issued < ws.total {
-		off := ws.issued
-		seg := ws.total - off
-		if seg > mtu {
-			seg = mtu
-		}
-		segLen := seg
-		if _, err := c.ep.TL().PullOp(opWriteData, ws.id<<32|uint64(off), uint32(seg), func(_ []byte, err error) {
-			if err != nil {
-				c.finishWrite(ws, err)
-				return
-			}
-			ws.pulled += segLen
-			if ws.pulled >= ws.total {
-				// All data landed: commit to the device, then
-				// complete the command.
-				c.dev.Write(ws.total, func() { c.finishWrite(ws, nil) })
-			}
-		}); err != nil {
-			if c.ep.TL().Dead() != nil {
-				delete(c.writes, ws.id)
-				return true
-			}
-			return false
-		}
-		ws.issued += seg
-	}
-	return true
 }
 
 // finishWrite pushes the completion (the CQE) back to the client, parked
-// behind backpressure like the data pulls, or drops it once the connection
+// behind backpressure like the data pulls, or dropped once the connection
 // is dead.
 func (c *Controller) finishWrite(ws *writeState, err error) {
 	delete(c.writes, ws.id)
-	status := make([]byte, 1)
+	status := cqeOK
 	if err != nil {
-		status[0] = 1
+		status = cqeFailed
 	}
-	c.ep.TL().Submit(func() bool {
-		_, e := c.ep.TL().PushOp(opCompletion, ws.id, status, 1, nil)
-		return e == nil || c.ep.TL().Dead() != nil
-	})
+	c.port.Post(&c.cqeFree, ulp.Msg{Op: opCompletion, Addr: ws.id, Data: status, Size: 1}, nil)
+	c.freeWrites = append(c.freeWrites, ws)
 }
 
 // HandlePull serves read commands, answering asynchronously after the
@@ -263,39 +254,50 @@ func (t *ctrlTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl.
 		return nil, 0, tl.TargetVerdict{Kind: tl.TargetError}
 	}
 	id := p.Addr >> 32
-	total := int(uint32(p.Addr))
 	rs, ok := c.reads[id]
 	if !ok {
-		expected := 1
-		if mtu := c.ep.TL().MTU(); total > mtu {
-			expected = (total + mtu - 1) / mtu
+		if n := len(c.freeReads); n > 0 {
+			rs, c.freeReads = c.freeReads[n-1], c.freeReads[:n-1]
+		} else {
+			rs = &readState{}
+			rs.devFn = func() { c.readDone(rs) }
 		}
-		rs = &readState{expected: expected}
+		total := int(uint32(p.Addr))
+		rs.id, rs.devDone, rs.served, rs.expected = id, false, 0, 1
+		if mtu := c.ep.TL().MTU(); total > mtu {
+			rs.expected = (total + mtu - 1) / mtu
+		}
 		c.reads[id] = rs
-		c.dev.Read(total, func() {
-			rs.devDone = true
-			for _, ch := range rs.waiting {
-				c.ep.TL().CompletePull(ch.rsn, nil, ch.n)
-			}
-			rs.served += len(rs.waiting)
-			rs.waiting = nil
-			if rs.served >= rs.expected {
-				delete(c.reads, id)
-			}
-		})
+		c.dev.Read(total, rs.devFn)
 	}
 	if rs.devDone {
 		// A chunk arriving after the device completed (the client's
 		// pulls can be spread out by backpressure) is served from the
 		// already-read data.
-		rs.served++
-		if rs.served >= rs.expected {
-			delete(c.reads, id)
-		}
+		c.serve(rs, 1)
 		return nil, p.PullLength, tl.TargetVerdict{}
 	}
 	rs.waiting = append(rs.waiting, pendingChunk{rsn: rsn, n: p.PullLength})
 	return nil, 0, tl.TargetVerdict{Kind: tl.TargetAsync}
+}
+
+// readDone releases every chunk waiting on the device.
+func (c *Controller) readDone(rs *readState) {
+	rs.devDone = true
+	for _, ch := range rs.waiting {
+		c.ep.TL().CompletePull(ch.rsn, nil, ch.n)
+	}
+	n := len(rs.waiting)
+	rs.waiting = rs.waiting[:0]
+	c.serve(rs, n)
+}
+
+// serve counts n chunks served and forgets the read after its last.
+func (c *Controller) serve(rs *readState, n int) {
+	if rs.served += n; rs.served >= rs.expected {
+		delete(c.reads, rs.id)
+		c.freeReads = append(c.freeReads, rs)
+	}
 }
 
 // Client is the initiator-side NVMe-over-Falcon API.
@@ -305,12 +307,20 @@ type Client struct {
 	nextWriteID uint64
 	nextReadID  uint64
 	// Outstanding writes awaiting their completion push.
-	writes map[uint64]*clientWrite
+	writes     map[uint64]*clientWrite
+	freeWrites []*clientWrite
+
+	// reads completes a Read through its done; cmds fails a Write whose
+	// command push failed.
+	reads    *ulp.Port[func(error)]
+	cmds     *ulp.Port[uint64]
+	readFree ulp.Pool[func(error)]
+	cmdFree  ulp.Pool[uint64]
 }
 
 type clientWrite struct {
-	total int
-	done  func(error)
+	cmd  [8]byte // the command push's payload: length and LBA
+	done func(error)
 }
 
 // ErrDevice reports a failed command.
@@ -320,6 +330,17 @@ var ErrDevice = errors.New("nvme: device error")
 // the controller's data pulls and completion pushes.
 func NewClient(ep *core.Endpoint) *Client {
 	c := &Client{ep: ep, nextWriteID: 1, writes: make(map[uint64]*clientWrite)}
+	c.reads = ulp.NewPort(ep.TL(), func(done func(error), _ []byte, err error) {
+		if done != nil {
+			done(err)
+		}
+	})
+	c.cmds = ulp.NewPort(ep.TL(), func(id uint64, _ []byte, err error) {
+		if err != nil {
+			c.fail(id, err)
+		}
+	})
+	ep.TL().OnDead(c.failAll)
 	ep.SetTarget((*clientTarget)(c))
 	return c
 }
@@ -333,72 +354,55 @@ func NewClient(ep *core.Endpoint) *Client {
 func (c *Client) Read(lba uint64, n int, done func(error)) error {
 	id := c.nextReadID
 	c.nextReadID++
-	mtu := c.ep.TL().MTU()
-	segs := 1
-	if n > mtu {
-		segs = (n + mtu - 1) / mtu
-	}
-	remaining := segs
-	var firstErr error
-	chunkDone := func(_ []byte, err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		remaining--
-		if remaining == 0 && done != nil {
-			done(firstErr)
-		}
-	}
-	addr := id<<32 | uint64(uint32(n))
-	i, off := 0, 0
-	c.ep.TL().Submit(func() bool {
-		for ; i < segs; i++ {
-			seg := n - off
-			if seg > mtu {
-				seg = mtu
-			}
-			if _, err := c.ep.TL().PullOp(opRead, addr, uint32(seg), chunkDone); err != nil {
-				if dead := c.ep.TL().Dead(); dead != nil {
-					for ; i < segs; i++ {
-						chunkDone(nil, dead)
-					}
-					return true
-				}
-				return false
-			}
-			off += seg
-		}
-		return true
-	})
+	m := ulp.Msg{Pull: true, Fixed: true, Op: opRead, Addr: id<<32 | uint64(uint32(n)), Size: n}
+	c.reads.Post(&c.readFree, m, done)
 	return nil
 }
 
 // Write issues an n-byte write; the command is pushed, the controller
 // pulls the data, and done fires on the completion push. A command push
 // refused by transaction-layer backpressure waits for the connection's Xon
-// edge behind the client's other waiting work; on a dead connection done
-// fires once with its error.
+// edge behind the client's other waiting work; once the connection is
+// dead, done fires once with its error.
 func (c *Client) Write(lba uint64, n int, done func(error)) error {
 	id := c.nextWriteID
 	c.nextWriteID++
-	cmd := make([]byte, 8)
-	binary.BigEndian.PutUint32(cmd, uint32(n))
-	binary.BigEndian.PutUint32(cmd[4:], uint32(lba))
-	c.writes[id] = &clientWrite{total: n, done: done}
-	c.ep.TL().Submit(func() bool {
-		if _, err := c.ep.TL().PushOp(opWriteCmd, id, cmd, uint32(len(cmd)), nil); err != nil {
-			dead := c.ep.TL().Dead()
-			if dead == nil {
-				return false
-			}
-			delete(c.writes, id)
-			if done != nil {
-				done(dead)
-			}
-		}
-		return true
-	})
+	var w *clientWrite
+	if k := len(c.freeWrites); k > 0 {
+		w, c.freeWrites = c.freeWrites[k-1], c.freeWrites[:k-1]
+	} else {
+		w = &clientWrite{}
+	}
+	binary.BigEndian.PutUint32(w.cmd[:], uint32(n))
+	binary.BigEndian.PutUint32(w.cmd[4:], uint32(lba))
+	w.done = done
+	c.writes[id] = w
+	c.cmds.Post(&c.cmdFree, ulp.Msg{Op: opWriteCmd, Addr: id, Data: w.cmd[:], Size: len(w.cmd)}, id)
 	return nil
+}
+
+// fail completes write id with err, if it is still outstanding. Its state
+// is not recycled: the command push may still be on the wire.
+func (c *Client) fail(id uint64, err error) {
+	if w, ok := c.writes[id]; ok {
+		delete(c.writes, id)
+		if w.done != nil {
+			w.done(err)
+		}
+	}
+}
+
+// failAll is the connection's death upcall: every outstanding write fails,
+// in ID order, including those whose command the controller already took.
+func (c *Client) failAll(err error) {
+	ids := make([]uint64, 0, len(c.writes))
+	for id := range c.writes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		c.fail(id, err)
+	}
 }
 
 // clientTarget serves the controller-initiated transactions at the client.
@@ -419,11 +423,14 @@ func (t *clientTarget) HandlePush(rsn uint64, p *wire.Packet) tl.TargetVerdict {
 	}
 	delete(c.writes, id)
 	var err error
-	if p.Data != nil && len(p.Data) > 0 && p.Data[0] != 0 {
+	if len(p.Data) > 0 && p.Data[0] != 0 {
 		err = ErrDevice
 	}
-	if w.done != nil {
-		w.done(err)
+	done := w.done
+	w.done = nil
+	c.freeWrites = append(c.freeWrites, w)
+	if done != nil {
+		done(err)
 	}
 	return tl.TargetVerdict{}
 }

@@ -221,7 +221,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 // never-issued chunks with the connection's error (done fires once), and so
 // does a Write whose command push is refused; the controller drops a Write
 // whose connection dies mid-transfer instead of parking its completion push
-// forever.
+// forever, and the client fails it.
 func TestDeadConnectionStopsRetries(t *testing.T) {
 	quiet := func(t *testing.T, s *sim.Simulator) {
 		t.Helper()
@@ -261,7 +261,9 @@ func TestDeadConnectionStopsRetries(t *testing.T) {
 	t.Run("write", func(t *testing.T) {
 		s, client, ctrl, _ := setup(t, DefaultDeviceConfig())
 		ok := false
-		if err := client.Write(0, 64<<10, func(err error) { ok = err == nil }); err != nil {
+		calls := 0
+		var got error
+		if err := client.Write(0, 64<<10, func(err error) { ok = err == nil; calls++; got = err }); err != nil {
 			t.Fatal(err)
 		}
 		s.RunUntil(sim.Time(5 * time.Microsecond))
@@ -276,6 +278,11 @@ func TestDeadConnectionStopsRetries(t *testing.T) {
 		quiet(t, s)
 		if ok || len(ctrl.writes) != 0 {
 			t.Fatalf("dead controller completed=%v, still holds %d writes", ok, len(ctrl.writes))
+		}
+		// The client had no transaction outstanding when its connection
+		// died: the death itself fails the write.
+		if calls != 1 || got == nil || len(client.writes) != 0 {
+			t.Fatalf("client done fired %d times, last error %v, %d writes held; want once with an error, none held", calls, got, len(client.writes))
 		}
 	})
 }

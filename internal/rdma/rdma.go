@@ -2,12 +2,11 @@
 // Verbs-flavoured API (RC queue pairs with WRITE, SEND/RECV, READ and
 // ATOMIC operations) and maps each operation onto Falcon transactions per
 // Table 2 — WRITE and SEND become Push transactions, READ and ATOMICs
-// become Pulls. Operations larger than one MTU are segmented into multiple
-// transactions of the connection's MTU (§4.4 "MTU Granularity"); ordered
-// Falcon connections provide the IB Verbs ordering the completions rely on.
-// Work requests the transaction layer refuses wait in its park queue
-// (tl.Conn.Submit) and resume on the connection's Xon edge, so the QP keeps
-// no queue of its own.
+// become Pulls. Every work request posts through one internal/ulp
+// descriptor, which segments it into transactions of the connection's MTU
+// (§4.4 "MTU Granularity") and parks it in the transaction layer while
+// refused, so the QP keeps no queue of its own; ordered Falcon connections
+// provide the IB Verbs ordering the completions rely on.
 package rdma
 
 import (
@@ -17,6 +16,7 @@ import (
 	"falcon/internal/core"
 	"falcon/internal/falcon/tl"
 	"falcon/internal/falcon/wire"
+	"falcon/internal/ulp"
 )
 
 // ULP op codes carried in wire.Packet.UlpOp.
@@ -80,287 +80,20 @@ type QP struct {
 	releaseSeq uint64
 	held       map[uint64]heldCompletion
 
-	// pushFree recycles per-op Push state (WRITE/SEND): each op needs a
-	// segment-completion callback, and allocating that closure per op is
-	// the largest steady-state allocation in the op-rate figures. The
-	// callback is bound once per pooled object.
-	pushFree []*pushOp
-	// pullFree is the same pool for READ/ATOMIC state (pullOp).
-	pullFree []*pullOp
+	// port posts every work request; pushFree and pullFree are its
+	// descriptor pools for WRITE/SEND and for READ/ATOMIC.
+	port               *ulp.Port[workRequest]
+	pushFree, pullFree ulp.Pool[workRequest]
 
 	// Stats
 	RNRs uint64
 }
 
-// opPoolCap bounds each per-QP free list; beyond it ops are dropped to the
-// GC (a QP rarely has more than a send queue's worth outstanding).
-const opPoolCap = 64
-
-// pushOp is the in-flight state of one WRITE or SEND work request: the
-// identity of the op, its segmentation cursor, and the segment-completion
-// and issue callbacks pre-bound to this object, so neither the issue loop
-// nor parking the op in the TL allocates.
-type pushOp struct {
-	qp   *QP
-	op   uint8
+// workRequest is the per-op context a descriptor carries to complete.
+type workRequest struct {
 	wrid uint64
 	seq  uint64
-	addr uint64
-	data []byte
-	size int
-
-	nseg      int
-	remaining int
-	firstErr  error
-	done      func(Completion)
-
-	// Issue cursor: the next segment index/offset to issue.
-	nextIdx, nextOff int
-
-	segDoneFn func([]byte, error)
-	issueFn   func() bool
-}
-
-func (qp *QP) getPushOp() *pushOp {
-	if n := len(qp.pushFree); n > 0 {
-		o := qp.pushFree[n-1]
-		qp.pushFree = qp.pushFree[:n-1]
-		return o
-	}
-	o := &pushOp{qp: qp}
-	o.segDoneFn = o.segDone
-	o.issueFn = o.issue
-	return o
-}
-
-// release returns the op to the pool. Callers must copy out any state they
-// still need first: a completion callback may post a new op and reuse this
-// object immediately.
-func (o *pushOp) release() {
-	o.data = nil
-	o.done = nil
-	o.firstErr = nil
-	qp := o.qp
-	if len(qp.pushFree) < opPoolCap {
-		qp.pushFree = append(qp.pushFree, o)
-	}
-}
-
-func (o *pushOp) segDone(_ []byte, err error) {
-	if err != nil && o.firstErr == nil {
-		o.firstErr = err
-	}
-	o.remaining--
-	if o.remaining == 0 {
-		qp, seq, done := o.qp, o.seq, o.done
-		c := Completion{WRID: o.wrid, Err: o.firstErr}
-		o.release()
-		qp.deliver(seq, c, done)
-	}
-}
-
-// issue issues the op's segments from its cursor on, as tl.Conn.Submit
-// work: it returns false when the TL refused one, with the cursor at that
-// segment, and true once every segment is issued, or failed because the
-// connection is dead. It reads the op's fields into locals up front: the
-// final segment's completion can release (and a nested post can reuse) the
-// object while the loop epilogue still runs.
-func (o *pushOp) issue() bool {
-	qp, op, data, size, addr, nseg := o.qp, o.op, o.data, o.size, o.addr, o.nseg
-	i, off := o.nextIdx, o.nextOff
-	mtu := qp.ep.TL().MTU()
-	segDone := o.segDoneFn
-	for ; i < nseg; i++ {
-		seg := size - off
-		if seg > mtu {
-			seg = mtu
-		}
-		if seg < 0 {
-			seg = 0
-		}
-		var chunk []byte
-		if data != nil {
-			chunk = data[off : off+seg]
-		}
-		var a uint64
-		if op == opSend {
-			a = sendMeta(size, off)
-		} else {
-			a = addr + uint64(off)
-		}
-		if _, err := qp.ep.TL().PushOp(op, a, chunk, uint32(seg), segDone); err != nil {
-			if qp.ep.TL().Dead() != nil {
-				failSegments(nseg-i, err, segDone)
-				return true
-			}
-			o.nextIdx, o.nextOff = i, off
-			return false
-		}
-		off += seg
-	}
-	return true
-}
-
-// postPush starts a pooled WRITE/SEND work request.
-func (qp *QP) postPush(op uint8, wrid, addr uint64, data []byte, size int, done func(Completion)) {
-	o := qp.getPushOp()
-	o.op, o.wrid, o.addr, o.data, o.size, o.done = op, wrid, addr, data, size, done
-	o.seq = qp.allocSeq()
-	o.nseg = qp.segmentCount(size)
-	o.remaining = o.nseg
-	o.nextIdx, o.nextOff = 0, 0
-	qp.ep.TL().Submit(o.issueFn)
-}
-
-// pullOp is the in-flight state of one READ or ATOMIC work request, the
-// Pull-side twin of pushOp: a pooled descriptor with a segmentation cursor
-// and callbacks bound once (issueFn among them), so neither an attempt
-// refused by TL backpressure nor its resumption allocates. The TL's completion callback
-// does not say which transaction it is for and unordered connections
-// complete segments out of order, so where pushOp shares one callback,
-// every segment here has its own slot: a pre-bound callback that parks the
-// segment's bytes until the op completes.
-type pullOp struct {
-	qp   *QP
-	op   uint8
-	wrid uint64
-	seq  uint64
-	addr uint64
-	size int
-
-	nseg      int
-	remaining int
-	firstErr  error
-	haveData  bool // every segment so far returned bytes
-	done      func(Completion)
-
-	// Issue cursor: the next segment index/offset to issue.
-	nextIdx, nextOff int
-
-	// slots[:nseg] are this op's segments; the slice only grows, at post
-	// time, when no callback into the old slots is outstanding.
-	slots []pullSlot
-
-	issueFn func() bool
-}
-
-// pullSlot is one segment's completion slot.
-type pullSlot struct {
-	o    *pullOp
-	data []byte
-	fn   func([]byte, error) // s.segDone, bound once
-}
-
-// getPullOp takes a descriptor with at least nseg slots from the pool and
-// arms it for a new work request.
-func (qp *QP) getPullOp(op uint8, wrid, addr uint64, size, nseg int, done func(Completion)) *pullOp {
-	var o *pullOp
-	if n := len(qp.pullFree); n > 0 {
-		o = qp.pullFree[n-1]
-		qp.pullFree = qp.pullFree[:n-1]
-	} else {
-		o = &pullOp{qp: qp}
-		o.issueFn = o.issue
-	}
-	if nseg > len(o.slots) {
-		o.slots = make([]pullSlot, nseg)
-		for i := range o.slots {
-			s := &o.slots[i]
-			s.o = o
-			s.fn = s.segDone
-		}
-	}
-	o.op, o.wrid, o.addr, o.size, o.done = op, wrid, addr, size, done
-	o.seq = qp.allocSeq()
-	o.nseg, o.remaining, o.haveData = nseg, nseg, true
-	o.nextIdx, o.nextOff = 0, 0
-	return o
-}
-
-// release returns the op to the pool, under pushOp.release's rule: callers
-// copy out what they still need first, because a completion callback may
-// post a new op and reuse this object immediately.
-func (o *pullOp) release() {
-	o.done = nil
-	o.firstErr = nil
-	qp := o.qp
-	if len(qp.pullFree) < opPoolCap {
-		qp.pullFree = append(qp.pullFree, o)
-	}
-}
-
-func (s *pullSlot) segDone(data []byte, err error) {
-	o := s.o
-	if err != nil && o.firstErr == nil {
-		o.firstErr = err
-	}
-	if data == nil {
-		o.haveData = false
-	}
-	s.data = data
-	o.remaining--
-	if o.remaining == 0 {
-		o.complete()
-	}
-}
-
-// complete assembles the work completion — a READ's segments concatenated
-// in order when every one carried bytes, an ATOMIC's prior value as it
-// arrived — and delivers it after the descriptor is back in the pool.
-func (o *pullOp) complete() {
-	slots := o.slots[:o.nseg]
-	c := Completion{WRID: o.wrid, Err: o.firstErr}
-	switch {
-	case o.op != opRead:
-		c.Data = slots[0].data
-	case o.haveData && o.firstErr == nil:
-		total := 0
-		for i := range slots {
-			total += len(slots[i].data)
-		}
-		if total > 0 {
-			c.Data = make([]byte, 0, total)
-		}
-		for i := range slots {
-			c.Data = append(c.Data, slots[i].data...)
-		}
-	}
-	for i := range slots {
-		slots[i].data = nil
-	}
-	qp, seq, done := o.qp, o.seq, o.done
-	o.release()
-	qp.deliver(seq, c, done)
-}
-
-// issue issues READ segments from the op's cursor on, under pushOp.issue's
-// contract and for the same reason reading the op's fields into locals up
-// front.
-func (o *pullOp) issue() bool {
-	qp, addr, size, slots := o.qp, o.addr, o.size, o.slots[:o.nseg]
-	i, off := o.nextIdx, o.nextOff
-	mtu := qp.ep.TL().MTU()
-	for ; i < len(slots); i++ {
-		seg := size - off
-		if seg > mtu {
-			seg = mtu
-		}
-		if seg < 0 {
-			seg = 0
-		}
-		if _, err := qp.ep.TL().PullOp(opRead, addr+uint64(off), uint32(seg), slots[i].fn); err != nil {
-			if qp.ep.TL().Dead() != nil {
-				for ; i < len(slots); i++ {
-					slots[i].fn(nil, err)
-				}
-				return true
-			}
-			o.nextIdx, o.nextOff = i, off
-			return false
-		}
-		off += seg
-	}
-	return true
+	done func(Completion)
 }
 
 type heldCompletion struct {
@@ -379,6 +112,7 @@ type recvBuffer struct {
 // target handler on it.
 func NewQP(ep *core.Endpoint, cfg Config) *QP {
 	qp := &QP{ep: ep, cfg: cfg}
+	qp.port = ulp.NewPort(ep.TL(), qp.complete)
 	if cfg.WeaklyOrdered {
 		qp.held = make(map[uint64]heldCompletion)
 	}
@@ -419,11 +153,17 @@ func (qp *QP) PollCQ() []Completion {
 	return out
 }
 
-// allocSeq assigns the op's position in the completion order.
-func (qp *QP) allocSeq() uint64 {
-	s := qp.nextSeq
+// newWR makes a work request's context, assigning its position in the
+// completion order.
+func (qp *QP) newWR(wrid uint64, done func(Completion)) workRequest {
+	wr := workRequest{wrid: wrid, seq: qp.nextSeq, done: done}
 	qp.nextSeq++
-	return s
+	return wr
+}
+
+// complete is the port's completion function.
+func (qp *QP) complete(wr workRequest, data []byte, err error) {
+	qp.deliver(wr.seq, Completion{WRID: wr.wrid, Err: err, Data: data}, wr.done)
 }
 
 // deliver routes a completion to the application. In weakly-ordered mode
@@ -456,26 +196,6 @@ func (qp *QP) emit(c Completion, done func(Completion)) {
 	}
 }
 
-// segmentCount is the number of MTU-sized transactions an op of size bytes
-// maps to (at least one: a zero-byte op is still a transaction).
-func (qp *QP) segmentCount(size int) int {
-	if size <= 0 {
-		return 1
-	}
-	mtu := qp.ep.TL().MTU()
-	return (size + mtu - 1) / mtu
-}
-
-// failSegments completes n never-issued segments of an op in error. The
-// issue loops call it when the connection died mid-op (crash teardown,
-// RTO-budget exhaustion): the conn can never accept the segment, so the op
-// must surface the failure instead of waiting.
-func failSegments(n int, err error, segDone func([]byte, error)) {
-	for j := 0; j < n; j++ {
-		segDone(nil, err)
-	}
-}
-
 // Write posts an RDMA WRITE of data (or size bytes when data is nil) to
 // remote address addr: one Push per MTU segment, one completion for the
 // op. Segments refused by transaction-layer backpressure wait in the TL's
@@ -486,7 +206,7 @@ func (qp *QP) Write(wrid uint64, addr uint64, data []byte, size int, done func(C
 	if data != nil {
 		size = len(data)
 	}
-	qp.postPush(opWrite, wrid, addr, data, size, done)
+	qp.port.Post(&qp.pushFree, ulp.Msg{Op: opWrite, Addr: addr, Data: data, Size: size}, qp.newWR(wrid, done))
 	return nil
 }
 
@@ -498,12 +218,13 @@ func (qp *QP) Send(wrid uint64, data []byte, size int, done func(Completion)) er
 	if data != nil {
 		size = len(data)
 	}
-	qp.postPush(opSend, wrid, 0, data, size, done)
+	qp.port.Post(&qp.pushFree, ulp.Msg{Op: opSend, Addr: sendMeta(size, 0), Data: data, Size: size}, qp.newWR(wrid, done))
 	return nil
 }
 
 // sendMeta packs a SEND's total message size and segment offset into the
-// opaque Addr field (the ULP header a real stack would carry in-payload).
+// opaque Addr field (the ULP header a real stack would carry in-payload):
+// a SEND's segments carry sendMeta(total, 0) plus their offset.
 func sendMeta(total, off int) uint64 { return uint64(total)<<32 | uint64(uint32(off)) }
 
 func splitSendMeta(meta uint64) (total, off int) {
@@ -524,7 +245,7 @@ func (qp *QP) PostRecv(buf []byte, size int, done func(n int, err error)) {
 // backing memory. Like Write, it queues behind backpressure, so Read never
 // fails mid-op and the returned error is always nil.
 func (qp *QP) Read(wrid uint64, addr uint64, size int, done func(Completion)) error {
-	qp.ep.TL().Submit(qp.getPullOp(opRead, wrid, addr, size, qp.segmentCount(size), done).issueFn)
+	qp.port.Post(&qp.pullFree, ulp.Msg{Pull: true, Op: opRead, Addr: addr, Size: size}, qp.newWR(wrid, done))
 	return nil
 }
 
@@ -547,15 +268,13 @@ func (qp *QP) FetchAdd(wrid uint64, addr, add uint64, done func(Completion)) err
 // atomic posts a one-segment Pull carrying the operands (Table 2). Unlike
 // Read it does not queue behind backpressure: a refusal is returned to the
 // caller and no completion follows. Nor does it overtake parked work
-// requests: while any wait in the TL, it is refused.
+// requests: while any wait in the TL, it is refused. A refused ATOMIC gives
+// back its place in the completion order.
 func (qp *QP) atomic(wrid uint64, op uint8, addr uint64, operands []byte, done func(Completion)) error {
-	if qp.ep.TL().Parked() > 0 {
-		return tl.ErrBackpressured
-	}
-	o := qp.getPullOp(op, wrid, addr, 8, 1, done)
-	_, err := qp.ep.TL().PullOpData(op, addr, operands, 8, o.slots[0].fn)
+	m := ulp.Msg{Pull: true, Op: op, Addr: addr, Data: operands, Size: 8}
+	err := qp.port.Try(&qp.pullFree, m, qp.newWR(wrid, done))
 	if err != nil {
-		o.release()
+		qp.nextSeq--
 	}
 	return err
 }

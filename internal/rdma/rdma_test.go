@@ -703,3 +703,31 @@ func TestPostsDoNotOvertakeWaitingOps(t *testing.T) {
 		t.Fatalf("completions %v, want [1 2 4]", order)
 	}
 }
+
+// TestRefusedAtomicKeepsCompletionOrder fills an 8-byte RX-response pool
+// with one ATOMIC, so a second one is refused at once. On a weakly-ordered
+// QP the refused ATOMIC must give back its place in the completion order:
+// the WRITE posted after it still completes.
+func TestRefusedAtomicKeepsCompletionOrder(t *testing.T) {
+	unordered := core.DefaultConnConfig()
+	unordered.TL.Ordered = false
+	unordered.TL.Backpressure = tl.BackpressureNone
+	s, qa, qb, _ := starvedPair(t, 8, unordered, Config{WeaklyOrdered: true})
+	qb.RegisterMemoryLen(1 << 20)
+	var got []uint64
+	done := func(c Completion) { got = append(got, c.WRID) }
+	if err := qa.FetchAdd(1, 0, 1, done); err != nil {
+		t.Fatal(err)
+	}
+	if err := qa.FetchAdd(2, 8, 1, done); err == nil {
+		t.Fatal("second atomic admitted: the RX-response pool was not full")
+	}
+	s.Run()
+	if err := qa.Write(3, 0, nil, 64, done); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("completions %v, want [1 3]", got)
+	}
+}

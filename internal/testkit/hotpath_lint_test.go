@@ -18,10 +18,11 @@ import (
 // hot path depends on, so a regression is caught at review time rather
 // than by a benchmark drifting:
 //
-//  1. No map indexing, map ranging, or delete() in ring, pdl or tl. The
-//     steady-state path works on dense rings and bitmap words.
+//  1. No map indexing, map ranging, or delete() in ring, pdl, tl or ulp.
+//     The steady-state path works on dense rings and bitmap words.
 //  2. No function literals passed to scheduler entry points (At, After,
-//     AtAction, CrossAction, Process, ProcessAction) in ring, pdl or tl.
+//     AtAction, CrossAction, Process, ProcessAction) in ring, pdl, tl or
+//     ulp.
 //     Scheduling a closure allocates per call; the hot path schedules
 //     preallocated Action values instead.
 //
@@ -116,9 +117,9 @@ func (i lintImporter) Import(path string) (*types.Package, error) {
 	return i.fallback.Import(path)
 }
 
-// loadLintPackages parses and type-checks ring, pdl and tl (plus their
-// module-local dependencies, in topological order) and returns the three
-// packages under lint.
+// loadLintPackages parses and type-checks ring, pdl, tl and ulp (plus
+// their module-local dependencies, in topological order) and returns the
+// four packages under lint.
 func loadLintPackages(t *testing.T, fset *token.FileSet) []*lintPkg {
 	t.Helper()
 	order := []struct {
@@ -132,6 +133,7 @@ func loadLintPackages(t *testing.T, fset *token.FileSet) []*lintPkg {
 		{"falcon/internal/falcon/ring", "../falcon/ring", true},
 		{"falcon/internal/falcon/pdl", "../falcon/pdl", true},
 		{"falcon/internal/falcon/tl", "../falcon/tl", true},
+		{"falcon/internal/ulp", "../ulp", true},
 	}
 	local := map[string]*types.Package{}
 	imp := lintImporter{local: local, fallback: importer.ForCompiler(fset, "source", nil)}
