@@ -29,12 +29,6 @@
 //	                                   # same seed write byte-identical
 //	                                   # -metrics JSON (make check relies
 //	                                   # on this)
-//	falconbench -shards 4              # split figScale's simulators into 4
-//	                                   # partitions run on concurrent
-//	                                   # goroutines under conservative
-//	                                   # lookahead windows; figScale only
-//	                                   # (the default selection), anything
-//	                                   # else exits 2
 //	falconbench -cpuprofile cpu.pprof  # pprof profiles of the run
 //	falconbench -memprofile mem.pprof
 //
@@ -71,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 1, "worker pool width (independent simulators per goroutine)")
 	metricsPath := fs.String("metrics", "", "write a deterministic per-figure metrics JSON to this file (instrumented run)")
 	seriesDir := fs.String("series", "", "write per-figure time-series CSVs into this directory (instrumented run)")
-	shards := fs.Int("shards", 1, "split figScale's simulators into N partitions run on concurrent goroutines under conservative lookahead windows (figScale only; self-deterministic, but not byte-comparable to -shards 1)")
 	routingPolicy := fs.String("routing", "ecmp", "fabric uplink policy for every topology: ecmp (default), spray, or adaptive")
 	storm := fs.Int64("storm", 0, "override the storm campaign seed for figStorm/figEndpointFault; with no -run, selects just the storm figures")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -88,15 +81,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *shards < 1 {
-		fmt.Fprintf(stderr, "bad -shards %d: want >= 1\n", *shards)
-		return 2
-	}
 	opts := experiments.Options{
 		Quick:     *quick,
 		Policy:    routing.ByName(*routingPolicy),
 		StormSeed: *storm,
-		Shards:    *shards,
 	}
 	if opts.Policy == nil {
 		fmt.Fprintf(stderr, "bad -routing %q: want ecmp, spray or adaptive\n", *routingPolicy)
@@ -107,9 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *runRe == "" && *storm != 0 {
 		*runRe = "figStorm|figEndpointFault"
-	}
-	if *runRe == "" && *shards > 1 {
-		*runRe = "figScale"
 	}
 	var re *regexp.Regexp
 	if *runRe != "" {
@@ -130,18 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "no experiment matches %q; try -list\n", *runRe)
 		return 1
 	}
-	if *shards > 1 {
-		// Partitions execute on concurrent goroutines, so only a figure
-		// whose accumulators are partition-local may run under them; every
-		// other figure shares counters across partitions.
-		for _, e := range matched {
-			if e.Name != "figScale" {
-				fmt.Fprintf(stderr, "-shards %d runs figScale only; %s shares state across partitions\n", *shards, e.Name)
-				return 2
-			}
-		}
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

@@ -61,27 +61,22 @@ func DefaultConnConfig() ConnConfig {
 type Cluster struct {
 	sim   *sim.Simulator
 	nodes map[netsim.NodeID]*Node
-	// pools holds the transport packet pool of each partition simulator
-	// (exactly one on a single-loop run), shared by the nodes living on it;
-	// see wire.PacketPool. AddNode resolves a node's pool once, so the
-	// packet path never consults the map.
-	pools map[*sim.Simulator]*wire.PacketPool
+	// pool is the transport packet pool shared by every node of the
+	// cluster; see wire.PacketPool.
+	pool *wire.PacketPool
 	// onDrop is reclaim as a func value, bound once so the egress path can
 	// hang it on every frame without allocating.
-	onDrop     func(at *sim.Simulator, payload any)
+	onDrop     func(payload any)
 	nextConnID uint32
 }
 
 // reclaim is the netsim.Frame.OnDrop hook of every frame that carries a
-// pooled packet: the fabric discarded the frame on partition at, so the
-// wire's hold is released into that partition's pool instead of the packet
-// going to the garbage collector (a partition with no Falcon node has no
-// pool; there the packet is simply dropped from circulation). Only a
-// single-loop cluster shares packets with the wire, so a shared packet is
-// always dropped on the loop its other holders run on.
-func (cl *Cluster) reclaim(at *sim.Simulator, payload any) {
+// pooled packet: the fabric discarded the frame, so the wire's hold is
+// released into the pool instead of the packet going to the garbage
+// collector.
+func (cl *Cluster) reclaim(payload any) {
 	if p, ok := payload.(*wire.Packet); ok {
-		cl.pools[at].Release(p)
+		cl.pool.Release(p)
 	}
 }
 
@@ -90,7 +85,7 @@ func NewCluster(s *sim.Simulator) *Cluster {
 	cl := &Cluster{
 		sim:        s,
 		nodes:      make(map[netsim.NodeID]*Node),
-		pools:      make(map[*sim.Simulator]*wire.PacketPool),
+		pool:       wire.NewPacketPool(),
 		nextConnID: 1,
 	}
 	cl.onDrop = cl.reclaim
@@ -126,27 +121,17 @@ func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
 	if _, dup := cl.nodes[host.ID]; dup {
 		panic(fmt.Sprintf("core: host %d already has a Falcon node", host.ID))
 	}
-	// The node's entire stack — NIC pipeline, FAE, PDL/TL timers, packet
-	// pool — lives on the fabric host's partition simulator, so on a
-	// sharded run everything a node does executes on its own partition's
-	// goroutine.
-	ns := host.Sim()
-	pool := cl.pools[ns]
-	if pool == nil {
-		pool = wire.NewPacketPool()
-		cl.pools[ns] = pool
-	}
 	n := &Node{
 		cluster: cl,
 		host:    host,
-		sim:     ns,
-		nic:     nic.New(ns, cfg.NIC),
+		sim:     cl.sim,
+		nic:     nic.New(cl.sim, cfg.NIC),
 		res:     tl.NewResources(cfg.Resources),
-		pool:    pool,
+		pool:    cl.pool,
 		conns:   make(map[uint32]*Endpoint),
 		pspKey:  cfg.PSPMasterKey,
 	}
-	n.engine = fae.New(ns, cfg.FAE, n.applyFAEResponse)
+	n.engine = fae.New(cl.sim, cfg.FAE, n.applyFAEResponse)
 	host.SetHandler(n)
 	cl.nodes[host.ID] = n
 	return n
@@ -157,14 +142,8 @@ func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
 type Node struct {
 	cluster *Cluster
 	host    *netsim.Host
-	// sim is the fabric host's partition simulator; every timer and
-	// continuation of this node's stack is scheduled here. pool is that
-	// partition's transport packet pool, shared with the other nodes on
-	// it (per partition rather than per cluster so concurrent partitions
-	// never share a free list across goroutines). The wire's hold on a
-	// packet is released into the receiving node's pool, which is the
-	// sender's own unless the packet crossed partitions — netsim's
-	// frame-pool rule.
+	// sim and pool are the cluster's, held here so that the packet path
+	// reaches them in one step.
 	sim    *sim.Simulator
 	pool   *wire.PacketPool
 	nic    *nic.NIC
@@ -348,13 +327,6 @@ type Endpoint struct {
 	pdl *pdl.Conn
 	tl  *tl.Conn
 
-	// copyTx makes Send hand the fabric a private copy instead of a
-	// shared hold. It is set on a partitioned cluster, where a frame can
-	// be dropped — and its packet released — on another partition's
-	// goroutine, even between two nodes of one partition, and a holder
-	// count must only ever be touched by one goroutine.
-	copyTx bool
-
 	// Inline encryption SAs (nil when PSP is off). txSA seals against
 	// the peer's device key; rxSA opens packets sealed for this node.
 	txSA *psp.SA
@@ -411,8 +383,6 @@ func (cl *Cluster) Connect(a, b *Node, cfg ConnConfig) (*Endpoint, *Endpoint) {
 	cl.nextConnID++
 	epA := newEndpoint(a, id, b.host.ID, cfg)
 	epB := newEndpoint(b, id, a.host.ID, cfg)
-	epA.copyTx = a.sim.Group() != nil
-	epB.copyTx = epA.copyTx
 	if a.pspKey != nil || b.pspKey != nil {
 		if a.pspKey == nil || b.pspKey == nil {
 			panic("core: PSP requires a master key on both nodes")
@@ -440,13 +410,7 @@ func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoi
 			// node after delivery (cleartext). The PDL unshares before
 			// it stamps a retransmission, so the packet in flight never
 			// changes under the wire.
-			var cp *wire.Packet
-			if ep.copyTx {
-				cp = n.pool.Acquire()
-				cp.CopyFrom(p)
-			} else {
-				cp = n.pool.Share(p)
-			}
+			cp := n.pool.Share(p)
 			j := n.txJobs
 			if j == nil {
 				j = &txJob{}

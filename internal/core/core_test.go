@@ -680,59 +680,3 @@ func TestCEMarkStaysOnItsArrival(t *testing.T) {
 			done, marked, retransmits)
 	}
 }
-
-// TestPartitionedClusterCopiesOnSend covers the one case in which Send
-// hands the fabric a copy instead of sharing the PDL's packet. On a
-// partitioned cluster a frame can be dropped, and the wire's hold released,
-// on another partition's goroutine even when both of its endpoints share a
-// partition: racks 0 and 2 below sit on partition 0, and their traffic
-// crosses a lossy spine on partition 1. A shared holder count would then be
-// written by that drop and by the sender's retransmission in one lookahead
-// window, which `go test -race` reports here.
-func TestPartitionedClusterCopiesOnSend(t *testing.T) {
-	const conns, pushes = 4, 100
-	s := sim.NewSharded(5, 2)
-	fabric := netsim.LinkConfig{GbpsRate: 100, PropDelay: 20 * time.Microsecond}
-	topo := netsim.Clos(s, 4, conns, 2, testLink, fabric)
-	cl := NewCluster(s)
-	nodes := make([]*Node, len(topo.Hosts))
-	for i, h := range topo.Hosts {
-		nodes[i] = cl.AddNode(h, DefaultNodeConfig())
-	}
-	for _, p := range topo.Net.Ports() {
-		if p.Sim() != nodes[0].sim {
-			p.SetDropProb(0.2)
-		}
-	}
-	completed, retransmits := 0, uint64(0)
-	var eps []*Endpoint
-	for i := 0; i < conns; i++ {
-		a, b := nodes[i], nodes[2*conns+i]
-		if a.sim != b.sim {
-			t.Fatal("racks 0 and 2 are on different partitions")
-		}
-		epA, epB := cl.Connect(a, b, DefaultConnConfig())
-		if !epA.copyTx || !epB.copyTx {
-			t.Fatal("a connection on a partitioned cluster shares its packets with the wire")
-		}
-		epB.SetTarget(&sink{})
-		eps = append(eps, epA)
-		for k := 0; k < pushes; k++ {
-			if _, err := epA.Push(nil, 4096, func(_ []byte, err error) {
-				if err != nil {
-					t.Errorf("push error: %v", err)
-				}
-				completed++
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	s.Run()
-	for _, ep := range eps {
-		retransmits += ep.PDL().Stats.DataRetransmits
-	}
-	if completed != conns*pushes || retransmits == 0 {
-		t.Fatalf("completed %d of %d, %d retransmissions; want all, and some", completed, conns*pushes, retransmits)
-	}
-}

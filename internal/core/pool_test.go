@@ -14,7 +14,7 @@ import (
 // (fewer of them) the other — and a packet is acquired where it is sent
 // and released where it is received, so with a pool per node the
 // receiver's free list grew by the difference for as long as the run
-// lasted. With one pool per partition simulator both nodes recycle through
+// lasted. With one pool per cluster both nodes recycle through
 // the same free list: after a drained run every packet is back
 // (free == allocated), and the pool's size is set by the window's peak of
 // packets in flight, not by how many ops ran.

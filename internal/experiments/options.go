@@ -13,8 +13,7 @@ import (
 )
 
 // Options is everything that configures one run of a figure. The zero
-// value is a full-window, uninstrumented, single-loop run over ECMP
-// fabrics with the default storm seeds.
+// value is a full-window, uninstrumented run over ECMP fabrics with the default storm seeds.
 //
 // Figures build every simulator and fabric through the helpers below, so
 // each setting reaches all of them and nothing else: there is no
@@ -32,13 +31,6 @@ type Options struct {
 	// StormSeed, when non-zero, narrows the storm campaigns to this one
 	// seed instead of the default set.
 	StormSeed int64
-	// Shards splits figScale's simulators into that many partitions that
-	// run on concurrent goroutines under conservative lookahead windows
-	// (<= 1: one loop). figScale is the one figure whose state is
-	// partition-local; every other figure runs one loop whatever Shards
-	// says.
-	Shards int
-
 	// events, set by the runner, totals the events delivered by every
 	// simulator the figure builds.
 	events *atomic.Uint64
@@ -52,18 +44,9 @@ func (o Options) window(full, quick time.Duration) time.Duration {
 	return full
 }
 
-// newSim returns a fresh seeded single-loop simulator for one run of the
-// figure.
+// newSim returns a fresh seeded simulator for one run of the figure.
 func (o Options) newSim(seed int64) *sim.Simulator {
 	s := sim.New(seed)
-	s.CountInto(o.events)
-	return s
-}
-
-// newPartitioned is newSim split into o.Shards partitions, for a figure
-// whose every callback touches only its own partition's state.
-func (o Options) newPartitioned(seed int64) *sim.Simulator {
-	s := sim.NewSharded(seed, o.Shards)
 	s.CountInto(o.events)
 	return s
 }

@@ -17,7 +17,7 @@ import (
 func TestFiguresBuildThroughOptions(t *testing.T) {
 	t.Parallel()
 	banned := map[string]bool{
-		"sim.New": true, "sim.NewSharded": true, "sim.NewWithScheduler": true,
+		"sim.New": true, "sim.NewWithScheduler": true,
 		"netsim.New": true, "netsim.PointToPoint": true, "netsim.Star": true,
 		"netsim.Clos": true, "netsim.TwoRack": true,
 		"workload.BuildFalconJob": true, "workload.BuildSWJob": true,

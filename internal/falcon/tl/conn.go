@@ -256,8 +256,7 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, res *Resources, ctrl Contr
 }
 
 // SetPacketPool attaches a packet pool (nil keeps heap packets). Must be
-// called before traffic flows; internal/core wires the pool of the node's
-// partition simulator.
+// called before traffic flows; internal/core wires its cluster's pool.
 func (c *Conn) SetPacketPool(p *wire.PacketPool) { c.pool = p }
 
 // ID returns the connection ID.

@@ -32,10 +32,6 @@ import "unsafe"
 //     target-side reorder buffer — shares it and releases its hold when it
 //     is done. Data payloads are never pooled, so retaining p.Data is safe.
 //
-// A holder count is plain memory, so every holder of one packet must run on
-// one event loop; internal/core copies instead of sharing on a partitioned
-// cluster, where a frame can be dropped on another partition's goroutine.
-//
 // Packets built by hand (&Packet{...}, as tests and the examples do) never
 // enter a pool: Release ignores them, Share returns a pooled copy, and
 // Unshare returns them as they are. A nil *PacketPool pools nothing:
@@ -50,12 +46,10 @@ const packetPoolBlock = (16 << 10) / int(unsafe.Sizeof(Packet{}))
 
 // PacketPool recycles Packet objects through the transport hot path. It is
 // not safe for concurrent use: one pool belongs to one event loop.
-// internal/core keeps one per Cluster and partition simulator, shared by
-// every node on that partition, so a packet acquired by its sender and
-// released by its receiver returns to the free list it came from and the
-// pool's size follows peak packets in flight, whatever the traffic's
-// direction. Only a packet that crosses a partition boundary changes pools,
-// as netsim's frames do.
+// internal/core keeps one per Cluster, shared by every node, so a packet
+// acquired by its sender and released by its receiver returns to the free
+// list it came from and the pool's size follows peak packets in flight,
+// whatever the traffic's direction.
 type PacketPool struct {
 	free []*Packet
 	// allocated counts the packets this pool has created; with Free it
@@ -140,8 +134,8 @@ func (p *PacketPool) Release(pk *Packet) {
 // high-water mark: the pool never shrinks).
 func (p *PacketPool) Allocated() int { return p.allocated }
 
-// Free returns how many packets sit on the free list. At quiescence, with
-// no partition-crossing traffic, Free equals Allocated; less is a leak.
+// Free returns how many packets sit on the free list. At quiescence Free
+// equals Allocated; less is a leak.
 func (p *PacketPool) Free() int { return len(p.free) }
 
 // CopyFrom copies every wire field of src into p while preserving p's own

@@ -12,8 +12,8 @@ import "strings"
 // e.g. "fig10/ReadReq/drop0.0/fwd/port/down_drops" parses as figure
 // fig10, dims {ReadReq, drop0.0, fwd}, layer port, metric down_drops.
 // The layer is the first segment (scanning left to right) matching a
-// known layer token — pdl, tl, nic, port, fae, routing, chaos, shard,
-// or the synthetic bench layer the indexer gives bench records.
+// known layer token — pdl, tl, nic, port, fae, routing, chaos, or the
+// synthetic bench layer the indexer gives bench records.
 // Histogram-backed metrics carry one of the fixed stat suffixes (count,
 // mean, p50, p99, max) the registry expands histograms into. Time-series
 // column names
@@ -50,7 +50,6 @@ var layerTokens = map[string]bool{
 	"fae":     true,
 	"routing": true,
 	"chaos":   true,
-	"shard":   true,
 	"bench":   true,
 }
 
@@ -161,14 +160,10 @@ var timingMetrics = map[string]bool{
 //   - chaos: every value, including recovery_gap_ns, is an integer
 //     derived from virtual-clock samples under the same-seed storm
 //     determinism contract.
-//   - shard: partition delivery and cross-boundary counts follow from
-//     the event stream, and lookahead_ns is a topology constant, not a
-//     measured duration.
 //   - bench: bench records. Op counts, events_per_op and the sim_*
 //     metrics repeat per seed; the host-measured metrics below are perf.
 var pinnedClass = map[string]Class{
 	"chaos":                     ClassExact,
-	"shard":                     ClassExact,
 	"bench":                     ClassExact,
 	"bench/setup_s":             ClassPerf,
 	"bench/events_per_sec":      ClassPerf,

@@ -102,7 +102,6 @@ func TestPathClass(t *testing.T) {
 		{"figRouting/adaptive/tor0/routing/spread_pct", ClassExact},
 		{"figGrayFailure/ecmp/flap/tor0/routing/down_drops_total", ClassExact},
 		{"figStorm/storm71/chaos/recovery_gap_ns", ClassExact},
-		{"figScale/shard/lookahead_ns", ClassExact},
 		{"fabric_scale/seed281/bench/events_per_op", ClassExact},
 		{"fabric_scale/seed281/bench/sim_op_p99_us", ClassExact},
 		{"fabric_scale/seed281/bench/attempted", ClassExact},

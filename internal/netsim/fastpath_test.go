@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"falcon/internal/routing"
 	"falcon/internal/sim"
@@ -21,8 +22,6 @@ func (bs *benchSink) receive(f *Frame) {
 	bs.net.Frames().Release(f)
 }
 
-func (bs *benchSink) nodeSim() *sim.Simulator { return bs.net.sim }
-
 var benchLink = LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond}
 
 // warm runs fn enough times to fill every pool and ring (frame pool,
@@ -38,7 +37,7 @@ func BenchmarkPortSend(b *testing.B) {
 	s := sim.New(1)
 	n := New(s)
 	sink := &benchSink{net: n}
-	p := newPort(n, "bench", benchLink, n.sim, sink)
+	p := newPort(n, "bench", benchLink, sink)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,7 +96,7 @@ func TestPortSendZeroAlloc(t *testing.T) {
 	s := sim.New(1)
 	n := New(s)
 	sink := &benchSink{net: n}
-	p := newPort(n, "alloc", benchLink, n.sim, sink)
+	p := newPort(n, "alloc", benchLink, sink)
 	op := func() {
 		f := n.Frames().Acquire()
 		f.Size = 1500
@@ -257,7 +256,7 @@ func TestPortDrainMatchesModel(t *testing.T) {
 	link := LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond, QueueBytes: 1 << 30}
 	m := &drainModel{
 		t: t, s: s, n: n, rng: rand.New(rand.NewSource(30)),
-		p:   newPort(n, "drain", link, n.sim, &benchSink{net: n}),
+		p:   newPort(n, "drain", link, &benchSink{net: n}),
 		due: map[uint64]drainDue{}, arrival: map[uint64]bool{},
 		ps: psPerByte(link.GbpsRate),
 	}
@@ -275,6 +274,35 @@ func TestPortDrainMatchesModel(t *testing.T) {
 	}
 }
 
+// TestPortLayout pins what the departure path relies on: queuedBytes,
+// the drain ring's head and tail, and the ring's pointer and length words
+// sit in one 64-byte line of the Port, and the Port's size is a multiple
+// of 64 so that the allocator aligns that line to a cache line.
+func TestPortLayout(t *testing.T) {
+	var p Port
+	if size := unsafe.Sizeof(p); size%64 != 0 {
+		t.Errorf("Port is %d bytes, not a multiple of 64", size)
+	}
+	line := unsafe.Offsetof(p.queuedBytes) / 64
+	ring := unsafe.Offsetof(p.drains)
+	for _, f := range []struct {
+		name string
+		off  uintptr
+		size uintptr
+	}{
+		{"queuedBytes", unsafe.Offsetof(p.queuedBytes), unsafe.Sizeof(p.queuedBytes)},
+		{"head", unsafe.Offsetof(p.head), unsafe.Sizeof(p.head)},
+		{"tail", unsafe.Offsetof(p.tail), unsafe.Sizeof(p.tail)},
+		{"drains pointer", ring, unsafe.Sizeof(uintptr(0))},
+		{"drains length", ring + unsafe.Sizeof(uintptr(0)), unsafe.Sizeof(0)},
+	} {
+		if f.off/64 != line || (f.off+f.size-1)/64 != line {
+			t.Errorf("Port.%s at bytes [%d, %d) leaves line %d (Port is %d bytes)",
+				f.name, f.off, f.off+f.size, line, unsafe.Sizeof(p))
+		}
+	}
+}
+
 // TestSwitchForwardZeroAlloc asserts the switch hop — receive, ECMP hash,
 // dense route lookup, egress enqueue — allocates nothing in steady state.
 func TestSwitchForwardZeroAlloc(t *testing.T) {
@@ -283,7 +311,7 @@ func TestSwitchForwardZeroAlloc(t *testing.T) {
 	sw := n.AddSwitch()
 	sink := &benchSink{net: n}
 	// Two equal-cost ports so the ECMP arm is exercised too.
-	sw.addRoute(0, newPort(n, "a", benchLink, n.sim, sink), newPort(n, "b", benchLink, n.sim, sink))
+	sw.addRoute(0, newPort(n, "a", benchLink, sink), newPort(n, "b", benchLink, sink))
 	var i uint64
 	op := func() {
 		f := n.Frames().Acquire()
@@ -314,10 +342,10 @@ func TestSwitchPolicyZeroAlloc(t *testing.T) {
 			sw.SetPolicy(pol)
 			sink := &benchSink{net: n}
 			sw.addRoute(0,
-				newPort(n, "a", benchLink, n.sim, sink),
-				newPort(n, "b", benchLink, n.sim, sink),
-				newPort(n, "c", benchLink, n.sim, sink),
-				newPort(n, "d", benchLink, n.sim, sink))
+				newPort(n, "a", benchLink, sink),
+				newPort(n, "b", benchLink, sink),
+				newPort(n, "c", benchLink, sink),
+				newPort(n, "d", benchLink, sink))
 			var i uint64
 			op := func() {
 				f := n.Frames().Acquire()
@@ -369,7 +397,7 @@ func TestFramePoolRecycles(t *testing.T) {
 	s := sim.New(1)
 	n := New(s)
 	sink := &benchSink{net: n}
-	p := newPort(n, "recycle", benchLink, n.sim, sink)
+	p := newPort(n, "recycle", benchLink, sink)
 
 	f := n.Frames().Acquire()
 	if !f.pooled {

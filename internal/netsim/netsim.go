@@ -64,12 +64,9 @@ type Frame struct {
 	CE bool
 	// OnDrop, when set, is called if the fabric discards the frame instead
 	// of delivering it, so a sender whose Payload is itself pooled can
-	// reclaim it. at is the partition simulator executing the drop: under
-	// the pools' migration rule (see fabricPool) that is the partition the
-	// payload must be released on, which is not the sender's once the
-	// frame has crossed a boundary. Senders install a func bound once, not
-	// a per-frame closure.
-	OnDrop func(at *sim.Simulator, payload any)
+	// reclaim it. Senders install a func bound once, not a per-frame
+	// closure.
+	OnDrop func(payload any)
 
 	// pooled marks frames owned by a FramePool; hand-built frames stay
 	// with the garbage collector.
@@ -96,12 +93,9 @@ type HandlerFunc func(*Frame)
 // HandleFrame calls fn(f).
 func (fn HandlerFunc) HandleFrame(f *Frame) { fn(f) }
 
-// device is anything a port can deliver to. Every device is owned by one
-// simulation partition (trivially partition 0 on a single-loop network);
-// nodeSim reports the partition simulator its events must run on.
+// device is anything a port can deliver to.
 type device interface {
 	receive(f *Frame)
-	nodeSim() *sim.Simulator
 }
 
 // LinkConfig describes one direction of a link.
@@ -148,15 +142,8 @@ type PortStats struct {
 // propagation-delayed wire toward dst.
 type Port struct {
 	net *Network
-	// sim is the source device's partition simulator: send, the port's
-	// departure (drain) actions and all port state live there. dstSim is
-	// the destination device's; when they differ the port is a partition
-	// boundary and arrivals are handed across via sim.CrossAction (with the
-	// link's propagation delay declared as conservative lookahead).
-	sim    *sim.Simulator
-	dstSim *sim.Simulator
-	// pool recycles this partition's frames (the ones this port drops).
-	pool *fabricPool
+	// sim is the network's simulator, held here for the send path.
+	sim  *sim.Simulator
 	name string
 	// psPerByte is the precomputed serialization cost in integer
 	// picoseconds per byte; the hot path multiplies instead of dividing.
@@ -173,8 +160,8 @@ type Port struct {
 	// tail pushes, both wrapping freely. Departures never decrease and
 	// same-instant ones fire in push order, so the firing departure always
 	// belongs to the ring head. head and the ring header sit right after
-	// queuedBytes, in the same 64-byte line of the 256-byte Port, so a
-	// departure touches one line of the port.
+	// queuedBytes, in the same 64-byte line of the 256-byte Port
+	// (TestPortLayout), so a departure touches one line of the port.
 	head, tail uint32
 	drains     []int32
 	// downDepth counts active SetDown(true) holds. The port drops frames
@@ -195,6 +182,11 @@ type Port struct {
 	ecnThreshold int
 
 	Stats PortStats
+
+	// Padding to 256 bytes, a multiple of 64: the allocator then puts
+	// every Port on a 64-byte boundary, so the line holding queuedBytes
+	// and the drain ring is a real cache line (TestPortLayout).
+	_ [16]byte
 }
 
 // psPerByte converts a Gbit/s link rate to the integer picoseconds one
@@ -211,7 +203,7 @@ func psPerByte(gbps float64) int64 {
 	return ps
 }
 
-func newPort(n *Network, name string, cfg LinkConfig, srcSim *sim.Simulator, dst device) *Port {
+func newPort(n *Network, name string, cfg LinkConfig, dst device) *Port {
 	if cfg.GbpsRate <= 0 {
 		panic("netsim: link rate must be positive")
 	}
@@ -219,34 +211,18 @@ func newPort(n *Network, name string, cfg LinkConfig, srcSim *sim.Simulator, dst
 	if limit == 0 {
 		limit = DefaultQueueBytes
 	}
-	dstSim := dst.nodeSim()
 	p := &Port{
 		net:       n,
-		sim:       srcSim,
-		dstSim:    dstSim,
-		pool:      n.pools[srcSim.ShardIndex()],
+		sim:       n.sim,
 		name:      name,
 		psPerByte: psPerByte(cfg.GbpsRate),
 		prop:      cfg.PropDelay,
 		limit:     limit,
 		dst:       dst,
 	}
-	if srcSim != dstSim {
-		// Cross-partition link: its one-way propagation delay bounds how
-		// soon a frame can affect the remote partition, so it is the safe
-		// lookahead window. DeclareBoundary rejects zero-latency links —
-		// co-locate such endpoints in one partition instead (the topology
-		// builders keep racks intact for exactly this reason).
-		n.group.DeclareBoundary(cfg.PropDelay)
-	}
 	n.ports = append(n.ports, p)
 	return p
 }
-
-// Sim returns the partition simulator the port's source device runs on —
-// the right place to schedule work that mutates this port (impairment
-// schedules, degrade timers).
-func (p *Port) Sim() *sim.Simulator { return p.sim }
 
 // SetDropProb configures random egress drop with probability p, modeling the
 // paper's "switch configured to randomly drop packets" experiments.
@@ -334,22 +310,22 @@ func (p *Port) QueuedBytes() int { return p.queuedBytes }
 func (p *Port) send(f *Frame) {
 	if p.downDepth > 0 {
 		p.Stats.DownDrops++
-		p.pool.drop(f)
+		p.net.drop(f)
 		return
 	}
 	if p.dropProb > 0 && p.sim.Rand().Float64() < p.dropProb {
 		p.Stats.RandomDrops++
-		p.pool.drop(f)
+		p.net.drop(f)
 		return
 	}
 	if p.corruptProb > 0 && p.sim.Rand().Float64() < p.corruptProb {
 		p.Stats.CorruptDrops++
-		p.pool.drop(f)
+		p.net.drop(f)
 		return
 	}
 	if p.queuedBytes+f.Size > p.limit {
 		p.Stats.QueueDrops++
-		p.pool.drop(f)
+		p.net.drop(f)
 		return
 	}
 	p.queuedBytes += f.Size
@@ -382,11 +358,8 @@ func (p *Port) send(f *Frame) {
 	p.drains[p.tail&uint32(len(p.drains)-1)] = int32(f.Size)
 	p.tail++
 	p.sim.AtAction(departAt, (*departure)(p))
-	// The arrival executes on the destination partition; across a
-	// boundary it fires no sooner than the lookahead, so the destination
-	// reads f.to only after the barrier that hands it over.
 	f.to = p.dst
-	p.sim.CrossAction(p.dstSim, arriveAt, (*arrival)(f))
+	p.sim.AtAction(arriveAt, (*arrival)(f))
 }
 
 // growDrains doubles the drain ring (allocating its first 8 slots on the
@@ -414,13 +387,8 @@ func (d *departure) RunAction() {
 
 // Host is an endpoint with a single access link.
 type Host struct {
-	ID  NodeID
-	net *Network
-	// sim is the partition simulator this host's events run on (the
-	// network's root simulator on a single-loop network); pool is that
-	// partition's fabric free lists.
-	sim     *sim.Simulator
-	pool    *fabricPool
+	ID      NodeID
+	net     *Network
 	handler Handler
 	uplink  *Port
 	tap     func(f *Frame)
@@ -481,21 +449,12 @@ func (h *Host) SetTap(fn func(f *Frame)) { h.tap = fn }
 // impair or re-rate it.
 func (h *Host) Uplink() *Port { return h.uplink }
 
-// Sim returns the partition simulator this host's events run on.
-// Transports attached to the host must schedule their timers and
-// continuations here — not on the network's root simulator — so that on a
-// sharded run their work executes on the host's partition.
-func (h *Host) Sim() *sim.Simulator { return h.sim }
-
-// nodeSim implements device.
-func (h *Host) nodeSim() *sim.Simulator { return h.sim }
-
 // NewFrame returns a zeroed frame from the network's pool, owned by the
 // caller until handed to Send. Transports on the steady-state path must
 // use this (or Network.Frames) instead of allocating Frames so the fabric
 // stays allocation-free; hand-built frames still work but are not
 // recycled.
-func (h *Host) NewFrame() *Frame { return h.pool.frames.Acquire() }
+func (h *Host) NewFrame() *Frame { return h.net.frames.Acquire() }
 
 // Send transmits a frame from this host. f.Src is set to the host's ID.
 // Ownership of a pooled frame passes to the fabric: the caller must not
@@ -503,11 +462,11 @@ func (h *Host) NewFrame() *Frame { return h.pool.frames.Acquire() }
 func (h *Host) Send(f *Frame) {
 	if h.pauseDepth > 0 {
 		h.PauseTxDrops++
-		h.pool.drop(f)
+		h.net.drop(f)
 		return
 	}
 	f.Src = h.ID
-	f.SentAt = h.sim.Now()
+	f.SentAt = h.net.sim.Now()
 	f.Hops = 0
 	if h.uplink == nil {
 		panic(fmt.Sprintf("netsim: host %d has no uplink", h.ID))
@@ -519,7 +478,7 @@ func (h *Host) Send(f *Frame) {
 func (h *Host) receive(f *Frame) {
 	if h.pauseDepth > 0 {
 		h.PauseRxDrops++
-		h.pool.drop(f)
+		h.net.drop(f)
 		return
 	}
 	h.RxFrames++
@@ -529,19 +488,15 @@ func (h *Host) receive(f *Frame) {
 	if h.handler != nil {
 		h.handler.HandleFrame(f)
 	}
-	h.pool.frames.Release(f)
+	h.net.frames.Release(f)
 }
 
 // Switch forwards frames by destination, selecting among equal-cost
 // next-hop ports through a pluggable routing.Policy (ECMP by default;
 // see SetPolicy and Network.SetRoutingPolicy).
 type Switch struct {
-	id  int
-	net *Network
-	// sim/pool: the partition simulator this switch's forwarding runs on
-	// and that partition's fabric free lists (see Host.sim).
-	sim  *sim.Simulator
-	pool *fabricPool
+	id   int
+	net  *Network
 	salt uint64
 	// policy selects among equal-cost next hops. Policy values are
 	// stateless; the mutable selection state lives in the dense state
@@ -588,12 +543,6 @@ func (sw *Switch) SetPolicy(p routing.Policy) {
 
 // Policy returns the switch's routing policy.
 func (sw *Switch) Policy() routing.Policy { return sw.policy }
-
-// Sim returns the partition simulator this switch's forwarding runs on.
-func (sw *Switch) Sim() *sim.Simulator { return sw.sim }
-
-// nodeSim implements device.
-func (sw *Switch) nodeSim() *sim.Simulator { return sw.sim }
 
 // addRoute registers ports as next hops toward dst, after any it already
 // has. Groups are never modified once built: the extended set is looked up
@@ -652,54 +601,22 @@ func (sw *Switch) receive(f *Frame) {
 }
 
 // Network owns hosts and switches attached to one simulator, plus the
-// fast-path pools recycling frames.
-//
-// On a sharded simulator (sim.Sharded) the network is partition-aware:
-// every device is assigned to one partition (round-robin by default, or
-// explicitly via AddHostOn/AddSwitchOn — the topology builders keep each
-// rack intact), each partition owns its own fabric pools, and ports whose
-// endpoints live in different partitions declare their propagation delay
-// as the group's conservative lookahead.
+// frame pool recycling their frames.
 type Network struct {
 	sim      *sim.Simulator
-	group    *sim.Sharded
 	hosts    []*Host
 	switches []*Switch
 	// ports records every directed port in creation order, so audits (the
 	// chaos frame-conservation ledger) can fold over the whole fabric.
 	ports  []*Port
 	policy routing.Policy
-
-	// pools holds one fabricPool per partition (exactly one on a
-	// single-loop network); nextHostPart/nextSwitchPart drive the default
-	// round-robin partition assignment.
-	pools          []*fabricPool
-	nextHostPart   int
-	nextSwitchPart int
+	frames FramePool
 }
 
 // New creates an empty network bound to s; its switches route with ECMP
 // until SetRoutingPolicy installs another policy.
 func New(s *sim.Simulator) *Network {
-	n := &Network{sim: s, group: s.Group(), policy: routing.ECMP{}}
-	parts := 1
-	if n.group != nil {
-		parts = n.group.Shards()
-	}
-	n.pools = make([]*fabricPool, parts)
-	for i := range n.pools {
-		n.pools[i] = &fabricPool{sim: n.partSim(i)}
-	}
-	return n
-}
-
-// partSim returns partition i's simulator (the root simulator on a
-// single-loop network).
-func (n *Network) partSim(i int) *sim.Simulator {
-	if n.group == nil {
-		return n.sim
-	}
-	return n.group.Part(i)
+	return &Network{sim: s, policy: routing.ECMP{}}
 }
 
 // SetRoutingPolicy installs p (nil = ECMP) on every existing switch and
@@ -719,28 +636,24 @@ func (n *Network) SetRoutingPolicy(p routing.Policy) {
 // Sim returns the owning simulator.
 func (n *Network) Sim() *sim.Simulator { return n.sim }
 
-// Frames returns partition 0's frame pool, for senders not attached to a
-// Host and for tests asserting pool behaviour (hosts draw from their own
-// partition's pool via NewFrame).
-func (n *Network) Frames() *FramePool { return &n.pools[0].frames }
+// Frames returns the network's frame pool, for senders not attached to a
+// Host and for tests asserting pool behaviour (hosts draw from it via
+// NewFrame).
+func (n *Network) Frames() *FramePool { return &n.frames }
 
-// AddHost creates a host, assigning it to the next partition round-robin
-// (partition 0 on a single-loop network). Its handler may be set later.
-func (n *Network) AddHost() *Host {
-	part := 0
-	if n.group != nil {
-		part = n.nextHostPart % len(n.pools)
-		n.nextHostPart++
+// drop discards a frame the fabric will not deliver; every drop site goes
+// through here. The sender's OnDrop hook gets the payload back, the frame
+// returns to the pool.
+func (n *Network) drop(f *Frame) {
+	if f.OnDrop != nil {
+		f.OnDrop(f.Payload)
 	}
-	return n.AddHostOn(part)
+	n.frames.Release(f)
 }
 
-// AddHostOn creates a host on partition part (mod the partition count, so
-// topology builders can pass a rack index directly). On a single-loop
-// network every host lands on the one partition.
-func (n *Network) AddHostOn(part int) *Host {
-	part %= len(n.pools)
-	h := &Host{ID: NodeID(len(n.hosts)), net: n, sim: n.partSim(part), pool: n.pools[part]}
+// AddHost creates a host. Its handler may be set later.
+func (n *Network) AddHost() *Host {
+	h := &Host{ID: NodeID(len(n.hosts)), net: n}
 	n.hosts = append(n.hosts, h)
 	return h
 }
@@ -759,26 +672,11 @@ func (n *Network) Switches() []*Switch { return n.switches }
 // (sum of drops across every hop) and for sweeping impairments.
 func (n *Network) Ports() []*Port { return n.ports }
 
-// AddSwitch creates a switch running the network's routing policy,
-// assigned to the next partition round-robin (see AddSwitchOn).
+// AddSwitch creates a switch running the network's routing policy.
 func (n *Network) AddSwitch() *Switch {
-	part := 0
-	if n.group != nil {
-		part = n.nextSwitchPart % len(n.pools)
-		n.nextSwitchPart++
-	}
-	return n.AddSwitchOn(part)
-}
-
-// AddSwitchOn creates a switch on partition part (mod the partition
-// count), running the network's routing policy.
-func (n *Network) AddSwitchOn(part int) *Switch {
-	part %= len(n.pools)
 	sw := &Switch{
 		id:     len(n.switches),
 		net:    n,
-		sim:    n.partSim(part),
-		pool:   n.pools[part],
 		salt:   routing.Mix64(uint64(len(n.switches))*0x9e3779b97f4a7c15 + 1),
 		policy: n.policy,
 		groups: [][]*Port{nil},
@@ -791,8 +689,8 @@ func (n *Network) AddSwitchOn(part int) *Switch {
 // installs the direct route sw -> h. Returns the downlink port (sw -> h) so
 // callers can impair the "forward direction" of a path.
 func (n *Network) AttachHost(h *Host, sw *Switch, cfg LinkConfig) *Port {
-	up := newPort(n, fmt.Sprintf("h%d->sw%d", h.ID, sw.id), cfg, h.sim, sw)
-	down := newPort(n, fmt.Sprintf("sw%d->h%d", sw.id, h.ID), cfg, sw.sim, h)
+	up := newPort(n, fmt.Sprintf("h%d->sw%d", h.ID, sw.id), cfg, sw)
+	down := newPort(n, fmt.Sprintf("sw%d->h%d", sw.id, h.ID), cfg, h)
 	h.uplink = up
 	sw.addRoute(h.ID, down)
 	return down
@@ -802,7 +700,7 @@ func (n *Network) AttachHost(h *Host, sw *Switch, cfg LinkConfig) *Port {
 // two directed ports (a->b, b->a). Routes must be installed by the caller
 // (or by a topology builder).
 func (n *Network) ConnectSwitches(a, b *Switch, cfg LinkConfig) (ab, ba *Port) {
-	ab = newPort(n, fmt.Sprintf("sw%d->sw%d", a.id, b.id), cfg, a.sim, b)
-	ba = newPort(n, fmt.Sprintf("sw%d->sw%d", b.id, a.id), cfg, b.sim, a)
+	ab = newPort(n, fmt.Sprintf("sw%d->sw%d", a.id, b.id), cfg, b)
+	ba = newPort(n, fmt.Sprintf("sw%d->sw%d", b.id, a.id), cfg, a)
 	return ab, ba
 }

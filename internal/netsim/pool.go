@@ -8,8 +8,6 @@ package netsim
 // (time, seq) entries themselves. DESIGN.md §10 describes the ownership
 // rules.
 
-import "falcon/internal/sim"
-
 // framePoolBlock sizes the free-list refill batches; block allocation
 // amortizes pool growth to zero allocations per frame in steady state
 // (mirroring internal/sim's event allocator).
@@ -75,31 +73,6 @@ func (p *FramePool) Release(f *Frame) {
 // high-water mark: the pool never shrinks).
 func (p *FramePool) Allocated() int { return p.allocated }
 
-// Free returns how many frames sit on the free list. At quiescence, on a
-// single-loop network, Free equals Allocated; less is a leak.
+// Free returns how many frames sit on the free list. At quiescence Free
+// equals Allocated; less is a leak.
 func (p *FramePool) Free() int { return len(p.free) }
-
-// fabricPool is the frame free list of one simulation partition. A
-// single-loop network owns exactly one; a sharded network owns one per
-// partition so that every free list is touched only by the goroutine
-// executing that partition's events. The migration rule keeps that
-// invariant without locks: frames are acquired from the pool of the
-// partition doing the acquiring and released into the pool of the
-// partition executing the release, so a frame crossing a partition
-// boundary simply changes pools (free lists are fungible; capacity drifts
-// toward receivers, which is exactly where the next Acquire happens for
-// request/response traffic).
-type fabricPool struct {
-	sim    *sim.Simulator // the partition's simulator
-	frames FramePool
-}
-
-// drop discards a frame the fabric will not deliver, on this pool's
-// partition; every drop site goes through here. The sender's OnDrop hook
-// gets the payload back, the frame returns to this pool.
-func (fp *fabricPool) drop(f *Frame) {
-	if f.OnDrop != nil {
-		f.OnDrop(fp.sim, f.Payload)
-	}
-	fp.frames.Release(f)
-}

@@ -59,21 +59,16 @@ func Star(s *sim.Simulator, nHosts int, link LinkConfig) *Topology {
 func Clos(s *sim.Simulator, racks, hostsPerRack, spines int, hostLink, fabricLink LinkConfig) *Topology {
 	n := New(s)
 	t := &Topology{Net: n}
-	// Partition assignment (sharded runs): spine i on partition i, rack r
-	// — its ToR and all its hosts together — on partition r (both mod the
-	// partition count). Keeping each rack intact means the short host<->ToR
-	// links never cross a partition boundary, so only the longer ToR<->spine
-	// propagation delay bounds the group's conservative lookahead.
 	for i := 0; i < spines; i++ {
-		t.Spines = append(t.Spines, n.AddSwitchOn(i))
+		t.Spines = append(t.Spines, n.AddSwitch())
 	}
 	torUplinks := make(map[*Switch][]*Port, racks)
 	for r := 0; r < racks; r++ {
-		tor := n.AddSwitchOn(r)
+		tor := n.AddSwitch()
 		t.ToRs = append(t.ToRs, tor)
 		var rackHosts []*Host
 		for hIdx := 0; hIdx < hostsPerRack; hIdx++ {
-			h := n.AddHostOn(r)
+			h := n.AddHost()
 			n.AttachHost(h, tor, hostLink)
 			rackHosts = append(rackHosts, h)
 			t.Hosts = append(t.Hosts, h)

@@ -85,7 +85,7 @@ func TestRouteGroupsShared(t *testing.T) {
 	if &tor.RouteTo(a)[0] != &tor.RouteTo(b)[0] {
 		t.Fatal("two remote hosts behind ToR 0 do not share one uplink set")
 	}
-	extra := newPort(n, "extra", link, tor.sim, topo.Spines[0])
+	extra := newPort(n, "extra", link, topo.Spines[0])
 	_ = append(tor.RouteTo(a), extra)
 	if !slices.Equal(tor.RouteTo(b), uplinks) {
 		t.Fatal("appending to RouteTo(a) changed host b's set")

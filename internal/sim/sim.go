@@ -131,11 +131,6 @@ type Simulator struct {
 	rng *rand.Rand
 	obs Observer
 
-	// group links a partition to its sharded coordinator (nil for
-	// single-loop simulators); shard is its partition index.
-	group *Sharded
-	shard int
-
 	// far holds events beyond the wheel horizon.
 	far eventHeap
 
@@ -158,8 +153,7 @@ type Simulator struct {
 
 // New returns a simulator whose clock reads zero and whose random stream
 // is seeded with seed. Two simulators built with the same seed and fed the
-// same schedule produce identical runs. NewSharded builds a partitioned
-// simulator instead.
+// same schedule produce identical runs.
 func New(seed int64) *Simulator {
 	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
@@ -167,9 +161,7 @@ func New(seed int64) *Simulator {
 // NewWithScheduler is New (see Scheduler).
 func NewWithScheduler(seed int64, _ Scheduler) *Simulator { return New(seed) }
 
-// Now returns the current virtual time. A partition of a sharded group
-// reads its own clock; when the group stops, every partition's clock is
-// set to the same instant.
+// Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulation-owned random stream. All randomness in a run
@@ -177,33 +169,18 @@ func (s *Simulator) Now() Time { return s.now }
 // streams derived from it, never from the global rand.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// Processed reports how many events have been delivered so far —
-// group-wide on a sharded simulator.
-func (s *Simulator) Processed() uint64 {
-	if g := s.group; g != nil {
-		return g.processed()
-	}
-	return s.processed
-}
+// Processed reports how many events have been delivered so far.
+func (s *Simulator) Processed() uint64 { return s.processed }
 
 // CountInto makes the simulator add the events it delivers to *c, folded
 // in when Run or RunUntil returns (not per event), so one counter may be
-// shared by simulators running on several goroutines. On a sharded
-// simulator it covers every partition. nil stops the counting.
-func (s *Simulator) CountInto(c *atomic.Uint64) {
-	if g := s.group; g != nil {
-		for _, p := range g.parts {
-			p.counter = c
-		}
-		return
-	}
-	s.counter = c
-}
+// shared by simulators running on several goroutines. nil stops the
+// counting.
+func (s *Simulator) CountInto(c *atomic.Uint64) { s.counter = c }
 
 // SetObserver attaches an event observer (nil detaches). The hook costs one
 // nil check per delivered event when unset, so it stays compiled in without
-// affecting benchmark runs. On a sharded group it observes this partition
-// only: partitions deliver concurrently, so attach one per partition.
+// affecting benchmark runs.
 func (s *Simulator) SetObserver(o Observer) { s.obs = o }
 
 // alloc takes an event from the free list, refilling it a block at a time
@@ -345,26 +322,16 @@ func (s *Simulator) syncTotal() {
 	}
 }
 
-// Run delivers events until none remain. On a sharded simulator (any
-// partition handle) it drives the whole group.
+// Run delivers events until none remain.
 func (s *Simulator) Run() {
-	if g := s.group; g != nil {
-		g.run(0, false)
-		return
-	}
 	for s.step() {
 	}
 	s.syncTotal()
 }
 
 // RunUntil delivers events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain pending. On a sharded simulator it
-// drives the whole group.
+// t. Events scheduled beyond t remain pending.
 func (s *Simulator) RunUntil(t Time) {
-	if g := s.group; g != nil {
-		g.run(t, true)
-		return
-	}
 	for {
 		at, ok := s.peek()
 		if !ok || at > t {
@@ -381,11 +348,5 @@ func (s *Simulator) RunUntil(t Time) {
 // RunFor advances the simulation by d.
 func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 
-// Pending reports the number of live scheduled events — group-wide on a
-// sharded simulator.
-func (s *Simulator) Pending() int {
-	if g := s.group; g != nil {
-		return g.pending()
-	}
-	return s.live
-}
+// Pending reports the number of live scheduled events.
+func (s *Simulator) Pending() int { return s.live }

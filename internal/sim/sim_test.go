@@ -237,29 +237,27 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 }
 
 // TestCountInto checks that the counter installed by CountInto receives
-// every delivered event once Run or RunUntil returns, on a single loop
-// and across all partitions of a sharded group, and that two simulators
-// may share one counter.
+// every delivered event once Run or RunUntil returns, and that two
+// simulators may share one counter.
 func TestCountInto(t *testing.T) {
 	var c atomic.Uint64
-	single := New(1)
-	single.CountInto(&c)
-	sharded := NewSharded(1, 3)
-	sharded.CountInto(&c)
+	a, b := New(1), New(2)
+	a.CountInto(&c)
+	b.CountInto(&c)
 	for i := 0; i < 3; i++ {
-		single.At(Time(10*(i+1)), func() {})
-		sharded.Group().Part(i).At(Time(10*(i+1)), func() {})
+		a.At(Time(10*(i+1)), func() {})
+		b.At(Time(10*(i+1)), func() {})
 	}
-	single.RunUntil(15)
+	a.RunUntil(15)
 	if got := c.Load(); got != 1 {
 		t.Fatalf("after RunUntil(15): counter = %d, want 1", got)
 	}
-	single.Run()
-	sharded.Run()
+	a.Run()
+	b.Run()
 	if got := c.Load(); got != 6 {
 		t.Fatalf("counter = %d, want 6", got)
 	}
-	if single.Processed()+sharded.Processed() != c.Load() {
-		t.Fatalf("counter %d != Processed sum %d", c.Load(), single.Processed()+sharded.Processed())
+	if a.Processed()+b.Processed() != c.Load() {
+		t.Fatalf("counter %d != Processed sum %d", c.Load(), a.Processed()+b.Processed())
 	}
 }

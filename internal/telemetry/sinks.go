@@ -10,7 +10,6 @@ import (
 	"falcon/internal/falcon/wire"
 	"falcon/internal/netsim"
 	"falcon/internal/nic"
-	"falcon/internal/sim"
 )
 
 // This file adapts each layer's stats and accessors to the registry and
@@ -250,37 +249,6 @@ func CollectChaos(r *Registry, prefix string, rep *chaos.Report) {
 		emit(prefix+"/chaos/corrupt_drops", float64(rep.Ledger.CorruptDrops))
 		emit(prefix+"/chaos/pause_rx_drops", float64(rep.Ledger.PauseRxDrops))
 		emit(prefix+"/chaos/ledger_balanced", boolMetric(rep.Ledger.Balanced()))
-	})
-}
-
-// CollectShards registers a snapshot collector for one sharded simulator
-// group: per-partition delivery/cross-boundary counters plus the group's
-// window/stall aggregates. Names land under the "shard" layer
-// ("<prefix>/pN/shard/<metric>" per partition, "<prefix>/shard/<metric>"
-// for group totals), which the lake classifies exact: window boundaries
-// and barrier merges are a pure function of the partitions' event
-// streams, so same-seed runs at the same shard count must reproduce every
-// value byte-identically.
-func CollectShards(r *Registry, prefix string, g *sim.Sharded) {
-	r.OnSnapshot(func(emit func(string, float64)) {
-		var delivered, cross, windows, idle uint64
-		for i, st := range g.Stats() {
-			p := prefix + "/p" + strconv.Itoa(i)
-			emit(p+"/shard/delivered", float64(st.Delivered))
-			emit(p+"/shard/cross", float64(st.Cross))
-			emit(p+"/shard/windows", float64(st.Windows))
-			emit(p+"/shard/idle_windows", float64(st.IdleWindows))
-			delivered += st.Delivered
-			cross += st.Cross
-			windows += st.Windows
-			idle += st.IdleWindows
-		}
-		emit(prefix+"/shard/partitions", float64(g.Shards()))
-		emit(prefix+"/shard/lookahead_ns", float64(g.Lookahead()))
-		emit(prefix+"/shard/delivered_total", float64(delivered))
-		emit(prefix+"/shard/cross_total", float64(cross))
-		emit(prefix+"/shard/windows_total", float64(windows))
-		emit(prefix+"/shard/idle_windows_total", float64(idle))
 	})
 }
 

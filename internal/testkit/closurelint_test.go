@@ -11,13 +11,12 @@ import (
 
 // TestNetsimClosureFree walks the fabric fast-path packages —
 // internal/netsim, internal/routing, internal/chaos and internal/sim
-// itself (which now includes the partition runtime in shard.go) — and
-// fails if any non-test file
+// itself — and fails if any non-test file
 // schedules a capture closure on the simulator: a call like
 // sim.At(t, func(){...}) or sim.After(d, func(){...}) with a function
 // literal argument. The fabric fast path must stay allocation-free by
 // construction: per-frame work is scheduled as pooled typed events through
-// sim.AtAction (and across partitions via sim.CrossAction), and a closure
+// sim.AtAction, and a closure
 // literal anywhere on that path would reintroduce one heap allocation per
 // hop. Test files are exempt so unit tests can still drive the simulator
 // directly.
@@ -45,7 +44,7 @@ func TestNetsimClosureFree(t *testing.T) {
 						return true
 					}
 					switch sel.Sel.Name {
-					case "At", "After", "AtAction", "CrossAction":
+					case "At", "After", "AtAction":
 					default:
 						return true
 					}

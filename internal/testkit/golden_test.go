@@ -14,9 +14,8 @@ const sweepGoldenPath = "testdata/sweep_hashes.golden"
 
 // TestSweepGolden pins the event stream itself: it compares every
 // fault-matrix scenario's full trace hash, protocol-only hash and record
-// count against values committed from an earlier build, on the single
-// loop and, for the short matrix, on four concurrent partitions (rows
-// named "<scenario>@shards4"). A change that promises not to move a
+// count against values committed from an earlier build. A change that
+// promises not to move a
 // simulated event leaves the file alone; one that moves events on purpose
 // reruns with
 //
@@ -27,7 +26,7 @@ func TestSweepGolden(t *testing.T) {
 	if *update {
 		var b strings.Builder
 		b.WriteString("# scenario trace_hash proto_hash records (testkit.Matrix; regenerate with -update)\n")
-		for _, sc := range append(Matrix(), goldenSharded()...) {
+		for _, sc := range Matrix() {
 			res := Run(sc)
 			fmt.Fprintf(&b, "%s %016x %016x %d\n", sc.Name, res.TraceHash, res.ProtoHash, res.Records)
 		}
@@ -46,10 +45,10 @@ func TestSweepGolden(t *testing.T) {
 			golden[name] = rest
 		}
 	}
-	if n := len(Matrix()) + len(goldenSharded()); len(golden) != n {
+	if n := len(Matrix()); len(golden) != n {
 		t.Fatalf("%s pins %d runs, want %d", sweepGoldenPath, len(golden), n)
 	}
-	for _, sc := range append(scenarios(t), goldenSharded()...) {
+	for _, sc := range scenarios(t) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			res := Run(sc)
@@ -59,15 +58,4 @@ func TestSweepGolden(t *testing.T) {
 			}
 		})
 	}
-}
-
-// goldenSharded is the short matrix on four partitions, named
-// "<scenario>@shards4".
-func goldenSharded() []Scenario {
-	scs := shortMatrix()
-	for i := range scs {
-		scs[i].Name += "@shards4"
-		scs[i].Shards = 4
-	}
-	return scs
 }

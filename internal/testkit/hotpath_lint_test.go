@@ -21,8 +21,7 @@ import (
 //  1. No map indexing, map ranging, or delete() in ring, pdl, tl or ulp.
 //     The steady-state path works on dense rings and bitmap words.
 //  2. No function literals passed to scheduler entry points (At, After,
-//     AtAction, CrossAction, Process, ProcessAction) in ring, pdl, tl or
-//     ulp.
+//     AtAction, Process, ProcessAction) in ring, pdl, tl or ulp.
 //     Scheduling a closure allocates per call; the hot path schedules
 //     preallocated Action values instead.
 //
@@ -61,7 +60,7 @@ func TestHotPathLint(t *testing.T) {
 					}
 					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 						switch sel.Sel.Name {
-						case "At", "After", "AtAction", "CrossAction", "Process", "ProcessAction":
+						case "At", "After", "AtAction", "Process", "ProcessAction":
 							for _, arg := range n.Args {
 								if _, closure := arg.(*ast.FuncLit); closure {
 									report(arg.Pos(), "closure passed to %s: schedule a preallocated Action",
