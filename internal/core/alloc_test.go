@@ -9,6 +9,7 @@ import (
 	"falcon/internal/netsim"
 	"falcon/internal/nvme"
 	"falcon/internal/rdma"
+	"falcon/internal/roce"
 	"falcon/internal/sim"
 )
 
@@ -60,6 +61,8 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // that allocates costs hundreds of objects per op. `make check` runs this.
 // The rdma-read-incast case holds the same regime at connection scale:
 // 200 connections, each a queue of its own, share each client's pools.
+// The roce cases hold the RoCE baseline to the same bound: 4 KiB and
+// 64 KiB Writes, and 64 KiB Reads.
 // The rdma-write-reordered case holds the target's reorder buffer to it:
 // requests that arrive ahead of a gap wait as pooled packets. The nvme
 // cases hold both ends of NVMe-over-Falcon to it: 64 KiB Reads refused and
@@ -73,6 +76,45 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 	t.Run("rdma-write-reordered", testReorderedWriteSteadyStateAllocs)
 	t.Run("nvme-read", func(t *testing.T) { testNVMeSteadyStateAllocs(t, false) })
 	t.Run("nvme-write", func(t *testing.T) { testNVMeSteadyStateAllocs(t, true) })
+	t.Run("roce-write", func(t *testing.T) {
+		t.Run("4KiB", func(t *testing.T) { testRoceSteadyStateAllocs(t, false, 4<<10) })
+		t.Run("64KiB", func(t *testing.T) { testRoceSteadyStateAllocs(t, false, 64<<10) })
+	})
+	t.Run("roce-read", func(t *testing.T) { testRoceSteadyStateAllocs(t, true, 64<<10) })
+}
+
+// testRoceSteadyStateAllocs keeps eight RoCE ops of opBytes outstanding on
+// a 100 Gbps pair, each posted from the completion of the one before.
+func testRoceSteadyStateAllocs(t *testing.T, read bool, opBytes int) {
+	s := sim.New(1)
+	topo, _ := netsim.PointToPoint(s, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	cfg := roce.DefaultConfig()
+	cfg.LinkGbps = 100
+	qp, _ := roce.Connect(roce.NewNode(s, topo.Hosts[0], nil), roce.NewNode(s, topo.Hosts[1], nil), 1, cfg)
+	post := qp.Write
+	if read {
+		post = qp.Read
+	}
+	const window = 8
+	issued, completed, limit := 0, 0, 0
+	var done func()
+	done = func() {
+		if completed++; issued < limit {
+			issued++
+			post(opBytes, done)
+		}
+	}
+	runOps := func(n int) {
+		limit += n
+		for ; issued < limit && issued-completed < window; issued++ {
+			post(opBytes, done)
+		}
+		s.RunUntil(s.Now().Add(3600 * sim.Second))
+		if completed != limit {
+			t.Fatalf("completed %d of %d ops", completed, limit)
+		}
+	}
+	measureSteadyState(t, 8000, 4000, runOps)
 }
 
 // testNVMeSteadyStateAllocs runs 64 KiB NVMe commands, a window of eight,

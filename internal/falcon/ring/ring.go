@@ -1,10 +1,15 @@
-// Package ring provides Ring, the FIFO queue behind the PDL's and TL's
-// backlogs: data packets waiting for the send window, deferred pull
-// responses, parked ULP work and the connections waiting on a full pool.
-// A Ring is a power-of-two circular buffer that allocates on its first
-// Push and doubles only when full. A moving head never reallocates it, so
-// a standing backlog of k items keeps the smallest power of two ≥ max(k, 4)
-// slots for good, whether or not the queue ever drains to empty.
+// Package ring provides the two power-of-two rings the transports keep
+// their per-connection state in.
+//
+// Ring is the FIFO queue behind the PDL's, TL's and RoCE's backlogs: data
+// packets waiting for the send window, deferred pull responses, parked ULP
+// work and the connections waiting on a full pool. It allocates on its
+// first Push and doubles only when full. A moving head never reallocates
+// it, so a standing backlog of k items keeps the smallest power of two ≥
+// max(k, 4) slots for good, whether or not the queue ever drains to empty.
+//
+// Table is the windowed map keyed by sequence number behind the TL's RSN
+// tables and RoCE's PSN tables.
 package ring
 
 // Ring is a FIFO queue. The zero value is empty and owns no storage.

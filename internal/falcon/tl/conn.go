@@ -183,7 +183,7 @@ type Conn struct {
 
 	// Initiator state.
 	nextRSN    uint64
-	txns       rsnTable[*txn]
+	txns       ring.Table[*txn]
 	releaseRSN uint64 // next RSN to release to the ULP (ordered)
 	wasXoff    bool
 	// parked holds, in submit order, the ULP work the connection refused
@@ -194,19 +194,19 @@ type Conn struct {
 	expectedRSN uint64
 	// reorderBuf holds the requests that arrived ahead of a gap, each a
 	// shared hold on its wire packet, until drainTargetOrdered serves it.
-	reorderBuf   rsnTable[*wire.Packet]
+	reorderBuf   ring.Table[*wire.Packet]
 	completedRSN uint64
 
 	// Deferred pull responses awaiting TxResp resources.
 	pendingResponses ring.Ring[*wire.Packet]
 	// sentRespBytes records TxResp byte reservations per RSN so acks
 	// release the exact amount.
-	sentRespBytes rsnTable[int]
+	sentRespBytes ring.Table[int]
 	// reqReservations records TxReq byte reservations per RSN. Releases
 	// are driven by packet ACKs, which can arrive after the transaction
 	// itself has completed (the completion horizon can outrun
 	// per-packet ACKs), so this table outlives the txns entry.
-	reqReservations rsnTable[int]
+	reqReservations ring.Table[int]
 
 	// completedApplied is the highest completion horizon already folded
 	// into the txns table; Completed only walks [applied, new horizon)
@@ -311,7 +311,7 @@ func MultiProbe(ps ...Probe) Probe {
 
 // OutstandingTxns reports the initiator-side transactions that have been
 // issued but not yet completed (telemetry gauge).
-func (c *Conn) OutstandingTxns() int { return c.txns.len() }
+func (c *Conn) OutstandingTxns() int { return c.txns.Len() }
 
 // PendingResponses reports pull responses deferred on TxResp resource
 // exhaustion (solicitation backlog; telemetry gauge).
@@ -319,7 +319,7 @@ func (c *Conn) PendingResponses() int { return c.pendingResponses.Len() }
 
 // ReorderBacklog reports target-side requests buffered awaiting in-order
 // delivery (telemetry gauge).
-func (c *Conn) ReorderBacklog() int { return c.reorderBuf.len() }
+func (c *Conn) ReorderBacklog() int { return c.reorderBuf.Len() }
 
 // Ordered reports whether the connection delivers and completes in RSN
 // order.
@@ -386,11 +386,11 @@ func (c *Conn) ExpectedRSN() uint64 { return c.expectedRSN }
 
 // BufferedRSNs returns the RSNs held in the target reorder buffer, sorted
 // (diagnostics/verification).
-func (c *Conn) BufferedRSNs() []uint64 { return c.reorderBuf.sorted() }
+func (c *Conn) BufferedRSNs() []uint64 { return c.reorderBuf.Sorted() }
 
 // PendingRSNs returns the initiator-side RSNs not yet released to the
 // ULP, sorted (diagnostics/verification).
-func (c *Conn) PendingRSNs() []uint64 { return c.txns.sorted() }
+func (c *Conn) PendingRSNs() []uint64 { return c.txns.Sorted() }
 
 // effAlpha returns the connection's DT α under the configured policy.
 func (c *Conn) effAlpha() float64 {
@@ -462,7 +462,7 @@ func (c *Conn) PushOp(op uint8, addr uint64, data []byte, length uint32, done fu
 	c.nextRSN++
 	t := c.res.allocTxn()
 	t.kind, t.rsn, t.length, t.ulpOp, t.addr, t.data, t.done = txnPush, rsn, length, op, addr, data, done
-	c.txns.put(rsn, t)
+	c.txns.Put(rsn, t)
 	c.Stats.Pushes++
 	c.sendRequest(t)
 	return rsn, nil
@@ -507,7 +507,7 @@ func (c *Conn) PullOpData(op uint8, addr uint64, reqData []byte, respLen uint32,
 	c.nextRSN++
 	t := c.res.allocTxn()
 	t.kind, t.rsn, t.length, t.ulpOp, t.addr, t.data, t.done = txnPull, rsn, length, op, addr, reqData, done
-	c.txns.put(rsn, t)
+	c.txns.Put(rsn, t)
 	c.Stats.Pulls++
 	c.sendRequest(t)
 	return rsn, nil
@@ -524,13 +524,13 @@ func (c *Conn) sendRequest(t *txn) {
 		p.Type = wire.TypePushData
 		p.Length = t.length
 		p.Data = t.data
-		c.reqReservations.put(t.rsn, int(t.length))
+		c.reqReservations.Put(t.rsn, int(t.length))
 	case txnPull:
 		p.Type = wire.TypePullRequest
 		p.PullLength = t.length
 		p.Data = t.data
 		p.Length = uint32(len(t.data))
-		c.reqReservations.put(t.rsn, len(t.data))
+		c.reqReservations.Put(t.rsn, len(t.data))
 	}
 	c.ctrl.SendPacket(p)
 }

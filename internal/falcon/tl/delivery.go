@@ -28,7 +28,7 @@ func (c *Conn) deliverRequest(p *wire.Packet) pdl.DeliverVerdict {
 	if p.RSN < c.expectedRSN && c.cfg.Ordered {
 		return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 	}
-	if c.reorderBuf.has(p.RSN) {
+	if c.reorderBuf.Has(p.RSN) {
 		return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 	}
 
@@ -49,7 +49,7 @@ func (c *Conn) deliverRequest(p *wire.Packet) pdl.DeliverVerdict {
 	// drops its hold as soon as this upcall returns. The held packet is
 	// read-only (the sender's PDL may still hold it too).
 	held := c.pool.Share(p)
-	c.reorderBuf.put(p.RSN, held)
+	c.reorderBuf.Put(p.RSN, held)
 	return pdl.DeliverVerdict{Kind: pdl.DeliverAccept}
 }
 
@@ -57,8 +57,8 @@ func (c *Conn) deliverRequest(p *wire.Packet) pdl.DeliverVerdict {
 // (or an RNR pause) stops it. Each held packet goes back to the pool once
 // served, whether the serve succeeds or hits RNR.
 func (c *Conn) drainTargetOrdered() {
-	for c.reorderBuf.has(c.expectedRSN) {
-		held, _ := c.reorderBuf.del(c.expectedRSN)
+	for c.reorderBuf.Has(c.expectedRSN) {
+		held, _ := c.reorderBuf.Del(c.expectedRSN)
 		served := c.serve(held)
 		c.pool.Release(held)
 		if !served {
@@ -153,7 +153,7 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 		c.res.enqueue(c)
 		return
 	}
-	c.sentRespBytes.put(rsn, int(length))
+	c.sentRespBytes.Put(rsn, int(length))
 	c.ctrl.SendPacket(resp)
 }
 
@@ -165,7 +165,7 @@ func (c *Conn) drainPendingResponses() {
 			return
 		}
 		c.pendingResponses.Pop()
-		c.sentRespBytes.put(resp.RSN, int(resp.Length))
+		c.sentRespBytes.Put(resp.RSN, int(resp.Length))
 		c.ctrl.SendPacket(resp)
 	}
 }
@@ -178,7 +178,7 @@ func (c *Conn) CompletePull(rsn uint64, data []byte, length uint32) {
 
 // deliverResponse is the initiator-side pull-response path.
 func (c *Conn) deliverResponse(p *wire.Packet) {
-	t, ok := c.txns.get(p.RSN)
+	t, ok := c.txns.Get(p.RSN)
 	if !ok || t.kind != txnPull || t.finished {
 		return // duplicate or stale
 	}
@@ -193,7 +193,7 @@ func (c *Conn) deliverResponse(p *wire.Packet) {
 func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Type) {
 	if space == wire.SpaceResponse {
 		// A pull response we sent as target was delivered.
-		if bytes, ok := c.sentRespBytes.del(rsn); ok {
+		if bytes, ok := c.sentRespBytes.Del(rsn); ok {
 			c.res.Release(PoolTxResp, c.key, bytes)
 		}
 		return
@@ -201,10 +201,10 @@ func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Ty
 	// Release the request's TX reservation regardless of transaction
 	// state: the completion horizon can finish a transaction before its
 	// per-packet ACK lands.
-	if bytes, ok := c.reqReservations.del(rsn); ok {
+	if bytes, ok := c.reqReservations.Del(rsn); ok {
 		c.res.Release(PoolTxReq, c.key, bytes)
 	}
-	t, ok := c.txns.get(rsn)
+	t, ok := c.txns.Get(rsn)
 	if !ok || t.pktAcked {
 		return
 	}
@@ -238,7 +238,7 @@ func (c *Conn) Completed(completedRSN uint64) {
 		lo = c.releaseRSN
 	}
 	for rsn := lo; rsn < hi; rsn++ {
-		if t, ok := c.txns.get(rsn); ok && t.kind == txnPush && !t.finished {
+		if t, ok := c.txns.Get(rsn); ok && t.kind == txnPush && !t.finished {
 			t.finished = true
 		}
 	}
@@ -267,7 +267,7 @@ func (e *rnrRetryEvent) RunAction() {
 	e.c = nil
 	e.next = c.rnrEvents
 	c.rnrEvents = e
-	if t, ok := c.txns.get(rsn); ok {
+	if t, ok := c.txns.Get(rsn); ok {
 		c.retryTransaction(t)
 	}
 }
@@ -286,7 +286,7 @@ func (c *Conn) scheduleRetry(rsn uint64, d time.Duration) {
 
 // NackReceived is the PDL's upcall for RNR/CIE exception NACKs.
 func (c *Conn) NackReceived(p *wire.Packet) {
-	t, ok := c.txns.get(p.RSN)
+	t, ok := c.txns.Get(p.RSN)
 	if !ok || t.finished {
 		return
 	}
@@ -340,8 +340,8 @@ func (c *Conn) Fail(err error) {
 	// Error all initiator-side transactions, bypassing ordered release.
 	// Sorted so error completions reach the ULP in RSN order rather than
 	// map-iteration order (determinism).
-	for _, rsn := range c.txns.sorted() {
-		t, ok := c.txns.get(rsn)
+	for _, rsn := range c.txns.Sorted() {
+		t, ok := c.txns.Get(rsn)
 		if !ok || t.released {
 			continue
 		}
@@ -353,18 +353,18 @@ func (c *Conn) Fail(err error) {
 	}
 	// Return TX reservations whose ACKs will never arrive. Release fires
 	// Xon subscribers, so these loops also run in sorted RSN order.
-	for _, rsn := range c.reqReservations.sorted() {
-		bytes, _ := c.reqReservations.del(rsn)
+	for _, rsn := range c.reqReservations.Sorted() {
+		bytes, _ := c.reqReservations.Del(rsn)
 		c.res.Release(PoolTxReq, c.key, bytes)
 	}
-	for _, rsn := range c.sentRespBytes.sorted() {
-		bytes, _ := c.sentRespBytes.del(rsn)
+	for _, rsn := range c.sentRespBytes.Sorted() {
+		bytes, _ := c.sentRespBytes.Del(rsn)
 		c.res.Release(PoolTxResp, c.key, bytes)
 	}
 	// Drop target-side reorder buffers: their RxReq reservations, then
 	// their held packets.
-	for _, rsn := range c.reorderBuf.sorted() {
-		held, _ := c.reorderBuf.del(rsn)
+	for _, rsn := range c.reorderBuf.Sorted() {
+		held, _ := c.reorderBuf.Del(rsn)
 		c.res.Release(PoolRxReq, c.key, int(held.Length))
 		c.pool.Release(held)
 	}
@@ -391,7 +391,7 @@ func (c *Conn) Dead() error { return c.dead }
 func (c *Conn) tryRelease() {
 	if c.cfg.Ordered {
 		for {
-			t, ok := c.txns.get(c.releaseRSN)
+			t, ok := c.txns.Get(c.releaseRSN)
 			if !ok || !t.finished {
 				return
 			}
@@ -407,13 +407,14 @@ func (c *Conn) tryRelease() {
 	ready := c.readyScratch
 	c.readyScratch = nil
 	ready = ready[:0]
-	for rsn := c.txns.lowBound(); rsn < c.txns.high; rsn++ {
-		if t, ok := c.txns.get(rsn); ok && t.finished && !t.released {
+	lo, hi := c.txns.Bounds()
+	for rsn := lo; rsn < hi; rsn++ {
+		if t, ok := c.txns.Get(rsn); ok && t.finished && !t.released {
 			ready = append(ready, rsn)
 		}
 	}
 	for _, rsn := range ready {
-		if t, ok := c.txns.get(rsn); ok && !t.released {
+		if t, ok := c.txns.Get(rsn); ok && !t.released {
 			c.release(t)
 		}
 	}
@@ -430,7 +431,7 @@ func (c *Conn) release(t *txn) {
 		respBytes = int(t.length)
 	}
 	c.res.Release(PoolRxResp, c.key, respBytes)
-	c.txns.del(t.rsn)
+	c.txns.Del(t.rsn)
 	// The context recycles as soon as the table forgets it; the
 	// completion fires from locals so a reentrant initiation inside the
 	// ULP callback can reuse it safely.

@@ -200,9 +200,9 @@ func TestRNROnHeadOfLineRequest(t *testing.T) {
 		return TargetVerdict{Kind: TargetRNR, RetryDelay: 10 * time.Microsecond}
 	}
 	b.deliver(t, request(wire.TypePushData, 0))
-	if b.c.ExpectedRSN() != 0 || b.c.reorderBuf.keys != nil || len(b.probe) != 0 {
+	if b.c.ExpectedRSN() != 0 || b.c.reorderBuf.Cap() != 0 || len(b.probe) != 0 {
 		t.Fatalf("after RNR: expected RSN %d, reorder slots %d, served %v; want 0, 0, none",
-			b.c.ExpectedRSN(), len(b.c.reorderBuf.keys), b.probe)
+			b.c.ExpectedRSN(), b.c.reorderBuf.Cap(), b.probe)
 	}
 	if !slices.Equal(b.nacks, []wire.NackCode{wire.NackRNR}) {
 		t.Fatalf("NACKs sent %v, want one RNR", b.nacks)

@@ -155,8 +155,8 @@ func TestPushCompletesInOrder(t *testing.T) {
 		t.Fatalf("target CompletedRSN = %d", e.b.CompletedRSN())
 	}
 	// In-order requests are served from the wire packet, never buffered.
-	if e.b.reorderBuf.keys != nil {
-		t.Fatalf("in-order arrivals allocated %d reorder slots", len(e.b.reorderBuf.keys))
+	if e.b.reorderBuf.Cap() != 0 {
+		t.Fatalf("in-order arrivals allocated %d reorder slots", e.b.reorderBuf.Cap())
 	}
 }
 
@@ -227,8 +227,8 @@ func TestUnorderedDeliversImmediately(t *testing.T) {
 		t.Fatal("unordered connections advertise no completion horizon")
 	}
 	// Nothing waits for order, so nothing is buffered.
-	if e.b.reorderBuf.keys != nil {
-		t.Fatalf("unordered connection allocated %d reorder slots", len(e.b.reorderBuf.keys))
+	if e.b.reorderBuf.Cap() != 0 {
+		t.Fatalf("unordered connection allocated %d reorder slots", e.b.reorderBuf.Cap())
 	}
 }
 
@@ -907,5 +907,30 @@ func TestTxnContextsSharedPerNode(t *testing.T) {
 	complete(b)
 	if built, free := res.TxnContexts(); built != 2*n || free != 2*n {
 		t.Fatalf("at quiescence the node has %d contexts and %d free, want %d of %d", built, free, 2*n, 2*n)
+	}
+}
+
+// TestResourceKeysAreDense: connections on one Resources get keys 0, 1, 2,
+// ... whatever their (cluster-wide) IDs, so the per-connection holdings
+// tables are as long as the node's connection count.
+func TestResourceKeysAreDense(t *testing.T) {
+	s := sim.New(1)
+	res := NewResources(DefaultResourceConfig())
+	for i, id := range []uint32{70_000, 3, 1 << 30} {
+		c := NewConn(s, id, DefaultConfig(), res, &fakeCtrl{s: s}, nil)
+		if c.key != uint32(i) {
+			t.Fatalf("connection %d got key %d, want %d", id, c.key, i)
+		}
+		if _, err := c.Push(nil, 100, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := res.ConnUsage(c.key); got != 2 {
+			t.Fatalf("connection %d holds %d contexts, want 2 (request + completion slot)", id, got)
+		}
+	}
+	for k, p := range res.pools {
+		if len(p.connCtx) > 8 || len(p.connBytes) > 8 {
+			t.Fatalf("pool %v tables of %d/%d entries for 3 connections", PoolKind(k), len(p.connCtx), len(p.connBytes))
+		}
 	}
 }

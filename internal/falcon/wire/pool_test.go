@@ -34,7 +34,7 @@ func TestPoolHolderCounting(t *testing.T) {
 		t.Fatalf("after the last release: free %d, allocated %d; want %d, %d",
 			pool.Free(), pool.Allocated(), free+1, free+1)
 	}
-	if !reflect.DeepEqual(*p, Packet{pooled: true}) {
+	if !reflect.DeepEqual(*p, Packet{Holds: Holds{pooled: true}}) {
 		t.Fatalf("recycled packet not zeroed: %+v", *p)
 	}
 	if q := pool.Acquire(); q != p || q.holders != 1 {
@@ -153,13 +153,13 @@ func TestNilPacketPool(t *testing.T) {
 func TestPacketPoolBlockFillsSizeClass(t *testing.T) {
 	const target = 16 << 10
 	size := int(unsafe.Sizeof(Packet{}))
-	if blk := packetPoolBlock * size; blk > target || blk <= target-size {
+	if blk := block[Packet]() * size; blk > target || blk <= target-size {
 		t.Fatalf("block of %d × %d B = %d B, want within one packet below %d B",
-			packetPoolBlock, size, blk, target)
+			block[Packet](), size, blk, target)
 	}
 	pool := NewPacketPool()
 	pool.Acquire()
-	if pool.Allocated() != packetPoolBlock {
-		t.Fatalf("first refill created %d packets, want %d", pool.Allocated(), packetPoolBlock)
+	if pool.Allocated() != block[Packet]() {
+		t.Fatalf("first refill created %d packets, want %d", pool.Allocated(), block[Packet]())
 	}
 }

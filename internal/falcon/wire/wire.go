@@ -264,13 +264,10 @@ type Packet struct {
 	// Length > 0; the simulator models size without materializing bytes).
 	Data []byte
 
-	// pooled marks packets obtained from a PacketPool; it is not a wire
-	// field (Marshal ignores it, Unmarshal and CopyFrom preserve it) and
-	// hand-built packets leave it false so Release ignores them. holders
-	// counts the layers holding a pooled packet (see PacketPool); it sits
-	// in the padding after pooled, so the struct does not grow.
-	pooled  bool
-	holders uint32
+	// Holds is the packet's PacketPool bookkeeping; its holder count
+	// sits in the padding after its pooled mark, so the struct does not
+	// grow.
+	Holds
 }
 
 // headerLen is the fixed marshaled header size in bytes.
@@ -293,6 +290,17 @@ func HeaderLen() int { return headerLen }
 // WireSize returns the bytes this packet occupies on the wire (header plus
 // modeled payload length).
 func (p *Packet) WireSize() int { return headerLen + int(p.Length) }
+
+// Segments is how many MTU-sized packets carry a message of size bytes: at
+// least one, since a zero-byte message is still one packet.
+func Segments(size, mtu int) int { return max(1, (size+mtu-1)/mtu) }
+
+// Segment returns the byte offset and the length of segment i of a message
+// of size bytes.
+func Segment(size, mtu, i int) (off, n int) {
+	off = i * mtu
+	return off, min(max(size-off, 0), mtu)
+}
 
 // ErrShortBuffer is returned by Unmarshal when the input cannot hold a
 // Falcon header.

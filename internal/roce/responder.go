@@ -1,31 +1,27 @@
 package roce
 
-import (
-	"falcon/internal/netsim"
-)
+import "falcon/internal/falcon/ring"
 
 // Responder is the server side of a QP: it enforces the mode's receive
 // ordering for the request stream, generates read responses, and serves as
 // the retransmission source for the response stream.
 type Responder struct {
-	node *Node
-	cfg  Config
-	id   uint32
-	dst  netsim.NodeID
+	end
 
 	// Request stream receiver state.
 	expectedReq uint32
-	reqBuf      map[uint32]*packet // SR/AR out-of-order buffer
+	reqBuf      ring.Table[*packet] // SR/AR out-of-order buffer
 	nakArmed    bool
 
 	// Response stream sender state.
 	nextResp uint32
 	respUna  uint32
-	respPkts map[uint32]*txPkt
+	respPkts ring.Table[*packet]
 	// respOf maps a read request PSN to the [start, count] of response
 	// PSNs it generated, so duplicate requests re-trigger the responses
-	// (the only read-recovery path in AR mode).
-	respOf map[uint32][2]uint32
+	// (the only read-recovery path in AR mode). An entry is forgotten
+	// once the requester acknowledges all of its responses.
+	respOf ring.Table[[2]uint32]
 
 	// Stats
 	Stats struct {
@@ -41,22 +37,20 @@ type Responder struct {
 func (r *Responder) handle(p *packet) {
 	switch p.Type {
 	case ptProbe:
-		r.node.send(r.dst, &packet{Type: ptProbeResp, QP: r.id, T1: p.T1}, r.hash())
+		resp := r.packet(ptProbeResp)
+		resp.T1 = p.T1
+		r.send(resp)
 	case ptNak:
 		if p.Stream == streamResp {
 			r.handleRespNak(p)
 		}
 	case ptAck:
-		// Response-stream cumulative ack from the client (piggybacked
-		// model: the client's progress is implicit; responses are
-		// garbage-collected when the window recycles).
+		// Response-stream cumulative ack from the client.
 		r.gcResponses(p.AckPSN)
 	case ptWrite, ptSend, ptReadReq:
 		r.handleRequest(p)
 	}
 }
-
-func (r *Responder) hash() uint64 { return uint64(r.id)<<20 | 0xa5a5 }
 
 // handleRequest applies the mode's ordering rules (§2, §6.1.1).
 func (r *Responder) handleRequest(p *packet) {
@@ -75,68 +69,49 @@ func (r *Responder) handleRequest(p *packet) {
 		r.accept(p, false)
 		r.nakArmed = false
 		for {
-			nxt, ok := r.reqBuf[r.expectedReq]
+			nxt, ok := r.reqBuf.Del(uint64(r.expectedReq))
 			if !ok {
 				break
 			}
-			delete(r.reqBuf, r.expectedReq)
 			r.accept(nxt, true)
+			r.pkts.Release(nxt)
 		}
 		r.sendAck()
 	case p.PSN < r.expectedReq:
 		// Duplicate (e.g. a go-back-N rewind overlap): re-ack, and for
 		// read requests re-send their responses — the requester only
 		// retransmits a request when responses went missing.
-		if p.Type == ptReadReq {
-			if span, ok := r.respOf[p.PSN]; ok {
-				for i := uint32(0); i < span[1]; i++ {
-					if tp, ok := r.respPkts[span[0]+i]; ok {
-						r.Stats.RespRetx++
-						r.node.send(r.dst, tp.pkt, r.hash())
-					}
+		if span, ok := r.respOf.Get(uint64(p.PSN)); ok && p.Type == ptReadReq {
+			for i := uint32(0); i < span[1]; i++ {
+				if rp, ok := r.respPkts.Get(uint64(span[0] + i)); ok {
+					r.Stats.RespRetx++
+					r.send(r.pkts.Share(rp))
 				}
 			}
 		}
 		r.sendAck()
-	default: // out-of-order arrival
-		switch r.cfg.Mode {
-		case GBN:
-			// Drop everything out of order; one NAK per episode.
-			r.Stats.DroppedOOO++
-			if !r.nakArmed {
-				r.nakArmed = true
-				r.sendNak()
-			}
-		case SR:
-			if p.Type == ptWrite {
-				// Writes are SR-capable: place out of order and
-				// NAK each OOO arrival (§6.1.1: "sends a
-				// Negative Acknowledgment for each out-of-order
-				// packet").
-				if _, dup := r.reqBuf[p.PSN]; !dup {
-					r.reqBuf[p.PSN] = p
-					r.Stats.DeliveredBytes += uint64(p.Size)
-				}
-				r.sendNak()
-			} else {
-				// Sends and Read Requests fall back to GBN:
-				// "RoCE-SR is not available to these IB Verbs
-				// ops".
-				r.Stats.DroppedOOO++
-				if !r.nakArmed {
-					r.nakArmed = true
-					r.sendNak()
-				}
-			}
-		case AR:
-			// Reorder-tolerant: buffer silently; loss is the
-			// sender's RTO problem.
-			if _, dup := r.reqBuf[p.PSN]; !dup {
-				r.reqBuf[p.PSN] = p
-				if p.Type == ptWrite {
-					r.Stats.DeliveredBytes += uint64(p.Size)
-				}
-			}
+	case r.cfg.Mode == AR:
+		// Reorder-tolerant: buffer silently; loss is the sender's RTO
+		// problem.
+		if r.keep(&r.reqBuf, p) && p.Type == ptWrite {
+			r.Stats.DeliveredBytes += uint64(p.Size)
+		}
+	case r.cfg.Mode == SR && p.Type == ptWrite:
+		// Writes are SR-capable: place out of order and NAK each OOO
+		// arrival (§6.1.1: "sends a Negative Acknowledgment for each
+		// out-of-order packet").
+		if r.keep(&r.reqBuf, p) {
+			r.Stats.DeliveredBytes += uint64(p.Size)
+		}
+		r.sendNak()
+	default:
+		// GBN drops everything out of order, with one NAK per episode.
+		// So does SR for Sends and Read Requests: "RoCE-SR is not
+		// available to these IB Verbs ops".
+		r.Stats.DroppedOOO++
+		if !r.nakArmed {
+			r.nakArmed = true
+			r.sendNak()
 		}
 	}
 }
@@ -167,51 +142,62 @@ func (r *Responder) accept(p *packet, fromBuffer bool) {
 
 // generateResponses emits the read-response packets a request solicits.
 func (r *Responder) generateResponses(req *packet) {
-	r.respOf[req.PSN] = [2]uint32{r.nextResp, req.RespPSNs}
+	r.respOf.Put(uint64(req.PSN), [2]uint32{r.nextResp, req.RespPSNs})
 	for i := uint32(0); i < req.RespPSNs; i++ {
-		p := &packet{Type: ptReadResp, QP: r.id, PSN: r.nextResp, Size: req.RespBytes, Stream: streamResp}
+		p := r.packet(ptReadResp)
+		p.PSN, p.Size, p.Stream = r.nextResp, req.RespBytes, streamResp
 		r.nextResp++
-		r.respPkts[p.PSN] = &txPkt{pkt: p}
+		r.respPkts.Put(uint64(p.PSN), p)
 		r.Stats.RespSent++
-		r.node.send(r.dst, p, r.hash())
+		r.send(r.pkts.Share(p))
 	}
 }
 
-// handleRespNak retransmits missing response packets per the mode.
+// handleRespNak retransmits missing response packets per the mode: SR
+// resends the one named, GBN everything from it on.
 func (r *Responder) handleRespNak(p *packet) {
-	switch r.cfg.Mode {
-	case SR:
-		if tp, ok := r.respPkts[p.NakPSN]; ok {
+	last := r.nextResp
+	if r.cfg.Mode == SR {
+		last = p.NakPSN + 1
+	}
+	for s := p.NakPSN; s != last; s++ {
+		if rp, ok := r.respPkts.Get(uint64(s)); ok {
 			r.Stats.RespRetx++
-			r.node.send(r.dst, tp.pkt, r.hash())
-		}
-	default:
-		// GBN on the response stream: resend everything from the
-		// requested PSN.
-		for s := p.NakPSN; s != r.nextResp; s++ {
-			if tp, ok := r.respPkts[s]; ok {
-				r.Stats.RespRetx++
-				r.node.send(r.dst, tp.pkt, r.hash())
-			}
+			r.send(r.pkts.Share(rp))
 		}
 	}
 }
 
-// gcResponses drops response retransmission state below the acked horizon.
+// gcResponses drops response retransmission state below the acked
+// horizon, and forgets the read requests whose responses all lie below it.
 func (r *Responder) gcResponses(ackPSN uint32) {
 	for r.respUna < ackPSN {
-		delete(r.respPkts, r.respUna)
+		if rp, ok := r.respPkts.Del(uint64(r.respUna)); ok {
+			r.pkts.Release(rp)
+		}
 		r.respUna++
+	}
+	for {
+		lo, _ := r.respOf.Bounds()
+		span, ok := r.respOf.Get(lo)
+		if !ok || span[0]+span[1] > ackPSN {
+			return
+		}
+		r.respOf.Del(lo)
 	}
 }
 
 // sendAck sends the cumulative request-stream acknowledgment.
 func (r *Responder) sendAck() {
-	r.node.send(r.dst, &packet{Type: ptAck, QP: r.id, AckPSN: r.expectedReq}, r.hash())
+	p := r.packet(ptAck)
+	p.AckPSN = r.expectedReq
+	r.send(p)
 }
 
 // sendNak asks for the expected request PSN.
 func (r *Responder) sendNak() {
 	r.Stats.NaksSent++
-	r.node.send(r.dst, &packet{Type: ptNak, QP: r.id, Stream: streamReq, NakPSN: r.expectedReq}, r.hash())
+	p := r.packet(ptNak)
+	p.Stream, p.NakPSN = streamReq, r.expectedReq
+	r.send(p)
 }

@@ -18,10 +18,10 @@ import (
 // hot path depends on, so a regression is caught at review time rather
 // than by a benchmark drifting:
 //
-//  1. No map indexing, map ranging, or delete() in ring, pdl, tl or ulp.
-//     The steady-state path works on dense rings and bitmap words.
+//  1. No map indexing, map ranging, or delete() in ring, pdl, tl, ulp or
+//     roce. The steady-state path works on dense rings and bitmap words.
 //  2. No function literals passed to scheduler entry points (At, After,
-//     AtAction, Process, ProcessAction) in ring, pdl, tl or ulp.
+//     AtAction, Process, ProcessAction) in ring, pdl, tl, ulp or roce.
 //     Scheduling a closure allocates per call; the hot path schedules
 //     preallocated Action values instead.
 //
@@ -116,9 +116,9 @@ func (i lintImporter) Import(path string) (*types.Package, error) {
 	return i.fallback.Import(path)
 }
 
-// loadLintPackages parses and type-checks ring, pdl, tl and ulp (plus
-// their module-local dependencies, in topological order) and returns the
-// four packages under lint.
+// loadLintPackages parses and type-checks ring, pdl, tl, ulp and roce
+// (plus their module-local dependencies, in topological order) and returns
+// the five packages under lint.
 func loadLintPackages(t *testing.T, fset *token.FileSet) []*lintPkg {
 	t.Helper()
 	order := []struct {
@@ -133,6 +133,10 @@ func loadLintPackages(t *testing.T, fset *token.FileSet) []*lintPkg {
 		{"falcon/internal/falcon/pdl", "../falcon/pdl", true},
 		{"falcon/internal/falcon/tl", "../falcon/tl", true},
 		{"falcon/internal/ulp", "../ulp", true},
+		{"falcon/internal/routing", "../routing", false},
+		{"falcon/internal/netsim", "../netsim", false},
+		{"falcon/internal/nic", "../nic", false},
+		{"falcon/internal/roce", "../roce", true},
 	}
 	local := map[string]*types.Package{}
 	imp := lintImporter{local: local, fallback: importer.ForCompiler(fset, "source", nil)}

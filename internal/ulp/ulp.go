@@ -13,7 +13,10 @@
 // runs, so that function may post the next op on the same descriptor.
 package ulp
 
-import "falcon/internal/falcon/tl"
+import (
+	"falcon/internal/falcon/tl"
+	"falcon/internal/falcon/wire"
+)
 
 // poolCap bounds each free list; beyond it descriptors are dropped to the
 // GC (a connection rarely has more than a send queue's worth outstanding).
@@ -118,7 +121,7 @@ func (p *Port[C]) get(pool *Pool[C], m Msg, ctx C) *Op[C] {
 		o.pushDone = o.land
 		o.issueFn = o.issue
 	}
-	nseg := segments(m.Size, p.conn.MTU())
+	nseg := wire.Segments(m.Size, p.conn.MTU())
 	if m.Pull && nseg > len(o.slots) {
 		o.slots = make([]slot[C], nseg)
 		for i := range o.slots {
@@ -131,10 +134,6 @@ func (p *Port[C]) get(pool *Pool[C], m Msg, ctx C) *Op[C] {
 	p.out++
 	return o
 }
-
-// segments is the number of transactions an op of size bytes maps to: at
-// least one, since a zero-byte op is still a transaction.
-func segments(size, mtu int) int { return max(1, (size+mtu-1)/mtu) }
 
 // put returns the descriptor to its pool. Callers copy out what they still
 // need first: a completion may post a new op and reuse it immediately.
@@ -156,9 +155,7 @@ func (o *Op[C]) segDone(i int) func([]byte, error) {
 
 // send issues segment i.
 func (m *Msg) send(conn *tl.Conn, i int, done func([]byte, error)) error {
-	mtu := conn.MTU()
-	off := i * mtu
-	seg := min(max(m.Size-off, 0), mtu)
+	off, seg := wire.Segment(m.Size, conn.MTU(), i)
 	addr := m.Addr
 	if !m.Fixed {
 		addr += uint64(off)
@@ -184,7 +181,7 @@ func (m *Msg) send(conn *tl.Conn, i int, done func([]byte, error)) error {
 // descriptor while the loop still runs.
 func (o *Op[C]) issue() bool {
 	conn := o.port.conn
-	nseg := segments(o.m.Size, conn.MTU())
+	nseg := wire.Segments(o.m.Size, conn.MTU())
 	for i := o.next; i < nseg; i++ {
 		if err := o.m.send(conn, i, o.segDone(i)); err != nil {
 			dead := conn.Dead()
@@ -225,7 +222,7 @@ func (o *Op[C]) land(data []byte, err error) {
 
 // gather assembles a finished pull's bytes and clears its slots.
 func (o *Op[C]) gather() []byte {
-	slots := o.slots[:segments(o.m.Size, o.port.conn.MTU())]
+	slots := o.slots[:wire.Segments(o.m.Size, o.port.conn.MTU())]
 	out := slots[0].data
 	if len(slots) > 1 {
 		out = nil
