@@ -10,10 +10,10 @@ package experiments
 // two same-seed runs write byte-identical -metrics JSON and -series CSVs.
 // Wall time appears only in the runner's annotation lines.
 //
-// Downstream, internal/lake indexes these artifacts (the committed
-// BENCH_pr3_metrics.json and BENCH_pr3_series/) for cross-run queries
-// and regression diffs; METRICS.md documents every metric name emitted
-// here and the per-metric diff policy.
+// Downstream, `make check` regenerates the committed artifacts
+// (BENCH_pr{3,8,9}_metrics.json and BENCH_pr3_series/) and compares them
+// with the committed files byte for byte; METRICS.md documents every
+// metric name emitted here.
 
 import (
 	"encoding/json"

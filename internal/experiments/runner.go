@@ -4,8 +4,8 @@ package experiments
 // bounded worker pool, prints their tables in registry order either way,
 // and annotates each table with its wall time and event count. Simulator
 // performance is measured by the bench module alone (DESIGN.md §8).
-// Instrumented runs (falconbench -metrics/-series, falconlake watch) go
-// through the same runner with Options.Tel set.
+// Instrumented runs (falconbench -metrics/-series) go through the same
+// runner with Options.Tel set.
 //
 // Parallelism is safe because every entry builds its own simulators:
 // sim.Simulator is single-threaded by design, so experiments scale by

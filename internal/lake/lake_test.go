@@ -3,6 +3,7 @@ package lake
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,194 +33,32 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// lakePairs returns the committed before/after bench record pairs that
-// `make check` diffs, BENCH_<pair>_{before,after}.jsonl: the Makefile's
-// LAKE_PAIRS, read from the Makefile so the two lists cannot part.
-func lakePairs(t *testing.T) []string {
+// makeVar returns the words of one Makefile variable, read from the
+// Makefile so that the tests and `make check` cannot part.
+func makeVar(t *testing.T, name string) []string {
 	t.Helper()
 	mk, err := os.ReadFile(filepath.Join(repoRoot(t), "Makefile"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(string(mk), "\n") {
-		if rest, ok := strings.CutPrefix(line, "LAKE_PAIRS ="); ok {
+		if rest, ok := strings.CutPrefix(line, name+" ="); ok {
 			return strings.Fields(rest)
 		}
 	}
-	t.Fatal("Makefile has no LAKE_PAIRS line")
+	t.Fatalf("Makefile has no %s line", name)
 	return nil
 }
 
-// committedArtifacts lists every artifact `make check` reads — the
-// watched metrics snapshots, the listed series and records, and both
-// sides of each bench pair — each with the run it lands in.
-func committedArtifacts(t *testing.T) [][2]string {
-	out := [][2]string{
-		{"pr3", "BENCH_pr3_metrics.json"},
-		{"pr3", "BENCH_pr3_series"},
-		{"pr8", "BENCH_pr8_metrics.json"},
-		{"pr9", "BENCH_pr9_metrics.json"},
-		// Listed, not diffed: Xon-driven admission moved their events on
-		// purpose.
-		{"pr32_before", "BENCH_pr32_before.jsonl"},
-		{"pr32_after", "BENCH_pr32_after.jsonl"},
-	}
-	for _, p := range lakePairs(t) {
-		for _, side := range []string{"before", "after"} {
-			out = append(out, [2]string{p + "_" + side, "BENCH_" + p + "_" + side + ".jsonl"})
-		}
-	}
-	return out
-}
-
-// ingestCommitted builds an index over the committed artifacts, in the
-// given order.
-func ingestCommitted(t *testing.T, arts [][2]string) *Index {
+// committedPairs returns the before/after paths of every pair `make
+// check` judges — BENCH_<pair>_{before,after}.jsonl for each pair in
+// LAKE_PAIRS — and of each parent-against-parent set the set gate was
+// calibrated on (testdata/calibration).
+func committedPairs(t *testing.T) [][2]string {
 	t.Helper()
-	root := repoRoot(t)
-	ix := &Index{}
-	for _, a := range arts {
-		if err := ix.IngestFile(a[0], filepath.Join(root, a[1])); err != nil {
-			t.Fatalf("ingest %s: %v", a[1], err)
-		}
-	}
-	return ix
-}
-
-// TestLakeIngestDeterminism is the golden determinism property: two
-// independent ingests of the same artifacts, in opposite orders, build
-// identical indexes.
-func TestLakeIngestDeterminism(t *testing.T) {
-	arts := committedArtifacts(t)
-	a := ingestCommitted(t, arts)
-	slices.Reverse(arts)
-	b := ingestCommitted(t, arts)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two ingests of the same artifacts differ")
-	}
-	if n := len(a.Runs()); n != 6+2*len(lakePairs(t))-1 {
-		t.Fatalf("%d runs, want one per artifact with pr3's two merged", n)
-	}
-}
-
-// TestLakeSelfDiffEmpty asserts the committed corpus self-diffs clean:
-// diffing any run against itself reports zero findings.
-func TestLakeSelfDiffEmpty(t *testing.T) {
-	ix := ingestCommitted(t, committedArtifacts(t))
-	for _, r := range ix.Runs() {
-		rep := mustDiff(t, ix, r.Name, r.Name)
-		if !rep.Empty() {
-			var buf bytes.Buffer
-			rep.WriteText(&buf)
-			t.Fatalf("self-diff of %s not empty:\n%s", r.Name, buf.String())
-		}
-		if rep.CellsCompared == 0 {
-			t.Fatalf("self-diff of %s compared no cells", r.Name)
-		}
-	}
-}
-
-// TestLakeCommittedValues spot-checks that ingested cells carry the
-// exact values written in the artifacts.
-func TestLakeCommittedValues(t *testing.T) {
-	ix := ingestCommitted(t, committedArtifacts(t))
-	for _, c := range []struct {
-		run, path string
-		want      float64
-	}{
-		{"pr3", "fig10/ReadReq/drop0.0/port/down_drops", -1}, // wrong path: prefixed by fwd
-		{"pr3", "fig10/ReadReq/drop0.0/fwd/port/tx_bytes", 4436608},
-		{"pr3", "fig10/ReadReq/drop0.0/pdl/acks_immediate", 17289},
-		{"pr28_after", "fabric_scale/seed281/bench/attempted", 261554},
-		{"pr28_after", "fabric_scale/seed281/bench/correct", 1},
-		{"pr28_after", "fabric_scale/seed281/bench/events_per_op", 84.05452500655669},
-	} {
-		v, ok := ix.Lookup(c.run, c.path)
-		if c.want < 0 {
-			if ok {
-				t.Errorf("Lookup(%s, %s) unexpectedly found %v", c.run, c.path, v)
-			}
-			continue
-		}
-		if !ok || v != c.want {
-			t.Errorf("Lookup(%s, %s) = %v, %v; want %v", c.run, c.path, v, ok, c.want)
-		}
-	}
-
-	// The series CSVs are ingested with full fidelity: row counts and
-	// first rows match the files.
-	s := ix.FindSeries("pr3", "fig10_write_drop1")
-	if s == nil {
-		t.Fatal("series fig10_write_drop1 missing")
-	}
-	if len(s.Times) == 0 || s.Times[0] != 0 {
-		t.Fatalf("series shape wrong: %d rows, t0=%v", len(s.Times), s.Times)
-	}
-	if got := s.column("conn/fcwnd"); got == nil || got[0] != 16 {
-		t.Fatalf("conn/fcwnd column wrong: %v", got)
-	}
-}
-
-// TestLakeBuilderErrors covers ingest-time validation: duplicate
-// metrics, duplicate series, unknown schemas.
-func TestLakeBuilderErrors(t *testing.T) {
-	root := repoRoot(t)
-	ix := &Index{}
-	path := filepath.Join(root, "BENCH_pr3_metrics.json")
-	if err := ix.IngestFile("r", path); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.IngestFile("r", path); err == nil {
-		t.Fatal("re-ingesting the same metrics into one run should fail (duplicate cells)")
-	}
-	csv := filepath.Join(root, "BENCH_pr3_series", "fig10_write_drop1.csv")
-	ix2 := &Index{}
-	if err := ix2.IngestFile("r", csv); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix2.IngestFile("r", csv); err == nil {
-		t.Fatal("re-ingesting the same series should fail")
-	}
-	if err := (&Index{}).IngestMetricsJSON("r", strings.NewReader(`{"schema":"bogus/v9"}`), "x"); err == nil {
-		t.Fatal("unknown schema should fail")
-	}
-	// The retired falconbench performance report is an unknown schema,
-	// reported against the file that carries it.
-	retired := "falconbench" + "/v1"
-	old := filepath.Join(t.TempDir(), "BENCH_old.json")
-	if err := os.WriteFile(old, []byte(`{"schema":"`+retired+`","figures":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err := (&Index{}).IngestFile("r", old)
-	if want := `BENCH_old.json: unknown schema "` + retired + `"`; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %v, want %q", err, want)
-	}
-}
-
-// scaleMetric returns the bench record line with one end-to-end metric
-// multiplied by f.
-func scaleMetric(t *testing.T, line []byte, metric string, f float64) []byte {
-	t.Helper()
-	var rec map[string]any
-	if err := json.Unmarshal(line, &rec); err != nil {
-		t.Fatal(err)
-	}
-	m := rec["result"].(map[string]any)["metrics"].(map[string]any)[metric].(map[string]any)
-	m["value"] = m["value"].(float64) * f
-	out, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestLakeBenchPairs diffs each committed bench pair, and each
-// parent-against-parent set the perf set gate was calibrated on
-// (testdata/calibration), and expects no finding.
-func TestLakeBenchPairs(t *testing.T) {
 	root := repoRoot(t)
 	var pairs [][2]string
-	for _, p := range lakePairs(t) {
+	for _, p := range makeVar(t, "LAKE_PAIRS") {
 		pairs = append(pairs, [2]string{
 			filepath.Join(root, "BENCH_"+p+"_before.jsonl"), filepath.Join(root, "BENCH_"+p+"_after.jsonl")})
 	}
@@ -230,89 +69,142 @@ func TestLakeBenchPairs(t *testing.T) {
 	for _, before := range sets {
 		pairs = append(pairs, [2]string{before, strings.TrimSuffix(before, "_before.jsonl") + "_after.jsonl"})
 	}
-	for _, p := range pairs {
-		ix := &Index{}
-		for i, side := range []string{"before", "after"} {
-			if err := ix.IngestFile(side, p[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rep := mustDiff(t, ix, "before", "after")
-		if !rep.Empty() {
-			var buf bytes.Buffer
-			rep.WriteText(&buf)
-			t.Errorf("%s:\n%s", p[1], buf.String())
-		}
-		if n := len(ix.runs["before"].Cells); rep.CellsCompared != n || n == 0 {
-			t.Errorf("%s: compared %d of %d cells", p[1], rep.CellsCompared, n)
-		}
-	}
+	return pairs
 }
 
-// TestDiffSetGate diffs a committed after-file against altered copies of
-// itself. A uniform 10 % slowdown (host_ns_per_op up, or events_per_sec
-// down) is one perf-regress per workload; one seed made 1.5x worse alone,
-// and a uniform speedup, are not flagged; an exact metric moved on one
-// seed is one value-drift on that seed's cell.
-func TestDiffSetGate(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join(repoRoot(t), "BENCH_pr36_after.jsonl"))
+func mustRead(t *testing.T, path string) Records {
+	t.Helper()
+	recs, err := Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
-	perWorkload := func(metric string) []string {
-		var out []string
-		for _, w := range []string{"fabric_scale", "incast_conns", "lossy_mixed", "oprate_small"} {
-			out = append(out, w+"/bench/"+metric)
-		}
-		return out
+	return recs
+}
+
+// readBytes reads data as the bench -out file x.jsonl.
+func readBytes(t *testing.T, data []byte) (Records, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "x.jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		metric string
-		f      float64
-		every  bool // scale every record, else only the first
-		want   []string
-	}{
-		{"host_ns_per_op", 1.10, true, perWorkload("host_ns_per_op")},
-		{"events_per_sec", 1 / 1.10, true, perWorkload("events_per_sec")},
-		{"host_ns_per_op", 1.5, false, nil},
-		{"host_ns_per_op", 0.7, true, nil},
-		{"events_per_op", 1 + 1e-12, false, []string{"fabric_scale/seed361/bench/events_per_op"}},
-	} {
-		altered := slices.Clone(lines)
-		for i := range altered {
-			if c.every || i == 0 {
-				altered[i] = scaleMetric(t, lines[i], c.metric, c.f)
+	return Read(path)
+}
+
+func cellCount(recs Records) int {
+	n := 0
+	for _, cells := range recs {
+		n += len(cells)
+	}
+	return n
+}
+
+// TestLakeBenchPairs judges each committed bench pair, and each
+// calibration set, and expects no finding with every cell compared. The
+// records in LAKE_LISTED, a pair whose events moved by design, must
+// still parse.
+func TestLakeBenchPairs(t *testing.T) {
+	for _, p := range committedPairs(t) {
+		before := mustRead(t, p[0])
+		rep := Diff(before, mustRead(t, p[1]))
+		if len(rep.Findings) > 0 {
+			t.Errorf("%s:\n%s", p[1], rep.String())
+		}
+		if n := cellCount(before); rep.CellsCompared != n || n == 0 {
+			t.Errorf("%s: compared %d of %d cells", p[1], rep.CellsCompared, n)
+		}
+	}
+	listed := 0
+	for _, a := range makeVar(t, "LAKE_LISTED") {
+		if strings.HasSuffix(a, ".jsonl") {
+			if recs := mustRead(t, filepath.Join(repoRoot(t), a)); len(recs) == 0 {
+				t.Errorf("%s: no records", a)
 			}
+			listed++
 		}
-		ix := &Index{}
-		if err := ix.IngestBenchRecords("before", bytes.NewReader(data), "before.jsonl"); err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.IngestBenchRecords("after", bytes.NewReader(bytes.Join(altered, []byte("\n"))), "after.jsonl"); err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, f := range mustDiff(t, ix, "before", "after").Findings {
-			wantKind := FindingPerf
-			if f.Class == ClassExact.String() {
-				wantKind = FindingDrift
+	}
+	if listed == 0 {
+		t.Error("LAKE_LISTED names no .jsonl file")
+	}
+}
+
+// TestLakeIngestDeterminism reads every committed record file as is and
+// with its lines reversed: the records, and so every verdict, do not
+// depend on line order.
+func TestLakeIngestDeterminism(t *testing.T) {
+	for _, p := range committedPairs(t) {
+		for _, path := range p {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if f.Kind != wantKind || (f.Kind == FindingPerf && !strings.Contains(f.Detail, "10/10 seeds worse")) {
-				t.Errorf("%s x%v: %+v", c.metric, c.f, f)
+			lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+			slices.Reverse(lines)
+			rev, err := readBytes(t, bytes.Join(lines, []byte("\n")))
+			if err != nil {
+				t.Fatal(err)
 			}
-			got = append(got, f.Path)
-		}
-		if !slices.Equal(got, c.want) {
-			t.Errorf("%s x%v (every seed: %v): findings on %v, want %v", c.metric, c.f, c.every, got, c.want)
+			if !reflect.DeepEqual(mustRead(t, path), rev) {
+				t.Errorf("%s: reading the lines reversed gives other records", path)
+			}
 		}
 	}
 }
 
-// TestLakeBenchRecordRejects covers the record shapes the bench reader
-// refuses, each with an error naming the offending line: a second
-// record for one (workload, seed), a figScale round record, and a
-// traced record.
+// TestLakeSelfDiffEmpty judges every committed record file against
+// itself: no finding, every cell compared.
+func TestLakeSelfDiffEmpty(t *testing.T) {
+	for _, p := range committedPairs(t) {
+		for _, path := range p {
+			recs := mustRead(t, path)
+			rep := Diff(recs, recs)
+			if len(rep.Findings) > 0 || rep.CellsCompared != cellCount(recs) {
+				t.Errorf("%s against itself:\n%s", path, rep.String())
+			}
+		}
+	}
+}
+
+// TestLakeCommittedValues spot-checks that read cells carry the exact
+// values written in a committed record file.
+func TestLakeCommittedValues(t *testing.T) {
+	recs := mustRead(t, filepath.Join(repoRoot(t), "BENCH_pr28_after.jsonl"))
+	cells := recs["fabric_scale/seed281/bench"]
+	for metric, want := range map[string]float64{
+		"attempted":     261554,
+		"failed":        0,
+		"correct":       1,
+		"events_per_op": 84.05452500655669,
+	} {
+		if v, ok := cells[metric]; !ok || v != want {
+			t.Errorf("fabric_scale seed 281 %s = %v, %v; want %v", metric, v, ok, want)
+		}
+	}
+	if len(recs) != 40 {
+		t.Errorf("%d records, want 10 seeds x 4 workloads", len(recs))
+	}
+}
+
+// TestLakeBuilderErrors covers the files the reader refuses before any
+// record: a missing file, and the committed artifacts that are not bench
+// records (a metrics snapshot, a series CSV), each refused at line 1.
+func TestLakeBuilderErrors(t *testing.T) {
+	root := repoRoot(t)
+	if _, err := Read(filepath.Join(root, "BENCH_none.jsonl")); err == nil {
+		t.Error("reading a missing file should fail")
+	}
+	for _, a := range []string{"BENCH_pr3_metrics.json", "BENCH_pr3_series/fig10_write_drop1.csv"} {
+		_, err := Read(filepath.Join(root, a))
+		if want := filepath.Base(a) + ":1:"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", a, err, want)
+		}
+	}
+}
+
+// TestLakeBenchRecordRejects covers the record shapes the reader
+// refuses, each with an error naming the offending line: a second record
+// for one (workload, seed), a traced record, a line that is not JSON and
+// a figScale round record.
 func TestLakeBenchRecordRejects(t *testing.T) {
 	root := repoRoot(t)
 	data, err := os.ReadFile(filepath.Join(root, "BENCH_pr28_before.jsonl"))
@@ -328,31 +220,204 @@ func TestLakeBenchRecordRejects(t *testing.T) {
 	}{
 		{"duplicate", append(slices.Clone(first), first...), "x.jsonl:2: second record for fabric_scale seed 281"},
 		{"traced", traced, "x.jsonl:1: traced record"},
+		{"malformed", append(slices.Clone(first), "{\"workload\":\n"...), "x.jsonl:2: unexpected end of JSON input"},
 	} {
-		err := (&Index{}).IngestBenchRecords("r", bytes.NewReader(c.in), "x.jsonl")
+		_, err := readBytes(t, c.in)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
 		}
 	}
-	err = (&Index{}).IngestFile("r", filepath.Join(root, "BENCH_pr28_figscale.jsonl"))
+	_, err = Read(filepath.Join(root, "BENCH_pr28_figscale.jsonl"))
 	if err == nil || !strings.Contains(err.Error(), "BENCH_pr28_figscale.jsonl:1: not a bench record") {
 		t.Errorf("figscale records: error %v", err)
 	}
 }
 
-func TestDeriveRunName(t *testing.T) {
-	cases := map[string]string{
-		"BENCH_pr3_metrics.json":      "pr3",
-		"BENCH_pr3_series":            "pr3",
-		"BENCH_pr3_series/":           "pr3",
-		"/x/y/BENCH_pr8_metrics.json": "pr8",
-		"BENCH_pr28_before.jsonl":     "pr28_before",
-		"mylake.json":                 "mylake",
-		"fig10_write_drop1.csv":       "fig10_write_drop1",
+// TestPathClass holds the class of every record field — exact, or perf
+// with its better direction — to METRICS.md §7's table, and checks that
+// the table names every field a committed record carries.
+func TestPathClass(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join(repoRoot(t), "METRICS.md"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for in, want := range cases {
-		if got := DeriveRunName(in); got != want {
-			t.Errorf("DeriveRunName(%q) = %q, want %q", in, got, want)
+	_, sec, _ := strings.Cut(string(doc), "## 7. Bench records")
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	documented := map[string]string{} // field -> "exact", "perf better" or "perf worse"
+	for _, line := range strings.Split(sec, "\n") {
+		cols := strings.Split(line, "|")
+		if len(cols) != 5 || !strings.Contains(cols[1], "`") {
+			continue
+		}
+		class := strings.Fields(cols[2])[0]
+		if class == "perf" {
+			class += " " + strings.TrimSpace(cols[3])
+		}
+		for _, f := range strings.Split(cols[1], ",") {
+			documented[strings.Trim(strings.TrimSpace(f), "`")] = class
+		}
+	}
+	recs := mustRead(t, filepath.Join(repoRoot(t), "BENCH_pr43_after.jsonl"))
+	for _, m := range unionKeys(recs["oprate_small/seed431/bench"], nil) {
+		class := "exact"
+		if better, perf := perfMetrics[m]; perf {
+			class = map[bool]string{true: "perf better", false: "perf worse"}[better]
+		}
+		if documented[m] != class {
+			t.Errorf("%s: judged %q, METRICS.md §7 says %q", m, class, documented[m])
+		}
+		delete(documented, m)
+	}
+	if len(documented) > 0 {
+		t.Errorf("METRICS.md §7 documents fields no record carries: %v", documented)
+	}
+}
+
+// TestDiffClasses holds exact cells to the bit, NaN equal to NaN, and
+// judges host metrics per set: one finding per (workload, metric) whose
+// seeds regressed, none for a set half better.
+func TestDiffClasses(t *testing.T) {
+	before := Records{
+		"w/seed1/bench": {"events_per_op": 10, "sim_op_p99_us": math.NaN(), "host_ns_per_op": 100, "events_per_sec": 1000},
+		"w/seed2/bench": {"events_per_op": 10, "sim_op_p99_us": 5, "host_ns_per_op": 100, "events_per_sec": 1000},
+	}
+	after := Records{
+		"w/seed1/bench": {"events_per_op": 10, "sim_op_p99_us": math.NaN(), "host_ns_per_op": 110, "events_per_sec": 500},
+		"w/seed2/bench": {"events_per_op": 11, "sim_op_p99_us": 5, "host_ns_per_op": 150, "events_per_sec": 1500},
+	}
+	rep := Diff(before, after)
+	want := []Finding{
+		{Kind: FindingDrift, Path: "w/seed2/bench/events_per_op", A: 10, B: 11},
+		{Kind: FindingPerf, Path: "w/bench/host_ns_per_op", A: 100, B: 130,
+			Detail: "median per-seed ratio 1.300, 2/2 seeds worse"},
+	}
+	if !reflect.DeepEqual(rep.Findings, want) {
+		t.Errorf("findings %+v, want %+v", rep.Findings, want)
+	}
+	if rep.CellsCompared != 8 {
+		t.Errorf("CellsCompared = %d, want 8", rep.CellsCompared)
+	}
+}
+
+// TestDiffMissingExtra checks records and cells on one side only, in
+// both directions.
+func TestDiffMissingExtra(t *testing.T) {
+	before := Records{
+		"w/seed1/bench": {"failed": 0, "only_in_a": 1},
+		"w/seed2/bench": {"failed": 0},
+	}
+	after := Records{
+		"w/seed1/bench": {"failed": 0, "only_in_b": 1},
+		"w/seed3/bench": {"failed": 0},
+	}
+	rep := Diff(before, after)
+	want := []Finding{
+		{Kind: FindingMissing, Path: "w/seed1/bench/only_in_a"},
+		{Kind: FindingExtra, Path: "w/seed1/bench/only_in_b"},
+		{Kind: FindingMissing, Path: "w/seed2/bench"},
+		{Kind: FindingExtra, Path: "w/seed3/bench"},
+	}
+	if !reflect.DeepEqual(rep.Findings, want) || rep.CellsCompared != 1 {
+		t.Errorf("findings %+v (%d cells compared), want %+v (1)", rep.Findings, rep.CellsCompared, want)
+	}
+}
+
+// TestDiffReportDeterminism renders the same judgement twice and expects
+// byte-identical text, whatever the map order.
+func TestDiffReportDeterminism(t *testing.T) {
+	before := Records{}
+	after := Records{}
+	for _, w := range []string{"a", "b", "c", "d"} {
+		for _, s := range []string{"1", "2", "3"} {
+			before[w+"/seed"+s+"/bench"] = map[string]float64{"failed": 0, "events_per_op": 1, "host_ns_per_op": 1}
+			after[w+"/seed"+s+"/bench"] = map[string]float64{"failed": 1, "events_per_op": 2, "host_ns_per_op": 2}
+		}
+	}
+	first := Diff(before, after).String()
+	for i := 0; i < 5; i++ {
+		if got := Diff(before, after).String(); got != first {
+			t.Fatalf("report rendering is not deterministic:\n%s\nvs\n%s", first, got)
+		}
+	}
+	if !strings.Contains(first, "value-drift") || !strings.Contains(first, "perf-regress") {
+		t.Fatalf("text report missing findings:\n%s", first)
+	}
+}
+
+// TestDiffSetGate judges a committed after-file against altered copies
+// of itself. A uniform 10 % slowdown (host_ns_per_op up, or
+// events_per_sec down) is one perf-regress per workload; one seed made
+// 1.5x worse alone, and a uniform speedup, are not flagged. An exact
+// cell moved on one seed (events_per_op, failed, correct) is one
+// value-drift on that cell, and a seed dropped from the after-file is
+// one missing finding on that seed.
+func TestDiffSetGate(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(repoRoot(t), "BENCH_pr36_after.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mustRead(t, filepath.Join(repoRoot(t), "BENCH_pr36_after.jsonl"))
+	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+	perWorkload := func(metric string) []string {
+		var out []string
+		for _, w := range []string{"fabric_scale", "incast_conns", "lossy_mixed", "oprate_small"} {
+			out = append(out, w+"/bench/"+metric)
+		}
+		return out
+	}
+	scale := func(metric string, f float64) func(map[string]any) {
+		return func(res map[string]any) {
+			m := res["metrics"].(map[string]any)[metric].(map[string]any)
+			m["value"] = m["value"].(float64) * f
+		}
+	}
+	const seed = "fabric_scale/seed361/bench"
+	for _, c := range []struct {
+		name  string
+		every bool                 // edit every record, else only the first
+		edit  func(map[string]any) // edits a record's result; nil drops the record
+		kind  string
+		want  []string
+	}{
+		{"host_ns_per_op x1.10", true, scale("host_ns_per_op", 1.10), FindingPerf, perWorkload("host_ns_per_op")},
+		{"events_per_sec /1.10", true, scale("events_per_sec", 1/1.10), FindingPerf, perWorkload("events_per_sec")},
+		{"one seed host_ns_per_op x1.5", false, scale("host_ns_per_op", 1.5), "", nil},
+		{"host_ns_per_op x0.7", true, scale("host_ns_per_op", 0.7), "", nil},
+		{"events_per_op x(1+1e-12)", false, scale("events_per_op", 1+1e-12), FindingDrift, []string{seed + "/events_per_op"}},
+		{"failed +1", false, func(res map[string]any) { res["failed"] = res["failed"].(float64) + 1 }, FindingDrift, []string{seed + "/failed"}},
+		{"correct flipped", false, func(res map[string]any) { res["correct"] = !res["correct"].(bool) }, FindingDrift, []string{seed + "/correct"}},
+		{"seed missing", false, nil, FindingMissing, []string{seed}},
+	} {
+		var altered [][]byte
+		for i, line := range lines {
+			if (c.every || i == 0) && c.edit == nil {
+				continue
+			}
+			if c.every || i == 0 {
+				var rec map[string]any
+				if err := json.Unmarshal(line, &rec); err != nil {
+					t.Fatal(err)
+				}
+				c.edit(rec["result"].(map[string]any))
+				if line, err = json.Marshal(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			altered = append(altered, line)
+		}
+		after, err := readBytes(t, bytes.Join(altered, []byte("\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, f := range Diff(before, after).Findings {
+			if f.Kind != c.kind || (f.Kind == FindingPerf && !strings.Contains(f.Detail, "10/10 seeds worse")) {
+				t.Errorf("%s: %+v", c.name, f)
+			}
+			got = append(got, f.Path)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: findings on %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -2,24 +2,23 @@ package telemetry_test
 
 // The METRICS.md honesty gate: build a real stack, attach every
 // telemetry collector and tracker this package exports, and assert
-// every metric name they emit is documented in METRICS.md. A new
-// metric added to sinks.go without a doc row fails here, so the
-// reference cannot silently rot. The inverse direction (names
-// documented but never emitted) is deliberately not enforced: the doc
-// also covers the bench layer cells the lake indexer synthesizes from
-// bench records.
+// every metric name they emit is documented in METRICS.md, and every
+// documented layer/metric and series: row is emitted. A new metric
+// added to sinks.go without a doc row fails here, and so does a row
+// left behind by a deleted metric, so the reference cannot silently
+// rot.
 
 import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"falcon/internal/chaos"
 	"falcon/internal/core"
-	"falcon/internal/lake"
 	"falcon/internal/netsim"
 	"falcon/internal/sim"
 	"falcon/internal/telemetry"
@@ -90,6 +89,34 @@ func docTokens(t *testing.T) map[string]bool {
 	return tokens
 }
 
+// layerTokens are the layer tags the collectors insert before the
+// metric name (METRICS.md §1).
+var layerTokens = map[string]bool{
+	"pdl": true, "tl": true, "nic": true, "port": true, "fae": true, "routing": true, "chaos": true,
+}
+
+// statSuffixes are the names a snapshot expands each histogram into
+// (METRICS.md §6).
+var statSuffixes = map[string]bool{"count": true, "mean": true, "p50": true, "p99": true, "max": true}
+
+// splitMetric splits a snapshot metric name at its first layer token
+// into the documented key, layer/metric, and the histogram stat suffix,
+// if any. ok is false when no segment before the last is a layer token.
+func splitMetric(name string) (key, stat string, ok bool) {
+	segs := strings.Split(name, "/")
+	for i, s := range segs[:len(segs)-1] {
+		if !layerTokens[s] {
+			continue
+		}
+		tail := segs[i+1:]
+		if len(tail) >= 2 && statSuffixes[tail[len(tail)-1]] {
+			stat, tail = tail[len(tail)-1], tail[:len(tail)-1]
+		}
+		return s + "/" + strings.Join(tail, "/"), stat, true
+	}
+	return "", "", false
+}
+
 // TestMetricsDocComplete is the completeness gate described above.
 func TestMetricsDocComplete(t *testing.T) {
 	snapNames, seriesCols := emittedMetricNames(t)
@@ -98,41 +125,45 @@ func TestMetricsDocComplete(t *testing.T) {
 	}
 	tokens := docTokens(t)
 
-	var missing []string
+	emitted := make(map[string]bool)
 	for _, name := range snapNames {
-		rest := strings.TrimPrefix(name, "doc/")
-		// Parse with the lake grammar: the documented key is
-		// layer/metric, with histogram stat suffixes documented once
-		// as a generic expansion rule.
-		p := lake.ParsePath(rest)
-		if p.Layer == "" {
+		key, stat, ok := splitMetric(strings.TrimPrefix(name, "doc/"))
+		if !ok {
 			t.Errorf("metric %q has no layer token; the METRICS.md grammar cannot classify it", name)
 			continue
 		}
-		key := p.Layer + "/" + p.Metric
-		if !tokens[key] {
-			missing = append(missing, key)
-		}
-		if p.Stat != "" && !tokens["/"+p.Stat] {
-			missing = append(missing, key+" stat suffix /"+p.Stat)
+		emitted[key] = true
+		if stat != "" {
+			emitted["/"+stat] = true
 		}
 	}
 	for _, col := range seriesCols {
-		p := lake.ParsePath(col)
-		if !tokens["series:"+p.Metric] {
-			missing = append(missing, "series:"+p.Metric)
+		// Series columns are entity/metric: the leaf is documented.
+		emitted["series:"+col[strings.LastIndexByte(col, '/')+1:]] = true
+	}
+
+	var missing, stale []string
+	for name := range emitted {
+		if !tokens[name] {
+			missing = append(missing, name)
 		}
 	}
-	if len(missing) > 0 {
-		dedup := make(map[string]bool)
-		var out []string
-		for _, m := range missing {
-			if !dedup[m] {
-				dedup[m] = true
-				out = append(out, m)
-			}
+	for tok := range tokens {
+		layer, _, _ := strings.Cut(tok, "/")
+		leaf, series := strings.CutPrefix(tok, "series:")
+		documented := (series && leaf != "") || (layerTokens[layer] && strings.Count(tok, "/") == 1)
+		if documented && !emitted[tok] {
+			stale = append(stale, tok)
 		}
-		t.Fatalf("METRICS.md is missing %d metric(s) the registry emits:\n  %s",
-			len(out), strings.Join(out, "\n  "))
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("METRICS.md is missing %d metric(s) the registry emits:\n  %s",
+			len(missing), strings.Join(missing, "\n  "))
+	}
+	if len(stale) > 0 {
+		t.Errorf("METRICS.md documents %d metric(s) the registry does not emit:\n  %s",
+			len(stale), strings.Join(stale, "\n  "))
 	}
 }

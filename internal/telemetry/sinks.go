@@ -225,8 +225,8 @@ func ObserveFAE(r *Registry, prefix string, e *fae.Engine) {
 // The pointer is registered before the run and filled after it drains
 // (experiments.Run snapshots after the figure returns), so the collector reads
 // the completed report lazily. Every chaos metric is an integer derived
-// from virtual-clock state — the lake classifies the whole layer exact, so
-// same-seed storms must reproduce these values byte-identically.
+// from virtual-clock state, so same-seed storms must reproduce these
+// values byte-identically.
 func CollectChaos(r *Registry, prefix string, rep *chaos.Report) {
 	r.OnSnapshot(func(emit func(string, float64)) {
 		emit(prefix+"/chaos/events", float64(rep.Events))

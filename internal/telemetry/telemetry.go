@@ -23,9 +23,10 @@
 // netsim.Host.SetTap, fae observer); layer stats structs are read lazily
 // at snapshot or sampler-tick time, never on the packet path. DESIGN.md §9
 // documents the metric catalogue and the determinism contract; METRICS.md
-// is the authoritative per-metric reference (kind, unit, determinism
-// class), enforced complete by TestMetricsDocComplete, and internal/lake
-// indexes exported snapshots and series for cross-run regression diffs.
+// is the authoritative per-metric reference (kind, unit, meaning), held to
+// the collectors in both directions by TestMetricsDocComplete. Exported
+// snapshots and series are byte-exact, so `make check` gates the
+// committed ones by comparing bytes.
 package telemetry
 
 import (
