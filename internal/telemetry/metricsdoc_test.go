@@ -129,7 +129,7 @@ func TestMetricsDocComplete(t *testing.T) {
 	for _, name := range snapNames {
 		key, stat, ok := splitMetric(strings.TrimPrefix(name, "doc/"))
 		if !ok {
-			t.Errorf("metric %q has no layer token; the METRICS.md grammar cannot classify it", name)
+			t.Errorf("metric %q has no layer token; the METRICS.md grammar cannot place it", name)
 			continue
 		}
 		emitted[key] = true
