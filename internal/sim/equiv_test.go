@@ -84,8 +84,8 @@ func runWorkload(s sched, ops int) []recEvt {
 		spawned++
 		timers = append(timers, s.After(time.Duration(i)*97, spawn))
 	}
-	// Alternate bounded and unbounded draining so RunUntil's mid-slot
-	// peek path is exercised alongside Run's pop-only path.
+	// Alternate bounded and unbounded draining so RunUntil's bound, met
+	// mid-slot and at every region, is exercised alongside Run's drain.
 	for t := Time(77_777); s.Pending() > 0 && t < Time(1)<<30; t = t*2 + 13 {
 		s.RunUntil(t)
 	}
@@ -359,8 +359,10 @@ func TestCancelInEveryRegion(t *testing.T) {
 		}
 		// Slots of exactly one chunk and of one chunk + 1, at both levels,
 		// every event cancelled, drained once by Run alone (the scatter
-		// and the cascade meet them) and once through a RunUntil bound
-		// (peek clears them). Each last chunk is full or holds one event.
+		// and the cascade meet them) and once through a RunUntil bound that
+		// falls between the two level-1 groups, so the bounded pop reclaims
+		// three groups and Run the fourth. Each last chunk is full or holds
+		// one event.
 		// They are scheduled from the first instant of a fresh epoch, where
 		// the wheel is anchored, so each group lands in the level it is
 		// meant for. A kept timer past them proves the wheel moves on, and
@@ -390,6 +392,85 @@ func TestCancelInEveryRegion(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRunUntilBoundInEveryRegion puts the first live event past the bound t
+// in each region of the wheel, and behind a cancelled head at or before t.
+// RunUntil(t) must deliver nothing later than t and leave the wheel
+// anchored where the clock is: early empty and curEnd−128 <= Now(). Events
+// scheduled afterwards between t and that event, in every region they
+// span, must fire before it in (time, seq) order. A scatter, cascade or
+// far-heap refill made ahead of the bound strands them behind the scan
+// points or below the ns level.
+func TestRunUntilBoundInEveryRegion(t *testing.T) {
+	// first is the one live event at or before every bound; it sits in
+	// level-0 slot 7, [896, 1024).
+	const first, g, ep = Time(1000), Time(1) << l1Shift, Time(1) << l2Shift
+	cases := []struct {
+		name     string
+		bound    Time
+		next     Time   // the first live event past bound
+		dead     []Time // stopped by first, from inside its scattered slot
+		deadSlot bool   // dead is stopped at once: its slot is never live
+	}{
+		{name: "ns level", bound: first + 2, next: first + 5},
+		{name: "level-0 slot", bound: first + 2, next: 1100},
+		{name: "level-1 slot", bound: first + 2, next: 3*g + 7},
+		{name: "far heap", bound: first + 2, next: 2*ep + 5},
+		{name: "cancelled ns head", bound: first + 2, next: first + 5, dead: []Time{first + 1, first + 2}},
+		{name: "cancelled level-0 slot", bound: 1100, next: 1200, dead: []Time{1030}, deadSlot: true},
+		{name: "cancelled level-1 slot", bound: 2*g + 3, next: 4*g + 9, dead: []Time{g + 5}, deadSlot: true},
+		{name: "cancelled far head", bound: ep + 10, next: 2*ep + 5, dead: []Time{ep + 3}, deadSlot: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			rec := &recorder{}
+			s.SetObserver(rec)
+			noop := func() {}
+			var dead []Timer
+			for _, at := range tc.dead {
+				dead = append(dead, s.At(at, func() { t.Errorf("cancelled event at %v fired", at) }))
+			}
+			stop := func() {
+				for _, tm := range dead {
+					tm.Stop()
+				}
+			}
+			s.At(first, stop)
+			if tc.deadSlot {
+				stop()
+			}
+			s.At(tc.next, noop)
+			s.RunUntil(tc.bound)
+			w := &s.wheel
+			if len(rec.recs) != 1 || rec.recs[0].at != first || s.Now() != tc.bound {
+				t.Fatalf("RunUntil(%v) delivered %+v, Now() = %v; want the event at %v and Now() = %v",
+					tc.bound, rec.recs, s.Now(), first, tc.bound)
+			}
+			if len(w.early) != 0 || w.curEnd-nsSlots > s.Now() {
+				t.Fatalf("wheel ahead of the clock: early holds %d, curEnd %v, Now() %v", len(w.early), w.curEnd, s.Now())
+			}
+			span := tc.next - tc.bound
+			for i := Time(0); i <= 8; i++ {
+				s.At(tc.bound+span*i/8, noop)
+			}
+			s.At(tc.bound+1, noop)
+			s.At(tc.next-1, noop)
+			if len(w.early) != 0 {
+				t.Fatalf("schedules at or after Now() reached the early heap (%d events)", len(w.early))
+			}
+			s.Run()
+			if len(rec.recs) != 13 { // first, next and the 11 scheduled after RunUntil
+				t.Fatalf("delivered %d events, want 13: %+v", len(rec.recs), rec.recs)
+			}
+			for i := 1; i < len(rec.recs); i++ {
+				if a, b := rec.recs[i-1], rec.recs[i]; b.at < a.at || b.at == a.at && b.seq < a.seq {
+					t.Fatalf("delivery out of (time, seq) order at %d: %+v", i, rec.recs)
+				}
+			}
+		})
+	}
 }
 
 // chunks counts the chunks linked to the wheel's slots and those on its

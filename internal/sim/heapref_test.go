@@ -66,7 +66,7 @@ func (r *heapRef) At(at Time, fn func()) timer {
 	if at < r.now {
 		panic(fmt.Sprintf("heapRef: scheduling event at %v before now %v", at, r.now))
 	}
-	e := &event{at: at, seq: r.seq, fn: fn}
+	e := &event{at: at, seq: r.seq, act: funcAction(fn)}
 	r.seq++
 	heap.Push(&r.pending, e)
 	return refTimer{e}
@@ -100,7 +100,7 @@ func (r *heapRef) fire() {
 	if r.obs != nil {
 		r.obs.OnEvent(e.at, e.seq)
 	}
-	e.fn()
+	e.act.RunAction()
 }
 
 func (r *heapRef) RunUntil(t Time) {

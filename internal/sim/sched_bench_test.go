@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -64,9 +65,9 @@ func denseRing() []time.Duration {
 	return ring
 }
 
-// benchSteadyFire keeps `pending` self-rescheduling timers live, their
-// delays drawn from ring, and measures the cost of one schedule+fire cycle.
-func benchSteadyFire(b *testing.B, pending int, ring []time.Duration) {
+// steadySim returns a simulator holding `pending` self-rescheduling timers,
+// their delays drawn from ring.
+func steadySim(pending int, ring []time.Duration) *Simulator {
 	s := New(1)
 	di := 0
 	next := func() time.Duration {
@@ -82,10 +83,17 @@ func benchSteadyFire(b *testing.B, pending int, ring []time.Duration) {
 	for i := 0; i < pending; i++ {
 		s.After(next(), tick)
 	}
+	return s
+}
+
+// benchSteadyFire measures the cost of one schedule+fire cycle on
+// steadySim(pending, ring).
+func benchSteadyFire(b *testing.B, pending int, ring []time.Duration) {
+	s := steadySim(pending, ring)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step()
+		s.step(math.MaxInt64)
 	}
 }
 
@@ -116,7 +124,7 @@ func benchCancelMix(b *testing.B, pending int) {
 		timers[j].Stop()
 		s.After(next(), noop)
 		timers[j] = s.After(next(), noop)
-		s.step()
+		s.step(math.MaxInt64)
 	}
 }
 
@@ -132,6 +140,26 @@ func BenchmarkSchedulerSteadyState(b *testing.B) {
 
 func BenchmarkSchedulerDense(b *testing.B) {
 	benchSteadyFire(b, densePending, denseRing())
+}
+
+// BenchmarkSchedulerRunUntil is the dense cycle driven the way bench/ and
+// the figures drive a simulator: a window of simulated time cut into 40
+// RunUntil slices, each ending on a bound mid-slot. The window is sized
+// from a warm-up to hold about b.N events; ns/op is per delivered event.
+func BenchmarkSchedulerRunUntil(b *testing.B) {
+	const slices = 40
+	s := steadySim(densePending, denseRing())
+	s.RunUntil(8_000)
+	perNs := float64(s.Processed()) / float64(s.Now())
+	window := max(Time(float64(b.N)/perNs), slices)
+	b.ReportAllocs()
+	b.ResetTimer()
+	start, ev := s.Now(), s.Processed()
+	for i := Time(1); i <= slices; i++ {
+		s.RunUntil(start + window*i/slices)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Processed()-ev), "ns/op")
 }
 
 // TestWheelDenseZeroAlloc gates the dense regime: once the FIFOs, slots and
@@ -152,9 +180,9 @@ func TestWheelDenseZeroAlloc(t *testing.T) {
 		tick()
 	}
 	for i := 0; i < 20*len(ring); i++ {
-		s.step()
+		s.step(math.MaxInt64)
 	}
-	if avg := testing.AllocsPerRun(50_000, func() { s.step() }); avg != 0 {
+	if avg := testing.AllocsPerRun(50_000, func() { s.step(math.MaxInt64) }); avg != 0 {
 		t.Fatalf("dense schedule+fire: %v allocs/op, want 0", avg)
 	}
 	// early is reached once a drained slot held nothing but a cancelled

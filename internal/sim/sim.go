@@ -18,12 +18,13 @@
 // them inward as the clock advances (wheel.go; DESIGN.md §8 has the
 // performance model). Steady-state scheduling is O(1), sorts nothing and
 // — together with the event free list — is allocation-free. The tests
-// hold it to a plain heap loop that lives only in equiv_test.go: both
+// hold it to a plain heap loop that lives only in heapref_test.go: both
 // must deliver any schedule in the identical (time, seq) order.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -68,18 +69,22 @@ type Clock interface {
 // list and its generation counter advances, which invalidates any stale
 // Timer handle still pointing at it.
 //
-// An event carries either fn (closure scheduling via At/After) or act
-// (typed-action scheduling via AtAction); exactly one is set. Storing the
-// Action interface inline reuses the same pooled object, so an AtAction
-// schedule allocates nothing when the action value is a pointer.
+// act is the callback: AtAction stores its Action, At and After their
+// closure as a funcAction. Storing the interface inline reuses the same
+// pooled object, so a schedule allocates nothing when the action value is
+// pointer-shaped, as a func value is.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among events at the same instant
-	fn   func()
 	act  Action
 	gen  uint32
 	dead bool
 }
+
+// funcAction is the Action of a closure scheduled with At or After.
+type funcAction func()
+
+func (f funcAction) RunAction() { f() }
 
 // eventLess is the global delivery order: (time, seq) ascending. seq values
 // are unique within a simulator, so this is a total order.
@@ -202,7 +207,6 @@ func (s *Simulator) alloc() *event {
 // recycle returns a fired or cancelled event to the free list. Bumping the
 // generation invalidates outstanding Timer handles to it.
 func (s *Simulator) recycle(e *event) {
-	e.fn = nil
 	e.act = nil
 	e.gen++
 	s.free = append(s.free, e)
@@ -234,11 +238,7 @@ func (t Timer) Pending() bool { return t.e != nil && t.e.gen == t.gen && !t.e.de
 // At schedules fn to run at time at. Scheduling in the past (before Now) is
 // a programming error and panics: silently reordering time would invalidate
 // experiment results.
-func (s *Simulator) At(at Time, fn func()) Timer {
-	e := s.schedule(at)
-	e.fn = fn
-	return Timer{s: s, e: e, gen: e.gen}
-}
+func (s *Simulator) At(at Time, fn func()) Timer { return s.AtAction(at, funcAction(fn)) }
 
 // Action is a typed event callback: the allocation-free alternative to a
 // closure for hot paths that schedule per-packet work. A closure passed to
@@ -258,25 +258,18 @@ type Action interface {
 // in every respect (ordering, panics, Timer cancellation); only the
 // callback representation differs.
 func (s *Simulator) AtAction(at Time, a Action) Timer {
-	e := s.schedule(at)
-	e.act = a
-	return Timer{s: s, e: e, gen: e.gen}
-}
-
-// schedule allocates and enqueues a bare event at time at; the caller fills
-// in the callback (fn or act).
-func (s *Simulator) schedule(at Time) *event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	e := s.alloc()
 	e.at = at
 	e.seq = s.seq
+	e.act = a
 	e.dead = false
 	s.seq++
 	s.live++
 	s.wheelInsert(e)
-	return e
+	return Timer{s: s, e: e, gen: e.gen}
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
@@ -287,11 +280,11 @@ func (s *Simulator) After(d time.Duration, fn func()) Timer {
 	return s.At(s.now.Add(d), fn)
 }
 
-// step delivers the next event: advance the clock, fire the observer,
-// recycle the event object, run the callback. It reports false when no
-// events remain.
-func (s *Simulator) step() bool {
-	e := s.pop()
+// step delivers the next event at or before t: advance the clock, fire
+// the observer, recycle the event object, run the callback. It reports
+// false when no live event is due by t.
+func (s *Simulator) step(t Time) bool {
+	e := s.pop(t)
 	if e == nil {
 		return false
 	}
@@ -301,14 +294,9 @@ func (s *Simulator) step() bool {
 	if s.obs != nil {
 		s.obs.OnEvent(e.at, e.seq)
 	}
-	fn := e.fn
 	act := e.act
 	s.recycle(e)
-	if act != nil {
-		act.RunAction()
-	} else {
-		fn()
-	}
+	act.RunAction()
 	return true
 }
 
@@ -324,7 +312,7 @@ func (s *Simulator) syncTotal() {
 
 // Run delivers events until none remain.
 func (s *Simulator) Run() {
-	for s.step() {
+	for s.step(math.MaxInt64) {
 	}
 	s.syncTotal()
 }
@@ -332,12 +320,7 @@ func (s *Simulator) Run() {
 // RunUntil delivers events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain pending.
 func (s *Simulator) RunUntil(t Time) {
-	for {
-		at, ok := s.peek()
-		if !ok || at > t {
-			break
-		}
-		s.step()
+	for s.step(t) {
 	}
 	if s.now < t {
 		s.now = t

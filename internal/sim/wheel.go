@@ -27,6 +27,12 @@ package sim
 // in (time, seq) order. nsInsert does not rest on that: it places by seq
 // from the tail, one compare that never moves a fresh event.
 //
+// Run and RunUntil(t) share one bounded pop: it scatters a level-0 slot,
+// cascades a level-1 slot or refills from the far heap only when that
+// slot or event starts at or before t, so RunUntil never leaves the wheel
+// anchored ahead of the clock (curEnd-nsSlots <= Now afterwards) and a
+// later schedule lands in front of the scan points.
+//
 // Level-0 and level-1 slots store event pointers in fixed-size chunks
 // drawn from one wheel-wide free list (most recently freed first), and a
 // slot hands its chunks back as soon as it is drained, cascaded or
@@ -254,21 +260,28 @@ func (w *wheelState) nsTake(k int) *event {
 	return e
 }
 
-// pop removes and returns the live event with the smallest (time, seq), or
-// nil when none remain, cascading level-1 slots and far-heap epochs inward
-// as the schedule drains. Invariant: every early event precedes every FIFO
-// event, which precedes every level-0 event, which precedes every level-1
-// event, which precedes every far event — so scanning the regions in order
-// always finds the global minimum.
-func (s *Simulator) pop() *event {
+// pop removes and returns the live event with the smallest (time, seq) if
+// it falls at or before t, or nil, cascading level-1 slots and far-heap
+// epochs inward as the schedule drains, but never from a slot or event
+// past t (see the header). Invariant: every early event precedes every
+// FIFO event, which precedes every level-0 event, which precedes every
+// level-1 event, which precedes every far event — so scanning the regions
+// in order always finds the global minimum.
+func (s *Simulator) pop(t Time) *event {
 	w := &s.wheel
 	for {
 		// Region 1: the early heap, then the ns level.
 		for {
 			var e *event
 			if len(w.early) > 0 {
+				if w.early[0].at > t {
+					return nil
+				}
 				e = heap.Pop(&w.early).(*event)
 			} else if k := w.nsHead(); k >= 0 {
+				if f := &w.ns[k]; f.q[f.head].at > t {
+					return nil
+				}
 				e = w.nsTake(k)
 			} else {
 				break
@@ -282,13 +295,15 @@ func (s *Simulator) pop() *event {
 		// Region 2: scatter the next occupied level-0 slot over the FIFOs.
 		if w.l0Count > 0 {
 			k := nextBit(w.l0bits[:], w.l0Next)
+			start := Time(w.l0Gran<<l1Shift | uint64(k)<<l0Shift)
+			if start > t {
+				return nil
+			}
 			items := w.l0[k]
 			w.l0[k] = slot{}
 			w.l0bits[k>>6] &^= 1 << uint(k&63)
 			w.l0Next = k + 1
-			// Addition, not OR: k+1 == l0Slots (the granule's last
-			// slot) must carry into the granule bits.
-			w.curEnd = Time(w.l0Gran<<l1Shift + uint64(k+1)<<l0Shift)
+			w.curEnd = start + nsSlots
 			for c := items.head; c != nil; c = w.freeChunk(c) {
 				evs := items.in(c)
 				w.l0Count -= len(evs)
@@ -305,6 +320,9 @@ func (s *Simulator) pop() *event {
 		// Region 3: cascade the next occupied level-1 slot into level 0.
 		if w.l1Count > 0 {
 			m := nextBit(w.l1bits[:], w.l1Next)
+			if Time(w.epoch<<l2Shift|uint64(m)<<l1Shift) > t {
+				return nil
+			}
 			items := w.l1[m]
 			w.l1[m] = slot{}
 			w.l1bits[m>>6] &^= 1 << uint(m&63)
@@ -338,7 +356,7 @@ func (s *Simulator) pop() *event {
 		for len(s.far) > 0 && s.far[0].dead {
 			s.recycle(heap.Pop(&s.far).(*event))
 		}
-		if len(s.far) == 0 {
+		if len(s.far) == 0 || s.far[0].at > t {
 			return nil
 		}
 		newEpoch := uint64(s.far[0].at) >> l2Shift
@@ -359,73 +377,6 @@ func (s *Simulator) pop() *event {
 			s.wheelInsert(e)
 		}
 	}
-}
-
-// peek reports the exact timestamp of the next live event without
-// advancing the wheel: RunUntil needs the precise value to decide whether
-// the event falls inside its bound, even mid-slot. Fully cancelled slots
-// encountered along the way are reclaimed, but no live event moves.
-func (s *Simulator) peek() (Time, bool) {
-	w := &s.wheel
-	if at, ok := s.heapPeek(&w.early); ok {
-		return at, true
-	}
-	for k := w.nsHead(); k >= 0; k = w.nsHead() {
-		if f := &w.ns[k]; !f.q[f.head].dead {
-			return f.q[f.head].at, true
-		}
-		s.recycle(w.nsTake(k))
-	}
-	if at, ok := peekLevel(s, w.l0[:], w.l0bits[:], &w.l0Count, w.l0Next); ok {
-		return at, true
-	}
-	if at, ok := peekLevel(s, w.l1[:], w.l1bits[:], &w.l1Count, w.l1Next); ok {
-		return at, true
-	}
-	return s.heapPeek(&s.far)
-}
-
-// heapPeek reports the timestamp of h's first live event, reclaiming the
-// cancelled ones above it.
-func (s *Simulator) heapPeek(h *eventHeap) (Time, bool) {
-	for len(*h) > 0 {
-		e := (*h)[0]
-		if !e.dead {
-			return e.at, true
-		}
-		heap.Pop(h)
-		s.recycle(e)
-	}
-	return 0, false
-}
-
-// peekLevel finds the earliest live timestamp in a wheel level, clearing
-// slots that hold only cancelled events.
-func peekLevel(s *Simulator, slots []slot, bitmap []uint64, count *int, from int) (Time, bool) {
-	for *count > 0 {
-		k := nextBit(bitmap, from)
-		if k < 0 {
-			return 0, false
-		}
-		sl := &slots[k]
-		var min Time
-		live := false
-		for c := sl.head; c != nil; c = c.next {
-			for _, e := range sl.in(c) {
-				if !e.dead && (!live || e.at < min) {
-					min, live = e.at, true
-				}
-			}
-		}
-		if live {
-			return min, true
-		}
-		*count -= s.reclaim(*sl)
-		*sl = slot{}
-		bitmap[k>>6] &^= 1 << uint(k&63)
-		from = k + 1
-	}
-	return 0, false
 }
 
 // live reports whether the slot holds an event that is not cancelled.
