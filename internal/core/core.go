@@ -1,8 +1,8 @@
 // Package core assembles the Falcon stack — NIC pipeline model, Packet
 // Delivery Layer, Transaction Layer, and Falcon Adaptive Engine — onto the
 // simulated Ethernet fabric of internal/netsim. It is the public entry
-// point the ULPs (internal/rdma, internal/nvme), the examples, and every
-// benchmark build on.
+// point the ULPs (internal/rdma, internal/nvme), the root package's
+// Example, and every benchmark build on.
 //
 // A Cluster owns one Node per fabric host; Connect establishes a
 // bidirectional Falcon connection between two nodes, returning the two

@@ -201,43 +201,6 @@ type Probe interface {
 // SetProbe attaches a verification probe (nil detaches).
 func (c *Conn) SetProbe(p Probe) { c.probe = p }
 
-// multiProbe fans the probe callbacks out to several probes in order.
-type multiProbe []Probe
-
-func (ps multiProbe) OnSend(c *Conn, p *wire.Packet, retransmit bool) {
-	for _, pr := range ps {
-		pr.OnSend(c, p, retransmit)
-	}
-}
-
-func (ps multiProbe) OnReceive(c *Conn, p *wire.Packet) {
-	for _, pr := range ps {
-		pr.OnReceive(c, p)
-	}
-}
-
-// MultiProbe combines several probes into one, since SetProbe holds a
-// single slot. Probes run in argument order; nil entries are dropped, and
-// zero or one survivors collapse to nil or the probe itself so the
-// fan-out indirection is only paid when two or more observers (say, an
-// invariant checker, a trace hasher and a telemetry flight recorder) are
-// actually attached.
-func MultiProbe(ps ...Probe) Probe {
-	out := make(multiProbe, 0, len(ps))
-	for _, p := range ps {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
 // txPacket tracks one outstanding transmitted packet (the per-packet
 // context of §5.2's hardware error handling). Slots are stored by value in
 // the scoreboard ring; psn/rsn/typ are copied out of the packet at

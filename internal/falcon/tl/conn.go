@@ -274,41 +274,6 @@ func (c *Conn) OnDead(fn func(err error)) { c.onDead = fn }
 // SetProbe attaches a verification probe (nil detaches).
 func (c *Conn) SetProbe(p Probe) { c.probe = p }
 
-// multiProbe fans the probe callbacks out to several probes in order.
-type multiProbe []Probe
-
-func (ps multiProbe) OnRequestServed(c *Conn, rsn uint64) {
-	for _, pr := range ps {
-		pr.OnRequestServed(c, rsn)
-	}
-}
-
-func (ps multiProbe) OnCompletion(c *Conn, rsn uint64, err error) {
-	for _, pr := range ps {
-		pr.OnCompletion(c, rsn, err)
-	}
-}
-
-// MultiProbe combines several probes into one, since SetProbe holds a
-// single slot. Probes run in argument order; nil entries are dropped, and
-// zero or one survivors collapse to nil or the probe itself so the
-// fan-out indirection is only paid when multiple observers are attached.
-func MultiProbe(ps ...Probe) Probe {
-	out := make(multiProbe, 0, len(ps))
-	for _, p := range ps {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
 // OutstandingTxns reports the initiator-side transactions that have been
 // issued but not yet completed (telemetry gauge).
 func (c *Conn) OutstandingTxns() int { return c.txns.Len() }

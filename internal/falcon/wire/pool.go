@@ -32,7 +32,7 @@ import "unsafe"
 //     target-side reorder buffer — shares it and releases its hold when it
 //     is done. Data payloads are never pooled, so retaining p.Data is safe.
 //
-// Packets built by hand (&Packet{...}, as tests and the examples do) never
+// Packets built by hand (&Packet{...}, as tests do) never
 // enter a pool: Release ignores them, Share returns a pooled copy, and
 // Unshare returns them as they are. A nil *Pool pools nothing: Acquire
 // allocates and Release recycles nothing.

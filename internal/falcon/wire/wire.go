@@ -11,8 +11,9 @@
 // congestion signal used for ncwnd modulation.
 //
 // Inside the simulator packets are passed by pointer (zero-copy); Marshal
-// and Unmarshal exist so the same structs can ride a real bearer such as UDP
-// (see examples/udptunnel) and to keep header overhead accounting honest.
+// and Unmarshal exist so the same structs could ride a real bearer such as
+// UDP (the round-trip and fuzz tests hold them to the byte layout) and to
+// keep header overhead accounting honest.
 package wire
 
 import (
@@ -200,7 +201,7 @@ type AckInfo struct {
 }
 
 // Packet is a Falcon wire packet. Payload sizes are modeled by Length; Data
-// optionally carries real bytes for end-to-end examples.
+// optionally carries real bytes, as the RDMA and NVMe ULPs move them.
 type Packet struct {
 	Type     Type
 	Flags    uint8

@@ -28,7 +28,7 @@ const framePoolBlock = 128
 //     Payloads are not pooled, so retaining the Payload pointer itself
 //     remains safe; it is only the Frame envelope that is recycled.
 //
-// Frames built by hand (&Frame{...}, as tests and examples do) never enter
+// Frames built by hand (&Frame{...}, as tests do) never enter
 // the pool: Release leaves them to the garbage collector, so existing
 // callers keep their semantics, including reading a delivered frame after
 // the run ends.

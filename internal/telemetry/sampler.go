@@ -15,8 +15,8 @@ import (
 // identical series.
 //
 // Because ticks occupy (time, seq) slots in the schedule, attaching a
-// sampler changes the run's trace hash — unlike counters and the flight
-// recorder, which observe passively. That is the telemetry determinism
+// sampler changes the run's trace hash — unlike counters, which observe
+// passively. That is the telemetry determinism
 // contract (DESIGN.md §9): enabled sampling may shift event sequence
 // numbers but must not change protocol behaviour, and the exported series
 // itself must be byte-reproducible.

@@ -1,15 +1,13 @@
 // Package telemetry is the deterministic observability subsystem for the
 // Falcon reproduction: typed metric registries, log-linear histograms
-// (internal/stats), virtual-clock time-series samplers, and a fixed-size
-// flight recorder of recent protocol activity.
+// (internal/stats) and virtual-clock time-series samplers.
 //
 // Two properties shape every API here:
 //
-//   - Zero allocation when armed. Counters bump a plain uint64, histograms
-//     write into a fixed array, and the flight recorder overwrites a
-//     preallocated ring. Protocol hot paths can leave instrumentation
-//     attached permanently without perturbing the allocation benchmarks
-//     (see TestTelemetryZeroAlloc).
+//   - Zero allocation when armed. Counters bump a plain uint64 and
+//     histograms write into a fixed array. Protocol hot paths can leave
+//     instrumentation attached permanently without perturbing the
+//     allocation benchmarks (see TestTelemetryZeroAlloc).
 //
 //   - Determinism. Nothing in this package reads the wall clock: samples
 //     are stamped with sim.Time, snapshots walk registrations in sorted

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"falcon/internal/falcon/wire"
-	"falcon/internal/netsim"
 	"falcon/internal/sim"
 )
 
@@ -116,70 +114,14 @@ func TestSamplerStop(t *testing.T) {
 	}
 }
 
-func TestRecorderRingWrap(t *testing.T) {
-	s := sim.New(1)
-	r := NewRecorder(s, 4)
-	for i := 0; i < 10; i++ {
-		r.Record(TagSend, 0, 1, uint32(i), uint64(i), 0)
-	}
-	if r.Total() != 10 {
-		t.Fatalf("total = %d", r.Total())
-	}
-	recs := r.Snapshot()
-	if len(recs) != 4 {
-		t.Fatalf("retained = %d, want 4", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.PSN != uint32(6+i) {
-			t.Fatalf("rec[%d].PSN = %d, want %d (oldest-first)", i, rec.PSN, 6+i)
-		}
-	}
-	if r.DumpString() == "" {
-		t.Fatal("dump should render")
-	}
-}
-
-func TestRecorderEmptyDump(t *testing.T) {
-	r := NewRecorder(sim.New(1), 8)
-	if got := r.DumpString(); got != "flight recorder: empty\n" {
-		t.Fatalf("empty dump = %q", got)
-	}
-}
-
-func TestRecorderTapFrame(t *testing.T) {
-	r := NewRecorder(sim.New(1), 8)
-	p := &wire.Packet{Type: wire.TypeAck, ConnID: 9, PSN: 42, RSN: 7}
-	r.TapFrame(&netsim.Frame{Payload: p, Size: 64})
-	r.TapFrame(&netsim.Frame{Payload: "opaque", Size: 128})
-	recs := r.Snapshot()
-	if recs[0].Conn != 9 || recs[0].PSN != 42 || recs[0].Aux != 64 {
-		t.Fatalf("packet frame record = %+v", recs[0])
-	}
-	if recs[1].Conn != 0 || recs[1].Aux != 128 {
-		t.Fatalf("opaque frame record = %+v", recs[1])
-	}
-}
-
 // The zero-allocation contract: armed instruments must not allocate on
 // the hot path, so they can shadow every packet without perturbing the
-// simulator's allocation profile (ISSUE 3 acceptance criterion).
+// simulator's allocation profile.
 func TestTelemetryZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x")
-	rec := NewRecorder(sim.New(1), DefaultRecorderDepth)
-	p := &wire.Packet{Type: wire.TypeAck, ConnID: 1, PSN: 2, RSN: 3}
-	f := &netsim.Frame{Payload: p, Size: 64}
-
 	if a := testing.AllocsPerRun(1000, c.Inc); a != 0 {
 		t.Errorf("Counter.Inc: %.1f allocs/op", a)
-	}
-	if a := testing.AllocsPerRun(1000, func() {
-		rec.Record(TagSend, 1, 2, 3, 4, 5)
-	}); a != 0 {
-		t.Errorf("Recorder.Record: %.1f allocs/op", a)
-	}
-	if a := testing.AllocsPerRun(1000, func() { rec.TapFrame(f) }); a != 0 {
-		t.Errorf("Recorder.TapFrame: %.1f allocs/op", a)
 	}
 }
 
@@ -189,13 +131,5 @@ func BenchmarkCounterInc(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-func BenchmarkRecorderRecord(b *testing.B) {
-	rec := NewRecorder(sim.New(1), DefaultRecorderDepth)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec.Record(TagSend, 1, uint32(i), uint32(i), uint64(i), 0)
 	}
 }

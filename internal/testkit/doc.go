@@ -33,12 +33,14 @@
 // when unattached, so they are compiled into production simulation paths
 // without measurable overhead:
 //
-//	s.SetObserver(hasher)                      // scheduler events
-//	host.SetTap(hasher.TapFrame)               // wire frames at NIC ingress
-//	conn.SetProbe(pdl.MultiProbe(chk, h))      // pdl.Conn: sends + receives
-//	tlc.SetProbe(tl.MultiProbe(chk, h))        // tl.Conn: serves + completions
+//	s.SetObserver(h)        // scheduler events
+//	host.SetTap(h.TapFrame) // wire frames at NIC ingress
+//	conn.SetProbe(h)        // pdl.Conn: sends + receives
+//	tlc.SetProbe(h)         // tl.Conn: serves + completions
 //
-// pdl.MultiProbe/tl.MultiProbe fan one slot out to several receivers. See
-// DESIGN.md's "Verification" section for the invariant catalogue and the
-// trace-record format.
+// Each slot holds one receiver. Run attaches a single probeSet that hands
+// every hook to its flight ring, the Checker and the TraceHasher in turn,
+// and dumps the ring's last 64 records with any violation. See DESIGN.md's
+// "Verification" section for the invariant catalogue and the trace-record
+// format.
 package testkit

@@ -44,7 +44,8 @@ import (
 // The zero value is not usable; construct with NewChecker.
 type Checker struct {
 	// FailFunc handles invariant violations. nil panics. Sweep tests
-	// that expect violations (the harness self-test) install a recorder.
+	// that expect violations (the harness self-test) install one that
+	// collects them.
 	FailFunc func(format string, args ...any)
 
 	// StrictOutstanding, when positive, additionally bounds the total

@@ -4,31 +4,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"falcon/internal/falcon/wire"
+	"falcon/internal/netsim"
+	"falcon/internal/sim"
 )
 
-// The flight recorder must be invisible to the determinism contract: it
-// schedules no events and draws no randomness, so a run with it attached
-// (the default) hashes identically to one without it.
-func TestRecorderHashInvariance(t *testing.T) {
-	scenarios := []Scenario{
-		{Name: "rec-clean", Seed: 42, Workload: WorkloadMixed, Ops: 100},
-		{Name: "rec-faulty", Seed: 43, Workload: WorkloadPush, Ops: 100, DropPct: 5, RNRPct: 5},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.Name, func(t *testing.T) {
-			withRec := Run(sc)
-			sc.DisableRecorder = true
-			without := Run(sc)
-			if withRec.TraceHash != without.TraceHash || withRec.Records != without.Records {
-				t.Fatalf("flight recorder changed the trace: with=fnv1a:%016x/%d without=fnv1a:%016x/%d",
-					withRec.TraceHash, withRec.Records, without.TraceHash, without.Records)
-			}
-		})
-	}
-}
-
 // An invariant violation must print the recent event history, not only
-// the failing assertion (ISSUE 3 satellite: flight recorder in sweep.go).
+// the failing assertion.
 func TestViolationDumpsFlightRecorder(t *testing.T) {
 	var msgs []string
 	sc := Scenario{
@@ -75,4 +58,50 @@ func TestViolationPanicCarriesDump(t *testing.T) {
 		Ops:               50,
 		StrictOutstanding: 2,
 	})
+}
+
+// The flight ring keeps the last flightDepth records, renders them
+// oldest-first, and adds without allocating.
+func TestFlightRingWrap(t *testing.T) {
+	var r flightRing
+	if got := r.String(); got != "flight recorder: empty\n" {
+		t.Fatalf("empty dump = %q", got)
+	}
+	for i := 0; i < flightDepth+10; i++ {
+		r.add(flightRecord{at: sim.Time(i), tag: tagSend, psn: uint32(i)})
+	}
+	lines := strings.Split(strings.TrimSuffix(r.String(), "\n"), "\n")
+	if want := fmt.Sprintf("flight recorder (last %d of %d records):", flightDepth, flightDepth+10); lines[0] != want {
+		t.Fatalf("dump header = %q, want %q", lines[0], want)
+	}
+	if len(lines) != 1+flightDepth {
+		t.Fatalf("dump has %d records, want %d", len(lines)-1, flightDepth)
+	}
+	for i, line := range lines[1:] {
+		if want := fmt.Sprintf("psn=%-8d", 10+i); !strings.Contains(line, want) {
+			t.Fatalf("record %d = %q, want %s (oldest-first)", i, line, want)
+		}
+	}
+	if a := testing.AllocsPerRun(1000, func() { r.add(flightRecord{tag: tagSend}) }); a != 0 {
+		t.Errorf("flightRing.add: %.1f allocs/op", a)
+	}
+}
+
+// A frame tap records the wire packet's identity and the frame size, and
+// only the size for a frame that carries no Falcon packet.
+func TestFlightRingTapFrame(t *testing.T) {
+	ps := &probeSet{s: sim.New(1), h: NewTraceHasher()}
+	p := &wire.Packet{Type: wire.TypeAck, ConnID: 9, PSN: 42, RSN: 7}
+	ps.TapFrame(&netsim.Frame{Payload: p, Size: 64})
+	ps.TapFrame(&netsim.Frame{Payload: "opaque", Size: 128})
+	got := ps.ring.recs[:ps.ring.total]
+	if r := got[0]; r.tag != tagFrame || r.typ != uint8(wire.TypeAck) || r.conn != 9 || r.psn != 42 || r.rsn != 7 || r.aux != 64 {
+		t.Fatalf("packet frame record = %+v", r)
+	}
+	if r := got[1]; r.conn != 0 || r.psn != 0 || r.aux != 128 {
+		t.Fatalf("opaque frame record = %+v", r)
+	}
+	if ps.h.Records() != 2 {
+		t.Fatalf("hasher folded %d frame records, want 2", ps.h.Records())
+	}
 }

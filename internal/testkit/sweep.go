@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"falcon/internal/core"
@@ -10,7 +11,6 @@ import (
 	"falcon/internal/falcon/wire"
 	"falcon/internal/netsim"
 	"falcon/internal/sim"
-	"falcon/internal/telemetry"
 )
 
 // Workload selects the transaction mix a sweep scenario drives.
@@ -80,13 +80,6 @@ type Scenario struct {
 	// violations can be recorded instead.
 	StrictOutstanding int
 	FailFunc          func(format string, args ...any)
-
-	// DisableRecorder detaches the telemetry flight recorder that Run
-	// normally shadows on every probe. It exists for the determinism
-	// suite, which asserts that attaching the recorder leaves the trace
-	// hash byte-identical (the recorder schedules no events and draws no
-	// randomness).
-	DisableRecorder bool
 }
 
 // withDefaults fills zero fields.
@@ -159,36 +152,30 @@ type Result struct {
 	FramesFree       int
 }
 
-// probeSet is the run's verification harness: a trace hasher, an
-// invariant checker and a flight recorder, attached to the scheduler,
-// hosts and endpoints.
+// probeSet is the run's verification harness: one observer attached to
+// the scheduler, the hosts' NIC ingress taps and both endpoints' PDL and
+// TL probes. Each hook lands in the flight ring first, then in the
+// invariant checker (which has no frame tap), then in the trace hasher.
 type probeSet struct {
-	h   *TraceHasher
-	k   *Checker
-	rec *telemetry.Recorder // nil under DisableRecorder
+	s    *sim.Simulator
+	h    *TraceHasher
+	k    *Checker
+	ring flightRing
 }
 
-// newProbeSet builds the harness and observes s's events.
-// The flight recorder is a passive ring of the most recent probe records:
-// it schedules no events and draws no randomness, so attaching it leaves
-// the trace hash unchanged; its payoff is at failure time, when any
-// invariant violation dumps the event history leading up to it instead of
-// only the failing assertion.
+// newProbeSet builds the harness and observes s's events. Every checker
+// failure carries the flight ring's dump, so a violation shows the event
+// history leading up to it instead of only the failing assertion.
 func newProbeSet(s *sim.Simulator, sc Scenario) *probeSet {
-	ps := &probeSet{h: NewTraceHasher(), k: NewChecker()}
+	ps := &probeSet{s: s, h: NewTraceHasher(), k: NewChecker()}
 	ps.k.StrictOutstanding = sc.StrictOutstanding
-	ps.k.FailFunc = sc.FailFunc
-	if !sc.DisableRecorder {
-		ps.rec = telemetry.NewRecorder(s, telemetry.DefaultRecorderDepth)
-		inner := sc.FailFunc
-		ps.k.FailFunc = func(format string, args ...any) {
-			msg := fmt.Sprintf(format, args...) + "\n" + ps.rec.DumpString()
-			if inner != nil {
-				inner("%s", msg)
-				return
-			}
-			panic("testkit: invariant violation: " + msg)
+	ps.k.FailFunc = func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...) + "\n" + ps.ring.String()
+		if sc.FailFunc != nil {
+			sc.FailFunc("%s", msg)
+			return
 		}
+		panic("testkit: invariant violation: " + msg)
 	}
 	s.SetObserver(ps)
 	return ps
@@ -201,24 +188,105 @@ func (ps *probeSet) OnEvent(at sim.Time, seq uint64) {
 	ps.k.OnEvent(at, seq)
 }
 
-// tapFrame records a frame arriving at a host.
-func (ps *probeSet) tapFrame(f *netsim.Frame) {
-	ps.h.TapFrame(f)
-	if ps.rec != nil {
-		ps.rec.TapFrame(f)
+// OnSend implements pdl.Probe.
+func (ps *probeSet) OnSend(c *pdl.Conn, p *wire.Packet, retransmit bool) {
+	var aux uint64
+	if retransmit {
+		aux = 1
 	}
+	ps.ring.add(flightRecord{at: ps.s.Now(), tag: tagSend, typ: uint8(p.Type),
+		conn: c.ID(), psn: p.PSN, rsn: p.RSN, aux: aux})
+	ps.k.OnSend(c, p, retransmit)
+	ps.h.OnSend(c, p, retransmit)
+}
+
+// OnReceive implements pdl.Probe.
+func (ps *probeSet) OnReceive(c *pdl.Conn, p *wire.Packet) {
+	ps.ring.add(flightRecord{at: ps.s.Now(), tag: tagReceive, typ: uint8(p.Type),
+		conn: c.ID(), psn: p.PSN, rsn: p.RSN})
+	ps.k.OnReceive(c, p)
+	ps.h.OnReceive(c, p)
+}
+
+// OnRequestServed implements tl.Probe.
+func (ps *probeSet) OnRequestServed(c *tl.Conn, rsn uint64) {
+	ps.ring.add(flightRecord{at: ps.s.Now(), tag: tagServe, conn: c.ID(), rsn: rsn})
+	ps.k.OnRequestServed(c, rsn)
+	ps.h.OnRequestServed(c, rsn)
+}
+
+// OnCompletion implements tl.Probe.
+func (ps *probeSet) OnCompletion(c *tl.Conn, rsn uint64, err error) {
+	var aux uint64
+	if err != nil {
+		aux = 1
+	}
+	ps.ring.add(flightRecord{at: ps.s.Now(), tag: tagCompletion, conn: c.ID(), rsn: rsn, aux: aux})
+	ps.k.OnCompletion(c, rsn, err)
+	ps.h.OnCompletion(c, rsn, err)
+}
+
+// TapFrame is the hosts' netsim tap: a frame arriving at NIC ingress.
+func (ps *probeSet) TapFrame(f *netsim.Frame) {
+	rec := flightRecord{at: ps.s.Now(), tag: tagFrame, aux: uint64(f.Size)}
+	if p, ok := f.Payload.(*wire.Packet); ok {
+		rec.typ, rec.conn, rec.psn, rec.rsn = uint8(p.Type), p.ConnID, p.PSN, p.RSN
+	}
+	ps.ring.add(rec)
+	ps.h.TapFrame(f)
 }
 
 // watch attaches the harness to an endpoint.
 func (ps *probeSet) watch(ep *core.Endpoint) {
-	var pdlExtra pdl.Probe
-	var tlExtra tl.Probe
-	if ps.rec != nil {
-		pdlExtra, tlExtra = ps.rec, ps.rec
-	}
-	ep.PDL().SetProbe(pdl.MultiProbe(ps.k, ps.h, pdlExtra))
-	ep.TL().SetProbe(tl.MultiProbe(ps.k, ps.h, tlExtra))
+	ep.PDL().SetProbe(ps)
+	ep.TL().SetProbe(ps)
 	ps.k.WatchTimers(ep.PDL())
+}
+
+// flightDepth is how many records the flight ring keeps.
+const flightDepth = 64
+
+// flightRecord is one flight-ring entry: a fixed-width, pointer-free copy
+// of a probe hook's arguments, so the ring is overwritten for the whole
+// run without allocating or retaining packets.
+type flightRecord struct {
+	at   sim.Time
+	tag  byte // the hook's TraceHasher record tag
+	typ  uint8
+	conn uint32
+	psn  uint32
+	rsn  uint64
+	aux  uint64 // 1 on a retransmit or an errored completion; frame size on 'F'
+}
+
+// flightRing is the harness's flight recorder: the last flightDepth probe
+// records of a run. It schedules no events and draws no randomness, so it
+// leaves the trace hash unchanged, and it is read only when the checker
+// fails.
+type flightRing struct {
+	recs  [flightDepth]flightRecord
+	total uint64 // records ever written; recs[total%flightDepth] is next
+}
+
+func (r *flightRing) add(rec flightRecord) {
+	r.recs[r.total%flightDepth] = rec
+	r.total++
+}
+
+// String renders the retained records oldest-first, one per line.
+func (r *flightRing) String() string {
+	n := min(r.total, flightDepth)
+	if n == 0 {
+		return "flight recorder: empty\n"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "flight recorder (last %d of %d records):\n", n, r.total)
+	for i := r.total - n; i < r.total; i++ {
+		rec := &r.recs[i%flightDepth]
+		fmt.Fprintf(&b, "  t=%-14v %c conn=%-3d type=%-2d psn=%-8d rsn=%-6d aux=%d\n",
+			rec.at, rec.tag, rec.conn, rec.typ, rec.psn, rec.rsn, rec.aux)
+	}
+	return b.String()
 }
 
 // sweepTarget is the target-side ULP: it serves every request, answering
@@ -281,7 +349,7 @@ func Run(sc Scenario) Result {
 
 	ps := newProbeSet(s, sc)
 	for _, h := range topo.Hosts {
-		h.SetTap(ps.tapFrame)
+		h.SetTap(ps.TapFrame)
 	}
 	ps.watch(epA)
 	ps.watch(epB)

@@ -119,14 +119,3 @@ func TestTraceHasherDeterministic(t *testing.T) {
 		t.Fatalf("String() = %q", a.String())
 	}
 }
-
-func TestProbeFanOut(t *testing.T) {
-	h1, h2 := NewTraceHasher(), NewTraceHasher()
-	c := newTLConn(true)
-	p := tl.MultiProbe(h1, h2)
-	p.OnRequestServed(c, 0)
-	p.OnCompletion(c, 0, nil)
-	if h1.Records() != 2 || h2.Records() != 2 || h1.Sum64() != h2.Sum64() {
-		t.Fatalf("fan-out did not reach both probes: %v %v", h1, h2)
-	}
-}
