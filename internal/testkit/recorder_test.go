@@ -60,13 +60,19 @@ func TestViolationPanicCarriesDump(t *testing.T) {
 	})
 }
 
-// The flight ring keeps the last flightDepth records, renders them
-// oldest-first, and adds without allocating.
-func TestFlightRingWrap(t *testing.T) {
+// A ring that has seen no records says so rather than printing a bare
+// header.
+func TestFlightRingEmptyDump(t *testing.T) {
 	var r flightRing
 	if got := r.String(); got != "flight recorder: empty\n" {
 		t.Fatalf("empty dump = %q", got)
 	}
+}
+
+// The flight ring keeps the last flightDepth records, renders them
+// oldest-first, and adds without allocating.
+func TestFlightRingWrap(t *testing.T) {
+	var r flightRing
 	for i := 0; i < flightDepth+10; i++ {
 		r.add(flightRecord{at: sim.Time(i), tag: tagSend, psn: uint32(i)})
 	}
