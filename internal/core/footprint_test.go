@@ -13,12 +13,14 @@ import (
 )
 
 // footprintBound is the retained heap, in bytes per connection, that
-// TestConnectionFootprint allows: 21 750–21 930 B measured (amd64, Go
-// 1.24) plus 10 %. It was set when the TL stopped buffering in-order
-// requests and each PDL sequence space got its scoreboard ring on its
-// first send; the same world measured 29 170–29 200 B before that change
-// (EXPERIMENTS.md, "Footprint gate").
-const footprintBound = 24_100
+// TestConnectionFootprint allows: 19 418–19 600 B measured (amd64, Go
+// 1.24; the lower figure running alone, the higher inside the package's
+// whole suite) plus 10 %. It was last tightened when the Swift, ncwnd
+// and PDL parameters that never varied became constants, shrinking each
+// flow's cc.Swift and each pdl.Conn; the same world measured
+// 20 158–20 341 B before that change, and 29 170–29 200 B before the TL
+// stopped buffering in-order requests (EXPERIMENTS.md, "Footprint gate").
+const footprintBound = 21_560
 
 // TestConnectionFootprint is the per-connection working-set gate. It builds
 // the incast_conns shape at a fifth of its scale: five clients on a star,
@@ -70,12 +72,13 @@ func TestConnectionFootprint(t *testing.T) {
 }
 
 // reorderedFootprintBound is the retained heap, in bytes per connection,
-// that TestReorderedConnectionFootprint allows: 35 730–35 920 B measured
-// (amd64, Go 1.24) plus 10 %. It was set when the TL's reorder buffer
-// began holding pooled packets by pointer instead of 192-byte copies; the
-// same world measured 42 035–42 220 B before that change (EXPERIMENTS.md,
-// "Reordered footprint gate").
-const reorderedFootprintBound = 39_500
+// that TestReorderedConnectionFootprint allows: 31 547–31 733 B measured
+// (amd64, Go 1.24; alone and inside the package's whole suite) plus 10 %.
+// It was last tightened with footprintBound; the same world measured
+// 32 288–32 474 B before that change, and 42 035–42 220 B before the TL's
+// reorder buffer held pooled packets by pointer instead of 192-byte
+// copies (EXPERIMENTS.md, "Reordered footprint gate").
+const reorderedFootprintBound = 34_910
 
 // TestReorderedConnectionFootprint is TestConnectionFootprint's world with
 // every target holding requests ahead of a gap: each of the 200 ordered

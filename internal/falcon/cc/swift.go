@@ -18,41 +18,38 @@ import (
 )
 
 // SwiftConfig parameterizes the fabric-delay AIMD loop. Defaults follow the
-// published Swift constants scaled to intra-cluster RTTs.
+// published Swift constants scaled to intra-cluster RTTs; only the base
+// target varies across the evaluation (the ECN ablation raises it).
 type SwiftConfig struct {
 	// BaseTargetDelay is the fabric target delay for a 0-hop path.
 	BaseTargetDelay time.Duration
-	// PerHopDelay scales the target with topology depth.
-	PerHopDelay time.Duration
-	// AI is the additive increase in packets per RTT of acked traffic.
-	AI float64
-	// Beta is the multiplicative-decrease gain.
-	Beta float64
-	// MaxMDF caps a single multiplicative decrease (fraction of cwnd).
-	MaxMDF float64
-	// MinCwnd and MaxCwnd bound the window, in packets. MinCwnd may be
-	// fractional: below 1.0 the sender paces packets with inter-packet
-	// gaps instead of sending a full packet per RTT.
-	MinCwnd, MaxCwnd float64
-	// RTOCwnd is the window after a retransmission timeout.
-	RTOCwnd float64
 }
 
 // DefaultSwiftConfig returns the configuration used across the evaluation:
-// 25us base fabric target (Swift's intra-cluster setting), gentle AI and
-// decisive MD.
+// 25us base fabric target (Swift's intra-cluster setting).
 func DefaultSwiftConfig() SwiftConfig {
-	return SwiftConfig{
-		BaseTargetDelay: 25 * time.Microsecond,
-		PerHopDelay:     1 * time.Microsecond,
-		AI:              1.0,
-		Beta:            0.8,
-		MaxMDF:          0.5,
-		MinCwnd:         0.01,
-		MaxCwnd:         256,
-		RTOCwnd:         1,
-	}
+	return SwiftConfig{BaseTargetDelay: 25 * time.Microsecond}
 }
+
+// Swift's fixed constants: gentle AI and decisive MD.
+const (
+	// swiftPerHopDelay scales the target with topology depth.
+	swiftPerHopDelay = 1 * time.Microsecond
+	// swiftAI is the additive increase in packets per RTT of acked
+	// traffic.
+	swiftAI = 1.0
+	// swiftBeta is the multiplicative-decrease gain.
+	swiftBeta = 0.8
+	// swiftMaxMDF caps a single multiplicative decrease (fraction of
+	// cwnd).
+	swiftMaxMDF = 0.5
+	// swiftMinCwnd and swiftMaxCwnd bound the window, in packets.
+	// swiftMinCwnd is fractional: below 1.0 the sender paces packets with
+	// inter-packet gaps instead of sending a full packet per RTT.
+	swiftMinCwnd, swiftMaxCwnd = 0.01, 256
+	// swiftRTOCwnd is the window after a retransmission timeout.
+	swiftRTOCwnd = 1
+)
 
 // Swift is one fabric congestion-control instance (one per multipath flow).
 type Swift struct {
@@ -68,9 +65,9 @@ type Swift struct {
 // NewSwift creates a Swift instance with the given initial window.
 func NewSwift(cfg SwiftConfig, initialCwnd float64) *Swift {
 	if initialCwnd <= 0 {
-		initialCwnd = cfg.MaxCwnd / 4
+		initialCwnd = swiftMaxCwnd / 4
 	}
-	return &Swift{cfg: cfg, cwnd: clamp(initialCwnd, cfg.MinCwnd, cfg.MaxCwnd)}
+	return &Swift{cfg: cfg, cwnd: clamp(initialCwnd, swiftMinCwnd, swiftMaxCwnd)}
 }
 
 // Cwnd returns the current fabric congestion window in packets.
@@ -81,7 +78,7 @@ func (s *Swift) SRTT() time.Duration { return s.srtt }
 
 // TargetDelay returns the delay target for a path with the given hop count.
 func (s *Swift) TargetDelay(hops int) time.Duration {
-	return s.cfg.BaseTargetDelay + time.Duration(hops)*s.cfg.PerHopDelay
+	return s.cfg.BaseTargetDelay + time.Duration(hops)*swiftPerHopDelay
 }
 
 // Sample is one congestion signal delivered with an ACK.
@@ -102,9 +99,10 @@ type Sample struct {
 
 // OnAck folds one delay sample into the window and returns the new fcwnd.
 //
-// Below target: additive increase of AI/cwnd per acked packet (≈ AI per
-// RTT). Above target: multiplicative decrease proportional to the overshoot
-// fraction, capped by MaxMDF and applied at most once per SRTT.
+// Below target: additive increase of swiftAI/cwnd per acked packet
+// (≈ swiftAI per RTT). Above target: multiplicative decrease proportional
+// to the overshoot fraction, capped by swiftMaxMDF and applied at most
+// once per SRTT.
 func (s *Swift) OnAck(sm Sample) float64 {
 	if sm.RTT > 0 {
 		if s.srtt == 0 {
@@ -120,27 +118,27 @@ func (s *Swift) OnAck(sm Sample) float64 {
 	}
 	if sm.FabricDelay <= target {
 		if s.cwnd >= 1 {
-			s.cwnd += s.cfg.AI * float64(acked) / s.cwnd
+			s.cwnd += swiftAI * float64(acked) / s.cwnd
 		} else {
-			s.cwnd += s.cfg.AI * float64(acked) * s.cwnd
+			s.cwnd += swiftAI * float64(acked) * s.cwnd
 		}
 	} else if s.canDecrease(sm.Now) {
 		over := float64(sm.FabricDelay-target) / float64(sm.FabricDelay)
-		factor := 1 - s.cfg.Beta*over
-		if factor < 1-s.cfg.MaxMDF {
-			factor = 1 - s.cfg.MaxMDF
+		factor := 1 - swiftBeta*over
+		if factor < 1-swiftMaxMDF {
+			factor = 1 - swiftMaxMDF
 		}
 		s.cwnd *= factor
 		s.tLast = sm.Now
 		s.decreased = true
 	}
-	s.cwnd = clamp(s.cwnd, s.cfg.MinCwnd, s.cfg.MaxCwnd)
+	s.cwnd = clamp(s.cwnd, swiftMinCwnd, swiftMaxCwnd)
 	return s.cwnd
 }
 
 // OnRetransmitTimeout collapses the window after an RTO.
 func (s *Swift) OnRetransmitTimeout() float64 {
-	s.cwnd = clamp(s.cfg.RTOCwnd, s.cfg.MinCwnd, s.cfg.MaxCwnd)
+	s.cwnd = clamp(swiftRTOCwnd, swiftMinCwnd, swiftMaxCwnd)
 	return s.cwnd
 }
 
@@ -149,7 +147,7 @@ func (s *Swift) OnRetransmitTimeout() float64 {
 // once per RTT like every decrease).
 func (s *Swift) OnECN(now sim.Time) float64 {
 	if s.canDecrease(now) {
-		s.cwnd = clamp(s.cwnd*(1-s.cfg.MaxMDF/2), s.cfg.MinCwnd, s.cfg.MaxCwnd)
+		s.cwnd = clamp(s.cwnd*(1-swiftMaxMDF/2), swiftMinCwnd, swiftMaxCwnd)
 		s.tLast = now
 		s.decreased = true
 	}
@@ -160,7 +158,7 @@ func (s *Swift) OnECN(now sim.Time) float64 {
 // detected by SACK/RACK rather than timeout.
 func (s *Swift) OnFastRetransmit(now sim.Time) float64 {
 	if s.canDecrease(now) {
-		s.cwnd = clamp(s.cwnd*(1-s.cfg.MaxMDF), s.cfg.MinCwnd, s.cfg.MaxCwnd)
+		s.cwnd = clamp(s.cwnd*(1-swiftMaxMDF), swiftMinCwnd, swiftMaxCwnd)
 		s.tLast = now
 		s.decreased = true
 	}
@@ -183,49 +181,37 @@ func (s *Swift) PacingDelay() time.Duration {
 	return time.Duration(float64(s.srtt) / s.cwnd)
 }
 
-// NcwndConfig parameterizes the NIC congestion window loop (§4.2 "Handling
-// Rx NIC Congestion"): AIMD on the receiver's RX buffer occupancy so that
-// occupancy converges to TargetOccupancy.
-type NcwndConfig struct {
-	// TargetOccupancy is the desired RX buffer occupancy fraction.
-	TargetOccupancy float64
-	// AI is the additive increase per acked packet below target.
-	AI float64
-	// Beta scales decrease with occupancy overshoot.
-	Beta float64
-	// MaxMDF caps one decrease.
-	MaxMDF float64
-	// MinCwnd and MaxCwnd bound the window in packets.
-	MinCwnd, MaxCwnd float64
-}
-
-// DefaultNcwndConfig returns the evaluation's NIC-window settings.
-func DefaultNcwndConfig() NcwndConfig {
-	return NcwndConfig{
-		TargetOccupancy: 0.25,
-		AI:              1.0,
-		Beta:            0.8,
-		MaxMDF:          0.5,
-		MinCwnd:         1,
-		MaxCwnd:         1024,
-	}
-}
+// The NIC congestion window loop (§4.2 "Handling Rx NIC Congestion") runs
+// AIMD on the receiver's RX buffer occupancy so that occupancy converges
+// to ncwndTargetOccupancy. Its constants are the evaluation's settings.
+const (
+	// ncwndTargetOccupancy is the desired RX buffer occupancy fraction.
+	ncwndTargetOccupancy = 0.25
+	// ncwndAI is the additive increase per acked packet below target.
+	ncwndAI = 1.0
+	// ncwndBeta scales decrease with occupancy overshoot.
+	ncwndBeta = 0.8
+	// ncwndMaxMDF caps one decrease.
+	ncwndMaxMDF = 0.5
+	// ncwndMinCwnd and ncwndMaxCwnd bound the window in packets.
+	ncwndMinCwnd, ncwndMaxCwnd = 1, 1024
+)
 
 // Ncwnd is the per-connection NIC congestion window controller.
 type Ncwnd struct {
-	cfg       NcwndConfig
 	cwnd      float64
 	tLast     sim.Time
 	decreased bool
 	srtt      time.Duration
 }
 
-// NewNcwnd creates the controller with the given initial window.
-func NewNcwnd(cfg NcwndConfig, initial float64) *Ncwnd {
+// NewNcwnd creates the controller with the given initial window; zero or
+// less starts it at a quarter of its ceiling.
+func NewNcwnd(initial float64) *Ncwnd {
 	if initial <= 0 {
-		initial = cfg.MaxCwnd / 4
+		initial = ncwndMaxCwnd / 4
 	}
-	return &Ncwnd{cfg: cfg, cwnd: clamp(initial, cfg.MinCwnd, cfg.MaxCwnd)}
+	return &Ncwnd{cwnd: clamp(initial, ncwndMinCwnd, ncwndMaxCwnd)}
 }
 
 // Cwnd returns the current NIC congestion window in packets.
@@ -243,23 +229,23 @@ func (n *Ncwnd) OnAck(occupancy float64, acked int, rtt time.Duration, now sim.T
 	if acked <= 0 {
 		acked = 1
 	}
-	if occupancy <= n.cfg.TargetOccupancy {
+	if occupancy <= ncwndTargetOccupancy {
 		if n.cwnd >= 1 {
-			n.cwnd += n.cfg.AI * float64(acked) / n.cwnd
+			n.cwnd += ncwndAI * float64(acked) / n.cwnd
 		} else {
-			n.cwnd += n.cfg.AI * float64(acked) * n.cwnd
+			n.cwnd += ncwndAI * float64(acked) * n.cwnd
 		}
 	} else if !n.decreased || n.srtt == 0 || now.Sub(n.tLast) >= n.srtt {
-		over := (occupancy - n.cfg.TargetOccupancy) / math.Max(occupancy, 1e-9)
-		factor := 1 - n.cfg.Beta*over
-		if factor < 1-n.cfg.MaxMDF {
-			factor = 1 - n.cfg.MaxMDF
+		over := (occupancy - ncwndTargetOccupancy) / math.Max(occupancy, 1e-9)
+		factor := 1 - ncwndBeta*over
+		if factor < 1-ncwndMaxMDF {
+			factor = 1 - ncwndMaxMDF
 		}
 		n.cwnd *= factor
 		n.tLast = now
 		n.decreased = true
 	}
-	n.cwnd = clamp(n.cwnd, n.cfg.MinCwnd, n.cfg.MaxCwnd)
+	n.cwnd = clamp(n.cwnd, ncwndMinCwnd, ncwndMaxCwnd)
 	return n.cwnd
 }
 

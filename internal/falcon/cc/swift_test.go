@@ -50,38 +50,35 @@ func TestSwiftDecreaseOncePerRTT(t *testing.T) {
 }
 
 func TestSwiftMaxMDFCapsDecrease(t *testing.T) {
-	cfg := DefaultSwiftConfig()
-	s := NewSwift(cfg, 100)
-	// Enormous overshoot: decrease must be capped at MaxMDF.
+	s := swiftAt(100)
+	// Enormous overshoot: decrease must be capped at swiftMaxMDF.
 	s.OnAck(Sample{FabricDelay: time.Second, RTT: time.Second, AckedPackets: 1, Now: 0})
-	want := 100 * (1 - cfg.MaxMDF)
+	want := 100 * (1 - swiftMaxMDF)
 	if s.Cwnd() < want-0.001 {
-		t.Fatalf("cwnd %v below MaxMDF floor %v", s.Cwnd(), want)
+		t.Fatalf("cwnd %v below swiftMaxMDF floor %v", s.Cwnd(), want)
 	}
 }
 
 func TestSwiftBounds(t *testing.T) {
-	cfg := DefaultSwiftConfig()
-	s := NewSwift(cfg, cfg.MaxCwnd)
+	s := swiftAt(swiftMaxCwnd)
 	for i := 0; i < 1000; i++ {
 		s.OnAck(Sample{FabricDelay: time.Microsecond, RTT: 20 * time.Microsecond, AckedPackets: 10, Now: sim.Time(i) * 100000})
 	}
-	if s.Cwnd() > cfg.MaxCwnd {
-		t.Fatalf("cwnd %v exceeded max %v", s.Cwnd(), cfg.MaxCwnd)
+	if s.Cwnd() > swiftMaxCwnd {
+		t.Fatalf("cwnd %v exceeded max %v", s.Cwnd(), swiftMaxCwnd)
 	}
 	for i := 0; i < 1000; i++ {
 		s.OnAck(Sample{FabricDelay: time.Second, RTT: 20 * time.Microsecond, AckedPackets: 1, Now: sim.Time(i) * 100_000_000})
 	}
-	if s.Cwnd() < cfg.MinCwnd {
-		t.Fatalf("cwnd %v below min %v", s.Cwnd(), cfg.MinCwnd)
+	if s.Cwnd() < swiftMinCwnd {
+		t.Fatalf("cwnd %v below min %v", s.Cwnd(), swiftMinCwnd)
 	}
 }
 
 func TestSwiftRTOCollapse(t *testing.T) {
-	cfg := DefaultSwiftConfig()
-	s := NewSwift(cfg, 100)
-	if got := s.OnRetransmitTimeout(); got != cfg.RTOCwnd {
-		t.Fatalf("post-RTO cwnd = %v, want %v", got, cfg.RTOCwnd)
+	s := swiftAt(100)
+	if got := s.OnRetransmitTimeout(); got != swiftRTOCwnd {
+		t.Fatalf("post-RTO cwnd = %v, want %v", got, swiftRTOCwnd)
 	}
 }
 
@@ -112,8 +109,7 @@ func TestSwiftTargetScalesWithHops(t *testing.T) {
 func TestSwiftConvergesTowardTargetDelay(t *testing.T) {
 	// Closed-loop toy model: delay grows linearly with cwnd beyond a
 	// knee. Swift should stabilize near the cwnd where delay ≈ target.
-	cfg := DefaultSwiftConfig()
-	s := NewSwift(cfg, 1)
+	s := swiftAt(1)
 	rtt := 30 * time.Microsecond
 	now := sim.Time(0)
 	model := func(cwnd float64) time.Duration {
@@ -134,8 +130,7 @@ func TestSwiftConvergesTowardTargetDelay(t *testing.T) {
 }
 
 func TestSwiftFractionalWindowPacing(t *testing.T) {
-	cfg := DefaultSwiftConfig()
-	s := NewSwift(cfg, 0.5)
+	s := swiftAt(0.5)
 	if s.PacingDelay() != 0 {
 		t.Fatal("pacing delay needs an SRTT")
 	}
@@ -149,8 +144,7 @@ func TestSwiftFractionalWindowPacing(t *testing.T) {
 }
 
 func TestNcwndConvergesToOccupancyTarget(t *testing.T) {
-	cfg := DefaultNcwndConfig()
-	n := NewNcwnd(cfg, 8)
+	n := NewNcwnd(8)
 	rtt := 20 * time.Microsecond
 	now := sim.Time(0)
 	// Occupancy model: proportional to cwnd; occ = cwnd/100.
@@ -166,7 +160,7 @@ func TestNcwndConvergesToOccupancyTarget(t *testing.T) {
 }
 
 func TestNcwndDropsUnderFullBuffer(t *testing.T) {
-	n := NewNcwnd(DefaultNcwndConfig(), 100)
+	n := NewNcwnd(100)
 	before := n.Cwnd()
 	n.OnAck(1.0, 1, 20*time.Microsecond, 0)
 	if n.Cwnd() >= before {
@@ -175,28 +169,26 @@ func TestNcwndDropsUnderFullBuffer(t *testing.T) {
 }
 
 func TestNcwndBounds(t *testing.T) {
-	cfg := DefaultNcwndConfig()
-	n := NewNcwnd(cfg, cfg.MaxCwnd)
+	n := NewNcwnd(ncwndMaxCwnd)
 	for i := 0; i < 100; i++ {
 		n.OnAck(0, 100, 20*time.Microsecond, sim.Time(i)*1_000_000)
 	}
-	if n.Cwnd() > cfg.MaxCwnd {
+	if n.Cwnd() > ncwndMaxCwnd {
 		t.Fatalf("ncwnd above max: %v", n.Cwnd())
 	}
 	for i := 0; i < 1000; i++ {
 		n.OnAck(1, 1, 20*time.Microsecond, sim.Time(i)*100_000_000)
 	}
-	if n.Cwnd() < cfg.MinCwnd {
+	if n.Cwnd() < ncwndMinCwnd {
 		t.Fatalf("ncwnd below min: %v", n.Cwnd())
 	}
 }
 
-// Property: cwnd stays within [MinCwnd, MaxCwnd] for arbitrary sample
-// sequences.
+// Property: cwnd stays within [swiftMinCwnd, swiftMaxCwnd] for arbitrary
+// sample sequences.
 func TestQuickSwiftBounded(t *testing.T) {
-	cfg := DefaultSwiftConfig()
 	f := func(delaysUs []uint16, acked []uint8) bool {
-		s := NewSwift(cfg, 10)
+		s := swiftAt(10)
 		now := sim.Time(0)
 		for i, d := range delaysUs {
 			a := 1
@@ -210,7 +202,7 @@ func TestQuickSwiftBounded(t *testing.T) {
 				AckedPackets: a,
 				Now:          now,
 			})
-			if s.Cwnd() < cfg.MinCwnd || s.Cwnd() > cfg.MaxCwnd {
+			if s.Cwnd() < swiftMinCwnd || s.Cwnd() > swiftMaxCwnd {
 				return false
 			}
 		}
@@ -222,22 +214,20 @@ func TestQuickSwiftBounded(t *testing.T) {
 }
 
 func TestNewWithZeroInitial(t *testing.T) {
-	cfg := DefaultSwiftConfig()
-	s := NewSwift(cfg, 0)
+	s := swiftAt(0)
 	if s.Cwnd() <= 0 {
 		t.Fatal("zero initial should default to a positive window")
 	}
-	n := NewNcwnd(DefaultNcwndConfig(), 0)
+	n := NewNcwnd(0)
 	if n.Cwnd() <= 0 {
 		t.Fatal("zero initial ncwnd should default positive")
 	}
 }
 
 func TestOnECNDecreasesGently(t *testing.T) {
-	cfg := DefaultSwiftConfig()
-	s := NewSwift(cfg, 100)
+	s := swiftAt(100)
 	after := s.OnECN(0)
-	wantFloor := 100 * (1 - cfg.MaxMDF/2)
+	wantFloor := 100 * (1 - swiftMaxMDF/2)
 	if after < wantFloor-0.001 || after >= 100 {
 		t.Fatalf("OnECN cwnd = %v, want one gentle decrease to ~%v", after, wantFloor)
 	}

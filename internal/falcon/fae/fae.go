@@ -88,21 +88,10 @@ type Response struct {
 // Config parameterizes the engine.
 type Config struct {
 	Swift cc.SwiftConfig
-	Ncwnd cc.NcwndConfig
-
-	// InitialCwnd seeds each flow's fcwnd.
-	InitialCwnd float64
-
-	// MinRTO/MaxRTO clamp the computed retransmission timeout.
-	MinRTO, MaxRTO time.Duration
 
 	// PLBCongestedRounds is how many consecutive congested ACK rounds
 	// trigger a repath (PLB's protection threshold).
 	PLBCongestedRounds int
-
-	// BaseAlpha is the DT α scaled by the per-connection congestion
-	// factor β_c.
-	BaseAlpha float64
 
 	// UseECN makes the CC also react to ECN echoes (a supplementary
 	// signal per Table 3; delay remains the primary signal).
@@ -117,14 +106,24 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Swift:              cc.DefaultSwiftConfig(),
-		Ncwnd:              cc.DefaultNcwndConfig(),
-		InitialCwnd:        16,
-		MinRTO:             100 * time.Microsecond,
-		MaxRTO:             10 * time.Millisecond,
 		PLBCongestedRounds: 8,
-		BaseAlpha:          2.0,
 	}
 }
+
+// The engine's fixed parameters.
+const (
+	// initialCwnd seeds each connection's fcwnd, split evenly across its
+	// flows.
+	initialCwnd = 16
+	// minRTO/maxRTO clamp the computed retransmission timeout.
+	minRTO, maxRTO = 100 * time.Microsecond, 10 * time.Millisecond
+	// baseAlpha is the DT α scaled by the per-connection congestion
+	// factor β_c.
+	baseAlpha = 2.0
+	// fcwndCap is the ceiling cc.Swift clamps a flow's fcwnd to; α_c
+	// normalizes the window against it (TestFcwndCapMatchesSwift).
+	fcwndCap = 256
+)
 
 type flowState struct {
 	swift     *cc.Swift
@@ -168,9 +167,6 @@ type Engine struct {
 
 // New creates an engine delivering responses to sink.
 func New(s *sim.Simulator, cfg Config, sink func(Response)) *Engine {
-	if cfg.InitialCwnd <= 0 {
-		cfg.InitialCwnd = 16
-	}
 	if cfg.PLBCongestedRounds <= 0 {
 		cfg.PLBCongestedRounds = 8
 	}
@@ -187,11 +183,11 @@ func (e *Engine) RegisterConn(conn uint32, numFlows int) []wire.FlowLabel {
 	if numFlows > wire.MaxFlows {
 		numFlows = wire.MaxFlows
 	}
-	cs := &connState{ncwnd: cc.NewNcwnd(e.cfg.Ncwnd, e.cfg.Ncwnd.MaxCwnd/4)}
+	cs := &connState{ncwnd: cc.NewNcwnd(0)} // a quarter of the ncwnd ceiling
 	labels := make([]wire.FlowLabel, numFlows)
 	for i := 0; i < numFlows; i++ {
 		fs := &flowState{
-			swift: cc.NewSwift(e.cfg.Swift, e.cfg.InitialCwnd/float64(numFlows)),
+			swift: cc.NewSwift(e.cfg.Swift, initialCwnd/float64(numFlows)),
 			label: wire.MakeFlowLabel(e.allocPath(), i),
 		}
 		cs.flows = append(cs.flows, fs)
@@ -307,20 +303,20 @@ func (e *Engine) buildResponse(conn uint32, flow int, cs *connState, fs *flowSta
 		sum += f.swift.Cwnd()
 	}
 	rto := cs.srtt*2 + 4*cs.rttvar
-	if rto < e.cfg.MinRTO {
-		rto = e.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
-	if rto > e.cfg.MaxRTO {
-		rto = e.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	reoWnd := cs.srtt / 4
 	tlp := 2 * cs.srtt
 	if cs.srtt == 0 {
-		tlp = e.cfg.MinRTO
-		reoWnd = e.cfg.MinRTO / 8
+		tlp = minRTO
+		reoWnd = minRTO / 8
 	}
-	if tlp < e.cfg.MinRTO/2 {
-		tlp = e.cfg.MinRTO / 2
+	if tlp < minRTO/2 {
+		tlp = minRTO / 2
 	}
 	return Response{
 		Conn:       conn,
@@ -350,7 +346,7 @@ func (e *Engine) alpha(cs *connState) float64 {
 		wnd = n
 	}
 	// Normalize window to [0,1] against the fcwnd cap.
-	wndFrac := wnd / e.cfg.Swift.MaxCwnd
+	wndFrac := wnd / fcwndCap
 	if wndFrac > 1 {
 		wndFrac = 1
 	}
@@ -369,7 +365,7 @@ func (e *Engine) alpha(cs *connState) float64 {
 	if beta < 0.01 {
 		beta = 0.01
 	}
-	return e.cfg.BaseAlpha * beta
+	return baseAlpha * beta
 }
 
 // FlowLabels returns the current labels of a connection's flows (test and

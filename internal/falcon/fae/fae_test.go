@@ -73,8 +73,8 @@ func TestAckEventProducesResponse(t *testing.T) {
 	if r.FlowCwnd <= 0 || r.ConnCwnd < r.FlowCwnd || r.NCwnd <= 0 {
 		t.Fatalf("bad windows: %+v", r)
 	}
-	if r.RTO < 100*time.Microsecond {
-		t.Fatalf("RTO = %v below MinRTO", r.RTO)
+	if r.RTO < minRTO {
+		t.Fatalf("RTO = %v below minRTO", r.RTO)
 	}
 }
 
@@ -178,8 +178,24 @@ func TestPRRRepathsOnRTO(t *testing.T) {
 	if !r.Repathed || r.FlowLabel == labels[1] {
 		t.Fatalf("RTO should repath: %+v", r)
 	}
-	if r.FlowCwnd != DefaultConfig().Swift.RTOCwnd {
+	if r.FlowCwnd != 1 { // cc.Swift's post-RTO window
 		t.Fatalf("RTO cwnd = %v", r.FlowCwnd)
+	}
+}
+
+// TestFcwndCapMatchesSwift holds fcwndCap, the ceiling α_c normalizes
+// against, to the ceiling cc.Swift actually clamps a flow's window to.
+func TestFcwndCapMatchesSwift(t *testing.T) {
+	s, e, resp := newEngine(t, DefaultConfig())
+	e.RegisterConn(1, 1)
+	for i := 0; i < 200; i++ {
+		ev := ackEvent(1, 0, time.Microsecond, sim.Time(i)*sim.Time(time.Millisecond))
+		ev.AckedPackets = 1000
+		e.Post(ev)
+	}
+	s.Run()
+	if got := (*resp)[len(*resp)-1].FlowCwnd; got != fcwndCap {
+		t.Fatalf("saturated fcwnd = %v, fcwndCap = %v", got, float64(fcwndCap))
 	}
 }
 

@@ -93,16 +93,10 @@ type Config struct {
 	// AckCoalesceCount triggers an ACK after this many data packets
 	// arrive for one flow.
 	AckCoalesceCount int
-	// AckCoalesceDelay bounds ACK latency when the count is not reached.
-	AckCoalesceDelay time.Duration
 	// ARInterval sets the AckReq bit every N-th data packet of a flow so
 	// the sender keeps RTT samples flowing on long transfers.
 	ARInterval int
 
-	// InitialRTO seeds timers before the FAE provides measurements.
-	InitialRTO time.Duration
-	// MaxRTOBackoff caps exponential RTO backoff.
-	MaxRTOBackoff time.Duration
 	// MaxConsecutiveRTOs is the retry budget: a connection that times
 	// out this many times without any ACK progress is declared failed
 	// (Callbacks.Failed fires once) rather than retrying forever.
@@ -119,13 +113,21 @@ func DefaultConfig() Config {
 		Recovery:           RecoveryRackTLP,
 		OOODistance:        3,
 		AckCoalesceCount:   2,
-		AckCoalesceDelay:   5 * time.Microsecond,
 		ARInterval:         8,
-		InitialRTO:         200 * time.Microsecond,
-		MaxRTOBackoff:      20 * time.Millisecond,
 		MaxConsecutiveRTOs: 12,
 	}
 }
+
+// The PDL's fixed timer parameters.
+const (
+	// ackCoalesceDelay bounds ACK latency when AckCoalesceCount is not
+	// reached.
+	ackCoalesceDelay = 5 * time.Microsecond
+	// initialRTO seeds timers before the FAE provides measurements.
+	initialRTO = 200 * time.Microsecond
+	// maxRTOBackoff caps exponential RTO backoff (and the pacing gap).
+	maxRTOBackoff = 20 * time.Millisecond
+)
 
 // DeliverVerdictKind is the TL's synchronous answer to a delivered packet.
 type DeliverVerdictKind int
@@ -484,17 +486,14 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 	if cfg.AckCoalesceCount < 1 {
 		cfg.AckCoalesceCount = 1
 	}
-	if cfg.InitialRTO <= 0 {
-		cfg.InitialRTO = 200 * time.Microsecond
-	}
 	c := &Conn{
 		sim:        s,
 		cfg:        cfg,
 		cb:         cb,
 		id:         id,
-		rto:        cfg.InitialRTO,
-		rackReoWnd: cfg.InitialRTO / 8,
-		tlpTimeout: cfg.InitialRTO / 2,
+		rto:        initialRTO,
+		rackReoWnd: initialRTO / 8,
+		tlpTimeout: initialRTO / 2,
 		reoWndMult: 1,
 		ncwnd:      float64(cfg.WindowSize),
 	}

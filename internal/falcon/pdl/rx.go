@@ -97,7 +97,7 @@ func (c *Conn) handleData(p *wire.Packet) {
 		c.Stats.AcksImmediate++
 		c.sendAck(flowIdx)
 	} else if !rf.ackTimer.Pending() {
-		rf.ackTimer = c.sim.AtAction(now.Add(c.cfg.AckCoalesceDelay), rf)
+		rf.ackTimer = c.sim.AtAction(now.Add(ackCoalesceDelay), rf)
 	}
 }
 

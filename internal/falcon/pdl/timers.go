@@ -134,8 +134,8 @@ func (c *Conn) CheckTimers() string {
 // rtoDelay is the current backed-off RTO interval.
 func (c *Conn) rtoDelay() time.Duration {
 	d := c.rto << uint(c.rtoBackoff)
-	if d > c.cfg.MaxRTOBackoff {
-		d = c.cfg.MaxRTOBackoff
+	if d > maxRTOBackoff {
+		d = maxRTOBackoff
 	}
 	return d
 }

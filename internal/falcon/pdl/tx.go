@@ -139,8 +139,8 @@ func (c *Conn) pacingGap(wnd float64) time.Duration {
 		base = c.tlpTimeout
 	}
 	gap := time.Duration(float64(base) / maxf(wnd, 0.001))
-	if gap > c.cfg.MaxRTOBackoff {
-		gap = c.cfg.MaxRTOBackoff
+	if gap > maxRTOBackoff {
+		gap = maxRTOBackoff
 	}
 	return gap
 }

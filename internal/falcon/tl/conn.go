@@ -402,35 +402,7 @@ func (c *Conn) Push(data []byte, length uint32, done func(data []byte, err error
 // PushOp is Push with ULP metadata: op identifies the ULP operation and
 // addr the remote address it targets (carried opaquely by Falcon).
 func (c *Conn) PushOp(op uint8, addr uint64, data []byte, length uint32, done func(data []byte, err error)) (uint64, error) {
-	if c.dead != nil {
-		return 0, c.dead
-	}
-	if int(length) > c.cfg.MTU {
-		return 0, errors.New("tl: push exceeds MTU; ULP must segment")
-	}
-	if c.xoffed() {
-		c.noteXoff(false)
-		return 0, ErrBackpressured
-	}
-	// Reserve the request's TX resources and the completion's RX slot up
-	// front (§4.5: responses must always be able to land).
-	if err := c.res.Reserve(PoolTxReq, c.key, int(length)); err != nil {
-		c.noteXoff(true)
-		return 0, err
-	}
-	if err := c.res.Reserve(PoolRxResp, c.key, 0); err != nil {
-		c.res.Release(PoolTxReq, c.key, int(length))
-		c.noteXoff(true)
-		return 0, err
-	}
-	rsn := c.nextRSN
-	c.nextRSN++
-	t := c.res.allocTxn()
-	t.kind, t.rsn, t.length, t.ulpOp, t.addr, t.data, t.done = txnPush, rsn, length, op, addr, data, done
-	c.txns.Put(rsn, t)
-	c.Stats.Pushes++
-	c.sendRequest(t)
-	return rsn, nil
+	return c.initiate(txnPush, op, addr, data, length, done)
 }
 
 // Pull initiates a pull transaction soliciting length bytes (≤ MTU). done
@@ -448,32 +420,58 @@ func (c *Conn) PullOp(op uint8, addr uint64, length uint32, done func(data []byt
 // the request carries reqData on the wire while soliciting respLen bytes
 // back.
 func (c *Conn) PullOpData(op uint8, addr uint64, reqData []byte, respLen uint32, done func(data []byte, err error)) (uint64, error) {
+	return c.initiate(txnPull, op, addr, reqData, respLen, done)
+}
+
+// errOverMTU refuses a transaction longer than the MTU, by kind.
+var errOverMTU = [...]error{
+	txnPush: errors.New("tl: push exceeds MTU; ULP must segment"),
+	txnPull: errors.New("tl: pull exceeds MTU; ULP must segment"),
+}
+
+// initiate is the one admission path behind Push and Pull: it refuses the
+// transaction on a dead connection, past the MTU or under Xoff, reserves
+// its resources, assigns its RSN and sends its request. length is the
+// pushed payload or the solicited pull response; data is the request's
+// wire payload.
+func (c *Conn) initiate(kind txnKind, op uint8, addr uint64, data []byte, length uint32, done func(data []byte, err error)) (uint64, error) {
 	if c.dead != nil {
 		return 0, c.dead
 	}
-	length := respLen
 	if int(length) > c.cfg.MTU {
-		return 0, errors.New("tl: pull exceeds MTU; ULP must segment")
+		return 0, errOverMTU[kind]
 	}
 	if c.xoffed() {
 		c.noteXoff(false)
 		return 0, ErrBackpressured
 	}
-	if err := c.res.Reserve(PoolTxReq, c.key, len(reqData)); err != nil {
+	// Reserve the request's TX resources and the response's RX slot up
+	// front (§4.5: responses must always be able to land). A push sends
+	// length bytes and solicits an empty completion; a pull sends its
+	// operands and solicits length bytes.
+	txBytes, rxBytes := int(length), 0
+	if kind == txnPull {
+		txBytes, rxBytes = len(data), int(length)
+	}
+	if err := c.res.Reserve(PoolTxReq, c.key, txBytes); err != nil {
 		c.noteXoff(true)
 		return 0, err
 	}
-	if err := c.res.Reserve(PoolRxResp, c.key, int(length)); err != nil {
-		c.res.Release(PoolTxReq, c.key, len(reqData))
+	if err := c.res.Reserve(PoolRxResp, c.key, rxBytes); err != nil {
+		c.res.Release(PoolTxReq, c.key, txBytes)
 		c.noteXoff(true)
 		return 0, err
 	}
 	rsn := c.nextRSN
 	c.nextRSN++
 	t := c.res.allocTxn()
-	t.kind, t.rsn, t.length, t.ulpOp, t.addr, t.data, t.done = txnPull, rsn, length, op, addr, reqData, done
+	t.kind, t.rsn, t.length, t.ulpOp, t.addr, t.data, t.done = kind, rsn, length, op, addr, data, done
 	c.txns.Put(rsn, t)
-	c.Stats.Pulls++
+	if kind == txnPush {
+		c.Stats.Pushes++
+	} else {
+		c.Stats.Pulls++
+	}
 	c.sendRequest(t)
 	return rsn, nil
 }

@@ -42,9 +42,10 @@ type Config struct {
 	// payload awaiting host delivery occupies it. Overflow spills to
 	// on-NIC DRAM (allowed, with extra latency) rather than dropping.
 	RxBufferBytes int
-	// DRAMSpillLatency is added to host delivery for bytes that spilled.
-	DRAMSpillLatency time.Duration
 }
+
+// dramSpillLatency is added to host delivery for bytes that spilled.
+const dramSpillLatency = 500 * time.Nanosecond
 
 // DefaultConfig models the 200G Falcon IPU.
 func DefaultConfig() Config {
@@ -58,7 +59,6 @@ func DefaultConfig() Config {
 		MissCost:              250 * time.Nanosecond, // on-NIC DRAM
 		HostGbps:              200,
 		RxBufferBytes:         1280 << 10, // 1.25MB ≈ BDP at 200G, 50us
-		DRAMSpillLatency:      500 * time.Nanosecond,
 	}
 }
 
@@ -238,7 +238,7 @@ func (n *NIC) DeliverToHost(bytes int, done func()) {
 	drain := time.Duration(float64(bytes) * 8 / n.cfg.HostGbps) // ns
 	finish := start.Add(drain)
 	if spilled {
-		finish = finish.Add(n.cfg.DRAMSpillLatency)
+		finish = finish.Add(dramSpillLatency)
 	}
 	n.hostFree = finish
 	n.Stats.HostBytes += uint64(bytes)

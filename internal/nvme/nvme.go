@@ -42,10 +42,8 @@ const (
 
 // DeviceConfig models one SSD.
 type DeviceConfig struct {
-	// ReadLatency/WriteLatency are per-command base service times.
-	ReadLatency, WriteLatency time.Duration
-	// ReadGbps/WriteGbps cap data movement per channel.
-	ReadGbps, WriteGbps float64
+	// ReadLatency is the per-command base read service time.
+	ReadLatency time.Duration
 	// Channels is the number of independent flash channels.
 	Channels int
 	// MaxIOPS caps command admission (0 = uncapped).
@@ -57,13 +55,18 @@ type DeviceConfig struct {
 // 7 GB/s read, 4 GB/s write aggregate).
 func DefaultDeviceConfig() DeviceConfig {
 	return DeviceConfig{
-		ReadLatency:  80 * time.Microsecond,
-		WriteLatency: 20 * time.Microsecond,
-		ReadGbps:     7,
-		WriteGbps:    4,
-		Channels:     8,
+		ReadLatency: 80 * time.Microsecond,
+		Channels:    8,
 	}
 }
+
+// The device's fixed write latency and per-channel bandwidths.
+const (
+	// writeLatency is the per-command base write service time.
+	writeLatency = 20 * time.Microsecond
+	// readGbps/writeGbps cap data movement per channel.
+	readGbps, writeGbps = 7, 4
+)
 
 // Device is the SSD service-time model.
 type Device struct {
@@ -119,14 +122,14 @@ func (d *Device) schedule(start sim.Time, base time.Duration, bytes int, gbps fl
 func (d *Device) Read(n int, done func()) {
 	d.Reads++
 	d.BytesRead += uint64(n)
-	d.schedule(d.admit(), d.cfg.ReadLatency, n, d.cfg.ReadGbps, done)
+	d.schedule(d.admit(), d.cfg.ReadLatency, n, readGbps, done)
 }
 
 // Write services an n-byte device write.
 func (d *Device) Write(n int, done func()) {
 	d.Writes++
 	d.BytesWritten += uint64(n)
-	d.schedule(d.admit(), d.cfg.WriteLatency, n, d.cfg.WriteGbps, done)
+	d.schedule(d.admit(), writeLatency, n, writeGbps, done)
 }
 
 // Controller is the target-side NVMe-over-Falcon endpoint: it owns the

@@ -33,7 +33,7 @@ func Connect(client, server *Node, id uint32, cfg Config) (*QP, *Responder) {
 	qp.onRTOFn = qp.onRTO
 	qp.sendProbeFn = qp.sendProbe
 	if qp.rateGbps <= 0 {
-		qp.rateGbps = cfg.CC.MaxRateGbps
+		qp.rateGbps = rttccMaxRateGbps
 	}
 	r := &Responder{end: end{node: server, cfg: cfg, id: id, dst: client.host.ID, salt: 0xa5a5, pkts: pkts}}
 	qp.join(qp.handle)
@@ -197,8 +197,8 @@ func (q *QP) armTimers() {
 	if !q.rtoTimer.Pending() {
 		q.rtoTimer = q.node.sim.After(q.cfg.RTO, q.onRTOFn)
 	}
-	if !q.probeTimer.Pending() && q.cfg.CC.ProbeInterval > 0 {
-		q.probeTimer = q.node.sim.After(q.cfg.CC.ProbeInterval, q.sendProbeFn)
+	if !q.probeTimer.Pending() {
+		q.probeTimer = q.node.sim.After(rttccProbeInterval, q.sendProbeFn)
 	}
 }
 
@@ -209,7 +209,7 @@ func (q *QP) sendProbe() {
 	p := q.packet(ptProbe)
 	p.T1 = int64(q.node.sim.Now())
 	q.send(p)
-	q.probeTimer = q.node.sim.After(q.cfg.CC.ProbeInterval, q.sendProbeFn)
+	q.probeTimer = q.node.sim.After(rttccProbeInterval, q.sendProbeFn)
 }
 
 // onRTO is the timeout path: collapse the rate and go-back-N from the
@@ -223,7 +223,7 @@ func (q *QP) onRTO() {
 		return
 	}
 	q.Stats.RTOs++
-	q.rateGbps = max(q.cfg.CC.MinRateGbps, q.rateGbps/2)
+	q.rateGbps = max(rttccMinRateGbps, q.rateGbps/2)
 	q.goBackN(q.una)
 	if rq, ok := q.respWait.Get(uint64(q.expectedResp)); ok && rq.PSN < q.una {
 		q.transmit(rq, true)
@@ -356,17 +356,16 @@ func (q *QP) sendRespNak() {
 func (q *QP) handleProbeResp(p *packet) {
 	now := q.node.sim.Now()
 	rtt := now.Sub(sim.Time(p.T1))
-	cc := q.cfg.CC
-	if rtt <= cc.TargetRTT {
-		q.rateGbps += cc.AIGbps
-	} else if now.Sub(q.lastDecr) >= cc.ProbeInterval {
-		q.rateGbps *= cc.MD
+	if rtt <= q.cfg.CC.TargetRTT {
+		q.rateGbps += rttccAIGbps
+	} else if now.Sub(q.lastDecr) >= rttccProbeInterval {
+		q.rateGbps *= rttccMD
 		q.lastDecr = now
 	}
-	if q.rateGbps > cc.MaxRateGbps {
-		q.rateGbps = cc.MaxRateGbps
+	if q.rateGbps > rttccMaxRateGbps {
+		q.rateGbps = rttccMaxRateGbps
 	}
-	if q.rateGbps < cc.MinRateGbps {
-		q.rateGbps = cc.MinRateGbps
+	if q.rateGbps < rttccMinRateGbps {
+		q.rateGbps = rttccMinRateGbps
 	}
 }

@@ -142,32 +142,30 @@ const (
 
 // RTTCCConfig parameterizes the probe-based congestion control.
 type RTTCCConfig struct {
-	// ProbeInterval is how often an RTT probe is sent while data is in
-	// flight. Rate only adapts when probe responses return — the source
-	// of RTTCC's slower reaction compared to per-packet delay CC.
-	ProbeInterval time.Duration
 	// TargetRTT is the probe-RTT threshold separating increase from
 	// decrease.
 	TargetRTT time.Duration
-	// MinRateGbps/MaxRateGbps bound the sending rate.
-	MinRateGbps, MaxRateGbps float64
-	// AIGbps is the additive increase per probe below target.
-	AIGbps float64
-	// MD is the multiplicative decrease factor per probe above target.
-	MD float64
 }
 
 // DefaultRTTCC returns RTTCC settings for a 200G NIC in a shallow fabric.
 func DefaultRTTCC() RTTCCConfig {
-	return RTTCCConfig{
-		ProbeInterval: 50 * time.Microsecond,
-		TargetRTT:     40 * time.Microsecond,
-		MinRateGbps:   0.5,
-		MaxRateGbps:   200,
-		AIGbps:        4,
-		MD:            0.85,
-	}
+	return RTTCCConfig{TargetRTT: 40 * time.Microsecond}
 }
+
+// RTTCC's fixed constants for a 200G NIC in a shallow fabric.
+const (
+	// rttccProbeInterval is how often an RTT probe is sent while data is
+	// in flight. Rate only adapts when probe responses return — the
+	// source of RTTCC's slower reaction compared to per-packet delay CC.
+	rttccProbeInterval = 50 * time.Microsecond
+	// rttccMinRateGbps/rttccMaxRateGbps bound the sending rate.
+	rttccMinRateGbps, rttccMaxRateGbps = 0.5, 200
+	// rttccAIGbps is the additive increase per probe below target.
+	rttccAIGbps = 4
+	// rttccMD is the multiplicative decrease factor per probe above
+	// target.
+	rttccMD = 0.85
+)
 
 // Config parameterizes a QP pair.
 type Config struct {

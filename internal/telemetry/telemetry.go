@@ -13,8 +13,8 @@
 //     are stamped with sim.Time, snapshots walk registrations in sorted
 //     name order, and floats are formatted with strconv's shortest
 //     round-trip form. Two same-seed runs therefore export byte-identical
-//     JSON and CSV — the property the acceptance test in
-//     internal/experiments/telemetry_test.go locks in.
+//     JSON and CSV — the property TestInstrumentedExportDeterminism in
+//     internal/experiments/metrics_test.go locks in.
 //
 // The package observes the stack through the same nil-checked single-slot
 // hooks verification uses (pdl.Probe, tl.Probe, sim.Observer,
@@ -59,7 +59,6 @@ func (c *Counter) Value() uint64 { return c.n }
 // time walks them in sorted name order so exports are deterministic.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]func() float64
 	hists    map[string]*stats.Histogram
 	lazy     []func(emit func(name string, value float64))
 }
@@ -68,7 +67,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]func() float64),
 		hists:    make(map[string]*stats.Histogram),
 	}
 }
@@ -82,11 +80,6 @@ func (r *Registry) Counter(name string) *Counter {
 	r.counters[name] = c
 	return c
 }
-
-// Gauge registers a polled gauge: fn is evaluated at snapshot and
-// sampler-tick time, never on a hot path. Re-registering a name replaces
-// the previous function.
-func (r *Registry) Gauge(name string, fn func() float64) { r.gauges[name] = fn }
 
 // Histogram returns the named histogram, creating it on first use.
 // Histograms expand into <name>/count, /mean, /p50, /p99 and /max metrics
@@ -131,9 +124,6 @@ func (r *Registry) Snapshot(at sim.Time) Snapshot {
 	}
 	for name, c := range r.counters {
 		emit(name, float64(c.n))
-	}
-	for name, fn := range r.gauges {
-		emit(name, fn())
 	}
 	for name, h := range r.hists {
 		emit(name+"/count", float64(h.Count()))

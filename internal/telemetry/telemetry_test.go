@@ -13,11 +13,11 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("z/count").Add(3)
 		r.Counter("a/count").Inc()
-		r.Gauge("m/gauge", func() float64 { return 2.5 })
 		h := r.Histogram("lat")
 		h.Record(100)
 		h.Record(200)
 		r.OnSnapshot(func(emit func(string, float64)) {
+			emit("m/gauge", 2.5)
 			emit("lazy/metric", 7)
 		})
 		return r.Snapshot(sim.Time(1234))
@@ -34,6 +34,9 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 	}
 	if v, ok := s1.Get("lat/count"); !ok || v != 2 {
 		t.Fatalf("Get(lat/count) = %v, %v", v, ok)
+	}
+	if v, ok := s1.Get("m/gauge"); !ok || v != 2.5 {
+		t.Fatalf("Get(m/gauge) = %v, %v", v, ok)
 	}
 	if _, ok := s1.Get("missing"); ok {
 		t.Fatal("Get(missing) should report absence")

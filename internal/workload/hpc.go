@@ -49,6 +49,7 @@ func DefaultWRF(nodes int) HPCConfig {
 		SerialComputePerStep: 60 * time.Millisecond,
 		Steps:                10,
 		HaloBytes:            2 << 20,
+		PMEBytes:             0, // no all-to-all phase
 		ReduceBytes:          512,
 		Nodes:                nodes,
 	}

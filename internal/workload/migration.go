@@ -22,33 +22,28 @@ type Pipe interface {
 type MigrationConfig struct {
 	// MemoryBytes is the guest memory size.
 	MemoryBytes int64
-	// PageBytes is the page size.
-	PageBytes int
-	// DirtyRatePagesPerSec is how fast the running guest dirties pages.
-	DirtyRatePagesPerSec float64
-	// AccessRatePagesPerSec is how fast the guest tries to touch pages
-	// (post-copy demand).
-	AccessRatePagesPerSec float64
-	// PreCopyRounds caps pre-copy iterations before the blackout.
-	PreCopyRounds int
-	// Quantum is the model's simulation step.
-	Quantum time.Duration
 }
 
-// DefaultMigration returns a 16 GiB guest under the paper's stress
+// DefaultMigration returns a 16 GiB guest.
+func DefaultMigration() MigrationConfig {
+	return MigrationConfig{MemoryBytes: 16 << 30}
+}
+
+// The guest's fixed page size and rates follow the paper's stress
 // pattern: the guest "continuously accesses and dirties its memory
 // throughout the migration" — fast enough that pre-copy cannot fully
 // converge and the post-copy phase does real work.
-func DefaultMigration() MigrationConfig {
-	return MigrationConfig{
-		MemoryBytes:           16 << 30,
-		PageBytes:             4096,
-		DirtyRatePagesPerSec:  1_500_000,
-		AccessRatePagesPerSec: 1_000_000,
-		PreCopyRounds:         3,
-		Quantum:               time.Millisecond,
-	}
-}
+const (
+	// pageBytes is the page size.
+	pageBytes = 4096
+	// dirtyRatePagesPerSec is how fast the running guest dirties pages.
+	dirtyRatePagesPerSec = 1_500_000
+	// accessRatePagesPerSec is how fast the guest tries to touch pages
+	// (post-copy demand).
+	accessRatePagesPerSec = 1_000_000
+	// preCopyRounds caps pre-copy iterations before the blackout.
+	preCopyRounds = 3
+)
 
 // MigrationResult reports the Figure 29 metrics.
 type MigrationResult struct {
@@ -65,11 +60,11 @@ type MigrationResult struct {
 // returns the phase timings. It runs the simulator to completion.
 func RunMigration(s *sim.Simulator, p Pipe, cfg MigrationConfig) MigrationResult {
 	var res MigrationResult
-	totalPages := cfg.MemoryBytes / int64(cfg.PageBytes)
+	totalPages := cfg.MemoryBytes / pageBytes
 
 	// --- Pre-copy: transfer the dirty set while the guest keeps
 	// dirtying. Each round transfers the current dirty set in
-	// quantum-size chunks; dirtying continues during the transfer.
+	// chunks of at most 4096 pages; dirtying continues during the transfer.
 	dirty := totalPages
 	preStart := s.Now()
 	round := 0
@@ -84,7 +79,7 @@ func RunMigration(s *sim.Simulator, p Pipe, cfg MigrationConfig) MigrationResult
 			if remaining <= 0 {
 				round++
 				// Converged enough, or out of rounds?
-				if round >= cfg.PreCopyRounds || dirty < totalPages/100 {
+				if round >= preCopyRounds || dirty < totalPages/100 {
 					blackout()
 					return
 				}
@@ -97,11 +92,11 @@ func RunMigration(s *sim.Simulator, p Pipe, cfg MigrationConfig) MigrationResult
 			if pages > 4096 {
 				pages = 4096
 			}
-			bytes := pages * int64(cfg.PageBytes)
+			bytes := pages * pageBytes
 			tStart := s.Now()
 			p.Transfer(int(bytes), func() {
 				elapsed := s.Now().Sub(tStart).Seconds()
-				newlyDirty := int64(cfg.DirtyRatePagesPerSec * elapsed)
+				newlyDirty := int64(dirtyRatePagesPerSec * elapsed)
 				if newlyDirty > totalPages {
 					newlyDirty = totalPages
 				}
@@ -144,21 +139,21 @@ func RunMigration(s *sim.Simulator, p Pipe, cfg MigrationConfig) MigrationResult
 				if pages > 2048 {
 					pages = 2048
 				}
-				bgBytes := pages * int64(cfg.PageBytes)
+				bgBytes := pages * pageBytes
 				miss := missingFrac()
 				iterStart := s.Now()
 				// Sample one representative on-demand fetch; its
 				// round trip scales to the iteration's expected
 				// fault count (known once elapsed time is known).
 				var fetchLat time.Duration
-				p.Fetch(cfg.PageBytes, func() { fetchLat = s.Now().Sub(iterStart) })
+				p.Fetch(pageBytes, func() { fetchLat = s.Now().Sub(iterStart) })
 				p.Transfer(int(bgBytes), func() {
 					elapsed := s.Now().Sub(iterStart).Seconds()
-					faults := cfg.AccessRatePagesPerSec * elapsed * miss
+					faults := accessRatePagesPerSec * elapsed * miss
 					res.VCPUWait += time.Duration(float64(fetchLat) * faults)
 					// Hits proceed at full rate; faulting
 					// accesses are stalled for the iteration.
-					accessesDone += cfg.AccessRatePagesPerSec * elapsed * (1 - miss*0.9)
+					accessesDone += accessRatePagesPerSec * elapsed * (1 - miss*0.9)
 					remaining -= pages
 					s.After(0, postIter)
 				})
