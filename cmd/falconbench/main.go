@@ -16,12 +16,6 @@
 //	                                   # virtual-clock time-series CSVs
 //	                                   # (byte-identical across same-seed
 //	                                   # runs and pool widths)
-//	falconbench -routing spray         # run every fabric under a non-default
-//	                                   # uplink policy (ecmp, spray, adaptive);
-//	                                   # same-seed reruns stay byte-identical
-//	                                   # per policy, but non-ecmp tables
-//	                                   # legitimately differ from committed
-//	                                   # baselines
 //	falconbench -storm 71              # run the storm figures under one
 //	                                   # campaign seed; with no -run the
 //	                                   # selection defaults to the storm
@@ -48,7 +42,6 @@ import (
 	"runtime/pprof"
 
 	"falcon/internal/experiments"
-	"falcon/internal/routing"
 	"falcon/internal/telemetry"
 )
 
@@ -65,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 1, "worker pool width (independent simulators per goroutine)")
 	metricsPath := fs.String("metrics", "", "write a deterministic per-figure metrics JSON to this file (instrumented run)")
 	seriesDir := fs.String("series", "", "write per-figure time-series CSVs into this directory (instrumented run)")
-	routingPolicy := fs.String("routing", "ecmp", "fabric uplink policy for every topology: ecmp (default), spray, or adaptive")
 	storm := fs.Int64("storm", 0, "override the storm campaign seed for figStorm/figEndpointFault; with no -run, selects just the storm figures")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file")
@@ -81,15 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	opts := experiments.Options{
-		Quick:     *quick,
-		Policy:    routing.ByName(*routingPolicy),
-		StormSeed: *storm,
-	}
-	if opts.Policy == nil {
-		fmt.Fprintf(stderr, "bad -routing %q: want ecmp, spray or adaptive\n", *routingPolicy)
-		return 2
-	}
+	opts := experiments.Options{Quick: *quick, StormSeed: *storm}
 	if *metricsPath != "" || *seriesDir != "" {
 		opts.Tel = telemetry.NewSuite()
 	}

@@ -8,7 +8,6 @@ import (
 // TestBadInvocations covers the other exit-2 paths.
 func TestBadInvocations(t *testing.T) {
 	for _, args := range [][]string{
-		{"-routing", "bogus"},
 		{"-run", "("},
 		{"-nosuchflag"},
 		{"-json", "x"},

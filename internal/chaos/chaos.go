@@ -29,38 +29,15 @@ import (
 	"math/rand"
 	"time"
 
+	"falcon/internal/netsim"
 	"falcon/internal/sim"
 )
-
-// FabricPort is the port control surface fabric and blackhole faults
-// drive. netsim.Port implements it: SetDown nests (a port is down while any
-// fault holds it, and its drops count in DownDrops), SetRateGbps re-rates
-// the link for frames enqueued after the change, and SetCorruptProb opens
-// or closes a corruption window.
-type FabricPort interface {
-	SetDown(down bool)
-	SetRateGbps(gbps float64)
-	SetCorruptProb(prob float64)
-}
-
-// Host is the endpoint-freeze surface (netsim.Host): while paused the
-// machine neither transmits nor receives, with drops counted at the edge.
-type Host interface {
-	SetPaused(paused bool)
-}
 
 // Crasher tears down the connection state of one machine (core.Node for
 // Falcon). A nil / absent Crasher list disables crash-teardown faults —
 // the transport-agnostic storms (RoCE head-to-heads) run without them.
 type Crasher interface {
 	Crash() int
-}
-
-// Staller is a receiver-not-ready valve: while stalled the target answers
-// every transaction with an RNR NACK, driving the initiator's RNR retry
-// loop until the valve reopens.
-type Staller interface {
-	SetStalled(stalled bool)
 }
 
 // Kind enumerates the fault types a storm composes.
@@ -270,12 +247,18 @@ func (p Plan) FaultClear() sim.Time {
 // out-of-range index rather than silently skewing the storm. Crashers is
 // index-aligned with Hosts (crasher i owns host i); Stallers with the
 // receiver they gate.
+//
+// Port faults nest: a port is down while any fault holds it
+// (netsim.Port.SetDown, drops counted in DownDrops), a rate change applies
+// to frames enqueued after it, and a corruption window opens and closes
+// with SetCorruptProb. A paused host neither transmits nor receives, with
+// drops counted at the edge.
 type Targets struct {
-	Uplinks   []FabricPort
-	HostPorts []FabricPort
-	Hosts     []Host
+	Uplinks   []*netsim.Port
+	HostPorts []*netsim.Port
+	Hosts     []*netsim.Host
 	Crashers  []Crasher
-	Stallers  []Staller
+	Stallers  []*RNRValve
 }
 
 // faultEvent is the typed action behind every fault edge except a flap's:
@@ -284,11 +267,11 @@ type Targets struct {
 type faultEvent struct {
 	kind     Kind
 	clear    bool
-	host     Host
+	host     *netsim.Host
 	crash    Crasher
-	port     FabricPort
-	pair     FabricPort // KindOutage's second uplink
-	stall    Staller
+	port     *netsim.Port
+	pair     *netsim.Port // KindOutage's second uplink
+	stall    *RNRValve
 	prob     float64
 	gbps     float64 // KindSlow: the rate this edge applies
 	teardown bool
@@ -334,7 +317,7 @@ func (e *faultEvent) RunAction() {
 // one queue entry at a time.
 type flapEvent struct {
 	s      *sim.Simulator
-	port   FabricPort
+	port   *netsim.Port
 	phase  time.Duration
 	cycles int  // down/up pairs still to run, including the current one
 	down   bool // true while the port is held down

@@ -205,9 +205,9 @@ func TestApplyEndpointFaults(t *testing.T) {
 		{Kind: KindCrash, Target: 1, At: ms(7), For: time.Millisecond},
 	}}
 	Apply(s, Targets{
-		Uplinks:   []FabricPort{h0.Uplink()},
-		HostPorts: []FabricPort{h0.Uplink(), h1.Uplink()},
-		Hosts:     []Host{h0, h1},
+		Uplinks:   []*netsim.Port{h0.Uplink()},
+		HostPorts: []*netsim.Port{h0.Uplink(), h1.Uplink()},
+		Hosts:     []*netsim.Host{h0, h1},
 		Crashers:  []Crasher{nil, nil},
 	}, plan)
 
@@ -255,7 +255,7 @@ func TestApplyFabricKindsCompose(t *testing.T) {
 		{Kind: KindSlow, Target: 1, At: ms(6), For: 2 * time.Millisecond, Gbps: 10},
 	}}
 	Apply(s, Targets{
-		Uplinks: []FabricPort{h0.Uplink(), h1.Uplink()},
+		Uplinks: []*netsim.Port{h0.Uplink(), h1.Uplink()},
 	}, plan)
 
 	s.Run()
@@ -360,7 +360,7 @@ func TestDownDropsAccountEveryLostFrame(t *testing.T) {
 	topo, fwd := netsim.PointToPoint(s, testLink)
 	topo.Hosts[1].SetHandler(netsim.HandlerFunc(func(*netsim.Frame) {}))
 	// Four 20us-down / 20us-up cycles from 10us.
-	Apply(s, Targets{Uplinks: []FabricPort{fwd}}, Plan{Events: []Event{
+	Apply(s, Targets{Uplinks: []*netsim.Port{fwd}}, Plan{Events: []Event{
 		{Kind: KindFlap, Target: 0, At: us(10), For: 160 * time.Microsecond, Cycles: 4},
 	}})
 
@@ -404,7 +404,7 @@ func TestSlowPortStaysUp(t *testing.T) {
 		topo.Hosts[1].SetHandler(netsim.HandlerFunc(func(*netsim.Frame) {}))
 		if slow {
 			// 200 -> 2 Gb/s; For 0: never restored.
-			Apply(s, Targets{Uplinks: []FabricPort{fwdPort}}, Plan{Events: []Event{
+			Apply(s, Targets{Uplinks: []*netsim.Port{fwdPort}}, Plan{Events: []Event{
 				{Kind: KindSlow, Target: 0, At: 0, Gbps: 2},
 			}})
 		}
@@ -445,7 +445,7 @@ func TestOverlappingFlapsCompose(t *testing.T) {
 	s := sim.New(9)
 	_, fwd := netsim.PointToPoint(s, testLink)
 	// A: down [10,50)us. B: down [30,70)us. Overlap is [30,50)us.
-	Apply(s, Targets{Uplinks: []FabricPort{fwd}}, Plan{Events: []Event{
+	Apply(s, Targets{Uplinks: []*netsim.Port{fwd}}, Plan{Events: []Event{
 		{Kind: KindFlap, Target: 0, At: us(10), For: 80 * time.Microsecond, Cycles: 1},
 		{Kind: KindFlap, Target: 0, At: us(30), For: 80 * time.Microsecond, Cycles: 1},
 	}})

@@ -13,8 +13,8 @@ import (
 // — the TL turns it into an RNR NACK with the valve's retry delay — and
 // the initiator's RNR retry loop carries the transaction until the valve
 // reopens. Install it with Endpoint.SetTarget, wrapping the QP's own
-// handler (rdma.QP.Target); it implements Staller, so storm plans drive
-// it like any other fault.
+// handler (rdma.QP.Target), and list it in Targets.Stallers so storm
+// plans drive it like any other fault.
 type RNRValve struct {
 	inner   tl.TargetHandler
 	delay   time.Duration
@@ -29,11 +29,8 @@ func NewRNRValve(inner tl.TargetHandler, delay time.Duration) *RNRValve {
 	return &RNRValve{inner: inner, delay: delay}
 }
 
-// SetStalled implements Staller.
+// SetStalled closes (true) or reopens (false) the valve.
 func (v *RNRValve) SetStalled(stalled bool) { v.stalled = stalled }
-
-// Stalled reports whether the valve is currently closed.
-func (v *RNRValve) Stalled() bool { return v.stalled }
 
 // HandlePush implements tl.TargetHandler.
 func (v *RNRValve) HandlePush(rsn uint64, p *wire.Packet) tl.TargetVerdict {

@@ -157,8 +157,8 @@ type Node struct {
 
 	// Free lists for the per-packet NIC pipeline jobs (TX egress and RX
 	// ingress), recycled as they fire.
-	txJobs *txJob
-	rxJobs *rxJob
+	txJobs sim.FreeList[txJob]
+	rxJobs sim.FreeList[rxJob]
 }
 
 // Host returns the underlying fabric host.
@@ -170,6 +170,30 @@ func (n *Node) NIC() *nic.NIC { return n.nic }
 // PacketPool returns the transport packet pool this node draws from, for
 // leak and bound checks at quiescence.
 func (n *Node) PacketPool() *wire.PacketPool { return n.pool }
+
+// FreeLists calls visit with the built and free counts of every free list
+// on the node's Falcon path, for leak checks at quiescence: the NIC's
+// ingress and egress jobs and host-delivery completions, the transaction
+// contexts, and the NACK- and RNR-retry events of the node's open
+// connections, each summed over them. Once a run has drained, free equals
+// built on every list.
+func (n *Node) FreeLists(visit func(name string, built, free int)) {
+	visit("rx jobs", n.rxJobs.Built(), n.rxJobs.Free())
+	visit("tx jobs", n.txJobs.Built(), n.txJobs.Free())
+	built, free := n.nic.HostEvents()
+	visit("host events", built, free)
+	built, free = n.res.TxnContexts()
+	visit("transaction contexts", built, free)
+	var nb, nf, rb, rf int
+	for _, ep := range n.conns {
+		b, f := ep.pdl.NackRetryEvents()
+		nb, nf = nb+b, nf+f
+		b, f = ep.tl.RetryEvents()
+		rb, rf = rb+b, rf+f
+	}
+	visit("NACK-retry events", nb, nf)
+	visit("RNR-retry events", rb, rf)
+}
 
 // Resources returns the node's shared TL resource pools.
 func (n *Node) Resources() *tl.Resources { return n.res }
@@ -204,22 +228,21 @@ func (n *Node) Crash() int {
 
 // rxJob is the pooled NIC-ingress pass for one arriving packet: it runs
 // after the pipeline's admission delay, hands the packet to the PDL, and
-// releases the wire's hold (a layer above that retains the packet shares
-// it and releases its own hold; see wire.PacketPool's ownership
-// contract).
+// releases the hold it carries, the wire's or, for a PSP frame, that of
+// the packet decrypted into the pool (a layer above that retains the
+// packet shares it and releases its own hold; see wire.PacketPool's
+// ownership contract).
 type rxJob struct {
 	ep   *Endpoint
 	pkt  *wire.Packet
 	hops int
-	next *rxJob
 }
 
 func (j *rxJob) RunAction() {
 	ep, p, hops := j.ep, j.pkt, j.hops
 	n := ep.node
 	j.ep, j.pkt = nil, nil
-	j.next = n.rxJobs
-	n.rxJobs = j
+	n.rxJobs.Put(j)
 	ep.pdl.HandlePacket(p, hops)
 	n.pool.Release(p)
 }
@@ -241,14 +264,7 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 			payload = n.pool.Unshare(payload)
 			payload.Flags |= wire.FlagCE
 		}
-		j := n.rxJobs
-		if j == nil {
-			j = &rxJob{}
-		} else {
-			n.rxJobs = j.next
-		}
-		j.ep, j.pkt, j.hops = ep, payload, f.Hops
-		n.nic.ProcessAction(ep.nicKey, j)
+		n.ingress(ep, payload, f.Hops)
 	case sealedFrame:
 		ep, ok := n.conns[payload.conn]
 		if !ok || ep.rxSA == nil {
@@ -258,16 +274,24 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 		if err != nil {
 			return // authentication failure: drop (the PDL retransmits)
 		}
-		var p wire.Packet
+		p := n.pool.Acquire()
 		if _, err := p.Unmarshal(buf); err != nil {
+			n.pool.Release(p)
 			return
 		}
 		if f.CE {
 			p.Flags |= wire.FlagCE
 		}
-		hops := f.Hops
-		n.nic.Process(ep.nicKey, func() { ep.pdl.HandlePacket(&p, hops) })
+		n.ingress(ep, p, f.Hops)
 	}
+}
+
+// ingress hands one arriving packet, held by the caller, to the NIC
+// pipeline on a pooled rxJob, which passes the hold on to the PDL pass.
+func (n *Node) ingress(ep *Endpoint, p *wire.Packet, hops int) {
+	j := n.rxJobs.Get()
+	j.ep, j.pkt, j.hops = ep, p, hops
+	n.nic.ProcessAction(ep.nicKey, j)
 }
 
 func (n *Node) applyFAEResponse(r fae.Response) {
@@ -284,17 +308,15 @@ func (n *Node) applyFAEResponse(r fae.Response) {
 // fabric frame (sealing it first when PSP is on, which ends the hold) and
 // transmits.
 type txJob struct {
-	ep   *Endpoint
-	pkt  *wire.Packet
-	next *txJob
+	ep  *Endpoint
+	pkt *wire.Packet
 }
 
 func (j *txJob) RunAction() {
 	ep, cp := j.ep, j.pkt
 	n := ep.node
 	j.ep, j.pkt = nil, nil
-	j.next = n.txJobs
-	n.txJobs = j
+	n.txJobs.Put(j)
 	frame := n.host.NewFrame()
 	frame.Dst = ep.peer
 	frame.FlowHash = flowHash(ep.id, cp.FlowLabel)
@@ -411,12 +433,7 @@ func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoi
 			// it stamps a retransmission, so the packet in flight never
 			// changes under the wire.
 			cp := n.pool.Share(p)
-			j := n.txJobs
-			if j == nil {
-				j = &txJob{}
-			} else {
-				n.txJobs = j.next
-			}
+			j := n.txJobs.Get()
 			j.ep, j.pkt = ep, cp
 			n.nic.ProcessAction(ep.nicKey, j)
 		},

@@ -26,7 +26,7 @@ func AblationECN(o Options, runFor time.Duration) *Table {
 	run := func(useECN bool) []string {
 		s := o.newSim(61)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo := o.star(s, 6, link)
+		topo := netsim.Star(s, 6, link)
 		down := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
 		down.SetECNThreshold(128 << 10)
 		cl := core.NewCluster(s)
@@ -83,7 +83,7 @@ func AblationPSP(o Options, runFor time.Duration) *Table {
 	run := func(encrypt bool) []string {
 		s := o.newSim(62)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := o.pointToPoint(s, link)
+		topo, _ := netsim.PointToPoint(s, link)
 		cl := core.NewCluster(s)
 		ncfgA, ncfgB := core.DefaultNodeConfig(), core.DefaultNodeConfig()
 		if encrypt {

@@ -28,7 +28,7 @@ func collectiveTable(o Options, title string, nodes, ranksPerNode int,
 	ranks := nodes * ranksPerNode
 	run := func(falcon bool, bytes int) time.Duration {
 		s := o.newSim(25)
-		m := o.job(s, falcon, nodes, ranksPerNode, ranks)
+		m := job(s, falcon, nodes, ranksPerNode, ranks)
 		var done sim.Time
 		coll(m, bytes, func() { done = s.Now() })
 		s.Run()
@@ -68,7 +68,7 @@ func Fig31(o Options) *Table {
 	}
 	run := func(falcon bool, bytes int) time.Duration {
 		s := o.newSim(31)
-		m := o.job(s, falcon, 2, 8, 16)
+		m := job(s, falcon, 2, 8, 16)
 		var done sim.Time
 		workload.MultiPingPong(m, bytes, 50, func() { done = s.Now() })
 		s.Run()
@@ -101,7 +101,7 @@ func hpcTable(o Options, title string, cfgFor func(int) workload.HPCConfig) *Tab
 	for _, nodes := range []int{1, 2, 4, 8, 16, 32} {
 		run := func(falcon bool) float64 {
 			s := o.newSim(27)
-			return workload.RunHPC(s, o.job(s, falcon, nodes, 1, nodes), cfgFor(nodes))
+			return workload.RunHPC(s, job(s, falcon, nodes, 1, nodes), cfgFor(nodes))
 		}
 		falcon, tcp := run(true), run(false)
 		t.Rows = append(t.Rows, []string{f1(float64(nodes)), f1(falcon), f1(tcp), f2(falcon / tcp)})
@@ -122,7 +122,7 @@ func Fig29(o Options) *Table {
 	{
 		s := o.newSim(29)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := o.pointToPoint(s, link)
+		topo, _ := netsim.PointToPoint(s, link)
 		cl := core.NewCluster(s)
 		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -139,7 +139,7 @@ func Fig29(o Options) *Table {
 	{
 		s := o.newSim(29)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := o.pointToPoint(s, link)
+		topo, _ := netsim.PointToPoint(s, link)
 		a := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
 		b := swtransport.NewNode(s, topo.Hosts[1], swtransport.PonyExpress())
 		conn := swtransport.Connect(a, b, 1)
@@ -162,7 +162,7 @@ func Table4(o Options, runFor time.Duration) *Table {
 	remote := func(opBytes int, write bool, window int) float64 {
 		s := o.newSim(4)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := o.pointToPoint(s, link)
+		topo, _ := netsim.PointToPoint(s, link)
 		cl := core.NewCluster(s)
 		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -226,4 +226,15 @@ func Table4(o Options, runFor time.Duration) *Table {
 		t.Rows = append(t.Rows, []string{r.name, f1(rg), f1(lg), f1(100 * rg / lg)})
 	}
 	return t
+}
+
+// job builds a message-passing job on a Clos: workload.BuildFalconJob, or
+// without falcon BuildSWJob over TCP.
+func job(s *sim.Simulator, falcon bool, nodes, ranksPerNode, ranks int) workload.Messenger {
+	if falcon {
+		m, _ := workload.BuildFalconJob(s, nodes, ranksPerNode, ranks)
+		return m
+	}
+	m, _ := workload.BuildSWJob(s, nodes, ranksPerNode, ranks, swtransport.TCP())
+	return m
 }

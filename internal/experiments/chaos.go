@@ -54,23 +54,12 @@ func stormSpec(runFor time.Duration, hostsPerRack, spines int) chaos.Spec {
 // access links, pauses can hit any host.
 func stormTargets(topo *netsim.Topology, hostsPerRack int) (chaos.Targets, []*netsim.Port) {
 	uplinks := topo.ToRs[0].RouteTo(topo.Hosts[hostsPerRack].ID)
-	t := chaos.Targets{Uplinks: fabricPorts(uplinks)}
+	t := chaos.Targets{Uplinks: uplinks}
 	for i := 0; i < hostsPerRack; i++ {
 		t.HostPorts = append(t.HostPorts, topo.Hosts[i].Uplink())
 	}
-	for _, h := range topo.Hosts {
-		t.Hosts = append(t.Hosts, h)
-	}
+	t.Hosts = topo.Hosts
 	return t, uplinks
-}
-
-// fabricPorts widens a port group to the fault-target interface.
-func fabricPorts(ports []*netsim.Port) []chaos.FabricPort {
-	out := make([]chaos.FabricPort, len(ports))
-	for i, p := range ports {
-		out[i] = p
-	}
-	return out
 }
 
 // stormOps computes the per-pair Poisson op budget: arrivals cover the
@@ -157,7 +146,7 @@ func stormRoceRun(o Options, seed int64, plan chaos.Plan, runFor time.Duration) 
 	s := o.newSim(seed)
 	host := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
 	fabric := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-	topo := o.twoRack(s, hostsPerRack, spines, host, fabric)
+	topo := netsim.TwoRack(s, hostsPerRack, spines, host, fabric)
 	targets, _ := stormTargets(topo, hostsPerRack)
 	chaos.Apply(s, targets, plan)
 
@@ -315,7 +304,7 @@ func FigEndpointFault(o Options, runFor time.Duration) *Table {
 func endpointFaultRun(o Options, seed int64, ev chaos.Event, runFor time.Duration) chaos.Report {
 	const opBytes = 8 << 10
 	s := o.newSim(seed)
-	topo, _ := o.pointToPoint(s, netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond})
+	topo, _ := netsim.PointToPoint(s, netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond})
 	cl := core.NewCluster(s)
 	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -328,11 +317,11 @@ func endpointFaultRun(o Options, seed int64, ev chaos.Event, runFor time.Duratio
 
 	plan := chaos.Plan{Seed: seed, RestoreGbps: 200, Events: []chaos.Event{ev}}
 	chaos.Apply(s, chaos.Targets{
-		Uplinks:   []chaos.FabricPort{topo.Hosts[0].Uplink(), topo.Hosts[1].Uplink()},
-		HostPorts: []chaos.FabricPort{topo.Hosts[0].Uplink(), topo.Hosts[1].Uplink()},
-		Hosts:     []chaos.Host{topo.Hosts[0], topo.Hosts[1]},
+		Uplinks:   []*netsim.Port{topo.Hosts[0].Uplink(), topo.Hosts[1].Uplink()},
+		HostPorts: []*netsim.Port{topo.Hosts[0].Uplink(), topo.Hosts[1].Uplink()},
+		Hosts:     topo.Hosts[:2],
 		Crashers:  []chaos.Crasher{a, b},
-		Stallers:  []chaos.Staller{valve},
+		Stallers:  []*chaos.RNRValve{valve},
 	}, plan)
 
 	var rep chaos.Report

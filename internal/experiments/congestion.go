@@ -73,7 +73,7 @@ func idealIncastLatency(qpsPerHost, opBytes int, gbps float64) time.Duration {
 func falconIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
 	s := o.newSim(13)
 	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo := o.star(s, 6, link)
+	topo := netsim.Star(s, 6, link)
 	cl := core.NewCluster(s)
 	server := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 	var lat stats.Series
@@ -135,7 +135,7 @@ func falconIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.
 func roceIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
 	s := o.newSim(13)
 	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo := o.star(s, 6, link)
+	topo := netsim.Star(s, 6, link)
 	server := roce.NewNode(s, topo.Hosts[0], nil)
 	var lat stats.Series
 	var resps []*roce.Responder
@@ -183,7 +183,7 @@ func Fig14(o Options, phase time.Duration) *Table {
 	{
 		s := o.newSim(29)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := o.pointToPoint(s, link)
+		topo, _ := netsim.PointToPoint(s, link)
 		cl := core.NewCluster(s)
 		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -216,7 +216,7 @@ func Fig14(o Options, phase time.Duration) *Table {
 	{
 		s := o.newSim(29)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := o.pointToPoint(s, link)
+		topo, _ := netsim.PointToPoint(s, link)
 		clientNode := roce.NewNode(s, topo.Hosts[0], nil)
 		nicCfg := nic.DefaultConfig()
 		serverNIC := nic.New(s, nicCfg)

@@ -84,7 +84,7 @@ type falconP2P struct {
 func newFalconP2P(o Options, seed int64, gbps float64, connCfg core.ConnConfig) *falconP2P {
 	s := o.newSim(seed)
 	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo, fwd := o.pointToPoint(s, link)
+	topo, fwd := netsim.PointToPoint(s, link)
 	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
 	cl := core.NewCluster(s)
 	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
@@ -166,7 +166,7 @@ type roceP2P struct {
 func newRoceP2P(o Options, seed int64, gbps float64, cfg roce.Config) *roceP2P {
 	s := o.newSim(seed)
 	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo, fwd := o.pointToPoint(s, link)
+	topo, fwd := netsim.PointToPoint(s, link)
 	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
 	a := roce.NewNode(s, topo.Hosts[0], nil)
 	b := roce.NewNode(s, topo.Hosts[1], nil)

@@ -66,7 +66,7 @@ func Fig22b(o Options, runFor time.Duration) *Table {
 	run := func(delay time.Duration) (time.Duration, time.Duration) {
 		s := o.newSim(22)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo := o.star(s, 3, link)
+		topo := netsim.Star(s, 3, link)
 		cl := core.NewCluster(s)
 		ncfg := core.DefaultNodeConfig()
 		ncfg.FAE.ResponseDelay = delay

@@ -82,7 +82,7 @@ func Fig20a(o Options, runFor time.Duration) *Table {
 		fp50, fp99 := func() (time.Duration, time.Duration) {
 			s := o.newSim(20)
 			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-			topo := o.star(s, servers+1, link)
+			topo := netsim.Star(s, servers+1, link)
 			cl := core.NewCluster(s)
 			client := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 			var serverNodes []*core.Node
@@ -111,7 +111,7 @@ func Fig20a(o Options, runFor time.Duration) *Table {
 		sp50, sp99 := func() (time.Duration, time.Duration) {
 			s := o.newSim(20)
 			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-			topo := o.star(s, servers+1, link)
+			topo := netsim.Star(s, servers+1, link)
 			clientNode := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
 			var serverNodes []*swtransport.Node
 			for i := 0; i < servers; i++ {
@@ -147,7 +147,7 @@ func Fig20b(o Options, runFor time.Duration) *Table {
 	for _, qps := range []int{1, 2, 4, 8, 12, 16} {
 		s := o.newSim(20)
 		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-		topo, _ := o.pointToPoint(s, link)
+		topo, _ := netsim.PointToPoint(s, link)
 		cl := core.NewCluster(s)
 		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())

@@ -46,7 +46,7 @@ func fig24Run(o Options, slow int, mode tl.BackpressureMode, runFor time.Duratio
 	// Hosts: 0 = the shared source, 1 = fast target (same rack), 2 =
 	// slow target whose host interface is crawling (standing in for the
 	// paper's periodic cross-rack incast).
-	topo := o.star(s, 3, link)
+	topo := netsim.Star(s, 3, link)
 	cl := core.NewCluster(s)
 	src := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 	fastTgt := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"falcon/internal/core"
 	"falcon/internal/falcon/pdl"
 	"falcon/internal/netsim"
 	"falcon/internal/rdma"
@@ -191,5 +190,3 @@ func Fig12(o Options, runFor time.Duration) *Table {
 	}
 	return t
 }
-
-var _ = core.DefaultNodeConfig

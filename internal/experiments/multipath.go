@@ -21,7 +21,7 @@ func rackPair(o Options, seed int64, hostsPerRack, spines int) (*sim.Simulator, 
 	s := o.newSim(seed)
 	host := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
 	fabric := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-	topo := o.twoRack(s, hostsPerRack, spines, host, fabric)
+	topo := netsim.TwoRack(s, hostsPerRack, spines, host, fabric)
 	return s, topo, core.NewCluster(s)
 }
 
@@ -197,7 +197,7 @@ func Fig18(o Options) *Table {
 		s := o.newSim(18)
 		host := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
 		fabric := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-		topo := o.twoRack(s, 8, 4, host, fabric)
+		topo := netsim.TwoRack(s, 8, 4, host, fabric)
 		cl := core.NewCluster(s)
 		var nodes []*core.Node
 		for _, h := range topo.Hosts {

@@ -73,7 +73,7 @@ func routingRun(o Options, seed int64, pol routing.Policy, load float64, runFor 
 	// ToR-0's spine uplinks: the equal-cost set every cross-rack frame
 	// from rack 0 fans over, and the group gray failures target.
 	uplinks := topo.ToRs[0].RouteTo(topo.Hosts[hostsPerRack].ID)
-	chaos.Apply(s, chaos.Targets{Uplinks: fabricPorts(uplinks)}, chaos.Plan{Events: impair})
+	chaos.Apply(s, chaos.Targets{Uplinks: uplinks}, chaos.Plan{Events: impair})
 	const opBytes = 64 << 10
 	var lat stats.Series
 	var delivered uint64

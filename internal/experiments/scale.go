@@ -43,7 +43,7 @@ func FigScale(o Options, runFor time.Duration) *Table {
 		// sweep stresses.
 		fabricLink := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
 		s := o.newSim(30)
-		topo := o.clos(s, tr.racks, tr.hostsPerRack, tr.spines, hostLink, fabricLink)
+		topo := netsim.Clos(s, tr.racks, tr.hostsPerRack, tr.spines, hostLink, fabricLink)
 		cl := core.NewCluster(s)
 		nodes := make([]*core.Node, len(topo.Hosts))
 		for i, h := range topo.Hosts {

@@ -21,13 +21,12 @@ type opLat struct {
 	s    *sim.Simulator
 	lat  *stats.Series
 	done *uint64
-	free *opLatRec
+	free sim.FreeList[opLatRec]
 }
 
 type opLatRec struct {
 	p      *opLat
 	start  sim.Time
-	next   *opLatRec
 	onRDMA func(rdma.Completion)
 	onSW   func()
 }
@@ -35,22 +34,17 @@ type opLatRec struct {
 // get stamps a pooled record with the current time; pass its onRDMA or
 // onSW field as the op's completion callback.
 func (p *opLat) get() *opLatRec {
-	r := p.free
-	if r == nil {
-		r = &opLatRec{p: p}
+	r := p.free.Get()
+	if r.p == nil {
+		r.p = p
 		r.onRDMA = r.rdmaDone
 		r.onSW = r.swDone
-	} else {
-		p.free = r.next
 	}
 	r.start = p.s.Now()
 	return r
 }
 
-func (r *opLatRec) release() {
-	r.next = r.p.free
-	r.p.free = r
-}
+func (r *opLatRec) release() { r.p.free.Put(r) }
 
 func (r *opLatRec) rdmaDone(c rdma.Completion) {
 	if c.Err == nil {
@@ -85,7 +79,7 @@ func Fig1(o Options, runFor time.Duration) *Table {
 		fp99, fach := func() (time.Duration, float64) {
 			s := o.newSim(1)
 			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-			topo, _ := o.pointToPoint(s, link)
+			topo, _ := netsim.PointToPoint(s, link)
 			cl := core.NewCluster(s)
 			a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
 			b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
@@ -110,7 +104,7 @@ func Fig1(o Options, runFor time.Duration) *Table {
 		sp99, sach := func() (time.Duration, float64) {
 			s := o.newSim(1)
 			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-			topo, _ := o.pointToPoint(s, link)
+			topo, _ := netsim.PointToPoint(s, link)
 			a := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
 			b := swtransport.NewNode(s, topo.Hosts[1], swtransport.PonyExpress())
 			var lat stats.Series

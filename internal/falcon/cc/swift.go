@@ -172,15 +172,6 @@ func (s *Swift) canDecrease(now sim.Time) bool {
 	return now.Sub(s.tLast) >= s.srtt
 }
 
-// PacingDelay returns the inter-packet gap implied by a fractional window:
-// with cwnd < 1 the sender may emit one packet per srtt/cwnd.
-func (s *Swift) PacingDelay() time.Duration {
-	if s.cwnd >= 1 || s.srtt == 0 {
-		return 0
-	}
-	return time.Duration(float64(s.srtt) / s.cwnd)
-}
-
 // The NIC congestion window loop (§4.2 "Handling Rx NIC Congestion") runs
 // AIMD on the receiver's RX buffer occupancy so that occupancy converges
 // to ncwndTargetOccupancy. Its constants are the evaluation's settings.

@@ -129,20 +129,6 @@ func TestSwiftConvergesTowardTargetDelay(t *testing.T) {
 	}
 }
 
-func TestSwiftFractionalWindowPacing(t *testing.T) {
-	s := swiftAt(0.5)
-	if s.PacingDelay() != 0 {
-		t.Fatal("pacing delay needs an SRTT")
-	}
-	s.OnAck(Sample{FabricDelay: time.Second, RTT: 40 * time.Microsecond, AckedPackets: 1, Now: 0})
-	if s.Cwnd() >= 1 {
-		t.Skip("window rose above 1; pacing not applicable")
-	}
-	if d := s.PacingDelay(); d < 40*time.Microsecond {
-		t.Fatalf("pacing delay %v should exceed srtt for cwnd < 1", d)
-	}
-}
-
 func TestNcwndConvergesToOccupancyTarget(t *testing.T) {
 	n := NewNcwnd(8)
 	rtt := 20 * time.Microsecond

@@ -387,11 +387,14 @@ type Stats struct {
 // receiver state; a connection is full-duplex so both peers instantiate
 // one).
 type Conn struct {
-	sim  *sim.Simulator
-	cfg  Config
-	cb   Callbacks
-	id   uint32
-	hops int // last observed path hop count
+	sim *sim.Simulator
+	cfg Config
+	cb  Callbacks
+	id  uint32
+	// failed is set once the connection is declared dead (see
+	// consecRTOs); it sits beside id to share its word.
+	failed bool
+	hops   int // last observed path hop count
 
 	// pool recycles ACK/NACK packets this connection builds and data
 	// packets it owns (see wire.PacketPool's ownership contract). A nil
@@ -432,7 +435,7 @@ type Conn struct {
 	paceAct   timerAction
 	nextPaced sim.Time
 	// nackEvents is the free list of resource-NACK backoff events.
-	nackEvents *nackRetryEvent
+	nackEvents sim.FreeList[nackRetryEvent]
 
 	// Receiver state.
 	rx     [wire.NumSpaces]*rxSpace
@@ -445,7 +448,6 @@ type Conn struct {
 	// consecRTOs counts timeouts since the last ACK progress; at the
 	// configured budget the connection is declared failed.
 	consecRTOs int
-	failed     bool
 
 	// probe, when non-nil, observes sends and receives (verification).
 	probe Probe
@@ -617,6 +619,13 @@ func (c *Conn) QueuedPackets() int { return c.reqQ.Len() + c.respQ.Len() }
 
 // Outstanding returns the number of transmitted-but-unacked packets.
 func (c *Conn) Outstanding() int { return c.totalOutstanding() }
+
+// NackRetryEvents reports how many resource-NACK backoff events the
+// connection has built and how many are on its free list: equal once no
+// backoff retransmit is pending.
+func (c *Conn) NackRetryEvents() (built, free int) {
+	return c.nackEvents.Built(), c.nackEvents.Free()
+}
 
 // Parked returns the number of outstanding packets currently excluded from
 // the congestion window because the peer resource-NACKed them and a backoff

@@ -743,3 +743,74 @@ func TestRetransmitUnsharesOnlyWhileShared(t *testing.T) {
 		}
 	}
 }
+
+// TestFractionalWindowPacing drives the live pacing path: with the
+// effective window held below one packet (FAE responses cut off), each
+// data packet leaves srtt/window after the one before it, srtt being the
+// sender's estimate when that one left, and a gap longer than
+// maxRTOBackoff is clamped to it.
+func TestFractionalWindowPacing(t *testing.T) {
+	for _, tc := range []struct {
+		wnd     float64
+		latency time.Duration
+		clamped bool
+	}{
+		{wnd: 0.25, latency: 5 * time.Microsecond},
+		// Both round trips stay under the initial TLP timeout, which no
+		// FAE response shortens here, so nothing is probed.
+		{wnd: 0.001, latency: 40 * time.Microsecond, clamped: true},
+	} {
+		cfg := DefaultConfig()
+		cfg.NumFlows = 1
+		p := newPair(t, cfg)
+		p.latency = tc.latency
+		p.a.cb.PostEvent = func(fae.Event) {} // the sender still samples RTT
+		p.a.flows[0].fcwnd = tc.wnd
+		type send struct {
+			at   sim.Time
+			srtt time.Duration
+		}
+		var sends []send
+		origSend := p.a.cb.Send
+		p.a.cb.Send = func(pkt *wire.Packet) {
+			if pkt.Type.IsData() {
+				sends = append(sends, send{p.s.Now(), p.a.SRTT()})
+			}
+			origSend(pkt)
+		}
+		const n = 6
+		for i := 0; i < n; i++ {
+			p.a.SendPacket(dataPacket(uint64(i), wire.TypePushData, 4096))
+		}
+		p.s.Run()
+		if len(sends) != n || len(p.deliveredAtB) != n || p.a.Stats.DataRetransmits != 0 {
+			t.Fatalf("window %v: %d sends, %d delivered, %d retransmits; want %d, %d, 0",
+				tc.wnd, len(sends), len(p.deliveredAtB), p.a.Stats.DataRetransmits, n, n)
+		}
+		if p.a.EffectiveWindow() != tc.wnd {
+			t.Fatalf("effective window moved to %v", p.a.EffectiveWindow())
+		}
+		checked := 0
+		for i := 1; i < n; i++ {
+			prev := sends[i-1]
+			if prev.srtt == 0 {
+				continue // no RTT sample yet: the gap derives from the TLP timeout
+			}
+			checked++
+			want := time.Duration(float64(prev.srtt) / tc.wnd)
+			if tc.clamped {
+				if want <= maxRTOBackoff {
+					t.Fatalf("window %v: srtt %v gives a gap %v that needs no clamp", tc.wnd, prev.srtt, want)
+				}
+				want = maxRTOBackoff
+			}
+			if got := sends[i].at.Sub(prev.at); got != want {
+				t.Errorf("window %v: packet %d left %v after packet %d, want %v (srtt %v)",
+					tc.wnd, i, got, i-1, want, prev.srtt)
+			}
+		}
+		if checked < 3 {
+			t.Fatalf("window %v: only %d gaps followed an RTT sample", tc.wnd, checked)
+		}
+	}
+}

@@ -180,7 +180,6 @@ type nackRetryEvent struct {
 	space wire.Space
 	psn   uint32
 	gen   uint32
-	next  *nackRetryEvent
 }
 
 func (ev *nackRetryEvent) RunAction() {
@@ -188,8 +187,7 @@ func (ev *nackRetryEvent) RunAction() {
 	ts := c.tx[ev.space]
 	tp := ts.slot(ev.psn)
 	ok := tp.live && tp.psn == ev.psn && tp.gen == ev.gen && !tp.acked
-	ev.next = c.nackEvents
-	c.nackEvents = ev
+	c.nackEvents.Put(ev)
 	if ok {
 		c.retransmit(tp, retxNackBackoff)
 	}
@@ -198,12 +196,7 @@ func (ev *nackRetryEvent) RunAction() {
 // scheduleNackRetry arms the backoff retransmit for a parked packet using a
 // pooled event.
 func (c *Conn) scheduleNackRetry(tp *txPacket, space wire.Space, backoff time.Duration) {
-	ev := c.nackEvents
-	if ev == nil {
-		ev = &nackRetryEvent{c: c}
-	} else {
-		c.nackEvents = ev.next
-	}
-	ev.space, ev.psn, ev.gen = space, tp.psn, tp.gen
+	ev := c.nackEvents.Get()
+	ev.c, ev.space, ev.psn, ev.gen = c, space, tp.psn, tp.gen
 	c.sim.AtAction(c.sim.Now().Add(backoff), ev)
 }

@@ -120,7 +120,7 @@ const (
 
 // txn is one initiator-side transaction (at most one MTU, so exactly one
 // request packet and at most one response packet). Completed transactions
-// recycle through the node's free list (Resources.allocTxn).
+// recycle through the node's free list (Resources.txns).
 type txn struct {
 	kind     txnKind
 	rsn      uint64
@@ -135,7 +135,6 @@ type txn struct {
 	released bool
 	err      error
 	respData []byte
-	nextFree *txn
 }
 
 // Probe observes a TL connection's transaction-level activity. It is the
@@ -227,7 +226,7 @@ type Conn struct {
 	probe Probe
 
 	// Free lists and scratch (steady-state allocation avoidance).
-	rnrEvents    *rnrRetryEvent
+	rnrEvents    sim.FreeList[rnrRetryEvent]
 	readyScratch []uint64
 
 	Stats Stats
@@ -357,6 +356,12 @@ func (c *Conn) BufferedRSNs() []uint64 { return c.reorderBuf.Sorted() }
 // ULP, sorted (diagnostics/verification).
 func (c *Conn) PendingRSNs() []uint64 { return c.txns.Sorted() }
 
+// RetryEvents reports how many RNR-retry events the connection has built
+// and how many are on its free list: equal once no retry is pending.
+func (c *Conn) RetryEvents() (built, free int) {
+	return c.rnrEvents.Built(), c.rnrEvents.Free()
+}
+
 // effAlpha returns the connection's DT α under the configured policy.
 func (c *Conn) effAlpha() float64 {
 	if c.cfg.Backpressure == BackpressureStatic {
@@ -464,7 +469,7 @@ func (c *Conn) initiate(kind txnKind, op uint8, addr uint64, data []byte, length
 	}
 	rsn := c.nextRSN
 	c.nextRSN++
-	t := c.res.allocTxn()
+	t := c.res.txns.Get()
 	t.kind, t.rsn, t.length, t.ulpOp, t.addr, t.data, t.done = kind, rsn, length, op, addr, data, done
 	c.txns.Put(rsn, t)
 	if kind == txnPush {

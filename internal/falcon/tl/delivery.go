@@ -257,16 +257,14 @@ func (c *Conn) Completed(completedRSN uint64) {
 // recycle through the free list under fresh RSNs). Fired events recycle
 // through the connection's free list too.
 type rnrRetryEvent struct {
-	c    *Conn
-	rsn  uint64
-	next *rnrRetryEvent
+	c   *Conn
+	rsn uint64
 }
 
 func (e *rnrRetryEvent) RunAction() {
 	c, rsn := e.c, e.rsn
 	e.c = nil
-	e.next = c.rnrEvents
-	c.rnrEvents = e
+	c.rnrEvents.Put(e)
 	if t, ok := c.txns.Get(rsn); ok {
 		c.retryTransaction(t)
 	}
@@ -274,13 +272,8 @@ func (e *rnrRetryEvent) RunAction() {
 
 // scheduleRetry arms a pooled retry event for rsn after d.
 func (c *Conn) scheduleRetry(rsn uint64, d time.Duration) {
-	e := c.rnrEvents
-	if e == nil {
-		e = &rnrRetryEvent{}
-	} else {
-		c.rnrEvents = e.next
-	}
-	e.c, e.rsn, e.next = c, rsn, nil
+	e := c.rnrEvents.Get()
+	e.c, e.rsn = c, rsn
 	c.sim.AtAction(c.sim.Now().Add(d), e)
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"falcon/internal/falcon/ring"
+	"falcon/internal/sim"
 )
 
 // PoolKind identifies one of the four resource sub-pools of Figure 6. The
@@ -185,10 +186,9 @@ type Resources struct {
 	// does its accounting and starts no second walk.
 	waking bool
 
-	// txnFree is the node's free list of transaction contexts, shared by
-	// its connections as the paper's per-NIC pools are (§4.5).
-	txnFree  *txn
-	txnBuilt int // contexts ever allocated
+	// txns is the node's free list of transaction contexts, shared by its
+	// connections as the paper's per-NIC pools are (§4.5).
+	txns sim.FreeList[txn]
 }
 
 // NewResources builds the resource manager.
@@ -209,32 +209,17 @@ func (r *Resources) enqueue(c *Conn) {
 	}
 }
 
-// allocTxn takes a zeroed transaction context from the free list.
-func (r *Resources) allocTxn() *txn {
-	t := r.txnFree
-	if t == nil {
-		r.txnBuilt++
-		return &txn{}
-	}
-	r.txnFree, t.nextFree = t.nextFree, nil
-	return t
-}
-
 // freeTxn recycles a released transaction context, dropping its payload
 // and callback references.
 func (r *Resources) freeTxn(t *txn) {
 	*t = txn{}
-	t.nextFree = r.txnFree
-	r.txnFree = t
+	r.txns.Put(t)
 }
 
 // TxnContexts reports how many transaction contexts the node has built and
 // how many are on its free list: equal once every transaction completed.
 func (r *Resources) TxnContexts() (built, free int) {
-	for t := r.txnFree; t != nil; t = t.nextFree {
-		free++
-	}
-	return r.txnBuilt, free
+	return r.txns.Built(), r.txns.Free()
 }
 
 // Reserve takes one context plus bytes from the pool on behalf of conn.

@@ -93,15 +93,12 @@ type NIC struct {
 	cfg Config
 
 	globalFree sim.Time
-	// connFree and connDone are indexed by the caller's connection key.
-	// core passes a dense per-node index (Endpoint.nicKey), so a grown-on-
-	// demand slice replaces the former map: the per-packet admission path
-	// does two array loads instead of two map probes, and the slices are
-	// as long as this NIC's connections. connDone enforces in-order
-	// completion per connection: a cheap lookup must not let a later
-	// packet finish before an earlier one.
-	connFree []sim.Time
-	connDone []sim.Time
+	// pipes is indexed by the caller's connection key. core passes a
+	// dense per-node index (Endpoint.nicKey), so a grown-on-demand slice
+	// replaces the former map: the per-packet admission path does one
+	// array load instead of two map probes, and the slice is as long as
+	// this NIC's connections.
+	pipes []connPipe
 
 	cache   *connCache
 	l2cache *connCache
@@ -112,7 +109,7 @@ type NIC struct {
 	rxSpilled int // bytes currently spilled to DRAM
 
 	// hostEvents is the free list of pooled host-delivery completions.
-	hostEvents *hostEvent
+	hostEvents sim.FreeList[hostEvent]
 
 	Stats Stats
 }
@@ -129,14 +126,22 @@ func New(s *sim.Simulator, cfg Config) *NIC {
 	return n
 }
 
-// connSlot returns &slice[conn], growing the slice as connections appear.
-func connSlot(s *[]sim.Time, conn uint32) *sim.Time {
-	if int(conn) >= len(*s) {
-		grown := make([]sim.Time, int(conn)+16)
-		copy(grown, *s)
-		*s = grown
+// connPipe is one connection's private pipeline: free is when it can
+// take the connection's next packet, and done is when its latest packet
+// completes, which enforces in-order completion per connection (a cheap
+// lookup must not let a later packet finish before an earlier one).
+type connPipe struct {
+	free, done sim.Time
+}
+
+// pipe returns conn's pipeline, growing the slice as connections appear.
+func (n *NIC) pipe(conn uint32) *connPipe {
+	if int(conn) >= len(n.pipes) {
+		grown := make([]connPipe, int(conn)+16)
+		copy(grown, n.pipes)
+		n.pipes = grown
 	}
-	return &(*s)[conn]
+	return &n.pipes[conn]
 }
 
 // lookupCost models the connection-state fetch for one packet.
@@ -176,19 +181,18 @@ func (n *NIC) admit(conn uint32) sim.Time {
 	n.globalFree = gStart.Add(n.cfg.GlobalPacketInterval)
 	// Per-connection serialization applies after global admission.
 	start := gStart
-	cf := connSlot(&n.connFree, conn)
-	if *cf > start {
-		n.Stats.ConnWait += cf.Sub(start)
-		start = *cf
+	cp := n.pipe(conn)
+	if cp.free > start {
+		n.Stats.ConnWait += cp.free.Sub(start)
+		start = cp.free
 	}
 	cost := n.lookupCost(conn)
 	done := start.Add(cost)
-	cd := connSlot(&n.connDone, conn)
-	if done < *cd {
-		done = *cd
+	if done < cp.done {
+		done = cp.done
 	}
-	*cd = done
-	*cf = start.Add(n.cfg.PerConnPacketInterval)
+	cp.done = done
+	cp.free = start.Add(n.cfg.PerConnPacketInterval)
 	n.Stats.PacketsProcessed++
 	return done
 }
@@ -242,13 +246,8 @@ func (n *NIC) DeliverToHost(bytes int, done func()) {
 	}
 	n.hostFree = finish
 	n.Stats.HostBytes += uint64(bytes)
-	ev := n.hostEvents
-	if ev == nil {
-		ev = &hostEvent{n: n}
-	} else {
-		n.hostEvents = ev.next
-	}
-	ev.bytes, ev.spilled, ev.done = bytes, spilled, done
+	ev := n.hostEvents.Get()
+	ev.n, ev.bytes, ev.spilled, ev.done = n, bytes, spilled, done
 	n.sim.AtAction(finish, ev)
 }
 
@@ -260,7 +259,6 @@ type hostEvent struct {
 	bytes   int
 	spilled bool
 	done    func()
-	next    *hostEvent
 }
 
 func (ev *hostEvent) RunAction() {
@@ -271,11 +269,16 @@ func (ev *hostEvent) RunAction() {
 	}
 	done := ev.done
 	ev.done = nil
-	ev.next = n.hostEvents
-	n.hostEvents = ev
+	n.hostEvents.Put(ev)
 	if done != nil {
 		done()
 	}
+}
+
+// HostEvents reports how many host-delivery completions the NIC has built
+// and how many are on its free list: equal once every delivery landed.
+func (n *NIC) HostEvents() (built, free int) {
+	return n.hostEvents.Built(), n.hostEvents.Free()
 }
 
 // RxOccupancy returns the RX packet-buffer occupancy as a fraction of SRAM

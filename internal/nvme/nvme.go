@@ -147,7 +147,7 @@ type Controller struct {
 	// port pulls write data (context: the command) and pushes CQEs
 	// (context: nil).
 	port              *ulp.Port[*writeState]
-	dataFree, cqeFree ulp.Pool[*writeState]
+	dataFree, cqeFree sim.FreeList[ulp.Op[*writeState]]
 	freeWrites        []*writeState
 	freeReads         []*readState
 }
@@ -317,8 +317,8 @@ type Client struct {
 	// command push failed.
 	reads    *ulp.Port[func(error)]
 	cmds     *ulp.Port[uint64]
-	readFree ulp.Pool[func(error)]
-	cmdFree  ulp.Pool[uint64]
+	readFree sim.FreeList[ulp.Op[func(error)]]
+	cmdFree  sim.FreeList[ulp.Op[uint64]]
 }
 
 type clientWrite struct {

@@ -16,6 +16,7 @@ import (
 	"falcon/internal/core"
 	"falcon/internal/falcon/tl"
 	"falcon/internal/falcon/wire"
+	"falcon/internal/sim"
 	"falcon/internal/ulp"
 )
 
@@ -83,7 +84,7 @@ type QP struct {
 	// port posts every work request; pushFree and pullFree are its
 	// descriptor pools for WRITE/SEND and for READ/ATOMIC.
 	port               *ulp.Port[workRequest]
-	pushFree, pullFree ulp.Pool[workRequest]
+	pushFree, pullFree sim.FreeList[ulp.Op[workRequest]]
 
 	// Stats
 	RNRs uint64

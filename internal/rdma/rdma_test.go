@@ -492,8 +492,8 @@ func TestReadDescriptorReusedFromCompletion(t *testing.T) {
 			if !bytes.Equal(c.Data, remote[addr:addr+uint64(size)]) {
 				t.Errorf("read %d (%d bytes) returned wrong data (%d bytes)", i, size, len(c.Data))
 			}
-			if len(qa.pullFree) != 1 {
-				t.Errorf("read %d: %d descriptors pooled inside the completion, want 1", i, len(qa.pullFree))
+			if qa.pullFree.Free() != 1 {
+				t.Errorf("read %d: %d descriptors pooled inside the completion, want 1", i, qa.pullFree.Free())
 			}
 			if done++; done < len(sizes) {
 				post()
@@ -507,8 +507,8 @@ func TestReadDescriptorReusedFromCompletion(t *testing.T) {
 	if done != len(sizes) {
 		t.Fatalf("completed %d of %d chained reads", done, len(sizes))
 	}
-	if len(qa.pullFree) != 1 {
-		t.Fatalf("%d descriptors pooled after a serial chain, want 1", len(qa.pullFree))
+	if qa.pullFree.Free() != 1 {
+		t.Fatalf("%d descriptors pooled after a serial chain, want 1", qa.pullFree.Free())
 	}
 	// An ATOMIC shares the pool and the one-slot path.
 	var comp *Completion
@@ -516,8 +516,8 @@ func TestReadDescriptorReusedFromCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	if comp == nil || comp.Err != nil || len(comp.Data) != 8 || len(qa.pullFree) != 1 {
-		t.Fatalf("atomic after reads: %+v, %d descriptors pooled", comp, len(qa.pullFree))
+	if comp == nil || comp.Err != nil || len(comp.Data) != 8 || qa.pullFree.Free() != 1 {
+		t.Fatalf("atomic after reads: %+v, %d descriptors pooled", comp, qa.pullFree.Free())
 	}
 }
 
@@ -552,8 +552,8 @@ func TestReadFailsOnceWhenConnectionDiesMidOp(t *testing.T) {
 	if got := qa.Endpoint().TL().Stats.Pulls; got != issued {
 		t.Fatalf("%d segments issued after the connection died", got-issued)
 	}
-	if len(qa.pullFree) != 1 {
-		t.Fatalf("%d descriptors pooled after the failed op, want 1", len(qa.pullFree))
+	if qa.pullFree.Free() != 1 {
+		t.Fatalf("%d descriptors pooled after the failed op, want 1", qa.pullFree.Free())
 	}
 	// A Read posted on the dead connection fails synchronously, once.
 	if err := qa.Read(8, 0, 8192, func(c Completion) { comps = append(comps, c) }); err != nil {
@@ -604,9 +604,9 @@ func TestPushFailsOnceWhenConnectionDiesMidOp(t *testing.T) {
 			if got := qa.Endpoint().TL().Stats.Pushes; got != issued {
 				t.Fatalf("%d segments issued after the connection died", got-issued)
 			}
-			if len(qa.pushFree) != 1 || qa.Endpoint().TL().Parked() != 0 {
+			if qa.pushFree.Free() != 1 || qa.Endpoint().TL().Parked() != 0 {
 				t.Fatalf("%d descriptors pooled and %d waiting after the failed op, want 1 and 0",
-					len(qa.pushFree), qa.Endpoint().TL().Parked())
+					qa.pushFree.Free(), qa.Endpoint().TL().Parked())
 			}
 		})
 	}

@@ -202,8 +202,8 @@ type Node struct {
 	// sendFree/handleFree recycle the NIC-pipeline continuations (one per
 	// packet TX and RX pass). They are pooled sim.Actions scheduled via
 	// nic.ProcessAction, keeping the per-packet path allocation-free.
-	sendFree   *sendReq
-	handleFree *handleReq
+	sendFree   sim.FreeList[sendReq]
+	handleFree sim.FreeList[handleReq]
 }
 
 // NewNode attaches a RoCE node to a host. nicModel may be nil (no pipeline
@@ -228,13 +228,8 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 		e.deliver(p)
 		return
 	}
-	r := n.handleFree
-	if r == nil {
-		r = &handleReq{n: n}
-	} else {
-		n.handleFree = r.next
-	}
-	r.e, r.p = e, p
+	r := n.handleFree.Get()
+	r.n, r.e, r.p = n, e, p
 	n.nic.ProcessAction(p.QP, r)
 }
 
@@ -304,12 +299,7 @@ func (e *end) send(p *packet) {
 		e.emit(p, hash, size)
 		return
 	}
-	r := n.sendFree
-	if r == nil {
-		r = &sendReq{}
-	} else {
-		n.sendFree = r.next
-	}
+	r := n.sendFree.Get()
 	r.e, r.p, r.hash, r.size = e, p, hash, size
 	n.nic.ProcessAction(e.key, r)
 }
@@ -327,14 +317,12 @@ type sendReq struct {
 	hash uint64
 	size int
 	p    *packet
-	next *sendReq
 }
 
 func (r *sendReq) RunAction() {
 	e, p, hash, size := r.e, r.p, r.hash, r.size
 	r.p = nil
-	r.next = e.node.sendFree
-	e.node.sendFree = r
+	e.node.sendFree.Put(r)
 	e.emit(p, hash, size)
 }
 
@@ -342,16 +330,14 @@ func (r *sendReq) RunAction() {
 // end once the NIC has processed it. The request is released before the
 // handler runs — handling may send, and sends may need the pool.
 type handleReq struct {
-	n    *Node
-	e    *end
-	p    *packet
-	next *handleReq
+	n *Node
+	e *end
+	p *packet
 }
 
 func (r *handleReq) RunAction() {
 	n, e, p := r.n, r.e, r.p
 	r.e, r.p = nil, nil
-	r.next = n.handleFree
-	n.handleFree = r
+	n.handleFree.Put(r)
 	e.deliver(p)
 }

@@ -1,28 +1,36 @@
 package roce
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"falcon/internal/netsim"
+	"falcon/internal/nic"
 	"falcon/internal/sim"
 )
 
 var testLink = netsim.LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond}
 
 func pair(t *testing.T, cfg Config) (*sim.Simulator, *QP, *Responder, *netsim.Port) {
-	s, qp, r, fwd, _ := pairBoth(t, cfg)
+	s, qp, r, fwd, _ := pairBoth(t, cfg, false)
 	return s, qp, r, fwd
 }
 
 // pairBoth is pair that also returns the responder's uplink, the port
-// that carries responses, ACKs and NAKs to the requester.
-func pairBoth(t *testing.T, cfg Config) (*sim.Simulator, *QP, *Responder, *netsim.Port, *netsim.Port) {
+// that carries responses, ACKs and NAKs to the requester. withNIC gives
+// both nodes a NIC pipeline model, so packets pass through the pooled
+// send and handle requests.
+func pairBoth(t *testing.T, cfg Config, withNIC bool) (*sim.Simulator, *QP, *Responder, *netsim.Port, *netsim.Port) {
 	t.Helper()
 	s := sim.New(17)
 	topo, fwd := netsim.PointToPoint(s, testLink)
-	a := NewNode(s, topo.Hosts[0], nil)
-	b := NewNode(s, topo.Hosts[1], nil)
+	var na, nb *nic.NIC
+	if withNIC {
+		na, nb = nic.New(s, nic.DefaultConfig()), nic.New(s, nic.DefaultConfig())
+	}
+	a := NewNode(s, topo.Hosts[0], na)
+	b := NewNode(s, topo.Hosts[1], nb)
 	qp, r := Connect(a, b, 1, cfg)
 	return s, qp, r, fwd, topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
 }
@@ -202,7 +210,7 @@ func TestReadLossRecovered(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
 			cfg.RTO = 300 * time.Microsecond
-			s, qp, _, fwd, rev := pairBoth(t, cfg)
+			s, qp, _, fwd, rev := pairBoth(t, cfg, false)
 			const reads = 20
 			if reverse {
 				rev.SetDropProb(0.05)
@@ -280,48 +288,60 @@ func TestModeStrings(t *testing.T) {
 }
 
 // TestPoolsBalanceAtQuiescence runs Writes, Sends and Reads under loss on
-// the requester's uplink, and again on the responder's, in every mode. Once the run drains, every packet is back
-// in the pair's pool, every op descriptor in the QP's, and no event is
-// pending.
+// the requester's uplink, and again on the responder's, in every mode,
+// with and without NIC pipeline models. Once the run drains, every packet
+// is back in the pair's pool, every op descriptor in the QP's, every send
+// and handle request in its node's free list, and no event is pending.
 func TestPoolsBalanceAtQuiescence(t *testing.T) {
 	for _, mode := range []Mode{GBN, SR, AR} {
 		for _, reverse := range []bool{false, true} {
-			cfg := DefaultConfig()
-			cfg.Mode = mode
-			cfg.RTO = 200 * time.Microsecond
-			s, qp, _, fwd, rev := pairBoth(t, cfg)
-			lossy := fwd
-			if reverse {
-				lossy = rev
-			}
-			lossy.SetDropProb(0.05)
-			const ops = 60
-			completed := 0
-			for i := 0; i < ops; i++ {
-				switch i % 3 {
-				case 0:
-					qp.Write(16384, func() { completed++ })
-				case 1:
-					qp.Send(6000, func() { completed++ })
-				default:
-					qp.Read(16384, func() { completed++ })
+			for _, withNIC := range []bool{false, true} {
+				name := fmt.Sprintf("%v reverse=%v nic=%v", mode, reverse, withNIC)
+				cfg := DefaultConfig()
+				cfg.Mode = mode
+				cfg.RTO = 200 * time.Microsecond
+				s, qp, r, fwd, rev := pairBoth(t, cfg, withNIC)
+				lossy := fwd
+				if reverse {
+					lossy = rev
 				}
-			}
-			s.Run()
-			if completed != ops {
-				t.Fatalf("%v reverse=%v: completed %d of %d", mode, reverse, completed, ops)
-			}
-			if lossy.Stats.RandomDrops == 0 {
-				t.Fatalf("%v reverse=%v: no packet was dropped", mode, reverse)
-			}
-			if f, a := qp.pkts.Free(), qp.pkts.Allocated(); f != a || a == 0 {
-				t.Errorf("%v reverse=%v: %d of %d packets back in the pool", mode, reverse, f, a)
-			}
-			if f, a := qp.ops.Free(), qp.ops.Allocated(); f != a || a == 0 {
-				t.Errorf("%v reverse=%v: %d of %d op descriptors back in the pool", mode, reverse, f, a)
-			}
-			if n := s.Pending(); n != 0 {
-				t.Errorf("%v reverse=%v: %d events pending after the run drained", mode, reverse, n)
+				lossy.SetDropProb(0.05)
+				const ops = 60
+				completed := 0
+				for i := 0; i < ops; i++ {
+					switch i % 3 {
+					case 0:
+						qp.Write(16384, func() { completed++ })
+					case 1:
+						qp.Send(6000, func() { completed++ })
+					default:
+						qp.Read(16384, func() { completed++ })
+					}
+				}
+				s.Run()
+				if completed != ops {
+					t.Fatalf("%s: completed %d of %d", name, completed, ops)
+				}
+				if lossy.Stats.RandomDrops == 0 {
+					t.Fatalf("%s: no packet was dropped", name)
+				}
+				if f, a := qp.pkts.Free(), qp.pkts.Allocated(); f != a || a == 0 {
+					t.Errorf("%s: %d of %d packets back in the pool", name, f, a)
+				}
+				if f, a := qp.ops.Free(), qp.ops.Allocated(); f != a || a == 0 {
+					t.Errorf("%s: %d of %d op descriptors back in the pool", name, f, a)
+				}
+				for _, n := range []*Node{qp.node, r.node} {
+					if f, b := n.sendFree.Free(), n.sendFree.Built(); f != b || (withNIC && b == 0) {
+						t.Errorf("%s: %d of %d send requests back in the free list", name, f, b)
+					}
+					if f, b := n.handleFree.Free(), n.handleFree.Built(); f != b || (withNIC && b == 0) {
+						t.Errorf("%s: %d of %d handle requests back in the free list", name, f, b)
+					}
+				}
+				if n := s.Pending(); n != 0 {
+					t.Errorf("%s: %d events pending after the run drained", name, n)
+				}
 			}
 		}
 	}

@@ -65,8 +65,8 @@ type Key struct {
 // first writes it. ECMP and Adaptive ignore it, Spray uses it as its
 // round-robin packet counter.
 type Policy interface {
-	// Name is the stable identifier used by falconbench -routing and in
-	// telemetry prefixes: "ecmp", "spray", "adaptive".
+	// Name is the stable identifier used in table rows and telemetry
+	// prefixes: "ecmp", "spray", "adaptive".
 	Name() string
 	// Select returns the chosen candidate index in [0, n).
 	Select(k Key, n int, state *uint64, q QueueDepths) int
@@ -144,14 +144,3 @@ func (Adaptive) Select(_ Key, n int, _ *uint64, q QueueDepths) int {
 // order ECMP, Spray, Adaptive — the sweep order figRouting and
 // figGrayFailure report in.
 func Policies() []Policy { return []Policy{ECMP{}, Spray{}, Adaptive{}} }
-
-// ByName resolves a policy by its Name (as accepted by falconbench
-// -routing). Unknown names return nil.
-func ByName(name string) Policy {
-	for _, p := range Policies() {
-		if p.Name() == name {
-			return p
-		}
-	}
-	return nil
-}

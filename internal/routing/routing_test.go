@@ -214,17 +214,3 @@ func TestAdaptiveFabricAvoidsSlowUplink(t *testing.T) {
 		})
 	}
 }
-
-// TestByName pins the policy registry: every built-in resolves by its
-// own name, unknown names are nil.
-func TestByName(t *testing.T) {
-	for _, p := range routing.Policies() {
-		got := routing.ByName(p.Name())
-		if got == nil || got.Name() != p.Name() {
-			t.Fatalf("ByName(%q) = %v", p.Name(), got)
-		}
-	}
-	if routing.ByName("wecmp") != nil {
-		t.Fatal("ByName must return nil for unknown policies")
-	}
-}

@@ -89,7 +89,6 @@ type msg struct {
 	deliver func()
 
 	rnode *Node
-	next  *msg
 }
 
 func (m *msg) RunAction() {
@@ -116,35 +115,21 @@ type Node struct {
 
 	// Free lists for the per-op objects (wire msgs, send continuations,
 	// paced frame emissions); see the type comments.
-	msgFree  *msg
-	msgPool  int
-	xmitFree *xmit
-	emitFree *frameSend
+	msgFree  sim.FreeList[msg]
+	xmitFree sim.FreeList[xmit]
+	emitFree sim.FreeList[frameSend]
 
 	// Stats
 	Ops uint64
 }
 
-func (n *Node) getMsg() *msg {
-	m := n.msgFree
-	if m == nil {
-		return &msg{}
-	}
-	n.msgFree = m.next
-	n.msgPool--
-	m.next = nil
-	return m
-}
-
 func (n *Node) freeMsg(m *msg) {
-	if n.msgPool >= msgPoolCap {
+	if n.msgFree.Free() >= msgPoolCap {
 		return
 	}
 	m.deliver = nil
 	m.rnode = nil
-	m.next = n.msgFree
-	n.msgFree = m
-	n.msgPool++
+	n.msgFree.Put(m)
 }
 
 // NewNode attaches a software transport to a fabric host.
@@ -242,26 +227,19 @@ type xmit struct {
 	c    *Conn
 	n    int
 	done func()
-	next *xmit
 }
 
 func (x *xmit) RunAction() {
 	c, n, done := x.c, x.n, x.done
 	x.c, x.done = nil, nil
-	x.next = c.node.xmitFree
-	c.node.xmitFree = x
+	c.node.xmitFree.Put(x)
 	c.transmit(n, done)
 }
 
 // Send transfers n bytes one way; done fires when the receiver's stack has
 // delivered the message to the application.
 func (c *Conn) Send(n int, done func()) {
-	x := c.node.xmitFree
-	if x == nil {
-		x = &xmit{}
-	} else {
-		c.node.xmitFree = x.next
-	}
+	x := c.node.xmitFree.Get()
 	x.c, x.n, x.done = c, n, done
 	c.node.sim.AtAction(c.node.admit(n), x)
 }
@@ -280,14 +258,12 @@ func (c *Conn) Call(n, respBytes int, done func()) {
 type frameSend struct {
 	node  *Node
 	frame *netsim.Frame
-	next  *frameSend
 }
 
 func (fs *frameSend) RunAction() {
 	n, f := fs.node, fs.frame
 	fs.frame = nil
-	fs.next = n.emitFree
-	n.emitFree = fs
+	n.emitFree.Put(fs)
 	n.host.Send(f)
 }
 
@@ -306,7 +282,7 @@ func (c *Conn) transmit(n int, done func()) {
 		}
 		remaining -= seg
 		last := remaining <= 0
-		m := c.node.getMsg()
+		m := c.node.msgFree.Get()
 		m.conn, m.last, m.bytes, m.total, m.deliver = c.id, last, seg, n, done
 		frame := c.node.host.NewFrame()
 		frame.Dst = c.peer.host.ID
@@ -317,13 +293,8 @@ func (c *Conn) transmit(n int, done func()) {
 		gap := time.Duration(float64(seg+66) * 8 / p.MaxGbps)
 		at := c.nextSend
 		c.nextSend = c.nextSend.Add(gap)
-		fs := c.node.emitFree
-		if fs == nil {
-			fs = &frameSend{node: c.node}
-		} else {
-			c.node.emitFree = fs.next
-		}
-		fs.frame = frame
+		fs := c.node.emitFree.Get()
+		fs.node, fs.frame = c.node, frame
 		c.node.sim.AtAction(at.Add(p.StackLatency), fs)
 		if last {
 			break

@@ -14,9 +14,9 @@ import (
 	"testing"
 )
 
-// TestHotPathLint enforces the two structural rules the zero-allocation
-// hot path depends on, so a regression is caught at review time rather
-// than by a benchmark drifting:
+// TestHotPathLint enforces the structural rules the zero-allocation hot
+// path depends on, so a regression is caught at review time rather than by
+// a benchmark drifting:
 //
 //  1. No map indexing, map ranging, or delete() in ring, pdl, tl, ulp or
 //     roce. The steady-state path works on dense rings and bitmap words.
@@ -24,11 +24,15 @@ import (
 //     AtAction, Process, ProcessAction) in ring, pdl, tl, ulp or roce.
 //     Scheduling a closure allocates per call; the hot path schedules
 //     preallocated Action values instead.
+//  3. No non-test struct under internal/, outside internal/sim, has a
+//     field pointing to its own type: the shape of a hand-rolled
+//     intrusive free list. Pooled objects recycle through sim.FreeList.
 //
-// The check is typed (go/types over the real package sources), so a map
-// hidden behind a named type or a generic type parameter is still caught,
-// while slice/array indexing and generic instantiation are not false
-// positives.
+// Rules 1 and 2 are typed (go/types over the real package sources), so a
+// map hidden behind a named type or a generic type parameter is still
+// caught, while slice/array indexing and generic instantiation are not
+// false positives. Rule 3 is syntactic: it matches a field of type *T or
+// *T[...] inside the declaration of T.
 func TestHotPathLint(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs := loadLintPackages(t, fset)
@@ -75,10 +79,75 @@ func TestHotPathLint(t *testing.T) {
 		}
 	}
 
+	violations = append(violations, selfPointerStructs(t)...)
+
 	sort.Strings(violations)
 	for _, v := range violations {
 		t.Error(v)
 	}
+}
+
+// selfPointerStructs applies rule 3 to every non-test file under
+// internal/ except internal/sim, which owns the free list and the timing
+// wheel's chunk chain.
+func selfPointerStructs(t *testing.T) []string {
+	t.Helper()
+	root := repoRootDir(t)
+	internal := filepath.Join(root, "internal")
+	fset := token.NewFileSet()
+	var violations []string
+	err := filepath.WalkDir(internal, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join(internal, "sim") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, fl := range st.Fields.List {
+				star, ok := fl.Type.(*ast.StarExpr)
+				if !ok {
+					continue
+				}
+				elem := star.X
+				switch x := elem.(type) {
+				case *ast.IndexExpr:
+					elem = x.X
+				case *ast.IndexListExpr:
+					elem = x.X
+				}
+				if id, ok := elem.(*ast.Ident); ok && id.Name == ts.Name.Name {
+					violations = append(violations, fmt.Sprintf("%s:%d: %s points to its own type: recycle through sim.FreeList",
+						rel, fset.Position(fl.Pos()).Line, ts.Name.Name))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return violations
 }
 
 // lintPkg is one type-checked package under lint.

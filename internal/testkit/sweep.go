@@ -450,8 +450,9 @@ func Run(sc Scenario) Result {
 	res.FramesAllocated, res.FramesFree = frames.Allocated(), frames.Free()
 
 	// Post-run quiescence: everything issued completed, nothing is still
-	// outstanding, every reservation and transaction context was returned,
-	// and every transport packet and fabric frame is back on its free list.
+	// outstanding, every reservation was returned, and every transport
+	// packet, fabric frame and pooled per-op object (core.Node.FreeLists)
+	// is back on its free list.
 	if !res.ConnFailed {
 		if res.Completed != res.Issued {
 			ps.k.Failf("scenario %q: %d issued but %d completed\n%s",
@@ -477,10 +478,12 @@ func Run(sc Scenario) Result {
 						sc.Name, sd.name, pool, occ)
 				}
 			}
-			if built, free := sd.node.Resources().TxnContexts(); free != built {
-				ps.k.Failf("scenario %q: %s node built %d transaction contexts but %d are free after drain — context leak",
-					sc.Name, sd.name, built, free)
-			}
+			sd.node.FreeLists(func(list string, built, free int) {
+				if free != built {
+					ps.k.Failf("scenario %q: %s node built %d %s but %d are free after drain — leak or double put",
+						sc.Name, sd.name, built, list, free)
+				}
+			})
 		}
 		if res.PacketsFree != res.PacketsAllocated {
 			ps.k.Failf("scenario %q: %d transport packets allocated but %d free after drain — packet leak or double release",

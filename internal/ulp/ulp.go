@@ -8,18 +8,20 @@
 // completions, reassembles pull segments in order, and hands the ULP's
 // per-op context to the completion function bound to its Port.
 //
-// Descriptors recycle through a Pool, a free list the ULP keeps per kind of
-// op. A descriptor is back in its pool before the completion function
+// Descriptors recycle through a sim.FreeList the ULP keeps per kind of op.
+// A descriptor is back in its pool before the completion function
 // runs, so that function may post the next op on the same descriptor.
 package ulp
 
 import (
 	"falcon/internal/falcon/tl"
 	"falcon/internal/falcon/wire"
+	"falcon/internal/sim"
 )
 
-// poolCap bounds each free list; beyond it descriptors are dropped to the
-// GC (a connection rarely has more than a send queue's worth outstanding).
+// poolCap bounds each descriptor free list; beyond it descriptors are
+// dropped to the GC (a connection rarely has more than a send queue's worth
+// outstanding).
 const poolCap = 64
 
 // Msg describes one ULP operation.
@@ -59,19 +61,18 @@ func NewPort[C any](conn *tl.Conn, complete func(ctx C, data []byte, err error))
 // returned: zero when no op is in flight.
 func (p *Port[C]) Out() int { return p.out }
 
-// Pool is a free list of descriptors for one Port.
-type Pool[C any] []*Op[C]
-
 // Op is the in-flight state of one operation: its message, its segment
 // cursor, and the completion and issue callbacks bound to it once, so
 // neither posting, parking nor resuming the op allocates.
 type Op[C any] struct {
 	port *Port[C]
-	pool *Pool[C]
+	pool *sim.FreeList[Op[C]]
 	ctx  C
 	m    Msg
 
-	left, next int // segments not yet completed; next segment to issue
+	// Segments not yet completed and the next segment to issue; 32 bits
+	// keep a pooled descriptor and its free-list link in one size class.
+	left, next int32
 	err        error
 
 	// A pull's segments, one slot each; the slice only grows, at post
@@ -92,14 +93,14 @@ type slot[C any] struct {
 
 // Post starts m from pool, parking it in the TL while refused. Failures
 // arrive through the completion function, exactly once.
-func (p *Port[C]) Post(pool *Pool[C], m Msg, ctx C) {
+func (p *Port[C]) Post(pool *sim.FreeList[Op[C]], m Msg, ctx C) {
 	p.conn.Submit(p.get(pool, m, ctx).issueFn)
 }
 
 // Try issues a one-segment op now or not at all: it is refused while other
 // work waits in the TL, and a refusal is returned with no completion to
 // follow.
-func (p *Port[C]) Try(pool *Pool[C], m Msg, ctx C) error {
+func (p *Port[C]) Try(pool *sim.FreeList[Op[C]], m Msg, ctx C) error {
 	if p.conn.Parked() > 0 {
 		return tl.ErrBackpressured
 	}
@@ -111,13 +112,10 @@ func (p *Port[C]) Try(pool *Pool[C], m Msg, ctx C) error {
 	return nil
 }
 
-func (p *Port[C]) get(pool *Pool[C], m Msg, ctx C) *Op[C] {
-	var o *Op[C]
-	if n := len(*pool); n > 0 {
-		o = (*pool)[n-1]
-		*pool = (*pool)[:n-1]
-	} else {
-		o = &Op[C]{port: p, pool: pool}
+func (p *Port[C]) get(pool *sim.FreeList[Op[C]], m Msg, ctx C) *Op[C] {
+	o := pool.Get()
+	if o.port == nil {
+		o.port, o.pool = p, pool
 		o.pushDone = o.land
 		o.issueFn = o.issue
 	}
@@ -130,7 +128,7 @@ func (p *Port[C]) get(pool *Pool[C], m Msg, ctx C) *Op[C] {
 			s.fn = s.done
 		}
 	}
-	o.m, o.ctx, o.left, o.next = m, ctx, nseg, 0
+	o.m, o.ctx, o.left, o.next = m, ctx, int32(nseg), 0
 	p.out++
 	return o
 }
@@ -141,8 +139,8 @@ func (o *Op[C]) put() {
 	var zero C
 	o.ctx, o.m.Data, o.err = zero, nil, nil
 	o.port.out--
-	if len(*o.pool) < poolCap {
-		*o.pool = append(*o.pool, o)
+	if o.pool.Free() < poolCap {
+		o.pool.Put(o)
 	}
 }
 
@@ -182,11 +180,11 @@ func (m *Msg) send(conn *tl.Conn, i int, done func([]byte, error)) error {
 func (o *Op[C]) issue() bool {
 	conn := o.port.conn
 	nseg := wire.Segments(o.m.Size, conn.MTU())
-	for i := o.next; i < nseg; i++ {
+	for i := int(o.next); i < nseg; i++ {
 		if err := o.m.send(conn, i, o.segDone(i)); err != nil {
 			dead := conn.Dead()
 			if dead == nil {
-				o.next = i
+				o.next = int32(i)
 				return false
 			}
 			for ; i < nseg; i++ {

@@ -132,7 +132,7 @@ func TestSegmentsAndAddresses(t *testing.T) {
 	e := newBed(tl.DefaultConfig(), tl.DefaultResourceConfig())
 	var got []result
 	port := collect(e.a, &got)
-	var pushes, pulls Pool[int]
+	var pushes, pulls sim.FreeList[Op[int]]
 	const size = 2*mtu + 100
 	port.Post(&pushes, Msg{Op: 1, Addr: 1000, Size: size}, 1)
 	port.Post(&pulls, Msg{Pull: true, Fixed: true, Op: 2, Addr: 7<<32 | size, Size: size}, 2)
@@ -155,8 +155,8 @@ func TestSegmentsAndAddresses(t *testing.T) {
 			t.Fatalf("op %d failed: %v", r.ctx, r.err)
 		}
 	}
-	if port.Out() != 0 || len(pushes) != 2 || len(pulls) != 1 {
-		t.Fatalf("%d descriptors out, %d push and %d pull pooled; want 0, 2, 1", port.Out(), len(pushes), len(pulls))
+	if port.Out() != 0 || pushes.Free() != 2 || pulls.Free() != 1 {
+		t.Fatalf("%d descriptors out, %d push and %d pull pooled; want 0, 2, 1", port.Out(), pushes.Free(), pulls.Free())
 	}
 }
 
@@ -173,7 +173,7 @@ func TestPullReassemblesInOrderUnordered(t *testing.T) {
 	}
 	var got []result
 	port := collect(e.a, &got)
-	var pulls Pool[int]
+	var pulls sim.FreeList[Op[int]]
 	const base, size = 3000, 16*mtu - 5
 	port.Post(&pulls, Msg{Pull: true, Addr: base, Size: size}, 9)
 	e.s.Run()
@@ -195,7 +195,7 @@ func TestPullReassemblesInOrderUnordered(t *testing.T) {
 func TestDescriptorReusedFromCompletion(t *testing.T) {
 	e := newBed(tl.DefaultConfig(), tl.DefaultResourceConfig())
 	sizes := []int{5000, 100, 40000, mtu, 65536, 0, 12345}
-	var pulls Pool[int]
+	var pulls sim.FreeList[Op[int]]
 	var port *Port[int]
 	done := 0
 	port = NewPort(e.a, func(i int, data []byte, err error) {
@@ -203,8 +203,8 @@ func TestDescriptorReusedFromCompletion(t *testing.T) {
 		if err != nil || !bytes.Equal(data, e.target.mem[addr:addr+uint64(sizes[i])]) {
 			t.Errorf("pull %d: %d bytes, err %v", i, len(data), err)
 		}
-		if port.Out() != 0 || len(pulls) != 1 {
-			t.Errorf("pull %d: %d out and %d pooled inside the completion, want 0 and 1", i, port.Out(), len(pulls))
+		if port.Out() != 0 || pulls.Free() != 1 {
+			t.Errorf("pull %d: %d out and %d pooled inside the completion, want 0 and 1", i, port.Out(), pulls.Free())
 		}
 		if done++; done < len(sizes) {
 			port.Post(&pulls, Msg{Pull: true, Addr: uint64(done) * 1000, Size: sizes[done]}, done)
@@ -212,8 +212,8 @@ func TestDescriptorReusedFromCompletion(t *testing.T) {
 	})
 	port.Post(&pulls, Msg{Pull: true, Size: sizes[0]}, 0)
 	e.s.Run()
-	if done != len(sizes) || port.Out() != 0 || len(pulls) != 1 {
-		t.Fatalf("%d of %d pulls, %d out, %d pooled; want all, 0, 1", done, len(sizes), port.Out(), len(pulls))
+	if done != len(sizes) || port.Out() != 0 || pulls.Free() != 1 {
+		t.Fatalf("%d of %d pulls, %d out, %d pooled; want all, 0, 1", done, len(sizes), port.Out(), pulls.Free())
 	}
 }
 
@@ -232,7 +232,7 @@ func TestPoolBalanceWhenConnectionDies(t *testing.T) {
 	e := newBed(cfg, rc)
 	var got []result
 	port := collect(e.a, &got)
-	var pushes, pulls Pool[int]
+	var pushes, pulls sim.FreeList[Op[int]]
 	port.Post(&pulls, Msg{Pull: true, Size: 16 * mtu}, 1)
 	port.Post(&pushes, Msg{Size: 2 * mtu}, 2)
 	if e.a.Parked() != 2 || e.a.Stats.Pulls == 0 {
