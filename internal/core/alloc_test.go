@@ -11,6 +11,7 @@ import (
 	"falcon/internal/rdma"
 	"falcon/internal/roce"
 	"falcon/internal/sim"
+	"falcon/internal/swtransport"
 )
 
 // steadyStateAllocBound is the ceiling, in allocations per operation, every
@@ -62,7 +63,8 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // The rdma-read-incast case holds the same regime at connection scale:
 // 200 connections, each a queue of its own, share each client's pools.
 // The roce cases hold the RoCE baseline to the same bound: 4 KiB and
-// 64 KiB Writes, and 64 KiB Reads.
+// 64 KiB Writes, and 64 KiB Reads. The sw case holds the software
+// transport to it under one-way 64 KiB Sends.
 // The rdma-write-reordered case holds the target's reorder buffer to it:
 // requests that arrive ahead of a gap wait as pooled packets. The nvme
 // cases hold both ends of NVMe-over-Falcon to it: 64 KiB Reads refused and
@@ -81,6 +83,40 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 		t.Run("64KiB", func(t *testing.T) { testRoceSteadyStateAllocs(t, false, 64<<10) })
 	})
 	t.Run("roce-read", func(t *testing.T) { testRoceSteadyStateAllocs(t, true, 64<<10) })
+	t.Run("sw-send-oneway", testSWSteadyStateAllocs)
+}
+
+// testSWSteadyStateAllocs keeps eight one-way 64 KiB software-transport
+// Sends outstanding, each posted from the completion of the one before.
+// Every fragment's msg is taken from the sender's free list and must go
+// back to it, not to the receiver's.
+func testSWSteadyStateAllocs(t *testing.T) {
+	s := sim.New(1)
+	topo, _ := netsim.PointToPoint(s, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	a := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
+	b := swtransport.NewNode(s, topo.Hosts[1], swtransport.PonyExpress())
+	conn := swtransport.Connect(a, b, 1)
+	const window = 8
+	const opBytes = 64 << 10
+	issued, completed, limit := 0, 0, 0
+	var done func()
+	done = func() {
+		if completed++; issued < limit {
+			issued++
+			conn.Send(opBytes, done)
+		}
+	}
+	runOps := func(n int) {
+		limit += n
+		for ; issued < limit && issued-completed < window; issued++ {
+			conn.Send(opBytes, done)
+		}
+		s.RunUntil(s.Now().Add(3600 * sim.Second))
+		if completed != limit {
+			t.Fatalf("completed %d of %d ops", completed, limit)
+		}
+	}
+	measureSteadyState(t, 8000, 4000, runOps)
 }
 
 // testRoceSteadyStateAllocs keeps eight RoCE ops of opBytes outstanding on

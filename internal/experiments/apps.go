@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"falcon/internal/core"
 	"falcon/internal/netsim"
 	"falcon/internal/nvme"
-	"falcon/internal/rdma"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
 	"falcon/internal/swtransport"
@@ -16,10 +16,10 @@ import (
 // collectiveTable runs one MPI collective over RDMA-Falcon and TCP across
 // message sizes (the §6.3 Intel-MPI-Benchmark comparisons).
 //
-// Scaled down: ranks per node reduced from the paper's 192 to 4 (the
-// collective algorithms and per-message transport costs set the shape;
-// rank count scales both columns alike).
-func collectiveTable(o Options, title string, nodes, ranksPerNode int,
+// Scaled down: ranks per node reduced from the paper's 192 to 4, or 8 for
+// MultiPingPong (the collective algorithms and per-message transport costs
+// set the shape; rank count scales both columns alike).
+func collectiveTable(o Options, title string, seed int64, nodes, ranksPerNode int,
 	coll func(workload.Messenger, int, func()), sizes []int) *Table {
 	t := &Table{
 		Title:   title,
@@ -27,11 +27,11 @@ func collectiveTable(o Options, title string, nodes, ranksPerNode int,
 	}
 	ranks := nodes * ranksPerNode
 	run := func(falcon bool, bytes int) time.Duration {
-		s := o.newSim(25)
-		m := job(s, falcon, nodes, ranksPerNode, ranks)
+		r := o.row(jobName(falcon)+"/"+fmtSize(bytes), seed)
+		m := job(r, falcon, nodes, ranksPerNode, ranks)
 		var done sim.Time
-		coll(m, bytes, func() { done = s.Now() })
-		s.Run()
+		coll(m, bytes, func() { done = r.s.Now() })
+		r.s.Run()
 		return done.Duration()
 	}
 	for _, bytes := range sizes {
@@ -45,41 +45,27 @@ func collectiveTable(o Options, title string, nodes, ranksPerNode int,
 // Fig25 reproduces the AllReduce comparison (32 nodes in the paper).
 func Fig25(o Options) *Table {
 	return collectiveTable(o, "Figure 25: MPI AllReduce completion time (16 nodes x 4 ranks)",
-		16, 4, workload.AllReduce, []int{4, 64, 1 << 10, 16 << 10, 64 << 10, 256 << 10})
+		25, 16, 4, workload.AllReduce, []int{4, 64, 1 << 10, 16 << 10, 64 << 10, 256 << 10})
 }
 
 // Fig26 reproduces the AllToAll comparison.
 func Fig26(o Options) *Table {
 	return collectiveTable(o, "Figure 26: MPI AllToAll completion time (16 nodes x 4 ranks)",
-		16, 4, workload.AllToAll, []int{4, 64, 1 << 10, 16 << 10, 64 << 10})
+		25, 16, 4, workload.AllToAll, []int{4, 64, 1 << 10, 16 << 10, 64 << 10})
 }
 
 // Fig30 reproduces the AllGather comparison (8 nodes in the paper).
 func Fig30(o Options) *Table {
 	return collectiveTable(o, "Figure 30: MPI AllGather completion time (8 nodes x 4 ranks)",
-		8, 4, workload.AllGather, []int{4, 64, 1 << 10, 16 << 10, 64 << 10})
+		25, 8, 4, workload.AllGather, []int{4, 64, 1 << 10, 16 << 10, 64 << 10})
 }
 
 // Fig31 reproduces the MultiPingPong comparison (2 nodes in the paper).
 func Fig31(o Options) *Table {
-	t := &Table{
-		Title:   "Figure 31: MPI MultiPingPong completion time (2 nodes x 8 ranks, 50 iters)",
-		Columns: []string{"msg size", "RDMA-Falcon", "TCP", "speedup"},
-	}
-	run := func(falcon bool, bytes int) time.Duration {
-		s := o.newSim(31)
-		m := job(s, falcon, 2, 8, 16)
-		var done sim.Time
-		workload.MultiPingPong(m, bytes, 50, func() { done = s.Now() })
-		s.Run()
-		return done.Duration()
-	}
-	for _, bytes := range []int{4, 64, 1 << 10, 16 << 10, 64 << 10} {
-		f := run(true, bytes)
-		tc := run(false, bytes)
-		t.Rows = append(t.Rows, []string{fmtSize(bytes), dur(f), dur(tc), f1(float64(tc) / float64(f))})
-	}
-	return t
+	return collectiveTable(o, "Figure 31: MPI MultiPingPong completion time (2 nodes x 8 ranks, 50 iters)",
+		31, 2, 8, func(m workload.Messenger, bytes int, done func()) {
+			workload.MultiPingPong(m, bytes, 50, done)
+		}, []int{4, 64, 1 << 10, 16 << 10, 64 << 10})
 }
 
 // Fig27 reproduces the GROMACS scaling study: steps/s vs node count over
@@ -100,8 +86,8 @@ func hpcTable(o Options, title string, cfgFor func(int) workload.HPCConfig) *Tab
 	}
 	for _, nodes := range []int{1, 2, 4, 8, 16, 32} {
 		run := func(falcon bool) float64 {
-			s := o.newSim(27)
-			return workload.RunHPC(s, job(s, falcon, nodes, 1, nodes), cfgFor(nodes))
+			r := o.row(fmt.Sprintf("%s/nodes%d", jobName(falcon), nodes), 27)
+			return workload.RunHPC(r.s, job(r, falcon, nodes, 1, nodes), cfgFor(nodes))
 		}
 		falcon, tcp := run(true), run(false)
 		t.Rows = append(t.Rows, []string{f1(float64(nodes)), f1(falcon), f1(tcp), f2(falcon / tcp)})
@@ -120,16 +106,8 @@ func Fig29(o Options) *Table {
 	cfg.MemoryBytes = 4 << 30
 	// Falcon pipe.
 	{
-		s := o.newSim(29)
-		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
-		cl := core.NewCluster(s)
-		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
-		epA, epB := cl.Connect(a, b, multipathConn())
-		qa := rdma.NewQP(epA, rdma.Config{})
-		rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
-		res := workload.RunMigration(s, workload.NewFalconPipe(qa), cfg)
+		p := newFalconP2P(o.row("falcon", 29), multipathConn())
+		res := workload.RunMigration(p.s, workload.NewFalconPipe(p.qa), cfg)
 		t.Rows = append(t.Rows, []string{"RDMA-Falcon",
 			res.PreCopy.Round(time.Millisecond).String(),
 			res.PostCopy.Round(time.Millisecond).String(),
@@ -137,13 +115,10 @@ func Fig29(o Options) *Table {
 	}
 	// Pony Express pipe.
 	{
-		s := o.newSim(29)
-		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
-		a := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
-		b := swtransport.NewNode(s, topo.Hosts[1], swtransport.PonyExpress())
-		conn := swtransport.Connect(a, b, 1)
-		res := workload.RunMigration(s, workload.NewSWPipe(conn), cfg)
+		r := o.row("pony", 29)
+		topo, _ := netsim.PointToPoint(r.s, hostLink)
+		sw := swNodes(r, topo.Hosts)
+		res := workload.RunMigration(r.s, workload.NewSWPipe(swtransport.Connect(sw[0], sw[1], 1)), cfg)
 		t.Rows = append(t.Rows, []string{"Pony Express",
 			res.PreCopy.Round(time.Millisecond).String(),
 			res.PostCopy.Round(time.Millisecond).String(),
@@ -159,19 +134,17 @@ func Table4(o Options, runFor time.Duration) *Table {
 		Title:   "Table 4: NLF (NVMe-over-Falcon) relative to local SSD",
 		Columns: []string{"metric", "NLF Gbps", "local Gbps", "NLF/local %"},
 	}
-	remote := func(opBytes int, write bool, window int) float64 {
-		s := o.newSim(4)
-		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
-		cl := core.NewCluster(s)
-		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
-		epA, epB := cl.Connect(a, b, multipathConn())
+	remote := func(name string, opBytes int, write bool, window int) float64 {
+		r := o.row(name+"/nlf", 4)
+		s := r.s
+		topo, _ := netsim.PointToPoint(s, hostLink)
+		cl, n := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
+		epA, epB := cl.Connect(n[0], n[1], multipathConn())
 		dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
 		nvme.NewController(epB, dev)
 		client := nvme.NewClient(epA)
 		var bytesDone uint64
-		issuer := workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {
+		workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {
 			fn := func(err error) {
 				if err == nil {
 					bytesDone += uint64(opBytes)
@@ -185,16 +158,15 @@ func Table4(o Options, runFor time.Duration) *Table {
 				err = client.Read(0, opBytes, fn)
 			}
 			return err == nil
-		}, nil)
-		issuer.Start()
+		}, nil).Start()
 		s.RunUntil(sim.Time(runFor))
 		return stats.Gbps(bytesDone, runFor)
 	}
-	local := func(opBytes int, write bool, window int) float64 {
-		s := o.newSim(4)
+	local := func(name string, opBytes int, write bool, window int) float64 {
+		s := o.row(name+"/local", 4).s
 		dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
 		var bytesDone uint64
-		issuer := workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {
+		workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {
 			fn := func() {
 				bytesDone += uint64(opBytes)
 				opDone()
@@ -205,8 +177,7 @@ func Table4(o Options, runFor time.Duration) *Table {
 				dev.Read(opBytes, fn)
 			}
 			return true
-		}, nil)
-		issuer.Start()
+		}, nil).Start()
 		s.RunUntil(sim.Time(runFor))
 		return stats.Gbps(bytesDone, runFor)
 	}
@@ -221,20 +192,28 @@ func Table4(o Options, runFor time.Duration) *Table {
 		{"IOPS proxy (4KB reads)", 4 << 10, false, 64},
 	}
 	for _, r := range rows {
-		rg := remote(r.bytes, r.write, r.window)
-		lg := local(r.bytes, r.write, r.window)
+		rg := remote(r.name, r.bytes, r.write, r.window)
+		lg := local(r.name, r.bytes, r.write, r.window)
 		t.Rows = append(t.Rows, []string{r.name, f1(rg), f1(lg), f1(100 * rg / lg)})
 	}
 	return t
 }
 
-// job builds a message-passing job on a Clos: workload.BuildFalconJob, or
-// without falcon BuildSWJob over TCP.
-func job(s *sim.Simulator, falcon bool, nodes, ranksPerNode, ranks int) workload.Messenger {
+// job builds a message-passing job on a Clos on the row's simulator:
+// workload.BuildFalconJob, or without falcon BuildSWJob over TCP.
+func job(r *row, falcon bool, nodes, ranksPerNode, ranks int) workload.Messenger {
 	if falcon {
-		m, _ := workload.BuildFalconJob(s, nodes, ranksPerNode, ranks)
+		m, _ := workload.BuildFalconJob(r.s, nodes, ranksPerNode, ranks)
 		return m
 	}
-	m, _ := workload.BuildSWJob(s, nodes, ranksPerNode, ranks, swtransport.TCP())
+	m, _ := workload.BuildSWJob(r.s, nodes, ranksPerNode, ranks, swtransport.TCP())
 	return m
+}
+
+// jobName names a job's row: its transport.
+func jobName(falcon bool) string {
+	if falcon {
+		return "falcon"
+	}
+	return "tcp"
 }

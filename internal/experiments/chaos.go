@@ -10,7 +10,6 @@ import (
 	"falcon/internal/rdma"
 	"falcon/internal/roce"
 	"falcon/internal/sim"
-	"falcon/internal/telemetry"
 	"falcon/internal/workload"
 )
 
@@ -30,21 +29,18 @@ const stormRecoveryPct = 70
 // envBuckets is the number of envelope sampling buckets per run window.
 const envBuckets = 16
 
-// stormOpBytes is the per-op transfer size of storm workloads.
-const stormOpBytes = 64 << 10
-
 // stormSpec bounds figStorm's generated plans: fault windows inside the
 // middle half of the run, so the envelope has a clean pre-fault baseline
 // and a guaranteed fault-free tail. Crashers and stallers are zero — the
 // plan must stay transport-agnostic so the identical storm can hit RoCE.
-func stormSpec(runFor time.Duration, hostsPerRack, spines int) chaos.Spec {
+func stormSpec(runFor time.Duration) chaos.Spec {
 	return chaos.Spec{
 		Events:      6,
 		Start:       sim.Time(runFor / 4),
 		End:         sim.Time(3 * runFor / 4),
-		Uplinks:     spines,
-		HostPorts:   hostsPerRack,
-		Hosts:       2 * hostsPerRack,
+		Uplinks:     rackSpines,
+		HostPorts:   rackHosts,
+		Hosts:       2 * rackHosts,
 		RestoreGbps: 200,
 	}
 }
@@ -52,14 +48,12 @@ func stormSpec(runFor time.Duration, hostsPerRack, spines int) chaos.Spec {
 // stormTargets binds a plan's indices to one rack-pair fabric: fabric
 // faults hit ToR-0's uplink group, blackholes hit the rack-0 (client)
 // access links, pauses can hit any host.
-func stormTargets(topo *netsim.Topology, hostsPerRack int) (chaos.Targets, []*netsim.Port) {
-	uplinks := topo.ToRs[0].RouteTo(topo.Hosts[hostsPerRack].ID)
-	t := chaos.Targets{Uplinks: uplinks}
-	for i := 0; i < hostsPerRack; i++ {
+func stormTargets(topo *netsim.Topology) chaos.Targets {
+	t := chaos.Targets{Uplinks: topo.ToRs[0].RouteTo(topo.Hosts[rackHosts].ID), Hosts: topo.Hosts}
+	for i := 0; i < rackHosts; i++ {
 		t.HostPorts = append(t.HostPorts, topo.Hosts[i].Uplink())
 	}
-	t.Hosts = topo.Hosts
-	return t, uplinks
+	return t
 }
 
 // stormOps computes the per-pair Poisson op budget: arrivals cover the
@@ -82,41 +76,62 @@ func finishReport(rep *chaos.Report, env *chaos.Envelope, n *netsim.Network, pla
 // pairs, 60% offered load) under the storm plan and returns the filled
 // report. An empty plan is the fault-free twin used for the retransmit
 // amplification baseline.
-func stormFalconRun(o Options, seed int64, plan chaos.Plan, runFor time.Duration) chaos.Report {
-	const hostsPerRack = 8
-	const spines = 4
-	fabricGbps := float64(spines) * 200
-	s, topo, cl := rackPair(o, seed, hostsPerRack, spines)
-	var nodes []*core.Node
-	for _, h := range topo.Hosts {
-		nodes = append(nodes, cl.AddNode(h, core.DefaultNodeConfig()))
-	}
-	targets, _ := stormTargets(topo, hostsPerRack)
-	chaos.Apply(s, targets, plan)
+func stormFalconRun(r *row, plan chaos.Plan, runFor time.Duration) chaos.Report {
+	topo := rackPair(r)
+	cl, nodes := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
+	chaos.Apply(r.s, stormTargets(topo), plan)
+	w := startRackWrites(r, cl, nodes, multipathConn(), 0.6, stormOps(rackOpsPerSec(0.6), runFor))
+	env := chaos.NewEnvelope(r.s, &w.delivered, runFor/envBuckets, sim.Time(runFor))
+	r.s.Run()
+
+	rep := chaos.Report{Completed: w.completed}
+	connReport(&rep, w.eps)
+	finishReport(&rep, env, topo.Net, plan)
+	return rep
+}
+
+// stormRoceRun is stormFalconRun's RoCE twin: the identical fabric shape,
+// workload rate and storm plan, with RoCE RC QPs instead of Falcon
+// endpoints. RoCE has no connection-death budget, so its connections
+// always read as survived; the envelope and retransmit counters carry the
+// comparison.
+func stormRoceRun(r *row, plan chaos.Plan, runFor time.Duration) chaos.Report {
+	s := r.s
+	topo := rackPair(r)
+	chaos.Apply(s, stormTargets(topo), plan)
 
 	var rep chaos.Report
 	var delivered uint64
-	var eps []*core.Endpoint
-	perPairRate := 0.6 * fabricGbps / float64(hostsPerRack)
-	opsPerSec := perPairRate * 1e9 / 8 / stormOpBytes
-	for i := 0; i < hostsPerRack; i++ {
-		epA, epB := cl.Connect(nodes[i], nodes[hostsPerRack+i], multipathConn())
-		qa := rdma.NewQP(epA, rdma.Config{})
-		rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
-		eps = append(eps, epA, epB)
-		gen := workload.NewPoisson(s, s.Rand(), opsPerSec, stormOps(opsPerSec, runFor), func() {
-			qa.Write(0, 0, nil, stormOpBytes, func(c rdma.Completion) {
-				if c.Err == nil {
-					delivered += stormOpBytes
-					rep.Completed++
-				}
+	var qps []*roce.QP
+	opsPerSec := rackOpsPerSec(0.6)
+	for i := 0; i < rackHosts; i++ {
+		client := roce.NewNode(s, topo.Hosts[i], nil)
+		server := roce.NewNode(s, topo.Hosts[rackHosts+i], nil)
+		qp, _ := roce.Connect(client, server, uint32(i+1), roce.DefaultConfig())
+		qps = append(qps, qp)
+		workload.NewPoisson(s, s.Rand(), opsPerSec, stormOps(opsPerSec, runFor), func() {
+			qp.Write(rackOpBytes, func() {
+				delivered += rackOpBytes
+				rep.Completed++
 			})
-		})
-		gen.Start()
+		}).Start()
 	}
 	env := chaos.NewEnvelope(s, &delivered, runFor/envBuckets, sim.Time(runFor))
 	s.Run()
 
+	for _, qp := range qps {
+		rep.Retransmits += qp.Stats.Retransmits
+		rep.ConnsTotal++
+		rep.ConnsSurvived++
+	}
+	finishReport(&rep, env, topo.Net, plan)
+	return rep
+}
+
+// connReport folds each endpoint's PDL counters into a report:
+// retransmits, the deepest run of consecutive RTOs, and how many
+// connections survived or failed.
+func connReport(rep *chaos.Report, eps []*core.Endpoint) {
 	for _, ep := range eps {
 		st := ep.PDL().Stats
 		rep.Retransmits += st.DataRetransmits
@@ -130,54 +145,6 @@ func stormFalconRun(o Options, seed int64, plan chaos.Plan, runFor time.Duration
 			rep.ConnsSurvived++
 		}
 	}
-	finishReport(&rep, env, topo.Net, plan)
-	return rep
-}
-
-// stormRoceRun is stormFalconRun's RoCE twin: the identical fabric shape,
-// workload rate and storm plan, with RoCE RC QPs instead of Falcon
-// endpoints. RoCE has no connection-death budget, so its connections
-// always read as survived; the envelope and retransmit counters carry the
-// comparison.
-func stormRoceRun(o Options, seed int64, plan chaos.Plan, runFor time.Duration) chaos.Report {
-	const hostsPerRack = 8
-	const spines = 4
-	fabricGbps := float64(spines) * 200
-	s := o.newSim(seed)
-	host := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-	fabric := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-	topo := netsim.TwoRack(s, hostsPerRack, spines, host, fabric)
-	targets, _ := stormTargets(topo, hostsPerRack)
-	chaos.Apply(s, targets, plan)
-
-	var rep chaos.Report
-	var delivered uint64
-	var qps []*roce.QP
-	perPairRate := 0.6 * fabricGbps / float64(hostsPerRack)
-	opsPerSec := perPairRate * 1e9 / 8 / stormOpBytes
-	for i := 0; i < hostsPerRack; i++ {
-		client := roce.NewNode(s, topo.Hosts[i], nil)
-		server := roce.NewNode(s, topo.Hosts[hostsPerRack+i], nil)
-		qp, _ := roce.Connect(client, server, uint32(i+1), roce.DefaultConfig())
-		qps = append(qps, qp)
-		gen := workload.NewPoisson(s, s.Rand(), opsPerSec, stormOps(opsPerSec, runFor), func() {
-			qp.Write(stormOpBytes, func() {
-				delivered += stormOpBytes
-				rep.Completed++
-			})
-		})
-		gen.Start()
-	}
-	env := chaos.NewEnvelope(s, &delivered, runFor/envBuckets, sim.Time(runFor))
-	s.Run()
-
-	for _, qp := range qps {
-		rep.Retransmits += qp.Stats.Retransmits
-		rep.ConnsTotal++
-		rep.ConnsSurvived++
-	}
-	finishReport(&rep, env, topo.Net, plan)
-	return rep
 }
 
 // stormRow renders one transport's report as a table row.
@@ -207,7 +174,7 @@ func boolCell(b bool) string {
 // (six fabric+endpoint faults inside the middle half of the run) and
 // reports each transport's recovery envelope, retransmit amplification
 // and frame-conservation verdict. The campaign runs every seed of
-// o.stormSeeds; with o.Tel set it exports each run's chaos report under
+// o.stormSeeds; an instrumented run exports each run's chaos report under
 // figStorm/seed<N>/<transport>.
 func FigStorm(o Options, runFor time.Duration) *Table {
 	t := &Table{
@@ -216,17 +183,15 @@ func FigStorm(o Options, runFor time.Duration) *Table {
 			"tail Mbps", "recovered", "gap", "retx", "retx base", "ledger"},
 	}
 	for _, seed := range o.stormSeeds() {
-		plan := chaos.Generate(seed, stormSpec(runFor, 8, 4))
-		falcon := stormFalconRun(o, seed, plan, runFor)
-		falcon.BaselineRetransmits = stormFalconRun(o, seed, chaos.Plan{}, runFor).Retransmits
-		rocer := stormRoceRun(o, seed, plan, runFor)
-		rocer.BaselineRetransmits = stormRoceRun(o, seed, chaos.Plan{}, runFor).Retransmits
-		if tel := o.Tel; tel != nil {
-			reg := tel.Registry()
-			fr, rr := falcon, rocer
-			telemetry.CollectChaos(reg, fmt.Sprintf("figStorm/seed%d/falcon", seed), &fr)
-			telemetry.CollectChaos(reg, fmt.Sprintf("figStorm/seed%d/roce", seed), &rr)
-		}
+		plan := chaos.Generate(seed, stormSpec(runFor))
+		cell := fmt.Sprintf("seed%d/", seed)
+		fr, rr := o.row(cell+"falcon", seed), o.row(cell+"roce", seed)
+		falcon := stormFalconRun(fr, plan, runFor)
+		falcon.BaselineRetransmits = stormFalconRun(o.row(cell+"falcon/base", seed), chaos.Plan{}, runFor).Retransmits
+		rocer := stormRoceRun(rr, plan, runFor)
+		rocer.BaselineRetransmits = stormRoceRun(o.row(cell+"roce/base", seed), chaos.Plan{}, runFor).Retransmits
+		fr.chaos(falcon)
+		rr.chaos(rocer)
 		t.Rows = append(t.Rows, stormRow(seed, "falcon", falcon))
 		t.Rows = append(t.Rows, stormRow(seed, "roce", rocer))
 	}
@@ -245,7 +210,7 @@ type endpointScenario struct {
 // crash with teardown (the peer discovers the death through its RTO
 // budget), NIC blackhole, packet corruption and a receiver-not-ready
 // stall. Each row reports the recovery envelope, RTO escalation depth,
-// connection survival and the ledger verdict. With o.Tel set it exports
+// connection survival and the ledger verdict. An instrumented run exports
 // each scenario's chaos report under figEndpointFault/<scenario>.
 func FigEndpointFault(o Options, runFor time.Duration) *Table {
 	t := &Table{
@@ -274,12 +239,9 @@ func FigEndpointFault(o Options, runFor time.Duration) *Table {
 		}},
 	}
 	for _, sc := range scenarios {
-		ev := sc.event(sim.Time(runFor/4), runFor/4)
-		rep := endpointFaultRun(o, 91, ev, runFor)
-		if tel := o.Tel; tel != nil {
-			r := rep
-			telemetry.CollectChaos(tel.Registry(), "figEndpointFault/"+sc.name, &r)
-		}
+		r := o.row(sc.name, endpointFaultSeed)
+		rep := endpointFaultRun(r, sc.event(sim.Time(runFor/4), runFor/4), runFor)
+		r.chaos(rep)
 		t.Rows = append(t.Rows, []string{
 			sc.name,
 			fmt.Sprintf("%d", rep.Envelope.BaselineMbps),
@@ -297,61 +259,45 @@ func FigEndpointFault(o Options, runFor time.Duration) *Table {
 	return t
 }
 
+// endpointFaultSeed seeds every figEndpointFault run and its plan.
+const endpointFaultSeed = 91
+
 // endpointFaultRun drives one client->server Falcon connection over a
 // point-to-point link at ~30% load through a single fault event. Host 0
 // is the client (initiator), host 1 the server; faults index Hosts and
 // HostPorts by host, and the RNR valve wraps the server's target.
-func endpointFaultRun(o Options, seed int64, ev chaos.Event, runFor time.Duration) chaos.Report {
+func endpointFaultRun(r *row, ev chaos.Event, runFor time.Duration) chaos.Report {
 	const opBytes = 8 << 10
-	s := o.newSim(seed)
-	topo, _ := netsim.PointToPoint(s, netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond})
-	cl := core.NewCluster(s)
-	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
-	epA, epB := cl.Connect(a, b, multipathConn())
-	qa := rdma.NewQP(epA, rdma.Config{})
-	qb := rdma.NewQP(epB, rdma.Config{})
-	qb.RegisterMemoryLen(1 << 40)
-	valve := chaos.NewRNRValve(qb.Target(), 50*time.Microsecond)
+	p := newFalconP2P(r, multipathConn())
+	s, topo := r.s, p.topo
+	epA, epB := p.qa.Endpoint(), p.qb.Endpoint()
+	valve := chaos.NewRNRValve(p.qb.Target(), 50*time.Microsecond)
 	epB.SetTarget(valve)
 
-	plan := chaos.Plan{Seed: seed, RestoreGbps: 200, Events: []chaos.Event{ev}}
+	plan := chaos.Plan{Seed: endpointFaultSeed, RestoreGbps: 200, Events: []chaos.Event{ev}}
 	chaos.Apply(s, chaos.Targets{
 		Uplinks:   []*netsim.Port{topo.Hosts[0].Uplink(), topo.Hosts[1].Uplink()},
 		HostPorts: []*netsim.Port{topo.Hosts[0].Uplink(), topo.Hosts[1].Uplink()},
 		Hosts:     topo.Hosts[:2],
-		Crashers:  []chaos.Crasher{a, b},
+		Crashers:  []chaos.Crasher{epA.Node(), epB.Node()},
 		Stallers:  []*chaos.RNRValve{valve},
 	}, plan)
 
 	var rep chaos.Report
 	var delivered uint64
 	opsPerSec := 0.3 * 200e9 / 8 / opBytes
-	gen := workload.NewPoisson(s, s.Rand(), opsPerSec, stormOps(opsPerSec, runFor), func() {
-		qa.Write(0, 0, nil, opBytes, func(c rdma.Completion) {
+	workload.NewPoisson(s, s.Rand(), opsPerSec, stormOps(opsPerSec, runFor), func() {
+		p.qa.Write(0, 0, nil, opBytes, func(c rdma.Completion) {
 			if c.Err == nil {
 				delivered += opBytes
 				rep.Completed++
 			}
 		})
-	})
-	gen.Start()
+	}).Start()
 	env := chaos.NewEnvelope(s, &delivered, runFor/envBuckets, sim.Time(runFor))
 	s.Run()
 
-	for _, ep := range []*core.Endpoint{epA, epB} {
-		st := ep.PDL().Stats
-		rep.Retransmits += st.DataRetransmits
-		if st.MaxConsecRTOs > rep.RTODepth {
-			rep.RTODepth = st.MaxConsecRTOs
-		}
-		rep.ConnsTotal++
-		if ep.PDL().Failed() {
-			rep.ConnsFailed++
-		} else {
-			rep.ConnsSurvived++
-		}
-	}
+	connReport(&rep, []*core.Endpoint{epA, epB})
 	finishReport(&rep, env, topo.Net, plan)
 	return rep
 }
@@ -359,5 +305,5 @@ func endpointFaultRun(o Options, seed int64, ev chaos.Event, runFor time.Duratio
 // stormPlanForTest exposes plan generation at the campaign's spec shape
 // for the storm sweep tests (internal tests only).
 func stormPlanForTest(seed int64, runFor time.Duration) chaos.Plan {
-	return chaos.Generate(seed, stormSpec(runFor, 8, 4))
+	return chaos.Generate(seed, stormSpec(runFor))
 }

@@ -98,17 +98,18 @@ func TestEndpointFaultOutcomes(t *testing.T) {
 // numbers: determinism is TestStormDeterminism's job.
 func TestStormSweepShort(t *testing.T) {
 	t.Parallel()
-	for _, seed := range (Options{}).stormSeeds() {
+	var o Options
+	for _, seed := range o.stormSeeds() {
 		seed := seed
 		plan := stormPlanForTest(seed, 2*time.Millisecond)
-		rep := stormFalconRun(Options{}, seed, plan, 2*time.Millisecond)
+		rep := stormFalconRun(o.row("falcon", seed), plan, 2*time.Millisecond)
 		if !rep.Ledger.Balanced() {
 			t.Errorf("seed %d: falcon ledger unbalanced: %s", seed, rep.Ledger)
 		}
 		if rep.Completed == 0 {
 			t.Errorf("seed %d: no falcon ops completed", seed)
 		}
-		rr := stormRoceRun(Options{}, seed, plan, 2*time.Millisecond)
+		rr := stormRoceRun(o.row("roce", seed), plan, 2*time.Millisecond)
 		if !rr.Ledger.Balanced() {
 			t.Errorf("seed %d: roce ledger unbalanced: %s", seed, rr.Ledger)
 		}

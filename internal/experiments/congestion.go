@@ -24,7 +24,7 @@ import (
 // sweeps to 100/host (500:1), which already exceeds the
 // bandwidth-delay product per flow by orders of magnitude.
 //
-// With o.Tel set, each Falcon incast exports the server-downlink port
+// On an instrumented run, each Falcon incast exports the server-downlink port
 // counters (queue extremes, ECN marks, drops), one representative
 // connection's PDL/congestion state, the server NIC pipeline counters and
 // the server FAE's delay histograms; the 20-QP cell additionally records
@@ -35,10 +35,10 @@ func Fig13(o Options, runFor time.Duration) *Table {
 		Title:   "Figure 13: incast, 5 clients x N QPs of 1MB writes to one server",
 		Columns: []string{"transport", "QPs/host", "mean/ideal", "p50/ideal", "p99/ideal", "goodput Gbps", "Jain"},
 	}
-	const gbps = 200
 	const opBytes = 1 << 20
+	gbps := hostLink.GbpsRate
 	for _, qps := range []int{1, 4, 20, 100} {
-		m, p50, p99, goodput, jain := falconIncast(o, qps, opBytes, gbps, runFor)
+		m, p50, p99, goodput, jain := falconIncast(o.row(fmt.Sprintf("qps%d", qps), 13), qps, opBytes, runFor)
 		ideal := idealIncastLatency(qps, opBytes, gbps)
 		t.Rows = append(t.Rows, []string{
 			"Falcon", f1(float64(qps)),
@@ -49,7 +49,7 @@ func Fig13(o Options, runFor time.Duration) *Table {
 		})
 	}
 	for _, qps := range []int{1, 4, 20, 100} {
-		m, p50, p99, goodput, jain := roceIncast(o, qps, opBytes, gbps, runFor)
+		m, p50, p99, goodput, jain := roceIncast(o.row(fmt.Sprintf("roce/qps%d", qps), 13), qps, opBytes, runFor)
 		ideal := idealIncastLatency(qps, opBytes, gbps)
 		t.Rows = append(t.Rows, []string{
 			"RoCE", f1(float64(qps)),
@@ -70,52 +70,38 @@ func idealIncastLatency(qpsPerHost, opBytes int, gbps float64) time.Duration {
 	return time.Duration(float64(opBytes) * 8 / perFlowGbps)
 }
 
-func falconIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
-	s := o.newSim(13)
-	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo := netsim.Star(s, 6, link)
-	cl := core.NewCluster(s)
-	server := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
+// falconIncast runs one Falcon incast cell: 5 clients with qpsPerHost
+// closed-loop 1-deep Write streams each, into host 0 of a star.
+func falconIncast(r *row, qpsPerHost, opBytes int, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
+	s := r.s
+	topo := netsim.Star(s, 6, hostLink)
+	cl, nodes := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
+	server := nodes[0]
 	var lat stats.Series
 	var eps []*core.Endpoint
-	for h := 1; h <= 5; h++ {
-		client := cl.AddNode(topo.Hosts[h], core.DefaultNodeConfig())
+	for _, client := range nodes[1:] {
 		for q := 0; q < qpsPerHost; q++ {
-			epC, epS := cl.Connect(client, server, multipathConn())
-			qa := rdma.NewQP(epC, rdma.Config{})
-			rdma.NewQP(epS, rdma.Config{}).RegisterMemoryLen(1 << 40)
-			eps = append(eps, epC)
-			issuer := workload.NewClosedLoop(s, 1, 1<<30, func(opDone func()) bool {
-				start := s.Now()
-				err := qa.Write(0, 0, nil, opBytes, func(c rdma.Completion) {
-					if c.Err == nil {
-						lat.AddDuration(s.Now().Sub(start))
-					}
-					opDone()
-				})
-				return err == nil
-			}, nil)
-			issuer.Start()
+			qa, _ := qpPair(cl, client, server, multipathConn())
+			eps = append(eps, qa.Endpoint())
+			writeLoop(s, qa, 1, opBytes, &lat, nil)
 		}
 	}
-	if tel := o.Tel; tel != nil {
+	if reg := r.reg; reg != nil {
 		// The incast bottleneck is the switch's downlink to the server:
 		// its queue is where 5*qps flows collide.
 		down := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
-		prefix := fmt.Sprintf("fig13/qps%d", qpsPerHost)
-		reg := tel.Registry()
-		telemetry.CollectPort(reg, prefix+"/server_downlink", down)
-		telemetry.CollectPDL(reg, prefix+"/conn0", eps[0].PDL())
-		telemetry.CollectNIC(reg, prefix+"/server", server.NIC())
+		telemetry.CollectPort(reg, r.path+"/server_downlink", down)
+		telemetry.CollectPDL(reg, r.path+"/conn0", eps[0].PDL())
+		telemetry.CollectNIC(reg, r.path+"/server", server.NIC())
 		// ACK events (RTT / fabric-delay samples) are processed by the
 		// initiator's engine, so observe the first client, not the server.
-		telemetry.CollectFAE(reg, prefix+"/client0", eps[0].Node().Engine())
-		telemetry.ObserveFAE(reg, prefix+"/client0", eps[0].Node().Engine())
+		telemetry.CollectFAE(reg, r.path+"/client0", nodes[1].Engine())
+		telemetry.ObserveFAE(reg, r.path+"/client0", nodes[1].Engine())
 		if qpsPerHost == 20 {
-			sp := tel.Sampler("qps20", s, 20*time.Microsecond)
-			telemetry.TrackPDL(sp, "conn0", eps[0].PDL())
-			telemetry.TrackPort(sp, "server_downlink", down)
-			sp.Start(sim.Time(runFor))
+			r.series("qps20", runFor, func(sp *telemetry.Sampler) {
+				telemetry.TrackPDL(sp, "conn0", eps[0].PDL())
+				telemetry.TrackPort(sp, "server_downlink", down)
+			})
 		}
 	}
 	s.RunUntil(sim.Time(runFor))
@@ -132,10 +118,10 @@ func falconIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.
 		stats.Gbps(total, runFor), stats.Jain(vals)
 }
 
-func roceIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
-	s := o.newSim(13)
-	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo := netsim.Star(s, 6, link)
+// roceIncast is falconIncast's RoCE twin.
+func roceIncast(r *row, qpsPerHost, opBytes int, runFor time.Duration) (mean, p50, p99 time.Duration, goodput, jain float64) {
+	s := r.s
+	topo := netsim.Star(s, 6, hostLink)
 	server := roce.NewNode(s, topo.Hosts[0], nil)
 	var lat stats.Series
 	var resps []*roce.Responder
@@ -144,19 +130,18 @@ func roceIncast(o Options, qpsPerHost, opBytes int, gbps float64, runFor time.Du
 		client := roce.NewNode(s, topo.Hosts[h], nil)
 		for q := 0; q < qpsPerHost; q++ {
 			cfg := roce.DefaultConfig()
-			cfg.LinkGbps = gbps
+			cfg.LinkGbps = hostLink.GbpsRate
 			qp, resp := roce.Connect(client, server, id, cfg)
 			resps = append(resps, resp)
 			id++
-			issuer := workload.NewClosedLoop(s, 1, 1<<30, func(opDone func()) bool {
+			workload.NewClosedLoop(s, 1, 1<<30, func(opDone func()) bool {
 				start := s.Now()
 				qp.Write(opBytes, func() {
 					lat.AddDuration(s.Now().Sub(start))
 					opDone()
 				})
 				return true
-			}, nil)
-			issuer.Start()
+			}, nil).Start()
 		}
 	}
 	s.RunUntil(sim.Time(runFor))
@@ -179,69 +164,53 @@ func Fig14(o Options, phase time.Duration) *Table {
 		Title:   "Figure 14: end-host congestion (PCIe 200->100->200 Gbps), 64KB writes",
 		Columns: []string{"transport", "phase", "goodput Gbps", "converge ms", "ncwnd(end)"},
 	}
+	// runPhases downgrades the server's host interface for the middle of
+	// three phases, runs them, and adds one row per phase; ncwnd is read
+	// once the run is over.
+	runPhases := func(transport string, s *sim.Simulator, server *nic.NIC, rates *stats.RateSeries, ncwnd func() string) {
+		s.At(sim.Time(phase), func() { server.SetHostGbps(100) })
+		s.At(sim.Time(2*phase), func() { server.SetHostGbps(200) })
+		s.RunUntil(sim.Time(3 * phase))
+		for i, name := range []string{"full", "degraded", "restored"} {
+			g, conv := phaseGoodput(rates, 10*i, 10*i+10, phase/10)
+			t.Rows = append(t.Rows, []string{transport, name, f1(g), f1(conv), ncwnd()})
+		}
+	}
 	// Falcon run.
 	{
-		s := o.newSim(29)
-		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
-		cl := core.NewCluster(s)
-		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
-		epA, epB := cl.Connect(a, b, multipathConn())
-		qa := rdma.NewQP(epA, rdma.Config{})
-		rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
+		p := newFalconP2P(o.row("falcon", 29), multipathConn())
+		s := p.s
 		rates := stats.NewRateSeries(phase / 10)
-		issuer := workload.NewClosedLoop(s, 16, 1<<30, func(opDone func()) bool {
-			err := qa.Write(0, 0, nil, 64<<10, func(c rdma.Completion) {
+		workload.NewClosedLoop(s, 16, 1<<30, func(opDone func()) bool {
+			err := p.qa.Write(0, 0, nil, 64<<10, func(c rdma.Completion) {
 				if c.Err == nil {
 					rates.Record(s.Now(), 64<<10)
 				}
 				opDone()
 			})
 			return err == nil
-		}, nil)
-		issuer.Start()
-		s.At(sim.Time(phase), func() { b.NIC().SetHostGbps(100) })
-		s.At(sim.Time(2*phase), func() { b.NIC().SetHostGbps(200) })
-		s.RunUntil(sim.Time(3 * phase))
-		emit := func(name string, from, to int) {
-			g, conv := phaseGoodput(rates, from, to, phase/10)
-			t.Rows = append(t.Rows, []string{"Falcon", name, f1(g), f1(conv), f1(epA.PDL().Ncwnd())})
-		}
-		emit("full", 0, 10)
-		emit("degraded", 10, 20)
-		emit("restored", 20, 30)
+		}, nil).Start()
+		runPhases("Falcon", s, p.qb.Endpoint().Node().NIC(), rates, func() string {
+			return f1(p.qa.Endpoint().PDL().Ncwnd())
+		})
 	}
 	// RoCE run (host interface via the NIC model).
 	{
-		s := o.newSim(29)
-		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo, _ := netsim.PointToPoint(s, link)
+		s := o.row("roce", 29).s
+		topo, _ := netsim.PointToPoint(s, hostLink)
 		clientNode := roce.NewNode(s, topo.Hosts[0], nil)
-		nicCfg := nic.DefaultConfig()
-		serverNIC := nic.New(s, nicCfg)
+		serverNIC := nic.New(s, nic.DefaultConfig())
 		serverNode := roce.NewNode(s, topo.Hosts[1], serverNIC)
-		cfg := roce.DefaultConfig()
-		qp, _ := roce.Connect(clientNode, serverNode, 1, cfg)
+		qp, _ := roce.Connect(clientNode, serverNode, 1, roce.DefaultConfig())
 		rates := stats.NewRateSeries(phase / 10)
-		issuer := workload.NewClosedLoop(s, 16, 1<<30, func(opDone func()) bool {
+		workload.NewClosedLoop(s, 16, 1<<30, func(opDone func()) bool {
 			qp.Write(64<<10, func() {
 				rates.Record(s.Now(), 64<<10)
 				opDone()
 			})
 			return true
-		}, nil)
-		issuer.Start()
-		s.At(sim.Time(phase), func() { serverNIC.SetHostGbps(100) })
-		s.At(sim.Time(2*phase), func() { serverNIC.SetHostGbps(200) })
-		s.RunUntil(sim.Time(3 * phase))
-		emit := func(name string, from, to int) {
-			g, conv := phaseGoodput(rates, from, to, phase/10)
-			t.Rows = append(t.Rows, []string{"RoCE", name, f1(g), f1(conv), "-"})
-		}
-		emit("full", 0, 10)
-		emit("degraded", 10, 20)
-		emit("restored", 20, 30)
+		}, nil).Start()
+		runPhases("RoCE", s, serverNIC, rates, func() string { return "-" })
 	}
 	return t
 }

@@ -18,6 +18,7 @@ import (
 	"falcon/internal/roce"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
+	"falcon/internal/swtransport"
 	"falcon/internal/workload"
 )
 
@@ -69,32 +70,79 @@ func dur(d time.Duration) string {
 
 // --- Shared setups -------------------------------------------------------
 
-// falconP2P builds a two-host Falcon testbed, returning the initiator QP,
-// the forward port (switch→server, where forward-direction impairments are
-// injected) and the reverse port (switch→client).
-type falconP2P struct {
-	sim      *sim.Simulator
-	qa, qb   *rdma.QP
-	epA, epB *core.Endpoint
-	forward  *netsim.Port
-	reverse  *netsim.Port
-	topo     *netsim.Topology
+// hostLink is the 200 Gbps, 1 µs link most testbeds are built from.
+var hostLink = netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
+
+// falconNodes builds a cluster on the row's simulator with a Falcon node
+// of config cfg on each host, in host order.
+func falconNodes(r *row, hosts []*netsim.Host, cfg core.NodeConfig) (*core.Cluster, []*core.Node) {
+	cl := core.NewCluster(r.s)
+	nodes := make([]*core.Node, len(hosts))
+	for i, h := range hosts {
+		nodes[i] = cl.AddNode(h, cfg)
+	}
+	return cl, nodes
 }
 
-func newFalconP2P(o Options, seed int64, gbps float64, connCfg core.ConnConfig) *falconP2P {
-	s := o.newSim(seed)
-	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo, fwd := netsim.PointToPoint(s, link)
-	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
-	cl := core.NewCluster(s)
-	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
-	epA, epB := cl.Connect(a, b, connCfg)
-	qa := rdma.NewQP(epA, rdma.Config{})
-	qb := rdma.NewQP(epB, rdma.Config{})
-	qa.RegisterMemoryLen(1 << 40)
+// qpPair connects a to b and puts an RDMA QP on each end; the target's QP
+// exposes 1 TiB of registered memory. qa.Endpoint() is the initiator's
+// Falcon endpoint.
+func qpPair(cl *core.Cluster, a, b *core.Node, cfg core.ConnConfig) (qa, qb *rdma.QP) {
+	epA, epB := cl.Connect(a, b, cfg)
+	qa = rdma.NewQP(epA, rdma.Config{})
+	qb = rdma.NewQP(epB, rdma.Config{})
 	qb.RegisterMemoryLen(1 << 40)
-	return &falconP2P{sim: s, qa: qa, qb: qb, epA: epA, epB: epB, forward: fwd, reverse: rev, topo: topo}
+	return qa, qb
+}
+
+// swNodes attaches a Pony Express software transport to each host, in
+// host order.
+func swNodes(r *row, hosts []*netsim.Host) []*swtransport.Node {
+	nodes := make([]*swtransport.Node, len(hosts))
+	for i, h := range hosts {
+		nodes[i] = swtransport.NewNode(r.s, h, swtransport.PonyExpress())
+	}
+	return nodes
+}
+
+// falconP2P is the two-host Falcon testbed: one connection over a single
+// switch, with the forward port (switch→server, where forward-direction
+// impairments are injected) and the reverse port (switch→client).
+type falconP2P struct {
+	*row
+	qa, qb  *rdma.QP
+	forward *netsim.Port
+	reverse *netsim.Port
+	topo    *netsim.Topology
+}
+
+func newFalconP2P(r *row, connCfg core.ConnConfig) *falconP2P {
+	topo, fwd := netsim.PointToPoint(r.s, hostLink)
+	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
+	cl, n := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
+	qa, qb := qpPair(cl, n[0], n[1], connCfg)
+	return &falconP2P{row: r, qa: qa, qb: qb, forward: fwd, reverse: rev, topo: topo}
+}
+
+// writeLoop keeps window Writes of opBytes outstanding on qa. Each Write
+// that completes without error adds its latency to lat and its bytes to
+// delivered; either may be nil.
+func writeLoop(s *sim.Simulator, qa *rdma.QP, window, opBytes int, lat *stats.Series, delivered *uint64) {
+	workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {
+		start := s.Now()
+		err := qa.Write(0, 0, nil, opBytes, func(c rdma.Completion) {
+			if c.Err == nil {
+				if lat != nil {
+					lat.AddDuration(s.Now().Sub(start))
+				}
+				if delivered != nil {
+					*delivered += uint64(opBytes)
+				}
+			}
+			opDone()
+		})
+		return err == nil
+	}, nil).Start()
 }
 
 // opKind selects the IB Verbs op for goodput experiments.
@@ -116,8 +164,8 @@ func (k opKind) String() string {
 	return "Read"
 }
 
-// falconGoodput drives closed-loop ops for runFor and returns delivered
-// goodput in Gbps.
+// goodput drives closed-loop ops for runFor and returns delivered goodput
+// in Gbps.
 func (p *falconP2P) goodput(kind opKind, opBytes, window int, runFor time.Duration) float64 {
 	var delivered uint64
 	if kind == opSend {
@@ -126,7 +174,7 @@ func (p *falconP2P) goodput(kind opKind, opBytes, window int, runFor time.Durati
 			p.qb.PostRecv(nil, opBytes, nil)
 		}
 	}
-	issuer := workload.NewClosedLoop(p.sim, window, 1<<30, func(opDone func()) bool {
+	workload.NewClosedLoop(p.s, window, 1<<30, func(opDone func()) bool {
 		if kind == opSend {
 			// Replenish one receive per issued send so the queue
 			// never drains (the app-level recv loop).
@@ -148,36 +196,35 @@ func (p *falconP2P) goodput(kind opKind, opBytes, window int, runFor time.Durati
 			err = p.qa.Read(0, 0, opBytes, cb)
 		}
 		return err == nil
-	}, nil)
-	issuer.Start()
-	p.sim.RunUntil(sim.Time(runFor))
+	}, nil).Start()
+	p.s.RunUntil(sim.Time(runFor))
 	return stats.Gbps(delivered, runFor)
 }
 
-// roceP2P builds the equivalent RoCE testbed.
+// roceP2P is the equivalent RoCE testbed.
 type roceP2P struct {
-	sim     *sim.Simulator
+	*row
 	qp      *roce.QP
-	resp    *roce.Responder
 	forward *netsim.Port
 	reverse *netsim.Port
 }
 
-func newRoceP2P(o Options, seed int64, gbps float64, cfg roce.Config) *roceP2P {
-	s := o.newSim(seed)
-	link := netsim.LinkConfig{GbpsRate: gbps, PropDelay: time.Microsecond}
-	topo, fwd := netsim.PointToPoint(s, link)
+// newRoceP2P builds the RoCE testbed with a QP in the given mode.
+func newRoceP2P(r *row, mode roce.Mode) *roceP2P {
+	topo, fwd := netsim.PointToPoint(r.s, hostLink)
 	rev := topo.ToRs[0].RouteTo(topo.Hosts[0].ID)[0]
-	a := roce.NewNode(s, topo.Hosts[0], nil)
-	b := roce.NewNode(s, topo.Hosts[1], nil)
-	cfg.LinkGbps = gbps
-	qp, resp := roce.Connect(a, b, 1, cfg)
-	return &roceP2P{sim: s, qp: qp, resp: resp, forward: fwd, reverse: rev}
+	a := roce.NewNode(r.s, topo.Hosts[0], nil)
+	b := roce.NewNode(r.s, topo.Hosts[1], nil)
+	cfg := roce.DefaultConfig()
+	cfg.Mode = mode
+	cfg.LinkGbps = hostLink.GbpsRate
+	qp, _ := roce.Connect(a, b, 1, cfg)
+	return &roceP2P{row: r, qp: qp, forward: fwd, reverse: rev}
 }
 
 func (p *roceP2P) goodput(kind opKind, opBytes, window int, runFor time.Duration) float64 {
 	var delivered uint64
-	issuer := workload.NewClosedLoop(p.sim, window, 1<<30, func(opDone func()) bool {
+	workload.NewClosedLoop(p.s, window, 1<<30, func(opDone func()) bool {
 		cb := func() {
 			delivered += uint64(opBytes)
 			opDone()
@@ -191,9 +238,8 @@ func (p *roceP2P) goodput(kind opKind, opBytes, window int, runFor time.Duration
 			p.qp.Read(opBytes, cb)
 		}
 		return true
-	}, nil)
-	issuer.Start()
-	p.sim.RunUntil(sim.Time(runFor))
+	}, nil).Start()
+	p.s.RunUntil(sim.Time(runFor))
 	return stats.Gbps(delivered, runFor)
 }
 
@@ -207,3 +253,14 @@ func singlePathConn() core.ConnConfig {
 
 // multipathConn returns the default 4-flow connection config.
 func multipathConn() core.ConnConfig { return core.DefaultConnConfig() }
+
+// opRateLink is the short link of the op-rate testbeds (Figs 1 and 20b).
+var opRateLink = netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
+
+// unorderedConn returns the multipath config with unordered delivery, as
+// op-rate benchmarks use.
+func unorderedConn() core.ConnConfig {
+	cfg := multipathConn()
+	cfg.TL.Ordered = false
+	return cfg
+}

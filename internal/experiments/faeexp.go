@@ -7,7 +7,6 @@ import (
 	"falcon/internal/core"
 	"falcon/internal/falcon/fae"
 	"falcon/internal/netsim"
-	"falcon/internal/rdma"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
 	"falcon/internal/workload"
@@ -63,27 +62,22 @@ func Fig22b(o Options, runFor time.Duration) *Table {
 		Title:   "Figure 22b: fabric RTT vs FAE response delay (2x20 QP incast, 1MB writes)",
 		Columns: []string{"FAE delay us", "p50 RTT", "p99 RTT", "p99/baseline"},
 	}
-	run := func(delay time.Duration) (time.Duration, time.Duration) {
-		s := o.newSim(22)
-		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-		topo := netsim.Star(s, 3, link)
-		cl := core.NewCluster(s)
+	run := func(name string, delay time.Duration) (time.Duration, time.Duration) {
+		r := o.row(name, 22)
+		s := r.s
+		topo := netsim.Star(s, 3, hostLink)
 		ncfg := core.DefaultNodeConfig()
 		ncfg.FAE.ResponseDelay = delay
-		server := cl.AddNode(topo.Hosts[0], ncfg)
-		for h := 1; h <= 2; h++ {
-			client := cl.AddNode(topo.Hosts[h], ncfg)
+		cl, nodes := falconNodes(r, topo.Hosts, ncfg)
+		for _, client := range nodes[1:] {
 			for q := 0; q < 20; q++ {
-				epC, epS := cl.Connect(client, server, multipathConn())
-				qa := rdma.NewQP(epC, rdma.Config{})
-				rdma.NewQP(epS, rdma.Config{}).RegisterMemoryLen(1 << 40)
+				qa, _ := qpPair(cl, client, nodes[0], multipathConn())
 				// Bursty on-off traffic: incast onsets are where
 				// congestion control must adapt, so FAE lag shows
 				// up as queue overshoot.
-				gen := workload.NewPoisson(s, s.Rand(), 1200, 1<<30, func() {
+				workload.NewPoisson(s, s.Rand(), 1200, 1<<30, func() {
 					qa.Write(0, 0, nil, 1<<20, nil)
-				})
-				gen.Start()
+				}).Start()
 			}
 		}
 		// Sample every connection's smoothed RTT periodically; the
@@ -99,9 +93,9 @@ func Fig22b(o Options, runFor time.Duration) *Table {
 		s.RunUntil(sim.Time(runFor))
 		return lat.DurationPercentile(50), lat.DurationPercentile(99)
 	}
-	_, base99 := run(0)
+	_, base99 := run("baseline", 0)
 	for _, d := range []time.Duration{0, 8 * time.Microsecond, 16 * time.Microsecond, 32 * time.Microsecond, 64 * time.Microsecond, 128 * time.Microsecond, 256 * time.Microsecond} {
-		p50, p99 := run(d)
+		p50, p99 := run("delay"+f1(d.Seconds()*1e6), d)
 		t.Rows = append(t.Rows, []string{
 			f1(d.Seconds() * 1e6), dur(p50), dur(p99), f2(float64(p99) / float64(base99)),
 		})

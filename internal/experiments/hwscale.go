@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"falcon/internal/core"
@@ -21,23 +22,23 @@ func Fig19(o Options) *Table {
 		Title:   "Figure 19: write completion latency vs message size (unloaded)",
 		Columns: []string{"size", "p50", "p99", "ideal", "p50/ideal"},
 	}
-	const gbps = 200
+	gbps := hostLink.GbpsRate
 	for _, size := range []int{8, 512, 4 << 10, 32 << 10, 256 << 10, 1 << 20} {
-		p := newFalconP2P(o, 19, gbps, multipathConn())
+		p := newFalconP2P(o.row(fmtSize(size), 19), multipathConn())
 		var lat stats.Series
 		var issue func(n int)
 		issue = func(n int) {
 			if n == 0 {
 				return
 			}
-			start := p.sim.Now()
+			start := p.s.Now()
 			p.qa.Write(0, 0, nil, size, func(c rdma.Completion) {
-				lat.AddDuration(p.sim.Now().Sub(start))
+				lat.AddDuration(p.s.Now().Sub(start))
 				issue(n - 1)
 			})
 		}
 		issue(200)
-		p.sim.Run()
+		p.s.Run()
 		// Ideal: one serialization of the payload at the bottleneck
 		// link (store-and-forward overlaps across the two hops for
 		// multi-packet messages) plus the round-trip propagation and
@@ -78,55 +79,41 @@ func Fig20a(o Options, runFor time.Duration) *Table {
 	const opBytes = 16 << 10
 	for _, offered := range []float64{40, 80, 120, 160, 190} {
 		perConnRate := offered * 1e9 / 8 / opBytes / conns
+		cell := "offered" + f1(offered)
 		// Falcon.
 		fp50, fp99 := func() (time.Duration, time.Duration) {
-			s := o.newSim(20)
-			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-			topo := netsim.Star(s, servers+1, link)
-			cl := core.NewCluster(s)
-			client := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-			var serverNodes []*core.Node
-			for i := 0; i < servers; i++ {
-				serverNodes = append(serverNodes, cl.AddNode(topo.Hosts[1+i], core.DefaultNodeConfig()))
-			}
+			r := o.row(cell, 20)
+			s := r.s
+			cl, nodes := falconNodes(r, netsim.Star(s, servers+1, hostLink).Hosts, core.DefaultNodeConfig())
 			var lat stats.Series
 			for c := 0; c < conns; c++ {
-				epC, epS := cl.Connect(client, serverNodes[c%servers], multipathConn())
-				qa := rdma.NewQP(epC, rdma.Config{})
-				rdma.NewQP(epS, rdma.Config{}).RegisterMemoryLen(1 << 40)
-				gen := workload.NewPoisson(s, s.Rand(), perConnRate, 1<<30, func() {
+				qa, _ := qpPair(cl, nodes[0], nodes[1+c%servers], multipathConn())
+				workload.NewPoisson(s, s.Rand(), perConnRate, 1<<30, func() {
 					start := s.Now()
 					qa.Read(0, 0, opBytes, func(c rdma.Completion) {
 						if c.Err == nil {
 							lat.AddDuration(s.Now().Sub(start))
 						}
 					})
-				})
-				gen.Start()
+				}).Start()
 			}
 			s.RunUntil(sim.Time(runFor))
 			return lat.DurationPercentile(50), lat.DurationPercentile(99)
 		}()
 		// Software transport.
 		sp50, sp99 := func() (time.Duration, time.Duration) {
-			s := o.newSim(20)
-			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: time.Microsecond}
-			topo := netsim.Star(s, servers+1, link)
-			clientNode := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
-			var serverNodes []*swtransport.Node
-			for i := 0; i < servers; i++ {
-				serverNodes = append(serverNodes, swtransport.NewNode(s, topo.Hosts[1+i], swtransport.PonyExpress()))
-			}
+			r := o.row(cell+"/sw", 20)
+			s := r.s
+			nodes := swNodes(r, netsim.Star(s, servers+1, hostLink).Hosts)
 			var lat stats.Series
 			for c := 0; c < conns; c++ {
-				conn := swtransport.Connect(clientNode, serverNodes[c%servers], uint32(c+1))
-				gen := workload.NewPoisson(s, s.Rand(), perConnRate, 1<<30, func() {
+				conn := swtransport.Connect(nodes[0], nodes[1+c%servers], uint32(c+1))
+				workload.NewPoisson(s, s.Rand(), perConnRate, 1<<30, func() {
 					start := s.Now()
 					conn.Call(64, opBytes, func() {
 						lat.AddDuration(s.Now().Sub(start))
 					})
-				})
-				gen.Start()
+				}).Start()
 			}
 			s.RunUntil(sim.Time(runFor))
 			return lat.DurationPercentile(50), lat.DurationPercentile(99)
@@ -145,34 +132,73 @@ func Fig20b(o Options, runFor time.Duration) *Table {
 		Columns: []string{"QPs", "Mops/s"},
 	}
 	for _, qps := range []int{1, 2, 4, 8, 12, 16} {
-		s := o.newSim(20)
-		link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-		topo, _ := netsim.PointToPoint(s, link)
-		cl := core.NewCluster(s)
-		a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-		b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
+		r := o.row(fmt.Sprintf("qps%d", qps), 20)
+		s := r.s
+		topo, _ := netsim.PointToPoint(s, opRateLink)
+		cl, n := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
 		var ops uint64
 		for q := 0; q < qps; q++ {
-			cfg := multipathConn()
-			cfg.TL.Ordered = false // op-rate benchmarks use unordered QPs
-			epA, epB := cl.Connect(a, b, cfg)
-			qa := rdma.NewQP(epA, rdma.Config{})
-			rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
+			qa, _ := qpPair(cl, n[0], n[1], unorderedConn())
 			// Window 128 matches the PDL sequence window: enough to
 			// cover the NIC pipeline's bandwidth-delay product.
-			issuer := workload.NewClosedLoop(s, 128, 1<<30, func(opDone func()) bool {
+			workload.NewClosedLoop(s, 128, 1<<30, func(opDone func()) bool {
 				err := qa.Write(0, 0, nil, 8, func(c rdma.Completion) {
 					ops++
 					opDone()
 				})
 				return err == nil
-			}, nil)
-			issuer.Start()
+			}, nil).Start()
 		}
 		s.RunUntil(sim.Time(runFor))
 		t.Rows = append(t.Rows, []string{f1(float64(qps)), f1(float64(ops) / runFor.Seconds() / 1e6)})
 	}
 	return t
+}
+
+// pingPong is Fig 21's closed loop of single-outstanding ping-pongs, one
+// typed action for the whole run. Each ping-pong draws a connection and
+// steps through six stages, scheduling itself once per stage: client TX,
+// the wire, server RX, server TX, the wire, client RX. The last stage
+// records the round trip and starts the next ping-pong.
+type pingPong struct {
+	s     *sim.Simulator
+	a, b  *nic.NIC
+	conns int
+	left  int // ping-pongs not yet started
+
+	conn  uint32
+	stage int
+	start sim.Time
+	lat   stats.Series
+}
+
+// pingPongWire is the one-way wire delay between the two NICs.
+const pingPongWire = 2 * time.Microsecond
+
+func (p *pingPong) next() {
+	if p.left == 0 {
+		return
+	}
+	p.left--
+	p.conn = uint32(p.s.Rand().Intn(p.conns))
+	p.start = p.s.Now()
+	p.stage = 0
+	p.a.ProcessAction(p.conn, p)
+}
+
+func (p *pingPong) RunAction() {
+	p.stage++
+	switch p.stage {
+	case 1, 4:
+		p.s.AtAction(p.s.Now().Add(pingPongWire), p)
+	case 2, 3:
+		p.b.ProcessAction(p.conn, p)
+	case 5:
+		p.a.ProcessAction(p.conn, p)
+	default:
+		p.lat.AddDuration(p.s.Now().Sub(p.start))
+		p.next()
+	}
 }
 
 // Fig21 reproduces "connection cliff": software-visible RTT of a
@@ -187,47 +213,19 @@ func Fig21(o Options) *Table {
 		Title:   "Figure 21: ping-pong RTT vs connection count (cache pressure)",
 		Columns: []string{"connections", "Falcon RTT", "CX7-like RTT", "Falcon/base", "CX7/base"},
 	}
-	const wire = 2 * 2 * time.Microsecond // two one-way trips
 	const opsPerConnSample = 200_000
-	run := func(cfg nic.Config, conns int) time.Duration {
-		s := o.newSim(21)
-		nicA := nic.New(s, cfg)
-		nicB := nic.New(s, cfg)
-		rng := s.Rand()
-		var lat stats.Series
-		var pingPong func(n int)
-		pingPong = func(n int) {
-			if n == 0 {
-				return
-			}
-			conn := uint32(rng.Intn(conns))
-			start := s.Now()
-			// Four pipeline passes: client TX, server RX, server TX,
-			// client RX; the wire in between.
-			nicA.Process(conn, func() {
-				s.After(wire/2, func() {
-					nicB.Process(conn, func() {
-						nicB.Process(conn, func() {
-							s.After(wire/2, func() {
-								nicA.Process(conn, func() {
-									lat.AddDuration(s.Now().Sub(start))
-									pingPong(n - 1)
-								})
-							})
-						})
-					})
-				})
-			})
-		}
-		pingPong(opsPerConnSample)
+	run := func(name string, cfg nic.Config, conns int) time.Duration {
+		s := o.row(fmt.Sprintf("%s/conns%d", name, conns), 21).s
+		p := &pingPong{s: s, a: nic.New(s, cfg), b: nic.New(s, cfg), conns: conns, left: opsPerConnSample}
+		p.next()
 		s.Run()
-		return lat.MeanDuration()
+		return p.lat.MeanDuration()
 	}
-	falconBase := run(nic.DefaultConfig(), 1)
-	cx7Base := run(nic.CX7LikeConfig(), 1)
+	falconBase := run("falcon", nic.DefaultConfig(), 1)
+	cx7Base := run("cx7", nic.CX7LikeConfig(), 1)
 	for _, conns := range []int{1000, 10_000, 100_000, 300_000, 1_000_000} {
-		f := run(nic.DefaultConfig(), conns)
-		c := run(nic.CX7LikeConfig(), conns)
+		f := run("falcon", nic.DefaultConfig(), conns)
+		c := run("cx7", nic.CX7LikeConfig(), conns)
 		t.Rows = append(t.Rows, []string{
 			f1(float64(conns)), dur(f), dur(c),
 			f2(float64(f) / float64(falconBase)), f2(float64(c) / float64(cx7Base)),

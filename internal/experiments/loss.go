@@ -18,7 +18,7 @@ import (
 // named packet class, sweeping the drop percentage. Falcon holds goodput;
 // RoCE-SR helps only Writes and Read Responses; RoCE-GBN collapses.
 //
-// With o.Tel set, every Falcon cell exports its PDL loss-recovery
+// On an instrumented run, every Falcon cell exports its PDL loss-recovery
 // counters (retransmit causes, ACK coalescing, NACK codes) and the
 // representative Write/1%-drop cell additionally records a
 // cwnd-and-retransmit time series — the loss-recovery trace behind the
@@ -28,7 +28,6 @@ func Fig10(o Options, runFor time.Duration) *Table {
 		Title:   "Figure 10: goodput (Gbps) under random drops, 8KB ops, 200G link",
 		Columns: []string{"op", "drop%", "Falcon", "RoCE-SR", "RoCE-GBN"},
 	}
-	const gbps = 200
 	drops := []float64{0, 0.1, 0.5, 1, 2}
 	type sub struct {
 		name string
@@ -42,39 +41,28 @@ func Fig10(o Options, runFor time.Duration) *Table {
 	}
 	for _, sb := range subs {
 		for _, drop := range drops {
-			falcon := func() float64 {
-				p := newFalconP2P(o, 1, gbps, multipathConn())
-				applyDrop(sb.name, p.forward, p.reverse, drop)
-				if tel := o.Tel; tel != nil {
-					prefix := "fig10/" + sb.name + "/drop" + f1(drop)
-					reg := tel.Registry()
-					telemetry.CollectPDL(reg, prefix, p.epA.PDL())
-					telemetry.CollectTL(reg, prefix, p.epA.TL())
-					telemetry.CollectPort(reg, prefix+"/fwd", p.forward)
-					if sb.name == "Write" && drop == 1 {
-						sp := tel.Sampler("write_drop1", p.sim, 20*time.Microsecond)
-						telemetry.TrackPDL(sp, "conn", p.epA.PDL())
+			cell := sb.name + "/drop" + f1(drop)
+			p := newFalconP2P(o.row(cell, 1), multipathConn())
+			applyDrop(sb.name, p.forward, p.reverse, drop)
+			if p.reg != nil {
+				conn := p.qa.Endpoint()
+				telemetry.CollectPDL(p.reg, p.path, conn.PDL())
+				telemetry.CollectTL(p.reg, p.path, conn.TL())
+				telemetry.CollectPort(p.reg, p.path+"/fwd", p.forward)
+				if sb.name == "Write" && drop == 1 {
+					p.series("write_drop1", runFor, func(sp *telemetry.Sampler) {
+						telemetry.TrackPDL(sp, "conn", conn.PDL())
 						telemetry.TrackPort(sp, "fwd", p.forward)
-						sp.Start(sim.Time(runFor))
-					}
+					})
 				}
-				return p.goodput(sb.kind, 8192, 48, runFor)
-			}()
-			sr := func() float64 {
-				cfg := roce.DefaultConfig()
-				cfg.Mode = roce.SR
-				p := newRoceP2P(o, 1, gbps, cfg)
+			}
+			falcon := p.goodput(sb.kind, 8192, 48, runFor)
+			roceCell := func(mode roce.Mode) float64 {
+				p := newRoceP2P(o.row(cell+"/"+mode.String(), 1), mode)
 				applyDrop(sb.name, p.forward, p.reverse, drop)
 				return p.goodput(sb.kind, 8192, 48, runFor)
-			}()
-			gbn := func() float64 {
-				cfg := roce.DefaultConfig()
-				cfg.Mode = roce.GBN
-				p := newRoceP2P(o, 1, gbps, cfg)
-				applyDrop(sb.name, p.forward, p.reverse, drop)
-				return p.goodput(sb.kind, 8192, 48, runFor)
-			}()
-			t.Rows = append(t.Rows, []string{sb.name, f1(drop), f1(falcon), f1(sr), f1(gbn)})
+			}
+			t.Rows = append(t.Rows, []string{sb.name, f1(drop), f1(falcon), f1(roceCell(roce.SR)), f1(roceCell(roce.GBN))})
 		}
 	}
 	return t
@@ -101,28 +89,17 @@ func Fig11a(o Options, runFor time.Duration) *Table {
 		Title:   "Figure 11a: goodput (Gbps) under reordering, 8KB writes, 200G link",
 		Columns: []string{"reorder extent (us)", "Falcon", "RoCE-SR", "RoCE-GBN"},
 	}
-	const gbps = 200
 	for _, extent := range []time.Duration{0, 5 * time.Microsecond, 10 * time.Microsecond, 20 * time.Microsecond, 40 * time.Microsecond} {
-		falcon := func() float64 {
-			p := newFalconP2P(o, 1, gbps, multipathConn())
+		cell := "reorder" + f1(extent.Seconds()*1e6)
+		p := newFalconP2P(o.row(cell, 1), multipathConn())
+		p.forward.SetReorder(0.1, extent)
+		falcon := p.goodput(opWrite, 8192, 48, runFor)
+		roceCell := func(mode roce.Mode) float64 {
+			p := newRoceP2P(o.row(cell+"/"+mode.String(), 1), mode)
 			p.forward.SetReorder(0.1, extent)
 			return p.goodput(opWrite, 8192, 48, runFor)
-		}()
-		sr := func() float64 {
-			cfg := roce.DefaultConfig()
-			cfg.Mode = roce.SR
-			p := newRoceP2P(o, 1, gbps, cfg)
-			p.forward.SetReorder(0.1, extent)
-			return p.goodput(opWrite, 8192, 48, runFor)
-		}()
-		gbn := func() float64 {
-			cfg := roce.DefaultConfig()
-			cfg.Mode = roce.GBN
-			p := newRoceP2P(o, 1, gbps, cfg)
-			p.forward.SetReorder(0.1, extent)
-			return p.goodput(opWrite, 8192, 48, runFor)
-		}()
-		t.Rows = append(t.Rows, []string{f1(extent.Seconds() * 1e6), f1(falcon), f1(sr), f1(gbn)})
+		}
+		t.Rows = append(t.Rows, []string{f1(extent.Seconds() * 1e6), f1(falcon), f1(roceCell(roce.SR)), f1(roceCell(roce.GBN))})
 	}
 	return t
 }
@@ -138,21 +115,20 @@ func Fig11b(o Options, runFor time.Duration) *Table {
 	run := func(recovery pdl.RecoveryMode, drop float64) float64 {
 		cfg := multipathConn()
 		cfg.PDL.Recovery = recovery
-		p := newFalconP2P(o, 3, 200, cfg)
+		p := newFalconP2P(o.row(recovery.String()+"/drop"+f1(drop), 3), cfg)
 		p.forward.SetDropProb(drop / 100)
 		var delivered uint64
 		const opBytes = 128 << 10
 		// Poisson at ~60% of line rate.
 		rate := 0.6 * 200e9 / 8 / opBytes
-		gen := workload.NewPoisson(p.sim, p.sim.Rand(), rate, 1<<30, func() {
+		workload.NewPoisson(p.s, p.s.Rand(), rate, 1<<30, func() {
 			p.qa.Write(0, 0, nil, opBytes, func(c rdma.Completion) {
 				if c.Err == nil {
 					delivered += opBytes
 				}
 			})
-		})
-		gen.Start()
-		p.sim.RunUntil(sim.Time(runFor))
+		}).Start()
+		p.s.RunUntil(sim.Time(runFor))
 		return stats.Gbps(delivered, runFor)
 	}
 	for _, drop := range []float64{0.1, 0.5, 1, 2, 4} {
@@ -174,9 +150,7 @@ func Fig12(o Options, runFor time.Duration) *Table {
 		Columns: []string{"drop%", "RoCE-GBN", "RoCE-SR", "RoCE-AR"},
 	}
 	run := func(mode roce.Mode, drop float64) float64 {
-		cfg := roce.DefaultConfig()
-		cfg.Mode = mode
-		p := newRoceP2P(o, 5, 200, cfg)
+		p := newRoceP2P(o.row(mode.String()+"/drop"+f1(drop), 5), mode)
 		p.forward.SetDropProb(drop / 100)
 		return p.goodput(opWrite, 16<<10, 48, runFor)
 	}

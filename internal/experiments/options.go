@@ -4,16 +4,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"falcon/internal/sim"
 	"falcon/internal/telemetry"
 )
 
 // Options is everything that configures one run of a figure. The zero
 // value is a full-window, uninstrumented run with the default storm seeds.
 //
-// Figures build every simulator through newSim, so each setting reaches
-// all of them and nothing else: there is no process-wide default to set
-// or restore, and figures with different options may run side by side.
+// Figures build every run through Options.row (row.go), so each setting
+// reaches all of them and nothing else: there is no process-wide default
+// to set or restore, and figures with different options may run side by
+// side.
 type Options struct {
 	// Quick selects the shorter measurement windows.
 	Quick bool
@@ -26,6 +26,9 @@ type Options struct {
 	// events, set by the runner, totals the events delivered by every
 	// simulator the figure builds.
 	events *atomic.Uint64
+	// fig, set by the runner, is the figure's name: the first element of
+	// every row's metric path.
+	fig string
 }
 
 // window returns the measurement duration for a full or a quick run.
@@ -34,13 +37,6 @@ func (o Options) window(full, quick time.Duration) time.Duration {
 		return quick
 	}
 	return full
-}
-
-// newSim returns a fresh seeded simulator for one run of the figure.
-func (o Options) newSim(seed int64) *sim.Simulator {
-	s := sim.New(seed)
-	s.CountInto(o.events)
-	return s
 }
 
 // stormSeeds returns the storm campaigns' seeds: StormSeed when set, else

@@ -7,12 +7,10 @@ import (
 	"falcon/internal/chaos"
 	"falcon/internal/core"
 	"falcon/internal/netsim"
-	"falcon/internal/rdma"
 	"falcon/internal/routing"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
 	"falcon/internal/telemetry"
-	"falcon/internal/workload"
 )
 
 // This file is the fabric-side counterpart of fig15/fig17: instead of
@@ -53,68 +51,35 @@ func uplinkSpread(ports []*netsim.Port) (spreadPct float64, downDrops uint64) {
 	return spreadPct, downDrops
 }
 
-// routingRun drives the §6.1.3 rack pair (8<->8 hosts, 4 spines) at the
-// offered load with the given fabric routing policy, with the impair
-// faults applied to ToR-0's uplink group (Target indexes that group).
-// With o.Tel set it exports conn-0's PDL state, node-0's FAE counters, the
-// uplink group's routing-layer spread cells and the (possibly degraded)
-// uplink-0 port counters under prefix.
-func routingRun(o Options, seed int64, pol routing.Policy, load float64, runFor time.Duration,
-	impair []chaos.Event, prefix string) routingCell {
-	const hostsPerRack = 8
-	const spines = 4
-	fabricGbps := float64(spines) * 200
-	s, topo, cl := rackPair(o, seed, hostsPerRack, spines)
+// routingRun drives the §6.1.3 rack-pair Writes at the offered load with
+// the given fabric routing policy, with the impair faults applied to
+// ToR-0's uplink group (Target indexes that group). An instrumented run
+// exports conn-0's PDL state, node-0's FAE counters, the uplink group's
+// routing-layer spread cells and the (possibly degraded) uplink-0 port
+// counters under the row's path.
+func routingRun(r *row, pol routing.Policy, load float64, runFor time.Duration, impair []chaos.Event) routingCell {
+	topo := rackPair(r)
 	topo.SetRoutingPolicy(pol)
-	var nodes []*core.Node
-	for _, h := range topo.Hosts {
-		nodes = append(nodes, cl.AddNode(h, core.DefaultNodeConfig()))
-	}
+	cl, nodes := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
 	// ToR-0's spine uplinks: the equal-cost set every cross-rack frame
 	// from rack 0 fans over, and the group gray failures target.
-	uplinks := topo.ToRs[0].RouteTo(topo.Hosts[hostsPerRack].ID)
-	chaos.Apply(s, chaos.Targets{Uplinks: uplinks}, chaos.Plan{Events: impair})
-	const opBytes = 64 << 10
-	var lat stats.Series
-	var delivered uint64
-	var firstEp *core.Endpoint
-	perPairRate := load * fabricGbps / float64(hostsPerRack)
-	opsPerSec := perPairRate * 1e9 / 8 / opBytes
-	for i := 0; i < hostsPerRack; i++ {
-		a := nodes[i]
-		b := nodes[hostsPerRack+i]
-		epA, epB := cl.Connect(a, b, multipathConn())
-		qa := rdma.NewQP(epA, rdma.Config{})
-		rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
-		if firstEp == nil {
-			firstEp = epA
-		}
-		gen := workload.NewPoisson(s, s.Rand(), opsPerSec, 1<<30, func() {
-			start := s.Now()
-			qa.Write(0, 0, nil, opBytes, func(c rdma.Completion) {
-				if c.Err == nil {
-					lat.AddDuration(s.Now().Sub(start))
-					delivered += opBytes
-				}
-			})
-		})
-		gen.Start()
-	}
-	if tel := o.Tel; tel != nil {
-		reg := tel.Registry()
-		telemetry.CollectPDL(reg, prefix+"/conn0", firstEp.PDL())
-		telemetry.CollectUplinks(reg, prefix+"/tor0", uplinks)
+	uplinks := topo.ToRs[0].RouteTo(topo.Hosts[rackHosts].ID)
+	chaos.Apply(r.s, chaos.Targets{Uplinks: uplinks}, chaos.Plan{Events: impair})
+	w := startRackWrites(r, cl, nodes, multipathConn(), load, 1<<30)
+	if reg := r.reg; reg != nil {
+		telemetry.CollectPDL(reg, r.path+"/conn0", w.eps[0].PDL())
+		telemetry.CollectUplinks(reg, r.path+"/tor0", uplinks)
 		// Uplink 0 is the impairment target in every scenario; its port
 		// counters carry the slow-port queue depth and down-drop detail.
-		telemetry.CollectPort(reg, prefix+"/up0", uplinks[0])
-		telemetry.CollectFAE(reg, prefix+"/node0", nodes[0].Engine())
-		telemetry.ObserveFAE(reg, prefix+"/node0", nodes[0].Engine())
+		telemetry.CollectPort(reg, r.path+"/up0", uplinks[0])
+		telemetry.CollectFAE(reg, r.path+"/node0", nodes[0].Engine())
+		telemetry.ObserveFAE(reg, r.path+"/node0", nodes[0].Engine())
 	}
-	s.RunUntil(sim.Time(runFor))
+	r.s.RunUntil(sim.Time(runFor))
 	cell := routingCell{
-		p50:  lat.DurationPercentile(50),
-		p99:  lat.DurationPercentile(99),
-		gbps: stats.Gbps(delivered, runFor),
+		p50:  w.lat.DurationPercentile(50),
+		p99:  w.lat.DurationPercentile(99),
+		gbps: stats.Gbps(w.delivered, runFor),
 	}
 	cell.spreadPct, cell.downDrops = uplinkSpread(uplinks)
 	for _, n := range nodes {
@@ -129,8 +94,9 @@ func routingRun(o Options, seed int64, pol routing.Policy, load float64, runFor 
 // (uplink 0 at 50 of 200 Gbps — a gray failure ECMP cannot see but
 // adaptive routes around and PLB repaths away from).
 //
-// With o.Tel set, every (policy, fabric) cell exports conn/FAE metrics
-// plus the ToR-0 uplink-group spread under figRouting/<policy>/<sym|asym>.
+// An instrumented run exports, for every (policy, fabric) cell, conn/FAE
+// metrics plus the ToR-0 uplink-group spread under
+// figRouting/<policy>/<sym|asym>.
 func FigRouting(o Options, runFor time.Duration) *Table {
 	t := &Table{
 		Title: "Routing policies: Falcon multipath+PLB over ECMP/spray/adaptive fabric, 60% load",
@@ -141,8 +107,8 @@ func FigRouting(o Options, runFor time.Duration) *Table {
 	// restored.
 	asym := []chaos.Event{{Kind: chaos.KindSlow, Target: 0, At: 0, Gbps: 50}}
 	for _, pol := range routing.Policies() {
-		sym := routingRun(o, 41, pol, 0.6, runFor, nil, "figRouting/"+pol.Name()+"/sym")
-		deg := routingRun(o, 41, pol, 0.6, runFor, asym, "figRouting/"+pol.Name()+"/asym")
+		sym := routingRun(o.row(pol.Name()+"/sym", 41), pol, 0.6, runFor, nil)
+		deg := routingRun(o.row(pol.Name()+"/asym", 41), pol, 0.6, runFor, asym)
 		t.Rows = append(t.Rows, []string{
 			pol.Name(), dur(sym.p99), f1(sym.gbps), f1(sym.spreadPct),
 			dur(deg.p99), f1(deg.gbps), f1(deg.spreadPct),
@@ -154,8 +120,8 @@ func FigRouting(o Options, runFor time.Duration) *Table {
 // FigGrayFailure measures each fabric policy under injected gray
 // failures: a flapping uplink (two down/up cycles) and a correlated
 // outage taking half the uplink group down at once. down_drops counts
-// frames the fabric ate; repaths counts Falcon's PLB reacting. With o.Tel
-// set it exports the same per-cell metrics as FigRouting under
+// frames the fabric ate; repaths counts Falcon's PLB reacting. An
+// instrumented run exports the same per-cell metrics as FigRouting under
 // figGrayFailure/<policy>/<flap|outage>.
 func FigGrayFailure(o Options, runFor time.Duration) *Table {
 	t := &Table{
@@ -176,8 +142,7 @@ func FigGrayFailure(o Options, runFor time.Duration) *Table {
 	}
 	for _, pol := range routing.Policies() {
 		for _, sc := range scenarios {
-			cell := routingRun(o, 43, pol, 0.6, runFor, []chaos.Event{sc.impair},
-				"figGrayFailure/"+pol.Name()+"/"+sc.name)
+			cell := routingRun(o.row(pol.Name()+"/"+sc.name, 43), pol, 0.6, runFor, []chaos.Event{sc.impair})
 			t.Rows = append(t.Rows, []string{
 				pol.Name(), sc.name, dur(cell.p99), f1(cell.gbps),
 				fmt.Sprintf("%d", cell.downDrops), fmt.Sprintf("%d", cell.repaths),

@@ -64,7 +64,7 @@ func Run(entries []Entry, opts Options, parallel int, w io.Writer) []FigureRepor
 // when instrumented), printing its table and annotation line to w.
 func runOne(e Entry, o Options, w io.Writer) FigureReport {
 	var events atomic.Uint64
-	o.events = &events
+	o.events, o.fig = &events, e.Name
 	if o.Tel != nil {
 		o.Tel = telemetry.NewSuite()
 	}

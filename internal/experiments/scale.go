@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"falcon/internal/core"
 	"falcon/internal/netsim"
-	"falcon/internal/rdma"
 	"falcon/internal/sim"
-	"falcon/internal/workload"
 )
 
 // FigScale profiles where a single event loop saturates as the fabric
@@ -35,43 +34,29 @@ func FigScale(o Options, runFor time.Duration) *Table {
 		tiers = tiers[:2]
 	}
 	const opBytes = 4 << 10
-	hostLink := netsim.LinkConfig{GbpsRate: 100, PropDelay: 500 * time.Nanosecond}
+	accessLink := netsim.LinkConfig{GbpsRate: 100, PropDelay: 500 * time.Nanosecond}
 	for _, tr := range tiers {
 		// Keep the fabric mildly oversubscribed at every tier
 		// (hostsPerRack*100 Gbps of access vs spines*200 Gbps of uplink)
 		// so the spine layer, not the access links, is the bottleneck the
 		// sweep stresses.
 		fabricLink := netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * time.Microsecond}
-		s := o.newSim(30)
-		topo := netsim.Clos(s, tr.racks, tr.hostsPerRack, tr.spines, hostLink, fabricLink)
-		cl := core.NewCluster(s)
-		nodes := make([]*core.Node, len(topo.Hosts))
-		for i, h := range topo.Hosts {
-			nodes[i] = cl.AddNode(h, core.DefaultNodeConfig())
-		}
+		r := o.row(fmt.Sprintf("hosts%d", tr.racks*tr.hostsPerRack), 30)
+		s := r.s
+		topo := netsim.Clos(s, tr.racks, tr.hostsPerRack, tr.spines, accessLink, fabricLink)
+		cl, nodes := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
 		// Deterministic pairing: host i in the first half of the fabric
 		// writes to host i + hosts/2. With rack-major host order that is
 		// the same slot hosts/(2*hostsPerRack) racks away, so every flow
 		// crosses ToR -> spine -> ToR.
 		hosts := len(topo.Hosts)
-		var ops uint64
+		var delivered uint64
 		for i := 0; i < hosts/2; i++ {
-			epA, epB := cl.Connect(nodes[i], nodes[i+hosts/2], multipathConn())
-			qa := rdma.NewQP(epA, rdma.Config{})
-			rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
-			issuer := workload.NewClosedLoop(s, 4, 1<<30, func(opDone func()) bool {
-				err := qa.Write(0, 0, nil, opBytes, func(c rdma.Completion) {
-					if c.Err == nil {
-						ops++
-					}
-					opDone()
-				})
-				return err == nil
-			}, nil)
-			issuer.Start()
+			qa, _ := qpPair(cl, nodes[i], nodes[i+hosts/2], multipathConn())
+			writeLoop(s, qa, 4, opBytes, nil, &delivered)
 		}
 		s.RunUntil(sim.Time(runFor))
-		ev := s.Processed()
+		ev, ops := s.Processed(), delivered/opBytes
 		t.Rows = append(t.Rows, []string{
 			f1(float64(hosts)), f1(float64(tr.racks)), f1(float64(tr.spines)),
 			f1(float64(hosts / 2)),

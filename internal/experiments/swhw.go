@@ -76,47 +76,39 @@ func Fig1(o Options, runFor time.Duration) *Table {
 	for _, mops := range []float64{1, 5, 10, 20, 40, 80, 120} {
 		// Falcon: spread across 16 unordered QPs (hardware scales with
 		// QPs; Figure 20b).
+		cell := "mops" + f1(mops)
 		fp99, fach := func() (time.Duration, float64) {
-			s := o.newSim(1)
-			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-			topo, _ := netsim.PointToPoint(s, link)
-			cl := core.NewCluster(s)
-			a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
-			b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
+			r := o.row(cell, 1)
+			s := r.s
+			topo, _ := netsim.PointToPoint(s, opRateLink)
+			cl, n := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
 			var lat stats.Series
 			var done uint64
 			tr := &opLat{s: s, lat: &lat, done: &done}
 			const qps = 16
 			for q := 0; q < qps; q++ {
-				cfg := multipathConn()
-				cfg.TL.Ordered = false
-				epA, epB := cl.Connect(a, b, cfg)
-				qa := rdma.NewQP(epA, rdma.Config{})
-				rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
-				gen := workload.NewPoisson(s, s.Rand(), mops*1e6/qps, 1<<30, func() {
+				qa, _ := qpPair(cl, n[0], n[1], unorderedConn())
+				workload.NewPoisson(s, s.Rand(), mops*1e6/qps, 1<<30, func() {
 					qa.Write(0, 0, nil, opBytes, tr.get().onRDMA)
-				})
-				gen.Start()
+				}).Start()
 			}
 			s.RunUntil(sim.Time(runFor))
 			return lat.DurationPercentile(99), float64(done) / runFor.Seconds() / 1e6
 		}()
 		sp99, sach := func() (time.Duration, float64) {
-			s := o.newSim(1)
-			link := netsim.LinkConfig{GbpsRate: 200, PropDelay: 500 * time.Nanosecond}
-			topo, _ := netsim.PointToPoint(s, link)
-			a := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
-			b := swtransport.NewNode(s, topo.Hosts[1], swtransport.PonyExpress())
+			r := o.row(cell+"/sw", 1)
+			s := r.s
+			topo, _ := netsim.PointToPoint(s, opRateLink)
+			sw := swNodes(r, topo.Hosts)
 			var lat stats.Series
 			var done uint64
 			tr := &opLat{s: s, lat: &lat, done: &done}
 			const conns = 16
 			for c := 0; c < conns; c++ {
-				conn := swtransport.Connect(a, b, uint32(c+1))
-				gen := workload.NewPoisson(s, s.Rand(), mops*1e6/conns, 1<<30, func() {
+				conn := swtransport.Connect(sw[0], sw[1], uint32(c+1))
+				workload.NewPoisson(s, s.Rand(), mops*1e6/conns, 1<<30, func() {
 					conn.Send(opBytes, tr.get().onSW)
-				})
-				gen.Start()
+				}).Start()
 			}
 			s.RunUntil(sim.Time(runFor))
 			return lat.DurationPercentile(99), float64(done) / runFor.Seconds() / 1e6

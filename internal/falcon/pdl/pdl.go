@@ -175,7 +175,8 @@ type Callbacks struct {
 	// Failed reports a terminal connection failure (RTO budget
 	// exhausted); the TL errors all pending transactions.
 	Failed func(err error)
-	// PostEvent posts a congestion/loss event to the FAE.
+	// PostEvent posts a congestion/loss event to the FAE. NewConn puts a
+	// no-op in a nil PostEvent.
 	PostEvent func(ev fae.Event)
 	// RxBufOccupancy samples the NIC RX buffer occupancy (0..1) when
 	// building an ACK.
@@ -487,6 +488,9 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 	}
 	if cfg.AckCoalesceCount < 1 {
 		cfg.AckCoalesceCount = 1
+	}
+	if cb.PostEvent == nil {
+		cb.PostEvent = func(fae.Event) {}
 	}
 	c := &Conn{
 		sim:        s,

@@ -764,7 +764,11 @@ func TestFractionalWindowPacing(t *testing.T) {
 		cfg.NumFlows = 1
 		p := newPair(t, cfg)
 		p.latency = tc.latency
-		p.a.cb.PostEvent = func(fae.Event) {} // the sender still samples RTT
+		// A sender with no FAE callback: NewConn fills in a no-op, and
+		// the sender must still sample RTT.
+		cb := p.a.cb
+		cb.PostEvent = nil
+		p.a = NewConn(p.s, 1, cfg, cb)
 		p.a.flows[0].fcwnd = tc.wnd
 		type send struct {
 			at   sim.Time
@@ -789,6 +793,9 @@ func TestFractionalWindowPacing(t *testing.T) {
 		}
 		if p.a.EffectiveWindow() != tc.wnd {
 			t.Fatalf("effective window moved to %v", p.a.EffectiveWindow())
+		}
+		if p.a.SRTT() <= 0 {
+			t.Fatalf("window %v: SRTT() = %v without a PostEvent callback", tc.wnd, p.a.SRTT())
 		}
 		checked := 0
 		for i := 1; i < n; i++ {

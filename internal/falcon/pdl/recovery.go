@@ -66,7 +66,7 @@ func (c *Conn) runRack(now sim.Time) {
 	for _, r := range lost {
 		c.retransmit(c.tx[r.space].slot(r.psn), retxRACK)
 	}
-	if len(lost) > 0 && c.cb.PostEvent != nil {
+	if len(lost) > 0 {
 		c.cb.PostEvent(fae.Event{
 			Kind: fae.EventFastRetransmit,
 			Conn: c.id,
@@ -113,7 +113,7 @@ func (c *Conn) runOOODistance() {
 			}
 		}
 	}
-	if retransmitted && c.cb.PostEvent != nil {
+	if retransmitted {
 		c.cb.PostEvent(fae.Event{
 			Kind: fae.EventFastRetransmit,
 			Conn: c.id,
@@ -201,11 +201,9 @@ func (c *Conn) onRTO() {
 					psn := ts.base + uint32(o)
 					if !scanned {
 						scanned = true
-						if c.cb.PostEvent != nil {
-							c.cb.PostEvent(fae.Event{
-								Kind: fae.EventRTO, Conn: c.id, Flow: int(ts.slot(psn).flow), Now: now,
-							})
-						}
+						c.cb.PostEvent(fae.Event{
+							Kind: fae.EventRTO, Conn: c.id, Flow: int(ts.slot(psn).flow), Now: now,
+						})
 					}
 					// Resolved after PostEvent, which may have grown the ring.
 					c.retransmit(ts.slot(psn), retxRTO)

@@ -202,7 +202,7 @@ func (c *Conn) handleAck(p *wire.Packet) {
 	if ackFlow >= len(c.flows) {
 		ackFlow = 0
 	}
-	if p.T1Echo > 0 && c.cb.PostEvent != nil {
+	if p.T1Echo > 0 {
 		rtt := now.Sub(sim.Time(p.T1Echo))
 		fabric := rtt - time.Duration(p.T3-p.T2)
 		if fabric < 0 {
@@ -387,13 +387,11 @@ func (c *Conn) handleNack(p *wire.Packet) {
 		}
 		// Back off, then retransmit; also tell the FAE the peer NIC
 		// is resource-pressured.
-		if c.cb.PostEvent != nil {
-			c.cb.PostEvent(fae.Event{
-				Kind: fae.EventNack, Conn: c.id, Flow: int(tp.flow), Now: c.sim.Now(),
-			})
-			// A synchronous FAE response may have sent and grown the ring.
-			tp = ts.slot(p.PSN)
-		}
+		c.cb.PostEvent(fae.Event{
+			Kind: fae.EventNack, Conn: c.id, Flow: int(tp.flow), Now: c.sim.Now(),
+		})
+		// A synchronous FAE response may have sent and grown the ring.
+		tp = ts.slot(p.PSN)
 		if !tp.nacked {
 			tp.nacked = true
 			ts.nackedB.Set(int(int32(tp.psn - ts.base)))

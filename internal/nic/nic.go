@@ -197,17 +197,11 @@ func (n *NIC) admit(conn uint32) sim.Time {
 	return done
 }
 
-// Process schedules fn after the NIC pipeline has processed one packet for
-// conn: per-connection and global serialization plus the connection-state
-// lookup. Used for both TX and RX passes.
-func (n *NIC) Process(conn uint32, fn func()) {
-	n.sim.At(n.admit(conn), fn)
-}
-
-// ProcessAction is Process with a typed callback: per-packet callers keep
-// the path allocation-free by scheduling a pooled sim.Action instead of a
-// capture closure. Admission bookkeeping and delivery order are identical
-// to Process.
+// ProcessAction schedules a after the NIC pipeline has processed one
+// packet for conn: per-connection and global serialization plus the
+// connection-state lookup. Used for both TX and RX passes. Callers pass a
+// pooled or long-lived sim.Action, not a capture closure, so the
+// per-packet path stays allocation-free.
 func (n *NIC) ProcessAction(conn uint32, a sim.Action) {
 	n.sim.AtAction(n.admit(conn), a)
 }

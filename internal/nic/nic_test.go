@@ -8,6 +8,81 @@ import (
 	"falcon/internal/sim"
 )
 
+// act adapts a test closure to sim.Action for ProcessAction.
+type act func()
+
+func (a act) RunAction() { a() }
+
+// pingPong is a single-outstanding ping-pong between two NICs as one typed
+// action: four pipeline passes (client TX, server RX, server TX, client
+// RX) with the wire between the two sides, over a connection drawn per
+// round trip.
+type pingPong struct {
+	s      *sim.Simulator
+	a, b   *NIC
+	rng    *rand.Rand
+	conns  int
+	left   int
+	conn   uint32
+	stage  int
+	rounds int
+}
+
+func (p *pingPong) next() {
+	if p.left == 0 {
+		return
+	}
+	p.left--
+	p.conn = uint32(p.rng.Intn(p.conns))
+	p.stage = 0
+	p.a.ProcessAction(p.conn, p)
+}
+
+func (p *pingPong) RunAction() {
+	p.stage++
+	switch p.stage {
+	case 1, 4:
+		p.s.AtAction(p.s.Now().Add(2*time.Microsecond), p)
+	case 2, 3:
+		p.b.ProcessAction(p.conn, p)
+	case 5:
+		p.a.ProcessAction(p.conn, p)
+	default:
+		p.rounds++
+		p.next()
+	}
+}
+
+// TestPingPongZeroAlloc holds the ProcessAction path to zero allocations:
+// once every connection's pipeline entry and cache slot exists, a
+// ping-pong that reschedules one typed action allocates nothing, at a
+// connection count that thrashes both cache levels.
+func TestPingPongZeroAlloc(t *testing.T) {
+	s := sim.New(1)
+	cfg := DefaultConfig()
+	cfg.CacheSize = 64
+	cfg.L2CacheSize = 256
+	const conns = 1024
+	p := &pingPong{s: s, a: New(s, cfg), b: New(s, cfg), rng: s.Rand(), conns: conns}
+	run := func(n int) {
+		p.left = n
+		p.next()
+		s.Run()
+	}
+	run(20 * conns) // touch every connection on both NICs
+	const rounds = 2000
+	before := p.rounds
+	if a := testing.AllocsPerRun(5, func() { run(rounds) }); a != 0 {
+		t.Fatalf("%.0f allocations per %d ping-pongs, want 0", a, rounds)
+	}
+	if got := p.rounds - before; got != 6*rounds {
+		t.Fatalf("%d ping-pongs completed, want %d", got, 6*rounds)
+	}
+	if p.a.Stats.CacheMisses == 0 || p.b.Stats.L2Hits == 0 {
+		t.Fatalf("cache never missed or L2 never hit: %+v", p.a.Stats)
+	}
+}
+
 func TestPerConnSerialization(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultConfig()
@@ -19,7 +94,7 @@ func TestPerConnSerialization(t *testing.T) {
 	n := New(s, cfg)
 	var times []sim.Time
 	for i := 0; i < 10; i++ {
-		n.Process(1, func() { times = append(times, s.Now()) })
+		n.ProcessAction(1, act(func() { times = append(times, s.Now()) }))
 	}
 	s.Run()
 	if len(times) != 10 {
@@ -47,7 +122,7 @@ func TestGlobalPipelineAggregates(t *testing.T) {
 	// 10 connections, one packet each: global interval binds (10ns
 	// apart), not the per-conn 50ns.
 	for i := 0; i < 10; i++ {
-		n.Process(uint32(i), func() { done++ })
+		n.ProcessAction(uint32(i), act(func() { done++ }))
 	}
 	s.Run()
 	if done != 10 {
@@ -68,7 +143,7 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	// 4 conns fit; repeated access hits.
 	for round := 0; round < 3; round++ {
 		for c := uint32(0); c < 4; c++ {
-			n.Process(c, func() {})
+			n.ProcessAction(c, act(func() {}))
 		}
 	}
 	s.Run()
@@ -89,7 +164,7 @@ func TestCacheThrashingAtScale(t *testing.T) {
 	// Cycle 100 conns LRU-adversarially: every access misses after warmup.
 	for round := 0; round < 3; round++ {
 		for c := uint32(0); c < 100; c++ {
-			n.Process(c, func() {})
+			n.ProcessAction(c, act(func() {}))
 		}
 	}
 	s.Run()
@@ -106,7 +181,7 @@ func TestL2CacheCatchesL1Evictions(t *testing.T) {
 	n := New(s, cfg)
 	for round := 0; round < 2; round++ {
 		for c := uint32(0); c < 100; c++ {
-			n.Process(c, func() {})
+			n.ProcessAction(c, act(func() {}))
 		}
 	}
 	s.Run()
@@ -130,7 +205,7 @@ func TestMissCostSlowsProcessing(t *testing.T) {
 		var last sim.Time
 		for round := 0; round < 5; round++ {
 			for c := uint32(0); c < 64; c++ {
-				n.Process(c, func() { last = s.Now() })
+				n.ProcessAction(c, act(func() { last = s.Now() }))
 			}
 		}
 		s.Run()

@@ -79,8 +79,9 @@ func TCP() Profile {
 
 // msg is the wire payload. It doubles as the pooled receive-side CPU
 // completion (sim.Action): the receiving node stamps itself into rnode,
-// schedules the msg at its CPU-admission time, and RunAction delivers and
-// recycles it into that node's free list.
+// schedules the msg at its CPU-admission time, and RunAction delivers it.
+// A msg always goes back to the free list of owner, the sending node that
+// took it, whether it is consumed, or dropped by the fabric (dropMsg).
 type msg struct {
 	conn    uint32
 	last    bool
@@ -88,7 +89,7 @@ type msg struct {
 	total   int // whole message payload
 	deliver func()
 
-	rnode *Node
+	owner, rnode *Node
 }
 
 func (m *msg) RunAction() {
@@ -96,13 +97,19 @@ func (m *msg) RunAction() {
 	if m.deliver != nil {
 		n.sim.After(n.profile.StackLatency, m.deliver)
 	}
-	n.freeMsg(m)
+	m.release()
 }
 
-// msgPoolCap bounds a node's msg free list: with one-way traffic the
-// receiver recycles msgs it will never itself send, and an uncapped list
-// would grow with total message count.
-const msgPoolCap = 1024
+// release returns m to its sender's free list.
+func (m *msg) release() {
+	m.deliver = nil
+	m.rnode = nil
+	m.owner.msgFree.Put(m)
+}
+
+// dropMsg is the frame OnDrop hook: a fragment the fabric discards goes
+// back to its sender's list too.
+func dropMsg(payload any) { payload.(*msg).release() }
 
 // Node is one host's software transport instance.
 type Node struct {
@@ -123,15 +130,6 @@ type Node struct {
 	Ops uint64
 }
 
-func (n *Node) freeMsg(m *msg) {
-	if n.msgFree.Free() >= msgPoolCap {
-		return
-	}
-	m.deliver = nil
-	m.rnode = nil
-	n.msgFree.Put(m)
-}
-
 // NewNode attaches a software transport to a fabric host.
 func NewNode(s *sim.Simulator, host *netsim.Host, p Profile) *Node {
 	if p.Cores <= 0 {
@@ -146,15 +144,16 @@ func NewNode(s *sim.Simulator, host *netsim.Host, p Profile) *Node {
 }
 
 // HandleFrame implements netsim.Handler: receiver-side CPU processing.
-// There is no loss or duplication in this model, so a msg arrives exactly
-// once and can be recycled as soon as it is consumed.
+// The fabric delivers a frame at most once, so a msg that arrives can be
+// recycled as soon as it is consumed; one that is dropped comes back
+// through dropMsg.
 func (n *Node) HandleFrame(f *netsim.Frame) {
 	m, ok := f.Payload.(*msg)
 	if !ok {
 		return
 	}
 	if !m.last {
-		n.freeMsg(m)
+		m.release()
 		return // only the final fragment pays the op cost & completes
 	}
 	m.rnode = n
@@ -284,11 +283,13 @@ func (c *Conn) transmit(n int, done func()) {
 		last := remaining <= 0
 		m := c.node.msgFree.Get()
 		m.conn, m.last, m.bytes, m.total, m.deliver = c.id, last, seg, n, done
+		m.owner = c.node
 		frame := c.node.host.NewFrame()
 		frame.Dst = c.peer.host.ID
 		frame.FlowHash = uint64(c.id) // single path
 		frame.Size = seg + 66         // TCP/IP + Ethernet headers
 		frame.Payload = m
+		frame.OnDrop = dropMsg
 		// Pace at the stack's throughput cap.
 		gap := time.Duration(float64(seg+66) * 8 / p.MaxGbps)
 		at := c.nextSend
