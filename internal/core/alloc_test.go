@@ -63,8 +63,9 @@ func measureSteadyState(t *testing.T, warm, measured int, runOps func(n int)) {
 // The rdma-read-incast case holds the same regime at connection scale:
 // 200 connections, each a queue of its own, share each client's pools.
 // The roce cases hold the RoCE baseline to the same bound: 4 KiB and
-// 64 KiB Writes, and 64 KiB Reads. The sw case holds the software
-// transport to it under one-way 64 KiB Sends.
+// 64 KiB Writes, and 64 KiB Reads. The sw cases hold the software
+// transport to it under one-way 64 KiB Sends and under Calls that fetch
+// 64 KiB.
 // The rdma-write-reordered case holds the target's reorder buffer to it:
 // requests that arrive ahead of a gap wait as pooled packets. The nvme
 // cases hold both ends of NVMe-over-Falcon to it: 64 KiB Reads refused and
@@ -83,14 +84,16 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 		t.Run("64KiB", func(t *testing.T) { testRoceSteadyStateAllocs(t, false, 64<<10) })
 	})
 	t.Run("roce-read", func(t *testing.T) { testRoceSteadyStateAllocs(t, true, 64<<10) })
-	t.Run("sw-send-oneway", testSWSteadyStateAllocs)
+	t.Run("sw-send-oneway", func(t *testing.T) { testSWSteadyStateAllocs(t, false) })
+	t.Run("sw-call", func(t *testing.T) { testSWSteadyStateAllocs(t, true) })
 }
 
-// testSWSteadyStateAllocs keeps eight one-way 64 KiB software-transport
-// Sends outstanding, each posted from the completion of the one before.
-// Every fragment's msg is taken from the sender's free list and must go
-// back to it, not to the receiver's.
-func testSWSteadyStateAllocs(t *testing.T) {
+// testSWSteadyStateAllocs keeps eight 64 KiB software-transport ops
+// outstanding, each posted from the completion of the one before: one-way
+// Sends, or Calls of 64 B out and 64 KiB back. Every fragment's msg is
+// taken from the sender's free list and must go back to it, not to the
+// receiver's, and a Call's response leg must reuse its pooled state.
+func testSWSteadyStateAllocs(t *testing.T, call bool) {
 	s := sim.New(1)
 	topo, _ := netsim.PointToPoint(s, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
 	a := swtransport.NewNode(s, topo.Hosts[0], swtransport.PonyExpress())
@@ -98,18 +101,22 @@ func testSWSteadyStateAllocs(t *testing.T) {
 	conn := swtransport.Connect(a, b, 1)
 	const window = 8
 	const opBytes = 64 << 10
+	post := func(done func()) { conn.Send(opBytes, done) }
+	if call {
+		post = func(done func()) { conn.Call(64, opBytes, done) }
+	}
 	issued, completed, limit := 0, 0, 0
 	var done func()
 	done = func() {
 		if completed++; issued < limit {
 			issued++
-			conn.Send(opBytes, done)
+			post(done)
 		}
 	}
 	runOps := func(n int) {
 		limit += n
 		for ; issued < limit && issued-completed < window; issued++ {
-			conn.Send(opBytes, done)
+			post(done)
 		}
 		s.RunUntil(s.Now().Add(3600 * sim.Second))
 		if completed != limit {
@@ -229,7 +236,7 @@ func testTLSteadyStateAllocs(t *testing.T) {
 	}
 	pump = func() {
 		if epA.TL().Parked() == 0 {
-			epA.TL().Submit(issue)
+			epA.TL().Submit(tl.WorkFunc(issue))
 		}
 	}
 

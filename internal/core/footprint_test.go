@@ -13,14 +13,17 @@ import (
 )
 
 // footprintBound is the retained heap, in bytes per connection, that
-// TestConnectionFootprint allows: 19 418–19 600 B measured (amd64, Go
+// TestConnectionFootprint allows: 16 341–16 523 B measured (amd64, Go
 // 1.24; the lower figure running alone, the higher inside the package's
-// whole suite) plus 10 %. It was last tightened when the Swift, ncwnd
-// and PDL parameters that never varied became constants, shrinking each
-// flow's cc.Swift and each pdl.Conn; the same world measured
-// 20 158–20 341 B before that change, and 29 170–29 200 B before the TL
-// stopped buffering in-order requests (EXPERIMENTS.md, "Footprint gate").
-const footprintBound = 21_560
+// whole suite) plus 10 %. It was last tightened when per-connection state
+// was sized to what a connection holds (8-slot first rings in ring.Table,
+// a 40-byte scoreboard slot, sequence spaces inline in pdl.Conn, flows
+// inline in the FAE, no closure per pull segment); the same world measured
+// 19 377–19 560 B before that change, 20 158–20 341 B before the Swift,
+// ncwnd and PDL parameters that never varied became constants, and
+// 29 170–29 200 B before the TL stopped buffering in-order requests
+// (EXPERIMENTS.md, "Footprint gate").
+const footprintBound = 18_180
 
 // TestConnectionFootprint is the per-connection working-set gate. It builds
 // the incast_conns shape at a fifth of its scale: five clients on a star,
@@ -72,13 +75,14 @@ func TestConnectionFootprint(t *testing.T) {
 }
 
 // reorderedFootprintBound is the retained heap, in bytes per connection,
-// that TestReorderedConnectionFootprint allows: 31 547–31 733 B measured
+// that TestReorderedConnectionFootprint allows: 29 598–29 785 B measured
 // (amd64, Go 1.24; alone and inside the package's whole suite) plus 10 %.
 // It was last tightened with footprintBound; the same world measured
-// 32 288–32 474 B before that change, and 42 035–42 220 B before the TL's
-// reorder buffer held pooled packets by pointer instead of 192-byte
-// copies (EXPERIMENTS.md, "Reordered footprint gate").
-const reorderedFootprintBound = 34_910
+// 31 506–31 693 B before that change, 32 288–32 474 B before the one
+// before, and 42 035–42 220 B before the TL's reorder buffer held pooled
+// packets by pointer instead of 192-byte copies (EXPERIMENTS.md,
+// "Reordered footprint gate").
+const reorderedFootprintBound = 32_770
 
 // TestReorderedConnectionFootprint is TestConnectionFootprint's world with
 // every target holding requests ahead of a gap: each of the 200 ordered

@@ -71,7 +71,7 @@ func benchTransport(b *testing.B, pull bool) {
 	}
 	pump = func() {
 		if epA.TL().Parked() == 0 {
-			epA.TL().Submit(issue)
+			epA.TL().Submit(tl.WorkFunc(issue))
 		}
 	}
 

@@ -62,12 +62,13 @@ type Swift struct {
 	srtt time.Duration
 }
 
-// NewSwift creates a Swift instance with the given initial window.
-func NewSwift(cfg SwiftConfig, initialCwnd float64) *Swift {
+// NewSwift returns a Swift instance with the given initial window. It is a
+// value so that its owner can keep it inline.
+func NewSwift(cfg SwiftConfig, initialCwnd float64) Swift {
 	if initialCwnd <= 0 {
 		initialCwnd = swiftMaxCwnd / 4
 	}
-	return &Swift{cfg: cfg, cwnd: clamp(initialCwnd, swiftMinCwnd, swiftMaxCwnd)}
+	return Swift{cfg: cfg, cwnd: clamp(initialCwnd, swiftMinCwnd, swiftMaxCwnd)}
 }
 
 // Cwnd returns the current fabric congestion window in packets.
@@ -196,13 +197,14 @@ type Ncwnd struct {
 	srtt      time.Duration
 }
 
-// NewNcwnd creates the controller with the given initial window; zero or
-// less starts it at a quarter of its ceiling.
-func NewNcwnd(initial float64) *Ncwnd {
+// NewNcwnd returns the controller with the given initial window; zero or
+// less starts it at a quarter of its ceiling. Like NewSwift it returns a
+// value.
+func NewNcwnd(initial float64) Ncwnd {
 	if initial <= 0 {
 		initial = ncwndMaxCwnd / 4
 	}
-	return &Ncwnd{cwnd: clamp(initial, ncwndMinCwnd, ncwndMaxCwnd)}
+	return Ncwnd{cwnd: clamp(initial, ncwndMinCwnd, ncwndMaxCwnd)}
 }
 
 // Cwnd returns the current NIC congestion window in packets.

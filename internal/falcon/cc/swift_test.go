@@ -9,7 +9,8 @@ import (
 )
 
 func swiftAt(cwnd float64) *Swift {
-	return NewSwift(DefaultSwiftConfig(), cwnd)
+	s := NewSwift(DefaultSwiftConfig(), cwnd)
+	return &s
 }
 
 func TestSwiftIncreasesBelowTarget(t *testing.T) {

@@ -125,15 +125,17 @@ const (
 	fcwndCap = 256
 )
 
+// flowState is one multipath flow's state. A connection keeps its flows by
+// value in one slice, each with its Swift instance inline.
 type flowState struct {
-	swift     *cc.Swift
+	swift     cc.Swift
 	label     wire.FlowLabel
-	congested int // consecutive congested rounds (PLB counter)
+	congested int32 // consecutive congested rounds (PLB counter)
 }
 
 type connState struct {
-	ncwnd  *cc.Ncwnd
-	flows  []*flowState
+	ncwnd  cc.Ncwnd
+	flows  []flowState
 	rttvar time.Duration
 	srtt   time.Duration
 
@@ -183,15 +185,15 @@ func (e *Engine) RegisterConn(conn uint32, numFlows int) []wire.FlowLabel {
 	if numFlows > wire.MaxFlows {
 		numFlows = wire.MaxFlows
 	}
-	cs := &connState{ncwnd: cc.NewNcwnd(0)} // a quarter of the ncwnd ceiling
+	// NewNcwnd(0) starts the ncwnd at a quarter of its ceiling.
+	cs := &connState{ncwnd: cc.NewNcwnd(0), flows: make([]flowState, numFlows)}
 	labels := make([]wire.FlowLabel, numFlows)
-	for i := 0; i < numFlows; i++ {
-		fs := &flowState{
+	for i := range cs.flows {
+		cs.flows[i] = flowState{
 			swift: cc.NewSwift(e.cfg.Swift, initialCwnd/float64(numFlows)),
 			label: wire.MakeFlowLabel(e.allocPath(), i),
 		}
-		cs.flows = append(cs.flows, fs)
-		labels[i] = fs.label
+		labels[i] = cs.flows[i].label
 	}
 	e.conns[conn] = cs
 	return labels
@@ -223,7 +225,7 @@ func (e *Engine) process(ev Event) {
 	if ev.Flow < 0 || ev.Flow >= len(cs.flows) {
 		ev.Flow = 0
 	}
-	fs := cs.flows[ev.Flow]
+	fs := &cs.flows[ev.Flow]
 	e.EventsProcessed++
 
 	repathed := false
@@ -246,7 +248,7 @@ func (e *Engine) process(ev Event) {
 		// PLB: repath a flow stuck on a congested path.
 		if ev.FabricDelay > fs.swift.TargetDelay(ev.Hops) {
 			fs.congested++
-			if fs.congested >= e.cfg.PLBCongestedRounds {
+			if int(fs.congested) >= e.cfg.PLBCongestedRounds {
 				fs.label = fs.label.WithPath(e.allocPath())
 				fs.congested = 0
 				repathed = true
@@ -299,8 +301,8 @@ func (cs *connState) updateRTT(rtt time.Duration) {
 
 func (e *Engine) buildResponse(conn uint32, flow int, cs *connState, fs *flowState, repathed bool) Response {
 	sum := 0.0
-	for _, f := range cs.flows {
-		sum += f.swift.Cwnd()
+	for i := range cs.flows {
+		sum += cs.flows[i].swift.Cwnd()
 	}
 	rto := cs.srtt*2 + 4*cs.rttvar
 	if rto < minRTO {
@@ -338,8 +340,8 @@ func (e *Engine) buildResponse(conn uint32, flow int, cs *connState, fs *flowSta
 // slow-progress connections get a smaller share of Falcon's resources.
 func (e *Engine) alpha(cs *connState) float64 {
 	sum := 0.0
-	for _, f := range cs.flows {
-		sum += f.swift.Cwnd()
+	for i := range cs.flows {
+		sum += cs.flows[i].swift.Cwnd()
 	}
 	wnd := sum
 	if n := cs.ncwnd.Cwnd(); n < wnd {
@@ -376,8 +378,8 @@ func (e *Engine) FlowLabels(conn uint32) []wire.FlowLabel {
 		return nil
 	}
 	out := make([]wire.FlowLabel, len(cs.flows))
-	for i, f := range cs.flows {
-		out[i] = f.label
+	for i := range cs.flows {
+		out[i] = cs.flows[i].label
 	}
 	return out
 }

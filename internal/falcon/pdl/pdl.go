@@ -208,7 +208,9 @@ func (c *Conn) SetProbe(p Probe) { c.probe = p }
 // context of §5.2's hardware error handling). Slots are stored by value in
 // the scoreboard ring; psn/rsn/typ are copied out of the packet at
 // transmit time so the wire packet can return to its pool the moment the
-// slot is acknowledged.
+// slot is acknowledged. The fields are ordered widest first and the narrow
+// ones sized to what they hold, so a slot is 40 bytes
+// (TestScoreboardLayout).
 //
 // The ring grows while packets are in flight (txSpace.grow), which moves
 // every live slot. So no *txPacket may be held across a call out of the
@@ -218,12 +220,11 @@ func (c *Conn) SetProbe(p Probe) { c.probe = p }
 type txPacket struct {
 	pkt    *wire.Packet
 	txTime sim.Time
-	origTx sim.Time // first transmission time (for RTT-valid sampling)
-	psn    uint32
 	rsn    uint64
+	psn    uint32
 	gen    uint32 // bumped when the slot is reused (stale-timer guard)
-	flow   int32
-	retx   int
+	retx   uint16 // retransmissions, saturating at its maximum
+	flow   uint8  // below wire.MaxFlows
 	typ    wire.Type
 	live   bool // slot has been filled at least once for psn
 	acked  bool
@@ -318,9 +319,9 @@ type rxSpace struct {
 // allocates nothing.
 type rxFlow struct {
 	c        *Conn
-	idx      int
+	idx      int32
+	pending  int32
 	t1, t2   int64
-	pending  int
 	ackTimer sim.Timer
 	valid    bool
 	ceSeen   bool
@@ -329,14 +330,14 @@ type rxFlow struct {
 // RunAction flushes the coalesced ACK when the timer fires.
 func (rf *rxFlow) RunAction() {
 	rf.c.Stats.AcksCoalesced++
-	rf.c.sendAck(rf.idx)
+	rf.c.sendAck(int(rf.idx))
 }
 
 // flowState is per-flow sender state.
 type flowState struct {
 	label       wire.FlowLabel
+	outstanding int32
 	fcwnd       float64
-	outstanding int
 	// rackXmit is the latest original-transmission time among packets
 	// of this flow that have been SACKed (per-flow RACK, §4.3).
 	rackXmit sim.Time
@@ -395,7 +396,6 @@ type Conn struct {
 	// failed is set once the connection is declared dead (see
 	// consecRTOs); it sits beside id to share its word.
 	failed bool
-	hops   int // last observed path hop count
 
 	// pool recycles ACK/NACK packets this connection builds and data
 	// packets it owns (see wire.PacketPool's ownership contract). A nil
@@ -404,7 +404,7 @@ type Conn struct {
 	pool *wire.PacketPool
 
 	// Sender state.
-	tx     [wire.NumSpaces]*txSpace
+	tx     [wire.NumSpaces]txSpace
 	flows  []flowState
 	ncwnd  float64
 	reqQ   ring.Ring[*wire.Packet] // queued request-space packets from TL
@@ -414,12 +414,17 @@ type Conn struct {
 	rto        time.Duration
 	rackReoWnd time.Duration
 	tlpTimeout time.Duration
-	rtoBackoff int
 
+	// The small counters share two words.
+	rtoBackoff int32 // RTO backoff exponent, at most 8
+	// consecRTOs counts timeouts since the last ACK progress; at the
+	// configured budget the connection is declared failed.
+	consecRTOs int32
 	// reoWndMult adapts the RACK reordering window upward when spurious
 	// retransmissions are detected (RFC 8985 §7.1 behaviour: reordering
 	// past the window means the window was too small).
-	reoWndMult int
+	reoWndMult int32
+	hops       int32 // last observed path hop count
 	// srttHint is a local smoothed RTT used for spuriousness detection
 	// and as the adaptive reo-window cap.
 	srttHint time.Duration
@@ -439,22 +444,17 @@ type Conn struct {
 	nackEvents sim.FreeList[nackRetryEvent]
 
 	// Receiver state.
-	rx     [wire.NumSpaces]*rxSpace
+	rx     [wire.NumSpaces]rxSpace
 	rxFlow []rxFlow
 
 	// lastAckProgress notes the last time an ACK advanced anything, for
 	// TLP's "period of inactivity".
 	lastAckProgress sim.Time
 
-	// consecRTOs counts timeouts since the last ACK progress; at the
-	// configured budget the connection is declared failed.
-	consecRTOs int
-
 	// probe, when non-nil, observes sends and receives (verification).
 	probe Probe
 
-	// Scratch buffers reused across ACK processing and recovery scans.
-	ackScratch  [wire.MaxFlows]int
+	// lostScratch is the recovery scans' list, kept for its capacity.
 	lostScratch []txRef
 
 	Stats Stats
@@ -508,8 +508,7 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 	c.rackTimer.act = timerAction{c: c, kind: timerRack}
 	c.paceAct = timerAction{c: c, kind: timerPace}
 	for i := range c.tx {
-		c.tx[i] = &txSpace{space: wire.Space(i)}
-		c.rx[i] = &rxSpace{}
+		c.tx[i].space = wire.Space(i)
 	}
 	c.flows = make([]flowState, cfg.NumFlows)
 	c.rxFlow = make([]rxFlow, cfg.NumFlows)
@@ -518,7 +517,7 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 			label: wire.MakeFlowLabel(uint32(id)*wire.MaxFlows+uint32(i)+1, i),
 			fcwnd: 16 / float64(cfg.NumFlows),
 		}
-		c.rxFlow[i] = rxFlow{c: c, idx: i}
+		c.rxFlow[i] = rxFlow{c: c, idx: int32(i)}
 	}
 	return c
 }
@@ -537,7 +536,7 @@ func (c *Conn) Config() Config { return c.cfg }
 // the lowest unacked PSN, the next PSN to assign, and the count of
 // transmitted-but-unacked packets.
 func (c *Conn) TxState(space wire.Space) (base, next uint32, outstanding int) {
-	ts := c.tx[space]
+	ts := &c.tx[space]
 	return ts.base, ts.next, ts.outstanding
 }
 
@@ -545,7 +544,7 @@ func (c *Conn) TxState(space wire.Space) (base, next uint32, outstanding int) {
 // scanning the scoreboard. Verification compares it against the
 // incrementally maintained outstanding counter.
 func (c *Conn) TxUnacked(space wire.Space) int {
-	ts := c.tx[space]
+	ts := &c.tx[space]
 	n := 0
 	for psn := ts.base; psn != ts.next; psn++ {
 		if tp := ts.slot(psn); tp.live && tp.psn == psn && !tp.acked {
@@ -558,7 +557,7 @@ func (c *Conn) TxUnacked(space wire.Space) int {
 // RxState exposes one sequence space's receiver window: the cumulative
 // base (all PSNs below it received) and the SACK bitmap relative to it.
 func (c *Conn) RxState(space wire.Space) (base uint32, bitmap wire.Bitmap) {
-	rs := c.rx[space]
+	rs := &c.rx[space]
 	return rs.base, rs.bitmap
 }
 

@@ -36,7 +36,8 @@ func (c *Conn) runRack(now sim.Time) {
 	}
 	lost := c.lostScratch[:0]
 	var nextCheck sim.Time
-	for _, ts := range c.tx {
+	for i := range c.tx {
+		ts := &c.tx[i]
 		cand := wire.LowMask(int(ts.next - ts.base)).AndNot(ts.acked).AndNot(ts.nackedB)
 		for wi, w := range cand {
 			hi := wi * 64
@@ -89,7 +90,8 @@ func (c *Conn) runOOODistance() {
 		dist = 3
 	}
 	retransmitted := false
-	for _, ts := range c.tx {
+	for i := range c.tx {
+		ts := &c.tx[i]
 		// Offsets are base-relative, so the distance below the highest
 		// SACK survives the uint32 PSN wrap.
 		h := ts.acked.HighestSet()
@@ -139,7 +141,8 @@ func (c *Conn) onTLP() {
 		return
 	}
 	var probe *txPacket
-	for _, ts := range c.tx {
+	for i := range c.tx {
+		ts := &c.tx[i]
 		if tp := ts.highestUnacked(); tp != nil && (probe == nil || tp.txTime < probe.txTime) {
 			probe = tp
 		}
@@ -169,12 +172,13 @@ func (c *Conn) onRTO() {
 	if uint64(c.consecRTOs) > c.Stats.MaxConsecRTOs {
 		c.Stats.MaxConsecRTOs = uint64(c.consecRTOs)
 	}
-	if c.cfg.MaxConsecutiveRTOs > 0 && c.consecRTOs >= c.cfg.MaxConsecutiveRTOs {
+	if c.cfg.MaxConsecutiveRTOs > 0 && int(c.consecRTOs) >= c.cfg.MaxConsecutiveRTOs {
 		c.fail()
 		return
 	}
 	now := c.sim.Now()
-	for _, ts := range c.tx {
+	for i := range c.tx {
+		ts := &c.tx[i]
 		// Every unacked live packet, parked ones included (the RTO
 		// supersedes their pending backoff). ts.next is re-read after each
 		// mask is drained: the first retransmit posts EventRTO, and with a
@@ -238,7 +242,8 @@ func (c *Conn) fail() {
 	for c.respQ.Len() > 0 {
 		c.pool.Release(c.respQ.Pop())
 	}
-	for _, ts := range c.tx {
+	for i := range c.tx {
+		ts := &c.tx[i]
 		for psn := ts.base; psn != ts.next; psn++ {
 			if tp := ts.slot(psn); tp.live && !tp.acked && tp.pkt != nil {
 				c.pool.Release(tp.pkt)

@@ -177,7 +177,7 @@ func TestRTORetransmitsAllUnacked(t *testing.T) {
 	if p.a.Stats.RTOs == 0 {
 		t.Fatal("RTO never fired against a black hole")
 	}
-	ts := p.a.tx[wire.SpaceRequest]
+	ts := &p.a.tx[wire.SpaceRequest]
 	for psn := ts.base; psn != ts.next; psn++ {
 		tp := ts.slot(psn)
 		if tp == nil || tp.acked {

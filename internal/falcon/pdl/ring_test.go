@@ -101,7 +101,7 @@ func (g *growPair) send() {
 // grow sends until the request ring has doubled, noting the callout it
 // ran inside.
 func (g *growPair) grow(site string) {
-	ts := g.a.tx[wire.SpaceRequest]
+	ts := &g.a.tx[wire.SpaceRequest]
 	n := len(ts.pkts)
 	for i := 0; len(ts.pkts) == n && i <= n; i++ {
 		g.send()
@@ -127,12 +127,13 @@ func (g *growPair) check() error {
 	c := g.a
 	flowOut := 0
 	for i := range c.flows {
-		flowOut += c.flows[i].outstanding
+		flowOut += int(c.flows[i].outstanding)
 	}
 	if flowOut != c.totalOutstanding() {
 		return fmt.Errorf("flows hold %d outstanding, spaces %d", flowOut, c.totalOutstanding())
 	}
-	for _, ts := range c.tx {
+	for i := range c.tx {
+		ts := &c.tx[i]
 		n := int(ts.next - ts.base)
 		if n > c.cfg.WindowSize || n > len(ts.pkts) || len(ts.pkts)&(len(ts.pkts)-1) != 0 {
 			return fmt.Errorf("space %d: window %d in a ring of %d", ts.space, n, len(ts.pkts))
@@ -162,7 +163,7 @@ func (g *growPair) check() error {
 				parked++
 			}
 			log := g.sent[txRef{ts.space, psn}]
-			if len(log) == 0 || tp.txTime != log[len(log)-1] || tp.retx != len(log)-1 {
+			if len(log) == 0 || tp.txTime != log[len(log)-1] || int(tp.retx) != len(log)-1 {
 				return fmt.Errorf("space %d PSN %d: slot txTime %v retx %d, wire %v", ts.space, psn, tp.txTime, tp.retx, log)
 			}
 		}
@@ -324,7 +325,7 @@ func TestRingTracksPeakWindow(t *testing.T) {
 			send := p.a.cb.Send
 			p.a.cb.Send = func(pkt *wire.Packet) {
 				if pkt.Type.IsData() {
-					ts := p.a.tx[pkt.Space]
+					ts := &p.a.tx[pkt.Space]
 					peak[pkt.Space] = max(peak[pkt.Space], int(ts.next-ts.base))
 				}
 				send(pkt)
@@ -351,7 +352,8 @@ func TestRingTracksPeakWindow(t *testing.T) {
 			if sent != total || p.a.Outstanding() != 0 {
 				t.Fatalf("closed loop sent %d of %d, %d outstanding", sent, total, p.a.Outstanding())
 			}
-			for _, ts := range p.a.tx {
+			for i := range p.a.tx {
+				ts := &p.a.tx[i]
 				want := minRing
 				for want < peak[ts.space] {
 					want *= 2

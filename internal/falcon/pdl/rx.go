@@ -15,7 +15,7 @@ func (c *Conn) HandlePacket(p *wire.Packet, hops int) {
 	if c.failed {
 		return
 	}
-	c.hops = hops
+	c.hops = int32(hops)
 	switch p.Type {
 	case wire.TypeAck:
 		c.handleAck(p)
@@ -34,7 +34,7 @@ func (c *Conn) HandlePacket(p *wire.Packet, hops int) {
 // handleData runs the receiver pipeline: RX window bookkeeping, delivery to
 // the TL, and ACK generation with per-flow coalescing (§4.1, §4.3).
 func (c *Conn) handleData(p *wire.Packet) {
-	rs := c.rx[p.Space]
+	rs := &c.rx[p.Space]
 	flowIdx := p.FlowLabel.FlowIndex()
 	if flowIdx >= len(c.rxFlow) {
 		flowIdx = 0
@@ -93,7 +93,7 @@ func (c *Conn) handleData(p *wire.Packet) {
 		rf.ceSeen = true
 	}
 	rf.pending++
-	if p.Flags&wire.FlagAckReq != 0 || rf.pending >= c.cfg.AckCoalesceCount {
+	if p.Flags&wire.FlagAckReq != 0 || int(rf.pending) >= c.cfg.AckCoalesceCount {
 		c.Stats.AcksImmediate++
 		c.sendAck(flowIdx)
 	} else if !rf.ackTimer.Pending() {
@@ -179,12 +179,10 @@ func (c *Conn) handleAck(p *wire.Packet) {
 	c.Stats.AcksReceived++
 	now := c.sim.Now()
 
-	perFlow := c.ackScratch[:len(c.flows)]
-	for i := range perFlow {
-		perFlow[i] = 0
-	}
-	progress := c.processAckInfo(c.tx[wire.SpaceRequest], p.Req, perFlow)
-	if c.processAckInfo(c.tx[wire.SpaceResponse], p.Resp, perFlow) {
+	var counts [wire.MaxFlows]int
+	perFlow := counts[:len(c.flows)]
+	progress := c.processAckInfo(&c.tx[wire.SpaceRequest], p.Req, perFlow)
+	if c.processAckInfo(&c.tx[wire.SpaceResponse], p.Resp, perFlow) {
 		progress = true
 	}
 
@@ -224,7 +222,7 @@ func (c *Conn) handleAck(p *wire.Packet) {
 			FabricDelay:    fabric,
 			RTT:            rtt,
 			AckedPackets:   acked,
-			Hops:           c.hops,
+			Hops:           int(c.hops),
 			RxBufOccupancy: float64(p.RxBufOccupancy) / 65535,
 			ECE:            p.Flags&wire.FlagECE != 0,
 		})
@@ -371,7 +369,7 @@ func (c *Conn) handleNack(p *wire.Packet) {
 	case wire.NackCIE:
 		c.Stats.NacksCie++
 	}
-	ts := c.tx[p.Space]
+	ts := &c.tx[p.Space]
 	// A space that never sent has no ring, and knows no PSN.
 	var tp *txPacket
 	known := false
@@ -414,11 +412,8 @@ func (c *Conn) handleNack(p *wire.Packet) {
 		}
 		// PDL-level delivery is done: free the packet context.
 		if known {
-			perFlow := c.ackScratch[:len(c.flows)]
-			for i := range perFlow {
-				perFlow[i] = 0
-			}
-			c.markAcked(ts, p.PSN, perFlow)
+			var counts [wire.MaxFlows]int
+			c.markAcked(ts, p.PSN, counts[:len(c.flows)])
 			ts.slideBase()
 			c.resetTimersOnProgress()
 		}

@@ -92,7 +92,8 @@ func newScanConn(seed int64) *scanConn {
 		},
 	})
 	c := sc.c
-	for _, ts := range c.tx {
+	for i := range c.tx {
+		ts := &c.tx[i]
 		ts.base = rng.Uint32()
 		if rng.Intn(2) == 0 {
 			ts.base = ^uint32(0) - uint32(rng.Intn(2*wire.BitmapBits))
@@ -127,7 +128,7 @@ func track(c *Conn, ts *txSpace, rng *rand.Rand, ackP, nackP float64) {
 		psn:    psn,
 		rsn:    uint64(rng.Intn(1 << 20)),
 		txTime: sim.Time(1 + rng.Intn(1_000_000)),
-		flow:   int32(rng.Intn(len(c.flows))),
+		flow:   uint8(rng.Intn(len(c.flows))),
 		typ:    wire.TypePushData,
 		live:   true,
 		acked:  rng.Float64() < ackP,
@@ -170,7 +171,7 @@ func psnOf(tp *txPacket) string {
 func diffScan(t *testing.T, what string, live, model *scanConn) {
 	t.Helper()
 	for sp := range live.c.tx {
-		a, b := live.c.tx[sp], model.c.tx[sp]
+		a, b := &live.c.tx[sp], &model.c.tx[sp]
 		if len(a.pkts) != len(b.pkts) {
 			t.Fatalf("%s: space %d ring: live %d slots, model %d", what, sp, len(a.pkts), len(b.pkts))
 		}
@@ -214,24 +215,24 @@ func TestScanMatchesPerPSNModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(-seed))
 		for step := 0; step < 4; step++ {
 			for sp := range live.c.tx {
-				info := randomAck(rng, live.c.tx[sp])
+				info := randomAck(rng, &live.c.tx[sp])
 				perLive := make([]int, len(live.c.flows))
 				perModel := make([]int, len(model.c.flows))
-				gotP := live.c.processAckInfo(live.c.tx[sp], info, perLive)
-				wantP := modelProcessAckInfo(model.c, model.c.tx[sp], info, perModel)
+				gotP := live.c.processAckInfo(&live.c.tx[sp], info, perLive)
+				wantP := modelProcessAckInfo(model.c, &model.c.tx[sp], info, perModel)
 				what := fmt.Sprintf("seed %d step %d space %d ack base=%#x bitmap=%v", seed, step, sp, info.Base, info.Bitmap)
 				if gotP != wantP || fmt.Sprint(perLive) != fmt.Sprint(perModel) {
 					t.Fatalf("%s: progress/per-flow: live %v %v, model %v %v", what, gotP, perLive, wantP, perModel)
 				}
 				diffScan(t, what, live, model)
 
-				ts := live.c.tx[sp]
+				ts := &live.c.tx[sp]
 				before := len(ts.pkts)
 				k, sendSeed := rng.Intn(2*minRing), rng.Int63()
 				for _, sc := range []*scanConn{live, model} {
 					r := rand.New(rand.NewSource(sendSeed))
 					for i := 0; i < k && int(sc.c.tx[sp].next-sc.c.tx[sp].base) < sc.c.cfg.WindowSize; i++ {
-						track(sc.c, sc.c.tx[sp], r, 0, 0)
+						track(sc.c, &sc.c.tx[sp], r, 0, 0)
 					}
 				}
 				if len(ts.pkts) != before {

@@ -184,7 +184,7 @@ type nackRetryEvent struct {
 
 func (ev *nackRetryEvent) RunAction() {
 	c := ev.c
-	ts := c.tx[ev.space]
+	ts := &c.tx[ev.space]
 	tp := ts.slot(ev.psn)
 	ok := tp.live && tp.psn == ev.psn && tp.gen == ev.gen && !tp.acked
 	c.nackEvents.Put(ev)

@@ -2,6 +2,7 @@ package pdl
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"falcon/internal/falcon/ring"
@@ -40,9 +41,9 @@ func (c *Conn) SendPacket(p *wire.Packet) {
 func (c *Conn) trySend() {
 	for {
 		if c.respQ.Len() > 0 && c.canSendData(wire.SpaceResponse) {
-			c.transmitNext(&c.respQ, c.tx[wire.SpaceResponse])
+			c.transmitNext(&c.respQ, &c.tx[wire.SpaceResponse])
 		} else if c.reqQ.Len() > 0 && c.canSendData(wire.SpaceRequest) {
-			c.transmitNext(&c.reqQ, c.tx[wire.SpaceRequest])
+			c.transmitNext(&c.reqQ, &c.tx[wire.SpaceRequest])
 		} else {
 			break
 		}
@@ -55,7 +56,7 @@ func (c *Conn) trySend() {
 // (§4.4: the requester reserved RX resources for responses, so ncwnd does
 // not apply).
 func (c *Conn) canSendData(space wire.Space) bool {
-	ts := c.tx[space]
+	ts := &c.tx[space]
 	// Sequence window: never outrun the receiver's bitmap.
 	if int(ts.next-ts.base) >= c.cfg.WindowSize {
 		return false
@@ -115,7 +116,7 @@ func (c *Conn) transmitNext(q *ring.Ring[*wire.Packet], ts *txSpace) {
 		psn:  psn,
 		rsn:  p.RSN,
 		gen:  tp.gen + 1,
-		flow: int32(flow),
+		flow: uint8(flow),
 		typ:  p.Type,
 		live: true,
 	}
@@ -155,9 +156,6 @@ func (c *Conn) stampAndSend(tp *txPacket, retransmit, tlp bool) {
 	f := &c.flows[tp.flow]
 	now := c.sim.Now()
 	tp.txTime = now
-	if tp.origTx == 0 {
-		tp.origTx = now
-	}
 	p.FlowLabel = f.label
 	p.T1 = int64(now)
 	p.Flags &^= wire.FlagRetransmit | wire.FlagTLP | wire.FlagAckReq
@@ -262,11 +260,13 @@ func (c *Conn) retransmit(tp *txPacket, cause retxCause) {
 	}
 	if tp.nacked {
 		tp.nacked = false
-		ts := c.tx[tp.pkt.Space]
+		ts := &c.tx[tp.pkt.Space]
 		ts.nackedB.Clear(int(int32(tp.psn - ts.base)))
 		ts.parked--
 	}
-	tp.retx++
+	if tp.retx < math.MaxUint16 {
+		tp.retx++
+	}
 	switch cause {
 	case retxRACK:
 		c.Stats.RetxRACK++

@@ -14,24 +14,25 @@ package ring
 
 // Ring is a FIFO queue. The zero value is empty and owns no storage.
 type Ring[T any] struct {
-	buf  []T // len is zero or a power of two
-	head int // index of the oldest item
-	n    int // items queued
+	buf []T // len is zero or a power of two
+	// head indexes the oldest item and n counts the queued ones; 32 bits
+	// keep a ring four words.
+	head, n int32
 }
 
 // Len returns the number of queued items.
-func (r *Ring[T]) Len() int { return r.n }
+func (r *Ring[T]) Len() int { return int(r.n) }
 
 // Push appends v at the tail, doubling the buffer (to at least 4 slots)
 // when it is full.
 func (r *Ring[T]) Push(v T) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		buf := make([]T, max(2*len(r.buf), 4))
 		k := copy(buf, r.buf[r.head:])
 		copy(buf[k:], r.buf[:r.head])
 		r.buf, r.head = buf, 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.buf[int(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
@@ -49,7 +50,7 @@ func (r *Ring[T]) Pop() T {
 	v := r.Peek()
 	var zero T
 	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = (r.head + 1) & int32(len(r.buf)-1)
 	r.n--
 	return v
 }

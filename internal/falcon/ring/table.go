@@ -27,8 +27,12 @@ type Table[T any] struct {
 	high uint64 // strict upper bound on live keys
 }
 
-// tableMin is the ring length a table allocates on its first Put.
-const tableMin = 32
+// tableMin is the ring length a table allocates on its first Put. It is
+// small on purpose: a table grows to the key span it actually sees (a
+// connection with one 64 KiB op in flight spans 16 RSNs), and lookups,
+// Bounds and Sorted are keyed by sequence number, so the ring's size never
+// changes an order.
+const tableMin = 8
 
 // Len returns the number of live keys.
 func (t *Table[T]) Len() int { return t.n }

@@ -24,7 +24,7 @@ var ErrCIE = errors.New("tl: transaction completed in error (CIE)")
 var ErrConnDead = errors.New("tl: connection failed")
 
 // BackpressureMode selects the isolation policy of Figure 24.
-type BackpressureMode int
+type BackpressureMode uint8
 
 const (
 	// BackpressureNone disables per-connection thresholds: connections
@@ -90,19 +90,54 @@ type Control interface {
 
 var _ Control = (*pdl.Conn)(nil)
 
-// Config parameterizes a TL connection.
+// Completer receives a transaction's outcome: for a pull the bytes the
+// response carried, and the transaction's error. A ULP that tracks many
+// transactions implements it on the per-transaction state it already
+// keeps, so issuing one binds no closure.
+type Completer interface {
+	Complete(data []byte, err error)
+}
+
+// CompleteFunc adapts a function to Completer.
+type CompleteFunc func(data []byte, err error)
+
+// Complete calls fn.
+func (fn CompleteFunc) Complete(data []byte, err error) { fn(data, err) }
+
+// completeFunc wraps fn, keeping a nil fn a nil Completer.
+func completeFunc(fn func(data []byte, err error)) Completer {
+	if fn == nil {
+		return nil
+	}
+	return CompleteFunc(fn)
+}
+
+// Work is ULP work submitted under backpressure (see Conn.Submit): Issue
+// tries to issue it and reports whether it is done.
+type Work interface {
+	Issue() bool
+}
+
+// WorkFunc adapts a function to Work.
+type WorkFunc func() bool
+
+// Issue calls fn.
+func (fn WorkFunc) Issue() bool { return fn() }
+
+// Config parameterizes a TL connection. The two one-byte fields come last
+// so that a Conn, which keeps its Config, packs them into one word.
 type Config struct {
+	// MTU bounds a single transaction's payload (§4.4: transactions are
+	// at most one MTU; ULPs segment larger ops).
+	MTU int
+	// StaticAlpha is the DT α for BackpressureStatic.
+	StaticAlpha float64
+	// Backpressure selects the isolation policy.
+	Backpressure BackpressureMode
 	// Ordered selects IB Verbs ordering: in-order delivery to the target
 	// ULP and in-order completions at the initiator. Unordered delivers
 	// and completes as packets arrive (§4.4).
 	Ordered bool
-	// MTU bounds a single transaction's payload (§4.4: transactions are
-	// at most one MTU; ULPs segment larger ops).
-	MTU int
-	// Backpressure selects the isolation policy.
-	Backpressure BackpressureMode
-	// StaticAlpha is the DT α for BackpressureStatic.
-	StaticAlpha float64
 }
 
 // DefaultConfig returns an ordered connection with 4KB MTU and dynamic
@@ -111,7 +146,7 @@ func DefaultConfig() Config {
 	return Config{Ordered: true, MTU: 4096, Backpressure: BackpressureDynamic, StaticAlpha: 2}
 }
 
-type txnKind int
+type txnKind uint8
 
 const (
 	txnPush txnKind = iota
@@ -122,19 +157,19 @@ const (
 // request packet and at most one response packet). Completed transactions
 // recycle through the node's free list (Resources.txns).
 type txn struct {
-	kind     txnKind
 	rsn      uint64
-	length   uint32 // push payload length / pull solicited length
-	ulpOp    uint8
 	addr     uint64
 	data     []byte
-	done     func(data []byte, err error)
+	done     Completer
+	err      error
+	respData []byte
+	length   uint32 // push payload length / pull solicited length
+	kind     txnKind
+	ulpOp    uint8
 	pktAcked bool
 	finished bool // target outcome known (completion/pull-data/CIE)
 	retrying bool // RNR received, retry scheduled: acks must not complete it
 	released bool
-	err      error
-	respData []byte
 }
 
 // Probe observes a TL connection's transaction-level activity. It is the
@@ -164,15 +199,14 @@ type Stats struct {
 // issues Push and Pull transactions of at most MTU bytes, and it holds the
 // ULP work it refused in a park queue until its Xon edge (see Submit).
 type Conn struct {
-	sim    *sim.Simulator
-	cfg    Config
-	id     uint32
+	sim *sim.Simulator
+	cfg Config
+	id  uint32
+	// key indexes this connection in res's per-connection tables.
+	key    uint32
 	res    *Resources
 	ctrl   Control
 	target TargetHandler
-
-	// key indexes this connection in res's per-connection tables.
-	key uint32
 
 	alpha float64 // α_c from the FAE (dynamic backpressure)
 
@@ -185,9 +219,11 @@ type Conn struct {
 	txns       ring.Table[*txn]
 	releaseRSN uint64 // next RSN to release to the ULP (ordered)
 	wasXoff    bool
+	// queued is set while the connection waits in res's waiters FIFO.
+	queued bool
 	// parked holds, in submit order, the ULP work the connection refused
 	// and the work submitted behind it (see Submit).
-	parked ring.Ring[func() bool]
+	parked ring.Ring[Work]
 
 	// Target state.
 	expectedRSN uint64
@@ -199,13 +235,14 @@ type Conn struct {
 	// Deferred pull responses awaiting TxResp resources.
 	pendingResponses ring.Ring[*wire.Packet]
 	// sentRespBytes records TxResp byte reservations per RSN so acks
-	// release the exact amount.
-	sentRespBytes ring.Table[int]
+	// release the exact amount. A reservation is at most one MTU, so
+	// this table and reqReservations hold int32s.
+	sentRespBytes ring.Table[int32]
 	// reqReservations records TxReq byte reservations per RSN. Releases
 	// are driven by packet ACKs, which can arrive after the transaction
 	// itself has completed (the completion horizon can outrun
 	// per-packet ACKs), so this table outlives the txns entry.
-	reqReservations ring.Table[int]
+	reqReservations ring.Table[int32]
 
 	// completedApplied is the highest completion horizon already folded
 	// into the txns table; Completed only walks [applied, new horizon)
@@ -213,9 +250,6 @@ type Conn struct {
 	// RSNs at or above any applied horizon, so nothing below it can be
 	// an unflagged push).
 	completedApplied uint64
-
-	// queued is set while the connection waits in res's waiters FIFO.
-	queued bool
 
 	// dead is non-nil once the PDL declared the connection failed.
 	dead error
@@ -309,10 +343,10 @@ func (c *Conn) MTU() int { return c.cfg.MTU }
 // case work queues behind it; work that is not done is parked. The Xon edge
 // resumes parked work from the head and stops at the first item refused
 // again, and after the connection fails parked work runs once more, so that
-// it sees Dead and ends. Binding work once per ULP descriptor keeps parking
+// it sees Dead and ends. Work implemented by a ULP descriptor keeps parking
 // allocation-free.
-func (c *Conn) Submit(work func() bool) {
-	if c.parked.Len() > 0 || !work() {
+func (c *Conn) Submit(work Work) {
+	if c.parked.Len() > 0 || !work.Issue() {
 		c.parked.Push(work)
 	}
 }
@@ -325,7 +359,7 @@ func (c *Conn) Parked() int { return c.parked.Len() }
 // from inside it queues behind.
 func (c *Conn) resumeParked() {
 	for c.parked.Len() > 0 {
-		if !c.parked.Peek()() {
+		if !c.parked.Peek().Issue() {
 			return
 		}
 		c.parked.Pop()
@@ -401,12 +435,13 @@ func (c *Conn) noteXoff(full bool) {
 // Push initiates a push transaction of length bytes (≤ MTU). done fires at
 // completion; its data argument is always nil for pushes. Returns the RSN.
 func (c *Conn) Push(data []byte, length uint32, done func(data []byte, err error)) (uint64, error) {
-	return c.PushOp(0, 0, data, length, done)
+	return c.PushOp(0, 0, data, length, completeFunc(done))
 }
 
 // PushOp is Push with ULP metadata: op identifies the ULP operation and
-// addr the remote address it targets (carried opaquely by Falcon).
-func (c *Conn) PushOp(op uint8, addr uint64, data []byte, length uint32, done func(data []byte, err error)) (uint64, error) {
+// addr the remote address it targets (carried opaquely by Falcon). done
+// may be nil.
+func (c *Conn) PushOp(op uint8, addr uint64, data []byte, length uint32, done Completer) (uint64, error) {
 	return c.initiate(txnPush, op, addr, data, length, done)
 }
 
@@ -418,13 +453,13 @@ func (c *Conn) Pull(length uint32, done func(data []byte, err error)) (uint64, e
 
 // PullOp is Pull with ULP metadata (op code and remote address).
 func (c *Conn) PullOp(op uint8, addr uint64, length uint32, done func(data []byte, err error)) (uint64, error) {
-	return c.PullOpData(op, addr, nil, length, done)
+	return c.PullOpData(op, addr, nil, length, completeFunc(done))
 }
 
 // PullOpData is PullOp with request payload bytes (e.g. atomic operands):
 // the request carries reqData on the wire while soliciting respLen bytes
-// back.
-func (c *Conn) PullOpData(op uint8, addr uint64, reqData []byte, respLen uint32, done func(data []byte, err error)) (uint64, error) {
+// back, and done is a Completer (nil for none).
+func (c *Conn) PullOpData(op uint8, addr uint64, reqData []byte, respLen uint32, done Completer) (uint64, error) {
 	return c.initiate(txnPull, op, addr, reqData, respLen, done)
 }
 
@@ -439,7 +474,7 @@ var errOverMTU = [...]error{
 // its resources, assigns its RSN and sends its request. length is the
 // pushed payload or the solicited pull response; data is the request's
 // wire payload.
-func (c *Conn) initiate(kind txnKind, op uint8, addr uint64, data []byte, length uint32, done func(data []byte, err error)) (uint64, error) {
+func (c *Conn) initiate(kind txnKind, op uint8, addr uint64, data []byte, length uint32, done Completer) (uint64, error) {
 	if c.dead != nil {
 		return 0, c.dead
 	}
@@ -492,13 +527,13 @@ func (c *Conn) sendRequest(t *txn) {
 		p.Type = wire.TypePushData
 		p.Length = t.length
 		p.Data = t.data
-		c.reqReservations.Put(t.rsn, int(t.length))
+		c.reqReservations.Put(t.rsn, int32(t.length))
 	case txnPull:
 		p.Type = wire.TypePullRequest
 		p.PullLength = t.length
 		p.Data = t.data
 		p.Length = uint32(len(t.data))
-		c.reqReservations.Put(t.rsn, len(t.data))
+		c.reqReservations.Put(t.rsn, int32(len(t.data)))
 	}
 	c.ctrl.SendPacket(p)
 }

@@ -153,7 +153,7 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 		c.res.enqueue(c)
 		return
 	}
-	c.sentRespBytes.Put(rsn, int(length))
+	c.sentRespBytes.Put(rsn, int32(length))
 	c.ctrl.SendPacket(resp)
 }
 
@@ -165,7 +165,7 @@ func (c *Conn) drainPendingResponses() {
 			return
 		}
 		c.pendingResponses.Pop()
-		c.sentRespBytes.Put(resp.RSN, int(resp.Length))
+		c.sentRespBytes.Put(resp.RSN, int32(resp.Length))
 		c.ctrl.SendPacket(resp)
 	}
 }
@@ -194,7 +194,7 @@ func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Ty
 	if space == wire.SpaceResponse {
 		// A pull response we sent as target was delivered.
 		if bytes, ok := c.sentRespBytes.Del(rsn); ok {
-			c.res.Release(PoolTxResp, c.key, bytes)
+			c.res.Release(PoolTxResp, c.key, int(bytes))
 		}
 		return
 	}
@@ -202,7 +202,7 @@ func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Ty
 	// state: the completion horizon can finish a transaction before its
 	// per-packet ACK lands.
 	if bytes, ok := c.reqReservations.Del(rsn); ok {
-		c.res.Release(PoolTxReq, c.key, bytes)
+		c.res.Release(PoolTxReq, c.key, int(bytes))
 	}
 	t, ok := c.txns.Get(rsn)
 	if !ok || t.pktAcked {
@@ -348,11 +348,11 @@ func (c *Conn) Fail(err error) {
 	// Xon subscribers, so these loops also run in sorted RSN order.
 	for _, rsn := range c.reqReservations.Sorted() {
 		bytes, _ := c.reqReservations.Del(rsn)
-		c.res.Release(PoolTxReq, c.key, bytes)
+		c.res.Release(PoolTxReq, c.key, int(bytes))
 	}
 	for _, rsn := range c.sentRespBytes.Sorted() {
 		bytes, _ := c.sentRespBytes.Del(rsn)
-		c.res.Release(PoolTxResp, c.key, bytes)
+		c.res.Release(PoolTxResp, c.key, int(bytes))
 	}
 	// Drop target-side reorder buffers: their RxReq reservations, then
 	// their held packets.
@@ -439,6 +439,6 @@ func (c *Conn) release(t *txn) {
 		c.probe.OnCompletion(c, rsn, terr)
 	}
 	if done != nil {
-		done(respData, terr)
+		done.Complete(respData, terr)
 	}
 }

@@ -40,7 +40,7 @@ func (b *parkBed) freeOne() { b.res.Release(PoolTxReq, holderKey, 0) }
 
 // pushWork returns work that pushes once, recording its index in runs on
 // every attempt and in issued when the TL admits it.
-func (b *parkBed) pushWork(i int, runs, issued *[]int) func() bool {
+func (b *parkBed) pushWork(i int, runs, issued *[]int) WorkFunc {
 	return func() bool {
 		*runs = append(*runs, i)
 		if _, err := b.c.Push(nil, 0, nil); err != nil {
@@ -89,16 +89,16 @@ func TestSubmitQueuesBehindParkedWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	e.a.Submit(func() bool {
+	e.a.Submit(WorkFunc(func() bool {
 		_, err := e.a.Pull(4096, func([]byte, error) { order = append(order, "pull") })
 		return err == nil
-	})
+	}))
 	pushRuns := 0
-	e.a.Submit(func() bool {
+	e.a.Submit(WorkFunc(func() bool {
 		pushRuns++
 		_, err := e.a.Push(nil, 0, func([]byte, error) { order = append(order, "push") })
 		return err == nil
-	})
+	}))
 	if pushRuns != 0 || e.a.Parked() != 2 || e.a.Stats.Pushes != 0 {
 		t.Fatalf("push ran %d times and %d pushes issued with %d parked, want 0, 0 and 2",
 			pushRuns, e.a.Stats.Pushes, e.a.Parked())
@@ -137,12 +137,12 @@ func TestFailRunsParkedWorkOnce(t *testing.T) {
 	dead := 0
 	for i := 0; i < 3; i++ {
 		work := b.pushWork(i, &runs, &issued)
-		b.c.Submit(func() bool {
+		b.c.Submit(WorkFunc(func() bool {
 			if b.c.Dead() != nil {
 				dead++
 			}
 			return work()
-		})
+		}))
 	}
 	boom := errors.New("boom")
 	b.c.Fail(boom)
@@ -168,14 +168,14 @@ func TestFailRunsParkedWorkOnce(t *testing.T) {
 func TestSubmitResumeAllocationFree(t *testing.T) {
 	b := newParkBed(t)
 	attempt := 0
-	work := func() bool {
+	work := WorkFunc(func() bool {
 		attempt++
 		if attempt%2 == 1 { // refused by the full pool: parked
 			_, err := b.c.Push(nil, 0, nil)
 			return err == nil
 		}
 		return true // resumed: done
-	}
+	})
 	cycle := func() {
 		b.c.Submit(work)
 		b.freeOne()

@@ -353,11 +353,11 @@ func TestBackpressureStaticThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	var errs []error
-	e.a.Submit(func() bool {
+	e.a.Submit(WorkFunc(func() bool {
 		_, err := e.a.Push(nil, 100, nil)
 		errs = append(errs, err)
 		return err == nil
-	})
+	}))
 	if len(errs) != 1 || !errors.Is(errs[0], ErrBackpressured) || e.a.Parked() != 1 {
 		t.Fatalf("submitted push: attempts %v, %d parked; want one ErrBackpressured, parked", errs, e.a.Parked())
 	}
@@ -606,7 +606,7 @@ func TestReleaseWakeBounded(t *testing.T) {
 	park := func(c *Conn, want error, wake func(c *Conn) bool) *Conn {
 		t.Helper()
 		first := true
-		c.Submit(func() bool {
+		c.Submit(WorkFunc(func() bool {
 			if first {
 				first = false
 				if _, err := c.Push(nil, 0, nil); !errors.Is(err, want) {
@@ -615,7 +615,7 @@ func TestReleaseWakeBounded(t *testing.T) {
 				return false
 			}
 			return wake(c)
-		})
+		}))
 		return c
 	}
 
@@ -748,7 +748,7 @@ func TestXonLiveness(t *testing.T) {
 				size: uint32(rng.Intn(4097)), ops: 1 + rng.Intn(40)}
 		}
 		for _, u := range ulps {
-			u.c.Submit(u.issue)
+			u.c.Submit(WorkFunc(u.issue))
 		}
 		s.Run()
 		refused := uint64(0)
@@ -857,8 +857,10 @@ func TestRNRSustainedStallLossless(t *testing.T) {
 // TestTxnContextsSharedPerNode: transaction contexts come from the node's
 // Resources, not from each connection. Once connection A has completed 2n
 // transactions, connection B on the same node issues n, then n more, with
-// no allocation at all (its tables were sized by one earlier transaction),
-// and the node has built only 2n contexts for both.
+// no allocation at all, and the node has built only 2n contexts for both.
+// B's RSN tables start at 8 slots and grow with the live span they see, so
+// B is warmed first with 2n transactions live at once: that sizes its
+// tables for the measured span, and A then reuses the contexts B built.
 func TestTxnContextsSharedPerNode(t *testing.T) {
 	const n = 8
 	s := sim.New(1)
@@ -892,7 +894,7 @@ func TestTxnContextsSharedPerNode(t *testing.T) {
 			t.Fatalf("%d transactions still open", c.OutstandingTxns())
 		}
 	}
-	run(b, 1)
+	run(b, 2*n)
 	complete(b)
 	run(a, 2*n)
 	complete(a)

@@ -137,11 +137,18 @@ type connPipe struct {
 // pipe returns conn's pipeline, growing the slice as connections appear.
 func (n *NIC) pipe(conn uint32) *connPipe {
 	if int(conn) >= len(n.pipes) {
-		grown := make([]connPipe, int(conn)+16)
-		copy(grown, n.pipes)
-		n.pipes = grown
+		n.pipes = growTo(n.pipes, int(conn))
 	}
 	return &n.pipes[conn]
+}
+
+// growTo returns s grown to cover index i: at least doubled, so keys that
+// appear in random order copy the slice O(log n) times, not once per new
+// maximum.
+func growTo[T any](s []T, i int) []T {
+	grown := make([]T, max(2*len(s), i+16))
+	copy(grown, s)
+	return grown
 }
 
 // lookupCost models the connection-state fetch for one packet.
@@ -355,9 +362,7 @@ func (c *connCache) insert(conn uint32) {
 	}
 	i := conn + 1
 	if int(i) >= len(c.ents) {
-		grown := make([]lruEntry, int(i)+16)
-		copy(grown, c.ents)
-		c.ents = grown
+		c.ents = growTo(c.ents, int(i))
 	}
 	if c.n >= c.capacity {
 		if lru := c.ents[0].prev; lru != 0 {

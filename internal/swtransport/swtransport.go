@@ -121,10 +121,12 @@ type Node struct {
 	opCount  uint64
 
 	// Free lists for the per-op objects (wire msgs, send continuations,
-	// paced frame emissions); see the type comments.
+	// paced frame emissions, request-response calls); see the type
+	// comments.
 	msgFree  sim.FreeList[msg]
 	xmitFree sim.FreeList[xmit]
 	emitFree sim.FreeList[frameSend]
+	callFree sim.FreeList[call]
 
 	// Stats
 	Ops uint64
@@ -246,11 +248,38 @@ func (c *Conn) Send(n int, done func()) {
 // Call performs a request-response op: n bytes out, respBytes back; done
 // fires when the response lands at the caller.
 func (c *Conn) Call(n, respBytes int, done func()) {
-	c.Send(n, func() {
-		// Response path from the peer.
-		reverse := &Conn{node: c.peer, peer: c.node, id: c.id}
-		reverse.Send(respBytes, done)
-	})
+	cl := c.node.callFree.Get()
+	if cl.respond == nil {
+		cl.respond = cl.admit
+	}
+	cl.c, cl.resp, cl.done = c, respBytes, done
+	c.Send(n, cl.respond)
+}
+
+// call is one pooled Call: respond, bound once per call object, runs at
+// the peer when the request lands and admits the response on the peer's
+// CPU; the call is then its own sim.Action and transmits the response.
+// Each response leaves on a connection of its own, with fresh pacing
+// state, as if a new reverse Conn were built per call. A call always goes
+// back to the free list of the node that made it.
+type call struct {
+	c       *Conn
+	resp    int
+	done    func()
+	respond func() // cl.admit
+}
+
+func (cl *call) admit() {
+	peer := cl.c.peer
+	peer.sim.AtAction(peer.admit(cl.resp), cl)
+}
+
+func (cl *call) RunAction() {
+	c, resp, done := cl.c, cl.resp, cl.done
+	cl.c, cl.done = nil, nil
+	c.node.callFree.Put(cl)
+	reverse := Conn{node: c.peer, peer: c.node, id: c.id}
+	reverse.transmit(resp, done)
 }
 
 // frameSend is the pooled paced emission of one frame onto the wire.

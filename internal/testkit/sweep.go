@@ -416,7 +416,7 @@ func Run(sc Scenario) Result {
 	}
 	pump = func() {
 		if epA.TL().Parked() == 0 {
-			epA.TL().Submit(issue)
+			epA.TL().Submit(tl.WorkFunc(issue))
 		}
 	}
 	pump()

@@ -61,9 +61,10 @@ func NewPort[C any](conn *tl.Conn, complete func(ctx C, data []byte, err error))
 // returned: zero when no op is in flight.
 func (p *Port[C]) Out() int { return p.out }
 
-// Op is the in-flight state of one operation: its message, its segment
-// cursor, and the completion and issue callbacks bound to it once, so
-// neither posting, parking nor resuming the op allocates.
+// Op is the in-flight state of one operation: its message and its segment
+// cursor. It is the op's tl.Work and its push segments' tl.Completer, and
+// each pull segment's slot is that segment's tl.Completer, so neither
+// posting, parking nor resuming the op binds a closure or allocates.
 type Op[C any] struct {
 	port *Port[C]
 	pool *sim.FreeList[Op[C]]
@@ -76,10 +77,9 @@ type Op[C any] struct {
 	err        error
 
 	// A pull's segments, one slot each; the slice only grows, at post
-	// time, when no callback into the old slots is outstanding.
-	slots    []slot[C]
-	pushDone func([]byte, error)
-	issueFn  func() bool
+	// time, when no transaction completing into the old slots is
+	// outstanding.
+	slots []slot[C]
 }
 
 // slot is one pull segment's completion: the TL's callback does not say
@@ -88,13 +88,12 @@ type Op[C any] struct {
 type slot[C any] struct {
 	o    *Op[C]
 	data []byte
-	fn   func([]byte, error) // s.done, bound once
 }
 
 // Post starts m from pool, parking it in the TL while refused. Failures
 // arrive through the completion function, exactly once.
 func (p *Port[C]) Post(pool *sim.FreeList[Op[C]], m Msg, ctx C) {
-	p.conn.Submit(p.get(pool, m, ctx).issueFn)
+	p.conn.Submit(p.get(pool, m, ctx))
 }
 
 // Try issues a one-segment op now or not at all: it is refused while other
@@ -114,18 +113,12 @@ func (p *Port[C]) Try(pool *sim.FreeList[Op[C]], m Msg, ctx C) error {
 
 func (p *Port[C]) get(pool *sim.FreeList[Op[C]], m Msg, ctx C) *Op[C] {
 	o := pool.Get()
-	if o.port == nil {
-		o.port, o.pool = p, pool
-		o.pushDone = o.land
-		o.issueFn = o.issue
-	}
+	o.port, o.pool = p, pool
 	nseg := wire.Segments(m.Size, p.conn.MTU())
 	if m.Pull && nseg > len(o.slots) {
 		o.slots = make([]slot[C], nseg)
 		for i := range o.slots {
-			s := &o.slots[i]
-			s.o = o
-			s.fn = s.done
+			o.slots[i].o = o
 		}
 	}
 	o.m, o.ctx, o.left, o.next = m, ctx, int32(nseg), 0
@@ -144,15 +137,17 @@ func (o *Op[C]) put() {
 	}
 }
 
-func (o *Op[C]) segDone(i int) func([]byte, error) {
+// segDone returns segment i's completion: its slot for a pull, the op
+// itself for a push.
+func (o *Op[C]) segDone(i int) tl.Completer {
 	if o.m.Pull {
-		return o.slots[i].fn
+		return &o.slots[i]
 	}
-	return o.pushDone
+	return o
 }
 
 // send issues segment i.
-func (m *Msg) send(conn *tl.Conn, i int, done func([]byte, error)) error {
+func (m *Msg) send(conn *tl.Conn, i int, done tl.Completer) error {
 	off, seg := wire.Segment(m.Size, conn.MTU(), i)
 	addr := m.Addr
 	if !m.Fixed {
@@ -171,13 +166,13 @@ func (m *Msg) send(conn *tl.Conn, i int, done func([]byte, error)) error {
 	return err
 }
 
-// issue issues the op's segments from its cursor on, as tl.Conn.Submit
-// work: it returns false when the TL refused one, with the cursor at that
+// Issue is the op's tl.Work: it issues the op's segments from its cursor
+// on, returning false when the TL refused one, with the cursor at that
 // segment, and true once every segment is issued, or failed because the
 // connection is dead. It reads the loop bounds into locals up front: the
 // final segment's completion can release (and a nested post can reuse) the
 // descriptor while the loop still runs.
-func (o *Op[C]) issue() bool {
+func (o *Op[C]) Issue() bool {
 	conn := o.port.conn
 	nseg := wire.Segments(o.m.Size, conn.MTU())
 	for i := int(o.next); i < nseg; i++ {
@@ -188,7 +183,7 @@ func (o *Op[C]) issue() bool {
 				return false
 			}
 			for ; i < nseg; i++ {
-				o.segDone(i)(nil, dead)
+				o.segDone(i).Complete(nil, dead)
 			}
 			return true
 		}
@@ -196,13 +191,16 @@ func (o *Op[C]) issue() bool {
 	return true
 }
 
-func (s *slot[C]) done(data []byte, err error) {
+// Complete is a pull segment's tl.Completer: it parks the segment's bytes
+// and counts it.
+func (s *slot[C]) Complete(data []byte, err error) {
 	s.data = data
-	s.o.land(data, err)
+	s.o.Complete(data, err)
 }
 
-// land counts one finished segment; the last one completes the op.
-func (o *Op[C]) land(data []byte, err error) {
+// Complete is a push segment's tl.Completer: it counts one finished
+// segment, and the last one completes the op.
+func (o *Op[C]) Complete(data []byte, err error) {
 	if err != nil && o.err == nil {
 		o.err = err
 	}
