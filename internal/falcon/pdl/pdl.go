@@ -153,7 +153,8 @@ type DeliverVerdict struct {
 	RetryDelay time.Duration // RNR retry hint
 }
 
-// Callbacks wires a connection's PDL to its NIC, TL and FAE.
+// Callbacks wires a connection's PDL to its NIC, TL and FAE. Send and
+// Deliver are required; NewConn puts a no-op in any other nil callback.
 type Callbacks struct {
 	// Send transmits a packet onto the fabric (via the NIC model). The
 	// caller keeps its hold: an implementation that retains the packet
@@ -175,8 +176,7 @@ type Callbacks struct {
 	// Failed reports a terminal connection failure (RTO budget
 	// exhausted); the TL errors all pending transactions.
 	Failed func(err error)
-	// PostEvent posts a congestion/loss event to the FAE. NewConn puts a
-	// no-op in a nil PostEvent.
+	// PostEvent posts a congestion/loss event to the FAE.
 	PostEvent func(ev fae.Event)
 	// RxBufOccupancy samples the NIC RX buffer occupancy (0..1) when
 	// building an ACK.
@@ -489,8 +489,26 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 	if cfg.AckCoalesceCount < 1 {
 		cfg.AckCoalesceCount = 1
 	}
+	if cb.PacketAcked == nil {
+		cb.PacketAcked = func(wire.Space, uint32, uint64, wire.Type) {}
+	}
+	if cb.Completed == nil {
+		cb.Completed = func(uint64) {}
+	}
+	if cb.NackReceived == nil {
+		cb.NackReceived = func(*wire.Packet) {}
+	}
+	if cb.Failed == nil {
+		cb.Failed = func(error) {}
+	}
 	if cb.PostEvent == nil {
 		cb.PostEvent = func(fae.Event) {}
+	}
+	if cb.RxBufOccupancy == nil {
+		cb.RxBufOccupancy = func() float64 { return 0 }
+	}
+	if cb.CompletedRSN == nil {
+		cb.CompletedRSN = func() uint64 { return 0 }
 	}
 	c := &Conn{
 		sim:        s,
@@ -609,11 +627,7 @@ func (c *Conn) totalOutstanding() int {
 // totalInFlight is the congestion-window occupancy: outstanding packets
 // minus those parked on a resource-NACK backoff (known off the network).
 func (c *Conn) totalInFlight() int {
-	n := c.totalOutstanding() - c.tx[0].parked - c.tx[1].parked
-	if n < 0 {
-		n = 0
-	}
-	return n
+	return c.totalOutstanding() - c.tx[0].parked - c.tx[1].parked
 }
 
 // QueuedPackets returns packets accepted from the TL but not yet

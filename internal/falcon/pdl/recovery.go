@@ -251,9 +251,7 @@ func (c *Conn) fail() {
 			}
 		}
 	}
-	if c.cb.Failed != nil {
-		c.cb.Failed(ErrConnectionLost)
-	}
+	c.cb.Failed(ErrConnectionLost)
 }
 
 // Fail declares the connection administratively dead from outside the

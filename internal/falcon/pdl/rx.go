@@ -125,12 +125,8 @@ func (c *Conn) sendAck(flowIdx int) {
 		ack.Flags |= wire.FlagECE
 		rf.ceSeen = false
 	}
-	if c.cb.RxBufOccupancy != nil {
-		ack.RxBufOccupancy = uint16(clamp01(c.cb.RxBufOccupancy()) * 65535)
-	}
-	if c.cb.CompletedRSN != nil {
-		ack.CompletedRSN = c.cb.CompletedRSN()
-	}
+	ack.RxBufOccupancy = uint16(clamp01(c.cb.RxBufOccupancy()) * 65535)
+	ack.CompletedRSN = c.cb.CompletedRSN()
 	c.Stats.AcksSent++
 	c.cb.Send(ack)
 	c.pool.Release(ack)
@@ -187,7 +183,7 @@ func (c *Conn) handleAck(p *wire.Packet) {
 	}
 
 	// Ordered-completion horizon from the target's TL.
-	if p.CompletedRSN > 0 && c.cb.Completed != nil {
+	if p.CompletedRSN > 0 {
 		c.cb.Completed(p.CompletedRSN)
 	}
 
@@ -348,11 +344,9 @@ func (c *Conn) markAcked(ts *txSpace, psn uint32, perFlow []int) bool {
 	if tp.txTime > f.rackXmit {
 		f.rackXmit = tp.txTime
 	}
-	if c.cb.PacketAcked != nil {
-		c.cb.PacketAcked(ts.space, psn, tp.rsn, tp.typ)
-		// The TL may have sent from inside the upcall and grown the ring.
-		tp = ts.slot(psn)
-	}
+	c.cb.PacketAcked(ts.space, psn, tp.rsn, tp.typ)
+	// The TL may have sent from inside the upcall and grown the ring.
+	tp = ts.slot(psn)
 	c.pool.Release(tp.pkt)
 	tp.pkt = nil
 	return true
@@ -407,9 +401,7 @@ func (c *Conn) handleNack(p *wire.Packet) {
 		// packet is acked, and an RNR means the target explicitly did NOT
 		// take responsibility — the TL marks the transaction as retrying
 		// so the ack frees the packet context without completing it.
-		if c.cb.NackReceived != nil {
-			c.cb.NackReceived(p)
-		}
+		c.cb.NackReceived(p)
 		// PDL-level delivery is done: free the packet context.
 		if known {
 			var counts [wire.MaxFlows]int

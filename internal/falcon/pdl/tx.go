@@ -213,18 +213,6 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// lowestUnacked returns the oldest unacked tracked packet in the space, or
-// nil.
-func (ts *txSpace) lowestUnacked() *txPacket {
-	for psn := ts.base; psn != ts.next; psn++ {
-		tp := ts.slot(psn)
-		if tp.live && !tp.acked {
-			return tp
-		}
-	}
-	return nil
-}
-
 // highestUnacked returns the newest (highest-PSN) unacked tracked packet in
 // the space, or nil — the tail packet a TLP must probe. It masks the acked
 // mirror down to the live window and takes the highest clear bit.
@@ -255,7 +243,7 @@ const (
 // retransmit re-sends a tracked packet, counting it against its cause and
 // flagging it on the wire.
 func (c *Conn) retransmit(tp *txPacket, cause retxCause) {
-	if c.failed || tp == nil || tp.acked {
+	if c.failed || tp.acked {
 		return
 	}
 	if tp.nacked {

@@ -166,10 +166,8 @@ type txn struct {
 	length   uint32 // push payload length / pull solicited length
 	kind     txnKind
 	ulpOp    uint8
-	pktAcked bool
 	finished bool // target outcome known (completion/pull-data/CIE)
 	retrying bool // RNR received, retry scheduled: acks must not complete it
-	released bool
 }
 
 // Probe observes a TL connection's transaction-level activity. It is the
@@ -229,8 +227,7 @@ type Conn struct {
 	expectedRSN uint64
 	// reorderBuf holds the requests that arrived ahead of a gap, each a
 	// shared hold on its wire packet, until drainTargetOrdered serves it.
-	reorderBuf   ring.Table[*wire.Packet]
-	completedRSN uint64
+	reorderBuf ring.Table[*wire.Packet]
 
 	// Deferred pull responses awaiting TxResp resources.
 	pendingResponses ring.Ring[*wire.Packet]
@@ -259,9 +256,8 @@ type Conn struct {
 	// probe, when non-nil, observes serves and completions (verification).
 	probe Probe
 
-	// Free lists and scratch (steady-state allocation avoidance).
-	rnrEvents    sim.FreeList[rnrRetryEvent]
-	readyScratch []uint64
+	// rnrEvents recycles the connection's RNR-retry events.
+	rnrEvents sim.FreeList[rnrRetryEvent]
 
 	Stats Stats
 }
@@ -269,12 +265,6 @@ type Conn struct {
 // NewConn creates a TL connection bound to shared resources and a PDL
 // control. target may be nil for a pure-initiator endpoint.
 func NewConn(s *sim.Simulator, id uint32, cfg Config, res *Resources, ctrl Control, target TargetHandler) *Conn {
-	if cfg.MTU <= 0 {
-		cfg.MTU = 4096
-	}
-	if cfg.StaticAlpha <= 0 {
-		cfg.StaticAlpha = 2
-	}
 	c := &Conn{
 		sim:    s,
 		cfg:    cfg,
@@ -367,13 +357,9 @@ func (c *Conn) resumeParked() {
 }
 
 // CompletedRSN is sampled by the PDL when building ACKs: the cumulative
-// in-order completion horizon at this target (zero for unordered).
-func (c *Conn) CompletedRSN() uint64 {
-	if !c.cfg.Ordered {
-		return 0
-	}
-	return c.completedRSN
-}
+// in-order completion horizon at this target, which is the next RSN it
+// will serve (zero for unordered).
+func (c *Conn) CompletedRSN() uint64 { return c.expectedRSN }
 
 // RxOccupancy is forwarded to the PDL's ACK builder.
 func (c *Conn) RxOccupancy() float64 { return c.res.RxOccupancy() }

@@ -76,7 +76,6 @@ func (c *Conn) serveAdvance(rsn uint64) {
 	}
 	if c.cfg.Ordered {
 		c.expectedRSN = rsn + 1
-		c.completedRSN = c.expectedRSN
 	}
 }
 
@@ -182,9 +181,8 @@ func (c *Conn) deliverResponse(p *wire.Packet) {
 	if !ok || t.kind != txnPull || t.finished {
 		return // duplicate or stale
 	}
-	t.finished = true
 	t.respData = p.Data
-	c.tryRelease()
+	c.finish(t)
 }
 
 // PacketAcked is the PDL's upcall when a transmitted packet is
@@ -204,18 +202,15 @@ func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Ty
 	if bytes, ok := c.reqReservations.Del(rsn); ok {
 		c.res.Release(PoolTxReq, c.key, int(bytes))
 	}
-	t, ok := c.txns.Get(rsn)
-	if !ok || t.pktAcked {
-		return
+	if c.cfg.Ordered {
+		return // ordered transactions finish on the completion horizon
 	}
-	t.pktAcked = true
-	if t.kind == txnPush && !c.cfg.Ordered && !t.finished && !t.retrying {
-		// Unordered push: responsibility transferred on ack. RNR-retrying
-		// transactions are excluded — their "ack" only freed the refused
-		// packet's context; the retry carries the responsibility.
-		t.finished = true
+	// Unordered push: responsibility transferred on ack. RNR-retrying
+	// transactions are excluded — their "ack" only freed the refused
+	// packet's context; the retry carries the responsibility.
+	if t, ok := c.txns.Get(rsn); ok && t.kind == txnPush && !t.finished && !t.retrying {
+		c.finish(t)
 	}
-	c.tryRelease()
 }
 
 // Completed is the PDL's upcall for the ACK-carried completion horizon:
@@ -245,17 +240,15 @@ func (c *Conn) Completed(completedRSN uint64) {
 	if hi > c.completedApplied {
 		c.completedApplied = hi
 	}
-	c.tryRelease()
+	c.releaseInOrder()
 }
 
 // rnrRetryEvent retries a transaction after an RNR delay (or a local
 // reserve failure). It re-looks the transaction up by RSN at fire time:
 // RSNs are never reused, so a lookup miss means the transaction was
-// released meanwhile — exactly the case the released guard in
-// retryTransaction covered when the event captured the pointer directly
-// (and a pointer capture would now be unsound anyway: released contexts
-// recycle through the free list under fresh RSNs). Fired events recycle
-// through the connection's free list too.
+// released meanwhile (a pointer capture would be unsound: released
+// contexts recycle through the free list under fresh RSNs). Fired events
+// recycle through the connection's free list too.
 type rnrRetryEvent struct {
 	c   *Conn
 	rsn uint64
@@ -292,16 +285,15 @@ func (c *Conn) NackReceived(p *wire.Packet) {
 		c.Stats.RNRRetries++
 		c.scheduleRetry(t.rsn, time.Duration(p.RetryDelayNs))
 	case wire.NackCIE:
-		t.finished = true
 		t.err = ErrCIE
-		c.tryRelease()
+		c.finish(t)
 	}
 }
 
 // retryTransaction re-reserves TX resources and resends a transaction
 // (same RSN, fresh packet) after an RNR.
 func (c *Conn) retryTransaction(t *txn) {
-	if c.dead != nil || t.finished || t.released {
+	if c.dead != nil || t.finished {
 		return
 	}
 	bytes := len(t.data)
@@ -314,7 +306,6 @@ func (c *Conn) retryTransaction(t *txn) {
 		c.scheduleRetry(t.rsn, 50*time.Microsecond)
 		return
 	}
-	t.pktAcked = false
 	t.retrying = false
 	c.sendRequest(t)
 }
@@ -335,10 +326,9 @@ func (c *Conn) Fail(err error) {
 	// map-iteration order (determinism).
 	for _, rsn := range c.txns.Sorted() {
 		t, ok := c.txns.Get(rsn)
-		if !ok || t.released {
+		if !ok {
 			continue
 		}
-		t.finished = true
 		if t.err == nil {
 			t.err = err
 		}
@@ -379,46 +369,33 @@ func (c *Conn) Fail(err error) {
 // Dead returns the terminal error, or nil while the connection is live.
 func (c *Conn) Dead() error { return c.dead }
 
-// tryRelease delivers finished transactions' completions to the ULP — in
-// RSN order on ordered connections, immediately otherwise.
-func (c *Conn) tryRelease() {
+// finish records t's outcome and releases what that completes: t itself
+// on an unordered connection, the in-order run from releaseRSN on an
+// ordered one.
+func (c *Conn) finish(t *txn) {
+	t.finished = true
 	if c.cfg.Ordered {
-		for {
-			t, ok := c.txns.Get(c.releaseRSN)
-			if !ok || !t.finished {
-				return
-			}
-			c.release(t)
-			c.releaseRSN++
-		}
-	}
-	// Unordered completions are "immediate" but must still fire in a
-	// deterministic order, fixed by a collection pass before any ULP
-	// callback runs (completions can start new transactions mid-loop).
-	// The scratch is detached while in use so a reentrant call cannot
-	// clobber the list being walked.
-	ready := c.readyScratch
-	c.readyScratch = nil
-	ready = ready[:0]
-	lo, hi := c.txns.Bounds()
-	for rsn := lo; rsn < hi; rsn++ {
-		if t, ok := c.txns.Get(rsn); ok && t.finished && !t.released {
-			ready = append(ready, rsn)
-		}
-	}
-	for _, rsn := range ready {
-		if t, ok := c.txns.Get(rsn); ok && !t.released {
-			c.release(t)
-		}
-	}
-	c.readyScratch = ready[:0]
-}
-
-func (c *Conn) release(t *txn) {
-	if t.released {
+		c.releaseInOrder()
 		return
 	}
-	t.released = true
+	c.release(t)
+}
+
+// releaseInOrder delivers the finished transactions from releaseRSN up to
+// the first unfinished one, in RSN order.
+func (c *Conn) releaseInOrder() {
+	for {
+		t, ok := c.txns.Get(c.releaseRSN)
+		if !ok || !t.finished {
+			return
+		}
+		c.release(t)
+		c.releaseRSN++
+	}
+}
+
+// release delivers t's completion to the ULP and recycles its context.
+func (c *Conn) release(t *txn) {
 	respBytes := 0
 	if t.kind == txnPull {
 		respBytes = int(t.length)

@@ -82,7 +82,9 @@ func TestSubmitKeepsOrderAcrossRefusals(t *testing.T) {
 // RX-response byte pool; a zero-byte push that would fit waits behind it,
 // and the Xon edge issues both in submit order.
 func TestSubmitQueuesBehindParkedWork(t *testing.T) {
-	e := newEnv(t, Config{Ordered: true, Backpressure: BackpressureNone})
+	cfg := DefaultConfig()
+	cfg.Backpressure = BackpressureNone
+	e := newEnv(t, cfg)
 	e.resA.pools[PoolRxResp].cfg.Bytes = 4096
 	e.ctrlA.holdRequests = true
 	if _, err := e.a.Pull(4096, nil); err != nil {
