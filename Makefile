@@ -50,7 +50,8 @@ vet:
 # Performance: scheduler microbenchmarks (the wheel at 1k/32k/1M pending
 # timers and at fabric_scale's slot density; DESIGN.md §8), the TL's cost
 # per acknowledged transaction at windows 8 and 128, ordered and unordered
-# (DESIGN.md §5), then the repository benchmark — the four BENCHMARK.json workloads end to end
+# (DESIGN.md §5), a node's cost per delivered packet at 1 and 1 000
+# endpoints (DESIGN.md §11), then the repository benchmark — the four BENCHMARK.json workloads end to end
 # at one seed (bench/README.md defines every metric). Each result is
 # printed and appended to $(BENCH_OUT); two such files compare with
 # `go run -C bench falcon/bench -compare a b`.
@@ -59,6 +60,7 @@ BENCH_SEED ?= 1
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkScheduler' -benchmem ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkPacketAcked' -benchmem ./internal/falcon/tl/
+	$(GO) test -run NONE -bench 'BenchmarkHandleFrame' -benchmem ./internal/core/
 	for w in fabric_scale oprate_small lossy_mixed incast_conns; do \
 		$(GO) run -C bench falcon/bench -workload $$w -seed $(BENCH_SEED) \
 			-out $(abspath $(BENCH_OUT)) || exit 1; \
@@ -112,7 +114,7 @@ metrics:
 #   - Race detector over the storm sweeps.
 STRIP_WALL = sed -E 's/^\(([^ ]+) in [^,]+,/(\1,/'
 CHECKDIR ?= $(or $(TMPDIR),/tmp)/falcon-check
-LAKE_PAIRS = pr17 pr17_extra pr18 pr26 pr27 pr28 pr29 pr30 pr31 pr34 pr36 pr37 pr38 pr39 pr40 pr41 pr43 pr45 pr48 pr49 pr52 pr53 pr54
+LAKE_PAIRS = pr17 pr17_extra pr18 pr26 pr27 pr28 pr29 pr30 pr31 pr34 pr36 pr37 pr38 pr39 pr40 pr41 pr43 pr45 pr48 pr49 pr52 pr53 pr54 pr55
 LAKE_LISTED = BENCH_pr32_before.jsonl BENCH_pr32_after.jsonl
 check:
 	$(GO) -C bench test .

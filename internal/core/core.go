@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"falcon/internal/falcon/fae"
 	"falcon/internal/falcon/pdl"
@@ -59,15 +58,19 @@ func DefaultConnConfig() ConnConfig {
 
 // Cluster owns the Falcon nodes attached to one simulated fabric.
 type Cluster struct {
-	sim   *sim.Simulator
-	nodes map[netsim.NodeID]*Node
+	sim *sim.Simulator
+	// nodes is indexed by host ID (nil where a host has no node).
+	nodes []*Node
+	// conns is indexed by connection ID: the two endpoints of each
+	// connection, nil once closed. A node finds an arriving packet's
+	// endpoint here, as the entry whose node it is.
+	conns [][2]*Endpoint
 	// pool is the transport packet pool shared by every node of the
 	// cluster; see wire.PacketPool.
 	pool *wire.PacketPool
 	// onDrop is reclaim as a func value, bound once so the egress path can
 	// hang it on every frame without allocating.
-	onDrop     func(payload any)
-	nextConnID uint32
+	onDrop func(payload any)
 }
 
 // reclaim is the netsim.Frame.OnDrop hook of every frame that carries a
@@ -83,10 +86,10 @@ func (cl *Cluster) reclaim(payload any) {
 // NewCluster creates an empty cluster on the simulator.
 func NewCluster(s *sim.Simulator) *Cluster {
 	cl := &Cluster{
-		sim:        s,
-		nodes:      make(map[netsim.NodeID]*Node),
-		pool:       wire.NewPacketPool(),
-		nextConnID: 1,
+		sim: s,
+		// Connection IDs start at 1; slot 0 is never used.
+		conns: make([][2]*Endpoint, 1),
+		pool:  wire.NewPacketPool(),
 	}
 	cl.onDrop = cl.reclaim
 	return cl
@@ -97,20 +100,20 @@ func (cl *Cluster) Sim() *sim.Simulator { return cl.sim }
 
 // Endpoints returns every live endpoint in the cluster (measurement
 // sweeps), ordered by (host, connection) so callers that fold over it with
-// order-sensitive side effects stay deterministic.
+// order-sensitive side effects stay deterministic. A node's keys follow
+// Connect order, so walking them is ascending connection ID.
 func (cl *Cluster) Endpoints() []*Endpoint {
 	var out []*Endpoint
 	for _, n := range cl.nodes {
-		for _, ep := range n.conns {
-			out = append(out, ep)
+		if n == nil {
+			continue
+		}
+		for _, ep := range n.eps {
+			if ep != nil {
+				out = append(out, ep)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].node.host.ID != out[j].node.host.ID {
-			return out[i].node.host.ID < out[j].node.host.ID
-		}
-		return out[i].id < out[j].id
-	})
 	return out
 }
 
@@ -118,7 +121,7 @@ func (cl *Cluster) Endpoints() []*Endpoint {
 // most one node: attaching twice would silently orphan the first node's
 // connections.
 func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
-	if _, dup := cl.nodes[host.ID]; dup {
+	if int(host.ID) < len(cl.nodes) && cl.nodes[host.ID] != nil {
 		panic(fmt.Sprintf("core: host %d already has a Falcon node", host.ID))
 	}
 	n := &Node{
@@ -128,11 +131,13 @@ func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
 		nic:     nic.New(cl.sim, cfg.NIC),
 		res:     tl.NewResources(cfg.Resources),
 		pool:    cl.pool,
-		conns:   make(map[uint32]*Endpoint),
 		pspKey:  cfg.PSPMasterKey,
 	}
 	n.engine = fae.New(cl.sim, cfg.FAE, n.applyFAEResponse)
 	host.SetHandler(n)
+	for int(host.ID) >= len(cl.nodes) {
+		cl.nodes = append(cl.nodes, nil)
+	}
 	cl.nodes[host.ID] = n
 	return n
 }
@@ -149,11 +154,9 @@ type Node struct {
 	nic    *nic.NIC
 	res    *tl.Resources
 	engine *fae.Engine
-	conns  map[uint32]*Endpoint
+	// eps is indexed by Endpoint.key, nil once an endpoint is closed.
+	eps    []*Endpoint
 	pspKey []byte
-	// nicKeys is the number of endpoints created on this node: the next
-	// Endpoint.nicKey.
-	nicKeys uint32
 
 	// Free lists for the per-packet NIC pipeline jobs (TX egress and RX
 	// ingress), recycled as they fire.
@@ -185,7 +188,10 @@ func (n *Node) FreeLists(visit func(name string, built, free int)) {
 	built, free = n.res.TxnContexts()
 	visit("transaction contexts", built, free)
 	var nb, nf, rb, rf int
-	for _, ep := range n.conns {
+	for _, ep := range n.eps {
+		if ep == nil {
+			continue
+		}
 		b, f := ep.pdl.NackRetryEvents()
 		nb, nf = nb+b, nf+f
 		b, f = ep.tl.RetryEvents()
@@ -208,22 +214,22 @@ func (n *Node) Engine() *fae.Engine { return n.engine }
 // for those connections are dropped as stale on arrival. Peers are NOT
 // notified in-band — exactly like a real crash, the remote side discovers
 // the death through its own RTO budget. Connections are torn down in
-// ascending connection-ID order so the fault is deterministic. Returns the
-// number of connections torn down. Freezing the host around the crash
-// window (netsim.Host.SetPaused) is the caller's job; a crash whose
-// connection state survives is just a pause with no Crash call.
+// ascending connection-ID order, which is key order (keys follow Connect
+// order), so the fault is deterministic. Returns the number of
+// connections torn down. Freezing the host around the crash window
+// (netsim.Host.SetPaused) is the caller's job; a crash whose connection
+// state survives is just a pause with no Crash call.
 func (n *Node) Crash() int {
-	ids := make([]uint32, 0, len(n.conns))
-	for id := range n.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ep := n.conns[id]
+	torn := 0
+	for _, ep := range n.eps {
+		if ep == nil {
+			continue
+		}
 		ep.pdl.Fail()
 		ep.Close()
+		torn++
 	}
-	return len(ids)
+	return torn
 }
 
 // rxJob is the pooled NIC-ingress pass for one arriving packet: it runs
@@ -247,12 +253,30 @@ func (j *rxJob) RunAction() {
 	n.pool.Release(p)
 }
 
+// endpoint returns this node's live endpoint of connection id, or nil for
+// a stale or misaddressed packet: an ID never handed out, a closed
+// connection, or one that does not terminate here.
+func (n *Node) endpoint(id uint32) *Endpoint {
+	conns := n.cluster.conns
+	if int(id) >= len(conns) {
+		return nil
+	}
+	pair := &conns[id]
+	if ep := pair[0]; ep != nil && ep.node == n {
+		return ep
+	}
+	if ep := pair[1]; ep != nil && ep.node == n {
+		return ep
+	}
+	return nil
+}
+
 // HandleFrame implements netsim.Handler: NIC ingress.
 func (n *Node) HandleFrame(f *netsim.Frame) {
 	switch payload := f.Payload.(type) {
 	case *wire.Packet:
-		ep, ok := n.conns[payload.ConnID]
-		if !ok {
+		ep := n.endpoint(payload.ConnID)
+		if ep == nil {
 			// Stale packet for a closed connection: drop, reclaiming
 			// the fabric copy.
 			n.pool.Release(payload)
@@ -266,8 +290,8 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 		}
 		n.ingress(ep, payload, f.Hops)
 	case sealedFrame:
-		ep, ok := n.conns[payload.conn]
-		if !ok || ep.rxSA == nil {
+		ep := n.endpoint(payload.conn)
+		if ep == nil || ep.rxSA == nil {
 			return
 		}
 		buf, _, err := ep.rxSA.Open(payload.data)
@@ -291,12 +315,16 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 func (n *Node) ingress(ep *Endpoint, p *wire.Packet, hops int) {
 	j := n.rxJobs.Get()
 	j.ep, j.pkt, j.hops = ep, p, hops
-	n.nic.ProcessAction(ep.nicKey, j)
+	n.nic.ProcessAction(ep.key, j)
 }
 
+// applyFAEResponse is the FAE's sink; r.Conn is the endpoint's key.
 func (n *Node) applyFAEResponse(r fae.Response) {
-	ep, ok := n.conns[r.Conn]
-	if !ok {
+	if int(r.Conn) >= len(n.eps) {
+		return
+	}
+	ep := n.eps[r.Conn]
+	if ep == nil {
 		return
 	}
 	ep.tl.SetAlpha(r.Alpha)
@@ -341,10 +369,11 @@ type Endpoint struct {
 	node *Node
 	id   uint32
 	peer netsim.NodeID
-	// nicKey is the endpoint's dense index on its node, the key of the
-	// NIC's per-connection pipeline and cache state: those tables then grow
-	// with the node's own connections, not with the cluster-wide ID.
-	nicKey uint32
+	// key is the endpoint's dense index on its node: its slot in
+	// Node.eps, its FAE connection and the key of the NIC's
+	// per-connection pipeline and cache state, so every per-node table
+	// grows with the node's own connections, not with the cluster-wide ID.
+	key uint32
 
 	pdl *pdl.Conn
 	tl  *tl.Conn
@@ -401,8 +430,7 @@ func (cl *Cluster) Connect(a, b *Node, cfg ConnConfig) (*Endpoint, *Endpoint) {
 	if a == b {
 		panic("core: cannot connect a node to itself")
 	}
-	id := cl.nextConnID
-	cl.nextConnID++
+	id := uint32(len(cl.conns))
 	epA := newEndpoint(a, id, b.host.ID, cfg)
 	epB := newEndpoint(b, id, a.host.ID, cfg)
 	if a.pspKey != nil || b.pspKey != nil {
@@ -416,14 +444,13 @@ func (cl *Cluster) Connect(a, b *Node, cfg ConnConfig) (*Endpoint, *Endpoint) {
 			panic(err)
 		}
 	}
-	a.conns[id] = epA
-	b.conns[id] = epB
+	cl.conns = append(cl.conns, [2]*Endpoint{epA, epB})
 	return epA, epB
 }
 
 func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoint {
-	ep := &Endpoint{node: n, id: id, peer: peer, nicKey: n.nicKeys}
-	n.nicKeys++
+	ep := &Endpoint{node: n, id: id, peer: peer, key: uint32(len(n.eps))}
+	n.eps = append(n.eps, ep)
 
 	cb := pdl.Callbacks{
 		Send: func(p *wire.Packet) {
@@ -435,7 +462,7 @@ func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoi
 			cp := n.pool.Share(p)
 			j := n.txJobs.Get()
 			j.ep, j.pkt = ep, cp
-			n.nic.ProcessAction(ep.nicKey, j)
+			n.nic.ProcessAction(ep.key, j)
 		},
 		Deliver: func(p *wire.Packet) pdl.DeliverVerdict {
 			v := ep.tl.Deliver(p)
@@ -452,7 +479,10 @@ func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoi
 		Completed:    func(rsn uint64) { ep.tl.Completed(rsn) },
 		NackReceived: func(p *wire.Packet) { ep.tl.NackReceived(p) },
 		Failed:       func(err error) { ep.tl.Fail(err) },
-		PostEvent:    func(ev fae.Event) { n.engine.Post(ev) },
+		PostEvent: func(ev fae.Event) {
+			ev.Conn = ep.key
+			n.engine.Post(ev)
+		},
 		RxBufOccupancy: func() float64 {
 			occ := ep.tl.RxOccupancy()
 			if nicOcc := n.nic.RxOccupancy(); nicOcc > occ {
@@ -467,7 +497,7 @@ func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoi
 	ep.pdl.SetPacketPool(n.pool)
 	ep.tl = tl.NewConn(n.sim, id, cfg.TL, n.res, ep.pdl, nil)
 	ep.tl.SetPacketPool(n.pool)
-	labels := n.engine.RegisterConn(id, cfg.PDL.NumFlows)
+	labels := n.engine.RegisterConn(ep.key, cfg.PDL.NumFlows)
 	ep.pdl.SetFlowLabels(labels)
 	return ep
 }
@@ -493,8 +523,18 @@ func (e *Endpoint) enablePSP(peerKey []byte) error {
 // Close tears down an endpoint pair (both sides must be closed by the
 // caller via their own Close).
 func (e *Endpoint) Close() {
-	delete(e.node.conns, e.id)
-	e.node.engine.UnregisterConn(e.id)
+	n := e.node
+	if n.eps[e.key] != e {
+		return
+	}
+	n.eps[e.key] = nil
+	pair := &n.cluster.conns[e.id]
+	for i := range pair {
+		if pair[i] == e {
+			pair[i] = nil
+		}
+	}
+	n.engine.UnregisterConn(e.key)
 }
 
 // flowHash derives the ECMP hash input from the connection and flow label,

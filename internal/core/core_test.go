@@ -295,16 +295,16 @@ func TestNICKeysAreDensePerNode(t *testing.T) {
 		t.Fatalf("completed %d pushes", completed)
 	}
 	for _, n := range nodes {
-		seen := make([]bool, len(n.conns))
-		for _, ep := range n.conns {
-			if int(ep.nicKey) >= len(seen) || seen[ep.nicKey] {
-				t.Fatalf("node %d: endpoint %d has NIC key %d (duplicate or past %d endpoints)",
-					n.host.ID, ep.id, ep.nicKey, len(seen))
-			}
-			seen[ep.nicKey] = true
+		if len(n.eps) != 2*(len(nodes)-1) {
+			t.Fatalf("node %d: %d endpoints, want %d", n.host.ID, len(n.eps), 2*(len(nodes)-1))
 		}
-		if miss := n.NIC().Stats.CacheMisses; miss != uint64(len(n.conns)) {
-			t.Fatalf("node %d: %d cache misses for %d endpoints", n.host.ID, miss, len(n.conns))
+		for k, ep := range n.eps {
+			if ep.key != uint32(k) {
+				t.Fatalf("node %d: endpoint %d in slot %d has key %d", n.host.ID, ep.id, k, ep.key)
+			}
+		}
+		if miss := n.NIC().Stats.CacheMisses; miss != uint64(len(n.eps)) {
+			t.Fatalf("node %d: %d cache misses for %d endpoints", n.host.ID, miss, len(n.eps))
 		}
 	}
 }

@@ -142,6 +142,69 @@ func TestReorderedConnectionFootprint(t *testing.T) {
 	}
 }
 
+// nodeFootprintBound is the retained heap, in bytes per connection, that
+// TestNodeFootprint allows: 12 599–12 640 B measured alone and 12 890 B
+// inside the package's whole suite (amd64, Go 1.24), plus 10 %. The same
+// world measured 14 526 / 14 817 B while nodes found connections through
+// maps and the NIC's per-key slices started at 16 entries (EXPERIMENTS.md,
+// "connections by dense per-node key").
+const nodeFootprintBound = 14_180
+
+// TestNodeFootprint is the per-node working-set gate. It builds the
+// fabric_scale shape at a quarter of its racks: a Clos of 4 racks of 64
+// hosts under 4 spines, a Falcon node on every host, and 128 connections
+// from the first two racks to the last two, so each node holds exactly
+// one; each connection runs one 16 KiB rdma Write to quiescence. What the
+// cluster retains beyond the fabric, divided by the connections, must stay
+// under nodeFootprintBound: with one connection per node, what a node keeps
+// for the connections it holds (its NIC, FAE and connection tables) is a
+// large share of that, so a per-node table sized for more connections
+// than the node holds fails here.
+func TestNodeFootprint(t *testing.T) {
+	const racks, perRack, spines, opBytes = 4, 64, 4, 16 << 10
+	const conns = racks * perRack / 2
+	s := sim.New(1)
+	topo := netsim.Clos(s, racks, perRack, spines,
+		netsim.LinkConfig{GbpsRate: 100, PropDelay: 500 * sim.Nanosecond},
+		netsim.LinkConfig{GbpsRate: 200, PropDelay: 2 * sim.Microsecond})
+	before := liveHeap()
+
+	cl := core.NewCluster(s)
+	nodes := make([]*core.Node, len(topo.Hosts))
+	for i, h := range topo.Hosts {
+		nodes[i] = cl.AddNode(h, core.DefaultNodeConfig())
+	}
+	completed := 0
+	for i, j := range s.Rand().Perm(conns) {
+		a, b := nodes[i], nodes[conns+j]
+		if i%2 == 1 {
+			a, b = b, a
+		}
+		epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
+		rdma.NewQP(epB, rdma.Config{}).RegisterMemoryLen(1 << 40)
+		if err := rdma.NewQP(epA, rdma.Config{}).Write(uint64(i), 0, nil, opBytes, func(c rdma.Completion) {
+			if c.Err != nil {
+				t.Errorf("write %d: %v", i, c.Err)
+			}
+			completed++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	if completed != conns {
+		t.Fatalf("completed %d of %d writes", completed, conns)
+	}
+
+	perConn := float64(liveHeap()-before) / conns
+	runtime.KeepAlive(cl)
+	runtime.KeepAlive(nodes)
+	t.Logf("retained heap: %.0f B per connection (bound %d)", perConn, nodeFootprintBound)
+	if perConn > nodeFootprintBound {
+		t.Fatalf("retained heap %.0f B per connection, want <= %d", perConn, nodeFootprintBound)
+	}
+}
+
 // holdSpy wraps an endpoint's target handler and counts the requests it
 // serves while later ones wait in the connection's reorder buffer.
 type holdSpy struct {

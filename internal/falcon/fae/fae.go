@@ -40,7 +40,8 @@ const (
 	EventNack
 )
 
-// Event is one PDL→FAE message (Figure 9).
+// Event is one PDL→FAE message (Figure 9). Conn is the connection's key
+// on this engine, the one it was registered under.
 type Event struct {
 	Kind EventKind
 	Conn uint32
@@ -133,6 +134,8 @@ type flowState struct {
 	congested int32 // consecutive congested rounds (PLB counter)
 }
 
+// connState is one registered connection's state; flows is nil in a slot
+// that holds no connection.
 type connState struct {
 	ncwnd  cc.Ncwnd
 	flows  []flowState
@@ -158,7 +161,8 @@ type Engine struct {
 	// loop (delay samples, cwnd evolution). One nil check when unset.
 	obs func(ev Event, r Response)
 
-	conns map[uint32]*connState
+	// conns is indexed by the key a connection was registered under.
+	conns []connState
 
 	nextPath uint32 // path discriminator allocator for repathing
 
@@ -172,12 +176,14 @@ func New(s *sim.Simulator, cfg Config, sink func(Response)) *Engine {
 	if cfg.PLBCongestedRounds <= 0 {
 		cfg.PLBCongestedRounds = 8
 	}
-	return &Engine{sim: s, cfg: cfg, sink: sink, conns: make(map[uint32]*connState), nextPath: 1}
+	return &Engine{sim: s, cfg: cfg, sink: sink, nextPath: 1}
 }
 
 // RegisterConn sets up state for a connection with numFlows multipath
-// flows, returning the initial flow labels. numFlows of 1 disables
-// multipathing (single-path baseline).
+// flows under key conn, returning the initial flow labels. numFlows of 1
+// disables multipathing (single-path baseline). Keys index a dense table,
+// so callers hand out small integers (core uses the endpoint's per-node
+// key); registering a key again replaces its state.
 func (e *Engine) RegisterConn(conn uint32, numFlows int) []wire.FlowLabel {
 	if numFlows < 1 {
 		numFlows = 1
@@ -186,7 +192,11 @@ func (e *Engine) RegisterConn(conn uint32, numFlows int) []wire.FlowLabel {
 		numFlows = wire.MaxFlows
 	}
 	// NewNcwnd(0) starts the ncwnd at a quarter of its ceiling.
-	cs := &connState{ncwnd: cc.NewNcwnd(0), flows: make([]flowState, numFlows)}
+	for int(conn) >= len(e.conns) {
+		e.conns = append(e.conns, connState{})
+	}
+	cs := &e.conns[conn]
+	*cs = connState{ncwnd: cc.NewNcwnd(0), flows: make([]flowState, numFlows)}
 	labels := make([]wire.FlowLabel, numFlows)
 	for i := range cs.flows {
 		cs.flows[i] = flowState{
@@ -195,12 +205,23 @@ func (e *Engine) RegisterConn(conn uint32, numFlows int) []wire.FlowLabel {
 		}
 		labels[i] = cs.flows[i].label
 	}
-	e.conns[conn] = cs
 	return labels
 }
 
-// UnregisterConn drops a connection's state.
-func (e *Engine) UnregisterConn(conn uint32) { delete(e.conns, conn) }
+// UnregisterConn drops a connection's state; an unknown key is ignored.
+func (e *Engine) UnregisterConn(conn uint32) {
+	if int(conn) < len(e.conns) {
+		e.conns[conn] = connState{}
+	}
+}
+
+// conn returns the state registered under key conn, or nil.
+func (e *Engine) conn(conn uint32) *connState {
+	if int(conn) >= len(e.conns) || e.conns[conn].flows == nil {
+		return nil
+	}
+	return &e.conns[conn]
+}
 
 func (e *Engine) allocPath() uint32 {
 	p := e.nextPath
@@ -218,8 +239,8 @@ func (e *Engine) Post(ev Event) {
 }
 
 func (e *Engine) process(ev Event) {
-	cs, ok := e.conns[ev.Conn]
-	if !ok {
+	cs := e.conn(ev.Conn)
+	if cs == nil {
 		return
 	}
 	if ev.Flow < 0 || ev.Flow >= len(cs.flows) {
@@ -373,8 +394,8 @@ func (e *Engine) alpha(cs *connState) float64 {
 // FlowLabels returns the current labels of a connection's flows (test and
 // diagnostics helper).
 func (e *Engine) FlowLabels(conn uint32) []wire.FlowLabel {
-	cs, ok := e.conns[conn]
-	if !ok {
+	cs := e.conn(conn)
+	if cs == nil {
 		return nil
 	}
 	out := make([]wire.FlowLabel, len(cs.flows))

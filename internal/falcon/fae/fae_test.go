@@ -297,3 +297,71 @@ func TestECNSupplementarySignal(t *testing.T) {
 		t.Fatalf("ECE should be ignored when disabled: %v", (*resp2)[0].FlowCwnd)
 	}
 }
+
+// TestKeysOutsideTheTable registers keys 1 and 3 and drives the engine
+// with keys it never registered, keys past its table and keys it
+// unregistered: each is ignored without a panic, and the registered
+// connections keep their state.
+func TestKeysOutsideTheTable(t *testing.T) {
+	s, e, resp := newEngine(t, DefaultConfig())
+	one := e.RegisterConn(1, 2)
+	e.RegisterConn(3, 1)
+	strangers := []uint32{0, 2, 4, 1 << 31, ^uint32(0)}
+	for _, key := range strangers {
+		e.Post(ackEvent(key, 0, time.Microsecond, s.Now()))
+		e.UnregisterConn(key)
+		if got := e.FlowLabels(key); got != nil {
+			t.Fatalf("key %d: FlowLabels = %v, want nil", key, got)
+		}
+	}
+	s.Run()
+	if len(*resp) != 0 || e.EventsProcessed != 0 {
+		t.Fatalf("%d responses, %d events processed for unregistered keys", len(*resp), e.EventsProcessed)
+	}
+	if got := e.FlowLabels(1); len(got) != 2 || got[0] != one[0] || got[1] != one[1] {
+		t.Fatalf("key 1's labels %v, want %v", got, one)
+	}
+
+	e.Post(ackEvent(3, 0, time.Microsecond, s.Now()))
+	e.UnregisterConn(3)
+	e.Post(ackEvent(3, 0, time.Microsecond, s.Now()))
+	s.Run()
+	if len(*resp) != 1 || (*resp)[0].Conn != 3 {
+		t.Fatalf("responses %+v, want one for key 3 before it was unregistered", *resp)
+	}
+
+	// A key far past the table grows it; a re-registered key starts fresh.
+	far := e.RegisterConn(1000, 1)
+	again := e.RegisterConn(3, 1)
+	if far[0] == again[0] || again[0] == one[0] {
+		t.Fatalf("labels %v, %v and %v are not distinct", far, again, one)
+	}
+	for _, key := range []uint32{1, 3, 1000} {
+		e.Post(ackEvent(key, 0, time.Microsecond, s.Now()))
+	}
+	e.Post(ackEvent(999, 0, time.Microsecond, s.Now()))
+	s.Run()
+	if len(*resp) != 4 {
+		t.Fatalf("%d responses, want 4", len(*resp))
+	}
+	for i, key := range []uint32{1, 3, 1000} {
+		if got := (*resp)[1+i].Conn; got != key {
+			t.Fatalf("response %d for key %d, want %d", 1+i, got, key)
+		}
+	}
+}
+
+// TestUnregisterBeforeDelayedResponse unregisters a connection while its
+// event waits out ResponseDelay: the event is dropped when it runs.
+func TestUnregisterBeforeDelayedResponse(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ResponseDelay = 10 * time.Microsecond
+	s, e, resp := newEngine(t, cfg)
+	e.RegisterConn(0, 1)
+	e.Post(ackEvent(0, 0, time.Microsecond, s.Now()))
+	e.UnregisterConn(0)
+	s.Run()
+	if len(*resp) != 0 {
+		t.Fatalf("%d responses for a connection unregistered before they were due", len(*resp))
+	}
+}

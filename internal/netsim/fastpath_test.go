@@ -303,6 +303,19 @@ func TestPortLayout(t *testing.T) {
 	}
 }
 
+// TestFrameLayout pins the frame at 96 bytes with the hop's device first:
+// every hop touches the frame, and pooled shares CE's word rather than
+// padding a word of its own.
+func TestFrameLayout(t *testing.T) {
+	var f Frame
+	if size := unsafe.Sizeof(f); size > 96 {
+		t.Errorf("Frame is %d bytes, want at most 96", size)
+	}
+	if off := unsafe.Offsetof(f.to); off != 0 {
+		t.Errorf("Frame.to at byte %d, want 0", off)
+	}
+}
+
 // TestSwitchForwardZeroAlloc asserts the switch hop — receive, ECMP hash,
 // dense route lookup, egress enqueue — allocates nothing in steady state.
 func TestSwitchForwardZeroAlloc(t *testing.T) {

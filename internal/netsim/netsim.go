@@ -62,15 +62,14 @@ type Frame struct {
 	// CE is the ECN congestion-experienced mark, set by any port whose
 	// queue exceeds its marking threshold.
 	CE bool
+	// pooled marks frames owned by a FramePool; hand-built frames stay
+	// with the garbage collector. It shares CE's word.
+	pooled bool
 	// OnDrop, when set, is called if the fabric discards the frame instead
 	// of delivering it, so a sender whose Payload is itself pooled can
 	// reclaim it. Senders install a func bound once, not a per-frame
 	// closure.
 	OnDrop func(payload any)
-
-	// pooled marks frames owned by a FramePool; hand-built frames stay
-	// with the garbage collector.
-	pooled bool
 }
 
 // arrival is a Frame scheduled as its own delivery action.

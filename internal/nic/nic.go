@@ -94,7 +94,7 @@ type NIC struct {
 
 	globalFree sim.Time
 	// pipes is indexed by the caller's connection key. core passes a
-	// dense per-node index (Endpoint.nicKey), so a grown-on-demand slice
+	// dense per-node index (Endpoint.key), so a grown-on-demand slice
 	// replaces the former map: the per-packet admission path does one
 	// array load instead of two map probes, and the slice is as long as
 	// this NIC's connections.
@@ -144,9 +144,10 @@ func (n *NIC) pipe(conn uint32) *connPipe {
 
 // growTo returns s grown to cover index i: at least doubled, so keys that
 // appear in random order copy the slice O(log n) times, not once per new
-// maximum.
+// maximum, and no longer than index i needs, so a node with one connection
+// keeps one pipe.
 func growTo[T any](s []T, i int) []T {
-	grown := make([]T, max(2*len(s), i+16))
+	grown := make([]T, max(2*len(s), i+1))
 	copy(grown, s)
 	return grown
 }

@@ -18,12 +18,15 @@ import (
 // path depends on, so a regression is caught at review time rather than by
 // a benchmark drifting:
 //
-//  1. No map indexing, map ranging, or delete() in ring, pdl, tl, ulp or
-//     roce. The steady-state path works on dense rings and bitmap words.
+//  1. No map indexing, map ranging, or delete() in ring, pdl, tl, ulp,
+//     roce, fae or core. The steady-state path works on dense rings,
+//     bitmap words and per-node connection keys.
 //  2. No function literals passed to scheduler entry points (At, After,
-//     AtAction, Process, ProcessAction) in ring, pdl, tl, ulp or roce.
-//     Scheduling a closure allocates per call; the hot path schedules
-//     preallocated Action values instead.
+//     AtAction, Process, ProcessAction) in ring, pdl, tl, ulp, roce or
+//     core. Scheduling a closure allocates per call; the hot path
+//     schedules preallocated Action values instead. fae is held to rule
+//     1 only: Post captures its event in a closure under a nonzero
+//     ResponseDelay, which only Figure 22b's delay sweep sets.
 //  3. No non-test struct under internal/, outside internal/sim, has a
 //     field pointing to its own type: the shape of a hand-rolled
 //     intrusive free list. Pooled objects recycle through sim.FreeList.
@@ -45,24 +48,25 @@ func TestHotPathLint(t *testing.T) {
 	}
 
 	for _, pkg := range pkgs {
+		maps, closures := pkg.rules&ruleNoMaps != 0, pkg.rules&ruleNoClosures != 0
 		for _, file := range pkg.files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.IndexExpr:
-					if isMapType(pkg.info, n.X) {
+					if maps && isMapType(pkg.info, n.X) {
 						report(n.Pos(), "map indexing on the hot path")
 					}
 				case *ast.RangeStmt:
-					if n.X != nil && isMapType(pkg.info, n.X) {
+					if maps && n.X != nil && isMapType(pkg.info, n.X) {
 						report(n.Pos(), "map range on the hot path")
 					}
 				case *ast.CallExpr:
-					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" {
+					if id, ok := n.Fun.(*ast.Ident); ok && maps && id.Name == "delete" {
 						if _, builtin := pkg.info.Uses[id].(*types.Builtin); builtin {
 							report(n.Pos(), "map delete on the hot path")
 						}
 					}
-					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && closures {
 						switch sel.Sel.Name {
 						case "At", "After", "AtAction", "Process", "ProcessAction":
 							for _, arg := range n.Args {
@@ -150,10 +154,21 @@ func selfPointerStructs(t *testing.T) []string {
 	return violations
 }
 
+// lintRules selects which of rules 1 and 2 a package is held to.
+type lintRules uint8
+
+const (
+	ruleNoMaps lintRules = 1 << iota
+	ruleNoClosures
+
+	ruleHotPath = ruleNoMaps | ruleNoClosures
+)
+
 // lintPkg is one type-checked package under lint.
 type lintPkg struct {
 	files []*ast.File
 	info  *types.Info
+	rules lintRules
 }
 
 // isMapType reports whether the expression's type (through named types
@@ -185,27 +200,29 @@ func (i lintImporter) Import(path string) (*types.Package, error) {
 	return i.fallback.Import(path)
 }
 
-// loadLintPackages parses and type-checks ring, pdl, tl, ulp and roce
-// (plus their module-local dependencies, in topological order) and returns
-// the five packages under lint.
+// loadLintPackages parses and type-checks ring, pdl, tl, ulp, roce, fae
+// and core (plus their module-local dependencies, in topological order)
+// and returns the seven packages under lint.
 func loadLintPackages(t *testing.T, fset *token.FileSet) []*lintPkg {
 	t.Helper()
 	order := []struct {
 		path, dir string
-		lint      bool
+		rules     lintRules
 	}{
-		{"falcon/internal/sim", "../sim", false},
-		{"falcon/internal/falcon/wire", "../falcon/wire", false},
-		{"falcon/internal/falcon/cc", "../falcon/cc", false},
-		{"falcon/internal/falcon/fae", "../falcon/fae", false},
-		{"falcon/internal/falcon/ring", "../falcon/ring", true},
-		{"falcon/internal/falcon/pdl", "../falcon/pdl", true},
-		{"falcon/internal/falcon/tl", "../falcon/tl", true},
-		{"falcon/internal/ulp", "../ulp", true},
-		{"falcon/internal/routing", "../routing", false},
-		{"falcon/internal/netsim", "../netsim", false},
-		{"falcon/internal/nic", "../nic", false},
-		{"falcon/internal/roce", "../roce", true},
+		{"falcon/internal/sim", "../sim", 0},
+		{"falcon/internal/falcon/wire", "../falcon/wire", 0},
+		{"falcon/internal/falcon/cc", "../falcon/cc", 0},
+		{"falcon/internal/falcon/fae", "../falcon/fae", ruleNoMaps},
+		{"falcon/internal/falcon/ring", "../falcon/ring", ruleHotPath},
+		{"falcon/internal/falcon/pdl", "../falcon/pdl", ruleHotPath},
+		{"falcon/internal/falcon/tl", "../falcon/tl", ruleHotPath},
+		{"falcon/internal/ulp", "../ulp", ruleHotPath},
+		{"falcon/internal/routing", "../routing", 0},
+		{"falcon/internal/netsim", "../netsim", 0},
+		{"falcon/internal/nic", "../nic", 0},
+		{"falcon/internal/psp", "../psp", 0},
+		{"falcon/internal/roce", "../roce", ruleHotPath},
+		{"falcon/internal/core", "../core", ruleHotPath},
 	}
 	local := map[string]*types.Package{}
 	imp := lintImporter{local: local, fallback: importer.ForCompiler(fset, "source", nil)}
@@ -239,8 +256,8 @@ func loadLintPackages(t *testing.T, fset *token.FileSet) []*lintPkg {
 			t.Fatalf("type-checking %s: %v", p.path, err)
 		}
 		local[p.path] = pkg
-		if p.lint {
-			out = append(out, &lintPkg{files: files, info: info})
+		if p.rules != 0 {
+			out = append(out, &lintPkg{files: files, info: info, rules: p.rules})
 		}
 	}
 	return out
