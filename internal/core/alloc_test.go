@@ -426,3 +426,29 @@ func testIncastSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("only %d refusals over %d reads: the refusal path was not sustained", refused, warm+measured)
 	}
 }
+
+// connectAllocBound is the ceiling, in heap objects, on one Cluster.Connect
+// in TestConnectAllocs: 14 measured (amd64, Go 1.24) once an endpoint's PDL
+// calls up through its methods; 32 while each endpoint kept nine closures.
+const connectAllocBound = 14
+
+// TestConnectAllocs counts the heap objects one Cluster.Connect builds
+// between two nodes that already hold 2 000 connections, where the
+// per-node and per-cluster tables grow too rarely to show in the average:
+// what is left is the state every connection of every workload keeps.
+func TestConnectAllocs(t *testing.T) {
+	s := sim.New(1)
+	topo := netsim.Star(s, 2, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	cl := core.NewCluster(s)
+	a := cl.AddNode(topo.Hosts[0], core.DefaultNodeConfig())
+	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
+	cfg := core.DefaultConnConfig()
+	for i := 0; i < 2000; i++ {
+		cl.Connect(a, b, cfg)
+	}
+	n := testing.AllocsPerRun(50, func() { cl.Connect(a, b, cfg) })
+	t.Logf("Connect: %.2f allocs (bound %d)", n, connectAllocBound)
+	if n > connectAllocBound {
+		t.Fatalf("Connect allocates %.2f heap objects, want <= %d", n, connectAllocBound)
+	}
+}

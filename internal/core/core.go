@@ -451,55 +451,65 @@ func (cl *Cluster) Connect(a, b *Node, cfg ConnConfig) (*Endpoint, *Endpoint) {
 func newEndpoint(n *Node, id uint32, peer netsim.NodeID, cfg ConnConfig) *Endpoint {
 	ep := &Endpoint{node: n, id: id, peer: peer, key: uint32(len(n.eps))}
 	n.eps = append(n.eps, ep)
-
-	cb := pdl.Callbacks{
-		Send: func(p *wire.Packet) {
-			// The wire takes its own hold on the packet, released when
-			// the NIC egress job has sealed it (PSP) or by the receiving
-			// node after delivery (cleartext). The PDL unshares before
-			// it stamps a retransmission, so the packet in flight never
-			// changes under the wire.
-			cp := n.pool.Share(p)
-			j := n.txJobs.Get()
-			j.ep, j.pkt = ep, cp
-			n.nic.ProcessAction(ep.key, j)
-		},
-		Deliver: func(p *wire.Packet) pdl.DeliverVerdict {
-			v := ep.tl.Deliver(p)
-			if v.Kind == pdl.DeliverAccept && p.Length > 0 {
-				// Payload DMA to host memory occupies the RX
-				// buffer until the host interface drains it.
-				n.nic.DeliverToHost(int(p.Length), nil)
-			}
-			return v
-		},
-		PacketAcked: func(space wire.Space, psn uint32, rsn uint64, typ wire.Type) {
-			ep.tl.PacketAcked(space, psn, rsn, typ)
-		},
-		Completed:    func(rsn uint64) { ep.tl.Completed(rsn) },
-		NackReceived: func(p *wire.Packet) { ep.tl.NackReceived(p) },
-		Failed:       func(err error) { ep.tl.Fail(err) },
-		PostEvent: func(ev fae.Event) {
-			ev.Conn = ep.key
-			n.engine.Post(ev)
-		},
-		RxBufOccupancy: func() float64 {
-			occ := ep.tl.RxOccupancy()
-			if nicOcc := n.nic.RxOccupancy(); nicOcc > occ {
-				occ = nicOcc
-			}
-			return occ
-		},
-		CompletedRSN: func() uint64 { return ep.tl.CompletedRSN() },
-	}
-
-	ep.pdl = pdl.NewConn(n.sim, id, cfg.PDL, cb)
+	ep.pdl = pdl.NewConn(n.sim, id, cfg.PDL, (*upcalls)(ep))
 	ep.pdl.SetPacketPool(n.pool)
 	ep.tl = tl.NewConn(n.sim, id, cfg.TL, n.res, ep.pdl, nil)
 	ep.tl.SetPacketPool(n.pool)
 	labels := n.engine.RegisterConn(ep.key, cfg.PDL.NumFlows)
 	ep.pdl.SetFlowLabels(labels)
 	return ep
+}
+
+// upcalls is an endpoint as its PDL calls up into it (pdl.Upper): packets
+// go to the NIC's egress, deliveries and acknowledgments to the TL, and
+// events to the node's FAE.
+type upcalls Endpoint
+
+// Transmit queues p for the NIC egress pipeline. The wire takes its own
+// hold on the packet, released when the NIC egress job has sealed it (PSP)
+// or by the receiving node after delivery (cleartext). The PDL unshares
+// before it stamps a retransmission, so the packet in flight never changes
+// under the wire.
+func (u *upcalls) Transmit(p *wire.Packet) {
+	n := u.node
+	cp := n.pool.Share(p)
+	j := n.txJobs.Get()
+	j.ep, j.pkt = (*Endpoint)(u), cp
+	n.nic.ProcessAction(u.key, j)
+}
+
+// DeliverData hands p to the TL.
+func (u *upcalls) DeliverData(p *wire.Packet) pdl.DeliverVerdict {
+	v := u.tl.Deliver(p)
+	if v.Kind == pdl.DeliverAccept && p.Length > 0 {
+		// Payload DMA to host memory occupies the RX buffer until the
+		// host interface drains it.
+		u.node.nic.DeliverToHost(int(p.Length), nil)
+	}
+	return v
+}
+
+func (u *upcalls) Acked(space wire.Space, psn uint32, rsn uint64, typ wire.Type) {
+	u.tl.PacketAcked(space, psn, rsn, typ)
+}
+func (u *upcalls) AdvanceHorizon(rsn uint64) { u.tl.Completed(rsn) }
+func (u *upcalls) Nacked(p *wire.Packet)     { u.tl.NackReceived(p) }
+func (u *upcalls) Fail(err error)            { u.tl.Fail(err) }
+func (u *upcalls) Horizon() uint64           { return u.tl.CompletedRSN() }
+
+// Post posts ev to the node's FAE under the endpoint's key.
+func (u *upcalls) Post(ev fae.Event) {
+	ev.Conn = u.key
+	u.node.engine.Post(ev)
+}
+
+// RxOccupancy is the fuller of the TL's and the NIC's RX buffers.
+func (u *upcalls) RxOccupancy() float64 {
+	occ := u.tl.RxOccupancy()
+	if nicOcc := u.node.nic.RxOccupancy(); nicOcc > occ {
+		occ = nicOcc
+	}
+	return occ
 }
 
 // enablePSP installs the endpoint's security associations: transmit

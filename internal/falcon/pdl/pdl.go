@@ -20,6 +20,10 @@
 // The PDL is transport mechanism only: all parameter computation (Swift,
 // RACK/TLP timeouts, repathing, α_c) lives in the FAE.
 //
+// A connection calls up — to the NIC for egress, to the TL, to the FAE —
+// through one Upper value, which internal/core implements per endpoint with
+// methods; Callbacks adapts functions to it for drivers and tests.
+//
 // # Hot-path layout (DESIGN.md §11)
 //
 // The per-packet send/ack path is steady-state allocation-free: tracked
@@ -99,7 +103,7 @@ type Config struct {
 
 	// MaxConsecutiveRTOs is the retry budget: a connection that times
 	// out this many times without any ACK progress is declared failed
-	// (Callbacks.Failed fires once) rather than retrying forever.
+	// (Upper.Fail is called once) rather than retrying forever.
 	// Zero disables the budget (retry forever).
 	MaxConsecutiveRTOs int
 }
@@ -147,43 +151,105 @@ const (
 	DeliverCIE
 )
 
-// DeliverVerdict is returned by Callbacks.Deliver.
+// DeliverVerdict is returned by Upper.DeliverData.
 type DeliverVerdict struct {
 	Kind       DeliverVerdictKind
 	RetryDelay time.Duration // RNR retry hint
 }
 
-// Callbacks wires a connection's PDL to its NIC, TL and FAE. Send and
-// Deliver are required; NewConn puts a no-op in any other nil callback.
-type Callbacks struct {
-	// Send transmits a packet onto the fabric (via the NIC model). The
+// Upper is what a connection's PDL calls up into: its NIC, TL and FAE.
+type Upper interface {
+	// Transmit sends a packet onto the fabric (via the NIC model). The
 	// caller keeps its hold: an implementation that retains the packet
 	// past the call must take a hold of its own with
 	// wire.PacketPool.Share, and must not write to it (ACK/NACK packets
-	// are released when Send returns; data packets are unshared before
-	// each retransmission is stamped).
-	Send func(p *wire.Packet)
-	// Deliver hands an arriving data packet to the transaction layer.
-	Deliver func(p *wire.Packet) DeliverVerdict
-	// PacketAcked notifies the TL that a transmitted packet has been
+	// are released when Transmit returns; data packets are unshared
+	// before each retransmission is stamped).
+	Transmit(p *wire.Packet)
+	// DeliverData hands an arriving data packet to the transaction layer.
+	DeliverData(p *wire.Packet) DeliverVerdict
+	// Acked notifies the TL that a transmitted packet has been
 	// acknowledged (TX resource release, unordered completions).
-	PacketAcked func(space wire.Space, psn uint32, rsn uint64, typ wire.Type)
-	// Completed advances the initiator's ordered completion horizon: all
-	// transactions with RSN < completedRSN are done at the target.
-	Completed func(completedRSN uint64)
-	// NackReceived passes RNR/CIE NACKs up to the TL.
-	NackReceived func(p *wire.Packet)
-	// Failed reports a terminal connection failure (RTO budget
-	// exhausted); the TL errors all pending transactions.
-	Failed func(err error)
-	// PostEvent posts a congestion/loss event to the FAE.
-	PostEvent func(ev fae.Event)
-	// RxBufOccupancy samples the NIC RX buffer occupancy (0..1) when
+	Acked(space wire.Space, psn uint32, rsn uint64, typ wire.Type)
+	// AdvanceHorizon advances the initiator's ordered completion horizon:
+	// all transactions with RSN < completedRSN are done at the target.
+	AdvanceHorizon(completedRSN uint64)
+	// Nacked passes RNR/CIE NACKs up to the TL.
+	Nacked(p *wire.Packet)
+	// Fail reports a terminal connection failure (RTO budget exhausted);
+	// the TL errors all pending transactions.
+	Fail(err error)
+	// Post posts a congestion/loss event to the FAE.
+	Post(ev fae.Event)
+	// RxOccupancy samples the NIC RX buffer occupancy (0..1) when
 	// building an ACK.
+	RxOccupancy() float64
+	// Horizon samples the TL's cumulative completed RSN when building an
+	// ACK (zero if the connection is unordered).
+	Horizon() uint64
+}
+
+// Callbacks adapts functions to Upper, one field per method, in the
+// method order: Transmit calls Send, DeliverData Deliver, Acked
+// PacketAcked, and so on. Send and Deliver are required; a nil field of
+// the others makes its method a no-op (zero for a sample).
+type Callbacks struct {
+	Send           func(p *wire.Packet)
+	Deliver        func(p *wire.Packet) DeliverVerdict
+	PacketAcked    func(space wire.Space, psn uint32, rsn uint64, typ wire.Type)
+	Completed      func(completedRSN uint64)
+	NackReceived   func(p *wire.Packet)
+	Failed         func(err error)
+	PostEvent      func(ev fae.Event)
 	RxBufOccupancy func() float64
-	// CompletedRSN samples the TL's cumulative completed RSN when
-	// building an ACK (zero if the connection is unordered).
-	CompletedRSN func() uint64
+	CompletedRSN   func() uint64
+}
+
+func (cb Callbacks) Transmit(p *wire.Packet)                   { cb.Send(p) }
+func (cb Callbacks) DeliverData(p *wire.Packet) DeliverVerdict { return cb.Deliver(p) }
+
+func (cb Callbacks) Acked(space wire.Space, psn uint32, rsn uint64, typ wire.Type) {
+	if cb.PacketAcked != nil {
+		cb.PacketAcked(space, psn, rsn, typ)
+	}
+}
+
+func (cb Callbacks) AdvanceHorizon(completedRSN uint64) {
+	if cb.Completed != nil {
+		cb.Completed(completedRSN)
+	}
+}
+
+func (cb Callbacks) Nacked(p *wire.Packet) {
+	if cb.NackReceived != nil {
+		cb.NackReceived(p)
+	}
+}
+
+func (cb Callbacks) Fail(err error) {
+	if cb.Failed != nil {
+		cb.Failed(err)
+	}
+}
+
+func (cb Callbacks) Post(ev fae.Event) {
+	if cb.PostEvent != nil {
+		cb.PostEvent(ev)
+	}
+}
+
+func (cb Callbacks) RxOccupancy() float64 {
+	if cb.RxBufOccupancy == nil {
+		return 0
+	}
+	return cb.RxBufOccupancy()
+}
+
+func (cb Callbacks) Horizon() uint64 {
+	if cb.CompletedRSN == nil {
+		return 0
+	}
+	return cb.CompletedRSN()
 }
 
 // Probe observes a connection's packet-level activity. It is the PDL's
@@ -214,9 +280,9 @@ func (c *Conn) SetProbe(p Probe) { c.probe = p }
 //
 // The ring grows while packets are in flight (txSpace.grow), which moves
 // every live slot. So no *txPacket may be held across a call out of the
-// PDL — PacketAcked, PostEvent, Send — because the callee can send, and a
-// send can grow the ring: code that must outlive such a call carries the
-// PSN (or a txRef) and re-resolves the slot afterwards.
+// PDL — Acked, Post, Transmit — because the callee can send, and a send
+// can grow the ring: code that must outlive such a call carries the PSN
+// (or a txRef) and re-resolves the slot afterwards.
 type txPacket struct {
 	pkt    *wire.Packet
 	txTime sim.Time
@@ -391,7 +457,7 @@ type Stats struct {
 type Conn struct {
 	sim *sim.Simulator
 	cfg Config
-	cb  Callbacks
+	up  Upper
 	id  uint32
 	// failed is set once the connection is declared dead (see
 	// consecRTOs); it sits beside id to share its word.
@@ -460,7 +526,7 @@ type Conn struct {
 	Stats Stats
 }
 
-// ErrConnectionLost is reported via Callbacks.Failed when the RTO budget
+// ErrConnectionLost is reported via Upper.Fail when the RTO budget
 // is exhausted without any acknowledgment progress.
 var ErrConnectionLost = errConnectionLost{}
 
@@ -476,7 +542,7 @@ func (c *Conn) Failed() bool { return c.failed }
 // NewConn builds a connection PDL. The FAE must be told about the
 // connection separately (fae.RegisterConn); labels are installed via
 // SetFlowLabels or ApplyResponse.
-func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
+func NewConn(s *sim.Simulator, id uint32, cfg Config, up Upper) *Conn {
 	if cfg.WindowSize <= 0 || cfg.WindowSize > wire.BitmapBits {
 		cfg.WindowSize = wire.BitmapBits
 	}
@@ -489,31 +555,10 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, cb Callbacks) *Conn {
 	if cfg.AckCoalesceCount < 1 {
 		cfg.AckCoalesceCount = 1
 	}
-	if cb.PacketAcked == nil {
-		cb.PacketAcked = func(wire.Space, uint32, uint64, wire.Type) {}
-	}
-	if cb.Completed == nil {
-		cb.Completed = func(uint64) {}
-	}
-	if cb.NackReceived == nil {
-		cb.NackReceived = func(*wire.Packet) {}
-	}
-	if cb.Failed == nil {
-		cb.Failed = func(error) {}
-	}
-	if cb.PostEvent == nil {
-		cb.PostEvent = func(fae.Event) {}
-	}
-	if cb.RxBufOccupancy == nil {
-		cb.RxBufOccupancy = func() float64 { return 0 }
-	}
-	if cb.CompletedRSN == nil {
-		cb.CompletedRSN = func() uint64 { return 0 }
-	}
 	c := &Conn{
 		sim:        s,
 		cfg:        cfg,
-		cb:         cb,
+		up:         up,
 		id:         id,
 		rto:        initialRTO,
 		rackReoWnd: initialRTO / 8,
@@ -581,7 +626,13 @@ func (c *Conn) RxState(space wire.Space) (base uint32, bitmap wire.Bitmap) {
 
 // Fcwnd returns the sum of per-flow congestion windows (the fabric-side
 // connection window; responses are gated by it alone, §4.4).
-func (c *Conn) Fcwnd() float64 { return c.connFcwnd() }
+func (c *Conn) Fcwnd() float64 {
+	sum := 0.0
+	for i := range c.flows {
+		sum += c.flows[i].fcwnd
+	}
+	return sum
+}
 
 // FlowLabel returns flow i's current label.
 func (c *Conn) FlowLabel(i int) wire.FlowLabel { return c.flows[i].label }
@@ -598,7 +649,7 @@ func (c *Conn) SetFlowLabels(labels []wire.FlowLabel) {
 // EffectiveWindow returns min(Σ fcwnd, ncwnd) — the connection-level send
 // window for request-space packets.
 func (c *Conn) EffectiveWindow() float64 {
-	f := c.connFcwnd()
+	f := c.Fcwnd()
 	if c.ncwnd < f {
 		return c.ncwnd
 	}
@@ -612,22 +663,10 @@ func (c *Conn) Ncwnd() float64 { return c.ncwnd }
 // (diagnostics).
 func (c *Conn) SRTT() time.Duration { return c.srttHint }
 
-func (c *Conn) connFcwnd() float64 {
-	sum := 0.0
-	for i := range c.flows {
-		sum += c.flows[i].fcwnd
-	}
-	return sum
-}
-
-func (c *Conn) totalOutstanding() int {
-	return c.tx[0].outstanding + c.tx[1].outstanding
-}
-
 // totalInFlight is the congestion-window occupancy: outstanding packets
 // minus those parked on a resource-NACK backoff (known off the network).
 func (c *Conn) totalInFlight() int {
-	return c.totalOutstanding() - c.tx[0].parked - c.tx[1].parked
+	return c.Outstanding() - c.Parked()
 }
 
 // QueuedPackets returns packets accepted from the TL but not yet
@@ -635,7 +674,7 @@ func (c *Conn) totalInFlight() int {
 func (c *Conn) QueuedPackets() int { return c.reqQ.Len() + c.respQ.Len() }
 
 // Outstanding returns the number of transmitted-but-unacked packets.
-func (c *Conn) Outstanding() int { return c.totalOutstanding() }
+func (c *Conn) Outstanding() int { return c.tx[0].outstanding + c.tx[1].outstanding }
 
 // NackRetryEvents reports how many resource-NACK backoff events the
 // connection has built and how many are on its free list: equal once no

@@ -46,7 +46,7 @@ func newPair(t *testing.T, cfg Config) *pair {
 		return &cp
 	}
 
-	p.a = NewConn(p.s, 1, cfg, Callbacks{
+	p.a = NewConn(p.s, 1, cfg, &Callbacks{
 		Send: func(pkt *wire.Packet) {
 			cp := clone(pkt)
 			d := p.latency
@@ -71,7 +71,7 @@ func newPair(t *testing.T, cfg Config) *pair {
 		RxBufOccupancy: func() float64 { return 0 },
 		CompletedRSN:   func() uint64 { return 0 },
 	})
-	p.b = NewConn(p.s, 1, cfg, Callbacks{
+	p.b = NewConn(p.s, 1, cfg, &Callbacks{
 		Send: func(pkt *wire.Packet) {
 			cp := clone(pkt)
 			if p.dropBA != nil && p.dropBA(cp) {
@@ -101,6 +101,9 @@ func newPair(t *testing.T, cfg Config) *pair {
 	p.b.SetFlowLabels(engB.RegisterConn(1, cfg.NumFlows))
 	return p
 }
+
+// callbacks returns the adapter c was built with, for a test to rewire.
+func callbacks(c *Conn) *Callbacks { return c.up.(*Callbacks) }
 
 func dataPacket(rsn uint64, typ wire.Type, size uint32) *wire.Packet {
 	return &wire.Packet{Type: typ, RSN: rsn, Length: size}
@@ -421,8 +424,8 @@ func TestDuplicateDeliveryIsAckedNotRedelivered(t *testing.T) {
 	p := newPair(t, DefaultConfig())
 	// Duplicate every data packet.
 	p.delayAB = func(pkt *wire.Packet) time.Duration { return 0 }
-	origSend := p.a.cb.Send
-	p.a.cb.Send = func(pkt *wire.Packet) {
+	origSend := callbacks(p.a).Send
+	callbacks(p.a).Send = func(pkt *wire.Packet) {
 		origSend(pkt)
 		if pkt.Type.IsData() {
 			origSend(pkt)
@@ -532,28 +535,63 @@ func TestSendPacketPanicsOnNonData(t *testing.T) {
 	p.a.SendPacket(&wire.Packet{Type: wire.TypeAck})
 }
 
+// TestConnectionFailsAfterRTOBudget runs twice: with every callback set,
+// and with a sender built from a Callbacks that holds only Send and
+// Deliver. That sender first recovers a loss, a resource NACK and an RNR
+// NACK, learns a completion horizon and receives data, so each upcall it
+// leaves nil runs as the adapter's no-op.
 func TestConnectionFailsAfterRTOBudget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxConsecutiveRTOs = 4
-	p := newPair(t, cfg)
-	p.dropAB = func(pkt *wire.Packet) bool { return true } // black hole
-	var failedErr error
-	p.a.cb.Failed = func(err error) { failedErr = err }
-	p.a.SendPacket(dataPacket(1, wire.TypePushData, 4096))
-	p.s.Run()
-	if failedErr == nil {
-		t.Fatal("connection never failed against a black hole")
+	for _, bare := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.MaxConsecutiveRTOs = 4
+		p := newPair(t, cfg)
+		var failedErr error
+		callbacks(p.a).Failed = func(err error) { failedErr = err }
+		if bare {
+			cb := callbacks(p.a)
+			p.a = NewConn(p.s, 1, cfg, &Callbacks{Send: cb.Send, Deliver: cb.Deliver})
+			lost := false
+			p.dropAB = func(pkt *wire.Packet) bool {
+				drop := pkt.Type.IsData() && pkt.RSN == 1 && !lost
+				lost = lost || drop
+				return drop
+			}
+			refuse := map[uint64]DeliverVerdictKind{2: DeliverNoResources, 3: DeliverRNR}
+			p.verdictAtB = func(pkt *wire.Packet) DeliverVerdict {
+				kind := refuse[pkt.RSN]
+				delete(refuse, pkt.RSN)
+				return DeliverVerdict{Kind: kind}
+			}
+			p.rsnB = 1
+			for rsn := uint64(1); rsn <= 3; rsn++ {
+				p.a.SendPacket(dataPacket(rsn, wire.TypePushData, 4096))
+			}
+			p.b.SendPacket(dataPacket(0, wire.TypePushData, 4096))
+			p.s.Run()
+			st := p.a.Stats
+			if st.DataRetransmits == 0 || st.NacksResource != 1 || st.NacksRnr != 1 ||
+				len(p.deliveredAtA) != 1 || p.a.Outstanding() != 0 || p.a.Failed() {
+				t.Fatalf("bare sender: %+v, %d delivered to it, %d outstanding",
+					st, len(p.deliveredAtA), p.a.Outstanding())
+			}
+		}
+		p.dropAB = func(pkt *wire.Packet) bool { return true } // black hole
+		p.a.SendPacket(dataPacket(4, wire.TypePushData, 4096))
+		p.s.Run()
+		if !p.a.Failed() {
+			t.Fatalf("bare=%v: connection never failed against a black hole", bare)
+		}
+		if !bare && failedErr == nil {
+			t.Fatal("the Failed callback never ran")
+		}
+		if p.a.Stats.RTOs < 4 {
+			t.Fatalf("bare=%v: RTOs = %d, want >= budget", bare, p.a.Stats.RTOs)
+		}
+		// Subsequent sends and arrivals are ignored without panic.
+		p.a.SendPacket(dataPacket(5, wire.TypePushData, 4096))
+		p.a.HandlePacket(&wire.Packet{Type: wire.TypeAck}, 1)
+		p.s.Run()
 	}
-	if !p.a.Failed() {
-		t.Fatal("Failed() should report true")
-	}
-	if p.a.Stats.RTOs < 4 {
-		t.Fatalf("RTOs = %d, want >= budget", p.a.Stats.RTOs)
-	}
-	// Subsequent sends and arrivals are ignored without panic.
-	p.a.SendPacket(dataPacket(2, wire.TypePushData, 4096))
-	p.a.HandlePacket(&wire.Packet{Type: wire.TypeAck}, 1)
-	p.s.Run()
 }
 
 func TestRTOBudgetResetsOnProgress(t *testing.T) {
@@ -571,7 +609,7 @@ func TestRTOBudgetResetsOnProgress(t *testing.T) {
 		return attempts[pkt.RSN] <= 3
 	}
 	failed := false
-	p.a.cb.Failed = func(error) { failed = true }
+	callbacks(p.a).Failed = func(error) { failed = true }
 	for i := 0; i < 5; i++ {
 		p.a.SendPacket(dataPacket(uint64(i), wire.TypePushData, 4096))
 	}
@@ -609,8 +647,8 @@ func TestPropertyExactlyOnceUnderChaos(t *testing.T) {
 			return 0
 		}
 		// Duplicate some transmissions.
-		origSend := p.a.cb.Send
-		p.a.cb.Send = func(pkt *wire.Packet) {
+		origSend := callbacks(p.a).Send
+		callbacks(p.a).Send = func(pkt *wire.Packet) {
 			origSend(pkt)
 			if pkt.Type.IsData() && rng.Float64() < 0.1 {
 				origSend(pkt)
@@ -704,7 +742,7 @@ func TestRetransmitUnsharesOnlyWhileShared(t *testing.T) {
 		pool := wire.NewPacketPool()
 		var sent []*wire.Packet
 		var t1, flags []uint64
-		c := NewConn(s, 1, DefaultConfig(), Callbacks{
+		c := NewConn(s, 1, DefaultConfig(), &Callbacks{
 			Send: func(p *wire.Packet) {
 				sent = append(sent, p)
 				t1, flags = append(t1, uint64(p.T1)), append(flags, uint64(p.Flags))
@@ -764,19 +802,19 @@ func TestFractionalWindowPacing(t *testing.T) {
 		cfg.NumFlows = 1
 		p := newPair(t, cfg)
 		p.latency = tc.latency
-		// A sender with no FAE callback: NewConn fills in a no-op, and
-		// the sender must still sample RTT.
-		cb := p.a.cb
+		// A sender with no FAE callback: the adapter makes Post a no-op,
+		// and the sender must still sample RTT.
+		cb := *callbacks(p.a)
 		cb.PostEvent = nil
-		p.a = NewConn(p.s, 1, cfg, cb)
+		p.a = NewConn(p.s, 1, cfg, &cb)
 		p.a.flows[0].fcwnd = tc.wnd
 		type send struct {
 			at   sim.Time
 			srtt time.Duration
 		}
 		var sends []send
-		origSend := p.a.cb.Send
-		p.a.cb.Send = func(pkt *wire.Packet) {
+		origSend := callbacks(p.a).Send
+		callbacks(p.a).Send = func(pkt *wire.Packet) {
 			if pkt.Type.IsData() {
 				sends = append(sends, send{p.s.Now(), p.a.SRTT()})
 			}

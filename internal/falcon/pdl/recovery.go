@@ -62,13 +62,13 @@ func (c *Conn) runRack(now sim.Time) {
 		}
 	}
 	c.lostScratch = lost[:0] // retain grown capacity for the next scan
-	// PSNs, not slot pointers: a retransmit calls out (Send), and whatever
+	// PSNs, not slot pointers: a retransmit calls out (Transmit), and whatever
 	// the callee sends may grow the ring under the list.
 	for _, r := range lost {
 		c.retransmit(c.tx[r.space].slot(r.psn), retxRACK)
 	}
 	if len(lost) > 0 {
-		c.cb.PostEvent(fae.Event{
+		c.up.Post(fae.Event{
 			Kind: fae.EventFastRetransmit,
 			Conn: c.id,
 			Flow: int(c.tx[lost[0].space].slot(lost[0].psn).flow),
@@ -116,7 +116,7 @@ func (c *Conn) runOOODistance() {
 		}
 	}
 	if retransmitted {
-		c.cb.PostEvent(fae.Event{
+		c.up.Post(fae.Event{
 			Kind: fae.EventFastRetransmit,
 			Conn: c.id,
 			Now:  c.sim.Now(),
@@ -132,7 +132,7 @@ func (c *Conn) runOOODistance() {
 // head may be a request a resource-pressured receiver keeps refusing while
 // it waits for exactly the RSN the tail carries.
 func (c *Conn) onTLP() {
-	if c.failed || c.totalOutstanding() == 0 {
+	if c.failed || c.Outstanding() == 0 {
 		return
 	}
 	if c.sim.Now().Sub(c.lastAckProgress) < c.tlpTimeout {
@@ -164,7 +164,7 @@ func (c *Conn) onTLP() {
 // onto the wire — and it may carry the one RSN a resource-pressured
 // receiver is waiting for before it can drain its reorder buffer.
 func (c *Conn) onRTO() {
-	if c.failed || c.totalOutstanding() == 0 {
+	if c.failed || c.Outstanding() == 0 {
 		return
 	}
 	c.Stats.RTOs++
@@ -205,11 +205,11 @@ func (c *Conn) onRTO() {
 					psn := ts.base + uint32(o)
 					if !scanned {
 						scanned = true
-						c.cb.PostEvent(fae.Event{
+						c.up.Post(fae.Event{
 							Kind: fae.EventRTO, Conn: c.id, Flow: int(ts.slot(psn).flow), Now: now,
 						})
 					}
-					// Resolved after PostEvent, which may have grown the ring.
+					// Resolved after Post, which may have grown the ring.
 					c.retransmit(ts.slot(psn), retxRTO)
 				}
 			}
@@ -251,12 +251,12 @@ func (c *Conn) fail() {
 			}
 		}
 	}
-	c.cb.Failed(ErrConnectionLost)
+	c.up.Fail(ErrConnectionLost)
 }
 
 // Fail declares the connection administratively dead from outside the
 // transport — the teardown edge of a crash-without-recovery fault. It runs
 // the same path as RTO-budget exhaustion: timers stop, queued and unacked
-// packets return to the pool, and the Failed callback errors everything
+// packets return to the pool, and Upper.Fail errors everything
 // the TL still has pending. Idempotent, like the internal failure path.
 func (c *Conn) Fail() { c.fail() }

@@ -46,7 +46,7 @@ func newGrowPair(t *testing.T) *growPair {
 	cfg := DefaultConfig()
 	cfg.NumFlows = 1
 	cfg.MaxConsecutiveRTOs = 0
-	g.a = NewConn(g.s, 1, cfg, Callbacks{
+	g.a = NewConn(g.s, 1, cfg, &Callbacks{
 		Send: func(pkt *wire.Packet) {
 			g.sent[txRef{pkt.Space, pkt.PSN}] = append(g.sent[txRef{pkt.Space, pkt.PSN}], g.s.Now())
 			cp := &wire.Packet{}
@@ -73,7 +73,7 @@ func newGrowPair(t *testing.T) *growPair {
 	g.a.SetPacketPool(g.pool)
 	// Pin the congestion window wide open: with no FAE nothing narrows it.
 	g.a.flows[0].fcwnd = float64(cfg.WindowSize)
-	g.b = NewConn(g.s, 1, cfg, Callbacks{
+	g.b = NewConn(g.s, 1, cfg, &Callbacks{
 		Send: func(pkt *wire.Packet) {
 			cp := &wire.Packet{}
 			cp.CopyFrom(pkt)
@@ -129,8 +129,8 @@ func (g *growPair) check() error {
 	for i := range c.flows {
 		flowOut += int(c.flows[i].outstanding)
 	}
-	if flowOut != c.totalOutstanding() {
-		return fmt.Errorf("flows hold %d outstanding, spaces %d", flowOut, c.totalOutstanding())
+	if flowOut != c.Outstanding() {
+		return fmt.Errorf("flows hold %d outstanding, spaces %d", flowOut, c.Outstanding())
 	}
 	for i := range c.tx {
 		ts := &c.tx[i]
@@ -322,8 +322,8 @@ func TestRingTracksPeakWindow(t *testing.T) {
 			p.dropAB = func(pkt *wire.Packet) bool { return pkt.Type.IsData() && rng.Intn(50) == 0 }
 			p.delayAB = func(*wire.Packet) time.Duration { return time.Duration(rng.Intn(3000)) }
 			var peak [wire.NumSpaces]int
-			send := p.a.cb.Send
-			p.a.cb.Send = func(pkt *wire.Packet) {
+			send := callbacks(p.a).Send
+			callbacks(p.a).Send = func(pkt *wire.Packet) {
 				if pkt.Type.IsData() {
 					ts := &p.a.tx[pkt.Space]
 					peak[pkt.Space] = max(peak[pkt.Space], int(ts.next-ts.base))
@@ -340,7 +340,7 @@ func TestRingTracksPeakWindow(t *testing.T) {
 				p.a.SendPacket(dataPacket(uint64(sent), typ, 1024))
 				sent++
 			}
-			p.a.cb.PacketAcked = func(wire.Space, uint32, uint64, wire.Type) {
+			callbacks(p.a).PacketAcked = func(wire.Space, uint32, uint64, wire.Type) {
 				if sent < total {
 					post()
 				}

@@ -61,7 +61,7 @@ func (c *Conn) handleData(p *wire.Packet) {
 		return
 	}
 
-	verdict := c.cb.Deliver(p)
+	verdict := c.up.DeliverData(p)
 	switch verdict.Kind {
 	case DeliverNoResources:
 		// Not recorded as received: the sender must retransmit once
@@ -103,8 +103,8 @@ func (c *Conn) handleData(p *wire.Packet) {
 
 // sendAck emits an ACK carrying the RX window bitmaps of both spaces plus
 // the congestion metadata of the given flow. The packet comes from the
-// connection pool, and the PDL drops its hold as soon as Send returns: the
-// wire's hold is the last one.
+// connection pool, and the PDL drops its hold as soon as Transmit returns:
+// the wire's hold is the last one.
 func (c *Conn) sendAck(flowIdx int) {
 	rf := &c.rxFlow[flowIdx]
 	rf.pending = 0
@@ -125,27 +125,17 @@ func (c *Conn) sendAck(flowIdx int) {
 		ack.Flags |= wire.FlagECE
 		rf.ceSeen = false
 	}
-	ack.RxBufOccupancy = uint16(clamp01(c.cb.RxBufOccupancy()) * 65535)
-	ack.CompletedRSN = c.cb.CompletedRSN()
+	ack.RxBufOccupancy = uint16(min(max(c.up.RxOccupancy(), 0), 1) * 65535)
+	ack.CompletedRSN = c.up.Horizon()
 	c.Stats.AcksSent++
-	c.cb.Send(ack)
+	c.up.Transmit(ack)
 	c.pool.Release(ack)
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 // SendExceptionNack lets the transaction layer raise an RNR or CIE NACK
 // for a request it had already accepted (ordered connections process
 // requests after reordering, so the ULP verdict can arrive later than the
-// Deliver call).
+// DeliverData call).
 func (c *Conn) SendExceptionNack(space wire.Space, psn uint32, rsn uint64, code wire.NackCode, retry time.Duration) {
 	c.sendNack(&wire.Packet{PSN: psn, Space: space, RSN: rsn}, code, retry)
 }
@@ -164,7 +154,7 @@ func (c *Conn) sendNack(p *wire.Packet, code wire.NackCode, retry time.Duration)
 	n.Req = wire.AckInfo{Base: c.rx[wire.SpaceRequest].base, Bitmap: c.rx[wire.SpaceRequest].bitmap}
 	n.Resp = wire.AckInfo{Base: c.rx[wire.SpaceResponse].base, Bitmap: c.rx[wire.SpaceResponse].bitmap}
 	c.Stats.NacksSent++
-	c.cb.Send(n)
+	c.up.Transmit(n)
 	c.pool.Release(n)
 }
 
@@ -184,7 +174,7 @@ func (c *Conn) handleAck(p *wire.Packet) {
 
 	// Ordered-completion horizon from the target's TL.
 	if p.CompletedRSN > 0 {
-		c.cb.Completed(p.CompletedRSN)
+		c.up.AdvanceHorizon(p.CompletedRSN)
 	}
 
 	if progress {
@@ -210,7 +200,7 @@ func (c *Conn) handleAck(p *wire.Packet) {
 			}
 		}
 		acked := perFlow[ackFlow]
-		c.cb.PostEvent(fae.Event{
+		c.up.Post(fae.Event{
 			Kind:           fae.EventAck,
 			Conn:           c.id,
 			Flow:           ackFlow,
@@ -246,21 +236,13 @@ func (c *Conn) processAckInfo(ts *txSpace, info wire.AckInfo, perFlow []int) boo
 			lim = n
 		}
 		// Every live offset below lim that is not yet acked.
-		pend := wire.LowMask(int(lim)).AndNot(ts.acked)
-		w := pend[0]
-		for w != 0 {
-			o := bits.TrailingZeros64(w)
-			w &= w - 1
-			if c.markAcked(ts, ts.base+uint32(o), perFlow) {
-				progress = true
-			}
-		}
-		w = pend[1]
-		for w != 0 {
-			o := 64 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if c.markAcked(ts, ts.base+uint32(o), perFlow) {
-				progress = true
+		for wi, w := range wire.LowMask(int(lim)).AndNot(ts.acked) {
+			for w != 0 {
+				o := wi*64 + bits.TrailingZeros64(w)
+				w &= w - 1
+				if c.markAcked(ts, ts.base+uint32(o), perFlow) {
+					progress = true
+				}
 			}
 		}
 		if int32(info.Base-ts.next) <= 0 {
@@ -270,28 +252,16 @@ func (c *Conn) processAckInfo(ts *txSpace, info wire.AckInfo, perFlow []int) boo
 		}
 	}
 	// Selective portion: visit the set bits of the wire bitmap.
-	w := info.Bitmap[0]
-	for w != 0 {
-		i := bits.TrailingZeros64(w)
-		w &= w - 1
-		psn := info.Base + uint32(i)
-		if int32(psn-ts.base) < 0 || int32(psn-ts.next) >= 0 {
-			continue
-		}
-		if c.markAcked(ts, psn, perFlow) {
-			progress = true
-		}
-	}
-	w = info.Bitmap[1]
-	for w != 0 {
-		i := 64 + bits.TrailingZeros64(w)
-		w &= w - 1
-		psn := info.Base + uint32(i)
-		if int32(psn-ts.base) < 0 || int32(psn-ts.next) >= 0 {
-			continue
-		}
-		if c.markAcked(ts, psn, perFlow) {
-			progress = true
+	for wi, w := range info.Bitmap {
+		for w != 0 {
+			psn := info.Base + uint32(wi*64+bits.TrailingZeros64(w))
+			w &= w - 1
+			if int32(psn-ts.base) < 0 || int32(psn-ts.next) >= 0 {
+				continue
+			}
+			if c.markAcked(ts, psn, perFlow) {
+				progress = true
+			}
 		}
 	}
 	ts.slideBase()
@@ -344,7 +314,7 @@ func (c *Conn) markAcked(ts *txSpace, psn uint32, perFlow []int) bool {
 	if tp.txTime > f.rackXmit {
 		f.rackXmit = tp.txTime
 	}
-	c.cb.PacketAcked(ts.space, psn, tp.rsn, tp.typ)
+	c.up.Acked(ts.space, psn, tp.rsn, tp.typ)
 	// The TL may have sent from inside the upcall and grown the ring.
 	tp = ts.slot(psn)
 	c.pool.Release(tp.pkt)
@@ -379,7 +349,7 @@ func (c *Conn) handleNack(p *wire.Packet) {
 		}
 		// Back off, then retransmit; also tell the FAE the peer NIC
 		// is resource-pressured.
-		c.cb.PostEvent(fae.Event{
+		c.up.Post(fae.Event{
 			Kind: fae.EventNack, Conn: c.id, Flow: int(tp.flow), Now: c.sim.Now(),
 		})
 		// A synchronous FAE response may have sent and grown the ring.
@@ -401,7 +371,7 @@ func (c *Conn) handleNack(p *wire.Packet) {
 		// packet is acked, and an RNR means the target explicitly did NOT
 		// take responsibility — the TL marks the transaction as retrying
 		// so the ack frees the packet context without completing it.
-		c.cb.NackReceived(p)
+		c.up.Nacked(p)
 		// PDL-level delivery is done: free the packet context.
 		if known {
 			var counts [wire.MaxFlows]int

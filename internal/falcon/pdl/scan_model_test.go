@@ -86,7 +86,7 @@ type scanConn struct {
 func newScanConn(seed int64) *scanConn {
 	rng := rand.New(rand.NewSource(seed))
 	sc := &scanConn{}
-	sc.c = NewConn(sim.New(1), 1, DefaultConfig(), Callbacks{
+	sc.c = NewConn(sim.New(1), 1, DefaultConfig(), &Callbacks{
 		PacketAcked: func(space wire.Space, psn uint32, rsn uint64, typ wire.Type) {
 			sc.acked = append(sc.acked, fmt.Sprintf("%v/%#x/%d/%v", space, psn, rsn, typ))
 		},

@@ -142,7 +142,7 @@ func (c *Conn) rtoDelay() time.Duration {
 
 // armTimers ensures RTO and TLP supervision while data is outstanding.
 func (c *Conn) armTimers() {
-	if c.totalOutstanding() == 0 {
+	if c.Outstanding() == 0 {
 		c.rtoTimer.deadline, c.tlpTimer.deadline = 0, 0
 		return
 	}
@@ -161,7 +161,7 @@ func (c *Conn) resetTimersOnProgress() {
 	c.consecRTOs = 0
 	now := c.sim.Now()
 	c.lastAckProgress = now
-	if c.totalOutstanding() == 0 {
+	if c.Outstanding() == 0 {
 		c.rtoTimer.deadline, c.tlpTimer.deadline = 0, 0
 		return
 	}

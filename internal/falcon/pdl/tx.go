@@ -61,7 +61,7 @@ func (c *Conn) canSendData(space wire.Space) bool {
 	if int(ts.next-ts.base) >= c.cfg.WindowSize {
 		return false
 	}
-	limit := c.connFcwnd()
+	limit := c.Fcwnd()
 	if space == wire.SpaceRequest && c.ncwnd < limit {
 		limit = c.ncwnd
 	}
@@ -139,7 +139,7 @@ func (c *Conn) pacingGap(wnd float64) time.Duration {
 	if base == 0 {
 		base = c.tlpTimeout
 	}
-	gap := time.Duration(float64(base) / maxf(wnd, 0.001))
+	gap := time.Duration(float64(base) / max(wnd, 0.001))
 	if gap > maxRTOBackoff {
 		gap = maxRTOBackoff
 	}
@@ -176,7 +176,7 @@ func (c *Conn) stampAndSend(tp *txPacket, retransmit, tlp bool) {
 		c.reqQ.Len()+c.respQ.Len() == 0 {
 		p.Flags |= wire.FlagAckReq
 	}
-	c.cb.Send(p)
+	c.up.Transmit(p)
 	if c.probe != nil {
 		c.probe.OnSend(c, p, retransmit)
 	}
@@ -204,13 +204,6 @@ func (c *Conn) maybePace() {
 		at = c.sim.Now().Add(c.pacingGap(c.EffectiveWindow()))
 	}
 	c.paceTimer = c.sim.AtAction(at, &c.paceAct)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // highestUnacked returns the newest (highest-PSN) unacked tracked packet in

@@ -434,17 +434,13 @@ func (c *Conn) PushOp(op uint8, addr uint64, data []byte, length uint32, done Co
 // Pull initiates a pull transaction soliciting length bytes (≤ MTU). done
 // receives the pulled data.
 func (c *Conn) Pull(length uint32, done func(data []byte, err error)) (uint64, error) {
-	return c.PullOp(0, 0, length, done)
+	return c.PullOpData(0, 0, nil, length, completeFunc(done))
 }
 
-// PullOp is Pull with ULP metadata (op code and remote address).
-func (c *Conn) PullOp(op uint8, addr uint64, length uint32, done func(data []byte, err error)) (uint64, error) {
-	return c.PullOpData(op, addr, nil, length, completeFunc(done))
-}
-
-// PullOpData is PullOp with request payload bytes (e.g. atomic operands):
-// the request carries reqData on the wire while soliciting respLen bytes
-// back, and done is a Completer (nil for none).
+// PullOpData is Pull with ULP metadata (op code and remote address) and
+// request payload bytes (e.g. atomic operands): the request carries reqData
+// on the wire while soliciting respLen bytes back, and done is a Completer
+// (nil for none).
 func (c *Conn) PullOpData(op uint8, addr uint64, reqData []byte, respLen uint32, done Completer) (uint64, error) {
 	return c.initiate(txnPull, op, addr, reqData, respLen, done)
 }

@@ -94,47 +94,36 @@ func (c *Conn) serve(p *wire.Packet) bool {
 		return true
 	}
 
+	var (
+		v      TargetVerdict
+		data   []byte
+		length uint32
+	)
 	switch p.Type {
 	case wire.TypePushData:
-		v := c.target.HandlePush(rsn, p)
-		switch v.Kind {
-		case TargetRNR:
-			c.ctrl.SendExceptionNack(p.Space, p.PSN, rsn, wire.NackRNR, v.RetryDelay)
-			return false
-		case TargetError:
-			c.ctrl.SendExceptionNack(p.Space, p.PSN, rsn, wire.NackCIE, 0)
-			c.serveAdvance(rsn)
-			return true
-		default:
-			c.Stats.RequestsServed++
-			c.serveAdvance(rsn)
-			return true
-		}
+		v = c.target.HandlePush(rsn, p)
 	case wire.TypePullRequest:
-		data, length, v := c.target.HandlePull(rsn, p)
-		switch v.Kind {
-		case TargetRNR:
-			c.ctrl.SendExceptionNack(p.Space, p.PSN, rsn, wire.NackRNR, v.RetryDelay)
-			return false
-		case TargetError:
-			c.ctrl.SendExceptionNack(p.Space, p.PSN, rsn, wire.NackCIE, 0)
-			c.serveAdvance(rsn)
-			return true
-		case TargetAsync:
-			// Response produced later via CompletePull.
-			c.Stats.RequestsServed++
-			c.serveAdvance(rsn)
-			return true
-		default:
-			c.Stats.RequestsServed++
-			c.serveAdvance(rsn)
-			c.sendPullResponse(rsn, data, length)
-			return true
-		}
+		data, length, v = c.target.HandlePull(rsn, p)
 	default:
 		c.serveAdvance(rsn)
 		return true
 	}
+	switch v.Kind {
+	case TargetRNR:
+		c.ctrl.SendExceptionNack(p.Space, p.PSN, rsn, wire.NackRNR, v.RetryDelay)
+		return false
+	case TargetError:
+		c.ctrl.SendExceptionNack(p.Space, p.PSN, rsn, wire.NackCIE, 0)
+		c.serveAdvance(rsn)
+		return true
+	}
+	c.Stats.RequestsServed++
+	c.serveAdvance(rsn)
+	// A TargetAsync pull's response comes later, through CompletePull.
+	if p.Type == wire.TypePullRequest && v.Kind != TargetAsync {
+		c.sendPullResponse(rsn, data, length)
+	}
+	return true
 }
 
 // sendPullResponse transmits (or defers, under TxResp pressure) the

@@ -424,7 +424,7 @@ func TestBareRefusalsWakeBounded(t *testing.T) {
 
 // TestRefusalsAllocationFree holds the three refusal paths that run per
 // packet under load to zero allocations: a pool-exhausted Reserve, an
-// RxReq admission beyond the HoL threshold, and a backpressured PullOp.
+// RxReq admission beyond the HoL threshold, and a backpressured Pull.
 // The errors stay matchable and keep their text.
 func TestRefusalsAllocationFree(t *testing.T) {
 	rc := DefaultResourceConfig()
@@ -459,11 +459,11 @@ func TestRefusalsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pullErr error
-	if n := testing.AllocsPerRun(100, func() { _, pullErr = e.a.PullOp(0, 0, 100, nil) }); n != 0 {
-		t.Errorf("refused PullOp: %v allocs/op, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { _, pullErr = e.a.Pull(100, nil) }); n != 0 {
+		t.Errorf("refused Pull: %v allocs/op, want 0", n)
 	}
 	if !errors.Is(pullErr, ErrBackpressured) {
-		t.Errorf("refused PullOp returned %v", pullErr)
+		t.Errorf("refused Pull returned %v", pullErr)
 	}
 	e.s.Run()
 }

@@ -20,12 +20,13 @@ import "unsafe"
 //     the packet before stamping each transmission, so a retransmission
 //     copies only while an earlier one is still on the wire or held by
 //     the peer.
-//   - The PDL acquires ACK/NACK packets, hands them to Callbacks.Send, and
-//     releases them as soon as Send returns.
-//   - Callbacks.Send (internal/core) shares the packet with the fabric.
-//     The wire's hold is released by the receiving node after HandlePacket
-//     returns — or, when the fabric drops the frame carrying it, from the
-//     frame's OnDrop hook, so loss does not bleed packets out of the pool.
+//   - The PDL acquires ACK/NACK packets, hands them to pdl.Upper.Transmit,
+//     and releases them as soon as Transmit returns.
+//   - An endpoint's Transmit (internal/core) shares the packet with the
+//     fabric. The wire's hold is released by the receiving node after
+//     HandlePacket returns — or, when the fabric drops the frame carrying
+//     it, from the frame's OnDrop hook, so loss does not bleed packets out
+//     of the pool.
 //     The receiver unshares before it marks CE: a mark belongs to one
 //     arrival, not to the sender's retained packet.
 //   - A layer that holds an inbound packet past its upcall — the TL's
