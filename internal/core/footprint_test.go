@@ -43,12 +43,13 @@ func checkFootprint(t *testing.T, slope, intercept float64, bound int) {
 }
 
 // footprintBound is the retained heap, in bytes per added connection, that
-// TestConnectionFootprint allows: 7 719–7 772 B measured (amd64, Go 1.24;
+// TestConnectionFootprint allows: 7 485–7 511 B measured (amd64, Go 1.24;
 // alone and inside the package's whole suite) plus 10 %. The same slope
-// reads 10 956 B before per-connection state was sized to what a
-// connection holds (EXPERIMENTS.md, "Appendix: PR56"); the level the gate
-// read before it measured a slope is traced in "Footprint gate".
-const footprintBound = 8_550
+// reads 7 746 B while a scoreboard slot was 40 B and 10 956 B before
+// per-connection state was sized to what a connection holds (EXPERIMENTS.md
+// has both readings); the level the gate read before it measured a slope
+// is traced in "Footprint gate".
+const footprintBound = 8_270
 
 // TestConnectionFootprint is the per-connection working-set gate. It builds
 // the incast_conns shape: five clients on a star, n ordered connections to
@@ -93,13 +94,14 @@ func TestConnectionFootprint(t *testing.T) {
 }
 
 // reorderedFootprintBound is the retained heap, in bytes per added
-// connection, that TestReorderedConnectionFootprint allows: 22 601–22 707 B
+// connection, that TestReorderedConnectionFootprint allows: 22 267–22 269 B
 // measured (amd64, Go 1.24; alone and inside the package's whole suite)
-// plus 10 %. The same slope reads 25 377–25 430 B before per-connection
-// state was sized to what a connection holds (EXPERIMENTS.md, "Appendix:
-// PR56"); the level the gate read before it measured a slope is traced in
-// "Reordered footprint gate".
-const reorderedFootprintBound = 24_980
+// plus 10 %. The same slope reads 22 654–22 707 B while a scoreboard
+// slot was 40 B and 25 377–25 430 B before per-connection state was sized
+// to what a connection holds (EXPERIMENTS.md has both readings); the level
+// the gate read before it measured a slope is traced in "Reordered
+// footprint gate".
+const reorderedFootprintBound = 24_500
 
 // TestReorderedConnectionFootprint is TestConnectionFootprint's world with
 // every target holding requests ahead of a gap: each ordered connection
@@ -155,12 +157,12 @@ func TestReorderedConnectionFootprint(t *testing.T) {
 }
 
 // nodeFootprintBound is the retained heap, in bytes per added connection,
-// that TestNodeFootprint allows: 12 368–12 409 B measured (amd64, Go 1.24;
+// that TestNodeFootprint allows: 12 280–12 281 B measured (amd64, Go 1.24;
 // alone and inside the package's whole suite) plus 10 %. The same slope
-// reads 14 698 B while nodes found connections through maps and the
-// NIC's per-key slices started at 16 entries (EXPERIMENTS.md, "Appendix:
-// PR56").
-const nodeFootprintBound = 13_650
+// reads 12 408–12 409 B while a scoreboard slot was 40 B and 14 698 B
+// while nodes found connections through maps and the NIC's per-key slices
+// started at 16 entries (EXPERIMENTS.md has both readings).
+const nodeFootprintBound = 13_510
 
 // TestNodeFootprint is the per-node working-set gate. It builds the
 // fabric_scale shape on a Clos of 8 racks of 64 hosts under 4 spines: n

@@ -27,14 +27,15 @@
 // # Hot-path layout (DESIGN.md §11)
 //
 // The per-packet send/ack path is steady-state allocation-free: tracked
-// packets live in by-value scoreboard slots, the acked/parked sets are
-// mirrored in 128-bit bitmaps scanned a word at a time, wire packets are
+// packets live in by-value scoreboard slots, the acked/parked sets live
+// only in 128-bit bitmaps scanned a word at a time, wire packets are
 // recycled through a wire.PacketPool, and every timer is a pooled typed
 // event (sim.Action) re-armed lazily (timers.go). The per-PSN loops the
 // word scans replaced survive as the reference model in scan_model_test.go.
 package pdl
 
 import (
+	"fmt"
 	"time"
 
 	"falcon/internal/falcon/fae"
@@ -272,11 +273,10 @@ func (c *Conn) SetProbe(p Probe) { c.probe = p }
 
 // txPacket tracks one outstanding transmitted packet (the per-packet
 // context of §5.2's hardware error handling). Slots are stored by value in
-// the scoreboard ring; psn/rsn/typ are copied out of the packet at
-// transmit time so the wire packet can return to its pool the moment the
-// slot is acknowledged. The fields are ordered widest first and the narrow
-// ones sized to what they hold, so a slot is 40 bytes
-// (TestScoreboardLayout).
+// the scoreboard ring and hold only what the packet does not: its PSN,
+// RSN and type are read from pkt, which the slot keeps until the PSN is
+// acknowledged, and whether it is acked or parked is a bit in txSpace. A
+// slot is 24 bytes (TestScoreboardLayout).
 //
 // The ring grows while packets are in flight (txSpace.grow), which moves
 // every live slot. So no *txPacket may be held across a call out of the
@@ -284,23 +284,18 @@ func (c *Conn) SetProbe(p Probe) { c.probe = p }
 // can grow the ring: code that must outlive such a call carries the PSN
 // (or a txRef) and re-resolves the slot afterwards.
 type txPacket struct {
-	pkt    *wire.Packet
+	pkt    *wire.Packet // nil once acknowledged
 	txTime sim.Time
-	rsn    uint64
-	psn    uint32
-	gen    uint32 // bumped when the slot is reused (stale-timer guard)
 	retx   uint16 // retransmissions, saturating at its maximum
 	flow   uint8  // below wire.MaxFlows
-	typ    wire.Type
-	live   bool // slot has been filled at least once for psn
-	acked  bool
-	nacked bool // resource-NACKed, awaiting scheduled retransmit
 }
 
-// txSpace is the sender side of one sequence space. The acked and nacked
-// bitmaps mirror the per-slot flags relative to base (bit i describes PSN
-// base+i; WindowSize never exceeds wire.BitmapBits), which is what lets
-// ACK processing and loss recovery scan the scoreboard a word at a time.
+// txSpace is the sender side of one sequence space. Its two bitmaps are
+// the only record of which sent PSNs are acked and which are parked, base-
+// relative (bit i describes PSN base+i; WindowSize never exceeds
+// wire.BitmapBits), so ACK processing and loss recovery scan the
+// scoreboard a word at a time and the outstanding and parked totals are
+// population counts.
 type txSpace struct {
 	space wire.Space
 	next  uint32 // next PSN to assign
@@ -311,20 +306,11 @@ type txSpace struct {
 	// length, so it stays at the next power of two above the PSNs actually
 	// in flight (never above WindowSize rounded up to a power of two).
 	pkts []txPacket
-	// acked mirrors slot.acked for live slots in [base, next).
+	// acked marks the acknowledged PSNs in [base, next).
 	acked wire.Bitmap
-	// nackedB mirrors slot.nacked (parked packets) the same way.
+	// nackedB marks the parked ones: unacked, resource-NACKed and waiting
+	// for their scheduled backoff retransmit.
 	nackedB wire.Bitmap
-	// outstanding counts unacked transmitted packets.
-	outstanding int
-	// parked counts the subset of outstanding packets that are
-	// resource-NACKed and waiting for their scheduled backoff retransmit.
-	// The peer explicitly refused them, so they are known to have left the
-	// network and must not consume congestion window: otherwise a window
-	// full of refused packets deadlocks against a receiver that is
-	// refusing everything except the one head-of-line RSN still queued
-	// behind them (§4.5).
-	parked int
 }
 
 // minRing is the length a scoreboard ring starts at (less when WindowSize
@@ -333,12 +319,21 @@ const minRing = 8
 
 func (s *txSpace) slot(psn uint32) *txPacket { return &s.pkts[int(psn)&(len(s.pkts)-1)] }
 
+// inFlight reports whether psn has been sent and not yet acknowledged: it
+// lies in [base, next), in serial arithmetic, and its acked bit is clear.
+// Only such a PSN's slot is its own.
+func (s *txSpace) inFlight(psn uint32) bool {
+	o := psn - s.base
+	return o < s.next-s.base && !s.acked.Get(int(o))
+}
+
+// outstanding counts the space's sent, unacknowledged packets.
+func (s *txSpace) outstanding() int { return int(s.next-s.base) - s.acked.OnesCount() }
+
 // grow allocates the ring on the space's first send (minRing slots, fewer
 // when window is smaller) and doubles it after that, moving the live slots
 // [base, next) to their places under the wider mask. The slots below base
-// are dropped: every lookup of a PSN there finds an acked or overwritten
-// slot in the old ring and an empty or overwritten one in the new, and
-// treats all of them as unknown.
+// are dropped: no PSN there is in flight, so none is looked up.
 func (s *txSpace) grow(window int) {
 	old := s.pkts
 	n := 2 * len(old)
@@ -362,7 +357,7 @@ type txRef struct {
 }
 
 // advanceTo slides the window base forward to newBase, shifting the
-// bitmap mirrors to keep them base-relative.
+// bitmaps to keep them base-relative.
 func (s *txSpace) advanceTo(newBase uint32) {
 	n := int(int32(newBase - s.base))
 	if n <= 0 {
@@ -600,21 +595,44 @@ func (c *Conn) Config() Config { return c.cfg }
 // transmitted-but-unacked packets.
 func (c *Conn) TxState(space wire.Space) (base, next uint32, outstanding int) {
 	ts := &c.tx[space]
-	return ts.base, ts.next, ts.outstanding
+	return ts.base, ts.next, ts.outstanding()
 }
 
-// TxUnacked recounts the unacked tracked packets in [base, next) by
-// scanning the scoreboard. Verification compares it against the
-// incrementally maintained outstanding counter.
-func (c *Conn) TxUnacked(space wire.Space) int {
-	ts := &c.tx[space]
-	n := 0
-	for psn := ts.base; psn != ts.next; psn++ {
-		if tp := ts.slot(psn); tp.live && tp.psn == psn && !tp.acked {
-			n++
+// CheckScoreboard reports the first inconsistency in the sender's
+// scoreboard, or "" when there is none: a parked PSN that is also acked, a
+// bitmap bit at or above next−base, per-flow outstanding counts that do
+// not sum to Outstanding, an acked slot that still holds a packet, or, on
+// a connection that has not failed (failing releases them), an in-flight
+// slot that does not hold one stamped with its own PSN. internal/testkit's
+// checker calls it after every PDL event it checks.
+func (c *Conn) CheckScoreboard() string {
+	for i := range c.tx {
+		ts := &c.tx[i]
+		n := int(ts.next - ts.base)
+		if ts.nackedB.AndNot(ts.acked) != ts.nackedB {
+			return fmt.Sprintf("%v space: PSNs both acked %v and parked %v (base %d)", ts.space, ts.acked, ts.nackedB, ts.base)
+		}
+		if win := wire.LowMask(n); !ts.acked.AndNot(win).IsZero() || !ts.nackedB.AndNot(win).IsZero() {
+			return fmt.Sprintf("%v space: bits set at or above next-base %d: acked %v parked %v", ts.space, n, ts.acked, ts.nackedB)
+		}
+		for o := 0; o < n; o++ {
+			psn := ts.base + uint32(o)
+			switch pkt := ts.slot(psn).pkt; {
+			case ts.acked.Get(o) && pkt != nil:
+				return fmt.Sprintf("%v space PSN %d: acked slot still holds a packet", ts.space, psn)
+			case !ts.acked.Get(o) && !c.failed && (pkt == nil || pkt.PSN != psn):
+				return fmt.Sprintf("%v space PSN %d: in-flight slot holds %v", ts.space, psn, pkt)
+			}
 		}
 	}
-	return n
+	flowOut := 0
+	for i := range c.flows {
+		flowOut += int(c.flows[i].outstanding)
+	}
+	if flowOut != c.Outstanding() {
+		return fmt.Sprintf("flows hold %d outstanding, spaces %d", flowOut, c.Outstanding())
+	}
+	return ""
 }
 
 // RxState exposes one sequence space's receiver window: the cumulative
@@ -664,7 +682,11 @@ func (c *Conn) Ncwnd() float64 { return c.ncwnd }
 func (c *Conn) SRTT() time.Duration { return c.srttHint }
 
 // totalInFlight is the congestion-window occupancy: outstanding packets
-// minus those parked on a resource-NACK backoff (known off the network).
+// minus those parked on a resource-NACK backoff. The peer explicitly
+// refused the parked ones, so they are known to have left the network and
+// must not consume congestion window: otherwise a window full of refused
+// packets deadlocks against a receiver that is refusing everything except
+// the one head-of-line RSN still queued behind them (§4.5).
 func (c *Conn) totalInFlight() int {
 	return c.Outstanding() - c.Parked()
 }
@@ -674,7 +696,7 @@ func (c *Conn) totalInFlight() int {
 func (c *Conn) QueuedPackets() int { return c.reqQ.Len() + c.respQ.Len() }
 
 // Outstanding returns the number of transmitted-but-unacked packets.
-func (c *Conn) Outstanding() int { return c.tx[0].outstanding + c.tx[1].outstanding }
+func (c *Conn) Outstanding() int { return c.tx[0].outstanding() + c.tx[1].outstanding() }
 
 // NackRetryEvents reports how many resource-NACK backoff events the
 // connection has built and how many are on its free list: equal once no
@@ -686,7 +708,7 @@ func (c *Conn) NackRetryEvents() (built, free int) {
 // Parked returns the number of outstanding packets currently excluded from
 // the congestion window because the peer resource-NACKed them and a backoff
 // retransmit is scheduled.
-func (c *Conn) Parked() int { return c.tx[0].parked + c.tx[1].parked }
+func (c *Conn) Parked() int { return c.tx[0].nackedB.OnesCount() + c.tx[1].nackedB.OnesCount() }
 
 // ApplyResponse installs FAE-computed parameters (the FAE→PDL response ring
 // of Figure 9) and reattempts transmission since windows may have opened.

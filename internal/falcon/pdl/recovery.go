@@ -26,8 +26,8 @@ func (c *Conn) runRecovery(now sim.Time) {
 // reordering window has elapsed since its transmission. Packets not yet
 // eligible get a timer at their eligibility instant.
 //
-// The candidate set — live, unacked, not parked — is exactly the clear
-// bits of the acked|nacked mirrors inside the live window, visited in
+// The candidate set — in flight and not parked — is exactly the clear
+// bits of the acked|nacked bitmaps inside the window, visited in
 // ascending PSN order by masked trailing-zero iteration.
 func (c *Conn) runRack(now sim.Time) {
 	reoWnd := c.rackReoWnd * time.Duration(c.reoWndMult)
@@ -65,7 +65,7 @@ func (c *Conn) runRack(now sim.Time) {
 	// PSNs, not slot pointers: a retransmit calls out (Transmit), and whatever
 	// the callee sends may grow the ring under the list.
 	for _, r := range lost {
-		c.retransmit(c.tx[r.space].slot(r.psn), retxRACK)
+		c.retransmit(r.space, r.psn, retxRACK)
 	}
 	if len(lost) > 0 {
 		c.up.Post(fae.Event{
@@ -110,7 +110,7 @@ func (c *Conn) runOOODistance() {
 			for w != 0 {
 				o := hi + bits.TrailingZeros64(w)
 				w &= w - 1
-				c.retransmit(ts.slot(ts.base+uint32(o)), retxOOO)
+				c.retransmit(ts.space, ts.base+uint32(o), retxOOO)
 				retransmitted = true
 			}
 		}
@@ -140,16 +140,17 @@ func (c *Conn) onTLP() {
 		c.tlpTimer.set(c.sim, c.sim.Now().Add(c.tlpTimeout))
 		return
 	}
-	var probe *txPacket
+	probe, found := txRef{}, false
 	for i := range c.tx {
 		ts := &c.tx[i]
-		if tp := ts.highestUnacked(); tp != nil && (probe == nil || tp.txTime < probe.txTime) {
-			probe = tp
+		psn, ok := ts.highestUnacked()
+		if ok && (!found || ts.slot(psn).txTime < c.tx[probe.space].slot(probe.psn).txTime) {
+			probe, found = txRef{ts.space, psn}, true
 		}
 	}
-	if probe != nil {
+	if found {
 		c.Stats.TLPProbes++
-		c.retransmit(probe, retxTLP)
+		c.retransmit(probe.space, probe.psn, retxTLP)
 	}
 	// The RTO remains armed as the backstop; TLP re-arms on new ACKs.
 }
@@ -186,7 +187,7 @@ func (c *Conn) onRTO() {
 		// synchronously, so brand-new packets can be stamped while the
 		// scan is still running, and a freshly sent tail packet must not
 		// escape the RTO retransmission. Growth only ever appends offsets
-		// past the previous bound (base and the acked mirror change only
+		// past the previous bound (base and the acked bitmap change only
 		// on packet receipt, never inside this loop), so extending keeps
 		// the visit in ascending PSN order.
 		scanned := false
@@ -209,8 +210,7 @@ func (c *Conn) onRTO() {
 							Kind: fae.EventRTO, Conn: c.id, Flow: int(ts.slot(psn).flow), Now: now,
 						})
 					}
-					// Resolved after Post, which may have grown the ring.
-					c.retransmit(ts.slot(psn), retxRTO)
+					c.retransmit(ts.space, psn, retxRTO)
 				}
 			}
 		}
@@ -245,9 +245,9 @@ func (c *Conn) fail() {
 	for i := range c.tx {
 		ts := &c.tx[i]
 		for psn := ts.base; psn != ts.next; psn++ {
-			if tp := ts.slot(psn); tp.live && !tp.acked && tp.pkt != nil {
-				c.pool.Release(tp.pkt)
-				tp.pkt = nil
+			if ts.inFlight(psn) {
+				c.pool.Release(ts.slot(psn).pkt)
+				ts.slot(psn).pkt = nil
 			}
 		}
 	}

@@ -179,11 +179,10 @@ func TestRTORetransmitsAllUnacked(t *testing.T) {
 	}
 	ts := &p.a.tx[wire.SpaceRequest]
 	for psn := ts.base; psn != ts.next; psn++ {
-		tp := ts.slot(psn)
-		if tp == nil || tp.acked {
+		if !ts.inFlight(psn) {
 			continue
 		}
-		if tp.retx == 0 {
+		if ts.slot(psn).retx == 0 {
 			t.Fatalf("PSN %d never retransmitted after %d RTOs (scan must cover the whole window)",
 				psn, p.a.Stats.RTOs)
 		}

@@ -118,19 +118,13 @@ func (g *growPair) OnEvent(sim.Time, uint64) {
 	}
 }
 
-// check holds a's scoreboard to its invariants and to the wire log: every
-// slot in [base, next) is its PSN's, its flags match the bitmap mirrors,
-// an acked slot has released its packet and an unacked one still holds
-// it, and an unacked slot records the last time and the number of times
-// its PSN actually went on the wire.
+// check holds a's scoreboard to CheckScoreboard and to the wire log: the
+// window fits its power-of-two ring, and every in-flight slot records the
+// last time and the number of times its PSN actually went on the wire.
 func (g *growPair) check() error {
 	c := g.a
-	flowOut := 0
-	for i := range c.flows {
-		flowOut += int(c.flows[i].outstanding)
-	}
-	if flowOut != c.Outstanding() {
-		return fmt.Errorf("flows hold %d outstanding, spaces %d", flowOut, c.Outstanding())
+	if msg := c.CheckScoreboard(); msg != "" {
+		return fmt.Errorf("%s", msg)
 	}
 	for i := range c.tx {
 		ts := &c.tx[i]
@@ -138,38 +132,15 @@ func (g *growPair) check() error {
 		if n > c.cfg.WindowSize || n > len(ts.pkts) || len(ts.pkts)&(len(ts.pkts)-1) != 0 {
 			return fmt.Errorf("space %d: window %d in a ring of %d", ts.space, n, len(ts.pkts))
 		}
-		if win := wire.LowMask(n); ts.acked.AndNot(win) != (wire.Bitmap{}) || ts.nackedB.AndNot(win) != (wire.Bitmap{}) {
-			return fmt.Errorf("space %d: mirror bits set past the window of %d", ts.space, n)
-		}
-		unacked, parked := 0, 0
-		for o := 0; o < n; o++ {
-			psn := ts.base + uint32(o)
-			tp := ts.slot(psn)
-			switch {
-			case !tp.live || tp.psn != psn:
-				return fmt.Errorf("space %d PSN %d: slot holds PSN %d (live %v)", ts.space, psn, tp.psn, tp.live)
-			case tp.acked != ts.acked.Get(o) || tp.nacked != ts.nackedB.Get(o):
-				return fmt.Errorf("space %d PSN %d: slot acked=%v nacked=%v, mirrors %v/%v",
-					ts.space, psn, tp.acked, tp.nacked, ts.acked.Get(o), ts.nackedB.Get(o))
-			case tp.acked && tp.pkt != nil:
-				return fmt.Errorf("space %d PSN %d: acked slot still holds its packet", ts.space, psn)
-			case tp.acked:
+		for psn := ts.base; psn != ts.next; psn++ {
+			if !ts.inFlight(psn) {
 				continue
-			case tp.pkt == nil || tp.pkt.PSN != psn:
-				return fmt.Errorf("space %d PSN %d: unacked slot lost its packet", ts.space, psn)
 			}
-			unacked++
-			if tp.nacked {
-				parked++
-			}
+			tp := ts.slot(psn)
 			log := g.sent[txRef{ts.space, psn}]
 			if len(log) == 0 || tp.txTime != log[len(log)-1] || int(tp.retx) != len(log)-1 {
 				return fmt.Errorf("space %d PSN %d: slot txTime %v retx %d, wire %v", ts.space, psn, tp.txTime, tp.retx, log)
 			}
-		}
-		if unacked != ts.outstanding || parked != ts.parked {
-			return fmt.Errorf("space %d: %d unacked / %d parked slots, counters %d / %d",
-				ts.space, unacked, parked, ts.outstanding, ts.parked)
 		}
 	}
 	return nil
@@ -188,7 +159,8 @@ func (g *growPair) retransmits() map[uint32]int {
 
 // TestRingGrowsInsideCallouts fills the minimum ring and then forces it to
 // double from inside each callout that is followed by slot use: the TL's
-// PacketAcked in markAcked, the FAE's PostEvent in handleNack and onRTO,
+// PacketAcked in the middle of an ACK's scan, the FAE's PostEvent in
+// handleNack and onRTO,
 // and the NIC's Send under runRack's retransmissions. The scoreboard must
 // match the wire after every event, every lost or refused PSN must be
 // retransmitted exactly once, and at quiescence every packet is back in
@@ -364,5 +336,52 @@ func TestRingTracksPeakWindow(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckScoreboard builds a request window of four PSNs, 1 and 2
+// SACKed, and requires CheckScoreboard to pass it, to pass it again once
+// the connection has failed and released its packets, and to name each
+// corruption of the scoreboard it is meant to catch.
+func TestCheckScoreboard(t *testing.T) {
+	build := func() (*Conn, *txSpace) {
+		c := NewConn(sim.New(1), 1, DefaultConfig(), &Callbacks{Send: func(*wire.Packet) {}})
+		for i := 0; i < 4; i++ {
+			c.SendPacket(dataPacket(uint64(i), wire.TypePushData, 64))
+		}
+		ts := &c.tx[wire.SpaceRequest]
+		c.processAckInfo(ts, wire.AckInfo{Bitmap: wire.Bitmap{0b0110}}, make([]int, len(c.flows)))
+		return c, ts
+	}
+	c, ts := build()
+	if ts.base != 0 || ts.next != 4 || c.Outstanding() != 2 {
+		t.Fatalf("window base=%d next=%d outstanding=%d, want 0, 4, 2", ts.base, ts.next, c.Outstanding())
+	}
+	if msg := c.CheckScoreboard(); msg != "" {
+		t.Fatalf("consistent scoreboard: %s", msg)
+	}
+	c.Fail()
+	if msg := c.CheckScoreboard(); msg != "" {
+		t.Fatalf("failed connection: %s", msg)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Conn, ts *txSpace)
+	}{
+		{"acked PSN parked", func(_ *Conn, ts *txSpace) { ts.nackedB.Set(1) }},
+		{"acked bit at next-base", func(_ *Conn, ts *txSpace) { ts.acked.Set(4) }},
+		{"parked bit at next-base", func(_ *Conn, ts *txSpace) { ts.nackedB.Set(4) }},
+		{"flow count", func(c *Conn, _ *txSpace) { c.flows[0].outstanding++ }},
+		{"in-flight slot without packet", func(_ *Conn, ts *txSpace) { ts.slot(0).pkt = nil }},
+		{"in-flight slot with another PSN's packet", func(_ *Conn, ts *txSpace) { ts.slot(3).pkt = &wire.Packet{PSN: 7} }},
+		{"acked slot with packet", func(_ *Conn, ts *txSpace) { ts.slot(1).pkt = &wire.Packet{PSN: 1} }},
+	} {
+		c, ts := build()
+		tc.corrupt(c, ts)
+		if msg := c.CheckScoreboard(); msg == "" {
+			t.Errorf("%s: not reported", tc.name)
+		} else {
+			t.Logf("%s: %s", tc.name, msg)
+		}
 	}
 }

@@ -222,7 +222,7 @@ func (c *Conn) handleAck(p *wire.Packet) {
 // processAckInfo folds one space's ACK info into the TX scoreboard. It
 // reports whether any packet was newly acknowledged.
 //
-// It scans the acked mirror and the wire bitmap a word at a time instead
+// It scans the acked bitmap and the wire bitmap a word at a time instead
 // of walking PSNs one by one, yet marks packets in ascending PSN order —
 // cumulative range first, then selective bits — because TL completion
 // order depends on it (scan_model_test.go holds it to the per-PSN walk).
@@ -251,14 +251,12 @@ func (c *Conn) processAckInfo(ts *txSpace, info wire.AckInfo, perFlow []int) boo
 			ts.advanceTo(ts.next)
 		}
 	}
-	// Selective portion: visit the set bits of the wire bitmap.
+	// Selective portion: visit the set bits of the wire bitmap; markAcked
+	// skips those outside the window.
 	for wi, w := range info.Bitmap {
 		for w != 0 {
 			psn := info.Base + uint32(wi*64+bits.TrailingZeros64(w))
 			w &= w - 1
-			if int32(psn-ts.base) < 0 || int32(psn-ts.next) >= 0 {
-				continue
-			}
 			if c.markAcked(ts, psn, perFlow) {
 				progress = true
 			}
@@ -280,24 +278,18 @@ func (ts *txSpace) slideBase() {
 	}
 }
 
-// markAcked marks one PSN acknowledged, returning true if it was newly
-// acked. The slot's wire packet returns to the pool once the TL has been
-// notified; the slot keeps psn/rsn/typ so later duplicate ACKs and NACKs
-// still resolve against it.
+// markAcked marks one PSN acknowledged, returning true if it was in
+// flight on a live connection (failing released the packets). The packet
+// returns to the pool before the TL is told its RSN and type, so an acked
+// slot never holds one.
 func (c *Conn) markAcked(ts *txSpace, psn uint32, perFlow []int) bool {
-	tp := ts.slot(psn)
-	if !tp.live || tp.acked || tp.psn != psn {
+	if c.failed || !ts.inFlight(psn) {
 		return false
 	}
-	tp.acked = true
-	off := int(int32(psn - ts.base))
+	off := int(psn - ts.base)
 	ts.acked.Set(off)
-	ts.outstanding--
-	if tp.nacked {
-		tp.nacked = false
-		ts.nackedB.Clear(off)
-		ts.parked--
-	}
+	ts.nackedB.Clear(off)
+	tp := ts.slot(psn)
 	f := &c.flows[tp.flow]
 	f.outstanding--
 	perFlow[tp.flow]++
@@ -314,11 +306,11 @@ func (c *Conn) markAcked(ts *txSpace, psn uint32, perFlow []int) bool {
 	if tp.txTime > f.rackXmit {
 		f.rackXmit = tp.txTime
 	}
-	c.up.Acked(ts.space, psn, tp.rsn, tp.typ)
-	// The TL may have sent from inside the upcall and grown the ring.
-	tp = ts.slot(psn)
-	c.pool.Release(tp.pkt)
+	p := tp.pkt
 	tp.pkt = nil
+	rsn, typ := p.RSN, p.Type
+	c.pool.Release(p)
+	c.up.Acked(ts.space, psn, rsn, typ)
 	return true
 }
 
@@ -334,31 +326,21 @@ func (c *Conn) handleNack(p *wire.Packet) {
 		c.Stats.NacksCie++
 	}
 	ts := &c.tx[p.Space]
-	// A space that never sent has no ring, and knows no PSN.
-	var tp *txPacket
-	known := false
-	if len(ts.pkts) > 0 {
-		tp = ts.slot(p.PSN)
-		known = tp.live && !tp.acked && tp.psn == p.PSN
-	}
-
 	switch p.NackCode {
 	case wire.NackResourceExhausted:
-		if !known {
+		if !ts.inFlight(p.PSN) {
 			return
 		}
 		// Back off, then retransmit; also tell the FAE the peer NIC
 		// is resource-pressured.
 		c.up.Post(fae.Event{
-			Kind: fae.EventNack, Conn: c.id, Flow: int(tp.flow), Now: c.sim.Now(),
+			Kind: fae.EventNack, Conn: c.id, Flow: int(ts.slot(p.PSN).flow), Now: c.sim.Now(),
 		})
-		// A synchronous FAE response may have sent and grown the ring.
-		tp = ts.slot(p.PSN)
-		if !tp.nacked {
-			tp.nacked = true
-			ts.nackedB.Set(int(int32(tp.psn - ts.base)))
-			ts.parked++
-			c.scheduleNackRetry(tp, p.Space, c.rto/4)
+		// A synchronous FAE response may have sent, which moves next but
+		// not base.
+		if off := int(p.PSN - ts.base); !ts.nackedB.Get(off) {
+			ts.nackedB.Set(off)
+			c.scheduleNackRetry(p.Space, p.PSN, c.rto/4)
 			// Parking the packet opened congestion window: the scheduler
 			// may now transmit queued packets — in particular a
 			// head-of-line RNR retry the receiver is waiting for.
@@ -373,9 +355,8 @@ func (c *Conn) handleNack(p *wire.Packet) {
 		// so the ack frees the packet context without completing it.
 		c.up.Nacked(p)
 		// PDL-level delivery is done: free the packet context.
-		if known {
-			var counts [wire.MaxFlows]int
-			c.markAcked(ts, p.PSN, counts[:len(c.flows)])
+		var counts [wire.MaxFlows]int
+		if c.markAcked(ts, p.PSN, counts[:len(c.flows)]) {
 			ts.slideBase()
 			c.resetTimersOnProgress()
 		}

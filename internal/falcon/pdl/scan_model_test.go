@@ -10,10 +10,9 @@ import (
 )
 
 // The per-PSN reference model for the scoreboard scans. processAckInfo,
-// slideBase and highestUnacked walk the acked mirror a word at a time; the
-// model below is the plain loop over PSNs they replaced. It reads the
-// per-slot flags rather than the mirror, so it also checks that the mirror
-// matches the slots it describes.
+// slideBase and highestUnacked walk the acked bitmap a word at a time; the
+// model below is the plain loop over PSNs they replaced, reading the
+// bitmap one PSN at a time.
 
 // modelProcessAckInfo marks the cumulative range PSN by PSN, then every
 // set bit of the wire bitmap that falls in the live window, then slides
@@ -48,26 +47,21 @@ func modelProcessAckInfo(c *Conn, ts *txSpace, info wire.AckInfo, perFlow []int)
 	return progress
 }
 
-// modelSlideBase advances the base one acked slot at a time.
+// modelSlideBase advances the base one acked PSN at a time.
 func modelSlideBase(ts *txSpace) {
-	for ts.base != ts.next {
-		tp := ts.slot(ts.base)
-		if !tp.live || !tp.acked {
-			break
-		}
+	for ts.base != ts.next && ts.acked.Get(0) {
 		ts.advanceTo(ts.base + 1)
 	}
 }
 
-// modelHighestUnacked walks down from next to the first unacked slot.
-func modelHighestUnacked(ts *txSpace) *txPacket {
+// modelHighestUnacked walks down from next to the first unacked PSN.
+func modelHighestUnacked(ts *txSpace) (uint32, bool) {
 	for psn := ts.next; psn != ts.base; psn-- {
-		tp := ts.slot(psn - 1)
-		if tp.live && !tp.acked {
-			return tp
+		if !ts.acked.Get(int(psn - 1 - ts.base)) {
+			return psn - 1, true
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // scanConn is a connection with a random scoreboard and a log of the
@@ -80,9 +74,9 @@ type scanConn struct {
 // newScanConn builds the scoreboard seed describes, so two calls with one
 // seed give identical connections. Each space gets a base that is often
 // just below the uint32 PSN wrap and a window of 0..WindowSize transmitted
-// PSNs, tracked from the minimum ring up, whose acked and nacked flags
-// (each space its own density) are mirrored into the bitmaps; the ring's
-// slots outside the window are left over from the previous lap.
+// PSNs, tracked from the minimum ring up, acked and parked at random (each
+// space its own density); the ring's slots outside the window are left
+// over from the previous lap, acked and holding no packet.
 func newScanConn(seed int64) *scanConn {
 	rng := rand.New(rand.NewSource(seed))
 	sc := &scanConn{}
@@ -106,7 +100,7 @@ func newScanConn(seed int64) *scanConn {
 		}
 		for o := n; o < len(ts.pkts); o++ {
 			psn := ts.base + uint32(o)
-			*ts.slot(psn) = txPacket{psn: psn - uint32(len(ts.pkts)), live: rng.Intn(4) != 0, acked: true}
+			*ts.slot(psn) = txPacket{txTime: sim.Time(rng.Intn(1_000_000)), flow: uint8(rng.Intn(len(c.flows)))}
 		}
 	}
 	return sc
@@ -114,8 +108,9 @@ func newScanConn(seed int64) *scanConn {
 
 // track appends one transmitted PSN to ts's window, growing the ring when
 // it is full as transmitNext does. The packet is acked with probability
-// ackP and otherwise parked with probability nackP; the bitmaps, counters
-// and per-flow state follow.
+// ackP, leaving its slot without a packet, and otherwise parked with
+// probability nackP; an in-flight slot holds a packet carrying its PSN,
+// RSN and type. The bitmaps and per-flow state follow.
 func track(c *Conn, ts *txSpace, rng *rand.Rand, ackP, nackP float64) {
 	if int(ts.next-ts.base) == len(ts.pkts) {
 		ts.grow(c.cfg.WindowSize)
@@ -125,23 +120,18 @@ func track(c *Conn, ts *txSpace, rng *rand.Rand, ackP, nackP float64) {
 	ts.next++
 	tp := ts.slot(psn)
 	*tp = txPacket{
-		psn:    psn,
-		rsn:    uint64(rng.Intn(1 << 20)),
+		pkt:    &wire.Packet{PSN: psn, RSN: uint64(rng.Intn(1 << 20)), Type: wire.TypePushData},
 		txTime: sim.Time(1 + rng.Intn(1_000_000)),
 		flow:   uint8(rng.Intn(len(c.flows))),
-		typ:    wire.TypePushData,
-		live:   true,
-		acked:  rng.Float64() < ackP,
 	}
-	if tp.acked {
+	if rng.Float64() < ackP {
+		tp.pkt = nil
 		ts.acked.Set(o)
 		return
 	}
-	if tp.nacked = rng.Float64() < nackP; tp.nacked {
+	if rng.Float64() < nackP {
 		ts.nackedB.Set(o)
-		ts.parked++
 	}
-	ts.outstanding++
 	c.flows[tp.flow].outstanding++
 }
 
@@ -159,11 +149,15 @@ func randomAck(rng *rand.Rand, ts *txSpace) wire.AckInfo {
 	return info
 }
 
-func psnOf(tp *txPacket) string {
-	if tp == nil {
-		return "none"
+// sameSlot compares two slots by value, and the PSN, RSN and type of the
+// packets they hold.
+func sameSlot(a, b txPacket) bool {
+	if (a.pkt == nil) != (b.pkt == nil) ||
+		a.pkt != nil && (a.pkt.PSN != b.pkt.PSN || a.pkt.RSN != b.pkt.RSN || a.pkt.Type != b.pkt.Type) {
+		return false
 	}
-	return fmt.Sprintf("%#x", tp.psn)
+	a.pkt, b.pkt = nil, nil
+	return a == b
 }
 
 // diffScan fails the test at the first field where the two connections'
@@ -175,19 +169,19 @@ func diffScan(t *testing.T, what string, live, model *scanConn) {
 		if len(a.pkts) != len(b.pkts) {
 			t.Fatalf("%s: space %d ring: live %d slots, model %d", what, sp, len(a.pkts), len(b.pkts))
 		}
-		if a.base != b.base || a.next != b.next || a.acked != b.acked || a.nackedB != b.nackedB ||
-			a.outstanding != b.outstanding || a.parked != b.parked {
-			t.Fatalf("%s: space %d window: live base=%#x next=%#x acked=%v nacked=%v out=%d parked=%d, model base=%#x next=%#x acked=%v nacked=%v out=%d parked=%d",
-				what, sp, a.base, a.next, a.acked, a.nackedB, a.outstanding, a.parked,
-				b.base, b.next, b.acked, b.nackedB, b.outstanding, b.parked)
+		if a.base != b.base || a.next != b.next || a.acked != b.acked || a.nackedB != b.nackedB {
+			t.Fatalf("%s: space %d window: live base=%#x next=%#x acked=%v nacked=%v, model base=%#x next=%#x acked=%v nacked=%v",
+				what, sp, a.base, a.next, a.acked, a.nackedB, b.base, b.next, b.acked, b.nackedB)
 		}
 		for i := range a.pkts {
-			if a.pkts[i] != b.pkts[i] {
+			if !sameSlot(a.pkts[i], b.pkts[i]) {
 				t.Fatalf("%s: space %d slot %d: live %+v, model %+v", what, sp, i, a.pkts[i], b.pkts[i])
 			}
 		}
-		if got, want := psnOf(a.highestUnacked()), psnOf(modelHighestUnacked(b)); got != want {
-			t.Fatalf("%s: space %d highestUnacked: live %s, model %s", what, sp, got, want)
+		gotPSN, gotOK := a.highestUnacked()
+		wantPSN, wantOK := modelHighestUnacked(b)
+		if gotOK != wantOK || gotOK && gotPSN != wantPSN {
+			t.Fatalf("%s: space %d highestUnacked: live %#x %v, model %#x %v", what, sp, gotPSN, gotOK, wantPSN, wantOK)
 		}
 	}
 	for f := range live.c.flows {
@@ -203,7 +197,7 @@ func diffScan(t *testing.T, what string, live, model *scanConn) {
 // TestScanMatchesPerPSNModel holds processAckInfo (with the slideBase it
 // ends in) and highestUnacked to the per-PSN model on random scoreboards:
 // the same PSNs acknowledged in the same order, the same progress and
-// per-flow counts, the same base, mirrors, slots and flow state, and the
+// per-flow counts, the same base, bitmaps, slots and flow state, and the
 // same TLP probe target, over a chain of ACKs per space. Between ACKs both
 // connections transmit a few more PSNs, so rings grow mid-sequence, some
 // of them with the window straddling the uint32 PSN wrap.

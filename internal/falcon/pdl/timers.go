@@ -172,31 +172,25 @@ func (c *Conn) resetTimersOnProgress() {
 }
 
 // nackRetryEvent is the pooled backoff retransmit for a resource-NACKed
-// packet. It identifies the packet by (space, psn, generation) rather than
-// holding the scoreboard slot, so a slot recycled after the window slides
-// past never triggers a stale retransmit.
+// packet. It names the packet by (space, psn) rather than holding the
+// scoreboard slot, and retransmit does nothing once the PSN is no longer
+// in flight.
 type nackRetryEvent struct {
 	c     *Conn
 	space wire.Space
 	psn   uint32
-	gen   uint32
 }
 
 func (ev *nackRetryEvent) RunAction() {
-	c := ev.c
-	ts := &c.tx[ev.space]
-	tp := ts.slot(ev.psn)
-	ok := tp.live && tp.psn == ev.psn && tp.gen == ev.gen && !tp.acked
+	c, space, psn := ev.c, ev.space, ev.psn
 	c.nackEvents.Put(ev)
-	if ok {
-		c.retransmit(tp, retxNackBackoff)
-	}
+	c.retransmit(space, psn, retxNackBackoff)
 }
 
 // scheduleNackRetry arms the backoff retransmit for a parked packet using a
 // pooled event.
-func (c *Conn) scheduleNackRetry(tp *txPacket, space wire.Space, backoff time.Duration) {
+func (c *Conn) scheduleNackRetry(space wire.Space, psn uint32, backoff time.Duration) {
 	ev := c.nackEvents.Get()
-	ev.c, ev.space, ev.psn, ev.gen = c, space, tp.psn, tp.gen
+	ev.c, ev.space, ev.psn = c, space, psn
 	c.sim.AtAction(c.sim.Now().Add(backoff), ev)
 }

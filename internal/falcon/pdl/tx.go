@@ -111,16 +111,7 @@ func (c *Conn) transmitNext(q *ring.Ring[*wire.Packet], ts *txSpace) {
 	ts.next++
 
 	tp := ts.slot(psn)
-	*tp = txPacket{
-		pkt:  p,
-		psn:  psn,
-		rsn:  p.RSN,
-		gen:  tp.gen + 1,
-		flow: uint8(flow),
-		typ:  p.Type,
-		live: true,
-	}
-	ts.outstanding++
+	*tp = txPacket{pkt: p, flow: uint8(flow)}
 	c.flows[flow].outstanding++
 
 	p.PSN = psn
@@ -206,16 +197,12 @@ func (c *Conn) maybePace() {
 	c.paceTimer = c.sim.AtAction(at, &c.paceAct)
 }
 
-// highestUnacked returns the newest (highest-PSN) unacked tracked packet in
-// the space, or nil — the tail packet a TLP must probe. It masks the acked
-// mirror down to the live window and takes the highest clear bit.
-func (ts *txSpace) highestUnacked() *txPacket {
-	n := int(ts.next - ts.base)
-	h := wire.LowMask(n).AndNot(ts.acked).HighestSet()
-	if h < 0 {
-		return nil
-	}
-	return ts.slot(ts.base + uint32(h))
+// highestUnacked returns the newest (highest-PSN) in-flight PSN of the
+// space, and false if there is none — the tail packet a TLP must probe. It
+// masks the acked bitmap down to the window and takes the highest clear bit.
+func (ts *txSpace) highestUnacked() (uint32, bool) {
+	h := wire.LowMask(int(ts.next - ts.base)).AndNot(ts.acked).HighestSet()
+	return ts.base + uint32(h), h >= 0
 }
 
 // retxCause identifies which recovery mechanism decided to re-send a
@@ -233,18 +220,15 @@ const (
 	retxNackBackoff
 )
 
-// retransmit re-sends a tracked packet, counting it against its cause and
-// flagging it on the wire.
-func (c *Conn) retransmit(tp *txPacket, cause retxCause) {
-	if c.failed || tp.acked {
+// retransmit re-sends an in-flight PSN, counting it against its cause and
+// flagging it on the wire. A parked PSN is parked no more.
+func (c *Conn) retransmit(space wire.Space, psn uint32, cause retxCause) {
+	ts := &c.tx[space]
+	if c.failed || !ts.inFlight(psn) {
 		return
 	}
-	if tp.nacked {
-		tp.nacked = false
-		ts := &c.tx[tp.pkt.Space]
-		ts.nackedB.Clear(int(int32(tp.psn - ts.base)))
-		ts.parked--
-	}
+	ts.nackedB.Clear(int(psn - ts.base))
+	tp := ts.slot(psn)
 	if tp.retx < math.MaxUint16 {
 		tp.retx++
 	}

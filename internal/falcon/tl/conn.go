@@ -356,17 +356,14 @@ func (c *Conn) resumeParked() {
 	}
 }
 
-// CompletedRSN is sampled by the PDL when building ACKs: the cumulative
-// in-order completion horizon at this target, which is the next RSN it
-// will serve (zero for unordered).
+// CompletedRSN is the cumulative in-order completion horizon at this
+// target, which is the next request RSN it will serve: the PDL samples it
+// into every ACK. Only an ordered target advances it, so it reads zero on
+// an unordered connection.
 func (c *Conn) CompletedRSN() uint64 { return c.expectedRSN }
 
 // RxOccupancy is forwarded to the PDL's ACK builder.
 func (c *Conn) RxOccupancy() float64 { return c.res.RxOccupancy() }
-
-// ExpectedRSN returns the next request RSN the target will process in
-// order (diagnostics/verification).
-func (c *Conn) ExpectedRSN() uint64 { return c.expectedRSN }
 
 // BufferedRSNs returns the RSNs held in the target reorder buffer, sorted
 // (diagnostics/verification).

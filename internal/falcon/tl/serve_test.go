@@ -137,8 +137,8 @@ func TestGapBuffersThenServesInOrder(t *testing.T) {
 			t.Errorf("RSN %d: OnRequestServed fired %d times, want 1", rsn, b.probe[rsn])
 		}
 	}
-	if b.c.ReorderBacklog() != 0 || b.c.ExpectedRSN() != 4 {
-		t.Fatalf("backlog %d, expected RSN %d; want 0, 4", b.c.ReorderBacklog(), b.c.ExpectedRSN())
+	if b.c.ReorderBacklog() != 0 || b.c.CompletedRSN() != 4 {
+		t.Fatalf("backlog %d, expected RSN %d; want 0, 4", b.c.ReorderBacklog(), b.c.CompletedRSN())
 	}
 	if b.pool.Allocated() == 0 {
 		t.Fatal("buffered requests took no packet from the pool")
@@ -160,9 +160,9 @@ func TestRNROnBufferedRequest(t *testing.T) {
 	for _, rsn := range []uint64{0, 2, 1} {
 		b.deliver(t, request(wire.TypePushData, rsn))
 	}
-	if !slices.Equal(b.h.order, []uint64{0, 1}) || b.c.ExpectedRSN() != 2 || b.c.ReorderBacklog() != 0 {
+	if !slices.Equal(b.h.order, []uint64{0, 1}) || b.c.CompletedRSN() != 2 || b.c.ReorderBacklog() != 0 {
 		t.Fatalf("served %v, expected RSN %d, backlog %d; want [0 1], 2, 0",
-			b.h.order, b.c.ExpectedRSN(), b.c.ReorderBacklog())
+			b.h.order, b.c.CompletedRSN(), b.c.ReorderBacklog())
 	}
 	if !slices.Equal(b.nacks, []wire.NackCode{wire.NackRNR}) {
 		t.Fatalf("NACKs sent %v, want one RNR", b.nacks)
@@ -200,9 +200,9 @@ func TestRNROnHeadOfLineRequest(t *testing.T) {
 		return TargetVerdict{Kind: TargetRNR, RetryDelay: 10 * time.Microsecond}
 	}
 	b.deliver(t, request(wire.TypePushData, 0))
-	if b.c.ExpectedRSN() != 0 || b.c.reorderBuf.Cap() != 0 || len(b.probe) != 0 {
+	if b.c.CompletedRSN() != 0 || b.c.reorderBuf.Cap() != 0 || len(b.probe) != 0 {
 		t.Fatalf("after RNR: expected RSN %d, reorder slots %d, served %v; want 0, 0, none",
-			b.c.ExpectedRSN(), b.c.reorderBuf.Cap(), b.probe)
+			b.c.CompletedRSN(), b.c.reorderBuf.Cap(), b.probe)
 	}
 	if !slices.Equal(b.nacks, []wire.NackCode{wire.NackRNR}) {
 		t.Fatalf("NACKs sent %v, want one RNR", b.nacks)
@@ -215,8 +215,8 @@ func TestRNROnHeadOfLineRequest(t *testing.T) {
 	// The retry is served normally.
 	b.h.verdict = nil
 	b.deliver(t, request(wire.TypePushData, 0))
-	if b.c.ExpectedRSN() != 1 || b.probe[0] != 1 {
-		t.Fatalf("retry: expected RSN %d, served %d times; want 1, 1", b.c.ExpectedRSN(), b.probe[0])
+	if b.c.CompletedRSN() != 1 || b.probe[0] != 1 {
+		t.Fatalf("retry: expected RSN %d, served %d times; want 1, 1", b.c.CompletedRSN(), b.probe[0])
 	}
 }
 

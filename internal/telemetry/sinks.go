@@ -45,8 +45,10 @@ func CollectPDL(r *Registry, prefix string, c *pdl.Conn) {
 		emit(prefix+"/pdl/nacks_cie", float64(s.NacksCie))
 		emit(prefix+"/pdl/delivered_to_tl", float64(s.DeliveredToTL))
 		emit(prefix+"/pdl/rx_window_drops", float64(s.RxWindowDrops))
-		emit(prefix+"/pdl/tx_unacked_req", float64(c.TxUnacked(wire.SpaceRequest)))
-		emit(prefix+"/pdl/tx_unacked_resp", float64(c.TxUnacked(wire.SpaceResponse)))
+		_, _, unackedReq := c.TxState(wire.SpaceRequest)
+		_, _, unackedResp := c.TxState(wire.SpaceResponse)
+		emit(prefix+"/pdl/tx_unacked_req", float64(unackedReq))
+		emit(prefix+"/pdl/tx_unacked_resp", float64(unackedResp))
 		emit(prefix+"/pdl/rx_window_req", float64(rxOccupancy(c, wire.SpaceRequest)))
 		emit(prefix+"/pdl/rx_window_resp", float64(rxOccupancy(c, wire.SpaceResponse)))
 		emit(prefix+"/pdl/queued_packets", float64(c.QueuedPackets()))

@@ -20,9 +20,10 @@ import (
 //     parked) past min(Σ fcwnd, ncwnd) for request-space packets, or
 //     Σ fcwnd for response-space packets (fractional windows admit
 //     exactly one in-flight packet).
-//   - TX window bounds: base ≤ next, next−base ≤ WindowSize, and the
-//     incrementally maintained outstanding counter always equals a fresh
-//     scan of the scoreboard.
+//   - TX window bounds: next−base ≤ WindowSize, and the scoreboard is
+//     coherent (pdl.Conn.CheckScoreboard): no PSN both acked and parked,
+//     no bitmap bit past the window, per-flow counts that sum to the
+//     outstanding total, and each slot holding the packet it should.
 //   - RX bitmap/base consistency: bit 0 of the RX bitmap is always clear
 //     after event processing — a set bit 0 means the cumulative base
 //     failed to advance over a received packet.
@@ -217,19 +218,14 @@ func (k *Checker) OnReceive(c *pdl.Conn, p *wire.Packet) {
 func (k *Checker) checkTxWindows(c *pdl.Conn, when string) {
 	winSize := uint32(c.Config().WindowSize)
 	for _, space := range []wire.Space{wire.SpaceRequest, wire.SpaceResponse} {
-		base, next, outstanding := c.TxState(space)
+		base, next, _ := c.TxState(space)
 		if span := next - base; span > winSize {
 			k.fail("tx window overflow on %s in %v space: next-base = %d > %d\n%s",
 				when, space, span, winSize, DumpConn(c))
 		}
-		if outstanding < 0 {
-			k.fail("negative outstanding count on %s in %v space: %d\n%s",
-				when, space, outstanding, DumpConn(c))
-		}
-		if scan := c.TxUnacked(space); scan != outstanding {
-			k.fail("tx scoreboard drift on %s in %v space: counter %d != scan %d\n%s",
-				when, space, outstanding, scan, DumpConn(c))
-		}
+	}
+	if msg := c.CheckScoreboard(); msg != "" {
+		k.fail("tx scoreboard inconsistent on %s: %s\n%s", when, msg, DumpConn(c))
 	}
 }
 
@@ -298,8 +294,8 @@ func DumpConn(c *pdl.Conn) string {
 	for _, space := range []wire.Space{wire.SpaceRequest, wire.SpaceResponse} {
 		txBase, txNext, out := c.TxState(space)
 		rxBase, bitmap := c.RxState(space)
-		fmt.Fprintf(&sb, "  %v tx: base=%d next=%d outstanding=%d scan=%d | rx: base=%d bitmap=%v\n",
-			space, txBase, txNext, out, c.TxUnacked(space), rxBase, bitmap)
+		fmt.Fprintf(&sb, "  %v tx: base=%d next=%d outstanding=%d | rx: base=%d bitmap=%v\n",
+			space, txBase, txNext, out, rxBase, bitmap)
 	}
 	st := c.Stats
 	fmt.Fprintf(&sb, "  stats: sent=%d retx=%d tlp=%d rto=%d acksTx=%d acksRx=%d dup=%d nacksTx=%d nacksRx=%d delivered=%d windowDrops=%d",

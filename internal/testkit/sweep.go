@@ -427,7 +427,7 @@ func Run(sc Scenario) Result {
 			"initiator: %s\n  tl pending=%v\ntarget: %s\n  tl expected=%d buffered=%v",
 			sc.Name, sc.MaxSimTime, res.Issued, res.Completed,
 			DumpConn(epA.PDL()), epA.TL().PendingRSNs(),
-			DumpConn(epB.PDL()), epB.TL().ExpectedRSN(), epB.TL().BufferedRSNs())
+			DumpConn(epB.PDL()), epB.TL().CompletedRSN(), epB.TL().BufferedRSNs())
 	}
 
 	res.TraceHash, res.ProtoHash = ps.h.Sum64(), ps.h.ProtoSum64()
