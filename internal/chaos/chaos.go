@@ -1,11 +1,14 @@
-// Package chaos is the one place a fault is scheduled: every impairment a
-// figure or test injects is an Event, and Apply puts it on the virtual
-// clock. Storm campaigns compose fabric gray failures (flap / slow /
-// correlated outage) with endpoint-level faults — host pause and
-// crash-restart (connection state surviving or torn down per plan),
-// NIC-port blackhole and packet-corruption windows, and receiver-not-ready
-// stalls that drive sustained RNR retry; figRouting and figGrayFailure
-// hand Apply a fixed event list of their own.
+// Package chaos schedules faults: an impairment a figure or test injects
+// is an Event, and Apply puts it on the virtual clock. Two faults are
+// scheduled elsewhere, as closures: the sweep scenario's link rate degrade
+// (DegradeGbps in internal/testkit/sweep.go) and Fig 14's PCIe downgrade
+// and restore (Fig14 in internal/experiments/congestion.go). Storm
+// campaigns compose fabric gray failures (flap / slow / correlated outage)
+// with endpoint-level faults — host pause and crash-restart (connection
+// state surviving or torn down per plan), NIC-port blackhole and
+// packet-corruption windows, and receiver-not-ready stalls that drive
+// sustained RNR retry; figRouting and figGrayFailure hand Apply a fixed
+// event list of their own.
 //
 // Determinism contract: a storm is a Plan — a pure value generated from a
 // seed by its own rand source, independent of simulator state — and Apply

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
+	"weak"
 
 	"falcon/internal/falcon/fae"
+	"falcon/internal/falcon/pdl"
+	"falcon/internal/falcon/tl"
 	"falcon/internal/falcon/wire"
 	"falcon/internal/netsim"
 	"falcon/internal/psp"
@@ -224,4 +229,53 @@ func TestCrashTearsDownInIDOrder(t *testing.T) {
 			t.Fatalf("Endpoints lists %v before %v", a, b)
 		}
 	}
+}
+
+// TestCrashReleasesConnection crashes a node with transactions in flight
+// both ways: once the run drains, nothing the simulation keeps retains the
+// crashed endpoint, its PDL connection or its TL connection, while the
+// peer's endpoint, still on its node, stays reachable.
+func TestCrashReleasesConnection(t *testing.T) {
+	s := sim.New(5)
+	topo, _ := netsim.PointToPoint(s, testLink)
+	cl := NewCluster(s)
+	x := cl.AddNode(topo.Hosts[0], DefaultNodeConfig())
+	y := cl.AddNode(topo.Hosts[1], DefaultNodeConfig())
+	// The endpoints are reached only through weak pointers once this
+	// returns, so the test's own frame holds none of them.
+	ep, pc, tc, peer := func() (weak.Pointer[Endpoint], weak.Pointer[pdl.Conn], weak.Pointer[tl.Conn], weak.Pointer[Endpoint]) {
+		a, b := cl.Connect(x, y, DefaultConnConfig())
+		a.SetTarget(&sink{})
+		b.SetTarget(&sink{})
+		for i := 0; i < 8; i++ {
+			for _, ep := range []*Endpoint{a, b} {
+				if _, err := ep.Push(nil, 4096, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return weak.Make(a), weak.Make(a.PDL()), weak.Make(a.TL()), weak.Make(b)
+	}()
+	s.RunFor(2 * time.Microsecond) // transactions in flight both ways
+	if got := x.Crash(); got != 1 {
+		t.Fatalf("Crash tore down %d connections, want 1", got)
+	}
+	s.Run()
+	runtime.GC()
+	runtime.GC()
+	if ep.Value() != nil {
+		t.Error("the crashed endpoint is still reachable")
+	}
+	if pc.Value() != nil {
+		t.Error("the crashed endpoint's PDL connection is still reachable")
+	}
+	if tc.Value() != nil {
+		t.Error("the crashed endpoint's TL connection is still reachable")
+	}
+	if peer.Value() == nil {
+		t.Error("the peer endpoint was collected: the check proves nothing")
+	}
+	runtime.KeepAlive(x)
+	runtime.KeepAlive(y)
+	runtime.KeepAlive(cl)
 }

@@ -197,11 +197,8 @@ type Stats struct {
 // issues Push and Pull transactions of at most MTU bytes, and it holds the
 // ULP work it refused in a park queue until its Xon edge (see Submit).
 type Conn struct {
-	sim *sim.Simulator
-	cfg Config
-	id  uint32
-	// key indexes this connection in res's per-connection tables.
-	key    uint32
+	sim    *sim.Simulator
+	cfg    Config
 	res    *Resources
 	ctrl   Control
 	target TargetHandler
@@ -212,10 +209,16 @@ type Conn struct {
 	// (nil = heap packets; see wire.PacketPool).
 	pool *wire.PacketPool
 
+	// held is what the connection holds in each of res's pools, the DT
+	// rule's per-connection input (xoffed). A holding is bounded by its
+	// pool, which NewResources keeps within an int32.
+	held [numPools]struct{ ctx, bytes int32 }
+
 	// Initiator state.
 	nextRSN    uint64
 	txns       ring.Table[*txn]
 	releaseRSN uint64 // next RSN to release to the ULP (ordered)
+	id         uint32 // here, beside the flags, to share their word
 	wasXoff    bool
 	// queued is set while the connection waits in res's waiters FIFO.
 	queued bool
@@ -265,7 +268,7 @@ type Conn struct {
 // NewConn creates a TL connection bound to shared resources and a PDL
 // control. target may be nil for a pure-initiator endpoint.
 func NewConn(s *sim.Simulator, id uint32, cfg Config, res *Resources, ctrl Control, target TargetHandler) *Conn {
-	c := &Conn{
+	return &Conn{
 		sim:    s,
 		cfg:    cfg,
 		id:     id,
@@ -274,8 +277,6 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, res *Resources, ctrl Contr
 		target: target,
 		alpha:  cfg.StaticAlpha,
 	}
-	c.key = res.subscribeConn(c)
-	return c
 }
 
 // SetPacketPool attaches a packet pool (nil keeps heap packets). Must be
@@ -387,14 +388,23 @@ func (c *Conn) effAlpha() float64 {
 	return c.alpha
 }
 
-// xoffed applies the DT rule T_c = α_c·Free per pool, on contexts and
-// buffer bytes (§4.6). A connection exceeding its share of any pool is
-// backpressured.
+// xoffed applies the DT rule T_c = α_c·Free per pool (§4.6): the
+// connection is backpressured if in ANY pool its holdings exceed α_c times
+// that pool's free resources, in contexts or bytes. Per-pool evaluation
+// matters: one exhausted pool must not be masked by slack in the others.
 func (c *Conn) xoffed() bool {
 	if c.cfg.Backpressure == BackpressureNone {
 		return false
 	}
-	return c.res.OverDTThreshold(c.key, c.effAlpha())
+	alpha := c.effAlpha()
+	for k, h := range c.held {
+		p := &c.res.pools[k]
+		if float64(h.ctx) > alpha*float64(p.cfg.Contexts-p.usedContexts) ||
+			float64(h.bytes) > alpha*float64(p.cfg.Bytes-p.usedBytes) {
+			return true
+		}
+	}
+	return false
 }
 
 // needy reports whether onResourcesFreed would do something: a deferred
@@ -472,12 +482,12 @@ func (c *Conn) initiate(kind txnKind, op uint8, addr uint64, data []byte, length
 	if kind == txnPull {
 		txBytes, rxBytes = len(data), int(length)
 	}
-	if err := c.res.Reserve(PoolTxReq, c.key, txBytes); err != nil {
+	if err := c.reserve(PoolTxReq, txBytes); err != nil {
 		c.noteXoff(true)
 		return 0, err
 	}
-	if err := c.res.Reserve(PoolRxResp, c.key, rxBytes); err != nil {
-		c.res.Release(PoolTxReq, c.key, txBytes)
+	if err := c.reserve(PoolRxResp, rxBytes); err != nil {
+		c.unreserve(PoolTxReq, txBytes)
 		c.noteXoff(true)
 		return 0, err
 	}
@@ -519,7 +529,7 @@ func (c *Conn) sendRequest(t *txn) {
 
 // onResourcesFreed drains deferred responses and, on the Xon edge (the DT
 // threshold no longer refuses a refused connection), resumes parked work.
-// Release calls it only on a needy connection.
+// unreserve calls it only on a needy connection.
 func (c *Conn) onResourcesFreed() {
 	c.drainPendingResponses()
 	if c.wasXoff && !c.xoffed() {

@@ -33,7 +33,7 @@ func (c *Conn) deliverRequest(p *wire.Packet) pdl.DeliverVerdict {
 	}
 
 	hol := !c.cfg.Ordered || p.RSN == c.expectedRSN
-	if err := c.res.AdmitRxRequest(c.key, int(p.Length), hol); err != nil {
+	if err := c.admitRxRequest(int(p.Length), hol); err != nil {
 		return pdl.DeliverVerdict{Kind: pdl.DeliverNoResources}
 	}
 
@@ -85,7 +85,7 @@ func (c *Conn) serveAdvance(rsn uint64) {
 // retried by the initiator.
 func (c *Conn) serve(p *wire.Packet) bool {
 	rsn := p.RSN
-	defer c.res.Release(PoolRxReq, c.key, int(p.Length))
+	defer c.unreserve(PoolRxReq, int(p.Length))
 
 	if c.target == nil {
 		// No ULP attached: treat as a sink (pure delivery benchmark).
@@ -134,7 +134,7 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 	resp.RSN = rsn
 	resp.Length = length
 	resp.Data = data
-	if err := c.res.Reserve(PoolTxResp, c.key, int(length)); err != nil {
+	if err := c.reserve(PoolTxResp, int(length)); err != nil {
 		// Defer until resources free up; the initiator's RTO/TLP keeps
 		// the transaction alive meanwhile.
 		c.pendingResponses.Push(resp)
@@ -148,7 +148,7 @@ func (c *Conn) sendPullResponse(rsn uint64, data []byte, length uint32) {
 func (c *Conn) drainPendingResponses() {
 	for c.pendingResponses.Len() > 0 {
 		resp := c.pendingResponses.Peek()
-		if err := c.res.Reserve(PoolTxResp, c.key, int(resp.Length)); err != nil {
+		if err := c.reserve(PoolTxResp, int(resp.Length)); err != nil {
 			c.res.enqueue(c)
 			return
 		}
@@ -181,7 +181,7 @@ func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Ty
 	if space == wire.SpaceResponse {
 		// A pull response we sent as target was delivered.
 		if bytes, ok := c.sentRespBytes.Del(rsn); ok {
-			c.res.Release(PoolTxResp, c.key, int(bytes))
+			c.unreserve(PoolTxResp, int(bytes))
 		}
 		return
 	}
@@ -189,7 +189,7 @@ func (c *Conn) PacketAcked(space wire.Space, psn uint32, rsn uint64, typ wire.Ty
 	// state: the completion horizon can finish a transaction before its
 	// per-packet ACK lands.
 	if bytes, ok := c.reqReservations.Del(rsn); ok {
-		c.res.Release(PoolTxReq, c.key, int(bytes))
+		c.unreserve(PoolTxReq, int(bytes))
 	}
 	if c.cfg.Ordered {
 		return // ordered transactions finish on the completion horizon
@@ -289,7 +289,7 @@ func (c *Conn) retryTransaction(t *txn) {
 	if t.kind == txnPush {
 		bytes = int(t.length)
 	}
-	if err := c.res.Reserve(PoolTxReq, c.key, bytes); err != nil {
+	if err := c.reserve(PoolTxReq, bytes); err != nil {
 		// Pool pressure: retry again shortly rather than dropping the
 		// transaction.
 		c.scheduleRetry(t.rsn, 50*time.Microsecond)
@@ -323,21 +323,21 @@ func (c *Conn) Fail(err error) {
 		}
 		c.release(t)
 	}
-	// Return TX reservations whose ACKs will never arrive. Release fires
-	// Xon subscribers, so these loops also run in sorted RSN order.
+	// Return TX reservations whose ACKs will never arrive. A release wakes
+	// waiting connections, so these loops also run in sorted RSN order.
 	for _, rsn := range c.reqReservations.Sorted() {
 		bytes, _ := c.reqReservations.Del(rsn)
-		c.res.Release(PoolTxReq, c.key, int(bytes))
+		c.unreserve(PoolTxReq, int(bytes))
 	}
 	for _, rsn := range c.sentRespBytes.Sorted() {
 		bytes, _ := c.sentRespBytes.Del(rsn)
-		c.res.Release(PoolTxResp, c.key, int(bytes))
+		c.unreserve(PoolTxResp, int(bytes))
 	}
 	// Drop target-side reorder buffers: their RxReq reservations, then
 	// their held packets.
 	for _, rsn := range c.reorderBuf.Sorted() {
 		held, _ := c.reorderBuf.Del(rsn)
-		c.res.Release(PoolRxReq, c.key, int(held.Length))
+		c.unreserve(PoolRxReq, int(held.Length))
 		c.pool.Release(held)
 	}
 	// Deferred responses will never send; their packets go back to the
@@ -389,7 +389,7 @@ func (c *Conn) release(t *txn) {
 	if t.kind == txnPull {
 		respBytes = int(t.length)
 	}
-	c.res.Release(PoolRxResp, c.key, respBytes)
+	c.unreserve(PoolRxResp, respBytes)
 	c.txns.Del(t.rsn)
 	// The context recycles as soon as the table forgets it; the
 	// completion fires from locals so a reentrant initiation inside the

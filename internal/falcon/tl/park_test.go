@@ -9,16 +9,15 @@ import (
 )
 
 // parkBed is one connection on a node whose TX-request pool has a single
-// context, held by a direct caller (key holderKey) until the test releases
+// context, held by a second connection (holder) until the test releases
 // it: every push the connection attempts is refused by the full pool until
 // then. Nothing is ever acked (nopCtrl).
 type parkBed struct {
-	s   *sim.Simulator
-	res *Resources
-	c   *Conn
+	s      *sim.Simulator
+	res    *Resources
+	c      *Conn
+	holder *Conn
 }
-
-const holderKey = 99
 
 func newParkBed(t *testing.T) *parkBed {
 	t.Helper()
@@ -29,14 +28,15 @@ func newParkBed(t *testing.T) *parkBed {
 	cfg := DefaultConfig()
 	cfg.Backpressure = BackpressureNone
 	c := NewConn(s, 1, cfg, res, nopCtrl{}, nil)
-	if err := res.Reserve(PoolTxReq, holderKey, 0); err != nil {
+	holder := newHolder(res)
+	if err := holder.reserve(PoolTxReq, 0); err != nil {
 		t.Fatal(err)
 	}
-	return &parkBed{s: s, res: res, c: c}
+	return &parkBed{s: s, res: res, c: c, holder: holder}
 }
 
 // freeOne returns the held context, waking the connection.
-func (b *parkBed) freeOne() { b.res.Release(PoolTxReq, holderKey, 0) }
+func (b *parkBed) freeOne() { b.holder.unreserve(PoolTxReq, 0) }
 
 // pushWork returns work that pushes once, recording its index in runs on
 // every attempt and in issued when the TL admits it.
@@ -70,7 +70,7 @@ func TestSubmitKeepsOrderAcrossRefusals(t *testing.T) {
 		}
 		// The admitted push holds the context; its release admits the
 		// next item.
-		b.res.Release(PoolTxReq, b.c.key, 0)
+		b.c.unreserve(PoolTxReq, 0)
 	}
 	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(issued, want) || b.c.Parked() != 0 {
 		t.Fatalf("issued %v with %d parked, want %v and none", issued, b.c.Parked(), want)
@@ -181,7 +181,7 @@ func TestSubmitResumeAllocationFree(t *testing.T) {
 	cycle := func() {
 		b.c.Submit(work)
 		b.freeOne()
-		if err := b.res.Reserve(PoolTxReq, holderKey, 0); err != nil {
+		if err := b.holder.reserve(PoolTxReq, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ package tl
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"falcon/internal/falcon/ring"
 	"falcon/internal/sim"
@@ -84,7 +85,7 @@ func DefaultResourceConfig() ResourceConfig {
 var ErrNoResources = errors.New("tl: resource pool exhausted")
 
 // Refusals are per-packet events under load (HoL admission, deferred
-// response drains, ULPs resumed on Xon), so Reserve and AdmitRxRequest
+// response drains, ULPs resumed on Xon), so reserve and admitRxRequest
 // return these precomputed errors instead of formatting one per call. Each
 // wraps ErrNoResources.
 var (
@@ -97,41 +98,10 @@ var (
 	errBeyondHoL = fmt.Errorf("%w: rx-req beyond HoL threshold", ErrNoResources)
 )
 
-// connInts is a per-connection counter table indexed directly by
-// connection key, replacing the map[uint32]int lookups that dominated
-// Reserve/Release profiles. A TL connection's key is the dense index its
-// Resources assigned it (subscribeConn), so a table is as long as the
-// connections on its node, whatever their cluster-wide IDs. Absent keys
-// read as zero, matching the map's delete-at-zero behavior.
-type connInts []int
-
-func (s *connInts) at(conn uint32) int {
-	if int(conn) >= len(*s) {
-		return 0
-	}
-	return (*s)[conn]
-}
-
-func (s *connInts) add(conn uint32, d int) {
-	for int(conn) >= len(*s) {
-		n := len(*s) * 2
-		if n < 8 {
-			n = 8
-		}
-		grown := make([]int, n)
-		copy(grown, *s)
-		*s = grown
-	}
-	(*s)[conn] += d
-}
-
 type pool struct {
 	cfg          PoolConfig
 	usedContexts int
 	usedBytes    int
-	// Per-connection holdings within this pool (DT isolation inputs).
-	connCtx   connInts
-	connBytes connInts
 }
 
 func (p *pool) tryReserve(bytes int) bool {
@@ -167,23 +137,21 @@ func (p *pool) occupancy() float64 {
 }
 
 // Resources is the NIC-wide resource manager shared by all connections on
-// one Falcon instance.
+// one Falcon instance. It keeps the node's totals per pool; what each
+// connection holds lives on the connection (Conn.held).
 type Resources struct {
 	cfg   ResourceConfig
-	pools [numPools]*pool
-
-	// conns maps a connection key to its TL connection.
-	conns []*Conn
+	pools [numPools]pool
 
 	// waiters holds, in refusal order, the connections a full pool
-	// refused and those holding deferred responses: the ones any Release
+	// refused and those holding deferred responses: the ones any release
 	// may unblock. A connection refused by its DT threshold is not here;
-	// only its own releases can lower its holdings (see Release).
+	// only its own releases can lower its holdings (see Conn.unreserve).
 	waiters ring.Ring[*Conn]
 
-	// waking is set while Release wakes connections, so a Release nested
-	// inside a wake (a refused ULP rolling back a partial reservation)
-	// does its accounting and starts no second walk.
+	// waking is set while a release wakes connections, so a release
+	// nested inside a wake (a refused ULP rolling back a partial
+	// reservation) does its accounting and starts no second walk.
 	waking bool
 
 	// txns is the node's free list of transaction contexts, shared by its
@@ -191,11 +159,16 @@ type Resources struct {
 	txns sim.FreeList[txn]
 }
 
-// NewResources builds the resource manager.
+// NewResources builds the resource manager. A connection's holding in a
+// pool is an int32, so a pool may hold at most math.MaxInt32 contexts and
+// bytes.
 func NewResources(cfg ResourceConfig) *Resources {
 	r := &Resources{cfg: cfg}
-	for i := range r.pools {
-		r.pools[i] = &pool{cfg: cfg.Pools[i]}
+	for k, pc := range cfg.Pools {
+		if pc.Contexts > math.MaxInt32 || pc.Bytes > math.MaxInt32 {
+			panic(fmt.Sprintf("tl: %v pool of %d contexts and %d bytes exceeds math.MaxInt32", PoolKind(k), pc.Contexts, pc.Bytes))
+		}
+		r.pools[k].cfg = pc
 	}
 	return r
 }
@@ -222,37 +195,34 @@ func (r *Resources) TxnContexts() (built, free int) {
 	return r.txns.Built(), r.txns.Free()
 }
 
-// Reserve takes one context plus bytes from the pool on behalf of conn.
-// Here and below, conn is a connection key: TL connections use the index
-// Resources assigned them, and direct callers any small integer.
-func (r *Resources) Reserve(k PoolKind, conn uint32, bytes int) error {
-	p := r.pools[k]
-	if !p.tryReserve(bytes) {
+// reserve takes one context plus bytes from pool k on c's behalf.
+func (c *Conn) reserve(k PoolKind, bytes int) error {
+	if !c.res.pools[k].tryReserve(bytes) {
 		return errPoolExhausted[k]
 	}
-	p.connCtx.add(conn, 1)
-	p.connBytes.add(conn, bytes)
+	c.held[k].ctx++
+	c.held[k].bytes += int32(bytes)
 	return nil
 }
 
-// Release returns one context plus bytes to the pool, then wakes what the
-// release may have unblocked: first the releasing connection, whose own
-// holdings fell (a DT refusal waits for exactly this), then the waiters in
-// refusal order, stopping at the first woken connection that a full pool
-// refuses again. Per call that is O(1 + connections admitted).
-func (r *Resources) Release(k PoolKind, conn uint32, bytes int) {
-	p := r.pools[k]
-	p.release(bytes)
-	p.connCtx.add(conn, -1)
-	p.connBytes.add(conn, -bytes)
+// unreserve returns one context plus bytes of c's holding to pool k, then
+// wakes what the release may have unblocked: first c, whose own holdings
+// fell (a DT refusal waits for exactly this), then the waiters in refusal
+// order, stopping at the first woken connection that a full pool refuses
+// again. Per call that is O(1 + connections admitted).
+func (c *Conn) unreserve(k PoolKind, bytes int) {
+	h := &c.held[k]
+	if h.ctx < 1 || int(h.bytes) < bytes {
+		panic(fmt.Sprintf("tl: connection %d released below zero in %v (holds ctx=%d bytes=%d, releases 1 and %d)", c.id, k, h.ctx, h.bytes, bytes))
+	}
+	h.ctx--
+	h.bytes -= int32(bytes)
+	r := c.res
+	r.pools[k].release(bytes)
 	if r.waking {
 		return
 	}
-	var c *Conn
-	if int(conn) < len(r.conns) {
-		c = r.conns[conn]
-	}
-	self := c != nil && c.needy()
+	self := c.needy()
 	if !self && r.waiters.Len() == 0 {
 		return
 	}
@@ -288,48 +258,13 @@ func (r *Resources) RxOccupancy() float64 {
 	return rq
 }
 
-// ConnUsage returns the contexts currently held by conn across all pools.
-func (r *Resources) ConnUsage(conn uint32) int {
-	n := 0
-	for _, p := range r.pools {
-		n += p.connCtx.at(conn)
-	}
-	return n
-}
-
-// OverDTThreshold applies the dynamic-threshold rule per pool (§4.6): the
-// connection is over-threshold if in ANY pool its holdings exceed
-// α·(free resources of that pool), in contexts or bytes. Per-pool
-// evaluation matters: one exhausted pool must not be masked by slack in
-// the others.
-func (r *Resources) OverDTThreshold(conn uint32, alpha float64) bool {
-	for _, p := range r.pools {
-		freeCtx := float64(p.cfg.Contexts - p.usedContexts)
-		if float64(p.connCtx.at(conn)) > alpha*freeCtx {
-			return true
-		}
-		freeBytes := float64(p.cfg.Bytes - p.usedBytes)
-		if float64(p.connBytes.at(conn)) > alpha*freeBytes {
-			return true
-		}
-	}
-	return false
-}
-
-// AdmitRxRequest applies the RxReq admission rule: below the occupancy
+// admitRxRequest applies the RxReq admission rule: below the occupancy
 // threshold, all requests are admitted; beyond it, only head-of-line
 // requests (§4.5), preventing non-HoL requests from occupying everything
 // and deadlocking ordered connections.
-func (r *Resources) AdmitRxRequest(conn uint32, bytes int, headOfLine bool) error {
-	if r.pools[PoolRxReq].occupancy() >= r.cfg.HoLAdmissionThreshold && !headOfLine {
+func (c *Conn) admitRxRequest(bytes int, headOfLine bool) error {
+	if c.res.pools[PoolRxReq].occupancy() >= c.res.cfg.HoLAdmissionThreshold && !headOfLine {
 		return errBeyondHoL
 	}
-	return r.Reserve(PoolRxReq, conn, bytes)
-}
-
-// subscribeConn registers a connection for release wake-ups and returns
-// its key.
-func (r *Resources) subscribeConn(c *Conn) uint32 {
-	r.conns = append(r.conns, c)
-	return uint32(len(r.conns) - 1)
+	return c.reserve(PoolRxReq, bytes)
 }

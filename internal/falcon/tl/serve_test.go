@@ -86,7 +86,7 @@ func (b *targetBed) checkReturned(t *testing.T) {
 	if free, alloc := b.pool.Free(), b.pool.Allocated(); free != alloc {
 		t.Errorf("pool: %d of %d packets free, want all back", free, alloc)
 	}
-	if u := b.res.ConnUsage(b.c.key); u != 0 {
+	if u := heldContexts(b.c); u != 0 {
 		t.Errorf("RxReq usage %d, want 0", u)
 	}
 }
@@ -184,8 +184,8 @@ func TestFailReturnsBufferedRequests(t *testing.T) {
 	for _, rsn := range []uint64{0, 2, 3, 5} {
 		b.deliver(t, request(wire.TypePushData, rsn))
 	}
-	if b.c.ReorderBacklog() != 3 || b.res.ConnUsage(b.c.key) != 3 {
-		t.Fatalf("backlog %d, RxReq usage %d before Fail; want 3, 3", b.c.ReorderBacklog(), b.res.ConnUsage(b.c.key))
+	if b.c.ReorderBacklog() != 3 || heldContexts(b.c) != 3 {
+		t.Fatalf("backlog %d, RxReq usage %d before Fail; want 3, 3", b.c.ReorderBacklog(), heldContexts(b.c))
 	}
 	b.c.Fail(nil)
 	if b.c.ReorderBacklog() != 0 || !slices.Equal(b.h.order, []uint64{0}) {
@@ -209,7 +209,7 @@ func TestRNROnHeadOfLineRequest(t *testing.T) {
 	}
 	// Released exactly once: a second release would panic (over-release)
 	// and a missing one would leave the reservation held.
-	if u := b.res.ConnUsage(b.c.key); u != 0 {
+	if u := heldContexts(b.c); u != 0 {
 		t.Fatalf("RxReq usage %d after RNR, want 0", u)
 	}
 	// The retry is served normally.

@@ -250,7 +250,7 @@ func TestResourcesReturnToZero(t *testing.T) {
 			}
 		}
 	}
-	if u := e.resA.ConnUsage(e.a.key); u != 0 {
+	if u := heldContexts(e.a); u != 0 {
 		t.Errorf("conn usage %d after drain", u)
 	}
 }
@@ -262,17 +262,18 @@ func TestHoLAdmission(t *testing.T) {
 		},
 		HoLAdmissionThreshold: 0.5,
 	})
+	c := newHolder(res)
 	// Fill to the threshold with non-HoL requests.
 	for i := 0; i < 5; i++ {
-		if err := res.AdmitRxRequest(1, 100, false); err != nil {
+		if err := c.admitRxRequest(100, false); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
 	}
 	// Beyond the threshold, non-HoL is refused, HoL admitted.
-	if err := res.AdmitRxRequest(1, 100, false); err == nil {
+	if err := c.admitRxRequest(100, false); err == nil {
 		t.Fatal("non-HoL admitted beyond threshold")
 	}
-	if err := res.AdmitRxRequest(1, 100, true); err != nil {
+	if err := c.admitRxRequest(100, true); err != nil {
 		t.Fatalf("HoL refused: %v", err)
 	}
 }
@@ -388,12 +389,13 @@ func TestBareRefusalsWakeBounded(t *testing.T) {
 	e := newEnv(t, cfg)
 	e.resA.pools[PoolTxReq].cfg.Contexts = 2
 	e.ctrlA.holdRequests = true // nothing is acked until released
-	// The connection holds one TxReq context and a direct caller the
+	// The connection holds one TxReq context and a second connection the
 	// other, so the pool is full and any holding is over the threshold.
 	if _, err := e.a.Push(nil, 100, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.resA.Reserve(PoolTxReq, 99, 0); err != nil {
+	holder := newHolder(e.resA)
+	if err := holder.reserve(PoolTxReq, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Alternate DT refusals with full-pool ones (the latter with the
@@ -408,13 +410,13 @@ func TestBareRefusalsWakeBounded(t *testing.T) {
 	if e.a.Stats.Backpressured != 100 {
 		t.Fatalf("counted %d refusals, want 100", e.a.Stats.Backpressured)
 	}
-	if n, w := needyConns(e.resA), e.resA.waiters.Len(); n != 1 || w != 1 {
+	if n, w := needyConns(e.a, holder), e.resA.waiters.Len(); n != 1 || w != 1 {
 		t.Fatalf("after 100 refusals: %d needy connections, %d waiters; want 1 and 1", n, w)
 	}
 	// One release: at most the self check and one FIFO entry, and the edge
 	// disarms the connection.
-	e.resA.Release(PoolTxReq, 99, 0)
-	if n, w := needyConns(e.resA), e.resA.waiters.Len(); n != 0 || w != 0 {
+	holder.unreserve(PoolTxReq, 0)
+	if n, w := needyConns(e.a, holder), e.resA.waiters.Len(); n != 0 || w != 0 {
 		t.Fatalf("after one release: %d needy connections, %d waiters; want 0 and 0", n, w)
 	}
 	e.ctrlA.holdRequests = false
@@ -423,32 +425,32 @@ func TestBareRefusalsWakeBounded(t *testing.T) {
 }
 
 // TestRefusalsAllocationFree holds the three refusal paths that run per
-// packet under load to zero allocations: a pool-exhausted Reserve, an
+// packet under load to zero allocations: a pool-exhausted reserve, an
 // RxReq admission beyond the HoL threshold, and a backpressured Pull.
 // The errors stay matchable and keep their text.
 func TestRefusalsAllocationFree(t *testing.T) {
 	rc := DefaultResourceConfig()
 	rc.Pools[PoolTxResp] = PoolConfig{Contexts: 1, Bytes: 4096}
 	rc.Pools[PoolRxReq] = PoolConfig{Contexts: 2, Bytes: 8192}
-	res := NewResources(rc)
-	if err := res.Reserve(PoolTxResp, 1, 0); err != nil {
+	c := newHolder(NewResources(rc))
+	if err := c.reserve(PoolTxResp, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.AdmitRxRequest(1, 0, true); err != nil { // occupancy 0.5 = threshold
+	if err := c.admitRxRequest(0, true); err != nil { // occupancy 0.5 = threshold
 		t.Fatal(err)
 	}
 	var reserveErr, admitErr error
-	if n := testing.AllocsPerRun(100, func() { reserveErr = res.Reserve(PoolTxResp, 1, 0) }); n != 0 {
-		t.Errorf("refused Reserve: %v allocs/op, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { reserveErr = c.reserve(PoolTxResp, 0) }); n != 0 {
+		t.Errorf("refused reserve: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { admitErr = res.AdmitRxRequest(1, 0, false) }); n != 0 {
-		t.Errorf("refused AdmitRxRequest: %v allocs/op, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { admitErr = c.admitRxRequest(0, false) }); n != 0 {
+		t.Errorf("refused admitRxRequest: %v allocs/op, want 0", n)
 	}
 	if !errors.Is(reserveErr, ErrNoResources) || reserveErr.Error() != "tl: resource pool exhausted: tx-resp" {
-		t.Errorf("refused Reserve returned %q", reserveErr)
+		t.Errorf("refused reserve returned %q", reserveErr)
 	}
 	if !errors.Is(admitErr, ErrNoResources) || admitErr.Error() != "tl: resource pool exhausted: rx-req beyond HoL threshold" {
-		t.Errorf("refused AdmitRxRequest returned %q", admitErr)
+		t.Errorf("refused admitRxRequest returned %q", admitErr)
 	}
 
 	cfg := DefaultConfig()
@@ -527,29 +529,64 @@ func TestPullResponseDeferredUnderTxRespPressure(t *testing.T) {
 
 func TestResourcePoolAccounting(t *testing.T) {
 	res := NewResources(DefaultResourceConfig())
-	if err := res.Reserve(PoolTxReq, 7, 1000); err != nil {
+	c := newHolder(res)
+	if err := c.reserve(PoolTxReq, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if res.ConnUsage(7) != 1 {
-		t.Fatalf("usage = %d", res.ConnUsage(7))
+	if heldContexts(c) != 1 {
+		t.Fatalf("usage = %d", heldContexts(c))
 	}
 	if res.Occupancy(PoolTxReq) <= 0 {
 		t.Fatal("occupancy should be positive")
 	}
-	res.Release(PoolTxReq, 7, 1000)
-	if res.ConnUsage(7) != 0 || res.Occupancy(PoolTxReq) != 0 {
+	c.unreserve(PoolTxReq, 1000)
+	if heldContexts(c) != 0 || res.Occupancy(PoolTxReq) != 0 {
 		t.Fatal("release did not restore")
+	}
+
+	// A push holds its request's context and its completion's slot.
+	s := sim.New(1)
+	p := NewConn(s, 3, DefaultConfig(), res, &fakeCtrl{s: s}, nil)
+	if _, err := p.Push(nil, 100, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := heldContexts(p); got != 2 {
+		t.Fatalf("a push holds %d contexts, want 2 (request + completion slot)", got)
 	}
 }
 
+// TestOverReleasePanics: a release below zero panics, whether it would
+// empty the pool past zero or take from a connection what another one
+// holds; a refused release changes nothing.
 func TestOverReleasePanics(t *testing.T) {
 	res := NewResources(DefaultResourceConfig())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on over-release")
+	a, b := newHolder(res), newHolder(res)
+	mustPanic := func(what string, release func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic on over-release", what)
+			}
+		}()
+		release()
+	}
+	mustPanic("empty pool", func() { a.unreserve(PoolTxReq, 0) })
+	for _, c := range []*Conn{a, b} {
+		if err := c.reserve(PoolTxReq, 1000); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	res.Release(PoolTxReq, 1, 0)
+	}
+	// The pool holds what each release returns; the connection does not.
+	mustPanic("a context another connection holds", func() { newHolder(res).unreserve(PoolTxReq, 0) })
+	mustPanic("bytes another connection holds", func() { a.unreserve(PoolTxReq, 2000) })
+	for _, c := range []*Conn{a, b} {
+		if h := c.held[PoolTxReq]; h.ctx != 1 || h.bytes != 1000 {
+			t.Errorf("after refused releases a connection holds %+v, want 1 context and 1000 bytes", h)
+		}
+	}
+	if p := res.pools[PoolTxReq]; p.usedContexts != 2 || p.usedBytes != 2000 {
+		t.Errorf("after refused releases the pool holds %d contexts and %d bytes, want 2 and 2000", p.usedContexts, p.usedBytes)
+	}
 }
 
 func TestRxOccupancySignal(t *testing.T) {
@@ -558,7 +595,7 @@ func TestRxOccupancySignal(t *testing.T) {
 		t.Fatal("empty resources should report 0 occupancy")
 	}
 	cfgBytes := DefaultResourceConfig().Pools[PoolRxReq].Bytes
-	if err := res.Reserve(PoolRxReq, 1, cfgBytes/2); err != nil {
+	if err := newHolder(res).reserve(PoolRxReq, cfgBytes/2); err != nil {
 		t.Fatal(err)
 	}
 	if occ := res.RxOccupancy(); occ < 0.49 || occ > 0.51 {
@@ -574,10 +611,10 @@ func (nopCtrl) SendPacket(*wire.Packet) {}
 
 func (nopCtrl) SendExceptionNack(wire.Space, uint32, uint64, wire.NackCode, time.Duration) {}
 
-// needyConns counts r's connections that a release would wake.
-func needyConns(r *Resources) int {
+// needyConns counts the connections among cs that a release would wake.
+func needyConns(cs ...*Conn) int {
 	n := 0
-	for _, c := range r.conns {
+	for _, c := range cs {
 		if c.needy() {
 			n++
 		}
@@ -585,7 +622,22 @@ func needyConns(r *Resources) int {
 	return n
 }
 
-// TestReleaseWakeBounded pins the wake contract. A Release wakes the
+// newHolder returns an idle connection on res through which a test takes
+// and returns resources directly.
+func newHolder(res *Resources) *Conn {
+	return NewConn(sim.New(1), 0, DefaultConfig(), res, nopCtrl{}, nil)
+}
+
+// heldContexts sums the contexts c holds across its node's pools.
+func heldContexts(c *Conn) int {
+	n := 0
+	for _, h := range c.held {
+		n += int(h.ctx)
+	}
+	return n
+}
+
+// TestReleaseWakeBounded pins the wake contract. A release wakes the
 // releasing connection, then the connections a full pool refused, in
 // refusal order, and stops at the first one refused again. Connections
 // refused by their DT threshold are not walked, however many there are.
@@ -631,7 +683,7 @@ func TestReleaseWakeBounded(t *testing.T) {
 			k = PoolTxReq
 		}
 		subs[i] = newConn(dt)
-		if err := res.Reserve(k, subs[i].key, 0); err != nil {
+		if err := subs[i].reserve(k, 0); err != nil {
 			t.Fatal(err)
 		}
 		park(subs[i], ErrBackpressured, subWake)
@@ -641,7 +693,7 @@ func TestReleaseWakeBounded(t *testing.T) {
 	if n := res.waiters.Len(); n != 1 {
 		t.Fatalf("%d connections wait for any release, want only the pool waiter", n)
 	}
-	res.Release(PoolTxReq, subs[0].key, 0)
+	subs[0].unreserve(PoolTxReq, 0)
 	if subWakes != 1 || waiterWakes != 1 {
 		t.Fatalf("one release woke %d DT-refused and %d pool-waiting connections, want 1 and 1",
 			subWakes, waiterWakes)
@@ -650,7 +702,7 @@ func TestReleaseWakeBounded(t *testing.T) {
 	// Three pool waiters refused in the order 2, 0, 1, each re-issuing
 	// one push when woken.
 	holder := newConn(cfg)
-	if err := res.Reserve(PoolTxReq, holder.key, 0); err != nil {
+	if err := holder.reserve(PoolTxReq, 0); err != nil {
 		t.Fatal(err)
 	}
 	var order []int
@@ -664,11 +716,11 @@ func TestReleaseWakeBounded(t *testing.T) {
 	}
 	// Waiter 2 takes the freed context; waiter 0 is refused again and
 	// ends the walk, so waiter 1 keeps its place at the head.
-	res.Release(PoolTxReq, holder.key, 0)
+	holder.unreserve(PoolTxReq, 0)
 	if want := []int{2, 0}; !slices.Equal(order, want) {
 		t.Fatalf("first release woke %v, want %v", order, want)
 	}
-	res.Release(PoolTxReq, waiters[2].key, 0)
+	waiters[2].unreserve(PoolTxReq, 0)
 	if want := []int{2, 0, 1, 0}; !slices.Equal(order, want) {
 		t.Fatalf("second release woke %v, want %v", order, want)
 	}
@@ -764,7 +816,7 @@ func TestXonLiveness(t *testing.T) {
 				t.Fatalf("seed %d: conn %d still has %d parked", seed, i, n)
 			}
 		}
-		if a, b := needyConns(resA), needyConns(resB); a != 0 || b != 0 {
+		if a, b := needyConns(as...), needyConns(bs...); a != 0 || b != 0 {
 			t.Fatalf("seed %d: %d initiator and %d target connections still needy at quiescence", seed, a, b)
 		}
 		if seed == 1 && refused == 0 {
@@ -909,30 +961,5 @@ func TestTxnContextsSharedPerNode(t *testing.T) {
 	complete(b)
 	if built, free := res.TxnContexts(); built != 2*n || free != 2*n {
 		t.Fatalf("at quiescence the node has %d contexts and %d free, want %d of %d", built, free, 2*n, 2*n)
-	}
-}
-
-// TestResourceKeysAreDense: connections on one Resources get keys 0, 1, 2,
-// ... whatever their (cluster-wide) IDs, so the per-connection holdings
-// tables are as long as the node's connection count.
-func TestResourceKeysAreDense(t *testing.T) {
-	s := sim.New(1)
-	res := NewResources(DefaultResourceConfig())
-	for i, id := range []uint32{70_000, 3, 1 << 30} {
-		c := NewConn(s, id, DefaultConfig(), res, &fakeCtrl{s: s}, nil)
-		if c.key != uint32(i) {
-			t.Fatalf("connection %d got key %d, want %d", id, c.key, i)
-		}
-		if _, err := c.Push(nil, 100, nil); err != nil {
-			t.Fatal(err)
-		}
-		if got := res.ConnUsage(c.key); got != 2 {
-			t.Fatalf("connection %d holds %d contexts, want 2 (request + completion slot)", id, got)
-		}
-	}
-	for k, p := range res.pools {
-		if len(p.connCtx) > 8 || len(p.connBytes) > 8 {
-			t.Fatalf("pool %v tables of %d/%d entries for 3 connections", PoolKind(k), len(p.connCtx), len(p.connBytes))
-		}
 	}
 }

@@ -340,22 +340,22 @@ func TestCancelInEveryRegion(t *testing.T) {
 				t.Fatalf("cancelled timer at %v fired", at)
 			}
 		}
-		// The early heap: draining a slot of nothing but a cancelled
-		// timer leaves the wheel's ns level ahead of the clock, so the next
-		// short timers land below it.
+		// A slot of nothing but a cancelled timer is reclaimed without
+		// moving the ns level ahead of the clock, so the next short timers
+		// land in front of the scan points and fire in order.
 		s.After(10*(1<<l0Shift), func() {}).Stop()
 		s.Run()
 		now := s.Now()
-		keepEarly, killEarly, keepLate := mk(now+3), mk(now+2), mk(now+1<<l0Shift+1)
-		if w, ok := s.(wheelSched); ok && len(w.wheel.early) != 3 {
-			t.Fatalf("early heap holds %d events, want 3: the drained all-cancelled slot no longer leaves the ns level ahead", len(w.wheel.early))
+		if w, ok := s.(wheelSched); ok && w.wheel.curEnd-nsSlots > now {
+			t.Fatalf("draining a cancelled slot left the ns level at [%v, %v), ahead of Now() %v", w.wheel.curEnd-nsSlots, w.wheel.curEnd, now)
 		}
-		if !killEarly.Stop() {
+		keepShort, killShort, keepLate := mk(now+3), mk(now+2), mk(now+1<<l0Shift+1)
+		if !killShort.Stop() {
 			t.Fatal("Stop on pending timer reported false")
 		}
 		s.Run()
-		if keepEarly.Pending() || keepLate.Pending() || !fired[now+3] || fired[now+2] || !fired[now+1<<l0Shift+1] {
-			t.Fatalf("early-heap timers: fired = %v", fired)
+		if keepShort.Pending() || keepLate.Pending() || !fired[now+3] || fired[now+2] || !fired[now+1<<l0Shift+1] {
+			t.Fatalf("timers behind a cancelled slot: fired = %v", fired)
 		}
 		// Slots of exactly one chunk and of one chunk + 1, at both levels,
 		// every event cancelled, drained once by Run alone (the scatter
@@ -397,7 +397,7 @@ func TestCancelInEveryRegion(t *testing.T) {
 // TestRunUntilBoundInEveryRegion puts the first live event past the bound t
 // in each region of the wheel, and behind a cancelled head at or before t.
 // RunUntil(t) must deliver nothing later than t and leave the wheel
-// anchored where the clock is: early empty and curEnd−128 <= Now(). Events
+// anchored where the clock is: curEnd−128 <= Now(). Events
 // scheduled afterwards between t and that event, in every region they
 // span, must fire before it in (time, seq) order. A scatter, cascade or
 // far-heap refill made ahead of the bound strands them behind the scan
@@ -448,8 +448,8 @@ func TestRunUntilBoundInEveryRegion(t *testing.T) {
 				t.Fatalf("RunUntil(%v) delivered %+v, Now() = %v; want the event at %v and Now() = %v",
 					tc.bound, rec.recs, s.Now(), first, tc.bound)
 			}
-			if len(w.early) != 0 || w.curEnd-nsSlots > s.Now() {
-				t.Fatalf("wheel ahead of the clock: early holds %d, curEnd %v, Now() %v", len(w.early), w.curEnd, s.Now())
+			if w.curEnd-nsSlots > s.Now() {
+				t.Fatalf("wheel ahead of the clock: curEnd %v, Now() %v", w.curEnd, s.Now())
 			}
 			span := tc.next - tc.bound
 			for i := Time(0); i <= 8; i++ {
@@ -457,9 +457,6 @@ func TestRunUntilBoundInEveryRegion(t *testing.T) {
 			}
 			s.At(tc.bound+1, noop)
 			s.At(tc.next-1, noop)
-			if len(w.early) != 0 {
-				t.Fatalf("schedules at or after Now() reached the early heap (%d events)", len(w.early))
-			}
 			s.Run()
 			if len(rec.recs) != 13 { // first, next and the 11 scheduled after RunUntil
 				t.Fatalf("delivered %d events, want 13: %+v", len(rec.recs), rec.recs)

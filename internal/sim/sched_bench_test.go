@@ -164,8 +164,9 @@ func BenchmarkSchedulerRunUntil(b *testing.B) {
 
 // TestWheelDenseZeroAlloc gates the dense regime: once the FIFOs, slots and
 // free list have reached their high-water marks a schedule+fire cycle
-// allocates nothing, an emptied FIFO keeps its capacity and holds no stale
-// event pointer, and the same goes for the early heap.
+// allocates nothing, and an emptied FIFO keeps its capacity and holds no
+// stale event pointer. Reclaiming a slot of nothing but a cancelled timer
+// allocates nothing either and leaves the ns level where the clock is.
 func TestWheelDenseZeroAlloc(t *testing.T) {
 	s := New(1)
 	ring, di, stop := denseRing(), 0, false
@@ -185,36 +186,34 @@ func TestWheelDenseZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(50_000, func() { s.step(math.MaxInt64) }); avg != 0 {
 		t.Fatalf("dense schedule+fire: %v allocs/op, want 0", avg)
 	}
-	// early is reached once a drained slot held nothing but a cancelled
-	// timer: the ns level is then ahead of the clock.
 	noop := func() {}
-	early := func() {
+	w := &s.wheel
+	reclaim := func() {
 		s.After(10<<l0Shift, noop).Stop()
 		s.Run()
+		if w.curEnd-nsSlots > s.Now() {
+			t.Fatalf("a cancelled slot left the ns level at [%v, %v), ahead of Now() %v", w.curEnd-nsSlots, w.curEnd, s.Now())
+		}
 		s.After(2, noop)
 		s.After(1, noop)
-		if len(s.wheel.early) != 2 {
-			t.Fatalf("early holds %d events, want 2", len(s.wheel.early))
-		}
 		s.Run()
 	}
 	stop = true
 	s.Run()
-	early()
-	if avg := testing.AllocsPerRun(100, early); avg != 0 {
-		t.Fatalf("early heap cycle: %v allocs/op, want 0", avg)
+	reclaim()
+	if avg := testing.AllocsPerRun(100, reclaim); avg != 0 {
+		t.Fatalf("cancelled-slot cycle: %v allocs/op, want 0", avg)
 	}
-	w := &s.wheel
 	used := 0
 	for i := range w.ns {
 		if cap(w.ns[i].q) > 0 {
 			used++
 		}
 	}
-	if used != nsSlots || cap(w.early) == 0 {
-		t.Fatalf("%d of %d FIFOs kept their capacity (early heap: %d)", used, nsSlots, cap(w.early))
+	if used != nsSlots {
+		t.Fatalf("%d of %d FIFOs kept their capacity", used, nsSlots)
 	}
-	for _, f := range append(w.ns[:], fifo{q: w.early}) {
+	for _, f := range w.ns {
 		if len(f.q) != 0 || f.head != 0 {
 			t.Fatalf("drained queue left at len %d, head %d", len(f.q), f.head)
 		}

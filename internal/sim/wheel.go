@@ -102,12 +102,11 @@ func (sl *slot) in(c *chunk) []*event {
 type wheelState struct {
 	// curEnd is the exclusive end of the level-0 slot being drained.
 	// ns[t&nsMask] queues the events of timestamp t in that slot,
-	// [curEnd-nsSlots, curEnd), in seq order. early holds the events below
-	// the slot: curEnd runs ahead of the clock only after a slot of nothing
-	// but cancelled events was drained, so a run all but never reaches it.
+	// [curEnd-nsSlots, curEnd), in seq order. A slot is drained only when
+	// it holds a live event, so the clock never trails the slot's start
+	// (curEnd-nsSlots <= Now) and no schedule falls below it.
 	ns     [nsSlots]fifo
 	nsbits [nsSlots / 64]uint64
-	early  eventHeap
 	curEnd Time
 
 	l0      [l0Slots]slot
@@ -215,16 +214,10 @@ func (s *Simulator) wheelInsert(e *event) {
 	heap.Push(&s.far, e)
 }
 
-// nsInsert queues an event below curEnd: on the FIFO of its nanosecond, or
-// on the early heap when it precedes the drained slot (there at&nsMask
-// would alias it into the wrong nanosecond). A FIFO holds one timestamp, so
-// seq alone orders it: the walk back from the tail never moves a fresh
-// event.
+// nsInsert queues an event of the slot being drained on the FIFO of its
+// nanosecond. A FIFO holds one timestamp, so seq alone orders it: the walk
+// back from the tail never moves a fresh event.
 func (w *wheelState) nsInsert(e *event) {
-	if e.at < w.curEnd-nsSlots {
-		heap.Push(&w.early, e)
-		return
-	}
 	k := int(e.at) & nsMask
 	f := &w.ns[k]
 	w.nsbits[k>>6] |= 1 << uint(k&63)
@@ -263,29 +256,19 @@ func (w *wheelState) nsTake(k int) *event {
 // pop removes and returns the live event with the smallest (time, seq) if
 // it falls at or before t, or nil, cascading level-1 slots and far-heap
 // epochs inward as the schedule drains, but never from a slot or event
-// past t (see the header). Invariant: every early event precedes every
-// FIFO event, which precedes every level-0 event, which precedes every
-// level-1 event, which precedes every far event — so scanning the regions
-// in order always finds the global minimum.
+// past t (see the header). Invariant: every FIFO event precedes every
+// level-0 event, which precedes every level-1 event, which precedes every
+// far event — so scanning the regions in order always finds the global
+// minimum.
 func (s *Simulator) pop(t Time) *event {
 	w := &s.wheel
 	for {
-		// Region 1: the early heap, then the ns level.
-		for {
-			var e *event
-			if len(w.early) > 0 {
-				if w.early[0].at > t {
-					return nil
-				}
-				e = heap.Pop(&w.early).(*event)
-			} else if k := w.nsHead(); k >= 0 {
-				if f := &w.ns[k]; f.q[f.head].at > t {
-					return nil
-				}
-				e = w.nsTake(k)
-			} else {
-				break
+		// Region 1: the ns level.
+		for k := w.nsHead(); k >= 0; k = w.nsHead() {
+			if f := &w.ns[k]; f.q[f.head].at > t {
+				return nil
 			}
+			e := w.nsTake(k)
 			if e.dead {
 				s.recycle(e)
 				continue
@@ -302,6 +285,14 @@ func (s *Simulator) pop(t Time) *event {
 			items := w.l0[k]
 			w.l0[k] = slot{}
 			w.l0bits[k>>6] &^= 1 << uint(k&63)
+			if !items.live() {
+				// As for level 1 below: a slot of nothing but cancelled
+				// events must not move the scan ahead of the clock, or a
+				// later schedule below curEnd-nsSlots would alias into
+				// the wrong nanosecond.
+				w.l0Count -= s.reclaim(items)
+				continue
+			}
 			w.l0Next = k + 1
 			w.curEnd = start + nsSlots
 			for c := items.head; c != nil; c = w.freeChunk(c) {
