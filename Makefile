@@ -114,7 +114,7 @@ metrics:
 #   - Race detector over the storm sweeps.
 STRIP_WALL = sed -E 's/^\(([^ ]+) in [^,]+,/(\1,/'
 CHECKDIR ?= $(or $(TMPDIR),/tmp)/falcon-check
-LAKE_PAIRS = pr17 pr17_extra pr18 pr26 pr27 pr28 pr29 pr30 pr31 pr34 pr36 pr37 pr38 pr39 pr40 pr41 pr43 pr45 pr48 pr49 pr52 pr53 pr54 pr55 pr56 pr58 pr59
+LAKE_PAIRS = pr17 pr17_extra pr18 pr26 pr27 pr28 pr29 pr30 pr31 pr34 pr36 pr37 pr38 pr39 pr40 pr41 pr43 pr45 pr48 pr49 pr52 pr53 pr54 pr55 pr56 pr58 pr59 pr60
 LAKE_LISTED = BENCH_pr32_before.jsonl BENCH_pr32_after.jsonl
 check:
 	$(GO) -C bench test .

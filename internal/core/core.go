@@ -71,6 +71,16 @@ type Cluster struct {
 	// onDrop is reclaim as a func value, bound once so the egress path can
 	// hang it on every frame without allocating.
 	onDrop func(payload any)
+
+	// txJobs and rxJobs recycle every node's per-packet NIC pipeline jobs
+	// (egress and ingress) as they fire, and first is the first node
+	// added, whose host-delivery and transaction-context free lists every
+	// later node's NIC and Resources share. One LIFO list per pooled type
+	// per event loop keeps the cluster's peak in flight once, not once per
+	// node, and hands the next packet the object the last one released.
+	txJobs sim.FreeList[txJob]
+	rxJobs sim.FreeList[rxJob]
+	first  *Node
 }
 
 // reclaim is the netsim.Frame.OnDrop hook of every frame that carries a
@@ -93,6 +103,41 @@ func NewCluster(s *sim.Simulator) *Cluster {
 	}
 	cl.onDrop = cl.reclaim
 	return cl
+}
+
+// FreeLists calls visit with the built and free counts of every free list
+// on the cluster's Falcon path, for leak checks at quiescence: the NIC
+// ingress and egress jobs, host-delivery completions and transaction
+// contexts its nodes share, each once, and the NACK- and RNR-retry events
+// of the open connections, each summed over them. Once a run has drained,
+// free equals built on every list.
+func (cl *Cluster) FreeLists(visit func(name string, built, free int)) {
+	visit("rx jobs", cl.rxJobs.Built(), cl.rxJobs.Free())
+	visit("tx jobs", cl.txJobs.Built(), cl.txJobs.Free())
+	var hb, hf, tb, tf int
+	if n := cl.first; n != nil {
+		hb, hf = n.nic.HostEvents()
+		tb, tf = n.res.TxnContexts()
+	}
+	visit("host events", hb, hf)
+	visit("transaction contexts", tb, tf)
+	var nb, nf, rb, rf int
+	for _, n := range cl.nodes {
+		if n == nil {
+			continue
+		}
+		for _, ep := range n.eps {
+			if ep == nil {
+				continue
+			}
+			b, f := ep.pdl.NackRetryEvents()
+			nb, nf = nb+b, nf+f
+			b, f = ep.tl.RetryEvents()
+			rb, rf = rb+b, rf+f
+		}
+	}
+	visit("NACK-retry events", nb, nf)
+	visit("RNR-retry events", rb, rf)
 }
 
 // Sim returns the owning simulator.
@@ -133,6 +178,12 @@ func (cl *Cluster) AddNode(host *netsim.Host, cfg NodeConfig) *Node {
 		pool:    cl.pool,
 		pspKey:  cfg.PSPMasterKey,
 	}
+	if cl.first == nil {
+		cl.first = n
+	} else {
+		n.nic.ShareHostEvents(cl.first.nic)
+		n.res.ShareTxnContexts(cl.first.res)
+	}
 	n.engine = fae.New(cl.sim, cfg.FAE, n.applyFAEResponse)
 	host.SetHandler(n)
 	for int(host.ID) >= len(cl.nodes) {
@@ -157,11 +208,6 @@ type Node struct {
 	// eps is indexed by Endpoint.key, nil once an endpoint is closed.
 	eps    []*Endpoint
 	pspKey []byte
-
-	// Free lists for the per-packet NIC pipeline jobs (TX egress and RX
-	// ingress), recycled as they fire.
-	txJobs sim.FreeList[txJob]
-	rxJobs sim.FreeList[rxJob]
 }
 
 // Host returns the underlying fabric host.
@@ -173,33 +219,6 @@ func (n *Node) NIC() *nic.NIC { return n.nic }
 // PacketPool returns the transport packet pool this node draws from, for
 // leak and bound checks at quiescence.
 func (n *Node) PacketPool() *wire.PacketPool { return n.pool }
-
-// FreeLists calls visit with the built and free counts of every free list
-// on the node's Falcon path, for leak checks at quiescence: the NIC's
-// ingress and egress jobs and host-delivery completions, the transaction
-// contexts, and the NACK- and RNR-retry events of the node's open
-// connections, each summed over them. Once a run has drained, free equals
-// built on every list.
-func (n *Node) FreeLists(visit func(name string, built, free int)) {
-	visit("rx jobs", n.rxJobs.Built(), n.rxJobs.Free())
-	visit("tx jobs", n.txJobs.Built(), n.txJobs.Free())
-	built, free := n.nic.HostEvents()
-	visit("host events", built, free)
-	built, free = n.res.TxnContexts()
-	visit("transaction contexts", built, free)
-	var nb, nf, rb, rf int
-	for _, ep := range n.eps {
-		if ep == nil {
-			continue
-		}
-		b, f := ep.pdl.NackRetryEvents()
-		nb, nf = nb+b, nf+f
-		b, f = ep.tl.RetryEvents()
-		rb, rf = rb+b, rf+f
-	}
-	visit("NACK-retry events", nb, nf)
-	visit("RNR-retry events", rb, rf)
-}
 
 // Resources returns the node's shared TL resource pools.
 func (n *Node) Resources() *tl.Resources { return n.res }
@@ -248,7 +267,7 @@ func (j *rxJob) RunAction() {
 	ep, p, hops := j.ep, j.pkt, j.hops
 	n := ep.node
 	j.ep, j.pkt = nil, nil
-	n.rxJobs.Put(j)
+	n.cluster.rxJobs.Put(j)
 	ep.pdl.HandlePacket(p, hops)
 	n.pool.Release(p)
 }
@@ -313,7 +332,7 @@ func (n *Node) HandleFrame(f *netsim.Frame) {
 // ingress hands one arriving packet, held by the caller, to the NIC
 // pipeline on a pooled rxJob, which passes the hold on to the PDL pass.
 func (n *Node) ingress(ep *Endpoint, p *wire.Packet, hops int) {
-	j := n.rxJobs.Get()
+	j := n.cluster.rxJobs.Get()
 	j.ep, j.pkt, j.hops = ep, p, hops
 	n.nic.ProcessAction(ep.key, j)
 }
@@ -344,7 +363,7 @@ func (j *txJob) RunAction() {
 	ep, cp := j.ep, j.pkt
 	n := ep.node
 	j.ep, j.pkt = nil, nil
-	n.txJobs.Put(j)
+	n.cluster.txJobs.Put(j)
 	frame := n.host.NewFrame()
 	frame.Dst = ep.peer
 	frame.FlowHash = flowHash(ep.id, cp.FlowLabel)
@@ -473,7 +492,7 @@ type upcalls Endpoint
 func (u *upcalls) Transmit(p *wire.Packet) {
 	n := u.node
 	cp := n.pool.Share(p)
-	j := n.txJobs.Get()
+	j := n.cluster.txJobs.Get()
 	j.ep, j.pkt = (*Endpoint)(u), cp
 	n.nic.ProcessAction(u.key, j)
 }

@@ -585,7 +585,12 @@ func TestDeadConnectionErrorsEverything(t *testing.T) {
 	// Sever the fabric entirely mid-run: the connection must declare
 	// failure, error every pending transaction, return its resources,
 	// and refuse new work.
-	s, _, epA, _, fwd, _ := p2pCluster(t)
+	s := sim.New(11)
+	topo, fwd := netsim.PointToPoint(s, testLink)
+	cl := NewCluster(s)
+	epA, epB := cl.Connect(cl.AddNode(topo.Hosts[0], DefaultNodeConfig()),
+		cl.AddNode(topo.Hosts[1], DefaultNodeConfig()), DefaultConnConfig())
+	epB.SetTarget(&sink{})
 	var errs []error
 	for i := 0; i < 200; i++ {
 		if _, err := epA.Push(nil, 4096, func(_ []byte, e error) {
@@ -621,12 +626,27 @@ func TestDeadConnectionErrorsEverything(t *testing.T) {
 	if _, err := epA.Push(nil, 64, nil); err == nil {
 		t.Fatal("push accepted on a dead connection")
 	}
-	// Every resource returned.
-	res := epA.Node().Resources()
-	for k := tl.PoolKind(0); k < 4; k++ {
-		if occ := res.Occupancy(k); occ != 0 {
-			t.Fatalf("pool %v occupancy %v after failure", k, occ)
+	// Every resource returned, on both nodes, and once the run drains
+	// every pooled object is back on its free list.
+	s.Run()
+	for _, ep := range []*Endpoint{epA, epB} {
+		res := ep.Node().Resources()
+		for k := tl.PoolKind(0); k < 4; k++ {
+			if occ := res.Occupancy(k); occ != 0 {
+				t.Fatalf("%v: pool %v occupancy %v after failure", ep, k, occ)
+			}
 		}
+	}
+	cl.FreeLists(func(list string, built, free int) {
+		if free != built {
+			t.Errorf("the cluster built %d %s but %d are free after the drain", built, list, free)
+		}
+	})
+	if pool := cl.pool; pool.Free() != pool.Allocated() {
+		t.Errorf("%d transport packets allocated but %d free after the drain", pool.Allocated(), pool.Free())
+	}
+	if frames := topo.Net.Frames(); frames.Free() != frames.Allocated() {
+		t.Errorf("%d fabric frames allocated but %d free after the drain", frames.Allocated(), frames.Free())
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -271,6 +272,57 @@ func TestCrashReleasesConnection(t *testing.T) {
 	}
 	if tc.Value() != nil {
 		t.Error("the crashed endpoint's TL connection is still reachable")
+	}
+	if peer.Value() == nil {
+		t.Error("the peer endpoint was collected: the check proves nothing")
+	}
+	runtime.KeepAlive(x)
+	runtime.KeepAlive(y)
+	runtime.KeepAlive(cl)
+}
+
+// TestRefusedCrashReleasesConnection is TestCrashReleasesConnection for a
+// connection that a full pool refused before its node crashed. The
+// refusal queues it behind the node's waiters for a release to wake it,
+// but node X's TxReq pool is smaller than one Push, so X holds nothing
+// and no release on X ever comes: the connection must leave the waiters
+// when it fails.
+func TestRefusedCrashReleasesConnection(t *testing.T) {
+	s := sim.New(5)
+	topo, _ := netsim.PointToPoint(s, testLink)
+	cl := NewCluster(s)
+	cfg := DefaultNodeConfig()
+	cfg.Resources.Pools[tl.PoolTxReq].Bytes = 2048
+	x := cl.AddNode(topo.Hosts[0], cfg)
+	y := cl.AddNode(topo.Hosts[1], DefaultNodeConfig())
+	ep, pc, tc, peer := func() (weak.Pointer[Endpoint], weak.Pointer[pdl.Conn], weak.Pointer[tl.Conn], weak.Pointer[Endpoint]) {
+		a, b := cl.Connect(x, y, DefaultConnConfig())
+		a.SetTarget(&sink{})
+		if _, err := a.Push(nil, 4096, nil); !errors.Is(err, tl.ErrNoResources) {
+			t.Fatalf("a Push larger than the TxReq pool returned %v, want ErrNoResources", err)
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := b.Push(nil, 4096, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return weak.Make(a), weak.Make(a.PDL()), weak.Make(a.TL()), weak.Make(b)
+	}()
+	s.RunFor(2 * time.Microsecond)
+	if got := x.Crash(); got != 1 {
+		t.Fatalf("Crash tore down %d connections, want 1", got)
+	}
+	s.Run()
+	runtime.GC()
+	runtime.GC()
+	if ep.Value() != nil {
+		t.Error("the refused, crashed endpoint is still reachable")
+	}
+	if pc.Value() != nil {
+		t.Error("the refused, crashed endpoint's PDL connection is still reachable")
+	}
+	if tc.Value() != nil {
+		t.Error("the refused, crashed endpoint's TL connection is still reachable")
 	}
 	if peer.Value() == nil {
 		t.Error("the peer endpoint was collected: the check proves nothing")

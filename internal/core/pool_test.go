@@ -138,3 +138,48 @@ func TestPacketPoolManyConnections(t *testing.T) {
 		t.Fatalf("pool grew to %d packets for %d segments, more than %d", pool.Allocated(), segments, bound)
 	}
 }
+
+// TestNICJobsSharedPerCluster sends a burst of Pushes from node A to node
+// C and, once it has drained, the same burst from node B. The NIC jobs of
+// every node recycle through one free list per cluster, so B's egress jobs
+// and the ingress jobs of the ACKs coming back to it are the ones A's
+// burst released: the second burst builds no job, where a list per node
+// kept each sender's peak as well.
+func TestNICJobsSharedPerCluster(t *testing.T) {
+	const burst = 64
+	s := sim.New(1)
+	topo := netsim.Star(s, 3, netsim.LinkConfig{GbpsRate: 100, PropDelay: sim.Microsecond})
+	cl := core.NewCluster(s)
+	var nodes [3]*core.Node
+	for i := range nodes {
+		nodes[i] = cl.AddNode(topo.Hosts[i], core.DefaultNodeConfig())
+	}
+	send := func(from *core.Node) (rx, tx int) {
+		ep, _ := cl.Connect(from, nodes[2], core.DefaultConnConfig())
+		for i := 0; i < burst; i++ {
+			if _, err := ep.Push(nil, 4096, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Run()
+		cl.FreeLists(func(list string, built, free int) {
+			if free != built {
+				t.Errorf("the cluster built %d %s but %d are free after the drain", built, list, free)
+			}
+			switch list {
+			case "rx jobs":
+				rx = built
+			case "tx jobs":
+				tx = built
+			}
+		})
+		return rx, tx
+	}
+	rx1, tx1 := send(nodes[0])
+	rx2, tx2 := send(nodes[1])
+	t.Logf("after one burst %d rx and %d tx jobs, after two %d and %d", rx1, tx1, rx2, tx2)
+	if rx2 > rx1 || tx2 > tx1 {
+		t.Fatalf("the second burst grew the jobs from %d rx and %d tx to %d and %d; want no growth",
+			rx1, tx1, rx2, tx2)
+	}
+}

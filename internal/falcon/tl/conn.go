@@ -155,7 +155,7 @@ const (
 
 // txn is one initiator-side transaction (at most one MTU, so exactly one
 // request packet and at most one response packet). Completed transactions
-// recycle through the node's free list (Resources.txns).
+// recycle through the cluster's free list (Resources.txns).
 type txn struct {
 	rsn      uint64
 	addr     uint64

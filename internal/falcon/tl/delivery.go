@@ -310,6 +310,12 @@ func (c *Conn) Fail(err error) {
 		err = ErrConnDead
 	}
 	c.dead = err
+	// A dead connection leaves the waiters now, not when a release walks
+	// past it: on a crashed node none may come, and the queue would keep
+	// the connection, and through its ctrl its PDL and endpoint, reachable.
+	if c.queued {
+		c.res.dequeue(c)
+	}
 	// Error all initiator-side transactions, bypassing ordered release.
 	// Sorted so error completions reach the ULP in RSN order rather than
 	// map-iteration order (determinism).

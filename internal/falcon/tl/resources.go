@@ -154,16 +154,19 @@ type Resources struct {
 	// reservation) does its accounting and starts no second walk.
 	waking bool
 
-	// txns is the node's free list of transaction contexts, shared by its
-	// connections as the paper's per-NIC pools are (§4.5).
-	txns sim.FreeList[txn]
+	// txns is the free list the node's transaction contexts recycle
+	// through. The §4.5 per-NIC limit is the pool counters above, not this
+	// list: the Go objects behind the contexts are shared by every node
+	// of a cluster (ShareTxnContexts), so the list keeps the cluster's
+	// peak of open transactions, not one peak per node.
+	txns *sim.FreeList[txn]
 }
 
 // NewResources builds the resource manager. A connection's holding in a
 // pool is an int32, so a pool may hold at most math.MaxInt32 contexts and
 // bytes.
 func NewResources(cfg ResourceConfig) *Resources {
-	r := &Resources{cfg: cfg}
+	r := &Resources{cfg: cfg, txns: new(sim.FreeList[txn])}
 	for k, pc := range cfg.Pools {
 		if pc.Contexts > math.MaxInt32 || pc.Bytes > math.MaxInt32 {
 			panic(fmt.Sprintf("tl: %v pool of %d contexts and %d bytes exceeds math.MaxInt32", PoolKind(k), pc.Contexts, pc.Bytes))
@@ -182,6 +185,16 @@ func (r *Resources) enqueue(c *Conn) {
 	}
 }
 
+// dequeue takes c out of the waiters, keeping the others in refusal order.
+func (r *Resources) dequeue(c *Conn) {
+	for i := r.waiters.Len(); i > 0; i-- {
+		if w := r.waiters.Pop(); w != c {
+			r.waiters.Push(w)
+		}
+	}
+	c.queued = false
+}
+
 // freeTxn recycles a released transaction context, dropping its payload
 // and callback references.
 func (r *Resources) freeTxn(t *txn) {
@@ -189,8 +202,14 @@ func (r *Resources) freeTxn(t *txn) {
 	r.txns.Put(t)
 }
 
-// TxnContexts reports how many transaction contexts the node has built and
-// how many are on its free list: equal once every transaction completed.
+// ShareTxnContexts makes r's transaction contexts recycle through with's
+// free list, as the nodes of one event loop do. Call it before r's
+// connections issue anything.
+func (r *Resources) ShareTxnContexts(with *Resources) { r.txns = with.txns }
+
+// TxnContexts reports how many transaction contexts the free list r draws
+// from has built and how many are on it: equal once every transaction of
+// every Resources sharing it completed.
 func (r *Resources) TxnContexts() (built, free int) {
 	return r.txns.Built(), r.txns.Free()
 }

@@ -729,6 +729,35 @@ func TestReleaseWakeBounded(t *testing.T) {
 	}
 }
 
+// TestFailLeavesWaiters: a connection that a full pool refused leaves the
+// pool's waiters when it fails, and the others keep their refusal order.
+// No release need come first: one may never come to a crashed node.
+func TestFailLeavesWaiters(t *testing.T) {
+	rc := DefaultResourceConfig()
+	rc.Pools[PoolTxReq].Contexts = 1
+	res := NewResources(rc)
+	if err := newHolder(res).reserve(PoolTxReq, 0); err != nil {
+		t.Fatal(err)
+	}
+	cs := []*Conn{newHolder(res), newHolder(res), newHolder(res)}
+	for _, c := range cs {
+		if _, err := c.Push(nil, 0, nil); !errors.Is(err, ErrNoResources) {
+			t.Fatalf("push on a full pool: %v, want ErrNoResources", err)
+		}
+	}
+	cs[1].Fail(nil)
+	if cs[1].queued {
+		t.Fatal("the failed connection is still marked queued")
+	}
+	var left []*Conn
+	for res.waiters.Len() > 0 {
+		left = append(left, res.waiters.Pop())
+	}
+	if want := []*Conn{cs[0], cs[2]}; !slices.Equal(left, want) {
+		t.Fatalf("waiters after a failure %v, want the other two in refusal order %v", left, want)
+	}
+}
+
 // xonULP issues ops until the TL refuses one; submitted to the TL, it
 // resumes only on Xon.
 type xonULP struct {
@@ -906,19 +935,22 @@ func TestRNRSustainedStallLossless(t *testing.T) {
 	}
 }
 
-// TestTxnContextsSharedPerNode: transaction contexts come from the node's
-// Resources, not from each connection. Once connection A has completed 2n
-// transactions, connection B on the same node issues n, then n more, with
-// no allocation at all, and the node has built only 2n contexts for both.
-// B's RSN tables start at 8 slots and grow with the live span they see, so
-// B is warmed first with 2n transactions live at once: that sizes its
-// tables for the measured span, and A then reuses the contexts B built.
-func TestTxnContextsSharedPerNode(t *testing.T) {
+// TestTxnContextsSharedPerCluster: transaction contexts come from one free
+// list per cluster, not from each connection or node. Connection B on one
+// node and connection A on another, whose Resources shares B's list
+// (ShareTxnContexts), each complete 2n transactions; B then issues n, then
+// n more, with no allocation at all, and the cluster has built only 2n
+// contexts for both. B's RSN tables start at 8 slots and grow with the
+// live span they see, so B is warmed first with 2n transactions live at
+// once: that sizes its tables for the measured span, and A then reuses the
+// contexts B built.
+func TestTxnContextsSharedPerCluster(t *testing.T) {
 	const n = 8
 	s := sim.New(1)
-	res := NewResources(DefaultResourceConfig())
-	a := NewConn(s, 1, DefaultConfig(), res, nopCtrl{}, nil)
-	b := NewConn(s, 2, DefaultConfig(), res, nopCtrl{}, nil)
+	resA, resB := NewResources(DefaultResourceConfig()), NewResources(DefaultResourceConfig())
+	resA.ShareTxnContexts(resB)
+	a := NewConn(s, 1, DefaultConfig(), resA, nopCtrl{}, nil)
+	b := NewConn(s, 2, DefaultConfig(), resB, nopCtrl{}, nil)
 	pool := wire.NewPacketPool()
 	a.SetPacketPool(pool)
 	b.SetPacketPool(pool)
@@ -955,11 +987,13 @@ func TestTxnContextsSharedPerNode(t *testing.T) {
 	if m := testing.AllocsPerRun(1, func() { run(b, n) }); m != 0 {
 		t.Fatalf("issuing transactions after another connection released them: %v allocations per %d, want 0", m, n)
 	}
-	if built, free := res.TxnContexts(); built != 2*n || free != 0 {
-		t.Fatalf("node built %d contexts with %d free, want %d and 0", built, free, 2*n)
+	if built, free := resA.TxnContexts(); built != 2*n || free != 0 {
+		t.Fatalf("cluster built %d contexts with %d free, want %d and 0", built, free, 2*n)
 	}
 	complete(b)
-	if built, free := res.TxnContexts(); built != 2*n || free != 2*n {
-		t.Fatalf("at quiescence the node has %d contexts and %d free, want %d of %d", built, free, 2*n, 2*n)
+	for _, res := range []*Resources{resA, resB} {
+		if built, free := res.TxnContexts(); built != 2*n || free != 2*n {
+			t.Fatalf("at quiescence the cluster has %d contexts and %d free, want %d of %d", built, free, 2*n, 2*n)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -400,6 +401,30 @@ func TestHostDeliverZeroAlloc(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("handler never ran")
+	}
+}
+
+// TestFramePoolBlockFillsSizeClass measures what one refill of the frame
+// pool costs the heap: the bytes allocated per block stay within 1 % of
+// the framePoolBlock frames asked for, so the block fills its size class.
+func TestFramePoolBlockFillsSizeClass(t *testing.T) {
+	const blocks = 64
+	var p FramePool
+	// The first refill also grows the free slice; later ones reuse it.
+	for i := 0; i < framePoolBlock; i++ {
+		p.Acquire()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < blocks*framePoolBlock; i++ {
+		p.Acquire()
+	}
+	runtime.ReadMemStats(&after)
+	perBlock := float64(after.TotalAlloc-before.TotalAlloc) / blocks
+	requested := float64(framePoolBlock * unsafe.Sizeof(Frame{}))
+	if perBlock > 1.01*requested {
+		t.Fatalf("a block of %d frames takes %.0f B for the %.0f B asked for, %.1f %% more",
+			framePoolBlock, perBlock, requested, 100*(perBlock/requested-1))
 	}
 }
 

@@ -108,15 +108,16 @@ type NIC struct {
 	rxQueued  int // bytes awaiting host delivery
 	rxSpilled int // bytes currently spilled to DRAM
 
-	// hostEvents is the free list of pooled host-delivery completions.
-	hostEvents sim.FreeList[hostEvent]
+	// hostEvents is the free list of pooled host-delivery completions,
+	// shared by every NIC of a cluster (ShareHostEvents).
+	hostEvents *sim.FreeList[hostEvent]
 
 	Stats Stats
 }
 
 // New creates a NIC bound to the simulator.
 func New(s *sim.Simulator, cfg Config) *NIC {
-	n := &NIC{sim: s, cfg: cfg}
+	n := &NIC{sim: s, cfg: cfg, hostEvents: new(sim.FreeList[hostEvent])}
 	if cfg.CacheSize > 0 {
 		n.cache = newConnCache(cfg.CacheSize)
 	}
@@ -277,8 +278,14 @@ func (ev *hostEvent) RunAction() {
 	}
 }
 
-// HostEvents reports how many host-delivery completions the NIC has built
-// and how many are on its free list: equal once every delivery landed.
+// ShareHostEvents makes n's host-delivery completions recycle through
+// with's free list, as the NICs of one event loop do. Call it before n
+// delivers anything.
+func (n *NIC) ShareHostEvents(with *NIC) { n.hostEvents = with.hostEvents }
+
+// HostEvents reports how many host-delivery completions the free list n
+// draws from has built and how many are on it: equal once every delivery
+// of every NIC sharing it landed.
 func (n *NIC) HostEvents() (built, free int) {
 	return n.hostEvents.Built(), n.hostEvents.Free()
 }

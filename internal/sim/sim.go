@@ -188,12 +188,17 @@ func (s *Simulator) CountInto(c *atomic.Uint64) { s.counter = c }
 // affecting benchmark runs.
 func (s *Simulator) SetObserver(o Observer) { s.obs = o }
 
+// eventBlock is the number of events one refill allocates: 255 × 40 B
+// plus the 8-byte header of an object holding pointers fills the
+// 10 240-byte size class, where 256 would round up to 10 880 bytes.
+const eventBlock = 255
+
 // alloc takes an event from the free list, refilling it a block at a time
 // so long runs amortize to zero allocations per scheduled event.
 func (s *Simulator) alloc() *event {
 	n := len(s.free)
 	if n == 0 {
-		blk := make([]event, 256)
+		blk := make([]event, eventBlock)
 		for i := range blk {
 			s.free = append(s.free, &blk[i])
 		}

@@ -451,8 +451,8 @@ func Run(sc Scenario) Result {
 
 	// Post-run quiescence: everything issued completed, nothing is still
 	// outstanding, every reservation was returned, and every transport
-	// packet, fabric frame and pooled per-op object (core.Node.FreeLists)
-	// is back on its free list.
+	// packet, fabric frame and pooled per-op object (core.Cluster.FreeLists,
+	// one list per type for both nodes) is back on its free list.
 	if !res.ConnFailed {
 		if res.Completed != res.Issued {
 			ps.k.Failf("scenario %q: %d issued but %d completed\n%s",
@@ -478,13 +478,13 @@ func Run(sc Scenario) Result {
 						sc.Name, sd.name, pool, occ)
 				}
 			}
-			sd.node.FreeLists(func(list string, built, free int) {
-				if free != built {
-					ps.k.Failf("scenario %q: %s node built %d %s but %d are free after drain — leak or double put",
-						sc.Name, sd.name, built, list, free)
-				}
-			})
 		}
+		cl.FreeLists(func(list string, built, free int) {
+			if free != built {
+				ps.k.Failf("scenario %q: the cluster built %d %s but %d are free after drain — leak or double put",
+					sc.Name, built, list, free)
+			}
+		})
 		if res.PacketsFree != res.PacketsAllocated {
 			ps.k.Failf("scenario %q: %d transport packets allocated but %d free after drain — packet leak or double release",
 				sc.Name, res.PacketsAllocated, res.PacketsFree)
