@@ -100,15 +100,15 @@ metrics:
 #     explains the diff.
 #   - Committed artifacts (DESIGN.md §12): the metrics snapshots and
 #     series are regenerated into $(CHECKDIR) and must match the
-#     committed files byte for byte (`cmp`, `diff -r`). `falconlake diff`
-#     judges each committed bench before/after pair in LAKE_PAIRS (exact
-#     record fields identical seed by seed; each host metric judged per
-#     workload over the seed set). A pair whose code moved events on
-#     purpose goes in LAKE_LISTED instead, which only the tier-1
-#     TestLakeBenchPairs reads, to check that the records still parse:
-#     in BENCH_pr32_{before,after}.jsonl, Xon-driven admission moves
-#     incast_conns and lossy_mixed by design, and `falconlake diff`
-#     fails on any exact drift.
+#     committed files byte for byte (`cmp`, `diff -r`).
+#   - The bench pairs are judged by the tier-1 TestLakeBenchPairs
+#     (internal/lake), not here: every pair in LAKE_PAIRS must be clean
+#     under `falconlake diff`'s rules (exact record fields identical seed
+#     by seed; host_ns_per_op and the other judged host metrics under the
+#     set gate, per workload over the seed set). A pair whose code moved
+#     events on purpose goes in LAKE_LISTED instead, whose records that
+#     test only parses: in BENCH_pr32_{before,after}.jsonl, Xon-driven
+#     admission moves incast_conns and lossy_mixed by design.
 #   - Storms (DESIGN.md §14): two falconbench runs under one -storm seed
 #     must write byte-identical metrics JSON.
 #   - Race detector over the storm sweeps.
@@ -125,10 +125,6 @@ check:
 	$(call metrics_runs,$(CHECKDIR))
 	for a in $(METRICS_SNAPSHOTS); do cmp $$a $(CHECKDIR)/$$a || exit 1; done
 	diff -r BENCH_pr3_series $(CHECKDIR)/BENCH_pr3_series
-	$(GO) build -o $(CHECKDIR)/falconlake ./cmd/falconlake
-	for p in $(LAKE_PAIRS); do \
-		$(CHECKDIR)/falconlake diff BENCH_$${p}_before.jsonl BENCH_$${p}_after.jsonl || exit 1; \
-	done
 	$(GO) run ./cmd/falconbench -quick -storm 71 -metrics $(CHECKDIR)/storm_a.json >/dev/null
 	$(GO) run ./cmd/falconbench -quick -storm 71 -metrics $(CHECKDIR)/storm_b.json >/dev/null
 	cmp $(CHECKDIR)/storm_a.json $(CHECKDIR)/storm_b.json

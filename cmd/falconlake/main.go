@@ -1,7 +1,9 @@
 // falconlake judges a pair of bench record files (`bench -out` JSON lines
 // of untraced runs), the after file against the before, by the rules of
 // internal/lake: every exact record field identical seed by seed, and
-// each host metric flagged per workload only when its seed set regressed.
+// each judged host metric flagged per workload only when its seed set
+// crosses the set gate calibrated on the A/A sets in
+// internal/lake/testdata/calibration.
 //
 //	falconlake diff BEFORE.jsonl AFTER.jsonl
 //
@@ -11,27 +13,32 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"falcon/internal/lake"
 )
 
-func main() {
-	if len(os.Args) != 4 || os.Args[1] != "diff" {
-		fmt.Fprintln(os.Stderr, "usage: falconlake diff BEFORE.jsonl AFTER.jsonl")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 3 || args[0] != "diff" {
+		fmt.Fprintln(stderr, "usage: falconlake diff BEFORE.jsonl AFTER.jsonl")
+		return 2
 	}
 	var recs [2]lake.Records
-	for i, path := range os.Args[2:] {
+	for i, path := range args[1:] {
 		var err error
 		if recs[i], err = lake.Read(path); err != nil {
-			fmt.Fprintf(os.Stderr, "falconlake: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "falconlake: %v\n", err)
+			return 1
 		}
 	}
 	rep := lake.Diff(recs[0], recs[1])
-	fmt.Printf("diff %s -> %s: %s", os.Args[2], os.Args[3], rep)
+	fmt.Fprintf(stdout, "diff %s -> %s: %s", args[1], args[2], rep)
 	if len(rep.Findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

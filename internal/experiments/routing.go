@@ -6,7 +6,6 @@ import (
 
 	"falcon/internal/chaos"
 	"falcon/internal/core"
-	"falcon/internal/netsim"
 	"falcon/internal/routing"
 	"falcon/internal/sim"
 	"falcon/internal/stats"
@@ -23,32 +22,10 @@ import (
 
 // routingCell is one measured (policy, scenario) run.
 type routingCell struct {
-	p50, p99  time.Duration
-	gbps      float64
-	spreadPct float64
-	downDrops uint64
-	repaths   uint64
-}
-
-// uplinkSpread summarizes an equal-cost uplink group after a run: the
-// frame imbalance (max-min)*100/max and the total down-link drops. It is
-// the same arithmetic telemetry.CollectUplinks emits, computed here so
-// the table and the metrics artifact can never disagree.
-func uplinkSpread(ports []*netsim.Port) (spreadPct float64, downDrops uint64) {
-	var minF, maxF uint64
-	for i, p := range ports {
-		if i == 0 || p.Stats.TxFrames < minF {
-			minF = p.Stats.TxFrames
-		}
-		if p.Stats.TxFrames > maxF {
-			maxF = p.Stats.TxFrames
-		}
-		downDrops += p.Stats.DownDrops
-	}
-	if maxF > 0 {
-		spreadPct = float64(maxF-minF) * 100 / float64(maxF)
-	}
-	return spreadPct, downDrops
+	p50, p99 time.Duration
+	gbps     float64
+	uplinks  telemetry.UplinkSpread // ToR-0's uplink group after the run
+	repaths  uint64
 }
 
 // routingRun drives the §6.1.3 rack-pair Writes at the offered load with
@@ -77,11 +54,11 @@ func routingRun(r *row, pol routing.Policy, load float64, runFor time.Duration, 
 	}
 	r.s.RunUntil(sim.Time(runFor))
 	cell := routingCell{
-		p50:  w.lat.DurationPercentile(50),
-		p99:  w.lat.DurationPercentile(99),
-		gbps: stats.Gbps(w.delivered, runFor),
+		p50:     w.lat.DurationPercentile(50),
+		p99:     w.lat.DurationPercentile(99),
+		gbps:    stats.Gbps(w.delivered, runFor),
+		uplinks: telemetry.SpreadOf(uplinks),
 	}
-	cell.spreadPct, cell.downDrops = uplinkSpread(uplinks)
 	for _, n := range nodes {
 		cell.repaths += n.Engine().Repaths
 	}
@@ -110,8 +87,8 @@ func FigRouting(o Options, runFor time.Duration) *Table {
 		sym := routingRun(o.row(pol.Name()+"/sym", 41), pol, 0.6, runFor, nil)
 		deg := routingRun(o.row(pol.Name()+"/asym", 41), pol, 0.6, runFor, asym)
 		t.Rows = append(t.Rows, []string{
-			pol.Name(), dur(sym.p99), f1(sym.gbps), f1(sym.spreadPct),
-			dur(deg.p99), f1(deg.gbps), f1(deg.spreadPct),
+			pol.Name(), dur(sym.p99), f1(sym.gbps), f1(sym.uplinks.Pct()),
+			dur(deg.p99), f1(deg.gbps), f1(deg.uplinks.Pct()),
 		})
 	}
 	return t
@@ -145,7 +122,7 @@ func FigGrayFailure(o Options, runFor time.Duration) *Table {
 			cell := routingRun(o.row(pol.Name()+"/"+sc.name, 43), pol, 0.6, runFor, []chaos.Event{sc.impair})
 			t.Rows = append(t.Rows, []string{
 				pol.Name(), sc.name, dur(cell.p99), f1(cell.gbps),
-				fmt.Sprintf("%d", cell.downDrops), fmt.Sprintf("%d", cell.repaths),
+				fmt.Sprintf("%d", cell.uplinks.DownDrops), fmt.Sprintf("%d", cell.repaths),
 			})
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -50,26 +52,37 @@ func makeVar(t *testing.T, name string) []string {
 	return nil
 }
 
-// committedPairs returns the before/after paths of every pair `make
-// check` judges — BENCH_<pair>_{before,after}.jsonl for each pair in
-// LAKE_PAIRS — and of each parent-against-parent set the set gate was
-// calibrated on (testdata/calibration).
-func committedPairs(t *testing.T) [][2]string {
+// lakePairs returns the before/after paths of every committed pair the
+// gate must find clean: BENCH_<pair>_{before,after}.jsonl for each pair
+// in LAKE_PAIRS.
+func lakePairs(t *testing.T) [][2]string {
 	t.Helper()
-	root := repoRoot(t)
 	var pairs [][2]string
 	for _, p := range makeVar(t, "LAKE_PAIRS") {
-		pairs = append(pairs, [2]string{
-			filepath.Join(root, "BENCH_"+p+"_before.jsonl"), filepath.Join(root, "BENCH_"+p+"_after.jsonl")})
+		base := filepath.Join(repoRoot(t), "BENCH_"+p)
+		pairs = append(pairs, [2]string{base + "_before.jsonl", base + "_after.jsonl"})
 	}
+	return pairs
+}
+
+// calibrationSets returns the before/after paths of each A/A set the set
+// gate was chosen from (testdata/calibration/set<N>_{before,after}.jsonl).
+func calibrationSets(t *testing.T) [][2]string {
+	t.Helper()
 	sets, err := filepath.Glob(filepath.Join("testdata", "calibration", "*_before.jsonl"))
-	if err != nil || len(sets) < 5 {
-		t.Fatalf("%d calibration sets (%v), want at least 5", len(sets), err)
+	if err != nil || len(sets) < 15 {
+		t.Fatalf("%d calibration sets (%v), want at least 15", len(sets), err)
 	}
+	var pairs [][2]string
 	for _, before := range sets {
 		pairs = append(pairs, [2]string{before, strings.TrimSuffix(before, "_before.jsonl") + "_after.jsonl"})
 	}
 	return pairs
+}
+
+// committedPairs returns lakePairs and calibrationSets together.
+func committedPairs(t *testing.T) [][2]string {
+	return append(lakePairs(t), calibrationSets(t)...)
 }
 
 func mustRead(t *testing.T, path string) Records {
@@ -99,12 +112,11 @@ func cellCount(recs Records) int {
 	return n
 }
 
-// TestLakeBenchPairs judges each committed bench pair, and each
-// calibration set, and expects no finding with every cell compared. The
-// records in LAKE_LISTED, a pair whose events moved by design, must
-// still parse.
+// TestLakeBenchPairs judges each committed bench pair in LAKE_PAIRS and
+// expects no finding with every cell compared. The records in
+// LAKE_LISTED, a pair whose events moved by design, must still parse.
 func TestLakeBenchPairs(t *testing.T) {
-	for _, p := range committedPairs(t) {
+	for _, p := range lakePairs(t) {
 		before := mustRead(t, p[0])
 		rep := Diff(before, mustRead(t, p[1]))
 		if len(rep.Findings) > 0 {
@@ -125,6 +137,46 @@ func TestLakeBenchPairs(t *testing.T) {
 	}
 	if listed == 0 {
 		t.Error("LAKE_LISTED names no .jsonl file")
+	}
+}
+
+// TestLakeCalibration judges every A/A set in testdata/calibration (one
+// bench binary on both sides): no exact cell may move, every cell is
+// compared, and the number of sets the set gate flags must be the one
+// EXPERIMENTS.md reports, within the budget of one false alarm per 20
+// sets. Each flagged set is logged with its findings.
+func TestLakeCalibration(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join(repoRoot(t), "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`Under the chosen gate, (\d+) of (\d+) A/A sets trip`).FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("EXPERIMENTS.md reports no A/A trip count")
+	}
+	wantTripped, _ := strconv.Atoi(string(m[1]))
+	wantSets, _ := strconv.Atoi(string(m[2]))
+	sets := calibrationSets(t)
+	tripped := 0
+	for _, p := range sets {
+		before := mustRead(t, p[0])
+		rep := Diff(before, mustRead(t, p[1]))
+		for _, f := range rep.Findings {
+			if f.Kind != FindingPerf {
+				t.Errorf("%s: %+v", p[1], f)
+			}
+		}
+		if rep.CellsCompared != cellCount(before) {
+			t.Errorf("%s: compared %d of %d cells", p[1], rep.CellsCompared, cellCount(before))
+		}
+		if len(rep.Findings) > 0 {
+			tripped++
+			t.Logf("%s trips the set gate:\n%s", p[1], rep)
+		}
+	}
+	if tripped != wantTripped || len(sets) != wantSets || 20*tripped > len(sets) {
+		t.Errorf("%d of %d A/A sets trip; EXPERIMENTS.md reports %d of %d, and the budget is one in 20",
+			tripped, len(sets), wantTripped, wantSets)
 	}
 }
 
@@ -233,9 +285,9 @@ func TestLakeBenchRecordRejects(t *testing.T) {
 	}
 }
 
-// TestPathClass holds the class of every record field — exact, or perf
-// with its better direction — to METRICS.md §7's table, and checks that
-// the table names every field a committed record carries.
+// TestPathClass holds the class of every record field — exact, judged
+// or shown — to METRICS.md §7's table, and checks that the table names
+// every field a committed record carries.
 func TestPathClass(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join(repoRoot(t), "METRICS.md"))
 	if err != nil {
@@ -243,28 +295,26 @@ func TestPathClass(t *testing.T) {
 	}
 	_, sec, _ := strings.Cut(string(doc), "## 7. Bench records")
 	sec, _, _ = strings.Cut(sec, "\n## ")
-	documented := map[string]string{} // field -> "exact", "perf better" or "perf worse"
+	documented := map[string]string{} // field -> "exact", "judged" or "shown"
 	for _, line := range strings.Split(sec, "\n") {
 		cols := strings.Split(line, "|")
-		if len(cols) != 5 || !strings.Contains(cols[1], "`") {
+		if len(cols) != 4 || !strings.Contains(cols[1], "`") {
 			continue
 		}
-		class := strings.Fields(cols[2])[0]
-		if class == "perf" {
-			class += " " + strings.TrimSpace(cols[3])
-		}
 		for _, f := range strings.Split(cols[1], ",") {
-			documented[strings.Trim(strings.TrimSpace(f), "`")] = class
+			documented[strings.Trim(strings.TrimSpace(f), "`")] = strings.Fields(cols[2])[0]
 		}
 	}
 	recs := mustRead(t, filepath.Join(repoRoot(t), "BENCH_pr43_after.jsonl"))
-	for _, m := range unionKeys(recs["oprate_small/seed431/bench"], nil) {
+	for _, m := range append(unionKeys(recs["oprate_small/seed431/bench"], nil), shown...) {
 		class := "exact"
-		if better, perf := perfMetrics[m]; perf {
-			class = map[bool]string{true: "perf better", false: "perf worse"}[better]
+		if slices.Contains(perfMetrics, m) {
+			class = "judged"
+		} else if slices.Contains(shown, m) {
+			class = "shown"
 		}
 		if documented[m] != class {
-			t.Errorf("%s: judged %q, METRICS.md §7 says %q", m, class, documented[m])
+			t.Errorf("%s: %q, METRICS.md §7 says %q", m, class, documented[m])
 		}
 		delete(documented, m)
 	}
@@ -278,12 +328,12 @@ func TestPathClass(t *testing.T) {
 // seeds regressed, none for a set half better.
 func TestDiffClasses(t *testing.T) {
 	before := Records{
-		"w/seed1/bench": {"events_per_op": 10, "sim_op_p99_us": math.NaN(), "host_ns_per_op": 100, "events_per_sec": 1000},
-		"w/seed2/bench": {"events_per_op": 10, "sim_op_p99_us": 5, "host_ns_per_op": 100, "events_per_sec": 1000},
+		"w/seed1/bench": {"events_per_op": 10, "sim_op_p99_us": math.NaN(), "host_ns_per_op": 100, "heap_live_mb": 1000},
+		"w/seed2/bench": {"events_per_op": 10, "sim_op_p99_us": 5, "host_ns_per_op": 100, "heap_live_mb": 1000},
 	}
 	after := Records{
-		"w/seed1/bench": {"events_per_op": 10, "sim_op_p99_us": math.NaN(), "host_ns_per_op": 110, "events_per_sec": 500},
-		"w/seed2/bench": {"events_per_op": 11, "sim_op_p99_us": 5, "host_ns_per_op": 150, "events_per_sec": 1500},
+		"w/seed1/bench": {"events_per_op": 10, "sim_op_p99_us": math.NaN(), "host_ns_per_op": 110, "heap_live_mb": 500},
+		"w/seed2/bench": {"events_per_op": 11, "sim_op_p99_us": 5, "host_ns_per_op": 150, "heap_live_mb": 1500},
 	}
 	rep := Diff(before, after)
 	want := []Finding{
@@ -345,12 +395,14 @@ func TestDiffReportDeterminism(t *testing.T) {
 }
 
 // TestDiffSetGate judges a committed after-file against altered copies
-// of itself. A uniform 10 % slowdown (host_ns_per_op up, or
-// events_per_sec down) is one perf-regress per workload; one seed made
-// 1.5x worse alone, and a uniform speedup, are not flagged. An exact
-// cell moved on one seed (events_per_op, failed, correct) is one
-// value-drift on that cell, and a seed dropped from the after-file is
-// one missing finding on that seed.
+// of itself. A uniform 10 % slowdown (host_ns_per_op ×1.10 with its
+// display copy events_per_sec ÷1.10) is one perf-regress per workload,
+// on host_ns_per_op; either cell edited alone is refused by Read. One
+// seed made 1.5x slower alone, and a uniform speedup, are not flagged.
+// An exact cell moved on one seed (events_per_op, failed, correct) is
+// one value-drift on that cell (events_per_op with its display copy),
+// and a seed dropped from the after-file
+// is one missing finding on that seed.
 func TestDiffSetGate(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(repoRoot(t), "BENCH_pr36_after.jsonl"))
 	if err != nil {
@@ -371,19 +423,30 @@ func TestDiffSetGate(t *testing.T) {
 			m["value"] = m["value"].(float64) * f
 		}
 	}
+	// slower scales host time by f and its display copy by 1/f.
+	slower := func(f float64) func(map[string]any) {
+		return func(res map[string]any) {
+			scale("host_ns_per_op", f)(res)
+			scale("events_per_sec", 1/f)(res)
+		}
+	}
 	const seed = "fabric_scale/seed361/bench"
 	for _, c := range []struct {
 		name  string
 		every bool                 // edit every record, else only the first
 		edit  func(map[string]any) // edits a record's result; nil drops the record
-		kind  string
+		kind  string               // of every finding, or Read's error
 		want  []string
 	}{
-		{"host_ns_per_op x1.10", true, scale("host_ns_per_op", 1.10), FindingPerf, perWorkload("host_ns_per_op")},
-		{"events_per_sec /1.10", true, scale("events_per_sec", 1/1.10), FindingPerf, perWorkload("events_per_sec")},
-		{"one seed host_ns_per_op x1.5", false, scale("host_ns_per_op", 1.5), "", nil},
-		{"host_ns_per_op x0.7", true, scale("host_ns_per_op", 0.7), "", nil},
-		{"events_per_op x(1+1e-12)", false, scale("events_per_op", 1+1e-12), FindingDrift, []string{seed + "/events_per_op"}},
+		{"uniform 10 % slowdown", true, slower(1.10), FindingPerf, perWorkload("host_ns_per_op")},
+		{"host_ns_per_op x1.10 alone", true, scale("host_ns_per_op", 1.10), "x.jsonl:1: events_per_sec", nil},
+		{"events_per_sec /1.10 alone", false, scale("events_per_sec", 1/1.10), "x.jsonl:1: events_per_sec", nil},
+		{"one seed 1.5x slower", false, slower(1.5), "", nil},
+		{"uniform 0.7x", true, slower(0.7), "", nil},
+		{"events_per_op x(1+1e-12)", false, func(res map[string]any) {
+			scale("events_per_op", 1+1e-12)(res)
+			scale("events_per_sec", 1+1e-12)(res)
+		}, FindingDrift, []string{seed + "/events_per_op"}},
 		{"failed +1", false, func(res map[string]any) { res["failed"] = res["failed"].(float64) + 1 }, FindingDrift, []string{seed + "/failed"}},
 		{"correct flipped", false, func(res map[string]any) { res["correct"] = !res["correct"].(bool) }, FindingDrift, []string{seed + "/correct"}},
 		{"seed missing", false, nil, FindingMissing, []string{seed}},
@@ -406,6 +469,12 @@ func TestDiffSetGate(t *testing.T) {
 			altered = append(altered, line)
 		}
 		after, err := readBytes(t, bytes.Join(altered, []byte("\n")))
+		if strings.HasPrefix(c.kind, "x.jsonl") {
+			if err == nil || !strings.Contains(err.Error(), c.kind) {
+				t.Errorf("%s: error %v, want %q", c.name, err, c.kind)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,51 +133,67 @@ func CollectPort(r *Registry, prefix string, p *netsim.Port) {
 
 // CollectUplinks registers a snapshot collector over one equal-cost
 // uplink group (a switch's RouteTo port set): per-uplink frame/byte
-// counters plus the spread summary that makes routing-policy balance
-// measurable — min/max/total frames and bytes, the relative imbalance,
-// and the group's cumulative down-link drops (gray-failure loss). Names
-// land under the "routing" layer: "<prefix>/upN/routing/<metric>" per
-// uplink and "<prefix>/routing/<metric>" for the aggregates.
+// counters plus the group's UplinkSpread summary that makes
+// routing-policy balance measurable — min/max/total frames and bytes,
+// the relative imbalance, and the cumulative down-link drops
+// (gray-failure loss). Names land under the "routing" layer:
+// "<prefix>/upN/routing/<metric>" per uplink and
+// "<prefix>/routing/<metric>" for the aggregates.
 func CollectUplinks(r *Registry, prefix string, ports []*netsim.Port) {
 	r.OnSnapshot(func(emit func(string, float64)) {
-		var minF, maxF, totF uint64
-		var minB, maxB, totB uint64
-		var downDrops uint64
 		for i, p := range ports {
-			s := p.Stats
 			up := prefix + "/up" + strconv.Itoa(i)
-			emit(up+"/routing/tx_frames", float64(s.TxFrames))
-			emit(up+"/routing/tx_bytes", float64(s.TxBytes))
-			if i == 0 || s.TxFrames < minF {
-				minF = s.TxFrames
-			}
-			if s.TxFrames > maxF {
-				maxF = s.TxFrames
-			}
-			if i == 0 || s.TxBytes < minB {
-				minB = s.TxBytes
-			}
-			if s.TxBytes > maxB {
-				maxB = s.TxBytes
-			}
-			totF += s.TxFrames
-			totB += s.TxBytes
-			downDrops += s.DownDrops
+			emit(up+"/routing/tx_frames", float64(p.Stats.TxFrames))
+			emit(up+"/routing/tx_bytes", float64(p.Stats.TxBytes))
 		}
+		u := SpreadOf(ports)
 		emit(prefix+"/routing/uplinks", float64(len(ports)))
-		emit(prefix+"/routing/frames_total", float64(totF))
-		emit(prefix+"/routing/frames_min", float64(minF))
-		emit(prefix+"/routing/frames_max", float64(maxF))
-		emit(prefix+"/routing/bytes_total", float64(totB))
-		emit(prefix+"/routing/bytes_min", float64(minB))
-		emit(prefix+"/routing/bytes_max", float64(maxB))
-		spread := 0.0
-		if maxF > 0 {
-			spread = float64(maxF-minF) * 100 / float64(maxF)
-		}
-		emit(prefix+"/routing/spread_pct", spread)
-		emit(prefix+"/routing/down_drops_total", float64(downDrops))
+		emit(prefix+"/routing/frames_total", float64(u.Frames))
+		emit(prefix+"/routing/frames_min", float64(u.MinFrames))
+		emit(prefix+"/routing/frames_max", float64(u.MaxFrames))
+		emit(prefix+"/routing/bytes_total", float64(u.Bytes))
+		emit(prefix+"/routing/bytes_min", float64(u.MinBytes))
+		emit(prefix+"/routing/bytes_max", float64(u.MaxBytes))
+		emit(prefix+"/routing/spread_pct", u.Pct())
+		emit(prefix+"/routing/down_drops_total", float64(u.DownDrops))
 	})
+}
+
+// UplinkSpread summarizes one equal-cost uplink group's port counters:
+// the extremes and totals of frames and bytes sent, and the down-link
+// drops. The metrics artifact (CollectUplinks) and the routing tables
+// both read it, so they cannot disagree.
+type UplinkSpread struct {
+	MinFrames, MaxFrames, Frames uint64
+	MinBytes, MaxBytes, Bytes    uint64
+	DownDrops                    uint64
+}
+
+// SpreadOf sums an uplink group's counters as they stand.
+func SpreadOf(ports []*netsim.Port) UplinkSpread {
+	var u UplinkSpread
+	for i, p := range ports {
+		s := p.Stats
+		if i == 0 || s.TxFrames < u.MinFrames {
+			u.MinFrames = s.TxFrames
+		}
+		if i == 0 || s.TxBytes < u.MinBytes {
+			u.MinBytes = s.TxBytes
+		}
+		u.MaxFrames, u.MaxBytes = max(u.MaxFrames, s.TxFrames), max(u.MaxBytes, s.TxBytes)
+		u.Frames += s.TxFrames
+		u.Bytes += s.TxBytes
+		u.DownDrops += s.DownDrops
+	}
+	return u
+}
+
+// Pct is the frame imbalance (max-min)*100/max, 0 before any frame.
+func (u UplinkSpread) Pct() float64 {
+	if u.MaxFrames == 0 {
+		return 0
+	}
+	return float64(u.MaxFrames-u.MinFrames) * 100 / float64(u.MaxFrames)
 }
 
 // TrackPort registers the queue-depth time series of one port — the
