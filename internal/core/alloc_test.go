@@ -177,7 +177,7 @@ func testNVMeSteadyStateAllocs(t *testing.T, write bool) {
 	a := cl.AddNode(topo.Hosts[0], cfgA)
 	b := cl.AddNode(topo.Hosts[1], core.DefaultNodeConfig())
 	epA, epB := cl.Connect(a, b, core.DefaultConnConfig())
-	nvme.NewController(epB, nvme.NewDevice(s, nvme.DefaultDeviceConfig()))
+	nvme.NewController(epB, nvme.NewDevice(s))
 	client := nvme.NewClient(epA)
 	post := client.Read
 	if write {

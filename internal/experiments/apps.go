@@ -140,7 +140,7 @@ func Table4(o Options, runFor time.Duration) *Table {
 		topo, _ := netsim.PointToPoint(s, hostLink)
 		cl, n := falconNodes(r, topo.Hosts, core.DefaultNodeConfig())
 		epA, epB := cl.Connect(n[0], n[1], multipathConn())
-		dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
+		dev := nvme.NewDevice(s)
 		nvme.NewController(epB, dev)
 		client := nvme.NewClient(epA)
 		var bytesDone uint64
@@ -164,7 +164,7 @@ func Table4(o Options, runFor time.Duration) *Table {
 	}
 	local := func(name string, opBytes int, write bool, window int) float64 {
 		s := o.row(name+"/local", 4).s
-		dev := nvme.NewDevice(s, nvme.DefaultDeviceConfig())
+		dev := nvme.NewDevice(s)
 		var bytesDone uint64
 		workload.NewClosedLoop(s, window, 1<<30, func(opDone func()) bool {
 			fn := func() {

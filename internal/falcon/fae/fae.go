@@ -90,10 +90,6 @@ type Response struct {
 type Config struct {
 	Swift cc.SwiftConfig
 
-	// PLBCongestedRounds is how many consecutive congested ACK rounds
-	// trigger a repath (PLB's protection threshold).
-	PLBCongestedRounds int
-
 	// UseECN makes the CC also react to ECN echoes (a supplementary
 	// signal per Table 3; delay remains the primary signal).
 	UseECN bool
@@ -106,13 +102,15 @@ type Config struct {
 // DefaultConfig returns the engine configuration used in the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		Swift:              cc.DefaultSwiftConfig(),
-		PLBCongestedRounds: 8,
+		Swift: cc.DefaultSwiftConfig(),
 	}
 }
 
 // The engine's fixed parameters.
 const (
+	// plbCongestedRounds is how many consecutive congested ACK rounds
+	// trigger a repath (PLB's protection threshold).
+	plbCongestedRounds = 8
 	// initialCwnd seeds each connection's fcwnd, split evenly across its
 	// flows.
 	initialCwnd = 16
@@ -173,9 +171,6 @@ type Engine struct {
 
 // New creates an engine delivering responses to sink.
 func New(s *sim.Simulator, cfg Config, sink func(Response)) *Engine {
-	if cfg.PLBCongestedRounds <= 0 {
-		cfg.PLBCongestedRounds = 8
-	}
 	return &Engine{sim: s, cfg: cfg, sink: sink, nextPath: 1}
 }
 
@@ -269,7 +264,7 @@ func (e *Engine) process(ev Event) {
 		// PLB: repath a flow stuck on a congested path.
 		if ev.FabricDelay > fs.swift.TargetDelay(ev.Hops) {
 			fs.congested++
-			if int(fs.congested) >= e.cfg.PLBCongestedRounds {
+			if fs.congested >= plbCongestedRounds {
 				fs.label = fs.label.WithPath(e.allocPath())
 				fs.congested = 0
 				repathed = true

@@ -120,13 +120,11 @@ func TestCongestionDecreasesFlowCwnd(t *testing.T) {
 }
 
 func TestPLBRepathsAfterPersistentCongestion(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PLBCongestedRounds = 4
-	s, e, resp := newEngine(t, cfg)
+	s, e, resp := newEngine(t, DefaultConfig())
 	labels := e.RegisterConn(1, 1)
 	orig := labels[0]
 	now := sim.Time(0)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < plbCongestedRounds; i++ {
 		now = now.Add(100 * time.Microsecond)
 		e.Post(ackEvent(1, 0, time.Millisecond, now))
 	}
@@ -147,9 +145,7 @@ func TestPLBRepathsAfterPersistentCongestion(t *testing.T) {
 }
 
 func TestPLBCounterDecaysOnGoodRounds(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PLBCongestedRounds = 3
-	s, e, resp := newEngine(t, cfg)
+	s, e, resp := newEngine(t, DefaultConfig())
 	e.RegisterConn(1, 1)
 	now := sim.Time(0)
 	// Alternate congested/uncongested: should never reach the threshold.

@@ -53,7 +53,7 @@ const (
 	RecoveryRackTLP RecoveryMode = iota
 	// RecoveryOOODistance is the 200G-Falcon initial scheme: a packet is
 	// eligible for retransmission when a packet with PSN at least
-	// OOODistance higher has been SACKed (FACK-style; Figure 11b).
+	// oooDistance higher has been SACKed (FACK-style; Figure 11b).
 	RecoveryOOODistance
 )
 
@@ -83,49 +83,40 @@ func (p PathPolicy) String() string {
 
 // Config parameterizes a PDL connection.
 type Config struct {
-	// WindowSize is the per-space limit on outstanding PSNs; it matches
-	// the 128-bit ACK bitmap so the receiver can always describe the
-	// sender's outstanding range.
-	WindowSize int
 	// NumFlows is the number of multipath flows (1 = single path).
 	NumFlows int
 	// Policy selects the packet-to-flow mapping.
 	Policy PathPolicy
 	// Recovery selects the loss-detection heuristic.
 	Recovery RecoveryMode
-	// OOODistance is the FACK threshold for RecoveryOOODistance.
-	OOODistance int
-	// AckCoalesceCount triggers an ACK after this many data packets
-	// arrive for one flow.
-	AckCoalesceCount int
-	// ARInterval sets the AckReq bit every N-th data packet of a flow so
-	// the sender keeps RTT samples flowing on long transfers.
-	ARInterval int
-
-	// MaxConsecutiveRTOs is the retry budget: a connection that times
-	// out this many times without any ACK progress is declared failed
-	// (Upper.Fail is called once) rather than retrying forever.
-	// Zero disables the budget (retry forever).
-	MaxConsecutiveRTOs int
 }
 
 // DefaultConfig returns the settings used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		WindowSize:         wire.BitmapBits,
-		NumFlows:           4,
-		Policy:             PolicyCongestionAware,
-		Recovery:           RecoveryRackTLP,
-		OOODistance:        3,
-		AckCoalesceCount:   2,
-		ARInterval:         8,
-		MaxConsecutiveRTOs: 12,
+		NumFlows: 4,
+		Policy:   PolicyCongestionAware,
+		Recovery: RecoveryRackTLP,
 	}
 }
 
-// The PDL's fixed timer parameters.
+// The PDL's fixed parameters. Each space's limit on outstanding PSNs is
+// wire.BitmapBits, the 128-bit ACK bitmap, so the receiver can always
+// describe the sender's outstanding range.
 const (
-	// ackCoalesceDelay bounds ACK latency when AckCoalesceCount is not
+	// oooDistance is the FACK threshold for RecoveryOOODistance.
+	oooDistance = 3
+	// ackCoalesceCount triggers an ACK after this many data packets
+	// arrive for one flow.
+	ackCoalesceCount = 2
+	// arInterval sets the AckReq bit every N-th data packet of a flow so
+	// the sender keeps RTT samples flowing on long transfers.
+	arInterval = 8
+	// maxConsecutiveRTOs is the retry budget: a connection that times
+	// out this many times without any ACK progress is declared failed
+	// (Upper.Fail is called once) rather than retrying forever.
+	maxConsecutiveRTOs = 12
+	// ackCoalesceDelay bounds ACK latency when ackCoalesceCount is not
 	// reached.
 	ackCoalesceDelay = 5 * time.Microsecond
 	// initialRTO seeds timers before the FAE provides measurements.
@@ -292,8 +283,8 @@ type txPacket struct {
 
 // txSpace is the sender side of one sequence space. Its two bitmaps are
 // the only record of which sent PSNs are acked and which are parked, base-
-// relative (bit i describes PSN base+i; WindowSize never exceeds
-// wire.BitmapBits), so ACK processing and loss recovery scan the
+// relative (bit i describes PSN base+i; at most wire.BitmapBits are
+// outstanding), so ACK processing and loss recovery scan the
 // scoreboard a word at a time and the outstanding and parked totals are
 // population counts.
 type txSpace struct {
@@ -301,10 +292,10 @@ type txSpace struct {
 	next  uint32 // next PSN to assign
 	base  uint32 // lowest unacked PSN
 	// pkts is the scoreboard ring, indexed by psn & (len-1). It is empty
-	// until the space's first send, starts at minRing slots (fewer when
-	// WindowSize is smaller) and doubles whenever next-base reaches its
-	// length, so it stays at the next power of two above the PSNs actually
-	// in flight (never above WindowSize rounded up to a power of two).
+	// until the space's first send, starts at minRing slots and doubles
+	// whenever next-base reaches its length, so it stays at the next power
+	// of two above the PSNs actually in flight (never above
+	// wire.BitmapBits).
 	pkts []txPacket
 	// acked marks the acknowledged PSNs in [base, next).
 	acked wire.Bitmap
@@ -313,8 +304,7 @@ type txSpace struct {
 	nackedB wire.Bitmap
 }
 
-// minRing is the length a scoreboard ring starts at (less when WindowSize
-// is smaller).
+// minRing is the length a scoreboard ring starts at.
 const minRing = 8
 
 func (s *txSpace) slot(psn uint32) *txPacket { return &s.pkts[int(psn)&(len(s.pkts)-1)] }
@@ -330,20 +320,13 @@ func (s *txSpace) inFlight(psn uint32) bool {
 // outstanding counts the space's sent, unacknowledged packets.
 func (s *txSpace) outstanding() int { return int(s.next-s.base) - s.acked.OnesCount() }
 
-// grow allocates the ring on the space's first send (minRing slots, fewer
-// when window is smaller) and doubles it after that, moving the live slots
+// grow allocates the ring on the space's first send (minRing slots) and
+// doubles it after that, moving the live slots
 // [base, next) to their places under the wider mask. The slots below base
 // are dropped: no PSN there is in flight, so none is looked up.
-func (s *txSpace) grow(window int) {
+func (s *txSpace) grow() {
 	old := s.pkts
-	n := 2 * len(old)
-	if n == 0 {
-		n = minRing
-		for n > window {
-			n /= 2
-		}
-	}
-	s.pkts = make([]txPacket, n)
+	s.pkts = make([]txPacket, max(2*len(old), minRing))
 	for psn := s.base; psn != s.next; psn++ {
 		*s.slot(psn) = old[int(psn)&(len(old)-1)]
 	}
@@ -441,7 +424,7 @@ type Stats struct {
 
 	// MaxConsecRTOs is the deepest RTO-backoff escalation observed: the
 	// longest run of timeouts without ACK progress. It measures how close
-	// the connection came to its MaxConsecutiveRTOs death budget during a
+	// the connection came to its maxConsecutiveRTOs death budget during a
 	// fault — the chaos recovery envelope's escalation-depth metric.
 	MaxConsecRTOs uint64
 }
@@ -478,8 +461,8 @@ type Conn struct {
 
 	// The small counters share two words.
 	rtoBackoff int32 // RTO backoff exponent, at most 8
-	// consecRTOs counts timeouts since the last ACK progress; at the
-	// configured budget the connection is declared failed.
+	// consecRTOs counts timeouts since the last ACK progress; at
+	// maxConsecutiveRTOs the connection is declared failed.
 	consecRTOs int32
 	// reoWndMult adapts the RACK reordering window upward when spurious
 	// retransmissions are detected (RFC 8985 §7.1 behaviour: reordering
@@ -538,17 +521,11 @@ func (c *Conn) Failed() bool { return c.failed }
 // connection separately (fae.RegisterConn); labels are installed via
 // SetFlowLabels or ApplyResponse.
 func NewConn(s *sim.Simulator, id uint32, cfg Config, up Upper) *Conn {
-	if cfg.WindowSize <= 0 || cfg.WindowSize > wire.BitmapBits {
-		cfg.WindowSize = wire.BitmapBits
-	}
 	if cfg.NumFlows < 1 {
 		cfg.NumFlows = 1
 	}
 	if cfg.NumFlows > wire.MaxFlows {
 		cfg.NumFlows = wire.MaxFlows
-	}
-	if cfg.AckCoalesceCount < 1 {
-		cfg.AckCoalesceCount = 1
 	}
 	c := &Conn{
 		sim:        s,
@@ -559,7 +536,7 @@ func NewConn(s *sim.Simulator, id uint32, cfg Config, up Upper) *Conn {
 		rackReoWnd: initialRTO / 8,
 		tlpTimeout: initialRTO / 2,
 		reoWndMult: 1,
-		ncwnd:      float64(cfg.WindowSize),
+		ncwnd:      wire.BitmapBits,
 	}
 	c.rtoTimer.act = timerAction{c: c, kind: timerRTO}
 	c.tlpTimer.act = timerAction{c: c, kind: timerTLP}
@@ -586,9 +563,6 @@ func (c *Conn) SetPacketPool(p *wire.PacketPool) { c.pool = p }
 
 // ID returns the connection ID.
 func (c *Conn) ID() uint32 { return c.id }
-
-// Config returns the connection's configuration (after NewConn clamping).
-func (c *Conn) Config() Config { return c.cfg }
 
 // TxState exposes one sequence space's sender window for inspection:
 // the lowest unacked PSN, the next PSN to assign, and the count of

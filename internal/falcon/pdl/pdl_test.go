@@ -131,10 +131,7 @@ func TestBasicReliableDelivery(t *testing.T) {
 }
 
 func TestAckCoalescingReducesAcks(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AckCoalesceCount = 4
-	cfg.ARInterval = 0
-	p := newPair(t, cfg)
+	p := newPair(t, DefaultConfig())
 	const n = 64
 	for i := 0; i < n; i++ {
 		p.a.SendPacket(dataPacket(uint64(i), wire.TypePushData, 4096))
@@ -236,7 +233,6 @@ func TestReorderingDoesNotCauseSpuriousRetx(t *testing.T) {
 func TestOOODistanceSpuriousUnderReordering(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Recovery = RecoveryOOODistance
-	cfg.OOODistance = 3
 	p := newPair(t, cfg)
 	i := 0
 	p.delayAB = func(pkt *wire.Packet) time.Duration {
@@ -262,26 +258,27 @@ func TestOOODistanceSpuriousUnderReordering(t *testing.T) {
 	}
 }
 
+// TestSequenceWindowNeverExceeded holds the lowest PSN unacknowledged
+// (its transmissions are dropped) while the PSNs above it are SACKed, so
+// next−base climbs to the full window of wire.BitmapBits PSNs and must
+// stop there.
 func TestSequenceWindowNeverExceeded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowSize = 16
-	p := newPair(t, cfg)
-	maxOut := 0
+	p := newPair(t, DefaultConfig())
+	ts := &p.a.tx[wire.SpaceRequest]
+	maxSpan := uint32(0)
 	p.dropAB = func(pkt *wire.Packet) bool {
-		if out := p.a.Outstanding(); out > maxOut {
-			maxOut = out
-		}
-		return false
+		maxSpan = max(maxSpan, ts.next-ts.base)
+		return pkt.Type.IsData() && pkt.RSN == 0 && maxSpan < wire.BitmapBits
 	}
 	for i := 0; i < 200; i++ {
 		p.a.SendPacket(dataPacket(uint64(i), wire.TypePushData, 4096))
 	}
 	p.s.Run()
-	if maxOut > 16 {
-		t.Fatalf("outstanding reached %d with window 16", maxOut)
+	if maxSpan != wire.BitmapBits {
+		t.Fatalf("next-base peaked at %d, want the full window %d", maxSpan, wire.BitmapBits)
 	}
-	if len(p.deliveredAtB) != 200 {
-		t.Fatalf("delivered %d", len(p.deliveredAtB))
+	if len(p.deliveredAtB) != 200 || p.a.Failed() {
+		t.Fatalf("delivered %d (failed %v)", len(p.deliveredAtB), p.a.Failed())
 	}
 }
 
@@ -503,7 +500,7 @@ func TestNcwndRespondsToOccupancy(t *testing.T) {
 		p.a.SendPacket(dataPacket(uint64(i), wire.TypePushData, 4096))
 	}
 	p.s.Run()
-	if p.a.Ncwnd() >= float64(DefaultConfig().WindowSize) {
+	if p.a.Ncwnd() >= wire.BitmapBits {
 		t.Fatalf("ncwnd %v did not shrink under RX occupancy", p.a.Ncwnd())
 	}
 }
@@ -543,7 +540,6 @@ func TestSendPacketPanicsOnNonData(t *testing.T) {
 func TestConnectionFailsAfterRTOBudget(t *testing.T) {
 	for _, bare := range []bool{false, true} {
 		cfg := DefaultConfig()
-		cfg.MaxConsecutiveRTOs = 4
 		p := newPair(t, cfg)
 		var failedErr error
 		callbacks(p.a).Failed = func(err error) { failedErr = err }
@@ -584,7 +580,7 @@ func TestConnectionFailsAfterRTOBudget(t *testing.T) {
 		if !bare && failedErr == nil {
 			t.Fatal("the Failed callback never ran")
 		}
-		if p.a.Stats.RTOs < 4 {
+		if p.a.Stats.RTOs < maxConsecutiveRTOs {
 			t.Fatalf("bare=%v: RTOs = %d, want >= budget", bare, p.a.Stats.RTOs)
 		}
 		// Subsequent sends and arrivals are ignored without panic.
@@ -594,31 +590,37 @@ func TestConnectionFailsAfterRTOBudget(t *testing.T) {
 	}
 }
 
+// TestRTOBudgetResetsOnProgress sends five packets one after another,
+// each once the one before is acknowledged, and drops every transmission
+// of each until maxConsecutiveRTOs−1 timeouts have fired for it: the run
+// takes more RTOs than the budget in all, but ACK progress resets the
+// count, so no failure.
 func TestRTOBudgetResetsOnProgress(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxConsecutiveRTOs = 4
-	p := newPair(t, cfg)
-	// Drop the first 3 transmissions of each packet, then let through:
-	// RTOs occur but progress resets the budget, so no failure.
-	attempts := map[uint64]int{}
+	p := newPair(t, DefaultConfig())
 	p.dropAB = func(pkt *wire.Packet) bool {
-		if !pkt.Type.IsData() {
-			return false
-		}
-		attempts[pkt.RSN]++
-		return attempts[pkt.RSN] <= 3
+		return pkt.Type.IsData() && p.a.consecRTOs < maxConsecutiveRTOs-1
 	}
 	failed := false
 	callbacks(p.a).Failed = func(error) { failed = true }
-	for i := 0; i < 5; i++ {
-		p.a.SendPacket(dataPacket(uint64(i), wire.TypePushData, 4096))
+	const n = 5
+	next := uint64(1)
+	callbacks(p.a).PacketAcked = func(wire.Space, uint32, uint64, wire.Type) {
+		if next < n {
+			p.a.SendPacket(dataPacket(next, wire.TypePushData, 4096))
+			next++
+		}
 	}
+	p.a.SendPacket(dataPacket(0, wire.TypePushData, 4096))
 	p.s.Run()
 	if failed {
 		t.Fatal("connection failed despite eventual progress")
 	}
-	if len(p.deliveredAtB) != 5 {
-		t.Fatalf("delivered %d of 5", len(p.deliveredAtB))
+	if len(p.deliveredAtB) != n {
+		t.Fatalf("delivered %d of %d", len(p.deliveredAtB), n)
+	}
+	if st := p.a.Stats; st.RTOs <= maxConsecutiveRTOs || st.MaxConsecRTOs != maxConsecutiveRTOs-1 {
+		t.Fatalf("RTOs = %d (max consecutive %d), want more than the budget %d in all and %d in a row",
+			st.RTOs, st.MaxConsecRTOs, maxConsecutiveRTOs, maxConsecutiveRTOs-1)
 	}
 }
 
@@ -629,9 +631,7 @@ func TestRTOBudgetResetsOnProgress(t *testing.T) {
 func TestPropertyExactlyOnceUnderChaos(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
-		cfg := DefaultConfig()
-		cfg.MaxConsecutiveRTOs = 0 // never give up; the channel is lossy but alive
-		p := newPair(t, cfg)
+		p := newPair(t, DefaultConfig())
 		rng := p.s.Rand()
 		chaos := func(orig func(*wire.Packet) bool) func(*wire.Packet) bool {
 			return func(pkt *wire.Packet) bool {

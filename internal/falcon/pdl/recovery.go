@@ -81,14 +81,10 @@ func (c *Conn) runRack(now sim.Time) {
 }
 
 // runOOODistance implements the ablation baseline of Figure 11b: a packet
-// is retransmitted when a PSN at least OOODistance above it has been
+// is retransmitted when a PSN at least oooDistance above it has been
 // SACKed, regardless of time — fast for true losses, spurious under
 // reordering.
 func (c *Conn) runOOODistance() {
-	dist := uint32(c.cfg.OOODistance)
-	if dist == 0 {
-		dist = 3
-	}
 	retransmitted := false
 	for i := range c.tx {
 		ts := &c.tx[i]
@@ -98,9 +94,9 @@ func (c *Conn) runOOODistance() {
 		if h < 0 {
 			continue
 		}
-		// Offsets strictly more than dist-1 below the highest SACK:
-		// [0, h-dist+1), minus acked and parked packets.
-		lim := h - int(dist) + 1
+		// Offsets strictly more than oooDistance-1 below the highest SACK:
+		// [0, h-oooDistance+1), minus acked and parked packets.
+		lim := h - oooDistance + 1
 		if lim <= 0 {
 			continue
 		}
@@ -173,7 +169,7 @@ func (c *Conn) onRTO() {
 	if uint64(c.consecRTOs) > c.Stats.MaxConsecRTOs {
 		c.Stats.MaxConsecRTOs = uint64(c.consecRTOs)
 	}
-	if c.cfg.MaxConsecutiveRTOs > 0 && int(c.consecRTOs) >= c.cfg.MaxConsecutiveRTOs {
+	if c.consecRTOs >= maxConsecutiveRTOs {
 		c.fail()
 		return
 	}

@@ -164,9 +164,7 @@ func TestTLPProbesTailNotHead(t *testing.T) {
 // delivery, the TLP probes only the tail, and NACK backoff only re-sends
 // packets the receiver has refused — see the fault-sweep livelock.)
 func TestRTORetransmitsAllUnacked(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxConsecutiveRTOs = 0 // never declare the connection dead
-	p := newPair(t, cfg)
+	p := newPair(t, DefaultConfig())
 	p.dropAB = func(pkt *wire.Packet) bool { return true } // black hole
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -197,7 +195,6 @@ func TestRTORetransmitsAllUnacked(t *testing.T) {
 func TestParkedPacketsDoNotConsumeWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumFlows = 1
-	cfg.MaxConsecutiveRTOs = 0
 	p := newPair(t, cfg)
 	p.verdictAtB = func(pkt *wire.Packet) DeliverVerdict {
 		if pkt.RSN == 0 {
@@ -225,9 +222,7 @@ func TestParkedPacketsDoNotConsumeWindow(t *testing.T) {
 // NACK-backoff and TLP timer loops must stop — a failed connection keeping
 // the wire busy forever is both wrong and breaks run-to-completion sweeps.
 func TestNoRetransmitsAfterFailure(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxConsecutiveRTOs = 3
-	p := newPair(t, cfg)
+	p := newPair(t, DefaultConfig())
 	p.dropAB = func(pkt *wire.Packet) bool { return true } // black hole
 	p.a.SendPacket(dataPacket(0, wire.TypePushData, 4096))
 	p.s.Run() // terminates only because post-failure loops stop
@@ -248,7 +243,6 @@ func TestNoRetransmitsAfterFailure(t *testing.T) {
 func TestFailureReleasesQueuedPackets(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumFlows = 1
-	cfg.MaxConsecutiveRTOs = 2
 	p := newPair(t, cfg)
 	pool := wire.NewPacketPool()
 	p.a.SetPacketPool(pool)

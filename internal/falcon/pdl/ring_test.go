@@ -45,7 +45,6 @@ func newGrowPair(t *testing.T) *growPair {
 	const latency = 5 * time.Microsecond
 	cfg := DefaultConfig()
 	cfg.NumFlows = 1
-	cfg.MaxConsecutiveRTOs = 0
 	g.a = NewConn(g.s, 1, cfg, &Callbacks{
 		Send: func(pkt *wire.Packet) {
 			g.sent[txRef{pkt.Space, pkt.PSN}] = append(g.sent[txRef{pkt.Space, pkt.PSN}], g.s.Now())
@@ -72,7 +71,7 @@ func newGrowPair(t *testing.T) *growPair {
 	})
 	g.a.SetPacketPool(g.pool)
 	// Pin the congestion window wide open: with no FAE nothing narrows it.
-	g.a.flows[0].fcwnd = float64(cfg.WindowSize)
+	g.a.flows[0].fcwnd = wire.BitmapBits
 	g.b = NewConn(g.s, 1, cfg, &Callbacks{
 		Send: func(pkt *wire.Packet) {
 			cp := &wire.Packet{}
@@ -129,7 +128,7 @@ func (g *growPair) check() error {
 	for i := range c.tx {
 		ts := &c.tx[i]
 		n := int(ts.next - ts.base)
-		if n > c.cfg.WindowSize || n > len(ts.pkts) || len(ts.pkts)&(len(ts.pkts)-1) != 0 {
+		if n > wire.BitmapBits || n > len(ts.pkts) || len(ts.pkts)&(len(ts.pkts)-1) != 0 {
 			return fmt.Errorf("space %d: window %d in a ring of %d", ts.space, n, len(ts.pkts))
 		}
 		for psn := ts.base; psn != ts.next; psn++ {
@@ -285,7 +284,7 @@ func TestRingGrowsInsideCallouts(t *testing.T) {
 // lossy, reordering channel, and requires each ring to end no longer than
 // the next power of two at or above the peak next−base its space reached
 // (nor shorter than minRing): memory follows what was in flight, not
-// WindowSize.
+// the wire.BitmapBits window.
 func TestRingTracksPeakWindow(t *testing.T) {
 	for _, w := range []int{1, 5, 16, 40, 128} {
 		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {

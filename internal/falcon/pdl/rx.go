@@ -93,7 +93,7 @@ func (c *Conn) handleData(p *wire.Packet) {
 		rf.ceSeen = true
 	}
 	rf.pending++
-	if p.Flags&wire.FlagAckReq != 0 || int(rf.pending) >= c.cfg.AckCoalesceCount {
+	if p.Flags&wire.FlagAckReq != 0 || rf.pending >= ackCoalesceCount {
 		c.Stats.AcksImmediate++
 		c.sendAck(flowIdx)
 	} else if !rf.ackTimer.Pending() {

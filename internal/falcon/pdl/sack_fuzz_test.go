@@ -71,7 +71,7 @@ func FuzzSACKScan(f *testing.F) {
 		pkts := make([]wire.Packet, n)
 		for o := 0; o < n; o++ {
 			if int(ts.next-ts.base) == len(ts.pkts) {
-				ts.grow(wire.BitmapBits)
+				ts.grow()
 			}
 			psn := ts.next
 			ts.next++

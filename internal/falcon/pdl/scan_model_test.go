@@ -73,7 +73,7 @@ type scanConn struct {
 
 // newScanConn builds the scoreboard seed describes, so two calls with one
 // seed give identical connections. Each space gets a base that is often
-// just below the uint32 PSN wrap and a window of 0..WindowSize transmitted
+// just below the uint32 PSN wrap and a window of 0..wire.BitmapBits transmitted
 // PSNs, tracked from the minimum ring up, acked and parked at random (each
 // space its own density); the ring's slots outside the window are left
 // over from the previous lap, acked and holding no packet.
@@ -93,7 +93,7 @@ func newScanConn(seed int64) *scanConn {
 			ts.base = ^uint32(0) - uint32(rng.Intn(2*wire.BitmapBits))
 		}
 		ts.next = ts.base
-		n := rng.Intn(c.cfg.WindowSize + 1)
+		n := rng.Intn(wire.BitmapBits + 1)
 		ackP := rng.Float64()
 		for o := 0; o < n; o++ {
 			track(c, ts, rng, ackP, 0.25)
@@ -113,7 +113,7 @@ func newScanConn(seed int64) *scanConn {
 // RSN and type. The bitmaps and per-flow state follow.
 func track(c *Conn, ts *txSpace, rng *rand.Rand, ackP, nackP float64) {
 	if int(ts.next-ts.base) == len(ts.pkts) {
-		ts.grow(c.cfg.WindowSize)
+		ts.grow()
 	}
 	psn := ts.next
 	o := int(psn - ts.base)
@@ -225,7 +225,7 @@ func TestScanMatchesPerPSNModel(t *testing.T) {
 				k, sendSeed := rng.Intn(2*minRing), rng.Int63()
 				for _, sc := range []*scanConn{live, model} {
 					r := rand.New(rand.NewSource(sendSeed))
-					for i := 0; i < k && int(sc.c.tx[sp].next-sc.c.tx[sp].base) < sc.c.cfg.WindowSize; i++ {
+					for i := 0; i < k && sc.c.tx[sp].next-sc.c.tx[sp].base < wire.BitmapBits; i++ {
 						track(sc.c, &sc.c.tx[sp], r, 0, 0)
 					}
 				}

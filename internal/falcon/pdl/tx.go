@@ -58,7 +58,7 @@ func (c *Conn) trySend() {
 func (c *Conn) canSendData(space wire.Space) bool {
 	ts := &c.tx[space]
 	// Sequence window: never outrun the receiver's bitmap.
-	if int(ts.next-ts.base) >= c.cfg.WindowSize {
+	if ts.next-ts.base >= wire.BitmapBits {
 		return false
 	}
 	limit := c.Fcwnd()
@@ -106,7 +106,7 @@ func (c *Conn) transmitNext(q *ring.Ring[*wire.Packet], ts *txSpace) {
 	flow := c.pickFlow()
 	psn := ts.next
 	if int(psn-ts.base) == len(ts.pkts) {
-		ts.grow(c.cfg.WindowSize)
+		ts.grow()
 	}
 	ts.next++
 
@@ -160,10 +160,10 @@ func (c *Conn) stampAndSend(tp *txPacket, retransmit, tlp bool) {
 	if tlp {
 		p.Flags |= wire.FlagTLP
 	}
-	// AR cadence: retransmissions, probes, every ARInterval-th packet of
+	// AR cadence: retransmissions, probes, every arInterval-th packet of
 	// a flow, and queue-draining packets ask for an immediate ACK.
 	if retransmit || tlp ||
-		(c.cfg.ARInterval > 0 && f.sent%uint64(c.cfg.ARInterval) == 0) ||
+		f.sent%arInterval == 0 ||
 		c.reqQ.Len()+c.respQ.Len() == 0 {
 		p.Flags |= wire.FlagAckReq
 	}

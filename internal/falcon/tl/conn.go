@@ -124,12 +124,13 @@ type WorkFunc func() bool
 // Issue calls fn.
 func (fn WorkFunc) Issue() bool { return fn() }
 
+// MTU bounds a single transaction's payload (§4.4: transactions are at
+// most one MTU; ULPs segment larger ops by it).
+const MTU = 4096
+
 // Config parameterizes a TL connection. The two one-byte fields come last
 // so that a Conn, which keeps its Config, packs them into one word.
 type Config struct {
-	// MTU bounds a single transaction's payload (§4.4: transactions are
-	// at most one MTU; ULPs segment larger ops).
-	MTU int
 	// StaticAlpha is the DT α for BackpressureStatic.
 	StaticAlpha float64
 	// Backpressure selects the isolation policy.
@@ -140,10 +141,9 @@ type Config struct {
 	Ordered bool
 }
 
-// DefaultConfig returns an ordered connection with 4KB MTU and dynamic
-// backpressure.
+// DefaultConfig returns an ordered connection with dynamic backpressure.
 func DefaultConfig() Config {
-	return Config{Ordered: true, MTU: 4096, Backpressure: BackpressureDynamic, StaticAlpha: 2}
+	return Config{Ordered: true, Backpressure: BackpressureDynamic, StaticAlpha: 2}
 }
 
 type txnKind uint8
@@ -324,10 +324,6 @@ func (c *Conn) SetAlpha(a float64) {
 	}
 }
 
-// MTU returns the largest transaction payload the connection accepts;
-// ULPs segment their operations by it.
-func (c *Conn) MTU() int { return c.cfg.MTU }
-
 // Submit is how a ULP issues work under backpressure. work tries to issue
 // and reports whether it is done: issued, or ended because the connection
 // is dead. Submit runs work at once unless earlier work is parked, in which
@@ -467,7 +463,7 @@ func (c *Conn) initiate(kind txnKind, op uint8, addr uint64, data []byte, length
 	if c.dead != nil {
 		return 0, c.dead
 	}
-	if int(length) > c.cfg.MTU {
+	if length > MTU {
 		return 0, errOverMTU[kind]
 	}
 	if c.xoffed() {

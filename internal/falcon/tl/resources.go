@@ -58,10 +58,11 @@ type PoolConfig struct {
 // ResourceConfig sizes all four sub-pools.
 type ResourceConfig struct {
 	Pools [numPools]PoolConfig
-	// HoLAdmissionThreshold is the RxReq occupancy fraction beyond which
-	// only head-of-line requests are admitted (§4.5).
-	HoLAdmissionThreshold float64
 }
+
+// holAdmissionThreshold is the RxReq occupancy fraction beyond which only
+// head-of-line requests are admitted (§4.5).
+const holAdmissionThreshold = 0.5
 
 // DefaultResourceConfig sizes pools for a 200G NIC with ~50us RTTs. The RX
 // pools hold O(BDP) = 1.25MB of on-chip buffering (§5.2); the TX pools are
@@ -77,7 +78,6 @@ func DefaultResourceConfig() ResourceConfig {
 			PoolRxReq:  rx,
 			PoolRxResp: rx,
 		},
-		HoLAdmissionThreshold: 0.5,
 	}
 }
 
@@ -140,7 +140,6 @@ func (p *pool) occupancy() float64 {
 // one Falcon instance. It keeps the node's totals per pool; what each
 // connection holds lives on the connection (Conn.held).
 type Resources struct {
-	cfg   ResourceConfig
 	pools [numPools]pool
 
 	// waiters holds, in refusal order, the connections a full pool
@@ -166,7 +165,7 @@ type Resources struct {
 // pool is an int32, so a pool may hold at most math.MaxInt32 contexts and
 // bytes.
 func NewResources(cfg ResourceConfig) *Resources {
-	r := &Resources{cfg: cfg, txns: new(sim.FreeList[txn])}
+	r := &Resources{txns: new(sim.FreeList[txn])}
 	for k, pc := range cfg.Pools {
 		if pc.Contexts > math.MaxInt32 || pc.Bytes > math.MaxInt32 {
 			panic(fmt.Sprintf("tl: %v pool of %d contexts and %d bytes exceeds math.MaxInt32", PoolKind(k), pc.Contexts, pc.Bytes))
@@ -282,7 +281,7 @@ func (r *Resources) RxOccupancy() float64 {
 // requests (§4.5), preventing non-HoL requests from occupying everything
 // and deadlocking ordered connections.
 func (c *Conn) admitRxRequest(bytes int, headOfLine bool) error {
-	if c.res.pools[PoolRxReq].occupancy() >= c.res.cfg.HoLAdmissionThreshold && !headOfLine {
+	if c.res.pools[PoolRxReq].occupancy() >= holAdmissionThreshold && !headOfLine {
 		return errBeyondHoL
 	}
 	return c.reserve(PoolRxReq, bytes)

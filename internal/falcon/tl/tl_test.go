@@ -260,7 +260,6 @@ func TestHoLAdmission(t *testing.T) {
 		Pools: [numPools]PoolConfig{
 			PoolRxReq: {Contexts: 10, Bytes: 10000},
 		},
-		HoLAdmissionThreshold: 0.5,
 	})
 	c := newHolder(res)
 	// Fill to the threshold with non-HoL requests.
@@ -498,10 +497,10 @@ func TestBackpressureNoneNeverRefusesUntilPoolsExhaust(t *testing.T) {
 
 func TestMTUViolationRejected(t *testing.T) {
 	e := newEnv(t, DefaultConfig())
-	if _, err := e.a.Push(nil, 5000, nil); err == nil {
+	if _, err := e.a.Push(nil, MTU+1, nil); err == nil {
 		t.Fatal("push above MTU accepted")
 	}
-	if _, err := e.a.Pull(5000, nil); err == nil {
+	if _, err := e.a.Pull(MTU+1, nil); err == nil {
 		t.Fatal("pull above MTU accepted")
 	}
 }

@@ -4,7 +4,7 @@
 // one workload at one seed. The simulation is deterministic per seed, so
 // a record's exact half — attempted, failed, correct, events_per_op and
 // the sim_* metrics — must repeat to the bit. Its judged host half
-// (perfMetrics) varies run to run, so each of those metrics is judged
+// (perfBands) varies run to run, so each of those metrics is judged
 // once per workload over the seeds both files share, by the set gate
 // below; setup_s and events_per_sec are shown, not judged. cmd/falconlake
 // runs it; the committed metrics snapshots and series need no judge,
@@ -24,8 +24,10 @@
 //
 // The old gate (band 0.08 with at least 70 % of seeds worse, on six
 // metrics) flags 0 of the 15 sets, and so does the chosen one (band
-// 0.07, median only). The worse-seed rule changed no verdict on a judged
-// metric in any A/A set or committed pair, so it is gone.
+// 0.07 on host time, median only). The worse-seed rule changed no
+// verdict on a judged metric in any A/A set or committed pair, so it is
+// gone. Heap and allocation cells repeat to within 1e-4 in every A/A set,
+// so they get a band of their own, memBand.
 package lake
 
 import (
@@ -40,21 +42,34 @@ import (
 	"strings"
 )
 
-// perfMetrics are the host-measured record metrics the set gate judges,
-// each lower-is-better. shown are host-measured fields Read drops after
-// checking events_per_sec, which is 1e9·events_per_op/host_ns_per_op and
-// so would repeat host_ns_per_op's verdict. Every other cell is exact.
+// perfBands maps each host-measured record metric the set gate judges,
+// each lower-is-better, to its band. shown are host-measured fields Read
+// drops after checking events_per_sec, which is
+// 1e9·events_per_op/host_ns_per_op and so would repeat host_ns_per_op's
+// verdict. Every other cell is exact.
 var (
-	perfMetrics = []string{"host_ns_per_op", "allocs_per_op_plus1", "heap_bytes_per_conn", "heap_live_mb"}
-	shown       = []string{"events_per_sec", "setup_s"}
+	perfBands = map[string]float64{
+		"host_ns_per_op":      setBand,
+		"allocs_per_op_plus1": memBand,
+		"heap_bytes_per_conn": memBand,
+		"heap_live_mb":        memBand,
+	}
+	shown = []string{"events_per_sec", "setup_s"}
 )
 
-// setBand is the set gate. For each (workload, judged metric), every
-// seed both files share gives a ratio, after over before, and the set is
-// flagged when the median ratio exceeds 1+setBand. It is the smallest
-// hundredth above every A/A set's median (1.061), and under a uniform
-// 10 % slowdown's 1.10.
-const setBand = 0.07
+// The set gate. For each (workload, judged metric), every seed both
+// files share gives a ratio, after over before, and the set is flagged
+// when the median ratio exceeds 1 plus the metric's band.
+const (
+	// setBand judges host time. It is the smallest hundredth above every
+	// A/A set's median (1.061), and under a uniform 10 % slowdown's 1.10.
+	setBand = 0.07
+	// memBand judges the heap and allocation cells. Their A/A medians
+	// lie within 1 ± 0.0001, and the worst committed pair reads 1.0233
+	// (heap_bytes_per_conn, pr40 oprate_small), so the smallest hundredth
+	// above it keeps every pair clean and flags a uniform 4 % heap growth.
+	memBand = 0.03
+)
 
 // Finding kinds.
 const (
@@ -178,10 +193,10 @@ func Diff(before, after Records) *Report {
 			case !inA || !inB:
 				rep.Findings = append(rep.Findings, Finding{Kind: oneSide[!inA], Path: path})
 				continue
-			case slices.Contains(perfMetrics, m):
+			case perfBands[m] > 0:
 				key := workload + "/bench/" + m
 				if sets[key] == nil {
-					sets[key] = &perfSet{}
+					sets[key] = &perfSet{band: perfBands[m]}
 				}
 				sets[key].a, sets[key].b = append(sets[key].a, va), append(sets[key].b, vb)
 			case va != vb && !(math.IsNaN(va) && math.IsNaN(vb)):
@@ -214,8 +229,11 @@ func unionKeys[V any](a, b map[string]V) []string {
 }
 
 // perfSet gathers one (workload, host metric)'s per-seed values from
-// both files.
-type perfSet struct{ a, b []float64 }
+// both files, and the metric's band.
+type perfSet struct {
+	a, b []float64
+	band float64
+}
 
 // judge applies the set gate. The finding carries the two files' median
 // values; Detail gives the median ratio and the count of worse seeds.
@@ -232,7 +250,7 @@ func (s *perfSet) judge(key string) (Finding, bool) {
 		}
 	}
 	med := median(ratios)
-	if med <= 1+setBand {
+	if med <= 1+s.band {
 		return Finding{}, false
 	}
 	return Finding{

@@ -308,7 +308,7 @@ func TestPathClass(t *testing.T) {
 	recs := mustRead(t, filepath.Join(repoRoot(t), "BENCH_pr43_after.jsonl"))
 	for _, m := range append(unionKeys(recs["oprate_small/seed431/bench"], nil), shown...) {
 		class := "exact"
-		if slices.Contains(perfMetrics, m) {
+		if perfBands[m] > 0 {
 			class = "judged"
 		} else if slices.Contains(shown, m) {
 			class = "shown"
@@ -410,10 +410,12 @@ func TestDiffSetGate(t *testing.T) {
 	}
 	before := mustRead(t, filepath.Join(repoRoot(t), "BENCH_pr36_after.jsonl"))
 	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
-	perWorkload := func(metric string) []string {
+	perWorkload := func(metrics ...string) []string {
 		var out []string
 		for _, w := range []string{"fabric_scale", "incast_conns", "lossy_mixed", "oprate_small"} {
-			out = append(out, w+"/bench/"+metric)
+			for _, m := range metrics {
+				out = append(out, w+"/bench/"+m)
+			}
 		}
 		return out
 	}
@@ -439,6 +441,11 @@ func TestDiffSetGate(t *testing.T) {
 		want  []string
 	}{
 		{"uniform 10 % slowdown", true, slower(1.10), FindingPerf, perWorkload("host_ns_per_op")},
+		{"uniform 4 % heap growth", true, func(res map[string]any) {
+			scale("heap_bytes_per_conn", 1.04)(res)
+			scale("heap_live_mb", 1.04)(res)
+		}, FindingPerf, perWorkload("heap_bytes_per_conn", "heap_live_mb")},
+		{"uniform 6 % slowdown", true, slower(1.06), "", nil},
 		{"host_ns_per_op x1.10 alone", true, scale("host_ns_per_op", 1.10), "x.jsonl:1: events_per_sec", nil},
 		{"events_per_sec /1.10 alone", false, scale("events_per_sec", 1/1.10), "x.jsonl:1: events_per_sec", nil},
 		{"one seed 1.5x slower", false, slower(1.5), "", nil},

@@ -158,6 +158,7 @@ type drainModel struct {
 	ps      int64
 	queued  int
 	sent    int
+	dropped uint64 // frames the full queue turned away
 	rounds  int
 }
 
@@ -174,6 +175,18 @@ func (m *drainModel) schedule(d time.Duration) {
 }
 
 func (m *drainModel) send(size int) {
+	m.sent++
+	f := m.n.Frames().Acquire()
+	f.Size = size
+	if m.queued+size > DefaultQueueBytes {
+		m.dropped++
+		m.p.send(f)
+		if m.p.Stats.QueueDrops != m.dropped {
+			m.t.Fatalf("after %d sends: %d queue drops, model %d", m.sent, m.p.Stats.QueueDrops, m.dropped)
+		}
+		m.check()
+		return
+	}
 	start := m.busy
 	if now := m.s.Now(); start < now {
 		start = now
@@ -183,9 +196,6 @@ func (m *drainModel) send(size int) {
 	m.arrival[m.seq+1] = true
 	m.seq += 2
 	m.queued += size
-	m.sent++
-	f := m.n.Frames().Acquire()
-	f.Size = size
 	m.p.send(f)
 	m.check()
 }
@@ -197,16 +207,17 @@ func (m *drainModel) check() {
 }
 
 // RunAction is the driver: a burst of 0–4 same-instant sends (one burst of
-// 1100 to grow the ring past 1024), sometimes a rate change with frames
+// 1100 frames of at most 800 bytes, to grow the ring past 1024 and fill
+// the port's DefaultQueueBytes), sometimes a rate change with frames
 // still queued, then a zero or random gap.
 func (m *drainModel) RunAction() {
 	m.rounds++
-	burst := m.rng.Intn(5)
+	burst, maxSize := m.rng.Intn(5), 9000
 	if m.rounds == 200 {
-		burst = 1100
+		burst, maxSize = 1100, 800
 	}
 	for i := 0; i < burst; i++ {
-		size := 1 + m.rng.Intn(9000)
+		size := 1 + m.rng.Intn(maxSize)
 		if m.rng.Intn(4) == 0 {
 			size = 1
 		}
@@ -249,12 +260,12 @@ func (m *drainModel) OnEvent(at sim.Time, seq uint64) {
 
 // TestPortDrainMatchesModel holds the port's drain ring to drainModel
 // across zero-gap same-instant sends, 1-byte frames that serialize in
-// 0 ns on fast links, rate changes mid-queue and ring growth from 8 to
-// more than 1024 slots.
+// 0 ns on fast links, rate changes mid-queue, ring growth from 8 to
+// more than 1024 slots and drops at a full queue.
 func TestPortDrainMatchesModel(t *testing.T) {
 	s := sim.New(1)
 	n := New(s)
-	link := LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond, QueueBytes: 1 << 30}
+	link := LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond}
 	m := &drainModel{
 		t: t, s: s, n: n, rng: rand.New(rand.NewSource(30)),
 		p:   newPort(n, "drain", link, &benchSink{net: n}),
@@ -269,9 +280,9 @@ func TestPortDrainMatchesModel(t *testing.T) {
 		t.Fatalf("after the run: %d bytes, %d departures, %d arrivals outstanding in the model",
 			m.queued, len(m.due), len(m.arrival))
 	}
-	if len(m.p.drains) < 1024 || m.p.Stats.QueueDrops != 0 {
-		t.Fatalf("drain ring grew to %d slots with %d queue drops; want >= 1024 and 0",
-			len(m.p.drains), m.p.Stats.QueueDrops)
+	if len(m.p.drains) < 1024 || m.dropped == 0 || m.p.Stats.QueueDrops != m.dropped {
+		t.Fatalf("drain ring grew to %d slots with %d queue drops (model %d); want >= 1024 and the model's, at least one",
+			len(m.p.drains), m.p.Stats.QueueDrops, m.dropped)
 	}
 }
 

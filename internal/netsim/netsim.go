@@ -108,13 +108,10 @@ type LinkConfig struct {
 	GbpsRate float64
 	// PropDelay is the one-way propagation delay.
 	PropDelay time.Duration
-	// QueueBytes is the output queue limit; 0 means a generous default
-	// (1 MiB). Frames arriving at a full queue are dropped.
-	QueueBytes int
 }
 
-// DefaultQueueBytes is the output-queue limit used when LinkConfig leaves
-// QueueBytes zero.
+// DefaultQueueBytes is every port's output-queue limit. Frames arriving
+// at a full queue are dropped.
 const DefaultQueueBytes = 1 << 20
 
 // PortStats counts traffic through one directed port.
@@ -148,7 +145,6 @@ type Port struct {
 	// picoseconds per byte; the hot path multiplies instead of dividing.
 	psPerByte int64
 	prop      time.Duration
-	limit     int
 	dst       device
 
 	queuedBytes int
@@ -185,7 +181,7 @@ type Port struct {
 	// Padding to 256 bytes, a multiple of 64: the allocator then puts
 	// every Port on a 64-byte boundary, so the line holding queuedBytes
 	// and the drain ring is a real cache line (TestPortLayout).
-	_ [16]byte
+	_ [24]byte
 }
 
 // psPerByte converts a Gbit/s link rate to the integer picoseconds one
@@ -206,17 +202,12 @@ func newPort(n *Network, name string, cfg LinkConfig, dst device) *Port {
 	if cfg.GbpsRate <= 0 {
 		panic("netsim: link rate must be positive")
 	}
-	limit := cfg.QueueBytes
-	if limit == 0 {
-		limit = DefaultQueueBytes
-	}
 	p := &Port{
 		net:       n,
 		sim:       n.sim,
 		name:      name,
 		psPerByte: psPerByte(cfg.GbpsRate),
 		prop:      cfg.PropDelay,
-		limit:     limit,
 		dst:       dst,
 	}
 	n.ports = append(n.ports, p)
@@ -322,7 +313,7 @@ func (p *Port) send(f *Frame) {
 		p.net.drop(f)
 		return
 	}
-	if p.queuedBytes+f.Size > p.limit {
+	if p.queuedBytes+f.Size > DefaultQueueBytes {
 		p.Stats.QueueDrops++
 		p.net.drop(f)
 		return

@@ -52,22 +52,22 @@ func TestSerializationQueueing(t *testing.T) {
 	}
 }
 
+// TestQueueOverflowDrops sends one same-instant burst larger than
+// DefaultQueueBytes: the frames that fit are delivered, the rest dropped.
 func TestQueueOverflowDrops(t *testing.T) {
 	s := sim.New(1)
-	link := LinkConfig{GbpsRate: 1, PropDelay: time.Microsecond, QueueBytes: 3000}
+	link := LinkConfig{GbpsRate: 1, PropDelay: time.Microsecond}
 	topo, _ := PointToPoint(s, link)
 	delivered := 0
 	topo.Hosts[1].SetHandler(HandlerFunc(func(f *Frame) { delivered++ }))
-	for i := 0; i < 10; i++ {
-		topo.Hosts[0].Send(&Frame{Dst: 1, Size: 1500})
+	const size, n = 1500, DefaultQueueBytes/1500 + 100
+	for i := 0; i < n; i++ {
+		topo.Hosts[0].Send(&Frame{Dst: 1, Size: size})
 	}
 	s.Run()
 	up := topo.Hosts[0].Uplink()
-	if up.Stats.QueueDrops == 0 {
-		t.Fatal("expected queue drops")
-	}
-	if delivered+int(up.Stats.QueueDrops) != 10 {
-		t.Fatalf("delivered %d + drops %d != 10", delivered, up.Stats.QueueDrops)
+	if delivered != DefaultQueueBytes/size || delivered+int(up.Stats.QueueDrops) != n {
+		t.Fatalf("delivered %d + drops %d of %d, want %d delivered", delivered, up.Stats.QueueDrops, n, DefaultQueueBytes/size)
 	}
 }
 
@@ -268,7 +268,7 @@ func TestHopCount(t *testing.T) {
 
 func TestECNMarkingBeyondThreshold(t *testing.T) {
 	s := sim.New(1)
-	link := LinkConfig{GbpsRate: 1, PropDelay: 0, QueueBytes: 1 << 20}
+	link := LinkConfig{GbpsRate: 1, PropDelay: 0}
 	topo, _ := PointToPoint(s, link)
 	up := topo.Hosts[0].Uplink()
 	up.SetECNThreshold(3000)

@@ -8,8 +8,8 @@
 // The model is deliberately simple: each packet pass through the NIC incurs
 // a start time constrained by per-connection and global pipeline
 // availability plus a connection-cache lookup cost. The same model serves
-// the RoCE baseline with different constants (host-memory connection state
-// instead of on-NIC DRAM).
+// the RoCE baseline with a different cache Config (host-memory connection
+// state instead of on-NIC DRAM).
 package nic
 
 import (
@@ -18,47 +18,45 @@ import (
 	"falcon/internal/sim"
 )
 
-// Config parameterizes the NIC model.
+// Config parameterizes the NIC model: the connection-state cache
+// hierarchy (§5.2 "Connection State Caching"), which is what tells the
+// 200G Falcon IPU from a CX7-like RNIC.
 type Config struct {
-	// PerConnPacketInterval is the pipeline's per-connection
-	// serialization: one connection cannot process packets faster than
-	// one per interval (25ns ≈ 20M 2-packet ops/s on one QP).
-	PerConnPacketInterval time.Duration
-	// GlobalPacketInterval is the aggregate pipeline limit across all
-	// connections (~4.2ns ≈ 120M 2-packet ops/s).
-	GlobalPacketInterval time.Duration
-
-	// Connection-state cache hierarchy (§5.2 "Connection State Caching").
 	CacheSize   int           // on-chip first-level entries
 	L2CacheSize int           // shared second-level entries
-	HitCost     time.Duration // first-level hit
-	L2HitCost   time.Duration // second-level hit
 	MissCost    time.Duration // backing store (on-NIC DRAM or host memory)
-
-	// HostGbps is the host interface (PCIe) bandwidth for payload
-	// delivery to memory.
-	HostGbps float64
-	// RxBufferBytes is the on-chip RX packet buffer (O(BDP), §5.2);
-	// payload awaiting host delivery occupies it. Overflow spills to
-	// on-NIC DRAM (allowed, with extra latency) rather than dropping.
-	RxBufferBytes int
 }
 
-// dramSpillLatency is added to host delivery for bytes that spilled.
-const dramSpillLatency = 500 * time.Nanosecond
+// The NIC model's fixed parameters.
+const (
+	// perConnPacketInterval is the pipeline's per-connection
+	// serialization: one connection cannot process packets faster than
+	// one per interval (25ns ≈ 20M 2-packet ops/s on one QP).
+	perConnPacketInterval = 25 * time.Nanosecond
+	// globalPacketInterval is the aggregate pipeline limit across all
+	// connections (~4.2ns ≈ 120M 2-packet ops/s).
+	globalPacketInterval = 4 * time.Nanosecond
+	// hitCost and l2HitCost are the first- and second-level cache hits.
+	hitCost   = 5 * time.Nanosecond
+	l2HitCost = 40 * time.Nanosecond
+	// initialHostGbps is the host interface (PCIe) bandwidth for payload
+	// delivery to memory until SetHostGbps changes it.
+	initialHostGbps = 200
+	// rxBufferBytes is the on-chip RX packet buffer (O(BDP), §5.2:
+	// 1.25MB ≈ BDP at 200G, 50us); payload awaiting host delivery
+	// occupies it. Overflow spills to on-NIC DRAM (allowed, with extra
+	// latency) rather than dropping.
+	rxBufferBytes = 1280 << 10
+	// dramSpillLatency is added to host delivery for bytes that spilled.
+	dramSpillLatency = 500 * time.Nanosecond
+)
 
 // DefaultConfig models the 200G Falcon IPU.
 func DefaultConfig() Config {
 	return Config{
-		PerConnPacketInterval: 25 * time.Nanosecond,
-		GlobalPacketInterval:  4 * time.Nanosecond,
-		CacheSize:             16 << 10,
-		L2CacheSize:           128 << 10,
-		HitCost:               5 * time.Nanosecond,
-		L2HitCost:             40 * time.Nanosecond,
-		MissCost:              250 * time.Nanosecond, // on-NIC DRAM
-		HostGbps:              200,
-		RxBufferBytes:         1280 << 10, // 1.25MB ≈ BDP at 200G, 50us
+		CacheSize:   16 << 10,
+		L2CacheSize: 128 << 10,
+		MissCost:    250 * time.Nanosecond, // on-NIC DRAM
 	}
 }
 
@@ -104,6 +102,7 @@ type NIC struct {
 	l2cache *connCache
 
 	// Host interface state.
+	hostGbps  float64 // bandwidth, initialHostGbps until SetHostGbps
 	hostFree  sim.Time
 	rxQueued  int // bytes awaiting host delivery
 	rxSpilled int // bytes currently spilled to DRAM
@@ -117,7 +116,7 @@ type NIC struct {
 
 // New creates a NIC bound to the simulator.
 func New(s *sim.Simulator, cfg Config) *NIC {
-	n := &NIC{sim: s, cfg: cfg, hostEvents: new(sim.FreeList[hostEvent])}
+	n := &NIC{sim: s, cfg: cfg, hostGbps: initialHostGbps, hostEvents: new(sim.FreeList[hostEvent])}
 	if cfg.CacheSize > 0 {
 		n.cache = newConnCache(cfg.CacheSize)
 	}
@@ -156,16 +155,16 @@ func growTo[T any](s []T, i int) []T {
 // lookupCost models the connection-state fetch for one packet.
 func (n *NIC) lookupCost(conn uint32) time.Duration {
 	if n.cache == nil {
-		return n.cfg.HitCost
+		return hitCost
 	}
 	if n.cache.touch(conn) {
 		n.Stats.CacheHits++
-		return n.cfg.HitCost
+		return hitCost
 	}
 	if n.l2cache != nil && n.l2cache.touch(conn) {
 		n.Stats.L2Hits++
 		n.cache.insert(conn)
-		return n.cfg.L2HitCost
+		return l2HitCost
 	}
 	n.Stats.CacheMisses++
 	n.cache.insert(conn)
@@ -187,7 +186,7 @@ func (n *NIC) admit(conn uint32) sim.Time {
 		n.Stats.GlobalWait += n.globalFree.Sub(gStart)
 		gStart = n.globalFree
 	}
-	n.globalFree = gStart.Add(n.cfg.GlobalPacketInterval)
+	n.globalFree = gStart.Add(globalPacketInterval)
 	// Per-connection serialization applies after global admission.
 	start := gStart
 	cp := n.pipe(conn)
@@ -201,7 +200,7 @@ func (n *NIC) admit(conn uint32) sim.Time {
 		done = cp.done
 	}
 	cp.done = done
-	cp.free = start.Add(n.cfg.PerConnPacketInterval)
+	cp.free = start.Add(perConnPacketInterval)
 	n.Stats.PacketsProcessed++
 	return done
 }
@@ -230,7 +229,7 @@ func (n *NIC) DeliverToHost(bytes int, done func()) {
 	now := n.sim.Now()
 	n.rxQueued += bytes
 	spilled := false
-	if n.rxQueued > n.cfg.RxBufferBytes {
+	if n.rxQueued > rxBufferBytes {
 		spilled = true
 		n.rxSpilled += bytes
 		n.Stats.SpilledBytes += uint64(bytes)
@@ -242,7 +241,7 @@ func (n *NIC) DeliverToHost(bytes int, done func()) {
 	if n.hostFree > start {
 		start = n.hostFree
 	}
-	drain := time.Duration(float64(bytes) * 8 / n.cfg.HostGbps) // ns
+	drain := time.Duration(float64(bytes) * 8 / n.hostGbps) // ns
 	finish := start.Add(drain)
 	if spilled {
 		finish = finish.Add(dramSpillLatency)
@@ -294,10 +293,7 @@ func (n *NIC) HostEvents() (built, free int) {
 // capacity, clamped to 1 (spilled bytes keep it pinned at 1). This is the
 // ncwnd congestion signal.
 func (n *NIC) RxOccupancy() float64 {
-	if n.cfg.RxBufferBytes <= 0 {
-		return 0
-	}
-	occ := float64(n.rxQueued) / float64(n.cfg.RxBufferBytes)
+	occ := float64(n.rxQueued) / rxBufferBytes
 	if occ > 1 {
 		occ = 1
 	}
@@ -310,11 +306,11 @@ func (n *NIC) SetHostGbps(gbps float64) {
 	if gbps <= 0 {
 		panic("nic: host bandwidth must be positive")
 	}
-	n.cfg.HostGbps = gbps
+	n.hostGbps = gbps
 }
 
 // HostGbps returns the current host-interface bandwidth.
-func (n *NIC) HostGbps() float64 { return n.cfg.HostGbps }
+func (n *NIC) HostGbps() float64 { return n.hostGbps }
 
 // connCache is an LRU set of connection keys: a doubly linked recency list
 // threaded through a dense slice indexed by key (small per-node integers),

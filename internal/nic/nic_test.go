@@ -86,11 +86,7 @@ func TestPingPongZeroAlloc(t *testing.T) {
 func TestPerConnSerialization(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultConfig()
-	cfg.PerConnPacketInterval = 50 * time.Nanosecond
-	cfg.GlobalPacketInterval = time.Nanosecond
-	cfg.HitCost = 0
 	cfg.MissCost = 0
-	cfg.L2HitCost = 0
 	n := New(s, cfg)
 	var times []sim.Time
 	for i := 0; i < 10; i++ {
@@ -103,8 +99,8 @@ func TestPerConnSerialization(t *testing.T) {
 	// Back-to-back packets on one conn are spaced by the per-conn
 	// interval.
 	for i := 1; i < len(times); i++ {
-		if gap := times[i] - times[i-1]; gap < 50 {
-			t.Fatalf("per-conn gap %dns < 50ns", gap)
+		if gap := times[i].Sub(times[i-1]); gap < perConnPacketInterval {
+			t.Fatalf("per-conn gap %v < %v", gap, perConnPacketInterval)
 		}
 	}
 }
@@ -112,15 +108,11 @@ func TestPerConnSerialization(t *testing.T) {
 func TestGlobalPipelineAggregates(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultConfig()
-	cfg.PerConnPacketInterval = 50 * time.Nanosecond
-	cfg.GlobalPacketInterval = 10 * time.Nanosecond
-	cfg.HitCost = 0
 	cfg.MissCost = 0
-	cfg.L2HitCost = 0
 	n := New(s, cfg)
 	done := 0
-	// 10 connections, one packet each: global interval binds (10ns
-	// apart), not the per-conn 50ns.
+	// 10 connections, one packet each, every lookup a free miss: the
+	// global interval binds, not the per-conn one.
 	for i := 0; i < 10; i++ {
 		n.ProcessAction(uint32(i), act(func() { done++ }))
 	}
@@ -128,9 +120,8 @@ func TestGlobalPipelineAggregates(t *testing.T) {
 	if done != 10 {
 		t.Fatalf("processed %d", done)
 	}
-	// Last start at 9*10ns.
-	if s.Now() > 200 {
-		t.Fatalf("took %v; global pipeline not aggregating", s.Now())
+	if want := sim.Time(9 * globalPacketInterval); s.Now() != want {
+		t.Fatalf("took %v, want the last start at %v; global pipeline not aggregating", s.Now(), want)
 	}
 }
 
@@ -199,8 +190,6 @@ func TestMissCostSlowsProcessing(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.CacheSize = cacheSize
 		cfg.L2CacheSize = 0
-		cfg.PerConnPacketInterval = time.Nanosecond
-		cfg.GlobalPacketInterval = time.Nanosecond
 		n := New(s, cfg)
 		var last sim.Time
 		for round := 0; round < 5; round++ {
@@ -220,24 +209,24 @@ func TestMissCostSlowsProcessing(t *testing.T) {
 
 func TestHostDeliveryBandwidth(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	cfg.HostGbps = 100
-	n := New(s, cfg)
+	n := New(s, DefaultConfig())
 	var doneAt sim.Time
-	n.DeliverToHost(125000, func() { doneAt = s.Now() }) // 1Mbit at 100Gbps = 10us
+	n.DeliverToHost(125000, func() { doneAt = s.Now() }) // 1Mbit at 200Gbps = 5us
 	s.Run()
-	if doneAt != sim.Time(10*time.Microsecond) {
-		t.Fatalf("drained at %v, want 10us", doneAt)
+	if doneAt != sim.Time(5*time.Microsecond) {
+		t.Fatalf("drained at %v, want 5us", doneAt)
 	}
 }
 
+// TestHostBackpressureRaisesOccupancy fills the RX buffer in one instant:
+// the host drains nothing before the virtual clock moves.
 func TestHostBackpressureRaisesOccupancy(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	cfg.HostGbps = 1 // very slow host
-	cfg.RxBufferBytes = 100_000
-	n := New(s, cfg)
-	for i := 0; i < 10; i++ {
+	n := New(s, DefaultConfig())
+	for q := 0; q < rxBufferBytes; q += 10_000 {
+		if occ := n.RxOccupancy(); occ >= 1 {
+			t.Fatalf("occupancy %v with %d of %d bytes queued", occ, q, rxBufferBytes)
+		}
 		n.DeliverToHost(10_000, nil)
 	}
 	if occ := n.RxOccupancy(); occ < 0.99 {
@@ -249,28 +238,31 @@ func TestHostBackpressureRaisesOccupancy(t *testing.T) {
 	}
 }
 
+// TestSpillToDRAMNeverDrops bursts twice the RX buffer: what does not fit
+// spills to DRAM and is still delivered.
 func TestSpillToDRAMNeverDrops(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	cfg.HostGbps = 1
-	cfg.RxBufferBytes = 10_000
-	n := New(s, cfg)
+	n := New(s, DefaultConfig())
+	const chunk, count = 5_000, 2 * rxBufferBytes / 5_000
 	delivered := 0
-	for i := 0; i < 10; i++ {
-		n.DeliverToHost(5_000, func() { delivered++ })
+	for i := 0; i < count; i++ {
+		n.DeliverToHost(chunk, func() { delivered++ })
 	}
 	s.Run()
-	if delivered != 10 {
-		t.Fatalf("delivered %d of 10 despite spill", delivered)
+	if delivered != count {
+		t.Fatalf("delivered %d of %d despite spill", delivered, count)
 	}
-	if n.Stats.SpilledBytes == 0 {
-		t.Fatal("expected DRAM spill")
+	if fit := rxBufferBytes / chunk; n.Stats.SpilledBytes != uint64((count-fit)*chunk) {
+		t.Fatalf("spilled %d bytes, want the %d chunks past the %d-byte buffer", n.Stats.SpilledBytes, count-fit, rxBufferBytes)
 	}
 }
 
 func TestSetHostGbps(t *testing.T) {
 	s := sim.New(1)
 	n := New(s, DefaultConfig())
+	if n.HostGbps() != initialHostGbps {
+		t.Fatalf("host bandwidth %v before SetHostGbps, want %v", n.HostGbps(), initialHostGbps)
+	}
 	n.SetHostGbps(100)
 	if n.HostGbps() != 100 {
 		t.Fatal("SetHostGbps did not apply")

@@ -15,8 +15,8 @@
 // transaction layer refuses until the connection's Xon edge.
 //
 // The Device type is the SSD substitute (the paper used real SSDs):
-// per-channel parallelism, per-op base latency, bandwidth caps and an
-// optional IOPS limit, enough to reproduce Table 4's relative numbers.
+// per-channel parallelism, per-op base latency and bandwidth caps, enough
+// to reproduce Table 4's relative numbers.
 package nvme
 
 import (
@@ -40,30 +40,16 @@ const (
 	opCompletion
 )
 
-// DeviceConfig models one SSD.
-type DeviceConfig struct {
-	// ReadLatency is the per-command base read service time.
-	ReadLatency time.Duration
-	// Channels is the number of independent flash channels.
-	Channels int
-	// MaxIOPS caps command admission (0 = uncapped).
-	MaxIOPS float64
-}
-
-// DefaultDeviceConfig models a datacenter NVMe SSD (~80us read, ~20us
-// cached write; 7 Gbps read and 4 Gbps write per channel × 8 channels ≈
-// 7 GB/s read, 4 GB/s write aggregate).
-func DefaultDeviceConfig() DeviceConfig {
-	return DeviceConfig{
-		ReadLatency: 80 * time.Microsecond,
-		Channels:    8,
-	}
-}
-
-// The device's fixed write latency and per-channel bandwidths.
+// The device models a datacenter NVMe SSD: ~80us read, ~20us cached
+// write; 7 Gbps read and 4 Gbps write per channel × 8 channels ≈ 7 GB/s
+// read, 4 GB/s write aggregate.
 const (
-	// writeLatency is the per-command base write service time.
+	// readLatency and writeLatency are the per-command base service
+	// times.
+	readLatency  = 80 * time.Microsecond
 	writeLatency = 20 * time.Microsecond
+	// channels is the number of independent flash channels.
+	channels = 8
 	// readGbps/writeGbps cap data movement per channel.
 	readGbps, writeGbps = 7, 4
 )
@@ -71,9 +57,7 @@ const (
 // Device is the SSD service-time model.
 type Device struct {
 	sim      *sim.Simulator
-	cfg      DeviceConfig
-	chanFree []sim.Time
-	iopsFree sim.Time
+	chanFree [channels]sim.Time
 
 	// Stats
 	Reads, Writes uint64
@@ -82,26 +66,12 @@ type Device struct {
 }
 
 // NewDevice creates a device bound to the simulator.
-func NewDevice(s *sim.Simulator, cfg DeviceConfig) *Device {
-	if cfg.Channels <= 0 {
-		cfg.Channels = 1
-	}
-	return &Device{sim: s, cfg: cfg, chanFree: make([]sim.Time, cfg.Channels)}
+func NewDevice(s *sim.Simulator) *Device {
+	return &Device{sim: s}
 }
 
-func (d *Device) admit() sim.Time {
-	now := d.sim.Now()
-	start := now
-	if d.cfg.MaxIOPS > 0 {
-		if d.iopsFree > start {
-			start = d.iopsFree
-		}
-		d.iopsFree = start.Add(time.Duration(1e9 / d.cfg.MaxIOPS))
-	}
-	return start
-}
-
-func (d *Device) schedule(start sim.Time, base time.Duration, bytes int, gbps float64, done func()) {
+func (d *Device) schedule(base time.Duration, bytes int, gbps float64, done func()) {
+	start := d.sim.Now()
 	// Earliest-free channel.
 	best := 0
 	for i, f := range d.chanFree {
@@ -122,14 +92,14 @@ func (d *Device) schedule(start sim.Time, base time.Duration, bytes int, gbps fl
 func (d *Device) Read(n int, done func()) {
 	d.Reads++
 	d.BytesRead += uint64(n)
-	d.schedule(d.admit(), d.cfg.ReadLatency, n, readGbps, done)
+	d.schedule(readLatency, n, readGbps, done)
 }
 
 // Write services an n-byte device write.
 func (d *Device) Write(n int, done func()) {
 	d.Writes++
 	d.BytesWritten += uint64(n)
-	d.schedule(d.admit(), writeLatency, n, writeGbps, done)
+	d.schedule(writeLatency, n, writeGbps, done)
 }
 
 // Controller is the target-side NVMe-over-Falcon endpoint: it owns the
@@ -249,8 +219,8 @@ func (c *Controller) finishWrite(ws *writeState, err error) {
 // carry the same read ID: the first chunk starts a single device command
 // for the whole read, and every chunk's response is released when that
 // command completes (an NVMe read is one device operation regardless of
-// how the transport segments the data). Both ends of a connection share its
-// MTU, so the controller counts the chunks the client sends.
+// how the transport segments the data). The client segments by tl.MTU, so
+// the controller counts the chunks the client sends.
 func (t *ctrlTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl.TargetVerdict) {
 	c := (*Controller)(t)
 	if p.UlpOp != opRead {
@@ -266,10 +236,7 @@ func (t *ctrlTarget) HandlePull(rsn uint64, p *wire.Packet) ([]byte, uint32, tl.
 			rs.devFn = func() { c.readDone(rs) }
 		}
 		total := int(uint32(p.Addr))
-		rs.id, rs.devDone, rs.served, rs.expected = id, false, 0, 1
-		if mtu := c.ep.TL().MTU(); total > mtu {
-			rs.expected = (total + mtu - 1) / mtu
-		}
+		rs.id, rs.devDone, rs.served, rs.expected = id, false, 0, wire.Segments(total, tl.MTU)
 		c.reads[id] = rs
 		c.dev.Read(total, rs.devFn)
 	}

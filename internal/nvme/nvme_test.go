@@ -13,20 +13,20 @@ import (
 
 var testLink = netsim.LinkConfig{GbpsRate: 100, PropDelay: time.Microsecond}
 
-func setup(t *testing.T, devCfg DeviceConfig) (*sim.Simulator, *Client, *Controller, *Device) {
+func setup(t *testing.T) (*sim.Simulator, *Client, *Controller, *Device) {
 	t.Helper()
-	return setupNodes(t, devCfg, core.DefaultNodeConfig(), core.DefaultNodeConfig())
+	return setupNodes(t, core.DefaultNodeConfig(), core.DefaultNodeConfig())
 }
 
 // setupNodes is setup with the client's and the controller's nodes
 // configured by cfgA and cfgB.
-func setupNodes(t *testing.T, devCfg DeviceConfig, cfgA, cfgB core.NodeConfig) (*sim.Simulator, *Client, *Controller, *Device) {
+func setupNodes(t *testing.T, cfgA, cfgB core.NodeConfig) (*sim.Simulator, *Client, *Controller, *Device) {
 	t.Helper()
-	return setupConn(t, devCfg, cfgA, cfgB, core.DefaultConnConfig())
+	return setupConn(t, cfgA, cfgB, core.DefaultConnConfig())
 }
 
 // setupConn is setupNodes over a connection configured by connCfg.
-func setupConn(t *testing.T, devCfg DeviceConfig, cfgA, cfgB core.NodeConfig, connCfg core.ConnConfig) (*sim.Simulator, *Client, *Controller, *Device) {
+func setupConn(t *testing.T, cfgA, cfgB core.NodeConfig, connCfg core.ConnConfig) (*sim.Simulator, *Client, *Controller, *Device) {
 	t.Helper()
 	s := sim.New(31)
 	topo, _ := netsim.PointToPoint(s, testLink)
@@ -34,14 +34,14 @@ func setupConn(t *testing.T, devCfg DeviceConfig, cfgA, cfgB core.NodeConfig, co
 	a := cl.AddNode(topo.Hosts[0], cfgA)
 	b := cl.AddNode(topo.Hosts[1], cfgB)
 	epA, epB := cl.Connect(a, b, connCfg)
-	dev := NewDevice(s, devCfg)
+	dev := NewDevice(s)
 	ctrl := NewController(epB, dev)
 	client := NewClient(epA)
 	return s, client, ctrl, dev
 }
 
 func TestReadCompletes(t *testing.T) {
-	s, client, _, dev := setup(t, DefaultDeviceConfig())
+	s, client, _, dev := setup(t)
 	var doneAt sim.Time
 	if err := client.Read(0, 4096, func(err error) {
 		if err != nil {
@@ -65,7 +65,7 @@ func TestReadCompletes(t *testing.T) {
 }
 
 func TestLargeReadSegments(t *testing.T) {
-	s, client, _, dev := setup(t, DefaultDeviceConfig())
+	s, client, _, dev := setup(t)
 	completed := false
 	if err := client.Read(0, 16<<10, func(err error) {
 		completed = err == nil
@@ -85,16 +85,14 @@ func TestLargeReadSegments(t *testing.T) {
 	}
 }
 
-// TestReadSegmentsByConnectionMTU: the client segments by its connection's
-// MTU and the controller counts chunks by the same MTU, so an 8 KiB read
-// over a 2 KiB-MTU connection is four pulls served by one device read, and
-// the controller forgets the read once its last chunk is served.
+// TestReadSegmentsByConnectionMTU: the client segments by tl.MTU and the
+// controller counts chunks by the same MTU, so a read of four MTUs is four
+// pulls served by one device read, and the controller forgets the read
+// once its last chunk is served.
 func TestReadSegmentsByConnectionMTU(t *testing.T) {
-	connCfg := core.DefaultConnConfig()
-	connCfg.TL.MTU = 2048
-	s, client, ctrl, dev := setupConn(t, DefaultDeviceConfig(), core.DefaultNodeConfig(), core.DefaultNodeConfig(), connCfg)
+	s, client, ctrl, dev := setupConn(t, core.DefaultNodeConfig(), core.DefaultNodeConfig(), core.DefaultConnConfig())
 	calls := 0
-	if err := client.Read(0, 8<<10, func(err error) {
+	if err := client.Read(0, 4*tl.MTU, func(err error) {
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
@@ -107,7 +105,7 @@ func TestReadSegmentsByConnectionMTU(t *testing.T) {
 		t.Fatalf("done fired %d times, want once", calls)
 	}
 	if got := client.ep.TL().Stats.Pulls; got != 4 {
-		t.Fatalf("%d pulls for an 8 KiB read at MTU 2048, want 4", got)
+		t.Fatalf("%d pulls for a read of four MTUs, want 4", got)
 	}
 	if dev.Reads != 1 || len(ctrl.reads) != 0 {
 		t.Fatalf("device saw %d reads and the controller holds %d at quiescence, want 1 and 0", dev.Reads, len(ctrl.reads))
@@ -115,7 +113,7 @@ func TestReadSegmentsByConnectionMTU(t *testing.T) {
 }
 
 func TestWriteRoundTrip(t *testing.T) {
-	s, client, _, dev := setup(t, DefaultDeviceConfig())
+	s, client, _, dev := setup(t)
 	completed := false
 	if err := client.Write(0, 1<<20, func(err error) {
 		if err != nil {
@@ -135,7 +133,7 @@ func TestWriteRoundTrip(t *testing.T) {
 }
 
 func TestWriteZeroBytes(t *testing.T) {
-	s, client, _, _ := setup(t, DefaultDeviceConfig())
+	s, client, _, _ := setup(t)
 	completed := false
 	if err := client.Write(0, 0, func(err error) { completed = err == nil }); err != nil {
 		t.Fatal(err)
@@ -146,54 +144,35 @@ func TestWriteZeroBytes(t *testing.T) {
 	}
 }
 
-func TestIOPSCap(t *testing.T) {
-	cfg := DefaultDeviceConfig()
-	cfg.MaxIOPS = 10000 // 100us spacing
-	cfg.ReadLatency = 0
-	s, client, _, _ := setup(t, cfg)
-	done := 0
-	for i := 0; i < 10; i++ {
-		if err := client.Read(0, 512, func(err error) { done++ }); err != nil {
-			t.Fatal(err)
-		}
+// TestChannelParallelism issues one more read than the device has
+// channels, all at once: the first channels reads overlap and finish
+// after one service time, the last waits for a channel and takes two.
+func TestChannelParallelism(t *testing.T) {
+	s := sim.New(1)
+	d := NewDevice(s)
+	var finish []sim.Time
+	for i := 0; i <= channels; i++ {
+		d.Read(4096, func() { finish = append(finish, s.Now()) })
 	}
 	s.Run()
-	if done != 10 {
-		t.Fatalf("completed %d", done)
-	}
-	// 10 ops at 10K IOPS: at least 900us of admission spacing.
-	if s.Now() < sim.Time(900*time.Microsecond) {
-		t.Fatalf("finished at %v; IOPS cap not enforced", s.Now())
-	}
-}
-
-func TestChannelParallelism(t *testing.T) {
-	mk := func(channels int) sim.Time {
-		cfg := DefaultDeviceConfig()
-		cfg.Channels = channels
-		cfg.ReadLatency = 100 * time.Microsecond
-		s, client, _, _ := setup(t, cfg)
-		done := 0
-		for i := 0; i < 8; i++ {
-			if err := client.Read(uint64(i*4096), 4096, func(err error) { done++ }); err != nil {
-				t.Fatal(err)
-			}
+	bytes, gbps := 4096.0, float64(readGbps)
+	service := readLatency + time.Duration(bytes*8/gbps)
+	for i, at := range finish {
+		want := sim.Time(service)
+		if i == channels {
+			want = sim.Time(2 * service)
 		}
-		s.Run()
-		if done != 8 {
-			t.Fatalf("completed %d", done)
+		if at != want {
+			t.Fatalf("read %d of %d finished at %v, want %v", i+1, len(finish), at, want)
 		}
-		return s.Now()
 	}
-	serial := mk(1)
-	parallel := mk(8)
-	if parallel >= serial {
-		t.Fatalf("8 channels (%v) not faster than 1 (%v)", parallel, serial)
+	if len(finish) != channels+1 {
+		t.Fatalf("completed %d of %d", len(finish), channels+1)
 	}
 }
 
 func TestConcurrentMixedLoad(t *testing.T) {
-	s, client, _, dev := setup(t, DefaultDeviceConfig())
+	s, client, _, dev := setup(t)
 	done := 0
 	for i := 0; i < 20; i++ {
 		if i%2 == 0 {
@@ -233,7 +212,7 @@ func TestDeadConnectionStopsRetries(t *testing.T) {
 		}
 	}
 	t.Run("read", func(t *testing.T) {
-		s, client, _, _ := setup(t, DefaultDeviceConfig())
+		s, client, _, _ := setup(t)
 		client.ep.PDL().Fail()
 		calls := 0
 		var got error
@@ -246,7 +225,7 @@ func TestDeadConnectionStopsRetries(t *testing.T) {
 		}
 	})
 	t.Run("write-cmd", func(t *testing.T) {
-		s, client, _, _ := setup(t, DefaultDeviceConfig())
+		s, client, _, _ := setup(t)
 		client.ep.PDL().Fail()
 		calls := 0
 		var got error
@@ -259,7 +238,7 @@ func TestDeadConnectionStopsRetries(t *testing.T) {
 		}
 	})
 	t.Run("write", func(t *testing.T) {
-		s, client, ctrl, _ := setup(t, DefaultDeviceConfig())
+		s, client, ctrl, _ := setup(t)
 		ok := false
 		calls := 0
 		var got error
@@ -294,7 +273,7 @@ func TestDeadConnectionStopsRetries(t *testing.T) {
 func TestCommandsResumeOnXon(t *testing.T) {
 	starved := core.DefaultNodeConfig()
 	starved.Resources.Pools[tl.PoolRxResp].Bytes = 16 << 10
-	s, client, ctrl, _ := setupNodes(t, DefaultDeviceConfig(), starved, starved)
+	s, client, ctrl, _ := setupNodes(t, starved, starved)
 	done := 0
 	for i := 0; i < 8; i++ {
 		post := client.Write
@@ -343,7 +322,7 @@ func (l *cmdLog) HandlePush(rsn uint64, p *wire.Packet) tl.TargetVerdict {
 func TestWriteCommandsParkOnXon(t *testing.T) {
 	starved := core.DefaultNodeConfig()
 	starved.Resources.Pools[tl.PoolTxReq].Contexts = 1
-	s, client, ctrl, _ := setupNodes(t, DefaultDeviceConfig(), starved, core.DefaultNodeConfig())
+	s, client, ctrl, _ := setupNodes(t, starved, core.DefaultNodeConfig())
 	log := &cmdLog{ctrlTarget: (*ctrlTarget)(ctrl)}
 	ctrl.ep.SetTarget(log)
 	const n = 8

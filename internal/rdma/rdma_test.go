@@ -76,15 +76,13 @@ func TestLargeWriteSegmented(t *testing.T) {
 	}
 }
 
-// TestWriteSegmentsByConnectionMTU: a QP segments by its connection's MTU,
-// so a 4 KiB Write over a 1 KiB-MTU connection is four pushes.
+// TestWriteSegmentsByConnectionMTU: a QP segments by tl.MTU, so a Write
+// of four MTUs is four pushes.
 func TestWriteSegmentsByConnectionMTU(t *testing.T) {
-	connCfg := core.DefaultConnConfig()
-	connCfg.TL.MTU = 1024
-	s, qa, qb, _ := pairWith(t, core.DefaultNodeConfig(), connCfg, Config{})
-	remote := make([]byte, 8<<10)
+	s, qa, qb, _ := pairWith(t, core.DefaultNodeConfig(), core.DefaultConnConfig(), Config{})
+	remote := make([]byte, 8*tl.MTU)
 	qb.RegisterMemory(remote)
-	payload := patternMemory(4096)
+	payload := patternMemory(4 * tl.MTU)
 	var comps []Completion
 	if err := qa.Write(1, 0, payload, 0, func(c Completion) { comps = append(comps, c) }); err != nil {
 		t.Fatal(err)
@@ -94,7 +92,7 @@ func TestWriteSegmentsByConnectionMTU(t *testing.T) {
 		t.Fatalf("completions %+v, want one without error", comps)
 	}
 	if got := qa.Endpoint().TL().Stats.Pushes; got != 4 {
-		t.Fatalf("%d pushes for a 4 KiB Write at MTU 1024, want 4", got)
+		t.Fatalf("%d pushes for a Write of four MTUs, want 4", got)
 	}
 	if !bytes.Equal(remote[:len(payload)], payload) {
 		t.Fatal("remote memory does not hold the written bytes")

@@ -14,15 +14,6 @@ import (
 // one pool: a packet built at one end is released at the other, back into
 // the free list it came from.
 func Connect(client, server *Node, id uint32, cfg Config) (*QP, *Responder) {
-	if cfg.MTU <= 0 {
-		cfg.MTU = 4096
-	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 128
-	}
-	if cfg.RTO <= 0 {
-		cfg.RTO = 500 * time.Microsecond
-	}
 	pkts := new(pktPool)
 	qp := &QP{rateGbps: cfg.LinkGbps}
 	qp.end = end{node: client, cfg: cfg, id: id, dst: server.host.ID, salt: 0x5a5a, spray: cfg.Mode == AR, pkts: pkts}
@@ -111,9 +102,9 @@ func (q *QP) Read(size int, done func()) { q.post(ptReadReq, size, done) }
 // post queues one request-stream packet per MTU segment of an op.
 func (q *QP) post(t pktType, size int, done func()) {
 	o := q.ops.Acquire()
-	o.totalPkts, o.done = wire.Segments(size, q.cfg.MTU), done
+	o.totalPkts, o.done = wire.Segments(size, mtu), done
 	for i := 0; i < o.totalPkts; i++ {
-		_, seg := wire.Segment(size, q.cfg.MTU, i)
+		_, seg := wire.Segment(size, mtu, i)
 		p := q.packet(t)
 		p.op, p.Size, p.Stream = o, seg, streamReq
 		if t == ptReadReq {
@@ -148,7 +139,7 @@ func (q *QP) outstanding() int {
 func (q *QP) pump() {
 	now := q.node.sim.Now()
 	for q.sendQ.Len() > 0 {
-		if q.outstanding() >= q.cfg.WindowSize {
+		if q.outstanding() >= windowSize {
 			return // ack-clocked
 		}
 		if q.nextSend > now {
@@ -195,7 +186,7 @@ func (q *QP) armTimers() {
 		return
 	}
 	if !q.rtoTimer.Pending() {
-		q.rtoTimer = q.node.sim.After(q.cfg.RTO, q.onRTOFn)
+		q.rtoTimer = q.node.sim.After(rto, q.onRTOFn)
 	}
 	if !q.probeTimer.Pending() {
 		q.probeTimer = q.node.sim.After(rttccProbeInterval, q.sendProbeFn)
@@ -356,7 +347,7 @@ func (q *QP) sendRespNak() {
 func (q *QP) handleProbeResp(p *packet) {
 	now := q.node.sim.Now()
 	rtt := now.Sub(sim.Time(p.T1))
-	if rtt <= q.cfg.CC.TargetRTT {
+	if rtt <= rttccTargetRTT {
 		q.rateGbps += rttccAIGbps
 	} else if now.Sub(q.lastDecr) >= rttccProbeInterval {
 		q.rateGbps *= rttccMD

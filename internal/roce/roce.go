@@ -140,20 +140,11 @@ const (
 	streamResp
 )
 
-// RTTCCConfig parameterizes the probe-based congestion control.
-type RTTCCConfig struct {
-	// TargetRTT is the probe-RTT threshold separating increase from
-	// decrease.
-	TargetRTT time.Duration
-}
-
-// DefaultRTTCC returns RTTCC settings for a 200G NIC in a shallow fabric.
-func DefaultRTTCC() RTTCCConfig {
-	return RTTCCConfig{TargetRTT: 40 * time.Microsecond}
-}
-
 // RTTCC's fixed constants for a 200G NIC in a shallow fabric.
 const (
+	// rttccTargetRTT is the probe-RTT threshold separating increase from
+	// decrease.
+	rttccTargetRTT = 40 * time.Microsecond
 	// rttccProbeInterval is how often an RTT probe is sent while data is
 	// in flight. Rate only adapts when probe responses return — the
 	// source of RTTCC's slower reaction compared to per-packet delay CC.
@@ -167,13 +158,17 @@ const (
 	rttccMD = 0.85
 )
 
+// A QP's fixed transport parameters: the payload bytes per packet, the
+// most packets outstanding per stream, and the retransmission timeout.
+const (
+	mtu        = 4096
+	windowSize = 128
+	rto        = 500 * time.Microsecond
+)
+
 // Config parameterizes a QP pair.
 type Config struct {
-	Mode       Mode
-	MTU        int
-	WindowSize int // max outstanding packets per stream
-	RTO        time.Duration
-	CC         RTTCCConfig
+	Mode Mode
 	// LinkGbps seeds the initial rate.
 	LinkGbps float64
 }
@@ -181,12 +176,8 @@ type Config struct {
 // DefaultConfig returns the evaluation's RoCE settings.
 func DefaultConfig() Config {
 	return Config{
-		Mode:       GBN,
-		MTU:        4096,
-		WindowSize: 128,
-		RTO:        500 * time.Microsecond,
-		CC:         DefaultRTTCC(),
-		LinkGbps:   200,
+		Mode:     GBN,
+		LinkGbps: 200,
 	}
 }
 

@@ -137,7 +137,6 @@ func TestSendLossFallsBackToGBNEvenInSR(t *testing.T) {
 func TestARRecoversOnlyByRTO(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = AR
-	cfg.RTO = 200 * time.Microsecond
 	s, qp, r, fwd := pair(t, cfg)
 	fwd.SetDropProb(0.05)
 	completed := 0
@@ -209,7 +208,6 @@ func TestReadLossRecovered(t *testing.T) {
 		for _, reverse := range []bool{false, true} {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
-			cfg.RTO = 300 * time.Microsecond
 			s, qp, _, fwd, rev := pairBoth(t, cfg, false)
 			const reads = 20
 			if reverse {
@@ -230,24 +228,30 @@ func TestReadLossRecovered(t *testing.T) {
 	}
 }
 
+// TestRTTCCAdaptsRate drives the rate update with probe RTTs on either
+// side of rttccTargetRTT: one above it cuts the rate by rttccMD, one at it
+// adds rttccAIGbps.
 func TestRTTCCAdaptsRate(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.CC.TargetRTT = 1 * time.Microsecond // everything is "congested"
+	cfg.LinkGbps = 100
 	s, qp, _, _ := pair(t, cfg)
-	before := qp.RateGbps()
-	for i := 0; i < 50; i++ {
-		qp.Write(64<<10, nil)
+	s.RunUntil(sim.Time(time.Millisecond))
+	probe := func(rtt time.Duration) {
+		qp.handleProbeResp(&packet{T1: int64(s.Now()) - int64(rtt)})
 	}
-	s.Run()
-	if qp.RateGbps() >= before {
-		t.Fatalf("rate %v did not decrease with RTT above target", qp.RateGbps())
+	probe(rttccTargetRTT + time.Nanosecond)
+	if got, want := qp.RateGbps(), 100*rttccMD; got != want {
+		t.Fatalf("rate %v after an RTT above target, want %v", got, want)
+	}
+	probe(rttccTargetRTT)
+	if got, want := qp.RateGbps(), 100*rttccMD+rttccAIGbps; got != want {
+		t.Fatalf("rate %v after an RTT at target, want %v", got, want)
 	}
 }
 
 func TestRTTCCIncreasesWhenIdlePath(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkGbps = 10 // start slow
-	cfg.CC.TargetRTT = 10 * time.Millisecond
 	s, qp, _, _ := pair(t, cfg)
 	for i := 0; i < 50; i++ {
 		qp.Write(64<<10, nil)
@@ -258,23 +262,25 @@ func TestRTTCCIncreasesWhenIdlePath(t *testing.T) {
 	}
 }
 
+// eachEvent is a sim.Observer calling a function before every event.
+type eachEvent func()
+
+func (f eachEvent) OnEvent(sim.Time, uint64) { f() }
+
+// TestWindowBoundsOutstanding loses every ACK, so nothing completes and
+// the requester's outstanding packets climb to the window and stop there.
 func TestWindowBoundsOutstanding(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowSize = 8
-	s, qp, _, fwd := pair(t, cfg)
+	s, qp, _, _, rev := pairBoth(t, DefaultConfig(), false)
+	rev.SetDropProb(1)
+	for i := 0; i < 2*windowSize; i++ {
+		qp.Write(mtu, nil)
+	}
 	maxOut := 0
-	fwd.SetDropProb(0)
-	probe := func() {
-		if o := qp.outstanding(); o > maxOut {
-			maxOut = o
-		}
-	}
-	for i := 0; i < 100; i++ {
-		qp.Write(4096, probe)
-	}
-	s.Run()
-	if maxOut > 8 {
-		t.Fatalf("outstanding reached %d with window 8", maxOut)
+	s.SetObserver(eachEvent(func() { maxOut = max(maxOut, qp.outstanding()) }))
+	s.RunUntil(sim.Time(2 * rto))
+	maxOut = max(maxOut, qp.outstanding())
+	if maxOut != windowSize {
+		t.Fatalf("outstanding reached %d, want the window of %d", maxOut, windowSize)
 	}
 }
 
@@ -299,7 +305,6 @@ func TestPoolsBalanceAtQuiescence(t *testing.T) {
 				name := fmt.Sprintf("%v reverse=%v nic=%v", mode, reverse, withNIC)
 				cfg := DefaultConfig()
 				cfg.Mode = mode
-				cfg.RTO = 200 * time.Microsecond
 				s, qp, r, fwd, rev := pairBoth(t, cfg, withNIC)
 				lossy := fwd
 				if reverse {
@@ -352,8 +357,7 @@ func TestPoolsBalanceAtQuiescence(t *testing.T) {
 // requests never spans more than the window: it forgets a request once
 // the requester has acknowledged all of its responses.
 func TestResponderForgetsAckedReads(t *testing.T) {
-	cfg := DefaultConfig()
-	s, qp, r, _ := pair(t, cfg)
+	s, qp, r, _ := pair(t, DefaultConfig())
 	const reads = 10_000
 	completed := 0
 	var widest uint64
@@ -361,20 +365,20 @@ func TestResponderForgetsAckedReads(t *testing.T) {
 	next = func() {
 		lo, hi := r.respOf.Bounds()
 		widest = max(widest, hi-lo)
-		if completed++; completed+cfg.WindowSize <= reads {
+		if completed++; completed+windowSize <= reads {
 			qp.Read(4096, next)
 		}
 	}
-	for i := 0; i < cfg.WindowSize; i++ {
+	for i := 0; i < windowSize; i++ {
 		qp.Read(4096, next)
 	}
 	s.Run()
 	if completed != reads {
 		t.Fatalf("completed %d of %d reads", completed, reads)
 	}
-	if widest == 0 || widest > uint64(cfg.WindowSize) || r.respOf.Cap() > 2*cfg.WindowSize {
+	if widest == 0 || widest > windowSize || r.respOf.Cap() > 2*windowSize {
 		t.Fatalf("read-request table spanned up to %d PSNs on a ring of %d, want at most the window of %d",
-			widest, r.respOf.Cap(), cfg.WindowSize)
+			widest, r.respOf.Cap(), windowSize)
 	}
 	if r.respOf.Len() != 0 || r.respPkts.Len() != 0 {
 		t.Fatalf("%d read requests and %d responses remembered after every response was acknowledged",

@@ -20,7 +20,7 @@ import (
 //     parked) past min(Σ fcwnd, ncwnd) for request-space packets, or
 //     Σ fcwnd for response-space packets (fractional windows admit
 //     exactly one in-flight packet).
-//   - TX window bounds: next−base ≤ WindowSize, and the scoreboard is
+//   - TX window bounds: next−base ≤ wire.BitmapBits, and the scoreboard is
 //     coherent (pdl.Conn.CheckScoreboard): no PSN both acked and parked,
 //     no bitmap bit past the window, per-flow counts that sum to the
 //     outstanding total, and each slot holding the packet it should.
@@ -216,12 +216,11 @@ func (k *Checker) OnReceive(c *pdl.Conn, p *wire.Packet) {
 
 // checkTxWindows validates both TX sequence spaces' structural invariants.
 func (k *Checker) checkTxWindows(c *pdl.Conn, when string) {
-	winSize := uint32(c.Config().WindowSize)
 	for _, space := range []wire.Space{wire.SpaceRequest, wire.SpaceResponse} {
 		base, next, _ := c.TxState(space)
-		if span := next - base; span > winSize {
+		if span := next - base; span > wire.BitmapBits {
 			k.fail("tx window overflow on %s in %v space: next-base = %d > %d\n%s",
-				when, space, span, winSize, DumpConn(c))
+				when, space, span, wire.BitmapBits, DumpConn(c))
 		}
 	}
 	if msg := c.CheckScoreboard(); msg != "" {

@@ -449,21 +449,19 @@ func Run(sc Scenario) Result {
 	frames := topo.Net.Frames()
 	res.FramesAllocated, res.FramesFree = frames.Allocated(), frames.Free()
 
-	// Post-run quiescence: everything issued completed, nothing is still
-	// outstanding, every reservation was returned, and every transport
-	// packet, fabric frame and pooled per-op object (core.Cluster.FreeLists,
-	// one list per type for both nodes) is back on its free list.
-	if !res.ConnFailed {
-		if res.Completed != res.Issued {
-			ps.k.Failf("scenario %q: %d issued but %d completed\n%s",
-				sc.Name, res.Issued, res.Completed, DumpConn(epA.PDL()))
-		}
-		sides := []struct {
-			name string
-			ep   *core.Endpoint
-			node *core.Node
-		}{{"initiator", epA, a}, {"target", epB, b}}
-		for _, sd := range sides {
+	// Post-run quiescence: every reservation was returned, and every
+	// transport packet, fabric frame and pooled per-op object
+	// (core.Cluster.FreeLists, one list per type for both nodes) is back
+	// on its free list, whether or not a connection failed. A live
+	// connection also completed everything it issued and holds nothing
+	// outstanding or queued.
+	sides := []struct {
+		name string
+		ep   *core.Endpoint
+		node *core.Node
+	}{{"initiator", epA, a}, {"target", epB, b}}
+	for _, sd := range sides {
+		if !res.ConnFailed {
 			if out := sd.ep.PDL().Outstanding(); out != 0 {
 				ps.k.Failf("scenario %q: %d packets still outstanding after drain\n%s",
 					sc.Name, out, DumpConn(sd.ep.PDL()))
@@ -472,27 +470,31 @@ func Run(sc Scenario) Result {
 				ps.k.Failf("scenario %q: %d packets still queued after drain\n%s",
 					sc.Name, q, DumpConn(sd.ep.PDL()))
 			}
-			for _, pool := range []tl.PoolKind{tl.PoolTxReq, tl.PoolTxResp, tl.PoolRxReq, tl.PoolRxResp} {
-				if occ := sd.node.Resources().Occupancy(pool); occ != 0 {
-					ps.k.Failf("scenario %q: %s %v pool not drained (occupancy %.4f) — resource leak",
-						sc.Name, sd.name, pool, occ)
-				}
+		}
+		for _, pool := range []tl.PoolKind{tl.PoolTxReq, tl.PoolTxResp, tl.PoolRxReq, tl.PoolRxResp} {
+			if occ := sd.node.Resources().Occupancy(pool); occ != 0 {
+				ps.k.Failf("scenario %q: %s %v pool not drained (occupancy %.4f) — resource leak",
+					sc.Name, sd.name, pool, occ)
 			}
 		}
-		cl.FreeLists(func(list string, built, free int) {
-			if free != built {
-				ps.k.Failf("scenario %q: the cluster built %d %s but %d are free after drain — leak or double put",
-					sc.Name, built, list, free)
-			}
-		})
-		if res.PacketsFree != res.PacketsAllocated {
-			ps.k.Failf("scenario %q: %d transport packets allocated but %d free after drain — packet leak or double release",
-				sc.Name, res.PacketsAllocated, res.PacketsFree)
+	}
+	if !res.ConnFailed && res.Completed != res.Issued {
+		ps.k.Failf("scenario %q: %d issued but %d completed\n%s",
+			sc.Name, res.Issued, res.Completed, DumpConn(epA.PDL()))
+	}
+	cl.FreeLists(func(list string, built, free int) {
+		if free != built {
+			ps.k.Failf("scenario %q: the cluster built %d %s but %d are free after drain — leak or double put",
+				sc.Name, built, list, free)
 		}
-		if res.FramesFree != res.FramesAllocated {
-			ps.k.Failf("scenario %q: %d fabric frames allocated but %d free after drain — frame leak or double release",
-				sc.Name, res.FramesAllocated, res.FramesFree)
-		}
+	})
+	if res.PacketsFree != res.PacketsAllocated {
+		ps.k.Failf("scenario %q: %d transport packets allocated but %d free after drain — packet leak or double release",
+			sc.Name, res.PacketsAllocated, res.PacketsFree)
+	}
+	if res.FramesFree != res.FramesAllocated {
+		ps.k.Failf("scenario %q: %d fabric frames allocated but %d free after drain — frame leak or double release",
+			sc.Name, res.FramesAllocated, res.FramesFree)
 	}
 	res.Violations = ps.k.Violations
 	return res

@@ -175,3 +175,34 @@ func TestSweepQuiescenceChecked(t *testing.T) {
 		t.Fatalf("healthy run recorded %d violations", res.Violations)
 	}
 }
+
+// TestSweepDeadConnectionBalancesPools black-holes the forward path, and
+// in a second pass the reverse path too, for each workload: the
+// connection runs out its RTO budget and fails, every issued op completes
+// with an error, and the harness's quiescence checks (pool occupancy,
+// cluster free lists, packet and frame pools) find everything returned.
+func TestSweepDeadConnectionBalancesPools(t *testing.T) {
+	for _, w := range []Workload{WorkloadPush, WorkloadPull, WorkloadMixed} {
+		for _, bidir := range []bool{false, true} {
+			sc := Scenario{
+				Name: fmt.Sprintf("%v/dead/bidir=%v", w, bidir), Seed: 5,
+				Workload: w, Ops: 16, DropPct: 100, Bidirectional: bidir,
+			}
+			t.Run(sc.Name, func(t *testing.T) {
+				sc.FailFunc = func(format string, args ...any) { t.Errorf(format, args...) }
+				res := Run(sc)
+				if !res.ConnFailed {
+					t.Fatal("connection survived a black hole")
+				}
+				if res.Issued != sc.Ops || res.Completed != sc.Ops || res.Errored != sc.Ops {
+					t.Fatalf("issued %d, completed %d, errored %d, want all %d errored",
+						res.Issued, res.Completed, res.Errored, sc.Ops)
+				}
+				if res.PacketsAllocated == 0 || res.FramesAllocated == 0 {
+					t.Fatalf("%d packets and %d frames allocated: the pools were never used",
+						res.PacketsAllocated, res.FramesAllocated)
+				}
+			})
+		}
+	}
+}

@@ -114,7 +114,7 @@ func (p *Port[C]) Try(pool *sim.FreeList[Op[C]], m Msg, ctx C) error {
 func (p *Port[C]) get(pool *sim.FreeList[Op[C]], m Msg, ctx C) *Op[C] {
 	o := pool.Get()
 	o.port, o.pool = p, pool
-	nseg := wire.Segments(m.Size, p.conn.MTU())
+	nseg := wire.Segments(m.Size, tl.MTU)
 	if m.Pull && nseg > len(o.slots) {
 		o.slots = make([]slot[C], nseg)
 		for i := range o.slots {
@@ -148,7 +148,7 @@ func (o *Op[C]) segDone(i int) tl.Completer {
 
 // send issues segment i.
 func (m *Msg) send(conn *tl.Conn, i int, done tl.Completer) error {
-	off, seg := wire.Segment(m.Size, conn.MTU(), i)
+	off, seg := wire.Segment(m.Size, tl.MTU, i)
 	addr := m.Addr
 	if !m.Fixed {
 		addr += uint64(off)
@@ -174,7 +174,7 @@ func (m *Msg) send(conn *tl.Conn, i int, done tl.Completer) error {
 // descriptor while the loop still runs.
 func (o *Op[C]) Issue() bool {
 	conn := o.port.conn
-	nseg := wire.Segments(o.m.Size, conn.MTU())
+	nseg := wire.Segments(o.m.Size, tl.MTU)
 	for i := int(o.next); i < nseg; i++ {
 		if err := o.m.send(conn, i, o.segDone(i)); err != nil {
 			dead := conn.Dead()
@@ -218,7 +218,7 @@ func (o *Op[C]) Complete(data []byte, err error) {
 
 // gather assembles a finished pull's bytes and clears its slots.
 func (o *Op[C]) gather() []byte {
-	slots := o.slots[:wire.Segments(o.m.Size, o.port.conn.MTU())]
+	slots := o.slots[:wire.Segments(o.m.Size, tl.MTU)]
 	out := slots[0].data
 	if len(slots) > 1 {
 		out = nil

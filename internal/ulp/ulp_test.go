@@ -13,8 +13,6 @@ import (
 	"falcon/internal/sim"
 )
 
-const mtu = 4096
-
 // link stands in for the PDL under one end of a bare TL pair: it numbers
 // packets, delivers each to the peer after delay(p), acks accepted ones
 // back with the peer's completion horizon, and retries refused ones.
@@ -92,7 +90,6 @@ type bed struct {
 
 func newBed(cfg tl.Config, resA tl.ResourceConfig) *bed {
 	s := sim.New(1)
-	cfg.MTU = mtu
 	e := &bed{s: s, target: &memTarget{mem: pattern(1 << 20)}}
 	e.la, e.lb = &link{s: s}, &link{s: s}
 	e.a = tl.NewConn(s, 1, cfg, tl.NewResources(resA), e.la, nil)
@@ -133,15 +130,15 @@ func TestSegmentsAndAddresses(t *testing.T) {
 	var got []result
 	port := collect(e.a, &got)
 	var pushes, pulls sim.FreeList[Op[int]]
-	const size = 2*mtu + 100
+	const size = 2*tl.MTU + 100
 	port.Post(&pushes, Msg{Op: 1, Addr: 1000, Size: size}, 1)
 	port.Post(&pulls, Msg{Pull: true, Fixed: true, Op: 2, Addr: 7<<32 | size, Size: size}, 2)
 	port.Post(&pushes, Msg{Op: 3, Addr: 50}, 3)
 	e.s.Run()
 
 	want := []request{
-		{false, 1000, mtu}, {false, 1000 + mtu, mtu}, {false, 1000 + 2*mtu, 100},
-		{true, 7<<32 | size, mtu}, {true, 7<<32 | size, mtu}, {true, 7<<32 | size, 100},
+		{false, 1000, tl.MTU}, {false, 1000 + tl.MTU, tl.MTU}, {false, 1000 + 2*tl.MTU, 100},
+		{true, 7<<32 | size, tl.MTU}, {true, 7<<32 | size, tl.MTU}, {true, 7<<32 | size, 100},
 		{false, 50, 0},
 	}
 	if !slices.Equal(e.target.reqs, want) {
@@ -174,7 +171,7 @@ func TestPullReassemblesInOrderUnordered(t *testing.T) {
 	var got []result
 	port := collect(e.a, &got)
 	var pulls sim.FreeList[Op[int]]
-	const base, size = 3000, 16*mtu - 5
+	const base, size = 3000, 16*tl.MTU - 5
 	port.Post(&pulls, Msg{Pull: true, Addr: base, Size: size}, 9)
 	e.s.Run()
 	if slices.IsSorted(e.lb.responses) {
@@ -194,7 +191,7 @@ func TestPullReassemblesInOrderUnordered(t *testing.T) {
 // later pull needs more segment slots than it has.
 func TestDescriptorReusedFromCompletion(t *testing.T) {
 	e := newBed(tl.DefaultConfig(), tl.DefaultResourceConfig())
-	sizes := []int{5000, 100, 40000, mtu, 65536, 0, 12345}
+	sizes := []int{5000, 100, 40000, tl.MTU, 65536, 0, 12345}
 	var pulls sim.FreeList[Op[int]]
 	var port *Port[int]
 	done := 0
@@ -226,15 +223,15 @@ func TestDescriptorReusedFromCompletion(t *testing.T) {
 // no descriptor is left out.
 func TestPoolBalanceWhenConnectionDies(t *testing.T) {
 	rc := tl.DefaultResourceConfig()
-	rc.Pools[tl.PoolRxResp].Bytes = 4 * mtu
+	rc.Pools[tl.PoolRxResp].Bytes = 4 * tl.MTU
 	cfg := tl.DefaultConfig()
 	cfg.Backpressure = tl.BackpressureNone // only the full pool refuses
 	e := newBed(cfg, rc)
 	var got []result
 	port := collect(e.a, &got)
 	var pushes, pulls sim.FreeList[Op[int]]
-	port.Post(&pulls, Msg{Pull: true, Size: 16 * mtu}, 1)
-	port.Post(&pushes, Msg{Size: 2 * mtu}, 2)
+	port.Post(&pulls, Msg{Pull: true, Size: 16 * tl.MTU}, 1)
+	port.Post(&pushes, Msg{Size: 2 * tl.MTU}, 2)
 	if e.a.Parked() != 2 || e.a.Stats.Pulls == 0 {
 		t.Fatalf("%d parked after %d pulls issued, want the pull refused mid-op and both waiting", e.a.Parked(), e.a.Stats.Pulls)
 	}
